@@ -230,7 +230,7 @@ func benchReal(b *testing.B, m dcindex.Method) {
 // sub-1 alloc/op residue `-benchtime 100x` sometimes shows is the
 // first iterations growing the free lists, and amortizes to 0 at
 // 300x — there is no steady-state allocation left).
-func benchRealInto(b *testing.B, layout dcindex.Layout, sorted bool) {
+func benchRealInto(b *testing.B, sorted bool) {
 	keys := dcindex.GenerateKeys(327680, 1)
 	queries := dcindex.GenerateQueries(1<<20, 2)
 	if sorted {
@@ -240,7 +240,7 @@ func benchRealInto(b *testing.B, layout dcindex.Layout, sorted bool) {
 		sort.Slice(queries, func(i, j int) bool { return queries[i] < queries[j] })
 	}
 	idx, err := dcindex.Open(keys, dcindex.Options{
-		Method: dcindex.MethodC3, Workers: 8, BatchKeys: 16384, Layout: layout,
+		Method: dcindex.MethodC3, Workers: 8, BatchKeys: 16384,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -264,16 +264,12 @@ func benchRealInto(b *testing.B, layout dcindex.Layout, sorted bool) {
 	reportLatency(b, &hist)
 }
 
-func BenchmarkReal_RankBatch(b *testing.B) { benchRealInto(b, dcindex.LayoutSortedArray, false) }
+func BenchmarkReal_RankBatch(b *testing.B) { benchRealInto(b, false) }
 
 // BenchmarkReal_RankBatchSorted is the sorted-batch acceptance row: the
 // same workload as BenchmarkReal_RankBatch but ascending, so the whole
 // pipeline switches to one-sweep routing + streaming merge kernels.
-func BenchmarkReal_RankBatchSorted(b *testing.B) { benchRealInto(b, dcindex.LayoutSortedArray, true) }
-
-func BenchmarkReal_RankBatch_Eytzinger(b *testing.B) {
-	benchRealInto(b, dcindex.LayoutEytzinger, false)
-}
+func BenchmarkReal_RankBatchSorted(b *testing.B) { benchRealInto(b, true) }
 
 // BenchmarkReal_CountRange is the v5 query-surface acceptance row:
 // ~2^19 range counts per op, built by pairing up the sorted query
@@ -374,7 +370,7 @@ func benchRealMixed(b *testing.B, durable bool) {
 		b.StopTimer()
 		opt := dcindex.Options{Method: dcindex.MethodC3, Workers: 8, BatchKeys: chunk}
 		if durable {
-			opt.WALDir = b.TempDir()
+			opt.Durability.WALDir = b.TempDir()
 		}
 		idx, err := dcindex.Open(keys, opt)
 		if err != nil {

@@ -21,14 +21,10 @@
 //     replies on its own channel, so callers pipeline through the
 //     shared worker pool instead of serializing behind a lock. Batch
 //     buffers are pooled; with RankBatchInto reusing the result slice,
-//     the array-layout methods (MethodC3 in either Layout, MethodA's
-//     and MethodC1's trees) allocate nothing per call in steady state
-//     (the buffered methods B and C-2 still allocate inside the
-//     Zhou-Ross buffering plan). Close blocks until
-//     in-flight calls drain. Options.Layout selects the Method C-3
-//     slave structure: the paper's sorted array (default) or the
-//     opt-in Eytzinger layout, whose interleaved branchless descent
-//     overlaps cache misses across a batch. Ascending query batches
+//     MethodC3's sorted arrays and MethodA's and MethodC1's trees
+//     allocate nothing per call in steady state (the buffered methods B
+//     and C-2 still allocate inside the Zhou-Ross buffering plan). Close
+//     blocks until in-flight calls drain. Ascending query batches
 //     are auto-detected and take the sorted-batch pipeline — one
 //     boundary search per partition instead of per-key routing,
 //     zero-copy contiguous dispatch, and streaming merge kernels;
@@ -87,22 +83,6 @@ const (
 
 // Methods lists all five strategies in presentation order.
 func Methods() []Method { return core.Methods() }
-
-// Layout selects the slave-side index structure for MethodC3.
-type Layout = core.Layout
-
-const (
-	// LayoutSortedArray is the paper's C-3 structure — the partition's
-	// sorted key run, binary-searched. The default.
-	LayoutSortedArray = core.LayoutSortedArray
-	// LayoutEytzinger lays each partition out in Eytzinger (BFS) order
-	// and searches it with an interleaved branchless descent that
-	// overlaps cache misses across the batch. It doubles the per-key
-	// footprint (a rank table rides along), so it is opt-in: pick it
-	// when the partition still fits the target cache at 2x. Only valid
-	// with MethodC3.
-	LayoutEytzinger = core.LayoutEytzinger
-)
 
 // Arch is an architecture parameter set for the simulator and model.
 type Arch = arch.Params
@@ -166,9 +146,6 @@ type Options struct {
 	BatchKeys int
 	// QueueDepth bounds in-flight batches per worker (default 4).
 	QueueDepth int
-	// Layout selects the MethodC3 slave structure; the zero value is
-	// LayoutSortedArray. See LayoutEytzinger for the tradeoff.
-	Layout Layout
 	// SortedBatches opts unsorted query batches into the sorted-batch
 	// pipeline: they are sorted by key (pooled radix sort, O(n)) at
 	// dispatch so they get the one-sweep routing and the workers'
@@ -191,31 +168,14 @@ type Options struct {
 	// Durability groups the write-durability knobs (WAL directory and
 	// fsync cadence). The zero value keeps the index purely in memory.
 	Durability DurabilityOptions
-	// WALDir is the flat spelling of Durability.WALDir, honored only
-	// when Durability is entirely zero.
-	//
-	// Deprecated: set Durability.WALDir.
-	WALDir string
-	// FsyncInterval is the flat spelling of Durability.FsyncInterval,
-	// honored only when Durability is entirely zero.
-	//
-	// Deprecated: set Durability.FsyncInterval.
-	FsyncInterval time.Duration
 }
 
 func (o Options) withDefaults() core.RealConfig {
-	// Zero-value-preserving fold: the nested group wins when any of its
-	// fields is set; an entirely-zero group inherits the deprecated flat
-	// fields so existing callers keep their exact behavior.
-	if o.Durability == (DurabilityOptions{}) {
-		o.Durability = DurabilityOptions{WALDir: o.WALDir, FsyncInterval: o.FsyncInterval}
-	}
 	cfg := core.RealConfig{
 		Method:          o.Method,
 		Workers:         o.Workers,
 		BatchKeys:       o.BatchKeys,
 		QueueDepth:      o.QueueDepth,
-		Layout:          o.Layout,
 		SortedBatches:   o.SortedBatches,
 		MergeThreshold:  o.MergeThreshold,
 		PartitionBudget: o.PartitionBudget,
@@ -256,12 +216,6 @@ func Open(keys []Key, opt Options) (*Index, error) {
 	return &Index{c: c, keys: keys, opt: cfg}, nil
 }
 
-// N returns the current number of indexed keys (seed keys plus applied
-// inserts).
-//
-// Deprecated: read Stats().Keys; N survives one release as a thin view.
-func (ix *Index) N() int { return ix.c.KeyCount() }
-
 // Method returns the strategy the index runs.
 func (ix *Index) Method() Method { return ix.opt.Method }
 
@@ -297,13 +251,6 @@ func (ix *Index) Insert(k Key) error { return ix.c.Insert(k) }
 // are applied: ranks requested after it returns include them. Safe for
 // any number of concurrent callers, concurrently with RankBatch.
 func (ix *Index) InsertBatch(keys []Key) error { return ix.c.InsertBatch(keys) }
-
-// UpdateStats snapshots the write-path counters: keys inserted,
-// background merges completed, rebalances installed.
-//
-// Deprecated: read Stats().Updates; UpdateStats survives one release
-// as a thin view.
-func (ix *Index) UpdateStats() core.UpdateStats { return ix.c.UpdateStats() }
 
 // KeyRange is an inclusive key interval [Lo, Hi] for CountRangeBatch.
 type KeyRange = core.KeyRange
@@ -369,8 +316,8 @@ type RuntimeStats = core.RealStats
 const StatsSchemaVersion = netrun.StatsSchemaVersion
 
 // Stats is the unified, versioned observability tree for an in-process
-// Index: one snapshot consolidating what N, Method, UpdateStats, and
-// the runtime work counters used to report separately. The json tags
+// Index: one snapshot of the key count, the method, the write-path
+// counters and the runtime work counters. The json tags
 // are the wire schema served by the admin /stats endpoint.
 type Stats struct {
 	// SchemaVersion is StatsSchemaVersion at build time.
@@ -378,7 +325,7 @@ type Stats struct {
 	// Method is the strategy the index runs ("A", "B", "C-1", ...).
 	Method string `json:"method"`
 	// Keys is the current indexed key count (seed keys plus applied
-	// inserts) — the value N() reports.
+	// inserts).
 	Keys int `json:"keys"`
 	// Updates are the write-path counters: keys inserted, background
 	// merges completed, rebalances installed.
@@ -387,9 +334,7 @@ type Stats struct {
 	Runtime RuntimeStats `json:"runtime"`
 }
 
-// Stats snapshots the full observability tree in one call. Callers on
-// the pre-redesign API: the work counters formerly returned here now
-// live at Stats().Runtime, the write-path counters at Stats().Updates.
+// Stats snapshots the full observability tree in one call.
 func (ix *Index) Stats() Stats {
 	return Stats{
 		SchemaVersion: StatsSchemaVersion,
@@ -513,8 +458,8 @@ func Sweep(o SimOptions, batchBytes ...int) ([]Report, error) {
 // or protocol violation drops only that replica from its partition's
 // group — its in-flight batches are re-dispatched to a surviving
 // replica and a background rejoin loop re-dials it with capped
-// exponential backoff until it rejoins (TCPCluster.Health reports
-// per-replica liveness and traffic). Only when a partition loses its
+// exponential backoff until it rejoins (TCPCluster.Stats().Replicas
+// reports per-replica liveness and traffic). Only when a partition loses its
 // last replica does the cluster become terminal — every in-flight and
 // subsequent call returns the root-cause error (TCPCluster.Err reports
 // it) — because a partitioned index with an unreachable partition
@@ -563,9 +508,7 @@ type TCPCluster = netrun.Cluster
 // readmission, Rejoin shapes the re-dial backoff envelope, Admin
 // mounts the HTTP admin/metrics server on the client, and Dialer
 // injects a custom transport — e.g. an internal/faultnet wrapper — for
-// deterministic resilience drills. The pre-redesign flat fields
-// (HedgeQuantile, EjectFactor, ...) survive one release as deprecated
-// aliases, honored only when their nested group is entirely zero.
+// deterministic resilience drills.
 type TCPOptions = netrun.DialOptions
 
 // ReplicaStats is one replica's liveness and traffic counters inside
@@ -574,13 +517,6 @@ type TCPOptions = netrun.DialOptions
 // gray-failure view — probation State, latency EWMA, and the
 // hedge/ejection/probe/readmit/budget-denied counters.
 type ReplicaStats = netrun.ReplicaHealth
-
-// ReplicaHealth is the pre-redesign name of ReplicaStats, as returned
-// row-wise by TCPCluster.Health.
-//
-// Deprecated: use ReplicaStats / TCPCluster.Stats().Replicas; the
-// alias survives one release.
-type ReplicaHealth = netrun.ReplicaHealth
 
 // DialCluster connects to every replica of every partition of keys and
 // verifies that each node serves the partition the local routing table

@@ -1,6 +1,8 @@
 package dcindex
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/workload"
@@ -14,8 +16,8 @@ func TestOpenRankClose(t *testing.T) {
 	}
 	defer idx.Close()
 
-	if idx.N() != 10000 || idx.Method() != MethodC3 {
-		t.Errorf("header: N=%d method=%v", idx.N(), idx.Method())
+	if n := idx.Stats().Keys; n != 10000 || idx.Method() != MethodC3 {
+		t.Errorf("header: keys=%d method=%v", n, idx.Method())
 	}
 	queries := GenerateQueries(5000, 2)
 	ranks, err := idx.RankBatch(queries)
@@ -35,11 +37,11 @@ func TestOpenRankClose(t *testing.T) {
 	if s.Runtime.KeysProcessed != 5001 {
 		t.Errorf("stats keys = %d, want 5001", s.Runtime.KeysProcessed)
 	}
-	if s.SchemaVersion != StatsSchemaVersion || s.Keys != idx.N() || s.Method != idx.Method().String() {
-		t.Errorf("stats tree = %+v, want schema %d, %d keys, method %s", s, StatsSchemaVersion, idx.N(), idx.Method())
+	if s.SchemaVersion != StatsSchemaVersion || s.Keys != 10000 || s.Method != idx.Method().String() {
+		t.Errorf("stats tree = %+v, want schema %d, 10000 keys, method %s", s, StatsSchemaVersion, idx.Method())
 	}
-	if s.Updates != idx.UpdateStats() {
-		t.Errorf("stats updates = %+v diverges from UpdateStats() = %+v", s.Updates, idx.UpdateStats())
+	if s.Updates != (UpdateStats{}) {
+		t.Errorf("stats updates = %+v on an index that took no writes", s.Updates)
 	}
 }
 
@@ -117,6 +119,79 @@ func TestOwnerRouting(t *testing.T) {
 	}
 }
 
+// RankBatchInto fills a caller-provided slice with exactly RankBatch's
+// answers, and refuses one that is too short.
+func TestRankBatchIntoMatchesRankBatch(t *testing.T) {
+	keys := GenerateKeys(30000, 1)
+	queries := GenerateQueries(40000, 2)
+	idx, err := Open(keys, Options{Method: MethodC3, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	want, err := idx.RankBatch(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int, len(queries))
+	if err := idx.RankBatchInto(queries, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("RankBatchInto[%d] = %d, RankBatch says %d", i, got[i], want[i])
+		}
+	}
+	if err := idx.RankBatchInto(queries, got[:len(got)-1]); err == nil {
+		t.Fatal("short out slice accepted")
+	}
+}
+
+// Concurrent RankBatch callers through the public API, with Owner
+// answered from the cluster's own routing table while lookups run.
+func TestConcurrentRankBatchAndOwner(t *testing.T) {
+	keys := GenerateKeys(20000, 3)
+	idx, err := Open(keys, Options{Method: MethodC3, Workers: 6, BatchKeys: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			queries := GenerateQueries(5000, seed)
+			got, err := idx.RankBatch(queries)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i, q := range queries {
+				if got[i] != workload.ReferenceRank(keys, q) {
+					errs <- errors.New("wrong rank under concurrency")
+					return
+				}
+			}
+			// Owner is read-only routing metadata; hammer it during
+			// lookups to prove it shares the cluster's partitioning.
+			for _, q := range queries[:100] {
+				if o := idx.Owner(q); o < 0 || o >= 6 {
+					errs <- errors.New("owner out of range under concurrency")
+					return
+				}
+			}
+		}(uint64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
 func TestSimulateDefaultsToTable3Point(t *testing.T) {
 	r, err := Simulate(SimOptions{Method: MethodC3, SampleQueries: 100_000})
 	if err != nil {
@@ -163,12 +238,12 @@ func TestArchConstructors(t *testing.T) {
 }
 
 // TestOptionsWALDirDurable: the public API's durability opt-in. Insert
-// through Options.WALDir, close, reopen the directory with a poisoned
+// through Options.Durability.WALDir, close, reopen the directory with a poisoned
 // baseline — recovery must come from disk and ranks must stay exact.
 func TestOptionsWALDirDurable(t *testing.T) {
 	dir := t.TempDir()
 	keys := GenerateKeys(4096, 1)
-	opt := Options{Method: MethodC3, Workers: 4, WALDir: dir}
+	opt := Options{Method: MethodC3, Workers: 4, Durability: DurabilityOptions{WALDir: dir}}
 	idx, err := Open(keys, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +264,7 @@ func TestOptionsWALDirDurable(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer idx2.Close()
-	if got := idx2.N(); got != len(keys)+len(inserted) {
+	if got := idx2.Stats().Keys; got != len(keys)+len(inserted) {
 		t.Fatalf("recovered %d keys, want %d", got, len(keys)+len(inserted))
 	}
 	got, err := idx2.RankBatch(queries)

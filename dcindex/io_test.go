@@ -389,8 +389,8 @@ func TestDialClusterReplicated(t *testing.T) {
 		}
 	}
 	check()
-	if h := c.Health(); len(h) != 4 {
-		t.Fatalf("Health rows = %d, want 4", len(h))
+	if h := c.Stats().Replicas; len(h) != 4 {
+		t.Fatalf("Stats().Replicas rows = %d, want 4", len(h))
 	}
 
 	// One replica dies; the cluster keeps answering without Redial.
@@ -398,8 +398,8 @@ func TestDialClusterReplicated(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		check()
-		var dead *ReplicaHealth
-		for _, h := range c.Health() {
+		var dead *ReplicaStats
+		for _, h := range c.Stats().Replicas {
 			if h.Partition == 0 && h.Addr == addrs[0][0] {
 				h := h
 				dead = &h
@@ -409,7 +409,7 @@ func TestDialClusterReplicated(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("replica death never surfaced in Health")
+			t.Fatal("replica death never surfaced in Stats().Replicas")
 		}
 	}
 	if err := c.Err(); err != nil {

@@ -1,18 +1,24 @@
-// Package framepair checks that every protocol op constant is fully wired:
-// an `OpX` constant must have
+// Package framepair checks that every protocol op is defined in the op
+// table: the variable marked //dc:optable, a composite literal keyed by
+// op constant (`OpX: {...}`) with one row per request op. The table is
+// the only place a per-op fact lives — codec, reply op, version, client
+// policy, node handler — and the generic send/read/serve paths work
+// from its columns, so an op is wired exactly when its row is complete:
 //
-//  1. an entry in the op→min-version table (the var marked //dc:optable),
-//  2. a dispatch site — a switch case or ==/!= comparison — i.e. a decode
-//     path that recognizes the op on the wire, and
-//  3. a construction site — any other use, typically `Frame{Op: OpX}` or an
-//     encode-helper argument — i.e. an encode path that emits it.
+//  1. every `OpX` constant is named inside the table, as a row key or
+//     as a column value (the reply op of a request, its sorted form);
+//  2. every row states its `minVer` (the op×version gate);
+//  3. a row that names a `reply` is a request, and must also name its
+//     `valid` rule (the client's reply check) and its `serve` handler
+//     (the node's dispatch).
 //
-// A half-wired op (encoded but never dispatched, or vice versa) is exactly
-// the bug class behind PR 7's append-vs-overwrite divergence: both sides
-// compiled, but one direction of the frame pairing was missing.
+// A half-wired op (sent but never served, or answered but never
+// checked) is exactly the bug class behind PR 7's append-vs-overwrite
+// divergence: both sides compiled, but one direction of the frame
+// pairing was missing.
 //
-// The check runs only in packages that declare a //dc:optable variable, so
-// unrelated packages with Op-prefixed constants are untouched.
+// The check runs only in packages that declare a //dc:optable variable,
+// so unrelated packages with Op-prefixed constants are untouched.
 package framepair
 
 import (
@@ -28,26 +34,20 @@ import (
 // Analyzer is the framepair pass.
 var Analyzer = &framework.Analyzer{
 	Name: "framepair",
-	Doc:  "checks every Op constant has encode and decode sites and an op×version table entry",
+	Doc:  "checks every Op constant is defined in the op table and every request row is complete",
 	Run:  run,
 }
 
 var opName = regexp.MustCompile(`^Op[A-Z]`)
 
-type opState struct {
-	pos       token.Pos
-	inTable   bool
-	dispatch  bool
-	construct bool
-}
-
 func run(pass *framework.Pass) error {
-	table, tableSpan := findOpTable(pass)
+	table := findOpTable(pass)
 	if table == nil {
 		return nil
 	}
 
-	ops := map[types.Object]*opState{}
+	// Every op constant the package declares, not yet seen in the table.
+	missing := map[types.Object]token.Pos{}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -64,41 +64,61 @@ func run(pass *framework.Pass) error {
 						continue
 					}
 					if obj := pass.TypesInfo.Defs[name]; obj != nil {
-						ops[obj] = &opState{pos: name.Pos()}
+						missing[obj] = name.Pos()
 					}
 				}
 			}
 		}
 	}
-	if len(ops) == 0 {
-		return nil
+
+	ast.Inspect(table, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			delete(missing, pass.TypesInfo.Uses[id])
+		}
+		return true
+	})
+	for obj, pos := range missing {
+		pass.Reportf(pos, "%s is missing from the //dc:optable op table", obj.Name())
 	}
 
-	for _, f := range pass.Files {
-		classifyUses(pass, f, ops, tableSpan)
-	}
-
-	for obj, st := range ops {
-		if !st.inTable {
-			pass.Reportf(st.pos, "%s has no entry in the //dc:optable op×version table", obj.Name())
+	for _, elt := range table.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			pass.Reportf(elt.Pos(), "op table rows must be keyed by their op constant")
+			continue
 		}
-		if !st.dispatch {
-			pass.Reportf(st.pos, "%s is never dispatched on (no switch case or ==/!= comparison): decode path missing", obj.Name())
+		row, ok := kv.Value.(*ast.CompositeLit)
+		key, isIdent := kv.Key.(*ast.Ident)
+		if !ok || !isIdent {
+			pass.Reportf(kv.Pos(), "op table rows must be `OpX: {...}` literals")
+			continue
 		}
-		if !st.construct {
-			pass.Reportf(st.pos, "%s is never constructed into a frame (no use outside its declaration, the op table, and dispatch sites): encode path missing", obj.Name())
+		cols := map[string]bool{}
+		for _, c := range row.Elts {
+			if ckv, ok := c.(*ast.KeyValueExpr); ok {
+				if name, ok := ckv.Key.(*ast.Ident); ok {
+					cols[name.Name] = true
+				}
+			}
+		}
+		if !cols["minVer"] {
+			pass.Reportf(key.Pos(), "%s's row states no minVer: the op×version gate cannot place it", key.Name)
+		}
+		if cols["reply"] {
+			if !cols["valid"] {
+				pass.Reportf(key.Pos(), "%s names a reply op but no valid rule: client reply check missing", key.Name)
+			}
+			if !cols["serve"] {
+				pass.Reportf(key.Pos(), "%s names a reply op but no serve handler: node dispatch missing", key.Name)
+			}
 		}
 	}
 	return nil
 }
 
-type span struct{ pos, end token.Pos }
-
-func (s span) contains(p token.Pos) bool { return s.pos != token.NoPos && p >= s.pos && p < s.end }
-
-// findOpTable locates the var marked //dc:optable and returns its composite
-// literal plus source extent.
-func findOpTable(pass *framework.Pass) (*ast.CompositeLit, span) {
+// findOpTable locates the var marked //dc:optable and returns its
+// composite literal.
+func findOpTable(pass *framework.Pass) *ast.CompositeLit {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -116,81 +136,12 @@ func findOpTable(pass *framework.Pass) (*ast.CompositeLit, span) {
 				}
 				for _, v := range vs.Values {
 					if cl, ok := v.(*ast.CompositeLit); ok {
-						return cl, span{gd.Pos(), gd.End()}
+						return cl
 					}
 				}
-				pass.Reportf(vs.Pos(), "//dc:optable variable must be initialized with a map composite literal")
+				pass.Reportf(vs.Pos(), "//dc:optable variable must be initialized with a composite literal")
 			}
 		}
 	}
-	return nil, span{}
-}
-
-// classifyUses assigns each use of an op constant to table / dispatch /
-// construct buckets.
-func classifyUses(pass *framework.Pass, f *ast.File, ops map[types.Object]*opState, tableSpan span) {
-	parents := map[ast.Node]ast.Node{}
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-
-	ast.Inspect(f, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := pass.TypesInfo.Uses[id]
-		if obj == nil {
-			return true
-		}
-		st, ok := ops[obj]
-		if !ok {
-			return true
-		}
-		switch {
-		case tableSpan.contains(id.Pos()):
-			st.inTable = true
-		case isDispatchUse(parents, id):
-			st.dispatch = true
-		default:
-			st.construct = true
-		}
-		return true
-	})
-}
-
-// isDispatchUse reports whether id appears directly in a case-clause
-// expression list or in an ==/!= comparison.
-func isDispatchUse(parents map[ast.Node]ast.Node, id *ast.Ident) bool {
-	p := parents[id]
-	// Unwrap one level of selector qualification (pkg.OpX) or parens.
-	for {
-		switch pp := p.(type) {
-		case *ast.SelectorExpr:
-			if pp.Sel == id {
-				p = parents[pp]
-				continue
-			}
-		case *ast.ParenExpr:
-			p = parents[pp]
-			continue
-		}
-		break
-	}
-	switch pp := p.(type) {
-	case *ast.CaseClause:
-		return true
-	case *ast.BinaryExpr:
-		return pp.Op == token.EQL || pp.Op == token.NEQ
-	}
-	return false
+	return nil
 }

@@ -7,12 +7,8 @@
 // added to a struct but not to its table is invisible to operators
 // until someone reads the source. The check is a word-boundary search
 // for the field's name — documentation prose may spell it flat
-// (`WALDir`) or dotted (`Durability.WALDir`), both match.
-//
-// Fields whose doc comment carries a `Deprecated:` marker are exempt:
-// deprecated aliases are documented by their canonical nested spelling,
-// and listing both would teach readers the old name. Unexported and
-// embedded fields are ignored.
+// (`WALDir`) or dotted (`Durability.WALDir`), both match. Unexported
+// and embedded fields are ignored.
 package knobdoc
 
 import (
@@ -21,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 
 	"repro/internal/analyzers/directives"
 	"repro/internal/analyzers/framework"
@@ -88,13 +83,10 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// checkFields reports every exported, non-deprecated field of st whose
-// name does not appear (as a whole word) in the doc file body.
+// checkFields reports every exported field of st whose name does not
+// appear (as a whole word) in the doc file body.
 func checkFields(pass *framework.Pass, typeName string, st *ast.StructType, body []byte, rel string) {
 	for _, field := range st.Fields.List {
-		if isDeprecated(field) {
-			continue
-		}
 		for _, name := range field.Names {
 			if !name.IsExported() {
 				continue
@@ -107,20 +99,4 @@ func checkFields(pass *framework.Pass, typeName string, st *ast.StructType, body
 			}
 		}
 	}
-}
-
-// isDeprecated reports whether the field's doc or line comment carries
-// a Deprecated: marker.
-func isDeprecated(f *ast.Field) bool {
-	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, "Deprecated:") {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -12,10 +12,6 @@ type Options struct {
 	BatchKeys int
 	// missing never appears in KNOBS.md but is unexported, so exempt.
 	missing int
-	// OldName is an alias kept for old callers.
-	//
-	// Deprecated: set Workers.
-	OldName int
 }
 
 // Tuning has an undocumented knob.

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -55,23 +58,29 @@ func TestConcurrentLookupBatchAllMethods(t *testing.T) {
 }
 
 // Close must block until in-flight calls complete (they finish with
-// correct results), and late calls must fail cleanly.
+// correct results), and late calls must fail cleanly. Every worker is
+// parked on a reply nobody reads yet, so a call that enters cannot
+// finish before Close is called: the race is decided by the test, not
+// by the scheduler.
 func TestCloseWhileCallsInFlight(t *testing.T) {
 	keys := workload.SortedKeys(30000, 12)
 	c, err := NewCluster(keys, RealConfig{Method: MethodC3, Workers: 4, BatchKeys: 256, QueueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	gate := make(chan *realBatch)
+	ep := c.epoch.Load()
+	for w := range c.in {
+		c.in[w] <- &realBatch{lp: ep.lps[w], reply: gate}
+	}
 	const callers = 5
 	var wg sync.WaitGroup
-	started := make(chan struct{}, callers)
 	errs := make(chan error, callers)
 	for g := 0; g < callers; g++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
 			queries := workload.UniformQueries(60000, seed)
-			started <- struct{}{}
 			got, err := c.LookupBatch(queries)
 			if err != nil {
 				errs <- err
@@ -83,16 +92,46 @@ func TestCloseWhileCallsInFlight(t *testing.T) {
 					return
 				}
 			}
+			errs <- nil
 		}(uint64(g))
 	}
-	for g := 0; g < callers; g++ {
-		<-started
+	// Nothing else locks c.mu exclusively before Close, so a failed
+	// TryLock means a caller holds it shared: that call saw the cluster
+	// open, is stuck behind the gate, and must be drained by Close.
+	for c.mu.TryLock() {
+		c.mu.Unlock()
+		runtime.Gosched()
 	}
-	c.Close() // blocks until the in-flight batches drain
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a call in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	for range c.in {
+		<-gate
+	}
+	<-closed
 	wg.Wait()
 	close(errs)
+	// A caller that reached c.mu only after Close asked for it is a late
+	// call and fails cleanly; any other error, or no call finishing with
+	// its ranks, means Close dropped an in-flight call.
+	finished := 0
 	for err := range errs {
-		t.Fatal(err)
+		switch {
+		case err == nil:
+			finished++
+		case !strings.Contains(err.Error(), "cluster is closed"):
+			t.Fatal(err)
+		}
+	}
+	if finished == 0 {
+		t.Fatal("no in-flight call finished: Close failed the call it had to drain")
 	}
 	if _, err := c.LookupBatch(workload.UniformQueries(10, 1)); err == nil {
 		t.Fatal("lookup after Close succeeded")
@@ -105,45 +144,6 @@ func TestLookupBatchIntoShortOut(t *testing.T) {
 	c := newTestCluster(t, MethodC3, keys, 2, 64)
 	if err := c.LookupBatchInto(workload.UniformQueries(10, 1), make([]int, 9)); err == nil {
 		t.Fatal("short out slice accepted")
-	}
-}
-
-func TestEytzingerLayoutCluster(t *testing.T) {
-	keys := workload.SortedKeys(20000, 14)
-	queries := workload.UniformQueries(30000, 15)
-	c, err := NewCluster(keys, RealConfig{
-		Method: MethodC3, Workers: 7, BatchKeys: 1024, QueueDepth: 4,
-		Layout: LayoutEytzinger,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	got, err := c.LookupBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		if got[i] != workload.ReferenceRank(keys, q) {
-			t.Fatalf("eytzinger layout: query %d (%d) = %d, want %d",
-				i, q, got[i], workload.ReferenceRank(keys, q))
-		}
-	}
-}
-
-func TestEytzingerLayoutRequiresC3(t *testing.T) {
-	keys := workload.SortedKeys(1000, 16)
-	for _, m := range []Method{MethodA, MethodB, MethodC1, MethodC2} {
-		cfg := DefaultRealConfig(m)
-		cfg.Layout = LayoutEytzinger
-		if _, err := NewCluster(keys, cfg); err == nil {
-			t.Errorf("%v with LayoutEytzinger accepted", m)
-		}
-	}
-	cfg := DefaultRealConfig(MethodC3)
-	cfg.Layout = Layout(9)
-	if _, err := NewCluster(keys, cfg); err == nil {
-		t.Error("invalid layout accepted")
 	}
 }
 

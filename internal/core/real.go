@@ -11,32 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Layout selects the slave-side index structure for Method C-3 (the
-// other methods fix their structure by definition).
-type Layout int
-
-const (
-	// LayoutSortedArray is the paper's C-3 structure: the partition's
-	// sorted key run, binary-searched. The default.
-	LayoutSortedArray Layout = iota
-	// LayoutEytzinger stores each partition in Eytzinger (BFS) order and
-	// searches it with an interleaved branchless descent — 2x the
-	// footprint (rank table) for a hot top-of-tree and overlapping
-	// cache misses. Opt-in; only valid with MethodC3.
-	LayoutEytzinger
-)
-
-// String names the layout for reports.
-func (l Layout) String() string {
-	switch l {
-	case LayoutSortedArray:
-		return "sorted-array"
-	case LayoutEytzinger:
-		return "eytzinger"
-	}
-	return fmt.Sprintf("Layout(%d)", int(l))
-}
-
 // RealConfig configures the real concurrent runtime: goroutine nodes
 // connected by channels, executing actual lookups on the host. This is
 // the adoptable library the simulated engines validate against — every
@@ -54,10 +28,6 @@ type RealConfig struct {
 	BatchKeys int
 	// QueueDepth bounds in-flight batches per worker (backpressure).
 	QueueDepth int
-	// Layout selects the Method C-3 slave structure; the zero value is
-	// the paper's sorted array. Setting LayoutEytzinger with any other
-	// method is a configuration error.
-	Layout Layout
 	// SortedBatches opts unsorted callers into the sorted-batch
 	// pipeline: batches that are not already ascending are sorted by
 	// key with a pooled radix sort before dispatch, so they too get the
@@ -119,15 +89,6 @@ func (c RealConfig) validate() error {
 	}
 	if c.QueueDepth <= 0 {
 		return fmt.Errorf("core: QueueDepth = %d", c.QueueDepth)
-	}
-	switch c.Layout {
-	case LayoutSortedArray:
-	case LayoutEytzinger:
-		if c.Method != MethodC3 {
-			return fmt.Errorf("core: LayoutEytzinger requires MethodC3, got %v", c.Method)
-		}
-	default:
-		return fmt.Errorf("core: invalid layout %d", int(c.Layout))
 	}
 	if c.MergeThreshold < 0 {
 		return fmt.Errorf("core: MergeThreshold = %d", c.MergeThreshold)

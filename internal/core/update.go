@@ -117,11 +117,6 @@ func methodBuilder(cfg RealConfig) index.Builder {
 			return planRanker{plan: buffering.NewPlan(index.NewNaryTree(keys, 0), 8<<10)}
 		}
 	default: // MethodC3
-		if cfg.Layout == LayoutEytzinger {
-			return func(keys []workload.Key) index.BatchRanker {
-				return index.NewEytzinger(keys, 0)
-			}
-		}
 		return func(keys []workload.Key) index.BatchRanker {
 			return index.NewSortedArray(keys, 0)
 		}

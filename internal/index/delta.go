@@ -21,14 +21,13 @@ import (
 
 // BatchRanker is the read API the updatable layer serves: batch rank
 // resolution with the caller's rank base folded into the output writes.
-// SortedArray, Eytzinger, and the core engines' tree adapters implement
-// it.
+// SortedArray and the core engines' tree adapters implement it.
 type BatchRanker interface {
 	RankBatch(qs []workload.Key, out []int, add int)
 }
 
 // SortedRanker is the optional streaming fast path for ascending query
-// runs. SortedArray and Eytzinger implement it.
+// runs. SortedArray implements it.
 type SortedRanker interface {
 	RankSorted(qs []workload.Key, out []int, add int)
 }
@@ -175,7 +174,7 @@ func radixSortKeys(keys []workload.Key) {
 }
 
 // Builder constructs a fresh immutable base structure over a sorted key
-// set: NewSortedArray, NewEytzinger, a tree, or a buffered plan — the
+// set: NewSortedArray, a tree, or a buffered plan — the
 // updatable layer is agnostic, which is how all five of the paper's
 // methods support inserts through one mechanism.
 type Builder func(keys []workload.Key) BatchRanker

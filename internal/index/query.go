@@ -8,7 +8,7 @@ import "repro/internal/workload"
 // sorted key runs, so the static half operates on SortedArray and the
 // updatable half operates on the raw sorted slices of a pinned
 // (base, delta, frozen) snapshot — which is what makes the ops exact
-// for every method and layout (trees, buffered plans, Eytzinger):
+// for every method (sorted arrays, trees, buffered plans):
 // the Updatable always retains its base's sorted keys alongside
 // whatever ranker was built over them.
 

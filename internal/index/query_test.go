@@ -194,13 +194,23 @@ func TestUpdatableQueryOpsLayered(t *testing.T) {
 	}
 }
 
+// treeRanker adapts a tree's per-key Rank to the batch API, the way the
+// core engines do for the tree methods.
+type treeRanker struct{ t *Tree }
+
+func (tr treeRanker) RankBatch(qs []workload.Key, out []int, add int) {
+	for i, k := range qs {
+		out[i] = tr.t.Rank(k) + add
+	}
+}
+
 // TestUpdatableQueryOpsNonArrayBase checks the query ops against a base
 // ranker that is not a SortedArray (the tree adapter path): the ops
 // must answer from the retained raw keys regardless of the structure.
 func TestUpdatableQueryOpsNonArrayBase(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	base := sortedRandomKeys(rng, 300, 1000)
-	build := func(keys []workload.Key) BatchRanker { return NewEytzinger(keys, 0) }
+	build := func(keys []workload.Key) BatchRanker { return treeRanker{NewNaryTree(keys, 0)} }
 	u := NewUpdatable(base, build, 32)
 	u.InsertBatch([]workload.Key{5, 999, 999, 500})
 	all := MergeKeys(base, []workload.Key{5, 500, 999, 999})

@@ -96,31 +96,6 @@ func TestRankSortedProperty(t *testing.T) {
 	}
 }
 
-// The Eytzinger fallback must agree with the sorted-array kernel on
-// identical inputs.
-func TestEytzingerRankSortedMatches(t *testing.T) {
-	keys := workload.SortedKeys(4000, 7)
-	a := NewSortedArray(keys, 0)
-	e := NewEytzinger(keys, 0)
-	qs := ascQueries(func() []uint32 {
-		r := workload.NewRNG(9)
-		raw := make([]uint32, 6000)
-		for i := range raw {
-			raw[i] = uint32(r.Uint64())
-		}
-		return raw
-	}())
-	got := make([]int, len(qs))
-	want := make([]int, len(qs))
-	e.RankSorted(qs, got, 11)
-	a.RankSorted(qs, want, 11)
-	for i := range qs {
-		if got[i] != want[i] {
-			t.Fatalf("Eytzinger.RankSorted[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 // The kernel on a dense ascending run must stream: every key compare
 // either advances the cursor or resolves a query, so total work is
 // linear. This is a performance property we can only smoke-test

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,7 +48,7 @@ var ErrClusterClosed = errors.New("netrun: cluster closed")
 // (see Err), because a partitioned index with an unreachable partition
 // cannot answer arbitrary queries. Recovery from a terminal failure is
 // opt-in via Redial; per-replica liveness and traffic counters are
-// reported by Health.
+// reported by Stats.
 //
 // Write model (protocol v3): Insert/InsertBatch route keys to the
 // owning partition and fan each write out to every healthy v3 replica
@@ -116,7 +115,7 @@ type Cluster struct {
 	// histograms in opHist (series dc_client_op_ns{op=...}). Exposed by
 	// Telemetry and the auto-mounted admin endpoint (DialOptions.Admin).
 	tel    *telemetry.Registry
-	opHist [pkMax]*telemetry.Histogram
+	opHist [opMax]*telemetry.Histogram
 	// adm is non-nil when DialOptions.Admin.Addr mounted an endpoint.
 	adm *admin.Server //dc:guardedby mu
 
@@ -154,7 +153,7 @@ type epoch struct {
 	err    error // root cause; written once before failed closes
 	// hedger re-dispatches read frames that outlive their replica's
 	// latency quantile to a healthy sibling. Nil unless
-	// DialOptions.HedgeQuantile enabled hedging for this client.
+	// DialOptions.Hedging.Quantile enabled hedging for this client.
 	hedger *hedger
 }
 
@@ -307,7 +306,7 @@ type replicaStats struct {
 
 	// state/ewmaNs/hedgeNs/samples are written under mu but published
 	// atomically so pickFor (under g.mu), the hedger, siblings scoring
-	// against this replica, and Health read them without taking mu.
+	// against this replica, and Stats read them without taking mu.
 	state   atomic.Int32
 	ewmaNs  atomic.Int64
 	hedgeNs atomic.Int64 // current hedge delay: windowed quantile estimate
@@ -441,7 +440,7 @@ func (g *replicaGroup) remove(n *clusterNode) int {
 }
 
 // ReplicaHealth is one replica's liveness and traffic counters within
-// the current epoch (see Cluster.Health). The JSON shape is part of the
+// the current epoch (see ClusterStats.Replicas). The JSON shape is part of the
 // versioned ClusterStats tree (see StatsSchemaVersion).
 type ReplicaHealth struct {
 	// Partition is the partition this replica serves.
@@ -538,275 +537,16 @@ func (ep *epoch) fail(err error) {
 	})
 }
 
-// clusterNode is one replica connection plus its send queue and
-// in-flight request table. The send loop owns the write half (bc.w/
-// bc.fw), the read loop owns the read half (bc.r/bc.fr); mu guards the
-// queue, the pending map, and the read-deadline decisions that depend
-// on them.
-type clusterNode struct {
-	g *replicaGroup
-	// st is the replica's lifecycle counters and latency score, held
-	// directly (not via an index into g.stats): live membership grows
-	// and shrinks the group's parallel slices, and a direct pointer
-	// cannot go stale the way a slot index can.
-	st   *replicaStats
-	addr string
-	conn net.Conn
-	bc   *bufferedConn
-	// meta from the hello handshake.
-	rankBase int
-	keyCount int
-	// liveCount is the node's current key count from a v3 hello's 6th
-	// word (0 on older acks): baseline plus every insert it absorbed.
-	liveCount int
-	// chain is the node's durable fold position from a v4 hello's words
-	// 7-8 (0: not a durable node, or unknown history). Together with
-	// liveCount-keyCount (= the durable generation) it identifies the
-	// exact insert history the node holds, which is what makes the
-	// positioned delta catch-up safe to offer.
-	chain uint64
-	// version is the negotiated protocol version for this connection
-	// (ProtoV1 against old nodes — sorted pendings are then sent as
-	// plain OpLookup frames, so failover across mixed-version replica
-	// groups just re-encodes).
-	version uint32
-
-	opTimeout time.Duration // <= 0: deadlines disabled
-	failOnce  sync.Once     // failNode runs its body exactly once
-
-	// catchingUp and holdq are guarded by g.mu (they are membership
-	// state): while a rejoining replica loads a sibling's snapshot it
-	// is a member — so write fan-outs see it — but reads skip it and
-	// its insert pendings queue in holdq, flushed onto the connection
-	// after the OpLoad so the load cannot wipe them.
-	catchingUp bool       //dc:guardedby g.mu
-	holdq      []*pending //dc:guardedby g.mu
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	sendq    []sendReq           //dc:guardedby mu
-	sendHead int                 //dc:guardedby mu
-	pending  map[uint32]inflight //dc:guardedby mu
-	dead     bool                //dc:guardedby mu
-}
-
-// sendReq is one queue entry: a pending plus the request id this
-// particular registration uses. Ids are per-registration, not
-// per-pending, because a hedged pending is registered on two
-// connections at once — each enqueue stamps a fresh id, so a failover
-// restamp on one connection can never race the other's encode.
-type sendReq struct {
-	p     *pending
-	reqID uint32
-}
-
-// inflight is one registered request: the pending plus its send
-// timestamp, from which the read loop derives the reply-latency sample
-// feeding the hedge quantile and the ejection score.
-type inflight struct {
-	p      *pending
-	sentAt time.Time
-}
-
-// deregisterLocked removes a registration, maintains the invariant
-// "read deadline armed iff requests outstanding", and wakes an
-// admission waiter now that a queue slot freed.
-//
-//dc:holds n.mu
-func (n *clusterNode) deregisterLocked(reqID uint32) {
-	delete(n.pending, reqID)
-	if n.opTimeout > 0 {
-		if len(n.pending) == 0 {
-			// Idle connections carry no deadline; the next registration
-			// re-arms it.
-			n.conn.SetReadDeadline(time.Time{})
-		} else {
-			n.conn.SetReadDeadline(time.Now().Add(n.opTimeout))
-		}
-	}
-	n.g.admitFreed()
-}
-
-func (n *clusterNode) stats() *replicaStats { return n.st }
-
-// Pending kinds: lookups scatter rank replies; inserts, snapshots, and
-// catch-up loads are the v3 write-path frames with their own reply and
-// failover semantics.
-const (
-	pkLookup = iota
-	// pkInsert fans out to every v3 member of the owning group. When a
-	// member dies with one queued or in flight, the pending completes
-	// successfully — the member left the group, and the survivors
-	// define its state; it catches up from a sibling on rejoin.
-	pkInsert
-	// pkSnapshot asks any v3 member for its full key set (replica
-	// catch-up source). Fails over like a lookup.
-	pkSnapshot
-	// pkLoad pushes a snapshot at one specific (catching-up) member; it
-	// never fails over — the target dying aborts that catch-up attempt.
-	pkLoad
-	// pkSnapshotSince (v4) asks a durable sibling for the insert tail
-	// after a rejoiner's position; keys holds the 4 request words
-	// (generation, chain) and the reply overwrites them with the
-	// OpSnapshotDelta payload. Same failover semantics as pkSnapshot.
-	pkSnapshotSince
-	// pkLoadAt (v4) pushes an OpSnapshotDelta-shaped payload (5 header
-	// words + keys) at one specific member; same semantics as pkLoad.
-	pkLoadAt
-	// pkCount (v5) carries range endpoint pairs in keys; the OpCounts
-	// reply overwrites keys with the per-range counts and the issuing
-	// call sums them across partitions via pos (a range can span
-	// several). Fails over like a lookup — the request words survive
-	// until a reply lands.
-	pkCount
-	// pkScan (v5) carries [lo, hi, limit] in keys; the OpKeysDelta
-	// reply overwrites keys with the partition's ascending key run.
-	// Fails over like a lookup.
-	pkScan
-	// pkTopK (v5) carries [k] in keys; the OpKeysDelta reply overwrites
-	// keys with the partition's top-k run, ascending on the wire. Fails
-	// over like a lookup.
-	pkTopK
-	// pkMultiGet (v5) carries an ascending key run; the OpCounts reply
-	// scatters each key's multiplicity straight into out via pos/
-	// posBase (a key's multiplicity is partition-local, so exactly one
-	// pending writes each slot). Fails over like a lookup.
-	pkMultiGet
-	// pkDrain (v6) quiesces one specific member ahead of its removal;
-	// like pkLoad it is pinned — the target dying aborts the drain. The
-	// OpMembAck reply carries the node's live key count.
-	pkDrain
-	// pkSplit (v6) retargets one specific member at half of its split
-	// partition; pinned like pkLoad. Issued only under the membership
-	// pause, so no read or write can race the identity swap.
-	pkSplit
-
-	// pkMax bounds the kind space (sizing per-kind tables).
-	pkMax
-)
-
-// pkMetricName names each pending kind's client-side latency series
-// (dc_client_op_ns{op=...}); empty means the kind is not recorded.
-var pkMetricName = [pkMax]string{
-	pkLookup:        "lookup",
-	pkInsert:        "insert",
-	pkSnapshot:      "snapshot",
-	pkLoad:          "load",
-	pkSnapshotSince: "snapshot_since",
-	pkLoadAt:        "load_at",
-	pkCount:         "count_range",
-	pkScan:          "scan_range",
-	pkTopK:          "top_k",
-	pkMultiGet:      "multi_get",
-	pkDrain:         "drain_replica",
-	pkSplit:         "split_partition",
-}
-
 // minVersionFor is the protocol version a member must have negotiated
-// to serve p: the v5 query ops need a v5 peer, snapshots (and every
-// read against a written-to partition) need v3, plain lookups ride any
-// version.
+// to serve p: its op's minVer, raised to v3 once the partition has been
+// written to (pre-v3 members never receive writes, so they can no
+// longer prove they hold the full key set).
 func (c *Cluster) minVersionFor(g *replicaGroup, p *pending) uint32 {
-	switch p.kind {
-	case pkDrain, pkSplit:
-		return ProtoV6
-	case pkCount, pkScan, pkTopK, pkMultiGet:
-		return ProtoV5
-	case pkSnapshot:
-		return ProtoV3
+	v := opTable[p.op].minVer
+	if v < ProtoV3 && c.ins[g.part].Load() > 0 {
+		v = ProtoV3
 	}
-	if c.ins[g.part].Load() > 0 {
-		return ProtoV3
-	}
-	return ProtoV1
-}
-
-// pending is one request frame's lifecycle: the caller accumulates keys
-// and positions into it, the send loop writes and registers it, the
-// read loop scatters or records the reply and completes it back to the
-// issuing call's gather channel — or, when its replica dies first, the
-// failover path re-dispatches it per its kind. Key/position capacity is
-// recycled through the cluster's pending pool.
-//
-// Hedging puts one pending on up to two connections at once, which
-// forces three invariants the single-dispatch code never needed:
-//
-//   - keys (the request words) are immutable from dispatch until the
-//     last reference drops; replies stage their payload in the separate
-//     reply buffer instead of overwriting keys, so the losing
-//     registration can still encode/validate against them.
-//   - claimed elects exactly one resolver: whichever reply, refusal,
-//     sweep, or routing failure wins the CompareAndSwap scatters the
-//     result (or records the error) and completes p to the gather
-//     channel; everyone else just drops their copy. A pending therefore
-//     completes exactly once no matter how many replicas raced.
-//   - refs counts the live owners (the issuing gather plus each
-//     dispatch chain); the pending returns to the pool only when the
-//     count hits zero, so a straggling reply from a slow replica can
-//     never scribble on a recycled object.
-type pending struct {
-	kind int
-	keys []uint32
-	pos  []int32
-	out  []int
-	// reply stages payload-carrying replies (counts, scans, top-k,
-	// snapshots) for the issuing call's gather loop.
-	reply []uint32
-	// sorted marks keys as an ascending run: eligible for the v2
-	// delta-coded frames when the connection negotiated them (a v1
-	// connection just sends OpLookup — the keys are the same).
-	sorted bool
-	// contig means the run maps to the contiguous out range starting
-	// at posBase (the sorted dispatch's runs preserve query order), so
-	// the reply scatters sequentially and pos stays unused.
-	contig  bool
-	posBase int
-	// chunk links an insert fan-out pending back to its write chunk,
-	// so InsertBatch can credit the rank-base counters per fully-acked
-	// chunk (see insChunk). Nil for every other kind.
-	chunk *insChunk
-	err   error
-	done  chan *pending
-
-	claimed atomic.Bool
-	refs    atomic.Int32
-	// hedged caps re-dispatch amplification at one hedge per pending
-	// (set by the hedger when it fires, checked by send loops so a
-	// hedge is never itself hedged).
-	hedged atomic.Bool
-}
-
-// claim elects the caller as p's resolver; exactly one claim per
-// lifecycle succeeds.
-func (p *pending) claim() bool { return p.claimed.CompareAndSwap(false, true) }
-
-// release drops one reference; the last one recycles p.
-func (c *Cluster) release(p *pending) {
-	if p.refs.Add(-1) == 0 {
-		c.putPending(p)
-	}
-}
-
-// finish terminates one dispatch chain with err: it completes p if this
-// chain wins the claim, and drops the chain's reference either way.
-func (c *Cluster) finish(p *pending, err error) {
-	if p.claim() {
-		p.complete(err)
-	}
-	c.release(p)
-}
-
-// hedgeable reports whether a pending kind may be re-dispatched while
-// its original is still in flight. Only the idempotent read ops are:
-// writes keep the exactly-once fan-out semantics (a hedged insert could
-// double-apply), and the catch-up kinds are pinned to one member's FIFO
-// position by the snapshot protocol.
-func hedgeable(kind int) bool {
-	switch kind {
-	case pkLookup, pkCount, pkScan, pkTopK, pkMultiGet:
-		return true
-	}
-	return false
+	return v
 }
 
 // insChunk is one insert chunk's fan-out accounting: the chunk is
@@ -822,11 +562,6 @@ type insChunk struct {
 	n         int // keys in the chunk
 	remaining int // fan-out pendings not yet gathered
 	failed    bool
-}
-
-func (p *pending) complete(err error) {
-	p.err = err
-	p.done <- p
 }
 
 // netCall is one LookupBatch call's pooled dispatch state: per-group
@@ -909,11 +644,8 @@ type AdminOptions struct {
 	Addr string
 }
 
-// DialOptions configures Dial. The nested groups (Hedging, Ejection,
-// Rejoin, Admin) are the canonical knobs; the flat fields of the same
-// meaning are deprecated aliases kept for old callers — a zero nested
-// field inherits its flat alias at dial time, so setting either works
-// and zero values keep their old defaults.
+// DialOptions configures Dial; zero values select the documented
+// defaults.
 //
 //dc:knobs ../../README.md
 type DialOptions struct {
@@ -944,15 +676,6 @@ type DialOptions struct {
 	// len(addrs) must be a multiple of it. Default (and minimum) 1.
 	// Ignored when the grouped "addr|addr" syntax is used.
 	Replicas int
-	// RejoinBackoff is the initial delay before a failed replica is
-	// re-dialed.
-	//
-	// Deprecated: use Rejoin.Backoff.
-	RejoinBackoff time.Duration
-	// RejoinMaxBackoff caps the rejoin backoff.
-	//
-	// Deprecated: use Rejoin.MaxBackoff.
-	RejoinMaxBackoff time.Duration
 	// SortedBatches opts unsorted callers into the sorted-batch
 	// pipeline: batches that are not already ascending are sorted by
 	// key (pooled radix sort) before dispatch, so they too get the
@@ -968,33 +691,6 @@ type DialOptions struct {
 	// with a descriptive error while rank lookups keep working.
 	// Interop tests and operators staging a rollout use it.
 	MaxVersion uint32
-
-	// HedgeQuantile enables hedged reads.
-	//
-	// Deprecated: use Hedging.Quantile.
-	HedgeQuantile float64
-	// HedgeMinDelay floors the adaptive hedge delay.
-	//
-	// Deprecated: use Hedging.MinDelay.
-	HedgeMinDelay time.Duration
-	// HedgeBudget and HedgeBurst bound hedge amplification.
-	//
-	// Deprecated: use Hedging.Budget and Hedging.Burst.
-	HedgeBudget float64
-	HedgeBurst  int
-	// EjectFactor enables latency-scored outlier ejection.
-	//
-	// Deprecated: use Ejection.Factor.
-	EjectFactor float64
-	// EjectMinLatency floors the outlier test.
-	//
-	// Deprecated: use Ejection.MinLatency.
-	EjectMinLatency time.Duration
-	// ProbeBackoff/ProbeMaxBackoff pace probation probes.
-	//
-	// Deprecated: use Ejection.ProbeBackoff and Ejection.ProbeMaxBackoff.
-	ProbeBackoff    time.Duration
-	ProbeMaxBackoff time.Duration
 	// MaxPending bounds the outstanding frames (queued plus in flight)
 	// per replica connection; read dispatch blocks politely when every
 	// eligible replica is at the cap, so a gray partition degrades to
@@ -1080,39 +776,6 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 	if opt.OpTimeout == 0 {
 		opt.OpTimeout = 10 * time.Second
 	}
-	// Fold the deprecated flat aliases into the nested groups (a zero
-	// nested field inherits its alias), then apply defaults; everything
-	// past this point reads only the nested form.
-	if opt.Rejoin.Backoff == 0 {
-		opt.Rejoin.Backoff = opt.RejoinBackoff
-	}
-	if opt.Rejoin.MaxBackoff == 0 {
-		opt.Rejoin.MaxBackoff = opt.RejoinMaxBackoff
-	}
-	if opt.Hedging.Quantile == 0 {
-		opt.Hedging.Quantile = opt.HedgeQuantile
-	}
-	if opt.Hedging.MinDelay == 0 {
-		opt.Hedging.MinDelay = opt.HedgeMinDelay
-	}
-	if opt.Hedging.Budget == 0 {
-		opt.Hedging.Budget = opt.HedgeBudget
-	}
-	if opt.Hedging.Burst == 0 {
-		opt.Hedging.Burst = opt.HedgeBurst
-	}
-	if opt.Ejection.Factor == 0 {
-		opt.Ejection.Factor = opt.EjectFactor
-	}
-	if opt.Ejection.MinLatency == 0 {
-		opt.Ejection.MinLatency = opt.EjectMinLatency
-	}
-	if opt.Ejection.ProbeBackoff == 0 {
-		opt.Ejection.ProbeBackoff = opt.ProbeBackoff
-	}
-	if opt.Ejection.ProbeMaxBackoff == 0 {
-		opt.Ejection.ProbeMaxBackoff = opt.ProbeMaxBackoff
-	}
 	if opt.Rejoin.Backoff <= 0 {
 		opt.Rejoin.Backoff = 100 * time.Millisecond
 	}
@@ -1157,9 +820,9 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 		c.helloVer = opt.MaxVersion
 	}
 	c.tel = telemetry.NewRegistry()
-	for k, name := range pkMetricName {
-		if name != "" {
-			c.opHist[k] = c.tel.Histogram(`dc_client_op_ns{op="` + name + `"}`)
+	for op := range opTable {
+		if row := &opTable[op]; row.pendingKind() {
+			c.opHist[op] = c.tel.Histogram(`dc_client_op_ns{op="` + row.name + `"}`)
 		}
 	}
 	nParts := len(part.Parts)
@@ -1214,10 +877,10 @@ func (c *Cluster) Admin() string {
 // histograms (dc_client_op_ns) recorded by the connection read loops.
 func (c *Cluster) Telemetry() *telemetry.Registry { return c.tel }
 
-// recordOp folds one reply's send-to-reply latency into the kind's
+// recordOp folds one reply's send-to-reply latency into the op's
 // client-side histogram.
-func (c *Cluster) recordOp(kind int, d time.Duration) {
-	if h := c.opHist[kind]; h != nil {
+func (c *Cluster) recordOp(op uint8, d time.Duration) {
+	if h := c.opHist[op]; h != nil {
 		h.Observe(d)
 	}
 }
@@ -1225,7 +888,7 @@ func (c *Cluster) recordOp(kind int, d time.Duration) {
 // scrapeGauges refreshes the computed gauges ahead of a /metrics render:
 // everything an operator dashboard wants that is state, not a counter.
 func (c *Cluster) scrapeGauges(r *telemetry.Registry) {
-	reps := c.Health()
+	reps := c.replicas()
 	live, hedges, failures, rejoins, ejections := 0, uint64(0), uint64(0), uint64(0), uint64(0)
 	for _, h := range reps {
 		if h.Healthy {
@@ -1401,44 +1064,60 @@ func closeEpochNodes(ep *epoch) {
 	}
 }
 
-func hello(n *clusterNode, want core.Partition, timeout time.Duration, ver uint32, joinOK bool) error {
+// exchange performs one synchronous request/reply on a connection no
+// loop owns yet — the hello, and a join node's identity assignment —
+// checking the reply against the request's op-table row. The returned
+// payload is valid until the connection's next read.
+func exchange(n *clusterNode, f Frame, timeout time.Duration) ([]uint32, error) {
 	n.conn.SetDeadline(time.Now().Add(timeout))
 	defer n.conn.SetDeadline(time.Time{})
+	if err := n.bc.writeFrame(f); err != nil {
+		return nil, err
+	}
+	if err := n.bc.w.Flush(); err != nil {
+		return nil, err
+	}
+	r, err := n.bc.readFrame()
+	if err != nil {
+		return nil, err
+	}
+	row := &opTable[f.Op]
+	if r.Op == OpErr {
+		return nil, fmt.Errorf("node refused the %s request", row.name)
+	}
+	if r.Op != row.reply || !row.valid(f.Payload, r.Payload) {
+		return nil, fmt.Errorf("bad %s ack (op %d, %d words)", row.name, r.Op, len(r.Payload))
+	}
+	return r.Payload, nil
+}
+
+func hello(n *clusterNode, want core.Partition, timeout time.Duration, ver uint32, joinOK bool) error {
 	// The reqID field of the hello advertises our protocol version
 	// (ProtoVersion, or the DialOptions.MaxVersion cap); a v1 node
 	// ignores it and acks 4 words, a v2 node acks 5 with the negotiated
 	// version appended (see the package doc).
-	if err := n.bc.writeFrame(Frame{Op: OpHello, ReqID: ver}); err != nil {
-		return err
-	}
-	if err := n.bc.w.Flush(); err != nil {
-		return err
-	}
-	f, err := n.bc.readFrame()
+	ack, err := exchange(n, Frame{Op: OpHello, ReqID: ver}, timeout)
 	if err != nil {
 		return err
 	}
-	if f.Op != OpHelloAck || len(f.Payload) < 4 || len(f.Payload) > 8 || len(f.Payload) == 7 {
-		return fmt.Errorf("bad hello ack (op %d, %d words)", f.Op, len(f.Payload))
-	}
 	n.version = ProtoV1
-	if len(f.Payload) >= 5 {
-		v := f.Payload[4]
+	if len(ack) >= 5 {
+		v := ack[4]
 		if v < ProtoV1 || v > ver {
 			return fmt.Errorf("node negotiated unsupported protocol version %d", v)
 		}
 		n.version = v
 	}
-	if len(f.Payload) >= 6 {
-		n.liveCount = int(f.Payload[5])
+	if len(ack) >= 6 {
+		n.liveCount = int(ack[5])
 	}
-	if len(f.Payload) == 8 {
+	if len(ack) == 8 {
 		// A durable v4 node: words 7-8 carry its chain (low word
 		// first); its generation is liveCount - keyCount.
-		n.chain = uint64(f.Payload[6]) | uint64(f.Payload[7])<<32
+		n.chain = u64(ack[6], ack[7])
 	}
-	n.rankBase = int(f.Payload[0])
-	n.keyCount = int(f.Payload[1])
+	n.rankBase = int(ack[0])
+	n.keyCount = int(ack[1])
 	if joinOK && n.keyCount == 0 {
 		// An unassigned join node (dcnode -join): it advertises the
 		// zero identity until OpAddReplica names its partition. Only a
@@ -1456,7 +1135,7 @@ func hello(n *clusterNode, want core.Partition, timeout time.Duration, ver uint3
 	// Shape alone doesn't prove the same key set (equal-size partitions
 	// of any n keys have identical bases and counts): cross-check the
 	// served key range the node advertises.
-	lo, hi := workload.Key(f.Payload[2]), workload.Key(f.Payload[3])
+	lo, hi := workload.Key(ack[2]), workload.Key(ack[3])
 	if len(want.Keys) > 0 && (lo != want.Keys[0] || hi != want.Keys[len(want.Keys)-1]) {
 		return fmt.Errorf("key-set mismatch: node serves range [%d, %d], routing table expects [%d, %d] (different keys or seed?)",
 			lo, hi, want.Keys[0], want.Keys[len(want.Keys)-1])
@@ -1464,36 +1143,12 @@ func hello(n *clusterNode, want core.Partition, timeout time.Duration, ver uint3
 	return nil
 }
 
-// enqueue hands p to the node's send loop under the registration id
-// reqID. It reports ok=false when p was not queued: the node is dead
-// (the caller must route p elsewhere) or, when limit > 0, the node is
-// at its admission cap (full=true — the caller may wait and retry).
-// The dead check and the append are under the same mutex failNode's
-// collection takes, so a pending can never be stranded in a queue
-// nobody owns.
-func (n *clusterNode) enqueue(p *pending, reqID uint32, limit int) (ok, full bool) {
-	n.mu.Lock()
-	if n.dead {
-		n.mu.Unlock()
-		return false, false
-	}
-	if limit > 0 && len(n.sendq)-n.sendHead+len(n.pending) >= limit {
-		n.mu.Unlock()
-		return false, true
-	}
-	n.sendq = append(n.sendq, sendReq{p: p, reqID: reqID})
-	n.mu.Unlock()
-	n.cond.Signal()
-	return true, false
-}
-
 // failNode is the single owner of a replica's death: it closes the
 // connection, drops the replica from its group (failing the epoch when
-// it was the partition's last member), takes every queued and in-flight
-// pending, re-routes them to a surviving replica, and spawns the rejoin
-// loop. Exactly-once per node; both loops and any protocol-violation
-// path funnel through it, so a pending is collected by precisely one
-// actor.
+// it was the partition's last member), settles every queued and
+// in-flight pending, and spawns the rejoin loop. Exactly-once per node;
+// both loops and any protocol-violation path funnel through it, so a
+// pending is collected by precisely one actor.
 func (c *Cluster) failNode(ep *epoch, n *clusterNode, err error) {
 	n.failOnce.Do(func() {
 		n.stats().failures.Add(1)
@@ -1502,79 +1157,46 @@ func (c *Cluster) failNode(ep *epoch, n *clusterNode, err error) {
 		if g.remove(n) == 0 {
 			ep.fail(fmt.Errorf("netrun: partition %d lost its last replica (%s): %w", g.part, n.addr, err))
 		}
-		// A catching-up member's held inserts die with it: every held
-		// pending was also fanned out to the surviving members, which
-		// now define the group's state (the same semantics as the
-		// in-flight insert sweep below). hasV3 records whether a
-		// surviving *full* v3 member exists: completing a swept insert
-		// as success is only honest when one does. A catching-up
-		// member does not count — writes fanned out before its
-		// admission are in neither its hold queue nor a snapshot it
-		// can still load once its source died — so those writes fail
-		// conservatively instead (the caller may retry; inserts are
-		// idempotent only as multiset adds, and an error makes the
-		// uncertainty explicit rather than acking a write no live node
-		// holds).
-		g.mu.Lock()
-		held := n.holdq
-		n.holdq = nil
-		n.catchingUp = false
-		hasV3 := false
-		for _, m := range g.members {
-			if m.version >= ProtoV3 && !m.catchingUp {
-				hasV3 = true
-				break
-			}
-		}
-		g.mu.Unlock()
-		rest := n.collectPending(held)
-		c.settlePending(ep, n, rest, hasV3, err)
+		c.settlePending(ep, n, err)
 		ep.goRejoin(g, n.addr, n.st)
 	})
 }
 
-// collectPending takes sole ownership of everything queued or in flight
-// on n, plus the caller-collected hold queue. dead is set in the same
-// critical section, so a concurrent enqueue either lands before the
-// sweep (and is collected) or observes dead and routes elsewhere.
-// Shared by failNode and the drain teardown.
-func (n *clusterNode) collectPending(held []*pending) []*pending {
-	n.mu.Lock()
-	n.dead = true
-	rest := make([]*pending, 0, len(n.pending)+len(n.sendq)-n.sendHead+len(held))
-	for _, sr := range n.sendq[n.sendHead:] {
-		if sr.p != nil {
-			rest = append(rest, sr.p)
+// settlePending takes everything a departed member still owed — hold
+// queue, send queue, in-flight table — and resolves each pending by its
+// op's loss policy: reads fail over, writes settle against the
+// survivors, pinned catch-up and membership frames abort. Shared by
+// failNode and the drain teardown; the member has already left
+// g.members, and err is its cause of departure.
+func (c *Cluster) settlePending(ep *epoch, n *clusterNode, err error) {
+	g := n.g
+	// A catching-up member's held inserts go with it: every held
+	// pending was also fanned out to the surviving members, which now
+	// define the group's state. hasV3 records whether a surviving
+	// *full* v3 member exists: completing a swept insert as success is
+	// only honest when one does. A catching-up member does not count —
+	// writes fanned out before its admission are in neither its hold
+	// queue nor a snapshot it can still load once its source died — so
+	// those writes fail conservatively instead (the caller may retry;
+	// inserts are idempotent only as multiset adds, and an error makes
+	// the uncertainty explicit rather than acking a write no live node
+	// holds).
+	g.mu.Lock()
+	held := n.holdq
+	n.holdq = nil
+	n.catchingUp = false
+	hasV3 := false
+	for _, m := range g.members {
+		if m.version >= ProtoV3 && !m.catchingUp {
+			hasV3 = true
+			break
 		}
 	}
-	n.sendq, n.sendHead = nil, 0
-	for _, inf := range n.pending {
-		rest = append(rest, inf.p)
-	}
-	n.pending = map[uint32]inflight{}
-	n.mu.Unlock()
-	n.cond.Broadcast()
-	n.g.admitFreed()
-	return append(rest, held...)
-}
-
-// settlePending resolves a departed member's swept pendings by kind:
-// reads fail over, writes settle against the survivors, pinned catch-up
-// and membership frames abort. Shared by failNode and the drain
-// teardown; err is the member's cause of departure.
-func (c *Cluster) settlePending(ep *epoch, n *clusterNode, rest []*pending, hasV3 bool, err error) {
-	g := n.g
-	for _, p := range rest {
-		switch p.kind {
-		case pkInsert:
-			// The write reached (or will reach) every surviving v3
-			// member; this member's copy is moot now that it left
-			// the group — it reloads from a sibling on rejoin. But
-			// when no v3 survivor exists (this was the partition's
-			// only writable replica, its pre-v3 siblings never got
-			// a copy), success would ack a write no live node
-			// holds — fail it instead so the caller's chunk is not
-			// credited.
+	g.mu.Unlock()
+	for _, p := range n.collectPending(held) {
+		row := &opTable[p.op]
+		switch row.onLoss {
+		case lossSettle:
 			switch {
 			case ep.Err() != nil:
 				c.finish(p, ep.err)
@@ -1583,30 +1205,20 @@ func (c *Cluster) settlePending(ep *epoch, n *clusterNode, rest []*pending, hasV
 			default:
 				c.finish(p, fmt.Errorf("netrun: partition %d lost its last full protocol-v3 replica (%s) with a write in flight: %w", g.part, n.addr, err))
 			}
-		case pkLoad, pkLoadAt:
-			// A load binds to this exact member; the catch-up
-			// attempt aborts and the next rejoin retries.
-			c.finish(p, fmt.Errorf("netrun: catch-up load to partition %d replica %s interrupted: %w", g.part, n.addr, err))
-		case pkSnapshot, pkSnapshotSince:
-			// A snapshot must not fail over: its position in this
-			// member's FIFO is what makes catch-up exactly-once
-			// (re-enqueueing it elsewhere could double-deliver
-			// writes that raced the admission). Abort the attempt;
-			// the rejoin cycle takes a fresh snapshot.
-			c.finish(p, fmt.Errorf("netrun: catch-up snapshot from partition %d replica %s interrupted: %w", g.part, n.addr, err))
-		case pkDrain, pkSplit:
-			// Membership ops pin to this exact member; the reshape
-			// aborts and its caller reports the failure.
-			c.finish(p, fmt.Errorf("netrun: membership op to partition %d replica %s interrupted: %w", g.part, n.addr, err))
-		default:
+		case lossAbort:
+			c.finish(p, fmt.Errorf("netrun: %s pinned to partition %d replica %s interrupted: %w", row.name, g.part, n.addr, err))
+		case lossRedispatch:
 			// A read already claimed by a hedge (or a racing reply)
 			// needs nothing from this chain — drop the reference.
-			// Unclaimed reads fail over as always.
 			if p.claimed.Load() {
 				c.release(p)
 			} else {
 				c.route(ep, g, p)
 			}
+		default:
+			// Not a pending kind: nothing enqueues one, and re-routing a
+			// request with no loss policy could only be wrong.
+			c.finish(p, fmt.Errorf("netrun: %s request on partition %d replica %s has no loss policy: %w", row.name, g.part, n.addr, err))
 		}
 	}
 }
@@ -1756,7 +1368,7 @@ func jitterBackoff(d time.Duration) time.Duration {
 // rejoin — and the function returns true so the calling loop exits.
 func (c *Cluster) readmitWithCatchUp(ep *epoch, g *replicaGroup, n *clusterNode) bool {
 	snapP := c.getPending()
-	snapP.kind = pkSnapshot
+	snapP.op = OpSnapshot
 	snapP.done = make(chan *pending, 1)
 	g.mu.Lock()
 	select {
@@ -1783,7 +1395,7 @@ func (c *Cluster) readmitWithCatchUp(ep *epoch, g *replicaGroup, n *clusterNode)
 	useDelta := n.version >= ProtoV4 && sib.version >= ProtoV4 &&
 		n.chain != 0 && sib.chain != 0 && !n.stats().forceFull.Load()
 	if useDelta {
-		snapP.kind = pkSnapshotSince
+		snapP.op = OpSnapshotSince
 		rejGen := uint64(n.liveCount - n.keyCount)
 		snapP.keys = append(snapP.keys[:0],
 			uint32(rejGen), uint32(rejGen>>32),
@@ -1822,9 +1434,9 @@ func (c *Cluster) readmitWithCatchUp(ep *epoch, g *replicaGroup, n *clusterNode)
 			return true
 		}
 		wasDelta = snapKeys[0] == snapKindDelta
-		loadP.kind = pkLoadAt
+		loadP.op = OpLoadAt
 	} else {
-		loadP.kind = pkLoad
+		loadP.op = OpLoad
 	}
 	loadP.keys = append(loadP.keys, snapKeys...)
 	loadP.done = make(chan *pending, 1)
@@ -1870,134 +1482,10 @@ func (c *Cluster) readmitWithCatchUp(ep *epoch, g *replicaGroup, n *clusterNode)
 	return true
 }
 
-// sendLoop writes queued frames to the node. Flushes coalesce: the
-// bufio writer is flushed only when the queue drains, so pipelined
-// batches from concurrent callers share syscalls. Each pending is
-// registered in the in-flight table (and the read deadline armed)
-// before its frame hits the wire, so a reply — or a failover sweep —
-// always finds it. On any error the loop funnels through failNode and
-// exits; it never completes pendings itself.
-func (n *clusterNode) sendLoop(ep *epoch) {
-	defer ep.wg.Done()
-	c := ep.c
-	unflushed := false
-	for {
-		n.mu.Lock()
-		for n.sendHead == len(n.sendq) && !n.dead {
-			if unflushed {
-				n.mu.Unlock()
-				unflushed = false
-				if err := n.flush(); err != nil {
-					c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s write: %w", n.g.part, n.addr, err))
-					return
-				}
-				n.armRead()
-				n.mu.Lock()
-				continue
-			}
-			n.cond.Wait()
-		}
-		if n.dead {
-			// failNode owns (or will collect) whatever is queued.
-			n.mu.Unlock()
-			return
-		}
-		sr := n.sendq[n.sendHead]
-		p := sr.p
-		n.sendq[n.sendHead] = sendReq{}
-		n.sendHead++
-		if n.sendHead == len(n.sendq) {
-			n.sendq = n.sendq[:0]
-			n.sendHead = 0
-		}
-		if _, dup := n.pending[sr.reqID]; dup {
-			// The 32-bit request-id space wrapped all the way around
-			// onto a request still in flight on this connection.
-			// Registering would silently orphan the first caller, so
-			// fail this request fast and leave the in-flight one (and
-			// the connection) intact.
-			n.mu.Unlock()
-			c.finish(p, fmt.Errorf("netrun: request id %d wrapped onto a request still in flight on partition %d replica %s (2^32 ids exhausted while one was outstanding); retry the batch",
-				sr.reqID, n.g.part, n.addr))
-			continue
-		}
-		n.pending[sr.reqID] = inflight{p: p, sentAt: time.Now()}
-		// Encode while still holding mu: the moment p is registered it
-		// can complete (reply or failover sweep) and be recycled by its
-		// caller, so p.keys must not be read outside the lock. After
-		// encode the frame lives in the writer's scratch, and the
-		// blocking socket I/O below never touches p. Sorted runs go out
-		// as v2 delta frames when this connection negotiated them; on a
-		// v1 connection (or after failover onto one) the same keys go
-		// out as a plain OpLookup. The v3 kinds (insert, snapshot,
-		// load) only ever reach v3-negotiated connections — dispatch
-		// and failover enforce it.
-		// Whether to arm the hedge clock is decided here, under the same
-		// lock: once registered, p may complete and recycle the moment
-		// mu drops, so no field of p can be read after the unlock.
-		armHedge := ep.hedger != nil && hedgeable(p.kind) && !p.hedged.Load()
-		var buf []byte
-		var encErr error
-		switch {
-		case p.kind == pkInsert:
-			buf, encErr = n.bc.fw.encode(Frame{Op: OpInsert, ReqID: sr.reqID, Payload: p.keys})
-		case p.kind == pkSnapshot:
-			buf, encErr = n.bc.fw.encode(Frame{Op: OpSnapshot, ReqID: sr.reqID})
-		case p.kind == pkLoad:
-			buf, encErr = n.bc.fw.encodeDeltaOp(OpLoad, sr.reqID, p.keys)
-		case p.kind == pkSnapshotSince:
-			buf, encErr = n.bc.fw.encode(Frame{Op: OpSnapshotSince, ReqID: sr.reqID, Payload: p.keys})
-		case p.kind == pkLoadAt:
-			buf, encErr = n.bc.fw.encode(Frame{Op: OpLoadAt, ReqID: sr.reqID, Payload: p.keys})
-		case p.kind == pkCount:
-			buf, encErr = n.bc.fw.encode(Frame{Op: OpCountRange, ReqID: sr.reqID, Payload: p.keys})
-		case p.kind == pkScan:
-			buf, encErr = n.bc.fw.encode(Frame{Op: OpScanRange, ReqID: sr.reqID, Payload: p.keys})
-		case p.kind == pkTopK:
-			buf, encErr = n.bc.fw.encode(Frame{Op: OpTopK, ReqID: sr.reqID, Payload: p.keys})
-		case p.kind == pkMultiGet:
-			buf, encErr = n.bc.fw.encodeDeltaOp(OpMultiGet, sr.reqID, p.keys)
-		case p.kind == pkDrain:
-			buf, encErr = n.bc.fw.encode(Frame{Op: OpDrainReplica, ReqID: sr.reqID})
-		case p.kind == pkSplit:
-			buf, encErr = n.bc.fw.encode(Frame{Op: OpSplitPartition, ReqID: sr.reqID, Payload: p.keys})
-		case p.sorted && n.version >= ProtoV2:
-			buf, encErr = n.bc.fw.encodeDeltaOp(OpLookupSorted, sr.reqID, p.keys)
-		default:
-			buf, encErr = n.bc.fw.encode(Frame{Op: OpLookup, ReqID: sr.reqID, Payload: p.keys})
-		}
-		n.mu.Unlock()
-
-		if encErr != nil {
-			// Unreachable with BatchKeys clamped to MaxFrameWords, but
-			// p is registered: failNode sweeps and re-routes it.
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s: %w", n.g.part, n.addr, encErr))
-			return
-		}
-		if n.opTimeout > 0 {
-			n.conn.SetWriteDeadline(time.Now().Add(n.opTimeout))
-		}
-		if _, err := n.bc.w.Write(buf); err != nil {
-			// p is registered: failNode sweeps and re-routes it.
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s write: %w", n.g.part, n.addr, err))
-			return
-		}
-		n.armRead()
-		unflushed = true
-		if armHedge {
-			// Arm the hedge clock now that the frame is on (or in) the
-			// wire; the hedger re-checks the registration at deadline,
-			// so completed requests cost nothing. Outside n.mu: the
-			// hedger takes its own lock, then n.mu when it fires.
-			ep.hedger.schedule(n, sr.reqID, time.Now().Add(n.hedgeDelay(c)))
-		}
-	}
-}
-
 // hedgeDelay is how long a read frame may sit on this replica before it
 // is hedged: the partition's fastest view of its own read latency — the
 // minimum of the group members' windowed quantiles — floored by
-// HedgeMinDelay (which also covers the cold start before any history),
+// Hedging.MinDelay (which also covers the cold start before any history),
 // and capped below the op timeout so a hedge always beats a timeout.
 // The group minimum rather than n's own quantile matters for exactly
 // the gray case: a uniformly slow replica inflates its own quantile and
@@ -2027,362 +1515,6 @@ func (n *clusterNode) hedgeDelay(c *Cluster) time.Duration {
 	return d
 }
 
-func (n *clusterNode) flush() error {
-	if n.opTimeout > 0 {
-		n.conn.SetWriteDeadline(time.Now().Add(n.opTimeout))
-	}
-	return n.bc.w.Flush()
-}
-
-// armRead extends the read deadline if requests are in flight; the send
-// loop calls it after each write or flush makes progress toward the
-// node, so the reply clock starts when the request actually moves, not
-// when it is registered (a slow-but-successful write must not eat into
-// the node's reply window). The map check is under mu so the invariant
-// "deadline armed iff requests outstanding" holds against the read
-// loop's clear-when-empty.
-func (n *clusterNode) armRead() {
-	if n.opTimeout <= 0 {
-		return
-	}
-	n.mu.Lock()
-	if len(n.pending) > 0 {
-		n.conn.SetReadDeadline(time.Now().Add(n.opTimeout))
-	}
-	n.mu.Unlock()
-}
-
-// readLoop demultiplexes reply frames by request id to the issuing
-// calls' gather channels. Any read error, timeout, or protocol
-// violation funnels through failNode: the replica dies alone and its
-// in-flight requests fail over to a surviving sibling.
-func (n *clusterNode) readLoop(ep *epoch) {
-	defer ep.wg.Done()
-	c := ep.c
-	// rankScratch stages decoded OpRanksDelta payloads. Decoding fully
-	// before deregistering the pending keeps the failure story simple:
-	// a corrupt delta stream leaves the pending registered, so the
-	// failNode sweep re-routes it to a sibling like any other protocol
-	// violation — no partially-scattered result can ever complete.
-	var rankScratch []uint32
-	for {
-		f, err := n.bc.readFrame()
-		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				err = fmt.Errorf("no reply within %v (node hung?): %w", n.opTimeout, err)
-			}
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s read: %w", n.g.part, n.addr, err))
-			return
-		}
-		switch f.Op {
-		case OpRanksDelta:
-			vals, derr := decodeDeltaRun(f.Raw, rankScratch)
-			if derr != nil {
-				c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s: %w", n.g.part, n.addr, derr))
-				return
-			}
-			rankScratch = vals
-			f.Payload = vals
-			fallthrough
-		case OpRanks:
-			n.mu.Lock()
-			inf, ok := n.pending[f.ReqID]
-			// Capture the key count under the lock: on the mismatch
-			// path below p stays registered, so a concurrent failNode
-			// sweep may re-route, complete, and recycle it the moment
-			// the lock is released — p must not be read after that.
-			nKeys := 0
-			if ok {
-				nKeys = len(inf.p.keys)
-			}
-			if ok && inf.p.kind == pkLookup && len(f.Payload) == nKeys {
-				p := inf.p
-				n.deregisterLocked(f.ReqID)
-				n.mu.Unlock()
-				d := time.Since(inf.sentAt)
-				n.observe(c, d)
-				c.recordOp(pkLookup, d)
-				if p.claim() {
-					// adj folds in the keys this client inserted into the
-					// preceding partitions: the node's static rank base
-					// predates them (see Cluster.ins).
-					adj := c.insBefore(n.g.part)
-					if p.contig {
-						base := p.posBase
-						for i, r := range f.Payload {
-							p.out[base+i] = int(r) + adj
-						}
-					} else {
-						for i, pos := range p.pos {
-							p.out[pos] = int(f.Payload[i]) + adj
-						}
-					}
-					p.complete(nil)
-				}
-				c.release(p)
-				continue
-			}
-			n.mu.Unlock()
-			// Both violation paths funnel through failNode even when the
-			// node is already dead (a stale buffered frame after a sweep,
-			// or a frame read between ep.fail marking us dead and the
-			// next read error): failNode is idempotent, and skipping it
-			// here could strand registered pendings a sweep never saw.
-			if !ok {
-				c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s sent unknown reqID %d (corrupt or stale stream)", n.g.part, n.addr, f.ReqID))
-				return
-			}
-			// Count mismatch: p stays registered, so failNode sweeps
-			// and re-routes it to a sibling for a correct answer.
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s: %d ranks for %d keys", n.g.part, n.addr, len(f.Payload), nKeys))
-			return
-		case OpInsertAck, OpLoadAck:
-			n.mu.Lock()
-			inf, ok := n.pending[f.ReqID]
-			kindOK, wantN, kind := false, 0, 0
-			if ok {
-				kind = inf.p.kind
-				switch {
-				case f.Op == OpInsertAck && inf.p.kind == pkInsert:
-					kindOK, wantN = true, len(inf.p.keys)
-				case f.Op == OpLoadAck && inf.p.kind == pkLoad:
-					kindOK, wantN = true, len(inf.p.keys)
-				case f.Op == OpLoadAck && inf.p.kind == pkLoadAt:
-					// The payload carries the 5 header words ahead of
-					// the keys; the node acks only the keys.
-					kindOK, wantN = true, len(inf.p.keys)-snapDeltaHeader
-				}
-			}
-			if kindOK && len(f.Payload) == 1 && int(f.Payload[0]) == wantN {
-				n.deregisterLocked(f.ReqID)
-				n.mu.Unlock()
-				c.recordOp(kind, time.Since(inf.sentAt))
-				c.finish(inf.p, nil)
-				continue
-			}
-			n.mu.Unlock()
-			// Unknown id, wrong kind, or count mismatch: protocol
-			// violation — the sweep settles whatever was registered.
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s sent bad ack op %d for reqID %d", n.g.part, n.addr, f.Op, f.ReqID))
-			return
-		case OpSnapshotData:
-			vals, derr := decodeDeltaRun(f.Raw, rankScratch)
-			if derr != nil {
-				c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s: %w", n.g.part, n.addr, derr))
-				return
-			}
-			rankScratch = vals
-			n.mu.Lock()
-			inf, ok := n.pending[f.ReqID]
-			if ok && inf.p.kind == pkSnapshot {
-				p := inf.p
-				n.deregisterLocked(f.ReqID)
-				n.mu.Unlock()
-				c.recordOp(pkSnapshot, time.Since(inf.sentAt))
-				if p.claim() {
-					p.reply = append(p.reply[:0], vals...)
-					p.complete(nil)
-				}
-				c.release(p)
-				continue
-			}
-			n.mu.Unlock()
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s sent unsolicited snapshot for reqID %d", n.g.part, n.addr, f.ReqID))
-			return
-		case OpSnapshotDelta:
-			n.mu.Lock()
-			inf, ok := n.pending[f.ReqID]
-			if ok && inf.p.kind == pkSnapshotSince && len(f.Payload) >= snapDeltaHeader {
-				p := inf.p
-				n.deregisterLocked(f.ReqID)
-				n.mu.Unlock()
-				c.recordOp(pkSnapshotSince, time.Since(inf.sentAt))
-				if p.claim() {
-					p.reply = append(p.reply[:0], f.Payload...)
-					p.complete(nil)
-				}
-				c.release(p)
-				continue
-			}
-			n.mu.Unlock()
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s sent unsolicited positioned snapshot for reqID %d", n.g.part, n.addr, f.ReqID))
-			return
-		case OpCounts:
-			// Reply to OpCountRange (per-range counts) or OpMultiGet
-			// (per-key multiplicities), demuxed by the pending's kind.
-			vals, derr := decodeVarRun(f.Raw, rankScratch)
-			if derr != nil {
-				c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s: %w", n.g.part, n.addr, derr))
-				return
-			}
-			rankScratch = vals
-			n.mu.Lock()
-			inf, ok := n.pending[f.ReqID]
-			wantN := -1
-			if ok {
-				switch inf.p.kind {
-				case pkCount:
-					wantN = len(inf.p.keys) / 2
-				case pkMultiGet:
-					wantN = len(inf.p.keys)
-				}
-			}
-			if ok && len(vals) == wantN {
-				p := inf.p
-				kind := p.kind
-				n.deregisterLocked(f.ReqID)
-				n.mu.Unlock()
-				d := time.Since(inf.sentAt)
-				n.observe(c, d)
-				c.recordOp(kind, d)
-				if p.claim() {
-					if p.kind == pkCount {
-						// Ranges can span partitions, so concurrent read
-						// loops must not add into shared output slots;
-						// stage the counts and let the single caller sum
-						// via p.pos.
-						p.reply = append(p.reply[:0], vals...)
-					} else if p.contig {
-						base := p.posBase
-						for i, v := range vals {
-							p.out[base+i] = int(v)
-						}
-					} else {
-						for i, pos := range p.pos {
-							p.out[pos] = int(vals[i])
-						}
-					}
-					p.complete(nil)
-				}
-				c.release(p)
-				continue
-			}
-			n.mu.Unlock()
-			if !ok {
-				c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s sent unknown reqID %d (corrupt or stale stream)", n.g.part, n.addr, f.ReqID))
-				return
-			}
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s: %d counts, want %d", n.g.part, n.addr, len(vals), wantN))
-			return
-		case OpKeysDelta:
-			// Reply to OpScanRange or OpTopK: an ascending key run. The
-			// request words stay in p.keys until the reply lands (so a
-			// failover re-encodes them); overwrite them with the result,
-			// OpSnapshotData-style.
-			vals, derr := decodeDeltaRun(f.Raw, rankScratch)
-			if derr != nil {
-				c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s: %w", n.g.part, n.addr, derr))
-				return
-			}
-			rankScratch = vals
-			n.mu.Lock()
-			inf, ok := n.pending[f.ReqID]
-			if ok && (inf.p.kind == pkScan || inf.p.kind == pkTopK) {
-				p := inf.p
-				kind := p.kind
-				n.deregisterLocked(f.ReqID)
-				n.mu.Unlock()
-				d := time.Since(inf.sentAt)
-				n.observe(c, d)
-				c.recordOp(kind, d)
-				if p.claim() {
-					p.reply = append(p.reply[:0], vals...)
-					p.complete(nil)
-				}
-				c.release(p)
-				continue
-			}
-			n.mu.Unlock()
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s sent unsolicited key run for reqID %d", n.g.part, n.addr, f.ReqID))
-			return
-		case OpMembAck:
-			// Reply to a drain or split membership frame: one word, the
-			// node's post-op live key count.
-			n.mu.Lock()
-			inf, ok := n.pending[f.ReqID]
-			if ok && (inf.p.kind == pkDrain || inf.p.kind == pkSplit) && len(f.Payload) == 1 {
-				p := inf.p
-				kind := p.kind
-				n.deregisterLocked(f.ReqID)
-				n.mu.Unlock()
-				c.recordOp(kind, time.Since(inf.sentAt))
-				if p.claim() {
-					p.reply = append(p.reply[:0], f.Payload...)
-					p.complete(nil)
-				}
-				c.release(p)
-				continue
-			}
-			n.mu.Unlock()
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s sent unsolicited membership ack for reqID %d", n.g.part, n.addr, f.ReqID))
-			return
-		case OpErr:
-			code := uint32(0)
-			if len(f.Payload) > 0 {
-				code = f.Payload[0]
-			}
-			// An OpErr answering a catch-up request (snapshot/load) or a
-			// v5 query op is a refusal of that operation only — e.g. a
-			// snapshot or scan result too large for one frame — from a
-			// node that keeps serving. Fail just the request; killing the
-			// connection would charge the failure to a healthy node and
-			// can cascade to epoch death, and failing over an oversized
-			// scan to a sibling would only be refused identically.
-			n.mu.Lock()
-			if inf, ok := n.pending[f.ReqID]; ok {
-				switch inf.p.kind {
-				case pkSnapshot, pkLoad, pkSnapshotSince, pkLoadAt, pkCount, pkScan, pkTopK, pkMultiGet, pkDrain, pkSplit:
-					n.deregisterLocked(f.ReqID)
-					n.mu.Unlock()
-					c.finish(inf.p, fmt.Errorf("netrun: partition %d replica %s refused the request (op %d)", n.g.part, n.addr, code))
-					continue
-				}
-			}
-			n.mu.Unlock()
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s reported error %d", n.g.part, n.addr, code))
-			return
-		default:
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s sent op %d, want ranks", n.g.part, n.addr, f.Op))
-			return
-		}
-	}
-}
-
-func (c *Cluster) getPending() *pending {
-	p := c.pends.Get().(*pending)
-	p.kind = pkLookup
-	p.keys = p.keys[:0]
-	p.pos = p.pos[:0]
-	p.reply = p.reply[:0]
-	p.sorted = false
-	p.contig = false
-	p.posBase = 0
-	p.chunk = nil
-	p.err = nil
-	p.claimed.Store(false)
-	p.hedged.Store(false)
-	p.refs.Store(0)
-	return p
-}
-
-func (c *Cluster) putPending(p *pending) {
-	p.out = nil
-	p.done = nil
-	p.chunk = nil
-	// Snapshot and load pendings stage a full partition's key set —
-	// often orders of magnitude beyond BatchKeys. Recycling that
-	// backing array would pin it in the pool behind every future
-	// lookup pending for the cluster's lifetime; drop oversized
-	// buffers instead.
-	if cap(p.keys) > 2*c.batch {
-		p.keys = nil
-	}
-	if cap(p.reply) > 2*c.batch {
-		p.reply = nil
-	}
-	c.pends.Put(p)
-}
-
 // route stamps p's registration with a fresh request id and hands it to
 // an eligible healthy replica of g, retrying (with restamping) across
 // members until one accepts it. When the group is empty the epoch is
@@ -2400,10 +1532,10 @@ func (c *Cluster) putPending(p *pending) {
 // when every eligible replica is at MaxPending outstanding frames,
 // route parks until a slot frees instead of growing the queues.
 func (c *Cluster) route(ep *epoch, g *replicaGroup, p *pending) {
-	// Read p.kind once, before the enqueue: a successful enqueue hands
+	// Read p.op once, before the enqueue: a successful enqueue hands
 	// the chain reference to the connection, after which p may complete
 	// and recycle at any moment.
-	isRead := hedgeable(p.kind)
+	isRead := opTable[p.op].hedge
 	limit := 0
 	if isRead {
 		limit = c.maxPending
@@ -2683,7 +1815,7 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 					continue
 				}
 				p := c.getPending()
-				p.kind = pkInsert
+				p.op = OpInsert
 				p.keys = append(p.keys, chunk...)
 				p.done = done
 				p.chunk = ck
@@ -2733,14 +1865,11 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 // Nodes returns the number of cluster partitions (replica groups).
 func (c *Cluster) Nodes() int { return len(c.part.Load().Parts) }
 
-// Health snapshots per-replica liveness and traffic counters for the
-// current epoch, ordered by partition then configured address. It
-// returns nil after Close. Counters reset on Redial (a fresh epoch).
-//
-// Deprecated-adjacent note: Health remains the replica-level accessor;
-// Stats wraps it (plus the cluster-level counters) into the unified
-// versioned tree that the admin endpoint serves.
-func (c *Cluster) Health() []ReplicaHealth {
+// replicas snapshots per-replica liveness and traffic counters for the
+// current epoch, ordered by partition then configured address — the
+// producer of Stats().Replicas. It returns nil after Close. Counters
+// reset on Redial (a fresh epoch).
+func (c *Cluster) replicas() []ReplicaHealth {
 	ep := c.ep.Load()
 	if ep == nil {
 		return nil
@@ -2804,11 +1933,9 @@ func (c *Cluster) InsertedKeys() []int64 {
 const StatsSchemaVersion = 1
 
 // ClusterStats is the unified operator-facing view of a Cluster: the
-// cluster-level shape and counters plus every replica's Health row, in
+// cluster-level shape and counters plus every replica's health row, in
 // one versioned tree. It is what the admin endpoint's /stats serves and
-// what dcq's health report consumes; the older per-aspect accessors
-// (Health, InsertedKeys, Nodes, DeltaCatchups) remain as thin views of
-// the same data.
+// what dcq's health report consumes.
 type ClusterStats struct {
 	SchemaVersion int `json:"schema_version"`
 	// Partitions is the current partition count (grows by one per
@@ -2833,7 +1960,7 @@ func (c *Cluster) Stats() ClusterStats {
 		Protocol:      c.helloVer,
 		InsertedKeys:  c.InsertedKeys(),
 		DeltaCatchups: c.deltaCatchups.Load(),
-		Replicas:      c.Health(),
+		Replicas:      c.replicas(),
 	}
 }
 
@@ -2846,37 +1973,6 @@ var errReplicaDrained = errors.New("netrun: replica drained")
 // are torn down wholesale (the same mechanism Redial rides, except
 // SplitPartition immediately dials the successor epoch itself).
 var errSplitReconfig = errors.New("netrun: epoch retired by partition split")
-
-// membershipExchange performs one synchronous membership frame exchange
-// on a connection no loop owns yet (a fresh join dial): write f, read
-// the OpMembAck, return its payload. An OpErr reply surfaces as the
-// node's refusal.
-func membershipExchange(n *clusterNode, f Frame, timeout time.Duration) ([]uint32, error) {
-	n.conn.SetDeadline(time.Now().Add(timeout))
-	defer n.conn.SetDeadline(time.Time{})
-	if err := n.bc.writeFrame(f); err != nil {
-		return nil, err
-	}
-	if err := n.bc.w.Flush(); err != nil {
-		return nil, err
-	}
-	r, err := n.bc.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	switch r.Op {
-	case OpMembAck:
-		return append([]uint32(nil), r.Payload...), nil
-	case OpErr:
-		code := uint32(0)
-		if len(r.Payload) > 0 {
-			code = r.Payload[0]
-		}
-		return nil, fmt.Errorf("node refused the membership op (code %d)", code)
-	default:
-		return nil, fmt.Errorf("bad membership ack (op %d)", r.Op)
-	}
-}
 
 // AddReplica joins a new replica at addr into partition part's group
 // without restarting the epoch. The node may be an unassigned join node
@@ -2930,7 +2026,7 @@ func (c *Cluster) AddReplica(part int, addr string) error {
 	if n.keyCount == 0 {
 		// Unassigned join node: assign the identity synchronously,
 		// before the loops take over the connection.
-		ack, aerr := membershipExchange(n, Frame{Op: OpAddReplica, ReqID: c.reqID.Add(1), Payload: []uint32{
+		ack, aerr := exchange(n, Frame{Op: OpAddReplica, ReqID: c.reqID.Add(1), Payload: []uint32{
 			uint32(want.RankBase), uint32(len(want.Keys)),
 			uint32(want.Keys[0]), uint32(want.Keys[len(want.Keys)-1]),
 		}}, c.opt.Timeout)
@@ -2938,14 +2034,14 @@ func (c *Cluster) AddReplica(part int, addr string) error {
 			n.conn.Close()
 			return fmt.Errorf("netrun: partition %d replica %s: assigning identity: %w", part, addr, aerr)
 		}
-		if len(ack) != 1 || int(ack[0]) != len(want.Keys) {
+		if int(ack[0]) != len(want.Keys) {
 			n.conn.Close()
 			return fmt.Errorf("netrun: partition %d replica %s acked %v for identity assignment, want [%d]", part, addr, ack, len(want.Keys))
 		}
 		n.rankBase, n.keyCount, n.liveCount = want.RankBase, len(want.Keys), len(want.Keys)
 	}
 
-	// Register the address: Health lists it, a later failure re-dials
+	// Register the address: Stats lists it, a later failure re-dials
 	// it, and the rewritten config carries it into the next dialEpoch.
 	// Plain admission is sound only while the partition is pristine
 	// (no write fanned out this epoch, no insert recorded); decided in
@@ -3077,7 +2173,7 @@ func (c *Cluster) DrainReplica(part int, addr string) error {
 	// Quiesce the node: after the ack it accepts no further writes, so
 	// nothing this cluster does can change state it no longer reports.
 	p := c.getPending()
-	p.kind = pkDrain
+	p.op = OpDrainReplica
 	p.done = make(chan *pending, 1)
 	p.refs.Store(2)
 	var drainErr error
@@ -3096,20 +2192,7 @@ func (c *Cluster) DrainReplica(part int, addr string) error {
 	// loop exits at the deconfigured address.
 	target.failOnce.Do(func() {
 		target.conn.Close()
-		g.mu.Lock()
-		held := target.holdq
-		target.holdq = nil
-		target.catchingUp = false
-		hasV3 := false
-		for _, m := range g.members {
-			if m.version >= ProtoV3 && !m.catchingUp {
-				hasV3 = true
-				break
-			}
-		}
-		g.mu.Unlock()
-		rest := target.collectPending(held)
-		c.settlePending(ep, target, rest, hasV3, errReplicaDrained)
+		c.settlePending(ep, target, errReplicaDrained)
 	})
 	return drainErr
 }
@@ -3219,7 +2302,7 @@ func (c *Cluster) SplitPartition(part int) error {
 			half, keep = hi, 1
 		}
 		p := c.getPending()
-		p.kind = pkSplit
+		p.op = OpSplitPartition
 		p.keys = append(p.keys,
 			uint32(half.RankBase), uint32(len(half.Keys)),
 			uint32(half.Keys[0]), uint32(half.Keys[len(half.Keys)-1]),

@@ -113,7 +113,7 @@ func (dc *durableCluster) restart(t *testing.T, partition, replica int) {
 func (dc *durableCluster) health(t *testing.T, partition, replica int) ReplicaHealth {
 	t.Helper()
 	addr := dc.addrs[partition][replica]
-	for _, h := range dc.c.Health() {
+	for _, h := range dc.c.Stats().Replicas {
 		if h.Partition == partition && h.Addr == addr {
 			return h
 		}
@@ -144,8 +144,7 @@ func (dc *durableCluster) waitHealthy(t *testing.T, partition, replica int, want
 func TestDurableRejoinViaDelta(t *testing.T) {
 	keys := workload.SortedKeys(8000, 63)
 	dc, shutdown := startDurable(t, keys, 2, 2, 256, DialOptions{
-		RejoinBackoff:    20 * time.Millisecond,
-		RejoinMaxBackoff: 100 * time.Millisecond,
+		Rejoin: RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 	})
 	defer shutdown()
 	o := newTCPOracle(keys)
@@ -197,8 +196,7 @@ func TestDurableRejoinViaDelta(t *testing.T) {
 func TestDurableRejoinDivergedFallsBackToFull(t *testing.T) {
 	keys := workload.SortedKeys(6000, 73)
 	dc, shutdown := startDurable(t, keys, 1, 2, 256, DialOptions{
-		RejoinBackoff:    20 * time.Millisecond,
-		RejoinMaxBackoff: 100 * time.Millisecond,
+		Rejoin: RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 	})
 	defer shutdown()
 	o := newTCPOracle(keys)
@@ -290,7 +288,7 @@ func TestDurableV3V4Interop(t *testing.T) {
 
 	c, err := Dial([]string{lis0.Addr().String() + "|" + memAddr}, keys, DialOptions{
 		BatchKeys: 256, Replicas: 2, Timeout: 5 * time.Second,
-		RejoinBackoff: 20 * time.Millisecond, RejoinMaxBackoff: 100 * time.Millisecond,
+		Rejoin: RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +313,7 @@ func TestDurableV3V4Interop(t *testing.T) {
 	memNode.Close()
 	deadline := time.Now().Add(15 * time.Second)
 	healthy := func() bool {
-		for _, h := range c.Health() {
+		for _, h := range c.Stats().Replicas {
 			if h.Addr == memAddr {
 				return h.Healthy
 			}

@@ -162,7 +162,7 @@ func TestRankCountMismatchFailsCluster(t *testing.T) {
 	defer c.Close()
 
 	_, err = c.LookupBatch(workload.UniformQueries(50, 5))
-	if err == nil || !strings.Contains(err.Error(), "ranks for") {
+	if err == nil || !strings.Contains(err.Error(), "reply elements for") {
 		t.Fatalf("err = %v, want rank-count mismatch", err)
 	}
 	wantFailedFast(t, c)

@@ -57,12 +57,10 @@ func BenchmarkTCPClusterGraySlowReplica(b *testing.B) {
 		}
 	}()
 	c, err := Dial(addrs, keys, DialOptions{
-		BatchKeys:     16384,
-		Replicas:      replicas,
-		HedgeQuantile: 0.95,
-		HedgeBudget:   1.0,
-		EjectFactor:   4,
-		ProbeBackoff:  500 * time.Millisecond,
+		BatchKeys: 16384,
+		Replicas:  replicas,
+		Hedging:   HedgeOptions{Quantile: 0.95, Budget: 1.0},
+		Ejection:  EjectOptions{Factor: 4, ProbeBackoff: 500 * time.Millisecond},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -73,7 +71,7 @@ func BenchmarkTCPClusterGraySlowReplica(b *testing.B) {
 	queries := workload.UniformQueries(1<<18, 2)
 	out := make([]int, len(queries))
 	ejected := func() bool {
-		for _, h := range c.Health() {
+		for _, h := range c.Stats().Replicas {
 			if h.Addr == slowAddr {
 				return h.State == "ejected" || h.State == "probing"
 			}
@@ -179,9 +177,8 @@ func checkRanks(t *testing.T, keys, queries []workload.Key, ranks []int) {
 func TestTCPHedgedReadStalledReplicaMatchesOracle(t *testing.T) {
 	keys := workload.SortedKeys(8000, 71)
 	gc, shutdown := startGray(t, keys, 4, 2, 256, DialOptions{
-		HedgeQuantile: 0.9,
-		HedgeBudget:   1.0, // generous: this test is about rescue, not rationing
-		HedgeBurst:    64,
+		// A generous budget: this test is about rescue, not rationing.
+		Hedging: HedgeOptions{Quantile: 0.9, Budget: 1.0, Burst: 64},
 	})
 	defer shutdown()
 
@@ -199,7 +196,7 @@ func TestTCPHedgedReadStalledReplicaMatchesOracle(t *testing.T) {
 		t.Fatalf("cluster error after stalled-replica rounds: %v", err)
 	}
 	var hedges, failures uint64
-	for _, h := range gc.c.Health() {
+	for _, h := range gc.c.Stats().Replicas {
 		hedges += h.Hedges
 		failures += h.Failures
 	}
@@ -218,9 +215,7 @@ func TestTCPHedgedReadStalledReplicaMatchesOracle(t *testing.T) {
 func TestTCPEjectProbeReadmit(t *testing.T) {
 	keys := workload.SortedKeys(4000, 73)
 	gc, shutdown := startGray(t, keys, 1, 2, 128, DialOptions{
-		EjectFactor:     4,
-		ProbeBackoff:    20 * time.Millisecond,
-		ProbeMaxBackoff: 100 * time.Millisecond,
+		Ejection: EjectOptions{Factor: 4, ProbeBackoff: 20 * time.Millisecond, ProbeMaxBackoff: 100 * time.Millisecond},
 	})
 	defer shutdown()
 
@@ -282,9 +277,7 @@ func TestTCPEjectProbeReadmit(t *testing.T) {
 func TestTCPHedgeVsFailoverRace(t *testing.T) {
 	keys := workload.SortedKeys(6000, 75)
 	gc, shutdown := startGray(t, keys, 2, 2, 128, DialOptions{
-		HedgeQuantile: 0.9,
-		HedgeBudget:   1.0,
-		HedgeBurst:    64,
+		Hedging: HedgeOptions{Quantile: 0.9, Budget: 1.0, Burst: 64},
 	})
 	defer shutdown()
 
@@ -308,18 +301,17 @@ func TestTCPHedgeVsFailoverRace(t *testing.T) {
 	}
 }
 
-// With replenishment off (HedgeBudget < 0) the burst is the whole
-// allowance: hedges stop at HedgeBurst and the hedger records denials
+// With replenishment off (Hedging.Budget < 0) the burst is the whole
+// allowance: hedges stop at Hedging.Burst and the hedger records denials
 // instead of exceeding it. Reads still finish — the op timeout fails
 // the stalled connection over to the sibling — so exhaustion degrades
 // latency, never correctness.
 func TestTCPRetryBudgetExhaustion(t *testing.T) {
 	keys := workload.SortedKeys(4000, 77)
 	gc, shutdown := startGray(t, keys, 1, 2, 128, DialOptions{
-		HedgeQuantile: 0.9,
-		HedgeBudget:   -1, // no earn: the initial burst is all there is
-		HedgeBurst:    4,
-		OpTimeout:     300 * time.Millisecond,
+		// Budget -1 earns nothing: the initial burst is all there is.
+		Hedging:   HedgeOptions{Quantile: 0.9, Budget: -1, Burst: 4},
+		OpTimeout: 300 * time.Millisecond,
 	})
 	defer shutdown()
 
@@ -334,7 +326,7 @@ func TestTCPRetryBudgetExhaustion(t *testing.T) {
 		checkRanks(t, keys, queries, ranks)
 	}
 	var hedges, denied uint64
-	for _, h := range gc.c.Health() {
+	for _, h := range gc.c.Stats().Replicas {
 		hedges += h.Hedges
 		denied += h.BudgetDenied
 	}
@@ -386,24 +378,22 @@ func TestTCPGrayFailureThroughputWin(t *testing.T) {
 			}
 			rounds++
 		}
-		return rounds, gc.c.Health(), gc.c.Err()
+		return rounds, gc.c.Stats().Replicas, gc.c.Err()
 	}
 
 	plain, _, err := measure(DialOptions{})
 	if err != nil {
 		t.Fatalf("plain client: %v", err)
 	}
-	// HedgeBudget 1.0: a fully-gray replica needs every read hedged
+	// Hedging.Budget 1.0: a fully-gray replica needs every read hedged
 	// until ejection sheds it, and the ejector's signal — six
 	// consecutive outlier replies — drains off the slow connection at
 	// only 1/latency per second, so the default trickle budget (0.1)
 	// would run dry first. The budget *cap* is still enforced and
 	// counter-verified below; exhaustion behavior has its own test.
 	hedged, health, err := measure(DialOptions{
-		HedgeQuantile: 0.95,
-		HedgeBudget:   1.0,
-		EjectFactor:   4,
-		ProbeBackoff:  300 * time.Millisecond,
+		Hedging:  HedgeOptions{Quantile: 0.95, Budget: 1.0},
+		Ejection: EjectOptions{Factor: 4, ProbeBackoff: 300 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("hedged client: %v", err)
@@ -429,7 +419,7 @@ func TestTCPGrayFailureThroughputWin(t *testing.T) {
 		perPart[h.Partition] = agg
 	}
 	// Counter-verified budget bound, per partition: every hedge spends a
-	// whole token, each primary read dispatch earns HedgeBudget (1.0),
+	// whole token, each primary read dispatch earns Hedging.Budget (1.0),
 	// and the bucket starts at (and is capped by) the default 16-token
 	// burst. Dispatched counts hedge re-dispatches too, so primaries =
 	// dispatched - hedges.

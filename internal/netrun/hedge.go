@@ -12,7 +12,7 @@ import (
 // GC pause or compaction stall never gets past "suspect".
 const (
 	// suspectAfter consecutive outlier replies mark a replica suspect
-	// (still serving; the state is operator signal via Health).
+	// (still serving; the state is operator signal via Stats).
 	suspectAfter = 3
 	// ejectAfter consecutive outliers eject it — reads shed — provided
 	// a non-ejected sibling exists to absorb them.
@@ -27,7 +27,7 @@ const (
 
 // observe records one read reply's latency against n's replica slot:
 // the EWMA and the windowed quantile estimate behind the hedge delay
-// always, and — when DialOptions.EjectFactor enabled ejection — the
+// always, and — when DialOptions.Ejection.Factor enabled ejection — the
 // probation state machine that sheds reads from a sustained outlier.
 // Called by the read loop with no locks held; writes are never
 // observed, so a replica drowning in inserts is not scored for it.
@@ -260,7 +260,7 @@ func (h *hedger) fire(e hedgeEntry) {
 	c, n := h.c, e.n
 	n.mu.Lock()
 	inf, ok := n.pending[e.reqID]
-	if !ok || inf.p.claimed.Load() || inf.p.hedged.Load() || !hedgeable(inf.p.kind) {
+	if !ok || inf.p.claimed.Load() || inf.p.hedged.Load() || !opTable[inf.p.op].hedge {
 		n.mu.Unlock()
 		return
 	}

@@ -183,8 +183,8 @@ func TestTCPInsertReplicatedExact(t *testing.T) {
 func TestTCPReplicaKilledMidInsert(t *testing.T) {
 	keys := workload.SortedKeys(16000, 71)
 	rc, shutdown := startReplicated(t, keys, 2, 2, 512, DialOptions{
-		OpTimeout:     2 * time.Second,
-		RejoinBackoff: 20 * time.Millisecond,
+		OpTimeout: 2 * time.Second,
+		Rejoin:    RejoinOptions{Backoff: 20 * time.Millisecond},
 	})
 	defer shutdown()
 	o := newTCPOracle(keys)

@@ -211,7 +211,7 @@ func TestLiveMembershipDrillUnderLoad(t *testing.T) {
 	// The drained node is gone from the health roster; the joined one is
 	// present.
 	seen := map[string]bool{}
-	for _, h := range c.Health() {
+	for _, h := range c.Stats().Replicas {
 		seen[h.Addr] = true
 	}
 	if seen[rc.addrs[5][0]] {
@@ -271,7 +271,7 @@ func TestAddReplicaCatchUpServesWrites(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		settled := false
-		for _, h := range c.Health() {
+		for _, h := range c.Stats().Replicas {
 			if h.Addr == joinAddr && h.Healthy && !h.Syncing {
 				settled = true
 			}

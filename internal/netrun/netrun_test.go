@@ -53,7 +53,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			payload = payload[:1<<16]
 		}
 		var buf bytes.Buffer
-		if byteOp(op) {
+		if wire[op].enc != encWords {
 			// v2 ops carry byte payloads: round-trip the words' own
 			// bytes through Raw instead.
 			raw := make([]byte, 0, 4*len(payload))

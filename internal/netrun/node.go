@@ -100,26 +100,6 @@ type nodeIdent struct {
 	lo, hi   workload.Key
 }
 
-// opMetricName labels the per-op histograms; empty entries (reply
-// ops, unknown ops) are not measured.
-var opMetricName = [32]string{
-	OpHello:          "hello",
-	OpLookup:         "lookup",
-	OpLookupSorted:   "lookup_sorted",
-	OpInsert:         "insert",
-	OpSnapshot:       "snapshot",
-	OpLoad:           "load",
-	OpSnapshotSince:  "snapshot_since",
-	OpLoadAt:         "load_at",
-	OpCountRange:     "count_range",
-	OpScanRange:      "scan_range",
-	OpTopK:           "top_k",
-	OpMultiGet:       "multi_get",
-	OpAddReplica:     "add_replica",
-	OpDrainReplica:   "drain_replica",
-	OpSplitPartition: "split_partition",
-}
-
 // capVersion is the highest protocol version this node will negotiate:
 // MaxVersion (when set), capped at v2 when the node cannot serve writes
 // (read-only flag, or a NewNode index with no update layer).
@@ -376,6 +356,49 @@ func (n *Node) armWrite(conn net.Conn) {
 	}
 }
 
+// refusal is a handler error that declines one request while the
+// connection keeps serving: the node's own state is untouched, so
+// charging the failure to the connection would fail a healthy replica
+// (and can cascade to epoch death when it is the partition's snapshot
+// source). Any other handler error answers OpErr and drops the
+// connection, the way an old binary refuses an unknown op.
+type refusal struct{ error }
+
+func refusef(format string, args ...any) error { return refusal{fmt.Errorf(format, args...)} }
+
+var errShape = errors.New("malformed request payload")
+
+// keepReplyScratch caps the encoded-reply buffer a connection retains
+// between requests. Lookup replies are a few tens of KB; a snapshot is
+// the whole live key set, and a long-lived serving connection must not
+// pin that much dead capacity after one rare catch-up.
+const keepReplyScratch = 1 << 20
+
+// nodeConn is one client connection's serving state: the frame codec,
+// the version the hello settled on, and scratch reused across requests
+// so the steady state allocates nothing.
+type nodeConn struct {
+	n    *Node
+	conn net.Conn
+	bc   *bufferedConn
+	// cap32 is the highest version the node negotiates. negotiated is
+	// what this connection settled on; until a hello arrives the cap
+	// applies — a legacy v1 client may send lookups without negotiating.
+	cap32, negotiated uint32
+	batcher           batchRanker
+	streamer          sortedRanker
+	// hists are the per-op service-time histograms, resolved once per
+	// connection so a request costs one clock read and two atomic adds.
+	hists [opMax]*telemetry.Histogram
+
+	keyBuf   []workload.Key // request words as keys
+	intBuf   []int          // ranker output; grows in lockstep with keyBuf
+	wordBuf  []uint32       // reply elements
+	runBuf   []uint32       // decoded delta-coded request
+	replyBuf []byte         // encoded byte-payload reply
+	scanBuf  []workload.Key // scan/top-k result staging
+}
+
 func (n *Node) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -389,619 +412,475 @@ func (n *Node) handle(conn net.Conn) {
 		}
 	}()
 
-	bc := newBufferedConn(conn)
-	// Per-connection lookup scratch, reused across requests so the
-	// steady state allocates nothing: keys (payload converted to
-	// workload.Key), ranks as ints for the batch ranker, ranks on the
-	// wire as uint32 (or delta+varint bytes for sorted lookups).
-	batcher, _ := n.idx.(batchRanker)
-	streamer, _ := n.idx.(sortedRanker)
-	cap32 := n.capVersion()
-	// negotiated is the version the hello exchange settles on for this
-	// connection. Until a hello arrives the node's own cap applies — a
-	// legacy v1 client may send lookups without negotiating — but once a
-	// client has negotiated, ops above that version are refused: the
-	// op×version table (opMinVersion in protocol.go) is authoritative.
-	negotiated := cap32
-	var keyBuf []workload.Key
-	var intBuf []int
-	var rankBuf []uint32
-	var deltaBuf []uint32      // decoded sorted keys
-	var replyBuf []byte        // encoded delta-coded reply payload
-	var scanBuf []workload.Key // v5 scan/top-k result staging
-
-	// Per-op service-time histograms, resolved once per connection so
-	// the per-request cost is one clock read and two atomic adds.
-	var opHists [32]*telemetry.Histogram
+	s := &nodeConn{n: n, conn: conn, bc: newBufferedConn(conn), cap32: n.capVersion()}
+	s.negotiated = s.cap32
+	s.batcher, _ = n.idx.(batchRanker)
+	s.streamer, _ = n.idx.(sortedRanker)
 	if n.Telemetry != nil {
-		for op, name := range opMetricName {
-			if name != "" {
-				opHists[op] = n.Telemetry.Histogram(`dc_node_op_ns{op="` + name + `"}`)
+		for op := range opTable {
+			if row := request(uint8(op)); row != nil {
+				s.hists[op] = n.Telemetry.Histogram(`dc_node_op_ns{op="` + row.name + `"}`)
 			}
 		}
 	}
-
-	// refuse sends OpErr and abandons the connection, the way the old
-	// binary refuses any unknown op.
-	refuse := func(f Frame) {
-		n.logf("netrun: unexpected op %d", f.Op)
-		n.armWrite(conn)
-		_ = bc.writeFrame(Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}})
-		_ = bc.w.Flush()
-	}
-	// reply writes one response frame and flushes.
-	reply := func(f Frame) bool {
-		n.armWrite(conn)
-		if err := bc.writeFrame(f); err != nil {
-			n.logf("netrun: reply op %d: %v", f.Op, err)
-			return false
-		}
-		return bc.w.Flush() == nil
-	}
-
 	for {
-		f, err := bc.readFrame()
+		f, err := s.bc.readFrame()
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) {
 				n.logf("netrun: %v", err)
 			}
 			return
 		}
-		// Protocol discipline: a known op above the connection's
-		// negotiated version is refused before dispatch. Unknown ops
-		// (OpMinVersion 0) fall through to the default refuse below,
-		// keeping the legacy diagnostic for them.
-		if OpMinVersion(f.Op) > negotiated {
-			refuse(f)
+		if !s.serve(f) {
 			return
-		}
-		// One identity read per request: membership ops swap the
-		// pointer, every other op serves under the snapshot it loaded.
-		id := n.ident.Load()
-		var opStart time.Time
-		if n.Telemetry != nil {
-			opStart = time.Now()
-		}
-		switch f.Op {
-		case OpHello:
-			// The identity is the construction-time baseline; inserts
-			// do not move it (see the Node doc).
-			payload := []uint32{
-				uint32(id.rankBase), uint32(id.baseN), uint32(id.lo), uint32(id.hi),
-			}
-			// Version negotiation: a v2+ client advertises its version
-			// in the hello reqID; answer with min(client, node) as a
-			// 5th word. v1 clients (reqID 0 or 1) get the 4-word ack
-			// they expect, and a MaxVersion==ProtoV1 node always acks
-			// 4 words — exactly what an old binary sends. On a
-			// v3-negotiated connection a 6th word advertises the LIVE
-			// key count: a fresh client seeds its rank-base correction
-			// counters from it (live minus baseline = inserts this
-			// node has absorbed), so ranks stay globally consistent
-			// against nodes written to by an earlier client. On a
-			// v4-negotiated connection a durable node appends words 7-8
-			// with its chain; live count and chain are captured as one
-			// consistent position (generation = live - baseline).
-			if f.ReqID >= ProtoV2 && cap32 >= ProtoV2 {
-				v := min(f.ReqID, cap32)
-				negotiated = v
-				payload = append(payload, v)
-				if v >= ProtoV3 && n.upd != nil {
-					if v >= ProtoV4 && n.dp != nil {
-						gen, chain := n.dp.Position()
-						payload = append(payload, uint32(id.baseN)+uint32(gen),
-							uint32(chain), uint32(chain>>32))
-					} else {
-						payload = append(payload, uint32(n.upd.TotalKeys()))
-					}
-				}
-			} else {
-				// A v1 hello (or a v1-capped node): the connection speaks
-				// v1 from here on, whatever the node could do.
-				negotiated = ProtoV1
-			}
-			if !reply(Frame{Op: OpHelloAck, ReqID: f.ReqID, Payload: payload}) {
-				return
-			}
-		case OpLookupSorted:
-			if cap32 < ProtoV2 {
-				refuse(f)
-				return
-			}
-			decoded, err := decodeDeltaRun(f.Raw, deltaBuf)
-			if err != nil {
-				n.logf("netrun: sorted lookup: %v", err)
-				refuse(f)
-				return
-			}
-			deltaBuf = decoded
-			nq := len(decoded)
-			if cap(keyBuf) < nq {
-				keyBuf = make([]workload.Key, nq)
-				intBuf = make([]int, nq)
-			}
-			keys, ints := keyBuf[:nq], intBuf[:nq]
-			for i, k := range decoded {
-				keys[i] = workload.Key(k)
-			}
-			// The delta coding guarantees the run is ascending (deltas
-			// are unsigned), so the streaming merge kernel applies
-			// directly; indexes without one fall back to batch search.
-			switch {
-			case n.upd != nil:
-				n.upd.RankSorted(keys, ints, id.rankBase)
-			case streamer != nil:
-				streamer.RankSorted(keys, ints, id.rankBase)
-			case batcher != nil:
-				batcher.RankBatch(keys, ints, id.rankBase)
-			default:
-				for i, k := range keys {
-					ints[i] = id.rankBase + n.idx.Rank(k)
-				}
-			}
-			if cap(rankBuf) < nq {
-				rankBuf = make([]uint32, nq)
-			}
-			ranks := rankBuf[:nq]
-			for i, r := range ints {
-				ranks[i] = uint32(r)
-			}
-			// Ascending keys make the ranks nondecreasing, so the
-			// reply delta-codes too.
-			replyBuf, err = appendDeltaRun(replyBuf[:0], ranks)
-			if err != nil {
-				n.logf("netrun: sorted ranks: %v", err)
-				return
-			}
-			if !reply(Frame{Op: OpRanksDelta, ReqID: f.ReqID, Raw: replyBuf}) {
-				return
-			}
-		case OpLookup:
-			nq := len(f.Payload)
-			if cap(rankBuf) < nq {
-				rankBuf = make([]uint32, nq)
-			}
-			ranks := rankBuf[:nq]
-			if n.upd != nil || batcher != nil {
-				if cap(keyBuf) < nq {
-					keyBuf = make([]workload.Key, nq)
-					intBuf = make([]int, nq)
-				}
-				keys, ints := keyBuf[:nq], intBuf[:nq]
-				for i, k := range f.Payload {
-					keys[i] = workload.Key(k)
-				}
-				if n.upd != nil {
-					n.upd.RankBatch(keys, ints, id.rankBase)
-				} else {
-					batcher.RankBatch(keys, ints, id.rankBase)
-				}
-				for i, r := range ints {
-					ranks[i] = uint32(r)
-				}
-			} else {
-				for i, k := range f.Payload {
-					ranks[i] = uint32(id.rankBase + n.idx.Rank(workload.Key(k)))
-				}
-			}
-			if !reply(Frame{Op: OpRanks, ReqID: f.ReqID, Payload: ranks}) {
-				return
-			}
-		case OpInsert:
-			if cap32 < ProtoV3 || n.upd == nil {
-				refuse(f)
-				return
-			}
-			nq := len(f.Payload)
-			// keyBuf and intBuf grow in lockstep everywhere (the lookup
-			// branches guard on keyBuf alone), so growing one without
-			// the other here would leave a stale short intBuf for the
-			// next lookup.
-			if cap(keyBuf) < nq {
-				keyBuf = make([]workload.Key, nq)
-				intBuf = make([]int, nq)
-			}
-			keys := keyBuf[:nq]
-			for i, k := range f.Payload {
-				keys[i] = workload.Key(k)
-			}
-			if n.dp != nil {
-				// The ack is a durability promise: log, apply, and wait
-				// for the group fsync. A log failure must never ack —
-				// refuse and drop the connection so the client fails
-				// this replica over instead of trusting a write the
-				// disk did not take.
-				if err := n.dp.InsertBatch(keys); err != nil {
-					n.logf("netrun: insert not durable: %v", err)
-					refuse(f)
-					return
-				}
-			} else {
-				n.upd.InsertBatch(keys)
-			}
-			if !reply(Frame{Op: OpInsertAck, ReqID: f.ReqID, Payload: []uint32{uint32(nq)}}) {
-				return
-			}
-		case OpSnapshot:
-			if cap32 < ProtoV3 || n.upd == nil {
-				refuse(f)
-				return
-			}
-			snap := n.upd.SnapshotKeys()
-			if len(snap) > MaxFrameWords {
-				// The snapshot cannot fit one frame. Refuse just this
-				// request and keep serving: killing the connection
-				// would charge the failure to this (healthy) node and
-				// can cascade to epoch death when it is the partition's
-				// snapshot source. The client fails only the catch-up.
-				n.logf("netrun: snapshot of %d keys exceeds the frame limit; catch-up refused", len(snap))
-				if !reply(Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}}) {
-					return
-				}
-				continue
-			}
-			// Local buffers, deliberately not the connection scratch: a
-			// snapshot is the whole live key set — orders of magnitude
-			// beyond the lookup regime — and a long-lived serving
-			// connection must not pin that much dead capacity after one
-			// rare catch-up.
-			words := make([]uint32, len(snap))
-			for i, k := range snap {
-				words[i] = uint32(k)
-			}
-			payload, err := appendDeltaRun(make([]byte, 0, 5+5*len(words)), words)
-			if err != nil {
-				n.logf("netrun: snapshot: %v", err)
-				return
-			}
-			if !reply(Frame{Op: OpSnapshotData, ReqID: f.ReqID, Raw: payload}) {
-				return
-			}
-		case OpLoad:
-			if cap32 < ProtoV3 || n.upd == nil {
-				refuse(f)
-				return
-			}
-			decoded, err := decodeDeltaRun(f.Raw, deltaBuf)
-			if err != nil {
-				n.logf("netrun: load: %v", err)
-				refuse(f)
-				return
-			}
-			deltaBuf = decoded
-			// The delta coding guarantees an ascending run; copy it out
-			// of the connection scratch, since Reset aliases its input
-			// for the node's lifetime.
-			fresh := make([]workload.Key, len(decoded))
-			for i, k := range decoded {
-				fresh[i] = workload.Key(k)
-			}
-			if n.dp != nil {
-				// A legacy load carries no position: reconstruct the
-				// generation from the key count (every logged insert
-				// adds one key over the baseline) and mark the chain
-				// unknown — later delta catch-ups from this node degrade
-				// to full snapshots, but the store never diverges from
-				// the served state.
-				var gen uint64
-				if len(fresh) > id.baseN {
-					gen = uint64(len(fresh) - id.baseN)
-				}
-				if err := n.dp.ResetTo(fresh, gen, 0); err != nil {
-					n.logf("netrun: load reset: %v", err)
-					refuse(f)
-					return
-				}
-			} else {
-				n.upd.Reset(fresh)
-			}
-			if !reply(Frame{Op: OpLoadAck, ReqID: f.ReqID, Payload: []uint32{uint32(len(fresh))}}) {
-				return
-			}
-		case OpSnapshotSince:
-			if cap32 < ProtoV4 || n.dp == nil || len(f.Payload) != 4 {
-				refuse(f)
-				return
-			}
-			wantGen := uint64(f.Payload[0]) | uint64(f.Payload[1])<<32
-			wantChain := uint64(f.Payload[2]) | uint64(f.Payload[3])<<32
-			payload, ok := n.snapshotSince(wantGen, wantChain)
-			if !ok {
-				// Neither the delta nor the full set fits one frame.
-				// Refuse just this request (see the OpSnapshot comment).
-				n.logf("netrun: positioned catch-up from generation %d exceeds the frame limit; refused", wantGen)
-				if !reply(Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}}) {
-					return
-				}
-				continue
-			}
-			if !reply(Frame{Op: OpSnapshotDelta, ReqID: f.ReqID, Payload: payload}) {
-				return
-			}
-		case OpLoadAt:
-			if cap32 < ProtoV4 || n.dp == nil || len(f.Payload) < snapDeltaHeader {
-				refuse(f)
-				return
-			}
-			kind := f.Payload[0]
-			gen := uint64(f.Payload[1]) | uint64(f.Payload[2])<<32
-			chain := uint64(f.Payload[3]) | uint64(f.Payload[4])<<32
-			words := f.Payload[snapDeltaHeader:]
-			fresh := make([]workload.Key, len(words))
-			for i, k := range words {
-				fresh[i] = workload.Key(k)
-			}
-			switch kind {
-			case snapKindDelta:
-				// Append-order insert tail: verified against the carried
-				// position before anything is logged. A mismatch means
-				// the histories diverged (e.g. this node durably logged
-				// writes its sibling never acked); refuse so the client
-				// retries with a full snapshot — never apply a delta
-				// that cannot prove continuity.
-				if err := n.dp.InsertDelta(fresh, gen, chain); err != nil {
-					n.logf("netrun: delta load refused: %v", err)
-					if errors.Is(err, index.ErrCatchUpMismatch) {
-						// The node's own state is untouched; keep serving.
-						if !reply(Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}}) {
-							return
-						}
-						continue
-					}
-					refuse(f)
-					return
-				}
-			case snapKindFull:
-				for i := 1; i < len(fresh); i++ {
-					if fresh[i] < fresh[i-1] {
-						n.logf("netrun: full load payload not sorted")
-						refuse(f)
-						return
-					}
-				}
-				if err := n.dp.ResetTo(fresh, gen, chain); err != nil {
-					n.logf("netrun: positioned load reset: %v", err)
-					refuse(f)
-					return
-				}
-			default:
-				refuse(f)
-				return
-			}
-			if !reply(Frame{Op: OpLoadAck, ReqID: f.ReqID, Payload: []uint32{uint32(len(fresh))}}) {
-				return
-			}
-		case OpCountRange:
-			if cap32 < ProtoV5 || n.upd == nil || len(f.Payload)%2 != 0 {
-				refuse(f)
-				return
-			}
-			nr := len(f.Payload) / 2
-			if cap(rankBuf) < nr {
-				rankBuf = make([]uint32, nr)
-			}
-			counts := rankBuf[:nr]
-			for i := 0; i < nr; i++ {
-				lo, hi := workload.Key(f.Payload[2*i]), workload.Key(f.Payload[2*i+1])
-				counts[i] = uint32(n.upd.CountRange(lo, hi))
-			}
-			replyBuf = appendVarRun(replyBuf[:0], counts)
-			if !reply(Frame{Op: OpCounts, ReqID: f.ReqID, Raw: replyBuf}) {
-				return
-			}
-		case OpScanRange:
-			if cap32 < ProtoV5 || n.upd == nil || len(f.Payload) != 3 {
-				refuse(f)
-				return
-			}
-			lo, hi := workload.Key(f.Payload[0]), workload.Key(f.Payload[1])
-			max := int(f.Payload[2])
-			if max == 0 {
-				max = -1 // wire 0 = unlimited
-			}
-			scanBuf = n.upd.ScanRange(lo, hi, max, scanBuf[:0])
-			if len(scanBuf) > MaxFrameWords {
-				// The result cannot fit one frame: refuse just this
-				// request and keep serving (the OpSnapshot convention) —
-				// a truncated scan would silently be a wrong answer.
-				n.logf("netrun: scan of %d keys exceeds the frame limit; refused", len(scanBuf))
-				if !reply(Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}}) {
-					return
-				}
-				continue
-			}
-			if cap(rankBuf) < len(scanBuf) {
-				rankBuf = make([]uint32, len(scanBuf))
-			}
-			words := rankBuf[:len(scanBuf)]
-			for i, k := range scanBuf {
-				words[i] = uint32(k)
-			}
-			var err error
-			replyBuf, err = appendDeltaRun(replyBuf[:0], words)
-			if err != nil {
-				n.logf("netrun: scan reply: %v", err)
-				return
-			}
-			if !reply(Frame{Op: OpKeysDelta, ReqID: f.ReqID, Raw: replyBuf}) {
-				return
-			}
-		case OpTopK:
-			if cap32 < ProtoV5 || n.upd == nil || len(f.Payload) != 1 {
-				refuse(f)
-				return
-			}
-			k := int(f.Payload[0])
-			if k > MaxFrameWords {
-				n.logf("netrun: top-%d exceeds the frame limit; refused", k)
-				if !reply(Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}}) {
-					return
-				}
-				continue
-			}
-			scanBuf = n.upd.TopK(k, scanBuf[:0])
-			// TopK yields descending keys; the wire run is ascending so
-			// the delta codec applies — reverse while converting.
-			if cap(rankBuf) < len(scanBuf) {
-				rankBuf = make([]uint32, len(scanBuf))
-			}
-			words := rankBuf[:len(scanBuf)]
-			for i, key := range scanBuf {
-				words[len(scanBuf)-1-i] = uint32(key)
-			}
-			var err error
-			replyBuf, err = appendDeltaRun(replyBuf[:0], words)
-			if err != nil {
-				n.logf("netrun: top-k reply: %v", err)
-				return
-			}
-			if !reply(Frame{Op: OpKeysDelta, ReqID: f.ReqID, Raw: replyBuf}) {
-				return
-			}
-		case OpMultiGet:
-			if cap32 < ProtoV5 || n.upd == nil {
-				refuse(f)
-				return
-			}
-			decoded, err := decodeDeltaRun(f.Raw, deltaBuf)
-			if err != nil {
-				n.logf("netrun: multiget: %v", err)
-				refuse(f)
-				return
-			}
-			deltaBuf = decoded
-			nq := len(decoded)
-			if cap(keyBuf) < nq {
-				keyBuf = make([]workload.Key, nq)
-				intBuf = make([]int, nq)
-			}
-			keys, ints := keyBuf[:nq], intBuf[:nq]
-			for i, k := range decoded {
-				keys[i] = workload.Key(k)
-			}
-			n.upd.CountKeys(keys, ints)
-			if cap(rankBuf) < nq {
-				rankBuf = make([]uint32, nq)
-			}
-			counts := rankBuf[:nq]
-			for i, c := range ints {
-				counts[i] = uint32(c)
-			}
-			replyBuf = appendVarRun(replyBuf[:0], counts)
-			if !reply(Frame{Op: OpCounts, ReqID: f.ReqID, Raw: replyBuf}) {
-				return
-			}
-		case OpAddReplica:
-			// Partition assignment. The payload names a slice of this
-			// node's key universe plus its expected bounds, so a node
-			// started from a different key file refuses instead of
-			// silently serving wrong ranks. An already-assigned node
-			// accepts only a matching assignment (idempotent confirm —
-			// re-adding a drained replica takes this path).
-			if n.upd == nil || len(f.Payload) != 4 {
-				refuse(f)
-				return
-			}
-			rb, bn := int(f.Payload[0]), int(f.Payload[1])
-			lo, hi := workload.Key(f.Payload[2]), workload.Key(f.Payload[3])
-			switch {
-			case id.baseN > 0:
-				if rb != id.rankBase || bn != id.baseN || lo != id.lo || hi != id.hi {
-					n.logf("netrun: add-replica assignment [%d,+%d) does not match served identity [%d,+%d)",
-						rb, bn, id.rankBase, id.baseN)
-					if !reply(Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}}) {
-						return
-					}
-					continue
-				}
-			case n.universe == nil || bn <= 0 || rb < 0 || rb+bn > len(n.universe) ||
-				n.universe[rb] != lo || n.universe[rb+bn-1] != hi:
-				n.logf("netrun: add-replica assignment [%d,+%d) invalid for a universe of %d keys",
-					rb, bn, len(n.universe))
-				if !reply(Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}}) {
-					return
-				}
-				continue
-			default:
-				n.upd.Reset(n.universe[rb : rb+bn])
-				n.ident.Store(&nodeIdent{rankBase: rb, baseN: bn, lo: lo, hi: hi})
-			}
-			if !reply(Frame{Op: OpMembAck, ReqID: f.ReqID, Payload: []uint32{uint32(n.upd.TotalKeys())}}) {
-				return
-			}
-		case OpDrainReplica:
-			// Nothing to tear down server-side — the client stops
-			// routing here and detaches. Quiesce the compaction daemon
-			// so the node idles clean before the ack.
-			if n.upd == nil || len(f.Payload) != 0 {
-				refuse(f)
-				return
-			}
-			n.upd.Quiesce()
-			if !reply(Frame{Op: OpMembAck, ReqID: f.ReqID, Payload: []uint32{uint32(n.upd.TotalKeys())}}) {
-				return
-			}
-		case OpSplitPartition:
-			// Retarget this node at one half of its split partition: keep
-			// the live keys on the named side of splitKey, swap the
-			// advertised identity, keep serving. The client holds its
-			// membership pause, so no reads race the swap.
-			if n.upd == nil || len(f.Payload) != 6 {
-				refuse(f)
-				return
-			}
-			newRB, newBN := int(f.Payload[0]), int(f.Payload[1])
-			newLo, newHi := workload.Key(f.Payload[2]), workload.Key(f.Payload[3])
-			splitKey, keepHi := workload.Key(f.Payload[4]), f.Payload[5] != 0
-			if newBN <= 0 || newRB < id.rankBase || newRB+newBN > id.rankBase+id.baseN {
-				n.logf("netrun: split half [%d,+%d) not within served identity [%d,+%d)",
-					newRB, newBN, id.rankBase, id.baseN)
-				if !reply(Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}}) {
-					return
-				}
-				continue
-			}
-			live := n.upd.SnapshotKeys()
-			cut := sort.Search(len(live), func(i int) bool { return live[i] > splitKey })
-			kept := live[:cut]
-			if keepHi {
-				kept = live[cut:]
-			}
-			if len(kept) < newBN {
-				// The live set must contain at least the half's static
-				// keys; fewer means the split parameters don't describe
-				// this node's state.
-				n.logf("netrun: split kept %d live keys, below the half's %d static keys", len(kept), newBN)
-				if !reply(Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}}) {
-					return
-				}
-				continue
-			}
-			if n.dp != nil {
-				// The durable position restarts at the half's generation
-				// (live minus static) with an unknown chain: the next
-				// positioned catch-up degrades to a full snapshot, but
-				// the store never diverges from the served state.
-				if err := n.dp.ResetTo(kept, uint64(len(kept)-newBN), 0); err != nil {
-					n.logf("netrun: split reset: %v", err)
-					refuse(f)
-					return
-				}
-			} else {
-				n.upd.Reset(kept)
-			}
-			n.ident.Store(&nodeIdent{rankBase: newRB, baseN: newBN, lo: newLo, hi: newHi})
-			if !reply(Frame{Op: OpMembAck, ReqID: f.ReqID, Payload: []uint32{uint32(len(kept))}}) {
-				return
-			}
-		default:
-			refuse(f)
-			return
-		}
-		if h := opHists[f.Op&31]; h != nil {
-			h.Observe(time.Since(opStart))
 		}
 	}
+}
+
+// serve answers one request frame by its op-table row: gate, handler,
+// reply encoded per the row's codec. It reports whether the connection
+// keeps serving.
+func (s *nodeConn) serve(f Frame) bool {
+	n := s.n
+	var start time.Time
+	if n.Telemetry != nil {
+		start = time.Now()
+	}
+	row := request(f.Op)
+	reply := Frame{ReqID: f.ReqID}
+	var vals []uint32
+	var err error
+	switch {
+	case row == nil:
+		err = errors.New("unexpected op")
+	case row.minVer > s.negotiated:
+		// Protocol discipline: an op above the connection's negotiated
+		// version is refused before dispatch.
+		err = fmt.Errorf("needs protocol v%d, the connection negotiated v%d", row.minVer, s.negotiated)
+	case row.needs == needUpdatable && n.upd == nil, row.needs == needDurable && n.dp == nil:
+		err = errors.New("this node does not hold the state the op needs")
+	default:
+		// One identity read per request: membership ops swap the
+		// pointer, every other op serves under the snapshot it loaded.
+		vals, err = row.serve(s, n.ident.Load(), f)
+	}
+	if err == nil {
+		reply.Op = row.reply
+		switch row.replyEnc {
+		case encWords:
+			reply.Payload = vals
+		case encDelta:
+			// Sized once for the worst case (5-byte header, 5 bytes per
+			// element): a snapshot-sized run must not grow by doubling.
+			if need := 5 + 5*len(vals); cap(s.replyBuf) < need {
+				s.replyBuf = make([]byte, 0, need)
+			}
+			s.replyBuf, err = appendDeltaRun(s.replyBuf[:0], vals)
+			reply.Raw = s.replyBuf
+		case encVarint:
+			s.replyBuf = appendVarRun(s.replyBuf[:0], vals)
+			reply.Raw = s.replyBuf
+		}
+	}
+	if err != nil {
+		n.logf("netrun: op %d refused: %v", f.Op, err)
+		reply = Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}}
+	}
+	n.armWrite(s.conn)
+	werr := s.bc.writeFrame(reply)
+	if werr == nil {
+		werr = s.bc.w.Flush()
+	}
+	if cap(s.replyBuf) > keepReplyScratch {
+		s.replyBuf = nil
+	}
+	if werr != nil {
+		n.logf("netrun: reply op %d: %v", reply.Op, werr)
+		return false
+	}
+	if err != nil {
+		var soft refusal
+		return errors.As(err, &soft)
+	}
+	if h := s.hists[f.Op]; h != nil {
+		h.Observe(time.Since(start))
+	}
+	return true
+}
+
+// keys converts request words into the connection's key scratch and
+// returns the parallel int scratch for the ranker's output.
+func (s *nodeConn) keys(words []uint32) ([]workload.Key, []int) {
+	if cap(s.keyBuf) < len(words) {
+		s.keyBuf = make([]workload.Key, len(words))
+		s.intBuf = make([]int, len(words))
+	}
+	keys := s.keyBuf[:len(words)]
+	for i, k := range words {
+		keys[i] = workload.Key(k)
+	}
+	return keys, s.intBuf[:len(words)]
+}
+
+// words returns n reply elements of connection scratch.
+func (s *nodeConn) words(n int) []uint32 {
+	if cap(s.wordBuf) < n {
+		s.wordBuf = make([]uint32, n)
+	}
+	return s.wordBuf[:n]
+}
+
+// wordsOf narrows ranker output to reply elements.
+func (s *nodeConn) wordsOf(ints []int) []uint32 {
+	out := s.words(len(ints))
+	for i, v := range ints {
+		out[i] = uint32(v)
+	}
+	return out
+}
+
+// ack is the one-word reply counting the keys an op applied.
+func (s *nodeConn) ack(n int) []uint32 {
+	out := s.words(1)
+	out[0] = uint32(n)
+	return out
+}
+
+// run decodes a delta-coded request payload. The coding guarantees the
+// run is ascending (deltas are unsigned).
+func (s *nodeConn) run(raw []byte) ([]uint32, error) {
+	run, err := decodeDeltaRun(raw, s.runBuf)
+	if err == nil {
+		s.runBuf = run
+	}
+	return run, err
+}
+
+// freshKeys copies request words out of the connection scratch: the
+// update layer keeps a loaded key set for the node's lifetime.
+func freshKeys(words []uint32) []workload.Key {
+	fresh := make([]workload.Key, len(words))
+	for i, k := range words {
+		fresh[i] = workload.Key(k)
+	}
+	return fresh
+}
+
+func u64(lo, hi uint32) uint64 { return uint64(lo) | uint64(hi)<<32 }
+
+// serveHello answers the identity — the construction-time baseline,
+// which inserts do not move (see the Node doc) — and negotiates the
+// version: a v2+ client advertises its own in the hello reqID and gets
+// min(client, node) back as a 5th word; v1 clients (reqID 0 or 1) get
+// the 4-word ack they expect, and a MaxVersion==ProtoV1 node always
+// acks 4 words — exactly what an old binary sends. On a v3-negotiated
+// connection a 6th word advertises the LIVE key count (a fresh client
+// seeds its rank-base correction counters from it); on a v4-negotiated
+// one a durable node appends its chain as words 7-8, captured with the
+// live count as one consistent position (generation = live - baseline).
+func (s *nodeConn) serveHello(id *nodeIdent, f Frame) ([]uint32, error) {
+	n := s.n
+	payload := []uint32{uint32(id.rankBase), uint32(id.baseN), uint32(id.lo), uint32(id.hi)}
+	if f.ReqID < ProtoV2 || s.cap32 < ProtoV2 {
+		// The connection speaks v1 from here on, whatever the node
+		// could do.
+		s.negotiated = ProtoV1
+		return payload, nil
+	}
+	v := min(f.ReqID, s.cap32)
+	s.negotiated = v
+	payload = append(payload, v)
+	if v >= ProtoV3 && n.upd != nil {
+		if v >= ProtoV4 && n.dp != nil {
+			gen, chain := n.dp.Position()
+			payload = append(payload, uint32(id.baseN)+uint32(gen), uint32(chain), uint32(chain>>32))
+		} else {
+			payload = append(payload, uint32(n.upd.TotalKeys()))
+		}
+	}
+	return payload, nil
+}
+
+// ranks resolves a lookup through the fastest path the node's index
+// offers: the update layer, then the streaming kernel for an ascending
+// run, then batch search, then per-key Rank.
+func (s *nodeConn) ranks(id *nodeIdent, words []uint32, sorted bool) []uint32 {
+	n := s.n
+	keys, ints := s.keys(words)
+	switch {
+	case n.upd != nil && sorted:
+		n.upd.RankSorted(keys, ints, id.rankBase)
+	case n.upd != nil:
+		n.upd.RankBatch(keys, ints, id.rankBase)
+	case sorted && s.streamer != nil:
+		s.streamer.RankSorted(keys, ints, id.rankBase)
+	case s.batcher != nil:
+		s.batcher.RankBatch(keys, ints, id.rankBase)
+	default:
+		for i, k := range keys {
+			ints[i] = id.rankBase + n.idx.Rank(k)
+		}
+	}
+	return s.wordsOf(ints)
+}
+
+func (s *nodeConn) serveLookup(id *nodeIdent, f Frame) ([]uint32, error) {
+	return s.ranks(id, f.Payload, false), nil
+}
+
+// serveLookupSorted: ascending keys make the ranks nondecreasing, so
+// the reply delta-codes too.
+func (s *nodeConn) serveLookupSorted(id *nodeIdent, f Frame) ([]uint32, error) {
+	run, err := s.run(f.Raw)
+	if err != nil {
+		return nil, err
+	}
+	return s.ranks(id, run, true), nil
+}
+
+// serveInsert's ack is a durability promise on a durable node: log,
+// apply, and wait for the group fsync. A log failure must never ack —
+// the hard error drops the connection so the client fails this replica
+// over instead of trusting a write the disk did not take.
+func (s *nodeConn) serveInsert(_ *nodeIdent, f Frame) ([]uint32, error) {
+	n := s.n
+	keys, _ := s.keys(f.Payload)
+	if n.dp == nil {
+		n.upd.InsertBatch(keys)
+	} else if err := n.dp.InsertBatch(keys); err != nil {
+		return nil, fmt.Errorf("insert not durable: %w", err)
+	}
+	return s.ack(len(keys)), nil
+}
+
+func (s *nodeConn) serveSnapshot(_ *nodeIdent, _ Frame) ([]uint32, error) {
+	snap := s.n.upd.SnapshotKeys()
+	if len(snap) > MaxFrameWords {
+		return nil, refusef("snapshot of %d keys exceeds the frame limit; catch-up refused", len(snap))
+	}
+	// Not the connection scratch: see keepReplyScratch.
+	words := make([]uint32, len(snap))
+	for i, k := range snap {
+		words[i] = uint32(k)
+	}
+	return words, nil
+}
+
+func (s *nodeConn) serveLoad(id *nodeIdent, f Frame) ([]uint32, error) {
+	n := s.n
+	run, err := s.run(f.Raw)
+	if err != nil {
+		return nil, err
+	}
+	fresh := freshKeys(run)
+	if n.dp == nil {
+		n.upd.Reset(fresh)
+		return s.ack(len(fresh)), nil
+	}
+	// A legacy load carries no position: reconstruct the generation
+	// from the key count (every logged insert adds one key over the
+	// baseline) and mark the chain unknown — later delta catch-ups from
+	// this node degrade to full snapshots, but the store never diverges
+	// from the served state.
+	var gen uint64
+	if len(fresh) > id.baseN {
+		gen = uint64(len(fresh) - id.baseN)
+	}
+	if err := n.dp.ResetTo(fresh, gen, 0); err != nil {
+		return nil, fmt.Errorf("load reset: %w", err)
+	}
+	return s.ack(len(fresh)), nil
+}
+
+func (s *nodeConn) serveSnapshotSince(_ *nodeIdent, f Frame) ([]uint32, error) {
+	if len(f.Payload) != 4 {
+		return nil, errShape
+	}
+	gen := u64(f.Payload[0], f.Payload[1])
+	payload, ok := s.n.snapshotSince(gen, u64(f.Payload[2], f.Payload[3]))
+	if !ok {
+		// Neither the delta nor the full set fits one frame.
+		return nil, refusef("positioned catch-up from generation %d exceeds the frame limit", gen)
+	}
+	return payload, nil
+}
+
+func (s *nodeConn) serveLoadAt(_ *nodeIdent, f Frame) ([]uint32, error) {
+	n := s.n
+	if len(f.Payload) < snapDeltaHeader {
+		return nil, errShape
+	}
+	gen, chain := u64(f.Payload[1], f.Payload[2]), u64(f.Payload[3], f.Payload[4])
+	fresh := freshKeys(f.Payload[snapDeltaHeader:])
+	switch f.Payload[0] {
+	case snapKindDelta:
+		// Append-order insert tail: verified against the carried
+		// position before anything is logged. A mismatch means the
+		// histories diverged (e.g. this node durably logged writes its
+		// sibling never acked); refuse so the client retries with a
+		// full snapshot — never apply a delta that cannot prove
+		// continuity. The node's own state is untouched, so it keeps
+		// serving.
+		if err := n.dp.InsertDelta(fresh, gen, chain); errors.Is(err, index.ErrCatchUpMismatch) {
+			return nil, refusal{err}
+		} else if err != nil {
+			return nil, err
+		}
+	case snapKindFull:
+		for i := 1; i < len(fresh); i++ {
+			if fresh[i] < fresh[i-1] {
+				return nil, errors.New("full load payload not sorted")
+			}
+		}
+		if err := n.dp.ResetTo(fresh, gen, chain); err != nil {
+			return nil, fmt.Errorf("positioned load reset: %w", err)
+		}
+	default:
+		return nil, errShape
+	}
+	return s.ack(len(fresh)), nil
+}
+
+func (s *nodeConn) serveCountRange(_ *nodeIdent, f Frame) ([]uint32, error) {
+	if len(f.Payload)%2 != 0 {
+		return nil, errShape
+	}
+	counts := s.words(len(f.Payload) / 2)
+	for i := range counts {
+		lo, hi := workload.Key(f.Payload[2*i]), workload.Key(f.Payload[2*i+1])
+		counts[i] = uint32(s.n.upd.CountRange(lo, hi))
+	}
+	return counts, nil
+}
+
+func (s *nodeConn) serveScanRange(_ *nodeIdent, f Frame) ([]uint32, error) {
+	if len(f.Payload) != 3 {
+		return nil, errShape
+	}
+	max := int(f.Payload[2])
+	if max == 0 {
+		max = -1 // wire 0 = unlimited
+	}
+	s.scanBuf = s.n.upd.ScanRange(workload.Key(f.Payload[0]), workload.Key(f.Payload[1]), max, s.scanBuf[:0])
+	if len(s.scanBuf) > MaxFrameWords {
+		// A truncated scan would silently be a wrong answer.
+		return nil, refusef("scan of %d keys exceeds the frame limit", len(s.scanBuf))
+	}
+	words := s.words(len(s.scanBuf))
+	for i, k := range s.scanBuf {
+		words[i] = uint32(k)
+	}
+	return words, nil
+}
+
+func (s *nodeConn) serveTopK(_ *nodeIdent, f Frame) ([]uint32, error) {
+	if len(f.Payload) != 1 {
+		return nil, errShape
+	}
+	k := int(f.Payload[0])
+	if k > MaxFrameWords {
+		return nil, refusef("top-%d exceeds the frame limit", k)
+	}
+	s.scanBuf = s.n.upd.TopK(k, s.scanBuf[:0])
+	// TopK yields descending keys; the wire run is ascending so the
+	// delta codec applies — reverse while converting.
+	words := s.words(len(s.scanBuf))
+	for i, key := range s.scanBuf {
+		words[len(words)-1-i] = uint32(key)
+	}
+	return words, nil
+}
+
+func (s *nodeConn) serveMultiGet(_ *nodeIdent, f Frame) ([]uint32, error) {
+	run, err := s.run(f.Raw)
+	if err != nil {
+		return nil, err
+	}
+	keys, ints := s.keys(run)
+	s.n.upd.CountKeys(keys, ints)
+	return s.wordsOf(ints), nil
+}
+
+// serveAddReplica assigns this node a partition. The payload names a
+// slice of the node's key universe plus its expected bounds, so a node
+// started from a different key file refuses instead of silently serving
+// wrong ranks. An already-assigned node accepts only a matching
+// assignment (idempotent confirm — re-adding a drained replica takes
+// this path).
+func (s *nodeConn) serveAddReplica(id *nodeIdent, f Frame) ([]uint32, error) {
+	n := s.n
+	if len(f.Payload) != 4 {
+		return nil, errShape
+	}
+	rb, bn := int(f.Payload[0]), int(f.Payload[1])
+	lo, hi := workload.Key(f.Payload[2]), workload.Key(f.Payload[3])
+	switch {
+	case id.baseN > 0:
+		if rb != id.rankBase || bn != id.baseN || lo != id.lo || hi != id.hi {
+			return nil, refusef("add-replica assignment [%d,+%d) does not match served identity [%d,+%d)",
+				rb, bn, id.rankBase, id.baseN)
+		}
+	case n.universe == nil || bn <= 0 || rb < 0 || rb+bn > len(n.universe) ||
+		n.universe[rb] != lo || n.universe[rb+bn-1] != hi:
+		return nil, refusef("add-replica assignment [%d,+%d) invalid for a universe of %d keys",
+			rb, bn, len(n.universe))
+	default:
+		n.upd.Reset(n.universe[rb : rb+bn])
+		n.ident.Store(&nodeIdent{rankBase: rb, baseN: bn, lo: lo, hi: hi})
+	}
+	return s.ack(n.upd.TotalKeys()), nil
+}
+
+// serveDrainReplica has nothing to tear down server-side — the client
+// stops routing here and detaches. Quiesce the compaction daemon so the
+// node idles clean before the ack.
+func (s *nodeConn) serveDrainReplica(_ *nodeIdent, f Frame) ([]uint32, error) {
+	if len(f.Payload) != 0 {
+		return nil, errShape
+	}
+	s.n.upd.Quiesce()
+	return s.ack(s.n.upd.TotalKeys()), nil
+}
+
+// serveSplitPartition retargets this node at one half of its split
+// partition: keep the live keys on the named side of splitKey, swap the
+// advertised identity, keep serving. The client holds its membership
+// pause, so no reads race the swap.
+func (s *nodeConn) serveSplitPartition(id *nodeIdent, f Frame) ([]uint32, error) {
+	n := s.n
+	if len(f.Payload) != 6 {
+		return nil, errShape
+	}
+	newRB, newBN := int(f.Payload[0]), int(f.Payload[1])
+	newLo, newHi := workload.Key(f.Payload[2]), workload.Key(f.Payload[3])
+	splitKey, keepHi := workload.Key(f.Payload[4]), f.Payload[5] != 0
+	if newBN <= 0 || newRB < id.rankBase || newRB+newBN > id.rankBase+id.baseN {
+		return nil, refusef("split half [%d,+%d) not within served identity [%d,+%d)",
+			newRB, newBN, id.rankBase, id.baseN)
+	}
+	live := n.upd.SnapshotKeys()
+	cut := sort.Search(len(live), func(i int) bool { return live[i] > splitKey })
+	kept := live[:cut]
+	if keepHi {
+		kept = live[cut:]
+	}
+	if len(kept) < newBN {
+		// The live set must contain at least the half's static keys;
+		// fewer means the split parameters don't describe this node's
+		// state.
+		return nil, refusef("split kept %d live keys, below the half's %d static keys", len(kept), newBN)
+	}
+	// A durable position restarts at the half's generation (live minus
+	// static) with an unknown chain: the next positioned catch-up
+	// degrades to a full snapshot, but the store never diverges from the
+	// served state.
+	if n.dp == nil {
+		n.upd.Reset(kept)
+	} else if err := n.dp.ResetTo(kept, uint64(len(kept)-newBN), 0); err != nil {
+		return nil, fmt.Errorf("split reset: %w", err)
+	}
+	n.ident.Store(&nodeIdent{rankBase: newRB, baseN: newBN, lo: newLo, hi: newHi})
+	return s.ack(len(kept)), nil
 }
 
 // snapshotSince builds an OpSnapshotDelta payload answering a catch-up
@@ -1039,15 +918,14 @@ func appendSnapPayload(kind uint32, gen, chain uint64, keys []workload.Key) []ui
 
 // batchRanker is the optional fast path an index can offer: batch rank
 // resolution with the rank base folded into the output writes.
-// index.SortedArray and index.Eytzinger implement it.
+// index.SortedArray implements it.
 type batchRanker interface {
 	RankBatch(qs []workload.Key, out []int, add int)
 }
 
 // sortedRanker is the sorted-batch fast path: rank resolution for an
 // ascending query run via a streaming merge over the partition.
-// index.SortedArray implements it natively; index.Eytzinger falls back
-// to its interleaved batch descent.
+// index.SortedArray implements it.
 type sortedRanker interface {
 	RankSorted(qs []workload.Key, out []int, add int)
 }

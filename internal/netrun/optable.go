@@ -1,0 +1,237 @@
+package netrun
+
+// The op table: one row per request op, and the only place a per-op
+// fact lives. The client's send loop encodes from a row, its read loop
+// validates and delivers a reply by the row, failover/hedging/OpErr
+// handling read the row's policy columns, the node's serve loop gates
+// and dispatches by the row, and both sides name their latency series
+// from it. The frame codec's byte-or-word decision and OpMinVersion are
+// derived from the rows at init. Adding an op means adding a constant
+// and a row; the framepair analyzer rejects a constant that is missing
+// here or a request row without a handler.
+
+// codec is how an op's payload rides a frame.
+type codec uint8
+
+const (
+	// encWords: count is a word count, payload is 32-bit words.
+	encWords codec = iota
+	// encDelta: count is a byte length, payload is an ascending run,
+	// delta+varint coded (delta.go).
+	encDelta
+	// encVarint: count is a byte length, payload is a plain varint run
+	// (counts are not monotone, so no delta coding).
+	encVarint
+)
+
+// lossPolicy is what happens to a pending whose replica leaves the
+// group (failure or drain) before it is answered.
+type lossPolicy uint8
+
+const (
+	// lossNone marks a row no pending carries as its kind: hello and
+	// add-replica are synchronous exchanges on a connection no loop owns
+	// yet, and OpLookupSorted is the wire form of an OpLookup pending.
+	lossNone lossPolicy = iota
+	// lossRedispatch re-routes the request to a surviving replica: the
+	// idempotent reads, whose request words survive until a reply lands.
+	lossRedispatch
+	// lossSettle completes a write as applied when a full v3 survivor
+	// holds it (the departed member catches up on rejoin), and fails it
+	// when none does.
+	lossSettle
+	// lossAbort fails the request: it is pinned to this exact member by
+	// the catch-up or membership protocol (a snapshot's position in the
+	// member's FIFO is what makes catch-up exactly-once), and its caller
+	// retries the whole step.
+	lossAbort
+)
+
+// errScope is how far an OpErr reply reaches.
+type errScope uint8
+
+const (
+	// scopeConn: the refusal condemns the connection — the replica fails
+	// and its pendings settle by their loss policies.
+	scopeConn errScope = iota
+	// scopeRequest: the node declined this one request and keeps
+	// serving (an oversized snapshot or scan, a divergent delta load);
+	// failing it over would only be refused identically.
+	scopeRequest
+)
+
+// delivery is what the read loop does with a valid reply's elements.
+type delivery uint8
+
+const (
+	// deliverAck: the reply only acknowledges; nothing to hand over.
+	deliverAck delivery = iota
+	// deliverStage copies the elements into pending.reply for the
+	// issuing call's gather loop.
+	deliverStage
+	// deliverScatter writes element i to the caller's out slot i maps to.
+	deliverScatter
+	// deliverRanks is deliverScatter plus the rank-base correction for
+	// keys inserted into the preceding partitions (see Cluster.ins).
+	deliverRanks
+)
+
+// nodeNeed is the serving state a request needs beyond a bare index.
+type nodeNeed uint8
+
+const (
+	needIndex     nodeNeed = iota
+	needUpdatable          // the update layer (Node.upd)
+	needDurable            // the WAL-backed store (Node.dp)
+)
+
+// opSpec is one row of the op table.
+type opSpec struct {
+	// name labels the op's latency series (dc_node_op_ns{op=...} on the
+	// node, dc_client_op_ns{op=...} on the client) and error messages.
+	name string
+	// minVer is the protocol version that introduced the op; it may
+	// only flow on connections that negotiated at least that.
+	minVer uint32
+	// enc is the request payload codec.
+	enc codec
+	// reply is the op that answers this request, replyEnc its codec.
+	reply    uint8
+	replyEnc codec
+	// valid reports whether a reply's decoded elements are a
+	// well-formed answer to the request words.
+	valid func(req, reply []uint32) bool
+	// sorted, when non-zero, is the op that carries this request
+	// instead when its keys are an ascending run and the connection
+	// negotiated that op's version.
+	sorted uint8
+
+	// Client mux policy; zero on lossNone rows.
+	hedge   bool // may be re-dispatched while still in flight (and is latency-scored and admission-capped)
+	onLoss  lossPolicy
+	onErr   errScope
+	deliver delivery
+
+	// Node dispatch.
+	needs nodeNeed
+	serve func(s *nodeConn, id *nodeIdent, f Frame) ([]uint32, error)
+}
+
+// Reply rules.
+
+func sameLen(req, reply []uint32) bool    { return len(reply) == len(req) }
+func onePerPair(req, reply []uint32) bool { return len(reply) == len(req)/2 }
+func anyLen(_, _ []uint32) bool           { return true }
+func oneWord(_, reply []uint32) bool      { return len(reply) == 1 }
+
+// ackOf is a one-word reply echoing the request's key count past a
+// hdr-word header.
+func ackOf(hdr int) func(req, reply []uint32) bool {
+	return func(req, reply []uint32) bool {
+		return len(reply) == 1 && int(reply[0]) == len(req)-hdr
+	}
+}
+
+func snapDelta(_, reply []uint32) bool { return len(reply) >= snapDeltaHeader }
+
+// helloAck is [rankBase, keyCount, lo, hi], plus the negotiated
+// version, plus the live key count, plus the two chain words — 4, 5, 6
+// or 8 words, never 7.
+func helloAck(_, reply []uint32) bool {
+	return len(reply) >= 4 && len(reply) <= 8 && len(reply) != 7
+}
+
+// opMax is one past the highest op code: the size of every per-op
+// table. A row keyed beyond it does not compile.
+const opMax = int(OpMembAck) + 1
+
+//dc:optable
+var opTable = [opMax]opSpec{
+	OpHello: {name: "hello", minVer: ProtoV1, reply: OpHelloAck, valid: helloAck,
+		serve: (*nodeConn).serveHello},
+	OpLookup: {name: "lookup", minVer: ProtoV1, reply: OpRanks, valid: sameLen, sorted: OpLookupSorted,
+		hedge: true, onLoss: lossRedispatch, onErr: scopeConn, deliver: deliverRanks,
+		serve: (*nodeConn).serveLookup},
+	// OpErr is no request: the row records its wire facts (word payload,
+	// every version), and the node refuses it like any op without a
+	// handler.
+	OpErr: {minVer: ProtoV1},
+	OpLookupSorted: {name: "lookup_sorted", minVer: ProtoV2, enc: encDelta, reply: OpRanksDelta, replyEnc: encDelta, valid: sameLen,
+		serve: (*nodeConn).serveLookupSorted},
+	OpInsert: {name: "insert", minVer: ProtoV3, reply: OpInsertAck, valid: ackOf(0),
+		onLoss: lossSettle, onErr: scopeConn, deliver: deliverAck,
+		needs: needUpdatable, serve: (*nodeConn).serveInsert},
+	OpSnapshot: {name: "snapshot", minVer: ProtoV3, reply: OpSnapshotData, replyEnc: encDelta, valid: anyLen,
+		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
+		needs: needUpdatable, serve: (*nodeConn).serveSnapshot},
+	OpLoad: {name: "load", minVer: ProtoV3, enc: encDelta, reply: OpLoadAck, valid: ackOf(0),
+		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverAck,
+		needs: needUpdatable, serve: (*nodeConn).serveLoad},
+	OpSnapshotSince: {name: "snapshot_since", minVer: ProtoV4, reply: OpSnapshotDelta, valid: snapDelta,
+		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
+		needs: needDurable, serve: (*nodeConn).serveSnapshotSince},
+	OpLoadAt: {name: "load_at", minVer: ProtoV4, reply: OpLoadAck, valid: ackOf(snapDeltaHeader),
+		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverAck,
+		needs: needDurable, serve: (*nodeConn).serveLoadAt},
+	OpCountRange: {name: "count_range", minVer: ProtoV5, reply: OpCounts, replyEnc: encVarint, valid: onePerPair,
+		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
+		needs: needUpdatable, serve: (*nodeConn).serveCountRange},
+	OpScanRange: {name: "scan_range", minVer: ProtoV5, reply: OpKeysDelta, replyEnc: encDelta, valid: anyLen,
+		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
+		needs: needUpdatable, serve: (*nodeConn).serveScanRange},
+	OpTopK: {name: "top_k", minVer: ProtoV5, reply: OpKeysDelta, replyEnc: encDelta, valid: anyLen,
+		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
+		needs: needUpdatable, serve: (*nodeConn).serveTopK},
+	OpMultiGet: {name: "multi_get", minVer: ProtoV5, enc: encDelta, reply: OpCounts, replyEnc: encVarint, valid: sameLen,
+		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverScatter,
+		needs: needUpdatable, serve: (*nodeConn).serveMultiGet},
+	OpAddReplica: {name: "add_replica", minVer: ProtoV6, reply: OpMembAck, valid: oneWord,
+		needs: needUpdatable, serve: (*nodeConn).serveAddReplica},
+	OpDrainReplica: {name: "drain_replica", minVer: ProtoV6, reply: OpMembAck, valid: oneWord,
+		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
+		needs: needUpdatable, serve: (*nodeConn).serveDrainReplica},
+	OpSplitPartition: {name: "split_partition", minVer: ProtoV6, reply: OpMembAck, valid: oneWord,
+		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
+		needs: needUpdatable, serve: (*nodeConn).serveSplitPartition},
+}
+
+// wireFact is what the frame codec and the version gate know about an
+// op code, request or reply: derived from the rows, never stated twice.
+type wireFact struct {
+	minVer uint32 // 0: an op this build does not know
+	enc    codec
+}
+
+var wire [256]wireFact
+
+func init() {
+	for op := range opTable {
+		row := &opTable[op]
+		if row.minVer == 0 {
+			continue
+		}
+		wire[op] = wireFact{row.minVer, row.enc}
+		// A reply op is as old as the oldest request it answers.
+		if w := &wire[row.reply]; row.reply != 0 && (w.minVer == 0 || row.minVer < w.minVer) {
+			*w = wireFact{row.minVer, row.replyEnc}
+		}
+	}
+}
+
+// pendingKind reports whether the client mux carries the row as a
+// pending's kind — exactly the rows with a loss policy, since every
+// pending must say what happens when its replica leaves. Those rows get
+// a dc_client_op_ns series.
+func (r *opSpec) pendingKind() bool { return r.onLoss != lossNone }
+
+// request returns op's row when op is a request this build serves.
+func request(op uint8) *opSpec {
+	if int(op) < opMax && opTable[op].serve != nil {
+		return &opTable[op]
+	}
+	return nil
+}
+
+// OpMinVersion returns the protocol version that introduced op, or 0
+// for an op this build does not know.
+func OpMinVersion(op uint8) uint32 { return wire[op].minVer }

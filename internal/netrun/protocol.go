@@ -71,12 +71,13 @@
 // verbs, each acknowledged by OpMembAck whose single payload word is
 // the node's live key count after the operation. OpAddReplica assigns
 // a partition identity to an unassigned node (one started with the
-// full key file but no partition, dcnode -join): its two payload words
-// are [rankBase, baseN], naming the slice [rankBase, rankBase+baseN)
-// of the node's sorted key universe; a node that already holds an
-// identity accepts the op only when it matches (an idempotent
-// confirm). OpDrainReplica (no payload) quiesces a node before the
-// client detaches it from its replica group. OpSplitPartition carries
+// full key file but no partition, dcnode -join): its four payload words
+// are [rankBase, baseN, loKey, hiKey], naming the slice [rankBase,
+// rankBase+baseN) of the node's sorted key universe and the bounds the
+// client expects there; a node that already holds an identity accepts
+// the op only when it matches (an idempotent confirm). OpDrainReplica
+// (no payload) quiesces a node before the client detaches it from its
+// replica group. OpSplitPartition carries
 // six words [newRankBase, newBaseN, loKey, hiKey, splitKey, keepHi]:
 // the node filters its live key set at splitKey (keepHi 0 keeps keys
 // <= splitKey, 1 keeps the rest), atomically swaps its advertised
@@ -123,9 +124,11 @@
 //	node v5       1           2           3           4           5           5      + range/scan/top-k/multiget
 //	node v6       1           2           3           4           5           6      + live membership
 //
-// Op x minimum version, for every request op a client may send:
+// Op x minimum version, for every request op a client may send. This
+// matrix is a rendering of the op table (optable.go), which is the
+// definition; a test holds the two equal:
 //
-//	v1  OpLookup
+//	v1  OpHello, OpLookup
 //	v2  OpLookupSorted
 //	v3  OpInsert, OpSnapshot, OpLoad
 //	v4  OpSnapshotSince, OpLoadAt
@@ -194,8 +197,11 @@ const (
 	OpLookup uint8 = 3
 	// OpRanks is the node's lookup response.
 	OpRanks uint8 = 4
-	// OpErr signals a node-side failure; payload[0] is an errno-like
-	// code, and the connection should be abandoned.
+	// OpErr refuses a request; payload[0] is the refused op. How far the
+	// refusal reaches is the request row's onErr column: answering a
+	// lookup or an insert it condemns the connection, answering a v3+
+	// catch-up, query or membership op it declines that one request and
+	// the node keeps serving.
 	OpErr uint8 = 5
 	// OpLookupSorted (v2) carries an ascending key run, delta+varint
 	// coded (byte payload); the node answers OpRanksDelta.
@@ -260,9 +266,10 @@ const (
 	// not monotone, so no delta coding — see appendVarRun).
 	OpCounts uint8 = 22
 	// OpAddReplica (v6) assigns a partition identity to a joinable
-	// node: payload [rankBase, baseN] names the slice of the node's key
-	// universe it is to serve. A node already holding an identity
-	// accepts only a matching assignment. Answered by OpMembAck.
+	// node: payload [rankBase, baseN, loKey, hiKey] names the slice of
+	// the node's key universe it is to serve and the key bounds the
+	// client expects there. A node already holding an identity accepts
+	// only a matching assignment. Answered by OpMembAck.
 	OpAddReplica uint8 = 23
 	// OpDrainReplica (v6, no payload) quiesces a node ahead of the
 	// client detaching it from its replica group. Answered by
@@ -288,60 +295,6 @@ const (
 	snapKindFull    = 1 // keys are the full sorted set
 )
 
-// byteOp reports whether op's count field is a byte length (varint
-// payload) rather than a 32-bit word count.
-func byteOp(op uint8) bool {
-	switch op {
-	case OpLookupSorted, OpRanksDelta, OpSnapshotData, OpLoad,
-		OpMultiGet, OpKeysDelta, OpCounts:
-		return true
-	}
-	return false
-}
-
-// opMinVersion is the op×version table: the protocol version that
-// introduced each op, requests and replies alike — the executable form
-// of the "Op x minimum version" matrix in the package comment. The
-// node's serve loop refuses any request op newer than what the
-// connection negotiated, and the framepair analyzer checks that every
-// Op constant has an entry here plus live encode and decode sites, so
-// a new op cannot ship half-wired.
-//
-//dc:optable
-var opMinVersion = map[uint8]uint32{
-	OpHello:         ProtoV1,
-	OpHelloAck:      ProtoV1,
-	OpLookup:        ProtoV1,
-	OpRanks:         ProtoV1,
-	OpErr:           ProtoV1,
-	OpLookupSorted:  ProtoV2,
-	OpRanksDelta:    ProtoV2,
-	OpInsert:        ProtoV3,
-	OpInsertAck:     ProtoV3,
-	OpSnapshot:      ProtoV3,
-	OpSnapshotData:  ProtoV3,
-	OpLoad:          ProtoV3,
-	OpLoadAck:       ProtoV3,
-	OpSnapshotSince: ProtoV4,
-	OpSnapshotDelta: ProtoV4,
-	OpLoadAt:        ProtoV4,
-	OpCountRange:    ProtoV5,
-	OpScanRange:     ProtoV5,
-	OpTopK:          ProtoV5,
-	OpMultiGet:      ProtoV5,
-	OpKeysDelta:     ProtoV5,
-	OpCounts:        ProtoV5,
-
-	OpAddReplica:     ProtoV6,
-	OpDrainReplica:   ProtoV6,
-	OpSplitPartition: ProtoV6,
-	OpMembAck:        ProtoV6,
-}
-
-// OpMinVersion returns the protocol version that introduced op, or 0
-// for an op this build does not know.
-func OpMinVersion(op uint8) uint32 { return opMinVersion[op] }
-
 // MaxFrameWords bounds a v1 frame payload (16M words = 64 MB) so a
 // corrupt length cannot force an absurd allocation. MaxFrameBytes is
 // the byte-payload equivalent for v2 frames: the same 16M elements at
@@ -352,7 +305,7 @@ const (
 )
 
 // Frame is one decoded protocol frame: word ops carry Payload, byte
-// ops (see byteOp) carry Raw.
+// ops (the op table's encDelta and encVarint codecs) carry Raw.
 type Frame struct {
 	Op      uint8
 	ReqID   uint32
@@ -395,7 +348,7 @@ type frameWriter struct {
 //
 //dc:noalloc
 func (fw *frameWriter) encode(f Frame) ([]byte, error) {
-	if byteOp(f.Op) {
+	if wire[f.Op].enc != encWords {
 		if len(f.Raw) > MaxFrameBytes {
 			return nil, fmt.Errorf("netrun: frame payload %d bytes exceeds limit", len(f.Raw))
 		}
@@ -490,7 +443,7 @@ func (fr *frameReader) readFrom(r io.Reader) (Frame, error) {
 	// corrupt length word >= 2^31 would wrap negative as int and slip
 	// past the limit check.
 	count32 := binary.LittleEndian.Uint32(fr.head[9:13])
-	if byteOp(f.Op) {
+	if wire[f.Op].enc != encWords {
 		// v2 byte payload: count is a byte length; the delta decoder
 		// applies its own element-count-vs-bytes guard on top.
 		if count32 > MaxFrameBytes {

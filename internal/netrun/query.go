@@ -90,7 +90,7 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 			p := accum[gi]
 			if p == nil {
 				p = c.getPending()
-				p.kind = pkCount
+				p.op = OpCountRange
 				accum[gi] = p
 				gis = append(gis, gi)
 				pends = append(pends, p)
@@ -159,7 +159,7 @@ func (c *Cluster) ScanRange(lo, hi workload.Key, limit int, buf []workload.Key) 
 	pends := make([]*pending, span)
 	for gi := gLo; gi <= gHi; gi++ {
 		p := c.getPending()
-		p.kind = pkScan
+		p.op = OpScanRange
 		p.keys = append(p.keys, uint32(lo), uint32(hi), limWord)
 		p.posBase = gi - gLo
 		c.dispatch(ep, gi, p, nil, done)
@@ -216,7 +216,7 @@ func (c *Cluster) TopK(k int, buf []workload.Key) ([]workload.Key, error) {
 	pends := make([]*pending, len(groups))
 	for gi := range groups {
 		p := c.getPending()
-		p.kind = pkTopK
+		p.op = OpTopK
 		p.keys = append(p.keys, uint32(k))
 		p.posBase = gi
 		c.dispatch(ep, gi, p, nil, done)
@@ -293,7 +293,7 @@ func (c *Cluster) MultiGetInto(keys []workload.Key, out []int) error {
 	inflight := 0
 	core.ForEachSortedRun(c.part.Load().Delimiters(), runKeys, c.batch, func(gi, start, end int) {
 		p := c.getPending()
-		p.kind = pkMultiGet
+		p.op = OpMultiGet
 		p.sorted = true
 		for _, q := range runKeys[start:end] {
 			p.keys = append(p.keys, uint32(q))

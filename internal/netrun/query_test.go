@@ -446,7 +446,7 @@ func TestQueryOpsClientMaxVersionCap(t *testing.T) {
 	_, c, shutdown := startCapped(t, keys, []uint32{0, 0}, DialOptions{BatchKeys: 256, MaxVersion: ProtoV4})
 	defer shutdown()
 
-	for _, h := range c.Health() {
+	for _, h := range c.Stats().Replicas {
 		if h.Proto > ProtoV4 {
 			t.Fatalf("replica %s negotiated v%d despite client cap 4", h.Addr, h.Proto)
 		}

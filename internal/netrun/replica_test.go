@@ -107,7 +107,7 @@ func (rc *replicatedCluster) restart(t *testing.T, partition, replica int) {
 func (rc *replicatedCluster) health(t *testing.T, partition, replica int) ReplicaHealth {
 	t.Helper()
 	addr := rc.addrs[partition][replica]
-	for _, h := range rc.c.Health() {
+	for _, h := range rc.c.Stats().Replicas {
 		if h.Partition == partition && h.Addr == addr {
 			return h
 		}
@@ -178,7 +178,7 @@ func TestReplicatedClusterReturnsReferenceRanks(t *testing.T) {
 			t.Fatalf("rank[%d] = %d, want %d", i, ranks[i], want)
 		}
 	}
-	health := rc.c.Health()
+	health := rc.c.Stats().Replicas
 	if len(health) != 8 {
 		t.Fatalf("Health rows = %d, want 8", len(health))
 	}
@@ -385,8 +385,7 @@ func TestLastReplicaDeathFailsEpochWithRootCause(t *testing.T) {
 func TestRejoinRestoresReplica(t *testing.T) {
 	keys := workload.SortedKeys(20000, 29)
 	rc, shutdown := startReplicated(t, keys, 2, 2, 256, DialOptions{
-		RejoinBackoff:    20 * time.Millisecond,
-		RejoinMaxBackoff: 100 * time.Millisecond,
+		Rejoin: RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 	})
 	defer shutdown()
 
@@ -609,9 +608,8 @@ func TestNodeRestartServe(t *testing.T) {
 func TestCloseInterruptsRejoinAttempt(t *testing.T) {
 	keys := workload.SortedKeys(5000, 60)
 	rc, shutdown := startReplicated(t, keys, 1, 2, 256, DialOptions{
-		Timeout:          10 * time.Second,
-		RejoinBackoff:    10 * time.Millisecond,
-		RejoinMaxBackoff: 20 * time.Millisecond,
+		Timeout: 10 * time.Second,
+		Rejoin:  RejoinOptions{Backoff: 10 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
 	})
 	defer shutdown()
 

@@ -242,7 +242,7 @@ func TestSortedFailoverToV1Sibling(t *testing.T) {
 			}
 		}
 	}()
-	c, err := Dial(addrs, keys, DialOptions{BatchKeys: 256, RejoinBackoff: time.Hour})
+	c, err := Dial(addrs, keys, DialOptions{BatchKeys: 256, Rejoin: RejoinOptions{Backoff: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
