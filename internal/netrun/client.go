@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,7 +69,8 @@ type Cluster struct {
 	// one consistent table.
 	part atomic.Pointer[core.Partitioning]
 	// groups is the configured replica address list, one slice per
-	// partition: what dialEpoch (re)dials. Membership ops rewrite it.
+	// partition: what the next dialEpoch dials. Membership ops rewrite
+	// it; the running epoch keeps its own record per address (replica).
 	groups [][]string //dc:guardedby mu
 	batch  int
 	opt    DialOptions
@@ -103,12 +104,10 @@ type Cluster struct {
 	deltaCatchups atomic.Int64
 
 	// Gray-failure knobs, precomputed from DialOptions at dial time
-	// (immutable afterwards). hedgeEarnMilli/hedgeBurstMilli are the
-	// per-group token bucket parameters in milli-tokens; maxPending is
-	// the per-connection admission cap (0 = unbounded).
+	// (immutable afterwards): the per-group hedge token bucket
+	// parameters in milli-tokens (see replicaGroup.budget).
 	hedgeEarnMilli  int64
 	hedgeBurstMilli int64
-	maxPending      int
 
 	// tel is the client-side telemetry registry: the read loops record
 	// one scatter-path latency sample per reply frame into the per-op
@@ -124,12 +123,28 @@ type Cluster struct {
 	// the write side to quiesce the data plane while the nodes retarget
 	// and the routing table is rewritten. Uncontended outside a split —
 	// an RWMutex read lock is two atomic ops, which preserves the data
-	// path's zero-allocation property. Lock order: mu before pause.
+	// path's zero-allocation property.
 	pause sync.RWMutex
 
-	mu     sync.Mutex // serializes Close, Redial, and the membership ops
-	closed bool       //dc:guardedby mu
+	// mu serializes Close, Redial, and the membership ops. Close leaves
+	// ep nil, which is what "closed" means.
+	mu sync.Mutex
 }
+
+// Lock order for the whole client, outermost first. Cluster.mu (Close,
+// Redial, the membership verbs) is taken before the pause gate;
+// data-path calls hold the gate's read side while they take a group's
+// mu to choose a target or fan a write out; and a group's mu is held
+// while a connection's mu is taken to enqueue — by target choice, the
+// write fan-out, admission and the catch-up flush alike. Departure
+// drops the group's mu before it sweeps the connection. The reverse of
+// any pair would deadlock against these paths, and lockguard rejects
+// it. hedger.mu is a leaf, held for heap surgery only.
+//
+//dc:lockorder Cluster.mu Cluster.pause
+//dc:lockorder Cluster.mu replicaGroup.mu
+//dc:lockorder Cluster.pause replicaGroup.mu
+//dc:lockorder replicaGroup.mu clusterNode.mu
 
 // insBefore sums the keys inserted into partitions < part: the dynamic
 // rank-base correction applied to that partition's replies.
@@ -148,295 +163,44 @@ type epoch struct {
 	c      *Cluster
 	groups []*replicaGroup
 	wg     sync.WaitGroup
-	failed chan struct{} // closed on terminal failure
-	once   sync.Once
-	err    error // root cause; written once before failed closes
+	// ctx is cancelled on terminal failure, with the root cause as its
+	// cancellation cause. Rejoin dials, admission waits and the hedger
+	// all stop on it.
+	ctx    context.Context
+	cancel context.CancelCauseFunc
 	// hedger re-dispatches read frames that outlive their replica's
 	// latency quantile to a healthy sibling. Nil unless
 	// DialOptions.Hedging.Quantile enabled hedging for this client.
 	hedger *hedger
 }
 
-// replicaGroup is one partition's replica set: the configured addresses
-// and the currently healthy member connections. members shrinks when a
-// replica fails and grows back when its rejoin loop restores it; the
-// round-robin cursor spreads load across whoever is healthy. A member
-// may be catching up (see clusterNode.catchingUp): it is listed so
-// writes reach it (via its hold queue) but is skipped by every read
-// until the catch-up load lands. addrs/stats grow under AddReplica and
-// shrink under DrainReplica (live membership), so both are guarded by
-// mu past the single-threaded dial; per-replica state is keyed by the
-// *replicaStats pointer, which survives member churn.
-type replicaGroup struct {
-	part    int
-	addrs   []string        //dc:guardedby mu
-	stats   []*replicaStats //dc:guardedby mu
-	mu      sync.Mutex
-	cursor  int            //dc:guardedby mu
-	members []*clusterNode //dc:guardedby mu
-	// writes counts insert chunks fanned out to this group, bumped in
-	// the same mu section as the fan-out itself. The rejoin path gates
-	// on it rather than on the acked counters (Cluster.ins): a write
-	// is dangerous to a plainly-readmitted replica the moment it is
-	// *issued* — the acked counter lags by a network round trip, and a
-	// replica installed in that window would permanently miss the
-	// in-flight write.
-	writes int //dc:guardedby mu
-
-	// budget is the partition's hedge token bucket in milli-tokens:
-	// each primary read dispatch earns Cluster.hedgeEarnMilli (capped
-	// at hedgeBurstMilli), each hedge spends 1000. Rate-proportional
-	// and clock-free, so a gray partition can never amplify its own
-	// overload — hedges are a bounded fraction of real traffic.
-	budget atomic.Int64
-
-	// admitCh/waiters implement bounded pending-queue admission: when
-	// every eligible replica is at Cluster.maxPending outstanding
-	// frames, read dispatchers park on admitCh until a reply or sweep
-	// frees a slot (with a short safety-valve timeout against lost
-	// wakeups). Writes are exempt — bounding the fan-out under g.mu
-	// would stall the write path on its slowest replica.
-	admitCh chan struct{}
-	waiters atomic.Int32
-}
-
-// earnHedge credits the bucket for one primary read dispatch.
-func (g *replicaGroup) earnHedge(c *Cluster) {
-	if c.hedgeEarnMilli <= 0 {
-		return
-	}
-	for {
-		cur := g.budget.Load()
-		next := cur + c.hedgeEarnMilli
-		if next > c.hedgeBurstMilli {
-			next = c.hedgeBurstMilli
-		}
-		if next == cur || g.budget.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
-// takeHedge spends one hedge token; false means the budget is exhausted
-// and the hedge must be suppressed.
-func (g *replicaGroup) takeHedge() bool {
-	for {
-		cur := g.budget.Load()
-		if cur < 1000 {
-			return false
-		}
-		if g.budget.CompareAndSwap(cur, cur-1000) {
-			return true
-		}
-	}
-}
-
-// waitAdmit parks a read dispatcher until admission capacity may exist
-// again: a freed slot, epoch death, or a 1ms safety valve (wakeups are
-// best-effort, the caller re-checks by retrying the enqueue).
-func (g *replicaGroup) waitAdmit(ep *epoch) {
-	g.waiters.Add(1)
-	defer g.waiters.Add(-1)
-	t := time.NewTimer(time.Millisecond)
-	defer t.Stop()
+// Err returns the epoch's terminal error, or nil while healthy.
+func (ep *epoch) Err() error {
 	select {
-	case <-g.admitCh:
-	case <-ep.failed:
-	case <-t.C:
-	}
-}
-
-// admitFreed wakes one admission waiter, if any. Non-blocking.
-func (g *replicaGroup) admitFreed() {
-	if g.waiters.Load() > 0 {
-		select {
-		case g.admitCh <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// Lock ordering: a write fan-out holds g.mu while it locks each
-// member's n.mu to enqueue; failNode and the rejoin path take the locks
-// in the same order. The reverse — acquiring g.mu with n.mu held —
-// would deadlock against them, and lockguard rejects it. pickFor claims
-// probe slots (replicaStats.mu) under g.mu, so stats nest inside the
-// group lock for the same reason:
-//
-//dc:lockorder replicaGroup.mu clusterNode.mu
-//dc:lockorder replicaGroup.mu replicaStats.mu
-
-// Probation states for latency-scored outlier ejection. A replica that
-// keeps answering but much slower than its siblings walks healthy →
-// suspect → ejected (reads shed, writes keep flowing — slow is not
-// dead) → probing (paced real batches test recovery) → readmitted
-// (back to healthy, counted in readmits). Hard I/O failures bypass
-// this machine entirely: they go through failNode/rejoin as before.
-const (
-	rsHealthy = int32(iota)
-	rsSuspect
-	rsEjected
-	rsProbing
-)
-
-// replicaStats counts one replica address's lifecycle events across
-// member churn within an epoch, and carries its latency score: a
-// windowed quantile feeding the hedge delay, an EWMA feeding the
-// relative-outlier ejection score, and the probation state machine.
-type replicaStats struct {
-	dispatched atomic.Uint64
-	failures   atomic.Uint64
-	rejoins    atomic.Uint64
-	// forceFull demands a full-snapshot catch-up on the next rejoin.
-	// Set when a delta catch-up was refused (the histories diverged —
-	// e.g. the replica durably logged writes this client never saw
-	// acked); sticky until a catch-up of any kind succeeds. It lives on
-	// the stats (not the member) because the decision must survive the
-	// failed member's teardown: a catch-up cannot switch from delta to
-	// full mid-admission — the hold queue and a later snapshot cut
-	// would double-apply writes — so the whole admission is retried.
-	forceFull atomic.Bool
-
-	// Gray-failure counters (see ReplicaHealth).
-	hedges       atomic.Uint64 // hedges dispatched because this replica lagged
-	ejections    atomic.Uint64
-	probes       atomic.Uint64
-	readmits     atomic.Uint64
-	budgetDenied atomic.Uint64 // hedges suppressed by an empty token bucket
-
-	// state/ewmaNs/hedgeNs/samples are written under mu but published
-	// atomically so pickFor (under g.mu), the hedger, siblings scoring
-	// against this replica, and Stats read them without taking mu.
-	state   atomic.Int32
-	ewmaNs  atomic.Int64
-	hedgeNs atomic.Int64 // current hedge delay: windowed quantile estimate
-	samples atomic.Int64
-
-	mu sync.Mutex
-	// window is a ring of the last reply latencies (read kinds only);
-	// every few samples it is re-sorted into the quantile estimate.
-	window [64]int64 //dc:guardedby mu
-	// consecBad/goodProbes are the state machine's hysteresis counters;
-	// probeDelay/nextProbe pace probe batches with the same jittered
-	// exponential backoff the rejoin loop uses, so probation retries
-	// cannot thundering-herd a recovering replica.
-	consecBad  int           //dc:guardedby mu
-	goodProbes int           //dc:guardedby mu
-	probeDelay time.Duration //dc:guardedby mu
-	nextProbe  time.Time     //dc:guardedby mu
-}
-
-// tryProbe reports whether an ejected replica is due a probe batch and,
-// when it is, claims the probe slot: the next probe is pushed out by the
-// jittered backoff (doubled on each slow probe by the observe path) and
-// the replica moves to the probing state.
-func (s *replicaStats) tryProbe(now time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if now.Before(s.nextProbe) {
-		return false
-	}
-	s.nextProbe = now.Add(jitterBackoff(s.probeDelay))
-	s.state.Store(rsProbing)
-	s.probes.Add(1)
-	return true
-}
-
-// pickFor returns a healthy member eligible for p, round-robin.
-// Eligibility is a per-kind minimum protocol version (see
-// minVersionFor): catching-up members take no traffic (their state is
-// mid-load); snapshot requests need a v3 peer; the v5 query ops need a
-// v5 peer; and once this client has written to the partition, pre-v3
-// members are excluded from lookups — they never receive writes, so
-// they can no longer prove they hold the full key set. The second
-// result distinguishes "group empty" (nil, true — the epoch is
-// failing, wait for the root cause) from "members exist but none can
-// serve p" (nil, false — fail the request with a clear error, the
-// epoch is fine).
-//
-// Latency-ejected members are skipped like catching-up ones, with two
-// availability escapes: a due probe routes one real batch at the
-// ejected member (how it earns readmission), and when every otherwise-
-// eligible member is ejected the least-recently-considered one serves
-// anyway — ejection trades latency, never availability. excl names a
-// member to avoid: the hedger passes the slow origin so a hedge always
-// lands on a sibling (nil everywhere else).
-func (g *replicaGroup) pickFor(c *Cluster, p *pending, excl *clusterNode) (n *clusterNode, empty bool) {
-	minV := c.minVersionFor(g, p)
-	now := time.Now()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.members) == 0 {
-		return nil, true
-	}
-	var fallback *clusterNode
-	for range g.members {
-		g.cursor++
-		m := g.members[g.cursor%len(g.members)]
-		if m == excl || m.catchingUp || m.version < minV {
-			continue
-		}
-		if s := m.stats(); s.state.Load() >= rsEjected {
-			if fallback == nil {
-				fallback = m
-			}
-			if s.tryProbe(now) {
-				return m, false
-			}
-			continue
-		}
-		return m, false
-	}
-	if fallback != nil && excl == nil {
-		// Every eligible member is ejected (e.g. both replicas of a
-		// 2-way group went gray at once): serve from one rather than
-		// fail — slower-but-correct beats unavailable. A hedge (excl
-		// set) has no such duty; its origin is still working.
-		return fallback, false
-	}
-	return nil, false
-}
-
-// describeIneligible explains why a non-empty group had no member
-// eligible for a request — the difference matters to an operator:
-// a syncing replica resolves itself in moments, while a written-to
-// partition whose last writable replica died stays read-unavailable
-// (and may have lost acked writes) until a protocol-v3 replica rejoins
-// and catches up.
-func (g *replicaGroup) describeIneligible(c *Cluster, p *pending) string {
-	minV := c.minVersionFor(g, p)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	syncing := 0
-	for _, m := range g.members {
-		if m.catchingUp {
-			syncing++
-		}
-	}
-	switch {
-	case minV >= ProtoV5 && syncing == 0:
-		return "no protocol-v5 replica is available for the range/scan/top-k/multiget ops (rank lookups still work; upgrade the partition's nodes or cap the client with MaxVersion)"
-	case syncing > 0:
-		return "its only eligible replica is still syncing a sibling snapshot (momentary; retry)"
-	case c.ins[g.part].Load() > 0:
-		return "it absorbed writes and then lost its last writable protocol-v3 replica; the remaining pre-v3 replicas are stale, and acked writes may be lost until a v3 replica rejoins and catches up"
+	case <-ep.ctx.Done():
+		return context.Cause(ep.ctx)
 	default:
-		return "no protocol-v3 replica is available to serve it"
+		return nil
 	}
 }
 
-// remove drops n from the member list and reports how many members
-// remain.
-func (g *replicaGroup) remove(n *clusterNode) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for i, m := range g.members {
-		if m == n {
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			break
+// fail records the first root-cause error, then closes every connection
+// and marks it dead so enqueuers, send loops, and rejoin loops stop. The
+// pendings stranded on each connection are collected and completed by
+// its failNode call (triggered by its read loop observing the closed
+// connection). Idempotent: the first cause wins, and a repeated sweep
+// finds nothing left to close.
+func (ep *epoch) fail(err error) {
+	ep.cancel(err)
+	for _, g := range ep.groups {
+		for _, n := range g.nodes() {
+			n.conn.Close()
+			n.mu.Lock()
+			n.dead = true
+			n.mu.Unlock()
+			n.cond.Broadcast()
 		}
 	}
-	return len(g.members)
 }
 
 // ReplicaHealth is one replica's liveness and traffic counters within
@@ -447,10 +211,10 @@ type ReplicaHealth struct {
 	Partition int `json:"partition"`
 	// Addr is the replica's configured address.
 	Addr string `json:"addr"`
-	// Healthy reports whether the replica is currently a live group
-	// member (accepting dispatches).
+	// Healthy reports whether the replica currently has a live
+	// connection — every lifecycle state but down (see replica.go).
 	Healthy bool `json:"healthy"`
-	// Syncing reports that the replica is a member mid-catch-up: it
+	// Syncing reports that the replica is connected but mid-catch-up: it
 	// receives writes (via its hold queue) but serves no reads until
 	// the sibling snapshot load completes.
 	Syncing bool `json:"syncing"`
@@ -460,13 +224,16 @@ type ReplicaHealth struct {
 	Proto uint32 `json:"proto"`
 	// Dispatched counts lookup frames handed to this replica.
 	Dispatched uint64 `json:"dispatched"`
-	// Failures counts times the replica was dropped from its group.
+	// Failures counts times the replica's connection failed and it went
+	// down.
 	Failures uint64 `json:"failures"`
-	// Rejoins counts times the background rejoin loop restored it.
+	// Rejoins counts times a connection was restored to it: a plain
+	// rejoin, or a completed catch-up.
 	Rejoins uint64 `json:"rejoins"`
-	// State is the probation state machine's view of the replica:
-	// "healthy", "suspect", "ejected", or "probing" (see the rs*
-	// constants). Always "healthy" unless DialOptions.Ejection.Factor
+	// State is the latency-probation view of the replica's lifecycle
+	// state: "suspect", "ejected" or "probing" in those states and
+	// "healthy" in every other (liveness is Healthy and Syncing's
+	// business). Always "healthy" unless DialOptions.Ejection.Factor
 	// enabled latency-scored ejection.
 	State string `json:"state"`
 	// LatencyEWMA is the smoothed reply latency of this replica's read
@@ -487,59 +254,9 @@ type ReplicaHealth struct {
 	BudgetDenied uint64 `json:"budget_denied"`
 }
 
-// stateName maps a probation state to its ReplicaHealth string.
-func stateName(s int32) string {
-	switch s {
-	case rsSuspect:
-		return "suspect"
-	case rsEjected:
-		return "ejected"
-	case rsProbing:
-		return "probing"
-	default:
-		return "healthy"
-	}
-}
-
-// Err returns the epoch's terminal error, or nil while healthy.
-func (ep *epoch) Err() error {
-	select {
-	case <-ep.failed:
-		return ep.err
-	default:
-		return nil
-	}
-}
-
-// fail records the first root-cause error, then closes every member
-// connection and marks every member dead so enqueuers, send loops, and
-// rejoin loops stop. The pendings stranded on each member are collected
-// and completed by that member's failNode call (triggered by its read
-// loop observing the closed connection). Idempotent; concurrent callers
-// block until the first completes, so ep.err is always set when fail
-// returns.
-func (ep *epoch) fail(err error) {
-	ep.once.Do(func() {
-		ep.err = err
-		close(ep.failed)
-		for _, g := range ep.groups {
-			g.mu.Lock()
-			members := append([]*clusterNode(nil), g.members...)
-			g.mu.Unlock()
-			for _, n := range members {
-				n.conn.Close()
-				n.mu.Lock()
-				n.dead = true
-				n.mu.Unlock()
-				n.cond.Broadcast()
-			}
-		}
-	})
-}
-
-// minVersionFor is the protocol version a member must have negotiated
+// minVersionFor is the protocol version a replica must have negotiated
 // to serve p: its op's minVer, raised to v3 once the partition has been
-// written to (pre-v3 members never receive writes, so they can no
+// written to (pre-v3 replicas never receive writes, so they can no
 // longer prove they hold the full key set).
 func (c *Cluster) minVersionFor(g *replicaGroup, p *pending) uint32 {
 	v := opTable[p.op].minVer
@@ -583,14 +300,12 @@ type netCall struct {
 //dc:knobs ../../README.md
 type HedgeOptions struct {
 	// Quantile (0 < q < 1, e.g. 0.99) enables hedged reads: a read
-	// frame still unanswered after its replica's q-quantile reply
-	// latency is re-dispatched to a healthy sibling, first valid reply
-	// wins, the loser's reply is discarded by request id. 0 disables
-	// hedging. Writes are never hedged.
+	// frame still unanswered after its partition's q-quantile reply
+	// latency (never less than 10ms, which is also the delay before any
+	// latency history exists) is re-dispatched to a healthy sibling,
+	// first valid reply wins, the loser's reply is discarded by request
+	// id. 0 disables hedging. Writes are never hedged.
 	Quantile float64
-	// MinDelay floors the adaptive hedge delay (default 10ms); it is
-	// also the cold-start delay before a replica has latency history.
-	MinDelay time.Duration
 	// Budget is the hedge tokens earned per dispatched read frame
 	// (default 0.1 ≈ at most ~10% extra load from hedging); negative
 	// means no replenishment. Burst caps the token bucket (default 16).
@@ -605,13 +320,11 @@ type HedgeOptions struct {
 type EjectOptions struct {
 	// Factor (> 1) enables latency-scored outlier ejection: a replica
 	// whose read latency stays above Factor times its best sibling's
-	// EWMA (and above MinLatency) walks the probation state machine and
-	// stops taking reads until paced probe batches come back fast. 0
-	// disables ejection. Ejected replicas still receive every write.
+	// EWMA (and above 1ms) walks the probation states of the replica
+	// lifecycle and stops taking reads until paced probe batches come
+	// back fast. 0 disables ejection. Ejected replicas still receive
+	// every write.
 	Factor float64
-	// MinLatency is the absolute floor below which a replica is never
-	// considered an outlier regardless of ratios (default 1ms).
-	MinLatency time.Duration
 	// ProbeBackoff/ProbeMaxBackoff pace the probe batches an ejected
 	// replica receives (defaults: the Rejoin values).
 	ProbeBackoff    time.Duration
@@ -691,12 +404,6 @@ type DialOptions struct {
 	// with a descriptive error while rank lookups keep working.
 	// Interop tests and operators staging a rollout use it.
 	MaxVersion uint32
-	// MaxPending bounds the outstanding frames (queued plus in flight)
-	// per replica connection; read dispatch blocks politely when every
-	// eligible replica is at the cap, so a gray partition degrades to
-	// slower-but-correct instead of unbounded queue growth. Default
-	// 1024; negative disables admission control.
-	MaxPending int
 	// Dialer overrides the TCP dial for every node connection (nil uses
 	// net.Dialer). The context carries the dial timeout/abort. This is
 	// the client-side fault-injection seam: tests and the dcq -chaos
@@ -716,39 +423,21 @@ func GroupAddrs(addrs []string, replicas int) ([][]string, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("netrun: no node addresses")
 	}
-	grouped := false
-	for _, a := range addrs {
-		if strings.Contains(a, "|") {
-			grouped = true
-			break
+	if !slices.ContainsFunc(addrs, func(a string) bool { return strings.Contains(a, "|") }) {
+		replicas = max(replicas, 1)
+		if len(addrs)%replicas != 0 {
+			return nil, fmt.Errorf("netrun: %d addresses do not divide into groups of %d replicas", len(addrs), replicas)
 		}
+		return slices.Collect(slices.Chunk(addrs, replicas)), nil
 	}
-	if grouped {
-		out := make([][]string, len(addrs))
-		for i, a := range addrs {
-			for _, r := range strings.Split(a, "|") {
-				r = strings.TrimSpace(r)
-				if r == "" {
-					return nil, fmt.Errorf("netrun: partition %d has an empty replica address in %q", i, a)
-				}
-				out[i] = append(out[i], r)
+	out := make([][]string, len(addrs))
+	for i, a := range addrs {
+		for _, r := range strings.Split(a, "|") {
+			if r = strings.TrimSpace(r); r == "" {
+				return nil, fmt.Errorf("netrun: partition %d has an empty replica address in %q", i, a)
 			}
+			out[i] = append(out[i], r)
 		}
-		return out, nil
-	}
-	if replicas <= 1 {
-		out := make([][]string, len(addrs))
-		for i, a := range addrs {
-			out[i] = []string{a}
-		}
-		return out, nil
-	}
-	if len(addrs)%replicas != 0 {
-		return nil, fmt.Errorf("netrun: %d addresses do not divide into groups of %d replicas", len(addrs), replicas)
-	}
-	out := make([][]string, 0, len(addrs)/replicas)
-	for i := 0; i < len(addrs); i += replicas {
-		out = append(out, addrs[i:i+replicas])
 	}
 	return out, nil
 }
@@ -782,17 +471,11 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 	if opt.Rejoin.MaxBackoff <= 0 {
 		opt.Rejoin.MaxBackoff = 3 * time.Second
 	}
-	if opt.Hedging.MinDelay <= 0 {
-		opt.Hedging.MinDelay = 10 * time.Millisecond
-	}
 	if opt.Hedging.Budget == 0 {
 		opt.Hedging.Budget = 0.1
 	}
 	if opt.Hedging.Burst <= 0 {
 		opt.Hedging.Burst = 16
-	}
-	if opt.Ejection.MinLatency <= 0 {
-		opt.Ejection.MinLatency = time.Millisecond
 	}
 	if opt.Ejection.ProbeBackoff <= 0 {
 		opt.Ejection.ProbeBackoff = opt.Rejoin.Backoff
@@ -800,8 +483,10 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 	if opt.Ejection.ProbeMaxBackoff <= 0 {
 		opt.Ejection.ProbeMaxBackoff = opt.Rejoin.MaxBackoff
 	}
-	if opt.MaxPending == 0 {
-		opt.MaxPending = 1024
+	if opt.Dialer == nil {
+		opt.Dialer = func(ctx context.Context, addr string) (net.Conn, error) {
+			return new(net.Dialer).DialContext(ctx, "tcp", addr)
+		}
 	}
 	part, err := core.NewPartitioning(keys, len(groups))
 	if err != nil {
@@ -813,9 +498,6 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 		c.hedgeEarnMilli = int64(opt.Hedging.Budget * 1000)
 	}
 	c.hedgeBurstMilli = int64(opt.Hedging.Burst) * 1000
-	if opt.MaxPending > 0 {
-		c.maxPending = opt.MaxPending
-	}
 	if opt.MaxVersion > 0 && opt.MaxVersion < ProtoVersion {
 		c.helloVer = opt.MaxVersion
 	}
@@ -913,155 +595,97 @@ func (c *Cluster) scrapeGauges(r *telemetry.Registry) {
 	r.Gauge("dc_client_delta_catchups").Set(c.deltaCatchups.Load())
 }
 
-// dialEpoch dials and handshakes every replica of every partition, then
-// starts the per-connection send and read loops. Callers hold c.mu so
-// the configured c.groups cannot be rewritten by a concurrent
-// membership op mid-dial (Dial holds it too, though the cluster is not
-// yet published there).
+// dialEpoch builds one record per configured address, then dials and
+// handshakes every one and admits the connection (which starts its send
+// and read loops). Callers hold c.mu so the configured c.groups cannot
+// be rewritten by a concurrent membership op mid-dial (Dial holds it
+// too, though the cluster is not yet published there).
 //
 //dc:holds c.mu
 func (c *Cluster) dialEpoch() (*epoch, error) {
-	ep := &epoch{c: c, failed: make(chan struct{})}
-	for pi, addrs := range c.groups {
-		// Copy the configured addresses: g.addrs grows and shrinks under
-		// live membership independently of the config (which the
-		// membership ops rewrite under c.mu for the next dialEpoch).
-		addrs := append([]string(nil), addrs...)
-		g := &replicaGroup{part: pi, addrs: addrs, stats: make([]*replicaStats, len(addrs)), admitCh: make(chan struct{}, 1)}
-		g.budget.Store(c.hedgeBurstMilli)
-		for slot := range addrs {
-			g.stats[slot] = new(replicaStats)
-		}
-		ep.groups = append(ep.groups, g)
-		for slot := range addrs {
-			n, err := c.dialNode(g, addrs[slot], g.stats[slot], nil, false)
-			if err != nil {
-				closeEpochNodes(ep)
-				return nil, err
-			}
-			g.members = append(g.members, n)
-		}
-	}
-	// Seed the rank-base correction counters from the nodes' live
-	// counts (v3 hello, live minus baseline = absorbed inserts), so a
-	// fresh client — or a Redial after writes whose acks were lost to
-	// the failure — answers consistently against nodes an earlier
-	// session wrote to. Seeding happens only here, never on rejoin: at
-	// dial time this client has no insert in flight, so the advertised
-	// counts cannot double-count with a later ack credit.
-	//dc:ignore lockguard epoch not yet published, dial is single-threaded
-	for _, g := range ep.groups {
-		for _, n := range g.members {
-			if d := int64(n.liveCount - n.keyCount); d > 0 {
-				for {
-					cur := c.ins[g.part].Load()
-					if d <= cur || c.ins[g.part].CompareAndSwap(cur, d) {
-						break
-					}
-				}
-			}
-		}
-	}
-	//dc:ignore lockguard epoch not yet published, dial is single-threaded
-	for _, g := range ep.groups {
-		for _, n := range g.members {
-			ep.wg.Add(2)
-			go n.sendLoop(ep)
-			go n.readLoop(ep)
-		}
-	}
+	ep := &epoch{c: c}
+	ep.ctx, ep.cancel = context.WithCancelCause(context.Background())
 	if c.opt.Hedging.Quantile > 0 {
 		ep.hedger = &hedger{c: c, ep: ep, wake: make(chan struct{}, 1)}
 		ep.wg.Add(1)
 		go ep.hedger.loop()
+	}
+	// The whole structure exists before the first loop starts: a
+	// connection that drops mid-dial departs (and may fail the epoch)
+	// against complete groups.
+	var all []*replica
+	for pi, addrs := range c.groups {
+		g := &replicaGroup{part: pi, budget: c.hedgeBurstMilli, admitCh: make(chan struct{}, 1)}
+		for _, addr := range addrs {
+			g.replicas = append(g.replicas, &replica{g: g, addr: addr})
+		}
+		all = append(all, g.replicas...)
+		ep.groups = append(ep.groups, g)
+	}
+	for _, r := range all {
+		n, err := c.dialNode(ep.ctx, r, false)
+		if err == nil {
+			// Seed the rank-base correction counters from the nodes' live
+			// counts (v3 hello, live minus baseline = absorbed inserts), so
+			// a fresh client — or a Redial after writes whose acks were lost
+			// to the failure — answers consistently against nodes an earlier
+			// session wrote to. Seeding happens only here, never on rejoin:
+			// at dial time this client has no insert in flight, so the
+			// advertised counts cannot double-count with a later ack credit.
+			ins, d := &c.ins[r.g.part], int64(n.liveCount-n.keyCount)
+			for cur := ins.Load(); d > cur && !ins.CompareAndSwap(cur, d); cur = ins.Load() {
+			}
+			err = c.admit(ep, r, n, evDial)
+		}
+		if err != nil {
+			// The epoch's own cause wins: a partition that lost its last
+			// connection mid-dial explains the aborted dials after it.
+			ep.fail(err)
+			ep.wg.Wait()
+			return nil, ep.Err()
+		}
+	}
+	// From here on a replica that (re)connects must prove it holds the
+	// inserts the nodes reported: admission turns into catch-up.
+	for _, g := range ep.groups {
+		g.mu.Lock()
+		g.written = c.ins[g.part].Load() > 0
+		g.mu.Unlock()
 	}
 	return ep, nil
 }
 
 // dialNode dials one replica address and verifies via the hello
 // handshake that it serves the expected partition. Shared by the
-// initial dial, Redial, the rejoin loop, and AddReplica. A non-nil
-// abort channel cancels an in-flight dial or hello the moment it closes
-// (the rejoin loop passes ep.failed, so Close never waits out a dial
-// timeout against a dead replica). joinOK additionally accepts an
-// unassigned join node — zero identity, protocol v6+ — which the caller
-// (AddReplica) then assigns an identity with OpAddReplica before any
-// loop starts.
-func (c *Cluster) dialNode(g *replicaGroup, addr string, st *replicaStats, abort <-chan struct{}, joinOK bool) (*clusterNode, error) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var connMu sync.Mutex
-	var conn net.Conn
-	if abort != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-abort:
-				cancel()
-				connMu.Lock()
-				if conn != nil {
-					conn.Close()
-				}
-				connMu.Unlock()
-			case <-stop:
-			}
-		}()
-	}
-	var dialed net.Conn
-	var err error
-	if c.opt.Dialer != nil {
-		dctx, dcancel := context.WithTimeout(ctx, c.opt.Timeout)
-		dialed, err = c.opt.Dialer(dctx, addr)
-		dcancel()
-	} else {
-		d := net.Dialer{Timeout: c.opt.Timeout}
-		dialed, err = d.DialContext(ctx, "tcp", addr)
-	}
+// epoch's dial, the rejoin loop, and AddReplica. Cancelling ctx aborts
+// an in-flight dial or hello at once (callers pass the epoch's context,
+// so Close never waits out a dial timeout against a dead replica).
+// joinOK additionally accepts an unassigned join node — zero identity,
+// protocol v6+ — which the caller (AddReplica) then assigns an identity
+// with OpAddReplica before any loop starts.
+func (c *Cluster) dialNode(ctx context.Context, r *replica, joinOK bool) (*clusterNode, error) {
+	part := r.g.part
+	dctx, cancel := context.WithTimeout(ctx, c.opt.Timeout)
+	conn, err := c.opt.Dialer(dctx, r.addr)
+	cancel()
 	if err != nil {
-		return nil, fmt.Errorf("netrun: dial partition %d replica %s: %w", g.part, addr, err)
+		return nil, fmt.Errorf("netrun: dial partition %d replica %s: %w", part, r.addr, err)
 	}
-	connMu.Lock()
-	conn = dialed
-	if abort != nil {
-		select {
-		case <-abort:
-			// The watcher may have checked conn before it was set;
-			// re-check here so an abort always closes the connection
-			// (at worst the hello below fails immediately).
-			conn.Close()
-		default:
-		}
-	}
-	connMu.Unlock()
-	opT := c.opt.OpTimeout
-	if opT < 0 {
-		opT = 0
-	}
+	// An abort mid-hello closes the connection under it.
+	defer context.AfterFunc(ctx, func() { conn.Close() })()
 	n := &clusterNode{
-		g:         g,
-		st:        st,
-		addr:      addr,
+		r:         r,
 		conn:      conn,
 		bc:        newBufferedConn(conn),
-		opTimeout: opT,
+		opTimeout: max(c.opt.OpTimeout, 0),
 		pending:   map[uint32]inflight{},
 	}
 	n.cond = sync.NewCond(&n.mu)
-	if err := hello(n, c.part.Load().Parts[g.part], c.opt.Timeout, c.helloVer, joinOK); err != nil {
+	if err := hello(n, c.part.Load().Parts[part], c.opt.Timeout, c.helloVer, joinOK); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("netrun: partition %d replica %s: %w", g.part, addr, err)
+		return nil, fmt.Errorf("netrun: partition %d replica %s: %w", part, r.addr, err)
 	}
 	return n, nil
-}
-
-func closeEpochNodes(ep *epoch) {
-	//dc:ignore lockguard only called while dialing, before the epoch is published
-	for _, g := range ep.groups {
-		for _, n := range g.members {
-			n.conn.Close()
-		}
-	}
 }
 
 // exchange performs one synchronous request/reply on a connection no
@@ -1143,428 +767,36 @@ func hello(n *clusterNode, want core.Partition, timeout time.Duration, ver uint3
 	return nil
 }
 
-// failNode is the single owner of a replica's death: it closes the
-// connection, drops the replica from its group (failing the epoch when
-// it was the partition's last member), settles every queued and
-// in-flight pending, and spawns the rejoin loop. Exactly-once per node;
-// both loops and any protocol-violation path funnel through it, so a
-// pending is collected by precisely one actor.
-func (c *Cluster) failNode(ep *epoch, n *clusterNode, err error) {
-	n.failOnce.Do(func() {
-		n.stats().failures.Add(1)
-		n.conn.Close()
-		g := n.g
-		if g.remove(n) == 0 {
-			ep.fail(fmt.Errorf("netrun: partition %d lost its last replica (%s): %w", g.part, n.addr, err))
-		}
-		c.settlePending(ep, n, err)
-		ep.goRejoin(g, n.addr, n.st)
-	})
-}
-
-// settlePending takes everything a departed member still owed — hold
-// queue, send queue, in-flight table — and resolves each pending by its
-// op's loss policy: reads fail over, writes settle against the
-// survivors, pinned catch-up and membership frames abort. Shared by
-// failNode and the drain teardown; the member has already left
-// g.members, and err is its cause of departure.
-func (c *Cluster) settlePending(ep *epoch, n *clusterNode, err error) {
-	g := n.g
-	// A catching-up member's held inserts go with it: every held
-	// pending was also fanned out to the surviving members, which now
-	// define the group's state. hasV3 records whether a surviving
-	// *full* v3 member exists: completing a swept insert as success is
-	// only honest when one does. A catching-up member does not count —
-	// writes fanned out before its admission are in neither its hold
-	// queue nor a snapshot it can still load once its source died — so
-	// those writes fail conservatively instead (the caller may retry;
-	// inserts are idempotent only as multiset adds, and an error makes
-	// the uncertainty explicit rather than acking a write no live node
-	// holds).
-	g.mu.Lock()
-	held := n.holdq
-	n.holdq = nil
-	n.catchingUp = false
-	hasV3 := false
-	for _, m := range g.members {
-		if m.version >= ProtoV3 && !m.catchingUp {
-			hasV3 = true
-			break
-		}
-	}
-	g.mu.Unlock()
-	for _, p := range n.collectPending(held) {
-		row := &opTable[p.op]
-		switch row.onLoss {
-		case lossSettle:
-			switch {
-			case ep.Err() != nil:
-				c.finish(p, ep.err)
-			case hasV3:
-				c.finish(p, nil)
-			default:
-				c.finish(p, fmt.Errorf("netrun: partition %d lost its last full protocol-v3 replica (%s) with a write in flight: %w", g.part, n.addr, err))
-			}
-		case lossAbort:
-			c.finish(p, fmt.Errorf("netrun: %s pinned to partition %d replica %s interrupted: %w", row.name, g.part, n.addr, err))
-		case lossRedispatch:
-			// A read already claimed by a hedge (or a racing reply)
-			// needs nothing from this chain — drop the reference.
-			if p.claimed.Load() {
-				c.release(p)
-			} else {
-				c.route(ep, g, p)
-			}
-		default:
-			// Not a pending kind: nothing enqueues one, and re-routing a
-			// request with no loss policy could only be wrong.
-			c.finish(p, fmt.Errorf("netrun: %s request on partition %d replica %s has no loss policy: %w", row.name, g.part, n.addr, err))
-		}
-	}
-}
-
-// goRejoin starts the background rejoin loop for a failed replica,
-// keyed by its address and stats (not a group slot — live membership
-// reshapes the group's slices), unless the epoch is already terminal.
-// The wg.Add is safe against Close's Wait because every caller runs on
-// a goroutine the WaitGroup already counts.
-func (ep *epoch) goRejoin(g *replicaGroup, addr string, st *replicaStats) {
-	select {
-	case <-ep.failed:
-		return
-	default:
-	}
-	ep.wg.Add(1)
-	go ep.c.rejoinLoop(ep, g, addr, st)
-}
-
-// rejoinLoop re-dials a failed replica with capped exponential backoff
-// until the dial and hello verification succeed (the replica rejoins
-// its group and fresh send/read loops start) or the epoch ends. Callers
-// are never interrupted: rejoining only grows the healthy member set.
-// A replica rejoining a partition this client has written to is stale —
-// its process restarted with the baseline key set — so it first catches
-// up from a sibling's snapshot (readmitWithCatchUp) before it serves
-// reads; a pre-v3 replica can never catch up and keeps backing off
-// until the operator replaces it.
-func (c *Cluster) rejoinLoop(ep *epoch, g *replicaGroup, addr string, st *replicaStats) {
-	defer ep.wg.Done()
-	backoff := c.opt.Rejoin.Backoff
-	for {
-		select {
-		case <-ep.failed:
-			return
-		case <-time.After(jitterBackoff(backoff)):
-		}
-		// A drained replica's config entry is gone: stop re-dialing it
-		// (benign race — a drain racing this replica's failure leaves
-		// the loop running one iteration past the removal).
-		g.mu.Lock()
-		configured := false
-		for i, a := range g.addrs {
-			if a == addr && g.stats[i] == st {
-				configured = true
-				break
-			}
-		}
-		g.mu.Unlock()
-		if !configured {
-			return
-		}
-		n, err := c.dialNode(g, addr, st, ep.failed, false)
-		if err != nil {
-			backoff = nextBackoff(backoff, c.opt.Rejoin.MaxBackoff)
-			continue
-		}
-		// Install under g.mu, re-checking the terminal flag: ep.fail
-		// closes failed before sweeping members under the same mutex,
-		// so the new member is either refused here or swept there —
-		// never leaked. The no-writes decision is taken in the same mu
-		// section the write fan-out uses, so a concurrent first insert
-		// either precedes it (writes > 0, catch-up required) or sees
-		// the freshly installed member and fans to it directly — the
-		// replica can never plainly install in an in-flight write's
-		// blind spot. g.writes covers this epoch; the acked counters
-		// cover writes from before a Redial (the nodes retain them).
-		g.mu.Lock()
-		select {
-		case <-ep.failed:
-			g.mu.Unlock()
-			n.conn.Close()
-			return
-		default:
-		}
-		if g.writes == 0 && c.ins[g.part].Load() == 0 {
-			g.members = append(g.members, n)
-			g.mu.Unlock()
-			n.stats().rejoins.Add(1)
-			ep.wg.Add(2)
-			go n.sendLoop(ep)
-			go n.readLoop(ep)
-			return
-		}
-		g.mu.Unlock()
-		// The group has absorbed writes: the baseline replica is stale.
-		if n.version < ProtoV3 {
-			// Stale forever: it cannot receive the missed writes.
-			n.conn.Close()
-			backoff = nextBackoff(backoff, c.opt.Rejoin.MaxBackoff)
-			continue
-		}
-		if c.readmitWithCatchUp(ep, g, n) {
-			return // admitted; failNode owns any later failure
-		}
-		// No snapshot source right now; retry from scratch.
-		n.conn.Close()
-		backoff = nextBackoff(backoff, c.opt.Rejoin.MaxBackoff)
-		continue
-	}
-}
-
-// nextBackoff doubles a rejoin delay, capped at max.
-func nextBackoff(d, max time.Duration) time.Duration {
-	if d *= 2; d > max {
-		return max
-	}
-	return d
-}
-
-// jitterBackoff spreads a rejoin sleep uniformly over [d/2, d): when
-// one machine death drops several replicas at once, their rejoin dials
-// de-correlate instead of thundering back at the recovering node in
-// lockstep at every doubling.
-func jitterBackoff(d time.Duration) time.Duration {
-	if d < 2 {
-		return d
-	}
-	return d/2 + rand.N(d/2)
-}
-
-// readmitWithCatchUp admits n as a catching-up member — write fan-outs
-// reach it through its hold queue, reads skip it — then loads a healthy
-// sibling's snapshot into it and promotes it to full membership. The
-// g.mu section that admits n also enqueues the snapshot request on the
-// sibling, so every concurrent write fan-out either precedes the
-// snapshot request in the sibling's FIFO (and is therefore in the
-// snapshot n loads) or sees n as a member (and lands in its hold queue,
-// flushed after the load) — each write reaches n exactly once.
-//
-// When both the rejoiner and the sibling are durable v4 nodes with a
-// known chain, the catch-up asks for the insert tail since the
-// rejoiner's own durable position instead of the full key set
-// (OpSnapshotSince): a rejoining replica already holds everything it
-// fsynced before the crash, so only the writes it missed move over the
-// wire. The sibling falls back to a full payload by itself when it
-// compacted past that position or the chains diverge; a delta the
-// rejoiner *refuses* (it durably logged writes the sibling never acked
-// — divergent histories) aborts the admission with a sticky full-
-// snapshot demand, because switching payload kinds mid-admission would
-// let writes land twice (the hold-queue cut belongs to the original
-// request).
-//
-// It returns false when n was not admitted (no v3 sibling to snapshot
-// from; the caller retries later). Once n is admitted, every failure
-// funnels through failNode — which owns cleanup and schedules the next
-// rejoin — and the function returns true so the calling loop exits.
-func (c *Cluster) readmitWithCatchUp(ep *epoch, g *replicaGroup, n *clusterNode) bool {
-	snapP := c.getPending()
-	snapP.op = OpSnapshot
-	snapP.done = make(chan *pending, 1)
-	g.mu.Lock()
-	select {
-	case <-ep.failed:
-		g.mu.Unlock()
-		n.conn.Close()
-		c.putPending(snapP)
-		return true // the epoch is over; nothing left to rejoin
-	default:
-	}
-	var sib *clusterNode
-	for i := range g.members {
-		m := g.members[(g.cursor+i+1)%len(g.members)]
-		if m != n && !m.catchingUp && m.version >= ProtoV3 {
-			sib = m
-			break
-		}
-	}
-	if sib == nil {
-		g.mu.Unlock()
-		c.putPending(snapP)
-		return false
-	}
-	useDelta := n.version >= ProtoV4 && sib.version >= ProtoV4 &&
-		n.chain != 0 && sib.chain != 0 && !n.stats().forceFull.Load()
-	if useDelta {
-		snapP.op = OpSnapshotSince
-		rejGen := uint64(n.liveCount - n.keyCount)
-		snapP.keys = append(snapP.keys[:0],
-			uint32(rejGen), uint32(rejGen>>32),
-			uint32(n.chain), uint32(n.chain>>32))
-	}
-	snapP.refs.Store(2)
-	if ok, _ := sib.enqueue(snapP, c.reqID.Add(1), 0); !ok {
-		g.mu.Unlock()
-		c.putPending(snapP)
-		return false
-	}
-	sib.stats().dispatched.Add(1)
-	n.catchingUp = true
-	g.members = append(g.members, n)
-	g.mu.Unlock()
-	ep.wg.Add(2)
-	go n.sendLoop(ep)
-	go n.readLoop(ep)
-
-	p := <-snapP.done
-	err := p.err
-	snapKeys := append([]uint32(nil), p.reply...)
-	c.release(p)
-	if err != nil {
-		if useDelta {
-			n.stats().forceFull.Store(true)
-		}
-		c.failNode(ep, n, fmt.Errorf("netrun: catch-up snapshot for partition %d: %w", g.part, err))
-		return true
-	}
-	wasDelta := false
-	loadP := c.getPending()
-	if useDelta {
-		if len(snapKeys) < snapDeltaHeader {
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s sent a truncated positioned snapshot (%d words)", g.part, sib.addr, len(snapKeys)))
-			return true
-		}
-		wasDelta = snapKeys[0] == snapKindDelta
-		loadP.op = OpLoadAt
-	} else {
-		loadP.op = OpLoad
-	}
-	loadP.keys = append(loadP.keys, snapKeys...)
-	loadP.done = make(chan *pending, 1)
-	loadP.refs.Store(2)
-	if ok, _ := n.enqueue(loadP, c.reqID.Add(1), 0); !ok {
-		// n died already; its failNode swept the hold queue.
-		c.putPending(loadP)
-		return true
-	}
-	n.stats().dispatched.Add(1)
-	p = <-loadP.done
-	err = p.err
-	c.release(p)
-	if err != nil {
-		if useDelta {
-			n.stats().forceFull.Store(true)
-		}
-		c.failNode(ep, n, fmt.Errorf("netrun: catch-up load for partition %d: %w", g.part, err))
-		return true
-	}
-	if wasDelta {
-		c.deltaCatchups.Add(1)
-	}
-	n.stats().forceFull.Store(false)
-	// Promote: flush the held writes onto the connection — they follow
-	// the load frame in the FIFO, so the reset cannot wipe them — and
-	// open the member to reads.
-	g.mu.Lock()
-	n.catchingUp = false
-	held := n.holdq
-	n.holdq = nil
-	for _, hp := range held {
-		if ok, _ := n.enqueue(hp, c.reqID.Add(1), 0); ok {
-			n.stats().dispatched.Add(1)
-		} else {
-			// n died between the load ack and the flush; the survivors
-			// hold the write (the insert sweep semantics).
-			c.finish(hp, nil)
-		}
-	}
-	g.mu.Unlock()
-	n.stats().rejoins.Add(1)
-	return true
-}
-
-// hedgeDelay is how long a read frame may sit on this replica before it
-// is hedged: the partition's fastest view of its own read latency — the
-// minimum of the group members' windowed quantiles — floored by
-// Hedging.MinDelay (which also covers the cold start before any history),
-// and capped below the op timeout so a hedge always beats a timeout.
-// The group minimum rather than n's own quantile matters for exactly
-// the gray case: a uniformly slow replica inflates its own quantile and
-// would otherwise never look overdue to the hedger.
-func (n *clusterNode) hedgeDelay(c *Cluster) time.Duration {
-	d := time.Duration(n.stats().hedgeNs.Load())
-	n.g.mu.Lock()
-	for _, m := range n.g.members {
-		if m == n || m.catchingUp {
-			continue
-		}
-		s := m.stats()
-		if s.state.Load() >= rsEjected {
-			continue
-		}
-		if q := time.Duration(s.hedgeNs.Load()); q > 0 && (d == 0 || q < d) {
-			d = q
-		}
-	}
-	n.g.mu.Unlock()
-	if d < c.opt.Hedging.MinDelay {
-		d = c.opt.Hedging.MinDelay
-	}
-	if n.opTimeout > 0 && d > n.opTimeout/2 {
-		d = n.opTimeout / 2
-	}
-	return d
-}
-
-// route stamps p's registration with a fresh request id and hands it to
-// an eligible healthy replica of g, retrying (with restamping) across
-// members until one accepts it. When the group is empty the epoch is
-// failing — the member that zeroed it invokes ep.fail before route can
-// observe the empty group grow stale — so waiting on ep.failed is
-// bounded and p completes with the root cause. A non-empty group with
-// no member eligible for p (e.g. only pre-v3 replicas left on a
-// partition this client has written to) fails p alone with a
-// descriptive error; the epoch stays healthy.
+// route hands p to an eligible replica of g, asking choose again (a
+// fresh request id each time) until one accepts it. A group with no
+// connection left means the epoch is failing — the departure that
+// emptied it invokes ep.fail — so waiting on the epoch is bounded and p
+// completes with the root cause. A group with connections but none
+// eligible for p (e.g. only pre-v3 replicas left on a partition this
+// client has written to) fails p alone with a descriptive error; the
+// epoch stays healthy. When every eligible replica is at the admission
+// cap, route parks until a slot frees instead of growing the queues.
 //
 // route owns one dispatch-chain reference to p (set up by dispatch, or
 // inherited from the swept chain on a failover re-route): terminal
 // paths finish the chain, a successful enqueue passes the reference on
-// to the connection. Hedgeable reads dispatch under the admission cap:
-// when every eligible replica is at MaxPending outstanding frames,
-// route parks until a slot frees instead of growing the queues.
+// to the connection.
 func (c *Cluster) route(ep *epoch, g *replicaGroup, p *pending) {
-	// Read p.op once, before the enqueue: a successful enqueue hands
-	// the chain reference to the connection, after which p may complete
-	// and recycle at any moment.
-	isRead := opTable[p.op].hedge
-	limit := 0
-	if isRead {
-		limit = c.maxPending
-	}
 	for {
 		if err := ep.Err(); err != nil {
 			c.finish(p, err)
 			return
 		}
-		n, empty := g.pickFor(c, p, nil)
-		if n == nil {
-			if !empty {
-				c.finish(p, fmt.Errorf("netrun: partition %d cannot serve the request: %s", g.part, g.describeIneligible(c, p)))
-				return
-			}
-			<-ep.failed
-			c.finish(p, ep.err)
+		switch v, why := g.choose(c, p, nil); v {
+		case sent:
 			return
-		}
-		ok, full := n.enqueue(p, c.reqID.Add(1), limit)
-		if ok {
-			n.stats().dispatched.Add(1)
-			if isRead {
-				g.earnHedge(c)
-			}
-			return
-		}
-		if full {
+		case parked:
 			g.waitAdmit(ep)
+		case refused:
+			c.finish(p, fmt.Errorf("netrun: partition %d cannot serve the request: %s", g.part, why))
+			return
+		case epochDead:
+			<-ep.ctx.Done()
 		}
 	}
 }
@@ -1577,6 +809,45 @@ func (c *Cluster) dispatch(ep *epoch, gi int, p *pending, out []int, done chan *
 	p.done = done
 	p.refs.Store(2)
 	c.route(ep, ep.groups[gi], p)
+}
+
+// begin opens a data-path call. It returns holding the pause read lock,
+// which the caller releases when the call ends (two uncontended atomic
+// ops): a partition split blocks new calls here, waits out the
+// in-flight ones, and swaps the routing table with nobody mid-scatter.
+// The epoch is loaded under it — a call that loaded the pre-split epoch
+// after the swap would fail spuriously. On error nothing is held.
+func (c *Cluster) begin() (*epoch, error) {
+	c.pause.RLock()
+	err := ErrClusterClosed
+	if ep := c.ep.Load(); ep != nil {
+		if err = ep.Err(); err == nil {
+			return ep, nil
+		}
+	}
+	c.pause.RUnlock()
+	return nil, err
+}
+
+// gather waits for n completions on done and returns the first error
+// among them. Each pending completes exactly once, failover or not, so
+// the count never changes under the caller. With keep nil every pending
+// is released as it arrives; otherwise it is kept at keep[p.posBase] for
+// the caller to compose from and release.
+func (c *Cluster) gather(done chan *pending, n int, keep []*pending) error {
+	var first error
+	for ; n > 0; n-- {
+		p := <-done
+		if p.err != nil && first == nil {
+			first = p.err
+		}
+		if keep != nil {
+			keep[p.posBase] = p
+		} else {
+			c.release(p)
+		}
+	}
+	return first
 }
 
 // LookupBatch routes queries to the owning partitions in batches and
@@ -1600,21 +871,30 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 	if len(out) < len(queries) {
 		return fmt.Errorf("netrun: out len %d < %d queries", len(out), len(queries))
 	}
-	// The pause read lock is held for the whole call (two uncontended
-	// atomic ops): a partition split blocks new calls here, waits out
-	// the in-flight ones, and swaps the routing table with nobody
-	// mid-scatter. The epoch must be loaded under it — a call that
-	// loaded the pre-split epoch after the swap would fail spuriously.
-	c.pause.RLock()
-	defer c.pause.RUnlock()
-	ep := c.ep.Load()
-	if ep == nil {
-		return ErrClusterClosed
-	}
-	if err := ep.Err(); err != nil {
+	return c.scatterInto(OpLookup, queries, out, c.opt.SortedBatches)
+}
+
+// scatterInto is the one-reply-element-per-key call skeleton behind
+// LookupBatchInto and MultiGetInto: split keys into per-partition
+// frames of op, dispatch them, and let the read loops scatter each
+// reply straight into out.
+//
+// Sorted-batch detection mirrors the in-process runtime: an ascending
+// run is routed with one boundary search per partition delimiter
+// instead of one Route per key, its pendings stay contiguous
+// (sequential scatter, no position array), and v2 connections carry
+// them as delta-coded frames. Unsorted input joins that path through
+// the pooled radix sort when sortAll is set; otherwise it accumulates
+// per partition in query order.
+//
+//dc:noalloc
+func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int, sortAll bool) error {
+	ep, err := c.begin()
+	if err != nil {
 		return err
 	}
-	if len(queries) == 0 {
+	defer c.pause.RUnlock()
+	if len(keys) == 0 {
 		return nil
 	}
 
@@ -1625,25 +905,15 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 	}
 	// Worst-case in flight: one full batch per BatchKeys run plus one
 	// final partial flush per partition. Sizing the gather channel to
-	// cover it means the read loops never block completing this call
-	// (failover re-dispatch never changes the completion count: each
-	// pending completes exactly once).
-	if need := len(queries)/c.batch + len(groups) + 1; cap(nc.done) < need {
+	// cover it means the read loops never block completing this call.
+	if need := len(keys)/c.batch + len(groups) + 1; cap(nc.done) < need {
 		nc.done = make(chan *pending, need)
 	}
-
-	// Sorted-batch detection mirrors the in-process runtime: an
-	// ascending run is routed with one boundary search per partition
-	// delimiter instead of one Route per key, its pendings stay
-	// contiguous (sequential scatter, no position array), and v2
-	// connections carry them as delta-coded frames. Unsorted input
-	// joins the path via the pooled radix sort when the caller opted in
-	// with DialOptions.SortedBatches.
-	runKeys := queries
+	runKeys := keys
 	var runPos []int32
-	sorted := core.SortedRun(queries)
-	if !sorted && c.opt.SortedBatches {
-		runKeys, runPos = nc.sort.SortByKey(queries)
+	sorted := core.SortedRun(keys)
+	if !sorted && sortAll {
+		runKeys, runPos = nc.sort.SortByKey(keys)
 		sorted = true
 	}
 
@@ -1652,9 +922,11 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 	if sorted {
 		core.ForEachSortedRun(part.Delimiters(), runKeys, c.batch, func(gi, start, end int) {
 			p := c.getPending()
+			p.op = op
 			p.sorted = true
-			for _, q := range runKeys[start:end] {
-				p.keys = append(p.keys, uint32(q))
+			p.keys = slices.Grow(p.keys, end-start)[:end-start]
+			for i, q := range runKeys[start:end] {
+				p.keys[i] = uint32(q)
 			}
 			if runPos != nil {
 				p.pos = append(p.pos, runPos[start:end]...)
@@ -1666,11 +938,12 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 			inflight++
 		})
 	} else {
-		for i, q := range queries {
+		for i, q := range keys {
 			gi := part.Route(q)
 			p := nc.accum[gi]
 			if p == nil {
 				p = c.getPending()
+				p.op = op
 				nc.accum[gi] = p
 			}
 			p.keys = append(p.keys, uint32(q))
@@ -1690,18 +963,9 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 			inflight++
 		}
 	}
-
-	var firstErr error
-	for inflight > 0 {
-		p := <-nc.done
-		inflight--
-		if p.err != nil && firstErr == nil {
-			firstErr = p.err
-		}
-		c.release(p)
-	}
+	err = c.gather(nc.done, inflight, nil)
 	c.calls.Put(nc)
-	return firstErr
+	return err
 }
 
 // Insert routes k to its owning partition and applies it to every
@@ -1736,15 +1000,11 @@ func (c *Cluster) Insert(k workload.Key) error {
 // Cluster.ins), which assumes this client is the deployment's only
 // writer; concurrent writing clients would need the counters shared.
 func (c *Cluster) InsertBatch(keys []workload.Key) error {
-	c.pause.RLock()
-	defer c.pause.RUnlock()
-	ep := c.ep.Load()
-	if ep == nil {
-		return ErrClusterClosed
-	}
-	if err := ep.Err(); err != nil {
+	ep, err := c.begin()
+	if err != nil {
 		return err
 	}
+	defer c.pause.RUnlock()
 	if len(keys) == 0 {
 		return nil
 	}
@@ -1756,9 +1016,9 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 		gi := part.Route(k)
 		perPart[gi] = append(perPart[gi], uint32(k))
 	}
-	// Near-worst-case fan-out pendings: every chunk to every current
-	// member plus slack for one concurrent AddReplica; sizing the
-	// gather channel to cover it keeps the read loops from blocking on
+	// Near-worst-case fan-out pendings: every chunk to every configured
+	// replica plus slack for one concurrent AddReplica; sizing the gather
+	// channel to cover it keeps the read loops from blocking on
 	// completions. (A replica admitted mid-call beyond the slack only
 	// stalls a read loop momentarily — this gather loop always drains.)
 	bound := 0
@@ -1766,22 +1026,67 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 		if len(pk) > 0 {
 			g := groups[gi]
 			g.mu.Lock()
-			m := len(g.members)
+			bound += (len(pk)/c.batch + 1) * (len(g.replicas) + 1)
 			g.mu.Unlock()
-			bound += (len(pk)/c.batch + 1) * (m + 1)
 		}
 	}
 	done := make(chan *pending, bound)
 	inflight := 0
 	var firstErr error
-	// credit counts a gathered fan-out pending against its chunk and,
-	// once the chunk is fully and cleanly acked, credits the
-	// partition's rank-base counter. Per-chunk (not per-call) credit
-	// keeps the counters truthful under partial failure: a chunk whose
-	// replicas all applied is counted even when a later chunk errors —
-	// the nodes hold those keys, so the read path must shift for them
-	// — while a chunk that errored is not.
-	credit := func(p *pending) {
+	for gi, pk := range perPart {
+		g := groups[gi]
+		for start := 0; start < len(pk); start += c.batch {
+			chunk := pk[start:min(start+c.batch, len(pk))]
+			ck := &insChunk{part: gi, n: len(chunk)}
+			// Fan out under g.mu: lifecycle moves (a replica dying, a
+			// rejoiner being admitted) serialize against the fan-out,
+			// which is what makes the catch-up snapshot protocol
+			// exactly-once (see admit).
+			g.mu.Lock()
+			for _, r := range g.replicas {
+				if !r.can(useWrite, ProtoV3) {
+					continue
+				}
+				p := c.getPending()
+				p.op = OpInsert
+				p.keys = append(p.keys, chunk...)
+				p.chunk = ck
+				if r.state == stSyncing {
+					p.done = done
+					p.refs.Store(2)
+					r.held = append(r.held, p)
+					ck.remaining++
+				} else if c.post(r.node, p, done) {
+					ck.remaining++
+				}
+				// A connection that refused is being failed; the
+				// survivors (and its own future catch-up) cover the write.
+			}
+			g.written = g.written || ck.remaining > 0
+			live := ck.remaining > 0 || g.connected() > 0
+			g.mu.Unlock()
+			inflight += ck.remaining
+			if ck.remaining == 0 {
+				err := fmt.Errorf("netrun: partition %d has no protocol-v3 replica to accept writes", gi)
+				if !live {
+					<-ep.ctx.Done()
+					err = ep.Err()
+				}
+				if firstErr == nil {
+					firstErr = err
+				}
+				break
+			}
+		}
+	}
+	// Gather, counting each fan-out pending against its chunk; a chunk
+	// fully and cleanly acked credits the partition's rank-base counter.
+	// Per-chunk (not per-call) credit keeps the counters truthful under
+	// partial failure: a chunk whose replicas all applied is counted even
+	// when a later chunk errors — the nodes hold those keys, so the read
+	// path must shift for them — while a chunk that errored is not.
+	for ; inflight > 0; inflight-- {
+		p := <-done
 		ck := p.chunk
 		if p.err != nil {
 			if firstErr == nil {
@@ -1793,71 +1098,6 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 			c.ins[ck.part].Add(int64(ck.n))
 		}
 		c.release(p)
-	}
-	for gi, pk := range perPart {
-		if len(pk) == 0 {
-			continue
-		}
-		g := groups[gi]
-		for start := 0; start < len(pk); start += c.batch {
-			end := min(start+c.batch, len(pk))
-			chunk := pk[start:end]
-			ck := &insChunk{part: gi, n: len(chunk)}
-			// Fan out under g.mu: membership changes (a replica dying,
-			// a rejoiner being admitted) serialize against the fan-out,
-			// which is what makes the catch-up snapshot protocol
-			// exactly-once (see readmitWithCatchUp).
-			targets, members := 0, 0
-			g.mu.Lock()
-			members = len(g.members)
-			for _, m := range g.members {
-				if m.version < ProtoV3 {
-					continue
-				}
-				p := c.getPending()
-				p.op = OpInsert
-				p.keys = append(p.keys, chunk...)
-				p.done = done
-				p.chunk = ck
-				p.refs.Store(2)
-				if m.catchingUp {
-					m.holdq = append(m.holdq, p)
-					targets++
-					continue
-				}
-				if ok, _ := m.enqueue(p, c.reqID.Add(1), 0); ok {
-					m.stats().dispatched.Add(1)
-					targets++
-				} else {
-					// The member is being failed; the survivors (and
-					// its own future catch-up) cover the write. p never
-					// escaped, so it recycles directly.
-					c.putPending(p)
-				}
-			}
-			if targets > 0 {
-				g.writes++
-			}
-			g.mu.Unlock()
-			ck.remaining = targets
-			inflight += targets
-			if targets == 0 {
-				var err error
-				if members == 0 {
-					<-ep.failed
-					err = ep.err
-				} else {
-					err = fmt.Errorf("netrun: partition %d has no protocol-v3 replica to accept writes", gi)
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				break
-			}
-		}
-	}
-	for ; inflight > 0; inflight-- {
-		credit(<-done)
 	}
 	return firstErr
 }
@@ -1874,41 +1114,32 @@ func (c *Cluster) replicas() []ReplicaHealth {
 	if ep == nil {
 		return nil
 	}
-	type liveInfo struct {
-		syncing bool
-		proto   uint32
-	}
 	var out []ReplicaHealth
 	for _, g := range ep.groups {
 		g.mu.Lock()
-		addrs := append([]string(nil), g.addrs...)
-		stats := append([]*replicaStats(nil), g.stats...)
-		live := make(map[*replicaStats]liveInfo, len(g.members))
-		for _, m := range g.members {
-			live[m.st] = liveInfo{syncing: m.catchingUp, proto: m.version}
+		for _, r := range g.replicas {
+			h := ReplicaHealth{
+				Partition:    g.part,
+				Addr:         r.addr,
+				Healthy:      r.node != nil,
+				Syncing:      r.state == stSyncing,
+				Dispatched:   r.dispatched.Load(),
+				Failures:     r.life[cFailures].Load(),
+				Rejoins:      r.life[cRejoins].Load(),
+				State:        healthName[r.state],
+				LatencyEWMA:  time.Duration(r.ewmaNs.Load()),
+				Hedges:       r.hedges.Load(),
+				Ejections:    r.life[cEjections].Load(),
+				Probes:       r.life[cProbes].Load(),
+				Readmits:     r.life[cReadmits].Load(),
+				BudgetDenied: r.budgetDenied.Load(),
+			}
+			if r.node != nil {
+				h.Proto = r.node.version
+			}
+			out = append(out, h)
 		}
 		g.mu.Unlock()
-		for i, addr := range addrs {
-			s := stats[i]
-			li, alive := live[s]
-			out = append(out, ReplicaHealth{
-				Partition:    g.part,
-				Addr:         addr,
-				Healthy:      alive,
-				Syncing:      li.syncing,
-				Proto:        li.proto,
-				Dispatched:   s.dispatched.Load(),
-				Failures:     s.failures.Load(),
-				Rejoins:      s.rejoins.Load(),
-				State:        stateName(s.state.Load()),
-				LatencyEWMA:  time.Duration(s.ewmaNs.Load()),
-				Hedges:       s.hedges.Load(),
-				Ejections:    s.ejections.Load(),
-				Probes:       s.probes.Load(),
-				Readmits:     s.readmits.Load(),
-				BudgetDenied: s.budgetDenied.Load(),
-			})
-		}
 	}
 	return out
 }
@@ -1964,7 +1195,7 @@ func (c *Cluster) Stats() ClusterStats {
 	}
 }
 
-// errReplicaDrained is the cause a drained member's swept pendings see.
+// errReplicaDrained is the cause a drained replica's swept pendings see.
 var errReplicaDrained = errors.New("netrun: replica drained")
 
 // errSplitReconfig retires the pre-split epoch once every node of the
@@ -1973,6 +1204,21 @@ var errReplicaDrained = errors.New("netrun: replica drained")
 // are torn down wholesale (the same mechanism Redial rides, except
 // SplitPartition immediately dials the successor epoch itself).
 var errSplitReconfig = errors.New("netrun: epoch retired by partition split")
+
+// reshaping opens a membership verb on partition part: the cluster must
+// be open and its epoch healthy, and the partition must exist.
+//
+//dc:holds c.mu
+func (c *Cluster) reshaping(part int) (*epoch, *core.Partitioning, error) {
+	if err := c.Err(); err != nil {
+		return nil, nil, err
+	}
+	pt := c.part.Load()
+	if part < 0 || part >= len(pt.Parts) {
+		return nil, nil, fmt.Errorf("netrun: partition %d out of range [0,%d)", part, len(pt.Parts))
+	}
+	return c.ep.Load(), pt, nil
+}
 
 // AddReplica joins a new replica at addr into partition part's group
 // without restarting the epoch. The node may be an unassigned join node
@@ -1989,32 +1235,20 @@ var errSplitReconfig = errors.New("netrun: epoch retired by partition split")
 func (c *Cluster) AddReplica(part int, addr string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClusterClosed
-	}
-	ep := c.ep.Load()
-	if ep == nil {
-		return ErrClusterClosed
-	}
-	if err := ep.Err(); err != nil {
+	ep, pt, err := c.reshaping(part)
+	if err != nil {
 		return err
-	}
-	pt := c.part.Load()
-	if part < 0 || part >= len(pt.Parts) {
-		return fmt.Errorf("netrun: partition %d out of range [0,%d)", part, len(pt.Parts))
 	}
 	g := ep.groups[part]
 	g.mu.Lock()
-	for _, a := range g.addrs {
-		if a == addr {
-			g.mu.Unlock()
-			return fmt.Errorf("netrun: partition %d already has replica %s", part, addr)
-		}
-	}
+	dup := slices.ContainsFunc(g.replicas, func(r *replica) bool { return r.addr == addr })
 	g.mu.Unlock()
+	if dup {
+		return fmt.Errorf("netrun: partition %d already has replica %s", part, addr)
+	}
 
-	st := new(replicaStats)
-	n, err := c.dialNode(g, addr, st, nil, true)
+	r := &replica{g: g, addr: addr}
+	n, err := c.dialNode(ep.ctx, r, true)
 	if err != nil {
 		return err
 	}
@@ -2041,46 +1275,24 @@ func (c *Cluster) AddReplica(part int, addr string) error {
 		n.rankBase, n.keyCount, n.liveCount = want.RankBase, len(want.Keys), len(want.Keys)
 	}
 
-	// Register the address: Stats lists it, a later failure re-dials
-	// it, and the rewritten config carries it into the next dialEpoch.
-	// Plain admission is sound only while the partition is pristine
-	// (no write fanned out this epoch, no insert recorded); decided in
-	// the same g.mu section the write fan-out uses, exactly like the
-	// rejoin path.
+	// List the record — Stats shows it, write fan-outs see it once it is
+	// connected — then admit the connection exactly as a rejoin would: a
+	// pristine partition installs it plainly, one that absorbed writes
+	// this baseline node never saw holds its writes and catches it up
+	// from a sibling first (a join node carries no durable chain, so
+	// that is always the full-snapshot payload).
 	g.mu.Lock()
-	g.addrs = append(g.addrs, addr)
-	g.stats = append(g.stats, st)
-	pristine := g.writes == 0 && c.ins[part].Load() == 0
-	if pristine {
-		select {
-		case <-ep.failed:
-			g.mu.Unlock()
-			n.conn.Close()
-			return ep.err
-		default:
-		}
-		g.members = append(g.members, n)
-	}
+	g.replicas = append(g.replicas, r)
 	g.mu.Unlock()
-	c.groups[part] = append(c.groups[part], addr)
-	if pristine {
-		// The wg.Add cannot race Close's or Redial's Wait: both take
-		// c.mu first, which this call holds.
-		ep.wg.Add(2)
-		go n.sendLoop(ep)
-		go n.readLoop(ep)
-		return nil
-	}
-	// The partition absorbed writes this baseline node never saw: admit
-	// it through the catch-up path (writes flow to its hold queue, reads
-	// skip it until a sibling's snapshot lands). A join node carries no
-	// durable chain, so this always takes the full-snapshot payload.
-	if !c.readmitWithCatchUp(ep, g, n) {
+	if err := c.admit(ep, r, n, evDial); err != nil {
+		if ep.Err() != nil {
+			return err
+		}
 		// No snapshot source right now. The address is configured, so a
 		// rejoin loop finishes the admission in the background.
-		n.conn.Close()
-		ep.goRejoin(g, addr, st)
+		ep.goRejoin(r)
 	}
+	c.groups[part] = append(c.groups[part], addr)
 	return nil
 }
 
@@ -2088,7 +1300,7 @@ func (c *Cluster) AddReplica(part int, addr string) error {
 // without restarting the epoch: the address is deconfigured (so no
 // rejoin loop resurrects it), the node is quiesced over OpDrainReplica
 // (v6 — it stops absorbing writes and keeps its final state), and the
-// member's outstanding work is settled exactly the way a failed
+// connection's outstanding work is settled exactly the way a failed
 // replica's is — reads fail over to siblings, acked writes stand. The
 // node process itself keeps running and serving its index; it is simply
 // no longer part of this cluster. Draining the partition's only
@@ -2096,77 +1308,43 @@ func (c *Cluster) AddReplica(part int, addr string) error {
 func (c *Cluster) DrainReplica(part int, addr string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClusterClosed
-	}
-	ep := c.ep.Load()
-	if ep == nil {
-		return ErrClusterClosed
-	}
-	if err := ep.Err(); err != nil {
+	ep, _, err := c.reshaping(part)
+	if err != nil {
 		return err
-	}
-	pt := c.part.Load()
-	if part < 0 || part >= len(pt.Parts) {
-		return fmt.Errorf("netrun: partition %d out of range [0,%d)", part, len(pt.Parts))
 	}
 	g := ep.groups[part]
 
 	g.mu.Lock()
-	idx := -1
-	for i, a := range g.addrs {
-		if a == addr {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		g.mu.Unlock()
-		return fmt.Errorf("netrun: partition %d has no replica %s", part, addr)
-	}
-	if len(g.addrs) == 1 {
-		g.mu.Unlock()
-		return fmt.Errorf("netrun: refusing to drain partition %d's only replica %s", part, addr)
-	}
+	idx := slices.IndexFunc(g.replicas, func(r *replica) bool { return r.addr == addr })
 	var target *clusterNode
-	for _, m := range g.members {
-		if m.addr == addr {
-			target = m
-			break
-		}
+	if idx >= 0 {
+		target = g.replicas[idx].node
 	}
-	if target != nil {
-		if len(g.members) == 1 {
-			g.mu.Unlock()
-			return fmt.Errorf("netrun: refusing to drain partition %d's last live replica %s (its siblings are down)", part, addr)
-		}
-		if target.version < ProtoV6 {
-			g.mu.Unlock()
-			return fmt.Errorf("netrun: partition %d: replica %s speaks protocol v%d; live membership needs v6", part, addr, target.version)
-		}
+	switch {
+	case idx < 0:
+		err = fmt.Errorf("netrun: partition %d has no replica %s", part, addr)
+	case len(g.replicas) == 1:
+		err = fmt.Errorf("netrun: refusing to drain partition %d's only replica %s", part, addr)
+	case target == nil:
+		// Already down: deconfiguring it is the whole drain.
+	case g.connected() == 1:
+		err = fmt.Errorf("netrun: refusing to drain partition %d's last live replica %s (its siblings are down)", part, addr)
+	case target.version < ProtoV6:
+		err = fmt.Errorf("netrun: partition %d: replica %s speaks protocol v%d; live membership needs v6", part, addr, target.version)
 	}
-	// Deconfigure the address (a rejoin loop exits at its configured
-	// check) and stop dispatching new work to the member.
-	g.addrs = append(g.addrs[:idx], g.addrs[idx+1:]...)
-	g.stats = append(g.stats[:idx], g.stats[idx+1:]...)
-	if target != nil {
-		for i, m := range g.members {
-			if m == target {
-				g.members = append(g.members[:i], g.members[i+1:]...)
-				break
-			}
-		}
+	if err == nil {
+		// Deconfigure the address: off the list nothing dispatches new
+		// work to it, and the drained state stops its rejoin loop and
+		// turns the connection's departure below into a plain teardown.
+		g.transition(g.replicas[idx], evDrain)
+		g.replicas = slices.Delete(g.replicas, idx, idx+1)
 	}
 	g.mu.Unlock()
-	for i, a := range c.groups[part] {
-		if a == addr {
-			c.groups[part] = append(append([]string(nil), c.groups[part][:i]...), c.groups[part][i+1:]...)
-			break
-		}
+	if err != nil {
+		return err
 	}
+	c.groups[part] = slices.DeleteFunc(slices.Clone(c.groups[part]), func(a string) bool { return a == addr })
 	if target == nil {
-		// The replica was already down: deconfiguring it is the whole
-		// drain.
 		return nil
 	}
 
@@ -2174,27 +1352,16 @@ func (c *Cluster) DrainReplica(part int, addr string) error {
 	// nothing this cluster does can change state it no longer reports.
 	p := c.getPending()
 	p.op = OpDrainReplica
-	p.done = make(chan *pending, 1)
-	p.refs.Store(2)
-	var drainErr error
-	if ok, _ := target.enqueue(p, c.reqID.Add(1), 0); ok {
-		target.stats().dispatched.Add(1)
-		r := <-p.done
-		drainErr = r.err
-		c.release(r)
-	} else {
-		c.putPending(p)
-		drainErr = fmt.Errorf("netrun: partition %d replica %s died mid-drain", part, addr)
+	done := make(chan *pending, 1)
+	err = fmt.Errorf("netrun: partition %d replica %s died mid-drain", part, addr)
+	if c.post(target, p, done) {
+		err = c.gather(done, 1, nil)
 	}
-
-	// Tear the member down exactly once. Losing the failOnce race to a
-	// concurrent failNode is fine: the sweep ran there, and its rejoin
-	// loop exits at the deconfigured address.
-	target.failOnce.Do(func() {
-		target.conn.Close()
-		c.settlePending(ep, target, errReplicaDrained)
-	})
-	return drainErr
+	// Tear the connection down exactly once, settling what it still owes
+	// the way a failed replica's is. Losing the race to a concurrent
+	// failure is fine: the sweep ran there.
+	c.failNode(ep, target, errReplicaDrained)
+	return err
 }
 
 // SplitPartition divides partition part in two at the median of its
@@ -2217,19 +1384,9 @@ func (c *Cluster) DrainReplica(part int, addr string) error {
 func (c *Cluster) SplitPartition(part int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return ErrClusterClosed
-	}
-	ep := c.ep.Load()
-	if ep == nil {
-		return ErrClusterClosed
-	}
-	if err := ep.Err(); err != nil {
+	ep, pt, err := c.reshaping(part)
+	if err != nil {
 		return err
-	}
-	pt := c.part.Load()
-	if part < 0 || part >= len(pt.Parts) {
-		return fmt.Errorf("netrun: partition %d out of range [0,%d)", part, len(pt.Parts))
 	}
 	// Quiesce the data plane for the whole reshape: new calls block at
 	// the pause read lock, in-flight ones drain before Lock returns.
@@ -2237,38 +1394,27 @@ func (c *Cluster) SplitPartition(part int) error {
 	defer c.pause.Unlock()
 
 	// Preflight. Refusals here leave the cluster untouched.
+	var nodes []*clusterNode // the split partition's connections, in configuration order
 	for _, g := range ep.groups {
 		g.mu.Lock()
-		full := len(g.members) == len(g.addrs)
-		settled := true
-		for _, m := range g.members {
-			if m.catchingUp {
-				settled = false
+		ready := true
+		for _, r := range g.replicas {
+			ready = ready && r.can(useFull, 0)
+			if ready && g.part == part {
+				nodes = append(nodes, r.node)
 			}
 		}
 		g.mu.Unlock()
-		if !full || !settled {
+		if !ready {
 			return fmt.Errorf("netrun: partition %d has a down or syncing replica; a split re-dials every node, so the cluster must be fully healthy first", g.part)
 		}
 	}
-	tg := ep.groups[part]
-	tg.mu.Lock()
-	addrs := append([]string(nil), tg.addrs...)
-	byAddr := make(map[string]*clusterNode, len(tg.members))
-	for _, m := range tg.members {
-		byAddr[m.addr] = m
+	if len(nodes) < 2 {
+		return fmt.Errorf("netrun: partition %d has %d replica(s); a split needs at least one per half", part, len(nodes))
 	}
-	tg.mu.Unlock()
-	if len(addrs) < 2 {
-		return fmt.Errorf("netrun: partition %d has %d replica(s); a split needs at least one per half", part, len(addrs))
-	}
-	for _, a := range addrs {
-		m := byAddr[a]
-		if m == nil {
-			return fmt.Errorf("netrun: partition %d replica %s went down mid-preflight", part, a)
-		}
-		if m.version < ProtoV6 {
-			return fmt.Errorf("netrun: partition %d: replica %s speaks protocol v%d; live membership needs v6", part, a, m.version)
+	for _, n := range nodes {
+		if n.version < ProtoV6 {
+			return fmt.Errorf("netrun: partition %d: replica %s speaks protocol v%d; live membership needs v6", part, n.r.addr, n.version)
 		}
 	}
 
@@ -2292,11 +1438,12 @@ func (c *Cluster) SplitPartition(part int) error {
 
 	// Retarget every replica at its half: the first ceil(n/2) configured
 	// addresses keep the low half, the rest the high half.
-	done := make(chan *pending, len(addrs))
-	loCount := (len(addrs) + 1) / 2
+	done := make(chan *pending, len(nodes))
+	loCount := (len(nodes) + 1) / 2
 	sent := 0
 	var opErr error
-	for i, a := range addrs {
+	var addrs []string
+	for i, n := range nodes {
 		half, keep := lo, uint32(0)
 		if i >= loCount {
 			half, keep = hi, 1
@@ -2307,22 +1454,15 @@ func (c *Cluster) SplitPartition(part int) error {
 			uint32(half.RankBase), uint32(len(half.Keys)),
 			uint32(half.Keys[0]), uint32(half.Keys[len(half.Keys)-1]),
 			splitKey, keep)
-		p.done = done
-		p.refs.Store(2)
-		if ok, _ := byAddr[a].enqueue(p, c.reqID.Add(1), 0); !ok {
-			c.putPending(p)
-			opErr = fmt.Errorf("netrun: partition %d replica %s died before its split frame was sent", part, a)
+		addrs = append(addrs, n.r.addr)
+		if !c.post(n, p, done) {
+			opErr = fmt.Errorf("netrun: partition %d replica %s died before its split frame was sent", part, n.r.addr)
 			break
 		}
-		byAddr[a].stats().dispatched.Add(1)
 		sent++
 	}
-	for ; sent > 0; sent-- {
-		r := <-done
-		if r.err != nil && opErr == nil {
-			opErr = r.err
-		}
-		c.release(r)
+	if err := c.gather(done, sent, nil); opErr == nil {
+		opErr = err
 	}
 	if opErr != nil {
 		ep.fail(fmt.Errorf("netrun: partition %d split failed mid-reshape; node identities may be mixed — restore or restart the partition's nodes, then Redial: %w", part, opErr))
@@ -2337,17 +1477,9 @@ func (c *Cluster) SplitPartition(part int) error {
 	ep.fail(errSplitReconfig)
 	ep.wg.Wait()
 	c.part.Store(npt)
-	ng := make([][]string, 0, len(c.groups)+1)
-	for i, as := range c.groups {
-		if i == part {
-			ng = append(ng,
-				append([]string(nil), addrs[:loCount]...),
-				append([]string(nil), addrs[loCount:]...))
-		} else {
-			ng = append(ng, as)
-		}
-	}
-	c.groups = ng
+	// The low half is clipped: AddReplica appends to a group's list, and
+	// must not grow into the high half's.
+	c.groups = slices.Concat(c.groups[:part], [][]string{slices.Clip(addrs[:loCount]), addrs[loCount:]}, c.groups[part+1:])
 	// Fresh counters sized to the new partition count: dialEpoch's hello
 	// seeding reconstructs each half's insert total from the nodes'
 	// live-minus-baseline counts (writes were quiesced by the pause, so
@@ -2384,15 +1516,14 @@ func (c *Cluster) Err() error {
 func (c *Cluster) Redial() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	old := c.ep.Load()
+	if old == nil {
 		return ErrClusterClosed
 	}
-	if old := c.ep.Load(); old != nil {
-		if old.Err() == nil {
-			return errors.New("netrun: Redial on a healthy cluster")
-		}
-		old.wg.Wait()
+	if old.Err() == nil {
+		return errors.New("netrun: Redial on a healthy cluster")
 	}
+	old.wg.Wait()
 	ep, err := c.dialEpoch()
 	if err != nil {
 		return err
@@ -2407,7 +1538,6 @@ func (c *Cluster) Redial() error {
 // refused.
 func (c *Cluster) Close() {
 	c.mu.Lock()
-	c.closed = true
 	ep := c.ep.Swap(nil)
 	adm := c.adm
 	c.adm = nil

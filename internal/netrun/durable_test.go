@@ -122,10 +122,19 @@ func (dc *durableCluster) health(t *testing.T, partition, replica int) ReplicaHe
 	return ReplicaHealth{}
 }
 
+// waitHealthy waits until the replica is down (want false) or serving
+// (want true). Serving means connected *and* caught up: a rejoiner is
+// Healthy from the moment it is admitted as syncing, but its catch-up —
+// and everything a test asserts about it (deltaCatchups, Rejoins, the
+// replica's own answers) — lands only when Syncing clears.
 func (dc *durableCluster) waitHealthy(t *testing.T, partition, replica int, want bool) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
-	for dc.health(t, partition, replica).Healthy != want {
+	serving := func() bool {
+		h := dc.health(t, partition, replica)
+		return h.Healthy && !h.Syncing
+	}
+	for serving() != want {
 		if time.Now().After(deadline) {
 			t.Fatalf("replica %d/%d never became healthy=%v", partition, replica, want)
 		}

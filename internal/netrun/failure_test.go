@@ -226,9 +226,7 @@ func testNodes(t *testing.T, c *Cluster) []*clusterNode {
 	}
 	var out []*clusterNode
 	for _, g := range ep.groups {
-		g.mu.Lock()
-		out = append(out, g.members...)
-		g.mu.Unlock()
+		out = append(out, g.nodes()...)
 	}
 	return out
 }

@@ -116,6 +116,7 @@ func startGray(t *testing.T, keys []workload.Key, parts, replicas, batch int, op
 	}
 	rc := &replicatedCluster{part: p, nodes: make([][]*Node, parts), addrs: make([][]string, parts)}
 	gc := &grayCluster{replicatedCluster: rc, profiles: make([][]*faultnet.Profile, parts)}
+	rc.wrap = func(i, r int) func(net.Conn) net.Conn { return gc.profiles[i][r].Wrap }
 	var flat []string
 	for i := 0; i < parts; i++ {
 		for r := 0; r < replicas; r++ {

@@ -1,5 +1,12 @@
 package netrun
 
+// The read policy: code that only chooses targets. choose folds
+// round-robin, probe claiming, the all-ejected fallback, the hedge
+// token bucket and the admission cap into one verdict for route and the
+// hedger; observe scores reply latency and offers the probation events
+// to the lifecycle table (replica.go); the hedger is the clock that
+// re-dispatches overdue reads.
+
 import (
 	"slices"
 	"sync"
@@ -23,127 +30,295 @@ const (
 	// quantileEvery is how often (in samples) the latency window is
 	// re-sorted into the hedge-delay quantile estimate.
 	quantileEvery = 16
+	// hedgeMinDelay floors the adaptive hedge delay; it is also the
+	// cold-start delay before a replica has latency history.
+	hedgeMinDelay = 10 * time.Millisecond
+	// ejectMinLatency is the absolute floor below which a replica is
+	// never considered an outlier, whatever the ratios say.
+	ejectMinLatency = time.Millisecond
 )
 
-// observe records one read reply's latency against n's replica slot:
-// the EWMA and the windowed quantile estimate behind the hedge delay
-// always, and — when DialOptions.Ejection.Factor enabled ejection — the
-// probation state machine that sheds reads from a sustained outlier.
-// Called by the read loop with no locks held; writes are never
-// observed, so a replica drowning in inserts is not scored for it.
-func (n *clusterNode) observe(c *Cluster, d time.Duration) {
-	s := n.stats()
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
+// maxPending bounds the outstanding frames (queued plus in flight) per
+// replica connection for reads: dispatch parks politely when every
+// eligible replica is at the cap, so a gray partition degrades to
+// slower-but-correct instead of unbounded queue growth. Writes are
+// exempt — bounding the fan-out under g.mu would stall the write path on
+// its slowest replica. A variable only so the admission test can lower
+// it.
+var maxPending = 1024
+
+// verdict is choose's answer.
+type verdict uint8
+
+const (
+	sent      verdict = iota // p is on a replica's send queue
+	parked                   // every eligible replica is at the admission cap: wait for a slot and ask again
+	refused                  // connections exist but none may take p; the reason says why
+	epochDead                // no connection left: the epoch is failing, its root cause is the answer
+)
+
+// choose finds the replica that takes p next and enqueues p on it, in
+// one g.mu section. Eligibility is replica.can at p's minimum protocol
+// version (see minVersionFor): syncing replicas take no reads (their
+// state is mid-load); the v5 query ops need a v5 peer; and once this
+// client has written to the partition, pre-v3 replicas are excluded —
+// they never receive writes, so they can no longer prove they hold the
+// full key set.
+//
+// Replicas are tried round-robin. Latency-ejected ones are passed over,
+// with two availability escapes: a due probe routes one real batch at an
+// ejected replica (how it earns readmission), and when no replica takes
+// first-choice reads, a second pass lets any replica with the full state
+// serve p — ejection trades latency, never availability. Hedgeable reads
+// dispatch under the admission cap; a replica at maxPending is skipped
+// for its neighbour.
+//
+// origin is nil for a primary dispatch. The hedger passes the slow
+// replica p is already on: a hedge never lands on its origin, has no
+// second pass (the origin is still working), never joins a queue at the
+// cap (piling onto a saturated sibling would only spread the gray), and
+// must buy a token from the partition's budget first.
+//
+// p's fields are read before the enqueue: a successful enqueue hands the
+// chain reference to the connection, after which p may complete and
+// recycle at any moment.
+func (g *replicaGroup) choose(c *Cluster, p *pending, origin *replica) (verdict, string) {
+	minV := c.minVersionFor(g, p)
+	read := opTable[p.op].hedge
+	limit := 0
+	if read {
+		limit = maxPending
 	}
-	// The outlier test is relative: this reply against the fastest
-	// non-ejected sibling's EWMA. Read the baseline before taking s.mu
-	// — siblingBaseline takes g.mu, and replicaStats.mu nests inside
-	// it, never around it.
-	base, hasAlt := int64(0), false
-	if c.opt.Ejection.Factor > 0 {
-		base, hasAlt = n.g.siblingBaseline(n)
-	}
-	q := c.opt.Hedging.Quantile
-	if q <= 0 {
-		q = 0.99
-	}
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ewma := s.ewmaNs.Load()
-	if ewma == 0 {
-		ewma = ns
-	} else {
-		ewma += (ns - ewma) / 8
-	}
-	s.ewmaNs.Store(ewma)
-	k := s.samples.Add(1)
-	s.window[(k-1)%int64(len(s.window))] = ns
-	if k%quantileEvery == 0 || k == quantileEvery/2 {
-		m := int64(len(s.window))
-		if k < m {
-			m = k
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	atCap, paid := false, false
+	for pass := 0; pass < 2; pass++ {
+		for range g.replicas {
+			g.cursor++
+			r := g.replicas[g.cursor%len(g.replicas)]
+			if r == origin || !r.can(useFull, minV) {
+				continue
+			}
+			if pass == 0 && !r.can(useRead, minV) && !g.claimProbe(r) {
+				continue
+			}
+			if origin != nil && !paid {
+				if g.budget < 1000 {
+					origin.budgetDenied.Add(1)
+					return refused, ""
+				}
+				g.budget -= 1000
+				paid = true
+			}
+			ok, full := r.node.enqueue(p, c.reqID.Add(1), limit)
+			if ok {
+				r.dispatched.Add(1)
+				if origin != nil {
+					origin.hedges.Add(1)
+				} else if read {
+					g.budget = min(g.budget+c.hedgeEarnMilli, c.hedgeBurstMilli)
+				}
+				return sent, ""
+			}
+			if !full {
+				// Only ep.fail marks a listed connection dead.
+				return epochDead, ""
+			}
+			atCap = true
 		}
-		var buf [len(s.window)]int64
-		copy(buf[:m], s.window[:m])
+		if origin != nil || atCap {
+			break
+		}
+	}
+	if atCap {
+		return parked, ""
+	}
+	// Nobody could take p. The difference matters to an operator: a
+	// syncing replica resolves itself in moments, while a written-to
+	// partition whose last writable replica died stays read-unavailable
+	// (and may have lost acked writes) until a protocol-v3 replica
+	// rejoins and catches up.
+	syncing := false
+	for _, r := range g.replicas {
+		syncing = syncing || r.state == stSyncing
+	}
+	switch {
+	case g.connected() == 0:
+		return epochDead, ""
+	case syncing:
+		return refused, "its only eligible replica is still syncing a sibling snapshot (momentary; retry)"
+	case minV >= ProtoV5:
+		return refused, "no protocol-v5 replica is available for the range/scan/top-k/multiget ops (rank lookups still work; upgrade the partition's nodes or cap the client with MaxVersion)"
+	case c.ins[g.part].Load() > 0:
+		return refused, "it absorbed writes and then lost its last writable protocol-v3 replica; the remaining pre-v3 replicas are stale, and acked writes may be lost until a v3 replica rejoins and catches up"
+	default:
+		return refused, "no protocol-v3 replica is available to serve it"
+	}
+}
+
+// claimProbe reports whether ejected replica r is due a probe batch and,
+// when it is, claims the slot: the next probe is pushed out by the
+// jittered backoff (doubled on each slow probe by observe).
+//
+//dc:holds g.mu
+func (g *replicaGroup) claimProbe(r *replica) bool {
+	now := time.Now()
+	if now.Before(r.nextProbe) {
+		return false
+	}
+	r.nextProbe = now.Add(jitterBackoff(r.probeDelay))
+	return g.transition(r, evProbe)
+}
+
+// waitAdmit parks a read dispatcher until admission capacity may exist
+// again: a freed slot, epoch death, or a 1ms safety valve (wakeups are
+// best-effort; the caller re-checks by asking choose again).
+func (g *replicaGroup) waitAdmit(ep *epoch) {
+	g.waiters.Add(1)
+	defer g.waiters.Add(-1)
+	t := time.NewTimer(time.Millisecond)
+	defer t.Stop()
+	select {
+	case <-g.admitCh:
+	case <-ep.ctx.Done():
+	case <-t.C:
+	}
+}
+
+// admitFreed wakes one admission waiter, if any. Non-blocking.
+func (g *replicaGroup) admitFreed() {
+	if g.waiters.Load() > 0 {
+		select {
+		case g.admitCh <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// fastestSibling is the partition's best view of its own read latency
+// with r left out: the smallest EWMA and the smallest hedge quantile
+// among the siblings that take first-choice reads (0 where none has
+// history yet), and whether any such sibling exists to absorb r's reads.
+//
+//dc:holds g.mu
+func (g *replicaGroup) fastestSibling(r *replica) (ewma, quantile int64, exists bool) {
+	for _, m := range g.replicas {
+		if m == r || !m.can(useRead, 0) {
+			continue
+		}
+		exists = true
+		if e := m.ewmaNs.Load(); e > 0 && (ewma == 0 || e < ewma) {
+			ewma = e
+		}
+		if q := m.hedgeNs.Load(); q > 0 && (quantile == 0 || q < quantile) {
+			quantile = q
+		}
+	}
+	return ewma, quantile, exists
+}
+
+// hedgeDelay is how long a read frame may sit on this replica before it
+// is hedged: the minimum of the group's windowed quantiles, floored by
+// hedgeMinDelay (which also covers the cold start before any history),
+// and capped below the op timeout so a hedge always beats a timeout. The
+// group minimum rather than n's own quantile matters for exactly the
+// gray case: a uniformly slow replica inflates its own quantile and
+// would otherwise never look overdue to the hedger.
+func (n *clusterNode) hedgeDelay() time.Duration {
+	g := n.r.g
+	g.mu.Lock()
+	_, q, _ := g.fastestSibling(n.r)
+	g.mu.Unlock()
+	if own := n.r.hedgeNs.Load(); q == 0 || (own > 0 && own < q) {
+		q = own
+	}
+	d := max(time.Duration(q), hedgeMinDelay)
+	if n.opTimeout > 0 && d > n.opTimeout/2 {
+		d = n.opTimeout / 2
+	}
+	return d
+}
+
+// observe records one read reply's latency against n's replica: the EWMA
+// and the windowed quantile estimate behind the hedge delay always, and
+// — when DialOptions.Ejection.Factor enabled ejection — the probation
+// events that shed reads from a sustained outlier. Called by the read
+// loop, which owns the latency window; writes are never observed, so a
+// replica drowning in inserts is not scored for it. With ejection off it
+// takes no lock.
+func (n *clusterNode) observe(c *Cluster, d time.Duration) {
+	r := n.r
+	ns := max(int64(d), 0)
+	if ewma := r.ewmaNs.Load(); ewma == 0 {
+		r.ewmaNs.Store(ns)
+	} else {
+		r.ewmaNs.Store(ewma + (ns-ewma)/8)
+	}
+	n.window[n.samples%len(n.window)] = ns
+	n.samples++
+	if k := n.samples; k%quantileEvery == 0 || k == quantileEvery/2 {
+		q := c.opt.Hedging.Quantile
+		if q <= 0 {
+			q = 0.99
+		}
+		buf := n.window
+		m := min(k, len(buf))
 		slices.Sort(buf[:m])
-		s.hedgeNs.Store(buf[int(q*float64(m-1))])
+		r.hedgeNs.Store(buf[int(q*float64(m-1))])
 	}
 	if c.opt.Ejection.Factor <= 0 {
 		return
 	}
-	bad := base > 0 && ns > int64(c.opt.Ejection.MinLatency) &&
-		float64(ns) > float64(base)*c.opt.Ejection.Factor
-	switch s.state.Load() {
-	case rsHealthy, rsSuspect:
+	// The outlier test is relative: this reply against the fastest
+	// sibling still taking first-choice reads. Without such a sibling
+	// ejection is pointless: choose would route every read back through
+	// the second pass anyway.
+	g := r.g
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	base, _, hasAlt := g.fastestSibling(r)
+	bad := base > 0 && ns > int64(ejectMinLatency) && float64(ns) > float64(base)*c.opt.Ejection.Factor
+	switch r.state {
+	case stHealthy, stSuspect:
 		if !bad {
-			s.consecBad = 0
-			s.state.Store(rsHealthy)
+			r.consecBad = 0
+			g.transition(r, evFast)
 			return
 		}
-		s.consecBad++
-		switch {
-		case s.consecBad >= ejectAfter && hasAlt:
-			if s.probeDelay == 0 {
-				s.probeDelay = c.opt.Ejection.ProbeBackoff
-			}
-			s.nextProbe = now.Add(jitterBackoff(s.probeDelay))
-			s.goodProbes = 0
-			s.state.Store(rsEjected)
-			s.ejections.Add(1)
-		case s.consecBad >= suspectAfter:
-			s.state.Store(rsSuspect)
+		r.consecBad++
+		if r.consecBad >= suspectAfter {
+			g.transition(r, evSlow)
 		}
-	case rsProbing:
+		if r.consecBad >= ejectAfter && hasAlt && g.transition(r, evEject) {
+			if r.probeDelay == 0 {
+				r.probeDelay = c.opt.Ejection.ProbeBackoff
+			}
+			r.nextProbe = time.Now().Add(jitterBackoff(r.probeDelay))
+			r.goodProbes = 0
+		}
+	case stProbing:
 		if bad {
 			// The probe came back slow: still an outlier. Back to
 			// ejected, with the probe cadence backed off so probation
 			// retries cannot hammer a struggling replica.
-			s.goodProbes = 0
-			s.probeDelay = nextBackoff(s.probeDelay, c.opt.Ejection.ProbeMaxBackoff)
-			s.state.Store(rsEjected)
+			r.goodProbes = 0
+			r.probeDelay = nextBackoff(r.probeDelay, c.opt.Ejection.ProbeMaxBackoff)
+			g.transition(r, evProbeSlow)
 			return
 		}
-		if s.goodProbes++; s.goodProbes >= readmitProbes {
-			s.consecBad, s.goodProbes = 0, 0
-			s.probeDelay = c.opt.Ejection.ProbeBackoff
-			s.state.Store(rsHealthy)
-			s.readmits.Add(1)
+		if r.goodProbes++; r.goodProbes >= readmitProbes {
+			r.consecBad, r.goodProbes = 0, 0
+			r.probeDelay = c.opt.Ejection.ProbeBackoff
+			g.transition(r, evReadmit)
 			return
 		}
 		// First fast probe: promising — make the next one due
 		// immediately instead of waiting out the backoff.
-		s.nextProbe = now
-	case rsEjected:
-		// A straggler from the pre-ejection backlog draining off the
-		// slow replica; it carries no new signal.
+		r.nextProbe = time.Now()
 	}
-}
-
-// siblingBaseline reports the fastest non-ejected sibling's latency
-// EWMA (0 when no sibling has history yet) and whether any such sibling
-// exists to absorb n's reads — the two inputs to the relative-outlier
-// test. Without an alternative, ejection is pointless: pickFor would
-// route every read back as the fallback anyway.
-func (g *replicaGroup) siblingBaseline(n *clusterNode) (base int64, hasAlt bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, m := range g.members {
-		if m == n || m.catchingUp {
-			continue
-		}
-		s := m.stats()
-		if s.state.Load() >= rsEjected {
-			continue
-		}
-		hasAlt = true
-		if e := s.ewmaNs.Load(); e > 0 && (base == 0 || e < base) {
-			base = e
-		}
-	}
-	return base, hasAlt
+	// Ejected: a straggler from the pre-ejection backlog draining off
+	// the slow replica carries no new signal. Down, syncing, drained: a
+	// late reply from a connection that has already left.
 }
 
 // hedger is an epoch's hedge clock. Send loops schedule a (node, reqID,
@@ -242,7 +417,7 @@ func (h *hedger) loop() {
 		}
 		t.Reset(wait)
 		select {
-		case <-h.ep.failed:
+		case <-h.ep.ctx.Done():
 			return
 		case <-h.wake:
 		case <-t.C:
@@ -251,13 +426,13 @@ func (h *hedger) loop() {
 }
 
 // fire re-dispatches one overdue registration to a sibling, if the
-// request is still unanswered, unhedged, and the partition's token
-// bucket allows. The extra chain reference is taken under n.mu while
-// the registration is verifiably live, so a racing reply can complete
-// and recycle the pending only after the hedge chain also lets go —
-// the hedge can never touch a recycled object.
+// request is still unanswered and unhedged and choose finds it a home.
+// The extra chain reference is taken under n.mu while the registration
+// is verifiably live, so a racing reply can complete and recycle the
+// pending only after the hedge chain also lets go — the hedge can never
+// touch a recycled object.
 func (h *hedger) fire(e hedgeEntry) {
-	c, n := h.c, e.n
+	n := e.n
 	n.mu.Lock()
 	inf, ok := n.pending[e.reqID]
 	if !ok || inf.p.claimed.Load() || inf.p.hedged.Load() || !opTable[inf.p.op].hedge {
@@ -268,24 +443,9 @@ func (h *hedger) fire(e hedgeEntry) {
 	p.hedged.Store(true)
 	p.refs.Add(1)
 	n.mu.Unlock()
-	g := n.g
-	sib, _ := g.pickFor(c, p, n)
-	if sib == nil {
-		// No sibling to hedge to; the origin keeps sole ownership.
-		c.release(p)
-		return
+	if v, _ := n.r.g.choose(h.c, p, n.r); v != sent {
+		// No sibling, no budget, or no room; the origin keeps sole
+		// ownership.
+		h.c.release(p)
 	}
-	if !g.takeHedge() {
-		n.stats().budgetDenied.Add(1)
-		c.release(p)
-		return
-	}
-	if ok, _ := sib.enqueue(p, c.reqID.Add(1), c.maxPending); !ok {
-		// The sibling died or is itself at the admission cap — piling
-		// a hedge onto a saturated queue would only spread the gray.
-		c.release(p)
-		return
-	}
-	n.stats().hedges.Add(1)
-	sib.stats().dispatched.Add(1)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -285,4 +286,38 @@ func TestAddReplicaCatchUpServesWrites(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	checkTCPExact(t, c, o, workload.UniformQueries(2000, 91))
+}
+
+// TestSplitThenAddReplicaKeepsConfig pins that the two halves a split
+// writes into the dial config are independent lists: growing the low
+// half with AddReplica must not touch the high half's addresses. The
+// next epoch dial (a second split here) re-handshakes every configured
+// address against its partition, so a corrupted list fails it.
+func TestSplitThenAddReplicaKeepsConfig(t *testing.T) {
+	keys := workload.SortedKeys(8000, 92)
+	rc, shutdown := startReplicated(t, keys, 2, 2, 256, DialOptions{})
+	defer shutdown()
+	c := rc.c
+	if err := c.SplitPartition(0); err != nil {
+		t.Fatal(err)
+	}
+	joinAddr, stopJoin := startJoinNode(t, keys)
+	defer stopJoin()
+	if err := c.AddReplica(0, joinAddr); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{{rc.addrs[0][0], joinAddr}, {rc.addrs[0][1]}, rc.addrs[1]}
+	c.mu.Lock()
+	got := c.groups
+	c.mu.Unlock()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("dial config after split + AddReplica(low half) = %v, want %v", got, want)
+	}
+	if err := c.SplitPartition(2); err != nil {
+		t.Fatalf("re-dial against the post-split config: %v", err)
+	}
+	if got := c.Nodes(); got != 4 {
+		t.Fatalf("Nodes = %d after two splits, want 4", got)
+	}
+	checkTCPExact(t, c, newTCPOracle(keys), workload.UniformQueries(2000, 93))
 }

@@ -6,7 +6,8 @@ package netrun
 // request is encoded, which reply answers it, how the reply is checked
 // and delivered, how far an OpErr reaches — is a column of the op table
 // (optable.go). The mux knows nothing about replica groups beyond
-// handing a failed connection to Cluster.failNode.
+// handing a failed connection to Cluster.failNode and a reply latency to
+// observe.
 
 import (
 	"errors"
@@ -24,13 +25,11 @@ import (
 // queue, the pending map, and the read-deadline decisions that depend
 // on them.
 type clusterNode struct {
-	g *replicaGroup
-	// st is the replica's lifecycle counters and latency score, held
-	// directly (not via an index into g.stats): live membership grows
-	// and shrinks the group's parallel slices, and a direct pointer
-	// cannot go stale the way a slot index can.
-	st   *replicaStats
-	addr string
+	// r is the replica record this connection serves (and, through it,
+	// the group): the mux reads its address and partition for error
+	// text and hands it reply latencies; it never touches lifecycle
+	// state.
+	r    *replica
 	conn net.Conn
 	bc   *bufferedConn
 	// meta from the hello handshake.
@@ -54,13 +53,11 @@ type clusterNode struct {
 	opTimeout time.Duration // <= 0: deadlines disabled
 	failOnce  sync.Once     // failNode runs its body exactly once
 
-	// catchingUp and holdq are guarded by g.mu (they are membership
-	// state): while a rejoining replica loads a sibling's snapshot it
-	// is a member — so write fan-outs see it — but reads skip it and
-	// its insert pendings queue in holdq, flushed onto the connection
-	// after the OpLoad so the load cannot wipe them.
-	catchingUp bool       //dc:guardedby g.mu
-	holdq      []*pending //dc:guardedby g.mu
+	// window is a ring of the last read-reply latencies and samples
+	// their count; every few samples observe re-sorts the ring into the
+	// hedge-delay quantile. Owned by the read loop.
+	window  [64]int64
+	samples int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -107,10 +104,8 @@ func (n *clusterNode) deregisterLocked(reqID uint32) {
 			n.conn.SetReadDeadline(time.Now().Add(n.opTimeout))
 		}
 	}
-	n.g.admitFreed()
+	n.r.g.admitFreed()
 }
-
-func (n *clusterNode) stats() *replicaStats { return n.st }
 
 // pending is one request frame's lifecycle: the caller accumulates keys
 // and positions into it, the send loop writes and registers it, the
@@ -273,7 +268,7 @@ func (n *clusterNode) collectPending(held []*pending) []*pending {
 	n.pending = map[uint32]inflight{}
 	n.mu.Unlock()
 	n.cond.Broadcast()
-	n.g.admitFreed()
+	n.r.g.admitFreed()
 	return append(rest, held...)
 }
 
@@ -295,7 +290,7 @@ func (n *clusterNode) sendLoop(ep *epoch) {
 				n.mu.Unlock()
 				unflushed = false
 				if err := n.flush(); err != nil {
-					c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s write: %w", n.g.part, n.addr, err))
+					c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s write: %w", n.r.g.part, n.r.addr, err))
 					return
 				}
 				n.armRead()
@@ -325,7 +320,7 @@ func (n *clusterNode) sendLoop(ep *epoch) {
 			// the connection) intact.
 			n.mu.Unlock()
 			c.finish(p, fmt.Errorf("netrun: request id %d wrapped onto a request still in flight on partition %d replica %s (2^32 ids exhausted while one was outstanding); retry the batch",
-				sr.reqID, n.g.part, n.addr))
+				sr.reqID, n.r.g.part, n.r.addr))
 			continue
 		}
 		// The wire form comes from the op table: the pending's own row,
@@ -359,7 +354,7 @@ func (n *clusterNode) sendLoop(ep *epoch) {
 		if encErr != nil {
 			// Unreachable with BatchKeys clamped to MaxFrameWords, but
 			// p is registered: failNode sweeps and re-routes it.
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s: %w", n.g.part, n.addr, encErr))
+			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s: %w", n.r.g.part, n.r.addr, encErr))
 			return
 		}
 		if n.opTimeout > 0 {
@@ -367,7 +362,7 @@ func (n *clusterNode) sendLoop(ep *epoch) {
 		}
 		if _, err := n.bc.w.Write(buf); err != nil {
 			// p is registered: failNode sweeps and re-routes it.
-			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s write: %w", n.g.part, n.addr, err))
+			c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s write: %w", n.r.g.part, n.r.addr, err))
 			return
 		}
 		n.armRead()
@@ -377,7 +372,7 @@ func (n *clusterNode) sendLoop(ep *epoch) {
 			// wire; the hedger re-checks the registration at deadline,
 			// so completed requests cost nothing. Outside n.mu: the
 			// hedger takes its own lock, then n.mu when it fires.
-			ep.hedger.schedule(n, sr.reqID, time.Now().Add(n.hedgeDelay(c)))
+			ep.hedger.schedule(n, sr.reqID, time.Now().Add(n.hedgeDelay()))
 		}
 	}
 }
@@ -424,7 +419,7 @@ func (n *clusterNode) readLoop(ep *epoch) {
 		// read between ep.fail marking us dead and the next read error):
 		// failNode is idempotent, and skipping it here could strand
 		// registered pendings a sweep never saw.
-		c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s %w", n.g.part, n.addr, err))
+		c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s %w", n.r.g.part, n.r.addr, err))
 	}
 	// scratch stages decoded byte payloads. Decoding fully before the
 	// registration is touched keeps the failure story simple: a corrupt
@@ -491,7 +486,7 @@ func (n *clusterNode) readLoop(ep *epoch) {
 		kind := &opTable[p.op]
 		if refused {
 			// The node declined this one request and keeps serving.
-			c.finish(p, fmt.Errorf("netrun: partition %d replica %s refused the %s request", n.g.part, n.addr, kind.name))
+			c.finish(p, fmt.Errorf("netrun: partition %d replica %s refused the %s request", n.r.g.part, n.r.addr, kind.name))
 			continue
 		}
 		d := time.Since(inf.sentAt)
@@ -502,7 +497,7 @@ func (n *clusterNode) readLoop(ep *epoch) {
 		if p.claim() {
 			switch kind.deliver {
 			case deliverRanks:
-				p.scatter(vals, c.insBefore(n.g.part))
+				p.scatter(vals, c.insBefore(n.r.g.part))
 			case deliverScatter:
 				p.scatter(vals, 0)
 			case deliverStage:

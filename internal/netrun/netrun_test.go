@@ -268,8 +268,7 @@ func TestNodeSurvivesGarbageConnection(t *testing.T) {
 	defer shutdown()
 
 	// Throw garbage at node 0's address out-of-band.
-	//dc:ignore lockguard test-only peek at a quiescent cluster
-	addr := c.ep.Load().groups[0].members[0].conn.RemoteAddr().String()
+	addr := c.ep.Load().groups[0].nodes()[0].conn.RemoteAddr().String()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

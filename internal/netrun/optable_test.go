@@ -332,7 +332,7 @@ func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, sor
 	defer c.Close()
 	var target *clusterNode
 	for _, n := range testNodes(t, c) {
-		if n.addr == bad {
+		if n.r.addr == bad {
 			target = n
 		}
 	}

@@ -27,10 +27,11 @@ package netrun
 // request words intact (they stay in p.keys until a reply lands), so a
 // mid-scan kill resolves to the same bytes a healthy run produces.
 // Partitions with no v5-capable replica fail the op with a descriptive
-// error while rank lookups keep working — see describeIneligible.
+// error while rank lookups keep working — see replicaGroup.choose.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -60,25 +61,15 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 	if len(out) < len(ranges) {
 		return fmt.Errorf("netrun: out len %d < %d ranges", len(out), len(ranges))
 	}
-	c.pause.RLock()
-	defer c.pause.RUnlock()
-	ep := c.ep.Load()
-	if ep == nil {
-		return ErrClusterClosed
-	}
-	if err := ep.Err(); err != nil {
+	ep, err := c.begin()
+	if err != nil {
 		return err
 	}
-	for i := range ranges {
-		out[i] = 0
-	}
-	if len(ranges) == 0 {
-		return nil
-	}
+	defer c.pause.RUnlock()
+	clear(out[:len(ranges)])
 
-	groups := ep.groups
 	part := c.part.Load()
-	accum := make([]*pending, len(groups))
+	accum := make([]*pending, len(ep.groups))
 	var gis []int
 	var pends []*pending
 	for i, r := range ranges {
@@ -91,6 +82,7 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 			if p == nil {
 				p = c.getPending()
 				p.op = OpCountRange
+				p.posBase = len(pends)
 				accum[gi] = p
 				gis = append(gis, gi)
 				pends = append(pends, p)
@@ -102,32 +94,40 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 			}
 		}
 	}
-	if len(pends) == 0 {
-		return nil
-	}
 	done := make(chan *pending, len(pends))
 	for j, p := range pends {
 		c.dispatch(ep, gis[j], p, nil, done)
 	}
 	// The read loops stage each reply's counts in p.reply rather than
 	// adding into out: a range spanning partitions has several replies
-	// targeting the same slot, and only this single gather loop may sum
+	// targeting the same slot, and only this single goroutine may sum
 	// them.
-	var firstErr error
-	for range pends {
-		p := <-done
-		if p.err != nil {
-			if firstErr == nil {
-				firstErr = p.err
-			}
-		} else {
+	err = c.gather(done, len(pends), pends)
+	for _, p := range pends {
+		if p.err == nil {
 			for j, pos := range p.pos {
 				out[pos] += int(p.reply[j])
 			}
 		}
 		c.release(p)
 	}
-	return firstErr
+	return err
+}
+
+// askEach sends one op request carrying words to every partition in
+// [gLo, gHi] and returns the completed pendings in partition order —
+// which is key order — for the caller to compose from and release.
+func (c *Cluster) askEach(ep *epoch, op uint8, gLo, gHi int, words ...uint32) ([]*pending, error) {
+	pends := make([]*pending, gHi-gLo+1)
+	done := make(chan *pending, len(pends))
+	for gi := gLo; gi <= gHi; gi++ {
+		p := c.getPending()
+		p.op = op
+		p.keys = append(p.keys, words...)
+		p.posBase = gi - gLo
+		c.dispatch(ep, gi, p, nil, done)
+	}
+	return pends, c.gather(done, len(pends), pends)
 }
 
 // ScanRange returns the keys in [lo, hi] in ascending order, at most
@@ -135,116 +135,55 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 // larger than one protocol frame (MaxFrameWords keys from a single
 // partition) are refused by the serving node; bound them with limit.
 func (c *Cluster) ScanRange(lo, hi workload.Key, limit int, buf []workload.Key) ([]workload.Key, error) {
-	out := buf
 	if hi < lo || limit == 0 {
-		return out, nil
+		return buf, nil
 	}
-	c.pause.RLock()
+	ep, err := c.begin()
+	if err != nil {
+		return buf, err
+	}
 	defer c.pause.RUnlock()
-	ep := c.ep.Load()
-	if ep == nil {
-		return out, ErrClusterClosed
-	}
-	if err := ep.Err(); err != nil {
-		return out, err
-	}
-	limWord := uint32(0) // wire encoding: 0 means unlimited
-	if limit > 0 {
-		limWord = uint32(limit)
-	}
 	part := c.part.Load()
-	gLo, gHi := part.Route(lo), part.Route(hi)
-	span := gHi - gLo + 1
-	done := make(chan *pending, span)
-	pends := make([]*pending, span)
-	for gi := gLo; gi <= gHi; gi++ {
-		p := c.getPending()
-		p.op = OpScanRange
-		p.keys = append(p.keys, uint32(lo), uint32(hi), limWord)
-		p.posBase = gi - gLo
-		c.dispatch(ep, gi, p, nil, done)
-	}
-	var firstErr error
-	for i := 0; i < span; i++ {
-		p := <-done
-		if p.err != nil && firstErr == nil {
-			firstErr = p.err
-		}
-		pends[p.posBase] = p
-	}
-	if firstErr == nil {
-		// Partition order is key order: concatenating the per-partition
-		// ascending runs lowest partition first and truncating at limit
-		// reproduces the oracle's "first limit keys from lo" exactly.
-		taken := 0
-		for _, p := range pends {
-			if limit >= 0 && taken >= limit {
-				break
-			}
-			for _, v := range p.reply {
-				if limit >= 0 && taken >= limit {
-					break
-				}
-				out = append(out, workload.Key(v))
-				taken++
-			}
-		}
-	}
+	// On the wire a limit of 0 means unlimited.
+	pends, err := c.askEach(ep, OpScanRange, part.Route(lo), part.Route(hi), uint32(lo), uint32(hi), uint32(max(limit, 0)))
+	// Partition order is key order: concatenating the per-partition
+	// ascending runs lowest partition first and truncating at limit
+	// reproduces the oracle's "first limit keys from lo" exactly.
+	end := len(buf) + limit
 	for _, p := range pends {
+		for _, v := range p.reply {
+			if err == nil && (limit < 0 || len(buf) < end) {
+				buf = append(buf, workload.Key(v))
+			}
+		}
 		c.release(p)
 	}
-	return out, firstErr
+	return buf, err
 }
 
 // TopK returns the k largest keys in descending order, appended to buf.
 func (c *Cluster) TopK(k int, buf []workload.Key) ([]workload.Key, error) {
-	out := buf
 	if k <= 0 {
-		return out, nil
+		return buf, nil
 	}
-	c.pause.RLock()
+	ep, err := c.begin()
+	if err != nil {
+		return buf, err
+	}
 	defer c.pause.RUnlock()
-	ep := c.ep.Load()
-	if ep == nil {
-		return out, ErrClusterClosed
-	}
-	if err := ep.Err(); err != nil {
-		return out, err
-	}
-	groups := ep.groups
-	done := make(chan *pending, len(groups))
-	pends := make([]*pending, len(groups))
-	for gi := range groups {
-		p := c.getPending()
-		p.op = OpTopK
-		p.keys = append(p.keys, uint32(k))
-		p.posBase = gi
-		c.dispatch(ep, gi, p, nil, done)
-	}
-	var firstErr error
-	for range pends {
-		p := <-done
-		if p.err != nil && firstErr == nil {
-			firstErr = p.err
-		}
-		pends[p.posBase] = p
-	}
-	if firstErr == nil {
-		// Highest partition holds the largest keys; each reply is an
-		// ascending run, read back-to-front.
-		have := 0
-		for gi := len(pends) - 1; gi >= 0 && have < k; gi-- {
-			run := pends[gi].reply
-			for j := len(run) - 1; j >= 0 && have < k; j-- {
-				out = append(out, workload.Key(run[j]))
-				have++
+	pends, err := c.askEach(ep, OpTopK, 0, len(ep.groups)-1, uint32(k))
+	// The highest partition holds the largest keys; each reply is an
+	// ascending run, read back-to-front.
+	end := len(buf) + k
+	for _, p := range slices.Backward(pends) {
+		for _, v := range slices.Backward(p.reply) {
+			if err == nil && len(buf) < end {
+				buf = append(buf, workload.Key(v))
 			}
 		}
-	}
-	for _, p := range pends {
 		c.release(p)
 	}
-	return out, firstErr
+	return buf, err
 }
 
 // MultiGet returns the multiplicity of each query key (how many copies
@@ -267,55 +206,5 @@ func (c *Cluster) MultiGetInto(keys []workload.Key, out []int) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("netrun: out len %d < %d keys", len(out), len(keys))
 	}
-	c.pause.RLock()
-	defer c.pause.RUnlock()
-	ep := c.ep.Load()
-	if ep == nil {
-		return ErrClusterClosed
-	}
-	if err := ep.Err(); err != nil {
-		return err
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-
-	groups := ep.groups
-	nc := c.calls.Get().(*netCall)
-	if need := len(keys)/c.batch + len(groups) + 1; cap(nc.done) < need {
-		nc.done = make(chan *pending, need)
-	}
-	runKeys := keys
-	var runPos []int32
-	if !core.SortedRun(keys) {
-		runKeys, runPos = nc.sort.SortByKey(keys)
-	}
-	inflight := 0
-	core.ForEachSortedRun(c.part.Load().Delimiters(), runKeys, c.batch, func(gi, start, end int) {
-		p := c.getPending()
-		p.op = OpMultiGet
-		p.sorted = true
-		for _, q := range runKeys[start:end] {
-			p.keys = append(p.keys, uint32(q))
-		}
-		if runPos != nil {
-			p.pos = append(p.pos, runPos[start:end]...)
-		} else {
-			p.contig = true
-			p.posBase = start
-		}
-		c.dispatch(ep, gi, p, out, nc.done)
-		inflight++
-	})
-	var firstErr error
-	for inflight > 0 {
-		p := <-nc.done
-		inflight--
-		if p.err != nil && firstErr == nil {
-			firstErr = p.err
-		}
-		c.release(p)
-	}
-	c.calls.Put(nc)
-	return firstErr
+	return c.scatterInto(OpMultiGet, keys, out, true)
 }

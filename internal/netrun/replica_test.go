@@ -72,6 +72,9 @@ type replicatedCluster struct {
 	part  *core.Partitioning
 	nodes [][]*Node
 	addrs [][]string
+	// wrap, when set, supplies the WrapConn a restarted replica serves
+	// behind (startGray: its fault profile).
+	wrap func(partition, replica int) func(net.Conn) net.Conn
 }
 
 // kill stops one replica's server (listener and live connections).
@@ -99,6 +102,9 @@ func (rc *replicatedCluster) restart(t *testing.T, partition, replica int) {
 	}
 	p := rc.part.Parts[partition]
 	node := NewPartitionNode(p.Keys, p.RankBase)
+	if rc.wrap != nil {
+		node.WrapConn = rc.wrap(partition, replica)
+	}
 	rc.nodes[partition][replica] = node
 	go node.Serve(lis)
 }

@@ -57,11 +57,9 @@ func sortedCopy(qs []workload.Key) []workload.Key {
 func nodeVersions(c *Cluster) []uint32 {
 	var out []uint32
 	for _, g := range c.ep.Load().groups {
-		g.mu.Lock()
-		for _, m := range g.members {
+		for _, m := range g.nodes() {
 			out = append(out, m.version)
 		}
-		g.mu.Unlock()
 	}
 	return out
 }
