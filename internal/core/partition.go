@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/index"
 	"repro/internal/workload"
 )
 
@@ -48,10 +49,8 @@ func NewPartitioning(keys []workload.Key, parts int) (*Partitioning, error) {
 // NewPartitioning and NewCluster (which passes already-validated keys to
 // newPartitioningSorted so the O(n) scan runs once, not twice).
 func checkSorted(keys []workload.Key) error {
-	for i := 1; i < len(keys); i++ {
-		if keys[i] < keys[i-1] {
-			return fmt.Errorf("core: keys not sorted at %d", i)
-		}
+	if i := index.FirstDescent(keys); i > 0 {
+		return fmt.Errorf("core: keys not sorted at %d", i)
 	}
 	return nil
 }

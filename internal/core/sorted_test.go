@@ -25,7 +25,8 @@ func groundTruth(keys []workload.Key, queries []workload.Key) []int {
 // sweepKeySets builds the adversarial key sets the sorted path must
 // survive: duplicate-heavy runs (partition boundaries landing inside a
 // duplicate run, delimiters equal across partitions) and skewed
-// clusters (interpolation-hostile, gallop-hostile distributions).
+// clusters (distributions hostile to interpolation and to exponential
+// search).
 func sweepKeySets() map[string][]workload.Key {
 	dupHeavy := make([]workload.Key, 0, 4096)
 	for v := 0; v < 64; v++ {
@@ -169,7 +170,7 @@ func TestSortedDispatchTinyAndEdgeBatches(t *testing.T) {
 		{},
 		{0},
 		{^workload.Key(0)},
-		{keys[0], keys[0], keys[0]},                        // one partition, dups
+		{keys[0], keys[0], keys[0]}, // one partition, dups
 		{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 17}, // crosses BatchKeys inside one partition
 		sweepQueries(keys, 300, 9),
 	}

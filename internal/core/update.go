@@ -117,9 +117,9 @@ func methodBuilder(cfg RealConfig) index.Builder {
 			return planRanker{plan: buffering.NewPlan(index.NewNaryTree(keys, 0), 8<<10)}
 		}
 	default: // MethodC3
-		return func(keys []workload.Key) index.BatchRanker {
-			return index.NewSortedArray(keys, 0)
-		}
+		// NewCluster has run checkSorted over every key set that reaches
+		// an epoch, and merges and rebalances only merge and slice those.
+		return index.BuildSortedArrayUnchecked
 	}
 }
 

@@ -64,13 +64,13 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return f, nil
 }
 
-func (osFS) Rename(oldpath, newpath string) error     { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error                 { return os.Remove(name) }
-func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
-func (osFS) Stat(name string) (os.FileInfo, error)    { return os.Stat(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
+func (osFS) Stat(name string) (os.FileInfo, error)        { return os.Stat(name) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
-func (osFS) RemoveAll(path string) error              { return os.RemoveAll(path) }
-func (osFS) ReadFile(name string) ([]byte, error)     { return os.ReadFile(name) }
+func (osFS) RemoveAll(path string) error                  { return os.RemoveAll(path) }
+func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
 
 // SyncDir fsyncs a directory so a just-created or just-renamed entry
 // survives a crash. Rename-into-place is only atomic-and-durable once
@@ -177,13 +177,13 @@ func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
 	return &faultyFile{File: inner, fs: f}, nil
 }
 
-func (f *Faulty) Rename(oldpath, newpath string) error { return f.inner.Rename(oldpath, newpath) }
-func (f *Faulty) Remove(name string) error             { return f.inner.Remove(name) }
-func (f *Faulty) ReadDir(name string) ([]fs.DirEntry, error) { return f.inner.ReadDir(name) }
-func (f *Faulty) Stat(name string) (os.FileInfo, error) { return f.inner.Stat(name) }
+func (f *Faulty) Rename(oldpath, newpath string) error         { return f.inner.Rename(oldpath, newpath) }
+func (f *Faulty) Remove(name string) error                     { return f.inner.Remove(name) }
+func (f *Faulty) ReadDir(name string) ([]fs.DirEntry, error)   { return f.inner.ReadDir(name) }
+func (f *Faulty) Stat(name string) (os.FileInfo, error)        { return f.inner.Stat(name) }
 func (f *Faulty) MkdirAll(path string, perm os.FileMode) error { return f.inner.MkdirAll(path, perm) }
-func (f *Faulty) RemoveAll(path string) error          { return f.inner.RemoveAll(path) }
-func (f *Faulty) ReadFile(name string) ([]byte, error) { return f.inner.ReadFile(name) }
+func (f *Faulty) RemoveAll(path string) error                  { return f.inner.RemoveAll(path) }
+func (f *Faulty) ReadFile(name string) ([]byte, error)         { return f.inner.ReadFile(name) }
 
 // faultyFile routes the loss-prone calls through the wrapper's fault
 // counters and everything else straight down.

@@ -68,14 +68,7 @@ func (d *Delta) Rank(k workload.Key) int { return upperBound(d.keys, k) }
 // over an unordered batch whose base ranks are already in out.
 //
 //dc:noalloc
-func (d *Delta) RankAdd(qs []workload.Key, out []int) {
-	if len(d.keys) == 0 {
-		return
-	}
-	for i, q := range qs {
-		out[i] += upperBound(d.keys, q)
-	}
-}
+func (d *Delta) RankAdd(qs []workload.Key, out []int) { rankAdd(d.keys, qs, out) }
 
 // RankSortedAdd is RankAdd for an ascending query run: one forward
 // merge over the buffer instead of a search per key.
@@ -174,10 +167,21 @@ func radixSortKeys(keys []workload.Key) {
 }
 
 // Builder constructs a fresh immutable base structure over a sorted key
-// set: NewSortedArray, a tree, or a buffered plan — the
+// set: a sorted array, a tree, or a buffered plan — the
 // updatable layer is agnostic, which is how all five of the paper's
 // methods support inserts through one mechanism.
 type Builder func(keys []workload.Key) BatchRanker
+
+// BuildSortedArray is Method C-3's Builder for keys of any provenance —
+// a caller's slice, a file, the wire: it scans them for sortedness and
+// panics like NewSortedArray.
+func BuildSortedArray(keys []workload.Key) BatchRanker { return NewSortedArray(keys, 0) }
+
+// BuildSortedArrayUnchecked is BuildSortedArray without the scan, for an
+// Updatable all of whose key sets are ascending by construction: an
+// initial set its owner has already validated, then MergeKeys output.
+// Such an Updatable must not be Reset with keys from anywhere else.
+func BuildSortedArrayUnchecked(keys []workload.Key) BatchRanker { return newSortedArray(keys, 0) }
 
 // baseState is one immutable generation of the compacted base: the
 // sorted keys and the ranker built over them.

@@ -1,0 +1,335 @@
+package index
+
+import (
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/workload"
+)
+
+const maxKey = ^workload.Key(0)
+
+// smallestWindow is the window newSortedArray gives a key set the probe
+// places perfectly: the sampling margin alone.
+const smallestWindow = 1 << 8
+
+// progression is n keys first, first+step, ...: zero interpolation error.
+func progression(n int, first, step workload.Key) []workload.Key {
+	keys := make([]workload.Key, n)
+	for i := range keys {
+		keys[i] = first + workload.Key(i)*step
+	}
+	return keys
+}
+
+// adversarialKeySets is the table both kernel forms are held to: the
+// sizes around a lane group and around the smallest window, and the
+// shapes interpolation places worst.
+func adversarialKeySets() map[string][]workload.Key {
+	sets := map[string][]workload.Key{
+		"uniform-5000":  workload.SortedKeys(5000, 3),
+		"uniform-40960": workload.SortedKeys(40960, 1),
+		"all-equal":     progression(700, 77, 0),
+		"ends-of-space": {0, 0, 1, maxKey - 1, maxKey, maxKey},
+		// A narrow range far below the queries: the probe's product
+		// overflows a 32-bit int before the clamp.
+		"narrow-range": progression(1000, 5, 1),
+	}
+	const w = smallestWindow
+	for _, n := range []int{0, 1, 2, 7, 8, 9, lanes - 1, lanes, lanes + 1, w - 1, w, w + 1, 2*w + 3, 4 * w} {
+		sets[fmt.Sprintf("progression-%d", n)] = progression(n, 1000, 4099)
+	}
+	clusters := append(progression(1000, 10, 3), progression(1000, maxKey-5000, 5)...)
+	sets["two-clusters"] = clusters
+	geometric := make([]workload.Key, 0, 32*40)
+	for e := 0; e < 32; e++ {
+		geometric = append(geometric, progression(40, 1<<e, 1<<e/64)...)
+	}
+	slices.Sort(geometric)
+	sets["geometric-gaps"] = geometric
+	gap := workload.SortedKeys(4096, 5)
+	for i := range gap {
+		gap[i] >>= 2 // [0, 2^30)
+		if i >= len(gap)/2 {
+			gap[i] += 3 << 30
+		}
+	}
+	slices.Sort(gap)
+	sets["gap-in-the-middle"] = gap
+	// A run of one key longer than any window, inside a progression.
+	runs := progression(6000, 0, 700000)
+	for i := 2000; i < 2000+3*w; i++ {
+		runs[i] = runs[2000]
+	}
+	sets["long-duplicate-run"] = runs
+	return sets
+}
+
+// adversarialQueries is every key, its two neighbours, both ends of the
+// key space and a spread of uniform draws, in an order that keeps
+// neighbouring lanes far apart.
+func adversarialQueries(keys []workload.Key) []workload.Key {
+	qs := []workload.Key{0, 1, maxKey - 1, maxKey}
+	for _, k := range keys {
+		qs = append(qs, k, k-1, k+1) // wraps at the ends of the key space, on purpose
+	}
+	r := workload.NewRNG(9)
+	for i := 0; i < 512; i++ {
+		qs = append(qs, r.Key())
+	}
+	for i := len(qs) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		qs[i], qs[j] = qs[j], qs[i]
+	}
+	return qs
+}
+
+// windowMisses counts the queries whose rank lies outside the window
+// RankBatch gives them: for these the lockstep result is on the window's
+// edge and wrong, and only the neighbour check can notice.
+func windowMisses(a *SortedArray, qs []workload.Key) int {
+	misses := 0
+	for _, q := range qs {
+		lo, r := a.windowAt(q), upperBound(a.keys, q)
+		if r < lo || r > lo+a.window {
+			misses++
+		}
+	}
+	return misses
+}
+
+// checkRankBatch holds RankBatch to the binary-search oracle on qs, as
+// one batch and cut into batches of every tail length of a lane group.
+func checkRankBatch(t *testing.T, a *SortedArray, qs []workload.Key) {
+	t.Helper()
+	const add = 1000003
+	out := make([]int, len(qs))
+	a.RankBatch(qs, out, add)
+	for i, q := range qs {
+		if want := upperBound(a.keys, q) + add; out[i] != want {
+			t.Fatalf("window %d: RankBatch(%d) = %d, want %d", a.window, q, out[i], want)
+		}
+	}
+	for n := 0; n <= 2*lanes+1 && n <= len(qs); n++ {
+		clear(out)
+		a.RankBatch(qs[:n], out, add)
+		for i, q := range qs[:n] {
+			if want := upperBound(a.keys, q) + add; out[i] != want {
+				t.Fatalf("window %d, batch of %d: RankBatch(%d) = %d, want %d", a.window, n, q, out[i], want)
+			}
+		}
+		if n < len(out) && out[n] != 0 {
+			t.Fatalf("batch of %d wrote past its end", n)
+		}
+	}
+}
+
+// TestRankBatchAdversarial runs the table through RankBatch as built,
+// and then again with the window forced far below what the key set
+// needs: what a sampled error that underestimated the true one would
+// give. The window is only a guess, so the answers must not change; the
+// test checks that queries did fall outside their windows, i.e. that the
+// edge check and the full search behind it are what kept them exact.
+func TestRankBatchAdversarial(t *testing.T) {
+	sets := adversarialKeySets()
+	for name, keys := range sets {
+		t.Run(name, func(t *testing.T) {
+			qs := adversarialQueries(keys)
+			a := NewSortedArray(keys, 0)
+			if a.window > 0 && windowMisses(a, qs) > 0 {
+				t.Errorf("window %d from the sampled error misses %d queries", a.window, windowMisses(a, qs))
+			}
+			checkRankBatch(t, a, qs)
+			for _, w := range []int{1, 7, smallestWindow - 1} {
+				if w > len(keys) {
+					continue
+				}
+				forced := *a
+				forced.window = w
+				checkRankBatch(t, &forced, qs)
+			}
+		})
+	}
+	// The forced windows above must have put queries outside them on the
+	// sets interpolation cannot place, or the fallback went untested.
+	for _, name := range []string{"two-clusters", "geometric-gaps", "gap-in-the-middle", "long-duplicate-run"} {
+		keys := sets[name]
+		forced := *NewSortedArray(keys, 0)
+		forced.window = 7
+		if windowMisses(&forced, adversarialQueries(keys)) == 0 {
+			t.Errorf("%s: no query fell outside a window of 7 keys", name)
+		}
+	}
+}
+
+// TestRankBatchWindowChoice pins which form each kind of key set takes:
+// uniform keys the windowed one, sets the probe cannot place (and sets
+// too small to be worth a window) the whole-array one.
+func TestRankBatchWindowChoice(t *testing.T) {
+	sets := adversarialKeySets()
+	for name, windowed := range map[string]bool{
+		"uniform-40960": true, "progression-1024": true, "long-duplicate-run": true,
+		"progression-257": false, "all-equal": false, "two-clusters": false,
+		"geometric-gaps": false, "gap-in-the-middle": false,
+	} {
+		if a := NewSortedArray(sets[name], 0); (a.window > 0) != windowed {
+			t.Errorf("%s: window %d, want windowed = %v", name, a.window, windowed)
+		}
+	}
+}
+
+// TestDeltaRankAddAdversarial is the same table through the whole-array
+// form as the delta layers use it: ranks are added into a pre-filled out.
+func TestDeltaRankAddAdversarial(t *testing.T) {
+	for name, keys := range adversarialKeySets() {
+		t.Run(name, func(t *testing.T) {
+			d := NewDelta(keys)
+			qs := adversarialQueries(keys)
+			for _, n := range []int{len(qs), 0, 1, lanes - 1, lanes, lanes + 1, 2*lanes + 1} {
+				if n > len(qs) {
+					continue
+				}
+				out := make([]int, n+1)
+				for i := range out {
+					out[i] = 7 * i
+				}
+				d.RankAdd(qs[:n], out)
+				for i, q := range qs[:n] {
+					if want := upperBound(keys, q) + 7*i; out[i] != want {
+						t.Fatalf("batch of %d: RankAdd(%d) = %d, want %d", n, q, out[i], want)
+					}
+				}
+				if out[n] != 7*n {
+					t.Fatalf("batch of %d wrote past its end", n)
+				}
+			}
+		})
+	}
+}
+
+func TestFirstDescent(t *testing.T) {
+	for n := 0; n <= 11; n++ {
+		keys := progression(n, 5, 2)
+		if got := FirstDescent(keys); got != 0 {
+			t.Fatalf("ascending run of %d: FirstDescent = %d", n, got)
+		}
+		for at := 1; at < n; at++ {
+			bad := slices.Clone(keys)
+			bad[at] = bad[at-1] - 1
+			if got := FirstDescent(bad); got != at {
+				t.Fatalf("run of %d with a descent at %d: FirstDescent = %d", n, at, got)
+			}
+		}
+	}
+}
+
+// FuzzRankBatch cuts its input into keys and queries and holds both
+// kernel forms to the binary-search oracle: RankBatch as built, RankBatch
+// with the window forced small (so that queries fall outside it), and the
+// whole-array form adding into a pre-filled out.
+func FuzzRankBatch(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add([]byte("\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x80"), uint8(2), uint8(0))
+	f.Add(binary.LittleEndian.AppendUint32(nil, 7), uint8(1), uint8(31))
+	f.Fuzz(func(t *testing.T, data []byte, nkeys, shift uint8) {
+		var words []workload.Key
+		for ; len(data) >= 4; data = data[4:] {
+			words = append(words, workload.Key(binary.LittleEndian.Uint32(data)))
+		}
+		cut := min(int(nkeys), len(words))
+		keys, qs := words[:cut], words[cut:]
+		// Shifted right the keys crowd near zero while the queries
+		// still range over the whole key space.
+		for i := range keys {
+			keys[i] >>= shift % 32
+		}
+		slices.Sort(keys)
+		qs = append(qs, 0, maxKey)
+
+		a := NewSortedArray(keys, 0)
+		got := make([]int, len(qs))
+		for _, w := range []int{a.window, 1, 3, 15} {
+			if w > len(keys) {
+				continue
+			}
+			forced := *a
+			forced.window = w
+			forced.RankBatch(qs, got, 11)
+			for i, q := range qs {
+				if want := upperBound(keys, q) + 11; got[i] != want {
+					t.Fatalf("window %d: RankBatch(%d) = %d, want %d", w, q, got[i], want)
+				}
+			}
+		}
+		for i := range got {
+			got[i] = i
+		}
+		rankAdd(keys, qs, got)
+		for i, q := range qs {
+			if want := upperBound(keys, q) + i; got[i] != want {
+				t.Fatalf("rankAdd(%d) = %d, want %d", q, got[i], want)
+			}
+		}
+	})
+}
+
+// benchRankBatch times RankBatch alone at one partition size: eight
+// arrays taken in turn, so the large case is not one array kept hot by
+// the loop, and a fresh batch of uniform queries from a pool on every
+// iteration.
+func benchRankBatch(b *testing.B, arrs []*SortedArray) {
+	const batch = 8192
+	r := workload.NewRNG(2)
+	pool := make([][]workload.Key, 64)
+	for i := range pool {
+		pool[i] = make([]workload.Key, batch)
+		for j := range pool[i] {
+			pool[i][j] = r.Key()
+		}
+	}
+	out := make([]int, batch)
+	for i, a := range arrs {
+		a.RankBatch(pool[i], out, 0) // first touch of every array off the clock
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arrs[i%len(arrs)].RankBatch(pool[i%len(pool)], out, 0)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
+}
+
+// BenchmarkSortedArrayRankBatch is the kernel's own row, at the three
+// per-partition sizes the referee's workloads use (rank_cached and the
+// mixed ones, rank_tcp, rank_large) and on a skewed set that takes the
+// whole-array form.
+func BenchmarkSortedArrayRankBatch(b *testing.B) {
+	for _, n := range []int{40960, 163840, 2097152} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			arrs := make([]*SortedArray, 8)
+			for i := range arrs {
+				arrs[i] = NewSortedArray(workload.SortedKeys(n, uint64(i+1)), 0)
+				if arrs[i].window == 0 {
+					b.Fatal("uniform keys took the whole-array form")
+				}
+			}
+			benchRankBatch(b, arrs)
+		})
+	}
+	b.Run("skewed", func(b *testing.B) {
+		arrs := make([]*SortedArray, 8)
+		for i := range arrs {
+			// Squared uniform draws: dense near zero, sparse at the top.
+			keys := workload.SortedKeys(40960, uint64(i+1))
+			for j, k := range keys {
+				keys[j] = workload.Key(uint64(k) * uint64(k) >> 32)
+			}
+			arrs[i] = NewSortedArray(keys, 0)
+			if arrs[i].window != 0 {
+				b.Fatal("skewed keys took the windowed form")
+			}
+		}
+		benchRankBatch(b, arrs)
+	})
+}

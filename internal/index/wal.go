@@ -49,13 +49,13 @@ import (
 // recovers the prefix (equivalent to crashing just before that append).
 
 const (
-	walMagic   uint32 = 0xDC1D3A41
-	walVersion uint32 = 1
+	walMagic    uint32 = 0xDC1D3A41
+	walVersion  uint32 = 1
 	walRecMagic uint32 = 0xDC1D0EC5
 
-	walHeaderSize    = 24
-	walRecHeaderSize = 24 // rmagic, count, seq, chain
-	walRecTrailerSize = 4 // crc32
+	walHeaderSize     = 24
+	walRecHeaderSize  = 24 // rmagic, count, seq, chain
+	walRecTrailerSize = 4  // crc32
 
 	// maxWALRecordKeys bounds a single record so a corrupt count can
 	// never drive a huge allocation during replay.

@@ -141,9 +141,7 @@ func NewJoinNode(universe []workload.Key) *Node {
 		conns:    map[net.Conn]struct{}{},
 	}
 	n.ident.Store(&nodeIdent{})
-	n.upd = index.NewUpdatableOver(nil, arr, func(keys []workload.Key) index.BatchRanker {
-		return index.NewSortedArray(keys, 0)
-	}, 0)
+	n.upd = index.NewUpdatableOver(nil, arr, index.BuildSortedArray, 0)
 	return n
 }
 
@@ -159,9 +157,7 @@ func NewPartitionNode(partKeys []workload.Key, rankBase int) *Node {
 	n := NewNode(arr, rankBase, partKeys[0], partKeys[len(partKeys)-1])
 	// The update layer shares the array built above (NewNode keeps it
 	// only for the hello identity); merges rebuild fresh ones.
-	n.upd = index.NewUpdatableOver(partKeys, arr, func(keys []workload.Key) index.BatchRanker {
-		return index.NewSortedArray(keys, 0)
-	}, 0)
+	n.upd = index.NewUpdatableOver(partKeys, arr, index.BuildSortedArray, 0)
 	return n
 }
 
@@ -177,9 +173,7 @@ func NewDurablePartitionNode(partKeys []workload.Key, rankBase int, dir string, 
 	if len(partKeys) == 0 {
 		return nil, errors.New("netrun: empty partition")
 	}
-	dp, err := index.OpenDurablePartition(dir, partKeys, func(keys []workload.Key) index.BatchRanker {
-		return index.NewSortedArray(keys, 0)
-	}, 0, opt)
+	dp, err := index.OpenDurablePartition(dir, partKeys, index.BuildSortedArray, 0, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ import (
 // that two histograms can merge by element-wise addition.
 const (
 	histSubBits = 3
-	histSubs    = 1 << histSubBits         // 8 sub-buckets per octave
+	histSubs    = 1 << histSubBits                       // 8 sub-buckets per octave
 	histBuckets = 2*histSubs + (63-histSubBits)*histSubs // 496
 )
 

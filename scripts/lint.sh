@@ -3,8 +3,9 @@
 # lint job (both run exactly this script, so a green local run means a
 # green CI lint job).
 #
-# Builds the in-repo dclint multichecker (lockguard, noalloc, framepair,
-# snappin, knobdoc — see internal/analyzers) and runs it over every package via
+# Fails on any tracked .go file gofmt would rewrite, then builds the
+# in-repo dclint multichecker (lockguard, noalloc, framepair, snappin,
+# knobdoc — see internal/analyzers) and runs it over every package via
 # `go vet -vettool`. Any unannotated diagnostic fails the script;
 # //dc:ignore suppressions are counted and printed so reviewers see what
 # was waived and why it can't rot silently. staticcheck and govulncheck
@@ -13,6 +14,16 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# Formatting first: any tracked .go file gofmt would rewrite fails the
+# gate (analyzer fixtures under testdata/ are exempt).
+UNFORMATTED="$(git ls-files -z '*.go' | grep -zv '/testdata/' | xargs -0 gofmt -l)"
+if [[ -n "$UNFORMATTED" ]]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$UNFORMATTED" | sed 's/^/  /' >&2
+	exit 1
+fi
+echo "gofmt: clean"
 
 mkdir -p bin
 go build -o bin/dclint ./cmd/dclint
