@@ -230,7 +230,10 @@ func benchReal(b *testing.B, m dcindex.Method) {
 // sub-1 alloc/op residue `-benchtime 100x` sometimes shows is the
 // first iterations growing the free lists, and amortizes to 0 at
 // 300x — there is no steady-state allocation left).
-func benchRealInto(b *testing.B, sorted bool) {
+//
+// benchRealInto cuts a 2^20-query stream into calls of call keys and
+// makes one call per op, cycling through the stream.
+func benchRealInto(b *testing.B, sorted bool, call int, opt dcindex.Options) {
 	keys := dcindex.GenerateKeys(327680, 1)
 	queries := dcindex.GenerateQueries(1<<20, 2)
 	if sorted {
@@ -239,37 +242,78 @@ func benchRealInto(b *testing.B, sorted bool) {
 		// zero-copy batches, streaming merge kernels).
 		sort.Slice(queries, func(i, j int) bool { return queries[i] < queries[j] })
 	}
-	idx, err := dcindex.Open(keys, dcindex.Options{
-		Method: dcindex.MethodC3, Workers: 8, BatchKeys: 16384,
-	})
+	opt.Method = dcindex.MethodC3
+	idx, err := dcindex.Open(keys, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer idx.Close()
-	out := make([]int, len(queries))
-	if err := idx.RankBatchInto(queries, out); err != nil { // warm the pools
+	out := make([]int, call)
+	if err := idx.RankBatchInto(queries[:call], out); err != nil { // warm the pools
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(queries) * workload.KeyBytes))
+	b.SetBytes(int64(call * workload.KeyBytes))
 	var hist telemetry.Histogram
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		q := queries[i*call%len(queries):][:call]
 		t0 := time.Now()
-		if err := idx.RankBatchInto(queries, out); err != nil {
+		if err := idx.RankBatchInto(q, out); err != nil {
 			b.Fatal(err)
 		}
 		hist.Observe(time.Since(t0))
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(queries)), "ns/key")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(call), "ns/key")
 	reportLatency(b, &hist)
 }
 
-func BenchmarkReal_RankBatch(b *testing.B) { benchRealInto(b, false) }
+func BenchmarkReal_RankBatch(b *testing.B) {
+	benchRealInto(b, false, 1<<20, dcindex.Options{Workers: 8, BatchKeys: 16384})
+}
+
+// BenchmarkReal_RankBatch64K is the call shape the referee's rank_cached
+// workload has: 65,536-key calls cycling 16 query pools, default
+// Options. No partition's share of such a call fills a BatchKeys batch,
+// so the row shows whether the master hands work over while it still
+// routes; the 2^20-key row above, eight full batches per partition,
+// overlaps either way and cannot.
+func BenchmarkReal_RankBatch64K(b *testing.B) {
+	benchRealInto(b, false, 65536, dcindex.Options{})
+}
+
+// BenchmarkPartitioningRoute is the master's per-key routing step alone,
+// at the partition counts of the in-process default, a wide cluster and
+// one far past a cache line of delimiters.
+func BenchmarkPartitioningRoute(b *testing.B) {
+	keys := dcindex.GenerateKeys(327680, 1)
+	queries := dcindex.GenerateQueries(65536, 2)
+	for _, parts := range []int{8, 64, 300} {
+		b.Run(label("", parts), func(b *testing.B) {
+			pt, err := core.NewPartitioning(keys, parts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sum := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					sum += pt.Route(q)
+				}
+			}
+			routeSink = sum
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(queries)), "ns/key")
+		})
+	}
+}
+
+var routeSink int
 
 // BenchmarkReal_RankBatchSorted is the sorted-batch acceptance row: the
 // same workload as BenchmarkReal_RankBatch but ascending, so the whole
 // pipeline switches to one-sweep routing + streaming merge kernels.
-func BenchmarkReal_RankBatchSorted(b *testing.B) { benchRealInto(b, true) }
+func BenchmarkReal_RankBatchSorted(b *testing.B) {
+	benchRealInto(b, true, 1<<20, dcindex.Options{Workers: 8, BatchKeys: 16384})
+}
 
 // BenchmarkReal_CountRange is the v5 query-surface acceptance row:
 // ~2^19 range counts per op, built by pairing up the sorted query

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/dcq [-method C-3] [-op rank] [-n 327680] [-q 1000000] [-workers 8] [-batch 16384] [-compare] [-sorted] [-insert-rate 0.05]
+//	go run ./cmd/dcq [-method C-3] [-op rank] [-n 327680] [-q 1000000] [-workers 8] [-batch 0] [-compare] [-sorted] [-insert-rate 0.05]
 //	go run ./cmd/dcq -connect host:7000,host:7001,... [-op rank] [-masters 4] [-optimeout 10s] [-insert-rate 0.05]
 //
 // -op selects the query operation: rank (the default), count (range
@@ -81,6 +81,7 @@ import (
 	"time"
 
 	"repro/dcindex"
+	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/tab"
 	"repro/internal/telemetry"
@@ -93,7 +94,7 @@ func main() {
 		n          = flag.Int("n", 327680, "index key count (ignored with -keysfile)")
 		q          = flag.Int("q", 1_000_000, "query count")
 		workers    = flag.Int("workers", 8, "worker goroutines")
-		batch      = flag.Int("batch", 16384, "batch size in keys")
+		batch      = flag.Int("batch", 0, "BatchKeys for the runtime or the TCP client, and the keys per call of dcq's own loops; 0 = the library's default BatchKeys for both")
 		compare    = flag.Bool("compare", false, "run every method and compare throughput")
 		seed       = flag.Uint64("seed", 1, "workload seed")
 		keysfile   = flag.String("keysfile", "", "load the key set from a dcindex snapshot instead of generating it")
@@ -161,7 +162,7 @@ func main() {
 				fmt.Sprintf("%.1f", float64(units)/el.Seconds()/1e6),
 				fmt.Sprintf("%08x", sum))
 		}
-		fmt.Printf("real runtime, op %s, %d keys, %d queries, %d workers, batch %d", *opName, len(keys), *q, *workers, *batch)
+		fmt.Printf("real runtime, op %s, %d keys, %d queries, %d workers, batch %d", *opName, len(keys), *q, *workers, callKeys(*batch))
 		if *insertRate > 0 {
 			fmt.Printf(", insert rate %.3f", *insertRate)
 		}
@@ -179,6 +180,16 @@ func main() {
 	el, sum, units := run(keys, queries, m, *opName, *workers, *batch, *insertRate, *seed, *targetQPS)
 	fmt.Printf("method %s, op %s: %d result units over %d keys in %s (%.1f Mops/s), checksum %08x\n",
 		m, *opName, units, len(keys), el.Round(time.Millisecond), float64(units)/el.Seconds()/1e6, sum)
+}
+
+// callKeys is how many keys dcq's own loops put in one call: -batch, or
+// the library's default BatchKeys (the same for every method) when
+// -batch is 0 and BatchKeys is left to the library.
+func callKeys(batch int) int {
+	if batch == 0 {
+		return core.DefaultRealConfig(core.MethodC3).BatchKeys
+	}
+	return batch
 }
 
 // pacer schedules batch starts for the -target-qps open loop and
@@ -364,6 +375,7 @@ func run(keys, queries []dcindex.Key, m dcindex.Method, op string, workers, batc
 		os.Exit(1)
 	}
 	defer idx.Close()
+	batch = callKeys(batch)
 	hist := telemetry.NewRegistry().Histogram("dcq_batch_ns")
 	pc := newPacer(hist, qps, batch, 1)
 	if op != "rank" {
@@ -441,6 +453,7 @@ func runTCP(addrs []string, keys, queries []dcindex.Key, op string, batch, maste
 		OpTimeout: opTimeout,
 		Replicas:  replicas,
 	}
+	batch = callKeys(batch)
 	opt.Admin.Addr = adminAt
 	if hedge {
 		// Gray-failure mode: hedge reads that outlive the partition's

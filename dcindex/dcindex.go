@@ -141,8 +141,11 @@ type Options struct {
 	// Workers is the number of processing goroutines (default 8): the
 	// slave count for Method C, the replica count for A/B.
 	Workers int
-	// BatchKeys is the pipeline granularity in keys (default 16384,
-	// i.e. a 64 KB batch — the paper's throughput/response sweet spot).
+	// BatchKeys is the most keys one hand-off to a worker carries
+	// (default 16384). It is a ceiling: the runtime hands a call over in
+	// about eight slices per worker so the workers search while the
+	// caller's goroutine still routes, and only calls of 8 x Workers x
+	// BatchKeys keys or more reach it.
 	BatchKeys int
 	// QueueDepth bounds in-flight batches per worker (default 4).
 	QueueDepth int
@@ -170,27 +173,24 @@ type Options struct {
 	Durability DurabilityOptions
 }
 
+// withDefaults fills every field the caller left zero from
+// core.DefaultRealConfig, the one home of the in-process defaults.
 func (o Options) withDefaults() core.RealConfig {
-	cfg := core.RealConfig{
-		Method:          o.Method,
-		Workers:         o.Workers,
-		BatchKeys:       o.BatchKeys,
-		QueueDepth:      o.QueueDepth,
-		SortedBatches:   o.SortedBatches,
-		MergeThreshold:  o.MergeThreshold,
-		PartitionBudget: o.PartitionBudget,
-		WALDir:          o.Durability.WALDir,
-		FsyncInterval:   o.Durability.FsyncInterval,
+	cfg := core.DefaultRealConfig(o.Method)
+	if o.Workers != 0 {
+		cfg.Workers = o.Workers
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 8
+	if o.BatchKeys != 0 {
+		cfg.BatchKeys = o.BatchKeys
 	}
-	if cfg.BatchKeys == 0 {
-		cfg.BatchKeys = 16384
+	if o.QueueDepth != 0 {
+		cfg.QueueDepth = o.QueueDepth
 	}
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = 4
-	}
+	cfg.SortedBatches = o.SortedBatches
+	cfg.MergeThreshold = o.MergeThreshold
+	cfg.PartitionBudget = o.PartitionBudget
+	cfg.WALDir = o.Durability.WALDir
+	cfg.FsyncInterval = o.Durability.FsyncInterval
 	return cfg
 }
 

@@ -23,9 +23,8 @@ func main() {
 	var reference []int
 	for _, m := range dcindex.Methods() {
 		idx, err := dcindex.Open(keys, dcindex.Options{
-			Method:    m,
-			Workers:   8,
-			BatchKeys: 16384, // 64 KB batches: the paper's sweet spot
+			Method:  m,
+			Workers: 8,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -147,8 +147,8 @@ func TestLookupBatchIntoShortOut(t *testing.T) {
 	}
 }
 
-// Route must agree with the sort.Search definition on both the linear
-// (small) and binary (large) code paths.
+// Route must agree with the sort.Search definition at every partition
+// count (TestRouteTable aims at the table's weak spots).
 func TestRouteMatchesSortSearch(t *testing.T) {
 	for _, parts := range []int{1, 2, 7, 10, 64, 65, 100, 333} {
 		keys := workload.SortedKeys(10*parts, uint64(parts))

@@ -32,6 +32,12 @@ type Partitioning struct {
 	// delims[i] is the first key of partition i+1; a query key routes
 	// to the last partition whose range begins at or before it.
 	delims []workload.Key
+	// prefix is Route's table over a key's top byte t. With b the count
+	// of delimiters whose top byte is below t: prefix[t] is b when no
+	// delimiter has top byte t, and ^b (negative) when some do — they
+	// start at delims[b]. prefix[256] is len(delims), so the entry after
+	// t always decodes to where t's delimiters end.
+	prefix [257]int32
 }
 
 // NewPartitioning splits sorted keys into the given number of equal-size
@@ -76,7 +82,24 @@ func newPartitioningSorted(keys []workload.Key, parts int) (*Partitioning, error
 			p.delims = append(p.delims, keys[lo])
 		}
 	}
+	p.indexDelims()
 	return p, nil
+}
+
+// indexDelims builds prefix from delims.
+func (p *Partitioning) indexDelims() {
+	i := 0
+	for t := range p.prefix[:256] {
+		b := i
+		for i < len(p.delims) && int(p.delims[i]>>24) == t {
+			i++
+		}
+		if i > b {
+			b = ^b
+		}
+		p.prefix[t] = int32(b)
+	}
+	p.prefix[256] = int32(len(p.delims))
 }
 
 // SplitPoint picks the cut index nearest the median of sorted keys
@@ -130,54 +153,57 @@ func (p *Partitioning) SplitAt(part, cut int) (*Partitioning, error) {
 	for _, q := range np.Parts[1:] {
 		np.delims = append(np.delims, q.Keys[0])
 	}
+	np.indexDelims()
 	return np, nil
 }
-
-// routeLinearMax is the delimiter count up to which Route counts
-// linearly instead of binary-searching: a branchless compare-and-add
-// over an L1-resident array beats a search with data-dependent branches
-// until the array spans several cache lines.
-const routeLinearMax = 64
 
 // Route returns the slave responsible for query key k: the last
 // partition whose first key is <= k (keys below every delimiter belong
 // to partition 0). This is the master's dispatch operation, executed
-// once per query, so it is inlined rather than a sort.Search closure.
-// Typical clusters (tens of slaves) take the branchless linear count —
-// every iteration is a flag-setting compare plus add, nothing to
-// mispredict; larger delimiter arrays use a branchless upper-bound
-// binary search (conditional-move half-interval updates, no mid-point
-// division).
+// once per query, so it reads a table instead of searching: delimiters
+// with a smaller top byte than k's are all <= k and counted by prefix,
+// those with a larger one are all > k, and only the ones sharing k's
+// top byte need comparing. With the delimiters spread over the key
+// space most keys meet no such delimiter and finish on the table read,
+// which inlines into the caller's loop.
+//
+//dc:noalloc
 func (p *Partitioning) Route(k workload.Key) int {
-	d := p.delims
-	if len(d) <= routeLinearMax {
-		s := 0
-		for _, v := range d {
-			if v <= k {
-				s++
-			}
+	if s := p.prefix[k>>24]; s >= 0 {
+		return int(s)
+	}
+	return p.routeBucket(k)
+}
+
+// routeBucket finishes Route by counting among the delimiters that
+// share k's top byte; delimiters crowded into one top byte make this a
+// linear count over all of them. Out of line on purpose: alone, the
+// compare-and-add compiles branch-free; inlined into a caller's loop
+// it has compiled to branches.
+//
+//dc:noalloc
+//go:noinline
+func (p *Partitioning) routeBucket(k workload.Key) int {
+	t := k >> 24
+	lo, hi := int(^p.prefix[t]), int(p.prefix[t+1])
+	if hi < 0 {
+		hi = ^hi
+	}
+	s := lo
+	for _, v := range p.delims[lo:hi] {
+		if v <= k {
+			s++
 		}
-		return s
 	}
-	lo, n := 0, len(d)
-	for n > 1 {
-		half := n >> 1
-		if d[lo+half-1] <= k {
-			lo += half
-		}
-		n -= half
-	}
-	if n == 1 && d[lo] <= k {
-		lo++
-	}
-	return lo
+	return s
 }
 
 // Delimiters returns the master's dispatch array (len = partitions-1).
 func (p *Partitioning) Delimiters() []workload.Key { return p.delims }
 
-// DelimiterBytes returns the dispatch structure's footprint: the tiny
-// sorted array that stays resident in the master's L1.
+// DelimiterBytes returns the delimiter array's footprint: the tiny
+// sorted array that stays resident in the master's L1 (Route's prefix
+// table beside it is a fixed 1 KB).
 func (p *Partitioning) DelimiterBytes() int {
 	return len(p.delims) * workload.KeyBytes
 }

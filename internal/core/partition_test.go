@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +158,99 @@ func TestRouteComposesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkRoute holds Route to its definition, the count of delimiters
+// <= k by sort.Search, on the probes and on every delimiter and its two
+// neighbours.
+func checkRoute(t *testing.T, p *Partitioning, probes []workload.Key) {
+	t.Helper()
+	d := p.Delimiters()
+	for _, dk := range d {
+		probes = append(probes, dk-1, dk, dk+1)
+	}
+	for _, q := range probes {
+		want := sort.Search(len(d), func(i int) bool { return d[i] > q })
+		if got := p.Route(q); got != want {
+			t.Fatalf("%d partitions: Route(%#x) = %d, want %d", len(p.Parts), q, got, want)
+		}
+	}
+}
+
+// TestRouteTable is the differential test of the prefix-table Route on
+// key sets chosen to put the delimiters where the table is weakest:
+// none, one or every delimiter in a top-byte bucket, the first and last
+// bucket, equal delimiters, and a table rebuilt by SplitAt.
+func TestRouteTable(t *testing.T) {
+	const n = 6000
+	oneByte := make([]workload.Key, n) // every delimiter in bucket 0x5a
+	ends := make([]workload.Key, n)    // buckets 0x00 and 0xff only
+	dups := make([]workload.Key, n)    // runs of 100: equal neighbouring delimiters at 300 parts
+	for i := range oneByte {
+		oneByte[i] = 0x5a000000 + workload.Key(i)*2000
+		ends[i] = workload.Key(i) * 3
+		if i >= n/2 {
+			ends[i] = ^workload.Key(0) - workload.Key(n-1-i)*3
+		}
+		dups[i] = workload.Key(i/100) << 22
+	}
+	sets := map[string][]workload.Key{
+		"uniform": workload.SortedKeys(n, 5),
+		"oneByte": oneByte,
+		"ends":    ends,
+		"dups":    dups,
+	}
+	spread := append(workload.UniformQueries(4096, 6), 0, 1, ^workload.Key(0)-1, ^workload.Key(0))
+	for name, keys := range sets {
+		probes := slices.Concat(spread, keys[:1024]) // uniform probes seldom meet a crowded bucket
+		for _, parts := range []int{1, 2, 8, 65, 300} {
+			p, err := NewPartitioning(keys, parts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkRoute(t, p, probes)
+			for _, part := range []int{0, parts / 2, parts - 1} {
+				cut, ok := SplitPoint(p.Parts[part].Keys)
+				if !ok {
+					continue // one duplicate run: no legal cut
+				}
+				sp, err := p.SplitAt(part, cut)
+				if err != nil {
+					t.Fatalf("%s: SplitAt(%d, %d) of %d partitions: %v", name, part, cut, parts, err)
+				}
+				checkRoute(t, sp, probes)
+			}
+		}
+	}
+}
+
+// FuzzRoute builds a partitioning from fuzzed keys and a fuzzed
+// partition count and holds Route to the sort.Search count on the
+// remaining words as probes. shift crowds the keys, and so the
+// delimiters, into the low top-byte buckets.
+func FuzzRoute(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Add(binary.LittleEndian.AppendUint32(nil, 7), uint8(1), uint8(0), uint8(31))
+	f.Fuzz(func(t *testing.T, data []byte, nkeys, parts, shift uint8) {
+		var words []workload.Key
+		for ; len(data) >= 4; data = data[4:] {
+			words = append(words, workload.Key(binary.LittleEndian.Uint32(data)))
+		}
+		cut := min(int(nkeys), len(words))
+		if cut == 0 {
+			return
+		}
+		keys, probes := words[:cut], words[cut:]
+		for i := range keys {
+			keys[i] >>= shift % 32
+		}
+		slices.Sort(keys)
+		p, err := NewPartitioning(keys, 1+int(parts)%len(keys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRoute(t, p, append(probes, 0, ^workload.Key(0)))
+	})
 }
 
 func TestMethodStrings(t *testing.T) {

@@ -58,6 +58,9 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 	if len(out) < len(ranges) {
 		return fmt.Errorf("core: out len %d < %d ranges", len(out), len(ranges))
 	}
+	if err := CheckCallSize(2 * len(ranges)); err != nil { // two endpoints a range
+		return err
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
@@ -123,6 +126,9 @@ func (c *Cluster) MultiGet(keys []workload.Key) ([]int, error) {
 func (c *Cluster) MultiGetInto(keys []workload.Key, out []int) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("core: out len %d < %d keys", len(out), len(keys))
+	}
+	if err := CheckCallSize(len(keys)); err != nil {
+		return err
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()

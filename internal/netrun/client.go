@@ -889,6 +889,9 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 //
 //dc:noalloc
 func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int, sortAll bool) error {
+	if err := core.CheckCallSize(len(keys)); err != nil {
+		return err
+	}
 	ep, err := c.begin()
 	if err != nil {
 		return err

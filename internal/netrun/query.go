@@ -61,6 +61,9 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 	if len(out) < len(ranges) {
 		return fmt.Errorf("netrun: out len %d < %d ranges", len(out), len(ranges))
 	}
+	if err := core.CheckCallSize(len(ranges)); err != nil {
+		return err
+	}
 	ep, err := c.begin()
 	if err != nil {
 		return err

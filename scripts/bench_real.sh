@@ -38,8 +38,10 @@ run_bench() {
 }
 
 # Real-runtime serving rows, including the mixed read/write
-# (online-update) row and the v5 query-surface rows (CountRange, whose
-# ns/endpoint must track the sorted-rank ns/key, and TopK).
+# (online-update) row, the v5 query-surface rows (CountRange, whose
+# ns/endpoint must track the sorted-rank ns/key, and TopK) and the
+# 65,536-key-call row (RankBatch64K), where the master's pipelining
+# shows.
 run_bench 'BenchmarkReal_' .
 # TCP loopback mode: the multiplexed master over real sockets, solo and
 # with 4 concurrent callers (plus the serialized baseline), the
@@ -61,6 +63,10 @@ run_bench 'BenchmarkTCPCluster' ./internal/netrun
 # batch, so these rows take their own iteration count: at the suite's
 # 20x they would time first touches and little else.
 run_bench 'BenchmarkSortedArrayRankBatch' ./internal/index 2000x
+# The master's per-key routing step alone (Partitioning.Route) at 8, 64
+# and 300 partitions. An op routes 65,536 keys in well under a
+# millisecond, so like the kernel rows it takes its own iteration count.
+run_bench 'BenchmarkPartitioningRoute' . 2000x
 
 cat "$RAW" >&2
 
