@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/model"
+	"repro/internal/paper"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -107,7 +108,7 @@ func BenchmarkTable2_Calibrate(b *testing.B) {
 
 func figure3Cell(b *testing.B, m core.Method, batchBytes, sample int) {
 	b.Helper()
-	cfg := core.SimConfig{
+	cfg := paper.SimConfig{
 		P:             arch.PentiumIIICluster(),
 		Method:        m,
 		IndexKeys:     workload.EvenKeys(327680),
@@ -118,10 +119,10 @@ func figure3Cell(b *testing.B, m core.Method, batchBytes, sample int) {
 		Slaves:        10,
 		SampleQueries: sample,
 	}
-	var r core.SimReport
+	var r paper.SimReport
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = core.Run(cfg)
+		r, err = paper.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +174,7 @@ func BenchmarkTable3_ModelVsSim(b *testing.B) {
 	for _, row := range rows {
 		b.ReportMetric(row.PredictedSec, "model_"+row.Method+"_sec")
 	}
-	sim, err := core.Run(core.SimConfig{
+	sim, err := paper.Run(paper.SimConfig{
 		P: p, Method: core.MethodC3,
 		IndexKeys:    workload.EvenKeys(327680),
 		TotalQueries: 1 << 23, QuerySeed: 42,
@@ -478,9 +479,9 @@ func BenchmarkRealCluster_MethodC3(b *testing.B) { benchReal(b, dcindex.MethodC3
 // residency argument (Section 4.1, why C-3 beats C-1) becomes visible as
 // diverging L2 miss rates.
 func BenchmarkAblation_PartitionPressure(b *testing.B) {
-	run := func(b *testing.B, m core.Method) core.SimReport {
+	run := func(b *testing.B, m core.Method) paper.SimReport {
 		b.Helper()
-		r, err := core.Run(core.SimConfig{
+		r, err := paper.Run(paper.SimConfig{
 			P:             arch.PentiumIIICluster(),
 			Method:        m,
 			IndexKeys:     workload.EvenKeys(1 << 20), // 1M keys: 400KB arrays, ~1MB trees
@@ -496,7 +497,7 @@ func BenchmarkAblation_PartitionPressure(b *testing.B) {
 		}
 		return r
 	}
-	var c1, c3 core.SimReport
+	var c1, c3 paper.SimReport
 	for i := 0; i < b.N; i++ {
 		c1 = run(b, core.MethodC1)
 		c3 = run(b, core.MethodC3)
@@ -511,8 +512,8 @@ func BenchmarkAblation_PartitionPressure(b *testing.B) {
 // 100 us latency pushes Method C's viable batch size up by an order of
 // magnitude.
 func BenchmarkAblation_GigabitEthernet(b *testing.B) {
-	run := func(p arch.Params, batch int) core.SimReport {
-		r, err := core.Run(core.SimConfig{
+	run := func(p arch.Params, batch int) paper.SimReport {
+		r, err := paper.Run(paper.SimConfig{
 			P: p, Method: core.MethodC3,
 			IndexKeys:    workload.EvenKeys(327680),
 			TotalQueries: 1 << 23, QuerySeed: 42,
@@ -524,7 +525,7 @@ func BenchmarkAblation_GigabitEthernet(b *testing.B) {
 		}
 		return r
 	}
-	var myr8, gig8, gig256 core.SimReport
+	var myr8, gig8, gig256 paper.SimReport
 	for i := 0; i < b.N; i++ {
 		myr8 = run(arch.PentiumIIICluster(), 8<<10)
 		gig8 = run(arch.GigabitEthernet(), 8<<10)
@@ -559,8 +560,8 @@ func BenchmarkAblation_BufferBudget(b *testing.B) {
 // AblationMultiMaster quantifies the paper's Section 3.2 remark: replicating
 // the master removes the dispatch bottleneck at large batches.
 func BenchmarkAblation_MultiMaster(b *testing.B) {
-	run := func(masters int) core.SimReport {
-		r, err := core.Run(core.SimConfig{
+	run := func(masters int) paper.SimReport {
+		r, err := paper.Run(paper.SimConfig{
 			P: arch.PentiumIIICluster(), Method: core.MethodC3,
 			IndexKeys:    workload.EvenKeys(327680),
 			TotalQueries: 1 << 23, QuerySeed: 42,
@@ -572,7 +573,7 @@ func BenchmarkAblation_MultiMaster(b *testing.B) {
 		}
 		return r
 	}
-	var one, two core.SimReport
+	var one, two paper.SimReport
 	for i := 0; i < b.N; i++ {
 		one = run(1)
 		two = run(2)
@@ -584,8 +585,8 @@ func BenchmarkAblation_MultiMaster(b *testing.B) {
 // AblationSkew measures the load-imbalance cost of Zipf-skewed queries —
 // the regime the paper's uniform-workload assumption hides.
 func BenchmarkAblation_Skew(b *testing.B) {
-	run := func(skew float64) core.SimReport {
-		r, err := core.Run(core.SimConfig{
+	run := func(skew float64) paper.SimReport {
+		r, err := paper.Run(paper.SimConfig{
 			P: arch.PentiumIIICluster(), Method: core.MethodC3,
 			IndexKeys:    workload.EvenKeys(327680),
 			TotalQueries: 1 << 23, QuerySeed: 42,
@@ -597,7 +598,7 @@ func BenchmarkAblation_Skew(b *testing.B) {
 		}
 		return r
 	}
-	var uni, skewed core.SimReport
+	var uni, skewed paper.SimReport
 	for i := 0; i < b.N; i++ {
 		uni = run(0)
 		skewed = run(1.1)

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/paper"
 	"repro/internal/tab"
 	"repro/internal/workload"
 )
@@ -55,7 +56,7 @@ func main() {
 	type job struct{ mi, bi int }
 	type res struct {
 		mi, bi int
-		r      core.SimReport
+		r      paper.SimReport
 		err    error
 	}
 	jobs := make(chan job)
@@ -66,7 +67,7 @@ func main() {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				cfg := core.SimConfig{
+				cfg := paper.SimConfig{
 					P:             p,
 					Method:        methods[j.mi],
 					IndexKeys:     indexKeys,
@@ -77,7 +78,7 @@ func main() {
 					Slaves:        *slaves,
 					SampleQueries: sampleQ,
 				}
-				r, err := core.Run(cfg)
+				r, err := paper.Run(cfg)
 				results <- res{j.mi, j.bi, r, err}
 			}
 		}()
@@ -93,9 +94,9 @@ func main() {
 		close(results)
 	}()
 
-	grid := make([][]core.SimReport, len(methods))
+	grid := make([][]paper.SimReport, len(methods))
 	for i := range grid {
-		grid[i] = make([]core.SimReport, len(batches))
+		grid[i] = make([]paper.SimReport, len(batches))
 	}
 	for r := range results {
 		if r.err != nil {

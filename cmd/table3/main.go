@@ -16,6 +16,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/paper"
 	"repro/internal/tab"
 	"repro/internal/workload"
 )
@@ -33,7 +34,7 @@ func main() {
 	t := tab.NewTable("method", "model (this repo)", "sim experiment (this repo)",
 		"paper predicted", "paper experiment")
 	for _, row := range rows {
-		cfg := core.SimConfig{
+		cfg := paper.SimConfig{
 			P:             p,
 			Method:        simFor[row.Method],
 			IndexKeys:     indexKeys,
@@ -44,7 +45,7 @@ func main() {
 			Slaves:        10,
 			SampleQueries: *sample,
 		}
-		r, err := core.Run(cfg)
+		r, err := paper.Run(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "table3:", err)
 			os.Exit(1)

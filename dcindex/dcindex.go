@@ -55,6 +55,7 @@
 package dcindex
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -62,6 +63,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/netrun"
+	"repro/internal/paper"
 	"repro/internal/workload"
 )
 
@@ -139,7 +141,8 @@ type Options struct {
 	// MethodC3 for the paper's recommended configuration.
 	Method Method
 	// Workers is the number of processing goroutines (default 8): the
-	// slave count for Method C, the replica count for A/B.
+	// slave count for Method C (one partition each); for A/B, how many
+	// workers read the one copy of the index.
 	Workers int
 	// BatchKeys is the most keys one hand-off to a worker carries
 	// (default 16384). It is a ceiling: the runtime hands a call over in
@@ -292,8 +295,8 @@ func (ix *Index) MultiGetInto(keys []Key, out []int) error { return ix.c.MultiGe
 
 // Owner returns the worker (slave) that owns key k's sub-range: the
 // routing decision a master makes, answered from the cluster's own
-// routing table. For replicated methods every worker owns every key,
-// and Owner returns 0.
+// routing table. For Methods A and B the index is one partition every
+// worker reads, and Owner returns 0.
 func (ix *Index) Owner(k Key) int {
 	p := ix.c.Partitioning()
 	if p == nil {
@@ -378,51 +381,32 @@ type SimOptions struct {
 	Skew float64
 }
 
-func (o SimOptions) toConfig() core.SimConfig {
-	cfg := core.SimConfig{
+func (o SimOptions) toConfig() paper.SimConfig {
+	cfg := paper.SimConfig{
 		P:             o.Arch,
 		Method:        o.Method,
-		TotalQueries:  o.Queries,
-		BatchBytes:    o.BatchBytes,
-		Masters:       o.Masters,
-		Slaves:        o.Slaves,
+		IndexKeys:     workload.EvenKeys(cmp.Or(o.IndexKeys, 327680)),
+		TotalQueries:  cmp.Or(o.Queries, 1<<23),
+		BatchBytes:    cmp.Or(o.BatchBytes, 128<<10),
+		Masters:       cmp.Or(o.Masters, 1),
+		Slaves:        cmp.Or(o.Slaves, 10),
 		SampleQueries: o.SampleQueries,
-		QuerySeed:     o.Seed,
+		QuerySeed:     cmp.Or(o.Seed, 42),
 		Skew:          o.Skew,
 	}
 	if cfg.P.Name == "" {
 		cfg.P = arch.PentiumIIICluster()
 	}
-	n := o.IndexKeys
-	if n == 0 {
-		n = 327680
-	}
-	cfg.IndexKeys = workload.EvenKeys(n)
-	if cfg.TotalQueries == 0 {
-		cfg.TotalQueries = 1 << 23
-	}
-	if cfg.BatchBytes == 0 {
-		cfg.BatchBytes = 128 << 10
-	}
-	if cfg.Masters == 0 {
-		cfg.Masters = 1
-	}
-	if cfg.Slaves == 0 {
-		cfg.Slaves = 10
-	}
-	if cfg.QuerySeed == 0 {
-		cfg.QuerySeed = 42
-	}
 	return cfg
 }
 
-// Report is a simulated experiment's outcome (see core.SimReport for
+// Report is a simulated experiment's outcome (see paper.SimReport for
 // field documentation).
-type Report = core.SimReport
+type Report = paper.SimReport
 
 // Simulate runs one simulated experiment.
 func Simulate(o SimOptions) (Report, error) {
-	return core.Run(o.toConfig())
+	return paper.Run(o.toConfig())
 }
 
 // Sweep runs the method across Figure 3's batch-size axis (or the given

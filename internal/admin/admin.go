@@ -2,16 +2,19 @@
 // dependency-free server that exposes a process's telemetry registry
 // in Prometheus text format (/metrics), the unified Stats tree as JSON
 // (/stats), a liveness probe (/health), the served indexes
-// (/indexes), and — when the process can reshape a live cluster — the
-// membership verbs (POST /membership/add-replica, drain-replica,
-// split-partition).
+// (/indexes), the runtime's profiles (/debug/pprof/, the stdlib
+// net/http/pprof handlers: CPU, heap, goroutine, block, mutex, trace),
+// and — when the process can reshape a live cluster — the membership
+// verbs (POST /membership/add-replica, drain-replica, split-partition).
 //
 // The package deliberately knows nothing about netrun or dcindex: the
 // host wires callbacks in through Config, so both a dcnode (one
 // partition, no membership authority) and a dcq master (whole-cluster
 // stats, membership verbs) mount the same handler. Everything is
 // stdlib net/http; there is no auth — bind the admin listener to a
-// loopback or operator network.
+// loopback or operator network: whoever reaches it can reshape the
+// cluster, and can make the process spend CPU on a profile and read its
+// command line and heap contents out of one.
 package admin
 
 import (
@@ -20,6 +23,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strings"
 
 	"repro/internal/telemetry"
@@ -167,6 +171,14 @@ func Handler(cfg Config) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "verb": verb, "partition": req.Partition, "addr": req.Addr})
 	})
+
+	// pprof.Index serves the named runtime profiles (heap, goroutine,
+	// block, mutex, allocs, threadcreate) beneath its own path.
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
 	return mux
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -243,6 +244,38 @@ func TestServeAndClose(t *testing.T) {
 	}
 	if len(list) != 1 || list[0].Partition != 2 || list[0].Keys != 1000 {
 		t.Fatalf("indexes = %+v", list)
+	}
+}
+
+// The stdlib profiling handlers answer beneath /debug/pprof/ on the same
+// mux: the command line comes back verbatim, and a one-second CPU
+// profile is a non-empty gzip stream (what `go tool pprof` fetches).
+func TestPprofMounted(t *testing.T) {
+	srv := testHandler(t, Config{})
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, resp.StatusCode, body)
+		}
+		return body
+	}
+	if got := string(get("/debug/pprof/cmdline")); !strings.HasPrefix(got, os.Args[0]) {
+		t.Errorf("cmdline = %q, want it to start with %q", got, os.Args[0])
+	}
+	if !strings.Contains(string(get("/debug/pprof/")), "goroutine") {
+		t.Error("pprof index does not list the goroutine profile")
+	}
+	if prof := get("/debug/pprof/profile?seconds=1"); len(prof) < 2 || prof[0] != 0x1f || prof[1] != 0x8b {
+		t.Errorf("CPU profile is %d bytes and not a gzip stream", len(prof))
 	}
 }
 

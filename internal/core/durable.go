@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"repro/internal/faultfs"
 	"repro/internal/index"
@@ -14,11 +13,11 @@ import (
 )
 
 // Cluster-level durability. With RealConfig.WALDir set, every partition
-// (or, for the replicated methods, the single shared copy) gets an
-// index.Store: inserts append to its WAL before the workers apply them
-// and the ack waits for the group fsync; frozen-layer publishes flush
-// segments through a background daemon that then retires covered WAL
-// files. The directory is laid out as
+// (for Methods A and B, the one whole-index partition) is served through
+// an index.DurablePartition: inserts append to its WAL before they are
+// applied and the ack waits for the group fsync; frozen-layer publishes
+// flush segments through its background daemon, which then retires
+// covered WAL files. What this file adds is the layout around them:
 //
 //	WALDir/MANIFEST        current epoch + partition count
 //	WALDir/e<epoch>/p<i>/  partition i's segments and WAL files
@@ -32,26 +31,19 @@ import (
 
 const manifestName = "MANIFEST"
 
-// storeFlush is one frozen-layer publish waiting to become a segment.
-type storeFlush struct {
-	store *index.Store
-	keys  []workload.Key
-	gen   uint64
-}
-
-// clusterStore owns the manifest and the per-partition stores.
+// clusterStore owns the manifest and the current epoch's partitions.
 type clusterStore struct {
 	fs    faultfs.FS
 	dir   string
 	opt   index.StoreOptions
 	epoch uint64
 
+	// stores are open and waiting for the index epoch they belong to
+	// (recovered by openClusterStore or written by rebase); attach pairs
+	// them with that epoch's Updatables into parts.
 	stores  []*index.Store
 	perPart [][]workload.Key // recovered keys per partition; nil once adopted
-
-	flushCh chan storeFlush
-	stopped chan struct{}
-	wg      sync.WaitGroup
+	parts   []*index.DurablePartition
 }
 
 func (cs *clusterStore) logf(format string, args ...any) {
@@ -71,13 +63,7 @@ func openClusterStore(dir string, opt index.StoreOptions) (*clusterStore, error)
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	cs := &clusterStore{
-		fs:      fs,
-		dir:     dir,
-		opt:     opt,
-		flushCh: make(chan storeFlush, 32),
-		stopped: make(chan struct{}),
-	}
+	cs := &clusterStore{fs: fs, dir: dir, opt: opt}
 	data, err := fs.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -93,12 +79,12 @@ func openClusterStore(dir string, opt index.StoreOptions) (*clusterStore, error)
 	for p := 0; p < parts; p++ {
 		st, keys, err := index.OpenStore(cs.partDir(epoch, p), nil, opt)
 		if err != nil {
-			cs.closeStores()
+			cs.close()
 			return nil, fmt.Errorf("core: recover partition %d: %w", p, err)
 		}
 		if !st.HasSegment() {
 			st.Close()
-			cs.closeStores()
+			cs.close()
 			return nil, fmt.Errorf("core: recover partition %d: %w: no intact segment (its baseline is not reconstructible)", p, index.ErrStoreCorrupt)
 		}
 		cs.stores = append(cs.stores, st)
@@ -168,29 +154,28 @@ func (cs *clusterStore) recoveredKeys() []workload.Key {
 }
 
 // matches reports whether the stored partitions line up with the given
-// partition sizes. Because the recovered full multiset is exactly what
+// partition slices. Because the recovered full multiset is exactly what
 // the new partitioning was computed over, equal counts imply identical
 // content — the stores can be adopted as-is.
-func (cs *clusterStore) matches(sizes []int) bool {
-	if cs.perPart == nil || len(cs.stores) != len(sizes) {
+func (cs *clusterStore) matches(parts [][]workload.Key) bool {
+	if cs.perPart == nil || len(cs.stores) != len(parts) {
 		return false
 	}
-	for i, n := range sizes {
-		if len(cs.perPart[i]) != n {
+	for i, p := range parts {
+		if len(cs.perPart[i]) != len(p) {
 			return false
 		}
 	}
 	return true
 }
 
-// adopt marks the recovered stores as live (drops the recovery copies).
-func (cs *clusterStore) adopt() { cs.perPart = nil }
-
 // rebase writes a complete new epoch — one fresh store per partition,
 // each anchored by a generation-0 segment of its key slice — then
-// atomically swaps the manifest and retires the old epoch. Called at
-// first creation, after a recovery whose boundaries moved, and on every
-// rebalance (with writes excluded, so the slices are exact).
+// atomically swaps the manifest and retires the old epoch: its
+// partitions are closed (compactions waited out, flusher stopped) before
+// their directory goes. Called at first creation, after a recovery
+// whose boundaries moved, and on every rebalance (with writes excluded,
+// so the slices are exact and the old epoch can arm no new compaction).
 func (cs *clusterStore) rebase(parts [][]workload.Key) error {
 	newEpoch := cs.epoch + 1
 	stores := make([]*index.Store, 0, len(parts))
@@ -220,103 +205,46 @@ func (cs *clusterStore) rebase(parts [][]workload.Key) error {
 	if err != nil {
 		return fail(fmt.Errorf("core: rebase manifest: %w", err))
 	}
-	old, oldEpoch := cs.stores, cs.epoch
+	hadOld, oldEpoch := cs.stores != nil || cs.parts != nil, cs.epoch
+	cs.close()
 	cs.stores, cs.epoch, cs.perPart = stores, newEpoch, nil
-	for _, st := range old {
-		st.Close()
-	}
-	if old != nil {
+	if hadOld {
 		cs.fs.RemoveAll(filepath.Join(cs.dir, fmt.Sprintf("e%d", oldEpoch)))
 	}
 	return nil
 }
 
 // attachDurable adopts (or rebases) the cluster store onto a freshly
-// built epoch and wires each partition's store and segment-flush hook
-// into its live part. Called before the epoch is published, so no
-// traffic races the wiring.
+// built epoch and pairs each partition's store with its Updatable.
+// Called before the epoch is published, so no traffic races the wiring.
 func (c *Cluster) attachDurable(ep *updEpoch) error {
-	sizes := make([]int, len(ep.lps))
-	for s := range ep.lps {
-		sizes[s] = len(ep.part.Parts[s].Keys)
+	cs := c.cs
+	parts := make([][]workload.Key, len(ep.lps))
+	for s := range parts {
+		parts[s] = ep.part.Parts[s].Keys
 	}
-	if c.cs.matches(sizes) {
-		c.cs.adopt()
-	} else {
-		parts := make([][]workload.Key, len(ep.lps))
-		for s := range parts {
-			parts[s] = ep.part.Parts[s].Keys
-		}
-		if err := c.cs.rebase(parts); err != nil {
+	if !cs.matches(parts) {
+		if err := cs.rebase(parts); err != nil {
 			return err
 		}
 	}
 	for s, lp := range ep.lps {
-		st := c.cs.stores[s]
-		lp.store = st
-		lp.upd.OnPublish = func(keys []workload.Key, gen uint64) { c.cs.enqueue(st, keys, gen) }
+		lp.dp = index.NewDurablePartition(cs.stores[s], lp.upd, cs.opt.Logf)
+		cs.parts = append(cs.parts, lp.dp)
 	}
+	cs.stores, cs.perPart = nil, nil
 	return nil
 }
 
-// attachDurableRepl wires the single shared store for the replicated
-// methods. All replicas apply the same logged stream; replica 0 is the
-// designated flusher (segment generations deduplicate, so one is
-// enough).
-func (c *Cluster) attachDurableRepl(keys []workload.Key) error {
-	if c.cs.matches([]int{len(keys)}) {
-		c.cs.adopt()
-	} else if err := c.cs.rebase([][]workload.Key{keys}); err != nil {
-		return err
+// close closes every partition — compactions waited out, flusher
+// stopped, store closed — and any store still waiting for its epoch.
+// The caller must have stopped inserts first.
+func (cs *clusterStore) close() {
+	for _, dp := range cs.parts {
+		dp.Close()
 	}
-	st := c.cs.stores[0]
-	c.replStore = st
-	c.repl[0].upd.OnPublish = func(keys []workload.Key, gen uint64) { c.cs.enqueue(st, keys, gen) }
-	return nil
-}
-
-// start launches the segment-flush daemon.
-func (cs *clusterStore) start() {
-	cs.wg.Add(1)
-	go cs.run()
-}
-
-// enqueue is the OnPublish sink. Non-blocking: a dropped request only
-// delays WAL retirement (the data is already durable in the log).
-func (cs *clusterStore) enqueue(st *index.Store, keys []workload.Key, gen uint64) {
-	if gen == 0 {
-		return
-	}
-	select {
-	case cs.flushCh <- storeFlush{store: st, keys: keys, gen: gen}:
-	default:
-	}
-}
-
-func (cs *clusterStore) run() {
-	defer cs.wg.Done()
-	for {
-		select {
-		case <-cs.stopped:
-			return
-		case req := <-cs.flushCh:
-			if err := req.store.FlushSegment(req.keys, req.gen); err != nil {
-				cs.logf("core: segment flush at generation %d in %s failed: %v", req.gen, req.store.Dir(), err)
-			}
-		}
-	}
-}
-
-func (cs *clusterStore) closeStores() {
 	for _, st := range cs.stores {
 		st.Close()
 	}
-}
-
-// close stops the daemon and closes every store. The caller must have
-// drained inserts and compactions first.
-func (cs *clusterStore) close() {
-	close(cs.stopped)
-	cs.wg.Wait()
-	cs.closeStores()
+	cs.parts, cs.stores = nil, nil
 }

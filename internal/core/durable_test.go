@@ -2,9 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,43 +140,208 @@ func TestClusterDurableReplicatedRestart(t *testing.T) {
 	checkExact(t, c2, o, probes)
 }
 
-// TestClusterDurableCrashImageMidTraffic: after every acked insert
-// round, the WAL directory — copied as-is, exactly what a crashed
-// machine's disk would hold — must reopen to a state containing every
-// acked key.
+// freezeFS lets a test stop the disk: every call that changes the
+// directory tree or a file's bytes holds mu shared, so whoever holds it
+// exclusively sees the tree exactly as a crash at that instant would
+// leave it (more kindly, even: unsynced bytes are all there).
+type freezeFS struct {
+	faultfs.FS
+	mu sync.RWMutex
+}
+
+type freezeFile struct {
+	faultfs.File
+	fs *freezeFS
+}
+
+func (f *freezeFS) wrap(file faultfs.File, err error) (faultfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &freezeFile{File: file, fs: f}, nil
+}
+
+func (f *freezeFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.wrap(f.FS.OpenFile(name, flag, perm))
+}
+
+func (f *freezeFS) CreateTemp(dir, pattern string) (faultfs.File, error) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.wrap(f.FS.CreateTemp(dir, pattern))
+}
+
+func (f *freezeFS) Rename(oldpath, newpath string) error {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.FS.Rename(oldpath, newpath)
+}
+
+func (f *freezeFS) Remove(name string) error {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.FS.Remove(name)
+}
+
+func (f *freezeFS) RemoveAll(path string) error {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.FS.RemoveAll(path)
+}
+
+func (f *freezeFile) Write(p []byte) (int, error) {
+	f.fs.mu.RLock()
+	defer f.fs.mu.RUnlock()
+	return f.File.Write(p)
+}
+
+func (f *freezeFile) Truncate(size int64) error {
+	f.fs.mu.RLock()
+	defer f.fs.mu.RUnlock()
+	return f.File.Truncate(size)
+}
+
+// TestClusterDurableCrashImageMidTraffic: the WAL directory, copied
+// as-is while inserts are in flight — exactly what a crashed machine's
+// disk would hold — must reopen to a state containing every key acked
+// before the copy, and at quiescence to exactly the oracle. It runs for
+// a one-partition method and a partitioned one, with one writer and
+// with four concurrent ones, and with a merge threshold small enough
+// that segments are flushed (at the frozen layer's watermark) between
+// the images: what is under test is that a partition's log order is its
+// apply order whoever the callers are.
 func TestClusterDurableCrashImageMidTraffic(t *testing.T) {
+	for _, m := range []Method{MethodB, MethodC3} {
+		for _, writers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v/writers=%d", m, writers), func(t *testing.T) {
+				t.Parallel()
+				crashImageMidTraffic(t, m, writers)
+			})
+		}
+	}
+}
+
+func crashImageMidTraffic(t *testing.T, m Method, writers int) {
+	const maxKey = 1 << 20 // few enough values that inserts repeat keys
 	dir := t.TempDir()
-	keys := workload.SortedKeys(1024, 21)
-	c, err := NewCluster(keys, durableCfg(dir, MethodC3))
+	disk := &freezeFS{FS: faultfs.OS}
+	keys := make([]workload.Key, 1024)
+	rng := rand.New(rand.NewSource(21))
+	for i := range keys {
+		keys[i] = workload.Key(rng.Intn(maxKey))
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	cfg := durableCfg(dir, m)
+	cfg.MergeThreshold = 32
+	cfg.WALFS = disk
+	c, err := NewCluster(keys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	o := newOracle(keys)
-	r := workload.NewRNG(23)
-	probes := workload.UniformQueries(300, 29)
-	for round := 0; round < 4; round++ {
-		batch := make([]workload.Key, 100)
-		for i := range batch {
-			batch[i] = r.Key()
-		}
-		if err := c.InsertBatch(batch); err != nil {
-			t.Fatalf("InsertBatch: %v", err)
-		}
-		o.insert(batch)
 
+	// Writers keep inserting until enough images were taken mid-traffic
+	// (or the test has failed and is leaving).
+	const minRounds, maxRounds, wantImages = 6, 400, 4
+	var (
+		mu     sync.Mutex
+		acked  []workload.Key // in ack order, all writers
+		images atomic.Int32
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	defer func() {
+		failed.Store(t.Failed())
+		wg.Wait()
+		c.Close()
+	}()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(23 + w)))
+			for round := 0; round < maxRounds && (round < minRounds || images.Load() < wantImages) && !failed.Load(); round++ {
+				batch := make([]workload.Key, 100)
+				for i := range batch {
+					batch[i] = workload.Key(r.Intn(maxKey))
+				}
+				if err := c.InsertBatch(batch); err != nil {
+					t.Errorf("InsertBatch: %v", err)
+					return
+				}
+				mu.Lock()
+				acked = append(acked, batch...)
+				mu.Unlock()
+			}
+		}(w)
+	}
+
+	// image reopens the directory as it is on disk right now and checks
+	// it holds every key acked before the copy began — and, with exact,
+	// nothing else.
+	image := func(exact bool) {
+		mu.Lock()
+		before := append([]workload.Key(nil), acked...)
+		mu.Unlock()
 		img := t.TempDir()
+		disk.mu.Lock()
 		copyTree(t, dir, img)
-		crashed, err := NewCluster(workload.SortedKeys(16, 99), durableCfg(img, MethodC3))
+		disk.mu.Unlock()
+		crashed, err := NewCluster(workload.SortedKeys(16, 99), durableCfg(img, m))
 		if err != nil {
-			t.Fatalf("round %d: crash image refused: %v", round, err)
+			t.Fatalf("crash image after %d acked keys refused: %v", len(before), err)
 		}
-		if got, want := crashed.KeyCount(), len(o.keys); got != want {
-			crashed.Close()
-			t.Fatalf("round %d: crash image has %d keys, want every acked one of %d", round, got, want)
+		defer crashed.Close()
+		want := newQueryOracle(keys)
+		want.add(before)
+		got, err := crashed.MultiGet(before)
+		if err != nil {
+			t.Fatal(err)
 		}
-		checkExact(t, crashed, o, probes)
-		crashed.Close()
+		for i, k := range before {
+			if got[i] < want.multiplicity(k) {
+				t.Fatalf("crash image holds %d copies of acked key %d, want at least %d", got[i], k, want.multiplicity(k))
+			}
+		}
+		if n := crashed.KeyCount(); n < len(want.ints) || exact && n != len(want.ints) {
+			t.Fatalf("crash image has %d keys, %d were acked (exact: %v)", n, len(want.ints), exact)
+		}
+		if exact {
+			o := newOracle(keys)
+			o.insert(before)
+			checkExact(t, crashed, o, workload.UniformQueries(300, 29))
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			image(false)
+			images.Add(1)
+		}
+	}
+	image(true)
+
+	// The threshold was crossed many times over: some partition must have
+	// flushed a segment past its generation-0 baseline (the flusher runs
+	// behind the compactions, so give it a moment).
+	flushed := func() bool {
+		segs, _ := filepath.Glob(filepath.Join(dir, "e*", "p*", "seg-*.seg"))
+		for _, s := range segs {
+			if !strings.HasSuffix(s, "seg-00000000000000000000.seg") {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(10 * time.Second); !flushed(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no segment was flushed mid-traffic")
+		}
 	}
 }
 
@@ -223,12 +394,22 @@ func TestClusterDurableRebalanceSurvivesRestart(t *testing.T) {
 
 // TestClusterDurableFsyncFailureRefusesAck: with the disk refusing to
 // sync, InsertBatch must return an error — and after a restart every
-// previously acked key is present while lookups keep serving.
+// previously acked key is present while lookups keep serving. A
+// partition's insert counter follows its memory, not its log: keys whose
+// fsync failed were applied (ranks include them, in their own partition
+// and in the rank bases of those above it), keys whose append failed
+// were not.
 func TestClusterDurableFsyncFailureRefusesAck(t *testing.T) {
+	for _, m := range []Method{MethodB, MethodC3} {
+		t.Run(m.String(), func(t *testing.T) { fsyncFailureRefusesAck(t, m) })
+	}
+}
+
+func fsyncFailureRefusesAck(t *testing.T, m Method) {
 	faulty := faultfs.NewFaulty(faultfs.OS)
 	dir := t.TempDir()
 	keys := workload.SortedKeys(512, 43)
-	cfg := durableCfg(dir, MethodC3)
+	cfg := durableCfg(dir, m)
 	cfg.WALFS = faulty
 	c, err := NewCluster(keys, cfg)
 	if err != nil {
@@ -245,25 +426,32 @@ func TestClusterDurableFsyncFailureRefusesAck(t *testing.T) {
 	}
 	o.insert(acked)
 
+	probes := workload.UniformQueries(100, 53)
 	faulty.FailSyncAt(faulty.Syncs() + 1)
-	if err := c.InsertBatch([]workload.Key{1, 2, 3}); err == nil {
+	unacked := []workload.Key{1, 2, 3} // lowest partition: every other one ranks above them
+	if err := c.InsertBatch(unacked); err == nil {
 		t.Fatal("insert acked over a failed fsync")
 	}
 	faulty.FailSyncAt(0)
+	// Logged, applied, not synced: the keys are in memory and counted.
+	o.insert(unacked)
+	if got, want := c.KeyCount(), len(o.keys); got != want {
+		t.Fatalf("after a failed fsync KeyCount = %d, want %d (the keys were applied)", got, want)
+	}
+	checkExact(t, c, o, probes)
 	// The log is poisoned: writes keep failing rather than acking over
-	// the hole.
+	// the hole, and a key that was never logged never reaches memory.
 	if err := c.InsertBatch([]workload.Key{4}); !errors.Is(err, index.ErrWALBroken) {
 		t.Fatalf("insert on poisoned log = %v, want ErrWALBroken", err)
 	}
-	// Reads still serve.
-	probes := workload.UniformQueries(100, 53)
-	out := make([]int, len(probes))
-	if err := c.LookupBatchInto(probes, out); err != nil {
-		t.Fatalf("lookups stopped after a write-path fault: %v", err)
+	if got, want := c.KeyCount(), len(o.keys); got != want {
+		t.Fatalf("after a failed append KeyCount = %d, want %d (nothing was applied)", got, want)
 	}
+	// Reads still serve, exactly.
+	checkExact(t, c, o, probes)
 	c.Close()
 
-	c2, err := NewCluster(workload.SortedKeys(16, 99), durableCfg(dir, MethodC3))
+	c2, err := NewCluster(workload.SortedKeys(16, 99), durableCfg(dir, m))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -1,8 +1,10 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // Multi-master support quantifies the paper's Section 3.2 remark: "if
@@ -14,7 +16,7 @@ func TestSecondMasterRelievesMasterBottleneck(t *testing.T) {
 	// At large batches with Myrinet, the single master's NIC is the
 	// pipeline bottleneck; a second master (with its own NIC) must
 	// improve the total. Keep everything else fixed.
-	one := paperCfg(MethodC3, 256<<10, 600_000)
+	one := paperCfg(core.MethodC3, 256<<10, 600_000)
 	two := one
 	two.Masters = 2
 	r1 := mustRun(t, one)
@@ -33,7 +35,7 @@ func TestSecondMasterRelievesMasterBottleneck(t *testing.T) {
 func TestManyMastersHitSlaveCapacity(t *testing.T) {
 	// With masters no longer the bottleneck, adding more must saturate
 	// at the slaves' aggregate capacity: 4 -> 8 masters buys little.
-	cfg4 := paperCfg(MethodC3, 128<<10, 400_000)
+	cfg4 := paperCfg(core.MethodC3, 128<<10, 400_000)
 	cfg4.Masters = 4
 	cfg8 := cfg4
 	cfg8.Masters = 8
@@ -47,8 +49,8 @@ func TestManyMastersHitSlaveCapacity(t *testing.T) {
 // Turnaround: the response-time criterion of the Figure 3 discussion.
 
 func TestTurnaroundGrowsWithBatchSize(t *testing.T) {
-	small := mustRun(t, paperCfg(MethodC3, 16<<10, 200_000))
-	big := mustRun(t, paperCfg(MethodC3, 1<<20, 0))
+	small := mustRun(t, paperCfg(core.MethodC3, 16<<10, 200_000))
+	big := mustRun(t, paperCfg(core.MethodC3, 1<<20, 0))
 	if small.TurnaroundP50Ns <= 0 || big.TurnaroundP50Ns <= 0 {
 		t.Fatalf("turnaround not populated: %v / %v", small.TurnaroundP50Ns, big.TurnaroundP50Ns)
 	}
@@ -66,8 +68,8 @@ func TestPaperResponseTimeClaim(t *testing.T) {
 	// only 64 KB, while Method B requires a batch size of 256 KB": at
 	// those operating points C-3 must deliver comparable throughput at
 	// a fraction of B's batch turnaround.
-	c := mustRun(t, paperCfg(MethodC3, 64<<10, 400_000))
-	b := mustRun(t, paperCfg(MethodB, 256<<10, 524_288))
+	c := mustRun(t, paperCfg(core.MethodC3, 64<<10, 400_000))
+	b := mustRun(t, paperCfg(core.MethodB, 256<<10, 524_288))
 	if c.NormalizedSec > b.NormalizedSec*1.02 {
 		t.Errorf("C-3@64KB throughput (%.3f) should match B@256KB (%.3f)",
 			c.NormalizedSec, b.NormalizedSec)
@@ -79,13 +81,13 @@ func TestPaperResponseTimeClaim(t *testing.T) {
 }
 
 func TestMethodATurnaroundIsPerKey(t *testing.T) {
-	r := mustRun(t, paperCfg(MethodA, 128<<10, 100_000))
+	r := mustRun(t, paperCfg(core.MethodA, 128<<10, 100_000))
 	// A processes keys one by one: median turnaround is a single
 	// lookup, hundreds of ns, not a batch time.
 	if r.TurnaroundP50Ns <= 0 || r.TurnaroundP50Ns > 5_000 {
 		t.Errorf("A per-key turnaround = %.0f ns, want O(500ns)", r.TurnaroundP50Ns)
 	}
-	b := mustRun(t, paperCfg(MethodB, 128<<10, 262_144))
+	b := mustRun(t, paperCfg(core.MethodB, 128<<10, 262_144))
 	if b.TurnaroundP50Ns < 1000*r.TurnaroundP50Ns {
 		t.Errorf("B's batch turnaround (%.0f) should dwarf A's per-key (%.0f)",
 			b.TurnaroundP50Ns, r.TurnaroundP50Ns)
@@ -95,7 +97,7 @@ func TestMethodATurnaroundIsPerKey(t *testing.T) {
 // Skewed workloads: the ablation for the paper's uniform-keys assumption.
 
 func TestSkewConcentratesSlaveLoad(t *testing.T) {
-	uni := paperCfg(MethodC3, 64<<10, 300_000)
+	uni := paperCfg(core.MethodC3, 64<<10, 300_000)
 	skew := uni
 	skew.Skew = 1.1
 	ru := mustRun(t, uni)
@@ -115,7 +117,7 @@ func TestSkewConcentratesSlaveLoad(t *testing.T) {
 }
 
 func TestSkewRejectedWhenNegative(t *testing.T) {
-	cfg := paperCfg(MethodC3, 64<<10, 1000)
+	cfg := paperCfg(core.MethodC3, 64<<10, 1000)
 	cfg.Skew = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative skew accepted")
@@ -123,7 +125,7 @@ func TestSkewRejectedWhenNegative(t *testing.T) {
 }
 
 func TestSkewDeterministic(t *testing.T) {
-	cfg := paperCfg(MethodC3, 64<<10, 100_000)
+	cfg := paperCfg(core.MethodC3, 64<<10, 100_000)
 	cfg.Skew = 0.9
 	a := mustRun(t, cfg)
 	b := mustRun(t, cfg)
@@ -136,13 +138,13 @@ func TestSkewWorksForLocalMethods(t *testing.T) {
 	// Method B under skew: popular keys concentrate on few subtrees,
 	// which can only help the cache. Just verify it runs and stays in a
 	// sane band.
-	cfg := paperCfg(MethodB, 128<<10, 131_072)
+	cfg := paperCfg(core.MethodB, 128<<10, 131_072)
 	cfg.Skew = 1.0
 	r := mustRun(t, cfg)
 	if r.NormalizedSec <= 0 || r.NormalizedSec > 0.5 {
 		t.Errorf("B under skew = %.4f s", r.NormalizedSec)
 	}
-	uni := mustRun(t, paperCfg(MethodB, 128<<10, 131_072))
+	uni := mustRun(t, paperCfg(core.MethodB, 128<<10, 131_072))
 	if r.NormalizedSec > uni.NormalizedSec*1.05 {
 		t.Errorf("skew should not hurt the replicated-index B: %.4f vs %.4f",
 			r.NormalizedSec, uni.NormalizedSec)
@@ -150,7 +152,7 @@ func TestSkewWorksForLocalMethods(t *testing.T) {
 }
 
 func TestMultiMasterDeterminism(t *testing.T) {
-	cfg := paperCfg(MethodC3, 128<<10, 200_000)
+	cfg := paperCfg(core.MethodC3, 128<<10, 200_000)
 	cfg.Masters = 3
 	a := mustRun(t, cfg)
 	b := mustRun(t, cfg)

@@ -1,15 +1,3 @@
-// Package core implements the paper's contribution: the distributed
-// in-cache index (Method C) and the replicated-index baselines it is
-// evaluated against (Methods A and B), in two forms.
-//
-// The simulated engines (SimLocal for A/B, SimCluster for C) execute the
-// methods against the trace-driven cache simulator (internal/memsim),
-// the network model (internal/netsim) and the discrete-event scheduler
-// (internal/des), producing the virtual-nanosecond timings that
-// reproduce Figure 3 and Tables 2-3. The real engine (Cluster) runs the
-// same methods concurrently on the host — goroutine nodes, channel
-// interconnect — and returns actual lookup results, which is what a
-// library user adopts and what the cross-validation tests exercise.
 package core
 
 import "fmt"

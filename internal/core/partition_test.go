@@ -278,35 +278,3 @@ func TestMethodStrings(t *testing.T) {
 		t.Error("Methods() should list all five")
 	}
 }
-
-func TestSimConfigValidate(t *testing.T) {
-	good := SimConfig{
-		P:            pentium(),
-		Method:       MethodC3,
-		IndexKeys:    workload.EvenKeys(1000),
-		TotalQueries: 1000,
-		BatchBytes:   8 << 10,
-		Masters:      1,
-		Slaves:       10,
-	}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("good config rejected: %v", err)
-	}
-	cases := map[string]func(*SimConfig){
-		"bad method":   func(c *SimConfig) { c.Method = Method(42) },
-		"empty index":  func(c *SimConfig) { c.IndexKeys = nil },
-		"no queries":   func(c *SimConfig) { c.TotalQueries = 0 },
-		"tiny batch":   func(c *SimConfig) { c.BatchBytes = 2 },
-		"no slaves":    func(c *SimConfig) { c.Slaves = 0 },
-		"no masters":   func(c *SimConfig) { c.Masters = 0 },
-		"too few keys": func(c *SimConfig) { c.IndexKeys = workload.EvenKeys(5) },
-		"neg sample":   func(c *SimConfig) { c.SampleQueries = -1 },
-	}
-	for name, mutate := range cases {
-		c := good
-		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}

@@ -161,20 +161,6 @@ func (c *Cluster) ScanRange(lo, hi workload.Key, limit int, out []workload.Key) 
 	cs := c.getCall()
 	defer c.putCall(cs)
 
-	if !c.cfg.Method.Distributed() {
-		// A replica holds the whole index: one batch answers.
-		parts := c.gatherKeyRuns(cs, func(send func(w int, b *realBatch)) {
-			w := c.nextWorker()
-			b := c.getBatch(cs.reply)
-			b.op = opScan
-			b.keys = append(b.keys, lo, hi)
-			b.limit = limit
-			b.lp = c.repl[w]
-			send(w, b)
-		})
-		return append(out, parts[0]...), nil
-	}
-
 	ep := c.epoch.Load()
 	sLo, sHi := ep.part.Route(lo), ep.part.Route(hi)
 	parts := c.gatherKeyRuns(cs, func(send func(w int, b *realBatch)) {
@@ -184,7 +170,7 @@ func (c *Cluster) ScanRange(lo, hi workload.Key, limit int, out []workload.Key) 
 			b.keys = append(b.keys, lo, hi)
 			b.limit = limit
 			b.lp = ep.lps[s]
-			send(s, b)
+			send(c.workerFor(ep, s), b)
 		}
 	})
 	// Partition key ranges are disjoint and ascending, so send-order
@@ -222,18 +208,6 @@ func (c *Cluster) TopK(k int, out []workload.Key) ([]workload.Key, error) {
 	cs := c.getCall()
 	defer c.putCall(cs)
 
-	if !c.cfg.Method.Distributed() {
-		parts := c.gatherKeyRuns(cs, func(send func(w int, b *realBatch)) {
-			w := c.nextWorker()
-			b := c.getBatch(cs.reply)
-			b.op = opTopK
-			b.limit = k
-			b.lp = c.repl[w]
-			send(w, b)
-		})
-		return append(out, parts[0]...), nil
-	}
-
 	ep := c.epoch.Load()
 	parts := c.gatherKeyRuns(cs, func(send func(w int, b *realBatch)) {
 		for s := range ep.lps {
@@ -241,7 +215,7 @@ func (c *Cluster) TopK(k int, out []workload.Key) ([]workload.Key, error) {
 			b.op = opTopK
 			b.limit = k
 			b.lp = ep.lps[s]
-			send(s, b)
+			send(c.workerFor(ep, s), b)
 		}
 	})
 	have := 0

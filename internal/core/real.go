@@ -17,13 +17,17 @@ import (
 // the adoptable library the simulated engines validate against — every
 // method returns bit-identical ranks; only performance differs.
 type RealConfig struct {
-	// Method selects the strategy. Method A/B replicate the index on
-	// Workers nodes and balance batches round-robin (the paper's
-	// dispatcher with a load-balancing algorithm); Method C partitions
-	// the index over Workers slaves with the caller acting as master.
+	// Method selects the strategy. Methods A/B keep the whole index as
+	// one copy that every worker reads, batches handed out in turn (the
+	// paper's dispatcher with a load-balancing algorithm — in process the
+	// nodes share memory, so "replicated" means each core's cache holds
+	// its own copy of the hot lines, not Workers copies of the tree);
+	// Method C partitions the index over Workers slaves with the caller
+	// acting as master.
 	Method Method
 	// Workers is the number of processing goroutines (the paper's 10
-	// slaves / 11 worker nodes).
+	// slaves / 11 worker nodes): one partition each for Method C, all
+	// reading the one copy for A/B.
 	Workers int
 	// BatchKeys is the most keys one message (hand-off to a worker)
 	// carries. It is a ceiling: handoff cuts a call into smaller slices
@@ -153,8 +157,6 @@ const (
 	// of exactly that key). Multiplicities are partition-local — every
 	// copy of a key routes to one partition — so no rank base applies.
 	opMultiGet
-	// opInsert applies keys to the partition's delta buffer.
-	opInsert
 )
 
 // realBatch is one message on the channel interconnect. Batches are
@@ -166,9 +168,9 @@ type realBatch struct {
 	op   batchOp
 	keys []workload.Key
 	// pos[i] is keys[i]'s position in the caller's query slice. A nil
-	// pos means the batch is a contiguous run starting at posBase (the
-	// replicated methods' round-robin slices), so results copy back
-	// without a scatter.
+	// pos means the batch is a contiguous run starting at posBase (a
+	// slice of an already ascending call, or of any call to a
+	// one-partition index), so results copy back without a scatter.
 	pos     []int32
 	posBase int
 	// ranks is the worker's reply for the int-valued ops: global ranks
@@ -181,13 +183,10 @@ type realBatch struct {
 	// outKeys is the worker's reply for the key-run ops (opScan
 	// ascending, opTopK descending). Owned by the batch and recycled.
 	outKeys []workload.Key
-	// lp is the partition (or replica) state the batch is answered
-	// against: set at dispatch from the pinned epoch, so a batch routed
-	// before a rebalance is answered by the epoch that routed it.
+	// lp is the partition state the batch is answered against: set at
+	// dispatch from the pinned epoch, so a batch routed before a
+	// rebalance is answered by the epoch that routed it.
 	lp *livePart
-	// seq is the durable watermark for a logged insert batch (the WAL
-	// generation after its record); 0 for in-memory-only inserts.
-	seq uint64
 	// sorted marks keys as an ascending run, steering the worker onto
 	// the streaming merge kernel (RankSorted) instead of per-key search.
 	sorted bool
@@ -229,11 +228,10 @@ type Cluster struct {
 	cfg  RealConfig
 	keys []workload.Key
 
-	// epoch is the current routing + partition state for the
-	// distributed methods (see update.go); repl holds the replicated
-	// methods' per-worker state, fixed for the cluster's lifetime.
+	// epoch is the current routing + partition state (see update.go):
+	// one partition per worker for the Method C variants, one partition
+	// every worker reads for A and B.
 	epoch atomic.Pointer[updEpoch]
-	repl  []*livePart
 
 	in    []chan *realBatch
 	wg    sync.WaitGroup
@@ -266,19 +264,16 @@ type Cluster struct {
 	batches     sync.Pool
 	calls       sync.Pool
 
-	// cs is the durable state (nil without WALDir). For the replicated
-	// methods all workers share one store, dispatched under replMu; the
-	// distributed methods keep per-partition stores on their livePart.
-	cs        *clusterStore
-	replStore *index.Store
-	replMu    sync.Mutex
+	// cs is the durable state (nil without WALDir): the manifest and the
+	// current epoch's partitions' logs.
+	cs *clusterStore
 
 	// mu is held shared by lookups for their full duration and
 	// exclusively by Close, which therefore waits out in-flight calls.
 	mu     sync.RWMutex
 	closed bool //dc:guardedby mu
 
-	rr atomic.Uint64 // round-robin cursor for replicated methods
+	rr atomic.Uint64 // round-robin cursor over the workers of a shared partition
 }
 
 // callState is one LookupBatch call's dispatch/gather scratch, pooled on
@@ -289,12 +284,9 @@ type callState struct {
 	// blocks delivering a result (which would head-of-line-block other
 	// callers' batches queued behind it); the pool keeps the largest.
 	reply chan *realBatch
-	// accum[w] is worker w's accumulating batch (Method C dispatch).
+	// accum[s] is partition s's accumulating batch (per-key dispatch of
+	// queries, and of inserts).
 	accum []*realBatch
-	// ends[w] is the highest WAL offset this call appended to partition
-	// w's store (durable inserts); the ack waits on the group fsync
-	// covering every entry.
-	ends []int64
 	// sort is the pooled radix-sort scratch for SortedBatches callers.
 	sort RadixScratch
 	// qbuf/rbuf are the range ops' endpoint and endpoint-rank scratch
@@ -304,7 +296,7 @@ type callState struct {
 	rbuf []int
 }
 
-// NewCluster builds the index (replicated or partitioned per the
+// NewCluster builds the index (one partition or one per worker, per the
 // method), spawns the worker goroutines, and returns the running
 // cluster.
 func NewCluster(keys []workload.Key, cfg RealConfig) (*Cluster, error) {
@@ -332,11 +324,11 @@ func NewCluster(keys []workload.Key, cfg RealConfig) (*Cluster, error) {
 		}
 		if rec := cs.recoveredKeys(); rec != nil {
 			if len(rec) == 0 {
-				cs.closeStores()
+				cs.close()
 				return nil, fmt.Errorf("core: recovered an empty index from %s", cfg.WALDir)
 			}
 			if err := checkSorted(rec); err != nil {
-				cs.closeStores()
+				cs.close()
 				return nil, fmt.Errorf("core: recovered keys from %s: %w", cfg.WALDir, err)
 			}
 			keys = rec
@@ -358,7 +350,6 @@ func NewCluster(keys []workload.Key, cfg RealConfig) (*Cluster, error) {
 		return &callState{
 			reply: make(chan *realBatch, replyCap),
 			accum: make([]*realBatch, cfg.Workers),
-			ends:  make([]int64, cfg.Workers),
 		}
 	}
 	// Free-list capacities cover the steady state: every worker queue
@@ -367,46 +358,24 @@ func NewCluster(keys []workload.Key, cfg RealConfig) (*Cluster, error) {
 	c.freeBatches = make(chan *realBatch, cfg.Workers*(cfg.QueueDepth+2))
 	c.freeCalls = make(chan *callState, 16)
 
-	if cfg.Method.Distributed() {
-		ep, err := c.newEpoch(keys)
-		if err != nil {
-			if cs != nil {
-				cs.closeStores()
-			}
-			return nil, err
-		}
-		if cs != nil {
-			if err := c.attachDurable(ep); err != nil {
-				cs.closeStores()
-				return nil, err
-			}
-		}
-		c.epoch.Store(ep)
-		if cfg.PartitionBudget > 0 {
-			c.budget = cfg.PartitionBudget
-		} else if cfg.PartitionBudget == 0 {
-			c.budget = 2 * ep.part.MaxPartKeys()
-		}
-		c.updWG.Add(1)
-		go c.rebalancer()
-	} else {
-		build := methodBuilder(cfg)
-		c.repl = make([]*livePart, cfg.Workers)
-		for w := range c.repl {
-			u := index.NewUpdatable(keys, build, cfg.MergeThreshold)
-			u.OnMerge = c.noteMerge
-			c.repl[w] = &livePart{slot: w, upd: u}
-		}
-		if cs != nil {
-			if err := c.attachDurableRepl(keys); err != nil {
-				cs.closeStores()
-				return nil, err
-			}
-		}
+	ep, err := c.newEpoch(keys)
+	if err == nil && cs != nil {
+		err = c.attachDurable(ep)
 	}
-	if cs != nil {
-		cs.start()
+	if err != nil {
+		if cs != nil {
+			cs.close()
+		}
+		return nil, err
 	}
+	c.epoch.Store(ep)
+	if cfg.PartitionBudget > 0 {
+		c.budget = cfg.PartitionBudget
+	} else if cfg.PartitionBudget == 0 {
+		c.budget = 2 * ep.part.MaxPartKeys()
+	}
+	c.updWG.Add(1)
+	go c.rebalancer()
 
 	for w := 0; w < cfg.Workers; w++ {
 		c.in[w] = make(chan *realBatch, cfg.QueueDepth)
@@ -416,40 +385,50 @@ func NewCluster(keys []workload.Key, cfg RealConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Partitioning exposes the cluster's current routing structure (nil for
-// the replicated methods); callers reuse it instead of rebuilding one.
-// A rebalance replaces it, so callers should not cache it across
-// inserts.
+// Partitioning exposes the cluster's current routing structure, nil
+// when the index is one partition (Methods A and B: there is nothing to
+// route); callers reuse it instead of rebuilding one. A rebalance
+// replaces it, so callers should not cache it across inserts.
 func (c *Cluster) Partitioning() *Partitioning {
-	if ep := c.epoch.Load(); ep != nil {
+	if ep := c.epoch.Load(); len(ep.lps) > 1 {
 		return ep.part
 	}
 	return nil
 }
 
+// workerFor picks the worker that answers a batch for partition s of
+// ep: the partition's owner when every worker owns one, the next worker
+// in turn when all of them read the one copy.
+//
+//dc:noalloc
+func (c *Cluster) workerFor(ep *updEpoch, s int) int {
+	if len(ep.lps) == c.cfg.Workers {
+		return s
+	}
+	return c.nextWorker()
+}
+
+// nextWorker advances the round-robin cursor. The cursor is 64-bit so
+// the modulo stays unbiased for any realistic lifetime: the previous
+// uint32 cursor skewed selection toward low-numbered workers every time
+// it wrapped when Workers didn't divide 2^32, whereas a uint64 never
+// wraps in practice (584 years at a batch per nanosecond... per 584
+// dispatchers) and the increment stays a single wait-free Add.
+func (c *Cluster) nextWorker() int {
+	return int((c.rr.Add(1) - 1) % uint64(c.cfg.Workers))
+}
+
 // processBatch executes one batch against the partition state it was
-// routed with, switching on the op tag: inserts land in the delta
-// buffer, scans and top-k fill outKeys from a pinned snapshot, and the
-// rank-shaped ops compute into b.ranks with the rank base — static plus
-// the preceding partitions' insert counters — folded into the single
-// write per key.
+// routed with, switching on the op tag: scans and top-k fill outKeys
+// from a pinned snapshot, and the rank-shaped ops compute into b.ranks
+// with the rank base — static plus the preceding partitions' insert
+// counters — folded into the single write per key. Every op reads;
+// writes reach the partitions from InsertBatch's caller.
 //
 //dc:noalloc
 func (c *Cluster) processBatch(b *realBatch) {
 	lp := b.lp
 	switch b.op {
-	case opInsert:
-		if b.seq != 0 {
-			lp.upd.InsertBatchAt(b.keys, b.seq)
-		} else {
-			lp.upd.InsertBatch(b.keys)
-		}
-		if lp.ep != nil {
-			lp.ep.inserted[lp.slot].n.Add(int64(len(b.keys)))
-		}
-		c.maybeRebalance(lp)
-		b.ranks = b.ranks[:0]
-		return
 	case opScan:
 		b.outKeys = lp.upd.ScanRange(b.keys[0], b.keys[1], b.limit, b.outKeys[:0])
 		b.ranks = b.ranks[:0]
@@ -469,10 +448,7 @@ func (c *Cluster) processBatch(b *realBatch) {
 		lp.upd.CountKeys(b.keys, out)
 		return
 	}
-	add := lp.rankBase
-	if lp.ep != nil {
-		add += lp.ep.insertedBefore(lp.slot)
-	}
+	add := lp.rankBase + lp.ep.insertedBefore(lp.slot)
 	if b.sorted {
 		lp.upd.RankSorted(b.keys, out, add)
 	} else {
@@ -509,15 +485,14 @@ func (c *Cluster) getBatch(reply chan *realBatch) *realBatch {
 	b.outKeys = b.outKeys[:0]
 	b.sorted = false
 	b.alias = false
-	b.seq = 0
 	b.lp = nil
 	b.reply = reply
 	return b
 }
 
 // putBatch recycles b after its ranks were copied out. Aliased key and
-// position slices (the replicated methods and the sorted dispatch point
-// them at the caller's queries or at a call's pooled sort scratch) are
+// position slices (the sorted and one-partition dispatch point them at
+// the caller's queries or at a call's pooled sort scratch) are
 // swapped back for the batch's owned arrays rather than recycled: the
 // aliased memory belongs to someone else and may be reused the moment
 // the call returns, while the owned capacity must survive aliased uses
@@ -550,7 +525,7 @@ func (c *Cluster) LookupBatch(queries []workload.Key) ([]int, error) {
 // LookupBatchInto is LookupBatch writing into a caller-provided slice
 // (len(out) >= len(queries)), the zero-allocation steady-state entry
 // point. The caller plays the master: it partitions (Method C) or
-// round-robins (A/B) the stream into batches, dispatches them over the
+// cuts (A/B) the stream into batches, dispatches them over the
 // channel interconnect, and gathers replies on a per-call channel —
 // concurrent callers pipeline through the same worker pool.
 //
@@ -607,9 +582,9 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 	if len(queries) == 0 {
 		return
 	}
-	// The unsorted distributed arm hands a partition's keys over a slice
-	// at a time; the sorted and replicated arms, whose master has no
-	// per-key work to overlap with the workers', cut at BatchKeys.
+	// The per-key arm hands a partition's keys over a slice at a time;
+	// the run-cutting arm, whose master has no per-key work to overlap
+	// with the workers', cuts at BatchKeys.
 	bk, slice := c.cfg.BatchKeys, c.handoff(len(queries))
 	// Worst-case batches in flight: one per full hand-off plus one final
 	// partial flush per worker (slice <= bk, so this covers every arm).
@@ -617,7 +592,6 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 	if need := len(queries)/slice + c.cfg.Workers + 1; cap(cs.reply) < need {
 		cs.reply = make(chan *realBatch, need)
 	}
-	distributed := c.cfg.Method.Distributed()
 	pending := 0
 
 	gather := func(b *realBatch) {
@@ -674,25 +648,22 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 	// Pin the routing epoch for the whole call: every batch carries the
 	// livePart it was routed with, so a rebalance installing new
 	// delimiters mid-call cannot mismatch routing and answering state.
-	var ep *updEpoch
-	if distributed {
-		ep = c.epoch.Load()
-	}
+	ep := c.epoch.Load()
 
-	switch {
-	case distributed && sorted:
+	if sorted || len(ep.lps) == 1 {
 		// One sweep over the delimiters (ForEachSortedRun): partition s
-		// owns the contiguous run up to the first key >= delims[s].
-		// Runs alias runKeys (no copy); a run's original positions are
-		// either the contiguous range starting at posBase (input was
-		// already sorted) or the corresponding slice of the sort
-		// permutation.
+		// owns the contiguous run up to the first key >= delims[s] — with
+		// one partition and no delimiter that is the whole call, in any
+		// order, cut at BatchKeys. Runs alias runKeys (no copy); a run's
+		// original positions are either the contiguous range starting at
+		// posBase (runKeys is the caller's slice) or the corresponding
+		// slice of the sort permutation.
 		ForEachSortedRun(ep.part.delims, runKeys, bk, func(s, start, end int) {
 			b := c.getBatch(cs.reply)
 			b.op = op
 			b.keys = runKeys[start:end]
 			b.posBase = start
-			b.sorted = true
+			b.sorted = sorted
 			b.alias = true
 			b.lp = ep.lps[s]
 			if runPos != nil {
@@ -700,9 +671,9 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 			} else {
 				b.pos = nil
 			}
-			send(s, b)
+			send(c.workerFor(ep, s), b)
 		})
-	case distributed:
+	} else {
 		// Master dispatch: per-slave accumulation directly into pooled
 		// batches, handed off whole (no copy) a slice at a time, so the
 		// slaves search the first slices while the rest is routed.
@@ -740,43 +711,11 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 			}
 			send(s, b)
 		}
-	default:
-		// Replicated index: round-robin load balancing over contiguous
-		// query runs (keys alias the caller's slice — or the sorted
-		// scratch for SortedBatches callers — no copy, and the gather
-		// is a straight copy instead of a scatter for in-order runs).
-		for start := 0; start < len(runKeys); start += bk {
-			end := min(start+bk, len(runKeys))
-			b := c.getBatch(cs.reply)
-			b.op = op
-			b.keys = runKeys[start:end]
-			b.posBase = start
-			b.sorted = sorted
-			b.alias = true
-			if runPos != nil {
-				b.pos = runPos[start:end]
-			} else {
-				b.pos = nil
-			}
-			w := c.nextWorker()
-			b.lp = c.repl[w]
-			send(w, b)
-		}
 	}
 
 	for pending > 0 {
 		gather(<-cs.reply)
 	}
-}
-
-// nextWorker advances the round-robin cursor. The cursor is 64-bit so
-// the modulo stays unbiased for any realistic lifetime: the previous
-// uint32 cursor skewed selection toward low-numbered workers every time
-// it wrapped when Workers didn't divide 2^32, whereas a uint64 never
-// wraps in practice (584 years at a batch per nanosecond... per 584
-// dispatchers) and the increment stays a single wait-free Add.
-func (c *Cluster) nextWorker() int {
-	return int((c.rr.Add(1) - 1) % uint64(c.cfg.Workers))
 }
 
 // Lookup resolves a single key synchronously (a convenience wrapper; for
@@ -791,10 +730,14 @@ func (c *Cluster) Lookup(q workload.Key) (int, error) {
 	return res[0], nil
 }
 
-// RealStats summarizes the cluster's lifetime work.
+// RealStats summarizes the workers' lifetime work, which is queries
+// only: inserts are applied by their caller and never pass through a
+// worker (UpdateStats counts them).
 type RealStats struct {
-	Method        Method
-	Workers       int
+	Method  Method
+	Workers int
+	// KeysProcessed counts the query keys (range endpoints, scan bounds)
+	// the workers answered; Batches the hand-offs they arrived in.
 	KeysProcessed int64
 	Batches       int64
 	// BusyPerWorker is each worker's cumulative processing time.

@@ -1,10 +1,12 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/paper"
 	"repro/internal/workload"
 )
 
@@ -12,8 +14,8 @@ func pentium() arch.Params { return arch.PentiumIIICluster() }
 
 // paperCfg returns the Section 4 configuration with a reduced simulation
 // sample so tests stay fast; the extrapolated numbers are steady-state.
-func paperCfg(m Method, batchBytes, sample int) SimConfig {
-	return SimConfig{
+func paperCfg(m core.Method, batchBytes, sample int) paper.SimConfig {
+	return paper.SimConfig{
 		P:             pentium(),
 		Method:        m,
 		IndexKeys:     workload.EvenKeys(327680),
@@ -26,9 +28,9 @@ func paperCfg(m Method, batchBytes, sample int) SimConfig {
 	}
 }
 
-func mustRun(t *testing.T, cfg SimConfig) SimReport {
+func mustRun(t *testing.T, cfg paper.SimConfig) paper.SimReport {
 	t.Helper()
-	r, err := Run(cfg)
+	r, err := paper.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func mustRun(t *testing.T, cfg SimConfig) SimReport {
 
 func TestMethodAMatchesPaperExperiment(t *testing.T) {
 	// Paper Table 3: Method A experimental 0.39 s (normalized).
-	r := mustRun(t, paperCfg(MethodA, 128<<10, 150_000))
+	r := mustRun(t, paperCfg(core.MethodA, 128<<10, 150_000))
 	if r.NormalizedSec < 0.33 || r.NormalizedSec > 0.46 {
 		t.Errorf("Method A = %.3fs, want ~0.39s (Table 3 experiment)", r.NormalizedSec)
 	}
@@ -53,8 +55,8 @@ func TestMethodAMatchesPaperExperiment(t *testing.T) {
 }
 
 func TestMethodAFlatAcrossBatchSizes(t *testing.T) {
-	a8 := mustRun(t, paperCfg(MethodA, 8<<10, 100_000))
-	a1m := mustRun(t, paperCfg(MethodA, 1<<20, 100_000))
+	a8 := mustRun(t, paperCfg(core.MethodA, 8<<10, 100_000))
+	a1m := mustRun(t, paperCfg(core.MethodA, 1<<20, 100_000))
 	rel := math.Abs(a8.NormalizedSec-a1m.NormalizedSec) / a8.NormalizedSec
 	if rel > 0.02 {
 		t.Errorf("Method A varies %.1f%% with batch size; must be flat", rel*100)
@@ -63,7 +65,7 @@ func TestMethodAFlatAcrossBatchSizes(t *testing.T) {
 
 func TestMethodBMatchesPaperExperiment(t *testing.T) {
 	// Paper Table 3: Method B experimental 0.36 s at 128 KB.
-	r := mustRun(t, paperCfg(MethodB, 128<<10, 262_144))
+	r := mustRun(t, paperCfg(core.MethodB, 128<<10, 262_144))
 	if r.NormalizedSec < 0.27 || r.NormalizedSec > 0.42 {
 		t.Errorf("Method B = %.3fs, want ~0.36s (Table 3 experiment)", r.NormalizedSec)
 	}
@@ -72,7 +74,7 @@ func TestMethodBMatchesPaperExperiment(t *testing.T) {
 func TestMethodBImprovesWithBatchSize(t *testing.T) {
 	prev := math.Inf(1)
 	for _, b := range []int{8 << 10, 64 << 10, 256 << 10} {
-		r := mustRun(t, paperCfg(MethodB, b, 262_144))
+		r := mustRun(t, paperCfg(core.MethodB, b, 262_144))
 		if r.NormalizedSec >= prev {
 			t.Errorf("B at %d = %.3fs did not improve on %.3fs", b, r.NormalizedSec, prev)
 		}
@@ -81,8 +83,8 @@ func TestMethodBImprovesWithBatchSize(t *testing.T) {
 }
 
 func TestMethodBBeatsAAtModerateBatch(t *testing.T) {
-	a := mustRun(t, paperCfg(MethodA, 128<<10, 100_000))
-	b := mustRun(t, paperCfg(MethodB, 128<<10, 262_144))
+	a := mustRun(t, paperCfg(core.MethodA, 128<<10, 100_000))
+	b := mustRun(t, paperCfg(core.MethodB, 128<<10, 262_144))
 	if b.NormalizedSec >= a.NormalizedSec {
 		t.Errorf("B (%.3f) should beat A (%.3f) at 128KB (Figure 3)", b.NormalizedSec, a.NormalizedSec)
 	}
@@ -91,7 +93,7 @@ func TestMethodBBeatsAAtModerateBatch(t *testing.T) {
 func TestMethodC3MatchesPaperExperiment(t *testing.T) {
 	// Paper Table 3: C-3 experimental 0.32 s at 128 KB; Figure 3 shows
 	// ~0.24-0.28 around the 64-128 KB sweet spot.
-	r := mustRun(t, paperCfg(MethodC3, 128<<10, 400_000))
+	r := mustRun(t, paperCfg(core.MethodC3, 128<<10, 400_000))
 	if r.NormalizedSec < 0.20 || r.NormalizedSec > 0.34 {
 		t.Errorf("C-3 at 128KB = %.3fs, want ~0.25-0.32s (Table 3/Figure 3)", r.NormalizedSec)
 	}
@@ -103,8 +105,8 @@ func TestMethodC3MatchesPaperExperiment(t *testing.T) {
 func TestMethodCLosesAtTinyBatches(t *testing.T) {
 	// Figure 3: "If a batch size is 16 KB or less, Methods C-1, C-2,
 	// and C-3 are worse than method B and method A."
-	a := mustRun(t, paperCfg(MethodA, 8<<10, 100_000))
-	c := mustRun(t, paperCfg(MethodC3, 8<<10, 200_000))
+	a := mustRun(t, paperCfg(core.MethodA, 8<<10, 100_000))
+	c := mustRun(t, paperCfg(core.MethodC3, 8<<10, 200_000))
 	if c.NormalizedSec <= a.NormalizedSec {
 		t.Errorf("C-3 at 8KB (%.3f) should lose to A (%.3f)", c.NormalizedSec, a.NormalizedSec)
 	}
@@ -114,9 +116,9 @@ func TestMethodCWinsAtModerateBatches(t *testing.T) {
 	// Figure 3: "Methods C are significantly faster even for the
 	// relatively small batch sizes of 32 KB and 64 KB. We observe a 22%
 	// reduction in run time with this configuration."
-	a := mustRun(t, paperCfg(MethodA, 64<<10, 100_000))
-	b := mustRun(t, paperCfg(MethodB, 64<<10, 262_144))
-	c := mustRun(t, paperCfg(MethodC3, 64<<10, 400_000))
+	a := mustRun(t, paperCfg(core.MethodA, 64<<10, 100_000))
+	b := mustRun(t, paperCfg(core.MethodB, 64<<10, 262_144))
+	c := mustRun(t, paperCfg(core.MethodC3, 64<<10, 400_000))
 	if c.NormalizedSec >= a.NormalizedSec || c.NormalizedSec >= b.NormalizedSec {
 		t.Errorf("C-3 at 64KB (%.3f) should beat A (%.3f) and B (%.3f)",
 			c.NormalizedSec, a.NormalizedSec, b.NormalizedSec)
@@ -130,11 +132,11 @@ func TestMethodCWinsAtModerateBatches(t *testing.T) {
 func TestSlaveIdleFractionsMatchSection41(t *testing.T) {
 	// Section 4.1: "slaves were idle for 50% of the time for 8 KB batch
 	// sizes, and 20% of the time for 4 MB."
-	small := mustRun(t, paperCfg(MethodC3, 8<<10, 200_000))
+	small := mustRun(t, paperCfg(core.MethodC3, 8<<10, 200_000))
 	if small.SlaveIdleFrac < 0.30 || small.SlaveIdleFrac > 0.65 {
 		t.Errorf("idle at 8KB = %.0f%%, paper reports ~50%%", small.SlaveIdleFrac*100)
 	}
-	big := mustRun(t, paperCfg(MethodC3, 4<<20, 0))
+	big := mustRun(t, paperCfg(core.MethodC3, 4<<20, 0))
 	if big.SlaveIdleFrac > small.SlaveIdleFrac {
 		t.Errorf("idle at 4MB (%.0f%%) should be below idle at 8KB (%.0f%%)",
 			big.SlaveIdleFrac*100, small.SlaveIdleFrac*100)
@@ -147,9 +149,9 @@ func TestSlaveIdleFractionsMatchSection41(t *testing.T) {
 func TestCVariantsStaySimilar(t *testing.T) {
 	// Figure 3: the three C curves nearly coincide ("Methods C-1 and
 	// C-2 follows the same trend as Method C-3 ... slightly worse").
-	c1 := mustRun(t, paperCfg(MethodC1, 64<<10, 300_000))
-	c2 := mustRun(t, paperCfg(MethodC2, 64<<10, 300_000))
-	c3 := mustRun(t, paperCfg(MethodC3, 64<<10, 300_000))
+	c1 := mustRun(t, paperCfg(core.MethodC1, 64<<10, 300_000))
+	c2 := mustRun(t, paperCfg(core.MethodC2, 64<<10, 300_000))
+	c3 := mustRun(t, paperCfg(core.MethodC3, 64<<10, 300_000))
 	max := math.Max(c1.NormalizedSec, math.Max(c2.NormalizedSec, c3.NormalizedSec))
 	min := math.Min(c1.NormalizedSec, math.Min(c2.NormalizedSec, c3.NormalizedSec))
 	if (max-min)/min > 0.10 {
@@ -161,8 +163,8 @@ func TestCVariantsStaySimilar(t *testing.T) {
 func TestResponseTimeCriterion(t *testing.T) {
 	// Figure 3 discussion: C-3 achieves with a 64 KB batch what B needs
 	// a 256 KB batch for — the joint throughput/response-time claim.
-	c := mustRun(t, paperCfg(MethodC3, 64<<10, 400_000))
-	b := mustRun(t, paperCfg(MethodB, 256<<10, 524_288))
+	c := mustRun(t, paperCfg(core.MethodC3, 64<<10, 400_000))
+	b := mustRun(t, paperCfg(core.MethodB, 256<<10, 524_288))
 	if c.NormalizedSec > b.NormalizedSec*1.02 {
 		t.Errorf("C-3 at 64KB (%.3f) should match/beat B at 256KB (%.3f)",
 			c.NormalizedSec, b.NormalizedSec)
@@ -174,15 +176,15 @@ func TestContentionRaisesSlaveL2MissesAtLargeBatches(t *testing.T) {
 	// the cache, the arriving batch plus the next one evict the
 	// partition, so slave L2 misses per key must rise with batch size
 	// for the tree-based slave (300 KB footprint).
-	small := mustRun(t, paperCfg(MethodC1, 64<<10, 300_000))
-	large := mustRun(t, paperCfg(MethodC1, 4<<20, 0))
+	small := mustRun(t, paperCfg(core.MethodC1, 64<<10, 300_000))
+	large := mustRun(t, paperCfg(core.MethodC1, 4<<20, 0))
 	if large.L2MissesPerKey <= small.L2MissesPerKey {
 		t.Errorf("C-1 L2 misses/key at 4MB (%.3f) should exceed 64KB (%.3f)",
 			large.L2MissesPerKey, small.L2MissesPerKey)
 	}
 	// And the array-based slave must suffer less than the tree-based
 	// one at the same batch size (the C-3 over C-1 argument).
-	c3 := mustRun(t, paperCfg(MethodC3, 4<<20, 0))
+	c3 := mustRun(t, paperCfg(core.MethodC3, 4<<20, 0))
 	if c3.L2MissesPerKey >= large.L2MissesPerKey {
 		t.Errorf("C-3 misses at 4MB (%.3f) should be below C-1's (%.3f)",
 			c3.L2MissesPerKey, large.L2MissesPerKey)
@@ -190,15 +192,15 @@ func TestContentionRaisesSlaveL2MissesAtLargeBatches(t *testing.T) {
 }
 
 func TestSimDeterminism(t *testing.T) {
-	a := mustRun(t, paperCfg(MethodC3, 32<<10, 100_000))
-	b := mustRun(t, paperCfg(MethodC3, 32<<10, 100_000))
+	a := mustRun(t, paperCfg(core.MethodC3, 32<<10, 100_000))
+	b := mustRun(t, paperCfg(core.MethodC3, 32<<10, 100_000))
 	if a != b {
 		t.Errorf("identical configs produced different reports:\n%+v\n%+v", a, b)
 	}
 }
 
 func TestSimSeedSensitivityIsSmall(t *testing.T) {
-	cfg1 := paperCfg(MethodC3, 64<<10, 200_000)
+	cfg1 := paperCfg(core.MethodC3, 64<<10, 200_000)
 	cfg2 := cfg1
 	cfg2.QuerySeed = 1234
 	r1 := mustRun(t, cfg1)
@@ -212,8 +214,8 @@ func TestSimSeedSensitivityIsSmall(t *testing.T) {
 func TestSampleExtrapolationConsistent(t *testing.T) {
 	// Doubling the simulated sample must not move the steady-state
 	// estimate by more than a few percent.
-	small := mustRun(t, paperCfg(MethodC3, 32<<10, 150_000))
-	big := mustRun(t, paperCfg(MethodC3, 32<<10, 300_000))
+	small := mustRun(t, paperCfg(core.MethodC3, 32<<10, 150_000))
+	big := mustRun(t, paperCfg(core.MethodC3, 32<<10, 300_000))
 	rel := math.Abs(small.NormalizedSec-big.NormalizedSec) / big.NormalizedSec
 	if rel > 0.05 {
 		t.Errorf("extrapolation unstable: %.3f vs %.3f (%.1f%%)",
@@ -222,13 +224,13 @@ func TestSampleExtrapolationConsistent(t *testing.T) {
 }
 
 func TestRunRejectsInvalidConfig(t *testing.T) {
-	if _, err := Run(SimConfig{}); err == nil {
+	if _, err := paper.Run(paper.SimConfig{}); err == nil {
 		t.Fatal("zero config accepted")
 	}
 }
 
 func TestReportStringMentionsMethodAndBatch(t *testing.T) {
-	r := SimReport{Method: MethodC3, BatchBytes: 128 << 10, NormalizedSec: 0.3}
+	r := paper.SimReport{Method: core.MethodC3, BatchBytes: 128 << 10, NormalizedSec: 0.3}
 	s := r.String()
 	for _, want := range []string{"C-3", "128KB"} {
 		if !contains(s, want) {
@@ -247,4 +249,36 @@ func contains(s, sub string) bool {
 			}
 			return false
 		}())
+}
+
+func TestSimConfigValidate(t *testing.T) {
+	good := paper.SimConfig{
+		P:            pentium(),
+		Method:       core.MethodC3,
+		IndexKeys:    workload.EvenKeys(1000),
+		TotalQueries: 1000,
+		BatchBytes:   8 << 10,
+		Masters:      1,
+		Slaves:       10,
+	}
+	if err := good.Validate(); err != nil {
+		t.Fatalf("good config rejected: %v", err)
+	}
+	cases := map[string]func(*paper.SimConfig){
+		"bad method":   func(c *paper.SimConfig) { c.Method = core.Method(42) },
+		"empty index":  func(c *paper.SimConfig) { c.IndexKeys = nil },
+		"no queries":   func(c *paper.SimConfig) { c.TotalQueries = 0 },
+		"tiny batch":   func(c *paper.SimConfig) { c.BatchBytes = 2 },
+		"no slaves":    func(c *paper.SimConfig) { c.Slaves = 0 },
+		"no masters":   func(c *paper.SimConfig) { c.Masters = 0 },
+		"too few keys": func(c *paper.SimConfig) { c.IndexKeys = workload.EvenKeys(5) },
+		"neg sample":   func(c *paper.SimConfig) { c.SampleQueries = -1 },
+	}
+	for name, mutate := range cases {
+		c := good
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,15 +12,15 @@ import (
 )
 
 // This file is the online-update layer of the real runtime: the paper's
-// cluster, made writable while it serves traffic. Each partition (or
-// replica) is an index.Updatable — an immutable base structure plus a
-// small sorted delta buffer that a background goroutine periodically
-// compacts — and the cluster glues them into a consistent whole:
+// cluster, made writable while it serves traffic. Each partition — one
+// per worker for Method C, the one whole-index partition of Methods A/B
+// — is an index.Updatable — an immutable base structure plus a small
+// sorted delta buffer that a background goroutine periodically compacts
+// — and the cluster glues them into a consistent whole:
 //
-//   - Inserts route like queries (Method C) or broadcast to every
-//     replica (Methods A/B) and are applied by the owning worker
-//     goroutine, so they serialize with that partition's reads without
-//     any locking on the read path.
+//   - Inserts route like queries and are applied by the calling
+//     goroutine: the Updatable serialises writers and lets the workers'
+//     reads pin a consistent view, which is all a dcnode relies on too.
 //   - Global ranks stay exact across partitions: an insert into
 //     partition j shifts the global rank of every key in partitions
 //     > j, so each epoch carries per-partition insert counters and a
@@ -37,40 +38,31 @@ import (
 //     Writes stall for the duration of the swap — the brief exclusive
 //     section is what makes the migrated snapshot exact.
 
-// livePart is one worker's live index state: the updatable base+delta
-// stack for a partition (distributed methods, one per partition per
-// epoch) or for a full replica (replicated methods, one per worker for
-// the cluster's lifetime, ep == nil).
+// livePart is one partition's live index state in one epoch: the
+// updatable base+delta stack, and with WALDir the durable partition
+// that logs an insert before applying it to that stack (index.
+// DurablePartition holds one lock across both, so apply order equals
+// WAL order — the invariant that lets a frozen-layer watermark double
+// as a segment flush point).
 type livePart struct {
 	slot     int
 	rankBase int
 	upd      *index.Updatable
 	ep       *updEpoch
-
-	// store is the partition's durable log (nil without WALDir).
-	// dispatchMu serializes append-to-log with enqueue-to-worker: the
-	// worker channel is single-consumer, so holding the lock across
-	// both makes apply order equal WAL order — the invariant that lets
-	// a frozen-layer watermark double as a segment flush point.
-	store      *index.Store
-	dispatchMu sync.Mutex
+	dp       *index.DurablePartition // nil without WALDir; dp.Upd == upd
 }
 
 // Lock ordering on the write path: an insert call holds the cluster
-// read gate (Cluster.mu) for its whole duration, takes the
-// write/rebalance gate (Cluster.insertMu) inside it, and only then a
-// dispatch lock — the owning partition's dispatchMu for the
-// distributed methods, the shared replMu for the replicated ones.
-// dclint (lockguard) enforces these orders.
+// read gate (Cluster.mu) for its whole duration and takes the
+// write/rebalance gate (Cluster.insertMu) inside it. dclint (lockguard)
+// enforces the order.
 //
 //dc:lockorder Cluster.mu Cluster.insertMu
-//dc:lockorder Cluster.insertMu livePart.dispatchMu
-//dc:lockorder Cluster.insertMu Cluster.replMu
 
-// updEpoch is one generation of the distributed methods' routing and
-// partition state. A rebalance installs a fresh epoch; batches carry
-// the livePart they were routed with, so in-flight work finishes
-// against the epoch it started in.
+// updEpoch is one generation of the routing and partition state. A
+// rebalance installs a fresh epoch; batches carry the livePart they
+// were routed with, so in-flight work finishes against the epoch it
+// started in.
 type updEpoch struct {
 	part     *Partitioning
 	lps      []*livePart
@@ -79,7 +71,8 @@ type updEpoch struct {
 }
 
 // insCounter is a cache-line-padded per-partition insert counter:
-// bumped by the owning worker, summed by every other partition's reads.
+// bumped by the insert that applied the keys, summed by every other
+// partition's reads.
 type insCounter struct {
 	n atomic.Int64
 	_ [56]byte
@@ -98,8 +91,8 @@ func (ep *updEpoch) insertedBefore(slot int) int {
 // insertedTotal sums all partitions' inserts this epoch.
 func (ep *updEpoch) insertedTotal() int { return ep.insertedBefore(len(ep.inserted)) }
 
-// methodBuilder returns the Builder that constructs one partition's (or
-// replica's) base structure for the configured method: the delta layer
+// methodBuilder returns the Builder that constructs one partition's
+// base structure for the configured method: the delta layer
 // is structure-agnostic, which is how all five methods share one update
 // mechanism.
 func methodBuilder(cfg RealConfig) index.Builder {
@@ -140,16 +133,23 @@ func (pr planRanker) RankBatch(qs []workload.Key, out []int, add int) {
 }
 
 // newEpoch builds a full epoch over sorted keys: partitioning, one
-// updatable per partition, zeroed counters.
+// updatable per partition, zeroed counters. The partition count is the
+// whole difference between the paper's methods here: the Method C
+// variants give every worker its own sub-range, A and B keep one
+// partition that all the workers read.
 func (c *Cluster) newEpoch(keys []workload.Key) (*updEpoch, error) {
-	part, err := newPartitioningSorted(keys, c.cfg.Workers)
+	parts := 1
+	if c.cfg.Method.Distributed() {
+		parts = c.cfg.Workers
+	}
+	part, err := newPartitioningSorted(keys, parts)
 	if err != nil {
 		return nil, err
 	}
 	ep := &updEpoch{
 		part:     part,
-		lps:      make([]*livePart, c.cfg.Workers),
-		inserted: make([]insCounter, c.cfg.Workers),
+		lps:      make([]*livePart, parts),
+		inserted: make([]insCounter, parts),
 		staticN:  len(keys),
 	}
 	build := methodBuilder(c.cfg)
@@ -171,12 +171,13 @@ func (c *Cluster) Insert(k workload.Key) error {
 }
 
 // InsertBatch adds keys (any order, duplicates allowed) to the running
-// index. For the distributed methods each key routes to the partition
-// owning its sub-range; for the replicated methods the batch is applied
-// to every replica. It returns once every destination applied the keys:
-// reads that start after it returns see them, and concurrent reads see
-// a consistent point-in-time subset. Safe for any number of concurrent
-// callers, and safe concurrently with lookups.
+// index: each key routes to the partition owning its sub-range and the
+// calling goroutine applies it there. It returns once every key is
+// applied — reads that start after it returns see them, and concurrent
+// reads see a consistent point-in-time subset — and, with WALDir, once
+// every touched partition's log is fsynced through this call's records.
+// Safe for any number of concurrent callers, and safe concurrently with
+// lookups.
 func (c *Cluster) InsertBatch(keys []workload.Key) error {
 	if len(keys) == 0 {
 		return nil
@@ -193,188 +194,103 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 	c.insertMu.RLock()
 	defer c.insertMu.RUnlock()
 
+	ep := c.epoch.Load()
 	cs := c.getCall()
 	defer c.putCall(cs)
-	bk := c.cfg.BatchKeys
-	// Worst-case in-flight batches: the distributed methods split the
-	// keys across partitions (one partial flush each); the replicated
-	// methods send every chunk to every worker, multiplying the count.
-	// Sizing the reply channel to cover it keeps the workers'
-	// unconditional reply sends non-blocking, so a slow gatherer can
-	// never stall other callers' batches behind an insert.
-	need := len(keys)/bk + c.cfg.Workers + 1
-	if !c.cfg.Method.Distributed() {
-		need = c.cfg.Workers*(len(keys)/bk+1) + 1
-	}
-	if cap(cs.reply) < need {
-		cs.reply = make(chan *realBatch, need)
-	}
-	pending := 0
-	gather := func(b *realBatch) {
-		c.putBatch(b)
-		pending--
-	}
-	send := func(w int, b *realBatch) {
-		pending++
-		for {
-			select {
-			case c.in[w] <- b:
-				return
-			case r := <-cs.reply:
-				gather(r)
-			}
-		}
-	}
 
-	// In durable mode an insert is logged before it is sent to its
-	// worker (under the partition's dispatch lock, so apply order equals
-	// WAL order) and the ack additionally waits for the group fsync
-	// covering the appended records. An error return means nothing was
-	// acknowledged — the keys may or may not survive a restart, exactly
-	// like a crash mid-call.
-	var insErr error
-	if c.cfg.Method.Distributed() {
-		ep := c.epoch.Load()
-		durable := c.cs != nil
-		if durable {
-			for s := range cs.ends {
-				cs.ends[s] = 0
-			}
-		}
-		sendIns := func(s int, b *realBatch) {
-			if !durable {
-				send(s, b)
+	// apply hands partition s its share. A partition's insert counter
+	// moves iff its keys reached memory, so ranks above it stay exact
+	// whatever happens to the log afterwards. ends[s] is the log offset
+	// partition s has to be durable through before this call may ack (0:
+	// untouched). An error return means nothing was acknowledged — the
+	// keys may or may not survive a restart, exactly like a crash
+	// mid-call.
+	var ends []int64
+	if c.cs != nil {
+		ends = make([]int64, len(ep.lps))
+	}
+	var err error
+	apply := func(s int, b *realBatch) {
+		defer c.putBatch(b)
+		lp := ep.lps[s]
+		switch {
+		case err != nil: // already failing: drop, don't ack
+			return
+		case lp.dp == nil:
+			lp.upd.InsertBatch(b.keys)
+		default:
+			if ends[s], err = lp.dp.Apply(b.keys); err != nil {
 				return
 			}
-			if insErr != nil {
-				c.putBatch(b) // already failing: drop, don't ack
-				return
-			}
-			lp := ep.lps[s]
-			lp.dispatchMu.Lock()
-			end, gen, err := lp.store.Append(b.keys)
-			if err != nil {
-				lp.dispatchMu.Unlock()
-				c.putBatch(b)
-				insErr = err
-				return
-			}
-			b.seq = gen
-			send(s, b)
-			lp.dispatchMu.Unlock()
-			cs.ends[s] = end
 		}
-		for _, k := range keys {
-			s := ep.part.Route(k)
-			b := cs.accum[s]
-			if b == nil {
-				b = c.getBatch(cs.reply)
-				b.op = opInsert
-				b.lp = ep.lps[s]
-				cs.accum[s] = b
-			}
-			b.keys = append(b.keys, k)
-			if len(b.keys) >= bk {
-				cs.accum[s] = nil
-				sendIns(s, b)
-			}
+		ep.inserted[s].n.Add(int64(len(b.keys)))
+		c.maybeRebalance(lp)
+	}
+	for _, k := range keys {
+		s := ep.part.Route(k)
+		b := cs.accum[s]
+		if b == nil {
+			b = c.getBatch(nil)
+			cs.accum[s] = b
 		}
-		for s, b := range cs.accum {
-			if b == nil {
-				continue
-			}
+		b.keys = append(b.keys, k)
+		if len(b.keys) >= c.cfg.BatchKeys { // also the most keys one log record carries
 			cs.accum[s] = nil
-			sendIns(s, b)
-		}
-		for pending > 0 {
-			gather(<-cs.reply)
-		}
-		if durable {
-			// Commit every touched partition concurrently: each Commit
-			// blocks on (group) fsync, and the partitions' logs are
-			// independent files, so serializing them would multiply the
-			// ack latency by the partition count.
-			var wg sync.WaitGroup
-			var cmu sync.Mutex
-			for s, end := range cs.ends {
-				if end == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(s int, end int64) {
-					defer wg.Done()
-					if err := ep.lps[s].store.Commit(end); err != nil {
-						cmu.Lock()
-						if insErr == nil {
-							insErr = err
-						}
-						cmu.Unlock()
-					}
-				}(s, end)
-			}
-			wg.Wait()
-		}
-	} else {
-		// Replicated index: every worker holds a full copy, so every
-		// worker must apply the batch before it is acknowledged. In
-		// durable mode each chunk is logged once to the shared store and
-		// fanned out to all workers under replMu, so every replica
-		// applies the logged stream in the same order.
-		var lastEnd int64
-		for start := 0; start < len(keys); start += bk {
-			stop := min(start+bk, len(keys))
-			chunk := keys[start:stop]
-			var gen uint64
-			if c.cs != nil {
-				c.replMu.Lock()
-				end, g, err := c.replStore.Append(chunk)
-				if err != nil {
-					c.replMu.Unlock()
-					insErr = err
-					break
-				}
-				gen, lastEnd = g, end
-			}
-			for w := 0; w < c.cfg.Workers; w++ {
-				b := c.getBatch(cs.reply)
-				b.op = opInsert
-				b.lp = c.repl[w]
-				b.seq = gen
-				b.keys = append(b.keys, chunk...)
-				send(w, b)
-			}
-			if c.cs != nil {
-				c.replMu.Unlock()
-			}
-		}
-		for pending > 0 {
-			gather(<-cs.reply)
-		}
-		if insErr == nil && c.cs != nil && lastEnd > 0 {
-			insErr = c.replStore.Commit(lastEnd)
+			apply(s, b)
 		}
 	}
-
-	if insErr != nil {
-		return insErr
+	for s, b := range cs.accum {
+		if b != nil {
+			cs.accum[s] = nil
+			apply(s, b)
+		}
+	}
+	if err == nil && ends != nil {
+		err = commit(ep.lps, ends)
+	}
+	if err != nil {
+		return err
 	}
 	c.insertedKeys.Add(int64(len(keys)))
 	return nil
 }
 
+// commit returns once every partition's log is durable through its
+// offset in ends (0: nothing to wait for). Each Store.Commit blocks on a
+// (group) fsync and the partitions' logs are independent files, so they
+// are waited for together: in turn, the ack latency would multiply by
+// the partition count.
+func commit(lps []*livePart, ends []int64) error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(ends))
+	for s, end := range ends {
+		if end == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = lps[s].dp.Store.Commit(end)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
 // rebalanceThreshold returns the per-partition key count above which a
 // rebalance is due, or 0 when rebalancing is disabled. It is the
 // configured budget while that budget is attainable; once the whole
-// index has grown past budget*Workers, equal partitions necessarily
+// index has grown past budget*partitions, equal partitions necessarily
 // exceed the budget and re-partitioning cannot restore it — re-running
 // full rebuilds on every insert would be a storm that helps nobody —
 // so the trigger degrades to skew detection: twice the current average
-// partition size.
+// partition size — which a single partition, being its own average,
+// never reaches: one-partition epochs are never rebalanced.
 func (c *Cluster) rebalanceThreshold(ep *updEpoch) int {
 	if c.budget <= 0 {
 		return 0
 	}
-	avg := (ep.staticN + ep.insertedTotal()) / c.cfg.Workers
+	avg := (ep.staticN + ep.insertedTotal()) / len(ep.lps)
 	if c.budget < avg {
 		// Unattainable: even perfectly equal partitions exceed the
 		// budget. Fall back to skew detection.
@@ -384,12 +300,8 @@ func (c *Cluster) rebalanceThreshold(ep *updEpoch) int {
 }
 
 // maybeRebalance nudges the rebalancer when lp outgrew the rebalance
-// threshold. Called by the owning worker after applying an insert
-// batch; never blocks.
+// threshold. Called after applying an insert batch; never blocks.
 func (c *Cluster) maybeRebalance(lp *livePart) {
-	if lp.ep == nil {
-		return
-	}
 	t := c.rebalanceThreshold(lp.ep)
 	if t == 0 || lp.upd.TotalKeys() <= t {
 		return
@@ -444,16 +356,17 @@ func (c *Cluster) rebalance() {
 	}
 	next, err := c.newEpoch(all)
 	if err != nil {
-		// Unreachable: all has at least the seed keys, which filled
-		// Workers partitions once already.
+		// Unreachable: all has at least the seed keys, which filled the
+		// partitions once already.
 		return
 	}
 	if c.cs != nil {
 		// Re-anchor durability on the new boundaries: write a complete
 		// new store epoch (fresh generation-0 segments per partition)
-		// before any traffic can route to it. On failure keep the old
-		// epoch — index and store still agree — and retry on the next
-		// trigger.
+		// before any traffic can route to it, then retire the old one's
+		// logs (its compactions are waited out first, so none publishes
+		// to a closed store). On failure keep the old epoch — index and
+		// store still agree — and retry on the next trigger.
 		if err := c.attachDurable(next); err != nil {
 			if c.cfg.Logf != nil {
 				c.cfg.Logf("core: rebalance kept current epoch, store rebase failed: %v", err)
@@ -473,8 +386,7 @@ func (c *Cluster) rebalance() {
 
 // UpdateStats summarizes the cluster's write-path activity.
 type UpdateStats struct {
-	// InsertedKeys counts keys accepted by Insert/InsertBatch (each key
-	// once, regardless of replication fan-out).
+	// InsertedKeys counts keys accepted by Insert/InsertBatch.
 	InsertedKeys int64
 	// Merges counts completed background delta compactions across all
 	// partitions and epochs.
@@ -497,24 +409,15 @@ func (c *Cluster) UpdateStats() UpdateStats {
 // applied inserts). With concurrent inserts in flight the count is a
 // consistent point-in-time value.
 func (c *Cluster) KeyCount() int {
-	if c.cfg.Method.Distributed() {
-		ep := c.epoch.Load()
-		return ep.staticN + ep.insertedTotal()
-	}
-	return c.repl[0].upd.TotalKeys()
+	ep := c.epoch.Load()
+	return ep.staticN + ep.insertedTotal()
 }
 
 // quiesceUpdates waits out background compactions on the live state;
 // Close calls it after the workers drain so no goroutine outlives the
 // cluster.
 func (c *Cluster) quiesceUpdates() {
-	if c.cfg.Method.Distributed() {
-		for _, lp := range c.epoch.Load().lps {
-			lp.upd.Quiesce()
-		}
-		return
-	}
-	for _, lp := range c.repl {
+	for _, lp := range c.epoch.Load().lps {
 		lp.upd.Quiesce()
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -323,4 +325,71 @@ func TestInsertVisibleToOwnerRouting(t *testing.T) {
 	o := newOracle(keys)
 	o.insert(ins)
 	checkExact(t, c, o, workload.UniformQueries(1000, 5))
+}
+
+// TestReplicatedMethodsShareOneCopy: Methods A and B are one partition
+// that all the workers read, so one crossing of MergeThreshold is one
+// compaction (one tree rebuilt, counted once) however many workers there
+// are — and eight concurrent readers, spread over those workers, see
+// exact ranks and exact answers from all four query ops both while the
+// compaction runs and after it has installed its result.
+func TestReplicatedMethodsShareOneCopy(t *testing.T) {
+	const maxKey = 1 << 20 // checkQueryOps draws its probes below this
+	for _, m := range []Method{MethodA, MethodB} {
+		t.Run(m.String(), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(7))
+			keys := make([]workload.Key, 60000)
+			for i := range keys {
+				keys[i] = workload.Key(rng.Intn(maxKey))
+			}
+			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+			c, err := NewCluster(keys, RealConfig{
+				Method: m, Workers: 8, BatchKeys: 1024, QueueDepth: 4, MergeThreshold: 512,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			ins := make([]workload.Key, 512) // exactly one threshold crossing
+			for i := range ins {
+				ins[i] = workload.Key(rng.Intn(maxKey))
+			}
+			if err := c.InsertBatch(ins); err != nil {
+				t.Fatal(err)
+			}
+			ranks, ops := newOracle(keys), newQueryOracle(keys)
+			ranks.insert(ins)
+			ops.add(ins)
+
+			// Each reader is a subtest (its own goroutine may call t.Fatal);
+			// the group returns when all eight have finished.
+			readers := func(phase string) {
+				t.Run(phase, func(t *testing.T) {
+					for r := 0; r < 8; r++ {
+						t.Run(fmt.Sprint(r), func(t *testing.T) {
+							t.Parallel()
+							qrng := rand.New(rand.NewSource(int64(r)))
+							probes := make([]workload.Key, 3000) // three batches a call
+							for i := range probes {
+								probes[i] = workload.Key(qrng.Intn(maxKey))
+							}
+							checkExact(t, c, ranks, probes)
+							checkQueryOps(t, m.String()+"/"+phase, c, ops, qrng)
+						})
+					}
+				})
+			}
+			readers("merging") // the compaction InsertBatch armed is running, or has just finished
+			c.quiesceUpdates()
+			if got := c.UpdateStats().Merges; got != 1 {
+				t.Fatalf("one threshold crossing caused %d compactions, want 1", got)
+			}
+			if got, want := c.KeyCount(), len(keys)+len(ins); got != want {
+				t.Fatalf("KeyCount = %d, want %d", got, want)
+			}
+			readers("merged")
+		})
+	}
 }

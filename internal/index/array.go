@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/memsim"
 	"repro/internal/workload"
 )
 
@@ -15,7 +14,7 @@ import (
 // cache", Section 4.1).
 type SortedArray struct {
 	keys []workload.Key
-	base memsim.Addr
+	base Addr
 	// slope precomputes (n-1)/(max-min) for RankBatch's interpolation
 	// probe; 0 when the key range is degenerate (all keys equal).
 	slope float64
@@ -30,7 +29,7 @@ type SortedArray struct {
 // NewSortedArray wraps keys (which must already be sorted ascending; the
 // constructor panics otherwise, since a silently unsorted array would
 // corrupt every downstream result) at virtual address base.
-func NewSortedArray(keys []workload.Key, base memsim.Addr) *SortedArray {
+func NewSortedArray(keys []workload.Key, base Addr) *SortedArray {
 	if i := FirstDescent(keys); i > 0 {
 		panic(fmt.Sprintf("index: NewSortedArray input not sorted at %d", i))
 	}
@@ -68,7 +67,7 @@ func FirstDescent(keys []workload.Key) int {
 const sampleEvery = 64
 
 // newSortedArray is NewSortedArray for keys the caller knows ascending.
-func newSortedArray(keys []workload.Key, base memsim.Addr) *SortedArray {
+func newSortedArray(keys []workload.Key, base Addr) *SortedArray {
 	a := &SortedArray{keys: keys, base: base}
 	n := len(keys)
 	if n < 2 || keys[n-1] == keys[0] {
@@ -125,7 +124,7 @@ func (a *SortedArray) Name() string { return "sorted-array" }
 func (a *SortedArray) N() int { return len(a.keys) }
 
 // Base implements Index.
-func (a *SortedArray) Base() memsim.Addr { return a.base }
+func (a *SortedArray) Base() Addr { return a.base }
 
 // SizeBytes implements Index.
 func (a *SortedArray) SizeBytes() int { return len(a.keys) * workload.KeyBytes }
@@ -319,11 +318,11 @@ func upperBound(keys []workload.Key, k workload.Key) int {
 
 // RankTrace implements Index; every probed element contributes one
 // address.
-func (a *SortedArray) RankTrace(k workload.Key, trace []memsim.Addr) (int, []memsim.Addr) {
+func (a *SortedArray) RankTrace(k workload.Key, trace []Addr) (int, []Addr) {
 	lo, hi := 0, len(a.keys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		trace = append(trace, a.base+memsim.Addr(mid*workload.KeyBytes))
+		trace = append(trace, a.base+Addr(mid*workload.KeyBytes))
 		if a.keys[mid] <= k {
 			lo = mid + 1
 		} else {

@@ -25,10 +25,14 @@
 // addresses of a lookup for trace-driven simulation.
 package index
 
-import (
-	"repro/internal/memsim"
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
+
+// Addr is a virtual byte address in a simulated node's address space —
+// the type the cache simulator (internal/memsim) indexes by, declared
+// here as well so that serving from an index links no simulator. A
+// structure claims the arena starting at its Base and RankTrace records
+// the addresses a lookup touches there; nothing ever dereferences one.
+type Addr = uint64
 
 // Index is the common read API of all three structures.
 type Index interface {
@@ -42,10 +46,10 @@ type Index interface {
 	// RankTrace is Rank, also appending the virtual address of every
 	// memory probe the lookup performs to trace (which it returns,
 	// append-style). Each probe touches at most one cache line.
-	RankTrace(k workload.Key, trace []memsim.Addr) (int, []memsim.Addr)
+	RankTrace(k workload.Key, trace []Addr) (int, []Addr)
 	// Base and SizeBytes describe the structure's arena, for cache
 	// preloading and footprint reports.
-	Base() memsim.Addr
+	Base() Addr
 	SizeBytes() int
 	// Levels returns the number of probe levels a lookup visits: tree
 	// height for trees, ceil(log2 n) for the array. This is T (or L)

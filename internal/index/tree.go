@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 
-	"repro/internal/memsim"
 	"repro/internal/workload"
 )
 
@@ -40,7 +39,7 @@ const (
 type Tree struct {
 	name     string
 	leafKeys int
-	base     memsim.Addr
+	base     Addr
 	n        int
 
 	nodes      []tnode
@@ -58,17 +57,17 @@ type tnode struct {
 }
 
 // NewNaryTree builds the Method A/B tree over sorted keys at base.
-func NewNaryTree(keys []workload.Key, base memsim.Addr) *Tree {
+func NewNaryTree(keys []workload.Key, base Addr) *Tree {
 	return newTree("nary-tree", NaryLeafKeys, keys, base)
 }
 
 // NewCSBTree builds the Method C-1/C-2 CSB+ tree over sorted keys at
 // base.
-func NewCSBTree(keys []workload.Key, base memsim.Addr) *Tree {
+func NewCSBTree(keys []workload.Key, base Addr) *Tree {
 	return newTree("csb+-tree", CSBLeafKeys, keys, base)
 }
 
-func newTree(name string, leafKeys int, keys []workload.Key, base memsim.Addr) *Tree {
+func newTree(name string, leafKeys int, keys []workload.Key, base Addr) *Tree {
 	if leafKeys < 1 || leafKeys > MaxSeps {
 		panic(fmt.Sprintf("index: leaf capacity %d out of range", leafKeys))
 	}
@@ -161,7 +160,7 @@ func (t *Tree) Name() string { return t.name }
 func (t *Tree) N() int { return t.n }
 
 // Base implements Index.
-func (t *Tree) Base() memsim.Addr { return t.base }
+func (t *Tree) Base() Addr { return t.base }
 
 // SizeBytes implements Index.
 func (t *Tree) SizeBytes() int { return len(t.nodes) * NodeBytes }
@@ -197,8 +196,8 @@ func (t *Tree) Root() int32 {
 func (t *Tree) IsLeaf(id int32) bool { return t.nodes[id].leaf }
 
 // NodeAddr returns the virtual address of node id.
-func (t *Tree) NodeAddr(id int32) memsim.Addr {
-	return t.base + memsim.Addr(int(id)*NodeBytes)
+func (t *Tree) NodeAddr(id int32) Addr {
+	return t.base + Addr(int(id)*NodeBytes)
 }
 
 // Step descends one level: it returns the child of internal node id that
@@ -257,7 +256,7 @@ func (t *Tree) Rank(k workload.Key) int {
 }
 
 // RankTrace implements Index; one probe address per visited node.
-func (t *Tree) RankTrace(k workload.Key, trace []memsim.Addr) (int, []memsim.Addr) {
+func (t *Tree) RankTrace(k workload.Key, trace []Addr) (int, []Addr) {
 	if t.n == 0 {
 		return 0, trace
 	}

@@ -25,8 +25,9 @@ import (
 // Addr is a virtual byte address in the simulated node's address space.
 // The simulation never dereferences these; they exist only to drive
 // cache indexing, so different data structures simply claim disjoint
-// address regions.
-type Addr uint64
+// address regions. (An alias, as internal/index's Addr is, so that the
+// indexes can be laid out in this space without importing a simulator.)
+type Addr = uint64
 
 // Cache is one set-associative cache level with LRU replacement.
 // The zero value is not usable; use NewCache.

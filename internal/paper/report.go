@@ -1,9 +1,25 @@
-package core
+// Package paper is the paper's reproduction: the five methods of
+// Section 3 executed against the trace-driven cache simulator
+// (internal/memsim), the network model (internal/netsim) and the
+// discrete-event scheduler (internal/des), producing the
+// virtual-nanosecond timings behind Figure 3 and Tables 2-3
+// (cmd/figure3, cmd/table3, dcindex.Simulate/Sweep). simLocal runs
+// Methods A and B on one simulated node, simCluster runs the Method C
+// variants on a simulated master/slave cluster; Run picks between them.
+//
+// It stands beside the serving engine, internal/core, and imports it
+// only for the vocabulary the two share — Method, Partition,
+// NewPartitioning — never the other way round, and it knows nothing of
+// the TCP deployment (internal/netrun, dcindex). Its tests are
+// internal/core's sim_test.go and extensions_test.go, an external test
+// package there.
+package paper
 
 import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -13,7 +29,7 @@ type SimConfig struct {
 	// P is the architecture parameter set (Table 2 by default).
 	P arch.Params
 	// Method selects the strategy under test.
-	Method Method
+	Method core.Method
 	// IndexKeys is the sorted key set the index is built over.
 	IndexKeys []workload.Key
 	// TotalQueries is the workload size the report extrapolates to
@@ -44,28 +60,28 @@ type SimConfig struct {
 // Validate reports the first problem with the configuration.
 func (c SimConfig) Validate() error {
 	if !c.Method.Valid() {
-		return fmt.Errorf("core: invalid method %d", int(c.Method))
+		return fmt.Errorf("paper: invalid method %d", int(c.Method))
 	}
 	if len(c.IndexKeys) == 0 {
-		return fmt.Errorf("core: empty index")
+		return fmt.Errorf("paper: empty index")
 	}
 	if c.TotalQueries <= 0 {
-		return fmt.Errorf("core: TotalQueries = %d", c.TotalQueries)
+		return fmt.Errorf("paper: TotalQueries = %d", c.TotalQueries)
 	}
 	if c.BatchBytes < workload.KeyBytes {
-		return fmt.Errorf("core: BatchBytes = %d, below one key", c.BatchBytes)
+		return fmt.Errorf("paper: BatchBytes = %d, below one key", c.BatchBytes)
 	}
 	if c.Masters <= 0 || c.Slaves <= 0 {
-		return fmt.Errorf("core: need masters and slaves, got %d/%d", c.Masters, c.Slaves)
+		return fmt.Errorf("paper: need masters and slaves, got %d/%d", c.Masters, c.Slaves)
 	}
 	if len(c.IndexKeys) < c.Slaves {
-		return fmt.Errorf("core: %d keys cannot be partitioned over %d slaves", len(c.IndexKeys), c.Slaves)
+		return fmt.Errorf("paper: %d keys cannot be partitioned over %d slaves", len(c.IndexKeys), c.Slaves)
 	}
 	if c.SampleQueries < 0 {
-		return fmt.Errorf("core: SampleQueries = %d", c.SampleQueries)
+		return fmt.Errorf("paper: SampleQueries = %d", c.SampleQueries)
 	}
 	if c.Skew < 0 {
-		return fmt.Errorf("core: Skew = %v", c.Skew)
+		return fmt.Errorf("paper: Skew = %v", c.Skew)
 	}
 	return c.P.Validate()
 }
@@ -98,7 +114,7 @@ func (c SimConfig) batchKeys() int { return workload.BatchKeysForBytes(c.BatchBy
 
 // SimReport is the outcome of one simulated experiment.
 type SimReport struct {
-	Method     Method
+	Method     core.Method
 	BatchBytes int
 	Nodes      int
 
@@ -169,7 +185,7 @@ func Run(cfg SimConfig) (SimReport, error) {
 		return SimReport{}, err
 	}
 	switch cfg.Method {
-	case MethodA, MethodB:
+	case core.MethodA, core.MethodB:
 		return simLocal(cfg)
 	default:
 		return simCluster(cfg)

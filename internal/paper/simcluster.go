@@ -1,10 +1,11 @@
-package core
+package paper
 
 import (
 	"math"
 	"sort"
 
 	"repro/internal/buffering"
+	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/index"
 	"repro/internal/memsim"
@@ -24,7 +25,7 @@ import (
 // and a slave's next message is received (and pollutes its cache) while
 // the current one is processed.
 func simCluster(cfg SimConfig) (SimReport, error) {
-	part, err := NewPartitioning(cfg.IndexKeys, cfg.Slaves)
+	part, err := core.NewPartitioning(cfg.IndexKeys, cfg.Slaves)
 	if err != nil {
 		return SimReport{}, err
 	}
@@ -207,7 +208,7 @@ func extrapolate(endNs float64, sim, total int, replies []replyEvent) float64 {
 // simSlave is one slave node's state on the DES timeline.
 type simSlave struct {
 	cfg  SimConfig
-	part Partition
+	part core.Partition
 	h    *memsim.Hierarchy
 	nic  netsim.NIC
 
@@ -237,18 +238,18 @@ type pendingMsg struct {
 	chunkStart float64
 }
 
-func newSimSlave(cfg SimConfig, part Partition) *simSlave {
+func newSimSlave(cfg SimConfig, part core.Partition) *simSlave {
 	s := &simSlave{cfg: cfg, part: part, h: memsim.NewHierarchy(cfg.P)}
 	s.nic.Name = "slave"
 	switch cfg.Method {
-	case MethodC1, MethodC2:
+	case core.MethodC1, core.MethodC2:
 		// The slave tree keeps per-key result words in its leaves,
 		// like the Method A/B tree: a 32,768-key partition occupies
 		// ~300 KB — Table 1's "Subtree Size ... 320 KB" — versus the
 		// 128 KB sorted array, which is exactly the extra cache
 		// pressure Section 4.1 blames for C-1/C-2 trailing C-3.
 		s.tree = index.NewNaryTree(part.Keys, treeBase)
-		if cfg.Method == MethodC2 {
+		if cfg.Method == core.MethodC2 {
 			// L1-sized subtrees, half the cache left for buffers
 			// (Section 3.2: "each subtree can now fit inside the L1
 			// cache").
@@ -256,7 +257,7 @@ func newSimSlave(cfg SimConfig, part Partition) *simSlave {
 			s.cursors = make([]int64, s.tree.NodeCount())
 		}
 		s.h.Preload(s.tree.Base(), s.tree.SizeBytes())
-	default: // MethodC3
+	default: // core.MethodC3
 		s.arr = index.NewSortedArray(part.Keys, treeBase)
 		s.h.Preload(s.arr.Base(), s.arr.SizeBytes())
 	}
@@ -327,7 +328,7 @@ func (s *simSlave) process(m pendingMsg) float64 {
 	ranks := s.ranks[:n]
 
 	switch cfg.Method {
-	case MethodC1:
+	case core.MethodC1:
 		for i, k := range m.keys {
 			s.trace = s.trace[:0]
 			var r int
@@ -338,7 +339,7 @@ func (s *simSlave) process(m pendingMsg) float64 {
 			cost += float64(len(s.trace)) * cfg.P.CompCostNodeNs
 			ranks[i] = r
 		}
-	case MethodC2:
+	case core.MethodC2:
 		hooks := buffering.Hooks{
 			TouchNode: func(id int32) {
 				cost += cfg.P.CompCostNodeNs + s.h.Touch(s.tree.NodeAddr(id))
@@ -354,7 +355,7 @@ func (s *simSlave) process(m pendingMsg) float64 {
 			},
 		}
 		s.plan.RankBatch(m.keys, ranks, 0, hooks)
-	default: // MethodC3
+	default: // core.MethodC3
 		for i, k := range m.keys {
 			s.trace = s.trace[:0]
 			var r int

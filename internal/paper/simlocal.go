@@ -1,7 +1,8 @@
-package core
+package paper
 
 import (
 	"repro/internal/buffering"
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/memsim"
 	"repro/internal/stats"
@@ -33,7 +34,7 @@ func simLocal(cfg SimConfig) (SimReport, error) {
 	// rounds down to whole batches (and vanishes if the sample is a
 	// single batch) so at least one full batch is always measured.
 	warm := sim / 4
-	if cfg.Method == MethodB {
+	if cfg.Method == core.MethodB {
 		warm = warm / batchKeys * batchKeys
 	}
 
@@ -44,7 +45,7 @@ func simLocal(cfg SimConfig) (SimReport, error) {
 
 	next := cfg.querySource(sim)
 	switch cfg.Method {
-	case MethodA:
+	case core.MethodA:
 		trace := make([]memsim.Addr, 0, tree.Levels())
 		for i := 0; i < sim; i++ {
 			if i == warm {
@@ -68,7 +69,7 @@ func simLocal(cfg SimConfig) (SimReport, error) {
 		}
 		measuredKeys = sim - warm
 
-	case MethodB:
+	case core.MethodB:
 		plan := buffering.NewPlan(tree, cfg.P.L2Size/2)
 		cursors := make([]int64, tree.NodeCount())
 		var ns float64

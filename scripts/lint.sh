@@ -3,8 +3,9 @@
 # lint job (both run exactly this script, so a green local run means a
 # green CI lint job).
 #
-# Fails on any tracked .go file gofmt would rewrite, then builds the
-# in-repo dclint multichecker (lockguard, noalloc, framepair, snappin,
+# Fails on any tracked .go file gofmt would rewrite and on a simulator
+# package in internal/core's import graph, then builds the in-repo
+# dclint multichecker (lockguard, noalloc, framepair, snappin,
 # knobdoc — see internal/analyzers) and runs it over every package via
 # `go vet -vettool`. Any unannotated diagnostic fails the script;
 # //dc:ignore suppressions are counted and printed so reviewers see what
@@ -24,6 +25,23 @@ if [[ -n "$UNFORMATTED" ]]; then
 	exit 1
 fi
 echo "gofmt: clean"
+
+# The import graph is a gate too: internal/core is the serving engine,
+# and the paper's trace-driven simulators (internal/paper) and the
+# packages only they need must not drift back into what it links.
+SIMDEPS="$(go list -deps ./internal/core | grep -E '^repro/internal/(des|netsim|memsim|arch|stats|tab|paper)$' || true)"
+if [[ -n "$SIMDEPS" ]]; then
+	echo "imports: internal/core must not depend on the simulator packages:" >&2
+	echo "$SIMDEPS" | sed 's/^/  /' >&2
+	exit 1
+fi
+PAPERDEPS="$(go list -deps ./internal/paper | grep -E '^repro/(internal/netrun|dcindex)$' || true)"
+if [[ -n "$PAPERDEPS" ]]; then
+	echo "imports: internal/paper must not depend on the deployment packages:" >&2
+	echo "$PAPERDEPS" | sed 's/^/  /' >&2
+	exit 1
+fi
+echo "imports: internal/core links no simulator, internal/paper no deployment package"
 
 mkdir -p bin
 go build -o bin/dclint ./cmd/dclint

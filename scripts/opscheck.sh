@@ -3,7 +3,8 @@
 # 2-partition dcnode pair with HTTP admin endpoints, drive a short dcq
 # load through them (which records the per-op latency histograms), then
 # scrape /metrics, /stats, /health, and /indexes and assert every series
-# an operator dashboard depends on is present. Run by CI's ops job and
+# an operator dashboard depends on is present, and that /debug/pprof/
+# answers. Run by CI's ops job and
 # fine to run locally; it needs only loopback sockets.
 set -euo pipefail
 
@@ -91,8 +92,16 @@ if [ "$code" != "501" ]; then
 	fail=1
 fi
 
+# The profiling endpoints ride the same listener: the index page must
+# answer (a profile on demand is what it lists).
+code="$(curl -s -o /dev/null -w '%{http_code}' "http://$M1/debug/pprof/")"
+if [ "$code" != "200" ]; then
+	echo "opscheck: GET /debug/pprof/ returned $code, want 200" >&2
+	fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
 	echo "opscheck: FAILED" >&2
 	exit 1
 fi
-echo "opscheck: ok — metrics, stats, health, indexes, and membership-501 all answered correctly" >&2
+echo "opscheck: ok — metrics, stats, health, indexes, membership-501 and the pprof index all answered correctly" >&2
