@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -191,6 +192,53 @@ func TestDCNodeKillNineDurability(t *testing.T) {
 	for _, k := range batchKeys(ackedN + 2) {
 		if got, want := multiplicity(k), baseCount(k); got != want {
 			t.Fatalf("never-submitted key %d present after restart (multiplicity %d, want %d)", k, got, want)
+		}
+	}
+}
+
+// TestDCNodeRefusesFormatV1WALDir: a -wal-dir written by a build from
+// before the shared log (format v1: its log file says version 1) is not
+// damage to repair. dcnode exits with an error that names both format
+// versions and leaves the directory byte for byte as it found it —
+// nothing quarantined, no fresh log cut beside the old one.
+func TestDCNodeRefusesFormatV1WALDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	dcnode := filepath.Join(t.TempDir(), "dcnode")
+	if out, err := exec.Command(goTool(t), "build", "-o", dcnode, "./cmd/dcnode").CombinedOutput(); err != nil {
+		t.Fatalf("build dcnode: %v\n%s", err, out)
+	}
+	walDir := t.TempDir()
+	files := map[string][]byte{
+		// magic, version 1, base generation 0, base fold (FNV offset basis)
+		"wal-00000000000000000001.wal": {0x41, 0x3a, 0x1d, 0xdc, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+			0x25, 0x23, 0x22, 0x84, 0xe4, 0x9c, 0xf2, 0xcb},
+		"seg-00000000000000000000.seg": []byte("a v1 segment"),
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(walDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := exec.Command(dcnode, "-n", "4096", "-seed", "1", "-parts", "1", "-part", "0",
+		"-wal-dir", walDir, "-listen", "127.0.0.1:0").CombinedOutput()
+	if err == nil {
+		t.Fatalf("dcnode served from a v1 directory:\n%s", out)
+	}
+	if msg := string(out); !strings.Contains(msg, "format v1") || !strings.Contains(msg, "reads v2") {
+		t.Fatalf("refusal does not name both format versions:\n%s", msg)
+	}
+	ents, err := os.ReadDir(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != len(files) {
+		t.Fatalf("directory holds %d entries after the refusal, want the %d written", len(ents), len(files))
+	}
+	for name, want := range files {
+		if got, err := os.ReadFile(filepath.Join(walDir, name)); err != nil || string(got) != string(want) {
+			t.Fatalf("%s changed (err %v)", name, err)
 		}
 	}
 }

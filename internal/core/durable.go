@@ -14,20 +14,27 @@ import (
 
 // Cluster-level durability. With RealConfig.WALDir set, every partition
 // (for Methods A and B, the one whole-index partition) is served through
-// an index.DurablePartition: inserts append to its WAL before they are
-// applied and the ack waits for the group fsync; frozen-layer publishes
-// flush segments through its background daemon, which then retires
-// covered WAL files. What this file adds is the layout around them:
+// an index.DurablePartition, and the partitions of an epoch share ONE
+// write-ahead log: an insert appends a record tagged with its partition
+// before it is applied, and the ack of an InsertBatch waits for one group
+// fsync of that log, however many partitions the call touched.
+// Frozen-layer publishes flush per-partition segments through each
+// partition's background daemon; the log retires a file once every
+// partition's segments have passed its records in it. What this file
+// adds is the layout around them:
 //
-//	WALDir/MANIFEST        current epoch + partition count
-//	WALDir/e<epoch>/p<i>/  partition i's segments and WAL files
+//	WALDir/MANIFEST                      "dcstore v2", current epoch, partition count
+//	WALDir/e<epoch>/wal-<ordinal>.wal    the epoch's log (index/wal.go, format v2)
+//	WALDir/e<epoch>/p<i>/seg-<gen>.seg   partition i's segments
 //
 // A rebalance (or a recovery whose key distribution no longer matches
-// the stored partition boundaries) writes a complete new epoch —
-// fresh per-partition segments at generation 0 — and then atomically
-// replaces MANIFEST, so a crash at any point leaves either the old or
-// the new epoch fully intact; orphaned epoch directories are swept on
-// the next open.
+// the stored partition boundaries) writes a complete new epoch — a
+// fresh log and fresh per-partition segments at generation 0 — and then
+// atomically replaces MANIFEST, so a crash at any point leaves either
+// the old or the new epoch fully intact; orphaned epoch directories are
+// swept on the next open. A directory whose MANIFEST or log names another
+// format version (v1 kept one log per partition, in p<i>/) is refused
+// with index.ErrStoreFormat and left exactly as it was.
 
 const manifestName = "MANIFEST"
 
@@ -76,26 +83,21 @@ func openClusterStore(dir string, opt index.StoreOptions) (*clusterStore, error)
 		return nil, fmt.Errorf("core: %s/%s: %w", dir, manifestName, err)
 	}
 	cs.epoch = epoch
-	for p := 0; p < parts; p++ {
-		st, keys, err := index.OpenStore(cs.partDir(epoch, p), nil, opt)
-		if err != nil {
-			cs.close()
-			return nil, fmt.Errorf("core: recover partition %d: %w", p, err)
-		}
+	if cs.stores, cs.perPart, err = index.OpenStores(cs.epochDir(epoch), make([][]workload.Key, parts), opt); err != nil {
+		return nil, fmt.Errorf("core: recover epoch %d: %w", epoch, err)
+	}
+	for p, st := range cs.stores {
 		if !st.HasSegment() {
-			st.Close()
 			cs.close()
 			return nil, fmt.Errorf("core: recover partition %d: %w: no intact segment (its baseline is not reconstructible)", p, index.ErrStoreCorrupt)
 		}
-		cs.stores = append(cs.stores, st)
-		cs.perPart = append(cs.perPart, keys)
 	}
 	cs.sweepOrphanEpochs()
 	return cs, nil
 }
 
-func (cs *clusterStore) partDir(epoch uint64, p int) string {
-	return filepath.Join(cs.dir, fmt.Sprintf("e%d", epoch), fmt.Sprintf("p%d", p))
+func (cs *clusterStore) epochDir(epoch uint64) string {
+	return filepath.Join(cs.dir, fmt.Sprintf("e%d", epoch))
 }
 
 // sweepOrphanEpochs removes epoch directories the manifest does not
@@ -120,8 +122,12 @@ func (cs *clusterStore) sweepOrphanEpochs() {
 
 func parseManifest(data []byte) (epoch uint64, parts int, err error) {
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) < 3 || strings.TrimSpace(lines[0]) != "dcstore v1" {
+	var format int
+	if _, err := fmt.Sscanf(strings.TrimSpace(lines[0]), "dcstore v%d", &format); err != nil || len(lines) < 3 {
 		return 0, 0, fmt.Errorf("unrecognized manifest")
+	}
+	if format != index.StoreFormat {
+		return 0, 0, index.FormatError("manifest", format)
 	}
 	if _, err := fmt.Sscanf(strings.TrimSpace(lines[1]), "epoch %d", &epoch); err != nil {
 		return 0, 0, fmt.Errorf("unrecognized manifest epoch line")
@@ -169,36 +175,38 @@ func (cs *clusterStore) matches(parts [][]workload.Key) bool {
 	return true
 }
 
-// rebase writes a complete new epoch — one fresh store per partition,
-// each anchored by a generation-0 segment of its key slice — then
-// atomically swaps the manifest and retires the old epoch: its
-// partitions are closed (compactions waited out, flusher stopped) before
-// their directory goes. Called at first creation, after a recovery
-// whose boundaries moved, and on every rebalance (with writes excluded,
-// so the slices are exact and the old epoch can arm no new compaction).
+// rebase writes a complete new epoch — a fresh log and one fresh store
+// per partition, each anchored by a generation-0 segment of its key
+// slice — then atomically swaps the manifest and retires the old epoch:
+// its partitions are closed (compactions waited out, flusher stopped)
+// before their directory goes. Called at first creation, after a
+// recovery whose boundaries moved, and on every rebalance (with writes
+// excluded, so the slices are exact and the old epoch can arm no new
+// compaction).
 func (cs *clusterStore) rebase(parts [][]workload.Key) error {
 	newEpoch := cs.epoch + 1
-	stores := make([]*index.Store, 0, len(parts))
+	var stores []*index.Store
 	fail := func(err error) error {
 		for _, st := range stores {
 			st.Close()
 		}
-		cs.fs.RemoveAll(filepath.Join(cs.dir, fmt.Sprintf("e%d", newEpoch)))
+		cs.fs.RemoveAll(cs.epochDir(newEpoch))
 		return err
 	}
-	for p, keys := range parts {
-		st, _, err := index.OpenStore(cs.partDir(newEpoch, p), keys, cs.opt)
-		if err != nil {
-			return fail(fmt.Errorf("core: rebase partition %d: %w", p, err))
-		}
-		if err := st.FlushSegment(keys, 0); err != nil {
-			st.Close()
-			return fail(fmt.Errorf("core: rebase partition %d: %w", p, err))
-		}
-		stores = append(stores, st)
+	// Whatever a crashed rebase left under this epoch number is not this
+	// epoch: the stores below must start empty, not recover it.
+	cs.fs.RemoveAll(cs.epochDir(newEpoch))
+	stores, _, err := index.OpenStores(cs.epochDir(newEpoch), parts, cs.opt)
+	if err != nil {
+		return fail(fmt.Errorf("core: rebase: %w", err))
 	}
-	manifest := fmt.Sprintf("dcstore v1\nepoch %d\nparts %d\n", newEpoch, len(parts))
-	err := index.AtomicWriteFile(cs.fs, filepath.Join(cs.dir, manifestName), 0o644, func(w io.Writer) error {
+	for p, keys := range parts {
+		if err := stores[p].FlushSegment(keys, 0); err != nil {
+			return fail(fmt.Errorf("core: rebase partition %d: %w", p, err))
+		}
+	}
+	manifest := fmt.Sprintf("dcstore v%d\nepoch %d\nparts %d\n", index.StoreFormat, newEpoch, len(parts))
+	err = index.AtomicWriteFile(cs.fs, filepath.Join(cs.dir, manifestName), 0o644, func(w io.Writer) error {
 		_, werr := io.WriteString(w, manifest)
 		return werr
 	})
@@ -209,7 +217,7 @@ func (cs *clusterStore) rebase(parts [][]workload.Key) error {
 	cs.close()
 	cs.stores, cs.epoch, cs.perPart = stores, newEpoch, nil
 	if hadOld {
-		cs.fs.RemoveAll(filepath.Join(cs.dir, fmt.Sprintf("e%d", oldEpoch)))
+		cs.fs.RemoveAll(cs.epochDir(oldEpoch))
 	}
 	return nil
 }

@@ -41,7 +41,9 @@ type Partitioning struct {
 }
 
 // NewPartitioning splits sorted keys into the given number of equal-size
-// partitions. It returns an error for a non-positive count or more
+// partitions — equal but for a cut that would fall between two copies of
+// one key, which moves to the nearest end of that run (distinctCut). It
+// returns an error for a non-positive count or more
 // partitions than keys (a slave with an empty partition could never own
 // a key range).
 func NewPartitioning(keys []workload.Key, parts int) (*Partitioning, error) {
@@ -74,16 +76,46 @@ func newPartitioningSorted(keys []workload.Key, parts int) (*Partitioning, error
 		Parts:  make([]Partition, parts),
 		delims: make([]workload.Key, 0, parts-1),
 	}
+	lo := 0
 	for i := 0; i < parts; i++ {
-		lo := i * len(keys) / parts
-		hi := (i + 1) * len(keys) / parts
+		hi := len(keys)
+		if i+1 < parts {
+			hi = distinctCut(keys, lo, (i+1)*len(keys)/parts, (i+2)*len(keys)/parts)
+		}
 		p.Parts[i] = Partition{Slave: i, Keys: keys[lo:hi], RankBase: lo}
 		if i > 0 {
 			p.delims = append(p.delims, keys[lo])
 		}
+		lo = hi
 	}
 	p.indexDelims()
 	return p, nil
+}
+
+// distinctCut moves the equal-size cut at off a run of equal keys: routing
+// sends every copy of a key to the one partition whose range begins at
+// or before it, so a cut inside the run would leave copies in a
+// partition that is never asked about them and a per-partition answer
+// (MultiGet) would miss them. The cut goes to the start of the run, or
+// to its end when the run reaches back to the previous cut at lo; both
+// partitions stay non-empty (lo < cut < next, the equal-size cut after
+// this one). A run that fills a whole partition keeps the equal-size
+// cut: ranks, counts and scans are exact across it all the same.
+func distinctCut(keys []workload.Key, lo, at, next int) int {
+	cut := at
+	for cut > lo+1 && keys[cut-1] == keys[cut] {
+		cut--
+	}
+	if keys[cut-1] != keys[cut] {
+		return cut
+	}
+	for cut = at; cut < next-1 && keys[cut-1] == keys[cut]; {
+		cut++
+	}
+	if keys[cut-1] != keys[cut] {
+		return cut
+	}
+	return at
 }
 
 // indexDelims builds prefix from delims.

@@ -278,3 +278,55 @@ func TestMethodStrings(t *testing.T) {
 		t.Error("Methods() should list all five")
 	}
 }
+
+// TestPartitioningCutsBetweenDistinctKeys: an equal-size cut that would
+// fall between two copies of one key moves off the run, so that the
+// partition a key routes to holds every copy of it — MultiGet, answered
+// per partition, depends on it. A run that fills a whole partition is the
+// one case left cut through, and ranks and counts stay exact across it.
+func TestPartitioningCutsBetweenDistinctKeys(t *testing.T) {
+	for _, tc := range []struct {
+		keys  []workload.Key
+		parts int
+		sizes []int
+	}{
+		{[]workload.Key{1, 2, 2, 3}, 2, []int{1, 3}},                   // cut 2 sits in the run of 2s: to its start
+		{[]workload.Key{2, 2, 2, 3, 4, 5}, 2, []int{3, 3}},             // already between distinct keys
+		{[]workload.Key{2, 2, 2, 2, 3, 4}, 2, []int{4, 2}},             // the run reaches back to the start: to its end
+		{[]workload.Key{1, 2, 3, 3, 3, 3, 4, 5, 6}, 3, []int{2, 4, 3}}, // both cuts in one run: one each side
+		{[]workload.Key{7, 7, 7, 7}, 2, []int{2, 2}},                   // no distinct cut exists
+	} {
+		p, err := NewPartitioning(tc.keys, tc.parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := 0
+		for i, part := range p.Parts {
+			if len(part.Keys) != tc.sizes[i] || part.RankBase != base {
+				t.Fatalf("%v in %d: partition %d has %d keys at rank base %d, want %d at %d",
+					tc.keys, tc.parts, i, len(part.Keys), part.RankBase, tc.sizes[i], base)
+			}
+			base += len(part.Keys)
+		}
+		distinct := tc.keys[0] != tc.keys[len(tc.keys)-1]
+		c, err := NewCluster(tc.keys, RealConfig{Method: MethodC3, Workers: tc.parts, BatchKeys: 16, QueueDepth: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := newQueryOracle(tc.keys)
+		probe := append([]workload.Key{0, 8}, tc.keys...)
+		got, err := c.MultiGet(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range probe {
+			if n, err := c.CountRange(k, k); err != nil || n != o.multiplicity(k) {
+				t.Fatalf("%v in %d: CountRange(%d, %d) = %d (%v), want %d", tc.keys, tc.parts, k, k, n, err, o.multiplicity(k))
+			}
+			if distinct && got[i] != o.multiplicity(k) {
+				t.Fatalf("%v in %d: MultiGet(%d) = %d, want %d", tc.keys, tc.parts, k, got[i], o.multiplicity(k))
+			}
+		}
+		c.Close()
+	}
+}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/buffering"
@@ -40,10 +38,11 @@ import (
 
 // livePart is one partition's live index state in one epoch: the
 // updatable base+delta stack, and with WALDir the durable partition
-// that logs an insert before applying it to that stack (index.
-// DurablePartition holds one lock across both, so apply order equals
-// WAL order — the invariant that lets a frozen-layer watermark double
-// as a segment flush point).
+// that logs an insert — as a record of this partition in the epoch's
+// shared log — before applying it to that stack (index.DurablePartition
+// holds one lock across both, so the partition's apply order equals the
+// order of its records — the invariant that lets a frozen-layer
+// watermark double as a segment flush point).
 type livePart struct {
 	slot     int
 	rankBase int
@@ -54,8 +53,15 @@ type livePart struct {
 
 // Lock ordering on the write path: an insert call holds the cluster
 // read gate (Cluster.mu) for its whole duration and takes the
-// write/rebalance gate (Cluster.insertMu) inside it. dclint (lockguard)
-// enforces the order.
+// write/rebalance gate (Cluster.insertMu) inside it. Under those, each
+// partition's share is applied under that partition's
+// index.DurablePartition.mu, which is taken before its Store.mu, then
+// the append lock of the epoch's one log (index.WAL.mu, shared by every
+// partition of the epoch — the only point where two partitions' inserts
+// meet), then the log's commit state (WAL.cmu); the ack's group commit
+// takes the commit state alone, with no partition lock held. dclint
+// (lockguard) enforces the order — the index half is declared beside
+// the WAL type.
 //
 //dc:lockorder Cluster.mu Cluster.insertMu
 
@@ -175,7 +181,7 @@ func (c *Cluster) Insert(k workload.Key) error {
 // calling goroutine applies it there. It returns once every key is
 // applied — reads that start after it returns see them, and concurrent
 // reads see a consistent point-in-time subset — and, with WALDir, once
-// every touched partition's log is fsynced through this call's records.
+// the epoch's log is fsynced through this call's records.
 // Safe for any number of concurrent callers, and safe concurrently with
 // lookups.
 func (c *Cluster) InsertBatch(keys []workload.Key) error {
@@ -198,34 +204,16 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 	cs := c.getCall()
 	defer c.putCall(cs)
 
-	// apply hands partition s its share. A partition's insert counter
-	// moves iff its keys reached memory, so ranks above it stay exact
-	// whatever happens to the log afterwards. ends[s] is the log offset
-	// partition s has to be durable through before this call may ack (0:
-	// untouched). An error return means nothing was acknowledged — the
-	// keys may or may not survive a restart, exactly like a crash
-	// mid-call.
-	var ends []int64
-	if c.cs != nil {
-		ends = make([]int64, len(ep.lps))
-	}
-	var err error
-	apply := func(s int, b *realBatch) {
-		defer c.putBatch(b)
-		lp := ep.lps[s]
-		switch {
-		case err != nil: // already failing: drop, don't ack
-			return
-		case lp.dp == nil:
-			lp.upd.InsertBatch(b.keys)
-		default:
-			if ends[s], err = lp.dp.Apply(b.keys); err != nil {
-				return
-			}
-		}
-		ep.inserted[s].n.Add(int64(len(b.keys)))
-		c.maybeRebalance(lp)
-	}
+	// Every partition's share is applied by this goroutine: logged (with
+	// WALDir) and put in memory under the partition's lock, its insert
+	// counter moved iff its keys reached memory, so ranks above it stay
+	// exact whatever happens to the log afterwards. The partitions of an
+	// epoch share one log whose offsets grow in append order, so the call
+	// is durable once the log is fsynced through the highest offset it was
+	// handed — one group commit, however many partitions it touched. An
+	// error return means nothing was acknowledged — the keys may or may
+	// not survive a restart, exactly like a crash mid-call.
+	w := insertWave{c: c, ep: ep}
 	for _, k := range keys {
 		s := ep.part.Route(k)
 		b := cs.accum[s]
@@ -236,45 +224,55 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 		b.keys = append(b.keys, k)
 		if len(b.keys) >= c.cfg.BatchKeys { // also the most keys one log record carries
 			cs.accum[s] = nil
-			apply(s, b)
+			w.apply(s, b)
 		}
 	}
 	for s, b := range cs.accum {
 		if b != nil {
 			cs.accum[s] = nil
-			apply(s, b)
+			w.apply(s, b)
 		}
 	}
-	if err == nil && ends != nil {
-		err = commit(ep.lps, ends)
+	if w.err == nil && w.end > 0 {
+		w.err = ep.lps[0].dp.Store.Commit(w.end)
 	}
-	if err != nil {
-		return err
+	if w.err != nil {
+		return w.err
 	}
 	c.insertedKeys.Add(int64(len(keys)))
 	return nil
 }
 
-// commit returns once every partition's log is durable through its
-// offset in ends (0: nothing to wait for). Each Store.Commit blocks on a
-// (group) fsync and the partitions' logs are independent files, so they
-// are waited for together: in turn, the ack latency would multiply by
-// the partition count.
-func commit(lps []*livePart, ends []int64) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(ends))
-	for s, end := range ends {
-		if end == 0 {
-			continue
+// insertWave is the state of one InsertBatch call while it applies its
+// keys: the highest log offset it has to be durable through before it
+// may ack (0: no log), and its first error.
+type insertWave struct {
+	c   *Cluster
+	ep  *updEpoch
+	end int64
+	err error
+}
+
+// apply hands partition s its share b of the wave.
+//
+//dc:noalloc
+func (w *insertWave) apply(s int, b *realBatch) {
+	lp := w.ep.lps[s]
+	switch {
+	case w.err != nil: // already failing: drop, don't ack
+	case lp.dp == nil:
+		lp.upd.InsertBatch(b.keys)
+	default:
+		var end int64
+		if end, w.err = lp.dp.Apply(b.keys); w.err == nil && end > w.end {
+			w.end = end
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[s] = lps[s].dp.Store.Commit(end)
-		}()
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	if w.err == nil {
+		w.ep.inserted[s].n.Add(int64(len(b.keys)))
+		w.c.maybeRebalance(lp)
+	}
+	w.c.putBatch(b)
 }
 
 // rebalanceThreshold returns the per-partition key count above which a

@@ -11,18 +11,23 @@ import (
 // DurablePartition couples one Updatable with its Store under the
 // WAL-order-equals-apply-order contract: every insert is appended to
 // the log and applied to memory under one lock (so the in-memory state
-// always covers an exact log prefix), then the ack path waits for the
-// group fsync. Frozen-layer publishes flush segments through a
-// background daemon, which is what retires replayed WAL files.
+// always covers an exact prefix of the partition's records), then the
+// ack path waits for the group fsync. Frozen-layer publishes flush
+// segments through a background daemon, which is what lets the log
+// retire its files.
 //
 // This is the one implementation of that contract: netrun's durable
-// nodes serve from it and the core cluster inserts through one per
-// partition.
+// nodes serve from it, over a store that has its log to itself
+// (OpenDurablePartition; ResetTo and DeltaSince, the rejoin catch-up,
+// need that), and the core cluster inserts through one per partition,
+// over the stores of an epoch that share one log (OpenStores +
+// NewDurablePartition): there a caller applies a wave to several
+// partitions and commits the highest offset once.
 type DurablePartition struct {
 	Store *Store
 	Upd   *Updatable
 
-	mu      sync.Mutex // serializes append+apply
+	mu      sync.Mutex // serializes append+apply; taken before Store.mu and the log's locks (wal.go)
 	flushCh chan flushReq
 	stopped chan struct{}
 	wg      sync.WaitGroup
@@ -77,8 +82,10 @@ func NewDurablePartition(st *Store, u *Updatable, logf func(format string, args 
 }
 
 // Apply logs keys and applies them to memory, in that order under the
-// partition's lock, and returns the log offset to Commit: the half of an
-// insert after which reads see the keys. On error nothing was applied.
+// partition's lock, and returns the log offset to Commit (through
+// Store.Commit; on a shared log the highest offset of a wave covers the
+// wave): the half of an insert after which reads see the keys. On error
+// nothing was applied.
 func (d *DurablePartition) Apply(keys []workload.Key) (end int64, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -136,7 +143,8 @@ func (d *DurablePartition) InsertDelta(keys []workload.Key, wantGen, wantChain u
 
 // ResetTo replaces the entire state with a full snapshot at the
 // sibling's generation and chain (chain 0 = unknown; later delta
-// catch-ups from this node then degrade to full snapshots).
+// catch-ups from this node then degrade to full snapshots). Refused,
+// with nothing changed, on a partition whose store shares its log.
 func (d *DurablePartition) ResetTo(keys []workload.Key, gen, chain uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -151,8 +159,9 @@ func (d *DurablePartition) ResetTo(keys []workload.Key, gen, chain uint64) error
 // order, together with the (generation, chain) position the delta
 // advances to, all captured atomically against concurrent inserts.
 // ok=false means the history cannot prove continuity from (gen, chain) —
-// chain mismatch, compacted-away tail, or a corrupt retained log — and
-// the caller must fall back to a full snapshot.
+// chain mismatch, compacted-away tail, a corrupt retained log, or a log
+// this partition shares with others — and the caller must fall back to
+// a full snapshot.
 func (d *DurablePartition) DeltaSince(gen, chain uint64) (keys []workload.Key, curGen, curChain uint64, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

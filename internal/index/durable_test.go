@@ -298,8 +298,8 @@ func TestDurablePartitionKillNineSubdirSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := []int64{walHeaderSize}
-	o := int64(walHeaderSize)
+	ends := []int64{int64(walHeaderSize(1))}
+	o := int64(walHeaderSize(1))
 	for _, b := range batches {
 		o += int64(walRecHeaderSize + 4*len(b) + walRecTrailerSize)
 		ends = append(ends, o)

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -15,20 +14,34 @@ import (
 	"repro/internal/workload"
 )
 
-// Store is the durable state of one partition: an append-only WAL for
-// inserts plus immutable segment snapshots flushed whenever the
-// in-memory index publishes a compacted base. On open it recovers by
-// loading the newest valid segment and replaying the WAL tail past it;
-// a corrupt segment is quarantined and recovery falls back to the
-// previous segment (whose covering WAL files are retained exactly for
-// this), and a WAL with a mid-file hole makes the store refuse to open
-// rather than serve a gapped history.
+// Store is the durable state of one partition: its records in an
+// append-only log plus immutable segment snapshots flushed whenever the
+// in-memory index publishes a compacted base. The log is either the
+// store's own or shared with the other partitions of a cluster epoch —
+// one code path, the layouts differ only in where the files sit:
+//
+//	OpenStore(dir)      dir/wal-<ordinal>.wal   the log, this store alone on it
+//	                    dir/seg-<gen>.seg       its segments
+//	OpenStores(dir, P)  dir/wal-<ordinal>.wal   the log, records tagged 0..P-1
+//	                    dir/p<i>/seg-<gen>.seg  partition i's segments
+//
+// On open the log is read once and demultiplexed, and every store
+// recovers by loading its newest valid segment and replaying its own
+// records past it; a corrupt segment is quarantined and recovery falls
+// back to the previous segment (whose covering log files are retained
+// exactly for this), and a log with a mid-file hole makes the open refuse
+// rather than serve a gapped history. A directory in another format
+// version (v1: one log per partition) is refused with ErrStoreFormat
+// before anything in it is touched.
 //
 // Concurrency contract: the caller serializes Append with its in-memory
-// apply (so WAL order equals apply order — the invariant that makes a
-// frozen-layer watermark a prefix of the log); Commit is safe from any
-// goroutine and group-commits across callers. FlushSegment and
-// InsertsSince take the store lock internally.
+// apply (so the partition's log order equals its apply order — the
+// invariant that makes a frozen-layer watermark a prefix of its records);
+// Commit is safe from any goroutine and group-commits across callers and
+// partitions. FlushSegment and InsertsSince take the store lock
+// internally. ResetTo and InsertsSince rewrite and re-read the whole log:
+// they are for a store that is alone on its log (a dcnode's partition,
+// whose rejoin catch-up is their one caller) and refuse on a shared one.
 
 // StoreOptions configures durability behaviour.
 type StoreOptions struct {
@@ -48,38 +61,42 @@ type StoreOptions struct {
 // chain back to the baseline.
 var ErrStoreCorrupt = errors.New("index: store corrupt")
 
-type walFileRef struct {
-	path string
-	base uint64 // generation before the file's first record
+// StoreFormat is the on-disk format version this build writes and
+// reads: the WAL header's version field and the cluster manifest's
+// "dcstore v2".
+const StoreFormat = int(walVersion)
+
+// ErrStoreFormat reports a directory written in a format version this
+// build does not read. It is not damage: nothing is quarantined, rebuilt
+// or deleted, and the directory is left byte for byte as it was.
+var ErrStoreFormat = errors.New("index: store format not readable by this build")
+
+// FormatError is the ErrStoreFormat for what, found in version got.
+func FormatError(what string, got int) error {
+	return fmt.Errorf("%w: %s is format v%d, this build reads v%d only", ErrStoreFormat, what, got, StoreFormat)
 }
 
-// Store is one partition's durable log + segment directory.
+// Store is one partition's segment directory and its share of a log.
 type Store struct {
-	fs  faultfs.FS
-	dir string
-	opt StoreOptions
+	fs   faultfs.FS
+	dir  string
+	opt  StoreOptions
+	log  *WAL
+	part int // this store's tag on the log
 
-	mu  sync.Mutex
-	wal *WAL //dc:guardedby mu
-	// walPrefix is the cumulative byte count of rotated-away WAL files
-	// (see Commit).
-	walPrefix int64 //dc:guardedby mu
-	// wals is ascending by base; the last entry is the active log.
-	wals       []walFileRef //dc:guardedby mu
-	gen        uint64       //dc:guardedby mu
-	chain      uint64       //dc:guardedby mu
-	segGen     uint64       //dc:guardedby mu
-	segPath    string       //dc:guardedby mu
-	hasSeg     bool         //dc:guardedby mu
-	prevSegGen uint64       //dc:guardedby mu
-	hasPrev    bool         //dc:guardedby mu
+	mu         sync.Mutex
+	gen        uint64 //dc:guardedby mu
+	chain      uint64 //dc:guardedby mu
+	segGen     uint64 //dc:guardedby mu
+	hasSeg     bool   //dc:guardedby mu
+	prevSegGen uint64 //dc:guardedby mu
+	hasPrev    bool   //dc:guardedby mu
 	// chainAt maps record-end gen -> chain, for appends since open.
 	chainAt map[uint64]uint64 //dc:guardedby mu
 	closed  bool              //dc:guardedby mu
 }
 
-func segName(gen uint64) string      { return fmt.Sprintf("seg-%020d.seg", gen) }
-func walName(firstSeq uint64) string { return fmt.Sprintf("wal-%020d.wal", firstSeq) }
+func segName(gen uint64) string { return fmt.Sprintf("seg-%020d.seg", gen) }
 
 func (s *Store) logf(format string, args ...any) {
 	if s.opt.Logf != nil {
@@ -97,207 +114,181 @@ func (s *Store) quarantine(path string, cause error) {
 	s.logf("store %s: quarantined %s: %v", s.dir, filepath.Base(path), cause)
 }
 
-// OpenStore opens (or creates) the durable store in dir and returns it
-// together with the recovered key multiset: the newest intact segment's
-// keys (or baseline when no segment exists) merged with every WAL
-// record past that segment's generation. The recovered generation
-// counter resumes where the log ends, and a fresh WAL file is cut so
-// old files stay immutable.
+// OpenStore opens (or creates) the durable store in dir, alone on a log
+// of its own, and returns it together with the recovered key multiset:
+// the newest intact segment's keys (or baseline when no segment exists)
+// merged with every log record past that segment's generation. The
+// recovered generation counter resumes where the log ends, and a fresh
+// log file is cut so old files stay immutable.
 func OpenStore(dir string, baseline []workload.Key, opt StoreOptions) (*Store, []workload.Key, error) {
+	stores, recovered, err := openStores(dir, []string{dir}, [][]workload.Key{baseline}, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return stores[0], recovered[0], nil
+}
+
+// OpenStores opens (or creates) len(baselines) stores that share the one
+// log in dir, partition i's segments in dir/p<i>, each recovered as
+// OpenStore recovers its own.
+func OpenStores(dir string, baselines [][]workload.Key, opt StoreOptions) ([]*Store, [][]workload.Key, error) {
+	segDirs := make([]string, len(baselines))
+	for i := range segDirs {
+		segDirs[i] = filepath.Join(dir, fmt.Sprintf("p%d", i))
+	}
+	return openStores(dir, segDirs, baselines, opt)
+}
+
+func openStores(logDir string, segDirs []string, baselines [][]workload.Key, opt StoreOptions) ([]*Store, [][]workload.Key, error) {
 	fs := opt.FS
 	if fs == nil {
 		fs = faultfs.OS
 	}
-	if err := fs.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
+	for _, dir := range append([]string{logDir}, segDirs...) {
+		if err := fs.MkdirAll(dir, 0o755); err != nil {
+			return nil, nil, err
+		}
 	}
-	s := &Store{fs: fs, dir: dir, opt: opt, chain: ChainStart(), chainAt: make(map[uint64]uint64)}
-
-	segs, walRefs, err := s.scanDir()
+	// The log first: a directory this build cannot read is refused before
+	// a segment is looked at, let alone quarantined.
+	w := newWAL(fs, logDir, len(segDirs), opt)
+	streams, logged, err := w.replay()
+	if errors.Is(err, ErrStoreFormat) {
+		return nil, nil, fmt.Errorf("index: store %s: %w", logDir, err)
+	}
 	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %s: %v", ErrStoreCorrupt, logDir, err)
+	}
+	stores := make([]*Store, len(segDirs))
+	recovered := make([][]workload.Key, len(segDirs))
+	pos := make([]WALPos, len(segDirs))
+	floor := make([]uint64, len(segDirs))
+	for p, dir := range segDirs {
+		s := &Store{fs: fs, dir: dir, opt: opt, log: w, part: p, chain: ChainStart(), chainAt: make(map[uint64]uint64)}
+		if recovered[p], err = s.recover(baselines[p], streams[p], logged); err != nil {
+			return nil, nil, err
+		}
+		stores[p], pos[p], floor[p] = s, WALPos{s.gen, s.chain}, s.retentionFloor()
+	}
+	if err := w.start(pos, floor); err != nil {
 		return nil, nil, err
 	}
+	return stores, recovered, nil
+}
 
+// recover loads the newest intact segment and replays this partition's
+// records past it. Only open calls it, before the store is shared with
+// any other goroutine, so the lock contract below is vacuously satisfied.
+//
+//dc:holds s.mu
+func (s *Store) recover(baseline []workload.Key, stream walStream, logged bool) ([]workload.Key, error) {
+	segs, err := s.scanSegments()
+	if err != nil {
+		return nil, err
+	}
 	// Newest intact segment wins; corrupt ones are quarantined and the
-	// previous segment (still covered by retained WAL files) takes over.
+	// previous segment (still covered by retained log files) takes over.
 	base := baseline
 	for i := len(segs) - 1; i >= 0; i-- {
-		seg, err := ReadSegment(fs, segs[i].path)
+		seg, err := ReadSegment(s.fs, segs[i].path)
 		if err != nil {
 			s.quarantine(segs[i].path, err)
 			continue
 		}
-		if seg.Gen != segs[i].base {
+		if seg.Gen != segs[i].n {
 			s.quarantine(segs[i].path, fmt.Errorf("%w: header gen %d does not match name", ErrSegmentCorrupt, seg.Gen))
 			continue
 		}
 		base = seg.Keys
 		s.gen, s.chain = seg.Gen, seg.Chain
-		s.segGen, s.segPath, s.hasSeg = seg.Gen, segs[i].path, true
+		s.segGen, s.hasSeg = seg.Gen, true
 		if i > 0 {
-			s.prevSegGen, s.hasPrev = segs[i-1].base, true
+			s.prevSegGen, s.hasPrev = segs[i-1].n, true
 		}
 		break
 	}
+	if !logged {
+		return base, nil
+	}
 
-	// Replay the WAL tail. Files are threaded in order: each file's
-	// records must continue the previous file's generation and chain
-	// fold exactly, and the fold must pass through the segment's
-	// (gen, chain) point — any break is corruption, not a torn tail.
-	segGen, segChain := s.gen, s.chain
-	gen, chain := uint64(0), uint64(0)
-	haveThread := false
+	// The records thread from the oldest retained file's header, and the
+	// fold must pass through the segment's (gen, chain) point — any break
+	// is corruption, not a torn tail.
+	hasSeg, segGen, segChain := s.hasSeg, s.gen, s.chain
+	if hasSeg && stream.base.Gen > segGen {
+		return nil, fmt.Errorf("%w: %s: oldest WAL starts at generation %d, past segment %d",
+			ErrStoreCorrupt, s.dir, stream.base.Gen, segGen)
+	}
+	at := stream.base
+	atSegment := func() error {
+		if hasSeg && at.Gen == segGen && at.Chain != segChain {
+			return fmt.Errorf("%w: %s: WAL fold at generation %d disagrees with segment", ErrStoreCorrupt, s.dir, segGen)
+		}
+		return nil
+	}
+	if err := atSegment(); err != nil {
+		return nil, err
+	}
 	var replayed []workload.Key
-	for _, wf := range walRefs {
-		var want *uint64
-		if haveThread {
-			if wf.base != gen {
-				return nil, nil, fmt.Errorf("%w: WAL gap in %s: %s starts at generation %d, log ends at %d",
-					ErrStoreCorrupt, dir, filepath.Base(wf.path), wf.base, gen)
+	for _, rec := range stream.recs {
+		if first := rec.Seq - uint64(len(rec.Keys)); rec.Seq > segGen {
+			keep := rec.Keys
+			if first < segGen {
+				keep = keep[segGen-first:]
 			}
-			want = &chain
-		} else if wf.base == segGen && s.hasSeg {
-			want = &segChain
+			replayed = append(replayed, keep...)
 		}
-		rep, err := replayWALChecked(fs, wf.path, wf.base, want)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %s: %v", ErrStoreCorrupt, dir, err)
-		}
-		if !haveThread {
-			gen, chain = rep.BaseGen, rep.BaseChain
-			haveThread = true
-		}
-		for _, rec := range rep.Records {
-			count := uint64(len(rec.Keys))
-			first := rec.Seq - count // generation before the record
-			if rec.Seq > segGen {
-				keep := rec.Keys
-				if first < segGen {
-					keep = keep[segGen-first:]
-				}
-				replayed = append(replayed, keep...)
-			}
-			if rec.Seq == segGen && s.hasSeg && rec.Chain != segChain {
-				return nil, nil, fmt.Errorf("%w: %s: WAL fold at generation %d disagrees with segment",
-					ErrStoreCorrupt, dir, segGen)
-			}
-			gen, chain = rec.Seq, rec.Chain
-		}
-		if rep.Torn {
-			s.logf("store %s: %s has a torn tail after %d bytes (crash); recovered the valid prefix",
-				dir, filepath.Base(wf.path), rep.Size)
+		at = WALPos{rec.Seq, rec.Chain}
+		if err := atSegment(); err != nil {
+			return nil, err
 		}
 	}
-	if haveThread {
-		if gen < segGen {
-			// The log ends before the segment it should extend — records
-			// the segment proves existed are gone.
-			return nil, nil, fmt.Errorf("%w: %s: WAL ends at generation %d but segment covers %d",
-				ErrStoreCorrupt, dir, gen, segGen)
-		}
-		if s.hasSeg && walRefs[0].base > segGen {
-			return nil, nil, fmt.Errorf("%w: %s: oldest WAL starts at generation %d, past segment %d",
-				ErrStoreCorrupt, dir, walRefs[0].base, segGen)
-		}
-		s.gen, s.chain = gen, chain
+	if at.Gen < segGen {
+		// The log ends before the segment it should extend — records
+		// the segment proves existed are gone.
+		return nil, fmt.Errorf("%w: %s: WAL ends at generation %d but segment covers %d",
+			ErrStoreCorrupt, s.dir, at.Gen, segGen)
 	}
-
-	recovered := base
-	if len(replayed) > 0 {
-		sorted := append([]workload.Key(nil), replayed...)
-		sortKeys(sorted)
-		recovered = MergeKeys(base, sorted)
+	s.gen, s.chain = at.Gen, at.Chain
+	if len(replayed) == 0 {
+		return base, nil
 	}
-
-	// Cut a fresh log for this run; replayed files stay immutable until
-	// segment flushes retire them.
-	w, err := CreateWAL(fs, filepath.Join(dir, walName(s.gen+1)), s.gen, s.chain, opt.FsyncInterval)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.wal = w
-	s.wals = append(s.retainedWALs(walRefs), walFileRef{path: w.Path(), base: s.gen})
-	return s, recovered, nil
+	sortKeys(replayed)
+	return MergeKeys(base, replayed), nil
 }
 
-// replayWALChecked replays one file, verifying the header chain when
-// the caller knows what it must be.
-func replayWALChecked(fs faultfs.FS, path string, wantBaseGen uint64, wantChain *uint64) (*WALReplay, error) {
-	data, err := fs.ReadFile(path)
+// numberedFile is a file named <prefix><20-digit number><suffix>: a
+// segment (its generation) or a log file (its ordinal).
+type numberedFile struct {
+	path string
+	n    uint64
+}
+
+// scanNumbered inventories the files of dir so named, ascending.
+func scanNumbered(fs faultfs.FS, dir, prefix, suffix string) ([]numberedFile, error) {
+	ents, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) >= walHeaderSize && wantChain == nil {
-		// Trust the header fold; the segment-boundary check catches a lie
-		// before any of its records are served.
-		c := readWALHeaderChain(data)
-		wantChain = &c
-	}
-	if wantChain == nil {
-		c := ChainStart()
-		wantChain = &c
-	}
-	rep, err := ReplayWALBytes(data, wantBaseGen, *wantChain)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	return rep, nil
-}
-
-func readWALHeaderChain(data []byte) uint64 {
-	return binary.LittleEndian.Uint64(data[16:24])
-}
-
-// scanDir inventories segment and WAL files, ascending.
-func (s *Store) scanDir() (segs, wals []walFileRef, err error) {
-	ents, err := s.fs.ReadDir(s.dir)
-	if err != nil {
-		return nil, nil, err
-	}
+	var files []numberedFile
 	for _, e := range ents {
 		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".seg"):
-			n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".seg"), 10, 64)
-			if err != nil {
-				continue
-			}
-			segs = append(segs, walFileRef{path: filepath.Join(s.dir, name), base: n})
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".wal"):
-			n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".wal"), 10, 64)
-			if err != nil || n == 0 {
-				continue
-			}
-			wals = append(wals, walFileRef{path: filepath.Join(s.dir, name), base: n - 1})
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+			continue
 		}
+		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
+		if err != nil {
+			continue
+		}
+		files = append(files, numberedFile{filepath.Join(dir, name), n})
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].base < segs[j].base })
-	sort.Slice(wals, func(i, j int) bool { return wals[i].base < wals[j].base })
-	return segs, wals, nil
+	sort.Slice(files, func(i, j int) bool { return files[i].n < files[j].n })
+	return files, nil
 }
 
-// retainedWALs drops replayed files that are already fully covered by
-// the retention floor (everything at or below the previous segment).
-// Only Open calls it, before the store is shared with any other
-// goroutine, so the lock contract below is vacuously satisfied.
-//
-//dc:holds s.mu
-func (s *Store) retainedWALs(refs []walFileRef) []walFileRef {
-	floor := s.retentionFloor()
-	out := refs[:0:0]
-	for i, wf := range refs {
-		end := s.gen
-		if i+1 < len(refs) {
-			end = refs[i+1].base
-		}
-		if end <= floor {
-			if err := s.fs.Remove(wf.path); err == nil {
-				continue
-			}
-		}
-		out = append(out, wf)
-	}
-	return out
+// scanSegments inventories segment files, ascending by generation.
+func (s *Store) scanSegments() ([]numberedFile, error) {
+	return scanNumbered(s.fs, s.dir, "seg-", ".seg")
 }
 
 // retentionFloor is the generation below which durable history may be
@@ -312,7 +303,7 @@ func (s *Store) retentionFloor() uint64 {
 	return 0
 }
 
-// Dir returns the store directory.
+// Dir returns the store's segment directory.
 func (s *Store) Dir() string { return s.dir }
 
 // Gen returns the current generation (keys appended since baseline).
@@ -329,13 +320,8 @@ func (s *Store) Chain() uint64 {
 	return s.chain
 }
 
-// Broken reports the WAL's sticky I/O error, if any.
-func (s *Store) Broken() error {
-	s.mu.Lock()
-	w := s.wal
-	s.mu.Unlock()
-	return w.Broken()
-}
+// Broken reports the log's sticky I/O error, if any.
+func (s *Store) Broken() error { return s.log.Broken() }
 
 // HasSegment reports whether the store currently holds an intact
 // segment (cluster stores require one: their baseline is the segment).
@@ -349,51 +335,43 @@ func (s *Store) HasSegment() bool {
 // in-memory index before releasing whatever lock serializes its insert
 // path (see the concurrency contract above), and must Commit(end)
 // before acking.
+//
+//dc:noalloc
 func (s *Store) Append(keys []workload.Key) (end int64, gen uint64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, 0, fmt.Errorf("index: store %s is closed", s.dir)
 	}
-	end, gen, err = s.wal.Append(keys)
+	end, at, err := s.log.Append(s.part, keys)
 	if err != nil {
 		return 0, 0, err
 	}
-	s.gen = gen
-	s.chain = s.wal.Chain()
-	s.chainAt[gen] = s.chain
-	// The returned end is cumulative across rotations, so a Commit that
-	// races a background FlushSegment still resolves correctly.
-	return s.walPrefix + end, gen, nil
+	s.gen, s.chain = at.Gen, at.Chain
+	s.chainAt[at.Gen] = at.Chain
+	return end, at.Gen, nil
 }
 
 // Commit blocks until the log is durable through end (group commit).
-// end is the cumulative offset Append returned; a record whose file has
-// since been rotated away is already durable (rotation commits the old
-// file before swapping it out), so Commit returns immediately rather
-// than waiting on the new file — which would never reach that offset.
-func (s *Store) Commit(end int64) error {
-	s.mu.Lock()
-	w, prefix := s.wal, s.walPrefix
-	s.mu.Unlock()
-	if end <= prefix {
-		return nil
-	}
-	return w.Commit(end - prefix)
-}
+// end is an offset in the store's log as Append returned it; offsets
+// grow in append order across every store on the log, so a caller that
+// appended to several of them commits the highest end once, through any
+// of them. A record whose file has since been rotated away or reset is
+// already durable (rotation syncs the old file before swapping it out).
+func (s *Store) Commit(end int64) error { return s.log.Commit(end) }
 
 // FlushSegment makes the compacted key set at watermark gen durable as
-// an immutable segment, rotates the WAL, and retires files older than
-// the retention floor. keys must be exactly the multiset covered by
-// generations [0, gen] plus the baseline (the frozen-layer publish
-// guarantees this). Duplicate or stale watermarks are ignored.
+// an immutable segment, then lets the log rotate and retire the files
+// every partition on it is done with. keys must be exactly the multiset
+// covered by generations [0, gen] plus the baseline (the frozen-layer
+// publish guarantees this). Duplicate or stale watermarks are ignored.
 func (s *Store) FlushSegment(keys []workload.Key, gen uint64) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return fmt.Errorf("index: store %s is closed", s.dir)
 	}
-	if err := s.wal.Broken(); err != nil {
+	if err := s.log.Broken(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -416,7 +394,7 @@ func (s *Store) FlushSegment(keys []workload.Key, gen uint64) error {
 	// fsyncs through AtomicWriteFile), and appends — the ack path —
 	// must not stall behind it. The segment's content depends only on
 	// (keys, gen, chain), all resolved above; concurrent appends land
-	// in the WAL and stay retained until a later flush covers them.
+	// in the log and stay retained until a later flush covers them.
 	s.mu.Unlock()
 	if err := WriteSegment(s.fs, path, keys, gen, chain); err != nil {
 		return fmt.Errorf("index: store %s: flush segment %d: %w", s.dir, gen, err)
@@ -433,23 +411,22 @@ func (s *Store) FlushSegment(keys []workload.Key, gen uint64) error {
 		s.fs.Remove(path)
 		return nil
 	}
-
-	// Rotate so the files holding already-covered records become
-	// immutable and retirable. If the active log is still empty, keep
-	// it — rotation would recreate the same name.
-	if s.gen > s.wals[len(s.wals)-1].base {
-		if err := s.rotateLocked(); err != nil {
-			// The segment is durable; a failed rotation only delays
-			// retirement. Keep serving.
-			s.logf("store %s: WAL rotation after segment %d failed: %v", s.dir, gen, err)
-		}
-	}
-
 	if s.hasSeg {
 		s.prevSegGen, s.hasPrev = s.segGen, true
 	}
-	s.segGen, s.segPath, s.hasSeg = gen, path, true
-	s.retireLocked()
+	s.segGen, s.hasSeg = gen, true
+	if err := s.log.segmentFlushed(s.part, gen, s.retentionFloor()); err != nil {
+		// The segment is durable; a failed rotation only delays
+		// retirement. Keep serving.
+		s.logf("store %s: WAL rotation after segment %d failed: %v", s.dir, gen, err)
+	}
+	if segs, err := s.scanSegments(); err == nil {
+		for _, sf := range segs {
+			if sf.n != s.segGen && !(s.hasPrev && sf.n == s.prevSegGen) {
+				s.fs.Remove(sf.path)
+			}
+		}
+	}
 	for g := range s.chainAt {
 		if g <= gen {
 			delete(s.chainAt, g)
@@ -458,59 +435,10 @@ func (s *Store) FlushSegment(keys []workload.Key, gen uint64) error {
 	return nil
 }
 
-// rotateLocked closes the active log (after a final commit so no
-// group-commit waiter races the close) and cuts a fresh one.
-//
-//dc:holds s.mu
-func (s *Store) rotateLocked() error {
-	old := s.wal
-	if err := old.Commit(s.walEnd(old)); err != nil {
-		return err
-	}
-	w, err := CreateWAL(s.fs, filepath.Join(s.dir, walName(s.gen+1)), s.gen, s.chain, s.opt.FsyncInterval)
-	if err != nil {
-		return err
-	}
-	// Everything in the old file is durable as of the Commit above;
-	// advancing the prefix makes outstanding cumulative ends that point
-	// into it resolve as already-committed.
-	s.walPrefix += s.walEnd(old)
-	old.Close()
-	s.wal = w
-	s.wals = append(s.wals, walFileRef{path: w.Path(), base: s.gen})
-	return nil
-}
-
-func (s *Store) walEnd(w *WAL) int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.size
-}
-
-// retireLocked deletes segments and WAL files wholly below the
-// retention floor.
-//
-//dc:holds s.mu
-func (s *Store) retireLocked() {
-	floor := s.retentionFloor()
-	if segs, _, err := s.scanDir(); err == nil {
-		for _, sf := range segs {
-			keep := sf.base == s.segGen || (s.hasPrev && sf.base == s.prevSegGen)
-			if !keep {
-				s.fs.Remove(sf.path)
-			}
-		}
-	}
-	out := s.wals[:0]
-	for i, wf := range s.wals {
-		if i+1 < len(s.wals) && s.wals[i+1].base <= floor {
-			if err := s.fs.Remove(wf.path); err == nil {
-				continue
-			}
-		}
-		out = append(out, wf)
-	}
-	s.wals = out
+// errSharedLog refuses the whole-log operations on a store that is not
+// alone on its log.
+func (s *Store) errSharedLog(op string) error {
+	return fmt.Errorf("index: store %s: %s needs a log of its own, this one is shared by %d partitions", s.dir, op, s.log.parts)
 }
 
 // InsertsSince returns, in append order, every key logged after
@@ -518,8 +446,11 @@ func (s *Store) retireLocked() {
 // store's history (ok=false on any mismatch, gap, or compacted-away
 // tail — the caller then falls back to a full snapshot). gen must be a
 // record boundary, which it is whenever it came from a store
-// generation on either side.
+// generation on either side. The store must be alone on its log.
 func (s *Store) InsertsSince(gen, chain uint64) (keys []workload.Key, ok bool, err error) {
+	if s.log.parts > 1 {
+		return nil, false, s.errSharedLog("InsertsSince")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if gen > s.gen {
@@ -528,95 +459,68 @@ func (s *Store) InsertsSince(gen, chain uint64) (keys []workload.Key, ok bool, e
 	if gen == s.gen {
 		return nil, chain == s.chain, nil
 	}
-	if len(s.wals) == 0 || s.wals[0].base > gen {
+	streams, _, rerr := s.log.read(s.log.retained())
+	if rerr != nil {
+		return nil, false, fmt.Errorf("%w: %s: %v", ErrStoreCorrupt, s.dir, rerr)
+	}
+	at := streams[0].base
+	if at.Gen > gen {
 		return nil, false, nil // compacted past the caller's generation
 	}
-	var out []workload.Key
-	boundary := false
-	tgen, tchain := uint64(0), uint64(0)
-	threaded := false
-	for _, wf := range s.wals {
-		var want *uint64
-		if threaded {
-			if wf.base != tgen {
-				return nil, false, fmt.Errorf("%w: %s: WAL gap at generation %d", ErrStoreCorrupt, s.dir, wf.base)
+	boundary := at == WALPos{gen, chain}
+	for _, rec := range streams[0].recs {
+		if rec.Seq == gen {
+			boundary = rec.Chain == chain
+		}
+		if rec.Seq > gen {
+			if first := rec.Seq - uint64(len(rec.Keys)); first < gen {
+				return nil, false, nil // not a record boundary
 			}
-			want = &tchain
+			keys = append(keys, rec.Keys...)
 		}
-		rep, rerr := replayWALChecked(s.fs, wf.path, wf.base, want)
-		if rerr != nil {
-			return nil, false, fmt.Errorf("%w: %s: %v", ErrStoreCorrupt, s.dir, rerr)
-		}
-		if !threaded {
-			tgen, tchain = rep.BaseGen, rep.BaseChain
-			threaded = true
-		}
-		if wf.base == gen && rep.BaseChain == chain {
-			boundary = true
-		}
-		for _, rec := range rep.Records {
-			if rec.Seq == gen {
-				boundary = rec.Chain == chain
-			}
-			if rec.Seq > gen {
-				first := rec.Seq - uint64(len(rec.Keys))
-				if first < gen {
-					return nil, false, nil // not a record boundary
-				}
-				out = append(out, rec.Keys...)
-			}
-			tgen, tchain = rec.Seq, rec.Chain
-		}
+		at = WALPos{rec.Seq, rec.Chain}
 	}
-	if tgen != s.gen || !boundary {
+	if at.Gen != s.gen || !boundary {
 		return nil, false, nil
 	}
-	return out, true, nil
+	return keys, true, nil
 }
 
 // ResetTo replaces the entire durable state with keys at generation gen
 // (fold chain): the full-snapshot catch-up path. Old files are deleted
 // first — a crash mid-reset recovers to the baseline and honestly
 // re-runs catch-up rather than resurrecting the pre-reset history with
-// a generation that no longer means anything.
+// a generation that no longer means anything. The store must be alone
+// on its log.
 func (s *Store) ResetTo(keys []workload.Key, gen, chain uint64) error {
+	if s.log.parts > 1 {
+		return s.errSharedLog("ResetTo")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("index: store %s is closed", s.dir)
 	}
-	if err := s.wal.Broken(); err != nil {
+	if err := s.log.Broken(); err != nil {
 		return err
 	}
-	// A reset replaces all durable state; ends handed out against the
-	// discarded log must not wait on the fresh one.
-	s.walPrefix += s.walEnd(s.wal)
-	s.wal.Close()
-	if segs, wals, err := s.scanDir(); err == nil {
-		for _, f := range append(segs, wals...) {
-			s.fs.Remove(f.path)
+	if segs, err := s.scanSegments(); err == nil {
+		for _, sf := range segs {
+			s.fs.Remove(sf.path)
 		}
 	}
 	s.gen, s.chain = gen, chain
 	s.segGen, s.hasSeg = gen, true
 	s.hasPrev = false
 	s.chainAt = make(map[uint64]uint64)
-	path := filepath.Join(s.dir, segName(gen))
-	if err := WriteSegment(s.fs, path, keys, gen, chain); err != nil {
-		return err
-	}
-	s.segPath = path
-	w, err := CreateWAL(s.fs, filepath.Join(s.dir, walName(gen+1)), gen, chain, s.opt.FsyncInterval)
-	if err != nil {
-		return err
-	}
-	s.wal = w
-	s.wals = []walFileRef{{path: w.Path(), base: gen}}
-	return nil
+	return s.log.reset(WALPos{gen, chain}, func() error {
+		return WriteSegment(s.fs, filepath.Join(s.dir, segName(gen)), keys, gen, chain)
+	})
 }
 
-// Close closes the active WAL file. It does not flush: durability is
-// already guaranteed through the last Commit.
+// Close gives up the store's hold on its log; the last store on a log
+// closes its active file. It does not flush: durability is already
+// guaranteed through the last Commit.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -624,5 +528,5 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	return s.wal.Close()
+	return s.log.release()
 }

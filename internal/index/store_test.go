@@ -201,10 +201,10 @@ func TestStoreCrashAtEveryOffset(t *testing.T) {
 	}
 
 	// Per-batch oracle states and their record end offsets.
-	ends := []int64{walHeaderSize}
+	ends := []int64{int64(walHeaderSize(1))}
 	states := [][]workload.Key{sortedCopy(baseline)}
 	acc := append([]workload.Key(nil), baseline...)
-	o := int64(walHeaderSize)
+	o := int64(walHeaderSize(1))
 	for _, b := range batches {
 		o += int64(walRecHeaderSize + 4*len(b) + walRecTrailerSize)
 		ends = append(ends, o)
@@ -236,6 +236,11 @@ func TestStoreCrashAtEveryOffset(t *testing.T) {
 			t.Fatalf("cut %d: generation %d, want %d", cut, s2.Gen(), wantGen)
 		}
 		s2.Close()
+		// A file the crash left without a record (torn header included) is
+		// cut over again, not kept beside the fresh one.
+		if n, want := countWALFiles(t, crashDir), min(whole, 1)+1; n != want {
+			t.Fatalf("cut %d: %d log files after reopening, want %d", cut, n, want)
+		}
 	}
 }
 
@@ -255,7 +260,7 @@ func TestStoreMidFileCorruptionRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[walHeaderSize+walRecHeaderSize] ^= 0xff // first record's first key
+	data[walHeaderSize(1)+walRecHeaderSize] ^= 0xff // first record's first key
 	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -463,5 +468,315 @@ func TestStoreCommitAfterRotation(t *testing.T) {
 	}
 	if got := s.Gen(); got != gen+1 {
 		t.Fatalf("gen after post-rotation append = %d, want %d", got, gen+1)
+	}
+}
+
+// openSharedStores opens parts stores on one log in dir, over baselines
+// that keep the partitions' key ranges apart (partition p: p*1000...).
+func openSharedStores(t *testing.T, dir string, parts int, opt StoreOptions) ([]*Store, [][]workload.Key) {
+	t.Helper()
+	baselines := make([][]workload.Key, parts)
+	for p := range baselines {
+		baselines[p] = []workload.Key{workload.Key(p * 1000)}
+	}
+	stores, rec, err := OpenStores(dir, baselines, opt)
+	if err != nil {
+		t.Fatalf("OpenStores(%s): %v", dir, err)
+	}
+	return stores, rec
+}
+
+func closeStores(t *testing.T, stores []*Store) {
+	t.Helper()
+	for _, s := range stores {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	if err := os.CopyFS(dst, os.DirFS(src)); err != nil {
+		t.Fatalf("copy %s: %v", src, err)
+	}
+}
+
+func countWALFiles(t *testing.T, dir string) int {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(names)
+}
+
+// TestStoresSharedWALOneCommitPerWave: stores on one log share its
+// offsets, so a wave appended to all of them is durable after ONE commit
+// of the highest end, through any of them — one fsync, not one per store
+// — and survives a reopen whole.
+func TestStoresSharedWALOneCommitPerWave(t *testing.T) {
+	dir := t.TempDir()
+	faulty := faultfs.NewFaulty(faultfs.OS)
+	stores, _ := openSharedStores(t, dir, 4, StoreOptions{FS: faulty})
+	want := make([][]workload.Key, 4)
+	for p := range want {
+		want[p] = []workload.Key{workload.Key(p * 1000)}
+	}
+	for wave := 0; wave < 5; wave++ {
+		before := faulty.Syncs()
+		var last int64
+		for p, s := range stores {
+			b := []workload.Key{workload.Key(p*1000 + wave + 1), workload.Key(p*1000 + wave + 1)}
+			end, _, err := s.Append(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if end <= last {
+				t.Fatalf("wave %d: partition %d appended at offset %d, not past %d", wave, p, end, last)
+			}
+			last = end
+			want[p] = append(want[p], b...)
+		}
+		if err := stores[wave%4].Commit(last); err != nil {
+			t.Fatal(err)
+		}
+		if got := faulty.Syncs() - before; got != 1 {
+			t.Fatalf("wave %d: %d fsyncs, want 1", wave, got)
+		}
+	}
+	closeStores(t, stores)
+	if n := countWALFiles(t, dir); n != 1 {
+		t.Fatalf("%d log files for 4 partitions, want 1", n)
+	}
+	stores, rec := openSharedStores(t, dir, 4, StoreOptions{})
+	defer closeStores(t, stores)
+	for p := range want {
+		if !sameKeys(rec[p], sortedCopy(want[p])) {
+			t.Fatalf("partition %d recovered %v, want %v", p, rec[p], sortedCopy(want[p]))
+		}
+		if stores[p].Gen() != 10 {
+			t.Fatalf("partition %d at generation %d, want 10", p, stores[p].Gen())
+		}
+	}
+}
+
+// TestStoresSharedWALRetirement: the log's files are retired by the
+// slowest partition. Four partitions take a record each per wave and
+// flush segments at uneven cadences; the fourth does not flush at all for
+// the first waves. While it lags, the files holding its unflushed records
+// stay (a copy of the directory taken after every wave recovers every
+// partition exactly); once it flushes, the number of retained files is
+// bounded by a constant however many waves follow.
+func TestStoresSharedWALRetirement(t *testing.T) {
+	const (
+		parts     = 4
+		lagWaves  = 8
+		waves     = 40
+		fileBound = 8 // twice the slowest cadence (3 waves), the active file, one of slack
+	)
+	dir := t.TempDir()
+	stores, _ := openSharedStores(t, dir, parts, StoreOptions{FsyncInterval: -1})
+	defer closeStores(t, stores)
+	oracle := make([][]workload.Key, parts)
+	for p := range oracle {
+		oracle[p] = []workload.Key{workload.Key(p * 1000)}
+	}
+	cadence := []int{1, 2, 3, 1}
+	peak := 0
+	for wave := 1; wave <= waves; wave++ {
+		for p, s := range stores {
+			b := []workload.Key{workload.Key(p*1000 + wave%900 + 1), workload.Key(p*1000 + 7)}
+			storeAppend(t, s, b)
+			oracle[p] = append(oracle[p], b...)
+		}
+		for p, s := range stores {
+			if wave%cadence[p] != 0 || (p == parts-1 && wave <= lagWaves) {
+				continue
+			}
+			if err := s.FlushSegment(sortedCopy(oracle[p]), s.Gen()); err != nil {
+				t.Fatalf("wave %d: flush partition %d: %v", wave, p, err)
+			}
+		}
+		n := countWALFiles(t, dir)
+		switch {
+		case wave <= lagWaves:
+			// Every wave rotated (partition 0 flushes each time) and the
+			// laggard's floor is still 0: nothing may go.
+			if n != wave+1 {
+				t.Fatalf("wave %d: %d log files with partition %d never flushed, want %d", wave, n, parts-1, wave+1)
+			}
+		case wave > lagWaves+2 && n > fileBound:
+			t.Fatalf("wave %d: %d log files retained, want <= %d (retirement is not keeping up)", wave, n, fileBound)
+		}
+		if wave > lagWaves+2 && n > peak {
+			peak = n
+		}
+		// The disk as a crash now would leave it recovers every partition.
+		img := t.TempDir()
+		copyDir(t, dir, img)
+		crashed, rec, err := OpenStores(img, make([][]workload.Key, parts), StoreOptions{FsyncInterval: -1})
+		if err != nil {
+			t.Fatalf("wave %d: crash image refused: %v", wave, err)
+		}
+		for p := range rec {
+			// A partition that has no segment yet recovers from the nil
+			// baseline: its log records alone.
+			want := sortedCopy(oracle[p])
+			if !crashed[p].HasSegment() {
+				want = sortedCopy(oracle[p][1:])
+			}
+			if !sameKeys(rec[p], want) {
+				t.Fatalf("wave %d: partition %d recovered %d keys, want %d", wave, p, len(rec[p]), len(want))
+			}
+		}
+		closeStores(t, crashed)
+	}
+	t.Logf("peak retained log files after the laggard caught up: %d", peak)
+	if peak < 2 {
+		t.Fatalf("never more than %d log file(s): the test did not rotate", peak)
+	}
+}
+
+// TestStoresSharedWALBitFlip flips one bit in every byte of a log three
+// partitions share and reopens the stores: the open is refused, or it
+// recovers for every partition a prefix of that partition's own stream
+// (the flip read as a torn tail) — never a key that was not logged, never
+// a key under another partition.
+func TestStoresSharedWALBitFlip(t *testing.T) {
+	const parts = 3
+	dir := t.TempDir()
+	stores, _ := openSharedStores(t, dir, parts, StoreOptions{})
+	streams := make([][][]workload.Key, parts) // per partition, its batches in order
+	for wave := 0; wave < 4; wave++ {
+		for p, s := range stores {
+			if wave == 2 && p == 1 {
+				continue // a wave that skips a partition
+			}
+			b := []workload.Key{workload.Key(p*1000 + 10*wave + 1), workload.Key(p*1000 + 10*wave + 2)}
+			storeAppend(t, s, b)
+			streams[p] = append(streams[p], b)
+		}
+	}
+	closeStores(t, stores)
+	walPath := filepath.Join(dir, walName(1))
+	full, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isPrefix := func(p int, rec []workload.Key) bool {
+		want := []workload.Key{workload.Key(p * 1000)}
+		if sameKeys(rec, want) {
+			return true
+		}
+		for _, b := range streams[p] {
+			want = append(want, b...)
+			if sameKeys(rec, sortedCopy(want)) {
+				return true
+			}
+		}
+		return false
+	}
+	refused, torn := 0, 0
+	for off := range full {
+		mut := append([]byte(nil), full...)
+		mut[off] ^= 1 << (off % 8)
+		img := t.TempDir()
+		if err := os.WriteFile(filepath.Join(img, walName(1)), mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		baselines := make([][]workload.Key, parts)
+		for p := range baselines {
+			baselines[p] = []workload.Key{workload.Key(p * 1000)}
+		}
+		crashed, rec, err := OpenStores(img, baselines, StoreOptions{FsyncInterval: -1})
+		if err != nil {
+			if !errors.Is(err, ErrStoreCorrupt) && !errors.Is(err, ErrStoreFormat) {
+				t.Fatalf("flip at %d: %v, want ErrStoreCorrupt (or ErrStoreFormat in the version field)", off, err)
+			}
+			refused++
+			continue
+		}
+		torn++
+		for p := range rec {
+			if !isPrefix(p, rec[p]) {
+				t.Fatalf("flip at %d: partition %d served %v, not a prefix of its stream", off, p, rec[p])
+			}
+		}
+		closeStores(t, crashed)
+	}
+	if refused == 0 || torn == 0 {
+		t.Fatalf("%d flips refused, %d recovered as torn: want both kinds", refused, torn)
+	}
+}
+
+// TestStoreSharedWALRefusesWholeLogOps: ResetTo and InsertsSince rewrite
+// and re-read the whole log; on a log other partitions share they are
+// refused and change nothing.
+func TestStoreSharedWALRefusesWholeLogOps(t *testing.T) {
+	dir := t.TempDir()
+	stores, _ := openSharedStores(t, dir, 2, StoreOptions{})
+	defer closeStores(t, stores)
+	storeAppend(t, stores[0], []workload.Key{1})
+	storeAppend(t, stores[1], []workload.Key{1001})
+	if err := stores[0].ResetTo([]workload.Key{5}, 9, 0xbeef); err == nil {
+		t.Fatal("ResetTo on a shared log succeeded")
+	}
+	if _, ok, err := stores[1].InsertsSince(0, ChainStart()); ok || err == nil {
+		t.Fatalf("InsertsSince on a shared log: ok=%v err=%v, want a refusal", ok, err)
+	}
+	if stores[0].Gen() != 1 || stores[1].Gen() != 1 {
+		t.Fatalf("positions moved: %d, %d", stores[0].Gen(), stores[1].Gen())
+	}
+	storeAppend(t, stores[1], []workload.Key{1002})
+}
+
+// dirImage reads every file under dir, for before/after comparisons.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	img := map[string]string{}
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		img[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestStoreFormatV1Refused: a directory written by the format before
+// this one — a v1 log file beside a segment this build would not even
+// parse — is refused with ErrStoreFormat naming both versions, and is
+// byte for byte the same afterwards: nothing quarantined, nothing
+// created, nothing replayed.
+func TestStoreFormatV1Refused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-00000000000000000001.wal"), v1WALHeader(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(0)), []byte("a v1 segment"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirImage(t, dir)
+	_, _, err := OpenStore(dir, []workload.Key{10}, StoreOptions{})
+	if !errors.Is(err, ErrStoreFormat) || errors.Is(err, ErrStoreCorrupt) {
+		t.Fatalf("open of a v1 directory = %v, want ErrStoreFormat (and not ErrStoreCorrupt)", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "v1") || !strings.Contains(msg, "v2") {
+		t.Fatalf("refusal %q does not name both versions", msg)
+	}
+	after := dirImage(t, dir)
+	if len(after) != len(before) {
+		t.Fatalf("directory changed: %d files before, %d after", len(before), len(after))
+	}
+	for path, data := range before {
+		if after[path] != data {
+			t.Fatalf("%s changed", path)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,45 +12,103 @@ import (
 	"repro/internal/workload"
 )
 
-// appendOracle writes batches to a fresh WAL at path and returns the
-// per-record oracle (what a correct replay must reproduce).
-func appendOracle(t *testing.T, path string, batches [][]workload.Key) []WALRecord {
-	t.Helper()
-	w, err := CreateWAL(faultfs.OS, path, 0, ChainStart(), 0)
-	if err != nil {
-		t.Fatalf("CreateWAL: %v", err)
+// startPos is the position of parts partitions that have logged nothing.
+func startPos(parts int) []WALPos {
+	pos := make([]WALPos, parts)
+	for p := range pos {
+		pos[p] = WALPos{0, ChainStart()}
 	}
+	return pos
+}
+
+// freshWAL starts a log of parts partitions in the empty directory dir;
+// its one file is dir/walName(1).
+func freshWAL(t *testing.T, fs faultfs.FS, dir string, parts int) *WAL {
+	t.Helper()
+	w := newWAL(fs, dir, parts, StoreOptions{})
+	if err := w.start(startPos(parts), make([]uint64, parts)); err != nil {
+		t.Fatalf("start log: %v", err)
+	}
+	return w
+}
+
+// Pos returns partition part's position after the last replayed record.
+func (r *WALReplay) Pos(part int) WALPos {
+	for i := len(r.Records) - 1; i >= 0; i-- {
+		if rec := r.Records[i]; rec.Part == part {
+			return WALPos{rec.Seq, rec.Chain}
+		}
+	}
+	return r.Base[part]
+}
+
+// taggedBatch is one insert batch bound for one partition of a log.
+type taggedBatch struct {
+	part int
+	keys []workload.Key
+}
+
+// appendOracle writes batches to a fresh log in dir and returns the
+// per-record oracle (what a correct replay of its file must reproduce).
+func appendOracle(t *testing.T, dir string, parts int, batches []taggedBatch) []WALRecord {
+	t.Helper()
+	w := freshWAL(t, faultfs.OS, dir, parts)
 	var oracle []WALRecord
-	gen, chain := uint64(0), ChainStart()
+	pos := startPos(parts)
 	for _, b := range batches {
-		end, g, err := w.Append(b)
+		end, at, err := w.Append(b.part, b.keys)
 		if err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 		if err := w.Commit(end); err != nil {
 			t.Fatalf("Commit: %v", err)
 		}
-		gen += uint64(len(b))
-		chain = ChainFold(chain, b)
-		if g != gen {
-			t.Fatalf("Append returned gen %d, want %d", g, gen)
+		pos[b.part] = WALPos{pos[b.part].Gen + uint64(len(b.keys)), ChainFold(pos[b.part].Chain, b.keys)}
+		if at != pos[b.part] {
+			t.Fatalf("Append returned position %+v, want %+v", at, pos[b.part])
 		}
-		oracle = append(oracle, WALRecord{Seq: gen, Chain: chain, Keys: b})
+		oracle = append(oracle, WALRecord{Part: b.part, Seq: at.Gen, Chain: at.Chain, Keys: b.keys})
 	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	for range parts {
+		if err := w.release(); err != nil {
+			t.Fatalf("release: %v", err)
+		}
 	}
 	return oracle
 }
 
-func walBatches() [][]workload.Key {
-	return [][]workload.Key{
-		{10, 20, 30},
-		{5},
-		{40, 41, 42, 43, 44},
-		{7, 7, 7}, // duplicates are legal: the index is a multiset
-		{99, 1},
+func walBatches() []taggedBatch {
+	return []taggedBatch{
+		{0, []workload.Key{10, 20, 30}},
+		{0, []workload.Key{5}},
+		{0, []workload.Key{40, 41, 42, 43, 44}},
+		{0, []workload.Key{7, 7, 7}}, // duplicates are legal: the index is a multiset
+		{0, []workload.Key{99, 1}},
 	}
+}
+
+// sharedBatches is the record run of a log three partitions share: waves
+// that touch all of them, one that touches a single partition, and a
+// partition that is silent for a while.
+func sharedBatches() []taggedBatch {
+	return []taggedBatch{
+		{0, []workload.Key{10, 20}}, {1, []workload.Key{1000}}, {2, []workload.Key{2000, 2001, 2002}},
+		{1, []workload.Key{1001, 1001}},
+		{2, []workload.Key{2003}}, {0, []workload.Key{5}},
+		{0, []workload.Key{6, 7}}, {1, []workload.Key{1002}}, {2, []workload.Key{2004}},
+	}
+}
+
+// recordEnds returns the file offset after the header and after each
+// record of oracle.
+func recordEnds(parts int, oracle []WALRecord) []int64 {
+	o := int64(walHeaderSize(parts))
+	ends := []int64{o}
+	for _, rec := range oracle {
+		o += int64(walRecHeaderSize + 4*len(rec.Keys) + walRecTrailerSize)
+		ends = append(ends, o)
+	}
+	return ends
 }
 
 // sameRecords compares a replay against an oracle prefix.
@@ -58,7 +117,7 @@ func sameRecords(got, want []WALRecord) bool {
 		return false
 	}
 	for i := range got {
-		if got[i].Seq != want[i].Seq || got[i].Chain != want[i].Chain || len(got[i].Keys) != len(want[i].Keys) {
+		if got[i].Part != want[i].Part || got[i].Seq != want[i].Seq || got[i].Chain != want[i].Chain || len(got[i].Keys) != len(want[i].Keys) {
 			return false
 		}
 		for j := range got[i].Keys {
@@ -70,12 +129,21 @@ func sameRecords(got, want []WALRecord) bool {
 	return true
 }
 
-func TestWALReplayRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal-00000000000000000001.wal")
-	oracle := appendOracle(t, path, walBatches())
-	rep, err := ReplayWAL(faultfs.OS, path, 0, ChainStart())
+func readWALFile(t *testing.T, dir string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, walName(1)))
 	if err != nil {
-		t.Fatalf("ReplayWAL: %v", err)
+		t.Fatal(err)
+	}
+	return data
+}
+
+func TestWALReplayRoundtrip(t *testing.T) {
+	dir := t.TempDir()
+	oracle := appendOracle(t, dir, 1, walBatches())
+	rep, err := ReplayWALBytes(readWALFile(t, dir), 1, startPos(1))
+	if err != nil {
+		t.Fatalf("ReplayWALBytes: %v", err)
 	}
 	if rep.Torn {
 		t.Fatal("clean file reported torn")
@@ -83,100 +151,119 @@ func TestWALReplayRoundtrip(t *testing.T) {
 	if !sameRecords(rep.Records, oracle) {
 		t.Fatalf("replay diverged from oracle: got %d records, want %d", len(rep.Records), len(oracle))
 	}
-	if rep.Gen() != oracle[len(oracle)-1].Seq || rep.Chain() != oracle[len(oracle)-1].Chain {
-		t.Fatalf("replay position (%d, %#x) != oracle (%d, %#x)",
-			rep.Gen(), rep.Chain(), oracle[len(oracle)-1].Seq, oracle[len(oracle)-1].Chain)
+	last := oracle[len(oracle)-1]
+	if got := rep.Pos(0); got != (WALPos{last.Seq, last.Chain}) {
+		t.Fatalf("replay position %+v != oracle (%d, %#x)", got, last.Seq, last.Chain)
 	}
 }
 
 // TestWALCrashAtEveryOffset simulates kill -9 at every possible write
 // boundary: for each prefix length of the log file, replay must recover
 // exactly the records wholly contained in the prefix — never an error,
-// never a record that was not fully written.
+// never a record that was not fully written. It runs over a log one
+// partition has to itself and over one three partitions share, where
+// every partition must also come back at a prefix of its own stream.
 func TestWALCrashAtEveryOffset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal-00000000000000000001.wal")
-	oracle := appendOracle(t, path, walBatches())
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Record end offsets, to know which prefix covers which records.
-	ends := []int64{walHeaderSize}
-	o := int64(walHeaderSize)
-	for _, rec := range oracle {
-		o += int64(walRecHeaderSize + 4*len(rec.Keys) + walRecTrailerSize)
-		ends = append(ends, o)
-	}
-	if o != int64(len(data)) {
-		t.Fatalf("offset accounting: computed end %d, file is %d bytes", o, len(data))
-	}
-
-	for cut := 0; cut <= len(data); cut++ {
-		rep, err := ReplayWALBytes(data[:cut], 0, ChainStart())
-		if err != nil {
-			t.Fatalf("cut %d: replay error %v (a torn tail must recover, not refuse)", cut, err)
-		}
-		// How many records fit wholly in the prefix?
-		whole := 0
-		for whole+1 < len(ends) && ends[whole+1] <= int64(cut) {
-			whole++
-		}
-		if !sameRecords(rep.Records, oracle[:whole]) {
-			t.Fatalf("cut %d: recovered %d records, want the %d whole ones", cut, len(rep.Records), whole)
-		}
-		wantTorn := cut != 0 && int64(cut) != ends[whole] // an empty file is absent, not torn
-		if rep.Torn != wantTorn {
-			t.Fatalf("cut %d: Torn = %v, want %v", cut, rep.Torn, wantTorn)
-		}
+	for _, tc := range []struct {
+		name    string
+		parts   int
+		batches []taggedBatch
+	}{{"private", 1, walBatches()}, {"shared", 3, sharedBatches()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			oracle := appendOracle(t, dir, tc.parts, tc.batches)
+			data := readWALFile(t, dir)
+			ends := recordEnds(tc.parts, oracle)
+			if o := ends[len(ends)-1]; o != int64(len(data)) {
+				t.Fatalf("offset accounting: computed end %d, file is %d bytes", o, len(data))
+			}
+			for cut := 0; cut <= len(data); cut++ {
+				rep, err := ReplayWALBytes(data[:cut], tc.parts, startPos(tc.parts))
+				if err != nil {
+					t.Fatalf("cut %d: replay error %v (a torn tail must recover, not refuse)", cut, err)
+				}
+				// How many records fit wholly in the prefix?
+				whole := 0
+				for whole+1 < len(ends) && ends[whole+1] <= int64(cut) {
+					whole++
+				}
+				if !sameRecords(rep.Records, oracle[:whole]) {
+					t.Fatalf("cut %d: recovered %d records, want the %d whole ones", cut, len(rep.Records), whole)
+				}
+				wantTorn := cut != 0 && int64(cut) != ends[whole] // an empty file is absent, not torn
+				if rep.Torn != wantTorn {
+					t.Fatalf("cut %d: Torn = %v, want %v", cut, rep.Torn, wantTorn)
+				}
+				// Per partition: the position replay reports is the one
+				// after the partition's last whole record.
+				want := startPos(tc.parts)
+				for _, rec := range oracle[:whole] {
+					want[rec.Part] = WALPos{rec.Seq, rec.Chain}
+				}
+				for p := range want {
+					if got := rep.Pos(p); got != want[p] {
+						t.Fatalf("cut %d: partition %d at %+v, want %+v", cut, p, got, want[p])
+					}
+				}
+			}
+		})
 	}
 }
 
 // TestWALBitFlipNeverSilentlyWrong flips every bit of the file, one at a
-// time. Each flip must either be rejected (ErrWALCorrupt — mid-file
-// damage, bad header, broken accounting) or recover a strict prefix of
-// the oracle (damage in the final record is indistinguishable from a
-// torn write). It must never return records that differ from the oracle.
+// time — header, partition tags and all, over a private log and over a
+// run of records from three partitions. Each flip must either be
+// rejected (ErrWALCorrupt — mid-file damage, bad header, a tag out of
+// range, broken accounting; or ErrStoreFormat when the flip lands in the
+// version field) or recover a strict prefix of the oracle (damage in the
+// final record is indistinguishable from a torn write). It must never
+// return records that differ from the oracle — in particular never a
+// record moved to another partition.
 func TestWALBitFlipNeverSilentlyWrong(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal-00000000000000000001.wal")
-	oracle := appendOracle(t, path, walBatches())
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for byteOff := 0; byteOff < len(data); byteOff++ {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte(nil), data...)
-			mut[byteOff] ^= 1 << bit
-			rep, err := ReplayWALBytes(mut, 0, ChainStart())
-			if err != nil {
-				if !errors.Is(err, ErrWALCorrupt) {
-					t.Fatalf("flip %d.%d: error %v is not ErrWALCorrupt", byteOff, bit, err)
+	for _, tc := range []struct {
+		name    string
+		parts   int
+		batches []taggedBatch
+	}{{"private", 1, walBatches()}, {"shared", 3, sharedBatches()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			oracle := appendOracle(t, dir, tc.parts, tc.batches)
+			data := readWALFile(t, dir)
+			for byteOff := 0; byteOff < len(data); byteOff++ {
+				for bit := 0; bit < 8; bit++ {
+					mut := append([]byte(nil), data...)
+					mut[byteOff] ^= 1 << bit
+					rep, err := ReplayWALBytes(mut, tc.parts, startPos(tc.parts))
+					if err != nil {
+						if !errors.Is(err, ErrWALCorrupt) && !(errors.Is(err, ErrStoreFormat) && byteOff >= 4 && byteOff < 8) {
+							t.Fatalf("flip %d.%d: error %v is not ErrWALCorrupt", byteOff, bit, err)
+						}
+						continue
+					}
+					if len(rep.Records) <= len(oracle) && sameRecords(rep.Records, oracle[:len(rep.Records)]) {
+						continue // a clean prefix: equivalent to crashing earlier
+					}
+					t.Fatalf("flip %d.%d: silently wrong replay (%d records, not an oracle prefix)",
+						byteOff, bit, len(rep.Records))
 				}
-				continue
 			}
-			if len(rep.Records) <= len(oracle) && sameRecords(rep.Records, oracle[:len(rep.Records)]) {
-				continue // a clean prefix: equivalent to crashing earlier
-			}
-			t.Fatalf("flip %d.%d: silently wrong replay (%d records, not an oracle prefix)",
-				byteOff, bit, len(rep.Records))
-		}
+		})
 	}
 }
 
 // TestWALGroupCommitConcurrent hammers Append+Commit from many
-// goroutines (run under -race): every acked record must be in the file,
-// and the final replay must match the generation/chain accounting.
+// goroutines, each on a partition of its own (run under -race): every
+// acked record must be in the file, and the final replay must match the
+// generation/chain accounting of every partition.
 func TestWALGroupCommitConcurrent(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal-00000000000000000001.wal")
-	w, err := CreateWAL(faultfs.OS, path, 0, ChainStart(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const (
 		writers = 8
 		perW    = 50
 	)
+	dir := t.TempDir()
+	faulty := faultfs.NewFaulty(faultfs.OS)
+	w := freshWAL(t, faulty, dir, writers)
+	syncs0 := faulty.Syncs()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var acked int
@@ -187,7 +274,7 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				keys := []workload.Key{workload.Key(g*1000 + i)}
-				end, _, err := w.Append(keys)
+				end, _, err := w.Append(g, keys)
 				if err != nil {
 					errs <- err
 					return
@@ -207,18 +294,25 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("writer failed: %v", err)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	if got := faulty.Syncs() - syncs0; got > writers*perW {
+		t.Fatalf("%d fsyncs for %d commits: a commit led more than one", got, writers*perW)
 	}
-	rep, err := ReplayWAL(faultfs.OS, path, 0, ChainStart())
+	for range writers {
+		if err := w.release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := ReplayWALBytes(readWALFile(t, dir), writers, startPos(writers))
 	if err != nil {
-		t.Fatalf("ReplayWAL: %v", err)
+		t.Fatalf("ReplayWALBytes: %v", err)
 	}
 	if rep.Torn {
 		t.Fatal("torn tail after clean close")
 	}
-	if got, want := rep.Gen(), uint64(writers*perW); got != want {
-		t.Fatalf("replayed generation %d, want %d (every acked record must be present)", got, want)
+	for g := 0; g < writers; g++ {
+		if got := rep.Pos(g).Gen; got != perW {
+			t.Fatalf("partition %d replayed to generation %d, want %d (every acked record must be present)", g, got, perW)
+		}
 	}
 	if acked != writers*perW {
 		t.Fatalf("acked %d, want %d", acked, writers*perW)
@@ -226,26 +320,24 @@ func TestWALGroupCommitConcurrent(t *testing.T) {
 }
 
 // TestWALInjectedWriteFailure: a failed append poisons the log — the
-// caller gets an error (no ack), and every later append refuses with
-// ErrWALBroken rather than writing past a hole.
+// caller gets an error (no ack), and every later append, of any
+// partition, refuses with ErrWALBroken rather than writing past a hole.
 func TestWALInjectedWriteFailure(t *testing.T) {
 	faulty := faultfs.NewFaulty(faultfs.OS)
-	path := filepath.Join(t.TempDir(), "wal-00000000000000000001.wal")
-	w, err := CreateWAL(faulty, path, 0, ChainStart(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if _, _, err := w.Append([]workload.Key{1, 2}); err != nil {
+	w := freshWAL(t, faulty, t.TempDir(), 2)
+	defer w.release()
+	if _, _, err := w.Append(0, []workload.Key{1, 2}); err != nil {
 		t.Fatalf("healthy append: %v", err)
 	}
 	faulty.FailWriteAt(faulty.Writes() + 1)
-	if _, _, err := w.Append([]workload.Key{3}); !errors.Is(err, faultfs.ErrInjected) {
+	if _, _, err := w.Append(0, []workload.Key{3}); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("injected append error = %v, want ErrInjected", err)
 	}
 	faulty.FailWriteAt(0) // disk "recovers" — the log must stay poisoned
-	if _, _, err := w.Append([]workload.Key{4}); !errors.Is(err, ErrWALBroken) {
-		t.Fatalf("append after failure = %v, want ErrWALBroken", err)
+	for part := 0; part < 2; part++ {
+		if _, _, err := w.Append(part, []workload.Key{4}); !errors.Is(err, ErrWALBroken) {
+			t.Fatalf("partition %d append after failure = %v, want ErrWALBroken", part, err)
+		}
 	}
 	if w.Broken() == nil {
 		t.Fatal("Broken() = nil after write failure")
@@ -254,16 +346,12 @@ func TestWALInjectedWriteFailure(t *testing.T) {
 
 // TestWALInjectedSyncFailure: a failed fsync means Commit returns an
 // error (the insert is never acked), and the failure is sticky for every
-// later committer.
+// later committer and appender.
 func TestWALInjectedSyncFailure(t *testing.T) {
 	faulty := faultfs.NewFaulty(faultfs.OS)
-	path := filepath.Join(t.TempDir(), "wal-00000000000000000001.wal")
-	w, err := CreateWAL(faulty, path, 0, ChainStart(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	end1, _, err := w.Append([]workload.Key{1})
+	w := freshWAL(t, faulty, t.TempDir(), 2)
+	defer w.release()
+	end1, _, err := w.Append(0, []workload.Key{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +359,7 @@ func TestWALInjectedSyncFailure(t *testing.T) {
 		t.Fatalf("healthy commit: %v", err)
 	}
 	faulty.FailSyncAt(faulty.Syncs() + 1)
-	end2, _, err := w.Append([]workload.Key{2})
+	end2, _, err := w.Append(0, []workload.Key{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,21 +370,46 @@ func TestWALInjectedSyncFailure(t *testing.T) {
 	if err := w.Commit(end2); !errors.Is(err, ErrWALBroken) {
 		t.Fatalf("commit after fsync failure = %v, want ErrWALBroken", err)
 	}
-	if _, _, err := w.Append([]workload.Key{3}); !errors.Is(err, ErrWALBroken) {
+	if _, _, err := w.Append(1, []workload.Key{3}); !errors.Is(err, ErrWALBroken) {
 		t.Fatalf("append after fsync failure = %v, want ErrWALBroken", err)
 	}
 }
 
 // TestWALHeaderMismatch: a file whose header disagrees with what the
-// caller expects (wrong base generation or fold) is corruption, never a
-// silent accept.
+// caller expects (wrong base generation or fold, wrong partition count)
+// is corruption, never a silent accept.
 func TestWALHeaderMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal-00000000000000000001.wal")
-	appendOracle(t, path, walBatches())
-	if _, err := ReplayWAL(faultfs.OS, path, 7, ChainStart()); !errors.Is(err, ErrWALCorrupt) {
+	dir := t.TempDir()
+	appendOracle(t, dir, 1, walBatches())
+	data := readWALFile(t, dir)
+	if _, err := ReplayWALBytes(data, 1, []WALPos{{7, ChainStart()}}); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("baseGen mismatch = %v, want ErrWALCorrupt", err)
 	}
-	if _, err := ReplayWAL(faultfs.OS, path, 0, 12345); !errors.Is(err, ErrWALCorrupt) {
+	if _, err := ReplayWALBytes(data, 1, []WALPos{{0, 12345}}); !errors.Is(err, ErrWALCorrupt) {
 		t.Fatalf("baseChain mismatch = %v, want ErrWALCorrupt", err)
+	}
+	if _, err := ReplayWALBytes(data, 2, nil); !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("partition count mismatch = %v, want ErrWALCorrupt", err)
+	}
+}
+
+// v1WALHeader is the whole of a format-v1 log file that holds no record
+// yet: magic, version 1, base generation, base fold.
+func v1WALHeader() []byte {
+	head := make([]byte, 24)
+	binary.LittleEndian.PutUint32(head[0:4], walMagic)
+	binary.LittleEndian.PutUint32(head[4:8], 1)
+	binary.LittleEndian.PutUint64(head[16:24], ChainStart())
+	return head
+}
+
+// TestWALFormatV1Refused: a log file of the format before this one is not
+// damage and not a torn header — it is refused by name.
+func TestWALFormatV1Refused(t *testing.T) {
+	for _, data := range [][]byte{v1WALHeader(), v1WALHeader()[:8], append(v1WALHeader(), make([]byte, 64)...)} {
+		_, err := ReplayWALBytes(data, 1, nil)
+		if !errors.Is(err, ErrStoreFormat) || errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("v1 image of %d bytes: %v, want ErrStoreFormat and not ErrWALCorrupt", len(data), err)
+		}
 	}
 }
