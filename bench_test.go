@@ -240,7 +240,7 @@ func benchRealInto(b *testing.B, sorted bool, call int, opt dcindex.Options) {
 	if sorted {
 		// An ascending stream: the runtime auto-detects it and takes
 		// the sort-route-scan pipeline (one-sweep routing, aliased
-		// zero-copy batches, streaming merge kernels).
+		// zero-copy batches, sorted-run kernels).
 		sort.Slice(queries, func(i, j int) bool { return queries[i] < queries[j] })
 	}
 	opt.Method = dcindex.MethodC3
@@ -311,7 +311,8 @@ var routeSink int
 
 // BenchmarkReal_RankBatchSorted is the sorted-batch acceptance row: the
 // same workload as BenchmarkReal_RankBatch but ascending, so the whole
-// pipeline switches to one-sweep routing + streaming merge kernels.
+// pipeline switches to one-sweep routing + sorted-run kernels (at this
+// density, 0.3 keys per query, the merge form of RankSorted).
 func BenchmarkReal_RankBatchSorted(b *testing.B) {
 	benchRealInto(b, true, 1<<20, dcindex.Options{Workers: 8, BatchKeys: 16384})
 }

@@ -127,7 +127,7 @@ func main() {
 		// Pre-sorting the whole stream models a caller whose batches
 		// arrive ascending (log-structured ingest, merge iterators):
 		// the runtime auto-detects the runs and takes the sorted
-		// pipeline — one-sweep routing, streaming merge kernels, and
+		// pipeline — one-sweep routing, sorted-run kernels, and
 		// (over TCP) protocol-v2 delta frames.
 		sort.Slice(queries, func(i, j int) bool { return queries[i] < queries[j] })
 	}

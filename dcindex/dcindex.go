@@ -27,7 +27,7 @@
 //     blocks until in-flight calls drain. Ascending query batches
 //     are auto-detected and take the sorted-batch pipeline — one
 //     boundary search per partition instead of per-key routing,
-//     zero-copy contiguous dispatch, and streaming merge kernels;
+//     zero-copy contiguous dispatch, and sorted-run search kernels;
 //     Options.SortedBatches radix-sorts unsorted batches into the same
 //     path (see the README's "Sorted-batch mode"). The index is
 //     updatable while serving: Insert/InsertBatch buffer new keys in
@@ -155,7 +155,7 @@ type Options struct {
 	// SortedBatches opts unsorted query batches into the sorted-batch
 	// pipeline: they are sorted by key (pooled radix sort, O(n)) at
 	// dispatch so they get the one-sweep routing and the workers'
-	// streaming merge kernels, with results still returned in query
+	// sorted-run kernels, with results still returned in query
 	// order. Batches that are already ascending are auto-detected and
 	// take the sorted path whether or not this is set — callers whose
 	// streams arrive sorted (log-structured ingest, merged iterators,

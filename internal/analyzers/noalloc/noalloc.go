@@ -113,9 +113,12 @@ func (c *checker) checkCall(call *ast.CallExpr) {
 			return
 		}
 	}
-	// Explicit conversion to an interface type: T(x) where T is an interface.
+	// Explicit conversion to an interface type: T(x) where T is an
+	// interface. A type parameter's underlying type is its constraint, an
+	// interface, but a conversion to it is to whatever concrete type
+	// instantiates it: no box.
 	if tv, ok := c.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-		if types.IsInterface(tv.Type) && !c.cold(call) && len(call.Args) == 1 && !c.isInterfaceOrNil(call.Args[0]) {
+		if _, param := tv.Type.(*types.TypeParam); !param && types.IsInterface(tv.Type) && !c.cold(call) && len(call.Args) == 1 && !c.isInterfaceOrNil(call.Args[0]) {
 			c.pass.Reportf(call.Pos(), "conversion to interface type %s in a //dc:noalloc function", tv.Type)
 		}
 		return

@@ -101,6 +101,14 @@ func badAssignBox(x int) sink {
 	return s
 }
 
+// goodTypeParamConvert converts to a type parameter: the concrete type it
+// is instantiated with, not the constraint interface — no box.
+//
+//dc:noalloc
+func goodTypeParamConvert[T ~uint32](out []T, v uint64) {
+	out[0] = T(v)
+}
+
 // goodPointerArg stores a pointer in the interface word directly — no box.
 //
 //dc:noalloc

@@ -38,7 +38,7 @@ type RealConfig struct {
 	// SortedBatches opts unsorted callers into the sorted-batch
 	// pipeline: batches that are not already ascending are sorted by
 	// key with a pooled radix sort before dispatch, so they too get the
-	// one-sweep routing and the streaming merge kernels. Ascending
+	// one-sweep routing and the sorted-run kernels. Ascending
 	// batches are always auto-detected and take the sorted path
 	// regardless of this flag; SortedBatches only controls whether
 	// unsorted input pays the O(n) sort to join them.
@@ -188,7 +188,8 @@ type realBatch struct {
 	// rebalance is answered by the epoch that routed it.
 	lp *livePart
 	// sorted marks keys as an ascending run, steering the worker onto
-	// the streaming merge kernel (RankSorted) instead of per-key search.
+	// the sorted-run kernel (RankSorted), which searches on from each
+	// answer instead of afresh per key.
 	sorted bool
 	// alias marks keys (and pos) as views into memory the batch does
 	// not own — the caller's query slice or a pooled sort scratch — so
@@ -633,7 +634,7 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 	// Sorted-batch detection: an ascending run takes the sort-route-scan
 	// path below — one boundary search per partition instead of one
 	// Route per key, batches that alias the query slice instead of
-	// copying it, and the workers' streaming merge kernels. Unsorted
+	// copying it, and the workers' sorted-run kernels. Unsorted
 	// input joins the same path via the pooled radix sort when the
 	// caller opted in with SortedBatches; otherwise it takes the classic
 	// per-key dispatch.

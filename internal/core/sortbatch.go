@@ -7,8 +7,8 @@ import "repro/internal/workload"
 // binary search per partition boundary, and (for callers that opt in
 // via RealConfig.SortedBatches) sorting an unsorted batch by key with a
 // pooled radix sort so it can ride the same path. The slave half is
-// index.SortedArray.RankSorted, the streaming merge kernel the sorted
-// runs feed.
+// index.SortedArray.RankSorted, the kernel the sorted runs feed: each
+// search starts where the one before it ended.
 
 // SortedRun reports whether qs is ascending (duplicates allowed). On a
 // sorted batch it costs one compare per key — the price of admission to
@@ -83,7 +83,7 @@ type RadixScratch struct {
 // an LSD radix sort over the four key bytes of packed
 // (key<<32 | position) words — O(n) with sequential passes, no
 // comparisons — so an unsorted caller can buy into the sorted pipeline
-// (streaming kernels, one-sweep routing, delta wire frames) for about
+// (cursor kernels, one-sweep routing, delta wire frames) for about
 // the cost of one extra pass per byte. Constant bytes (a batch confined
 // to a narrow key range) skip their pass entirely.
 func (rs *RadixScratch) SortByKey(queries []workload.Key) ([]workload.Key, []int32) {

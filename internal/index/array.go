@@ -253,52 +253,140 @@ func (a *SortedArray) RankBatch(qs []workload.Key, out []int, add int) {
 
 // RankSorted resolves an ascending query run qs into out (which must be
 // at least len(qs) long), adding add to every rank — the sorted-batch
-// fast path. The caller guarantees qs is sorted ascending (duplicates
-// allowed); results are then bit-identical to RankBatch, but the access
-// pattern is a single forward merge instead of per-key search.
-//
-// A cursor walks the key array left to right and never moves backward:
-// each query advances it by doubling probes (exponential search) from
-// the current position and then binary-searching only the bracketed gap,
-// so a query that lands near its predecessor — the common case when a
-// batch is dense relative to the partition — costs O(1) compares, and the
-// whole run costs O(len(qs) + log-sum of gaps) with strictly sequential,
-// prefetcher-friendly memory traffic. This is the paper's cache-
-// residency thesis taken to its limit: the partition is not just
-// cache-resident, it is streamed through exactly once per batch.
-// Out-of-range queries cost one compare (below min) or saturate the
-// cursor at n (above max); duplicate queries repeat the cursor without
-// touching the array again.
+// path. The caller guarantees qs is sorted ascending (duplicates
+// allowed); results are then identical to RankBatch. What the order buys
+// is in sortedRun; a run it declines is RankBatch's.
 //
 //dc:noalloc
 func (a *SortedArray) RankSorted(qs []workload.Key, out []int, add int) {
-	keys := a.keys
-	n := len(keys)
-	j := 0
-	for i, q := range qs {
-		if j < n && keys[j] <= q {
-			// Exponential search: find the first doubling step whose
-			// last key exceeds q, then binary-search inside that bracket.
-			step := 1
-			for j+step <= n && keys[j+step-1] <= q {
-				step <<= 1
-			}
-			lo := j + step>>1
-			hi := j + step
-			if hi > n {
-				hi = n
-			}
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if keys[mid] <= q {
-					lo = mid + 1
-				} else {
-					hi = mid
+	fresh := a.window
+	if fresh == 0 {
+		fresh = len(a.keys)
+	}
+	if !sortedRun(a.keys, qs, out, add, false, fresh) {
+		a.RankBatch(qs, out, add)
+	}
+}
+
+// minCursorRun is the shortest run sortedRun takes: it spends two binary
+// searches on measuring the run, about eight queries' worth of a fresh
+// search each.
+const minCursorRun = 8 * lanes
+
+// lanePer is how many queries a lane takes before the lanes are dealt
+// again: few enough that the lanes' cursors, queries and results stay
+// within a few pages of one another and the whole sweep reads as one
+// forward stream, many enough that a lane's first search is noise.
+const lanePer = 64
+
+// sortedRun ranks the ascending run qs in keys using the order: a query's
+// rank is at least its predecessor's, so the predecessor's rank is a
+// cursor to search on from. out[i] becomes add plus the rank of qs[i],
+// plus what out[i] held when acc is set (a side layer adding to the base
+// ranks). It reports false, having written nothing, when the run is too
+// short or too sparse for a cursor to beat a search from scratch; fresh is
+// how many keys such a search covers (the interpolation window, or the
+// whole array).
+//
+// The run's density — the keys between its first and last rank, per
+// query — picks the form. Below one key to two queries the run is merged:
+// the cursor steps over the few keys before each answer, most often none.
+// Above, the run is dealt to lanes cursors in blocks, lanePer consecutive
+// queries to each, and the lanes advance together: every step is one
+// lockstep search of a window starting at the cursors — log2 of the
+// window in overlapped probes, no branch on the data. The window is five
+// to ten times the density: the keys between two neighbouring queries
+// are geometrically distributed, and that much holds all but one gap in a
+// hundred or fewer. As in RankBatch the window is a guess that sortedness
+// proves or refutes: an answer short of the window's far edge is exact
+// (the near edge is the cursor), one on the far edge is checked against
+// the next key, and the rare miss searches the rest of the array. A
+// lane's first query of a block has no predecessor and searches the whole
+// array.
+//
+//dc:noalloc
+func sortedRun(keys, qs []workload.Key, out []int, add int, acc bool, fresh int) bool {
+	m := len(qs)
+	if m < minCursorRun {
+		return false
+	}
+	first := upperBound(keys, qs[0])
+	crossed := upperBound(keys[first:], qs[m-1])
+	if 2*crossed < m {
+		// The next key to pass stays in a register; past the last one it
+		// is a value no query reaches.
+		const none = 1 << 32
+		j, end := first, first+crossed
+		next := uint64(none)
+		if j < end {
+			next = uint64(keys[j])
+		}
+		for i, q := range qs {
+			for uint64(q) >= next {
+				j++
+				next = none
+				if j < end {
+					next = uint64(keys[j])
 				}
 			}
-			j = lo
+			put(out, i, j, add, acc)
 		}
-		out[i] = j + add
+		return true
+	}
+	// Rounded up to a power of two less one; the +2 matters around one key
+	// per query, where the geometric tail is longest for its mean.
+	w := 1<<bits.Len(uint(5*crossed/m+2)) - 1
+	if w >= fresh {
+		return false
+	}
+
+	last := len(keys) - w
+	var q [lanes]workload.Key
+	var lo, b [lanes]int
+	for len(qs) >= lanes {
+		// Lane l takes qs[l*per:(l+1)*per] of this block.
+		per := min(len(qs)/lanes, lanePer)
+		for l := range q {
+			q[l] = qs[l*per]
+		}
+		clear(b[:])
+		lockstep(keys, &q, &b, len(keys))
+		for l, r := range b[:] {
+			put(out, l*per, r, add, acc)
+		}
+		for t := 1; t < per; t++ {
+			for l, r := range b[:] {
+				q[l] = qs[l*per+t]
+				lo[l] = min(r, last)
+				b[l] = lo[l]
+			}
+			lockstep(keys, &q, &b, w)
+			for l, r := range b[:] {
+				if r == lo[l]+w && r < len(keys) && keys[r] <= q[l] {
+					r += upperBound(keys[r:], q[l])
+					b[l] = r
+				}
+				put(out, l*per+t, r, add, acc)
+			}
+		}
+		qs, out = qs[lanes*per:], out[lanes*per:]
+	}
+	// Fewer queries than lanes are left.
+	if !acc {
+		for i := range qs {
+			out[i] = add
+		}
+	}
+	rankAdd(keys, qs, out)
+	return true
+}
+
+// put records rank r for query i: added to what out holds, or beside add.
+func put(out []int, i, r, add int, acc bool) {
+	if acc {
+		out[i] += r
+	} else {
+		out[i] = r + add
 	}
 }
 

@@ -26,8 +26,8 @@ type BatchRanker interface {
 	RankBatch(qs []workload.Key, out []int, add int)
 }
 
-// SortedRanker is the optional streaming fast path for ascending query
-// runs. SortedArray implements it.
+// SortedRanker is the optional fast path for ascending query runs.
+// SortedArray implements it.
 type SortedRanker interface {
 	RankSorted(qs []workload.Key, out []int, add int)
 }
@@ -70,22 +70,14 @@ func (d *Delta) Rank(k workload.Key) int { return upperBound(d.keys, k) }
 //dc:noalloc
 func (d *Delta) RankAdd(qs []workload.Key, out []int) { rankAdd(d.keys, qs, out) }
 
-// RankSortedAdd is RankAdd for an ascending query run: one forward
-// merge over the buffer instead of a search per key.
+// RankSortedAdd is RankAdd for an ascending query run: the cursor forms
+// of sortedRun where the run is long and dense enough for them, the
+// whole-buffer search otherwise.
 //
 //dc:noalloc
 func (d *Delta) RankSortedAdd(qs []workload.Key, out []int) {
-	keys := d.keys
-	n := len(keys)
-	if n == 0 {
-		return
-	}
-	j := 0
-	for i, q := range qs {
-		for j < n && keys[j] <= q {
-			j++
-		}
-		out[i] += j
+	if len(d.keys) > 0 && !sortedRun(d.keys, qs, out, 0, true, len(d.keys)) {
+		rankAdd(d.keys, qs, out)
 	}
 }
 
@@ -309,21 +301,17 @@ func (u *Updatable) RankBatch(qs []workload.Key, out []int, add int) {
 	}
 }
 
-// RankSorted is RankBatch for an ascending run: the base's streaming
-// kernel when it has one, and forward-merge passes over the buffers.
+// RankSorted is RankBatch for an ascending run: the base's sorted kernel
+// when it has one, and the same kernel over each buffer.
 //
 //dc:noalloc
 func (u *Updatable) RankSorted(qs []workload.Key, out []int, add int) {
-	if !u.dirty.Load() {
-		s := u.base.Load()
-		if sr, ok := s.r.(SortedRanker); ok {
-			sr.RankSorted(qs, out, add)
-		} else {
-			s.r.RankBatch(qs, out, add)
-		}
-		return
+	// A clean partition answers from the base alone, without the lock; a
+	// racing insert linearizes after this run.
+	s, delta, frozen := u.base.Load(), emptyDelta, (*Delta)(nil)
+	if u.dirty.Load() {
+		s, delta, frozen = u.pin()
 	}
-	s, delta, frozen := u.pin()
 	if sr, ok := s.r.(SortedRanker); ok {
 		sr.RankSorted(qs, out, add)
 	} else {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/workload"
@@ -332,4 +333,76 @@ func BenchmarkSortedArrayRankBatch(b *testing.B) {
 		}
 		benchRankBatch(b, arrs)
 	})
+}
+
+// sortedRunGrid is the densities (array keys per query of the run) and
+// array sizes the sorted kernel is measured at: from a run denser than
+// the keys it crosses to one so sparse that a cursor has nothing to
+// offer.
+var sortedRunGrid = struct {
+	sizes     []int
+	densities []float64
+}{[]int{40960, 163840, 2097152}, []float64{0.3, 5, 10, 200, 2560}}
+
+// maxBenchRun caps a benchmark run (the densest one over the largest
+// array would be seven million queries): a capped run keeps its density
+// by crossing only the front of the array.
+const maxBenchRun = 1 << 20
+
+// benchSortedRuns times rank over ascending runs of m queries, each
+// crossing density*m keys of a uniform array: the arrays in turn, a
+// fresh run from a pool on every iteration.
+func benchSortedRuns(b *testing.B, arrs []*SortedArray, m int, density float64, rank func(a *SortedArray, qs []workload.Key, out []int)) {
+	crossed := min(int(float64(m)*density), arrs[0].N())
+	r := workload.NewRNG(2)
+	pool := make([][]workload.Key, max(2, min(64, 1<<21/m)))
+	for i := range pool {
+		top := uint64(arrs[i%len(arrs)].keys[crossed-1])
+		pool[i] = make([]workload.Key, m)
+		for j := range pool[i] {
+			pool[i][j] = workload.Key(r.Uint64() % (top + 1))
+		}
+		slices.Sort(pool[i])
+	}
+	out := make([]int, m)
+	for i, a := range arrs {
+		rank(a, pool[i%len(pool)], out) // first touch of every array off the clock
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rank(arrs[i%len(arrs)], pool[i%len(pool)], out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m), "ns/key")
+}
+
+// benchSortedGrid runs rank at every point of sortedRunGrid, as
+// <keys>x<queries>; a size's eight arrays are built when its first row
+// runs.
+func benchSortedGrid(b *testing.B, rank func(a *SortedArray, qs []workload.Key, out []int)) {
+	for _, n := range sortedRunGrid.sizes {
+		arrs := sync.OnceValue(func() []*SortedArray {
+			arrs := make([]*SortedArray, 8)
+			for i := range arrs {
+				arrs[i] = NewSortedArray(workload.SortedKeys(n, uint64(i+1)), 0)
+			}
+			return arrs
+		})
+		for _, d := range sortedRunGrid.densities {
+			m := min(int(float64(n)/d), maxBenchRun)
+			b.Run(fmt.Sprintf("%dx%d", n, m), func(b *testing.B) { benchSortedRuns(b, arrs(), m, d, rank) })
+		}
+	}
+}
+
+// BenchmarkSortedArrayRankSorted is the sorted kernel's own rows: every
+// density at every array size, so each of its forms (merge, cursor
+// windows, the unsorted kernel) is gated where it is the one that runs.
+func BenchmarkSortedArrayRankSorted(b *testing.B) {
+	benchSortedGrid(b, func(a *SortedArray, qs []workload.Key, out []int) { a.RankSorted(qs, out, 0) })
+}
+
+// BenchmarkRankBatchOnSortedRuns is RankBatch on the same runs: what
+// RankSorted must not lose to at any density.
+func BenchmarkRankBatchOnSortedRuns(b *testing.B) {
+	benchSortedGrid(b, func(a *SortedArray, qs []workload.Key, out []int) { a.RankBatch(qs, out, 0) })
 }

@@ -392,7 +392,7 @@ type DialOptions struct {
 	// SortedBatches opts unsorted callers into the sorted-batch
 	// pipeline: batches that are not already ascending are sorted by
 	// key (pooled radix sort) before dispatch, so they too get the
-	// one-sweep routing, the nodes' streaming kernels, and the v2
+	// one-sweep routing, the nodes' sorted-run kernels, and the v2
 	// delta-coded frames. Ascending batches are always auto-detected
 	// and take the sorted path regardless of this flag.
 	SortedBatches bool

@@ -30,6 +30,19 @@ import (
 //     to its chunked key reader;
 //   - the running sum must stay within 32 bits;
 //   - the payload must be consumed exactly (no trailing bytes).
+//
+// The delta codec is on every sorted lookup's path twice in each
+// direction, so its two loops are unrolled by byte position rather than
+// built from the one-varint primitives: one predictable branch per byte,
+// one bounds check per element. (A branch-free decoder — an eight-byte
+// load, the stop bits counted, the payload bits compacted — measured no
+// faster: where the next varint starts depends on the load, and a
+// predicted branch hides exactly that.) The rules are enforced in place:
+// the decoder reads an element through a five-byte view, so a sixth byte
+// cannot be consumed, refuses a fifth byte that continues or carries more
+// than four bits, and hands the last four bytes of a payload, where no
+// such view fits, to uvarint32; the encoder writes through the same view
+// into a buffer grown once to its worst case.
 
 var (
 	errDeltaTruncated = errors.New("netrun: delta payload truncated")
@@ -72,22 +85,49 @@ func uvarint32(b []byte) (v uint32, n int) {
 }
 
 // appendDeltaRun appends the v2 encoding of the nondecreasing run vals
-// to dst and returns it. The caller guarantees monotonicity (sorted
-// keys or their ranks); encode panics in race-detector-less production
-// would corrupt the stream, so it is checked and reported as an error.
+// to dst and returns it. dst is grown once, to the run's worst case (a
+// five-byte count and five bytes per element): a snapshot-sized run must
+// not grow by doubling, and no caller has to pre-size. The caller
+// guarantees monotonicity (sorted keys or their ranks); a run that is
+// not would corrupt the stream, so it is checked and reported as an
+// error.
 //
 //dc:noalloc
 func appendDeltaRun(dst []byte, vals []uint32) ([]byte, error) {
+	if need := len(dst) + 5 + 5*len(vals); cap(dst) < need {
+		grown := make([]byte, len(dst), need)
+		copy(grown, dst)
+		dst = grown
+	}
 	dst = appendUvarint32(dst, uint32(len(vals)))
+	buf, pos := dst[:cap(dst)], len(dst)
 	prev := uint32(0)
 	for i, v := range vals {
 		if v < prev {
 			return nil, fmt.Errorf("netrun: delta run not monotone at %d (%d after %d)", i, v, prev)
 		}
-		dst = appendUvarint32(dst, v-prev)
+		d := v - prev
 		prev = v
+		b := buf[pos : pos+5 : pos+5]
+		switch {
+		case d < 1<<7:
+			b[0] = byte(d)
+			pos++
+		case d < 1<<14:
+			b[0], b[1] = byte(d)|0x80, byte(d>>7)
+			pos += 2
+		case d < 1<<21:
+			b[0], b[1], b[2] = byte(d)|0x80, byte(d>>7)|0x80, byte(d>>14)
+			pos += 3
+		case d < 1<<28:
+			b[0], b[1], b[2], b[3] = byte(d)|0x80, byte(d>>7)|0x80, byte(d>>14)|0x80, byte(d>>21)
+			pos += 4
+		default:
+			b[0], b[1], b[2], b[3], b[4] = byte(d)|0x80, byte(d>>7)|0x80, byte(d>>14)|0x80, byte(d>>21)|0x80, byte(d>>28)
+			pos += 5
+		}
 	}
-	return dst, nil
+	return buf[:pos], nil
 }
 
 // deltaRunCount reads and validates the element count of a v2 payload:
@@ -159,33 +199,59 @@ func decodeVarRun(payload []byte, out []uint32) ([]uint32, error) {
 }
 
 // decodeDeltaRun decodes a full v2 payload into out (grown as needed,
-// bounded by the deltaRunCount guard) and returns the values. Used by
-// the node to recover a sorted key batch; the client decodes rank
-// payloads inline in its read loop to scatter without a staging array.
+// bounded by the deltaRunCount guard) and returns the values: the node
+// recovers a sorted key batch with it straight into its key scratch, the
+// client's read loop a reply's elements.
 //
 //dc:noalloc
-func decodeDeltaRun(payload []byte, out []uint32) ([]uint32, error) {
-	count, hdr, err := deltaRunCount(payload)
+func decodeDeltaRun[T ~uint32](payload []byte, out []T) ([]T, error) {
+	count, pos, err := deltaRunCount(payload)
 	if err != nil {
 		return nil, err
 	}
 	if cap(out) < count {
-		out = make([]uint32, count)
+		out = make([]T, count)
 	}
 	out = out[:count]
-	pos := hdr
 	acc := uint64(0)
-	for i := 0; i < count; i++ {
-		d, n := uvarint32(payload[pos:])
-		if n == 0 {
-			return nil, errDeltaTruncated
+	for i := range out {
+		var d uint64
+		if pos+5 <= len(payload) {
+			b := payload[pos : pos+5 : pos+5]
+			d = uint64(b[0])
+			pos++
+			if d >= 0x80 {
+				d = d&0x7F | uint64(b[1])<<7
+				pos++
+				if b[1] >= 0x80 {
+					d = d&0x3FFF | uint64(b[2])<<14
+					pos++
+					if b[2] >= 0x80 {
+						d = d&0x1FFFFF | uint64(b[3])<<21
+						pos++
+						if b[3] >= 0x80 {
+							if b[4] > 0x0F {
+								return nil, errDeltaTruncated
+							}
+							d = d&0xFFFFFFF | uint64(b[4])<<28
+							pos++
+						}
+					}
+				}
+			}
+		} else {
+			v, n := uvarint32(payload[pos:])
+			if n == 0 {
+				return nil, errDeltaTruncated
+			}
+			d = uint64(v)
+			pos += n
 		}
-		pos += n
-		acc += uint64(d)
+		acc += d
 		if acc > 0xFFFFFFFF {
 			return nil, errDeltaOverflow
 		}
-		out[i] = uint32(acc)
+		out[i] = T(acc)
 	}
 	if pos != len(payload) {
 		return nil, errDeltaTrailing

@@ -2,6 +2,8 @@ package netrun
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -39,6 +41,130 @@ func TestUvarint32RejectsHostileInput(t *testing.T) {
 	}
 }
 
+// refAppendDeltaRun and refDecodeDeltaRun are the delta codec as it was
+// before its loops were unrolled — one appendUvarint32 / uvarint32 call
+// per element — kept as the oracle the unrolled form is held to: the
+// same bytes out, the same accept or reject and the same values in.
+func refAppendDeltaRun(dst []byte, vals []uint32) []byte {
+	dst = appendUvarint32(dst, uint32(len(vals)))
+	prev := uint32(0)
+	for _, v := range vals {
+		dst = appendUvarint32(dst, v-prev)
+		prev = v
+	}
+	return dst
+}
+
+func refDecodeDeltaRun(payload []byte) ([]uint32, error) {
+	count, hdr, err := deltaRunCount(payload)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint32, count)
+	pos := hdr
+	acc := uint64(0)
+	for i := 0; i < count; i++ {
+		d, n := uvarint32(payload[pos:])
+		if n == 0 {
+			return nil, errDeltaTruncated
+		}
+		pos += n
+		acc += uint64(d)
+		if acc > 0xFFFFFFFF {
+			return nil, errDeltaOverflow
+		}
+		out[i] = uint32(acc)
+	}
+	if pos != len(payload) {
+		return nil, errDeltaTrailing
+	}
+	return out, nil
+}
+
+// The encoder must emit the reference's bytes at every varint length
+// boundary, for the two frame shapes of a sorted lookup at benchmark
+// scale (key gaps around 2^16, rank gaps around 5), and appended after
+// bytes already in dst.
+func TestAppendDeltaRunMatchesReference(t *testing.T) {
+	runs := map[string][]uint32{"empty": {}, "zeros": {0, 0, 0}, "max": {0xFFFFFFFF}, "zero-then-max": {0, 0xFFFFFFFF, 0xFFFFFFFF}}
+	var edges []uint32
+	acc := uint32(0)
+	for _, shift := range []uint{7, 14, 21, 28} {
+		for _, d := range []uint32{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			runs[fmt.Sprintf("delta-%d", d)] = []uint32{5, 5 + d}
+			if acc+d > acc {
+				acc += d
+				edges = append(edges, acc)
+			}
+		}
+	}
+	runs["every-boundary"] = edges
+	r := workload.NewRNG(3)
+	keys, ranks := make([]uint32, 32768), make([]uint32, 32768)
+	k, rank := uint32(0), uint32(163840)
+	for i := range keys {
+		k += uint32(r.Intn(1 << 17))
+		rank += uint32(r.Intn(11))
+		keys[i], ranks[i] = k, rank
+	}
+	runs["key-frame"], runs["rank-frame"] = keys, ranks
+	for name, vals := range runs {
+		for _, prefix := range [][]byte{nil, []byte("thirteen-byte")} {
+			got, err := appendDeltaRun(slices.Clone(prefix), vals)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if want := refAppendDeltaRun(slices.Clone(prefix), vals); !bytes.Equal(got, want) {
+				t.Errorf("%s after %d bytes: encoded %x, reference %x", name, len(prefix), got, want)
+			}
+		}
+	}
+}
+
+// sameDecode holds the unrolled decoder to the reference on one payload:
+// both accept or both refuse with the same error, and accepted values are
+// equal.
+func sameDecode(t *testing.T, payload []byte) ([]uint32, error) {
+	t.Helper()
+	got, err := decodeDeltaRun[uint32](payload, nil)
+	want, refErr := refDecodeDeltaRun(payload)
+	if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+		t.Fatalf("payload %x: decode error %v, reference %v", payload, err, refErr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("payload %x: decoded %v, reference %v", payload, got, want)
+	}
+	return got, err
+}
+
+// Every hostile shape at every position of the five-byte view: the
+// payload's last varints are decoded by the loop form and the ones
+// before by the unrolled form, so each case is tried with 0 to 6 one-byte
+// elements after it.
+func TestDecodeDeltaRunMatchesReference(t *testing.T) {
+	cases := map[string][]byte{
+		"one-byte":          {0x05},
+		"two-bytes":         {0x85, 0x01},
+		"five-bytes-max":    {0xFF, 0xFF, 0xFF, 0xFF, 0x0F},
+		"padded-zero":       {0x80, 0x80, 0x80, 0x80, 0x00},
+		"33-bits":           {0xFF, 0xFF, 0xFF, 0xFF, 0x1F},
+		"fifth-continues":   {0x80, 0x80, 0x80, 0x80, 0x80},
+		"six-bytes":         {0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		"truncated":         {0x80},
+		"sum-overflow":      {0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x01},
+		"sum-overflow-late": {0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01},
+	}
+	for name, elems := range cases {
+		for pad := 0; pad <= 6; pad++ {
+			for count := 0; count <= len(elems)+pad+1; count++ {
+				payload := append([]byte{byte(count)}, elems...)
+				payload = append(payload, make([]byte, pad)...)
+				t.Run(fmt.Sprintf("%s/pad%d/count%d", name, pad, count), func(t *testing.T) { sameDecode(t, payload) })
+			}
+		}
+	}
+}
+
 func TestDeltaRunRoundTrip(t *testing.T) {
 	f := func(raw []uint32) bool {
 		vals := append([]uint32(nil), raw...)
@@ -47,7 +173,7 @@ func TestDeltaRunRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := decodeDeltaRun(enc, nil)
+		dec, err := decodeDeltaRun[uint32](enc, nil)
 		if err != nil || len(dec) != len(vals) {
 			return false
 		}
@@ -76,12 +202,12 @@ func TestDecodeDeltaRunTruncations(t *testing.T) {
 	}
 	// Every proper prefix must be rejected, never panic.
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := decodeDeltaRun(enc[:cut], nil); err == nil {
+		if _, err := decodeDeltaRun[uint32](enc[:cut], nil); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	// Trailing garbage must be rejected too (exact-consumption rule).
-	if _, err := decodeDeltaRun(append(append([]byte(nil), enc...), 0x00), nil); err == nil {
+	if _, err := decodeDeltaRun[uint32](append(append([]byte(nil), enc...), 0x00), nil); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }
@@ -91,21 +217,23 @@ func TestDecodeDeltaRunTruncations(t *testing.T) {
 func TestDecodeDeltaRunHostileCount(t *testing.T) {
 	payload := appendUvarint32(nil, 0xFFFFFFFF) // claims 4G elements
 	payload = append(payload, 1, 2, 3)
-	if _, err := decodeDeltaRun(payload, nil); err == nil || !strings.Contains(err.Error(), "forged") {
+	if _, err := decodeDeltaRun[uint32](payload, nil); err == nil || !strings.Contains(err.Error(), "forged") {
 		t.Fatalf("err = %v, want forged-frame rejection", err)
 	}
 	// Sum overflow past 32 bits: first element 0xFFFFFFFF, delta 1.
 	over := appendUvarint32(nil, 2)
 	over = appendUvarint32(over, 0xFFFFFFFF)
 	over = appendUvarint32(over, 1)
-	if _, err := decodeDeltaRun(over, nil); err != errDeltaOverflow {
+	if _, err := decodeDeltaRun[uint32](over, nil); err != errDeltaOverflow {
 		t.Fatalf("err = %v, want overflow", err)
 	}
 }
 
 // FuzzDeltaPayload drives the decoder with arbitrary bytes: it must
-// never panic, never allocate beyond the guarded bound, and on success
-// re-encode to a stream that decodes to the same values.
+// never panic, never allocate beyond the guarded bound, agree with the
+// reference decoder on accept or reject and on every value, and on
+// success re-encode — to the reference encoder's bytes — to a stream that
+// decodes to the same values.
 func FuzzDeltaPayload(f *testing.F) {
 	seed1, _ := appendDeltaRun(nil, []uint32{1, 2, 3, 100000, 0xFFFFFFFF})
 	seed2, _ := appendDeltaRun(nil, []uint32{})
@@ -117,7 +245,7 @@ func FuzzDeltaPayload(f *testing.F) {
 	f.Add([]byte{0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // overflowing delta
 	f.Add(bytes.Repeat([]byte{0x80}, 64))             // unterminated varints
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		vals, err := decodeDeltaRun(payload, nil)
+		vals, err := sameDecode(t, payload)
 		if err != nil {
 			return
 		}
@@ -135,7 +263,10 @@ func FuzzDeltaPayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		back, err := decodeDeltaRun(enc, nil)
+		if want := refAppendDeltaRun(nil, vals); !bytes.Equal(enc, want) {
+			t.Fatalf("re-encoded %x, reference %x", enc, want)
+		}
+		back, err := decodeDeltaRun[uint32](enc, nil)
 		if err != nil || len(back) != len(vals) {
 			t.Fatalf("re-decode: %v (%d vals)", err, len(back))
 		}
@@ -264,7 +395,7 @@ func TestSortedFrameRoundTrip(t *testing.T) {
 	if f.Op != OpLookupSorted || f.ReqID != 42 {
 		t.Fatalf("frame header mismatch: %+v", f)
 	}
-	got, err := decodeDeltaRun(f.Raw, nil)
+	got, err := decodeDeltaRun[uint32](f.Raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +422,7 @@ func TestEncodeDeltaKeysMatchesFrame(t *testing.T) {
 	if f.Op != OpLookupSorted || f.ReqID != 77 {
 		t.Fatalf("header mismatch: %+v", f)
 	}
-	got, err := decodeDeltaRun(f.Raw, nil)
+	got, err := decodeDeltaRun[uint32](f.Raw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

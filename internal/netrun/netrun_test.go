@@ -615,8 +615,9 @@ func BenchmarkTCPClusterSerialized4SlowLink(b *testing.B) {
 // The whole stack switches over: one-sweep routing at the master,
 // protocol-v2 delta+varint frames on the wire (the rank direction
 // shrinks ~4x, the key direction ~25%, and the per-frame
-// word-conversion loops disappear), and the nodes' streaming merge
-// kernels instead of per-key search. The companion row
+// word-conversion loops disappear), and the nodes' sorted-run kernel
+// (RankSorted: lockstep searches on from each lane's last answer)
+// instead of a fresh search per key. The companion row
 // BenchmarkTCPClusterUnsortedSlowLink16K runs the identical
 // configuration through the v1 per-key pipeline, isolating the
 // sorted-pipeline win at equal batch size.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -385,12 +386,27 @@ type nodeConn struct {
 	// connection so a request costs one clock read and two atomic adds.
 	hists [opMax]*telemetry.Histogram
 
-	keyBuf   []workload.Key // request words as keys
-	intBuf   []int          // ranker output; grows in lockstep with keyBuf
+	keyBuf   []workload.Key // request keys: converted words, or a decoded run
+	intBuf   []int          // ranker output, one per request key
 	wordBuf  []uint32       // reply elements
-	runBuf   []uint32       // decoded delta-coded request
 	replyBuf []byte         // encoded byte-payload reply
 	scanBuf  []workload.Key // scan/top-k result staging
+}
+
+// newConn is the serving state of a connection that has not said hello.
+func (n *Node) newConn(conn net.Conn) *nodeConn {
+	s := &nodeConn{n: n, conn: conn, bc: newBufferedConn(conn), cap32: n.capVersion()}
+	s.negotiated = s.cap32
+	s.batcher, _ = n.idx.(batchRanker)
+	s.streamer, _ = n.idx.(sortedRanker)
+	if n.Telemetry != nil {
+		for op := range opTable {
+			if row := request(uint8(op)); row != nil {
+				s.hists[op] = n.Telemetry.Histogram(`dc_node_op_ns{op="` + row.name + `"}`)
+			}
+		}
+	}
+	return s
 }
 
 func (n *Node) handle(conn net.Conn) {
@@ -406,17 +422,7 @@ func (n *Node) handle(conn net.Conn) {
 		}
 	}()
 
-	s := &nodeConn{n: n, conn: conn, bc: newBufferedConn(conn), cap32: n.capVersion()}
-	s.negotiated = s.cap32
-	s.batcher, _ = n.idx.(batchRanker)
-	s.streamer, _ = n.idx.(sortedRanker)
-	if n.Telemetry != nil {
-		for op := range opTable {
-			if row := request(uint8(op)); row != nil {
-				s.hists[op] = n.Telemetry.Histogram(`dc_node_op_ns{op="` + row.name + `"}`)
-			}
-		}
-	}
+	s := n.newConn(conn)
 	for {
 		f, err := s.bc.readFrame()
 		if err != nil {
@@ -464,11 +470,6 @@ func (s *nodeConn) serve(f Frame) bool {
 		case encWords:
 			reply.Payload = vals
 		case encDelta:
-			// Sized once for the worst case (5-byte header, 5 bytes per
-			// element): a snapshot-sized run must not grow by doubling.
-			if need := 5 + 5*len(vals); cap(s.replyBuf) < need {
-				s.replyBuf = make([]byte, 0, need)
-			}
 			s.replyBuf, err = appendDeltaRun(s.replyBuf[:0], vals)
 			reply.Raw = s.replyBuf
 		case encVarint:
@@ -502,18 +503,24 @@ func (s *nodeConn) serve(f Frame) bool {
 	return true
 }
 
-// keys converts request words into the connection's key scratch and
-// returns the parallel int scratch for the ranker's output.
-func (s *nodeConn) keys(words []uint32) ([]workload.Key, []int) {
+// keys converts request words into the connection's key scratch.
+func (s *nodeConn) keys(words []uint32) []workload.Key {
 	if cap(s.keyBuf) < len(words) {
 		s.keyBuf = make([]workload.Key, len(words))
-		s.intBuf = make([]int, len(words))
 	}
 	keys := s.keyBuf[:len(words)]
 	for i, k := range words {
 		keys[i] = workload.Key(k)
 	}
-	return keys, s.intBuf[:len(words)]
+	return keys
+}
+
+// ints returns n elements of the ranker-output scratch.
+func (s *nodeConn) ints(n int) []int {
+	if cap(s.intBuf) < n {
+		s.intBuf = make([]int, n)
+	}
+	return s.intBuf[:n]
 }
 
 // words returns n reply elements of connection scratch.
@@ -540,18 +547,19 @@ func (s *nodeConn) ack(n int) []uint32 {
 	return out
 }
 
-// run decodes a delta-coded request payload. The coding guarantees the
-// run is ascending (deltas are unsigned).
-func (s *nodeConn) run(raw []byte) ([]uint32, error) {
-	run, err := decodeDeltaRun(raw, s.runBuf)
+// run decodes a delta-coded request payload straight into the key
+// scratch. The coding guarantees the run is ascending (deltas are
+// unsigned).
+func (s *nodeConn) run(raw []byte) ([]workload.Key, error) {
+	run, err := decodeDeltaRun(raw, s.keyBuf)
 	if err == nil {
-		s.runBuf = run
+		s.keyBuf = run
 	}
 	return run, err
 }
 
-// freshKeys copies request words out of the connection scratch: the
-// update layer keeps a loaded key set for the node's lifetime.
+// freshKeys copies request words out of the frame: the update layer
+// keeps a loaded key set for the node's lifetime.
 func freshKeys(words []uint32) []workload.Key {
 	fresh := make([]workload.Key, len(words))
 	for i, k := range words {
@@ -596,11 +604,11 @@ func (s *nodeConn) serveHello(id *nodeIdent, f Frame) ([]uint32, error) {
 }
 
 // ranks resolves a lookup through the fastest path the node's index
-// offers: the update layer, then the streaming kernel for an ascending
-// run, then batch search, then per-key Rank.
-func (s *nodeConn) ranks(id *nodeIdent, words []uint32, sorted bool) []uint32 {
+// offers: the update layer, then the sorted kernel for an ascending run,
+// then batch search, then per-key Rank.
+func (s *nodeConn) ranks(id *nodeIdent, keys []workload.Key, sorted bool) []uint32 {
 	n := s.n
-	keys, ints := s.keys(words)
+	ints := s.ints(len(keys))
 	switch {
 	case n.upd != nil && sorted:
 		n.upd.RankSorted(keys, ints, id.rankBase)
@@ -619,7 +627,7 @@ func (s *nodeConn) ranks(id *nodeIdent, words []uint32, sorted bool) []uint32 {
 }
 
 func (s *nodeConn) serveLookup(id *nodeIdent, f Frame) ([]uint32, error) {
-	return s.ranks(id, f.Payload, false), nil
+	return s.ranks(id, s.keys(f.Payload), false), nil
 }
 
 // serveLookupSorted: ascending keys make the ranks nondecreasing, so
@@ -638,7 +646,7 @@ func (s *nodeConn) serveLookupSorted(id *nodeIdent, f Frame) ([]uint32, error) {
 // over instead of trusting a write the disk did not take.
 func (s *nodeConn) serveInsert(_ *nodeIdent, f Frame) ([]uint32, error) {
 	n := s.n
-	keys, _ := s.keys(f.Payload)
+	keys := s.keys(f.Payload)
 	if n.dp == nil {
 		n.upd.InsertBatch(keys)
 	} else if err := n.dp.InsertBatch(keys); err != nil {
@@ -666,7 +674,7 @@ func (s *nodeConn) serveLoad(id *nodeIdent, f Frame) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	fresh := freshKeys(run)
+	fresh := slices.Clone(run)
 	if n.dp == nil {
 		n.upd.Reset(fresh)
 		return s.ack(len(fresh)), nil
@@ -790,8 +798,8 @@ func (s *nodeConn) serveMultiGet(_ *nodeIdent, f Frame) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, ints := s.keys(run)
-	s.n.upd.CountKeys(keys, ints)
+	ints := s.ints(len(run))
+	s.n.upd.CountKeys(run, ints)
 	return s.wordsOf(ints), nil
 }
 
@@ -918,7 +926,7 @@ type batchRanker interface {
 }
 
 // sortedRanker is the sorted-batch fast path: rank resolution for an
-// ascending query run via a streaming merge over the partition.
+// ascending query run, each search starting where the one before ended.
 // index.SortedArray implements it.
 type sortedRanker interface {
 	RankSorted(qs []workload.Key, out []int, add int)

@@ -395,10 +395,9 @@ func (fw *frameWriter) encodeDeltaOp(op uint8, reqID uint32, vals []uint32) ([]b
 		return nil, fmt.Errorf("netrun: frame payload %d values exceeds limit", len(vals))
 	}
 	if cap(fw.buf) < 13 {
-		fw.buf = make([]byte, 0, 13+5+5*len(vals))
+		fw.buf = make([]byte, 13)
 	}
-	buf := fw.buf[:13]
-	buf, err := appendDeltaRun(buf, vals)
+	buf, err := appendDeltaRun(fw.buf[:13], vals)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench_real.sh — run the real-runtime serving benchmarks, the netrun
-# TCP-loopback benchmarks and the search kernel's own rows, and record
+# TCP-loopback benchmarks and the two search kernels' own rows, and record
 # the results as BENCH_real.json (one object per benchmark), so the perf
 # trajectory is comparable across PRs.
 #
@@ -63,6 +63,12 @@ run_bench 'BenchmarkTCPCluster' ./internal/netrun
 # batch, so these rows take their own iteration count: at the suite's
 # 20x they would time first touches and little else.
 run_bench 'BenchmarkSortedArrayRankBatch' ./internal/index 2000x
+# The sorted kernel alone (SortedArray.RankSorted) on ascending runs, at
+# the same three sizes and at five densities from 0.3 to 2,560 array keys
+# per query: it answers in three forms (a merge, cursor windows, the
+# unsorted kernel) chosen by density, and each row gates the one that
+# runs there.
+run_bench 'BenchmarkSortedArrayRankSorted' ./internal/index 2000x
 # The master's per-key routing step alone (Partitioning.Route) at 8, 64
 # and 300 partitions. An op routes 65,536 keys in well under a
 # millisecond, so like the kernel rows it takes its own iteration count.
