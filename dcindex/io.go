@@ -27,27 +27,17 @@ const (
 
 // WriteKeys streams a sorted key set to w in snapshot format.
 func WriteKeys(w io.Writer, keys []Key) error {
-	for i := 1; i < len(keys); i++ {
-		if keys[i] < keys[i-1] {
-			return fmt.Errorf("dcindex: WriteKeys input not sorted at %d", i)
-		}
+	if i := index.FirstDescent(keys); i > 0 {
+		return fmt.Errorf("dcindex: WriteKeys input not sorted at %d", i)
 	}
-	bw := bufio.NewWriterSize(w, 1<<16)
-	head := make([]byte, 16)
+	var head [16]byte
 	binary.LittleEndian.PutUint32(head[0:4], snapshotMagic)
 	binary.LittleEndian.PutUint32(head[4:8], snapshotVersion)
 	binary.LittleEndian.PutUint64(head[8:16], uint64(len(keys)))
-	if _, err := bw.Write(head); err != nil {
-		return fmt.Errorf("dcindex: write snapshot header: %w", err)
+	if err := index.WriteKeysLE(w, head[:], keys, nil); err != nil {
+		return fmt.Errorf("dcindex: write snapshot: %w", err)
 	}
-	var buf [4]byte
-	for _, k := range keys {
-		binary.LittleEndian.PutUint32(buf[:], uint32(k))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return fmt.Errorf("dcindex: write snapshot keys: %w", err)
-		}
-	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadKeys loads a snapshot written by WriteKeys, validating the header

@@ -118,7 +118,7 @@ func methodBuilder(cfg RealConfig) index.Builder {
 	default: // MethodC3
 		// NewCluster has run checkSorted over every key set that reaches
 		// an epoch, and merges and rebalances only merge and slice those.
-		return index.BuildSortedArrayUnchecked
+		return index.BuildSortedArray
 	}
 }
 

@@ -102,6 +102,7 @@ type Faulty struct {
 
 	mu          sync.Mutex
 	writes      int
+	bytes       int64
 	syncs       int
 	failWriteAt int
 	failSyncAt  int
@@ -134,6 +135,13 @@ func (f *Faulty) Writes() int {
 	return f.writes
 }
 
+// Bytes returns how many bytes the writes that went through carried.
+func (f *Faulty) Bytes() int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.bytes
+}
+
 // Syncs returns how many syncs the wrapper has seen.
 func (f *Faulty) Syncs() int {
 	f.mu.Lock()
@@ -141,13 +149,14 @@ func (f *Faulty) Syncs() int {
 	return f.syncs
 }
 
-func (f *Faulty) noteWrite() error {
+func (f *Faulty) noteWrite(n int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.writes++
 	if f.failWriteAt > 0 && f.writes >= f.failWriteAt {
 		return ErrInjected
 	}
+	f.bytes += int64(n)
 	return nil
 }
 
@@ -193,7 +202,7 @@ type faultyFile struct {
 }
 
 func (f *faultyFile) Write(p []byte) (int, error) {
-	if err := f.fs.noteWrite(); err != nil {
+	if err := f.fs.noteWrite(len(p)); err != nil {
 		return 0, err
 	}
 	return f.File.Write(p)

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -161,19 +162,15 @@ func radixSortKeys(keys []workload.Key) {
 // Builder constructs a fresh immutable base structure over a sorted key
 // set: a sorted array, a tree, or a buffered plan — the
 // updatable layer is agnostic, which is how all five of the paper's
-// methods support inserts through one mechanism.
+// methods support inserts through one mechanism. A Builder does not check
+// its input: an Updatable hands it MergeKeys output, ascending by
+// construction, and otherwise only keys that were scanned where they came
+// in from outside — by ResetAt, or by whoever vouched for the initial set
+// (core.checkSorted, NewSortedArray, OpenDurablePartition).
 type Builder func(keys []workload.Key) BatchRanker
 
-// BuildSortedArray is Method C-3's Builder for keys of any provenance —
-// a caller's slice, a file, the wire: it scans them for sortedness and
-// panics like NewSortedArray.
-func BuildSortedArray(keys []workload.Key) BatchRanker { return NewSortedArray(keys, 0) }
-
-// BuildSortedArrayUnchecked is BuildSortedArray without the scan, for an
-// Updatable all of whose key sets are ascending by construction: an
-// initial set its owner has already validated, then MergeKeys output.
-// Such an Updatable must not be Reset with keys from anywhere else.
-func BuildSortedArrayUnchecked(keys []workload.Key) BatchRanker { return newSortedArray(keys, 0) }
+// BuildSortedArray is Method C-3's Builder.
+func BuildSortedArray(keys []workload.Key) BatchRanker { return newSortedArray(keys, 0) }
 
 // baseState is one immutable generation of the compacted base: the
 // sorted keys and the ranker built over them.
@@ -437,9 +434,20 @@ func (u *Updatable) merge(s *baseState, fr *Delta, gen uint64) {
 func (u *Updatable) Reset(keys []workload.Key) { u.ResetAt(keys, 0) }
 
 // ResetAt is Reset with a durable watermark: seq is the WAL generation
-// the replacement state corresponds to (the full-snapshot catch-up
-// path on a durable node).
+// the replacement state corresponds to. The keys come from outside, so
+// this is where they are scanned: like NewSortedArray it panics on a
+// descent, which only a caller's bug can produce once the doors that take
+// keys off the wire or a file have refused it with an error
+// (DurablePartition.ResetTo does).
 func (u *Updatable) ResetAt(keys []workload.Key, seq uint64) {
+	if i := FirstDescent(keys); i > 0 {
+		panic(fmt.Sprintf("index: Updatable reset with keys not sorted at %d", i))
+	}
+	u.resetAt(keys, seq)
+}
+
+// resetAt is ResetAt for keys the caller has scanned.
+func (u *Updatable) resetAt(keys []workload.Key, seq uint64) {
 	u.mu.Lock()
 	u.gen++
 	u.base.Store(&baseState{keys: keys, r: u.build(keys)})

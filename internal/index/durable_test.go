@@ -2,10 +2,13 @@ package index
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,6 +232,15 @@ func TestDurablePartitionResetTo(t *testing.T) {
 	if err := d.InsertBatch([]workload.Key{3}); err != nil {
 		t.Fatal(err)
 	}
+	// Keys off the wire that are not ascending are refused before the
+	// store or the served state is touched.
+	gen0, chain0 := d.Position()
+	if err := d.ResetTo([]workload.Key{40, 60, 50}, 7, 0x77); err == nil {
+		t.Fatal("ResetTo accepted keys that are not sorted")
+	}
+	if g, c := d.Position(); g != gen0 || c != chain0 || !sameKeys(d.Upd.SnapshotKeys(), []workload.Key{1, 2, 3}) {
+		t.Fatalf("refused reset moved the partition to (%d, %#x) %v", g, c, d.Upd.SnapshotKeys())
+	}
 	fresh := []workload.Key{40, 50, 60}
 	if err := d.ResetTo(fresh, 7, 0x77); err != nil {
 		t.Fatalf("ResetTo: %v", err)
@@ -326,4 +338,313 @@ func TestDurablePartitionKillNineSubdirSweep(t *testing.T) {
 		}
 		d2.Close()
 	}
+}
+
+// segCountFS counts, on top of Faulty's writes, bytes and syncs, the
+// segment files renamed into place.
+type segCountFS struct {
+	*faultfs.Faulty
+	segs atomic.Int64
+}
+
+func (f *segCountFS) Rename(oldpath, newpath string) error {
+	if strings.HasSuffix(newpath, ".seg") {
+		f.segs.Add(1)
+	}
+	return f.Faulty.Rename(oldpath, newpath)
+}
+
+// policyRun drives one DurablePartition a merge at a time — a 32,768-key
+// baseline, a merge threshold of 512 — and keeps the rule's own books:
+// which publishes earned a segment, restated here from its definition
+// ((gen - last segment's gen) * segmentFraction >= keys in the image, or
+// no segment yet) and waited for, so that the run is the same every time.
+type policyRun struct {
+	t      *testing.T
+	dir    string
+	fs     *segCountFS
+	d      *DurablePartition
+	base   []workload.Key
+	oracle []workload.Key   // baseline and every acked key
+	logged [][]workload.Key // the acked batches, in append order
+	rng    *workload.RNG
+	segs   []uint64 // the generations that earned a segment, ascending
+}
+
+const (
+	policyBase      = 32768
+	policyThreshold = 512
+)
+
+func newPolicyRun(t *testing.T) *policyRun {
+	t.Helper()
+	p := &policyRun{t: t, dir: t.TempDir(), fs: &segCountFS{Faulty: faultfs.NewFaulty(faultfs.OS)}, rng: workload.NewRNG(21)}
+	p.base = make([]workload.Key, policyBase)
+	for i := range p.base {
+		p.base[i] = workload.Key(i) << 16
+	}
+	p.oracle = append([]workload.Key(nil), p.base...)
+	p.d = openDP(t, p.dir, p.base, policyThreshold, StoreOptions{FS: p.fs})
+	t.Cleanup(func() { p.d.Close() })
+	return p
+}
+
+// newestSegment is the generation of the segment s would recover from.
+func newestSegment(s *Store) (gen uint64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.segGen, s.hasSeg
+}
+
+func (p *policyRun) gen() uint64 { return uint64(len(p.oracle) - policyBase) }
+
+// merge inserts one threshold's worth of keys as one acked batch, waits
+// for the merge it triggers and, if the rule says its publish earned a
+// segment, for that segment; it reports whether it did.
+func (p *policyRun) merge() bool {
+	p.t.Helper()
+	batch := make([]workload.Key, policyThreshold)
+	for i := range batch {
+		batch[i] = p.rng.Key()
+	}
+	if err := p.d.InsertBatch(batch); err != nil {
+		p.t.Fatalf("InsertBatch: %v", err)
+	}
+	p.oracle = append(p.oracle, batch...)
+	p.logged = append(p.logged, batch)
+	p.d.Upd.Quiesce()
+	gen := p.gen()
+	if n := len(p.segs); n > 0 && (gen-p.segs[n-1])*segmentFraction < uint64(len(p.oracle)) {
+		return false
+	}
+	p.segs = append(p.segs, gen)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		at, has := newestSegment(p.d.Store)
+		if has && at == gen {
+			return true
+		}
+		if time.Now().After(deadline) {
+			p.t.Fatalf("publish at generation %d earned a segment and none was written (newest: %d)", gen, at)
+		}
+	}
+}
+
+// reopen opens a copy of the directory as it is now — what a crash at
+// this moment leaves behind — after mutate, if any, has had its way with
+// the copy, and checks it against the oracle: every acked key, the
+// position, and the segment recovery started from.
+func (p *policyRun) reopen(what string, wantSeg uint64, mutate func(dir string)) {
+	p.t.Helper()
+	img := p.t.TempDir()
+	copyDir(p.t, p.dir, img)
+	if mutate != nil {
+		mutate(img)
+	}
+	d, err := OpenDurablePartition(img, p.base, sortedArrayBuilder, policyThreshold, StoreOptions{})
+	if err != nil {
+		p.t.Fatalf("%s: reopen refused: %v", what, err)
+	}
+	defer d.Close()
+	if !sameKeys(d.Upd.SnapshotKeys(), sortedCopy(p.oracle)) {
+		p.t.Fatalf("%s: reopened image does not hold exactly the acked keys", what)
+	}
+	wantGen, wantChain := p.d.Position()
+	if g, c := d.Position(); g != wantGen || c != wantChain {
+		p.t.Fatalf("%s: reopened at (%d, %#x), want (%d, %#x)", what, g, c, wantGen, wantChain)
+	}
+	if at, _ := newestSegment(d.Store); at != wantSeg {
+		p.t.Fatalf("%s: recovery started from segment %d, want %d", what, at, wantSeg)
+	}
+}
+
+// TestDurablePartitionSegmentPolicy: a segment is written when the log
+// behind it has grown by the fixed fraction of the image, not at every
+// merge — over 64 merges that doubles the partition the segments written
+// are the rule's geometric handful, the first publish among them; the
+// bytes written per inserted key stay under the bound the constant
+// implies; and the log keeps being retired, so the directory holds two
+// segments and the log of two intervals at most.
+func TestDurablePartitionSegmentPolicy(t *testing.T) {
+	const merges = 64
+	p := newPolicyRun(t)
+	bytes0 := p.fs.Bytes()
+	for m := 1; m <= merges; m++ {
+		flushed := p.merge()
+		if m == 1 && !flushed {
+			t.Fatal("the first publish did not earn a segment")
+		}
+		// Two segments (the newest, and the one before it kept against
+		// rot), and the records since the older of the two: two intervals
+		// of at most image/fraction + one threshold keys each, in files cut
+		// at the flushes — three of them at most, with the open one.
+		n := len(p.oracle)
+		interval := n/segmentFraction + policyThreshold
+		recBytes := walRecHeaderSize + 4*policyThreshold + walRecTrailerSize
+		most := int64(2*(segHeaderSize+4*n+4) + 3*walHeaderSize(1) + 2*(interval/policyThreshold)*recBytes)
+		var disk int64
+		ents, err := os.ReadDir(p.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if info, err := e.Info(); err == nil {
+				disk += info.Size()
+			}
+		}
+		if files := countWALFiles(t, p.dir); files > 3 || disk > most {
+			t.Fatalf("after merge %d: %d log files and %d bytes on disk, want at most 3 and %d", m, files, disk, most)
+		}
+	}
+
+	// About 1 + log(2)/log(1+1/fraction) segments while the image doubles —
+	// 7 at an eighth — less what rounding every interval up to a whole
+	// merge saves: 5 here. (A segment at every merge would be 64.)
+	if got := p.fs.segs.Load(); got != int64(len(p.segs)) {
+		t.Fatalf("%d segments written, the rule earns %d", got, len(p.segs))
+	}
+	if want := 1 + int(math.Ceil(math.Log(2)/math.Log1p(1.0/segmentFraction))); len(p.segs) > want || len(p.segs) < want-2 {
+		t.Fatalf("the rule earned %d segments (at %v), want about %d", len(p.segs), p.segs, want)
+	}
+	// Each segment but the first is 4 bytes a key of an image at most
+	// fraction times the keys logged since the one before, and the first is
+	// the baseline and one threshold; the log itself is 4 bytes a key and
+	// its framing.
+	inserted := int64(merges * policyThreshold)
+	perKey := float64(p.fs.Bytes()-bytes0) / float64(inserted)
+	bound := 4*segmentFraction + 4*float64(policyBase+policyThreshold)/float64(inserted) + 4 + 1
+	if perKey > bound {
+		t.Fatalf("%.1f bytes written per inserted key, want at most %.1f", perKey, bound)
+	}
+	t.Logf("%d segments at %v; %.1f bytes written per inserted key (bound %.1f)", len(p.segs), p.segs, perKey, bound)
+}
+
+// TestDurablePartitionCrashBetweenSegments: a publish that did not earn a
+// segment loses nothing. A crash image taken after every merge between two
+// segments reopens oracle-exact from the older segment and the longer log
+// tail; and when the newest segment has rotted, recovery quarantines it and
+// falls back to the one before, replaying a tail two intervals long.
+func TestDurablePartitionCrashBetweenSegments(t *testing.T) {
+	p := newPolicyRun(t)
+	for len(p.segs) < 3 {
+		if !p.merge() {
+			p.reopen(fmt.Sprintf("crash at generation %d", p.gen()), p.segs[len(p.segs)-1], nil)
+		}
+	}
+	// Go on to one merge short of the fourth segment: the tail past the
+	// third is then a whole interval, less one threshold.
+	for next := p.gen() + policyThreshold; (next-p.segs[2])*segmentFraction < uint64(len(p.oracle)+policyThreshold); next += policyThreshold {
+		if p.merge() {
+			t.Fatalf("segments at %v, want the run stopped before the fourth", p.segs)
+		}
+	}
+	prev, newest := p.segs[1], p.segs[2]
+	if skipped := (p.gen() - newest) / policyThreshold; skipped < 2 {
+		t.Fatalf("only %d publishes skipped since segment %d: the test is not testing the rule", skipped, newest)
+	}
+	p.reopen("rotted newest segment", prev, func(dir string) {
+		path := filepath.Join(dir, segName(newest))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x04
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestDurablePartitionDeltaSinceAcrossSkippedFlushes: the rejoin delta is
+// served from the retained log, and the log now reaches back two intervals
+// instead of two merges — a rejoiner that fell behind just after a segment
+// is still caught up by a delta ten merges later (a segment at every merge
+// had compacted its position away after two), and only once two segments
+// have passed it is it sent to the full snapshot.
+func TestDurablePartitionDeltaSinceAcrossSkippedFlushes(t *testing.T) {
+	p := newPolicyRun(t)
+	p.merge()
+	p.merge()
+	behind := len(p.logged)
+	gen, chain := p.d.Position()
+	rejoiner := openDP(t, t.TempDir(), p.base, policyThreshold, StoreOptions{})
+	defer rejoiner.Close()
+	for _, b := range p.logged {
+		if err := rejoiner.InsertBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g, c := rejoiner.Position(); g != gen || c != chain {
+		t.Fatalf("rejoiner at (%d, %#x), sibling at (%d, %#x)", g, c, gen, chain)
+	}
+
+	for len(p.segs) < 2 {
+		p.merge()
+	}
+	for i := 0; i < 3; i++ {
+		p.merge() // publishes the second segment's interval has not earned
+	}
+	if len(p.segs) != 2 || len(p.logged)-behind < 10 {
+		t.Fatalf("segments at %v after %d merges: want the rejoiner ten merges and one segment behind", p.segs, len(p.logged)-behind)
+	}
+	keys, curGen, curChain, ok := p.d.DeltaSince(gen, chain)
+	if !ok {
+		t.Fatalf("no delta from generation %d with segments at %v: its records are above the retention floor %d", gen, p.segs, p.segs[0])
+	}
+	var want []workload.Key
+	for _, b := range p.logged[behind:] {
+		want = append(want, b...)
+	}
+	if !sameKeys(keys, want) {
+		t.Fatalf("delta of %d keys is not the %d logged since generation %d, in append order", len(keys), len(want), gen)
+	}
+	if err := rejoiner.InsertDelta(keys, curGen, curChain); err != nil {
+		t.Fatalf("InsertDelta: %v", err)
+	}
+	if !sameKeys(rejoiner.Upd.SnapshotKeys(), sortedCopy(p.oracle)) {
+		t.Fatal("the delta did not converge the rejoiner")
+	}
+
+	for len(p.segs) < 3 {
+		p.merge()
+	}
+	if _, _, _, ok := p.d.DeltaSince(gen, chain); ok {
+		t.Fatalf("generation %d is below the retention floor %d and was served a delta", gen, p.segs[1])
+	}
+}
+
+// BenchmarkDurablePartitionInsert is the durable write path of one
+// partition alone: an op is one acked 819-key InsertBatch (the referee's
+// insert call) into a 327,680-key partition at the default merge
+// threshold, merges and segment flushes falling where they fall.
+// disk_B/key is every byte written — log and segments — per inserted key,
+// from a counting faultfs: 4 and framing for the log, the rest is what the
+// segments cost.
+func BenchmarkDurablePartitionInsert(b *testing.B) {
+	const batch = 819
+	base := make([]workload.Key, 327680)
+	for i := range base {
+		base[i] = workload.Key(i) * 13000
+	}
+	fs := faultfs.NewFaulty(faultfs.OS)
+	d, err := OpenDurablePartition(b.TempDir(), base, sortedArrayBuilder, 0, StoreOptions{FS: fs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	r := workload.NewRNG(5)
+	keys := make([]workload.Key, batch)
+	bytes0 := fs.Bytes()
+	b.SetBytes(4 * batch)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range keys {
+			keys[j] = r.Key()
+		}
+		if err := d.InsertBatch(keys); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	d.Upd.Quiesce()
+	b.ReportMetric(float64(fs.Bytes()-bytes0)/float64(b.N*batch), "disk_B/key")
 }

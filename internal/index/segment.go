@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,7 +17,10 @@ import (
 // made durable: the full sorted key multiset of a partition at a known
 // generation, with a checksummed footer so recovery can tell a good
 // segment from a rotted one and quarantine the latter instead of
-// serving it. Format (little-endian):
+// serving it. Format v1 (little-endian), unchanged since it was
+// introduced — the writer has changed, from a Write per key to a Write
+// per 64 KiB chunk, the bytes have not (segment_test.go keeps the old
+// writer and compares):
 //
 //	segment := magic(u32 = 0xDC5E917F) version(u32 = 1)
 //	           gen(u64) chain(u64) count(u64)
@@ -43,34 +45,22 @@ type Segment struct {
 }
 
 // WriteSegment atomically writes keys as the segment for generation gen
-// (fold value chain) at path.
+// (fold value chain) at path: header and keys leave through WriteKeysLE,
+// a chunk per write, the checksum run over each chunk as it goes.
 func WriteSegment(fs faultfs.FS, path string, keys []workload.Key, gen, chain uint64) error {
 	return AtomicWriteFile(fs, path, 0o644, func(w io.Writer) error {
-		bw := bufio.NewWriterSize(w, 1<<16)
-		crc := crc32.New(crcTab)
-		mw := io.MultiWriter(bw, crc)
-		head := make([]byte, segHeaderSize)
+		var head [segHeaderSize]byte
 		binary.LittleEndian.PutUint32(head[0:4], segMagic)
 		binary.LittleEndian.PutUint32(head[4:8], segVersion)
 		binary.LittleEndian.PutUint64(head[8:16], gen)
 		binary.LittleEndian.PutUint64(head[16:24], chain)
 		binary.LittleEndian.PutUint64(head[24:32], uint64(len(keys)))
-		if _, err := mw.Write(head); err != nil {
+		var crc uint32
+		if err := WriteKeysLE(w, head[:], keys, &crc); err != nil {
 			return err
 		}
-		var kb [4]byte
-		for _, k := range keys {
-			binary.LittleEndian.PutUint32(kb[:], uint32(k))
-			if _, err := mw.Write(kb[:]); err != nil {
-				return err
-			}
-		}
-		var foot [4]byte
-		binary.LittleEndian.PutUint32(foot[:], crc.Sum32())
-		if _, err := bw.Write(foot[:]); err != nil {
-			return err
-		}
-		return bw.Flush()
+		_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc))
+		return err
 	})
 }
 

@@ -1,7 +1,13 @@
 package index
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -125,6 +131,120 @@ func TestAtomicWriteFileFaults(t *testing.T) {
 			for _, e := range ents {
 				if e.Name() != filepath.Base(path) {
 					t.Fatalf("leftover file %s after failed atomic write", e.Name())
+				}
+			}
+		})
+	}
+}
+
+// refWriteSegment is the segment writer as it stood until the chunked one
+// replaced it — every key its own 4-byte Write through a MultiWriter over
+// a bufio.Writer and the checksum — kept as the definition of format v1
+// that WriteSegment is held byte-identical to.
+func refWriteSegment(w io.Writer, keys []workload.Key, gen, chain uint64) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	crc := crc32.New(crcTab)
+	mw := io.MultiWriter(bw, crc)
+	head := make([]byte, segHeaderSize)
+	binary.LittleEndian.PutUint32(head[0:4], segMagic)
+	binary.LittleEndian.PutUint32(head[4:8], segVersion)
+	binary.LittleEndian.PutUint64(head[8:16], gen)
+	binary.LittleEndian.PutUint64(head[16:24], chain)
+	binary.LittleEndian.PutUint64(head[24:32], uint64(len(keys)))
+	if _, err := mw.Write(head); err != nil {
+		return err
+	}
+	var kb [4]byte
+	for _, k := range keys {
+		binary.LittleEndian.PutUint32(kb[:], uint32(k))
+		if _, err := mw.Write(kb[:]); err != nil {
+			return err
+		}
+	}
+	var foot [4]byte
+	binary.LittleEndian.PutUint32(foot[:], crc.Sum32())
+	if _, err := bw.Write(foot[:]); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// TestSegmentWriterMatchesReference: the chunked writer produces, for the
+// same (keys, gen, chain), exactly the file the per-key writer did — at
+// the sizes around its buffer's edge and at the referee's partition — and
+// a write that fails anywhere along the way, mid-chunk included, leaves
+// neither the segment nor its temp file behind.
+func TestSegmentWriterMatchesReference(t *testing.T) {
+	chunk := (keyChunk - segHeaderSize) / 4 // keys that fill the first buffer
+	for _, n := range []int{0, 1, chunk - 1, chunk, chunk + 1, 368640} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			keys := make([]workload.Key, n)
+			r := workload.NewRNG(uint64(n) + 1)
+			for i := range keys {
+				keys[i] = r.Key()
+			}
+			keys = sortedCopy(keys)
+			gen, chain := uint64(n)+7, ChainFold(ChainStart(), keys)
+
+			var want bytes.Buffer
+			if err := refWriteSegment(&want, keys, gen, chain); err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, segName(gen))
+			faulty := faultfs.NewFaulty(faultfs.OS)
+			if err := WriteSegment(faulty, path, keys, gen, chain); err != nil {
+				t.Fatalf("WriteSegment: %v", err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%d keys: chunked writer's %d bytes differ from the reference's %d", n, len(got), want.Len())
+			}
+			if seg, err := ReadSegment(faultfs.OS, path); err != nil || !sameKeys(seg.Keys, keys) || seg.Gen != gen || seg.Chain != chain {
+				t.Fatalf("%d keys: written segment does not read back: %v", n, err)
+			}
+			if faulty.Bytes() != int64(len(got)) || faulty.Syncs() != 2 {
+				t.Fatalf("%d keys: %d bytes written and %d syncs, want %d and 2 (file, directory)", n, faulty.Bytes(), faulty.Syncs(), len(got))
+			}
+			if writes, most := faulty.Writes(), len(got)/keyChunk+2; writes > most {
+				t.Fatalf("%d keys: %d writes, want at most %d (a chunk each, and the checksum)", n, writes, most)
+			}
+
+			for fail := 1; fail <= faulty.Writes(); fail++ {
+				failDir := t.TempDir()
+				dying := faultfs.NewFaulty(faultfs.OS)
+				dying.FailWriteAt(fail)
+				err := WriteSegment(dying, filepath.Join(failDir, segName(gen)), keys, gen, chain)
+				if !errors.Is(err, faultfs.ErrInjected) {
+					t.Fatalf("%d keys, write %d failing: error %v, want ErrInjected", n, fail, err)
+				}
+				if ents, _ := os.ReadDir(failDir); len(ents) != 0 {
+					t.Fatalf("%d keys, write %d failing: %s left behind", n, fail, ents[0].Name())
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWriteSegment writes one segment a trip (b.SetBytes: the row
+// reads MB/s of image) at the per-partition sizes of the referee's
+// workloads, fsyncs and rename included — what one flush costs.
+func BenchmarkWriteSegment(b *testing.B) {
+	for _, n := range []int{40960, 368640, 2097152} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			keys := make([]workload.Key, n)
+			for i := range keys {
+				keys[i] = workload.Key(i) * 2000
+			}
+			path := filepath.Join(b.TempDir(), segName(1))
+			b.SetBytes(int64(segHeaderSize + 4*n + 4))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := WriteSegment(faultfs.OS, path, keys, 1, 0x1); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -107,6 +108,42 @@ func ChainFold(chain uint64, keys []workload.Key) uint64 {
 func ChainStart() uint64 { return chainSeed }
 
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
+
+// keyChunk is the buffer WriteKeysLE encodes through: large enough that
+// the per-write cost vanishes, small enough to stay in L2.
+const keyChunk = 1 << 16
+
+// PutKeys encodes keys as little-endian u32s at the head of dst, which
+// must hold 4*len(keys) bytes: the one key encoder of every on-disk
+// format (segment, WAL record, dcindex snapshot).
+func PutKeys(dst []byte, keys []workload.Key) {
+	for i, k := range keys {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(k))
+	}
+}
+
+// WriteKeysLE writes head, then keys, to w: encoded into one buffer of
+// at most keyChunk bytes and handed to w a bufferful at a time. crc, when
+// not nil, is advanced (CRC-32C) over every byte written.
+func WriteKeysLE(w io.Writer, head []byte, keys []workload.Key, crc *uint32) error {
+	buf := make([]byte, min(keyChunk, len(head)+4*len(keys)))
+	n := copy(buf, head)
+	for {
+		take := min(len(keys), (len(buf)-n)/4)
+		PutKeys(buf[n:], keys[:take])
+		n, keys = n+4*take, keys[take:]
+		if crc != nil {
+			*crc = crc32.Update(*crc, crcTab, buf[:n])
+		}
+		if _, err := w.Write(buf[:n]); err != nil {
+			return err
+		}
+		if len(keys) == 0 {
+			return nil
+		}
+		n = 0
+	}
+}
 
 // ErrWALCorrupt reports unrecoverable WAL damage: mid-file corruption
 // or broken generation/chain accounting. The store refuses to serve
@@ -375,9 +412,7 @@ func (w *WAL) Append(part int, keys []workload.Key) (end int64, at WALPos, err e
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(part))
 	binary.LittleEndian.PutUint64(buf[12:20], at.Gen)
 	binary.LittleEndian.PutUint64(buf[20:28], at.Chain)
-	for i, k := range keys {
-		binary.LittleEndian.PutUint32(buf[walRecHeaderSize+4*i:], uint32(k))
-	}
+	PutKeys(buf[walRecHeaderSize:], keys)
 	crc := crc32.Checksum(buf[:walRecHeaderSize+4*n], crcTab)
 	binary.LittleEndian.PutUint32(buf[walRecHeaderSize+4*n:], crc)
 	if _, err := w.f.Write(buf); err != nil {

@@ -729,11 +729,7 @@ func (s *nodeConn) serveLoadAt(_ *nodeIdent, f Frame) ([]uint32, error) {
 			return nil, err
 		}
 	case snapKindFull:
-		for i := 1; i < len(fresh); i++ {
-			if fresh[i] < fresh[i-1] {
-				return nil, errors.New("full load payload not sorted")
-			}
-		}
+		// ResetTo refuses a payload that is not ascending.
 		if err := n.dp.ResetTo(fresh, gen, chain); err != nil {
 			return nil, fmt.Errorf("positioned load reset: %w", err)
 		}

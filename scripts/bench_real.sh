@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # bench_real.sh — run the real-runtime serving benchmarks, the netrun
-# TCP-loopback benchmarks and the two search kernels' own rows, and record
+# TCP-loopback benchmarks, the two search kernels' own rows and the
+# durable layer's (segment writer, one partition's insert path), and record
 # the results as BENCH_real.json (one object per benchmark), so the perf
 # trajectory is comparable across PRs.
 #
@@ -73,6 +74,15 @@ run_bench 'BenchmarkSortedArrayRankSorted' ./internal/index 2000x
 # and 300 partitions. An op routes 65,536 keys in well under a
 # millisecond, so like the kernel rows it takes its own iteration count.
 run_bench 'BenchmarkPartitioningRoute' . 2000x
+# The durable layer alone. WriteSegment: one flush — encode, checksum,
+# write, two fsyncs, rename — at the referee's three partition sizes; the
+# row reads MB/s of image. DurablePartitionInsert: acked 819-key inserts
+# into one 327,680-key partition, merges and segment flushes falling where
+# they fall; its disk_b_per_key is every byte written per inserted key,
+# which the flush rule (index.segmentFraction) bounds. 400 ops is 80
+# merges: enough for the rule's cadence to show.
+run_bench 'BenchmarkWriteSegment' ./internal/index
+run_bench 'BenchmarkDurablePartitionInsert' ./internal/index 400x
 
 cat "$RAW" >&2
 
@@ -81,7 +91,7 @@ awk '
 		name = $1
 		sub(/-[0-9]+$/, "", name) # the GOMAXPROCS suffix: rows keep one name on any host
 		iters = $2
-		ns = mbs = nskey = bop = aop = p50 = p99 = p999 = "null"
+		ns = mbs = nskey = bop = aop = p50 = p99 = p999 = disk = "null"
 		for (i = 3; i < NF; i++) {
 			if ($(i+1) == "ns/op")     ns    = $i
 			if ($(i+1) == "MB/s")      mbs   = $i
@@ -92,9 +102,10 @@ awk '
 			if ($(i+1) == "p50_ns")    p50   = $i
 			if ($(i+1) == "p99_ns")    p99   = $i
 			if ($(i+1) == "p999_ns")   p999  = $i
+			if ($(i+1) == "disk_B/key") disk = $i
 		}
-		printf "%s{\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s,\"mb_per_s\":%s,\"ns_per_key\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s,\"p50_ns\":%s,\"p99_ns\":%s,\"p999_ns\":%s}",
-			(n++ ? ",\n  " : "  "), name, iters, ns, mbs, nskey, bop, aop, p50, p99, p999
+		printf "%s{\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s,\"mb_per_s\":%s,\"ns_per_key\":%s,\"bytes_per_op\":%s,\"allocs_per_op\":%s,\"p50_ns\":%s,\"p99_ns\":%s,\"p999_ns\":%s,\"disk_b_per_key\":%s}",
+			(n++ ? ",\n  " : "  "), name, iters, ns, mbs, nskey, bop, aop, p50, p99, p999, disk
 	}
 	/^(goos|goarch|pkg|cpu):/ { meta[$1] = $2 }
 	BEGIN { printf "{\n\"benchmarks\": [\n" }
