@@ -32,16 +32,16 @@
 // re-admits it (after re-verifying the partition handshake) when the
 // process comes back.
 //
-// Nodes are updatable (protocol v3): a writing client fans
-// Insert/InsertBatch out to every replica of the owning partition, the
-// node buffers new keys in a delta layer merged in the background, and
-// a replica that rejoins after dying is first reloaded from a sibling's
-// snapshot so it cannot serve stale ranks. Start a node with -readonly
-// to cap it at protocol v2: it then serves lookups only and never
-// receives writes (a writing client also stops routing that
-// partition's lookups to it, since it would be stale).
+// Nodes are updatable: a writing client fans Insert/InsertBatch out to
+// every replica of the owning partition, the node buffers new keys in a
+// delta layer merged in the background, and a replica that rejoins
+// after dying is first reloaded from a sibling's snapshot so it cannot
+// serve stale ranks. Start a node with -readonly and it says so in its
+// hello: it then serves reads of its key set only and never receives
+// writes (a client also stops routing a partition's reads to it once
+// the partition has been written to, since it would be stale).
 //
-// With -wal-dir the node is durable (protocol v4): every insert is
+// With -wal-dir the node is durable: every insert is
 // appended to a write-ahead log and fsynced before it is acknowledged,
 // frozen delta layers become immutable segment snapshots in the
 // background (which retires the covered log files), and a restart
@@ -54,14 +54,13 @@
 // additionally spaces syncs at least that far apart, and a negative
 // value disables fsync entirely (acks stop implying crash durability).
 //
-// Updatable nodes also serve the protocol-v5 query ops — range counts,
-// ordered range scans, top-k, and key multiplicities — against their
-// live partition (dcq -op count|scan|topk|multiget drives them).
-// -max-version caps the negotiated protocol version: -max-version 4
-// emulates a pre-v5 node byte-for-byte, which a v5 client keeps using
-// for rank lookups and writes but excludes from the v5 query ops — the
-// mixed-version rollout the negotiation table in
-// internal/netrun/protocol.go pins.
+// Nodes also serve the query ops beyond rank — range counts, ordered
+// range scans, top-k, and key multiplicities — against their live
+// partition (dcq -op count|scan|topk|multiget drives them).
+// -max-version caps the negotiated protocol version at the one before
+// the current: -max-version 5 is a node that serves everything but the
+// live-membership verbs — the one mixed pair a rollout meets. A peer
+// older than that is refused at the hello, by name.
 //
 // The operations plane (protocol v6) adds two flags. -admin mounts the
 // HTTP admin endpoint on the given address: GET /metrics serves the
@@ -113,10 +112,10 @@ func main() {
 		parts    = flag.Int("parts", 4, "total partition count")
 		part     = flag.Int("part", 0, "this node's partition id (0-based)")
 		listen   = flag.String("listen", ":7000", "listen address")
-		readonly = flag.Bool("readonly", false, "serve lookups only (protocol v2): never accept inserts or snapshot loads")
+		readonly = flag.Bool("readonly", false, "serve reads only: never accept inserts, snapshot loads or a new identity")
 		walDir   = flag.String("wal-dir", "", "durable mode: per-partition WAL + segment directory (created if missing); acked inserts survive crashes")
 		fsyncInt = flag.Duration("fsync-interval", 0, "with -wal-dir: minimum spacing between WAL fsyncs (0 = every group commit, negative = never fsync)")
-		maxVer   = flag.Uint("max-version", 0, "cap the negotiated protocol version (0 = newest); e.g. 4 emulates a pre-v5 node for mixed-version rollouts and interop tests")
+		maxVer   = flag.Uint("max-version", 0, "cap the negotiated protocol version: 0 (newest) or 5, the version before it, for a mixed-version rollout")
 		adminAt  = flag.String("admin", "", "mount the HTTP admin/metrics endpoint on this address (e.g. 127.0.0.1:9100; empty disables)")
 		join     = flag.Bool("join", false, "start unassigned: load the key file but serve an empty partition until a v6 client's AddReplica assigns one (-parts/-part ignored)")
 
@@ -127,8 +126,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *maxVer > uint(netrun.ProtoVersion) {
-		fmt.Fprintf(os.Stderr, "dcnode: -max-version %d exceeds the newest protocol this build speaks (v%d)\n", *maxVer, netrun.ProtoVersion)
+	if *maxVer != 0 && (*maxVer < netrun.MinProtoVersion || *maxVer > netrun.ProtoVersion) {
+		fmt.Fprintf(os.Stderr, "dcnode: -max-version %d: this build speaks protocol v%d–v%d\n", *maxVer, netrun.MinProtoVersion, netrun.ProtoVersion)
 		os.Exit(2)
 	}
 
@@ -165,7 +164,7 @@ func main() {
 		mode := fmt.Sprintf("updatable (v%d)", netrun.ProtoVersion)
 		switch {
 		case *readonly:
-			mode = "read-only (v2)"
+			mode = "read-only"
 		case *walDir != "":
 			mode = fmt.Sprintf("durable (v%d, WAL)", netrun.ProtoVersion)
 		}

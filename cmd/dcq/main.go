@@ -16,14 +16,14 @@
 // multiget (key multiplicities). Every op derives its inputs
 // deterministically from the -seed query stream, so -compare holds for
 // all of them: identical checksums prove every method — and the TCP
-// cluster, which serves the same ops over protocol v5 — computes
+// cluster, which serves the same ops — computes
 // identical results. -insert-rate applies to -op rank only.
 //
 // -insert-rate R runs a mixed read/write workload: for every read
 // batch, R*batch freshly generated keys are inserted into the running
 // index first, exercising the online-update path (delta buffers,
-// background merges, and — over TCP — the protocol-v3 write fan-out to
-// every replica). With -compare, all methods receive the same
+// background merges, and — over TCP — the write fan-out to every
+// writable replica). With -compare, all methods receive the same
 // deterministic insert stream, so identical checksums still prove the
 // methods agree under writes.
 //
@@ -102,7 +102,7 @@ func main() {
 		masters    = flag.Int("masters", 1, "concurrent master callers over the TCP cluster (with -connect)")
 		optimeout  = flag.Duration("optimeout", 10*time.Second, "per-op progress timeout on the TCP cluster (with -connect)")
 		replicas   = flag.Int("replicas", 1, "replicas per partition in a flat -connect list (grouped '|' syntax overrides)")
-		sorted     = flag.Bool("sorted", false, "sorted-batch mode: pre-sort the query stream (ascending batches auto-detect; over TCP, v2 nodes get delta-coded frames)")
+		sorted     = flag.Bool("sorted", false, "sorted-batch mode: pre-sort the query stream (ascending batches auto-detect; over TCP they ride delta-coded frames)")
 		insertRate = flag.Float64("insert-rate", 0, "mixed read/write mode: keys inserted per read key (0.05 = 5% writes)")
 		hedge      = flag.Bool("hedge", false, "gray-failure mode (with -connect): hedged reads, latency-scored outlier ejection, and a hedge token budget")
 		hedgeQuant = flag.Float64("hedge-quantile", 0.95, "latency quantile that arms a hedge (with -hedge)")
@@ -128,7 +128,7 @@ func main() {
 		// arrive ascending (log-structured ingest, merge iterators):
 		// the runtime auto-detects the runs and takes the sorted
 		// pipeline — one-sweep routing, sorted-run kernels, and
-		// (over TCP) protocol-v2 delta frames.
+		// (over TCP) delta-coded frames.
 		sort.Slice(queries, func(i, j int) bool { return queries[i] < queries[j] })
 	}
 
@@ -439,7 +439,7 @@ func run(keys, queries []dcindex.Key, m dcindex.Method, op string, workers, batc
 // runTCP drives a dcnode cluster: masters concurrent callers split the
 // query stream into contiguous shares and multiplex their batches over
 // the one shared connection set. With insertRate > 0 each master also
-// interleaves protocol-v3 writes into its share (inserts fan out to
+// interleaves writes into its share (inserts fan out to
 // every replica of the owning partition). Replicated partitions fail
 // over and load-spread automatically; any failover that occurred is
 // summarized from Cluster.Health after the run.

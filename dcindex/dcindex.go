@@ -27,9 +27,8 @@
 //     blocks until in-flight calls drain. Ascending query batches
 //     are auto-detected and take the sorted-batch pipeline — one
 //     boundary search per partition instead of per-key routing,
-//     zero-copy contiguous dispatch, and sorted-run search kernels;
-//     Options.SortedBatches radix-sorts unsorted batches into the same
-//     path (see the README's "Sorted-batch mode"). The index is
+//     zero-copy contiguous dispatch, and sorted-run search kernels
+//     (see the README's "Sorted-batch mode"). The index is
 //     updatable while serving: Insert/InsertBatch buffer new keys in
 //     per-partition deltas, background merges compact them, and a
 //     rebalance re-derives the partition delimiters when inserts skew
@@ -152,15 +151,6 @@ type Options struct {
 	BatchKeys int
 	// QueueDepth bounds in-flight batches per worker (default 4).
 	QueueDepth int
-	// SortedBatches opts unsorted query batches into the sorted-batch
-	// pipeline: they are sorted by key (pooled radix sort, O(n)) at
-	// dispatch so they get the one-sweep routing and the workers'
-	// sorted-run kernels, with results still returned in query
-	// order. Batches that are already ascending are auto-detected and
-	// take the sorted path whether or not this is set — callers whose
-	// streams arrive sorted (log-structured ingest, merged iterators,
-	// time-ordered IDs) get the fast path for free.
-	SortedBatches bool
 	// MergeThreshold is the per-partition delta-buffer size at which a
 	// background merge compacts buffered inserts into the immutable
 	// base structure (see Insert). Zero selects the default (4096).
@@ -189,7 +179,6 @@ func (o Options) withDefaults() core.RealConfig {
 	if o.QueueDepth != 0 {
 		cfg.QueueDepth = o.QueueDepth
 	}
-	cfg.SortedBatches = o.SortedBatches
 	cfg.MergeThreshold = o.MergeThreshold
 	cfg.PartitionBudget = o.PartitionBudget
 	cfg.WALDir = o.Durability.WALDir
@@ -452,8 +441,8 @@ func Sweep(o SimOptions, batchBytes ...int) ([]Report, error) {
 // replica and re-verifies the partition layout.
 //
 // A TCPCluster is also writable: Insert/InsertBatch route keys to the
-// owning partitions and fan each write out to every healthy
-// protocol-v3 replica (pre-v3 nodes never receive writes), and a
+// owning partitions and fan each write out to every connected writable
+// replica (read-only nodes never receive writes), and a
 // replica rejoining after a failure first reloads a sibling's snapshot
 // so it cannot serve stale ranks. See the netrun package documentation
 // for the protocol and the single-writer assumption behind exact
@@ -461,13 +450,11 @@ func Sweep(o SimOptions, batchBytes ...int) ([]Report, error) {
 //
 // Beyond ranks, a TCPCluster serves the same query surface as an
 // in-process Index — CountRange/CountRangeBatch, ScanRange, TopK, and
-// MultiGet/MultiGetInto — over protocol v5. Each op scatters to the
+// MultiGet/MultiGetInto. Each op scatters to the
 // partitions whose key sub-ranges it touches and composes per-replica
 // answers in partition (= key) order; a replica that dies mid-op has
 // its pending requests re-dispatched to a sibling, so results are
-// identical through a failover. Pre-v5 nodes are excluded from the new
-// ops only (they fail with a descriptive availability error), never
-// from rank lookups.
+// identical through a failover.
 //
 // The operations plane rides the same handle: Stats returns the
 // versioned ClusterStats tree, Telemetry exposes the per-op latency
@@ -480,10 +467,9 @@ type TCPCluster = netrun.Cluster
 // TCPOptions configures DialClusterOptions: batch granularity, the
 // dial/handshake timeout, the per-op progress timeout that turns a hung
 // node into prompt failover instead of a blocked master, the replica
-// count for flat address lists, the rejoin backoff envelope, and
-// SortedBatches (sort unsorted streams client-side so they ride the
-// sorted pipeline's one-sweep routing and protocol-v2 delta frames;
-// ascending streams are auto-detected either way).
+// count for flat address lists and the rejoin backoff envelope.
+// Ascending batches are auto-detected and ride the sorted pipeline's
+// one-sweep routing and delta-coded frames.
 //
 // The resilience knobs live in nested groups: Hedging arms hedged
 // reads (re-dispatch to a sibling past the partition's latency

@@ -141,7 +141,7 @@ func TestDispatchPipelines(t *testing.T) {
 					resting := len(c.freeBatches)
 					before := c.Stats().Batches
 					got := out[:len(sh.qs)]
-					c.rankDispatch(cs, sh.qs, got, false, opRank)
+					c.rankDispatch(cs, sh.qs, got, opRank)
 					if sent := int(c.Stats().Batches - before); cap(cs.reply) < sent {
 						t.Errorf("%s, %d workers, BatchKeys %d: %d slices sent, reply channel holds %d", sh.name, workers, batchKeys, sent, cap(cs.reply))
 					}

@@ -87,7 +87,7 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 		cs.rbuf = make([]int, len(ends))
 	}
 	rks := cs.rbuf[:len(ends)]
-	c.rankDispatch(cs, ends, rks, true, opCount)
+	c.rankDispatch(cs, ends, rks, opCount)
 
 	// Combine in the same order the endpoints were emitted: rank(hi)
 	// minus rank(lo-1), the latter 0 for ranges starting at key 0.
@@ -140,7 +140,7 @@ func (c *Cluster) MultiGetInto(keys []workload.Key, out []int) error {
 	}
 	cs := c.getCall()
 	defer c.putCall(cs)
-	c.rankDispatch(cs, keys, out, true, opMultiGet)
+	c.rankDispatch(cs, keys, out, opMultiGet)
 	return nil
 }
 

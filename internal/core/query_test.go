@@ -64,15 +64,12 @@ func (o *queryOracle) multiplicity(k workload.Key) int {
 }
 
 // queryConfigs enumerates the oracle sweep's engine configurations:
-// all five methods, plus C-3 under the SortedBatches dispatch flag.
+// all five methods.
 func queryConfigs() []RealConfig {
 	var cfgs []RealConfig
 	for _, m := range Methods() {
 		cfgs = append(cfgs, RealConfig{Method: m, Workers: 5, BatchKeys: 512, QueueDepth: 4, MergeThreshold: 256})
 	}
-	cfgs = append(cfgs,
-		RealConfig{Method: MethodC3, Workers: 5, BatchKeys: 512, QueueDepth: 4, MergeThreshold: 256, SortedBatches: true},
-	)
 	return cfgs
 }
 
@@ -157,16 +154,13 @@ func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *ra
 }
 
 // TestQueryOpsOracleSweep is the cross-method oracle sweep: all four
-// new ops, every method (plus SortedBatches),
+// new ops, every method,
 // checked exact against a sort.SearchInts oracle at quiescent
 // checkpoints between rounds of concurrent inserts and queries.
 func TestQueryOpsOracleSweep(t *testing.T) {
 	const maxKey = 1 << 20
 	for _, cfg := range queryConfigs() {
 		tag := cfg.Method.String()
-		if cfg.SortedBatches {
-			tag += "/sortedbatches"
-		}
 		t.Run(tag, func(t *testing.T) {
 			t.Parallel()
 			cfg := cfg

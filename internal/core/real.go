@@ -35,14 +35,6 @@ type RealConfig struct {
 	BatchKeys int
 	// QueueDepth bounds in-flight batches per worker (backpressure).
 	QueueDepth int
-	// SortedBatches opts unsorted callers into the sorted-batch
-	// pipeline: batches that are not already ascending are sorted by
-	// key with a pooled radix sort before dispatch, so they too get the
-	// one-sweep routing and the sorted-run kernels. Ascending
-	// batches are always auto-detected and take the sorted path
-	// regardless of this flag; SortedBatches only controls whether
-	// unsorted input pays the O(n) sort to join them.
-	SortedBatches bool
 	// MergeThreshold is the per-partition delta-buffer size that
 	// triggers a background compaction of buffer+base into a fresh
 	// immutable array (see Insert/InsertBatch). Zero selects
@@ -143,9 +135,8 @@ const (
 	// opCount is opRank for range endpoints: batches carry the hi and
 	// lo-1 keys of inclusive ranges and the worker ranks them exactly
 	// like opRank — count(lo,hi) = rank(hi) - rank(lo-1) composes
-	// client-side. The tag exists so the dispatcher can always sort
-	// endpoint batches (one delimiter search per boundary) regardless
-	// of the SortedBatches setting.
+	// client-side. The tag exists so the dispatcher always sorts
+	// endpoint batches (one delimiter search per boundary).
 	opCount
 	// opScan returns the partition's keys in [keys[0], keys[1]],
 	// ascending, at most limit of them, in outKeys.
@@ -288,7 +279,8 @@ type callState struct {
 	// accum[s] is partition s's accumulating batch (per-key dispatch of
 	// queries, and of inserts).
 	accum []*realBatch
-	// sort is the pooled radix-sort scratch for SortedBatches callers.
+	// sort is the pooled radix-sort scratch of the ops that sort
+	// unsorted input (see rankDispatch).
 	sort RadixScratch
 	// qbuf/rbuf are the range ops' endpoint and endpoint-rank scratch
 	// (CountRangeBatch builds its rank queries here before handing them
@@ -548,7 +540,7 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 	}
 	cs := c.getCall()
 	defer c.putCall(cs)
-	c.rankDispatch(cs, queries, out, c.cfg.SortedBatches, opRank)
+	c.rankDispatch(cs, queries, out, opRank)
 	return nil
 }
 
@@ -573,13 +565,15 @@ func (c *Cluster) putCall(cs *callState) {
 
 // rankDispatch routes the int-valued ops (opRank, opCount, opMultiGet):
 // it batches queries, dispatches them over the interconnect, and
-// scatters the workers' results into out in query order. sortUnsorted
-// opts an unsorted batch into the radix-sort + one-search-per-delimiter
-// path (always on for opCount and opMultiGet callers; SortedBatches for
-// plain ranks). The caller holds c.mu shared and owns cs.
+// scatters the workers' results into out in query order. An unsorted
+// opCount or opMultiGet call is radix-sorted into the
+// one-search-per-delimiter path (their kernels want runs); an unsorted
+// opRank call is not — with partitions that fit the cache the per-key
+// path measured faster at every call size. The caller holds c.mu shared
+// and owns cs.
 //
 //dc:noalloc
-func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int, sortUnsorted bool, op batchOp) {
+func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int, op batchOp) {
 	if len(queries) == 0 {
 		return
 	}
@@ -635,13 +629,12 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 	// path below — one boundary search per partition instead of one
 	// Route per key, batches that alias the query slice instead of
 	// copying it, and the workers' sorted-run kernels. Unsorted
-	// input joins the same path via the pooled radix sort when the
-	// caller opted in with SortedBatches; otherwise it takes the classic
-	// per-key dispatch.
+	// input joins the same path via the pooled radix sort for every op
+	// but rank, which takes the classic per-key dispatch.
 	runKeys := queries
 	var runPos []int32 // nil: run positions == run indices (aliases queries)
 	sorted := SortedRun(queries)
-	if !sorted && sortUnsorted {
+	if !sorted && op != opRank {
 		runKeys, runPos = cs.sort.SortByKey(queries)
 		sorted = true
 	}

@@ -4,9 +4,9 @@ import "repro/internal/workload"
 
 // This file is the master half of sorted-batch mode: detecting that a
 // query batch is an ascending run, turning per-key routing into one
-// binary search per partition boundary, and (for callers that opt in
-// via RealConfig.SortedBatches) sorting an unsorted batch by key with a
-// pooled radix sort so it can ride the same path. The slave half is
+// binary search per partition boundary, and (for the ops whose kernels
+// and frames want runs) sorting an unsorted batch by key with a pooled
+// radix sort so it can ride the same path. The slave half is
 // index.SortedArray.RankSorted, the kernel the sorted runs feed: each
 // search starts where the one before it ended.
 

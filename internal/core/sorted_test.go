@@ -88,9 +88,8 @@ func shuffled(qs []workload.Key, seed uint64) []workload.Key {
 // TestSortedPathCrossMethodSweep asserts the acceptance property: for
 // all five methods, over duplicate-heavy and adversarially skewed key
 // sets, the sorted path's ranks are bit-identical to the unsorted
-// path's and to the sort.SearchInts ground truth — including with the
-// radix-sort (SortedBatches) dispatch, and with 4 concurrent callers
-// (run under -race in CI).
+// path's and to the sort.SearchInts ground truth — including with 4
+// concurrent callers (run under -race in CI).
 func TestSortedPathCrossMethodSweep(t *testing.T) {
 	for setName, keys := range sweepKeySets() {
 		sortedQs := sweepQueries(keys, 6000, 7)
@@ -99,58 +98,56 @@ func TestSortedPathCrossMethodSweep(t *testing.T) {
 		truthUnsorted := groundTruth(keys, unsortedQs)
 
 		for _, m := range Methods() {
-			for _, sb := range []bool{false, true} {
-				cfg := RealConfig{Method: m, Workers: 4, BatchKeys: 512, QueueDepth: 2, SortedBatches: sb}
-				c, err := NewCluster(keys, cfg)
+			cfg := RealConfig{Method: m, Workers: 4, BatchKeys: 512, QueueDepth: 2}
+			c, err := NewCluster(keys, cfg)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", setName, m, err)
+			}
+
+			check := func(qs []workload.Key, want []int, label string) {
+				t.Helper()
+				got, err := c.LookupBatch(qs)
 				if err != nil {
-					t.Fatalf("%s/%v: %v", setName, m, err)
+					t.Fatalf("%s/%v %s: %v", setName, m, label, err)
 				}
-
-				check := func(qs []workload.Key, want []int, label string) {
-					t.Helper()
-					got, err := c.LookupBatch(qs)
-					if err != nil {
-						t.Fatalf("%s/%v sb=%v %s: %v", setName, m, sb, label, err)
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s/%v sb=%v %s: rank[%d](%d) = %d, want %d",
-								setName, m, sb, label, i, qs[i], got[i], want[i])
-						}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s/%v %s: rank[%d](%d) = %d, want %d",
+							setName, m, label, i, qs[i], got[i], want[i])
 					}
 				}
-				check(sortedQs, truthSorted, "sorted")
-				check(unsortedQs, truthUnsorted, "unsorted")
+			}
+			check(sortedQs, truthSorted, "sorted")
+			check(unsortedQs, truthUnsorted, "unsorted")
 
-				// 4 concurrent callers, mixing sorted and unsorted
-				// batches through the same worker pool.
-				var wg sync.WaitGroup
-				for g := 0; g < 4; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						qs, want := sortedQs, truthSorted
-						if g%2 == 1 {
-							qs, want = unsortedQs, truthUnsorted
+			// 4 concurrent callers, mixing sorted and unsorted
+			// batches through the same worker pool.
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					qs, want := sortedQs, truthSorted
+					if g%2 == 1 {
+						qs, want = unsortedQs, truthUnsorted
+					}
+					for rep := 0; rep < 3; rep++ {
+						got, err := c.LookupBatch(qs)
+						if err != nil {
+							t.Errorf("caller %d: %v", g, err)
+							return
 						}
-						for rep := 0; rep < 3; rep++ {
-							got, err := c.LookupBatch(qs)
-							if err != nil {
-								t.Errorf("caller %d: %v", g, err)
+						for i := range want {
+							if got[i] != want[i] {
+								t.Errorf("caller %d rep %d: rank[%d] = %d, want %d", g, rep, i, got[i], want[i])
 								return
 							}
-							for i := range want {
-								if got[i] != want[i] {
-									t.Errorf("caller %d rep %d: rank[%d] = %d, want %d", g, rep, i, got[i], want[i])
-									return
-								}
-							}
 						}
-					}(g)
-				}
-				wg.Wait()
-				c.Close()
+					}
+				}(g)
 			}
+			wg.Wait()
+			c.Close()
 		}
 	}
 }

@@ -63,8 +63,8 @@ func checkExact(t *testing.T, c *Cluster, o *oracle, qs []workload.Key) {
 	}
 }
 
-// TestMixedReadWriteAllMethods drives every method (plus the
-// SortedBatches dispatch flag) through interleaved insert and lookup phases: lookups issued
+// TestMixedReadWriteAllMethods drives every method through
+// interleaved insert and lookup phases: lookups issued
 // concurrently with an insert stream must stay within the monotone
 // envelope of the before/after oracles, and quiescent lookups must be
 // exactly the oracle.
@@ -79,10 +79,6 @@ func TestMixedReadWriteAllMethods(t *testing.T) {
 			Method: m, Workers: 4, BatchKeys: 512, QueueDepth: 4, MergeThreshold: 256,
 		}})
 	}
-	variants = append(variants, variant{"C-3-sortedbatches", RealConfig{
-		Method: MethodC3, Workers: 4, BatchKeys: 512, QueueDepth: 4,
-		MergeThreshold: 256, SortedBatches: true,
-	}})
 
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

@@ -487,17 +487,6 @@ func (u *Updatable) TotalKeys() int {
 	return n
 }
 
-// BufferedKeys returns the count still in the mutable layers (active
-// plus frozen buffers).
-func (u *Updatable) BufferedKeys() int {
-	_, delta, frozen := u.pin()
-	n := delta.Len()
-	if frozen != nil {
-		n += frozen.Len()
-	}
-	return n
-}
-
 // Merges returns the number of completed compactions.
 func (u *Updatable) Merges() uint64 { return u.merges.Load() }
 

@@ -73,9 +73,6 @@ func (c *Cursor) Next() (k workload.Key, ok bool) {
 	return k, true
 }
 
-// Remaining returns how many keys the cursor has left.
-func (c *Cursor) Remaining() int { return len(c.keys) - c.i }
-
 // ScanFrom returns a cursor positioned at sorted position rank,
 // yielding at most limit keys (limit < 0 means no limit). Rank is
 // clamped into [0, n].

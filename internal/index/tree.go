@@ -269,12 +269,8 @@ func (t *Tree) RankTrace(k workload.Key, trace []Addr) (int, []Addr) {
 	return t.LeafRank(id, k), trace
 }
 
-// LevelStart returns the node id of the first node at the given level
-// (root = level 0). LevelCount returns how many nodes that level holds.
-// The buffered traversal uses these to bucket keys by subtree root.
-func (t *Tree) LevelStart(level int) int32 { return int32(t.levelStart[level]) }
-
-// LevelCount returns the number of nodes at the given level.
+// LevelCount returns the number of nodes at the given level (root =
+// level 0).
 func (t *Tree) LevelCount(level int) int {
 	return t.levelStart[level+1] - t.levelStart[level]
 }

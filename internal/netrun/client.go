@@ -50,13 +50,13 @@ var ErrClusterClosed = errors.New("netrun: cluster closed")
 // opt-in via Redial; per-replica liveness and traffic counters are
 // reported by Stats.
 //
-// Write model (protocol v3): Insert/InsertBatch route keys to the
-// owning partition and fan each write out to every healthy v3 replica
-// of that group; a replica that dies mid-write leaves the group (the
-// survivors define the state) and reloads a sibling's snapshot when it
-// rejoins, before it serves reads again. Pre-v3 replicas never receive
-// writes, and stop serving a partition's lookups once this client has
-// written to it. The client folds its per-partition insert counts into
+// Write model: Insert/InsertBatch route keys to the owning partition
+// and fan each write out to every connected writable replica of that
+// group; a replica that dies mid-write leaves the group (the survivors
+// define the state) and reloads a sibling's snapshot when it rejoins,
+// before it serves reads again. Read-only replicas never receive
+// writes, and stop serving a partition's reads once it has been written
+// to. The client folds its per-partition insert counts into
 // the nodes' static rank bases on the read path, so global ranks stay
 // exact under a single writing client; Redial reuses the counters (the
 // nodes retain their inserts), but a node that *restarted* across a
@@ -73,11 +73,10 @@ type Cluster struct {
 	// it; the running epoch keeps its own record per address (replica).
 	groups [][]string //dc:guardedby mu
 	batch  int
-	opt    DialOptions
-	// helloVer is the protocol version this client advertises:
-	// ProtoVersion, capped by DialOptions.MaxVersion. Every connection
-	// negotiates min(helloVer, node version).
-	helloVer uint32
+	// opt is the dial options with every default resolved: MaxVersion is
+	// the protocol version this client advertises, and every connection
+	// negotiates min(that, node version).
+	opt DialOptions
 
 	calls sync.Pool // *netCall
 	pends sync.Pool // *pending
@@ -85,7 +84,7 @@ type Cluster struct {
 
 	// ins[p] counts keys inserted into partition p: bumped once every
 	// replica acked one of this client's writes, and seeded at dial
-	// time from the nodes' advertised live counts (v3 hello), which
+	// time from the nodes' advertised live counts (the hello), which
 	// covers writes made by earlier, since-departed clients. Nodes
 	// answer with their static rank base, so the client adds the
 	// preceding partitions' counters when scattering replies — the
@@ -98,7 +97,7 @@ type Cluster struct {
 
 	ep atomic.Pointer[epoch]
 
-	// deltaCatchups counts rejoins completed via the v4 positioned
+	// deltaCatchups counts rejoins completed via the positioned
 	// delta path (as opposed to full-snapshot loads); tests assert the
 	// cheap path actually ran.
 	deltaCatchups atomic.Int64
@@ -220,7 +219,7 @@ type ReplicaHealth struct {
 	Syncing bool `json:"syncing"`
 	// Proto is the protocol version this replica's live connection
 	// negotiated (0 while the replica is down). Mid-rollout it tells an
-	// operator which replicas can serve the v5 query ops.
+	// operator which replicas can take the membership verbs.
 	Proto uint32 `json:"proto"`
 	// Dispatched counts lookup frames handed to this replica.
 	Dispatched uint64 `json:"dispatched"`
@@ -254,22 +253,10 @@ type ReplicaHealth struct {
 	BudgetDenied uint64 `json:"budget_denied"`
 }
 
-// minVersionFor is the protocol version a replica must have negotiated
-// to serve p: its op's minVer, raised to v3 once the partition has been
-// written to (pre-v3 replicas never receive writes, so they can no
-// longer prove they hold the full key set).
-func (c *Cluster) minVersionFor(g *replicaGroup, p *pending) uint32 {
-	v := opTable[p.op].minVer
-	if v < ProtoV3 && c.ins[g.part].Load() > 0 {
-		v = ProtoV3
-	}
-	return v
-}
-
 // insChunk is one insert chunk's fan-out accounting: the chunk is
 // credited to the partition's rank-base counter only when every
 // fan-out pending completed without error. Partial failures (another
-// partition erroring, a replica group losing its last v3 member)
+// partition erroring, a replica group losing its last writable member)
 // therefore never skew the counters for writes that were not fully
 // acknowledged, and writes that WERE fully acknowledged are credited
 // even when a later chunk errors. Touched only by the issuing
@@ -289,9 +276,8 @@ type insChunk struct {
 type netCall struct {
 	done  chan *pending
 	accum []*pending
-	// sort is the pooled radix scratch for DialOptions.SortedBatches
-	// callers (unsorted input sorted client-side to join the sorted
-	// pipeline).
+	// sort is the pooled radix scratch for the ops whose frames carry
+	// ascending runs only (unsorted input is sorted client-side).
 	sort core.RadixScratch
 }
 
@@ -389,20 +375,12 @@ type DialOptions struct {
 	// len(addrs) must be a multiple of it. Default (and minimum) 1.
 	// Ignored when the grouped "addr|addr" syntax is used.
 	Replicas int
-	// SortedBatches opts unsorted callers into the sorted-batch
-	// pipeline: batches that are not already ascending are sorted by
-	// key (pooled radix sort) before dispatch, so they too get the
-	// one-sweep routing, the nodes' sorted-run kernels, and the v2
-	// delta-coded frames. Ascending batches are always auto-detected
-	// and take the sorted path regardless of this flag.
-	SortedBatches bool
 	// MaxVersion caps the protocol version this client advertises in
-	// the hello exchange; 0 means ProtoVersion (the highest this build
-	// speaks). Capping below ProtoV5 emulates an older client
-	// byte-for-byte — connections then negotiate at most this version,
-	// and the v5 query ops (CountRange/ScanRange/TopK/MultiGet) fail
-	// with a descriptive error while rank lookups keep working.
-	// Interop tests and operators staging a rollout use it.
+	// the hello exchange: 0 (ProtoVersion, the highest this build
+	// speaks) or a version from MinProtoVersion up; Dial refuses
+	// anything else. Connections then negotiate at most this version,
+	// and the ops above it (the membership verbs) fail with an error
+	// naming it. Operators staging a rollout use it.
 	MaxVersion uint32
 	// Dialer overrides the TCP dial for every node connection (nil uses
 	// net.Dialer). The context carries the dial timeout/abort. This is
@@ -488,19 +466,19 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 			return new(net.Dialer).DialContext(ctx, "tcp", addr)
 		}
 	}
+	if opt.MaxVersion, err = capVersion(opt.MaxVersion); err != nil {
+		return nil, err
+	}
 	part, err := core.NewPartitioning(keys, len(groups))
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{groups: groups, batch: opt.BatchKeys, opt: opt, helloVer: ProtoVersion}
+	c := &Cluster{groups: groups, batch: opt.BatchKeys, opt: opt}
 	c.part.Store(part)
 	if opt.Hedging.Quantile > 0 && opt.Hedging.Budget > 0 {
 		c.hedgeEarnMilli = int64(opt.Hedging.Budget * 1000)
 	}
 	c.hedgeBurstMilli = int64(opt.Hedging.Burst) * 1000
-	if opt.MaxVersion > 0 && opt.MaxVersion < ProtoVersion {
-		c.helloVer = opt.MaxVersion
-	}
 	c.tel = telemetry.NewRegistry()
 	for op := range opTable {
 		if row := &opTable[op]; row.pendingKind() {
@@ -626,7 +604,7 @@ func (c *Cluster) dialEpoch() (*epoch, error) {
 		n, err := c.dialNode(ep.ctx, r, false)
 		if err == nil {
 			// Seed the rank-base correction counters from the nodes' live
-			// counts (v3 hello, live minus baseline = absorbed inserts), so
+			// counts (the hello: live minus baseline = absorbed inserts), so
 			// a fresh client — or a Redial after writes whose acks were lost
 			// to the failure — answers consistently against nodes an earlier
 			// session wrote to. Seeding happens only here, never on rejoin:
@@ -660,9 +638,9 @@ func (c *Cluster) dialEpoch() (*epoch, error) {
 // epoch's dial, the rejoin loop, and AddReplica. Cancelling ctx aborts
 // an in-flight dial or hello at once (callers pass the epoch's context,
 // so Close never waits out a dial timeout against a dead replica).
-// joinOK additionally accepts an unassigned join node — zero identity,
-// protocol v6+ — which the caller (AddReplica) then assigns an identity
-// with OpAddReplica before any loop starts.
+// joinOK additionally accepts an unassigned join node — zero identity —
+// which the caller (AddReplica) then assigns an identity with
+// OpAddReplica before any loop starts.
 func (c *Cluster) dialNode(ctx context.Context, r *replica, joinOK bool) (*clusterNode, error) {
 	part := r.g.part
 	dctx, cancel := context.WithTimeout(ctx, c.opt.Timeout)
@@ -681,7 +659,7 @@ func (c *Cluster) dialNode(ctx context.Context, r *replica, joinOK bool) (*clust
 		pending:   map[uint32]inflight{},
 	}
 	n.cond = sync.NewCond(&n.mu)
-	if err := hello(n, c.part.Load().Parts[part], c.opt.Timeout, c.helloVer, joinOK); err != nil {
+	if err := hello(n, c.part.Load().Parts[part], c.opt.Timeout, c.opt.MaxVersion, joinOK); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("netrun: partition %d replica %s: %w", part, r.addr, err)
 	}
@@ -715,41 +693,51 @@ func exchange(n *clusterNode, f Frame, timeout time.Duration) ([]uint32, error) 
 	return r.Payload, nil
 }
 
+// cannot says why connection n may not be sent op — it negotiated less
+// than the op's version, or the node is less than the op needs — or nil.
+func (n *clusterNode) cannot(op uint8) error {
+	row, why := &opTable[op], ""
+	switch {
+	case n.version < row.minVer:
+		why = fmt.Sprintf("speaks protocol v%d; %s needs v%d", n.version, row.name, row.minVer)
+	case n.has < row.needs:
+		why = fmt.Sprintf("is %s; %s needs a %s replica", needName[n.has], row.name, needName[row.needs])
+	default:
+		return nil
+	}
+	return fmt.Errorf("netrun: partition %d: replica %s %s", n.r.g.part, n.r.addr, why)
+}
+
 func hello(n *clusterNode, want core.Partition, timeout time.Duration, ver uint32, joinOK bool) error {
-	// The reqID field of the hello advertises our protocol version
-	// (ProtoVersion, or the DialOptions.MaxVersion cap); a v1 node
-	// ignores it and acks 4 words, a v2 node acks 5 with the negotiated
-	// version appended (see the package doc).
+	// The reqID field of the hello advertises our protocol version; the
+	// ack's fifth word is what the node settled on, and its length what
+	// the node is (see the package doc).
 	ack, err := exchange(n, Frame{Op: OpHello, ReqID: ver}, timeout)
 	if err != nil {
 		return err
 	}
-	n.version = ProtoV1
-	if len(ack) >= 5 {
-		v := ack[4]
-		if v < ProtoV1 || v > ver {
-			return fmt.Errorf("node negotiated unsupported protocol version %d", v)
-		}
-		n.version = v
+	n.version = 1 // four words carry no version: the first protocol's ack
+	if len(ack) > 4 {
+		n.version = ack[4]
+	}
+	if n.version < MinProtoVersion || n.version > ver {
+		return errVersion("the node speaks", n.version)
 	}
 	if len(ack) >= 6 {
-		n.liveCount = int(ack[5])
+		n.has, n.liveCount = needWritable, int(ack[5])
 	}
 	if len(ack) == 8 {
-		// A durable v4 node: words 7-8 carry its chain (low word
-		// first); its generation is liveCount - keyCount.
-		n.chain = u64(ack[6], ack[7])
+		// A durable node's chain, low word first; its generation is
+		// liveCount - keyCount.
+		n.has, n.chain = needDurable, u64(ack[6], ack[7])
 	}
 	n.rankBase = int(ack[0])
 	n.keyCount = int(ack[1])
 	if joinOK && n.keyCount == 0 {
 		// An unassigned join node (dcnode -join): it advertises the
-		// zero identity until OpAddReplica names its partition. Only a
-		// v6 peer can be assigned one; a real partition always has at
-		// least one key, so keyCount==0 cannot be a served identity.
-		if n.version < ProtoV6 {
-			return fmt.Errorf("unassigned node negotiated protocol v%d; joining a live cluster needs v6", n.version)
-		}
+		// zero identity until OpAddReplica names its partition. A real
+		// partition always has at least one key, so keyCount==0 cannot
+		// be a served identity.
 		return nil
 	}
 	if n.rankBase != want.RankBase || n.keyCount != len(want.Keys) {
@@ -772,8 +760,8 @@ func hello(n *clusterNode, want core.Partition, timeout time.Duration, ver uint3
 // connection left means the epoch is failing — the departure that
 // emptied it invokes ep.fail — so waiting on the epoch is bounded and p
 // completes with the root cause. A group with connections but none
-// eligible for p (e.g. only pre-v3 replicas left on a partition this
-// client has written to) fails p alone with a descriptive error; the
+// eligible for p (e.g. only read-only replicas left on a partition that
+// has been written to) fails p alone with a descriptive error; the
 // epoch stays healthy. When every eligible replica is at the admission
 // cap, route parks until a slot frees instead of growing the queues.
 //
@@ -871,7 +859,7 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 	if len(out) < len(queries) {
 		return fmt.Errorf("netrun: out len %d < %d queries", len(out), len(queries))
 	}
-	return c.scatterInto(OpLookup, queries, out, c.opt.SortedBatches)
+	return c.scatterInto(OpLookup, queries, out)
 }
 
 // scatterInto is the one-reply-element-per-key call skeleton behind
@@ -882,13 +870,13 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 // Sorted-batch detection mirrors the in-process runtime: an ascending
 // run is routed with one boundary search per partition delimiter
 // instead of one Route per key, its pendings stay contiguous
-// (sequential scatter, no position array), and v2 connections carry
-// them as delta-coded frames. Unsorted input joins that path through
-// the pooled radix sort when sortAll is set; otherwise it accumulates
-// per partition in query order.
+// (sequential scatter, no position array), and its frames are
+// delta-coded. Unsorted input joins that path through the pooled radix
+// sort when op's frame carries ascending runs only; otherwise it
+// accumulates per partition in query order.
 //
 //dc:noalloc
-func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int, sortAll bool) error {
+func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
 	if err := core.CheckCallSize(len(keys)); err != nil {
 		return err
 	}
@@ -915,7 +903,7 @@ func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int, sortAll 
 	runKeys := keys
 	var runPos []int32
 	sorted := core.SortedRun(keys)
-	if !sorted && sortAll {
+	if !sorted && opTable[op].enc == encDelta {
 		runKeys, runPos = nc.sort.SortByKey(keys)
 		sorted = true
 	}
@@ -972,7 +960,7 @@ func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int, sortAll 
 }
 
 // Insert routes k to its owning partition and applies it to every
-// healthy protocol-v3 replica of that partition. See InsertBatch.
+// connected writable replica of that partition. See InsertBatch.
 func (c *Cluster) Insert(k workload.Key) error {
 	var one [1]workload.Key
 	one[0] = k
@@ -981,10 +969,10 @@ func (c *Cluster) Insert(k workload.Key) error {
 
 // InsertBatch adds keys (any order, duplicates allowed) to the running
 // TCP cluster. Each key routes to the partition owning its sub-range
-// and the write fans out to every healthy v3 replica of that partition
-// — replicas answer lookups independently, so all of them must hold
-// every write. Pre-v3 replicas never receive writes (and stop serving
-// this client's lookups for the partition once it has written, since
+// and the write fans out to every connected writable replica of that
+// partition — replicas answer lookups independently, so all of them
+// must hold every write. Read-only replicas never receive writes (and
+// stop serving the partition's reads once it has been written to, since
 // they are stale); a replica that dies mid-insert simply leaves the
 // group — the survivors define the partition's state, and the replica
 // reloads a sibling's snapshot when it rejoins. InsertBatch returns
@@ -992,12 +980,13 @@ func (c *Cluster) Insert(k workload.Key) error {
 // the keys. Safe for any number of concurrent callers and concurrently
 // with lookups.
 //
-// Durability is bounded by the v3 replica count: a write acked by a
-// partition's only v3 replica is lost if that replica's storage dies
-// before a sibling syncs from it (its process restarting from the
+// Durability is bounded by the writable replica count: a write acked by
+// a partition's only writable replica is lost if that replica's storage
+// dies before a sibling syncs from it (its process restarting from the
 // baseline key set cannot catch up from anyone, and reads of the
 // partition fail rather than serve stale ranks). Deploy at least two
-// v3 replicas per partition for writes that must survive a node loss.
+// writable replicas per partition for writes that must survive a node
+// loss.
 //
 // Global ranks stay exact through the client-side insert counters (see
 // Cluster.ins), which assumes this client is the deployment's only
@@ -1047,7 +1036,7 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 			// exactly-once (see admit).
 			g.mu.Lock()
 			for _, r := range g.replicas {
-				if !r.can(useWrite, ProtoV3) {
+				if !r.can(useWrite, OpInsert) {
 					continue
 				}
 				p := c.getPending()
@@ -1070,7 +1059,7 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 			g.mu.Unlock()
 			inflight += ck.remaining
 			if ck.remaining == 0 {
-				err := fmt.Errorf("netrun: partition %d has no protocol-v3 replica to accept writes", gi)
+				err := fmt.Errorf("netrun: partition %d has no writable replica to accept writes", gi)
 				if !live {
 					<-ep.ctx.Done()
 					err = ep.Err()
@@ -1176,7 +1165,7 @@ type ClusterStats struct {
 	// SplitPartition).
 	Partitions int `json:"partitions"`
 	// Protocol is the version this client advertises in hellos
-	// (ProtoVersion, or the DialOptions.MaxVersion cap).
+	// (DialOptions.MaxVersion, or ProtoVersion).
 	Protocol uint32 `json:"protocol"`
 	// InsertedKeys is the per-partition rank-base correction counters.
 	InsertedKeys []int64 `json:"inserted_keys"`
@@ -1191,7 +1180,7 @@ func (c *Cluster) Stats() ClusterStats {
 	return ClusterStats{
 		SchemaVersion: StatsSchemaVersion,
 		Partitions:    c.Nodes(),
-		Protocol:      c.helloVer,
+		Protocol:      c.opt.MaxVersion,
 		InsertedKeys:  c.InsertedKeys(),
 		DeltaCatchups: c.deltaCatchups.Load(),
 		Replicas:      c.replicas(),
@@ -1231,10 +1220,10 @@ func (c *Cluster) reshaping(part int) (*epoch, *core.Partitioning, error) {
 // the ordinary hello cross-check. A partition that has absorbed writes
 // admits the newcomer through the same catch-up machinery rejoins use:
 // it takes writes immediately (hold queue) but serves no reads until a
-// sibling's snapshot lands. Requires a protocol-v6 node; returns an
-// error when the dial, handshake, or identity assignment fails — once
-// the address is registered, later failures are the rejoin loop's to
-// retry, and AddReplica reports success.
+// sibling's snapshot lands. Requires a writable protocol-v6 node;
+// returns an error when the dial, handshake, or identity assignment
+// fails — once the address is registered, later failures are the rejoin
+// loop's to retry, and AddReplica reports success.
 func (c *Cluster) AddReplica(part int, addr string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1255,9 +1244,9 @@ func (c *Cluster) AddReplica(part int, addr string) error {
 	if err != nil {
 		return err
 	}
-	if n.version < ProtoV6 {
+	if err := n.cannot(OpAddReplica); err != nil {
 		n.conn.Close()
-		return fmt.Errorf("netrun: partition %d: replica %s speaks protocol v%d; live membership needs v6", part, addr, n.version)
+		return err
 	}
 	want := pt.Parts[part]
 	if n.keyCount == 0 {
@@ -1302,7 +1291,7 @@ func (c *Cluster) AddReplica(part int, addr string) error {
 // DrainReplica removes the replica at addr from partition part's group
 // without restarting the epoch: the address is deconfigured (so no
 // rejoin loop resurrects it), the node is quiesced over OpDrainReplica
-// (v6 — it stops absorbing writes and keeps its final state), and the
+// (it stops absorbing writes and keeps its final state), and the
 // connection's outstanding work is settled exactly the way a failed
 // replica's is — reads fail over to siblings, acked writes stand. The
 // node process itself keeps running and serving its index; it is simply
@@ -1332,8 +1321,8 @@ func (c *Cluster) DrainReplica(part int, addr string) error {
 		// Already down: deconfiguring it is the whole drain.
 	case g.connected() == 1:
 		err = fmt.Errorf("netrun: refusing to drain partition %d's last live replica %s (its siblings are down)", part, addr)
-	case target.version < ProtoV6:
-		err = fmt.Errorf("netrun: partition %d: replica %s speaks protocol v%d; live membership needs v6", part, addr, target.version)
+	default:
+		err = target.cannot(OpDrainReplica)
 	}
 	if err == nil {
 		// Deconfigure the address: off the list nothing dispatches new
@@ -1380,7 +1369,8 @@ func (c *Cluster) DrainReplica(part int, addr string) error {
 // The partition's replicas divide between the halves (low half gets the
 // ceiling), so the group must have at least two members; every group in
 // the cluster must be full and settled (the reshape re-dials everyone);
-// and the split partition's members must all speak protocol v6. A
+// and the split partition's members must all be writable and speak
+// protocol v6. A
 // failure after some nodes retargeted leaves mixed identities no single
 // routing table matches: the epoch fails with the root cause and the
 // operator restores the partition's nodes before Redial.
@@ -1409,15 +1399,15 @@ func (c *Cluster) SplitPartition(part int) error {
 		}
 		g.mu.Unlock()
 		if !ready {
-			return fmt.Errorf("netrun: partition %d has a down or syncing replica; a split re-dials every node, so the cluster must be fully healthy first", g.part)
+			return fmt.Errorf("netrun: partition %d has a down, syncing or stale replica; a split re-dials every node, so the cluster must be fully healthy first", g.part)
 		}
 	}
 	if len(nodes) < 2 {
 		return fmt.Errorf("netrun: partition %d has %d replica(s); a split needs at least one per half", part, len(nodes))
 	}
 	for _, n := range nodes {
-		if n.version < ProtoV6 {
-			return fmt.Errorf("netrun: partition %d: replica %s speaks protocol v%d; live membership needs v6", part, n.r.addr, n.version)
+		if err := n.cannot(OpSplitPartition); err != nil {
+			return err
 		}
 	}
 

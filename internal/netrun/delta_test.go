@@ -356,8 +356,8 @@ func FuzzVarRunPayload(f *testing.F) {
 }
 
 // FuzzFrameReader feeds arbitrary byte streams to the frame decoder
-// (header + v1 word payloads + v2 byte payloads): no panic, no
-// unbounded allocation.
+// (header + word payloads + byte payloads): no panic, no unbounded
+// allocation.
 func FuzzFrameReader(f *testing.F) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, Frame{Op: OpLookup, ReqID: 7, Payload: []uint32{1, 2, 3}})
@@ -366,6 +366,13 @@ func FuzzFrameReader(f *testing.F) {
 	var buf2 bytes.Buffer
 	WriteFrame(&buf2, Frame{Op: OpLookupSorted, ReqID: 9, Raw: raw})
 	f.Add(buf2.Bytes())
+	// What a peer below the floor sends: hellos at versions 0 and 4, and
+	// the four-word ack.
+	for _, old := range []Frame{{Op: OpHello}, {Op: OpHello, ReqID: 4}, {Op: OpHelloAck, Payload: []uint32{0, 3, 5, 7}}} {
+		var b bytes.Buffer
+		WriteFrame(&b, old)
+		f.Add(b.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fr := frameReader{}
 		r := bytes.NewReader(stream)
@@ -377,7 +384,7 @@ func FuzzFrameReader(f *testing.F) {
 	})
 }
 
-// V2 frames must round-trip through the writer/reader pair.
+// Byte-payload frames must round-trip through the writer/reader pair.
 func TestSortedFrameRoundTrip(t *testing.T) {
 	keys := []uint32{3, 3, 70, 500, 1 << 30, 0xFFFFFFFF}
 	raw, err := appendDeltaRun(nil, keys)

@@ -148,7 +148,7 @@ func (dc *durableCluster) waitHealthy(t *testing.T, partition, replica int, want
 
 // TestDurableRejoinViaDelta: a durable replica that crashes and
 // restarts holds everything it fsynced, so its rejoin must move only
-// the missed writes (the v4 positioned delta), not the whole key set —
+// the missed writes (the positioned delta), not the whole key set —
 // and the result must be exact.
 func TestDurableRejoinViaDelta(t *testing.T) {
 	keys := workload.SortedKeys(8000, 63)
@@ -264,11 +264,11 @@ func probes(t *testing.T) []workload.Key {
 	return workload.UniformQueries(400, 83)
 }
 
-// TestDurableV3V4Interop: a durable v4 replica and a plain in-memory v3
-// replica serve the same partition; writes fan to both, reads agree,
-// and a v3 restart still catches up (via the full snapshot — there is
-// no position to delta from).
-func TestDurableV3V4Interop(t *testing.T) {
+// TestDurableAndInMemoryReplicaInterop: a durable replica and a plain
+// in-memory one serve the same partition; writes fan to both, reads
+// agree, and a restart of the in-memory one still catches up (via the
+// full snapshot — there is no position to delta from).
+func TestDurableAndInMemoryReplicaInterop(t *testing.T) {
 	keys := workload.SortedKeys(5000, 89)
 	p, err := core.NewPartitioning(keys, 1)
 	if err != nil {
@@ -317,7 +317,7 @@ func TestDurableV3V4Interop(t *testing.T) {
 	qs := workload.UniformQueries(400, 101)
 	checkTCPExact(t, c, o, qs)
 
-	// Kill and restart the v3 node; its rejoin must use the legacy full
+	// Kill and restart the in-memory node; its rejoin must use the full
 	// snapshot (deltaCatchups stays 0) and still converge.
 	memNode.Close()
 	deadline := time.Now().Add(15 * time.Second)
@@ -331,7 +331,7 @@ func TestDurableV3V4Interop(t *testing.T) {
 	}
 	for healthy() {
 		if time.Now().After(deadline) {
-			t.Fatal("killed v3 replica never marked unhealthy")
+			t.Fatal("killed in-memory replica never marked unhealthy")
 		}
 		out := make([]int, len(qs))
 		c.LookupBatchInto(qs, out)
@@ -356,12 +356,12 @@ func TestDurableV3V4Interop(t *testing.T) {
 	go memNode.Serve(lis2)
 	for !healthy() {
 		if time.Now().After(deadline) {
-			t.Fatal("v3 replica never rejoined")
+			t.Fatal("in-memory replica never rejoined")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := c.deltaCatchups.Load(); got != 0 {
-		t.Fatalf("v3 rejoin counted %d delta catch-ups; must use the full snapshot", got)
+		t.Fatalf("in-memory rejoin counted %d delta catch-ups; must use the full snapshot", got)
 	}
 	checkTCPExact(t, c, o, qs)
 }

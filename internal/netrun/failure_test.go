@@ -33,9 +33,7 @@ func fakeNode(t *testing.T, keys []workload.Key, behave func(conn net.Conn, bc *
 		if err != nil || f.Op != OpHello {
 			return
 		}
-		ack := Frame{Op: OpHelloAck, ReqID: f.ReqID, Payload: []uint32{
-			0, uint32(len(keys)), uint32(keys[0]), uint32(keys[len(keys)-1]),
-		}}
+		ack := Frame{Op: OpHelloAck, ReqID: f.ReqID, Payload: helloWords(keys, min(f.ReqID, ProtoVersion), 6)}
 		if bc.writeFrame(ack) != nil || bc.w.Flush() != nil {
 			return
 		}

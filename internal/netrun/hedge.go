@@ -58,12 +58,9 @@ const (
 )
 
 // choose finds the replica that takes p next and enqueues p on it, in
-// one g.mu section. Eligibility is replica.can at p's minimum protocol
-// version (see minVersionFor): syncing replicas take no reads (their
-// state is mid-load); the v5 query ops need a v5 peer; and once this
-// client has written to the partition, pre-v3 replicas are excluded —
-// they never receive writes, so they can no longer prove they hold the
-// full key set.
+// one g.mu section. Eligibility is replica.can for p's op: syncing
+// replicas take no reads (their state is mid-load), and once the
+// partition has been written to, read-only replicas are excluded.
 //
 // Replicas are tried round-robin. Latency-ejected ones are passed over,
 // with two availability escapes: a due probe routes one real batch at an
@@ -83,7 +80,6 @@ const (
 // chain reference to the connection, after which p may complete and
 // recycle at any moment.
 func (g *replicaGroup) choose(c *Cluster, p *pending, origin *replica) (verdict, string) {
-	minV := c.minVersionFor(g, p)
 	read := opTable[p.op].hedge
 	limit := 0
 	if read {
@@ -96,10 +92,10 @@ func (g *replicaGroup) choose(c *Cluster, p *pending, origin *replica) (verdict,
 		for range g.replicas {
 			g.cursor++
 			r := g.replicas[g.cursor%len(g.replicas)]
-			if r == origin || !r.can(useFull, minV) {
+			if r == origin || !r.can(useFull, p.op) {
 				continue
 			}
-			if pass == 0 && !r.can(useRead, minV) && !g.claimProbe(r) {
+			if pass == 0 && !r.can(useRead, p.op) && !g.claimProbe(r) {
 				continue
 			}
 			if origin != nil && !paid {
@@ -136,24 +132,16 @@ func (g *replicaGroup) choose(c *Cluster, p *pending, origin *replica) (verdict,
 	// Nobody could take p. The difference matters to an operator: a
 	// syncing replica resolves itself in moments, while a written-to
 	// partition whose last writable replica died stays read-unavailable
-	// (and may have lost acked writes) until a protocol-v3 replica
-	// rejoins and catches up.
-	syncing := false
-	for _, r := range g.replicas {
-		syncing = syncing || r.state == stSyncing
-	}
-	switch {
-	case g.connected() == 0:
+	// (and may have lost acked writes) until one rejoins and catches up.
+	if g.connected() == 0 {
 		return epochDead, ""
-	case syncing:
-		return refused, "its only eligible replica is still syncing a sibling snapshot (momentary; retry)"
-	case minV >= ProtoV5:
-		return refused, "no protocol-v5 replica is available for the range/scan/top-k/multiget ops (rank lookups still work; upgrade the partition's nodes or cap the client with MaxVersion)"
-	case c.ins[g.part].Load() > 0:
-		return refused, "it absorbed writes and then lost its last writable protocol-v3 replica; the remaining pre-v3 replicas are stale, and acked writes may be lost until a v3 replica rejoins and catches up"
-	default:
-		return refused, "no protocol-v3 replica is available to serve it"
 	}
+	for _, r := range g.replicas {
+		if r.state == stSyncing {
+			return refused, "its only eligible replica is still syncing a sibling snapshot (momentary; retry)"
+		}
+	}
+	return refused, "it absorbed writes and then lost its last writable replica; the remaining read-only replicas are stale, and acked writes may be lost until a writable replica rejoins and catches up"
 }
 
 // claimProbe reports whether ejected replica r is due a probe batch and,

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -96,7 +95,7 @@ func TestTCPInsertExact(t *testing.T) {
 
 // TestTCPFreshClientSeesEarlierInserts pins the hello seeding: a brand
 // new client dialing nodes that absorbed writes from an earlier client
-// must still answer globally consistent ranks — the v3 hello's live
+// must still answer globally consistent ranks — the hello's live
 // key count seeds the fresh client's rank-base correction counters.
 func TestTCPFreshClientSeesEarlierInserts(t *testing.T) {
 	keys := workload.SortedKeys(9000, 55)
@@ -271,87 +270,59 @@ func TestTCPReplicaKilledMidInsert(t *testing.T) {
 	checkTCPExact(t, rc.c, o, qs)
 }
 
-// TestTCPInsertRefusedWithoutV3 pins the version gate: a partition
-// whose only replica speaks v2 accepts lookups but refuses writes with
-// a descriptive error, and the cluster stays healthy.
+// readOnlyReplica shapes a node as read-only when it is replica r of
+// its group; r < 0 shapes every node.
+func readOnlyReplica(r int) func(int, int, *Node) {
+	return func(_, replica int, n *Node) { n.ReadOnly = r < 0 || replica == r }
+}
+
+// TestTCPInsertRefusedWithoutV3 pins the capability gate: a partition
+// whose only replica is read-only accepts lookups but refuses writes
+// with a descriptive error, and the cluster stays healthy. (The name
+// dates from when read-only was spelled "protocol v2".)
 func TestTCPInsertRefusedWithoutV3(t *testing.T) {
 	keys := workload.SortedKeys(4000, 75)
-	p, err := core.NewPartitioning(keys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nodes []*Node
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		node := NewPartitionNode(p.Parts[i].Keys, p.Parts[i].RankBase)
-		node.MaxVersion = ProtoV2
-		nodes = append(nodes, node)
-		addrs = append(addrs, lis.Addr().String())
-		go node.Serve(lis)
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	c, err := Dial(addrs, keys, DialOptions{BatchKeys: 256, Timeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	rc, shutdown := startShaped(t, keys, 2, 1, 256, DialOptions{}, readOnlyReplica(-1))
+	defer shutdown()
+	c := rc.c
 
-	err = c.InsertBatch([]workload.Key{1, 2, 3})
-	if err == nil || !strings.Contains(err.Error(), "no protocol-v3 replica") {
-		t.Fatalf("InsertBatch against v2 nodes: err = %v, want no-v3-replica", err)
+	err := c.InsertBatch([]workload.Key{1, 2, 3})
+	if err == nil || !strings.Contains(err.Error(), "no writable replica") {
+		t.Fatalf("InsertBatch against read-only nodes: err = %v, want no-writable-replica", err)
 	}
 	if err := c.Err(); err != nil {
 		t.Fatalf("cluster poisoned by refused insert: %v", err)
 	}
-	// Reads still work: no write was recorded, so the v2 members stay
-	// eligible.
+	// A read-only node refuses the write itself too, whoever sends it.
+	conn, err := net.Dial("tcp", rc.addrs[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteFrame(conn, Frame{Op: OpInsert, ReqID: 1, Payload: []uint32{1}}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := ReadFrame(conn); err != nil || f.Op != OpErr {
+		t.Fatalf("a raw OpInsert at a read-only node: op %d err %v, want OpErr", f.Op, err)
+	}
+	// Reads still work: no write was recorded, so the read-only members
+	// stay eligible — for every read op, not just ranks.
 	o := newTCPOracle(keys)
 	checkTCPExact(t, c, o, workload.UniformQueries(2000, 76))
+	if n, err := c.CountRange(keys[0], keys[len(keys)-1]); err != nil || n != len(keys) {
+		t.Fatalf("CountRange against read-only nodes = %d, %v; want %d", n, err, len(keys))
+	}
 }
 
 // TestTCPReadSkipsStaleReplica pins the stale-read guard: a mixed
-// group (one v3, one read-only v2 replica) keeps answering exactly
+// group (one writable, one read-only replica) keeps answering exactly
 // after writes, because lookups stop visiting the replica that cannot
 // have received them.
 func TestTCPReadSkipsStaleReplica(t *testing.T) {
 	keys := workload.SortedKeys(6000, 77)
-	p, err := core.NewPartitioning(keys, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nodes []*Node
-	var addrs []string
-	for r := 0; r < 2; r++ {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		node := NewPartitionNode(p.Parts[0].Keys, p.Parts[0].RankBase)
-		if r == 1 {
-			node.ReadOnly = true // negotiates at most v2
-		}
-		nodes = append(nodes, node)
-		addrs = append(addrs, lis.Addr().String())
-		go node.Serve(lis)
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	c, err := Dial([]string{addrs[0] + "|" + addrs[1]}, keys, DialOptions{BatchKeys: 256, Timeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	rc, shutdown := startShaped(t, keys, 1, 2, 256, DialOptions{}, readOnlyReplica(1))
+	defer shutdown()
+	c := rc.c
 
 	o := newTCPOracle(keys)
 	qs := workload.UniformQueries(2000, 78)
@@ -362,7 +333,7 @@ func TestTCPReadSkipsStaleReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.insert(ins)
-	// Many passes: if the stale v2 replica still served reads, the
+	// Many passes: if the stale read-only replica still served reads, the
 	// round-robin would hit it immediately.
 	for pass := 0; pass < 6; pass++ {
 		checkTCPExact(t, c, o, qs)
@@ -370,52 +341,27 @@ func TestTCPReadSkipsStaleReplica(t *testing.T) {
 }
 
 // TestTCPInsertFailsWhenOnlyV3ReplicaDies pins the partial-failure
-// accounting: in a [v3, read-only v2] group, killing the v3 member must
-// turn inserts into errors — never false acks (a swept in-flight write
-// would otherwise "succeed" with no live node holding it) — and the
-// client's rank-base counters must count exactly the acknowledged
-// batches. The epoch stays healthy (the v2 member survives), but reads
-// of the written partition now refuse with a clear error instead of
-// serving stale ranks.
+// accounting: in a [writable, read-only] group, killing the writable
+// member must turn inserts into errors — never false acks (a swept
+// in-flight write would otherwise "succeed" with no live node holding
+// it) — and the client's rank-base counters must count exactly the
+// acknowledged batches. The epoch stays healthy (the read-only member
+// survives), but reads of the written partition now refuse with a clear
+// error instead of serving stale ranks.
 func TestTCPInsertFailsWhenOnlyV3ReplicaDies(t *testing.T) {
 	keys := workload.SortedKeys(4000, 85)
-	p, err := core.NewPartitioning(keys, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nodes []*Node
-	var addrs []string
-	for r := 0; r < 2; r++ {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		node := NewPartitionNode(p.Parts[0].Keys, p.Parts[0].RankBase)
-		node.ReadOnly = r == 1
-		nodes = append(nodes, node)
-		addrs = append(addrs, lis.Addr().String())
-		go node.Serve(lis)
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	c, err := Dial([]string{addrs[0] + "|" + addrs[1]}, keys, DialOptions{
-		BatchKeys: 256, Timeout: 5 * time.Second, OpTimeout: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	rc, shutdown := startShaped(t, keys, 1, 2, 256, DialOptions{OpTimeout: 2 * time.Second}, readOnlyReplica(1))
+	defer shutdown()
+	c := rc.c
 
 	if err := c.InsertBatch(workload.UniformQueries(100, 86)); err != nil {
 		t.Fatal(err)
 	}
-	nodes[0].Close() // the only writable replica dies
+	rc.kill(0, 0) // the only writable replica dies
 
 	succeeded := 0
 	deadline := time.Now().Add(10 * time.Second)
+	var err error
 	for {
 		err = c.InsertBatch(workload.UniformQueries(50, 87))
 		if err != nil {
@@ -423,22 +369,22 @@ func TestTCPInsertFailsWhenOnlyV3ReplicaDies(t *testing.T) {
 		}
 		succeeded++
 		if time.Now().After(deadline) {
-			t.Fatal("inserts keep succeeding with no v3 replica alive")
+			t.Fatal("inserts keep succeeding with no writable replica alive")
 		}
 	}
-	if !strings.Contains(err.Error(), "protocol-v3 replica") {
-		t.Fatalf("insert error = %v, want only-v3-replica failure", err)
+	if !strings.Contains(err.Error(), "writable replica") {
+		t.Fatalf("insert error = %v, want last-writable-replica failure", err)
 	}
 	if got, want := c.InsertedKeys()[0], int64(100+50*succeeded); got != want {
 		t.Fatalf("InsertedKeys[0] = %d, want %d (every credited batch must have been acked)", got, want)
 	}
 	if err := c.Err(); err != nil {
-		t.Fatalf("epoch terminal despite surviving v2 member: %v", err)
+		t.Fatalf("epoch terminal despite surviving read-only member: %v", err)
 	}
-	// Reads of the written partition refuse rather than serve the v2
-	// member's stale ranks.
+	// Reads of the written partition refuse rather than serve the
+	// read-only member's stale ranks.
 	if _, err := c.LookupBatch(workload.UniformQueries(10, 88)); err == nil ||
-		!strings.Contains(err.Error(), "protocol-v3 replica") {
+		!strings.Contains(err.Error(), "writable replica") {
 		t.Fatalf("lookup err = %v, want stale-replica refusal", err)
 	}
 }

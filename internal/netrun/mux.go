@@ -35,20 +35,20 @@ type clusterNode struct {
 	// meta from the hello handshake.
 	rankBase int
 	keyCount int
-	// liveCount is the node's current key count from a v3 hello's 6th
-	// word (0 on older acks): baseline plus every insert it absorbed.
+	// liveCount is a writable node's current key count from the hello's
+	// 6th word (0 from a read-only node): baseline plus every insert it
+	// absorbed.
 	liveCount int
-	// chain is the node's durable fold position from a v4 hello's words
-	// 7-8 (0: not a durable node, or unknown history). Together with
+	// chain is a durable node's fold position from the hello's words 7-8
+	// (0: not a durable node, or unknown history). Together with
 	// liveCount-keyCount (= the durable generation) it identifies the
 	// exact insert history the node holds, which is what makes the
 	// positioned delta catch-up safe to offer.
 	chain uint64
-	// version is the negotiated protocol version for this connection
-	// (ProtoV1 against old nodes — sorted pendings are then sent as
-	// plain OpLookup frames, so failover across mixed-version replica
-	// groups just re-encodes).
+	// version is the negotiated protocol version for this connection,
+	// and has what the node's hello ack said it is.
 	version uint32
+	has     nodeNeed
 
 	opTimeout time.Duration // <= 0: deadlines disabled
 	failOnce  sync.Once     // failNode runs its body exactly once
@@ -140,9 +140,8 @@ type pending struct {
 	// reply stages payload-carrying replies (counts, scans, top-k,
 	// snapshots) for the issuing call's gather loop.
 	reply []uint32
-	// sorted marks keys as an ascending run: eligible for the v2
-	// delta-coded frames when the connection negotiated them (a v1
-	// connection just sends OpLookup — the keys are the same).
+	// sorted marks keys as an ascending run: it goes out as the row's
+	// sorted wire form, where the row has one.
 	sorted bool
 	// contig means the run maps to the contiguous out range starting
 	// at posBase (the sorted dispatch's runs preserve query order), so
@@ -324,13 +323,11 @@ func (n *clusterNode) sendLoop(ep *epoch) {
 			continue
 		}
 		// The wire form comes from the op table: the pending's own row,
-		// or — for an ascending run on a connection that negotiated it —
-		// the row's sorted form (on a v1 connection, or after failover
-		// onto one, the same keys go out as the plain op). Ops above the
-		// connection's version never get here: dispatch and failover
-		// pick members by the row's minVer.
+		// or — for an ascending run — the row's sorted form. Ops the
+		// connection may not carry never get here: dispatch and failover
+		// pick members by replica.can.
 		op := p.op
-		if alt := opTable[op].sorted; alt != 0 && p.sorted && n.version >= opTable[alt].minVer {
+		if alt := opTable[op].sorted; alt != 0 && p.sorted {
 			op = alt
 		}
 		row := &opTable[op]

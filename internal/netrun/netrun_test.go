@@ -54,7 +54,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		if wire[op].enc != encWords {
-			// v2 ops carry byte payloads: round-trip the words' own
+			// Byte ops carry byte payloads: round-trip the words' own
 			// bytes through Raw instead.
 			raw := make([]byte, 0, 4*len(payload))
 			for _, v := range payload {
@@ -613,13 +613,13 @@ func BenchmarkTCPClusterSerialized4SlowLink(b *testing.B) {
 // spot (large batches amortize the link latency, so frame bytes and
 // per-key compute dominate — the regime the sorted pipeline targets).
 // The whole stack switches over: one-sweep routing at the master,
-// protocol-v2 delta+varint frames on the wire (the rank direction
+// delta+varint frames on the wire (the rank direction
 // shrinks ~4x, the key direction ~25%, and the per-frame
 // word-conversion loops disappear), and the nodes' sorted-run kernel
 // (RankSorted: lockstep searches on from each lane's last answer)
 // instead of a fresh search per key. The companion row
 // BenchmarkTCPClusterUnsortedSlowLink16K runs the identical
-// configuration through the v1 per-key pipeline, isolating the
+// configuration through the per-key pipeline, isolating the
 // sorted-pipeline win at equal batch size.
 func BenchmarkTCPClusterSortedDelta(b *testing.B) {
 	benchConcurrent(b, nil, 16384, 1<<17, 500*time.Microsecond, true)

@@ -19,24 +19,21 @@ import (
 // Node serves one index partition (or a full replica) over TCP: the
 // slave side of the paper's Figure 2. A Node is safe for any number of
 // concurrent client connections; each connection gets its own
-// goroutine. Nodes built by NewPartitionNode are updatable (protocol
-// v3): inserts land in a delta buffer consulted alongside the immutable
-// base array, a background goroutine compacts the two, and snapshot/
-// load frames let a rejoining replica catch up from a sibling. Nodes
-// built over an arbitrary index via NewNode are read-only and negotiate
-// at most protocol v2.
+// goroutine. Every node is updatable: inserts land in a delta buffer
+// consulted alongside the immutable base array, a background goroutine
+// compacts the two, and snapshot/load frames let a rejoining replica
+// catch up from a sibling.
 type Node struct {
-	idx index.Index
-	upd *index.Updatable // non-nil: the updatable serving path
+	upd *index.Updatable
 	// dp is the durable write path (non-nil only for nodes built by
 	// NewDurablePartitionNode): inserts append to its WAL and the ack
-	// waits for the group fsync; the v4 positioned catch-up ops serve
-	// from and apply to it.
+	// waits for the group fsync; the positioned catch-up ops serve from
+	// and apply to it.
 	dp *index.DurablePartition
 	// ident is the node's advertised partition identity — the
 	// construction-time baseline (rank base, baseline key count, key
 	// bounds) the hello handshake reports, which online inserts never
-	// move. It is an atomic pointer because the v6 membership ops
+	// move. It is an atomic pointer because the membership ops
 	// (partition assignment, split) swap it while other connections'
 	// handlers are live; the swapping client holds its membership pause
 	// (no requests in flight), so each handler reading it once per
@@ -64,18 +61,17 @@ type Node struct {
 	// Zero disables the deadline.
 	WriteTimeout time.Duration
 
-	// ReadOnly caps the negotiated protocol at v2, refusing writes:
-	// the node serves lookups but never receives OpInsert/OpLoad (a
-	// writing client skips pre-v3 replicas). Set before Serve.
+	// ReadOnly makes the node serve reads of the key set it was started
+	// with and nothing else: its hello ack omits the live-count word, so
+	// a client never sends it a write, and the ops that need a writable
+	// node (the op table's needs column) are refused. Set before Serve.
 	ReadOnly bool
 
-	// MaxVersion caps the protocol version this node negotiates; 0
-	// means ProtoVersion (the highest this build speaks). Set before
-	// Serve. Capping at ProtoV1 emulates an old node byte-for-byte
-	// (4-word hello acks, newer ops refused with OpErr); interop tests
-	// and cmd/dcnode's -max-version flag use it to prove mixed-version
-	// deployments keep answering — a v5 client excludes a capped node
-	// from the v5 query ops but keeps routing rank lookups to it.
+	// MaxVersion caps the protocol version this node negotiates: 0
+	// (ProtoVersion, the highest this build speaks) or a version from
+	// MinProtoVersion up; Serve refuses anything else. Set before Serve.
+	// cmd/dcnode's -max-version flag and the mixed-pair drill use it for
+	// the one real pair, the previous version beside the current one.
 	MaxVersion uint32
 
 	// WrapConn, when non-nil, wraps every accepted connection before
@@ -101,65 +97,75 @@ type nodeIdent struct {
 	lo, hi   workload.Key
 }
 
-// capVersion is the highest protocol version this node will negotiate:
-// MaxVersion (when set), capped at v2 when the node cannot serve writes
-// (read-only flag, or a NewNode index with no update layer).
-func (n *Node) capVersion() uint32 {
-	cap32 := n.MaxVersion
-	if cap32 == 0 {
-		cap32 = ProtoVersion
-	}
-	if (n.ReadOnly || n.upd == nil) && cap32 > ProtoV2 {
-		cap32 = ProtoV2
-	}
-	return cap32
+// errVersion names a protocol version this build does not speak, and
+// the ones it does.
+func errVersion(whose string, v uint32) error {
+	return fmt.Errorf("%w: %s v%d, this build speaks v%d–v%d", ErrProtoVersion, whose, v, MinProtoVersion, ProtoVersion)
 }
 
-// NewNode wraps an index partition for serving. rankBase is the global
-// rank of the partition's first key; lo/hi document the served key range
-// for the hello handshake (hi is inclusive). A NewNode node is
-// read-only (protocol v2 at most); use NewPartitionNode for an
-// updatable v3 node.
-func NewNode(idx index.Index, rankBase int, lo, hi workload.Key) *Node {
-	n := &Node{
-		idx:   idx,
-		conns: map[net.Conn]struct{}{},
+// capVersion resolves a MaxVersion setting (Node's or DialOptions'): 0
+// selects ProtoVersion, and a cap outside what this build speaks is
+// refused.
+func capVersion(max uint32) (uint32, error) {
+	switch {
+	case max == 0:
+		return ProtoVersion, nil
+	case max < MinProtoVersion || max > ProtoVersion:
+		return 0, errVersion("MaxVersion is", max)
 	}
-	n.ident.Store(&nodeIdent{rankBase: rankBase, baseN: idx.N(), lo: lo, hi: hi})
+	return max, nil
+}
+
+// has is what this node is, as its hello ack states it.
+func (n *Node) has() nodeNeed {
+	switch {
+	case n.ReadOnly:
+		return needNone
+	case n.dp != nil:
+		return needDurable
+	}
+	return needWritable
+}
+
+// newNode serves upd under the identity id.
+func newNode(upd *index.Updatable, id nodeIdent) *Node {
+	n := &Node{upd: upd, conns: map[net.Conn]struct{}{}}
+	n.ident.Store(&id)
 	return n
 }
 
-// NewJoinNode builds an unassigned updatable node over the full sorted
-// key file: it serves an empty partition (hello advertises the zero
-// identity) until a v6 client assigns it one with OpAddReplica, naming
-// a slice of the universe. This is how a fresh machine joins a running
-// cluster without restarting the epoch (dcnode -join).
+// identOf is the identity of the partition partKeys (not empty) whose
+// first key has global rank rankBase; hi is inclusive.
+func identOf(partKeys []workload.Key, rankBase int) nodeIdent {
+	return nodeIdent{rankBase: rankBase, baseN: len(partKeys), lo: partKeys[0], hi: partKeys[len(partKeys)-1]}
+}
+
+// inMemory is the update layer of a node with no log: a delta buffer
+// over the immutable sorted array (whose constructor panics on unsorted
+// keys), compacted in the background once it reaches
+// index.DefaultMergeThreshold keys.
+func inMemory(partKeys []workload.Key) *index.Updatable {
+	return index.NewUpdatableOver(partKeys, index.NewSortedArray(partKeys, 0), index.BuildSortedArray, 0)
+}
+
+// NewJoinNode builds an unassigned node over the full sorted key file:
+// it serves an empty partition (hello advertises the zero identity)
+// until a client assigns it one with OpAddReplica, naming a slice of
+// the universe. This is how a fresh machine joins a running cluster
+// without restarting the epoch (dcnode -join).
 func NewJoinNode(universe []workload.Key) *Node {
-	arr := index.NewSortedArray(nil, 0)
-	n := &Node{
-		idx:      arr,
-		universe: universe,
-		conns:    map[net.Conn]struct{}{},
-	}
-	n.ident.Store(&nodeIdent{})
-	n.upd = index.NewUpdatableOver(nil, arr, index.BuildSortedArray, 0)
+	n := newNode(inMemory(nil), nodeIdent{})
+	n.universe = universe
 	return n
 }
 
 // NewPartitionNode builds a Method C-3 node (sorted-array partition)
-// with the online-update layer: a delta buffer over the immutable
-// array, compacted in the background once it reaches
-// index.DefaultMergeThreshold keys.
+// over partKeys; rankBase is the global rank of its first key.
 func NewPartitionNode(partKeys []workload.Key, rankBase int) *Node {
 	if len(partKeys) == 0 {
 		panic("netrun: empty partition")
 	}
-	arr := index.NewSortedArray(partKeys, 0)
-	n := NewNode(arr, rankBase, partKeys[0], partKeys[len(partKeys)-1])
-	// The update layer shares the array built above (NewNode keeps it
-	// only for the hello identity); merges rebuild fresh ones.
-	n.upd = index.NewUpdatableOver(partKeys, arr, index.BuildSortedArray, 0)
-	return n
+	return newNode(inMemory(partKeys), identOf(partKeys, rankBase))
 }
 
 // NewDurablePartitionNode is NewPartitionNode with crash durability:
@@ -178,17 +184,8 @@ func NewDurablePartitionNode(partKeys []workload.Key, rankBase int, dir string, 
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
-		dp:    dp,
-		upd:   dp.Upd,
-		conns: map[net.Conn]struct{}{},
-	}
-	n.ident.Store(&nodeIdent{
-		rankBase: rankBase,
-		baseN:    len(partKeys),
-		lo:       partKeys[0],
-		hi:       partKeys[len(partKeys)-1],
-	})
+	n := newNode(dp.Upd, identOf(partKeys, rankBase))
+	n.dp = dp
 	return n, nil
 }
 
@@ -201,6 +198,9 @@ func NewDurablePartitionNode(partKeys []workload.Key, rankBase int, dir string, 
 // server half of a replica restart, which the client-side rejoin loop
 // then re-verifies and readmits.
 func (n *Node) Serve(lis net.Listener) error {
+	if _, err := capVersion(n.MaxVersion); err != nil {
+		return err
+	}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -268,11 +268,8 @@ func (n *Node) Close() {
 		}
 		return
 	}
-	if n.upd != nil {
-		// Drain any background compaction so no goroutine outlives the
-		// node.
-		n.upd.Quiesce()
-	}
+	// Drain any background compaction so no goroutine outlives the node.
+	n.upd.Quiesce()
 }
 
 // Position reports a durable node's (generation, chain) position —
@@ -317,13 +314,10 @@ func (n *Node) Info() NodeInfo {
 		Assigned:      id.baseN > 0,
 		RankBase:      id.rankBase,
 		BaseKeys:      id.baseN,
-		Keys:          id.baseN,
+		Keys:          n.upd.TotalKeys(),
 		Lo:            uint32(id.lo),
 		Hi:            uint32(id.hi),
 		Durable:       n.dp != nil,
-	}
-	if n.upd != nil {
-		info.Keys = n.upd.TotalKeys()
 	}
 	if n.dp != nil {
 		info.Generation, _ = n.dp.Position()
@@ -378,10 +372,8 @@ type nodeConn struct {
 	bc   *bufferedConn
 	// cap32 is the highest version the node negotiates. negotiated is
 	// what this connection settled on; until a hello arrives the cap
-	// applies — a legacy v1 client may send lookups without negotiating.
+	// applies — a client may send lookups without negotiating.
 	cap32, negotiated uint32
-	batcher           batchRanker
-	streamer          sortedRanker
 	// hists are the per-op service-time histograms, resolved once per
 	// connection so a request costs one clock read and two atomic adds.
 	hists [opMax]*telemetry.Histogram
@@ -395,10 +387,9 @@ type nodeConn struct {
 
 // newConn is the serving state of a connection that has not said hello.
 func (n *Node) newConn(conn net.Conn) *nodeConn {
-	s := &nodeConn{n: n, conn: conn, bc: newBufferedConn(conn), cap32: n.capVersion()}
+	s := &nodeConn{n: n, conn: conn, bc: newBufferedConn(conn)}
+	s.cap32, _ = capVersion(n.MaxVersion) // Serve checked it
 	s.negotiated = s.cap32
-	s.batcher, _ = n.idx.(batchRanker)
-	s.streamer, _ = n.idx.(sortedRanker)
 	if n.Telemetry != nil {
 		for op := range opTable {
 			if row := request(uint8(op)); row != nil {
@@ -457,8 +448,8 @@ func (s *nodeConn) serve(f Frame) bool {
 		// Protocol discipline: an op above the connection's negotiated
 		// version is refused before dispatch.
 		err = fmt.Errorf("needs protocol v%d, the connection negotiated v%d", row.minVer, s.negotiated)
-	case row.needs == needUpdatable && n.upd == nil, row.needs == needDurable && n.dp == nil:
-		err = errors.New("this node does not hold the state the op needs")
+	case row.needs > n.has():
+		err = fmt.Errorf("needs a %s node, this one is %s", needName[row.needs], needName[n.has()])
 	default:
 		// One identity read per request: membership ops swap the
 		// pointer, every other op serves under the snapshot it loaded.
@@ -571,57 +562,38 @@ func freshKeys(words []uint32) []workload.Key {
 func u64(lo, hi uint32) uint64 { return uint64(lo) | uint64(hi)<<32 }
 
 // serveHello answers the identity — the construction-time baseline,
-// which inserts do not move (see the Node doc) — and negotiates the
-// version: a v2+ client advertises its own in the hello reqID and gets
-// min(client, node) back as a 5th word; v1 clients (reqID 0 or 1) get
-// the 4-word ack they expect, and a MaxVersion==ProtoV1 node always
-// acks 4 words — exactly what an old binary sends. On a v3-negotiated
-// connection a 6th word advertises the LIVE key count (a fresh client
-// seeds its rank-base correction counters from it); on a v4-negotiated
-// one a durable node appends its chain as words 7-8, captured with the
+// which inserts do not move (see the Node doc) — the negotiated version
+// min(client, node), and the words that state what the node is: the
+// LIVE key count when it is writable (a fresh client seeds its rank-base
+// corrections from it), then a durable node's chain, captured with the
 // live count as one consistent position (generation = live - baseline).
+// A client below the floor is refused: the hard error answers OpErr,
+// logs the version and drops the connection.
 func (s *nodeConn) serveHello(id *nodeIdent, f Frame) ([]uint32, error) {
 	n := s.n
-	payload := []uint32{uint32(id.rankBase), uint32(id.baseN), uint32(id.lo), uint32(id.hi)}
-	if f.ReqID < ProtoV2 || s.cap32 < ProtoV2 {
-		// The connection speaks v1 from here on, whatever the node
-		// could do.
-		s.negotiated = ProtoV1
-		return payload, nil
+	if f.ReqID < MinProtoVersion {
+		return nil, errVersion("the client speaks", f.ReqID)
 	}
-	v := min(f.ReqID, s.cap32)
-	s.negotiated = v
-	payload = append(payload, v)
-	if v >= ProtoV3 && n.upd != nil {
-		if v >= ProtoV4 && n.dp != nil {
-			gen, chain := n.dp.Position()
-			payload = append(payload, uint32(id.baseN)+uint32(gen), uint32(chain), uint32(chain>>32))
-		} else {
-			payload = append(payload, uint32(n.upd.TotalKeys()))
-		}
+	s.negotiated = min(f.ReqID, s.cap32)
+	payload := []uint32{uint32(id.rankBase), uint32(id.baseN), uint32(id.lo), uint32(id.hi), s.negotiated}
+	switch n.has() {
+	case needWritable:
+		payload = append(payload, uint32(n.upd.TotalKeys()))
+	case needDurable:
+		gen, chain := n.dp.Position()
+		payload = append(payload, uint32(id.baseN)+uint32(gen), uint32(chain), uint32(chain>>32))
 	}
 	return payload, nil
 }
 
-// ranks resolves a lookup through the fastest path the node's index
-// offers: the update layer, then the sorted kernel for an ascending run,
-// then batch search, then per-key Rank.
+// ranks resolves a lookup through the update layer, by the sorted
+// kernel when the keys are an ascending run.
 func (s *nodeConn) ranks(id *nodeIdent, keys []workload.Key, sorted bool) []uint32 {
-	n := s.n
 	ints := s.ints(len(keys))
-	switch {
-	case n.upd != nil && sorted:
-		n.upd.RankSorted(keys, ints, id.rankBase)
-	case n.upd != nil:
-		n.upd.RankBatch(keys, ints, id.rankBase)
-	case sorted && s.streamer != nil:
-		s.streamer.RankSorted(keys, ints, id.rankBase)
-	case s.batcher != nil:
-		s.batcher.RankBatch(keys, ints, id.rankBase)
-	default:
-		for i, k := range keys {
-			ints[i] = id.rankBase + n.idx.Rank(k)
-		}
+	if sorted {
+		s.n.upd.RankSorted(keys, ints, id.rankBase)
+	} else {
+		s.n.upd.RankBatch(keys, ints, id.rankBase)
 	}
 	return s.wordsOf(ints)
 }
@@ -679,7 +651,7 @@ func (s *nodeConn) serveLoad(id *nodeIdent, f Frame) ([]uint32, error) {
 		n.upd.Reset(fresh)
 		return s.ack(len(fresh)), nil
 	}
-	// A legacy load carries no position: reconstruct the generation
+	// A plain load carries no position: reconstruct the generation
 	// from the key count (every logged insert adds one key over the
 	// baseline) and mark the chain unknown — later delta catch-ups from
 	// this node degrade to full snapshots, but the store never diverges
@@ -912,20 +884,6 @@ func appendSnapPayload(kind uint32, gen, chain uint64, keys []workload.Key) []ui
 		payload = append(payload, uint32(k))
 	}
 	return payload
-}
-
-// batchRanker is the optional fast path an index can offer: batch rank
-// resolution with the rank base folded into the output writes.
-// index.SortedArray implements it.
-type batchRanker interface {
-	RankBatch(qs []workload.Key, out []int, add int)
-}
-
-// sortedRanker is the sorted-batch fast path: rank resolution for an
-// ascending query run, each search starting where the one before ended.
-// index.SortedArray implements it.
-type sortedRanker interface {
-	RankSorted(qs []workload.Key, out []int, add int)
 }
 
 // ListenAndServe is the one-call node entry point: it serves the

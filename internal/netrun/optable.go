@@ -5,8 +5,8 @@ package netrun
 // validates and delivers a reply by the row, failover/hedging/OpErr
 // handling read the row's policy columns, the node's serve loop gates
 // and dispatches by the row, and both sides name their latency series
-// from it. The frame codec's byte-or-word decision and OpMinVersion are
-// derived from the rows at init. Adding an op means adding a constant
+// from it. The frame codec's byte-or-word decision is derived from the
+// rows at init. Adding an op means adding a constant
 // and a row; the framepair analyzer rejects a constant that is missing
 // here or a request row without a handler.
 
@@ -36,9 +36,9 @@ const (
 	// lossRedispatch re-routes the request to a surviving replica: the
 	// idempotent reads, whose request words survive until a reply lands.
 	lossRedispatch
-	// lossSettle completes a write as applied when a full v3 survivor
-	// holds it (the departed member catches up on rejoin), and fails it
-	// when none does.
+	// lossSettle completes a write as applied when a surviving writable
+	// replica holds it (the departed member catches up on rejoin), and
+	// fails it when none does.
 	lossSettle
 	// lossAbort fails the request: it is pinned to this exact member by
 	// the catch-up or membership protocol (a snapshot's position in the
@@ -76,22 +76,27 @@ const (
 	deliverRanks
 )
 
-// nodeNeed is the serving state a request needs beyond a bare index.
+// nodeNeed is what a node must be to take a request, in the order the
+// hello ack's length states it (5, 6, 8 words): the node refuses a
+// request above what it is, and the client sends one only to a replica
+// that advertised as much.
 type nodeNeed uint8
 
 const (
-	needIndex     nodeNeed = iota
-	needUpdatable          // the update layer (Node.upd)
-	needDurable            // the WAL-backed store (Node.dp)
+	needNone     nodeNeed = iota // any node, a read-only one included
+	needWritable                 // it takes writes, so it holds every acked one
+	needDurable                  // WAL-backed: it has a position to catch up from or to
 )
+
+var needName = [...]string{"read-only", "writable", "durable"}
 
 // opSpec is one row of the op table.
 type opSpec struct {
 	// name labels the op's latency series (dc_node_op_ns{op=...} on the
 	// node, dc_client_op_ns{op=...} on the client) and error messages.
 	name string
-	// minVer is the protocol version that introduced the op; it may
-	// only flow on connections that negotiated at least that.
+	// minVer is the lowest protocol version the op may flow on: the
+	// floor, or the version that introduced it.
 	minVer uint32
 	// enc is the request payload codec.
 	enc codec
@@ -102,8 +107,7 @@ type opSpec struct {
 	// well-formed answer to the request words.
 	valid func(req, reply []uint32) bool
 	// sorted, when non-zero, is the op that carries this request
-	// instead when its keys are an ascending run and the connection
-	// negotiated that op's version.
+	// instead when its keys are an ascending run.
 	sorted uint8
 
 	// Client mux policy; zero on lossNone rows.
@@ -134,9 +138,10 @@ func ackOf(hdr int) func(req, reply []uint32) bool {
 
 func snapDelta(_, reply []uint32) bool { return len(reply) >= snapDeltaHeader }
 
-// helloAck is [rankBase, keyCount, lo, hi], plus the negotiated
-// version, plus the live key count, plus the two chain words — 4, 5, 6
-// or 8 words, never 7.
+// helloAck is [rankBase, keyCount, lo, hi, version], plus the live key
+// count, plus the two chain words — 5, 6 or 8 words, never 7. The four
+// words a version-1 node sends are let through for hello to refuse by
+// name.
 func helloAck(_, reply []uint32) bool {
 	return len(reply) >= 4 && len(reply) <= 8 && len(reply) != 7
 }
@@ -147,52 +152,53 @@ const opMax = int(OpMembAck) + 1
 
 //dc:optable
 var opTable = [opMax]opSpec{
-	OpHello: {name: "hello", minVer: ProtoV1, reply: OpHelloAck, valid: helloAck,
+	OpHello: {name: "hello", minVer: MinProtoVersion, reply: OpHelloAck, valid: helloAck,
 		serve: (*nodeConn).serveHello},
-	OpLookup: {name: "lookup", minVer: ProtoV1, reply: OpRanks, valid: sameLen, sorted: OpLookupSorted,
+	OpLookup: {name: "lookup", minVer: MinProtoVersion, reply: OpRanks, valid: sameLen, sorted: OpLookupSorted,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeConn, deliver: deliverRanks,
 		serve: (*nodeConn).serveLookup},
 	// OpErr is no request: the row records its wire facts (word payload,
 	// every version), and the node refuses it like any op without a
 	// handler.
-	OpErr: {minVer: ProtoV1},
-	OpLookupSorted: {name: "lookup_sorted", minVer: ProtoV2, enc: encDelta, reply: OpRanksDelta, replyEnc: encDelta, valid: sameLen,
+	OpErr: {minVer: MinProtoVersion},
+	OpLookupSorted: {name: "lookup_sorted", minVer: MinProtoVersion, enc: encDelta, reply: OpRanksDelta, replyEnc: encDelta, valid: sameLen,
 		serve: (*nodeConn).serveLookupSorted},
-	OpInsert: {name: "insert", minVer: ProtoV3, reply: OpInsertAck, valid: ackOf(0),
+	OpInsert: {name: "insert", minVer: MinProtoVersion, reply: OpInsertAck, valid: ackOf(0),
 		onLoss: lossSettle, onErr: scopeConn, deliver: deliverAck,
-		needs: needUpdatable, serve: (*nodeConn).serveInsert},
-	OpSnapshot: {name: "snapshot", minVer: ProtoV3, reply: OpSnapshotData, replyEnc: encDelta, valid: anyLen,
+		needs: needWritable, serve: (*nodeConn).serveInsert},
+	OpSnapshot: {name: "snapshot", minVer: MinProtoVersion, reply: OpSnapshotData, replyEnc: encDelta, valid: anyLen,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
-		needs: needUpdatable, serve: (*nodeConn).serveSnapshot},
-	OpLoad: {name: "load", minVer: ProtoV3, enc: encDelta, reply: OpLoadAck, valid: ackOf(0),
+		needs: needWritable, serve: (*nodeConn).serveSnapshot},
+	OpLoad: {name: "load", minVer: MinProtoVersion, enc: encDelta, reply: OpLoadAck, valid: ackOf(0),
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverAck,
-		needs: needUpdatable, serve: (*nodeConn).serveLoad},
-	OpSnapshotSince: {name: "snapshot_since", minVer: ProtoV4, reply: OpSnapshotDelta, valid: snapDelta,
+		needs: needWritable, serve: (*nodeConn).serveLoad},
+	OpSnapshotSince: {name: "snapshot_since", minVer: MinProtoVersion, reply: OpSnapshotDelta, valid: snapDelta,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
 		needs: needDurable, serve: (*nodeConn).serveSnapshotSince},
-	OpLoadAt: {name: "load_at", minVer: ProtoV4, reply: OpLoadAck, valid: ackOf(snapDeltaHeader),
+	OpLoadAt: {name: "load_at", minVer: MinProtoVersion, reply: OpLoadAck, valid: ackOf(snapDeltaHeader),
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverAck,
 		needs: needDurable, serve: (*nodeConn).serveLoadAt},
-	OpCountRange: {name: "count_range", minVer: ProtoV5, reply: OpCounts, replyEnc: encVarint, valid: onePerPair,
+	OpCountRange: {name: "count_range", minVer: MinProtoVersion, reply: OpCounts, replyEnc: encVarint, valid: onePerPair,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
-		needs: needUpdatable, serve: (*nodeConn).serveCountRange},
-	OpScanRange: {name: "scan_range", minVer: ProtoV5, reply: OpKeysDelta, replyEnc: encDelta, valid: anyLen,
+		serve: (*nodeConn).serveCountRange},
+	OpScanRange: {name: "scan_range", minVer: MinProtoVersion, reply: OpKeysDelta, replyEnc: encDelta, valid: anyLen,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
-		needs: needUpdatable, serve: (*nodeConn).serveScanRange},
-	OpTopK: {name: "top_k", minVer: ProtoV5, reply: OpKeysDelta, replyEnc: encDelta, valid: anyLen,
+		serve: (*nodeConn).serveScanRange},
+	OpTopK: {name: "top_k", minVer: MinProtoVersion, reply: OpKeysDelta, replyEnc: encDelta, valid: anyLen,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
-		needs: needUpdatable, serve: (*nodeConn).serveTopK},
-	OpMultiGet: {name: "multi_get", minVer: ProtoV5, enc: encDelta, reply: OpCounts, replyEnc: encVarint, valid: sameLen,
+		serve: (*nodeConn).serveTopK},
+	OpMultiGet: {name: "multi_get", minVer: MinProtoVersion, enc: encDelta, reply: OpCounts, replyEnc: encVarint, valid: sameLen,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverScatter,
-		needs: needUpdatable, serve: (*nodeConn).serveMultiGet},
+		serve: (*nodeConn).serveMultiGet},
+	// Assigning or splitting an identity replaces the node's key set.
 	OpAddReplica: {name: "add_replica", minVer: ProtoV6, reply: OpMembAck, valid: oneWord,
-		needs: needUpdatable, serve: (*nodeConn).serveAddReplica},
+		needs: needWritable, serve: (*nodeConn).serveAddReplica},
 	OpDrainReplica: {name: "drain_replica", minVer: ProtoV6, reply: OpMembAck, valid: oneWord,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
-		needs: needUpdatable, serve: (*nodeConn).serveDrainReplica},
+		serve: (*nodeConn).serveDrainReplica},
 	OpSplitPartition: {name: "split_partition", minVer: ProtoV6, reply: OpMembAck, valid: oneWord,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
-		needs: needUpdatable, serve: (*nodeConn).serveSplitPartition},
+		needs: needWritable, serve: (*nodeConn).serveSplitPartition},
 }
 
 // wireFact is what the frame codec and the version gate know about an
@@ -231,7 +237,3 @@ func request(op uint8) *opSpec {
 	}
 	return nil
 }
-
-// OpMinVersion returns the protocol version that introduced op, or 0
-// for an op this build does not know.
-func OpMinVersion(op uint8) uint32 { return wire[op].minVer }

@@ -54,12 +54,12 @@ func TestOpTableCoversEveryOp(t *testing.T) {
 		t.Fatalf("parsed only %d Op constants from protocol.go", len(ops))
 	}
 	for name, op := range ops {
-		if OpMinVersion(op) == 0 {
+		if wire[op].minVer == 0 {
 			t.Errorf("%s (op %d) is in neither a row nor a reply column of the op table", name, op)
 		}
 	}
 
-	// The matrix: lines of the form "v3  OpInsert, OpSnapshot, OpLoad".
+	// The matrix: lines of the form "v6  OpAddReplica, OpDrainReplica".
 	matrix := map[uint8]uint32{}
 	line := regexp.MustCompile(`(?m)^\tv(\d)\s+(Op\w+(?:, Op\w+)*)$`)
 	for _, m := range line.FindAllStringSubmatch(file.Doc.Text(), -1) {
@@ -98,10 +98,11 @@ func TestOpTableCoversEveryOp(t *testing.T) {
 	}
 }
 
-// scriptNode is a fake replica: it negotiates protocol ver in the hello
-// as a single-partition node over keys, then answers every request
-// frame with whatever script returns. It accepts one connection.
-func scriptNode(t *testing.T, keys []workload.Key, ver uint32, script func(req Frame) []Frame) string {
+// scriptNode is a fake replica: it answers every request frame with
+// whatever script returns, and a hello the script has no answer to as a
+// writable single-partition node over keys at this build's version. It
+// accepts one connection.
+func scriptNode(t *testing.T, keys []workload.Key, script func(req Frame) []Frame) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -121,10 +122,8 @@ func scriptNode(t *testing.T, keys []workload.Key, ver uint32, script func(req F
 				return
 			}
 			replies := script(f)
-			if f.Op == OpHello {
-				replies = []Frame{{Op: OpHelloAck, ReqID: f.ReqID, Payload: []uint32{
-					0, uint32(len(keys)), uint32(keys[0]), uint32(keys[len(keys)-1]), min(f.ReqID, ver),
-				}}}
+			if f.Op == OpHello && replies == nil {
+				replies = []Frame{{Op: OpHelloAck, ReqID: f.ReqID, Payload: helloWords(keys, min(f.ReqID, ProtoVersion), 6)}}
 			}
 			for _, r := range replies {
 				if bc.writeFrame(r) != nil {
@@ -137,6 +136,12 @@ func scriptNode(t *testing.T, keys []workload.Key, ver uint32, script func(req F
 		}
 	}()
 	return lis.Addr().String()
+}
+
+// helloWords is the first n words of a durable single-partition node's
+// hello ack over keys at version ver, with no insert absorbed.
+func helloWords(keys []workload.Key, ver uint32, n int) []uint32 {
+	return []uint32{0, uint32(len(keys)), uint32(keys[0]), uint32(keys[len(keys)-1]), ver, uint32(len(keys)), 1, 0}[:n]
 }
 
 // encodeReply builds a reply frame carrying vals under op's wire codec.
@@ -191,8 +196,22 @@ type hostileCase struct {
 // which the request is re-dispatched (reads, answered exactly by the
 // sibling), settled (writes) or aborted (pinned ops); an OpErr reaches
 // only as far as the row's onErr says. No wrong answer ever completes.
+// The hello is no pending, so its hostile shapes fail the dial: an ack
+// of four words (a version-1 node's) or of seven (no shape at all).
 func TestOpTableHostileReplies(t *testing.T) {
 	keys := workload.SortedKeys(3000, 91)
+	for _, n := range []int{4, 7} {
+		t.Run(fmt.Sprintf("hello/%d-word-ack", n), func(t *testing.T) {
+			addr := scriptNode(t, keys, func(req Frame) []Frame {
+				return []Frame{{Op: OpHelloAck, ReqID: req.ReqID, Payload: helloWords(keys, ProtoVersion, n)}}
+			})
+			c, err := Dial([]string{addr}, keys, DialOptions{Timeout: 2 * time.Second})
+			if err == nil {
+				c.Close()
+				t.Fatalf("Dial accepted a %d-word hello ack", n)
+			}
+		})
+	}
 	o := newTCPOracle(keys)
 	lo, hi := uint32(keys[100]), uint32(keys[900])
 	countIn := func(lo, hi uint32) int { return o.rank(workload.Key(hi)) - o.rank(workload.Key(lo)-1) }
@@ -310,10 +329,11 @@ func TestOpTableHostileReplies(t *testing.T) {
 func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, sorted, opErr bool, hostile func(Frame) []Frame) {
 	kind := &opTable[op]
 	var sawOp atomic.Uint32
-	bad := scriptNode(t, keys, ProtoVersion, func(req Frame) []Frame {
-		if req.Op != OpHello {
-			sawOp.Store(uint32(req.Op))
+	bad := scriptNode(t, keys, func(req Frame) []Frame {
+		if req.Op == OpHello {
+			return nil
 		}
+		sawOp.Store(uint32(req.Op))
 		return hostile(req)
 	})
 	honest := NewPartitionNode(keys, 0)
@@ -392,7 +412,7 @@ func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, sor
 		hc.check(t, r.out, r.reply)
 	case lossSettle:
 		if r.err != nil {
-			t.Fatalf("write did not settle against the surviving v3 member: %v", r.err)
+			t.Fatalf("write did not settle against the surviving writable member: %v", r.err)
 		}
 	case lossAbort:
 		if r.err == nil || !strings.Contains(r.err.Error(), "interrupted") {
@@ -405,7 +425,10 @@ func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, sor
 // reporting a count mismatch against a rule that never applied.
 func TestReplyOpMismatchIsNamed(t *testing.T) {
 	keys := workload.SortedKeys(1000, 93)
-	addr := scriptNode(t, keys, ProtoVersion, func(req Frame) []Frame {
+	addr := scriptNode(t, keys, func(req Frame) []Frame {
+		if req.Op == OpHello {
+			return nil
+		}
 		return []Frame{{Op: OpCounts, ReqID: req.ReqID, Raw: appendVarRun(nil, make([]uint32, 3))}}
 	})
 	c, err := Dial([]string{addr}, keys, DialOptions{OpTimeout: 2 * time.Second})

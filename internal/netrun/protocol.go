@@ -10,147 +10,93 @@
 //
 //	frame := magic(u32) op(u8) reqID(u32) count(u32) payload
 //
-// For the v1 ops (OpHello..OpErr) the payload is count 32-bit words: a
-// lookup request's payload is count keys and the response's payload is
-// count ranks (as uint32), in request order. For the v2 sorted-run ops
-// (OpLookupSorted, OpRanksDelta) count is a byte length and the payload
-// is a delta+varint-coded ascending run: varint(elements), then the
-// first value and successive deltas as varints (see delta.go). Sorted
-// batches make both keys and ranks monotone, which is what makes the
-// deltas small; a sorted uniform workload's frames shrink roughly 4x on
-// the rank direction and 25-45% on the key direction versus v1.
+// A word op's payload is count 32-bit words; a byte op's is count bytes
+// holding a varint run — delta-coded for ascending values (delta.go:
+// varint(elements), the first value, then successive differences) or
+// plain where the values are not monotone. Which op is which, what
+// answers it and how the reply is checked is the op table (optable.go).
+// What each op carries:
 //
-// Protocol v3 adds online updates. OpInsert carries count keys (a word
-// payload, any order) to be added to the node's partition; the node
-// buffers them in its delta layer and answers OpInsertAck whose single
-// payload word echoes the applied count. OpSnapshot (no payload) asks a
-// node for its full current key set, answered by OpSnapshotData as a
-// delta+varint byte payload (the set is sorted, so the same codec the
-// sorted lookups use applies); OpLoad pushes such a payload at a node,
-// atomically replacing its key set, and is acknowledged by OpLoadAck
-// with the loaded count. Snapshot/load exist for replica catch-up: a
-// replica rejoining a group that has absorbed writes is first loaded
-// from a healthy sibling's snapshot, then readmitted.
+//   - OpLookup: keys, any order, as words; OpRanks answers with their
+//     global ranks in request order. OpLookupSorted is the same request
+//     for an ascending run, delta-coded both ways (OpRanksDelta): sorted
+//     batches make keys and ranks monotone, which shrinks the rank
+//     direction about 4x and the key direction 25-45%.
+//   - OpInsert: keys to add to the node's partition (words, any order);
+//     OpInsertAck echoes the applied count — on a durable node, after
+//     the fsync. OpSnapshot asks for the node's full key set
+//     (OpSnapshotData, delta-coded) and OpLoad replaces it (OpLoadAck):
+//     a replica rejoining a group that absorbed writes is loaded from a
+//     sibling's snapshot before it serves again.
+//   - OpSnapshotSince / OpLoadAt: the same catch-up between durable
+//     nodes, by position. A WAL-backed node carries (generation, chain):
+//     the count of keys it logged over its baseline and an
+//     order-sensitive fold over them, so two replicas hold the same
+//     insert history iff their positions match. OpSnapshotSince carries
+//     the rejoiner's position (4 words, generation then chain, low word
+//     first); OpSnapshotDelta answers [kind, gen(2), chain(2), keys...]
+//     — kind 0 the insert tail in append order, kind 1 the full sorted
+//     set when the sibling compacted past that generation, the chains
+//     diverge or the tail does not fit a frame. OpLoadAt pushes that
+//     payload at the rejoiner, which verifies a tail against the carried
+//     position before applying anything and refuses a mismatch.
+//   - OpCountRange: inclusive endpoint pairs lo1,hi1,lo2,hi2,...;
+//     OpCounts answers one local count per pair (plain varints).
+//     OpScanRange [lo, hi, limit] (0 = unlimited) and OpTopK [k] are
+//     answered by OpKeysDelta, an ascending key run (the client reads a
+//     top-k reply backward). OpMultiGet carries an ascending key run and
+//     OpCounts answers each key's multiplicity. Partitions hold disjoint
+//     key sub-ranges, so the client composes exact global answers from
+//     local ones: counts sum, scans concatenate in partition order,
+//     top-k reads partitions from the highest down.
+//   - OpAddReplica [rankBase, baseN, loKey, hiKey] assigns an unassigned
+//     node (dcnode -join) that slice of its key universe — a node that
+//     already has an identity accepts only the same one; OpDrainReplica
+//     (no payload) quiesces a node the client is detaching;
+//     OpSplitPartition [newRankBase, newBaseN, loKey, hiKey, splitKey,
+//     keepHi] makes a node keep one side of splitKey and swap its
+//     identity to that half. Each is acknowledged by OpMembAck carrying
+//     the node's live key count, and flows only while the client holds
+//     its membership pause (nothing else in flight), which is what makes
+//     the node-side identity swap safe.
+//   - OpErr refuses a request; payload[0] is the refused op.
 //
-// Protocol v4 adds durable-node catch-up. A node backed by a
-// write-ahead log carries a (generation, chain) position: the
-// generation counts every key it logged since its baseline and the
-// chain is an order-sensitive fold over them, so two replicas hold the
-// same insert history iff their positions match. OpSnapshotSince asks a
-// sibling for the insert tail after a rejoiner's position (payload:
-// four words, generation then chain, low word first); the sibling
-// answers OpSnapshotDelta whose payload is [kind, gen(2 words),
-// chain(2 words), keys...] — kind 0 is a delta (keys in append order),
-// kind 1 a full snapshot (sorted keys), which the sibling falls back to
-// when it compacted past the requested generation, the chains diverge,
-// or the delta cannot fit a frame. OpLoadAt pushes the same payload
-// shape at the rejoiner: a delta is verified against the advertised
-// position before anything is applied (a mismatch is refused with
-// OpErr — the histories diverged and only a full snapshot reconciles),
-// a full load replaces the node's state at the carried position. Both
-// are acknowledged by OpLoadAck counting the applied keys.
+// The hello. A client opens with OpHello, its highest protocol version
+// in the reqID field; the node answers OpHelloAck [rankBase, keyCount,
+// loKey, hiKey, version] with version = min(client's, node's), and the
+// ack's length states what the node can do:
 //
-// Protocol v5 generalizes the query surface beyond ranks: four
-// op-tagged read frames, all served from the node's update layer so
-// they see delta-buffered inserts coherently with the frozen base.
-// OpCountRange carries pairs of inclusive range endpoints (word
-// payload: lo1,hi1,lo2,hi2,...) and is answered by OpCounts, each
-// range's local key count as a varint run (counts are not monotone, so
-// the plain-varint codec applies, not the delta codec). OpScanRange
-// carries [lo, hi, limit] (limit 0 = unlimited) and OpTopK carries
-// [k]; both are answered by OpKeysDelta, an ascending delta+varint key
-// run (a top-k reply is ascending on the wire — the client reads it
-// backward). OpMultiGet carries an ascending delta-coded key run and
-// is answered by OpCounts with each key's multiplicity. Because every
-// partition holds a disjoint key sub-range, the client composes exact
-// global answers from local ones: counts sum, scans concatenate in
-// partition order, top-k reads partitions from the highest down, and a
-// multiplicity never crosses a partition boundary.
+//	5 words  read-only: serves reads of the key set it was started with
+//	6 words  writable: + its LIVE key count (baseline plus absorbed inserts)
+//	8 words  durable:  + its chain, low word first (generation = live - baseline)
 //
-// Protocol v6 adds live membership — the operations plane's reshape
-// verbs, each acknowledged by OpMembAck whose single payload word is
-// the node's live key count after the operation. OpAddReplica assigns
-// a partition identity to an unassigned node (one started with the
-// full key file but no partition, dcnode -join): its four payload words
-// are [rankBase, baseN, loKey, hiKey], naming the slice [rankBase,
-// rankBase+baseN) of the node's sorted key universe and the bounds the
-// client expects there; a node that already holds an identity accepts
-// the op only when it matches (an idempotent confirm). OpDrainReplica
-// (no payload) quiesces a node before the client detaches it from its
-// replica group. OpSplitPartition carries
-// six words [newRankBase, newBaseN, loKey, hiKey, splitKey, keepHi]:
-// the node filters its live key set at splitKey (keepHi 0 keeps keys
-// <= splitKey, 1 keeps the rest), atomically swaps its advertised
-// identity to the named half, and keeps serving — the client splits a
-// hot partition by sending each current replica its half, then
-// re-dialing the epoch against the doubled routing table. All three
-// flow only on v6-negotiated connections while the client holds its
-// membership pause (no reads or writes in flight), which is what makes
-// the node-side identity swap safe.
+// The identity is the node's baseline, which inserts never move, so a
+// rejoining replica still verifies as the partition it was launched as;
+// a fresh client seeds its rank-base corrections from live minus
+// baseline. A read-only replica never receives a write, and stops being
+// asked for reads once its partition has been written to: it can no
+// longer prove it holds the full key set.
 //
-// Version negotiation rides the hello exchange, so mixed-version
-// clusters interoperate frame-for-frame:
+// The floor. This build speaks the current version and the one before
+// it (MinProtoVersion..ProtoVersion), negotiated per connection:
 //
-//   - The client sends OpHello with its highest supported version in
-//     the reqID field. A v1 client leaves it zero.
-//   - A v1 node replies OpHelloAck with the 4-word payload
-//     [rankBase, keyCount, loKey, hiKey] — its only form.
-//   - A newer node replies the same 4 words to a v1 client, and appends
-//     a 5th word, min(clientVersion, ProtoVersion), to a v2+ client.
-//   - The client treats a 4-word ack as version 1; a 5-word ack carries
-//     the negotiated version. Versioning is per connection, so a
-//     replica group may mix versions and failover re-encodes for the
-//     new connection.
-//   - On a v3-negotiated connection an updatable node appends a 6th
-//     word: its LIVE key count. live minus baseline is the insert
-//     count the node has absorbed, which a freshly dialing client
-//     seeds its rank-base correction counters from — ranks stay
-//     globally consistent against nodes a previous client wrote to.
-//   - On a v4-negotiated connection a DURABLE node appends words 7-8:
-//     its chain (low word first). An 8-word ack therefore identifies a
-//     durable peer (generation = live minus baseline), and the client
-//     prefers the delta catch-up on rejoin when both ends advertise
-//     one; a 6-word v4 ack is an updatable-but-not-durable node, served
-//     by the v3 full-snapshot flow.
+//	          client v5   client v6
+//	node v5       5           5
+//	node v6       5           6      + live membership
 //
-// The full negotiation table (rows: node's highest version; columns:
-// client's; cells: negotiated version = the ops that may flow):
-//
-//	          client v1   client v2   client v3   client v4   client v5   client v6
-//	node v1       1           1           1           1           1           1      lookups only
-//	node v2       1           2           2           2           2           2      + delta-coded sorted runs
-//	node v3       1           2           3           3           3           3      + inserts, snapshot/load
-//	node v4       1           2           3           4           4           4      + positioned catch-up
-//	node v5       1           2           3           4           5           5      + range/scan/top-k/multiget
-//	node v6       1           2           3           4           5           6      + live membership
+// A peer below the floor is refused by name (ErrProtoVersion), never
+// served and never downgraded to: a node answers a hello below
+// MinProtoVersion with OpErr and closes the connection, and a client
+// fails its dial on an ack that names an older version or has only the
+// four words a version-1 node sends. A connection that never says hello
+// is served at the node's own version.
 //
 // Op x minimum version, for every request op a client may send. This
-// matrix is a rendering of the op table (optable.go), which is the
-// definition; a test holds the two equal:
+// matrix is a rendering of the op table, which is the definition; a
+// test holds the two equal:
 //
-//	v1  OpHello, OpLookup
-//	v2  OpLookupSorted
-//	v3  OpInsert, OpSnapshot, OpLoad
-//	v4  OpSnapshotSince, OpLoadAt
-//	v5  OpCountRange, OpScanRange, OpTopK, OpMultiGet
+//	v5  OpHello, OpLookup, OpLookupSorted, OpInsert, OpSnapshot, OpLoad, OpSnapshotSince, OpLoadAt, OpCountRange, OpScanRange, OpTopK, OpMultiGet
 //	v6  OpAddReplica, OpDrainReplica, OpSplitPartition
-//
-// A v5 client never sends a v5 op on a connection that negotiated less
-// (dispatch and failover both re-check the member's version), so
-// pre-v5 replicas keep serving ranks — they are excluded from the new
-// ops only, never from lookups.
-//
-// Writes only ever flow on v3-negotiated connections: v1/v2 nodes
-// simply never receive OpInsert (the client skips them during write
-// fan-out), and once a client has written to a partition it stops
-// routing lookups to that partition's pre-v3 replicas, because they can
-// no longer prove they hold the full key set.
-//
-// A hello exchange also carries the node's partition metadata so the
-// client can verify its routing table against what the node actually
-// serves. The advertised identity is the node's *baseline* (its state
-// at construction): online inserts deliberately do not change it, so a
-// rejoining replica still verifies as the partition it was launched as.
 //
 // reqID multiplexes concurrent requests over one connection: the master
 // pipelines any number of request frames and the reply carries the
@@ -162,6 +108,7 @@ package netrun
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -170,26 +117,28 @@ import (
 // netrun node (or the stream desynchronized) and the connection dies.
 const Magic uint32 = 0xDC1D_2005
 
-// Protocol versions. ProtoVersion is the highest this build speaks;
-// the hello exchange negotiates min(client, node) per connection.
+// Protocol versions: this build speaks MinProtoVersion..ProtoVersion,
+// the current version and the one before it. The hello exchange
+// negotiates min(client, node) per connection and refuses a peer below
+// the floor with ErrProtoVersion.
 const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-	ProtoV3 = 3
-	ProtoV4 = 4
 	ProtoV5 = 5
 	ProtoV6 = 6
 
-	ProtoVersion = ProtoV6
+	MinProtoVersion = ProtoV5
+	ProtoVersion    = ProtoV6
 )
+
+// ErrProtoVersion refuses a protocol version this build does not speak:
+// a peer's at the hello, or a MaxVersion setting at Dial or Serve.
+var ErrProtoVersion = errors.New("netrun: unsupported protocol version")
 
 // Op codes.
 const (
 	// OpHello is sent by the client on connect, with the client's
-	// highest protocol version in the reqID field (0 and 1 both mean
-	// v1); the node answers with OpHelloAck whose payload is
-	// [rankBase, keyCount, loKey, hiKey] plus, for a v2 client, a 5th
-	// word carrying the negotiated version.
+	// highest protocol version in the reqID field; the node answers
+	// with OpHelloAck [rankBase, keyCount, loKey, hiKey, version] plus
+	// the words that state what it can do (see the package doc).
 	OpHello uint8 = 1
 	// OpHelloAck is the node's hello response.
 	OpHelloAck uint8 = 2
@@ -199,89 +148,89 @@ const (
 	OpRanks uint8 = 4
 	// OpErr refuses a request; payload[0] is the refused op. How far the
 	// refusal reaches is the request row's onErr column: answering a
-	// lookup or an insert it condemns the connection, answering a v3+
+	// lookup or an insert it condemns the connection, answering a
 	// catch-up, query or membership op it declines that one request and
 	// the node keeps serving.
 	OpErr uint8 = 5
-	// OpLookupSorted (v2) carries an ascending key run, delta+varint
+	// OpLookupSorted carries an ascending key run, delta+varint
 	// coded (byte payload); the node answers OpRanksDelta.
 	OpLookupSorted uint8 = 6
-	// OpRanksDelta (v2) is the sorted lookup's response: the
+	// OpRanksDelta is the sorted lookup's response: the
 	// nondecreasing ranks, delta+varint coded (byte payload).
 	OpRanksDelta uint8 = 7
-	// OpInsert (v3) carries count keys (word payload, any order) to add
+	// OpInsert carries count keys (word payload, any order) to add
 	// to the node's partition; the node answers OpInsertAck.
 	OpInsert uint8 = 8
-	// OpInsertAck (v3) acknowledges an insert; payload[0] is the
+	// OpInsertAck acknowledges an insert; payload[0] is the
 	// applied key count.
 	OpInsertAck uint8 = 9
-	// OpSnapshot (v3, no payload) requests the node's full current key
+	// OpSnapshot (no payload) requests the node's full current key
 	// set; the node answers OpSnapshotData.
 	OpSnapshot uint8 = 10
-	// OpSnapshotData (v3) is the snapshot response: the sorted key set,
+	// OpSnapshotData is the snapshot response: the sorted key set,
 	// delta+varint coded (byte payload).
 	OpSnapshotData uint8 = 11
-	// OpLoad (v3) pushes a full sorted key set (delta+varint byte
+	// OpLoad pushes a full sorted key set (delta+varint byte
 	// payload) that atomically replaces the node's current set — the
 	// replica catch-up path. The node answers OpLoadAck.
 	OpLoad uint8 = 12
-	// OpLoadAck (v3) acknowledges a load; payload[0] is the loaded key
+	// OpLoadAck acknowledges a load; payload[0] is the loaded key
 	// count.
 	OpLoadAck uint8 = 13
-	// OpSnapshotSince (v4) asks a durable node for the insert tail after
+	// OpSnapshotSince asks a durable node for the insert tail after
 	// a position: payload is 4 words, generation then chain, low word
 	// first. Answered by OpSnapshotDelta.
 	OpSnapshotSince uint8 = 14
-	// OpSnapshotDelta (v4) is the positioned-catch-up payload: [kind,
+	// OpSnapshotDelta is the positioned-catch-up payload: [kind,
 	// gen(2), chain(2), keys...]. kind 0 = delta tail in append order,
 	// kind 1 = full sorted snapshot; gen/chain are the position the
 	// payload advances its consumer to.
 	OpSnapshotDelta uint8 = 15
-	// OpLoadAt (v4) pushes an OpSnapshotDelta-shaped payload at a
+	// OpLoadAt pushes an OpSnapshotDelta-shaped payload at a
 	// durable node; acknowledged by OpLoadAck with the applied key
 	// count, or refused with OpErr when a delta does not reproduce the
 	// carried position (divergent histories).
 	OpLoadAt uint8 = 16
-	// OpCountRange (v5) carries inclusive range endpoint pairs (word
+	// OpCountRange carries inclusive range endpoint pairs (word
 	// payload: lo1,hi1,lo2,hi2,...); the node answers OpCounts with
 	// each pair's local key count.
 	OpCountRange uint8 = 17
-	// OpScanRange (v5) carries [lo, hi, limit] (word payload; limit 0
+	// OpScanRange carries [lo, hi, limit] (word payload; limit 0
 	// means unlimited); the node answers OpKeysDelta with its keys in
 	// [lo, hi], ascending, at most limit of them.
 	OpScanRange uint8 = 18
-	// OpTopK (v5) carries [k] (word payload); the node answers
+	// OpTopK carries [k] (word payload); the node answers
 	// OpKeysDelta with its k largest keys — ascending on the wire, the
 	// client reads the run backward.
 	OpTopK uint8 = 19
-	// OpMultiGet (v5) carries an ascending key run, delta+varint coded
+	// OpMultiGet carries an ascending key run, delta+varint coded
 	// (byte payload); the node answers OpCounts with each key's
 	// multiplicity.
 	OpMultiGet uint8 = 20
-	// OpKeysDelta (v5) answers OpScanRange and OpTopK: an ascending key
+	// OpKeysDelta answers OpScanRange and OpTopK: an ascending key
 	// run, delta+varint coded (byte payload).
 	OpKeysDelta uint8 = 21
-	// OpCounts (v5) answers OpCountRange and OpMultiGet: one count per
+	// OpCounts answers OpCountRange and OpMultiGet: one count per
 	// request element as a plain varint run (byte payload; counts are
 	// not monotone, so no delta coding — see appendVarRun).
 	OpCounts uint8 = 22
-	// OpAddReplica (v6) assigns a partition identity to a joinable
+	// OpAddReplica assigns a partition identity to a joinable
 	// node: payload [rankBase, baseN, loKey, hiKey] names the slice of
 	// the node's key universe it is to serve and the key bounds the
 	// client expects there. A node already holding an identity accepts
 	// only a matching assignment. Answered by OpMembAck.
 	OpAddReplica uint8 = 23
-	// OpDrainReplica (v6, no payload) quiesces a node ahead of the
+	// OpDrainReplica (no payload) quiesces a node ahead of the
 	// client detaching it from its replica group. Answered by
 	// OpMembAck.
 	OpDrainReplica uint8 = 24
-	// OpSplitPartition (v6) retargets a node at one half of its split
+	// OpSplitPartition retargets a node at one half of its split
 	// partition: payload [newRankBase, newBaseN, loKey, hiKey,
 	// splitKey, keepHi]. The node filters its live keys at splitKey
 	// (keepHi selects the side), swaps its identity to the named half,
 	// and answers OpMembAck.
 	OpSplitPartition uint8 = 25
-	// OpMembAck (v6) acknowledges a membership op; payload[0] is the
+	// OpMembAck acknowledges a membership op; payload[0] is the
 	// node's live key count after the operation.
 	OpMembAck uint8 = 26
 )
@@ -295,10 +244,10 @@ const (
 	snapKindFull    = 1 // keys are the full sorted set
 )
 
-// MaxFrameWords bounds a v1 frame payload (16M words = 64 MB) so a
-// corrupt length cannot force an absurd allocation. MaxFrameBytes is
-// the byte-payload equivalent for v2 frames: the same 16M elements at
-// the 5-byte varint worst case.
+// MaxFrameWords bounds a word payload (16M words = 64 MB) so a corrupt
+// length cannot force an absurd allocation. MaxFrameBytes is the
+// byte-payload equivalent: the same 16M elements at the 5-byte varint
+// worst case.
 const (
 	MaxFrameWords = 16 << 20
 	MaxFrameBytes = 5 * MaxFrameWords
@@ -344,7 +293,7 @@ type frameWriter struct {
 // encode serializes f into the writer's scratch buffer and returns it
 // (valid until the next encode). Splitting encoding from the socket
 // write lets a caller stop referencing f.Payload before any blocking
-// I/O starts. Byte ops (v2) take their payload from f.Raw.
+// I/O starts. Byte ops take their payload from f.Raw.
 //
 //dc:noalloc
 func (fw *frameWriter) encode(f Frame) ([]byte, error) {
@@ -443,7 +392,7 @@ func (fr *frameReader) readFrom(r io.Reader) (Frame, error) {
 	// past the limit check.
 	count32 := binary.LittleEndian.Uint32(fr.head[9:13])
 	if wire[f.Op].enc != encWords {
-		// v2 byte payload: count is a byte length; the delta decoder
+		// Byte payload: count is a byte length; the delta decoder
 		// applies its own element-count-vs-bytes guard on top.
 		if count32 > MaxFrameBytes {
 			return Frame{}, fmt.Errorf("netrun: frame payload %d bytes exceeds limit", count32)

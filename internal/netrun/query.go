@@ -1,6 +1,6 @@
 package netrun
 
-// Client-side entry points for the protocol-v5 query ops. Each op
+// Client-side entry points for the query ops beyond rank. Each op
 // scatters to the partitions whose key sub-ranges it touches and
 // composes the replies by partition order, which is key order — the
 // dial-time delimiters assign strictly ascending disjoint sub-ranges:
@@ -17,17 +17,15 @@ package netrun
 //     wire) and reads the replies highest partition down, each run from
 //     its end, until k keys are taken.
 //   - MultiGet radix-sorts the key batch (the OpMultiGet frame is the
-//     v2 delta codec, which requires ascending runs), scatters sorted
+//     delta codec, which requires ascending runs), scatters sorted
 //     runs to their owning partitions, and lets the read loops write
 //     each multiplicity straight into the output slot — each key is
 //     owned by exactly one partition, so the scatter is race-free.
 //
 // All four ride the rank pipeline's failover machinery: a pending
-// whose replica dies is re-dispatched to a healthy v5 sibling with the
+// whose replica dies is re-dispatched to a healthy sibling with the
 // request words intact (they stay in p.keys until a reply lands), so a
 // mid-scan kill resolves to the same bytes a healthy run produces.
-// Partitions with no v5-capable replica fail the op with a descriptive
-// error while rank lookups keep working — see replicaGroup.choose.
 
 import (
 	"fmt"
@@ -201,13 +199,12 @@ func (c *Cluster) MultiGet(keys []workload.Key) ([]int, error) {
 
 // MultiGetInto is MultiGet writing into a caller-provided slice
 // (len(out) >= len(keys)). Unlike LookupBatchInto, the batch always
-// takes the sorted pipeline regardless of DialOptions.SortedBatches:
-// the OpMultiGet frame is the v2 delta codec, which only carries
-// ascending runs, so unsorted input is radix-sorted client-side and
-// the replies scatter through the position array.
+// takes the sorted pipeline: the OpMultiGet frame is the delta codec,
+// which only carries ascending runs, so unsorted input is radix-sorted
+// client-side and the replies scatter through the position array.
 func (c *Cluster) MultiGetInto(keys []workload.Key, out []int) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("netrun: out len %d < %d keys", len(out), len(keys))
 	}
-	return c.scatterInto(OpMultiGet, keys, out, true)
+	return c.scatterInto(OpMultiGet, keys, out)
 }

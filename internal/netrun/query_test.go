@@ -2,18 +2,15 @@ package netrun
 
 import (
 	"math/rand"
-	"net"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/workload"
 )
 
-// tcpQueryOracle answers the four v5 ops from a plain sorted []int via
+// tcpQueryOracle answers the four query ops from a plain sorted []int via
 // sort.SearchInts — the same independent reference the in-process
 // sweep (core.TestQueryOpsOracleSweep) checks against.
 type tcpQueryOracle struct{ ints []int }
@@ -356,137 +353,4 @@ type checksumMismatch struct {
 
 func (m *checksumMismatch) Error() string {
 	return "checksum mismatch at iteration " + string(rune('0'+m.iter%10)) + ": got/want differ"
-}
-
-// startCapped builds a single-replica loopback cluster whose node for
-// partition i negotiates at most caps[i] (0 = uncapped).
-func startCapped(t *testing.T, keys []workload.Key, caps []uint32, opt DialOptions) (*core.Partitioning, *Cluster, func()) {
-	t.Helper()
-	part, err := core.NewPartitioning(keys, len(caps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nodes []*Node
-	var addrs []string
-	for i := range caps {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		node := NewPartitionNode(part.Parts[i].Keys, part.Parts[i].RankBase)
-		node.MaxVersion = caps[i]
-		nodes = append(nodes, node)
-		addrs = append(addrs, lis.Addr().String())
-		go node.Serve(lis)
-	}
-	if opt.Timeout == 0 {
-		opt.Timeout = 5 * time.Second
-	}
-	c, err := Dial(addrs, keys, opt)
-	if err != nil {
-		for _, n := range nodes {
-			n.Close()
-		}
-		t.Fatal(err)
-	}
-	return part, c, func() {
-		c.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	}
-}
-
-// TestQueryOpsPreV5NodesRankOnly pins the negotiation matrix from the
-// node side: against nodes capped at v4, the v5 client keeps answering
-// rank lookups (and writes) but fails each query op with the
-// descriptive v5-availability error instead of hanging or killing the
-// connection.
-func TestQueryOpsPreV5NodesRankOnly(t *testing.T) {
-	keys := workload.SortedKeys(4000, 5)
-	_, c, shutdown := startCapped(t, keys, []uint32{ProtoV4, ProtoV4}, DialOptions{BatchKeys: 256})
-	defer shutdown()
-
-	qs := []workload.Key{keys[10], keys[100], keys[3999]}
-	ranks, err := c.LookupBatch(qs)
-	if err != nil {
-		t.Fatalf("ranks against v4 nodes: %v", err)
-	}
-	if len(ranks) != len(qs) {
-		t.Fatalf("got %d ranks", len(ranks))
-	}
-	if err := c.Insert(keys[0]); err != nil {
-		t.Fatalf("insert against v4 nodes: %v", err)
-	}
-
-	if _, err := c.CountRange(keys[0], keys[3999]); err == nil || !strings.Contains(err.Error(), "protocol-v5") {
-		t.Fatalf("CountRange against v4 nodes: err = %v, want protocol-v5 availability error", err)
-	}
-	if _, err := c.ScanRange(keys[0], keys[100], 10, nil); err == nil || !strings.Contains(err.Error(), "protocol-v5") {
-		t.Fatalf("ScanRange against v4 nodes: err = %v", err)
-	}
-	if _, err := c.TopK(5, nil); err == nil || !strings.Contains(err.Error(), "protocol-v5") {
-		t.Fatalf("TopK against v4 nodes: err = %v", err)
-	}
-	if _, err := c.MultiGet(qs); err == nil || !strings.Contains(err.Error(), "protocol-v5") {
-		t.Fatalf("MultiGet against v4 nodes: err = %v", err)
-	}
-
-	// Ranks must still work after the refused ops (connections intact).
-	if _, err := c.LookupBatch(qs); err != nil {
-		t.Fatalf("ranks after refused query ops: %v", err)
-	}
-}
-
-// TestQueryOpsClientMaxVersionCap pins the same matrix from the client
-// side: DialOptions.MaxVersion 4 emulates an older client against
-// current nodes.
-func TestQueryOpsClientMaxVersionCap(t *testing.T) {
-	keys := workload.SortedKeys(4000, 6)
-	_, c, shutdown := startCapped(t, keys, []uint32{0, 0}, DialOptions{BatchKeys: 256, MaxVersion: ProtoV4})
-	defer shutdown()
-
-	for _, h := range c.Stats().Replicas {
-		if h.Proto > ProtoV4 {
-			t.Fatalf("replica %s negotiated v%d despite client cap 4", h.Addr, h.Proto)
-		}
-	}
-	if _, err := c.LookupBatch([]workload.Key{keys[1], keys[2000]}); err != nil {
-		t.Fatalf("capped-client ranks: %v", err)
-	}
-	if _, err := c.CountRange(keys[0], keys[100]); err == nil || !strings.Contains(err.Error(), "protocol-v5") {
-		t.Fatalf("capped-client CountRange: err = %v", err)
-	}
-}
-
-// TestQueryOpsMixedVersionPartitions runs a deployment mid-rollout:
-// one partition still on v4, the rest on v5. Ranks span everything;
-// query ops confined to upgraded partitions succeed, and ops touching
-// the stale partition fail with the availability error.
-func TestQueryOpsMixedVersionPartitions(t *testing.T) {
-	keys := workload.SortedKeys(6000, 9)
-	part, c, shutdown := startCapped(t, keys, []uint32{0, ProtoV4, 0}, DialOptions{BatchKeys: 256})
-	defer shutdown()
-
-	if _, err := c.LookupBatch([]workload.Key{keys[0], keys[3000], keys[5999]}); err != nil {
-		t.Fatalf("mixed-version ranks: %v", err)
-	}
-
-	p0 := part.Parts[0].Keys
-	n, err := c.CountRange(p0[0], p0[len(p0)-1])
-	if err != nil {
-		t.Fatalf("CountRange confined to v5 partition 0: %v", err)
-	}
-	if n != len(p0) {
-		t.Fatalf("CountRange over partition 0 = %d, want %d", n, len(p0))
-	}
-
-	if _, err := c.CountRange(keys[0], keys[len(keys)-1]); err == nil || !strings.Contains(err.Error(), "protocol-v5") {
-		t.Fatalf("CountRange spanning v4 partition: err = %v, want availability error", err)
-	}
-	// TopK always touches every partition, so mid-rollout it is
-	// unavailable until the last node upgrades.
-	if _, err := c.TopK(3, nil); err == nil || !strings.Contains(err.Error(), "protocol-v5") {
-		t.Fatalf("TopK spanning v4 partition: err = %v", err)
-	}
 }

@@ -256,14 +256,19 @@ func (g *replicaGroup) transition(r *replica, ev lifeEvent) bool {
 	return true
 }
 
-// can reports whether r may be used for u by a request that needs
-// protocol version minV: the one eligibility rule target choice, the
-// write fan-out, snapshot sourcing, departure settlement, the split
-// preflight and Stats all share.
+// can reports whether r may be used for u by an op request (0: no op in
+// particular): the one eligibility rule target choice, the write
+// fan-out, snapshot sourcing, departure settlement, the split preflight
+// and Stats all share. Its state must permit the use, its connection
+// must have negotiated the op's version, and its node must be what the
+// op needs — writable at least once the partition has been written to,
+// because a read-only replica never receives a write and so can no
+// longer prove it holds the full key set.
 //
 //dc:holds r.g.mu
-func (r *replica) can(u use, minV uint32) bool {
-	return stateCan[r.state]&u != 0 && r.node.version >= minV
+func (r *replica) can(u use, op uint8) bool {
+	row, n := &opTable[op], r.node
+	return stateCan[r.state]&u != 0 && n.version >= row.minVer && n.has >= row.needs && (n.has >= needWritable || !r.g.written)
 }
 
 // connected counts the group's live connections.
@@ -292,9 +297,9 @@ func (g *replicaGroup) nodes() []*clusterNode {
 }
 
 // errNoSource refuses an admission for now: the partition has absorbed
-// writes and no sibling can supply them. A pre-v3 replica stays refused
-// until the operator replaces it — it can never receive the missed
-// writes.
+// writes and no sibling can supply them. A read-only replica stays
+// refused until the operator replaces it — it can never receive the
+// missed writes.
 var errNoSource = errors.New("netrun: no replica can source a catch-up snapshot")
 
 // admit makes the freshly dialed connection n replica r's connection and
@@ -327,12 +332,12 @@ func (c *Cluster) admit(ep *epoch, r *replica, n *clusterNode, ev lifeEvent) err
 	if err == nil && g.written {
 		ev = evCatchUp
 		for i := range g.replicas {
-			if m := g.replicas[(g.cursor+i+1)%len(g.replicas)]; m != r && m.can(useFull, ProtoV3) {
+			if m := g.replicas[(g.cursor+i+1)%len(g.replicas)]; m != r && m.can(useFull, OpSnapshot) {
 				src = m
 				break
 			}
 		}
-		if src == nil || n.version < ProtoV3 {
+		if src == nil || n.cannot(OpLoad) != nil {
 			err = errNoSource
 		}
 	}
@@ -370,7 +375,7 @@ func (c *Cluster) admit(ep *epoch, r *replica, n *clusterNode, ev lifeEvent) err
 }
 
 // snapshotRequest builds the catch-up request n's admission sends to
-// src. When both are durable v4 nodes with a known chain it asks for the
+// src. When both are durable nodes with a known chain it asks for the
 // insert tail since n's own durable position instead of the full key set
 // (OpSnapshotSince): a rejoining replica already holds everything it
 // fsynced before the crash, so only the writes it missed move over the
@@ -381,7 +386,7 @@ func (c *Cluster) admit(ep *epoch, r *replica, n *clusterNode, ev lifeEvent) err
 func (c *Cluster) snapshotRequest(n *clusterNode, src *replica) *pending {
 	p := c.getPending()
 	p.op = OpSnapshot
-	if sn := src.node; n.version >= ProtoV4 && sn.version >= ProtoV4 && n.chain != 0 && sn.chain != 0 && !n.r.forceFull.Load() {
+	if n.chain != 0 && src.node.chain != 0 && !n.r.forceFull.Load() {
 		p.op = OpSnapshotSince
 		gen := uint64(n.liveCount - n.keyCount)
 		p.keys = append(p.keys, uint32(gen), uint32(gen>>32), uint32(n.chain), uint32(n.chain>>32))
@@ -510,7 +515,7 @@ func (c *Cluster) depart(ep *epoch, n *clusterNode, cause error) {
 	r.held = nil
 	live, full := g.connected(), false
 	for _, m := range g.replicas {
-		full = full || m.can(useFull, ProtoV3)
+		full = full || m.can(useFull, OpInsert)
 	}
 	g.mu.Unlock()
 	if failed && live == 0 {
@@ -526,7 +531,7 @@ func (c *Cluster) depart(ep *epoch, n *clusterNode, cause error) {
 			case full:
 				c.finish(p, nil)
 			default:
-				c.finish(p, fmt.Errorf("netrun: partition %d lost its last full protocol-v3 replica (%s) with a write in flight: %w", g.part, r.addr, cause))
+				c.finish(p, fmt.Errorf("netrun: partition %d lost its last writable replica with the full state (%s) with a write in flight: %w", g.part, r.addr, cause))
 			}
 		case lossAbort:
 			c.finish(p, fmt.Errorf("netrun: %s pinned to partition %d replica %s interrupted: %w", row.name, g.part, r.addr, cause))

@@ -124,6 +124,13 @@ func (rc *replicatedCluster) health(t *testing.T, partition, replica int) Replic
 
 func startReplicated(t *testing.T, keys []workload.Key, parts, replicas, batch int, opt DialOptions) (*replicatedCluster, func()) {
 	t.Helper()
+	return startShaped(t, keys, parts, replicas, batch, opt, nil)
+}
+
+// startShaped is startReplicated with a hook that configures each node
+// (ReadOnly, MaxVersion) before it serves.
+func startShaped(t *testing.T, keys []workload.Key, parts, replicas, batch int, opt DialOptions, shape func(part, replica int, n *Node)) (*replicatedCluster, func()) {
+	t.Helper()
 	p, err := core.NewPartitioning(keys, parts)
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +144,9 @@ func startReplicated(t *testing.T, keys []workload.Key, parts, replicas, batch i
 				t.Fatal(err)
 			}
 			node := NewPartitionNode(p.Parts[i].Keys, p.Parts[i].RankBase)
+			if shape != nil {
+				shape(i, r, node)
+			}
 			rc.nodes[i] = append(rc.nodes[i], node)
 			rc.addrs[i] = append(rc.addrs[i], lis.Addr().String())
 			flat = append(flat, lis.Addr().String())

@@ -4,52 +4,12 @@ import (
 	"bytes"
 	"encoding/hex"
 	"io"
-	"net"
 	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
 )
-
-// startClusterCaps spawns one node per partition with the given
-// protocol caps (caps[i] applies to partition i's node; ProtoV1
-// emulates an old binary byte-for-byte) and dials them.
-func startClusterCaps(t *testing.T, keys []workload.Key, batch int, caps []uint32) (*Cluster, func()) {
-	t.Helper()
-	p, err := core.NewPartitioning(keys, len(caps))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nodes []*Node
-	var addrs []string
-	for i, cap32 := range caps {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		node := NewPartitionNode(p.Parts[i].Keys, p.Parts[i].RankBase)
-		node.MaxVersion = cap32
-		nodes = append(nodes, node)
-		addrs = append(addrs, lis.Addr().String())
-		go node.Serve(lis)
-	}
-	c, err := Dial(addrs, keys, DialOptions{BatchKeys: batch, Timeout: 5 * time.Second})
-	if err != nil {
-		for _, n := range nodes {
-			n.Close()
-		}
-		t.Fatal(err)
-	}
-	return c, func() {
-		c.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-	}
-}
 
 func sortedCopy(qs []workload.Key) []workload.Key {
 	out := append([]workload.Key(nil), qs...)
@@ -57,74 +17,16 @@ func sortedCopy(qs []workload.Key) []workload.Key {
 	return out
 }
 
-func nodeVersions(c *Cluster) []uint32 {
-	var out []uint32
-	for _, g := range c.ep.Load().groups {
-		for _, m := range g.nodes() {
-			out = append(out, m.version)
-		}
-	}
-	return out
-}
-
-// TestHelloNegotiatesV2 pins the version exchange: capped nodes
-// negotiate their cap, emulated-v1 nodes negotiate v1, and uncapped
-// updatable nodes negotiate the full current version — all on the same
-// cluster.
-func TestHelloNegotiatesV2(t *testing.T) {
-	keys := workload.SortedKeys(4000, 31)
-	c, shutdown := startClusterCaps(t, keys, 256, []uint32{0, ProtoV1, ProtoV2, 0})
-	defer shutdown()
-
-	want := []uint32{ProtoVersion, ProtoV1, ProtoV2, ProtoVersion} // cap 0 = full version
-	got := nodeVersions(c)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("partition %d negotiated v%d, want v%d", i, got[i], want[i])
-		}
-	}
-}
-
-// TestSortedLookupAgainstV1Nodes is the interop acceptance test: a v2
-// master given ascending batches must produce reference ranks against
-// pure-v1 nodes (every sorted pending silently degrades to OpLookup),
-// against pure-v2 nodes (delta frames), and against a mixed cluster.
-func TestSortedLookupAgainstV1Nodes(t *testing.T) {
-	keys := workload.SortedKeys(20000, 32)
-	queries := sortedCopy(workload.UniformQueries(15000, 33))
-	for name, caps := range map[string][]uint32{
-		"allV1": {ProtoV1, ProtoV1, ProtoV1},
-		"allV2": {ProtoV2, ProtoV2, ProtoV2},
-		"mixed": {ProtoV1, ProtoV2, ProtoV1},
-	} {
-		t.Run(name, func(t *testing.T) {
-			c, shutdown := startClusterCaps(t, keys, 512, caps)
-			defer shutdown()
-			for round := 0; round < 3; round++ {
-				ranks, err := c.LookupBatch(queries)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, q := range queries {
-					if want := workload.ReferenceRank(keys, q); ranks[i] != want {
-						t.Fatalf("round %d: rank[%d](%d) = %d, want %d", round, i, q, ranks[i], want)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestTCPSortedChecksumIdenticalToUnsorted asserts the acceptance
-// criterion end to end over sockets: the sorted pipeline (v2 delta
+// criterion end to end over sockets: the sorted pipeline (delta
 // frames) returns results bit-identical to the same queries through
-// the unsorted v1 pipeline and to the in-process runtime.
+// the unsorted pipeline and to the in-process runtime.
 func TestTCPSortedChecksumIdenticalToUnsorted(t *testing.T) {
 	keys := workload.SortedKeys(32768, 34)
 	unsorted := workload.UniformQueries(20000, 35)
 	sorted := sortedCopy(unsorted)
 
-	c, shutdown := startClusterCaps(t, keys, 1024, []uint32{ProtoV2, ProtoV2, ProtoV2, ProtoV2})
+	c, shutdown := startCluster(t, keys, 4, 1024)
 	defer shutdown()
 
 	ref, err := core.NewCluster(keys, core.RealConfig{Method: core.MethodC3, Workers: 4, BatchKeys: 1024, QueueDepth: 4})
@@ -159,129 +61,6 @@ func TestTCPSortedChecksumIdenticalToUnsorted(t *testing.T) {
 	}
 	if benchChecksum(gotSorted) != benchChecksum(refSorted) {
 		t.Fatal("sorted checksum diverged from in-process runtime")
-	}
-}
-
-// TestSortedBatchesOptionSortsClientSide: with DialOptions.SortedBatches
-// an unsorted stream still produces query-order results (radix sort +
-// permutation scatter), matching the reference.
-func TestSortedBatchesOptionSortsClientSide(t *testing.T) {
-	keys := workload.SortedKeys(10000, 36)
-	p, err := core.NewPartitioning(keys, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nodes []*Node
-	var addrs []string
-	for i := 0; i < 3; i++ {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		node := NewPartitionNode(p.Parts[i].Keys, p.Parts[i].RankBase)
-		nodes = append(nodes, node)
-		addrs = append(addrs, lis.Addr().String())
-		go node.Serve(lis)
-	}
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	c, err := Dial(addrs, keys, DialOptions{BatchKeys: 512, SortedBatches: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	queries := workload.UniformQueries(12000, 37)
-	ranks, err := c.LookupBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		if want := workload.ReferenceRank(keys, q); ranks[i] != want {
-			t.Fatalf("rank[%d](%d) = %d, want %d", i, q, ranks[i], want)
-		}
-	}
-}
-
-// TestSortedFailoverToV1Sibling kills a v2 replica while sorted batches
-// are in flight: the failover path must re-dispatch its pendings to the
-// surviving v1 sibling, which means re-encoding the same keys as plain
-// OpLookup frames — and every result must still be correct.
-func TestSortedFailoverToV1Sibling(t *testing.T) {
-	keys := workload.SortedKeys(16000, 38)
-	const parts = 2
-	p, err := core.NewPartitioning(keys, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([][]*Node, parts)
-	addrs := make([]string, parts)
-	for i := 0; i < parts; i++ {
-		var group []string
-		for r := 0; r < 2; r++ {
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			node := NewPartitionNode(p.Parts[i].Keys, p.Parts[i].RankBase)
-			if r == 1 {
-				node.MaxVersion = ProtoV1 // the surviving sibling speaks v1 only
-			}
-			nodes[i] = append(nodes[i], node)
-			group = append(group, lis.Addr().String())
-			go node.Serve(lis)
-		}
-		addrs[i] = group[0] + "|" + group[1]
-	}
-	defer func() {
-		for _, g := range nodes {
-			for _, n := range g {
-				n.Close()
-			}
-		}
-	}()
-	c, err := Dial(addrs, keys, DialOptions{BatchKeys: 256, Rejoin: RejoinOptions{Backoff: time.Hour}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	queries := sortedCopy(workload.UniformQueries(30000, 39))
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	outs := make([][]int, 4)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			out := make([]int, len(queries))
-			for rep := 0; rep < 5; rep++ {
-				if err := c.LookupBatchInto(queries, out); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-			outs[g] = out
-		}(g)
-	}
-	time.Sleep(2 * time.Millisecond)
-	nodes[0][0].Close() // kill partition 0's v2 replica mid-flight
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", g, err)
-		}
-		for i, q := range queries {
-			if want := workload.ReferenceRank(keys, q); outs[g][i] != want {
-				t.Fatalf("caller %d: rank[%d](%d) = %d, want %d", g, i, q, outs[g][i], want)
-			}
-		}
-	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("cluster terminal despite surviving sibling: %v", err)
 	}
 }
 
