@@ -363,6 +363,39 @@ func BenchmarkReal_CountRange(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(endpoints), "ns/endpoint")
 }
 
+// BenchmarkReal_MultiGet is the multiplicity row: 2^20 keys a call, half
+// of them indexed, ascending — the order the delta codec hands a node and
+// the radix sort hands a worker, so the sort is not what the row times. A
+// multiplicity is two sorted ranks on one snapshot, and ns/key must stay
+// within 3x BenchmarkReal_RankBatchSorted's (benchcheck compares the
+// recorded rows). Two binary searches per key per layer, which it was
+// until the batch kernels served it, read 40 ns/key on this host: 9x.
+func BenchmarkReal_MultiGet(b *testing.B) {
+	keys := dcindex.GenerateKeys(327680, 1)
+	qs := dcindex.GenerateQueries(1<<20, 2)
+	for i := 0; i < len(qs); i += 2 {
+		qs[i] = keys[int(qs[i])%len(keys)]
+	}
+	sort.Slice(qs, func(i, j int) bool { return qs[i] < qs[j] })
+	idx, err := dcindex.Open(keys, dcindex.Options{Method: dcindex.MethodC3, Workers: 8, BatchKeys: 16384})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer idx.Close()
+	out := make([]int, len(qs))
+	if err := idx.MultiGetInto(qs, out); err != nil { // warm the pools
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(qs) * workload.KeyBytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := idx.MultiGetInto(qs, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(qs)), "ns/key")
+}
+
 // BenchmarkReal_TopK pulls the 16K largest keys per op — one partition
 // head-run merge across all workers; ns/key is per returned key.
 func BenchmarkReal_TopK(b *testing.B) {

@@ -68,7 +68,9 @@ func (o *queryOracle) multiplicity(k workload.Key) int {
 func queryConfigs() []RealConfig {
 	var cfgs []RealConfig
 	for _, m := range Methods() {
-		cfgs = append(cfgs, RealConfig{Method: m, Workers: 5, BatchKeys: 512, QueueDepth: 4, MergeThreshold: 256})
+		// Batches of up to 4,096 keys, so that the large calls of the check
+		// reach a partition whole.
+		cfgs = append(cfgs, RealConfig{Method: m, Workers: 5, BatchKeys: 4096, QueueDepth: 4, MergeThreshold: 256})
 	}
 	return cfgs
 }
@@ -149,6 +151,35 @@ func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *ra
 	for i, q := range qs {
 		if want := o.multiplicity(q); muls[i] != want {
 			t.Fatalf("%s: MultiGet key %d = %d, want %d", tag, q, muls[i], want)
+		}
+	}
+
+	// One call of each batch op large enough that every partition is
+	// handed thousands of keys in a batch: the batch kernels take their
+	// sorted forms only from runs of 128 up.
+	big := make([]workload.Key, 4096*5)
+	wide := make([]KeyRange, len(big))
+	for i := range big {
+		big[i] = workload.Key(rng.Intn(maxKey))
+		if i%2 == 0 {
+			big[i] = workload.Key(o.ints[rng.Intn(len(o.ints))])
+		}
+		wide[i] = KeyRange{Lo: big[i], Hi: big[i] + workload.Key(rng.Intn(maxKey/64))}
+	}
+	muls, err = c.MultiGet(big)
+	if err != nil {
+		t.Fatalf("%s: MultiGet of %d keys: %v", tag, len(big), err)
+	}
+	counts = make([]int, len(wide))
+	if err := c.CountRangeBatch(wide, counts); err != nil {
+		t.Fatalf("%s: CountRangeBatch of %d ranges: %v", tag, len(wide), err)
+	}
+	for i, q := range big {
+		if want := o.multiplicity(q); muls[i] != want {
+			t.Fatalf("%s: MultiGet of %d keys: key %d = %d, want %d", tag, len(big), q, muls[i], want)
+		}
+		if want := o.countRange(wide[i].Lo, wide[i].Hi); counts[i] != want {
+			t.Fatalf("%s: CountRangeBatch of %d ranges: (%d,%d) = %d, want %d", tag, len(wide), wide[i].Lo, wide[i].Hi, counts[i], want)
 		}
 	}
 }

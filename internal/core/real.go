@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -430,6 +431,14 @@ func (c *Cluster) processBatch(b *realBatch) {
 		b.outKeys = lp.upd.TopK(b.limit, b.outKeys[:0])
 		b.ranks = b.ranks[:0]
 		return
+	case opMultiGet:
+		// The count kernel's scratch is the batch's own: the key-run buffer
+		// no int-valued op fills, and room behind the counts.
+		n := len(b.keys)
+		b.ranks = slices.Grow(b.ranks[:0], 2*n)[:n]
+		b.outKeys = slices.Grow(b.outKeys[:0], n)
+		lp.upd.CountKeys(b.keys, b.ranks, b.outKeys[:n], b.ranks[n:2*n])
+		return
 	}
 	n := len(b.keys)
 	if cap(b.ranks) < n {
@@ -437,10 +446,6 @@ func (c *Cluster) processBatch(b *realBatch) {
 	}
 	out := b.ranks[:n]
 	b.ranks = out
-	if b.op == opMultiGet {
-		lp.upd.CountKeys(b.keys, out)
-		return
-	}
 	add := lp.rankBase + lp.ep.insertedBefore(lp.slot)
 	if b.sorted {
 		lp.upd.RankSorted(b.keys, out, add)

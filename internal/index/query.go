@@ -5,16 +5,23 @@ import "repro/internal/workload"
 // This file is the query surface beyond exact rank: selection (the
 // inverse of Rank), forward scans, range counts, top-k tails, and
 // per-key multiplicities. Everything here reduces to positions in
-// sorted key runs, so the static half operates on SortedArray and the
-// updatable half operates on the raw sorted slices of a pinned
-// (base, delta, frozen) snapshot — which is what makes the ops exact
-// for every method (sorted arrays, trees, buffered plans):
-// the Updatable always retains its base's sorted keys alongside
-// whatever ranker was built over them.
+// sorted key runs of one pinned (base, delta, frozen) snapshot — which is
+// what makes the ops exact for every method (sorted arrays, trees,
+// buffered plans): the Updatable always retains its base's sorted keys
+// alongside whatever ranker was built over them.
+//
+// What each costs. A batch of counted ranges (CountRanges) is two batch
+// ranks, of the his and of the lo-1 keys, and a batch of multiplicities
+// (CountKeys) the same with lo = hi — two sorted ranks when the keys come
+// ascending, as both engines send them: the layered kernels of the rank
+// ops, a cache-resident search a key, and both ranks on one snapshot. A
+// single CountRange is two binary searches per layer, which is right for
+// one range; a scan or a top-k is two boundary searches and a three-way
+// merge of what lies between.
 
 // lowerBound is the number of keys < k, by binary search — the
-// counterpart of upperBound (keys <= k). CountRange and the
-// multiplicity kernel are differences of the two.
+// counterpart of upperBound (keys <= k). The single CountRange is a
+// difference of the two, and a scan starts at one and ends at the other.
 func lowerBound(keys []workload.Key, k workload.Key) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
@@ -45,12 +52,6 @@ func (a *SortedArray) Select(rank int) (workload.Key, bool) {
 		return 0, false
 	}
 	return a.keys[rank], true
-}
-
-// CountRange returns the number of keys in the inclusive range
-// [lo, hi]: two binary searches, no materialization.
-func (a *SortedArray) CountRange(lo, hi workload.Key) int {
-	return countRange(a.keys, lo, hi)
 }
 
 // Cursor is a forward iterator over a sorted key run: the scan half of
@@ -91,11 +92,6 @@ func (a *SortedArray) ScanFrom(rank, limit int) Cursor {
 	return Cursor{keys: a.keys[rank:end]}
 }
 
-// CountRange returns the number of buffered keys in [lo, hi].
-func (d *Delta) CountRange(lo, hi workload.Key) int {
-	return countRange(d.keys, lo, hi)
-}
-
 // layers captures the up-to-three sorted runs of a pinned snapshot.
 // frozen may be nil; the helpers below treat it as empty.
 func (u *Updatable) layers() (base, delta, frozen []workload.Key) {
@@ -118,23 +114,67 @@ func (u *Updatable) CountRange(lo, hi workload.Key) int {
 	return countRange(base, lo, hi) + countRange(delta, lo, hi) + countRange(frozen, lo, hi)
 }
 
+// CountRanges writes the number of indexed keys in each inclusive range
+// [los[i], his[i]] into out[i]: the rank of hi less the rank of lo-1, both
+// taken through the kernels the rank ops use and both on ONE pinned
+// snapshot — ranks from two instants of a partition taking inserts would
+// subtract to a count that never existed, a negative one included. A
+// range starting at key 0 is the rank of hi, an inverted one (hi < lo) is
+// 0. Neither stream need be sorted; each one that is takes the sorted
+// kernels. his, out and the call's scratch — below for the lo-1 keys,
+// under for their ranks — are each at least len(los) long. The scratch is
+// the caller's because it crosses the base ranker's interface, which a
+// frame-local array would escape through to the heap on every call.
+//
+//dc:noalloc
+func (u *Updatable) CountRanges(los, his []workload.Key, out []int, below []workload.Key, under []int) {
+	s, delta, frozen := u.pin()
+	n := len(los)
+	for i, lo := range los {
+		below[i] = lo - min(lo, 1)
+	}
+	rankLayers(s, delta, frozen, his[:n], out[:n])
+	rankLayers(s, delta, frozen, below[:n], under[:n])
+	for i, lo := range los {
+		// An inverted range has hi <= lo-1: its difference is the keys
+		// between the two, negated.
+		if lo > 0 {
+			out[i] = max(out[i]-under[i], 0)
+		}
+	}
+}
+
+// rankLayers writes into out the rank of each of qs in the snapshot (s,
+// delta, frozen): the base's own ranker, then each buffer added. An
+// ascending qs — one compare a key to find out — takes the sorted form of
+// each.
+//
+//dc:noalloc
+func rankLayers(s *baseState, delta, frozen *Delta, qs []workload.Key, out []int) {
+	sorted := FirstDescent(qs) == 0
+	if sr, ok := s.r.(SortedRanker); ok && sorted {
+		sr.RankSorted(qs, out, 0)
+	} else {
+		s.r.RankBatch(qs, out, 0)
+	}
+	for _, d := range [2]*Delta{delta, frozen} {
+		if d != nil && sorted {
+			d.RankSortedAdd(qs, out)
+		} else if d != nil {
+			d.RankAdd(qs, out)
+		}
+	}
+}
+
 // CountKeys writes each query key's multiplicity (how many indexed
 // copies of exactly that key exist) into out[i]. The queries need not
-// be sorted. This is the MultiGet kernel: a multiplicity is
-// upperBound - lowerBound summed across the pinned layers, so it is
-// exact for every base structure without touching the ranker.
-func (u *Updatable) CountKeys(qs []workload.Key, out []int) {
-	base, delta, frozen := u.layers()
-	for i, q := range qs {
-		n := upperBound(base, q) - lowerBound(base, q)
-		if len(delta) > 0 {
-			n += upperBound(delta, q) - lowerBound(delta, q)
-		}
-		if len(frozen) > 0 {
-			n += upperBound(frozen, q) - lowerBound(frozen, q)
-		}
-		out[i] = n
-	}
+// be sorted. This is the MultiGet kernel: the one-key range [q, q],
+// counted through the base's own ranker, as ranks are, with CountRanges'
+// scratch.
+//
+//dc:noalloc
+func (u *Updatable) CountKeys(qs []workload.Key, out []int, below []workload.Key, under []int) {
+	u.CountRanges(qs, qs, out, below, under)
 }
 
 // ScanRange appends the indexed keys in [lo, hi], ascending, to out —

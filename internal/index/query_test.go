@@ -1,8 +1,13 @@
 package index
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/workload"
@@ -64,8 +69,8 @@ func TestSortedArraySelectScanCount(t *testing.T) {
 				want++
 			}
 		}
-		if got := a.CountRange(lo, hi); got != want {
-			t.Fatalf("CountRange(%d,%d) = %d, want %d", lo, hi, got, want)
+		if got := countRange(keys, lo, hi); got != want {
+			t.Fatalf("countRange(%d,%d) = %d, want %d", lo, hi, got, want)
 		}
 	}
 
@@ -175,7 +180,7 @@ func TestUpdatableQueryOpsLayered(t *testing.T) {
 			qs[i] = workload.Key(rng.Intn(3100))
 		}
 		out := make([]int, len(qs))
-		u.CountKeys(qs, out)
+		u.CountKeys(qs, out, make([]workload.Key, len(qs)), make([]int, len(qs)))
 		for i, q := range qs {
 			want := 0
 			for _, k := range all {
@@ -231,6 +236,342 @@ func TestUpdatableQueryOpsNonArrayBase(t *testing.T) {
 	for i, k := range scan {
 		if k != all[i] {
 			t.Fatalf("ScanRange[%d] = %d, want %d", i, k, all[i])
+		}
+	}
+}
+
+// oracleCount is the count CountRanges is held to: two sort.Search calls
+// over the merged multiset, sharing nothing with the kernels.
+func oracleCount(all []workload.Key, lo, hi workload.Key) int {
+	if hi < lo {
+		return 0
+	}
+	return sort.Search(len(all), func(i int) bool { return all[i] > hi }) -
+		sort.Search(len(all), func(i int) bool { return all[i] >= lo })
+}
+
+// threeLayers is an Updatable over base with all three layers live: frozen
+// is being merged, and the merge is held at the build of its new base
+// until release, while active sits in the buffer beside it. all is the
+// multiset the structure answers for.
+func threeLayers(t testing.TB, base []workload.Key, build Builder, frozen, active []workload.Key) (u *Updatable, all []workload.Key, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	first := true
+	u = NewUpdatable(base, func(keys []workload.Key) BatchRanker {
+		if !first {
+			<-gate
+		}
+		first = false
+		return build(keys)
+	}, len(frozen))
+	u.InsertBatch(frozen)
+	u.InsertBatch(active)
+	_, d, f := u.pin()
+	if f == nil || f.Len() != len(frozen) || d.Len() != len(active) {
+		t.Fatalf("layers not live: frozen %v, active buffer of %d keys", f != nil, d.Len())
+	}
+	all = MergeKeys(MergeKeys(base, NewDelta(frozen).Keys()), NewDelta(active).Keys())
+	return u, all, func() { close(gate); u.Quiesce() }
+}
+
+// checkCountRanges holds CountRanges on the ranges (los[i], his[i]) and
+// CountKeys on his to the oracle over all. The scratch starts dirty and
+// neither call may write past its run.
+func checkCountRanges(t *testing.T, tag string, u *Updatable, all, los, his []workload.Key) {
+	t.Helper()
+	n := len(los)
+	out, below, under := make([]int, n+1), make([]workload.Key, n+1), make([]int, n+1)
+	dirty := func() {
+		for i := range out {
+			out[i], below[i], under[i] = -7, 0xDEAD, -9
+		}
+	}
+	dirty()
+	u.CountRanges(los, his, out, below, under)
+	for i := range los {
+		if want := oracleCount(all, los[i], his[i]); out[i] != want {
+			t.Fatalf("%s: CountRanges[%d](%d,%d) = %d, want %d", tag, i, los[i], his[i], out[i], want)
+		}
+	}
+	if out[n] != -7 || below[n] != 0xDEAD || under[n] != -9 {
+		t.Fatalf("%s: CountRanges over %d ranges wrote past its end", tag, n)
+	}
+	dirty()
+	u.CountKeys(his, out, below, under)
+	for i, q := range his {
+		if want := oracleCount(all, q, q); out[i] != want {
+			t.Fatalf("%s: CountKeys[%d](%d) = %d, want %d", tag, i, q, out[i], want)
+		}
+	}
+	if out[n] != -7 || below[n] != 0xDEAD || under[n] != -9 {
+		t.Fatalf("%s: CountKeys over %d keys wrote past its end", tag, n)
+	}
+}
+
+// shuffled is a copy of qs in an order with no ascending stretch to speak
+// of.
+func shuffled(r *workload.RNG, qs []workload.Key) []workload.Key {
+	out := slices.Clone(qs)
+	for i := len(out) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		out[i], out[j] = out[j], out[i]
+	}
+	return out
+}
+
+// TestCountRangesKernelForms reaches every form the rank kernels take
+// from under CountRanges, at a partition that fits L2 and one far outside
+// it, with base, frozen and active buffer all live: ascending runs at the
+// densities the sorted kernel merges, walks with cursor windows and
+// declines, and the same queries unsorted. Half of the asked keys are
+// indexed ones, some of them in a buffer, so multiplicities are not all 0.
+func TestCountRangesKernelForms(t *testing.T) {
+	for _, n := range []int{163840, 2097152} {
+		r := workload.NewRNG(uint64(n))
+		base := workload.SortedKeys(n, 5)
+		frozen, active := make([]workload.Key, 4096), make([]workload.Key, 1500)
+		for i := range frozen {
+			frozen[i] = base[r.Intn(n)] // second copies
+		}
+		for i := range active {
+			active[i] = r.Key()
+		}
+		u, all, release := threeLayers(t, base, BuildSortedArray, frozen, active)
+		for _, density := range []float64{0.3, 8, 1000} {
+			m := min(6000, int(0.9*float64(n)/density))
+			crossed := int(density * float64(m))
+			at := r.Intn(n - crossed)
+			los := uniformRun(r, m, base[at], base[at+crossed-1])
+			for i := 0; i < m; i += 2 {
+				los[i] = base[at+r.Intn(crossed)]
+			}
+			slices.Sort(los)
+			// The run is long enough for the sorted kernel, which takes it
+			// at the first two densities and hands the third to RankBatch.
+			took := sortedRun(base, los, make([]int, m), 0, false, NewSortedArray(base, 0).window)
+			if m < minCursorRun || took != (density < 1000) {
+				t.Fatalf("%d keys, %d queries at %g keys/query: sorted kernel took the run: %v", n, m, density, took)
+			}
+			width := workload.Key(float64(maxKey) / float64(n) * density * 3)
+			his := make([]workload.Key, m)
+			for i, lo := range los {
+				his[i] = lo + min(width, maxKey-lo)
+			}
+			tag := fmt.Sprintf("%d keys, %g keys/query", n, density)
+			checkCountRanges(t, tag+", both streams ascending", u, all, los, his)
+			checkCountRanges(t, tag+", his unsorted", u, all, los, shuffled(r, his))
+			perm := shuffled(r, los)
+			for i, lo := range perm {
+				his[i] = lo + min(width, maxKey-lo)
+			}
+			checkCountRanges(t, tag+", both streams unsorted", u, all, perm, his)
+		}
+		release()
+		// The same structure clean: the lock-free path.
+		qs := uniformRun(r, 6000, 0, maxKey)
+		checkCountRanges(t, fmt.Sprintf("%d keys, merged", n), u, all, qs, qs)
+	}
+}
+
+// TestCountRangesAdversarial runs the kernel table's key sets — among them
+// one key filling the array, and a run of one key longer than any
+// interpolation window — under CountRanges, with second copies of some
+// keys in both buffers, over a sorted-array base and over a tree that has
+// no sorted form. The queries are every key and its neighbours and the
+// ends of the key space, so q = 0, q = MaxUint32, lo = 0, lo = hi and
+// hi < lo (the wrapped neighbours) are all in, ascending and not.
+func TestCountRangesAdversarial(t *testing.T) {
+	builders := map[string]Builder{
+		"array": BuildSortedArray,
+		"tree":  func(keys []workload.Key) BatchRanker { return treeRanker{NewNaryTree(keys, 0)} },
+	}
+	for name, keys := range adversarialKeySets() {
+		for bname, build := range builders {
+			if bname == "tree" && (len(keys) == 0 || len(keys) > 6000) {
+				continue // an empty tree cannot be built; the largest set is slow one key at a time
+			}
+			t.Run(name+"/"+bname, func(t *testing.T) {
+				r := workload.NewRNG(21)
+				frozen, active := []workload.Key{0, maxKey}, []workload.Key{maxKey, 5}
+				for i := 0; i < len(keys); i += 3 {
+					frozen = append(frozen, keys[i])
+					active = append(active, keys[i], keys[len(keys)-1-i])
+				}
+				u, all, release := threeLayers(t, keys, build, frozen, active)
+				defer release()
+				qs := adversarialQueries(keys)
+				asc := slices.Clone(qs)
+				slices.Sort(asc)
+				checkCountRanges(t, "point ranges, ascending", u, all, asc, asc)
+				checkCountRanges(t, "point ranges, unsorted", u, all, qs, qs)
+				checkCountRanges(t, "arbitrary ranges", u, all, qs, shuffled(r, qs))
+				checkCountRanges(t, "from the origin", u, all, make([]workload.Key, len(asc)), asc)
+				top := slices.Repeat([]workload.Key{maxKey}, len(asc))
+				checkCountRanges(t, "to the end of the key space", u, all, asc, top)
+				checkCountRanges(t, "no ranges", u, all, nil, nil)
+			})
+		}
+	}
+}
+
+// TestCountKeysOneSnapshot has writers insert one copy of every key of a
+// fixed set per call while readers ask the set's multiplicities. An insert
+// call lands in the structure whole, so on one snapshot the answers are
+// all the copies seen so far: never negative, never fewer than the calls
+// acknowledged before the read began nor more than those begun before it
+// ended, and never fewer than the same reader saw last time. A rank of q
+// and a rank of q-1 taken from two snapshots break this as soon as an
+// insert lands between them: the later one counts more copies of every
+// smaller key of the set. The merge threshold is low, so the reads also
+// straddle buffers freezing and bases being swapped in.
+func TestCountKeysOneSnapshot(t *testing.T) {
+	const (
+		writers, readers = 2, 2
+		rounds           = 300
+	)
+	base := workload.SortedKeys(40960, 9)
+	set := make([]workload.Key, 0, 512)
+	for i := 0; i < cap(set); i++ {
+		set = append(set, base[i*80]+1) // almost surely not a base key; the oracle below does not assume it
+	}
+	u := NewUpdatable(base, BuildSortedArray, 2048)
+	orders := [][]workload.Key{set, shuffled(workload.NewRNG(3), set)}
+	var began, acked atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				began.Add(1)
+				u.InsertBatch(set)
+				acked.Add(1)
+			}
+		}()
+	}
+	for rd := 0; rd < readers; rd++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			qs := orders[rd%len(orders)]
+			own := make([]int, len(qs)) // copies of each asked key in the base
+			for i, q := range qs {
+				own[i] = oracleCount(base, q, q)
+			}
+			out, below, under := make([]int, len(qs)), make([]workload.Key, len(qs)), make([]int, len(qs))
+			last := 0
+			for acked.Load() < writers*rounds {
+				before := int(acked.Load())
+				u.CountKeys(qs, out, below, under)
+				after := int(began.Load())
+				for i, c := range out {
+					if c -= own[i]; c < 0 || c < before || c > after || c < last {
+						t.Errorf("reader %d: key %d held %d inserted copies; %d calls were acknowledged before the read, %d begun by its end, and the last read saw %d",
+							rd, qs[i], c, before, after, last)
+						return
+					}
+				}
+				last = out[0] - own[0]
+			}
+		}()
+	}
+	wg.Wait()
+	u.Quiesce()
+}
+
+// FuzzCountRanges cuts its input into base keys, buffered keys and range
+// endpoints and holds CountRanges and CountKeys to the oracle with every
+// layer live, on the endpoints as drawn and on both streams ascending.
+func FuzzCountRanges(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
+	f.Add(binary.LittleEndian.AppendUint32(nil, 7), uint8(1), uint8(0), uint8(31))
+	f.Fuzz(func(t *testing.T, data []byte, nkeys, nbuf, shift uint8) {
+		var words []workload.Key
+		for ; len(data) >= 4; data = data[4:] {
+			words = append(words, workload.Key(binary.LittleEndian.Uint32(data)))
+		}
+		cut := min(int(nkeys), len(words))
+		keys, words := words[:cut], words[cut:]
+		for i := range keys {
+			keys[i] >>= shift % 32
+		}
+		slices.Sort(keys)
+		cut = min(int(nbuf), len(words))
+		buf, words := words[:cut], words[cut:]
+		// The first buffered key freezes, the rest stay active; the keys of
+		// the key space's ends ride in both.
+		frozen := append([]workload.Key{0, maxKey}, buf[:min(1, len(buf))]...)
+		active := append([]workload.Key{0, maxKey}, buf[min(1, len(buf)):]...)
+		u, all, release := threeLayers(t, keys, BuildSortedArray, frozen, active)
+		defer release()
+
+		words = append(words, 0, maxKey, 0, 0, maxKey, maxKey)
+		los, his := words[:len(words)/2], words[len(words)/2:]
+		his = his[:len(los)]
+		// Eight ranges from each drawn one, so that runs long enough for
+		// the sorted kernel are common.
+		var wlos, whis []workload.Key
+		for i, lo := range los {
+			for k := workload.Key(0); k < 8; k++ {
+				wlos, whis = append(wlos, lo+k*workload.Key(nbuf)), append(whis, his[i]+k*workload.Key(nkeys))
+			}
+		}
+		checkCountRanges(t, "as drawn", u, all, wlos, whis)
+		slices.Sort(wlos)
+		slices.Sort(whis)
+		checkCountRanges(t, "ascending", u, all, wlos, whis)
+	})
+}
+
+// BenchmarkUpdatableCountKeys is the MultiGet kernel's own rows at the
+// referee's three partition sizes: 8,192 keys a call, half of them
+// indexed, ascending (the order both engines hand it) and not, on a clean
+// partition and with a 4,096-key buffer beside the base. Eight
+// partitions in turn, a fresh batch from a pool on every iteration.
+func BenchmarkUpdatableCountKeys(b *testing.B) {
+	const batch = 8192
+	for _, n := range []int{40960, 163840, 2097152} {
+		for _, buffered := range []int{0, DefaultMergeThreshold} {
+			parts := sync.OnceValue(func() []*Updatable {
+				parts := make([]*Updatable, 8)
+				for i := range parts {
+					// The threshold is out of reach: the buffer stays a buffer.
+					parts[i] = NewUpdatable(workload.SortedKeys(n, uint64(i+1)), BuildSortedArray, 2*DefaultMergeThreshold)
+					parts[i].InsertBatch(workload.UniformQueries(buffered, uint64(i+9)))
+				}
+				return parts
+			})
+			for _, order := range []string{"sorted", "unsorted"} {
+				b.Run(fmt.Sprintf("%d/delta%d/%s", n, buffered, order), func(b *testing.B) {
+					parts := parts()
+					r := workload.NewRNG(2)
+					pool := make([][]workload.Key, 64)
+					for i := range pool {
+						base := parts[i%len(parts)].base.Load().keys
+						pool[i] = make([]workload.Key, batch)
+						for j := range pool[i] {
+							pool[i][j] = r.Key()
+							if j%2 == 0 {
+								pool[i][j] = base[r.Intn(n)]
+							}
+						}
+						if order == "sorted" {
+							slices.Sort(pool[i])
+						}
+					}
+					out, below, under := make([]int, batch), make([]workload.Key, batch), make([]int, batch)
+					for i, u := range parts {
+						u.CountKeys(pool[i], out, below, under) // first touch of every partition off the clock
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						parts[i%len(parts)].CountKeys(pool[i%len(pool)], out, below, under)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
+				})
+			}
 		}
 	}
 }

@@ -276,6 +276,10 @@ type insChunk struct {
 type netCall struct {
 	done  chan *pending
 	accum []*pending
+	// pends and gis are the ops that compose kept replies: every pending
+	// of the call in dispatch order, and the partition each goes to.
+	pends []*pending
+	gis   []int
 	// sort is the pooled radix scratch for the ops whose frames carry
 	// ascending runs only (unsorted input is sorted client-side).
 	sort core.RadixScratch
@@ -838,6 +842,30 @@ func (c *Cluster) gather(done chan *pending, n int, keep []*pending) error {
 	return first
 }
 
+// getCall checks out a call's pooled dispatch state with an accumulating
+// slot, empty, for each of groups partitions, and no pending kept.
+//
+//dc:noalloc
+func (c *Cluster) getCall(groups int) *netCall {
+	nc := c.calls.Get().(*netCall)
+	if len(nc.accum) < groups {
+		nc.accum = make([]*pending, groups)
+	}
+	nc.pends, nc.gis = nc.pends[:0], nc.gis[:0]
+	return nc
+}
+
+// room gives the gather channel room for inflight completions, so that a
+// read loop never blocks completing this call. Like every part of a
+// netCall it grows and never shrinks.
+//
+//dc:noalloc
+func (nc *netCall) room(inflight int) {
+	if cap(nc.done) < inflight {
+		nc.done = make(chan *pending, inflight)
+	}
+}
+
 // LookupBatch routes queries to the owning partitions in batches and
 // returns global ranks in query order. Safe for concurrent callers.
 func (c *Cluster) LookupBatch(queries []workload.Key) ([]int, error) {
@@ -890,16 +918,10 @@ func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
 	}
 
 	groups := ep.groups
-	nc := c.calls.Get().(*netCall)
-	if len(nc.accum) < len(groups) {
-		nc.accum = make([]*pending, len(groups))
-	}
+	nc := c.getCall(len(groups))
 	// Worst-case in flight: one full batch per BatchKeys run plus one
-	// final partial flush per partition. Sizing the gather channel to
-	// cover it means the read loops never block completing this call.
-	if need := len(keys)/c.batch + len(groups) + 1; cap(nc.done) < need {
-		nc.done = make(chan *pending, need)
-	}
+	// final partial flush per partition.
+	nc.room(len(keys)/c.batch + len(groups) + 1)
 	runKeys := keys
 	var runPos []int32
 	sorted := core.SortedRun(keys)

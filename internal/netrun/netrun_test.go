@@ -127,7 +127,7 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 
 // startCluster spawns one node per partition on loopback listeners and
 // dials them, returning the client and a shutdown func.
-func startCluster(t *testing.T, keys []workload.Key, parts, batch int) (*Cluster, func()) {
+func startCluster(t testing.TB, keys []workload.Key, parts, batch int) (*Cluster, func()) {
 	t.Helper()
 	p, err := core.NewPartitioning(keys, parts)
 	if err != nil {

@@ -357,11 +357,19 @@ func refusef(format string, args ...any) error { return refusal{fmt.Errorf(forma
 
 var errShape = errors.New("malformed request payload")
 
-// keepReplyScratch caps the encoded-reply buffer a connection retains
-// between requests. Lookup replies are a few tens of KB; a snapshot is
-// the whole live key set, and a long-lived serving connection must not
-// pin that much dead capacity after one rare catch-up.
+// keepReplyScratch caps, in elements, every scratch slice a connection
+// retains between requests. Lookup frames are a few tens of KB; a snapshot
+// or an unlimited scan is the whole live key set, and a long-lived serving
+// connection must not pin that much dead capacity after one rare request.
 const keepReplyScratch = 1 << 20
+
+// keep is buf if the connection may retain it, nil above the cap.
+func keep[T any](buf []T) []T {
+	if cap(buf) > keepReplyScratch {
+		return nil
+	}
+	return buf
+}
 
 // nodeConn is one client connection's serving state: the frame codec,
 // the version the hello settled on, and scratch reused across requests
@@ -477,9 +485,8 @@ func (s *nodeConn) serve(f Frame) bool {
 	if werr == nil {
 		werr = s.bc.w.Flush()
 	}
-	if cap(s.replyBuf) > keepReplyScratch {
-		s.replyBuf = nil
-	}
+	s.keyBuf, s.intBuf, s.wordBuf = keep(s.keyBuf), keep(s.intBuf), keep(s.wordBuf)
+	s.replyBuf, s.scanBuf = keep(s.replyBuf), keep(s.scanBuf)
 	if werr != nil {
 		n.logf("netrun: reply op %d: %v", reply.Op, werr)
 		return false
@@ -715,26 +722,33 @@ func (s *nodeConn) serveCountRange(_ *nodeIdent, f Frame) ([]uint32, error) {
 	if len(f.Payload)%2 != 0 {
 		return nil, errShape
 	}
-	counts := s.words(len(f.Payload) / 2)
-	for i := range counts {
-		lo, hi := workload.Key(f.Payload[2*i]), workload.Key(f.Payload[2*i+1])
-		counts[i] = uint32(s.n.upd.CountRange(lo, hi))
+	// The [lo,hi] words split into the two streams the batch kernel ranks;
+	// its scratch is the rest of the same two buffers.
+	m := len(f.Payload) / 2
+	s.keyBuf = slices.Grow(s.keyBuf[:0], 3*m)
+	los, his, below := s.keyBuf[:m], s.keyBuf[m:2*m], s.keyBuf[2*m:3*m]
+	for i := range los {
+		los[i], his[i] = workload.Key(f.Payload[2*i]), workload.Key(f.Payload[2*i+1])
 	}
-	return counts, nil
+	ints := s.ints(2 * m)
+	s.n.upd.CountRanges(los, his, ints[:m], below, ints[m:])
+	return s.wordsOf(ints[:m]), nil
 }
 
 func (s *nodeConn) serveScanRange(_ *nodeIdent, f Frame) ([]uint32, error) {
 	if len(f.Payload) != 3 {
 		return nil, errShape
 	}
+	// Wire 0 = unlimited. One key past the frame limit is all a scan that
+	// will be refused needs to materialise.
 	max := int(f.Payload[2])
-	if max == 0 {
-		max = -1 // wire 0 = unlimited
+	if max == 0 || max > MaxFrameWords {
+		max = MaxFrameWords + 1
 	}
 	s.scanBuf = s.n.upd.ScanRange(workload.Key(f.Payload[0]), workload.Key(f.Payload[1]), max, s.scanBuf[:0])
 	if len(s.scanBuf) > MaxFrameWords {
 		// A truncated scan would silently be a wrong answer.
-		return nil, refusef("scan of %d keys exceeds the frame limit", len(s.scanBuf))
+		return nil, refusef("scan exceeds the frame limit of %d keys", MaxFrameWords)
 	}
 	words := s.words(len(s.scanBuf))
 	for i, k := range s.scanBuf {
@@ -766,9 +780,12 @@ func (s *nodeConn) serveMultiGet(_ *nodeIdent, f Frame) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	ints := s.ints(len(run))
-	s.n.upd.CountKeys(run, ints)
-	return s.wordsOf(ints), nil
+	// The kernel's scratch rides behind the run and behind its counts.
+	n := len(run)
+	s.keyBuf = slices.Grow(run, n)
+	ints := s.ints(2 * n)
+	s.n.upd.CountKeys(run, ints[:n], s.keyBuf[n:2*n], ints[n:])
+	return s.wordsOf(ints[:n]), nil
 }
 
 // serveAddReplica assigns this node a partition. The payload names a

@@ -55,6 +55,8 @@ func (c *Cluster) CountRange(lo, hi workload.Key) (int, error) {
 // Ranges spanning several partitions batch their endpoint pairs with
 // every other range touching the same partition, so the wire cost is
 // bounded by spanned-partition pairs, not ranges times partitions.
+//
+//dc:noalloc
 func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 	if len(out) < len(ranges) {
 		return fmt.Errorf("netrun: out len %d < %d ranges", len(out), len(ranges))
@@ -70,41 +72,40 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 	clear(out[:len(ranges)])
 
 	part := c.part.Load()
-	accum := make([]*pending, len(ep.groups))
-	var gis []int
-	var pends []*pending
+	nc := c.getCall(len(ep.groups))
 	for i, r := range ranges {
 		if r.Hi < r.Lo {
 			continue
 		}
 		gLo, gHi := part.Route(r.Lo), part.Route(r.Hi)
 		for gi := gLo; gi <= gHi; gi++ {
-			p := accum[gi]
+			p := nc.accum[gi]
 			if p == nil {
 				p = c.getPending()
 				p.op = OpCountRange
-				p.posBase = len(pends)
-				accum[gi] = p
-				gis = append(gis, gi)
-				pends = append(pends, p)
+				p.posBase = len(nc.pends)
+				nc.accum[gi] = p
+				nc.gis = append(nc.gis, gi)
+				nc.pends = append(nc.pends, p)
 			}
 			p.keys = append(p.keys, uint32(r.Lo), uint32(r.Hi))
 			p.pos = append(p.pos, int32(i))
 			if len(p.keys) >= c.batch {
-				accum[gi] = nil
+				nc.accum[gi] = nil
 			}
 		}
 	}
-	done := make(chan *pending, len(pends))
-	for j, p := range pends {
-		c.dispatch(ep, gis[j], p, nil, done)
+	clear(nc.accum)
+	nc.room(len(nc.pends))
+	for j, p := range nc.pends {
+		c.dispatch(ep, nc.gis[j], p, nil, nc.done)
 	}
 	// The read loops stage each reply's counts in p.reply rather than
 	// adding into out: a range spanning partitions has several replies
 	// targeting the same slot, and only this single goroutine may sum
 	// them.
-	err = c.gather(done, len(pends), pends)
-	for _, p := range pends {
+	err = c.gather(nc.done, len(nc.pends), nc.pends)
+	for _, p := range nc.pends {
 		if p.err == nil {
 			for j, pos := range p.pos {
 				out[pos] += int(p.reply[j])
@@ -112,23 +113,27 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 		}
 		c.release(p)
 	}
+	c.calls.Put(nc)
 	return err
 }
 
 // askEach sends one op request carrying words to every partition in
-// [gLo, gHi] and returns the completed pendings in partition order —
-// which is key order — for the caller to compose from and release.
-func (c *Cluster) askEach(ep *epoch, op uint8, gLo, gHi int, words ...uint32) ([]*pending, error) {
-	pends := make([]*pending, gHi-gLo+1)
-	done := make(chan *pending, len(pends))
+// [gLo, gHi] and returns the call state with the completed pendings in
+// nc.pends in partition order — which is key order — for the caller to
+// compose from and release before it returns nc to the pool.
+func (c *Cluster) askEach(ep *epoch, op uint8, gLo, gHi int, words ...uint32) (*netCall, error) {
+	nc := c.getCall(0)
+	n := gHi - gLo + 1
+	nc.room(n)
+	nc.pends = slices.Grow(nc.pends, n)[:n]
 	for gi := gLo; gi <= gHi; gi++ {
 		p := c.getPending()
 		p.op = op
 		p.keys = append(p.keys, words...)
 		p.posBase = gi - gLo
-		c.dispatch(ep, gi, p, nil, done)
+		c.dispatch(ep, gi, p, nil, nc.done)
 	}
-	return pends, c.gather(done, len(pends), pends)
+	return nc, c.gather(nc.done, n, nc.pends)
 }
 
 // ScanRange returns the keys in [lo, hi] in ascending order, at most
@@ -146,12 +151,12 @@ func (c *Cluster) ScanRange(lo, hi workload.Key, limit int, buf []workload.Key) 
 	defer c.pause.RUnlock()
 	part := c.part.Load()
 	// On the wire a limit of 0 means unlimited.
-	pends, err := c.askEach(ep, OpScanRange, part.Route(lo), part.Route(hi), uint32(lo), uint32(hi), uint32(max(limit, 0)))
+	nc, err := c.askEach(ep, OpScanRange, part.Route(lo), part.Route(hi), uint32(lo), uint32(hi), uint32(max(limit, 0)))
 	// Partition order is key order: concatenating the per-partition
 	// ascending runs lowest partition first and truncating at limit
 	// reproduces the oracle's "first limit keys from lo" exactly.
 	end := len(buf) + limit
-	for _, p := range pends {
+	for _, p := range nc.pends {
 		for _, v := range p.reply {
 			if err == nil && (limit < 0 || len(buf) < end) {
 				buf = append(buf, workload.Key(v))
@@ -159,6 +164,7 @@ func (c *Cluster) ScanRange(lo, hi workload.Key, limit int, buf []workload.Key) 
 		}
 		c.release(p)
 	}
+	c.calls.Put(nc)
 	return buf, err
 }
 
@@ -172,11 +178,11 @@ func (c *Cluster) TopK(k int, buf []workload.Key) ([]workload.Key, error) {
 		return buf, err
 	}
 	defer c.pause.RUnlock()
-	pends, err := c.askEach(ep, OpTopK, 0, len(ep.groups)-1, uint32(k))
+	nc, err := c.askEach(ep, OpTopK, 0, len(ep.groups)-1, uint32(k))
 	// The highest partition holds the largest keys; each reply is an
 	// ascending run, read back-to-front.
 	end := len(buf) + k
-	for _, p := range slices.Backward(pends) {
+	for _, p := range slices.Backward(nc.pends) {
 		for _, v := range slices.Backward(p.reply) {
 			if err == nil && len(buf) < end {
 				buf = append(buf, workload.Key(v))
@@ -184,6 +190,7 @@ func (c *Cluster) TopK(k int, buf []workload.Key) ([]workload.Key, error) {
 		}
 		c.release(p)
 	}
+	c.calls.Put(nc)
 	return buf, err
 }
 

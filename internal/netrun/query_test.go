@@ -1,7 +1,12 @@
 package netrun
 
 import (
+	"bytes"
+	"encoding/hex"
+	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -137,6 +142,35 @@ func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, r
 			t.Fatalf("%s: MultiGet key %d = %d, want %d", tag, q, muls[i], want)
 		}
 	}
+
+	// One call of each batch op large enough that every partition is sent
+	// thousands of keys in a frame: the node's batch kernels take their
+	// sorted forms only from runs of 128 up.
+	big := make([]workload.Key, 4096*c.Nodes())
+	wide := make([]KeyRange, len(big))
+	for i := range big {
+		big[i] = workload.Key(rng.Intn(maxKey))
+		if i%2 == 0 {
+			big[i] = workload.Key(o.ints[rng.Intn(len(o.ints))])
+		}
+		wide[i] = KeyRange{Lo: big[i], Hi: big[i] + workload.Key(rng.Intn(maxKey/64))}
+	}
+	muls, err = c.MultiGet(big)
+	if err != nil {
+		t.Fatalf("%s: MultiGet of %d keys: %v", tag, len(big), err)
+	}
+	counts = make([]int, len(wide))
+	if err := c.CountRangeBatch(wide, counts); err != nil {
+		t.Fatalf("%s: CountRangeBatch of %d ranges: %v", tag, len(wide), err)
+	}
+	for i, q := range big {
+		if want := o.countRange(q, q); muls[i] != want {
+			t.Fatalf("%s: MultiGet of %d keys: key %d = %d, want %d", tag, len(big), q, muls[i], want)
+		}
+		if want := o.countRange(wide[i].Lo, wide[i].Hi); counts[i] != want {
+			t.Fatalf("%s: CountRangeBatch of %d ranges: (%d,%d) = %d, want %d", tag, len(wide), wide[i].Lo, wide[i].Hi, counts[i], want)
+		}
+	}
 }
 
 // TestTCPQueryOpsAppendSemantics pins the buffer contract shared with
@@ -205,7 +239,9 @@ func TestTCPQueryOpsAppendSemantics(t *testing.T) {
 func TestTCPQueryOpsOracle(t *testing.T) {
 	keys := workload.SortedKeys(16000, 31)
 	maxKey := int(keys[len(keys)-1]) + 1
-	rc, shutdown := startReplicated(t, keys, 4, 2, 512, DialOptions{})
+	// Frames of up to 4,096 keys, so that the large calls of the check
+	// reach a node whole.
+	rc, shutdown := startReplicated(t, keys, 4, 2, 4096, DialOptions{})
 	defer shutdown()
 	c := rc.c
 
@@ -353,4 +389,205 @@ type checksumMismatch struct {
 
 func (m *checksumMismatch) Error() string {
 	return "checksum mismatch at iteration " + string(rune('0'+m.iter%10)) + ": got/want differ"
+}
+
+// TestQueryOpsGoldenFrames pins the bytes of one OpCountRange and one
+// OpMultiGet exchange — request, and the OpCounts reply — recorded from
+// the build whose node answered them with two binary searches per range
+// per layer: ranges from the origin, inverted, of one key, to the end of
+// the key space, across duplicates and buffered copies. The batch kernels
+// changed how the node counts, not one byte of what it says.
+func TestQueryOpsGoldenFrames(t *testing.T) {
+	keys := make([]workload.Key, 1000)
+	for i := range keys {
+		keys[i] = workload.Key(i / 2 * 70000) // every key twice
+	}
+	node := NewPartitionNode(keys, 5000)
+	node.upd.InsertBatch([]workload.Key{0, 70000, 70000, 5, math.MaxUint32})
+	var fw frameWriter
+	countReq, err := fw.encode(Frame{Op: OpCountRange, ReqID: 42, Payload: []uint32{
+		0, 0, 0, 69999, 0, math.MaxUint32, 1, 70000, 70000, 70000, 70001, 70000, 6, 5,
+		140000, 34930000, 34930000, math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32, 0,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	countReq = slices.Clone(countReq)
+	getReq, err := fw.encodeDeltaOp(OpMultiGet, 43, []uint32{0, 0, 1, 5, 69999, 70000, 70001, 140000, 34930000, 34930001, math.MaxUint32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, request, frames string }{
+		{"count_range", hex.EncodeToString(countReq), goldenCountRange},
+		{"multi_get", hex.EncodeToString(getReq), goldenMultiGet},
+	} {
+		req, _ := hex.DecodeString(c.request)
+		var sent bytes.Buffer
+		s := node.newConn(nil)
+		s.bc = newBufferedConn(duplex{bytes.NewReader(req), &sent})
+		f, err := s.bc.readFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.serve(f) {
+			t.Fatalf("%s: the node dropped the connection", c.name)
+		}
+		if got := c.request + " " + hex.EncodeToString(sent.Bytes()); got != c.frames {
+			t.Errorf("%s: request and reply frames\n got %s\nwant %s", c.name, got, c.frames)
+		}
+	}
+}
+
+// Request frame, a space, reply frame; from commit bddf63c.
+const (
+	goldenCountRange = "05201ddc112a000000160000000000000000000000000000006f11010000000000ffffffff0100000070110100701101007011010071110100701101000600000005000000e022020050fd140250fd1402ffffffffffffffffffffffffffffffff00000000 05201ddc162a0000000e0000000b0304ed0705040000e407030100"
+	goldenMultiGet   = "05201ddc142b000000170000000b00000104eaa2040101efa204f0b4cb1001ae85acef0f 05201ddc162b0000000c0000000b0303000100040002020001"
+)
+
+// TestScratchNotRetained sends a connection the requests that grow its
+// scratch past what it may keep — an unlimited scan of a two-million-key
+// partition, which stages the partition twice, and a lookup of more than
+// a million keys — and holds every scratch slice to the cap afterwards;
+// the next small request grows what it needs once and then allocates
+// nothing.
+func TestScratchNotRetained(t *testing.T) {
+	keys := workload.SortedKeys(2<<20, 73)
+	s := NewPartitionNode(keys, 0).newConn(nil)
+	var sent bytes.Buffer
+	s.bc = newBufferedConn(duplex{nil, &sent})
+	if !s.serve(Frame{Op: OpScanRange, ReqID: 1, Payload: []uint32{0, math.MaxUint32, 0}}) {
+		t.Fatal("the node dropped the connection")
+	}
+	f, err := ReadFrame(&sent)
+	if err != nil || f.Op != OpKeysDelta {
+		t.Fatalf("scan reply op %d: %v", f.Op, err)
+	}
+	if got, err := decodeDeltaRun[uint32](f.Raw, nil); err != nil || len(got) != len(keys) {
+		t.Fatalf("scan returned %d keys, want %d: %v", len(got), len(keys), err)
+	}
+	s.bc = newBufferedConn(duplex{nil, io.Discard})
+	if !s.serve(Frame{Op: OpLookup, ReqID: 2, Payload: make([]uint32, keepReplyScratch+1)}) {
+		t.Fatal("the node dropped the connection")
+	}
+	for name, kept := range map[string]int{"keyBuf": cap(s.keyBuf), "intBuf": cap(s.intBuf), "wordBuf": cap(s.wordBuf), "replyBuf": cap(s.replyBuf), "scanBuf": cap(s.scanBuf)} {
+		if kept > keepReplyScratch {
+			t.Errorf("the connection kept %d elements of %s, above the cap of %d", kept, name, keepReplyScratch)
+		}
+	}
+	small := Frame{Op: OpCountRange, ReqID: 3, Payload: []uint32{0, 1 << 30, 1 << 20, 1 << 31}}
+	s.serve(small)
+	if allocs := testing.AllocsPerRun(10, func() { s.serve(small) }); allocs != 0 {
+		t.Errorf("%v allocations per small request after the large ones, want 0", allocs)
+	}
+}
+
+// TestTCPQueryOpsSteadyStateAllocs holds the four query ops, at the
+// referee's sizes over two loopback nodes, to a steady state that
+// allocates nothing — client and nodes together, since both run here.
+// (A garbage collection empties the pools, hence at most one.)
+func TestTCPQueryOpsSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	keys := workload.SortedKeys(327680, 1)
+	c, shutdown := startCluster(t, keys, 2, 16384)
+	defer shutdown()
+	ranges := make([]KeyRange, 4096)
+	for i := range ranges {
+		lo := workload.Key(uint32(i) * 1000003)
+		ranges[i] = KeyRange{Lo: lo, Hi: lo + 1<<22}
+	}
+	counts := make([]int, 16384)
+	gets := workload.UniformQueries(16384, 3)
+	var buf []workload.Key
+	var err error
+	for name, op := range map[string]func(){
+		"CountRangeBatch": func() { err = c.CountRangeBatch(ranges, counts) },
+		"MultiGetInto":    func() { err = c.MultiGetInto(gets, counts) },
+		"ScanRange":       func() { buf, err = c.ScanRange(12345, math.MaxUint32, 4096, buf[:0]) },
+		"TopK":            func() { buf, err = c.TopK(1024, buf[:0]) },
+	} {
+		op() // first growth
+		if allocs := testing.AllocsPerRun(20, op); allocs > 1 || err != nil {
+			t.Errorf("%s: %v allocations per call, want at most 1 (err %v)", name, allocs, err)
+		}
+	}
+}
+
+// BenchmarkTCPClusterQueryOps is the referee's ops_tcp cycle on two
+// loopback nodes: two callers each counting 4,096 ranges of a thousandth
+// of the key space, asking 16,384 multiplicities (half of them present),
+// scanning 4,096 keys and taking the top 1,024. A unit is one range, one
+// asked key or one returned key, as the referee counts them.
+func BenchmarkTCPClusterQueryOps(b *testing.B) {
+	const (
+		nRanges, nGets, scanLimit, topK = 4096, 16384, 4096, 1024
+		callers                         = 2
+		span                            = 1 << 32 / 1000
+	)
+	keys := workload.SortedKeys(327680, 1)
+	c, shutdown := startCluster(b, keys, 2, 16384)
+	defer shutdown()
+
+	type inputs struct {
+		ranges []KeyRange
+		gets   []workload.Key
+		scanLo workload.Key
+		counts []int
+		buf    []workload.Key
+	}
+	ins := make([]*inputs, callers)
+	for g := range ins {
+		rng := rand.New(rand.NewSource(int64(3 + g)))
+		in := &inputs{ranges: make([]KeyRange, nRanges), gets: make([]workload.Key, nGets), counts: make([]int, nGets)}
+		for i := range in.ranges {
+			lo := workload.Key(rng.Int63n(1<<32 - span))
+			in.ranges[i] = KeyRange{Lo: lo, Hi: lo + span}
+		}
+		for i := range in.gets {
+			in.gets[i] = workload.Key(rng.Uint32())
+			if i%2 == 0 {
+				in.gets[i] = keys[rng.Intn(len(keys))]
+			}
+		}
+		in.scanLo = workload.Key(rng.Uint32() / 2)
+		ins[g] = in
+	}
+	cycle := func(in *inputs) (units int, err error) {
+		if err = c.CountRangeBatch(in.ranges, in.counts); err != nil {
+			return 0, err
+		}
+		if err = c.MultiGetInto(in.gets, in.counts); err != nil {
+			return 0, err
+		}
+		units = nRanges + nGets
+		if in.buf, err = c.ScanRange(in.scanLo, math.MaxUint32, scanLimit, in.buf[:0]); err != nil {
+			return 0, err
+		}
+		units += len(in.buf)
+		if in.buf, err = c.TopK(topK, in.buf[:0]); err != nil {
+			return 0, err
+		}
+		return units + len(in.buf), nil
+	}
+	units, err := cycle(ins[0]) // warm the connections and the pools
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for _, in := range ins {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := cycle(in); err != nil {
+					b.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*callers*units), "ns/key")
 }

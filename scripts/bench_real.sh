@@ -40,9 +40,9 @@ run_bench() {
 
 # Real-runtime serving rows, including the mixed read/write
 # (online-update) row, the v5 query-surface rows (CountRange, whose
-# ns/endpoint must track the sorted-rank ns/key, and TopK) and the
-# 65,536-key-call row (RankBatch64K), where the master's pipelining
-# shows.
+# ns/endpoint must stay within 2x the sorted-rank ns/key, MultiGet, whose
+# ns/key within 3x, and TopK) and the 65,536-key-call row (RankBatch64K),
+# where the master's pipelining shows.
 run_bench 'BenchmarkReal_' .
 # TCP loopback mode: the multiplexed master over real sockets, solo and
 # with 4 concurrent callers (plus the serialized baseline), the
@@ -52,10 +52,12 @@ run_bench 'BenchmarkReal_' .
 # sorted-batch rows (SortedDelta and its same-parameter unsorted
 # companion, plus the CPU-bound loopback variant), which exercise the
 # protocol-v2 delta frames end to end, the v5 scan-streaming row
-# (ScanStream: full-range ScanRange over the wire), and the gray-failure
-# row (GraySlowReplica: 8x2 with one replica answering 20ms late, a
-# hedging/ejecting client, measured after ejection settles — the steady
-# degraded-mode number).
+# (ScanStream: full-range ScanRange over the wire), the query-op cycle of
+# the referee's ops_tcp workload on 2 nodes (QueryOps: its ns/key is per
+# counted range, asked key and returned key, and is where the nodes' batch
+# count kernel shows), and the gray-failure row (GraySlowReplica: 8x2 with
+# one replica answering 20ms late, a hedging/ejecting client, measured
+# after ejection settles — the steady degraded-mode number).
 run_bench 'BenchmarkTCPCluster' ./internal/netrun
 # The unsorted search kernel alone (SortedArray.RankBatch), at the three
 # per-partition sizes the referee's workloads use and on a skewed key
