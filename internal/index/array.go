@@ -11,19 +11,25 @@ import (
 // searched by binary search. It is the densest possible layout — the
 // reason the paper finds C-3 beats C-1/C-2 ("the n-ary trees ... occupy
 // more space than a sorted array. This produces more pressure on the
-// cache", Section 4.1).
+// cache", Section 4.1). Beside the keys it holds a bucket table of at
+// most a 128th of their size, which RankBatch routes each query through
+// before it searches: the paper's partitioning applied once more, inside
+// the partition.
 type SortedArray struct {
 	keys []workload.Key
 	base Addr
-	// slope precomputes (n-1)/(max-min) for RankBatch's interpolation
-	// probe; 0 when the key range is degenerate (all keys equal).
-	slope float64
-	// window is how many keys RankBatch searches around the interpolated
-	// position, less one (a power of two minus one, so the lockstep loop
-	// takes exactly log2 steps); 0 means the whole array. It is a guess
-	// from the interpolation error sampled at build time and only ever
-	// costs time: RankBatch proves each answer at the window's edges.
-	window int
+	// table cuts the key range [lo, lo+dmax] into len(table)-1 buckets of
+	// equal width (bucket gives a key's) and table[t] counts the samples —
+	// every 2^shift-th key — whose bucket is below t.
+	table []uint16
+	// shift is read as shift&63, which spares the compiler's check for a
+	// shift past 63.
+	shift    uint
+	lo, dmax workload.Key
+	mul      uint64
+	// widest is the most keys one bucket's rank range spans (see
+	// RankBatch): what a search placed by the table covers at most.
+	widest int
 }
 
 // NewSortedArray wraps keys (which must already be sorted ascending; the
@@ -62,59 +68,63 @@ func FirstDescent(keys []workload.Key) int {
 	return 0
 }
 
-// sampleEvery is the stride at which newSortedArray samples the
-// interpolation error: n/64 multiplies, not a second pass over the keys.
-const sampleEvery = 64
+// sampleShift is log2 of the stride of the keys the bucket table counts:
+// one table entry, and one store at build time, per 64 keys.
+const sampleShift = 6
+
+// maxSamples is the most samples a table counts, so that a count fits its
+// two-byte entry: an array of more than 2^22 keys samples every 128th key,
+// or every 256th, and so on. Two bytes, not four, because a table is fresh
+// memory at every build and each of its pages is a page fault: at four
+// bytes the referee's rank_large took 275 of them per set-up, and its
+// setup_s rose by a third.
+const maxSamples = 1<<16 - 1
 
 // newSortedArray is NewSortedArray for keys the caller knows ascending.
+// There is a bucket per sample (and at least one), so about one sample
+// falls in each on uniform keys.
 func newSortedArray(keys []workload.Key, base Addr) *SortedArray {
-	a := &SortedArray{keys: keys, base: base}
 	n := len(keys)
-	if n < 2 || keys[n-1] == keys[0] {
-		return a
+	shift := uint(sampleShift)
+	for (n-1)>>shift >= maxSamples {
+		shift++
 	}
-	a.slope = float64(n-1) / float64(keys[n-1]-keys[0])
-	// The largest distance between where a sampled key is and where the
-	// probe expects it. The probe is monotone, so a key between two
-	// samples is off by at most that plus the stride, and a window of
-	// twice the sum holds every answer, rounding aside. RankBatch does not
-	// rely on it: it checks each answer at its window's edges.
-	maxErr := 0
-	for i := 0; i < n; i += sampleEvery {
-		e := i - a.probe(keys[i])
-		if e < 0 {
-			e = -e
-		}
-		maxErr = max(maxErr, e)
-	}
-	w := 1 << bits.Len(uint(2*(maxErr+sampleEvery)))
-	if w < n/2 {
-		a.window = w - 1
+	a := &SortedArray{keys: keys, base: base, shift: shift, table: make([]uint16, max(n>>shift, 1)+1)}
+	if n > 0 {
+		a.lo, a.dmax = keys[0], keys[n-1]-keys[0]
+		a.mul = uint64(len(a.table)-1) << 32 / (uint64(a.dmax) + 1)
+		a.fill()
 	}
 	return a
 }
 
-// probe is the interpolated position of q, in [0, n-1]. The product is
-// clamped in float space before converting: it can exceed the int range
-// (notably 32-bit ints) for narrow key ranges probed far above max, and
-// Go's out-of-range float-to-int conversion is unspecified.
-func (a *SortedArray) probe(q workload.Key) int {
-	d := q - a.keys[0]
-	if q < a.keys[0] {
-		d = 0
-	}
-	fp := float64(d) * a.slope
-	pos := len(a.keys) - 1
-	if fp < float64(pos) {
-		pos = int(fp)
-	}
-	return pos
+// bucket is q's bucket: a multiply and a shift, monotone in q, and below
+// len(table)-1 because mul is at most that many times 2^32/(dmax+1).
+//
+//dc:noalloc
+func bucket(q, lo, dmax workload.Key, mul uint64) int {
+	return int(uint64(min(max(q, lo)-lo, dmax)) * mul >> 32)
 }
 
-// windowAt is where RankBatch's window for q starts: centred on the
-// probe, clamped to the array.
-func (a *SortedArray) windowAt(q workload.Key) int {
-	return min(max(a.probe(q)-a.window/2, 0), len(a.keys)-a.window)
+// fill builds the table from the samples in one store each — the last
+// sample of a bucket leaves its count in the entry above it, in key
+// order — and one prefix-max pass, which carries the counts over empty
+// buckets and finds the fullest bucket.
+//
+//dc:noalloc
+func (a *SortedArray) fill() {
+	tbl, keys, lo, dmax, mul := a.table, a.keys, a.lo, a.dmax, a.mul
+	stride := 1 << (a.shift & 63)
+	for i, j := 0, uint16(1); i < len(keys); i, j = i+stride, j+1 {
+		tbl[bucket(keys[i], lo, dmax, mul)+1] = j
+	}
+	var run, fullest uint32
+	for t, e := range tbl {
+		c := max(uint32(e), run)
+		fullest = max(fullest, c-run)
+		tbl[t], run = uint16(c), c
+	}
+	a.widest = min(int(fullest+1)*stride-1, len(keys))
 }
 
 // Name implements Index.
@@ -126,7 +136,9 @@ func (a *SortedArray) N() int { return len(a.keys) }
 // Base implements Index.
 func (a *SortedArray) Base() Addr { return a.base }
 
-// SizeBytes implements Index.
+// SizeBytes implements Index: the keys alone, the paper's C-3 footprint
+// that the simulators and LevelLines price. The bucket table, at most a
+// 128th more, is left out (the referee's heap_bytes_per_key shows it).
 func (a *SortedArray) SizeBytes() int { return len(a.keys) * workload.KeyBytes }
 
 // Keys exposes the backing slice (read-only by convention); the
@@ -184,8 +196,7 @@ func lockstep(keys []workload.Key, q *[lanes]workload.Key, b *[lanes]int, span i
 }
 
 // rankAdd adds each query's rank in keys into out, searching the whole
-// array in lockstep: the form for key sets interpolation cannot place (a
-// skewed base, a delta buffer).
+// array in lockstep: the form for a delta buffer, which has no table.
 //
 //dc:noalloc
 func rankAdd(keys []workload.Key, qs []workload.Key, out []int) {
@@ -207,48 +218,61 @@ func rankAdd(keys []workload.Key, qs []workload.Key, out []int) {
 // adding add to every rank so a partition's rank base folds into the
 // single result write.
 //
-// Queries are taken lanes at a time. For each, one interpolation probe (a
-// precomputed-slope multiply, no division) centres a window of a.window
-// keys on where a uniform key set would hold the query, and the group's
-// windows are searched together by lockstep: log2 of the window, not of
-// the array, in dependent probes, and those overlapped across the group.
-//
-// The window is only a guess at how far the keys stray from uniform.
-// What makes an answer exact is sortedness: a rank strictly inside the
-// window has a key <= q on its left and a key > q on its right, and one
-// on the window's edge is checked against the neighbour outside (or is
-// the array's end). The rare query whose neighbour says the window
-// missed is resolved again by binary search over the whole array. Key
-// sets whose sampled error is a large part of the array skip the probe
-// and search the whole array in lockstep.
+// Queries are taken lanes at a time. Each one's bucket (a multiply and a
+// shift) and two adjacent table entries bound its rank: with c samples in
+// the buckets below and c' in those up to and including its own, sample
+// c-1 is below the query and sample c' above it, since the bucket of a
+// key is monotone in the key, so at a stride of 64 the rank lies in
+// [64c-63, 64c']. That is exact from sortedness alone, on any key set: a
+// skewed one only widens the ranges. The group's ranges are searched
+// together by one lockstep over the widest of them — about eight
+// dependent steps on uniform keys, overlapped across the group — started
+// where each range starts, or earlier where the widest would run past the
+// array's end. Pad lanes of the tail group repeat a real query, so they
+// widen nothing.
 //
 //dc:noalloc
 func (a *SortedArray) RankBatch(qs []workload.Key, out []int, add int) {
 	out = out[:len(qs)]
-	keys, w := a.keys, a.window
-	if w == 0 {
-		for i := range out {
-			out[i] = add
-		}
-		rankAdd(keys, qs, out)
-		return
-	}
 	var pad [lanes]workload.Key
 	for i := 0; i < len(qs); i += lanes {
 		q, m := group(qs, i, &pad)
-		var lo, b [lanes]int
-		for l, k := range q {
-			lo[l] = a.windowAt(k)
-			b[l] = lo[l]
+		for l := m; l < lanes; l++ {
+			q[l] = q[0]
 		}
-		lockstep(keys, q, &b, w)
+		var b [lanes]int
+		lockstep(a.keys, q, &b, a.place(q, &b))
 		for l, r := range b[:m] {
-			if r == lo[l] && r > 0 && keys[r-1] > q[l] || r == lo[l]+w && r < len(keys) && keys[r] <= q[l] {
-				r = upperBound(keys, q[l])
-			}
 			out[i+l] = r + add
 		}
 	}
+}
+
+// place starts each lane's search where its query's rank range starts,
+// or earlier where the widest range of the group would run past the
+// array's end, and returns that widest range: one lockstep over it then
+// settles every lane.
+//
+// Kept out of line, as lockstep is: inlined into RankBatch, it shared
+// registers with the batch loop, which spilled the table, the bucket
+// bounds and the span to the stack.
+//
+//dc:noalloc
+//go:noinline
+func (a *SortedArray) place(q *[lanes]workload.Key, b *[lanes]int) int {
+	tbl, n, s, lo, dmax, mul := a.table, len(a.keys), a.shift&63, a.lo, a.dmax, a.mul
+	span := 0
+	for l, k := range q {
+		t := bucket(k, lo, dmax, mul)
+		first := max((int(tbl[t])-1)<<s+1, 0)
+		b[l] = first
+		span = max(span, int(tbl[t+1])<<s-first)
+	}
+	span = min(span, n)
+	for l, j := range b {
+		b[l] = min(j, n-span)
+	}
+	return span
 }
 
 // RankSorted resolves an ascending query run qs into out (which must be
@@ -259,11 +283,7 @@ func (a *SortedArray) RankBatch(qs []workload.Key, out []int, add int) {
 //
 //dc:noalloc
 func (a *SortedArray) RankSorted(qs []workload.Key, out []int, add int) {
-	fresh := a.window
-	if fresh == 0 {
-		fresh = len(a.keys)
-	}
-	if !sortedRun(a.keys, qs, out, add, false, fresh) {
+	if !sortedRun(a.keys, qs, out, add, false, a.widest) {
 		a.RankBatch(qs, out, add)
 	}
 }
@@ -285,8 +305,8 @@ const lanePer = 64
 // plus what out[i] held when acc is set (a side layer adding to the base
 // ranks). It reports false, having written nothing, when the run is too
 // short or too sparse for a cursor to beat a search from scratch; fresh is
-// how many keys such a search covers (the interpolation window, or the
-// whole array).
+// how many keys such a search covers at most (an array's widest bucket
+// range, a buffer's every key).
 //
 // The run's density — the keys between its first and last rank, per
 // query — picks the form. Below one key to two queries the run is merged:
@@ -297,8 +317,8 @@ const lanePer = 64
 // window in overlapped probes, no branch on the data. The window is five
 // to ten times the density: the keys between two neighbouring queries
 // are geometrically distributed, and that much holds all but one gap in a
-// hundred or fewer. As in RankBatch the window is a guess that sortedness
-// proves or refutes: an answer short of the window's far edge is exact
+// hundred or fewer. The window is a guess that sortedness proves or
+// refutes: an answer short of the window's far edge is exact
 // (the near edge is the cursor), one on the far edge is checked against
 // the next key, and the rare miss searches the rest of the array. A
 // lane's first query of a block has no predecessor and searches the whole

@@ -304,9 +304,12 @@ func (u *Updatable) RankBatch(qs []workload.Key, out []int, add int) {
 //dc:noalloc
 func (u *Updatable) RankSorted(qs []workload.Key, out []int, add int) {
 	// A clean partition answers from the base alone, without the lock; a
-	// racing insert linearizes after this run.
+	// racing insert linearizes after this run. The flag is read first, as
+	// in RankBatch: a base loaded before it could predate a merge that
+	// installed and cleared it in between, and miss that merge's keys.
+	dirty := u.dirty.Load()
 	s, delta, frozen := u.base.Load(), emptyDelta, (*Delta)(nil)
-	if u.dirty.Load() {
+	if dirty {
 		s, delta, frozen = u.pin()
 	}
 	if sr, ok := s.r.(SortedRanker); ok {

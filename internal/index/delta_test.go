@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/workload"
@@ -179,6 +180,56 @@ func TestUpdatableConcurrentReadersExact(t *testing.T) {
 	if u.Merges() < 3 {
 		t.Fatalf("merges = %d, want >= 3", u.Merges())
 	}
+}
+
+// TestRankSortedSeesAckedKeys has a writer insert a fixed key set against
+// a merge threshold of one key, waiting out each merge so that it installs
+// into a clean partition and clears the dirty flag, while readers rank a
+// fixed ascending run with RankSorted: every rank must count every copy
+// acknowledged before the read began, and none not yet begun by its end.
+// A read that loads the base before the flag can straddle such an install
+// and answer from the old base without the buffer it merged.
+func TestRankSortedSeesAckedKeys(t *testing.T) {
+	const readers, rounds = 2, 3000
+	base := workload.SortedKeys(2048, 3)
+	set := []workload.Key{1 << 30, 2 << 30, 3 << 30}
+	qs := workload.SortedKeys(lanes, 4)
+	own, per := make([]int, len(qs)), make([]int, len(qs))
+	for i, q := range qs {
+		own[i], per[i] = oracleRank(base, q), oracleRank(set, q)
+	}
+	u := NewUpdatable(base, BuildSortedArray, 1)
+	var began, acked atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1 + readers)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			began.Add(1)
+			u.InsertBatch(set)
+			acked.Add(1)
+			u.Quiesce()
+		}
+	}()
+	for rd := 0; rd < readers; rd++ {
+		go func() {
+			defer wg.Done()
+			out := make([]int, len(qs))
+			for acked.Load() < rounds {
+				before := int(acked.Load())
+				u.RankSorted(qs, out, 0)
+				after := int(began.Load())
+				for i, r := range out {
+					if r < own[i]+before*per[i] || r > own[i]+after*per[i] {
+						t.Errorf("reader %d: rank(%d) = %d: the base holds %d, and inserts holding %d each were acknowledged %d times before the read, begun %d times by its end",
+							rd, qs[i], r, own[i], per[i], before, after)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestUpdatableResetDiscardsInFlightMerge(t *testing.T) {

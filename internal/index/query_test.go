@@ -349,7 +349,7 @@ func TestCountRangesKernelForms(t *testing.T) {
 			slices.Sort(los)
 			// The run is long enough for the sorted kernel, which takes it
 			// at the first two densities and hands the third to RankBatch.
-			took := sortedRun(base, los, make([]int, m), 0, false, NewSortedArray(base, 0).window)
+			took := sortedRun(base, los, make([]int, m), 0, false, NewSortedArray(base, 0).widest)
 			if m < minCursorRun || took != (density < 1000) {
 				t.Fatalf("%d keys, %d queries at %g keys/query: sorted kernel took the run: %v", n, m, density, took)
 			}
@@ -375,8 +375,8 @@ func TestCountRangesKernelForms(t *testing.T) {
 }
 
 // TestCountRangesAdversarial runs the kernel table's key sets — among them
-// one key filling the array, and a run of one key longer than any
-// interpolation window — under CountRanges, with second copies of some
+// one key filling the array, and a run of one key spanning several
+// buckets' samples — under CountRanges, with second copies of some
 // keys in both buffers, over a sorted-array base and over a tree that has
 // no sorted form. The queries are every key and its neighbours and the
 // ends of the key space, so q = 0, q = MaxUint32, lo = 0, lo = hi and

@@ -12,11 +12,8 @@ import (
 
 const maxKey = ^workload.Key(0)
 
-// smallestWindow is the window newSortedArray gives a key set the probe
-// places perfectly: the sampling margin alone.
-const smallestWindow = 1 << 8
-
-// progression is n keys first, first+step, ...: zero interpolation error.
+// progression is n keys first, first+step, ...: evenly spread, so each of
+// the table's buckets holds about one sample.
 func progression(n int, first, step workload.Key) []workload.Key {
 	keys := make([]workload.Key, n)
 	for i := range keys {
@@ -25,21 +22,19 @@ func progression(n int, first, step workload.Key) []workload.Key {
 	return keys
 }
 
-// adversarialKeySets is the table both kernel forms are held to: the
-// sizes around a lane group and around the smallest window, and the
-// shapes interpolation places worst.
+// adversarialKeySets is the table every rank kernel is held to: the
+// sizes around a lane group and around the sample stride, and the shapes
+// that crowd the bucket table's samples into a few buckets.
 func adversarialKeySets() map[string][]workload.Key {
 	sets := map[string][]workload.Key{
 		"uniform-5000":  workload.SortedKeys(5000, 3),
 		"uniform-40960": workload.SortedKeys(40960, 1),
 		"all-equal":     progression(700, 77, 0),
 		"ends-of-space": {0, 0, 1, maxKey - 1, maxKey, maxKey},
-		// A narrow range far below the queries: the probe's product
-		// overflows a 32-bit int before the clamp.
+		// A range narrower than its bucket count, far below most queries.
 		"narrow-range": progression(1000, 5, 1),
 	}
-	const w = smallestWindow
-	for _, n := range []int{0, 1, 2, 7, 8, 9, lanes - 1, lanes, lanes + 1, w - 1, w, w + 1, 2*w + 3, 4 * w} {
+	for _, n := range []int{0, 1, 2, 7, 8, 9, lanes - 1, lanes, lanes + 1, 63, 64, 65, 255, 256, 257, 515, 1024} {
 		sets[fmt.Sprintf("progression-%d", n)] = progression(n, 1000, 4099)
 	}
 	clusters := append(progression(1000, 10, 3), progression(1000, maxKey-5000, 5)...)
@@ -59,9 +54,9 @@ func adversarialKeySets() map[string][]workload.Key {
 	}
 	slices.Sort(gap)
 	sets["gap-in-the-middle"] = gap
-	// A run of one key longer than any window, inside a progression.
+	// A run of one key over twelve samples, inside a progression.
 	runs := progression(6000, 0, 700000)
-	for i := 2000; i < 2000+3*w; i++ {
+	for i := 2000; i < 2000+12*64; i++ {
 		runs[i] = runs[2000]
 	}
 	sets["long-duplicate-run"] = runs
@@ -87,30 +82,15 @@ func adversarialQueries(keys []workload.Key) []workload.Key {
 	return qs
 }
 
-// windowMisses counts the queries whose rank lies outside the window
-// RankBatch gives them: for these the lockstep result is on the window's
-// edge and wrong, and only the neighbour check can notice.
-func windowMisses(a *SortedArray, qs []workload.Key) int {
-	misses := 0
-	for _, q := range qs {
-		lo, r := a.windowAt(q), upperBound(a.keys, q)
-		if r < lo || r > lo+a.window {
-			misses++
-		}
-	}
-	return misses
-}
-
 // checkRankBatch holds RankBatch to the binary-search oracle on qs, as
 // one batch and cut into batches of every tail length of a lane group.
-func checkRankBatch(t *testing.T, a *SortedArray, qs []workload.Key) {
-	t.Helper()
+func checkRankBatch(a *SortedArray, qs []workload.Key) error {
 	const add = 1000003
 	out := make([]int, len(qs))
 	a.RankBatch(qs, out, add)
 	for i, q := range qs {
 		if want := upperBound(a.keys, q) + add; out[i] != want {
-			t.Fatalf("window %d: RankBatch(%d) = %d, want %d", a.window, q, out[i], want)
+			return fmt.Errorf("RankBatch(%d) = %d, want %d", q, out[i], want)
 		}
 	}
 	for n := 0; n <= 2*lanes+1 && n <= len(qs); n++ {
@@ -118,66 +98,97 @@ func checkRankBatch(t *testing.T, a *SortedArray, qs []workload.Key) {
 		a.RankBatch(qs[:n], out, add)
 		for i, q := range qs[:n] {
 			if want := upperBound(a.keys, q) + add; out[i] != want {
-				t.Fatalf("window %d, batch of %d: RankBatch(%d) = %d, want %d", a.window, n, q, out[i], want)
+				return fmt.Errorf("batch of %d: RankBatch(%d) = %d, want %d", n, q, out[i], want)
 			}
 		}
 		if n < len(out) && out[n] != 0 {
-			t.Fatalf("batch of %d wrote past its end", n)
+			return fmt.Errorf("batch of %d wrote past its end", n)
 		}
 	}
+	return nil
 }
 
-// TestRankBatchAdversarial runs the table through RankBatch as built,
-// and then again with the window forced far below what the key set
-// needs: what a sampled error that underestimated the true one would
-// give. The window is only a guess, so the answers must not change; the
-// test checks that queries did fall outside their windows, i.e. that the
-// edge check and the full search behind it are what kept them exact.
+// checkTable holds the bucket table to what RankBatch and sortedRun rely
+// on: it has at most n/64 + 2 entries, and each query's rank lies in its
+// bucket's range, which is no wider than widest.
+func checkTable(a *SortedArray, qs []workload.Key) error {
+	n := len(a.keys)
+	if len(a.table) > n/64+2 {
+		return fmt.Errorf("%d keys: %d table entries", n, len(a.table))
+	}
+	for _, q := range qs {
+		t := bucket(q, a.lo, a.dmax, a.mul)
+		first := max((int(a.table[t])-1)<<a.shift+1, 0)
+		last := min(int(a.table[t+1])<<a.shift, n)
+		if r := upperBound(a.keys, q); r < first || r > last || last-first > a.widest {
+			return fmt.Errorf("%d keys: rank %d of %d, bucket %d's range [%d, %d], widest %d", n, r, q, t, first, last, a.widest)
+		}
+	}
+	return nil
+}
+
+// TestRankBatchAdversarial holds RankBatch to the oracle on every set of
+// the table.
 func TestRankBatchAdversarial(t *testing.T) {
-	sets := adversarialKeySets()
-	for name, keys := range sets {
+	for name, keys := range adversarialKeySets() {
 		t.Run(name, func(t *testing.T) {
-			qs := adversarialQueries(keys)
-			a := NewSortedArray(keys, 0)
-			if a.window > 0 && windowMisses(a, qs) > 0 {
-				t.Errorf("window %d from the sampled error misses %d queries", a.window, windowMisses(a, qs))
-			}
-			checkRankBatch(t, a, qs)
-			for _, w := range []int{1, 7, smallestWindow - 1} {
-				if w > len(keys) {
-					continue
-				}
-				forced := *a
-				forced.window = w
-				checkRankBatch(t, &forced, qs)
+			if err := checkRankBatch(NewSortedArray(keys, 0), adversarialQueries(keys)); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
-	// The forced windows above must have put queries outside them on the
-	// sets interpolation cannot place, or the fallback went untested.
-	for _, name := range []string{"two-clusters", "geometric-gaps", "gap-in-the-middle", "long-duplicate-run"} {
-		keys := sets[name]
-		forced := *NewSortedArray(keys, 0)
-		forced.window = 7
-		if windowMisses(&forced, adversarialQueries(keys)) == 0 {
-			t.Errorf("%s: no query fell outside a window of 7 keys", name)
+}
+
+// TestRankBatchTable holds the bucket table's invariant on every set of
+// the kernel table (progressions of 1, 2, 63, 64 and 65 keys among them)
+// and on 2^21 uniform keys, for every key, its neighbours and both ends
+// of the key space; and on 2^22+1 keys, the first size whose table samples
+// every 128th key, for every 61st key and its neighbours.
+func TestRankBatchTable(t *testing.T) {
+	sets := adversarialKeySets()
+	sets["uniform-2097152"] = workload.SortedKeys(1<<21, 7)
+	sets["uniform-4194305"] = workload.SortedKeys(1<<22+1, 8)
+	for name, keys := range sets {
+		a := NewSortedArray(keys, 0)
+		if want := uint(6 + len(keys)>>22); a.shift != want {
+			t.Errorf("%s: every 2^%d-th key sampled, want 2^%d", name, a.shift, want)
+		}
+		step := 1
+		if len(keys) > 1<<21 {
+			step = 61
+		}
+		qs := []workload.Key{0, maxKey}
+		for i := 0; i < len(keys); i += step {
+			qs = append(qs, keys[i], keys[i]-1, keys[i]+1)
+		}
+		if err := checkTable(a, qs); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }
 
-// TestRankBatchWindowChoice pins which form each kind of key set takes:
-// uniform keys the windowed one, sets the probe cannot place (and sets
-// too small to be worth a window) the whole-array one.
-func TestRankBatchWindowChoice(t *testing.T) {
-	sets := adversarialKeySets()
-	for name, windowed := range map[string]bool{
-		"uniform-40960": true, "progression-1024": true, "long-duplicate-run": true,
-		"progression-257": false, "all-equal": false, "two-clusters": false,
-		"geometric-gaps": false, "gap-in-the-middle": false,
-	} {
-		if a := NewSortedArray(sets[name], 0); (a.window > 0) != windowed {
-			t.Errorf("%s: window %d, want windowed = %v", name, a.window, windowed)
+// TestRankBatchTableMutation shows that the oracle check sees a table one
+// sample short: the fullest bucket's upper entry lowered by one cuts the
+// last sample of its rank range off, and no other lane's range is wide
+// enough to hide it.
+func TestRankBatchTableMutation(t *testing.T) {
+	keys := workload.SortedKeys(163840, 1)
+	a := NewSortedArray(keys, 0)
+	qs := adversarialQueries(keys)
+	if err := checkRankBatch(a, qs); err != nil {
+		t.Fatal(err)
+	}
+	fullest := 0
+	for b := range len(a.table) - 1 {
+		if a.table[b+1]-a.table[b] > a.table[fullest+1]-a.table[fullest] {
+			fullest = b
 		}
+	}
+	mutated := *a
+	mutated.table = slices.Clone(a.table)
+	mutated.table[fullest+1]--
+	if checkRankBatch(&mutated, qs) == nil {
+		t.Fatalf("RankBatch stayed exact with table entry %d one short", fullest+1)
 	}
 }
 
@@ -227,9 +238,9 @@ func TestFirstDescent(t *testing.T) {
 }
 
 // FuzzRankBatch cuts its input into keys and queries and holds both
-// kernel forms to the binary-search oracle: RankBatch as built, RankBatch
-// with the window forced small (so that queries fall outside it), and the
-// whole-array form adding into a pre-filled out.
+// kernel forms to the binary-search oracle — RankBatch, and the
+// whole-array form adding into a pre-filled out — and the bucket table to
+// its invariant.
 func FuzzRankBatch(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0))
 	f.Add([]byte("\x00\x00\x00\x00\xff\xff\xff\xff\x00\x00\x00\x80"), uint8(2), uint8(0))
@@ -250,20 +261,13 @@ func FuzzRankBatch(f *testing.F) {
 		qs = append(qs, 0, maxKey)
 
 		a := NewSortedArray(keys, 0)
-		got := make([]int, len(qs))
-		for _, w := range []int{a.window, 1, 3, 15} {
-			if w > len(keys) {
-				continue
-			}
-			forced := *a
-			forced.window = w
-			forced.RankBatch(qs, got, 11)
-			for i, q := range qs {
-				if want := upperBound(keys, q) + 11; got[i] != want {
-					t.Fatalf("window %d: RankBatch(%d) = %d, want %d", w, q, got[i], want)
-				}
-			}
+		if err := checkTable(a, slices.Concat(qs, keys)); err != nil {
+			t.Fatal(err)
 		}
+		if err := checkRankBatch(a, qs); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]int, len(qs))
 		for i := range got {
 			got[i] = i
 		}
@@ -303,36 +307,63 @@ func benchRankBatch(b *testing.B, arrs []*SortedArray) {
 
 // BenchmarkSortedArrayRankBatch is the kernel's own row, at the three
 // per-partition sizes the referee's workloads use (rank_cached and the
-// mixed ones, rank_tcp, rank_large) and on a skewed set that takes the
-// whole-array form.
+// mixed ones, rank_tcp, rank_large) and on two 40,960-key sets whose
+// samples crowd into a few of the table's buckets.
 func BenchmarkSortedArrayRankBatch(b *testing.B) {
 	for _, n := range []int{40960, 163840, 2097152} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			arrs := make([]*SortedArray, 8)
 			for i := range arrs {
 				arrs[i] = NewSortedArray(workload.SortedKeys(n, uint64(i+1)), 0)
-				if arrs[i].window == 0 {
-					b.Fatal("uniform keys took the whole-array form")
-				}
 			}
 			benchRankBatch(b, arrs)
 		})
 	}
-	b.Run("skewed", func(b *testing.B) {
-		arrs := make([]*SortedArray, 8)
-		for i := range arrs {
-			// Squared uniform draws: dense near zero, sparse at the top.
-			keys := workload.SortedKeys(40960, uint64(i+1))
-			for j, k := range keys {
-				keys[j] = workload.Key(uint64(k) * uint64(k) >> 32)
+	for _, set := range []struct {
+		name  string
+		shape func(j int, k workload.Key) workload.Key
+	}{
+		// Squared uniform draws: dense near zero, sparse at the top.
+		{"skewed", func(_ int, k workload.Key) workload.Key { return workload.Key(uint64(k) * uint64(k) >> 32) }},
+		// Half the keys in the lowest 256th of the key space, half in the
+		// highest: most queries fall between the two.
+		{"two-clusters", func(j int, k workload.Key) workload.Key { return k>>8 | workload.Key(j/20480*0xff)<<24 }},
+	} {
+		b.Run(set.name, func(b *testing.B) {
+			arrs := make([]*SortedArray, 8)
+			for i := range arrs {
+				keys := workload.SortedKeys(40960, uint64(i+1))
+				for j, k := range keys {
+					keys[j] = set.shape(j, k)
+				}
+				arrs[i] = NewSortedArray(keys, 0)
 			}
-			arrs[i] = NewSortedArray(keys, 0)
-			if arrs[i].window != 0 {
-				b.Fatal("skewed keys took the windowed form")
+			benchRankBatch(b, arrs)
+		})
+	}
+}
+
+// sinkArray keeps BenchmarkNewSortedArray's builds from being optimised
+// away.
+var sinkArray *SortedArray
+
+// BenchmarkNewSortedArray is the build's own row — the bucket table over
+// keys already known sorted, as every merge and a partition's first build
+// make it — at the three per-partition sizes, eight key sets in turn.
+func BenchmarkNewSortedArray(b *testing.B) {
+	for _, n := range []int{40960, 163840, 2097152} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			sets := make([][]workload.Key, 8)
+			for i := range sets {
+				sets[i] = workload.SortedKeys(n, uint64(i+1))
 			}
-		}
-		benchRankBatch(b, arrs)
-	})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkArray = newSortedArray(sets[i%len(sets)], 0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/key")
+		})
+	}
 }
 
 // sortedRunGrid is the densities (array keys per query of the run) and

@@ -60,17 +60,22 @@ run_bench 'BenchmarkReal_' .
 # after ejection settles — the steady degraded-mode number).
 run_bench 'BenchmarkTCPCluster' ./internal/netrun
 # The unsorted search kernel alone (SortedArray.RankBatch), at the three
-# per-partition sizes the referee's workloads use and on a skewed key
-# set: the layer the rows above get their unsorted-rank speed from, so
-# a regression there is named rather than inferred. An op is a 0.2-1 ms
-# batch, so these rows take their own iteration count: at the suite's
-# 20x they would time first touches and little else.
+# per-partition sizes the referee's workloads use and on two key sets
+# whose samples crowd into a few of the bucket table's buckets (skewed,
+# two-clusters): the layer the rows above get their unsorted-rank speed
+# from, so a regression there is named rather than inferred. An op is a
+# 0.2-1 ms batch, so these rows take their own iteration count: at the
+# suite's 20x they would time first touches and little else.
 run_bench 'BenchmarkSortedArrayRankBatch' ./internal/index 2000x
+# The array's build alone (the bucket table over keys known sorted, as a
+# partition's first build and every merge make it), in ns per key at the
+# same three sizes: what the table adds to the referee's setup_s.
+run_bench 'BenchmarkNewSortedArray' ./internal/index 2000x
 # The sorted kernel alone (SortedArray.RankSorted) on ascending runs, at
 # the same three sizes and at five densities from 0.3 to 2,560 array keys
 # per query: it answers in three forms (a merge, cursor windows, the
-# unsorted kernel) chosen by density, and each row gates the one that
-# runs there.
+# unsorted kernel — at 200 and 2,560) chosen by density, and each row
+# gates the one that runs there.
 run_bench 'BenchmarkSortedArrayRankSorted' ./internal/index 2000x
 # The master's per-key routing step alone (Partitioning.Route) at 8, 64
 # and 300 partitions. An op routes 65,536 keys in well under a
