@@ -196,7 +196,8 @@ func lockstep(keys []workload.Key, q *[lanes]workload.Key, b *[lanes]int, span i
 }
 
 // rankAdd adds each query's rank in keys into out, searching the whole
-// array in lockstep: the form for a delta buffer, which has no table.
+// array in lockstep: the form for sortedRun's tail of fewer than lanes
+// queries, where a table has no group to save steps for.
 //
 //dc:noalloc
 func rankAdd(keys []workload.Key, qs []workload.Key, out []int) {

@@ -34,62 +34,148 @@ type SortedRanker interface {
 }
 
 // Delta is a sorted insert buffer: the mutable side layer of an
-// updatable partition. A Delta value is immutable once published —
-// MergeIn returns a new Delta rather than mutating — so readers may
-// hold one while writers advance the current pointer; that is what lets
-// Updatable serve lock-free-length read sections (see Updatable.pin).
+// updatable partition. A Delta value is immutable once published — an
+// insert builds a new one rather than mutating — so readers may hold one
+// while writers advance the current pointer; that is what lets Updatable
+// serve lock-free-length read sections (see Updatable.pin).
+//
+// Beside its keys a buffer holds a table on the bucket grid of the base it
+// was last inserted against (see gridOf): table[t] counts the buffered
+// keys whose bucket is below t. The grid routes a query to one bucket's
+// keys, as it does in the base (SortedArray.RankBatch); a base without a
+// table (a tree, a plan) lends one bucket, whose range is the whole
+// buffer.
 type Delta struct {
-	keys []workload.Key // ascending, duplicates allowed
+	keys  []workload.Key // ascending, duplicates allowed
+	grid  grid
+	table []uint32 // len(table) == grid.buckets+1 when keys is not empty
+}
+
+// grid is a base's bucket function: bucket(q, lo, dmax, mul) is below
+// buckets for every q.
+type grid struct {
+	lo, dmax workload.Key
+	mul      uint64
+	buckets  int
+}
+
+// gridOf is the grid of base r: a SortedArray's own, one bucket for any
+// other structure (and for an empty array, whose grid is the same).
+func gridOf(r BatchRanker) grid {
+	if a, ok := r.(*SortedArray); ok {
+		return grid{a.lo, a.dmax, a.mul, len(a.table) - 1}
+	}
+	return grid{buckets: 1}
 }
 
 // emptyDelta is the shared zero-length buffer every partition starts
-// from (and returns to after a merge drains it).
+// from (and returns to after a merge drains it). Its grid has no buckets,
+// so it is on no base's grid.
 var emptyDelta = &Delta{}
-
-// NewDelta builds a buffer over keys, sorting a copy if needed.
-func NewDelta(keys []workload.Key) *Delta {
-	if len(keys) == 0 {
-		return emptyDelta
-	}
-	cp := append([]workload.Key(nil), keys...)
-	sortKeys(cp)
-	return &Delta{keys: cp}
-}
-
-// Len returns the buffered key count.
-func (d *Delta) Len() int { return len(d.keys) }
-
-// Keys exposes the sorted buffer (read-only by convention).
-func (d *Delta) Keys() []workload.Key { return d.keys }
-
-// Rank returns the number of buffered keys <= k.
-func (d *Delta) Rank(k workload.Key) int { return upperBound(d.keys, k) }
 
 // RankAdd adds each query's buffer rank into out — the side-layer pass
 // over an unordered batch whose base ranks are already in out.
 //
+// A query in bucket t has rank in [table[t], table[t+1]], exactly: the
+// bucket is monotone in the key, so a buffered key in a lower bucket is
+// below the query and one in a higher bucket above it, wherever the keys
+// fall against the base's range (those outside it crowd the edge buckets,
+// whose range is then at most the whole buffer). Queries are taken lanes
+// at a time, as in SortedArray.RankBatch: one lockstep over the group's
+// widest range, each lane started where its range starts, or earlier
+// where the widest would run past the buffer's end. Pad lanes of the tail
+// group repeat a real query.
+//
 //dc:noalloc
-func (d *Delta) RankAdd(qs []workload.Key, out []int) { rankAdd(d.keys, qs, out) }
+func (d *Delta) RankAdd(qs []workload.Key, out []int) {
+	if len(d.keys) == 0 {
+		return
+	}
+	out = out[:len(qs)]
+	var pad [lanes]workload.Key
+	for i := 0; i < len(qs); i += lanes {
+		q, m := group(qs, i, &pad)
+		for l := m; l < lanes; l++ {
+			q[l] = q[0]
+		}
+		var b [lanes]int
+		lockstep(d.keys, q, &b, d.place(q, &b))
+		for l, r := range b[:m] {
+			out[i+l] += r
+		}
+	}
+}
+
+// place starts each lane at its bucket's first rank, clamped so that the
+// group's widest range, which it returns, ends inside the buffer. Out of
+// line for the reason SortedArray.place is.
+//
+//dc:noalloc
+//go:noinline
+func (d *Delta) place(q *[lanes]workload.Key, b *[lanes]int) int {
+	tbl, g := d.table, d.grid
+	span := 0
+	for l, k := range q {
+		t := bucket(k, g.lo, g.dmax, g.mul)
+		b[l] = int(tbl[t])
+		span = max(span, int(tbl[t+1])-b[l])
+	}
+	for l, j := range b {
+		b[l] = min(j, len(d.keys)-span)
+	}
+	return span
+}
 
 // RankSortedAdd is RankAdd for an ascending query run: the cursor forms
-// of sortedRun where the run is long and dense enough for them, the
-// whole-buffer search otherwise.
+// of sortedRun where the run is long and dense enough for them, RankAdd
+// otherwise.
 //
 //dc:noalloc
 func (d *Delta) RankSortedAdd(qs []workload.Key, out []int) {
 	if len(d.keys) > 0 && !sortedRun(d.keys, qs, out, 0, true, len(d.keys)) {
-		rankAdd(d.keys, qs, out)
+		d.RankAdd(qs, out)
 	}
 }
 
-// MergeIn returns a new Delta holding the union of the buffer and ins
-// (which must be sorted ascending). The receiver is left untouched, so
+// insert returns a new Delta holding the buffer and ins (sorted
+// ascending), its table on grid g. The receiver is left untouched, so
 // concurrent readers holding it stay consistent.
-func (d *Delta) MergeIn(ins []workload.Key) *Delta {
-	if len(ins) == 0 {
-		return d
+//
+// A buffer already on g carries its table forward: each insert is counted
+// in its bucket and placed among the buffered keys within that bucket's
+// range, the runs of keys between two places copied whole, and one prefix
+// pass then adds to each entry the inserts whose bucket is below it. One
+// on another grid — the first insert after a merge installs a new base —
+// is merged and counted afresh, as SortedArray.fill counts samples: one
+// store a key, one prefix-max pass.
+func (d *Delta) insert(ins []workload.Key, g grid) *Delta {
+	nd := &Delta{grid: g, table: make([]uint32, g.buckets+1)}
+	if d.grid != g {
+		nd.keys = MergeKeys(d.keys, ins)
+		for i, k := range nd.keys {
+			nd.table[bucket(k, g.lo, g.dmax, g.mul)+1] = uint32(i + 1)
+		}
+		for t := 1; t < len(nd.table); t++ {
+			nd.table[t] = max(nd.table[t], nd.table[t-1])
+		}
+		return nd
 	}
-	return &Delta{keys: MergeKeys(d.keys, ins)}
+	nd.keys = make([]workload.Key, len(d.keys)+len(ins))
+	i := 0 // d.keys[:i] are placed
+	for j, k := range ins {
+		b := bucket(k, g.lo, g.dmax, g.mul)
+		nd.table[b+1]++
+		p := int(d.table[b]) + upperBound(d.keys[d.table[b]:d.table[b+1]], k)
+		copy(nd.keys[i+j:], d.keys[i:p])
+		nd.keys[p+j], i = k, p
+	}
+	copy(nd.keys[i+len(ins):], d.keys[i:])
+	tbl, run := nd.table[:len(d.table)], uint32(0)
+	for t, c := range d.table {
+		run += tbl[t]
+		tbl[t] = c + run
+	}
+	return nd
 }
 
 // MergeKeys merges two ascending key runs into a fresh ascending slice.
@@ -187,8 +273,10 @@ type baseState struct {
 //     structure plus the buffers' contributions. Readers never block on
 //     a merge — compaction runs outside the lock and installs its
 //     result with one pointer swap.
-//   - Inserts replace the current Delta with a merged copy (the buffer
-//     is bounded by Threshold, so the copy is O(Threshold)); when the
+//   - Inserts replace the current Delta with a merged copy, its bucket
+//     table carried forward on the current base's grid (the buffer is
+//     bounded by Threshold and its table by a 64th of the base, so the
+//     copy is O(Threshold + base/64)); when the
 //     buffer reaches Threshold it is frozen and a background merge
 //     compacts frozen+base into a fresh base via the Builder. At most
 //     one merge runs at a time; inserts arriving during it accumulate
@@ -336,24 +424,17 @@ func (u *Updatable) Rank(k workload.Key) int {
 // buffer, triggering a background compaction when the buffer reaches
 // the threshold. Safe for concurrent callers and concurrent readers;
 // the new keys are visible to every read that starts after it returns.
-func (u *Updatable) InsertBatch(keys []workload.Key) {
-	if len(keys) == 0 {
-		return
-	}
-	sorted := append([]workload.Key(nil), keys...)
-	sortKeys(sorted)
-	u.mu.Lock()
-	u.dirty.Store(true)
-	u.delta = u.delta.MergeIn(sorted)
-	u.maybeMergeLocked()
-	u.mu.Unlock()
-}
+func (u *Updatable) InsertBatch(keys []workload.Key) { u.insertBatch(keys, nil) }
 
 // InsertBatchAt is InsertBatch for a durably logged batch: seq is the
 // WAL generation after the batch's record, recorded as the in-memory
 // watermark. The caller must apply batches in log order (the cluster's
 // per-partition dispatch serialization guarantees it).
-func (u *Updatable) InsertBatchAt(keys []workload.Key, seq uint64) {
+func (u *Updatable) InsertBatchAt(keys []workload.Key, seq uint64) { u.insertBatch(keys, &seq) }
+
+// insertBatch inserts a sorted copy of keys into the active buffer, on the
+// current base's grid, and records *seq as the watermark when seq is set.
+func (u *Updatable) insertBatch(keys []workload.Key, seq *uint64) {
 	if len(keys) == 0 {
 		return
 	}
@@ -361,17 +442,10 @@ func (u *Updatable) InsertBatchAt(keys []workload.Key, seq uint64) {
 	sortKeys(sorted)
 	u.mu.Lock()
 	u.dirty.Store(true)
-	u.delta = u.delta.MergeIn(sorted)
-	u.seq = seq
-	u.maybeMergeLocked()
-	u.mu.Unlock()
-}
-
-// Insert adds one key.
-func (u *Updatable) Insert(k workload.Key) {
-	u.mu.Lock()
-	u.dirty.Store(true)
-	u.delta = u.delta.MergeIn([]workload.Key{k})
+	u.delta = u.delta.insert(sorted, gridOf(u.base.Load().r))
+	if seq != nil {
+		u.seq = *seq
+	}
 	u.maybeMergeLocked()
 	u.mu.Unlock()
 }
@@ -381,7 +455,7 @@ func (u *Updatable) Insert(k workload.Key) {
 //
 //dc:holds u.mu
 func (u *Updatable) maybeMergeLocked() {
-	if u.frozen != nil || u.delta.Len() < u.threshold {
+	if u.frozen != nil || len(u.delta.keys) < u.threshold {
 		return
 	}
 	u.frozen = u.delta
@@ -412,7 +486,7 @@ func (u *Updatable) merge(s *baseState, fr *Delta, gen uint64) {
 	u.base.Store(&baseState{keys: merged, r: r})
 	u.frozen = nil
 	pubSeq := u.frozenSeq
-	if u.delta.Len() == 0 {
+	if len(u.delta.keys) == 0 {
 		u.dirty.Store(false)
 	}
 	u.merges.Add(1)
@@ -471,7 +545,7 @@ func (u *Updatable) SnapshotKeys() []workload.Key {
 	if frozen != nil {
 		out = MergeKeys(out, frozen.keys)
 	}
-	if delta.Len() > 0 {
+	if len(delta.keys) > 0 {
 		out = MergeKeys(out, delta.keys)
 	}
 	if len(s.keys) > 0 && len(out) > 0 && &out[0] == &s.keys[0] {
@@ -483,9 +557,9 @@ func (u *Updatable) SnapshotKeys() []workload.Key {
 // TotalKeys returns the current key count across base and buffers.
 func (u *Updatable) TotalKeys() int {
 	s, delta, frozen := u.pin()
-	n := len(s.keys) + delta.Len()
+	n := len(s.keys) + len(delta.keys)
 	if frozen != nil {
-		n += frozen.Len()
+		n += len(frozen.keys)
 	}
 	return n
 }

@@ -1,7 +1,9 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,8 +17,19 @@ func oracleRank(keys []workload.Key, k workload.Key) int {
 	return sort.Search(len(keys), func(i int) bool { return keys[i] > k })
 }
 
+// TestDeltaRankMatchesOracle grows a buffer by small batches of
+// duplicate-heavy keys, inserting on one grid for a few rounds and then
+// moving to the next — two array grids over different ranges and the one
+// bucket of a tree base — and after every batch holds the keys to their
+// merge, both kernels to the oracle and the table to the one counted
+// afresh on the same grid.
 func TestDeltaRankMatchesOracle(t *testing.T) {
 	r := workload.NewRNG(7)
+	grids := []grid{
+		gridOf(NewSortedArray(progression(640, 0, 1), 0)),
+		gridOf(NewSortedArray(progression(6400, 300, 1), 0)),
+		{buckets: 1},
+	}
 	var keys []workload.Key
 	d := emptyDelta
 	for round := 0; round < 50; round++ {
@@ -25,23 +38,29 @@ func TestDeltaRankMatchesOracle(t *testing.T) {
 			batch[i] = r.Key() % 1000 // force duplicates
 		}
 		sortKeys(batch)
-		d = d.MergeIn(batch)
-		keys = append(keys, batch...)
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, probe := range []workload.Key{0, 1, 499, 500, 999, 1000, ^workload.Key(0)} {
-			if got, want := d.Rank(probe), oracleRank(keys, probe); got != want {
-				t.Fatalf("round %d: Rank(%d) = %d, want %d", round, probe, got, want)
+		g := grids[round/4%len(grids)]
+		d = d.insert(batch, g)
+		keys = MergeKeys(keys, batch)
+		if !slices.Equal(d.keys, keys) {
+			t.Fatalf("round %d: buffer holds %v, want %v", round, d.keys, keys)
+		}
+		if fresh := emptyDelta.insert(keys, g); !slices.Equal(d.table, fresh.table) {
+			t.Fatalf("round %d: carried table %v, counted afresh %v", round, d.table, fresh.table)
+		}
+		qs := append(slices.Clone(keys), 0, 1, 499, 500, 999, 1000, ^workload.Key(0))
+		got := make([]int, len(qs))
+		d.RankAdd(qs, got)
+		for i, q := range qs {
+			if want := oracleRank(keys, q); got[i] != want {
+				t.Fatalf("round %d: RankAdd(%d) = %d, want %d", round, q, got[i], want)
 			}
 		}
-		// Sorted and unsorted adds agree.
-		qs := append([]workload.Key(nil), keys...)
-		got1 := make([]int, len(qs))
-		got2 := make([]int, len(qs))
-		d.RankAdd(qs, got1)
-		d.RankSortedAdd(qs, got2)
-		for i := range got1 {
-			if got1[i] != got2[i] {
-				t.Fatalf("RankAdd/RankSortedAdd disagree at %d: %d vs %d", i, got1[i], got2[i])
+		slices.Sort(qs)
+		clear(got)
+		d.RankSortedAdd(qs, got)
+		for i, q := range qs {
+			if want := oracleRank(keys, q); got[i] != want {
+				t.Fatalf("round %d: RankSortedAdd(%d) = %d, want %d", round, q, got[i], want)
 			}
 		}
 	}
@@ -252,7 +271,10 @@ func TestUpdatableResetDiscardsInFlightMerge(t *testing.T) {
 // FuzzInsertMerge drives an Updatable with an arbitrary interleaving of
 // insert batches, merges (forced via tiny thresholds), and resets, and
 // cross-checks every rank against the sort.Search oracle over the shadow
-// multiset.
+// multiset. The first base is a SortedArray of 16 buckets and an insert's
+// keys spread over them, so buffers are carried forward on its grid,
+// counted afresh on the next, and left on a stale one; a reset's base is
+// one bucket.
 func FuzzInsertMerge(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 250, 7, 9}, uint16(3))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 255}, uint16(1))
@@ -261,7 +283,7 @@ func FuzzInsertMerge(f *testing.F) {
 		if len(script) == 0 {
 			return
 		}
-		base := workload.SortedKeys(64, 1)
+		base := workload.SortedKeys(1024, 1)
 		u := NewUpdatable(base, sortedArrayBuilder, int(threshold%128)+1)
 		shadow := append([]workload.Key(nil), base...)
 
@@ -273,7 +295,7 @@ func FuzzInsertMerge(f *testing.F) {
 				n := int(script[i]%7) + 1
 				batch := make([]workload.Key, 0, n)
 				for j := 0; j < n && i+1+j < len(script); j++ {
-					batch = append(batch, workload.Key(script[i+1+j])<<8|workload.Key(r.Intn(256)))
+					batch = append(batch, workload.Key(script[i+1+j])<<24|workload.Key(r.Intn(256)))
 				}
 				i += n + 1
 				if len(batch) == 0 {
@@ -292,7 +314,7 @@ func FuzzInsertMerge(f *testing.F) {
 				i++
 			}
 			// Probe a handful of ranks after every op.
-			qs := []workload.Key{0, 255, 1 << 13, ^workload.Key(0), workload.Key(r.Uint64())}
+			qs := append([]workload.Key{0, 255, 1 << 13, ^workload.Key(0), workload.Key(r.Uint64())}, shadow[len(shadow)/2], shadow[len(shadow)-1])
 			out := make([]int, len(qs))
 			u.RankBatch(qs, out, 0)
 			for j, q := range qs {
@@ -312,4 +334,58 @@ func FuzzInsertMerge(f *testing.F) {
 			}
 		}
 	})
+}
+
+// updatableParts is eight updatable partitions of n uniform keys, each
+// holding buffered uniform keys in its active buffer, on its base's grid.
+func updatableParts(n, buffered int) []*Updatable {
+	us := make([]*Updatable, 8)
+	for i := range us {
+		us[i] = NewUpdatable(workload.SortedKeys(n, uint64(i+1)), BuildSortedArray, 0)
+		if buffered > 0 {
+			us[i].InsertBatch(workload.UniformQueries(buffered, uint64(100+i)))
+		}
+	}
+	return us
+}
+
+// BenchmarkUpdatableRankBatch is the update layer's read row, base plus
+// buffer, in ns per key of uniform queries: rows are
+// <base keys>x<buffered keys>, and the x0 row is the clean path, the base
+// alone.
+func BenchmarkUpdatableRankBatch(b *testing.B) {
+	for _, shape := range [][2]int{{40960, 0}, {40960, 2048}, {40960, DefaultMergeThreshold - 1}, {327680, 2048}} {
+		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
+			benchRankBatch(b, updatableParts(shape[0], shape[1]))
+		})
+	}
+}
+
+// BenchmarkUpdatableInsertBatch is the update layer's write row: 100-key
+// inserts into partitions whose buffer holds 2,048 keys, in ns per inserted
+// key. An iteration inserts once into each of the eight partitions, each
+// buffer put back to its 2,048 keys first.
+func BenchmarkUpdatableInsertBatch(b *testing.B) {
+	const batch = 100
+	for _, n := range []int{40960, 327680} {
+		b.Run(fmt.Sprintf("%dx2048", n), func(b *testing.B) {
+			us := updatableParts(n, 2048)
+			held := make([]*Delta, len(us))
+			for i, u := range us {
+				_, held[i], _ = u.pin()
+			}
+			ins := workload.UniformQueries(64*batch, 3)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for p, u := range us {
+					u.mu.Lock()
+					u.delta = held[p]
+					u.mu.Unlock()
+					off := (i + p) % 64 * batch
+					u.InsertBatch(ins[off : off+batch])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(us)*batch), "ns/key")
+		})
+	}
 }

@@ -122,7 +122,7 @@ func TestUpdatableQueryOpsLayered(t *testing.T) {
 			ins[i] = workload.Key(rng.Intn(3000))
 		}
 		u.InsertBatch(ins)
-		all = MergeKeys(all, NewDelta(ins).Keys())
+		all = MergeKeys(all, slices.Sorted(slices.Values(ins)))
 
 		for trial := 0; trial < 40; trial++ {
 			lo := workload.Key(rng.Intn(3100))
@@ -268,10 +268,10 @@ func threeLayers(t testing.TB, base []workload.Key, build Builder, frozen, activ
 	u.InsertBatch(frozen)
 	u.InsertBatch(active)
 	_, d, f := u.pin()
-	if f == nil || f.Len() != len(frozen) || d.Len() != len(active) {
-		t.Fatalf("layers not live: frozen %v, active buffer of %d keys", f != nil, d.Len())
+	if f == nil || len(f.keys) != len(frozen) || len(d.keys) != len(active) {
+		t.Fatalf("layers not live: frozen %v, active buffer of %d keys", f != nil, len(d.keys))
 	}
-	all = MergeKeys(MergeKeys(base, NewDelta(frozen).Keys()), NewDelta(active).Keys())
+	all = slices.Sorted(slices.Values(slices.Concat(base, frozen, active)))
 	return u, all, func() { close(gate); u.Quiesce() }
 }
 

@@ -192,32 +192,147 @@ func TestRankBatchTableMutation(t *testing.T) {
 	}
 }
 
-// TestDeltaRankAddAdversarial is the same table through the whole-array
-// form as the delta layers use it: ranks are added into a pre-filled out.
+// bufferOn is a buffer over keys (any order) inserted in two halves, the
+// first on grid g0 and the second on g: counted afresh and then carried
+// forward when g0 is g, counted afresh twice when it is not.
+func bufferOn(keys []workload.Key, g0, g grid) *Delta {
+	half := slices.Sorted(slices.Values(keys[:len(keys)/2]))
+	rest := slices.Sorted(slices.Values(keys[len(keys)/2:]))
+	return emptyDelta.insert(half, g0).insert(rest, g)
+}
+
+// checkDelta holds a buffer to its keys, and its RankAdd to the
+// binary-search oracle over them on qs, as one batch and cut into batches
+// of every tail length up to two lane groups and one, adding into a
+// pre-filled out that it must not write past; and RankSortedAdd on qs
+// sorted.
+func checkDelta(d *Delta, keys, qs []workload.Key) error {
+	keys = slices.Sorted(slices.Values(keys))
+	if !slices.Equal(d.keys, keys) {
+		return fmt.Errorf("buffer of %d keys holds %d, not in order", len(keys), len(d.keys))
+	}
+	out := make([]int, len(qs)+1)
+	lengths := []int{len(qs)}
+	for n := 0; n <= 2*lanes+1 && n <= len(qs); n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for i := range out {
+			out[i] = 7 * i
+		}
+		d.RankAdd(qs[:n], out)
+		for i, q := range qs[:n] {
+			if want := upperBound(keys, q) + 7*i; out[i] != want {
+				return fmt.Errorf("batch of %d: RankAdd(%d) = %d, want %d", n, q, out[i]-7*i, want-7*i)
+			}
+		}
+		if out[n] != 7*n {
+			return fmt.Errorf("batch of %d wrote past its end", n)
+		}
+	}
+	sorted := slices.Sorted(slices.Values(qs))
+	clear(out)
+	d.RankSortedAdd(sorted, out)
+	for i, q := range sorted {
+		if want := upperBound(keys, q); out[i] != want {
+			return fmt.Errorf("RankSortedAdd(%d) = %d, want %d", q, out[i], want)
+		}
+	}
+	return nil
+}
+
+// deltaShapes are the buffers a base is checked with: keys inside its
+// range, all below its first key, all above its last (monotone appends,
+// every one in the grid's top bucket), all one key, and more keys than a
+// two-byte count holds. A shape the base leaves no room for is left out.
+func deltaShapes(base []workload.Key) map[string][]workload.Key {
+	lo, hi := workload.Key(0), maxKey
+	if len(base) > 0 {
+		lo, hi = base[0], base[len(base)-1]
+	}
+	r := workload.NewRNG(uint64(len(base)) + 5)
+	within := func(n int, lo, hi workload.Key) []workload.Key {
+		keys := make([]workload.Key, n)
+		for i := range keys {
+			keys[i] = lo + workload.Key(r.Uint64()%(uint64(hi-lo)+1))
+		}
+		return keys
+	}
+	shapes := map[string][]workload.Key{
+		"inside": within(2048, lo, hi),
+		"equal":  progression(700, lo+(hi-lo)/2, 0),
+		"70000":  within(70000, 0, maxKey),
+	}
+	if lo > 0 {
+		shapes["below"] = within(2048, 0, lo-1)
+	}
+	if hi < maxKey {
+		shapes["above"] = progression(int(min(2048, maxKey-hi)), hi+1, 1)
+	}
+	return shapes
+}
+
+// deltaQueries is adversarialQueries over the base and about 2,048 of the
+// buffer's keys.
+func deltaQueries(base, buf []workload.Key) []workload.Key {
+	step := max(len(buf)/2048, 1)
+	keys := slices.Clone(base)
+	for i := 0; i < len(buf); i += step {
+		keys = append(keys, buf[i])
+	}
+	return adversarialQueries(keys)
+}
+
+// TestDeltaRankAddAdversarial holds the buffers' kernels to the oracle
+// over every set of the kernel table taken as a base, crossed with every
+// buffer shape, each placed three ways: on the base's grid; on a stale one,
+// the grid of the base before the upper half of its keys merged in, which
+// a buffer keeps until its first insert after the install; and on the one
+// bucket of a base without a table (a tree, a plan), which is the whole
+// buffer. A buffer moved from the stale grid to the base's by an insert is
+// counted afresh, and that too is checked.
 func TestDeltaRankAddAdversarial(t *testing.T) {
-	for name, keys := range adversarialKeySets() {
+	for name, base := range adversarialKeySets() {
 		t.Run(name, func(t *testing.T) {
-			d := NewDelta(keys)
-			qs := adversarialQueries(keys)
-			for _, n := range []int{len(qs), 0, 1, lanes - 1, lanes, lanes + 1, 2*lanes + 1} {
-				if n > len(qs) {
-					continue
-				}
-				out := make([]int, n+1)
-				for i := range out {
-					out[i] = 7 * i
-				}
-				d.RankAdd(qs[:n], out)
-				for i, q := range qs[:n] {
-					if want := upperBound(keys, q) + 7*i; out[i] != want {
-						t.Fatalf("batch of %d: RankAdd(%d) = %d, want %d", n, q, out[i], want)
+			g := gridOf(NewSortedArray(base, 0))
+			stale := gridOf(NewSortedArray(base[:len(base)/2], 0))
+			ways := map[string][2]grid{"grid": {g, g}, "stale": {stale, stale}, "across-merge": {stale, g}, "tree": {{buckets: 1}, {buckets: 1}}}
+			for shape, buf := range deltaShapes(base) {
+				qs := deltaQueries(base, buf)
+				for way, gs := range ways {
+					if err := checkDelta(bufferOn(buf, gs[0], gs[1]), buf, qs); err != nil {
+						t.Errorf("%s buffer of %d keys, %s: %v", shape, len(buf), way, err)
 					}
-				}
-				if out[n] != 7*n {
-					t.Fatalf("batch of %d wrote past its end", n)
 				}
 			}
 		})
+	}
+}
+
+// TestDeltaTableMutation shows that checkDelta sees a table one key short:
+// the fullest bucket's upper entry lowered by one cuts that bucket's last
+// key off its range. A run of one key makes the bucket the only fullest,
+// so no other lane's range is wide enough to hide the cut.
+func TestDeltaTableMutation(t *testing.T) {
+	base := workload.SortedKeys(40960, 1)
+	buf := append(deltaShapes(base)["inside"], progression(40, base[20000], 0)...)
+	g := gridOf(NewSortedArray(base, 0))
+	d := bufferOn(buf, g, g)
+	qs := deltaQueries(base, buf)
+	if err := checkDelta(d, buf, qs); err != nil {
+		t.Fatal(err)
+	}
+	fullest := 0
+	for b := range len(d.table) - 1 {
+		if d.table[b+1]-d.table[b] > d.table[fullest+1]-d.table[fullest] {
+			fullest = b
+		}
+	}
+	mutated := *d
+	mutated.table = slices.Clone(d.table)
+	mutated.table[fullest+1]--
+	if checkDelta(&mutated, buf, qs) == nil {
+		t.Fatalf("RankAdd stayed exact with table entry %d one short", fullest+1)
 	}
 }
 
@@ -281,10 +396,10 @@ func FuzzRankBatch(f *testing.F) {
 }
 
 // benchRankBatch times RankBatch alone at one partition size: eight
-// arrays taken in turn, so the large case is not one array kept hot by
-// the loop, and a fresh batch of uniform queries from a pool on every
-// iteration.
-func benchRankBatch(b *testing.B, arrs []*SortedArray) {
+// arrays (or updatable partitions) taken in turn, so the large case is not
+// one kept hot by the loop, and a fresh batch of uniform queries from a
+// pool on every iteration.
+func benchRankBatch[R BatchRanker](b *testing.B, arrs []R) {
 	const batch = 8192
 	r := workload.NewRNG(2)
 	pool := make([][]workload.Key, 64)

@@ -168,7 +168,7 @@ func checkRankSorted(t *testing.T, a *SortedArray, qs []workload.Key) {
 	for i := range out {
 		out[i] = 7 * i
 	}
-	(&Delta{keys: a.keys}).RankSortedAdd(qs, out)
+	emptyDelta.insert(a.keys, gridOf(a)).RankSortedAdd(qs, out)
 	for i, q := range qs {
 		if want := refRank(a.keys, q) + 7*i; out[i] != want {
 			t.Fatalf("run of %d over %d keys: RankSortedAdd[%d](%d) = %d, want %d", len(qs), len(a.keys), i, q, out[i], want)

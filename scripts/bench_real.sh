@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # bench_real.sh — run the real-runtime serving benchmarks, the netrun
-# TCP-loopback benchmarks, the two search kernels' own rows and the
-# durable layer's (segment writer, one partition's insert path), and record
-# the results as BENCH_real.json (one object per benchmark), so the perf
-# trajectory is comparable across PRs.
+# TCP-loopback benchmarks, the two search kernels' own rows, the update
+# layer's (base plus buffer reads, buffer inserts) and the durable layer's
+# (segment writer, one partition's insert path), and record the results as
+# BENCH_real.json (one object per benchmark), so the perf trajectory is
+# comparable across PRs.
 #
 # Usage: scripts/bench_real.sh [benchtime]
 #   benchtime: go test -benchtime value (default 20x)
@@ -77,6 +78,13 @@ run_bench 'BenchmarkNewSortedArray' ./internal/index 2000x
 # unsorted kernel — at 200 and 2,560) chosen by density, and each row
 # gates the one that runs there.
 run_bench 'BenchmarkSortedArrayRankSorted' ./internal/index 2000x
+# The update layer alone. UpdatableRankBatch: base plus buffer, ns per key
+# of uniform queries, rows <base keys>x<buffered keys> (x0 is the clean
+# path, the base alone): each buffer is searched through its base's bucket
+# grid, and these rows gate it. UpdatableInsertBatch: 100-key inserts into
+# a 2,048-key buffer, ns per inserted key — what carrying the buffer's
+# table forward costs the write side.
+run_bench 'BenchmarkUpdatableRankBatch|BenchmarkUpdatableInsertBatch' ./internal/index 2000x
 # The master's per-key routing step alone (Partitioning.Route) at 8, 64
 # and 300 partitions. An op routes 65,536 keys in well under a
 # millisecond, so like the kernel rows it takes its own iteration count.
