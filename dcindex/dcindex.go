@@ -151,9 +151,11 @@ type Options struct {
 	BatchKeys int
 	// QueueDepth bounds in-flight batches per worker (default 4).
 	QueueDepth int
-	// MergeThreshold is the per-partition delta-buffer size at which a
-	// background merge compacts buffered inserts into the immutable
-	// base structure (see Insert). Zero selects the default (4096).
+	// MergeThreshold is the floor of the per-partition delta-buffer size
+	// at which a background merge compacts buffered inserts into the
+	// immutable base structure (see Insert): a buffer is merged once it
+	// holds max(MergeThreshold, an eighth of the partition) keys. Zero
+	// selects the default (4096).
 	MergeThreshold int
 	// PartitionBudget caps a partition's key count before a background
 	// rebalance re-derives the partition delimiters over the whole key

@@ -36,10 +36,12 @@ type RealConfig struct {
 	BatchKeys int
 	// QueueDepth bounds in-flight batches per worker (backpressure).
 	QueueDepth int
-	// MergeThreshold is the per-partition delta-buffer size that
-	// triggers a background compaction of buffer+base into a fresh
-	// immutable array (see Insert/InsertBatch). Zero selects
-	// index.DefaultMergeThreshold.
+	// MergeThreshold is the floor of the per-partition delta-buffer size
+	// that triggers a background compaction of buffer+base into a fresh
+	// immutable array (see Insert/InsertBatch): a buffer is compacted once
+	// it holds max(MergeThreshold, an eighth of the partition) keys, so a
+	// key is copied a constant number of times however large the
+	// partition. Zero selects index.DefaultMergeThreshold.
 	MergeThreshold int
 	// PartitionBudget caps a partition's key count before a background
 	// rebalance recomputes the delimiters over the whole key set — the

@@ -214,8 +214,9 @@ func TestEpochSwapUnderConcurrentReaders(t *testing.T) {
 		}(g)
 	}
 
-	// 20000 skewed keys in 500-key batches: ~39 merges at threshold
-	// 512, and partition 0 exceeds its 16384-key budget midway.
+	// 20000 skewed keys in 500-key batches: a merge each time partition
+	// 0's buffer reaches an eighth of it (1,024 keys and up, above the
+	// 512 threshold), and partition 0 exceeds its 16384-key budget midway.
 	var inserted []workload.Key
 	for round := 0; round < 40; round++ {
 		ins := skewed(500)
@@ -324,11 +325,12 @@ func TestInsertVisibleToOwnerRouting(t *testing.T) {
 }
 
 // TestReplicatedMethodsShareOneCopy: Methods A and B are one partition
-// that all the workers read, so one crossing of MergeThreshold is one
-// compaction (one tree rebuilt, counted once) however many workers there
-// are — and eight concurrent readers, spread over those workers, see
-// exact ranks and exact answers from all four query ops both while the
-// compaction runs and after it has installed its result.
+// that all the workers read, so one crossing of its merge trigger —
+// max(MergeThreshold, an eighth of the partition) — is one compaction (one
+// tree rebuilt, counted once) however many workers there are, and a key
+// short of it is none. Eight concurrent readers, spread over those
+// workers, see exact ranks and exact answers from all four query ops both
+// while the compaction runs and after it has installed its result.
 func TestReplicatedMethodsShareOneCopy(t *testing.T) {
 	const maxKey = 1 << 20 // checkQueryOps draws its probes below this
 	for _, m := range []Method{MethodA, MethodB} {
@@ -348,11 +350,20 @@ func TestReplicatedMethodsShareOneCopy(t *testing.T) {
 			}
 			defer c.Close()
 
-			ins := make([]workload.Key, 512) // exactly one threshold crossing
+			// Exactly one crossing of the trigger: 60,000/8 keys, above the
+			// threshold.
+			ins := make([]workload.Key, len(keys)/8)
 			for i := range ins {
 				ins[i] = workload.Key(rng.Intn(maxKey))
 			}
-			if err := c.InsertBatch(ins); err != nil {
+			if err := c.InsertBatch(ins[:len(ins)-1]); err != nil {
+				t.Fatal(err)
+			}
+			c.quiesceUpdates()
+			if got := c.UpdateStats().Merges; got != 0 {
+				t.Fatalf("a buffer one key short of the trigger caused %d compactions, want 0", got)
+			}
+			if err := c.InsertBatch(ins[len(ins)-1:]); err != nil {
 				t.Fatal(err)
 			}
 			ranks, ops := newOracle(keys), newQueryOracle(keys)
@@ -380,7 +391,7 @@ func TestReplicatedMethodsShareOneCopy(t *testing.T) {
 			readers("merging") // the compaction InsertBatch armed is running, or has just finished
 			c.quiesceUpdates()
 			if got := c.UpdateStats().Merges; got != 1 {
-				t.Fatalf("one threshold crossing caused %d compactions, want 1", got)
+				t.Fatalf("one trigger crossing caused %d compactions, want 1", got)
 			}
 			if got, want := c.KeyCount(), len(keys)+len(ins); got != want {
 				t.Fatalf("KeyCount = %d, want %d", got, want)

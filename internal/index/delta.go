@@ -275,12 +275,12 @@ type baseState struct {
 //     result with one pointer swap.
 //   - Inserts replace the current Delta with a merged copy, its bucket
 //     table carried forward on the current base's grid (the buffer is
-//     bounded by Threshold and its table by a 64th of the base, so the
-//     copy is O(Threshold + base/64)); when the
-//     buffer reaches Threshold it is frozen and a background merge
-//     compacts frozen+base into a fresh base via the Builder. At most
-//     one merge runs at a time; inserts arriving during it accumulate
-//     in a new active buffer, and reads consult base+frozen+active.
+//     bounded by max(threshold, base/8) and its table by a 64th of the
+//     base, so the copy is O(threshold + base/8)); when the buffer
+//     reaches that bound it is frozen and a background merge compacts
+//     frozen+base into a fresh base via the Builder. At most one merge
+//     runs at a time; inserts arriving during it accumulate in a new
+//     active buffer, and reads consult base+frozen+active.
 //   - Reset atomically replaces the whole state (the replica catch-up
 //     path); a generation counter makes any in-flight merge's result
 //     stale so it is discarded instead of resurrecting pre-Reset keys.
@@ -330,11 +330,25 @@ type Updatable struct {
 	OnPublish func(keys []workload.Key, seq uint64)
 }
 
-// DefaultMergeThreshold is the delta size that triggers a background
-// compaction when the caller passes threshold <= 0: small enough that
-// the buffer's extra search stays cache-resident next to the partition,
-// large enough that merges amortize.
+// DefaultMergeThreshold is the floor of the merge trigger when the caller
+// passes threshold <= 0: a buffer is frozen and compacted once it holds
+// max(threshold, base/layerFraction) keys. The floor is what a small
+// partition merges at (below 8·4,096 keys); above it the trigger grows
+// with the base, so a key is copied a constant number of times however
+// large the partition: 327,680 keys merge every 40,960 inserts.
 const DefaultMergeThreshold = 4096
+
+// layerFraction is the one ratio between the layers of a partition: a
+// layer earns a rebuild at an eighth of the layer below it. The insert
+// buffer earns a merge into the base once it holds base/layerFraction keys
+// (never fewer than the threshold), and the keys logged since the last
+// segment earn a new one once they are image/layerFraction
+// (Store.SegmentDue). A merge copies base and buffer to admit the buffer,
+// so under the first rule the keys copied per inserted key are at most
+// 1 + layerFraction, not base/threshold (80 at 327,680 keys over a
+// 4,096-key threshold, 512 at 2M); under the second a segment costs at
+// most layerFraction image bytes per logged byte (Asadi & Lin, PAPERS.md).
+const layerFraction = 8
 
 // NewUpdatable wraps sorted keys with build's structure. The keys slice
 // is aliased, never mutated (merges build fresh arrays).
@@ -422,8 +436,9 @@ func (u *Updatable) Rank(k workload.Key) int {
 
 // InsertBatch adds keys (any order, duplicates allowed) to the delta
 // buffer, triggering a background compaction when the buffer reaches
-// the threshold. Safe for concurrent callers and concurrent readers;
-// the new keys are visible to every read that starts after it returns.
+// max(threshold, base/8) keys. Safe for concurrent callers and concurrent
+// readers; the new keys are visible to every read that starts after it
+// returns.
 func (u *Updatable) InsertBatch(keys []workload.Key) { u.insertBatch(keys, nil) }
 
 // InsertBatchAt is InsertBatch for a durably logged batch: seq is the
@@ -451,13 +466,21 @@ func (u *Updatable) insertBatch(keys []workload.Key, seq *uint64) {
 }
 
 // maybeMergeLocked freezes the active buffer and spawns the compaction
-// when it is due. Caller holds mu.
+// when it is due: nothing is frozen and the buffer holds
+// max(threshold, base/layerFraction) keys. Caller holds mu.
 //
 //dc:holds u.mu
 func (u *Updatable) maybeMergeLocked() {
-	if u.frozen != nil || len(u.delta.keys) < u.threshold {
-		return
+	if u.frozen == nil && len(u.delta.keys) >= max(u.threshold, len(u.base.Load().keys)/layerFraction) {
+		u.freezeLocked()
 	}
+}
+
+// freezeLocked freezes the active buffer and spawns its compaction.
+// Caller holds mu and nothing is frozen.
+//
+//dc:holds u.mu
+func (u *Updatable) freezeLocked() {
 	u.frozen = u.delta
 	u.frozenSeq = u.seq
 	u.delta = emptyDelta
@@ -492,7 +515,7 @@ func (u *Updatable) merge(s *baseState, fr *Delta, gen uint64) {
 	u.merges.Add(1)
 	hook := u.OnMerge
 	pub := u.OnPublish
-	// The active buffer may have refilled past the threshold while the
+	// The active buffer may have refilled past the trigger while the
 	// compaction ran; chain the next one immediately.
 	u.maybeMergeLocked()
 	u.cond.Broadcast()
@@ -568,7 +591,7 @@ func (u *Updatable) TotalKeys() int {
 func (u *Updatable) Merges() uint64 { return u.merges.Load() }
 
 // Quiesce blocks until no compaction is in flight or pending (the
-// active buffer is below threshold and nothing is frozen). Test and
+// active buffer is below its trigger and nothing is frozen). Test and
 // shutdown hook; concurrent inserts can of course re-arm a merge after
 // it returns.
 func (u *Updatable) Quiesce() {

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -90,8 +91,8 @@ func sortedArrayBuilder(keys []workload.Key) BatchRanker {
 }
 
 func TestUpdatableExactUnderMerges(t *testing.T) {
-	base := workload.SortedKeys(5000, 1)
-	u := NewUpdatable(base, sortedArrayBuilder, 64) // tiny threshold: many merges
+	base := workload.SortedKeys(8*64, 1)
+	u := NewUpdatable(base, sortedArrayBuilder, 64) // a base of 8·threshold: many merges
 	all := append([]workload.Key(nil), base...)
 
 	r := workload.NewRNG(2)
@@ -139,12 +140,79 @@ func TestUpdatableExactUnderMerges(t *testing.T) {
 	}
 }
 
+// TestUpdatableMergePolicy: a buffer is merged when it holds an eighth of
+// the base, so while a partition doubles it merges about
+// 1 + log 2/log(1+1/8) times at 40,960 keys and at 327,680 alike (a fixed
+// 4,096-key trigger merged 10 and 80 times), and the keys the merges write
+// per inserted key stay under 1 + layerFraction at both sizes; a base below
+// 8·threshold merges at the threshold. Ranks are exact after every merge.
+func TestUpdatableMergePolicy(t *testing.T) {
+	const batch = 1024
+	for _, n := range []int{40960, 327680} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			base := workload.SortedKeys(n, uint64(n))
+			u := NewUpdatable(base, BuildSortedArray, DefaultMergeThreshold)
+			all := slices.Clone(base)
+			r := workload.NewRNG(uint64(n) + 1)
+			qs := workload.UniformQueries(2000, uint64(n)+2)
+			out := make([]int, len(qs))
+			merges, copied := uint64(0), 0
+			for len(all) < 2*n {
+				ins := make([]workload.Key, batch)
+				for i := range ins {
+					ins[i] = r.Key()
+				}
+				u.InsertBatch(ins)
+				all = append(all, ins...)
+				u.Quiesce()
+				if u.Merges() == merges {
+					continue
+				}
+				if merges++; u.Merges() != merges {
+					t.Fatalf("one insert caused %d merges", u.Merges()-merges+1)
+				}
+				s, _, _ := u.pin()
+				copied += len(s.keys)
+				slices.Sort(all)
+				u.RankBatch(qs, out, 0)
+				for i, q := range qs {
+					if want := oracleRank(all, q); out[i] != want {
+						t.Fatalf("after merge %d: rank(%d) = %d, want %d", merges, q, out[i], want)
+					}
+				}
+			}
+			if want := 1 + int(math.Ceil(math.Log(2)/math.Log1p(1.0/layerFraction))); merges > uint64(want) || merges < uint64(want-2) {
+				t.Fatalf("%d merges while the partition doubled, want about %d", merges, want)
+			}
+			if perKey := float64(copied) / float64(len(all)-n); perKey > 1+layerFraction {
+				t.Fatalf("merges wrote %.2f keys per inserted key, want at most %d", perKey, 1+layerFraction)
+			}
+		})
+	}
+	t.Run("floor", func(t *testing.T) {
+		u := NewUpdatable(workload.SortedKeys(8*DefaultMergeThreshold-1, 3), BuildSortedArray, DefaultMergeThreshold)
+		ins := workload.UniformQueries(DefaultMergeThreshold, 4)
+		u.InsertBatch(ins[1:])
+		u.Quiesce()
+		if u.Merges() != 0 {
+			t.Fatalf("a buffer one key short of the threshold merged")
+		}
+		u.InsertBatch(ins[:1])
+		u.Quiesce()
+		if u.Merges() != 1 {
+			t.Fatalf("a buffer at the threshold over a base below 8·threshold made %d merges, want 1", u.Merges())
+		}
+	})
+}
+
 // TestUpdatableConcurrentReadersExact hammers one Updatable with
 // concurrent readers while inserts stream in: every result must lie
 // between the rank before the phase's inserts and the rank after them
-// (rank is monotone in inserts), and quiescent phases must be exact.
+// (rank is monotone in inserts), and quiescent phases must be exact. The
+// base starts at 8·threshold, so merges come at the threshold floor and the
+// inserts cross many merge installs.
 func TestUpdatableConcurrentReadersExact(t *testing.T) {
-	base := workload.SortedKeys(20000, 5)
+	base := workload.SortedKeys(8*256, 5)
 	u := NewUpdatable(base, sortedArrayBuilder, 256)
 	all := append([]workload.Key(nil), base...)
 	qs := workload.UniformQueries(512, 6)
@@ -201,8 +269,8 @@ func TestUpdatableConcurrentReadersExact(t *testing.T) {
 	}
 }
 
-// TestRankSortedSeesAckedKeys has a writer insert a fixed key set against
-// a merge threshold of one key, waiting out each merge so that it installs
+// TestRankSortedSeesAckedKeys has a writer insert a fixed key set and
+// force a merge after every insert, waiting out each so that it installs
 // into a clean partition and clears the dirty flag, while readers rank a
 // fixed ascending run with RankSorted: every rank must count every copy
 // acknowledged before the read began, and none not yet begun by its end.
@@ -227,6 +295,7 @@ func TestRankSortedSeesAckedKeys(t *testing.T) {
 			began.Add(1)
 			u.InsertBatch(set)
 			acked.Add(1)
+			freeze(u)
 			u.Quiesce()
 		}
 	}()
@@ -252,7 +321,7 @@ func TestRankSortedSeesAckedKeys(t *testing.T) {
 }
 
 func TestUpdatableResetDiscardsInFlightMerge(t *testing.T) {
-	base := workload.SortedKeys(1000, 9)
+	base := workload.SortedKeys(8*8, 9)
 	u := NewUpdatable(base, sortedArrayBuilder, 8)
 	u.InsertBatch(workload.UniformQueries(64, 10)) // arms a merge
 	fresh := workload.SortedKeys(500, 11)
@@ -268,10 +337,20 @@ func TestUpdatableResetDiscardsInFlightMerge(t *testing.T) {
 	}
 }
 
+// freeze freezes u's active buffer and spawns its merge now, below its
+// trigger, unless a merge is already in flight.
+func freeze(u *Updatable) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.frozen == nil {
+		u.freezeLocked()
+	}
+}
+
 // FuzzInsertMerge drives an Updatable with an arbitrary interleaving of
-// insert batches, merges (forced via tiny thresholds), and resets, and
-// cross-checks every rank against the sort.Search oracle over the shadow
-// multiset. The first base is a SortedArray of 16 buckets and an insert's
+// insert batches, merges (forced by tiny thresholds and by the script), and
+// resets, and cross-checks every rank against the sort.Search oracle over
+// the shadow multiset. The first base is a SortedArray of 16 buckets and an insert's
 // keys spread over them, so buffers are carried forward on its grid,
 // counted afresh on the next, and left on a stale one; a reset's base is
 // one bucket.
@@ -304,8 +383,11 @@ func FuzzInsertMerge(f *testing.F) {
 				u.InsertBatch(batch)
 				shadow = append(shadow, batch...)
 				sort.Slice(shadow, func(a, b int) bool { return shadow[a] < shadow[b] })
-			case op < 14: // quiesce (forces merge completion determinism)
+			case op < 13: // quiesce (forces merge completion determinism)
 				u.Quiesce()
+				i++
+			case op < 14: // merge the active buffer below its trigger
+				freeze(u)
 				i++
 			default: // reset to a fresh base
 				fresh := workload.SortedKeys(int(script[i]%32)+1, uint64(i))
@@ -352,9 +434,9 @@ func updatableParts(n, buffered int) []*Updatable {
 // BenchmarkUpdatableRankBatch is the update layer's read row, base plus
 // buffer, in ns per key of uniform queries: rows are
 // <base keys>x<buffered keys>, and the x0 row is the clean path, the base
-// alone.
+// alone. 327680x20480 is half the trigger at the TCP node's partition size.
 func BenchmarkUpdatableRankBatch(b *testing.B) {
-	for _, shape := range [][2]int{{40960, 0}, {40960, 2048}, {40960, DefaultMergeThreshold - 1}, {327680, 2048}} {
+	for _, shape := range [][2]int{{40960, 0}, {40960, 2048}, {40960, DefaultMergeThreshold - 1}, {327680, 2048}, {327680, 20480}} {
 		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
 			benchRankBatch(b, updatableParts(shape[0], shape[1]))
 		})
@@ -362,14 +444,15 @@ func BenchmarkUpdatableRankBatch(b *testing.B) {
 }
 
 // BenchmarkUpdatableInsertBatch is the update layer's write row: 100-key
-// inserts into partitions whose buffer holds 2,048 keys, in ns per inserted
-// key. An iteration inserts once into each of the eight partitions, each
-// buffer put back to its 2,048 keys first.
+// inserts into partitions whose buffer holds a row's buffered keys, in ns
+// per inserted key; rows are <base keys>x<buffered keys>. An iteration
+// inserts once into each of the eight partitions, each buffer put back to
+// its buffered keys first.
 func BenchmarkUpdatableInsertBatch(b *testing.B) {
 	const batch = 100
-	for _, n := range []int{40960, 327680} {
-		b.Run(fmt.Sprintf("%dx2048", n), func(b *testing.B) {
-			us := updatableParts(n, 2048)
+	for _, shape := range [][2]int{{40960, 2048}, {327680, 2048}, {327680, 20480}} {
+		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
+			us := updatableParts(shape[0], shape[1])
 			held := make([]*Delta, len(us))
 			for i, u := range us {
 				_, held[i], _ = u.pin()

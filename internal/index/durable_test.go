@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -355,10 +356,12 @@ func (f *segCountFS) Rename(oldpath, newpath string) error {
 }
 
 // policyRun drives one DurablePartition a merge at a time — a 32,768-key
-// baseline, a merge threshold of 512 — and keeps the rule's own books:
-// which publishes earned a segment, restated here from its definition
-// ((gen - last segment's gen) * segmentFraction >= keys in the image, or
-// no segment yet) and waited for, so that the run is the same every time.
+// baseline, a merge threshold of 512, acked batches of one threshold each —
+// and keeps the rules' own books: when a merge is due, restated here from
+// its definition (the buffer holds max(threshold, image/layerFraction)
+// keys), and which publishes earned a segment, restated from its
+// ((gen - last segment's gen) * layerFraction >= keys in the image, or no
+// segment yet) and waited for, so that the run is the same every time.
 type policyRun struct {
 	t      *testing.T
 	dir    string
@@ -369,6 +372,7 @@ type policyRun struct {
 	logged [][]workload.Key // the acked batches, in append order
 	rng    *workload.RNG
 	segs   []uint64 // the generations that earned a segment, ascending
+	pubs   []uint64 // the generations of every publish, ascending
 }
 
 const (
@@ -398,23 +402,42 @@ func newestSegment(s *Store) (gen uint64, ok bool) {
 
 func (p *policyRun) gen() uint64 { return uint64(len(p.oracle) - policyBase) }
 
-// merge inserts one threshold's worth of keys as one acked batch, waits
-// for the merge it triggers and, if the rule says its publish earned a
-// segment, for that segment; it reports whether it did.
+// nextMerge is the number of keys the next merge admits: the trigger,
+// max(threshold, image/layerFraction), rounded up to whole batches.
+func (p *policyRun) nextMerge() int {
+	due := max(policyThreshold, len(p.oracle)/layerFraction)
+	return (due + policyThreshold - 1) / policyThreshold * policyThreshold
+}
+
+// merge inserts acked batches until the buffer reaches the merge trigger —
+// one batch short, no merge has run — waits for the merge the last one
+// triggers and, if the rule says its publish earned a segment, for that
+// segment; it reports whether it did.
 func (p *policyRun) merge() bool {
 	p.t.Helper()
-	batch := make([]workload.Key, policyThreshold)
-	for i := range batch {
-		batch[i] = p.rng.Key()
+	for left := p.nextMerge(); left > 0; left -= policyThreshold {
+		if left == policyThreshold {
+			p.d.Upd.Quiesce()
+			if got := p.d.Upd.Merges(); got != uint64(len(p.pubs)) {
+				p.t.Fatalf("%d merges one batch short of the trigger, want %d", got, len(p.pubs))
+			}
+		}
+		batch := make([]workload.Key, policyThreshold)
+		for i := range batch {
+			batch[i] = p.rng.Key()
+		}
+		if err := p.d.InsertBatch(batch); err != nil {
+			p.t.Fatalf("InsertBatch: %v", err)
+		}
+		p.oracle = append(p.oracle, batch...)
+		p.logged = append(p.logged, batch)
 	}
-	if err := p.d.InsertBatch(batch); err != nil {
-		p.t.Fatalf("InsertBatch: %v", err)
-	}
-	p.oracle = append(p.oracle, batch...)
-	p.logged = append(p.logged, batch)
 	p.d.Upd.Quiesce()
 	gen := p.gen()
-	if n := len(p.segs); n > 0 && (gen-p.segs[n-1])*segmentFraction < uint64(len(p.oracle)) {
+	if p.pubs = append(p.pubs, gen); p.d.Upd.Merges() != uint64(len(p.pubs)) {
+		p.t.Fatalf("%d merges at the trigger, want %d", p.d.Upd.Merges(), len(p.pubs))
+	}
+	if n := len(p.segs); n > 0 && (gen-p.segs[n-1])*layerFraction < uint64(len(p.oracle)) {
 		return false
 	}
 	p.segs = append(p.segs, gen)
@@ -459,26 +482,26 @@ func (p *policyRun) reopen(what string, wantSeg uint64, mutate func(dir string))
 
 // TestDurablePartitionSegmentPolicy: a segment is written when the log
 // behind it has grown by the fixed fraction of the image, not at every
-// merge — over 64 merges that doubles the partition the segments written
+// merge — over the merges that double the partition the segments written
 // are the rule's geometric handful, the first publish among them; the
 // bytes written per inserted key stay under the bound the constant
 // implies; and the log keeps being retired, so the directory holds two
 // segments and the log of two intervals at most.
 func TestDurablePartitionSegmentPolicy(t *testing.T) {
-	const merges = 64
 	p := newPolicyRun(t)
 	bytes0 := p.fs.Bytes()
-	for m := 1; m <= merges; m++ {
+	for m := 1; len(p.oracle) < 2*policyBase; m++ {
 		flushed := p.merge()
 		if m == 1 && !flushed {
 			t.Fatal("the first publish did not earn a segment")
 		}
 		// Two segments (the newest, and the one before it kept against
 		// rot), and the records since the older of the two: two intervals
-		// of at most image/fraction + one threshold keys each, in files cut
-		// at the flushes — three of them at most, with the open one.
+		// of at most image/fraction keys and one merge's,
+		// max(threshold, image/fraction), each, in files cut at the flushes
+		// — three of them at most, with the open one.
 		n := len(p.oracle)
-		interval := n/segmentFraction + policyThreshold
+		interval := n/layerFraction + max(policyThreshold, n/layerFraction)
 		recBytes := walRecHeaderSize + 4*policyThreshold + walRecTrailerSize
 		most := int64(2*(segHeaderSize+4*n+4) + 3*walHeaderSize(1) + 2*(interval/policyThreshold)*recBytes)
 		var disk int64
@@ -496,22 +519,24 @@ func TestDurablePartitionSegmentPolicy(t *testing.T) {
 		}
 	}
 
-	// About 1 + log(2)/log(1+1/fraction) segments while the image doubles —
-	// 7 at an eighth — less what rounding every interval up to a whole
-	// merge saves: 5 here. (A segment at every merge would be 64.)
+	// A merge admits an eighth of the image, so the log behind a segment
+	// reaches an eighth of the image at the second merge after it: about
+	// 1 + log(2)/(2·log(1+1/fraction)) segments while the image doubles — 4
+	// at an eighth — less what rounding every interval up to a whole merge
+	// saves: 3 here. (A segment at every merge would be 6.)
 	if got := p.fs.segs.Load(); got != int64(len(p.segs)) {
 		t.Fatalf("%d segments written, the rule earns %d", got, len(p.segs))
 	}
-	if want := 1 + int(math.Ceil(math.Log(2)/math.Log1p(1.0/segmentFraction))); len(p.segs) > want || len(p.segs) < want-2 {
+	if want := 1 + int(math.Ceil(math.Log(2)/(2*math.Log1p(1.0/layerFraction)))); len(p.segs) > want || len(p.segs) < want-2 {
 		t.Fatalf("the rule earned %d segments (at %v), want about %d", len(p.segs), p.segs, want)
 	}
 	// Each segment but the first is 4 bytes a key of an image at most
 	// fraction times the keys logged since the one before, and the first is
-	// the baseline and one threshold; the log itself is 4 bytes a key and
-	// its framing.
-	inserted := int64(merges * policyThreshold)
+	// the baseline and one merge; the log itself is 4 bytes a key and its
+	// framing.
+	inserted := int64(p.gen())
 	perKey := float64(p.fs.Bytes()-bytes0) / float64(inserted)
-	bound := 4*segmentFraction + 4*float64(policyBase+policyThreshold)/float64(inserted) + 4 + 1
+	bound := 4*layerFraction + 4*float64(policyBase+max(policyThreshold, policyBase/layerFraction))/float64(inserted) + 4 + 1
 	if perKey > bound {
 		t.Fatalf("%.1f bytes written per inserted key, want at most %.1f", perKey, bound)
 	}
@@ -531,14 +556,16 @@ func TestDurablePartitionCrashBetweenSegments(t *testing.T) {
 		}
 	}
 	// Go on to one merge short of the fourth segment: the tail past the
-	// third is then a whole interval, less one threshold.
-	for next := p.gen() + policyThreshold; (next-p.segs[2])*segmentFraction < uint64(len(p.oracle)+policyThreshold); next += policyThreshold {
+	// third is then a whole interval, less one merge.
+	for next := p.nextMerge(); (p.gen()+uint64(next)-p.segs[2])*layerFraction < uint64(len(p.oracle)+next); next = p.nextMerge() {
 		if p.merge() {
 			t.Fatalf("segments at %v, want the run stopped before the fourth", p.segs)
 		}
 	}
+	// A merge admits an eighth of the image, so the rule skips one publish
+	// between two segments, not more.
 	prev, newest := p.segs[1], p.segs[2]
-	if skipped := (p.gen() - newest) / policyThreshold; skipped < 2 {
+	if skipped := len(p.pubs) - slices.Index(p.pubs, newest) - 1; skipped < 1 {
 		t.Fatalf("only %d publishes skipped since segment %d: the test is not testing the rule", skipped, newest)
 	}
 	p.reopen("rotted newest segment", prev, func(dir string) {
@@ -555,11 +582,12 @@ func TestDurablePartitionCrashBetweenSegments(t *testing.T) {
 }
 
 // TestDurablePartitionDeltaSinceAcrossSkippedFlushes: the rejoin delta is
-// served from the retained log, and the log now reaches back two intervals
+// served from the retained log, and the log reaches back two intervals
 // instead of two merges — a rejoiner that fell behind just after a segment
-// is still caught up by a delta ten merges later (a segment at every merge
-// had compacted its position away after two), and only once two segments
-// have passed it is it sent to the full snapshot.
+// is still caught up by a delta two merges and more than ten acked batches
+// later (a segment at every merge had compacted its position away after
+// two), and only once two segments have passed it is it sent to the full
+// snapshot.
 func TestDurablePartitionDeltaSinceAcrossSkippedFlushes(t *testing.T) {
 	p := newPolicyRun(t)
 	p.merge()
@@ -580,11 +608,9 @@ func TestDurablePartitionDeltaSinceAcrossSkippedFlushes(t *testing.T) {
 	for len(p.segs) < 2 {
 		p.merge()
 	}
-	for i := 0; i < 3; i++ {
-		p.merge() // publishes the second segment's interval has not earned
-	}
+	p.merge() // a publish the second segment's interval has not earned
 	if len(p.segs) != 2 || len(p.logged)-behind < 10 {
-		t.Fatalf("segments at %v after %d merges: want the rejoiner ten merges and one segment behind", p.segs, len(p.logged)-behind)
+		t.Fatalf("segments at %v after %d acked batches: want the rejoiner ten batches and one segment behind", p.segs, len(p.logged)-behind)
 	}
 	keys, curGen, curChain, ok := p.d.DeltaSince(gen, chain)
 	if !ok {

@@ -253,7 +253,8 @@ func oracleCount(all []workload.Key, lo, hi workload.Key) int {
 // threeLayers is an Updatable over base with all three layers live: frozen
 // is being merged, and the merge is held at the build of its new base
 // until release, while active sits in the buffer beside it. all is the
-// multiset the structure answers for.
+// multiset the structure answers for. The frozen buffer is frozen by hand,
+// since a large base's trigger (an eighth of it) is above it.
 func threeLayers(t testing.TB, base []workload.Key, build Builder, frozen, active []workload.Key) (u *Updatable, all []workload.Key, release func()) {
 	t.Helper()
 	gate := make(chan struct{})
@@ -266,6 +267,7 @@ func threeLayers(t testing.TB, base []workload.Key, build Builder, frozen, activ
 		return build(keys)
 	}, len(frozen))
 	u.InsertBatch(frozen)
+	freeze(u)
 	u.InsertBatch(active)
 	_, d, f := u.pin()
 	if f == nil || len(f.keys) != len(frozen) || len(d.keys) != len(active) {

@@ -361,34 +361,32 @@ func (s *Store) Append(keys []workload.Key) (end int64, gen uint64, err error) {
 // already durable (rotation syncs the old file before swapping it out).
 func (s *Store) Commit(end int64) error { return s.log.Commit(end) }
 
-// segmentFraction is when a published base earns a segment: once the keys
-// logged since the last one are at least 1/segmentFraction of the image
-// (the geometric rule of Asadi & Lin, PAPERS.md). A segment is O(image)
-// work — encode, checksum, two fsyncs — so written at every merge its cost
-// per inserted key grows with the partition (327,680 keys over a 4,096-key
-// merge: 80 image bytes per logged byte); under the rule it is at most
-// segmentFraction image bytes per logged byte however large the partition,
-// plus the slack of one merge threshold, the granularity publishes come
-// at. The same constant bounds what a skipped publish defers: the log
-// between two segments holds at most image/segmentFraction + one threshold
-// keys (the replay bound), and with the previous segment kept against rot
+// SegmentDue reports whether a base of n keys published at watermark gen
+// should be flushed: there is no segment yet, or the keys logged since the
+// last one are at least 1/layerFraction of the image (the geometric rule of
+// Asadi & Lin, PAPERS.md). A segment is O(image) work — encode, checksum,
+// two fsyncs — so written at every merge its cost per inserted key would
+// grow with the partition; under the rule it is at most layerFraction image
+// bytes per logged byte however large the partition, plus the slack of one
+// merge, the granularity publishes come at. Since a merge itself admits an
+// eighth of the image, the log earns a segment at about every second
+// merge. The same constant bounds what a skipped publish defers: the log
+// between two segments holds at most image/layerFraction keys and one
+// merge's, max(threshold, image/layerFraction) — about a quarter of the
+// image, the replay bound — and with the previous segment kept against rot
 // a directory holds two segments and the log since the older one: two such
 // intervals, three when inserts landed while a segment was being written
 // (a log file stays whole while one record in it is above the floor).
-// Measured on the referee (read_keys_per_s, 3 rounds of
-// mixed_durable and 2 of mixed_tcp_replicated): 16 — a segment at every
-// merge of mixed_durable's 40,960-key partitions — is 5-8 % and 3 % behind
-// 8, and 4 another 3-4 % ahead of it for twice the retained log and twice
-// the replay; 8 is where the referee's disk and recovery bounds still hold.
-const segmentFraction = 8
-
-// SegmentDue reports whether a base of n keys published at watermark gen
-// should be flushed: there is no segment yet, or the log has grown by the
-// fraction above since the last one.
+// Measured on the referee (read_keys_per_s, 3 rounds of mixed_durable and
+// 2 of mixed_tcp_replicated, when merges came every 4,096 keys): a
+// fraction of 16 — a segment at every merge of mixed_durable's 40,960-key
+// partitions — is 5-8 % and 3 % behind 8, and 4 another 3-4 % ahead of it
+// for twice the retained log and twice the replay; 8 is where the
+// referee's disk and recovery bounds still hold.
 func (s *Store) SegmentDue(n int, gen uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return !s.hasSeg || (gen > s.segGen && (gen-s.segGen)*segmentFraction >= uint64(n))
+	return !s.hasSeg || (gen > s.segGen && (gen-s.segGen)*layerFraction >= uint64(n))
 }
 
 // FlushSegment makes the compacted key set at watermark gen durable as

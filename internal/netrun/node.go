@@ -142,8 +142,8 @@ func identOf(partKeys []workload.Key, rankBase int) nodeIdent {
 
 // inMemory is the update layer of a node with no log: a delta buffer
 // over the immutable sorted array (whose constructor panics on unsorted
-// keys), compacted in the background once it reaches
-// index.DefaultMergeThreshold keys.
+// keys), compacted in the background once it reaches an eighth of the
+// partition, or index.DefaultMergeThreshold keys if that is more.
 func inMemory(partKeys []workload.Key) *index.Updatable {
 	return index.NewUpdatableOver(partKeys, index.NewSortedArray(partKeys, 0), index.BuildSortedArray, 0)
 }

@@ -82,8 +82,10 @@ run_bench 'BenchmarkSortedArrayRankSorted' ./internal/index 2000x
 # of uniform queries, rows <base keys>x<buffered keys> (x0 is the clean
 # path, the base alone): each buffer is searched through its base's bucket
 # grid, and these rows gate it. UpdatableInsertBatch: 100-key inserts into
-# a 2,048-key buffer, ns per inserted key — what carrying the buffer's
-# table forward costs the write side.
+# a buffer of the row's size, ns per inserted key — what carrying the
+# buffer's table forward costs the write side. The x20480 rows are half the
+# merge trigger (an eighth of the partition) at the TCP node's
+# 327,680-key partition: the average buffer that node holds between merges.
 run_bench 'BenchmarkUpdatableRankBatch|BenchmarkUpdatableInsertBatch' ./internal/index 2000x
 # The master's per-key routing step alone (Partitioning.Route) at 8, 64
 # and 300 partitions. An op routes 65,536 keys in well under a
@@ -94,8 +96,9 @@ run_bench 'BenchmarkPartitioningRoute' . 2000x
 # row reads MB/s of image. DurablePartitionInsert: acked 819-key inserts
 # into one 327,680-key partition, merges and segment flushes falling where
 # they fall; its disk_b_per_key is every byte written per inserted key,
-# which the flush rule (index.segmentFraction) bounds. 400 ops is 80
-# merges: enough for the rule's cadence to show.
+# which the flush rule (index.layerFraction) bounds. 400 ops is five
+# merges (each at an eighth of the partition) and three segments: enough
+# for the rule's cadence to show.
 run_bench 'BenchmarkWriteSegment' ./internal/index
 run_bench 'BenchmarkDurablePartitionInsert' ./internal/index 400x
 
