@@ -320,13 +320,14 @@ func BenchmarkReal_RankBatchSorted(b *testing.B) {
 // BenchmarkReal_CountRange is the v5 query-surface acceptance row:
 // ~2^19 range counts per op, built by pairing up the sorted query
 // stream into ascending disjoint ranges — the direct analog of
-// BenchmarkReal_RankBatchSorted's pre-sorted input. A count decomposes
-// into (lo-1, hi) endpoint ranks whose stream is then itself ascending,
-// so the batch rides the sorted one-search-per-delimiter dispatch with
-// no radix pass, and ns/endpoint must stay within 2x the sorted-rank
-// ns/key of BenchmarkReal_RankBatchSorted (benchcheck compares the
-// recorded rows). Unsorted range batches buy into the same path via
-// one pooled radix sort, mirroring the RankBatch/RankBatchSorted gap.
+// BenchmarkReal_RankBatchSorted's pre-sorted input. The master plans the
+// batch once (core.RangePlan: each range to the partitions it spans) and
+// hands each partition its [lo,hi] pairs; a worker ranks the pairs' ends,
+// each lo-1 and hi, as one ascending stream on one snapshot
+// (core.CountPairs), the same kernel a TCP node runs. The unit stays one
+// endpoint (one lo, one hi: two a range, one for a range from key 0), and
+// ns/endpoint must stay within 2x the sorted-rank ns/key of
+// BenchmarkReal_RankBatchSorted.
 func BenchmarkReal_CountRange(b *testing.B) {
 	keys := dcindex.GenerateKeys(327680, 1)
 	qs := dcindex.GenerateQueries(1<<20, 2)
@@ -336,7 +337,7 @@ func BenchmarkReal_CountRange(b *testing.B) {
 	for i := 0; i+1 < len(qs); i += 2 {
 		lo, hi := qs[i], qs[i+1]
 		if n := len(ranges); n > 0 && lo <= ranges[n-1].Hi {
-			continue // keep ranges strictly disjoint so the endpoint stream stays ascending
+			continue // keep ranges strictly disjoint, so each partition's streams stay ascending
 		}
 		ranges = append(ranges, dcindex.KeyRange{Lo: lo, Hi: hi})
 		endpoints += 2

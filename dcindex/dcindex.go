@@ -136,8 +136,8 @@ type DurabilityOptions struct {
 //
 //dc:knobs ../README.md
 type Options struct {
-	// Method selects the strategy; the zero value is MethodA. Use
-	// MethodC3 for the paper's recommended configuration.
+	// Method selects the strategy; the zero value is MethodC3, the
+	// paper's recommended configuration.
 	Method Method
 	// Workers is the number of processing goroutines (default 8): the
 	// slave count for Method C (one partition each); for A/B, how many
@@ -250,11 +250,10 @@ func (ix *Index) InsertBatch(keys []Key) error { return ix.c.InsertBatch(keys) }
 type KeyRange = core.KeyRange
 
 // CountRange returns the number of indexed keys in [lo, hi] inclusive
-// (0 if hi < lo). Range endpoints ride the sorted-batch rank pipeline —
-// one boundary search per partition delimiter, not one routing step per
-// endpoint — so a count costs about two sorted rank lookups. Exact at
-// quiescence; a consistent point-in-time answer under concurrent
-// inserts.
+// (0 if hi < lo). Every partition the range spans counts its own keys in
+// it — rank(hi) − rank(lo−1) on one snapshot of the partition — and the
+// counts add up; an insert lands in one partition, so the count is exact
+// under concurrent inserts too.
 func (ix *Index) CountRange(lo, hi Key) (int, error) { return ix.c.CountRange(lo, hi) }
 
 // CountRangeBatch answers many range counts in one dispatch: out[i]
@@ -276,8 +275,10 @@ func (ix *Index) ScanRange(lo, hi Key, limit int, buf []Key) ([]Key, error) {
 func (ix *Index) TopK(k int, buf []Key) ([]Key, error) { return ix.c.TopK(k, buf) }
 
 // MultiGet returns the multiplicity of each query key — how many
-// copies the index holds — in query order. A multiplicity is exactly
-// CountRange(k, k), answered partition-locally.
+// copies the index holds — in query order, answered by the one partition
+// each key routes to: CountRange(k, k), unless a cut splits k's run of
+// copies (a run longer than a partition), when it counts only the
+// copies in that partition.
 func (ix *Index) MultiGet(keys []Key) ([]int, error) { return ix.c.MultiGet(keys) }
 
 // MultiGetInto is MultiGet writing into a caller-provided slice
@@ -452,11 +453,11 @@ func Sweep(o SimOptions, batchBytes ...int) ([]Report, error) {
 //
 // Beyond ranks, a TCPCluster serves the same query surface as an
 // in-process Index — CountRange/CountRangeBatch, ScanRange, TopK, and
-// MultiGet/MultiGetInto. Each op scatters to the
-// partitions whose key sub-ranges it touches and composes per-replica
-// answers in partition (= key) order; a replica that dies mid-op has
-// its pending requests re-dispatched to a sibling, so results are
-// identical through a failover.
+// MultiGet/MultiGetInto — planned and composed by the same code: each op
+// asks the partitions its keys route to and composes their answers in
+// partition (= key) order; a replica that dies mid-op has its pending
+// requests re-dispatched to a sibling, so results are identical through
+// a failover.
 //
 // The operations plane rides the same handle: Stats returns the
 // versioned ClusterStats tree, Telemetry exposes the per-op latency

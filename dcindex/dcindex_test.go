@@ -78,6 +78,9 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer idx.Close()
+	if m := idx.Method(); m != MethodC3 {
+		t.Errorf("Options{} runs Method %v, want C-3", m)
+	}
 	if _, err := idx.RankBatch(GenerateQueries(100, 6)); err != nil {
 		t.Fatal(err)
 	}

@@ -183,8 +183,8 @@ func (c *checker) checkAssign(as *ast.AssignStmt) {
 	}
 }
 
-// checkAppend allows self-appends — `x = append(x, ...)` or
-// `x = append(x[:k], ...)` — where growth is bounded by the pooled backing
+// checkAppend allows self-appends — `x = append(x, ...)`,
+// `x = append(x[:k], ...)` or `*p = append(*p, ...)` — where growth is bounded by the pooled backing
 // array, the builder idiom `return append(dst, ...)` whose growth is
 // amortized at the caller, and cold paths. Anything else drops the grown
 // slice's identity and churns allocations.
@@ -383,6 +383,12 @@ func exprPath(e ast.Expr) string {
 		return base + "." + x.Sel.Name
 	case *ast.ParenExpr:
 		return exprPath(x.X)
+	case *ast.StarExpr:
+		base := exprPath(x.X)
+		if base == "" {
+			return ""
+		}
+		return "*" + base
 	default:
 		return ""
 	}

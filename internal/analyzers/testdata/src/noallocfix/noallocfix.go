@@ -74,6 +74,11 @@ func goodAppend(dst []int, k int, xs []int) []int {
 }
 
 //dc:noalloc
+func goodDerefAppend(dst *[]int, x int) {
+	*dst = append(*dst, x)
+}
+
+//dc:noalloc
 func goodBuilder(dst []byte, b byte) []byte {
 	return append(dst, b)
 }

@@ -1,15 +1,21 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Method selects one of the five query-processing strategies of
-// Section 3.
+// Section 3. The zero value is MethodC3, the paper's answer.
 type Method int
 
 const (
+	// MethodC3 partitions the index; slaves binary-search a sorted
+	// array — the paper's overall winner.
+	MethodC3 Method = iota
 	// MethodA replicates the n-ary tree on every node and looks keys
 	// up one by one, paying a potential cache miss per level.
-	MethodA Method = iota
+	MethodA
 	// MethodB replicates the tree and processes keys in batches with
 	// the Zhou-Ross buffering access technique over L2-sized subtrees.
 	MethodB
@@ -18,9 +24,6 @@ const (
 	MethodC1
 	// MethodC2 is C1 with buffered access over L1-sized subtrees.
 	MethodC2
-	// MethodC3 partitions the index; slaves binary-search a sorted
-	// array — the paper's overall winner.
-	MethodC3
 )
 
 // Methods lists all five in presentation order.
@@ -52,4 +55,4 @@ func (m Method) Distributed() bool {
 }
 
 // Valid reports whether m is one of the five defined methods.
-func (m Method) Valid() bool { return m >= MethodA && m <= MethodC3 }
+func (m Method) Valid() bool { return slices.Contains(Methods(), m) }

@@ -93,14 +93,15 @@ func newPartitioningSorted(keys []workload.Key, parts int) (*Partitioning, error
 }
 
 // distinctCut moves the equal-size cut at off a run of equal keys: routing
-// sends every copy of a key to the one partition whose range begins at
-// or before it, so a cut inside the run would leave copies in a
-// partition that is never asked about them and a per-partition answer
-// (MultiGet) would miss them. The cut goes to the start of the run, or
-// to its end when the run reaches back to the previous cut at lo; both
+// sends every copy of a key to the last partition whose range begins at
+// or before it, so a cut inside the run leaves copies in a partition the
+// key does not route to, and an answer from that one partition
+// (MultiGet) misses them. The cut goes to the start of the run, or to
+// its end when the run reaches back to the previous cut at lo; both
 // partitions stay non-empty (lo < cut < next, the equal-size cut after
 // this one). A run that fills a whole partition keeps the equal-size
-// cut: ranks, counts and scans are exact across it all the same.
+// cut: ranks are exact across it all the same, and counts and scans ask
+// the partition below the key's too (Span).
 func distinctCut(keys []workload.Key, lo, at, next int) int {
 	cut := at
 	for cut > lo+1 && keys[cut-1] == keys[cut] {

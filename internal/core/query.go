@@ -2,35 +2,195 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/index"
 	"repro/internal/workload"
 )
 
-// This file is the range half of the op-generic query engine: the
-// cluster-level entry points for CountRange, ScanRange, TopK, and
-// MultiGet. They share the rank pipeline's pooled batches, per-call
-// gather channels, and epoch pinning; what differs per op is only how
-// queries split across partitions and how partial results compose:
+// This file is the range half of the op-generic query engine and the one
+// definition of the range ops for both engines: the in-process Cluster
+// below and the TCP client (netrun) plan and compose a CountRange, a
+// ScanRange and a TopK with the same functions, and differ only in how a
+// request reaches a partition. As the paper's master does (Section 3.2,
+// Figure 2), the delimiters decide which partitions a query asks, and
+// each partition answers only for its own keys:
 //
-//   - CountRange reduces to ranks: count(lo,hi) = rank(hi) - rank(lo-1)
-//     (rank(-1) being 0), so a batch of ranges becomes a sorted batch
-//     of endpoint keys dispatched through the one-search-per-delimiter
-//     sorted path — the per-endpoint cost is the sorted-rank cost, and
-//     the PR 5 insert counters keep cross-partition counts exact under
-//     concurrent writes for free.
-//   - ScanRange fans [lo,hi] out to the partitions the range spans;
-//     each scans its pinned snapshot and the partials concatenate in
-//     partition order (partition key ranges are disjoint and
-//     ascending, so no merge is needed).
-//   - TopK collects each partition's k-largest head run and composes
-//     the global answer from the highest partition backward.
-//   - MultiGet is a sorted dispatch of the query keys to their owning
-//     partitions; a key's multiplicity is entirely partition-local.
+//   - Which partitions: a range [lo, hi] asks Route(lo−1) through
+//     Route(hi) (Partitioning.Span) — the partition below Route(lo) too,
+//     because a cut falls inside lo's run of copies when the run fills a
+//     whole partition (distinctCut). A top-k asks every partition.
+//   - What each is asked: a batch of counted ranges is planned once per
+//     call (RangePlan) into per-partition lists of [lo, hi] pairs, each
+//     pair carrying its range's position, which the engine pools — a
+//     worker batch's keys, a TCP frame's words — and a partition counts
+//     its pairs on one snapshot (CountPairs, which a worker and a TCP node
+//     both run). A scan asks each spanned partition for its keys in
+//     [lo, hi], at most limit of them.
+//   - How answers compose: counts add up by position (AddCounts), scan
+//     runs concatenate lowest partition first under one global limit
+//     (ComposeScan), and top-k runs are read from the highest partition
+//     down (ComposeTopK). A partition answers a scan or a top-k with an
+//     ascending run.
+//
+// A count is exact under concurrent inserts: each partition counts one
+// snapshot of its own keys, and an insert lands in the one partition its
+// key routes to. MultiGet is the rank pipeline's instead: each key goes
+// to the partition it routes to, which answers its multiplicity — short
+// for a key whose run a cut splits.
 
 // KeyRange is an inclusive key range [Lo, Hi]. An inverted range
 // (Hi < Lo) is empty.
 type KeyRange struct {
 	Lo, Hi workload.Key
+}
+
+// Span returns the partitions a range [lo, hi] asks: Route(lo−1) through
+// Route(hi). Route(lo) alone would miss the copies of lo below a cut
+// inside their run.
+//
+//dc:noalloc
+func (p *Partitioning) Span(lo, hi workload.Key) (first, last int) {
+	return p.Route(lo - min(lo, 1)), p.Route(hi)
+}
+
+// RangePlan splits a batch of counted ranges over the partitions, into
+// requests whose lists the engine owns: a worker batch's keys in process,
+// a frame's words (W uint32) over TCP. Each engine pools one with its
+// call state.
+type RangePlan[W ~uint32] struct {
+	parts []planPart[W]
+}
+
+// planPart is the lists of the request a partition's pairs go into: nil
+// until the partition is asked, and again once the request is handed on.
+type planPart[W ~uint32] struct {
+	pairs *[]W
+	pos   *[]int32
+}
+
+// Plan zeroes out[:len(ranges)], the sums AddCounts adds the partitions'
+// answers into, and splits ranges over p's partitions: a range that is
+// not inverted is asked of every partition in p.Span(lo, hi). The pair,
+// lo first, and its range's position go into the lists open(part)
+// returned for the partition's request, opened when the partition is
+// first asked; a request of per pairs goes to emit(part), which takes it
+// over, and the next pair opens another. When every range is planned,
+// emit gets each partition's last request.
+//
+//dc:noalloc
+func (pl *RangePlan[W]) Plan(p *Partitioning, ranges []KeyRange, out []int, per int, open func(part int) (pairs *[]W, pos *[]int32), emit func(part int)) {
+	clear(out[:len(ranges)])
+	if len(pl.parts) < len(p.Parts) {
+		pl.parts = make([]planPart[W], len(p.Parts))
+	}
+	parts := pl.parts[:len(p.Parts)]
+	for i, r := range ranges {
+		if r.Hi < r.Lo {
+			continue
+		}
+		// Span, written out: its two Routes inline here, and Span does not.
+		first, last := p.Route(r.Lo-min(r.Lo, 1)), p.Route(r.Hi)
+		for s := first; s <= last; s++ {
+			pp := &parts[s]
+			if pp.pos == nil {
+				pp.pairs, pp.pos = open(s)
+			}
+			*pp.pairs = append(*pp.pairs, W(r.Lo), W(r.Hi))
+			*pp.pos = append(*pp.pos, int32(i))
+			if len(*pp.pos) == per {
+				emit(s)
+				*pp = planPart[W]{}
+			}
+		}
+	}
+	for s := range parts {
+		if parts[s].pos != nil {
+			emit(s)
+			parts[s] = planPart[W]{}
+		}
+	}
+}
+
+// CountPairs returns the number of u's keys in each inclusive range
+// [pairs[2i], pairs[2i+1]]: rank(hi) − rank(lo−1), the ranks of all the
+// range ends taken in one call, on one snapshot of u — ranks from two
+// instants of a partition taking inserts would subtract to a count that
+// never existed. The ends are ranked laid out as the pairs are, so ranges
+// that come ascending and disjoint are one ascending stream for the
+// sorted kernel. It is a partition's answer to its share of a count
+// batch, in process (a worker) and over TCP (a node, straight from the
+// request words). keys and ints are the caller's scratch, grown as
+// needed; the counts are the first len(pairs)/2 of ints.
+//
+//dc:noalloc
+func CountPairs[W ~uint32](u *index.Updatable, pairs []W, keys *[]workload.Key, ints *[]int) []int {
+	n := len(pairs) &^ 1
+	*keys = slices.Grow((*keys)[:0], n)
+	*ints = slices.Grow((*ints)[:0], n)
+	ends, ranks := (*keys)[:n], (*ints)[:n]
+	for i := 0; i < n; i += 2 {
+		lo := workload.Key(pairs[i])
+		ends[i], ends[i+1] = lo-min(lo, 1), workload.Key(pairs[i+1])
+	}
+	if index.FirstDescent(ends) == 0 {
+		u.RankSorted(ends, ranks, 0)
+	} else {
+		u.RankBatch(ends, ranks, 0)
+	}
+	for i := range n / 2 {
+		// A range from key 0 has no keys below it; an inverted one has
+		// hi <= lo−1, and its difference is the keys between, negated.
+		below := 0
+		if pairs[2*i] > 0 {
+			below = ranks[2*i]
+		}
+		ranks[i] = max(ranks[2*i+1]-below, 0)
+	}
+	return ranks[:n/2]
+}
+
+// AddCounts adds one partition's answer to a count batch into out at its
+// ranges' positions: a range that spans partitions is the sum of theirs.
+//
+//dc:noalloc
+func AddCounts[C ~uint32 | ~int](out []int, pos []int32, counts []C) {
+	for i, p := range pos {
+		out[p] += int(counts[i])
+	}
+}
+
+// ComposeScan appends a scan's answer to out: the ascending runs of the
+// parts partitions it asked, run(0) the lowest, concatenated in that
+// order — partition order is key order — until limit keys were appended
+// (limit < 0: all of them).
+func ComposeScan[W ~uint32](out []workload.Key, limit, parts int, run func(i int) []W) []workload.Key {
+	end := len(out) + limit
+	for i := range parts {
+		r := run(i)
+		if limit >= 0 {
+			r = r[:min(len(r), end-len(out))]
+		}
+		for _, k := range r {
+			out = append(out, workload.Key(k))
+		}
+	}
+	return out
+}
+
+// ComposeTopK appends the k largest keys, descending, to out: the
+// ascending runs of the parts partitions a top-k asked, run(0) the
+// lowest, each read from its end, the highest partition first, until k
+// keys were appended.
+func ComposeTopK[W ~uint32](out []workload.Key, k, parts int, run func(i int) []W) []workload.Key {
+	end := len(out) + k
+	for i := parts - 1; i >= 0 && len(out) < end; i-- {
+		r := run(i)
+		for j := len(r) - 1; j >= 0 && len(out) < end; j-- {
+			out = append(out, workload.Key(r[j]))
+		}
+	}
+	return out
 }
 
 // CountRange returns the number of indexed keys in the inclusive range
@@ -46,19 +206,15 @@ func (c *Cluster) CountRange(lo, hi workload.Key) (int, error) {
 }
 
 // CountRangeBatch resolves each range's key count into out
-// (len(out) >= len(ranges)). The ranges are decomposed into their
-// endpoint rank queries — lo-1 when lo > 0, then hi — and dispatched
-// through the sorted rank pipeline: one delimiter search per partition
-// boundary for the whole batch, never a per-endpoint Route. The
-// emission order matters: an ascending batch of disjoint ranges yields
-// an already-ascending endpoint stream, so it skips the radix sort and
-// pays exactly the sorted-rank cost per endpoint; anything else buys
-// into the same path through one pooled radix pass.
+// (len(out) >= len(ranges)): the call's RangePlan fills pooled batches,
+// each goes to its partition's worker once it holds a hand-off's worth of
+// pairs, while the rest is planned, and each answer adds into out as it
+// arrives.
 func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 	if len(out) < len(ranges) {
 		return fmt.Errorf("core: out len %d < %d ranges", len(out), len(ranges))
 	}
-	if err := CheckCallSize(2 * len(ranges)); err != nil { // two endpoints a range
+	if err := CheckCallSize(len(ranges)); err != nil {
 		return err
 	}
 	c.mu.RLock()
@@ -66,44 +222,34 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 	if c.closed {
 		return fmt.Errorf("core: cluster is closed")
 	}
-	if len(ranges) == 0 {
-		return nil
-	}
 	cs := c.getCall()
 	defer c.putCall(cs)
 
-	ends := cs.qbuf[:0]
-	for _, r := range ranges {
-		if r.Hi < r.Lo {
-			continue
-		}
-		if r.Lo > 0 {
-			ends = append(ends, r.Lo-1)
-		}
-		ends = append(ends, r.Hi)
+	ep := c.epoch.Load()
+	per := c.handoff(len(ranges))
+	room := min(per, len(ranges)) // the most pairs one batch can receive
+	pending := 0
+	gather := func(b *realBatch) {
+		AddCounts(out, b.pos, b.ranks)
+		c.putBatch(b)
+		pending--
 	}
-	cs.qbuf = ends
-	if cap(cs.rbuf) < len(ends) {
-		cs.rbuf = make([]int, len(ends))
-	}
-	rks := cs.rbuf[:len(ends)]
-	c.rankDispatch(cs, ends, rks, opCount)
-
-	// Combine in the same order the endpoints were emitted: rank(hi)
-	// minus rank(lo-1), the latter 0 for ranges starting at key 0.
-	j := 0
-	for i, r := range ranges {
-		if r.Hi < r.Lo {
-			out[i] = 0
-			continue
+	cs.plan.Plan(ep.part, ranges, out, per, func(s int) (*[]workload.Key, *[]int32) {
+		b := c.getBatch(cs.reply)
+		b.op, b.lp = opCount, ep.lps[s]
+		if cap(b.keys) < 2*room || cap(b.pos) < room {
+			b.keys, b.pos = make([]workload.Key, 0, 2*room), make([]int32, 0, room)
 		}
-		below := 0
-		if r.Lo > 0 {
-			below = rks[j]
-			j++
-		}
-		out[i] = rks[j] - below
-		j++
+		cs.accum[s] = b
+		return &b.keys, &b.pos
+	}, func(s int) {
+		b := cs.accum[s]
+		cs.accum[s] = nil
+		pending++
+		c.handOver(cs, c.workerFor(ep, s), b, gather)
+	})
+	for pending > 0 {
+		gather(<-cs.reply)
 	}
 	return nil
 }
@@ -120,9 +266,7 @@ func (c *Cluster) MultiGet(keys []workload.Key) ([]int, error) {
 
 // MultiGetInto is MultiGet writing into a caller-provided slice
 // (len(out) >= len(keys)). Keys are dispatched through the sorted
-// pipeline (radix sort when needed) to their owning partitions; a
-// multiplicity never crosses a partition boundary, so the per-partition
-// answers are the global ones.
+// pipeline (radix sort when needed) to the partitions they route to.
 func (c *Cluster) MultiGetInto(keys []workload.Key, out []int) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("core: out len %d < %d keys", len(out), len(keys))
@@ -162,40 +306,18 @@ func (c *Cluster) ScanRange(lo, hi workload.Key, limit int, out []workload.Key) 
 	defer c.putCall(cs)
 
 	ep := c.epoch.Load()
-	sLo, sHi := ep.part.Route(lo), ep.part.Route(hi)
-	parts := c.gatherKeyRuns(cs, func(send func(w int, b *realBatch)) {
-		for s := sLo; s <= sHi; s++ {
-			b := c.getBatch(cs.reply)
-			b.op = opScan
-			b.keys = append(b.keys, lo, hi)
-			b.limit = limit
-			b.lp = ep.lps[s]
-			send(c.workerFor(ep, s), b)
-		}
-	})
-	// Partition key ranges are disjoint and ascending, so send-order
-	// concatenation is the sorted result; the limit re-applies globally
-	// because each partition could return up to limit keys.
-	taken := 0
-	for _, run := range parts {
-		take := len(run)
-		if limit >= 0 && take > limit-taken {
-			take = limit - taken
-		}
-		out = append(out, run[:take]...)
-		taken += take
-		if limit >= 0 && taken >= limit {
-			break
-		}
+	first, last := ep.part.Span(lo, hi)
+	runs := c.askEach(cs, ep, opScan, first, last, limit, lo, hi)
+	out = ComposeScan(out, limit, len(runs), func(i int) []workload.Key { return runs[i].outKeys })
+	for _, b := range runs {
+		c.putBatch(b)
 	}
 	return out, nil
 }
 
 // TopK appends the k largest indexed keys, descending, to out and
 // returns the extended slice (fewer than k when the index holds fewer
-// keys). Every partition contributes its head run of at most k keys;
-// the global answer reads the runs from the highest partition
-// backward.
+// keys). Every partition contributes its run of at most k largest keys.
 func (c *Cluster) TopK(k int, out []workload.Key) ([]workload.Key, error) {
 	if k <= 0 {
 		return out, nil
@@ -209,57 +331,32 @@ func (c *Cluster) TopK(k int, out []workload.Key) ([]workload.Key, error) {
 	defer c.putCall(cs)
 
 	ep := c.epoch.Load()
-	parts := c.gatherKeyRuns(cs, func(send func(w int, b *realBatch)) {
-		for s := range ep.lps {
-			b := c.getBatch(cs.reply)
-			b.op = opTopK
-			b.limit = k
-			b.lp = ep.lps[s]
-			send(c.workerFor(ep, s), b)
-		}
-	})
-	have := 0
-	for s := len(parts) - 1; s >= 0 && have < k; s-- {
-		take := len(parts[s])
-		if take > k-have {
-			take = k - have
-		}
-		out = append(out, parts[s][:take]...)
-		have += take
+	runs := c.askEach(cs, ep, opTopK, 0, len(ep.lps)-1, k)
+	out = ComposeTopK(out, k, len(runs), func(i int) []workload.Key { return runs[i].outKeys })
+	for _, b := range runs {
+		c.putBatch(b)
 	}
 	return out, nil
 }
 
-// gatherKeyRuns runs a key-run op (scan/top-k) dispatch and collects
-// each batch's outKeys in send order: the i-th batch handed to send
-// fills the i-th returned run (posBase carries the sequence, unused by
-// these ops otherwise). send keeps gathering under backpressure like
-// the rank path, so the pipeline cannot stall; the returned runs are
-// copies — pooled batch buffers never escape.
-func (c *Cluster) gatherKeyRuns(cs *callState, dispatch func(send func(w int, b *realBatch))) [][]workload.Key {
-	var parts [][]workload.Key
-	pending := 0
-	gather := func(b *realBatch) {
-		parts[b.posBase] = append([]workload.Key(nil), b.outKeys...)
-		c.putBatch(b)
-		pending--
+// askEach hands one op batch for each partition in [first, last] of ep
+// to its worker, with limit and keys as the op reads them, and returns
+// the answered batches in partition order, which is key order, for the
+// caller to compose from and recycle. There are at most as many as
+// workers, which the reply channel always has room for.
+func (c *Cluster) askEach(cs *callState, ep *updEpoch, op batchOp, first, last, limit int, keys ...workload.Key) []*realBatch {
+	n := last - first + 1
+	runs := slices.Grow(cs.runs[:0], n)[:n]
+	cs.runs = runs
+	for s := first; s <= last; s++ {
+		b := c.getBatch(cs.reply)
+		b.op, b.limit, b.lp, b.posBase = op, limit, ep.lps[s], s-first
+		b.keys = append(b.keys, keys...)
+		c.in[c.workerFor(ep, s)] <- b
 	}
-	send := func(w int, b *realBatch) {
-		b.posBase = len(parts)
-		parts = append(parts, nil)
-		pending++
-		for {
-			select {
-			case c.in[w] <- b:
-				return
-			case r := <-cs.reply:
-				gather(r)
-			}
-		}
+	for range n {
+		b := <-cs.reply
+		runs[b.posBase] = b
 	}
-	dispatch(send)
-	for pending > 0 {
-		gather(<-cs.reply)
-	}
-	return parts
+	return runs
 }

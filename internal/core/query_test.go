@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -75,19 +76,46 @@ func queryConfigs() []RealConfig {
 	return cfgs
 }
 
-func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *rand.Rand) {
+// cutRunKeys is a key set whose run of one key is longer than a
+// partition: 100 keys, key 500 at positions 10–95. Four equal partitions
+// cut the run twice (delimiters 500, 500, 1096), so copies of 500 live in
+// partitions 1 and 2 and a range from 500 must ask the partition below
+// Route(500).
+func cutRunKeys() []workload.Key {
+	keys := make([]workload.Key, 100)
+	for i := range keys {
+		switch {
+		case i < 10:
+			keys[i] = workload.Key(10 * i)
+		case i <= 95:
+			keys[i] = 500
+		default:
+			keys[i] = workload.Key(1000 + i)
+		}
+	}
+	return keys
+}
+
+// checkQueryOps checks every op against the oracle over keys below
+// maxKey. multiGet is false for a key set with a run cut between
+// partitions, whose multiplicity is answered by the one partition the key
+// routes to (ROADMAP).
+func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *rand.Rand, maxKey int, multiGet bool) {
 	t.Helper()
-	const maxKey = 1 << 20
+	present := func() workload.Key { return workload.Key(o.ints[rng.Intn(len(o.ints))]) }
 
 	ranges := make([]KeyRange, 32)
 	for i := range ranges {
 		lo := workload.Key(rng.Intn(maxKey))
 		hi := workload.Key(rng.Intn(maxKey))
+		if i%5 == 0 {
+			lo, hi = present(), present() // from and to indexed keys, [k, k] among them
+		}
 		if i%7 == 0 {
 			hi = lo - 1 // inverted: must count 0
 		}
 		if i%11 == 0 {
-			lo = 0 // range from the origin: single-endpoint path
+			lo = 0 // range from the origin
 		}
 		ranges[i] = KeyRange{Lo: lo, Hi: hi}
 	}
@@ -103,6 +131,9 @@ func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *ra
 
 	for trial := 0; trial < 8; trial++ {
 		lo := workload.Key(rng.Intn(maxKey))
+		if trial%2 == 0 {
+			lo = present()
+		}
 		hi := lo + workload.Key(rng.Intn(maxKey/8))
 		limit := rng.Intn(200) - 1
 		got, err := c.ScanRange(lo, hi, limit, nil)
@@ -138,8 +169,8 @@ func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *ra
 
 	qs := make([]workload.Key, 64)
 	for i := range qs {
-		if i%3 == 0 && len(o.ints) > 0 {
-			qs[i] = workload.Key(o.ints[rng.Intn(len(o.ints))]) // present key
+		if i%3 == 0 {
+			qs[i] = present()
 		} else {
 			qs[i] = workload.Key(rng.Intn(maxKey))
 		}
@@ -149,7 +180,7 @@ func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *ra
 		t.Fatalf("%s: MultiGet: %v", tag, err)
 	}
 	for i, q := range qs {
-		if want := o.multiplicity(q); muls[i] != want {
+		if want := o.multiplicity(q); multiGet && muls[i] != want {
 			t.Fatalf("%s: MultiGet key %d = %d, want %d", tag, q, muls[i], want)
 		}
 	}
@@ -162,7 +193,7 @@ func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *ra
 	for i := range big {
 		big[i] = workload.Key(rng.Intn(maxKey))
 		if i%2 == 0 {
-			big[i] = workload.Key(o.ints[rng.Intn(len(o.ints))])
+			big[i] = present()
 		}
 		wide[i] = KeyRange{Lo: big[i], Hi: big[i] + workload.Key(rng.Intn(maxKey/64))}
 	}
@@ -175,7 +206,7 @@ func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *ra
 		t.Fatalf("%s: CountRangeBatch of %d ranges: %v", tag, len(wide), err)
 	}
 	for i, q := range big {
-		if want := o.multiplicity(q); muls[i] != want {
+		if want := o.multiplicity(q); multiGet && muls[i] != want {
 			t.Fatalf("%s: MultiGet of %d keys: key %d = %d, want %d", tag, len(big), q, muls[i], want)
 		}
 		if want := o.countRange(wide[i].Lo, wide[i].Hi); counts[i] != want {
@@ -187,89 +218,120 @@ func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *ra
 // TestQueryOpsOracleSweep is the cross-method oracle sweep: all four
 // new ops, every method,
 // checked exact against a sort.SearchInts oracle at quiescent
-// checkpoints between rounds of concurrent inserts and queries.
+// checkpoints between rounds of concurrent inserts and queries. Each
+// method runs it over 8,000 uniform keys, then over cutRunKeys on four
+// workers.
 func TestQueryOpsOracleSweep(t *testing.T) {
-	const maxKey = 1 << 20
 	for _, cfg := range queryConfigs() {
 		tag := cfg.Method.String()
 		t.Run(tag, func(t *testing.T) {
 			t.Parallel()
-			cfg := cfg
+			const maxKey = 1 << 20
 			rng := rand.New(rand.NewSource(42))
 			keys := make([]workload.Key, 8000)
 			for i := range keys {
 				keys[i] = workload.Key(rng.Intn(maxKey))
 			}
 			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			c, err := NewCluster(keys, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			o := newQueryOracle(keys)
+			sweepQueryOps(t, tag, cfg, keys, maxKey, true, rng)
 
-			checkQueryOps(t, tag+"/static", c, o, rng)
-
-			for round := 0; round < 3; round++ {
-				// Concurrent phase: inserts race queries. Results are
-				// consistent point-in-time views, so only structural
-				// invariants are checked here; exactness is verified at
-				// the quiescent checkpoint below.
-				ins := make([]workload.Key, 600)
-				for i := range ins {
-					ins[i] = workload.Key(rng.Intn(maxKey))
+			t.Run("cut-run", func(t *testing.T) {
+				cfg := cfg
+				cfg.Workers = 4
+				keys := cutRunKeys()
+				c, err := NewCluster(keys, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				var wg sync.WaitGroup
-				wg.Add(2)
-				go func() {
-					defer wg.Done()
-					for start := 0; start < len(ins); start += 100 {
-						if err := c.InsertBatch(ins[start : start+100]); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}()
-				go func() {
-					defer wg.Done()
-					qrng := rand.New(rand.NewSource(int64(round)))
-					for i := 0; i < 20; i++ {
-						lo := workload.Key(qrng.Intn(maxKey))
-						hi := lo + workload.Key(qrng.Intn(maxKey/4))
-						n, err := c.CountRange(lo, hi)
-						if err != nil || n < 0 {
-							t.Errorf("concurrent CountRange: n=%d err=%v", n, err)
-							return
-						}
-						scan, err := c.ScanRange(lo, hi, 50, nil)
-						if err != nil {
-							t.Errorf("concurrent ScanRange: %v", err)
-							return
-						}
-						for j := 1; j < len(scan); j++ {
-							if scan[j] < scan[j-1] {
-								t.Errorf("concurrent ScanRange not ascending at %d", j)
-								return
-							}
-						}
-						top, err := c.TopK(10, nil)
-						if err != nil {
-							t.Errorf("concurrent TopK: %v", err)
-							return
-						}
-						for j := 1; j < len(top); j++ {
-							if top[j] > top[j-1] {
-								t.Errorf("concurrent TopK not descending at %d", j)
-								return
-							}
-						}
-					}
-				}()
-				wg.Wait()
-				o.add(ins)
-				// Quiescent checkpoint: all writes acked, oracle caught up.
-				checkQueryOps(t, tag+"/quiesced", c, o, rng)
-			}
+				if p := c.Partitioning(); p != nil && !slices.Equal(p.Delimiters(), []workload.Key{500, 500, 1096}) {
+					t.Fatalf("delimiters %v, want [500 500 1096]", p.Delimiters())
+				}
+				n, err := c.CountRange(500, 500)
+				if err != nil || n != 86 {
+					t.Errorf("CountRange(500, 500) = %d (err %v), want 86", n, err)
+				}
+				scan, err := c.ScanRange(500, 500, -1, nil)
+				if err != nil || len(scan) != 86 {
+					t.Errorf("ScanRange(500, 500) returned %d keys (err %v), want 86", len(scan), err)
+				}
+				c.Close()
+				sweepQueryOps(t, tag+"/cut-run", cfg, keys, 1100, false, rand.New(rand.NewSource(43)))
+			})
 		})
+	}
+}
+
+// sweepQueryOps runs one sweep: the ops on a fresh cluster over keys, then
+// three rounds of inserts racing queries, each followed by the oracle
+// check.
+func sweepQueryOps(t *testing.T, tag string, cfg RealConfig, keys []workload.Key, maxKey int, multiGet bool, rng *rand.Rand) {
+	c, err := NewCluster(keys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	o := newQueryOracle(keys)
+
+	checkQueryOps(t, tag+"/static", c, o, rng, maxKey, multiGet)
+
+	for round := 0; round < 3; round++ {
+		// Concurrent phase: inserts race queries. Results are
+		// consistent point-in-time views, so only structural
+		// invariants are checked here; exactness is verified at
+		// the quiescent checkpoint below.
+		ins := make([]workload.Key, 600)
+		for i := range ins {
+			ins[i] = workload.Key(rng.Intn(maxKey))
+		}
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for start := 0; start < len(ins); start += 100 {
+				if err := c.InsertBatch(ins[start : start+100]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			qrng := rand.New(rand.NewSource(int64(round)))
+			for i := 0; i < 20; i++ {
+				lo := workload.Key(qrng.Intn(maxKey))
+				hi := lo + workload.Key(qrng.Intn(maxKey/4))
+				n, err := c.CountRange(lo, hi)
+				if err != nil || n < 0 {
+					t.Errorf("concurrent CountRange: n=%d err=%v", n, err)
+					return
+				}
+				scan, err := c.ScanRange(lo, hi, 50, nil)
+				if err != nil {
+					t.Errorf("concurrent ScanRange: %v", err)
+					return
+				}
+				for j := 1; j < len(scan); j++ {
+					if scan[j] < scan[j-1] {
+						t.Errorf("concurrent ScanRange not ascending at %d", j)
+						return
+					}
+				}
+				top, err := c.TopK(10, nil)
+				if err != nil {
+					t.Errorf("concurrent TopK: %v", err)
+					return
+				}
+				for j := 1; j < len(top); j++ {
+					if top[j] > top[j-1] {
+						t.Errorf("concurrent TopK not descending at %d", j)
+						return
+					}
+				}
+			}
+		}()
+		wg.Wait()
+		o.add(ins)
+		// Quiescent checkpoint: all writes acked, oracle caught up.
+		checkQueryOps(t, tag+"/quiesced", c, o, rng, maxKey, multiGet)
 	}
 }

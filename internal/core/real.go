@@ -135,11 +135,8 @@ type batchOp uint8
 const (
 	// opRank resolves keys to global ranks (the paper's one query).
 	opRank batchOp = iota
-	// opCount is opRank for range endpoints: batches carry the hi and
-	// lo-1 keys of inclusive ranges and the worker ranks them exactly
-	// like opRank — count(lo,hi) = rank(hi) - rank(lo-1) composes
-	// client-side. The tag exists so the dispatcher always sorts
-	// endpoint batches (one delimiter search per boundary).
+	// opCount counts the partition's keys in each inclusive range
+	// [keys[2i], keys[2i+1]] into ranks (CountPairs).
 	opCount
 	// opScan returns the partition's keys in [keys[0], keys[1]],
 	// ascending, at most limit of them, in outKeys.
@@ -168,8 +165,8 @@ type realBatch struct {
 	pos     []int32
 	posBase int
 	// ranks is the worker's reply for the int-valued ops: global ranks
-	// (rank base folded in) for opRank/opCount, multiplicities for
-	// opMultiGet.
+	// (rank base folded in) for opRank, one count per pair for opCount,
+	// multiplicities for opMultiGet.
 	ranks []int
 	// limit bounds a scan's result count (negative: unbounded) and is
 	// the k of a top-k batch.
@@ -285,11 +282,10 @@ type callState struct {
 	// sort is the pooled radix-sort scratch of the ops that sort
 	// unsorted input (see rankDispatch).
 	sort RadixScratch
-	// qbuf/rbuf are the range ops' endpoint and endpoint-rank scratch
-	// (CountRangeBatch builds its rank queries here before handing them
-	// to rankDispatch).
-	qbuf []workload.Key
-	rbuf []int
+	// plan is CountRangeBatch's split of its ranges over the partitions,
+	// and runs the answered batches of a scan or a top-k.
+	plan RangePlan[workload.Key]
+	runs []*realBatch
 }
 
 // NewCluster builds the index (one partition or one per worker, per the
@@ -416,10 +412,11 @@ func (c *Cluster) nextWorker() int {
 
 // processBatch executes one batch against the partition state it was
 // routed with, switching on the op tag: scans and top-k fill outKeys
-// from a pinned snapshot, and the rank-shaped ops compute into b.ranks
-// with the rank base — static plus the preceding partitions' insert
-// counters — folded into the single write per key. Every op reads;
-// writes reach the partitions from InsertBatch's caller.
+// with an ascending run from a pinned snapshot, counts and
+// multiplicities compute into b.ranks, and ranks do too with the rank
+// base — static plus the preceding partitions' insert counters — folded
+// into the single write per key. Every op reads; writes reach the
+// partitions from InsertBatch's caller.
 //
 //dc:noalloc
 func (c *Cluster) processBatch(b *realBatch) {
@@ -431,7 +428,11 @@ func (c *Cluster) processBatch(b *realBatch) {
 		return
 	case opTopK:
 		b.outKeys = lp.upd.TopK(b.limit, b.outKeys[:0])
+		slices.Reverse(b.outKeys)
 		b.ranks = b.ranks[:0]
+		return
+	case opCount:
+		b.ranks = CountPairs(lp.upd, b.keys, &b.outKeys, &b.ranks)
 		return
 	case opMultiGet:
 		// The count kernel's scratch is the batch's own: the key-run buffer
@@ -570,14 +571,35 @@ func (c *Cluster) putCall(cs *callState) {
 	}
 }
 
-// rankDispatch routes the int-valued ops (opRank, opCount, opMultiGet):
-// it batches queries, dispatches them over the interconnect, and
-// scatters the workers' results into out in query order. An unsorted
-// opCount or opMultiGet call is radix-sorted into the
-// one-search-per-delimiter path (their kernels want runs); an unsorted
-// opRank call is not — with partitions that fit the cache the per-key
-// path measured faster at every call size. The caller holds c.mu shared
-// and owns cs.
+// handOver sends b to worker w for the call that owns cs, handing the
+// call's replies to gather while the worker's queue is full and then
+// whatever replies are ready, without waiting for more: the workers
+// search on meanwhile, and the call's batches recycle inside it.
+func (c *Cluster) handOver(cs *callState, w int, b *realBatch, gather func(*realBatch)) {
+	for {
+		select {
+		case c.in[w] <- b:
+			for {
+				select {
+				case r := <-cs.reply:
+					gather(r)
+				default:
+					return
+				}
+			}
+		case r := <-cs.reply:
+			gather(r)
+		}
+	}
+}
+
+// rankDispatch routes the key-at-a-time ops (opRank, opMultiGet): it
+// batches queries, dispatches them over the interconnect, and scatters
+// the workers' results into out in query order. An unsorted opMultiGet
+// call is radix-sorted into the one-search-per-delimiter path (its
+// kernel wants runs); an unsorted opRank call is not — with partitions
+// that fit the cache the per-key path measured faster at every call
+// size. The caller holds c.mu shared and owns cs.
 //
 //dc:noalloc
 func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int, op batchOp) {
@@ -609,35 +631,15 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 	}
 	send := func(w int, b *realBatch) {
 		pending++
-		for sent := false; !sent; {
-			select {
-			case c.in[w] <- b:
-				sent = true
-			case r := <-cs.reply:
-				// Keep gathering while backpressured so the pipeline
-				// cannot stall.
-				gather(r)
-			}
-		}
-		// Scatter what is ready without waiting for more: the workers
-		// search the next slices meanwhile, their buffers recycle
-		// inside the call, and the final gather waits only for the tail.
-		for {
-			select {
-			case r := <-cs.reply:
-				gather(r)
-			default:
-				return
-			}
-		}
+		c.handOver(cs, w, b, gather)
 	}
 
 	// Sorted-batch detection: an ascending run takes the sort-route-scan
 	// path below — one boundary search per partition instead of one
 	// Route per key, batches that alias the query slice instead of
 	// copying it, and the workers' sorted-run kernels. Unsorted
-	// input joins the same path via the pooled radix sort for every op
-	// but rank, which takes the classic per-key dispatch.
+	// multiget input joins the same path via the pooled radix sort;
+	// rank takes the classic per-key dispatch.
 	runKeys := queries
 	var runPos []int32 // nil: run positions == run indices (aliases queries)
 	sorted := SortedRun(queries)

@@ -2,22 +2,21 @@ package index
 
 import "repro/internal/workload"
 
-// This file is the query surface beyond exact rank: selection (the
-// inverse of Rank), forward scans, range counts, top-k tails, and
-// per-key multiplicities. Everything here reduces to positions in
-// sorted key runs of one pinned (base, delta, frozen) snapshot — which is
-// what makes the ops exact for every method (sorted arrays, trees,
-// buffered plans): the Updatable always retains its base's sorted keys
-// alongside whatever ranker was built over them.
+// This file is the query surface beyond exact rank: range counts, scans,
+// top-k tails, and per-key multiplicities. Everything here reduces to
+// positions in sorted key runs of one pinned (base, delta, frozen)
+// snapshot — which is what makes the ops exact for every method (sorted
+// arrays, trees, buffered plans): the Updatable always retains its base's
+// sorted keys alongside whatever ranker was built over them.
 //
 // What each costs. A batch of counted ranges (CountRanges) is two batch
 // ranks, of the his and of the lo-1 keys, and a batch of multiplicities
 // (CountKeys) the same with lo = hi — two sorted ranks when the keys come
-// ascending, as both engines send them: the layered kernels of the rank
-// ops, a cache-resident search a key, and both ranks on one snapshot. A
-// single CountRange is two binary searches per layer, which is right for
-// one range; a scan or a top-k is two boundary searches and a three-way
-// merge of what lies between.
+// ascending, as both engines send multiplicities: the layered kernels of
+// the rank ops, a cache-resident search a key, and both ranks on one
+// snapshot. A single CountRange is two binary searches per layer, which
+// is right for one range; a scan or a top-k is two boundary searches and
+// a three-way merge of what lies between.
 
 // lowerBound is the number of keys < k, by binary search — the
 // counterpart of upperBound (keys <= k). The single CountRange is a
@@ -42,54 +41,6 @@ func countRange(keys []workload.Key, lo, hi workload.Key) int {
 		return 0
 	}
 	return upperBound(keys, hi) - lowerBound(keys, lo)
-}
-
-// Select returns the key at sorted position rank (0-based) — the
-// inverse of Rank: for any key k, Select(Rank(k)-1) <= k when
-// Rank(k) > 0. The second result is false when rank is out of range.
-func (a *SortedArray) Select(rank int) (workload.Key, bool) {
-	if rank < 0 || rank >= len(a.keys) {
-		return 0, false
-	}
-	return a.keys[rank], true
-}
-
-// Cursor is a forward iterator over a sorted key run: the scan half of
-// the query surface. A Cursor holds a view into an immutable published
-// array, so it stays valid (and consistent) however long the caller
-// iterates.
-type Cursor struct {
-	keys []workload.Key
-	i    int
-}
-
-// Next returns the next key in ascending order; ok is false when the
-// cursor is exhausted.
-func (c *Cursor) Next() (k workload.Key, ok bool) {
-	if c.i >= len(c.keys) {
-		return 0, false
-	}
-	k = c.keys[c.i]
-	c.i++
-	return k, true
-}
-
-// ScanFrom returns a cursor positioned at sorted position rank,
-// yielding at most limit keys (limit < 0 means no limit). Rank is
-// clamped into [0, n].
-func (a *SortedArray) ScanFrom(rank, limit int) Cursor {
-	n := len(a.keys)
-	if rank < 0 {
-		rank = 0
-	}
-	if rank > n {
-		rank = n
-	}
-	end := n
-	if limit >= 0 && rank+limit < n {
-		end = rank + limit
-	}
-	return Cursor{keys: a.keys[rank:end]}
 }
 
 // layers captures the up-to-three sorted runs of a pinned snapshot.

@@ -276,13 +276,14 @@ type insChunk struct {
 type netCall struct {
 	done  chan *pending
 	accum []*pending
-	// pends and gis are the ops that compose kept replies: every pending
-	// of the call in dispatch order, and the partition each goes to.
+	// pends is, for the ops that compose kept replies, every pending of
+	// the call in the order it was opened.
 	pends []*pending
-	gis   []int
 	// sort is the pooled radix scratch for the ops whose frames carry
 	// ascending runs only (unsorted input is sorted client-side).
 	sort core.RadixScratch
+	// plan is CountRangeBatch's split of its ranges over the partitions.
+	plan core.RangePlan[uint32]
 }
 
 // HedgeOptions groups the hedged-read knobs (see DialOptions.Hedging).
@@ -851,7 +852,7 @@ func (c *Cluster) getCall(groups int) *netCall {
 	if len(nc.accum) < groups {
 		nc.accum = make([]*pending, groups)
 	}
-	nc.pends, nc.gis = nc.pends[:0], nc.gis[:0]
+	nc.pends = nc.pends[:0]
 	return nc
 }
 

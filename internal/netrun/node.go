@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -722,17 +723,7 @@ func (s *nodeConn) serveCountRange(_ *nodeIdent, f Frame) ([]uint32, error) {
 	if len(f.Payload)%2 != 0 {
 		return nil, errShape
 	}
-	// The [lo,hi] words split into the two streams the batch kernel ranks;
-	// its scratch is the rest of the same two buffers.
-	m := len(f.Payload) / 2
-	s.keyBuf = slices.Grow(s.keyBuf[:0], 3*m)
-	los, his, below := s.keyBuf[:m], s.keyBuf[m:2*m], s.keyBuf[2*m:3*m]
-	for i := range los {
-		los[i], his[i] = workload.Key(f.Payload[2*i]), workload.Key(f.Payload[2*i+1])
-	}
-	ints := s.ints(2 * m)
-	s.n.upd.CountRanges(los, his, ints[:m], below, ints[m:])
-	return s.wordsOf(ints[:m]), nil
+	return s.wordsOf(core.CountPairs(s.n.upd, f.Payload, &s.keyBuf, &s.intBuf)), nil
 }
 
 func (s *nodeConn) serveScanRange(_ *nodeIdent, f Frame) ([]uint32, error) {

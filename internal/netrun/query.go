@@ -1,26 +1,23 @@
 package netrun
 
-// Client-side entry points for the query ops beyond rank. Each op
-// scatters to the partitions whose key sub-ranges it touches and
-// composes the replies by partition order, which is key order — the
-// dial-time delimiters assign strictly ascending disjoint sub-ranges:
+// Client-side entry points for the query ops beyond rank. The range ops
+// are defined once, in core (see core/query.go): which partitions a
+// range, a scan or a top-k asks, the per-partition pair lists of a count
+// batch, and how the partitions' answers compose. This file moves the
+// requests and the replies:
 //
-//   - CountRange sends the full [lo,hi] to every spanned partition and
-//     sums the local counts. No clamping and no insert-counter
-//     corrections are needed: a partition only holds keys from its own
-//     sub-range, and inserts route by the same delimiters, so the
-//     spanned partitions Route(lo)..Route(hi) hold exactly the keys in
-//     [lo,hi] at all times.
-//   - ScanRange collects one ascending run per spanned partition and
-//     concatenates them lowest partition first, truncating at limit.
-//   - TopK asks every partition for its k largest (ascending on the
-//     wire) and reads the replies highest partition down, each run from
-//     its end, until k keys are taken.
+//   - CountRange fills each partition's OpCountRange frames with its
+//     [lo,hi] pairs through the call's core.RangePlan and adds the counts
+//     they answer into out (core.AddCounts).
+//   - ScanRange asks each partition of Partitioning.Span for its
+//     ascending run of [lo,hi] and TopK every partition for its k largest
+//     (ascending on the wire); core.ComposeScan and core.ComposeTopK put
+//     the runs together.
 //   - MultiGet radix-sorts the key batch (the OpMultiGet frame is the
 //     delta codec, which requires ascending runs), scatters sorted
-//     runs to their owning partitions, and lets the read loops write
-//     each multiplicity straight into the output slot — each key is
-//     owned by exactly one partition, so the scatter is race-free.
+//     runs to the partitions the keys route to, and lets the read loops
+//     write each multiplicity straight into the output slot — each key
+//     goes to exactly one partition, so the scatter is race-free.
 //
 // All four ride the rank pipeline's failover machinery: a pending
 // whose replica dies is re-dispatched to a healthy sibling with the
@@ -52,9 +49,10 @@ func (c *Cluster) CountRange(lo, hi workload.Key) (int, error) {
 
 // CountRangeBatch answers many inclusive range counts in one scatter:
 // out[i] receives the key count of ranges[i] (len(out) >= len(ranges)).
-// Ranges spanning several partitions batch their endpoint pairs with
-// every other range touching the same partition, so the wire cost is
-// bounded by spanned-partition pairs, not ranges times partitions.
+// The call's core.RangePlan batches each partition's [lo,hi] pairs into
+// frames of BatchKeys words (rounded up to a whole pair), each sent once
+// full, so the wire cost is bounded by spanned-partition pairs, not
+// ranges times partitions.
 //
 //dc:noalloc
 func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
@@ -69,58 +67,41 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 		return err
 	}
 	defer c.pause.RUnlock()
-	clear(out[:len(ranges)])
 
-	part := c.part.Load()
-	nc := c.getCall(len(ep.groups))
-	for i, r := range ranges {
-		if r.Hi < r.Lo {
-			continue
-		}
-		gLo, gHi := part.Route(r.Lo), part.Route(r.Hi)
-		for gi := gLo; gi <= gHi; gi++ {
-			p := nc.accum[gi]
-			if p == nil {
-				p = c.getPending()
-				p.op = OpCountRange
-				p.posBase = len(nc.pends)
-				nc.accum[gi] = p
-				nc.gis = append(nc.gis, gi)
-				nc.pends = append(nc.pends, p)
-			}
-			p.keys = append(p.keys, uint32(r.Lo), uint32(r.Hi))
-			p.pos = append(p.pos, int32(i))
-			if len(p.keys) >= c.batch {
-				nc.accum[gi] = nil
-			}
+	// Frames go out as the plan fills them, so the gather channel holds the
+	// most the plan can open — a full frame per per pairs of ranges asked of
+	// every partition, and one part-filled frame a partition — and a read
+	// loop never blocks completing this call.
+	groups, per := len(ep.groups), (c.batch+1)/2
+	nc := c.getCall(groups)
+	nc.room(len(ranges)*groups/per + groups)
+	nc.plan.Plan(c.part.Load(), ranges, out, per, func(gi int) (*[]uint32, *[]int32) {
+		p := c.getPending()
+		p.op = OpCountRange
+		p.posBase = len(nc.pends)
+		nc.accum[gi] = p
+		nc.pends = append(nc.pends, p)
+		return &p.keys, &p.pos
+	}, func(gi int) {
+		c.dispatch(ep, gi, nc.accum[gi], nil, nc.done)
+		nc.accum[gi] = nil
+	})
+	// The read loops stage each reply's counts in p.reply: a range that
+	// spans partitions has several replies adding into one slot, and only
+	// this goroutine may add them.
+	if err = c.gather(nc.done, len(nc.pends), nc.pends); err == nil {
+		for _, p := range nc.pends {
+			core.AddCounts(out, p.pos, p.reply)
 		}
 	}
-	clear(nc.accum)
-	nc.room(len(nc.pends))
-	for j, p := range nc.pends {
-		c.dispatch(ep, nc.gis[j], p, nil, nc.done)
-	}
-	// The read loops stage each reply's counts in p.reply rather than
-	// adding into out: a range spanning partitions has several replies
-	// targeting the same slot, and only this single goroutine may sum
-	// them.
-	err = c.gather(nc.done, len(nc.pends), nc.pends)
-	for _, p := range nc.pends {
-		if p.err == nil {
-			for j, pos := range p.pos {
-				out[pos] += int(p.reply[j])
-			}
-		}
-		c.release(p)
-	}
-	c.calls.Put(nc)
+	c.endCall(nc)
 	return err
 }
 
 // askEach sends one op request carrying words to every partition in
 // [gLo, gHi] and returns the call state with the completed pendings in
 // nc.pends in partition order — which is key order — for the caller to
-// compose from and release before it returns nc to the pool.
+// compose from before it ends the call.
 func (c *Cluster) askEach(ep *epoch, op uint8, gLo, gHi int, words ...uint32) (*netCall, error) {
 	nc := c.getCall(0)
 	n := gHi - gLo + 1
@@ -136,6 +117,14 @@ func (c *Cluster) askEach(ep *epoch, op uint8, gLo, gHi int, words ...uint32) (*
 	return nc, c.gather(nc.done, n, nc.pends)
 }
 
+// endCall releases the call's kept pendings and returns nc to the pool.
+func (c *Cluster) endCall(nc *netCall) {
+	for _, p := range nc.pends {
+		c.release(p)
+	}
+	c.calls.Put(nc)
+}
+
 // ScanRange returns the keys in [lo, hi] in ascending order, at most
 // limit of them (limit < 0 means unlimited), appended to buf. Results
 // larger than one protocol frame (MaxFrameWords keys from a single
@@ -149,22 +138,13 @@ func (c *Cluster) ScanRange(lo, hi workload.Key, limit int, buf []workload.Key) 
 		return buf, err
 	}
 	defer c.pause.RUnlock()
-	part := c.part.Load()
+	first, last := c.part.Load().Span(lo, hi)
 	// On the wire a limit of 0 means unlimited.
-	nc, err := c.askEach(ep, OpScanRange, part.Route(lo), part.Route(hi), uint32(lo), uint32(hi), uint32(max(limit, 0)))
-	// Partition order is key order: concatenating the per-partition
-	// ascending runs lowest partition first and truncating at limit
-	// reproduces the oracle's "first limit keys from lo" exactly.
-	end := len(buf) + limit
-	for _, p := range nc.pends {
-		for _, v := range p.reply {
-			if err == nil && (limit < 0 || len(buf) < end) {
-				buf = append(buf, workload.Key(v))
-			}
-		}
-		c.release(p)
+	nc, err := c.askEach(ep, OpScanRange, first, last, uint32(lo), uint32(hi), uint32(max(limit, 0)))
+	if err == nil {
+		buf = core.ComposeScan(buf, limit, len(nc.pends), func(i int) []uint32 { return nc.pends[i].reply })
 	}
-	c.calls.Put(nc)
+	c.endCall(nc)
 	return buf, err
 }
 
@@ -179,18 +159,10 @@ func (c *Cluster) TopK(k int, buf []workload.Key) ([]workload.Key, error) {
 	}
 	defer c.pause.RUnlock()
 	nc, err := c.askEach(ep, OpTopK, 0, len(ep.groups)-1, uint32(k))
-	// The highest partition holds the largest keys; each reply is an
-	// ascending run, read back-to-front.
-	end := len(buf) + k
-	for _, p := range slices.Backward(nc.pends) {
-		for _, v := range slices.Backward(p.reply) {
-			if err == nil && len(buf) < end {
-				buf = append(buf, workload.Key(v))
-			}
-		}
-		c.release(p)
+	if err == nil {
+		buf = core.ComposeTopK(buf, k, len(nc.pends), func(i int) []uint32 { return nc.pends[i].reply })
 	}
-	c.calls.Put(nc)
+	c.endCall(nc)
 	return buf, err
 }
 

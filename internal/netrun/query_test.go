@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -65,13 +66,41 @@ func (o *tcpQueryOracle) topK(k int) []workload.Key {
 	return out
 }
 
-func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, rng *rand.Rand, maxKey int) {
+// cutRunKeys is a key set whose run of one key is longer than a
+// partition: 100 keys, key 500 at positions 10–95. Four equal partitions
+// cut the run twice (delimiters 500, 500, 1096), so copies of 500 live in
+// partitions 1 and 2 and a range from 500 must ask the partition below
+// Route(500).
+func cutRunKeys() []workload.Key {
+	keys := make([]workload.Key, 100)
+	for i := range keys {
+		switch {
+		case i < 10:
+			keys[i] = workload.Key(10 * i)
+		case i <= 95:
+			keys[i] = 500
+		default:
+			keys[i] = workload.Key(1000 + i)
+		}
+	}
+	return keys
+}
+
+// checkTCPQueryOps checks every op against the oracle over keys below
+// maxKey. multiGet is false for a key set with a run cut between
+// partitions, whose multiplicity is answered by the one partition the key
+// routes to (ROADMAP).
+func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, rng *rand.Rand, maxKey int, multiGet bool) {
 	t.Helper()
+	present := func() workload.Key { return workload.Key(o.ints[rng.Intn(len(o.ints))]) }
 
 	ranges := make([]KeyRange, 24)
 	for i := range ranges {
 		lo := workload.Key(rng.Intn(maxKey))
 		hi := workload.Key(rng.Intn(maxKey))
+		if i%5 == 0 {
+			lo, hi = present(), present() // from and to indexed keys, [k, k] among them
+		}
 		if i%7 == 0 {
 			hi = lo - 1 // inverted: must count 0 without touching the wire
 		}
@@ -92,6 +121,9 @@ func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, r
 
 	for trial := 0; trial < 6; trial++ {
 		lo := workload.Key(rng.Intn(maxKey))
+		if trial%2 == 0 {
+			lo = present()
+		}
 		hi := lo + workload.Key(rng.Intn(maxKey/8))
 		limit := rng.Intn(200) - 1
 		got, err := c.ScanRange(lo, hi, limit, nil)
@@ -128,7 +160,7 @@ func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, r
 	qs := make([]workload.Key, 64)
 	for i := range qs {
 		if i%3 == 0 {
-			qs[i] = workload.Key(o.ints[rng.Intn(len(o.ints))]) // present key
+			qs[i] = present()
 		} else {
 			qs[i] = workload.Key(rng.Intn(maxKey))
 		}
@@ -138,7 +170,7 @@ func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, r
 		t.Fatalf("%s: MultiGet: %v", tag, err)
 	}
 	for i, q := range qs {
-		if want := o.countRange(q, q); muls[i] != want {
+		if want := o.countRange(q, q); multiGet && muls[i] != want {
 			t.Fatalf("%s: MultiGet key %d = %d, want %d", tag, q, muls[i], want)
 		}
 	}
@@ -151,7 +183,7 @@ func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, r
 	for i := range big {
 		big[i] = workload.Key(rng.Intn(maxKey))
 		if i%2 == 0 {
-			big[i] = workload.Key(o.ints[rng.Intn(len(o.ints))])
+			big[i] = present()
 		}
 		wide[i] = KeyRange{Lo: big[i], Hi: big[i] + workload.Key(rng.Intn(maxKey/64))}
 	}
@@ -164,7 +196,7 @@ func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, r
 		t.Fatalf("%s: CountRangeBatch of %d ranges: %v", tag, len(wide), err)
 	}
 	for i, q := range big {
-		if want := o.countRange(q, q); muls[i] != want {
+		if want := o.countRange(q, q); multiGet && muls[i] != want {
 			t.Fatalf("%s: MultiGet of %d keys: key %d = %d, want %d", tag, len(big), q, muls[i], want)
 		}
 		if want := o.countRange(wide[i].Lo, wide[i].Hi); counts[i] != want {
@@ -235,10 +267,34 @@ func TestTCPQueryOpsAppendSemantics(t *testing.T) {
 // TestTCPQueryOpsOracle is the over-the-wire half of the oracle sweep:
 // all four v5 ops against a replicated loopback cluster, exact against
 // sort.SearchInts at quiescent checkpoints between rounds of
-// concurrent inserts and queries.
+// concurrent inserts and queries — over 16,000 uniform keys, then over
+// cutRunKeys.
 func TestTCPQueryOpsOracle(t *testing.T) {
 	keys := workload.SortedKeys(16000, 31)
-	maxKey := int(keys[len(keys)-1]) + 1
+	sweepTCPQueryOps(t, keys, int(keys[len(keys)-1])+1, true)
+
+	t.Run("cut-run", func(t *testing.T) {
+		rc, shutdown := startReplicated(t, cutRunKeys(), 4, 1, 4096, DialOptions{})
+		if d := rc.c.part.Load().Delimiters(); !slices.Equal(d, []workload.Key{500, 500, 1096}) {
+			t.Fatalf("delimiters %v, want [500 500 1096]", d)
+		}
+		n, err := rc.c.CountRange(500, 500)
+		if err != nil || n != 86 {
+			t.Errorf("CountRange(500, 500) = %d (err %v), want 86", n, err)
+		}
+		scan, err := rc.c.ScanRange(500, 500, -1, nil)
+		if err != nil || len(scan) != 86 {
+			t.Errorf("ScanRange(500, 500) returned %d keys (err %v), want 86", len(scan), err)
+		}
+		shutdown()
+		sweepTCPQueryOps(t, cutRunKeys(), 1100, false)
+	})
+}
+
+// sweepTCPQueryOps runs one sweep over keys on four partitions of two
+// replicas: the ops, then three rounds of inserts racing queries, each
+// followed by the oracle check.
+func sweepTCPQueryOps(t *testing.T, keys []workload.Key, maxKey int, multiGet bool) {
 	// Frames of up to 4,096 keys, so that the large calls of the check
 	// reach a node whole.
 	rc, shutdown := startReplicated(t, keys, 4, 2, 4096, DialOptions{})
@@ -247,7 +303,7 @@ func TestTCPQueryOpsOracle(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	o := newTCPQueryOracle(keys)
-	checkTCPQueryOps(t, "static", c, o, rng, maxKey)
+	checkTCPQueryOps(t, "static", c, o, rng, maxKey, multiGet)
 
 	for round := 0; round < 3; round++ {
 		ins := make([]workload.Key, 400)
@@ -302,8 +358,86 @@ func TestTCPQueryOpsOracle(t *testing.T) {
 		}()
 		wg.Wait()
 		o.add(ins)
-		checkTCPQueryOps(t, "quiesced", c, o, rng, maxKey)
+		checkTCPQueryOps(t, "quiesced", c, o, rng, maxKey, multiGet)
 	}
+}
+
+// TestCountRangeExactUnderInserts counts one range spanning partitions 2
+// to 6 of eight, on both engines, while another goroutine inserts keys
+// only below it: no key ever enters the range, so every count must be the
+// static one. Rebalancing is off, so the partitions stay where they are.
+func TestCountRangeExactUnderInserts(t *testing.T) {
+	keys := workload.SortedKeys(8*4096, 3)
+	p, err := core.NewPartitioning(keys, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := p.Parts[2].Keys[0], p.Parts[6].Keys[len(p.Parts[6].Keys)-1]
+	want := p.Parts[6].RankBase + len(p.Parts[6].Keys) - p.Parts[2].RankBase
+
+	type engine interface {
+		CountRange(lo, hi workload.Key) (int, error)
+		InsertBatch(keys []workload.Key) error
+	}
+	run := func(t *testing.T, e engine, calls int) {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(1))
+			ins := make([]workload.Key, 16)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := range ins {
+					ins[i] = workload.Key(rng.Int63n(int64(lo)))
+				}
+				if err := e.InsertBatch(ins); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		wrong, first := 0, 0
+		for i := 0; i < calls; i++ {
+			n, err := e.CountRange(lo, hi)
+			if err != nil {
+				t.Error(err)
+				break
+			}
+			if n != want {
+				if wrong == 0 {
+					first = n
+				}
+				wrong++
+			}
+		}
+		close(stop)
+		wg.Wait()
+		if wrong > 0 {
+			t.Errorf("%d of %d counts of [%d, %d] were wrong (the first %d), want all %d", wrong, calls, lo, hi, first, want)
+		}
+	}
+
+	t.Run("in-process", func(t *testing.T) {
+		c, err := core.NewCluster(keys, core.RealConfig{
+			Method: core.MethodC3, Workers: 8, BatchKeys: 4096, QueueDepth: 4, PartitionBudget: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		run(t, c, 20000)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		c, shutdown := startCluster(t, keys, 8, 4096)
+		defer shutdown()
+		run(t, c, 2000)
+	})
 }
 
 func scanChecksum(keys []workload.Key) uint32 {

@@ -40,9 +40,10 @@ run_bench() {
 }
 
 # Real-runtime serving rows, including the mixed read/write
-# (online-update) row, the v5 query-surface rows (CountRange, whose
-# ns/endpoint must stay within 2x the sorted-rank ns/key, MultiGet, whose
-# ns/key within 3x, and TopK) and the 65,536-key-call row (RankBatch64K),
+# (online-update) row, the v5 query-surface rows (CountRange — each
+# spanned partition counts its [lo,hi] pairs, priced per range end, whose
+# ns/endpoint must stay within 2x the sorted-rank ns/key; MultiGet, whose
+# ns/key within 3x; and TopK) and the 65,536-key-call row (RankBatch64K),
 # where the master's pipelining shows.
 run_bench 'BenchmarkReal_' .
 # TCP loopback mode: the multiplexed master over real sockets, solo and
