@@ -673,8 +673,8 @@ func (c *Cluster) dialNode(ctx context.Context, r *replica, joinOK bool) (*clust
 
 // exchange performs one synchronous request/reply on a connection no
 // loop owns yet — the hello, and a join node's identity assignment —
-// checking the reply against the request's op-table row. The returned
-// payload is valid until the connection's next read.
+// checking the reply against the request's op-table row. Both replies
+// are a few words, returned decoded.
 func exchange(n *clusterNode, f Frame, timeout time.Duration) ([]uint32, error) {
 	n.conn.SetDeadline(time.Now().Add(timeout))
 	defer n.conn.SetDeadline(time.Time{})
@@ -692,10 +692,11 @@ func exchange(n *clusterNode, f Frame, timeout time.Duration) ([]uint32, error) 
 	if r.Op == OpErr {
 		return nil, fmt.Errorf("node refused the %s request", row.name)
 	}
-	if r.Op != row.reply || !row.valid(f.Payload, r.Payload) {
-		return nil, fmt.Errorf("bad %s ack (op %d, %d words)", row.name, r.Op, len(r.Payload))
+	e, err := elemsOf(r, nil)
+	if err != nil || r.Op != row.reply || !row.valid(f.Payload, e) {
+		return nil, fmt.Errorf("bad %s ack (op %d, %d words)", row.name, r.Op, e.len())
 	}
-	return r.Payload, nil
+	return decodeWords[uint32](e.raw, nil), nil
 }
 
 // cannot says why connection n may not be sent op — it negotiated less

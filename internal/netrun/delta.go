@@ -1,10 +1,16 @@
 package netrun
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
+// The payload codecs. A word payload is count little-endian 32-bit
+// words; the frame reader checks its length and hands the bytes over
+// undecoded, and each consumer decodes the words in the pass that uses
+// them (decodeWords, or its own loop where it scatters).
+//
 // Protocol v2's sorted-run payload codec: an ascending sequence of
 // 32-bit values (keys of a sorted batch, or the nondecreasing ranks
 // answering one) is stored as varint(count) followed by count varints —
@@ -84,25 +90,55 @@ func uvarint32(b []byte) (v uint32, n int) {
 	return 0, 0
 }
 
-// appendDeltaRun appends the v2 encoding of the nondecreasing run vals
-// to dst and returns it. dst is grown once, to the run's worst case (a
-// five-byte count and five bytes per element): a snapshot-sized run must
-// not grow by doubling, and no caller has to pre-size. The caller
-// guarantees monotonicity (sorted keys or their ranks); a run that is
-// not would corrupt the stream, so it is checked and reported as an
-// error.
+// decodeWords decodes a word payload into out (grown as needed) and
+// returns the words: the node decodes request keys straight into its key
+// scratch with it, ReadFrame a fresh Payload.
 //
 //dc:noalloc
-func appendDeltaRun(dst []byte, vals []uint32) ([]byte, error) {
-	if need := len(dst) + 5 + 5*len(vals); cap(dst) < need {
+func decodeWords[T ~uint32](raw []byte, out []T) []T {
+	n := len(raw) / 4
+	if cap(out) < n {
+		out = make([]T, n)
+	}
+	out = out[:n]
+	// The second condition always holds; stated, it lets the compiler
+	// drop every bounds check from the loop.
+	for i := 0; i < len(out) && len(raw) >= 4; i++ {
+		out[i] = T(binary.LittleEndian.Uint32(raw))
+		raw = raw[4:]
+	}
+	return out
+}
+
+// grow returns dst with room for need more bytes, grown at most once.
+//
+//dc:noalloc
+func grow(dst []byte, need int) []byte {
+	if need += len(dst); cap(dst) < need {
 		grown := make([]byte, len(dst), need)
 		copy(grown, dst)
 		dst = grown
 	}
+	return dst
+}
+
+// appendDeltaRun appends the v2 encoding of the nondecreasing run vals
+// to dst and returns it, narrowing each element to 32 bits as it is
+// encoded (a node's ranks come from the kernel as ints). dst is grown
+// once, to the run's worst case (a five-byte count and five bytes per
+// element): a snapshot-sized run must not grow by doubling, and no caller
+// has to pre-size. The caller guarantees monotonicity (sorted keys or
+// their ranks); a run that is not would corrupt the stream, so it is
+// checked and reported as an error.
+//
+//dc:noalloc
+func appendDeltaRun[T ~uint32 | ~int](dst []byte, vals []T) ([]byte, error) {
+	dst = grow(dst, 5+5*len(vals))
 	dst = appendUvarint32(dst, uint32(len(vals)))
 	buf, pos := dst[:cap(dst)], len(dst)
 	prev := uint32(0)
-	for i, v := range vals {
+	for i, x := range vals {
+		v := uint32(x)
 		if v < prev {
 			return nil, fmt.Errorf("netrun: delta run not monotone at %d (%d after %d)", i, v, prev)
 		}
@@ -155,13 +191,15 @@ func deltaRunCount(payload []byte) (count, hdr int, err error) {
 // counts and per-key multiplicities are small but not monotone, so the
 // delta codec's ascending-run precondition does not hold, while the
 // values themselves still compress well (a multiplicity is almost
-// always 0 or 1, one byte against a fixed four).
+// always 0 or 1, one byte against a fixed four). Like appendDeltaRun it
+// narrows as it encodes and grows dst once, to the worst case.
 //
 //dc:noalloc
-func appendVarRun(dst []byte, vals []uint32) []byte {
+func appendVarRun[T ~uint32 | ~int](dst []byte, vals []T) []byte {
+	dst = grow(dst, 5+5*len(vals))
 	dst = appendUvarint32(dst, uint32(len(vals)))
 	for _, v := range vals {
-		dst = appendUvarint32(dst, v)
+		dst = appendUvarint32(dst, uint32(v))
 	}
 	return dst
 }
@@ -201,7 +239,8 @@ func decodeVarRun(payload []byte, out []uint32) ([]uint32, error) {
 // decodeDeltaRun decodes a full v2 payload into out (grown as needed,
 // bounded by the deltaRunCount guard) and returns the values: the node
 // recovers a sorted key batch with it straight into its key scratch, the
-// client's read loop a reply's elements.
+// client's read loop a reply's elements (checked whole before any reaches
+// its destination).
 //
 //dc:noalloc
 func decodeDeltaRun[T ~uint32](payload []byte, out []T) ([]T, error) {

@@ -357,7 +357,10 @@ func FuzzVarRunPayload(f *testing.F) {
 
 // FuzzFrameReader feeds arbitrary byte streams to the frame decoder
 // (header + word payloads + byte payloads): no panic, no unbounded
-// allocation.
+// allocation. Words reach the handlers undecoded, so every frame read is
+// also served by a small partition node, the way its connection would
+// serve it: the node answers it with the row's reply op or refuses it
+// with OpErr, and never panics.
 func FuzzFrameReader(f *testing.F) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, Frame{Op: OpLookup, ReqID: 7, Payload: []uint32{1, 2, 3}})
@@ -373,12 +376,45 @@ func FuzzFrameReader(f *testing.F) {
 		WriteFrame(&b, old)
 		f.Add(b.Bytes())
 	}
+	// A request of each shape the serving paths decode: fixed words, pairs,
+	// a word run, a delta run.
+	for _, req := range []Frame{
+		{Op: OpCountRange, ReqID: 1, Payload: []uint32{5, 90, 0, 7, 60, 2}},
+		{Op: OpScanRange, ReqID: 2, Payload: []uint32{10, 80, 3}},
+		{Op: OpTopK, ReqID: 3, Payload: []uint32{4}},
+		{Op: OpInsert, ReqID: 4, Payload: []uint32{17, 3}},
+		{Op: OpSplitPartition, ReqID: 5, Payload: []uint32{3, 8, 10, 80, 80, 0}},
+		{Op: OpMultiGet, ReqID: 6, Raw: raw},
+	} {
+		var b bytes.Buffer
+		WriteFrame(&b, req)
+		f.Add(b.Bytes())
+	}
+	keys := []workload.Key{10, 20, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150}
 	f.Fuzz(func(t *testing.T, stream []byte) {
+		node := NewPartitionNode(keys, 3)
+		defer node.Close()
+		s := node.newConn(nil)
+		var sent bytes.Buffer
+		s.bc = newBufferedConn(duplex{nil, &sent})
 		fr := frameReader{}
 		r := bytes.NewReader(stream)
 		for {
-			if _, err := fr.readFrom(r); err != nil {
+			req, err := fr.readFrom(r)
+			if err != nil {
 				return
+			}
+			sent.Reset()
+			served := s.serve(req)
+			reply, err := ReadFrame(&sent)
+			if err != nil {
+				t.Fatalf("op %d: the node's reply does not read back: %v", req.Op, err)
+			}
+			if row := request(req.Op); reply.Op != OpErr && (row == nil || reply.Op != row.reply) {
+				t.Fatalf("op %d answered with op %d", req.Op, reply.Op)
+			}
+			if !served {
+				return // the connection would close here
 			}
 		}
 	})

@@ -94,7 +94,7 @@ func TestReqIDMismatchFailsCluster(t *testing.T) {
 	keys := workload.SortedKeys(1000, 2)
 	// The node replies with a reqID the client never issued.
 	addr := fakeNode(t, keys, func(conn net.Conn, bc *bufferedConn) {
-		f, err := bc.readFrame()
+		f, err := ReadFrame(bc.r)
 		if err != nil {
 			return
 		}
@@ -118,7 +118,7 @@ func TestTruncatedFrameFailsCluster(t *testing.T) {
 	keys := workload.SortedKeys(1000, 3)
 	// The node starts a well-formed reply frame but dies mid-payload.
 	addr := fakeNode(t, keys, func(conn net.Conn, bc *bufferedConn) {
-		f, err := bc.readFrame()
+		f, err := ReadFrame(bc.r)
 		if err != nil {
 			return
 		}
@@ -146,7 +146,7 @@ func TestRankCountMismatchFailsCluster(t *testing.T) {
 	keys := workload.SortedKeys(1000, 4)
 	// Correct reqID, wrong number of ranks.
 	addr := fakeNode(t, keys, func(conn net.Conn, bc *bufferedConn) {
-		f, err := bc.readFrame()
+		f, err := ReadFrame(bc.r)
 		if err != nil {
 			return
 		}

@@ -10,6 +10,7 @@ package netrun
 // observe.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -120,7 +121,13 @@ func (n *clusterNode) deregisterLocked(reqID uint32) {
 //   - keys (the request words) are immutable from dispatch until the
 //     last reference drops; replies stage their payload in the separate
 //     reply buffer instead of overwriting keys, so the losing
-//     registration can still encode/validate against them.
+//     registration can still encode/validate against them. No element
+//     reaches out or reply before its whole reply was checked and its
+//     read loop won the claim: a word reply's check is its length, so it
+//     is decoded straight from the frame into its destination after the
+//     claim; a delta or varint reply is decoded whole into the read
+//     loop's scratch first (its codec has more to check than a length),
+//     and a staged one then swaps buffers with reply instead of copying.
 //   - claimed elects exactly one resolver: whichever reply, refusal,
 //     sweep, or routing failure wins the CompareAndSwap scatters the
 //     result (or records the error) and completes p to the gather
@@ -138,7 +145,7 @@ type pending struct {
 	pos  []int32
 	out  []int
 	// reply stages payload-carrying replies (counts, scans, top-k,
-	// snapshots) for the issuing call's gather loop.
+	// snapshots) for the issuing call's gather loop; see stage.
 	reply []uint32
 	// sorted marks keys as an ascending run: it goes out as the row's
 	// sorted wire form, where the row has one.
@@ -418,9 +425,9 @@ func (n *clusterNode) readLoop(ep *epoch) {
 		// registered pendings a sweep never saw.
 		c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s %w", n.r.g.part, n.r.addr, err))
 	}
-	// scratch stages decoded byte payloads. Decoding fully before the
-	// registration is touched keeps the failure story simple: a corrupt
-	// stream leaves the pending registered.
+	// scratch holds a decoded byte-coded reply. Decoding it fully before
+	// the registration is touched keeps the failure story simple: a
+	// corrupt stream leaves the pending registered.
 	var scratch []uint32
 	for {
 		f, err := n.bc.readFrame()
@@ -431,18 +438,13 @@ func (n *clusterNode) readLoop(ep *epoch) {
 			fail(fmt.Errorf("read: %w", err))
 			return
 		}
-		vals := f.Payload
-		if enc := wire[f.Op].enc; enc != encWords {
-			if enc == encDelta {
-				vals, err = decodeDeltaRun(f.Raw, scratch)
-			} else {
-				vals, err = decodeVarRun(f.Raw, scratch)
-			}
-			if err != nil {
-				fail(fmt.Errorf("sent a corrupt op %d payload: %w", f.Op, err))
-				return
-			}
-			scratch = vals
+		e, err := elemsOf(f, scratch)
+		if err != nil {
+			fail(fmt.Errorf("sent a corrupt op %d payload: %w", f.Op, err))
+			return
+		}
+		if !e.words {
+			scratch = e.vals
 		}
 
 		// Everything read from the pending is read under the lock: on a
@@ -458,16 +460,16 @@ func (n *clusterNode) readLoop(ep *epoch) {
 			violation = fmt.Errorf("sent unknown reqID %d (corrupt or stale stream)", f.ReqID)
 		case f.Op == OpErr:
 			code := uint32(0)
-			if len(vals) > 0 {
-				code = vals[0]
+			if e.len() > 0 {
+				code = e.at(0)
 			}
 			if refused = opTable[inf.p.op].onErr == scopeRequest; !refused {
 				violation = fmt.Errorf("reported error %d", code)
 			}
 		case f.Op != inf.row.reply:
 			violation = fmt.Errorf("answered a %s request with op %d, want op %d", inf.row.name, f.Op, inf.row.reply)
-		case !inf.row.valid(inf.p.keys, vals):
-			violation = fmt.Errorf("sent %d reply elements for the %d request words of a %s", len(vals), len(inf.p.keys), inf.row.name)
+		case !inf.row.valid(inf.p.keys, e):
+			violation = fmt.Errorf("sent %d reply elements for the %d request words of a %s", e.len(), len(inf.p.keys), inf.row.name)
 		}
 		if violation != nil {
 			n.mu.Unlock()
@@ -494,14 +496,14 @@ func (n *clusterNode) readLoop(ep *epoch) {
 		if p.claim() {
 			switch kind.deliver {
 			case deliverRanks:
-				p.scatter(vals, c.insBefore(n.r.g.part))
+				p.scatter(e, c.insBefore(n.r.g.part))
 			case deliverScatter:
-				p.scatter(vals, 0)
+				p.scatter(e, 0)
 			case deliverStage:
 				// Staged, not written into shared output: a range can
 				// span partitions, so several replies may target one
 				// slot and only the single gather loop may combine them.
-				p.reply = append(p.reply[:0], vals...)
+				scratch = p.stage(e, scratch)
 			}
 			p.complete(nil)
 		}
@@ -509,19 +511,86 @@ func (n *clusterNode) readLoop(ep *epoch) {
 	}
 }
 
+// elems is a reply's elements from its read until its delivery: a word
+// reply still as the bytes the frame reader checked, a delta or varint
+// reply decoded.
+type elems struct {
+	words bool
+	raw   []byte   // words: 4·len() little-endian bytes
+	vals  []uint32 // otherwise: the decoded run
+}
+
+// elemsOf holds f's elements for checking, decoding a byte-coded payload
+// into scratch.
+func elemsOf(f Frame, scratch []uint32) (elems, error) {
+	var err error
+	switch wire[f.Op].enc {
+	case encDelta:
+		scratch, err = decodeDeltaRun(f.Raw, scratch)
+	case encVarint:
+		scratch, err = decodeVarRun(f.Raw, scratch)
+	default:
+		return elems{words: true, raw: f.Raw}, nil
+	}
+	return elems{vals: scratch}, err
+}
+
+func (e elems) len() int {
+	if e.words {
+		return len(e.raw) / 4
+	}
+	return len(e.vals)
+}
+
+func (e elems) at(i int) uint32 {
+	if e.words {
+		return binary.LittleEndian.Uint32(e.raw[4*i:])
+	}
+	return e.vals[i]
+}
+
 // scatter writes reply element i, plus adj, to the out slot request
-// key i came from.
+// key i came from — a word reply decoded in the same pass.
 //
 //dc:noalloc
-func (p *pending) scatter(vals []uint32, adj int) {
-	if p.contig {
+func (p *pending) scatter(e elems, adj int) {
+	// The word loops' len(raw) conditions always hold (the reply was
+	// checked against the request); stated, they drop the bounds checks.
+	raw := e.raw
+	switch {
+	case e.words && p.contig:
+		out := p.out[p.posBase:][:len(raw)/4]
+		for i := 0; i < len(out) && len(raw) >= 4; i++ {
+			out[i] = int(binary.LittleEndian.Uint32(raw)) + adj
+			raw = raw[4:]
+		}
+	case e.words:
+		for i := 0; i < len(p.pos) && len(raw) >= 4; i++ {
+			p.out[p.pos[i]] = int(binary.LittleEndian.Uint32(raw)) + adj
+			raw = raw[4:]
+		}
+	case p.contig:
 		out := p.out[p.posBase:]
-		for i, v := range vals {
+		for i, v := range e.vals {
 			out[i] = int(v) + adj
 		}
-		return
+	default:
+		for i, pos := range p.pos {
+			p.out[pos] = int(e.vals[i]) + adj
+		}
 	}
-	for i, pos := range p.pos {
-		p.out[pos] = int(vals[i]) + adj
+}
+
+// stage hands a reply's elements to p.reply and returns the read loop's
+// scratch: a word reply is decoded straight into p.reply, a byte-coded
+// one — already decoded into scratch — trades buffers with it.
+//
+//dc:noalloc
+func (p *pending) stage(e elems, scratch []uint32) []uint32 {
+	if e.words {
+		p.reply = decodeWords(e.raw, p.reply)
+		return scratch
 	}
+	p.reply, scratch = e.vals, p.reply[:0]
+	return scratch
 }

@@ -476,9 +476,19 @@ func benchChecksum(ranks []int) uint32 {
 func BenchmarkTCPClusterReplicated8x2(b *testing.B) {
 	c, _, shutdown := benchReplicatedCluster(b, 16384, 2, 0)
 	defer shutdown()
+	benchLookups(b, c, workload.UniformQueries(1<<18, 2))
+}
 
-	queries := workload.UniformQueries(1<<18, 2)
+// benchLookups times LookupBatchInto of queries after one warm call: the
+// first call of a fresh cluster grows every pool, connection buffer and
+// node scratch once (about 1,200 allocations and 17 MB at 2^18 keys over
+// eight partitions), which a row of 20 iterations would otherwise read as
+// 60 allocations per call.
+func benchLookups(b *testing.B, c *Cluster, queries []workload.Key) {
 	out := make([]int, len(queries))
+	if err := c.LookupBatchInto(queries, out); err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(queries) * workload.KeyBytes))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -487,6 +497,13 @@ func BenchmarkTCPClusterReplicated8x2(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportNsPerKey(b, len(queries))
+}
+
+// reportNsPerKey reports the row's ns/key (benchcheck gates it) for keys
+// looked up per op.
+func reportNsPerKey(b *testing.B, keys int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(keys), "ns/key")
 }
 
 // BenchmarkTCPClusterReplicatedFailover is the availability acceptance
@@ -513,6 +530,9 @@ func BenchmarkTCPClusterReplicatedFailover(b *testing.B) {
 	want := benchChecksum(refRanks)
 
 	out := make([]int, len(queries))
+	if err := c.LookupBatchInto(queries, out); err != nil { // warm; see benchLookups
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(queries) * workload.KeyBytes))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -533,6 +553,7 @@ func BenchmarkTCPClusterReplicatedFailover(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	reportNsPerKey(b, len(queries))
 	if err := c.Err(); err != nil {
 		b.Fatalf("cluster went terminal despite a surviving replica: %v", err)
 	}
@@ -541,17 +562,7 @@ func BenchmarkTCPClusterReplicatedFailover(b *testing.B) {
 func BenchmarkTCPClusterLookupBatch(b *testing.B) {
 	c, shutdown := benchCluster(b, 16384, 0)
 	defer shutdown()
-
-	queries := workload.UniformQueries(1<<18, 2)
-	out := make([]int, len(queries))
-	b.SetBytes(int64(len(queries) * workload.KeyBytes))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.LookupBatchInto(queries, out); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchLookups(b, c, workload.UniformQueries(1<<18, 2))
 }
 
 // BenchmarkTCPClusterScanStream is the v5 scan-streaming row: each op
@@ -653,6 +664,9 @@ func benchConcurrent(b *testing.B, serialize *sync.Mutex, batch, perCall int, de
 			sort.Slice(queries[g], func(i, j int) bool { return queries[g][i] < queries[g][j] })
 		}
 		outs[g] = make([]int, perCall)
+		if err := c.LookupBatchInto(queries[g], outs[g]); err != nil { // warm; see benchLookups
+			b.Fatal(err)
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -673,6 +687,7 @@ func benchConcurrent(b *testing.B, serialize *sync.Mutex, batch, perCall int, de
 		}
 		wg.Wait()
 	}
+	reportNsPerKey(b, callers*perCall)
 	reportBenchLatency(b, &hist)
 }
 

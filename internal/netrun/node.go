@@ -359,9 +359,10 @@ func refusef(format string, args ...any) error { return refusal{fmt.Errorf(forma
 var errShape = errors.New("malformed request payload")
 
 // keepReplyScratch caps, in elements, every scratch slice a connection
-// retains between requests. Lookup frames are a few tens of KB; a snapshot
-// or an unlimited scan is the whole live key set, and a long-lived serving
-// connection must not pin that much dead capacity after one rare request.
+// retains between requests — the reply frame's bytes included. Lookup
+// frames are a few tens of KB; a snapshot or an unlimited scan is the
+// whole live key set, and a long-lived serving connection must not pin
+// that much dead capacity after one rare request.
 const keepReplyScratch = 1 << 20
 
 // keep is buf if the connection may retain it, nil above the cap.
@@ -374,7 +375,10 @@ func keep[T any](buf []T) []T {
 
 // nodeConn is one client connection's serving state: the frame codec,
 // the version the hello settled on, and scratch reused across requests
-// so the steady state allocates nothing.
+// so the steady state allocates nothing. A request's words cross it in
+// two passes besides the search: decoded from the frame's bytes into
+// keyBuf, and encoded from the ranker's ints into the reply frame (the
+// frame writer's buffer, which answer fills).
 type nodeConn struct {
 	n    *Node
 	conn net.Conn
@@ -387,11 +391,9 @@ type nodeConn struct {
 	// connection so a request costs one clock read and two atomic adds.
 	hists [opMax]*telemetry.Histogram
 
-	keyBuf   []workload.Key // request keys: converted words, or a decoded run
-	intBuf   []int          // ranker output, one per request key
-	wordBuf  []uint32       // reply elements
-	replyBuf []byte         // encoded byte-payload reply
-	scanBuf  []workload.Key // scan/top-k result staging
+	keyBuf  []workload.Key // the kernel's input: request keys decoded from words or a run, a count's range ends
+	intBuf  []int          // ranker output, one per kernel key
+	scanBuf []workload.Key // scan/top-k results, a count's request pairs
 }
 
 // newConn is the serving state of a connection that has not said hello.
@@ -437,9 +439,9 @@ func (n *Node) handle(conn net.Conn) {
 	}
 }
 
-// serve answers one request frame by its op-table row: gate, handler,
-// reply encoded per the row's codec. It reports whether the connection
-// keeps serving.
+// serve answers one request frame by its op-table row: gate, then the
+// handler, which decodes the request and encodes its reply frame. It
+// reports whether the connection keeps serving.
 func (s *nodeConn) serve(f Frame) bool {
 	n := s.n
 	var start time.Time
@@ -447,8 +449,7 @@ func (s *nodeConn) serve(f Frame) bool {
 		start = time.Now()
 	}
 	row := request(f.Op)
-	reply := Frame{ReqID: f.ReqID}
-	var vals []uint32
+	var reply []byte
 	var err error
 	switch {
 	case row == nil:
@@ -462,34 +463,21 @@ func (s *nodeConn) serve(f Frame) bool {
 	default:
 		// One identity read per request: membership ops swap the
 		// pointer, every other op serves under the snapshot it loaded.
-		vals, err = row.serve(s, n.ident.Load(), f)
-	}
-	if err == nil {
-		reply.Op = row.reply
-		switch row.replyEnc {
-		case encWords:
-			reply.Payload = vals
-		case encDelta:
-			s.replyBuf, err = appendDeltaRun(s.replyBuf[:0], vals)
-			reply.Raw = s.replyBuf
-		case encVarint:
-			s.replyBuf = appendVarRun(s.replyBuf[:0], vals)
-			reply.Raw = s.replyBuf
-		}
+		reply, err = row.serve(s, n.ident.Load(), f)
 	}
 	if err != nil {
 		n.logf("netrun: op %d refused: %v", f.Op, err)
-		reply = Frame{Op: OpErr, ReqID: f.ReqID, Payload: []uint32{uint32(f.Op)}}
+		reply, _ = encodeRun(&s.bc.fw, OpErr, f.ReqID, []uint32{uint32(f.Op)})
 	}
 	n.armWrite(s.conn)
-	werr := s.bc.writeFrame(reply)
+	_, werr := s.bc.w.Write(reply)
 	if werr == nil {
 		werr = s.bc.w.Flush()
 	}
-	s.keyBuf, s.intBuf, s.wordBuf = keep(s.keyBuf), keep(s.intBuf), keep(s.wordBuf)
-	s.replyBuf, s.scanBuf = keep(s.replyBuf), keep(s.scanBuf)
+	s.keyBuf, s.intBuf, s.scanBuf = keep(s.keyBuf), keep(s.intBuf), keep(s.scanBuf)
+	s.bc.fw.buf = keep(s.bc.fw.buf)
 	if werr != nil {
-		n.logf("netrun: reply op %d: %v", reply.Op, werr)
+		n.logf("netrun: reply op %d: %v", reply[4], werr)
 		return false
 	}
 	if err != nil {
@@ -502,16 +490,33 @@ func (s *nodeConn) serve(f Frame) bool {
 	return true
 }
 
-// keys converts request words into the connection's key scratch.
-func (s *nodeConn) keys(words []uint32) []workload.Key {
-	if cap(s.keyBuf) < len(words) {
-		s.keyBuf = make([]workload.Key, len(words))
+// answer is the typed reply sink every handler ends in: it encodes vals
+// as request f's reply frame — the row's reply op and codec — narrowing
+// each element as it goes, so a handler hands over what its ranker or
+// scan produced as it produced it.
+func answer[T ~uint32 | ~int](s *nodeConn, f Frame, vals []T) ([]byte, error) {
+	return encodeRun(&s.bc.fw, wire[f.Op].reply, f.ReqID, vals)
+}
+
+// ack answers f with one word counting the keys an op applied.
+func (s *nodeConn) ack(f Frame, n int) ([]byte, error) {
+	return answer(s, f, []int{n})
+}
+
+// keys decodes a word request straight into the key scratch.
+func (s *nodeConn) keys(f Frame) []workload.Key {
+	s.keyBuf = decodeWords(f.Raw, s.keyBuf)
+	return s.keyBuf
+}
+
+// args decodes a fixed-shape word request into dst; false when the
+// request has another length.
+func args(f Frame, dst []uint32) bool {
+	if len(f.Raw) != 4*len(dst) {
+		return false
 	}
-	keys := s.keyBuf[:len(words)]
-	for i, k := range words {
-		keys[i] = workload.Key(k)
-	}
-	return keys
+	decodeWords(f.Raw, dst)
+	return true
 }
 
 // ints returns n elements of the ranker-output scratch.
@@ -520,30 +525,6 @@ func (s *nodeConn) ints(n int) []int {
 		s.intBuf = make([]int, n)
 	}
 	return s.intBuf[:n]
-}
-
-// words returns n reply elements of connection scratch.
-func (s *nodeConn) words(n int) []uint32 {
-	if cap(s.wordBuf) < n {
-		s.wordBuf = make([]uint32, n)
-	}
-	return s.wordBuf[:n]
-}
-
-// wordsOf narrows ranker output to reply elements.
-func (s *nodeConn) wordsOf(ints []int) []uint32 {
-	out := s.words(len(ints))
-	for i, v := range ints {
-		out[i] = uint32(v)
-	}
-	return out
-}
-
-// ack is the one-word reply counting the keys an op applied.
-func (s *nodeConn) ack(n int) []uint32 {
-	out := s.words(1)
-	out[0] = uint32(n)
-	return out
 }
 
 // run decodes a delta-coded request payload straight into the key
@@ -557,16 +538,6 @@ func (s *nodeConn) run(raw []byte) ([]workload.Key, error) {
 	return run, err
 }
 
-// freshKeys copies request words out of the frame: the update layer
-// keeps a loaded key set for the node's lifetime.
-func freshKeys(words []uint32) []workload.Key {
-	fresh := make([]workload.Key, len(words))
-	for i, k := range words {
-		fresh[i] = workload.Key(k)
-	}
-	return fresh
-}
-
 func u64(lo, hi uint32) uint64 { return uint64(lo) | uint64(hi)<<32 }
 
 // serveHello answers the identity — the construction-time baseline,
@@ -577,7 +548,7 @@ func u64(lo, hi uint32) uint64 { return uint64(lo) | uint64(hi)<<32 }
 // live count as one consistent position (generation = live - baseline).
 // A client below the floor is refused: the hard error answers OpErr,
 // logs the version and drops the connection.
-func (s *nodeConn) serveHello(id *nodeIdent, f Frame) ([]uint32, error) {
+func (s *nodeConn) serveHello(id *nodeIdent, f Frame) ([]byte, error) {
 	n := s.n
 	if f.ReqID < MinProtoVersion {
 		return nil, errVersion("the client speaks", f.ReqID)
@@ -591,64 +562,59 @@ func (s *nodeConn) serveHello(id *nodeIdent, f Frame) ([]uint32, error) {
 		gen, chain := n.dp.Position()
 		payload = append(payload, uint32(id.baseN)+uint32(gen), uint32(chain), uint32(chain>>32))
 	}
-	return payload, nil
+	return answer(s, f, payload)
 }
 
-// ranks resolves a lookup through the update layer, by the sorted
-// kernel when the keys are an ascending run.
-func (s *nodeConn) ranks(id *nodeIdent, keys []workload.Key, sorted bool) []uint32 {
+// ranks answers a lookup through the update layer — by the sorted kernel
+// when the keys are an ascending run — from the kernel's ints.
+func (s *nodeConn) ranks(id *nodeIdent, f Frame, keys []workload.Key, sorted bool) ([]byte, error) {
 	ints := s.ints(len(keys))
 	if sorted {
 		s.n.upd.RankSorted(keys, ints, id.rankBase)
 	} else {
 		s.n.upd.RankBatch(keys, ints, id.rankBase)
 	}
-	return s.wordsOf(ints)
+	return answer(s, f, ints)
 }
 
-func (s *nodeConn) serveLookup(id *nodeIdent, f Frame) ([]uint32, error) {
-	return s.ranks(id, s.keys(f.Payload), false), nil
+func (s *nodeConn) serveLookup(id *nodeIdent, f Frame) ([]byte, error) {
+	return s.ranks(id, f, s.keys(f), false)
 }
 
 // serveLookupSorted: ascending keys make the ranks nondecreasing, so
 // the reply delta-codes too.
-func (s *nodeConn) serveLookupSorted(id *nodeIdent, f Frame) ([]uint32, error) {
+func (s *nodeConn) serveLookupSorted(id *nodeIdent, f Frame) ([]byte, error) {
 	run, err := s.run(f.Raw)
 	if err != nil {
 		return nil, err
 	}
-	return s.ranks(id, run, true), nil
+	return s.ranks(id, f, run, true)
 }
 
 // serveInsert's ack is a durability promise on a durable node: log,
 // apply, and wait for the group fsync. A log failure must never ack —
 // the hard error drops the connection so the client fails this replica
 // over instead of trusting a write the disk did not take.
-func (s *nodeConn) serveInsert(_ *nodeIdent, f Frame) ([]uint32, error) {
+func (s *nodeConn) serveInsert(_ *nodeIdent, f Frame) ([]byte, error) {
 	n := s.n
-	keys := s.keys(f.Payload)
+	keys := s.keys(f)
 	if n.dp == nil {
 		n.upd.InsertBatch(keys)
 	} else if err := n.dp.InsertBatch(keys); err != nil {
 		return nil, fmt.Errorf("insert not durable: %w", err)
 	}
-	return s.ack(len(keys)), nil
+	return s.ack(f, len(keys))
 }
 
-func (s *nodeConn) serveSnapshot(_ *nodeIdent, _ Frame) ([]uint32, error) {
+func (s *nodeConn) serveSnapshot(_ *nodeIdent, f Frame) ([]byte, error) {
 	snap := s.n.upd.SnapshotKeys()
 	if len(snap) > MaxFrameWords {
 		return nil, refusef("snapshot of %d keys exceeds the frame limit; catch-up refused", len(snap))
 	}
-	// Not the connection scratch: see keepReplyScratch.
-	words := make([]uint32, len(snap))
-	for i, k := range snap {
-		words[i] = uint32(k)
-	}
-	return words, nil
+	return answer(s, f, snap)
 }
 
-func (s *nodeConn) serveLoad(id *nodeIdent, f Frame) ([]uint32, error) {
+func (s *nodeConn) serveLoad(id *nodeIdent, f Frame) ([]byte, error) {
 	n := s.n
 	run, err := s.run(f.Raw)
 	if err != nil {
@@ -657,7 +623,7 @@ func (s *nodeConn) serveLoad(id *nodeIdent, f Frame) ([]uint32, error) {
 	fresh := slices.Clone(run)
 	if n.dp == nil {
 		n.upd.Reset(fresh)
-		return s.ack(len(fresh)), nil
+		return s.ack(f, len(fresh))
 	}
 	// A plain load carries no position: reconstruct the generation
 	// from the key count (every logged insert adds one key over the
@@ -671,30 +637,35 @@ func (s *nodeConn) serveLoad(id *nodeIdent, f Frame) ([]uint32, error) {
 	if err := n.dp.ResetTo(fresh, gen, 0); err != nil {
 		return nil, fmt.Errorf("load reset: %w", err)
 	}
-	return s.ack(len(fresh)), nil
+	return s.ack(f, len(fresh))
 }
 
-func (s *nodeConn) serveSnapshotSince(_ *nodeIdent, f Frame) ([]uint32, error) {
-	if len(f.Payload) != 4 {
+func (s *nodeConn) serveSnapshotSince(_ *nodeIdent, f Frame) ([]byte, error) {
+	var pos [4]uint32
+	if !args(f, pos[:]) {
 		return nil, errShape
 	}
-	gen := u64(f.Payload[0], f.Payload[1])
-	payload, ok := s.n.snapshotSince(gen, u64(f.Payload[2], f.Payload[3]))
+	gen := u64(pos[0], pos[1])
+	payload, ok := s.n.snapshotSince(gen, u64(pos[2], pos[3]))
 	if !ok {
 		// Neither the delta nor the full set fits one frame.
 		return nil, refusef("positioned catch-up from generation %d exceeds the frame limit", gen)
 	}
-	return payload, nil
+	return answer(s, f, payload)
 }
 
-func (s *nodeConn) serveLoadAt(_ *nodeIdent, f Frame) ([]uint32, error) {
+func (s *nodeConn) serveLoadAt(_ *nodeIdent, f Frame) ([]byte, error) {
 	n := s.n
-	if len(f.Payload) < snapDeltaHeader {
+	var hdr [snapDeltaHeader]uint32
+	if len(f.Raw) < 4*len(hdr) {
 		return nil, errShape
 	}
-	gen, chain := u64(f.Payload[1], f.Payload[2]), u64(f.Payload[3], f.Payload[4])
-	fresh := freshKeys(f.Payload[snapDeltaHeader:])
-	switch f.Payload[0] {
+	decodeWords(f.Raw[:4*len(hdr)], hdr[:])
+	gen, chain := u64(hdr[1], hdr[2]), u64(hdr[3], hdr[4])
+	// Fresh keys, not the connection scratch: the update layer keeps a
+	// loaded key set for the node's lifetime.
+	fresh := decodeWords[workload.Key](f.Raw[4*len(hdr):], nil)
+	switch hdr[0] {
 	case snapKindDelta:
 		// Append-order insert tail: verified against the carried
 		// position before anything is logged. A mismatch means the
@@ -716,57 +687,55 @@ func (s *nodeConn) serveLoadAt(_ *nodeIdent, f Frame) ([]uint32, error) {
 	default:
 		return nil, errShape
 	}
-	return s.ack(len(fresh)), nil
+	return s.ack(f, len(fresh))
 }
 
-func (s *nodeConn) serveCountRange(_ *nodeIdent, f Frame) ([]uint32, error) {
-	if len(f.Payload)%2 != 0 {
+// serveCountRange decodes the request pairs into scanBuf: CountPairs
+// writes the range ends into keyBuf while it still reads the pairs.
+func (s *nodeConn) serveCountRange(_ *nodeIdent, f Frame) ([]byte, error) {
+	if len(f.Raw)%8 != 0 {
 		return nil, errShape
 	}
-	return s.wordsOf(core.CountPairs(s.n.upd, f.Payload, &s.keyBuf, &s.intBuf)), nil
+	s.scanBuf = decodeWords(f.Raw, s.scanBuf)
+	return answer(s, f, core.CountPairs(s.n.upd, s.scanBuf, &s.keyBuf, &s.intBuf))
 }
 
-func (s *nodeConn) serveScanRange(_ *nodeIdent, f Frame) ([]uint32, error) {
-	if len(f.Payload) != 3 {
+func (s *nodeConn) serveScanRange(_ *nodeIdent, f Frame) ([]byte, error) {
+	var w [3]uint32
+	if !args(f, w[:]) {
 		return nil, errShape
 	}
 	// Wire 0 = unlimited. One key past the frame limit is all a scan that
 	// will be refused needs to materialise.
-	max := int(f.Payload[2])
+	max := int(w[2])
 	if max == 0 || max > MaxFrameWords {
 		max = MaxFrameWords + 1
 	}
-	s.scanBuf = s.n.upd.ScanRange(workload.Key(f.Payload[0]), workload.Key(f.Payload[1]), max, s.scanBuf[:0])
+	s.scanBuf = s.n.upd.ScanRange(workload.Key(w[0]), workload.Key(w[1]), max, s.scanBuf[:0])
 	if len(s.scanBuf) > MaxFrameWords {
 		// A truncated scan would silently be a wrong answer.
 		return nil, refusef("scan exceeds the frame limit of %d keys", MaxFrameWords)
 	}
-	words := s.words(len(s.scanBuf))
-	for i, k := range s.scanBuf {
-		words[i] = uint32(k)
-	}
-	return words, nil
+	return answer(s, f, s.scanBuf)
 }
 
-func (s *nodeConn) serveTopK(_ *nodeIdent, f Frame) ([]uint32, error) {
-	if len(f.Payload) != 1 {
+func (s *nodeConn) serveTopK(_ *nodeIdent, f Frame) ([]byte, error) {
+	var w [1]uint32
+	if !args(f, w[:]) {
 		return nil, errShape
 	}
-	k := int(f.Payload[0])
+	k := int(w[0])
 	if k > MaxFrameWords {
 		return nil, refusef("top-%d exceeds the frame limit", k)
 	}
-	s.scanBuf = s.n.upd.TopK(k, s.scanBuf[:0])
 	// TopK yields descending keys; the wire run is ascending so the
-	// delta codec applies — reverse while converting.
-	words := s.words(len(s.scanBuf))
-	for i, key := range s.scanBuf {
-		words[len(words)-1-i] = uint32(key)
-	}
-	return words, nil
+	// delta codec applies.
+	s.scanBuf = s.n.upd.TopK(k, s.scanBuf[:0])
+	slices.Reverse(s.scanBuf)
+	return answer(s, f, s.scanBuf)
 }
 
-func (s *nodeConn) serveMultiGet(_ *nodeIdent, f Frame) ([]uint32, error) {
+func (s *nodeConn) serveMultiGet(_ *nodeIdent, f Frame) ([]byte, error) {
 	run, err := s.run(f.Raw)
 	if err != nil {
 		return nil, err
@@ -776,7 +745,7 @@ func (s *nodeConn) serveMultiGet(_ *nodeIdent, f Frame) ([]uint32, error) {
 	s.keyBuf = slices.Grow(run, n)
 	ints := s.ints(2 * n)
 	s.n.upd.CountKeys(run, ints[:n], s.keyBuf[n:2*n], ints[n:])
-	return s.wordsOf(ints[:n]), nil
+	return answer(s, f, ints[:n])
 }
 
 // serveAddReplica assigns this node a partition. The payload names a
@@ -785,13 +754,14 @@ func (s *nodeConn) serveMultiGet(_ *nodeIdent, f Frame) ([]uint32, error) {
 // wrong ranks. An already-assigned node accepts only a matching
 // assignment (idempotent confirm — re-adding a drained replica takes
 // this path).
-func (s *nodeConn) serveAddReplica(id *nodeIdent, f Frame) ([]uint32, error) {
+func (s *nodeConn) serveAddReplica(id *nodeIdent, f Frame) ([]byte, error) {
 	n := s.n
-	if len(f.Payload) != 4 {
+	var w [4]uint32
+	if !args(f, w[:]) {
 		return nil, errShape
 	}
-	rb, bn := int(f.Payload[0]), int(f.Payload[1])
-	lo, hi := workload.Key(f.Payload[2]), workload.Key(f.Payload[3])
+	rb, bn := int(w[0]), int(w[1])
+	lo, hi := workload.Key(w[2]), workload.Key(w[3])
 	switch {
 	case id.baseN > 0:
 		if rb != id.rankBase || bn != id.baseN || lo != id.lo || hi != id.hi {
@@ -806,32 +776,33 @@ func (s *nodeConn) serveAddReplica(id *nodeIdent, f Frame) ([]uint32, error) {
 		n.upd.Reset(n.universe[rb : rb+bn])
 		n.ident.Store(&nodeIdent{rankBase: rb, baseN: bn, lo: lo, hi: hi})
 	}
-	return s.ack(n.upd.TotalKeys()), nil
+	return s.ack(f, n.upd.TotalKeys())
 }
 
 // serveDrainReplica has nothing to tear down server-side — the client
 // stops routing here and detaches. Quiesce the compaction daemon so the
 // node idles clean before the ack.
-func (s *nodeConn) serveDrainReplica(_ *nodeIdent, f Frame) ([]uint32, error) {
-	if len(f.Payload) != 0 {
+func (s *nodeConn) serveDrainReplica(_ *nodeIdent, f Frame) ([]byte, error) {
+	if len(f.Raw) != 0 {
 		return nil, errShape
 	}
 	s.n.upd.Quiesce()
-	return s.ack(s.n.upd.TotalKeys()), nil
+	return s.ack(f, s.n.upd.TotalKeys())
 }
 
 // serveSplitPartition retargets this node at one half of its split
 // partition: keep the live keys on the named side of splitKey, swap the
 // advertised identity, keep serving. The client holds its membership
 // pause, so no reads race the swap.
-func (s *nodeConn) serveSplitPartition(id *nodeIdent, f Frame) ([]uint32, error) {
+func (s *nodeConn) serveSplitPartition(id *nodeIdent, f Frame) ([]byte, error) {
 	n := s.n
-	if len(f.Payload) != 6 {
+	var w [6]uint32
+	if !args(f, w[:]) {
 		return nil, errShape
 	}
-	newRB, newBN := int(f.Payload[0]), int(f.Payload[1])
-	newLo, newHi := workload.Key(f.Payload[2]), workload.Key(f.Payload[3])
-	splitKey, keepHi := workload.Key(f.Payload[4]), f.Payload[5] != 0
+	newRB, newBN := int(w[0]), int(w[1])
+	newLo, newHi := workload.Key(w[2]), workload.Key(w[3])
+	splitKey, keepHi := workload.Key(w[4]), w[5] != 0
 	if newBN <= 0 || newRB < id.rankBase || newRB+newBN > id.rankBase+id.baseN {
 		return nil, refusef("split half [%d,+%d) not within served identity [%d,+%d)",
 			newRB, newBN, id.rankBase, id.baseN)
@@ -858,7 +829,7 @@ func (s *nodeConn) serveSplitPartition(id *nodeIdent, f Frame) ([]uint32, error)
 		return nil, fmt.Errorf("split reset: %w", err)
 	}
 	n.ident.Store(&nodeIdent{rankBase: newRB, baseN: newBN, lo: newLo, hi: newHi})
-	return s.ack(len(kept)), nil
+	return s.ack(f, len(kept))
 }
 
 // snapshotSince builds an OpSnapshotDelta payload answering a catch-up

@@ -66,10 +66,11 @@ type delivery uint8
 const (
 	// deliverAck: the reply only acknowledges; nothing to hand over.
 	deliverAck delivery = iota
-	// deliverStage copies the elements into pending.reply for the
-	// issuing call's gather loop.
+	// deliverStage hands the elements to pending.reply for the issuing
+	// call's gather loop (pending.stage).
 	deliverStage
-	// deliverScatter writes element i to the caller's out slot i maps to.
+	// deliverScatter writes element i to the caller's out slot i maps to,
+	// decoding a word reply as it goes (pending.scatter).
 	deliverScatter
 	// deliverRanks is deliverScatter plus the rank-base correction for
 	// keys inserted into the preceding partitions (see Cluster.ins).
@@ -103,9 +104,10 @@ type opSpec struct {
 	// reply is the op that answers this request, replyEnc its codec.
 	reply    uint8
 	replyEnc codec
-	// valid reports whether a reply's decoded elements are a
-	// well-formed answer to the request words.
-	valid func(req, reply []uint32) bool
+	// valid reports whether a reply's elements are a well-formed answer
+	// to the request words. The read loop runs it before any element
+	// reaches the caller.
+	valid func(req []uint32, reply elems) bool
 	// sorted, when non-zero, is the op that carries this request
 	// instead when its keys are an ascending run.
 	sorted uint8
@@ -116,34 +118,37 @@ type opSpec struct {
 	onErr   errScope
 	deliver delivery
 
-	// Node dispatch.
+	// Node dispatch: serve decodes the request where it uses it and ends
+	// in answer, which encodes the reply frame from whatever the handler
+	// produced; serve returns that frame.
 	needs nodeNeed
-	serve func(s *nodeConn, id *nodeIdent, f Frame) ([]uint32, error)
+	serve func(s *nodeConn, id *nodeIdent, f Frame) ([]byte, error)
 }
 
 // Reply rules.
 
-func sameLen(req, reply []uint32) bool    { return len(reply) == len(req) }
-func onePerPair(req, reply []uint32) bool { return len(reply) == len(req)/2 }
-func anyLen(_, _ []uint32) bool           { return true }
-func oneWord(_, reply []uint32) bool      { return len(reply) == 1 }
+func sameLen(req []uint32, reply elems) bool    { return reply.len() == len(req) }
+func onePerPair(req []uint32, reply elems) bool { return reply.len() == len(req)/2 }
+func anyLen([]uint32, elems) bool               { return true }
+func oneWord(_ []uint32, reply elems) bool      { return reply.len() == 1 }
 
 // ackOf is a one-word reply echoing the request's key count past a
 // hdr-word header.
-func ackOf(hdr int) func(req, reply []uint32) bool {
-	return func(req, reply []uint32) bool {
-		return len(reply) == 1 && int(reply[0]) == len(req)-hdr
+func ackOf(hdr int) func([]uint32, elems) bool {
+	return func(req []uint32, reply elems) bool {
+		return reply.len() == 1 && int(reply.at(0)) == len(req)-hdr
 	}
 }
 
-func snapDelta(_, reply []uint32) bool { return len(reply) >= snapDeltaHeader }
+func snapDelta(_ []uint32, reply elems) bool { return reply.len() >= snapDeltaHeader }
 
 // helloAck is [rankBase, keyCount, lo, hi, version], plus the live key
 // count, plus the two chain words — 5, 6 or 8 words, never 7. The four
 // words a version-1 node sends are let through for hello to refuse by
 // name.
-func helloAck(_, reply []uint32) bool {
-	return len(reply) >= 4 && len(reply) <= 8 && len(reply) != 7
+func helloAck(_ []uint32, reply elems) bool {
+	n := reply.len()
+	return n >= 4 && n <= 8 && n != 7
 }
 
 // opMax is one past the highest op code: the size of every per-op
@@ -202,10 +207,12 @@ var opTable = [opMax]opSpec{
 }
 
 // wireFact is what the frame codec and the version gate know about an
-// op code, request or reply: derived from the rows, never stated twice.
+// op code, request or reply — and the node's reply sink about a request:
+// the op answering it. Derived from the rows, never stated twice.
 type wireFact struct {
 	minVer uint32 // 0: an op this build does not know
 	enc    codec
+	reply  uint8
 }
 
 var wire [256]wireFact
@@ -216,10 +223,10 @@ func init() {
 		if row.minVer == 0 {
 			continue
 		}
-		wire[op] = wireFact{row.minVer, row.enc}
+		wire[op] = wireFact{row.minVer, row.enc, row.reply}
 		// A reply op is as old as the oldest request it answers.
 		if w := &wire[row.reply]; row.reply != 0 && (w.minVer == 0 || row.minVer < w.minVer) {
-			*w = wireFact{row.minVer, row.replyEnc}
+			*w = wireFact{minVer: row.minVer, enc: row.replyEnc}
 		}
 	}
 }

@@ -171,7 +171,7 @@ func replyCandidate(row *opSpec, req []uint32, want bool) ([]uint32, bool) {
 		cands = append(cands, make([]uint32, k))
 	}
 	for _, c := range cands {
-		if row.valid(req, c) == want {
+		if row.valid(req, elems{vals: c}) == want {
 			return c, true
 		}
 	}

@@ -253,8 +253,13 @@ const (
 	MaxFrameBytes = 5 * MaxFrameWords
 )
 
-// Frame is one decoded protocol frame: word ops carry Payload, byte
-// ops (the op table's encDelta and encVarint codecs) carry Raw.
+// Frame is one protocol frame. Byte ops (the op table's encDelta and
+// encVarint codecs) carry their payload in Raw. A word op's payload is
+// Payload for WriteFrame and ReadFrame; on the serving paths — the
+// connection reader the node's serve loop and the client's read loop
+// share — it arrives in Raw instead, as its 4·count little-endian bytes,
+// checked for length and not decoded: each consumer decodes the words in
+// the pass that uses them.
 type Frame struct {
 	Op      uint8
 	ReqID   uint32
@@ -270,8 +275,9 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return fw.writeTo(w, f)
 }
 
-// ReadFrame decodes one frame from r, allocating a fresh payload; the
-// hot paths use a reusable frameReader instead.
+// ReadFrame decodes one frame from r, allocating a fresh payload — a
+// word op's decoded into Payload; the hot paths use a reusable
+// frameReader instead.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var fr frameReader
 	f, err := fr.readFrom(r)
@@ -279,8 +285,11 @@ func ReadFrame(r io.Reader) (Frame, error) {
 		return Frame{}, err
 	}
 	// Detach the payload from the reader's scratch.
-	f.Payload = append([]uint32(nil), f.Payload...)
-	f.Raw = append([]byte(nil), f.Raw...)
+	if wire[f.Op].enc == encWords {
+		f.Payload, f.Raw = decodeWords[uint32](f.Raw, nil), nil
+	} else {
+		f.Raw = append([]byte(nil), f.Raw...)
+	}
 	return f, nil
 }
 
@@ -297,31 +306,66 @@ type frameWriter struct {
 //
 //dc:noalloc
 func (fw *frameWriter) encode(f Frame) ([]byte, error) {
-	if wire[f.Op].enc != encWords {
-		if len(f.Raw) > MaxFrameBytes {
-			return nil, fmt.Errorf("netrun: frame payload %d bytes exceeds limit", len(f.Raw))
-		}
-		need := 13 + len(f.Raw)
-		if cap(fw.buf) < need {
-			fw.buf = make([]byte, need)
-		}
-		buf := fw.buf[:need]
-		fw.putHeader(buf, f.Op, f.ReqID, uint32(len(f.Raw)))
-		copy(buf[13:], f.Raw)
-		return buf, nil
+	if wire[f.Op].enc == encWords {
+		return encodeRun(fw, f.Op, f.ReqID, f.Payload)
 	}
-	if len(f.Payload) > MaxFrameWords {
-		return nil, fmt.Errorf("netrun: frame payload %d words exceeds limit", len(f.Payload))
+	if len(f.Raw) > MaxFrameBytes {
+		return nil, fmt.Errorf("netrun: frame payload %d bytes exceeds limit", len(f.Raw))
 	}
-	need := 13 + 4*len(f.Payload)
+	need := 13 + len(f.Raw)
 	if cap(fw.buf) < need {
 		fw.buf = make([]byte, need)
 	}
 	buf := fw.buf[:need]
-	fw.putHeader(buf, f.Op, f.ReqID, uint32(len(f.Payload)))
-	for i, v := range f.Payload {
-		binary.LittleEndian.PutUint32(buf[13+4*i:], v)
+	fw.putHeader(buf, f.Op, f.ReqID, uint32(len(f.Raw)))
+	copy(buf[13:], f.Raw)
+	return buf, nil
+}
+
+// encodeRun serializes a frame of op straight from the elements that make
+// its payload, under op's codec — words, delta or varint — into the
+// writer's scratch (valid until the next encode), narrowing each element
+// to 32 bits as it is encoded: a node replies from what its ranker or
+// scan produced, with no conversion pass before the encode. A byte
+// payload's length is backpatched into the header.
+//
+//dc:noalloc
+func encodeRun[T ~uint32 | ~int](fw *frameWriter, op uint8, reqID uint32, vals []T) ([]byte, error) {
+	if len(vals) > MaxFrameWords {
+		return nil, fmt.Errorf("netrun: frame payload %d elements exceeds limit", len(vals))
 	}
+	enc := wire[op].enc
+	if enc == encWords {
+		need := 13 + 4*len(vals)
+		if cap(fw.buf) < need {
+			fw.buf = make([]byte, need)
+		}
+		buf := fw.buf[:need]
+		fw.putHeader(buf, op, reqID, uint32(len(vals)))
+		// As in decodeWords, the len(b) condition always holds and drops
+		// the bounds checks.
+		b := buf[13:]
+		for i := 0; i < len(vals) && len(b) >= 4; i++ {
+			binary.LittleEndian.PutUint32(b, uint32(vals[i]))
+			b = b[4:]
+		}
+		return buf, nil
+	}
+	// One growth, to the header plus the codec's worst case.
+	buf := grow(fw.buf[:0], 13+5+5*len(vals))[:13]
+	if enc == encDelta {
+		var err error
+		if buf, err = appendDeltaRun(buf, vals); err != nil {
+			return nil, err
+		}
+	} else {
+		buf = appendVarRun(buf, vals)
+	}
+	fw.buf = buf[:0]
+	if len(buf)-13 > MaxFrameBytes {
+		return nil, fmt.Errorf("netrun: frame payload %d bytes exceeds limit", len(buf)-13)
+	}
+	fw.putHeader(buf, op, reqID, uint32(len(buf)-13))
 	return buf, nil
 }
 
@@ -333,26 +377,12 @@ func (fw *frameWriter) putHeader(buf []byte, op uint8, reqID, count uint32) {
 	binary.LittleEndian.PutUint32(buf[9:13], count)
 }
 
-// encodeDeltaOp serializes a delta-coded frame (OpLookupSorted, OpLoad,
-// OpSnapshotData) directly from the ascending run into the writer's
-// scratch (header + delta+varint payload, byte count backpatched),
-// avoiding a staging buffer on the send path.
+// encodeDeltaOp serializes a delta-coded request frame (OpLookupSorted,
+// OpLoad, OpMultiGet) directly from the ascending run.
 //
 //dc:noalloc
 func (fw *frameWriter) encodeDeltaOp(op uint8, reqID uint32, vals []uint32) ([]byte, error) {
-	if len(vals) > MaxFrameWords {
-		return nil, fmt.Errorf("netrun: frame payload %d values exceeds limit", len(vals))
-	}
-	if cap(fw.buf) < 13 {
-		fw.buf = make([]byte, 13)
-	}
-	buf, err := appendDeltaRun(fw.buf[:13], vals)
-	if err != nil {
-		return nil, err
-	}
-	fw.buf = buf[:0]
-	fw.putHeader(buf, op, reqID, uint32(len(buf)-13))
-	return buf, nil
+	return encodeRun(fw, op, reqID, vals)
 }
 
 func (fw *frameWriter) writeTo(w io.Writer, f Frame) error {
@@ -366,13 +396,12 @@ func (fw *frameWriter) writeTo(w io.Writer, f Frame) error {
 	return nil
 }
 
-// frameReader decodes frames, reusing its payload buffers: a decoded
-// frame's payload is valid only until the next read. Not safe for
-// concurrent use.
+// frameReader reads frames, reusing one payload buffer: a frame's Raw is
+// valid only until the next read. A word payload comes back undecoded,
+// as Raw (see Frame). Not safe for concurrent use.
 type frameReader struct {
-	head    [13]byte
-	buf     []byte
-	payload []uint32
+	head [13]byte
+	buf  []byte
 }
 
 //dc:noalloc
@@ -391,42 +420,27 @@ func (fr *frameReader) readFrom(r io.Reader) (Frame, error) {
 	// corrupt length word >= 2^31 would wrap negative as int and slip
 	// past the limit check.
 	count32 := binary.LittleEndian.Uint32(fr.head[9:13])
-	if wire[f.Op].enc != encWords {
-		// Byte payload: count is a byte length; the delta decoder
-		// applies its own element-count-vs-bytes guard on top.
+	var n int
+	if wire[f.Op].enc == encWords {
+		if count32 > MaxFrameWords {
+			return Frame{}, fmt.Errorf("netrun: frame payload %d words exceeds limit", count32)
+		}
+		n = 4 * int(count32)
+	} else {
+		// Byte payload: count is a byte length; the run decoders apply
+		// their own element-count-vs-bytes guard on top.
 		if count32 > MaxFrameBytes {
 			return Frame{}, fmt.Errorf("netrun: frame payload %d bytes exceeds limit", count32)
 		}
-		n := int(count32)
-		if n > 0 {
-			if cap(fr.buf) < n {
-				fr.buf = make([]byte, n)
-			}
-			f.Raw = fr.buf[:n]
-			if _, err := io.ReadFull(r, f.Raw); err != nil {
-				return Frame{}, fmt.Errorf("netrun: read payload: %w", err)
-			}
-		}
-		return f, nil
+		n = int(count32)
 	}
-	if count32 > MaxFrameWords {
-		return Frame{}, fmt.Errorf("netrun: frame payload %d words exceeds limit", count32)
-	}
-	count := int(count32)
-	if count > 0 {
-		if cap(fr.buf) < 4*count {
-			fr.buf = make([]byte, 4*count)
+	if n > 0 {
+		if cap(fr.buf) < n {
+			fr.buf = make([]byte, n)
 		}
-		buf := fr.buf[:4*count]
-		if _, err := io.ReadFull(r, buf); err != nil {
+		f.Raw = fr.buf[:n]
+		if _, err := io.ReadFull(r, f.Raw); err != nil {
 			return Frame{}, fmt.Errorf("netrun: read payload: %w", err)
-		}
-		if cap(fr.payload) < count {
-			fr.payload = make([]uint32, count)
-		}
-		f.Payload = fr.payload[:count]
-		for i := range f.Payload {
-			f.Payload[i] = binary.LittleEndian.Uint32(buf[4*i:])
 		}
 	}
 	return f, nil

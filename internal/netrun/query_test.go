@@ -589,7 +589,7 @@ func TestScratchNotRetained(t *testing.T) {
 	s := NewPartitionNode(keys, 0).newConn(nil)
 	var sent bytes.Buffer
 	s.bc = newBufferedConn(duplex{nil, &sent})
-	if !s.serve(Frame{Op: OpScanRange, ReqID: 1, Payload: []uint32{0, math.MaxUint32, 0}}) {
+	if !s.serve(onWire(t, Frame{Op: OpScanRange, ReqID: 1, Payload: []uint32{0, math.MaxUint32, 0}})) {
 		t.Fatal("the node dropped the connection")
 	}
 	f, err := ReadFrame(&sent)
@@ -600,25 +600,42 @@ func TestScratchNotRetained(t *testing.T) {
 		t.Fatalf("scan returned %d keys, want %d: %v", len(got), len(keys), err)
 	}
 	s.bc = newBufferedConn(duplex{nil, io.Discard})
-	if !s.serve(Frame{Op: OpLookup, ReqID: 2, Payload: make([]uint32, keepReplyScratch+1)}) {
+	if !s.serve(onWire(t, Frame{Op: OpLookup, ReqID: 2, Payload: make([]uint32, keepReplyScratch+1)})) {
 		t.Fatal("the node dropped the connection")
 	}
-	for name, kept := range map[string]int{"keyBuf": cap(s.keyBuf), "intBuf": cap(s.intBuf), "wordBuf": cap(s.wordBuf), "replyBuf": cap(s.replyBuf), "scanBuf": cap(s.scanBuf)} {
+	for name, kept := range map[string]int{"keyBuf": cap(s.keyBuf), "intBuf": cap(s.intBuf), "scanBuf": cap(s.scanBuf), "reply frame": cap(s.bc.fw.buf)} {
 		if kept > keepReplyScratch {
 			t.Errorf("the connection kept %d elements of %s, above the cap of %d", kept, name, keepReplyScratch)
 		}
 	}
-	small := Frame{Op: OpCountRange, ReqID: 3, Payload: []uint32{0, 1 << 30, 1 << 20, 1 << 31}}
+	small := onWire(t, Frame{Op: OpCountRange, ReqID: 3, Payload: []uint32{0, 1 << 30, 1 << 20, 1 << 31}})
 	s.serve(small)
 	if allocs := testing.AllocsPerRun(10, func() { s.serve(small) }); allocs != 0 {
 		t.Errorf("%v allocations per small request after the large ones, want 0", allocs)
 	}
 }
 
-// TestTCPQueryOpsSteadyStateAllocs holds the four query ops, at the
-// referee's sizes over two loopback nodes, to a steady state that
-// allocates nothing — client and nodes together, since both run here.
-// (A garbage collection empties the pools, hence at most one.)
+// onWire is f as a connection's frame reader hands it to serve: written
+// by the frame writer and read back, a word payload as its raw bytes.
+func onWire(t *testing.T, f Frame) Frame {
+	t.Helper()
+	var fw frameWriter
+	buf, err := fw.encode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fr frameReader
+	if f, err = fr.readFrom(bytes.NewReader(buf)); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestTCPQueryOpsSteadyStateAllocs holds the four query ops and the
+// unsorted and sorted rank calls, at the referee's sizes over two
+// loopback nodes, to a steady state that allocates nothing — client and
+// nodes together, since both run here. (A garbage collection empties the
+// pools, hence at most one.)
 func TestTCPQueryOpsSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -633,13 +650,18 @@ func TestTCPQueryOpsSteadyStateAllocs(t *testing.T) {
 	}
 	counts := make([]int, 16384)
 	gets := workload.UniformQueries(16384, 3)
+	lookups := workload.UniformQueries(65536, 4)
+	ascending := sortedCopy(lookups)
+	ranks := make([]int, len(lookups))
 	var buf []workload.Key
 	var err error
 	for name, op := range map[string]func(){
-		"CountRangeBatch": func() { err = c.CountRangeBatch(ranges, counts) },
-		"MultiGetInto":    func() { err = c.MultiGetInto(gets, counts) },
-		"ScanRange":       func() { buf, err = c.ScanRange(12345, math.MaxUint32, 4096, buf[:0]) },
-		"TopK":            func() { buf, err = c.TopK(1024, buf[:0]) },
+		"CountRangeBatch":        func() { err = c.CountRangeBatch(ranges, counts) },
+		"MultiGetInto":           func() { err = c.MultiGetInto(gets, counts) },
+		"ScanRange":              func() { buf, err = c.ScanRange(12345, math.MaxUint32, 4096, buf[:0]) },
+		"TopK":                   func() { buf, err = c.TopK(1024, buf[:0]) },
+		"LookupBatchInto":        func() { err = c.LookupBatchInto(lookups, ranks) },
+		"LookupBatchInto/sorted": func() { err = c.LookupBatchInto(ascending, ranks) },
 	} {
 		op() // first growth
 		if allocs := testing.AllocsPerRun(20, op); allocs > 1 || err != nil {

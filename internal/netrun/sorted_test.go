@@ -154,7 +154,7 @@ func TestSortedLookupLargeFrame(t *testing.T) {
 	if allocs := testing.AllocsPerRun(3, func() { s.serve(req) }); allocs != 1 {
 		t.Errorf("%v allocations per oversized request, want 1 (the reply buffer)", allocs)
 	}
-	if cap(s.replyBuf) > keepReplyScratch {
-		t.Errorf("the connection kept %d bytes of reply scratch, above the %d-byte cap", cap(s.replyBuf), keepReplyScratch)
+	if cap(s.bc.fw.buf) > keepReplyScratch {
+		t.Errorf("the connection kept %d bytes of reply frame, above the %d-byte cap", cap(s.bc.fw.buf), keepReplyScratch)
 	}
 }

@@ -59,7 +59,10 @@ run_bench 'BenchmarkReal_' .
 # counted range, asked key and returned key, and is where the nodes' batch
 # count kernel shows), and the gray-failure row (GraySlowReplica: 8x2 with
 # one replica answering 20ms late, a hedging/ejecting client, measured
-# after ejection settles — the steady degraded-mode number).
+# after ejection settles — the steady degraded-mode number). Every row
+# times only calls after a warm one (a fresh cluster's first call grows
+# every pool and buffer once), and the rank rows report ns/key, which
+# benchcheck gates.
 run_bench 'BenchmarkTCPCluster' ./internal/netrun
 # The unsorted search kernel alone (SortedArray.RankBatch), at the three
 # per-partition sizes the referee's workloads use and on two key sets
