@@ -321,7 +321,7 @@ func BenchmarkReal_RankBatchSorted(b *testing.B) {
 // ~2^19 range counts per op, built by pairing up the sorted query
 // stream into ascending disjoint ranges — the direct analog of
 // BenchmarkReal_RankBatchSorted's pre-sorted input. The master plans the
-// batch once (core.RangePlan: each range to the partitions it spans) and
+// batch once (core.Plan.Ranges: each range to the partitions it spans) and
 // hands each partition its [lo,hi] pairs; a worker ranks the pairs' ends,
 // each lo-1 and hi, as one ascending stream on one snapshot
 // (core.CountPairs), the same kernel a TCP node runs. The unit stays one

@@ -275,10 +275,9 @@ func (ix *Index) ScanRange(lo, hi Key, limit int, buf []Key) ([]Key, error) {
 func (ix *Index) TopK(k int, buf []Key) ([]Key, error) { return ix.c.TopK(k, buf) }
 
 // MultiGet returns the multiplicity of each query key — how many
-// copies the index holds — in query order, answered by the one partition
-// each key routes to: CountRange(k, k), unless a cut splits k's run of
-// copies (a run longer than a partition), when it counts only the
-// copies in that partition.
+// copies the index holds, CountRange(k, k) — in query order, answered by
+// the partition each key routes to and, when a cut splits k's run of
+// copies (a run longer than a partition), by the partitions below it too.
 func (ix *Index) MultiGet(keys []Key) ([]int, error) { return ix.c.MultiGet(keys) }
 
 // MultiGetInto is MultiGet writing into a caller-provided slice

@@ -95,13 +95,13 @@ func newPartitioningSorted(keys []workload.Key, parts int) (*Partitioning, error
 // distinctCut moves the equal-size cut at off a run of equal keys: routing
 // sends every copy of a key to the last partition whose range begins at
 // or before it, so a cut inside the run leaves copies in a partition the
-// key does not route to, and an answer from that one partition
-// (MultiGet) misses them. The cut goes to the start of the run, or to
-// its end when the run reaches back to the previous cut at lo; both
-// partitions stay non-empty (lo < cut < next, the equal-size cut after
-// this one). A run that fills a whole partition keeps the equal-size
-// cut: ranks are exact across it all the same, and counts and scans ask
-// the partition below the key's too (Span).
+// key does not route to, which every op that answers the key must then
+// ask too. The cut goes to the start of the run, or to its end when the
+// run reaches back to the previous cut at lo; both partitions stay
+// non-empty (lo < cut < next, the equal-size cut after this one). A run
+// that fills a whole partition keeps the equal-size cut (cutRun): ranks
+// are exact across it all the same, counts and scans ask the partitions
+// below the key's too (Span), and so does MultiGet (Plan.Keys).
 func distinctCut(keys []workload.Key, lo, at, next int) int {
 	cut := at
 	for cut > lo+1 && keys[cut-1] == keys[cut] {
@@ -117,6 +117,14 @@ func distinctCut(keys []workload.Key, lo, at, next int) int {
 		return cut
 	}
 	return at
+}
+
+// cutRun reports whether the cut at delims[i] falls inside a run of
+// copies of that key: partition i ends with it. Inserts of the key route
+// above the cut, so partition i's copies are the ones it was built with.
+func (p *Partitioning) cutRun(i int) bool {
+	ks := p.Parts[i].Keys
+	return len(ks) > 0 && ks[len(ks)-1] == p.delims[i]
 }
 
 // indexDelims builds prefix from delims.

@@ -1,0 +1,207 @@
+package core
+
+import "repro/internal/workload"
+
+// This file is the master's one planner, for both engines: every request
+// a call sends a partition — ranks or multiplicities of keys, inserts,
+// counted ranges — is planned here, and the in-process Cluster and the
+// TCP client (netrun) only own the requests and move them. As the
+// paper's master does (Section 3.2, Figure 2), the planner looks each key
+// up in the delimiter array (Partitioning.Route) and adds it to that
+// partition's request; an ascending call, or one to an index of one
+// partition, is cut into runs instead, with one search per delimiter.
+
+// Plan splits a call's keys or ranges over the partitions, into requests
+// whose lists the engine owns: R is the engine's request (a worker batch
+// in process, a pending frame over TCP) and W its key word. Each engine
+// pools one with its call state.
+type Plan[W ~uint32, R any] struct {
+	parts []planPart[W, R]
+	sort  radixScratch
+}
+
+// planPart is the request a partition's keys go into: unopened (keys nil)
+// until the partition is asked, and again once the request is handed on.
+type planPart[W ~uint32, R any] struct {
+	req  R
+	keys *[]W
+	pos  *[]int32
+}
+
+// KeyOp is how Plan.Keys treats a call's keys.
+type KeyOp uint8
+
+const (
+	// RankKeys routes key by key into per-partition lists, each key with
+	// its position — or cuts runs, when the call ascends or the index is
+	// one partition.
+	RankKeys KeyOp = iota
+	// MultiGetKeys always cuts runs, sorting a call that does not ascend
+	// (its kernel and its frame want ascending runs), and asks a key whose
+	// run a cut splits of every partition holding copies (KeyRun.Add).
+	MultiGetKeys
+	// InsertKeys routes key by key into per-partition lists, without
+	// positions.
+	InsertKeys
+)
+
+// KeyRun is a run request: keys of the call that one partition is asked
+// whole, ascending unless the call did not ascend and the index is one
+// partition. Keys is a slice of the call's keys, or of its sorted copy,
+// for the engine to alias or encode until the call returns.
+type KeyRun struct {
+	Part int
+	Keys []workload.Key
+	// Pos is the keys' positions in the call; nil when they are the
+	// call's own keys from PosBase on.
+	Pos     []int32
+	PosBase int
+	Sorted  bool
+	// Add marks a cut-run ask: the keys are copies of a delimiter whose
+	// run a cut splits, asked of a partition below the one they route to,
+	// whose answers add to theirs once every other answer is in.
+	Add bool
+}
+
+// Requests bounds how many requests Keys emits for n keys, per being the
+// smaller of its per and run: a full one per per keys, a part-filled one
+// per partition, and for MultiGet a cut-run ask of every other partition
+// per run.
+func (p *Partitioning) Requests(n, per int, op KeyOp) int {
+	r := n/per + len(p.Parts) + 1
+	if op == MultiGetKeys {
+		r *= len(p.Parts)
+	}
+	return r
+}
+
+// Keys splits keys over p's partitions as op says, and hands each request
+// on once:
+//
+//   - Key by key: a key, and its position when open gave a list for them
+//     (not for InsertKeys), goes into the lists open(part) returned for the
+//     request of the partition it routes to, opened when the partition is
+//     first asked; a request of per keys goes to emit(part, req), which
+//     takes it over, and the next key opens another. When every key is
+//     planned, emit gets each partition's last request.
+//   - In runs: one sweep over the delimiters (ForEachSortedRun) hands
+//     emitRun each partition's share of the call, at most run keys a run.
+//     For MultiGet, a run starting with copies of a delimiter whose run a
+//     cut splits (the partition below ends with that key, distinctCut)
+//     hands those copies on again as an Add run for each partition of
+//     Span(k, k) below the run's own.
+//
+//dc:noalloc
+func (pl *Plan[W, R]) Keys(p *Partitioning, keys []workload.Key, op KeyOp, per, run int, open func(part int) (R, *[]W, *[]int32), emit func(part int, req R), emitRun func(KeyRun)) {
+	if op != InsertKeys {
+		runKeys, runPos := keys, []int32(nil)
+		sorted := SortedRun(keys)
+		if !sorted && op == MultiGetKeys {
+			runKeys, runPos = pl.sort.sortByKey(keys)
+			sorted = true
+		}
+		if sorted || len(p.Parts) == 1 {
+			ForEachSortedRun(p.delims, runKeys, run, func(s, start, end int) {
+				r := KeyRun{Part: s, Keys: runKeys[start:end], PosBase: start, Sorted: sorted}
+				if runPos != nil {
+					r.Pos, r.PosBase = runPos[start:end], 0
+				}
+				emitRun(r)
+				if op != MultiGetKeys || s == 0 || runKeys[start] != p.delims[s-1] || !p.cutRun(s-1) {
+					return
+				}
+				k, e := runKeys[start], start+1
+				for e < end && runKeys[e] == k {
+					e++
+				}
+				r.Keys, r.Add = runKeys[start:e], true
+				if runPos != nil {
+					r.Pos = runPos[start:e]
+				}
+				first, _ := p.Span(k, k)
+				for r.Part = first; r.Part < s; r.Part++ {
+					emitRun(r)
+				}
+			})
+			return
+		}
+	}
+	parts := pl.partsOf(p)
+	for i, k := range keys {
+		s := p.Route(k)
+		pp := &parts[s]
+		if pp.keys == nil {
+			pp.req, pp.keys, pp.pos = open(s)
+		}
+		*pp.keys = append(*pp.keys, W(k))
+		if pp.pos != nil {
+			*pp.pos = append(*pp.pos, int32(i))
+		}
+		if len(*pp.keys) == per {
+			emit(s, pp.req)
+			*pp = planPart[W, R]{}
+		}
+	}
+	pl.flush(emit)
+}
+
+// Ranges zeroes out[:len(ranges)], the sums AddCounts adds the
+// partitions' answers into, and splits ranges over p's partitions: a
+// range that is not inverted is asked of every partition in
+// p.Span(lo, hi). The pair, lo first, and its range's position go into
+// the lists open(part) returned for the partition's request, opened when
+// the partition is first asked; a request of per pairs goes to
+// emit(part, req), which takes it over, and the next pair opens another.
+// When every range is planned, emit gets each partition's last request.
+//
+//dc:noalloc
+func (pl *Plan[W, R]) Ranges(p *Partitioning, ranges []KeyRange, out []int, per int, open func(part int) (R, *[]W, *[]int32), emit func(part int, req R)) {
+	clear(out[:len(ranges)])
+	parts := pl.partsOf(p)
+	for i, r := range ranges {
+		if r.Hi < r.Lo {
+			continue
+		}
+		// Span, written out: its Routes inline here, and Span does not.
+		first, last := 0, p.Route(r.Hi)
+		if r.Lo > 0 {
+			first = p.Route(r.Lo - 1)
+		}
+		for s := first; s <= last; s++ {
+			pp := &parts[s]
+			if pp.keys == nil {
+				pp.req, pp.keys, pp.pos = open(s)
+			}
+			*pp.keys = append(*pp.keys, W(r.Lo), W(r.Hi))
+			*pp.pos = append(*pp.pos, int32(i))
+			if len(*pp.pos) == per {
+				emit(s, pp.req)
+				*pp = planPart[W, R]{}
+			}
+		}
+	}
+	pl.flush(emit)
+}
+
+// partsOf returns the plan's request slots for p's partitions, all
+// unopened.
+//
+//dc:noalloc
+func (pl *Plan[W, R]) partsOf(p *Partitioning) []planPart[W, R] {
+	if len(pl.parts) < len(p.Parts) {
+		pl.parts = make([]planPart[W, R], len(p.Parts))
+	}
+	return pl.parts[:len(p.Parts)]
+}
+
+// flush hands emit each partition's last request.
+//
+//dc:noalloc
+func (pl *Plan[W, R]) flush(emit func(part int, req R)) {
+	for s := range pl.parts {
+		if pl.parts[s].keys != nil {
+			emit(s, pl.parts[s].req)
+			pl.parts[s] = planPart[W, R]{}
+		}
+	}
+}

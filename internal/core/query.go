@@ -8,36 +8,37 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the range half of the op-generic query engine and the one
-// definition of the range ops for both engines: the in-process Cluster
-// below and the TCP client (netrun) plan and compose a CountRange, a
-// ScanRange and a TopK with the same functions, and differ only in how a
-// request reaches a partition. As the paper's master does (Section 3.2,
-// Figure 2), the delimiters decide which partitions a query asks, and
-// each partition answers only for its own keys:
+// This file is the one definition of the query ops beyond rank for both
+// engines: the in-process Cluster below and the TCP client (netrun) plan
+// and compose a CountRange, a ScanRange, a TopK and a MultiGet with the
+// same functions, and differ only in how a request reaches a partition.
+// As the paper's master does (Section 3.2, Figure 2), the delimiters
+// decide which partitions a query asks, and each partition answers only
+// for its own keys:
 //
 //   - Which partitions: a range [lo, hi] asks Route(lo−1) through
 //     Route(hi) (Partitioning.Span) — the partition below Route(lo) too,
 //     because a cut falls inside lo's run of copies when the run fills a
-//     whole partition (distinctCut). A top-k asks every partition.
-//   - What each is asked: a batch of counted ranges is planned once per
-//     call (RangePlan) into per-partition lists of [lo, hi] pairs, each
-//     pair carrying its range's position, which the engine pools — a
-//     worker batch's keys, a TCP frame's words — and a partition counts
-//     its pairs on one snapshot (CountPairs, which a worker and a TCP node
-//     both run). A scan asks each spanned partition for its keys in
-//     [lo, hi], at most limit of them.
-//   - How answers compose: counts add up by position (AddCounts), scan
-//     runs concatenate lowest partition first under one global limit
+//     whole partition (distinctCut). A top-k asks every partition. A
+//     MultiGet key asks the partition it routes to, and the partitions of
+//     Span(k, k) below it when a cut falls inside its run (Plan.Keys).
+//   - What each is asked: a batch of counted ranges, or of keys, is
+//     planned once per call (Plan, plan.go) into per-partition requests
+//     whose lists the engine pools — a worker batch's keys, a TCP frame's
+//     words — and a partition counts its pairs on one snapshot
+//     (CountPairs, which a worker and a TCP node both run). A scan asks
+//     each spanned partition for its keys in [lo, hi], at most limit of
+//     them.
+//   - How answers compose: counts add up by position (AddCounts), and so
+//     do the multiplicities of a key whose run a cut splits; scan runs
+//     concatenate lowest partition first under one global limit
 //     (ComposeScan), and top-k runs are read from the highest partition
 //     down (ComposeTopK). A partition answers a scan or a top-k with an
 //     ascending run.
 //
 // A count is exact under concurrent inserts: each partition counts one
 // snapshot of its own keys, and an insert lands in the one partition its
-// key routes to. MultiGet is the rank pipeline's instead: each key goes
-// to the partition it routes to, which answers its multiplicity — short
-// for a key whose run a cut splits.
+// key routes to.
 
 // KeyRange is an inclusive key range [Lo, Hi]. An inverted range
 // (Hi < Lo) is empty.
@@ -46,70 +47,15 @@ type KeyRange struct {
 }
 
 // Span returns the partitions a range [lo, hi] asks: Route(lo−1) through
-// Route(hi). Route(lo) alone would miss the copies of lo below a cut
-// inside their run.
+// Route(hi), from partition 0 when lo is 0. Route(lo) alone would miss
+// the copies of lo below a cut inside their run.
 //
 //dc:noalloc
 func (p *Partitioning) Span(lo, hi workload.Key) (first, last int) {
-	return p.Route(lo - min(lo, 1)), p.Route(hi)
-}
-
-// RangePlan splits a batch of counted ranges over the partitions, into
-// requests whose lists the engine owns: a worker batch's keys in process,
-// a frame's words (W uint32) over TCP. Each engine pools one with its
-// call state.
-type RangePlan[W ~uint32] struct {
-	parts []planPart[W]
-}
-
-// planPart is the lists of the request a partition's pairs go into: nil
-// until the partition is asked, and again once the request is handed on.
-type planPart[W ~uint32] struct {
-	pairs *[]W
-	pos   *[]int32
-}
-
-// Plan zeroes out[:len(ranges)], the sums AddCounts adds the partitions'
-// answers into, and splits ranges over p's partitions: a range that is
-// not inverted is asked of every partition in p.Span(lo, hi). The pair,
-// lo first, and its range's position go into the lists open(part)
-// returned for the partition's request, opened when the partition is
-// first asked; a request of per pairs goes to emit(part), which takes it
-// over, and the next pair opens another. When every range is planned,
-// emit gets each partition's last request.
-//
-//dc:noalloc
-func (pl *RangePlan[W]) Plan(p *Partitioning, ranges []KeyRange, out []int, per int, open func(part int) (pairs *[]W, pos *[]int32), emit func(part int)) {
-	clear(out[:len(ranges)])
-	if len(pl.parts) < len(p.Parts) {
-		pl.parts = make([]planPart[W], len(p.Parts))
+	if lo > 0 {
+		first = p.Route(lo - 1)
 	}
-	parts := pl.parts[:len(p.Parts)]
-	for i, r := range ranges {
-		if r.Hi < r.Lo {
-			continue
-		}
-		// Span, written out: its two Routes inline here, and Span does not.
-		first, last := p.Route(r.Lo-min(r.Lo, 1)), p.Route(r.Hi)
-		for s := first; s <= last; s++ {
-			pp := &parts[s]
-			if pp.pos == nil {
-				pp.pairs, pp.pos = open(s)
-			}
-			*pp.pairs = append(*pp.pairs, W(r.Lo), W(r.Hi))
-			*pp.pos = append(*pp.pos, int32(i))
-			if len(*pp.pos) == per {
-				emit(s)
-				*pp = planPart[W]{}
-			}
-		}
-	}
-	for s := range parts {
-		if parts[s].pos != nil {
-			emit(s)
-			parts[s] = planPart[W]{}
-		}
-	}
+	return first, p.Route(hi)
 }
 
 // CountPairs returns the number of u's keys in each inclusive range
@@ -150,11 +96,18 @@ func CountPairs[W ~uint32](u *index.Updatable, pairs []W, keys *[]workload.Key, 
 	return ranks[:n/2]
 }
 
-// AddCounts adds one partition's answer to a count batch into out at its
-// ranges' positions: a range that spans partitions is the sum of theirs.
+// AddCounts adds one partition's answer to a request into out at the
+// request's positions, from out[0] on when pos is nil: a range that spans
+// partitions, and a key whose run a cut splits, is the sum of theirs.
 //
 //dc:noalloc
 func AddCounts[C ~uint32 | ~int](out []int, pos []int32, counts []C) {
+	if pos == nil {
+		for i, c := range counts {
+			out[i] += int(c)
+		}
+		return
+	}
 	for i, p := range pos {
 		out[p] += int(counts[i])
 	}
@@ -206,8 +159,8 @@ func (c *Cluster) CountRange(lo, hi workload.Key) (int, error) {
 }
 
 // CountRangeBatch resolves each range's key count into out
-// (len(out) >= len(ranges)): the call's RangePlan fills pooled batches,
-// each goes to its partition's worker once it holds a hand-off's worth of
+// (len(out) >= len(ranges)): the call's Plan fills pooled batches, each
+// goes to its partition's worker once it holds a hand-off's worth of
 // pairs, while the rest is planned, and each answer adds into out as it
 // arrives.
 func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
@@ -234,17 +187,14 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 		c.putBatch(b)
 		pending--
 	}
-	cs.plan.Plan(ep.part, ranges, out, per, func(s int) (*[]workload.Key, *[]int32) {
+	cs.plan.Ranges(ep.part, ranges, out, per, func(s int) (*realBatch, *[]workload.Key, *[]int32) {
 		b := c.getBatch(cs.reply)
 		b.op, b.lp = opCount, ep.lps[s]
 		if cap(b.keys) < 2*room || cap(b.pos) < room {
 			b.keys, b.pos = make([]workload.Key, 0, 2*room), make([]int32, 0, room)
 		}
-		cs.accum[s] = b
-		return &b.keys, &b.pos
-	}, func(s int) {
-		b := cs.accum[s]
-		cs.accum[s] = nil
+		return b, &b.keys, &b.pos
+	}, func(s int, b *realBatch) {
 		pending++
 		c.handOver(cs, c.workerFor(ep, s), b, gather)
 	})
@@ -265,8 +215,9 @@ func (c *Cluster) MultiGet(keys []workload.Key) ([]int, error) {
 }
 
 // MultiGetInto is MultiGet writing into a caller-provided slice
-// (len(out) >= len(keys)). Keys are dispatched through the sorted
-// pipeline (radix sort when needed) to the partitions they route to.
+// (len(out) >= len(keys)). The call's Plan cuts the keys, radix-sorted
+// when they do not ascend, into runs for the partitions they route to,
+// and asks a key whose run a cut splits of the partitions below too.
 func (c *Cluster) MultiGetInto(keys []workload.Key, out []int) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("core: out len %d < %d keys", len(out), len(keys))

@@ -97,10 +97,8 @@ func cutRunKeys() []workload.Key {
 }
 
 // checkQueryOps checks every op against the oracle over keys below
-// maxKey. multiGet is false for a key set with a run cut between
-// partitions, whose multiplicity is answered by the one partition the key
-// routes to (ROADMAP).
-func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *rand.Rand, maxKey int, multiGet bool) {
+// maxKey.
+func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *rand.Rand, maxKey int) {
 	t.Helper()
 	present := func() workload.Key { return workload.Key(o.ints[rng.Intn(len(o.ints))]) }
 
@@ -180,7 +178,7 @@ func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *ra
 		t.Fatalf("%s: MultiGet: %v", tag, err)
 	}
 	for i, q := range qs {
-		if want := o.multiplicity(q); multiGet && muls[i] != want {
+		if want := o.multiplicity(q); muls[i] != want {
 			t.Fatalf("%s: MultiGet key %d = %d, want %d", tag, q, muls[i], want)
 		}
 	}
@@ -206,7 +204,7 @@ func checkQueryOps(t *testing.T, tag string, c *Cluster, o *queryOracle, rng *ra
 		t.Fatalf("%s: CountRangeBatch of %d ranges: %v", tag, len(wide), err)
 	}
 	for i, q := range big {
-		if want := o.multiplicity(q); multiGet && muls[i] != want {
+		if want := o.multiplicity(q); muls[i] != want {
 			t.Fatalf("%s: MultiGet of %d keys: key %d = %d, want %d", tag, len(big), q, muls[i], want)
 		}
 		if want := o.countRange(wide[i].Lo, wide[i].Hi); counts[i] != want {
@@ -233,7 +231,7 @@ func TestQueryOpsOracleSweep(t *testing.T) {
 				keys[i] = workload.Key(rng.Intn(maxKey))
 			}
 			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			sweepQueryOps(t, tag, cfg, keys, maxKey, true, rng)
+			sweepQueryOps(t, tag, cfg, keys, maxKey, rng)
 
 			t.Run("cut-run", func(t *testing.T) {
 				cfg := cfg
@@ -254,8 +252,12 @@ func TestQueryOpsOracleSweep(t *testing.T) {
 				if err != nil || len(scan) != 86 {
 					t.Errorf("ScanRange(500, 500) returned %d keys (err %v), want 86", len(scan), err)
 				}
+				muls, err := c.MultiGet([]workload.Key{500})
+				if err != nil || muls[0] != 86 {
+					t.Errorf("MultiGet(500) = %v (err %v), want 86", muls, err)
+				}
 				c.Close()
-				sweepQueryOps(t, tag+"/cut-run", cfg, keys, 1100, false, rand.New(rand.NewSource(43)))
+				sweepQueryOps(t, tag+"/cut-run", cfg, keys, 1100, rand.New(rand.NewSource(43)))
 			})
 		})
 	}
@@ -264,7 +266,7 @@ func TestQueryOpsOracleSweep(t *testing.T) {
 // sweepQueryOps runs one sweep: the ops on a fresh cluster over keys, then
 // three rounds of inserts racing queries, each followed by the oracle
 // check.
-func sweepQueryOps(t *testing.T, tag string, cfg RealConfig, keys []workload.Key, maxKey int, multiGet bool, rng *rand.Rand) {
+func sweepQueryOps(t *testing.T, tag string, cfg RealConfig, keys []workload.Key, maxKey int, rng *rand.Rand) {
 	c, err := NewCluster(keys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +274,7 @@ func sweepQueryOps(t *testing.T, tag string, cfg RealConfig, keys []workload.Key
 	defer c.Close()
 	o := newQueryOracle(keys)
 
-	checkQueryOps(t, tag+"/static", c, o, rng, maxKey, multiGet)
+	checkQueryOps(t, tag+"/static", c, o, rng, maxKey)
 
 	for round := 0; round < 3; round++ {
 		// Concurrent phase: inserts race queries. Results are
@@ -332,6 +334,6 @@ func sweepQueryOps(t *testing.T, tag string, cfg RealConfig, keys []workload.Key
 		wg.Wait()
 		o.add(ins)
 		// Quiescent checkpoint: all writes acked, oracle caught up.
-		checkQueryOps(t, tag+"/quiesced", c, o, rng, maxKey, multiGet)
+		checkQueryOps(t, tag+"/quiesced", c, o, rng, maxKey)
 	}
 }

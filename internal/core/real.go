@@ -145,8 +145,7 @@ const (
 	// in outKeys.
 	opTopK
 	// opMultiGet resolves each key to its multiplicity (indexed copies
-	// of exactly that key). Multiplicities are partition-local — every
-	// copy of a key routes to one partition — so no rank base applies.
+	// of exactly that key) in the partition: no rank base applies.
 	opMultiGet
 )
 
@@ -186,6 +185,9 @@ type realBatch struct {
 	// not own — the caller's query slice or a pooled sort scratch — so
 	// the gatherer drops them instead of recycling their capacity.
 	alias bool
+	// add marks a cut-run ask (KeyRun.Add): its multiplicities add into
+	// out once every other answer of the call is in.
+	add bool
 	// keysBuf/posBuf are the batch's owned backing arrays. putBatch
 	// restores them after an aliased use (and re-captures them after an
 	// owned use grows them), so a workload that alternates sorted
@@ -243,7 +245,7 @@ type Cluster struct {
 	rebalances   atomic.Int64
 
 	// batches pools *realBatch between dispatch and gather; calls pools
-	// per-call dispatch state (gather channel + accumulation slots).
+	// per-call dispatch state (gather channel + plan).
 	// Each pool sits behind a bounded free-list channel: sync.Pool is
 	// emptied by the garbage collector (victim caches survive only one
 	// cycle), so a long-running cluster would re-allocate its entire
@@ -276,15 +278,10 @@ type callState struct {
 	// blocks delivering a result (which would head-of-line-block other
 	// callers' batches queued behind it); the pool keeps the largest.
 	reply chan *realBatch
-	// accum[s] is partition s's accumulating batch (per-key dispatch of
-	// queries, and of inserts).
-	accum []*realBatch
-	// sort is the pooled radix-sort scratch of the ops that sort
-	// unsorted input (see rankDispatch).
-	sort RadixScratch
-	// plan is CountRangeBatch's split of its ranges over the partitions,
-	// and runs the answered batches of a scan or a top-k.
-	plan RangePlan[workload.Key]
+	// plan splits the call's keys or ranges into batches; runs holds the
+	// answered batches of a scan or a top-k, and a MultiGet's cut-run
+	// asks.
+	plan Plan[workload.Key, *realBatch]
 	runs []*realBatch
 }
 
@@ -339,10 +336,7 @@ func NewCluster(keys []workload.Key, cfg RealConfig) (*Cluster, error) {
 	c.batches.New = func() any { return new(realBatch) }
 	replyCap := cfg.Workers*cfg.QueueDepth + cfg.Workers
 	c.calls.New = func() any {
-		return &callState{
-			reply: make(chan *realBatch, replyCap),
-			accum: make([]*realBatch, cfg.Workers),
-		}
+		return &callState{reply: make(chan *realBatch, replyCap)}
 	}
 	// Free-list capacities cover the steady state: every worker queue
 	// full plus one accumulating and one in-process batch per worker,
@@ -486,6 +480,7 @@ func (c *Cluster) getBatch(reply chan *realBatch) *realBatch {
 	b.outKeys = b.outKeys[:0]
 	b.sorted = false
 	b.alias = false
+	b.add = false
 	b.lp = nil
 	b.reply = reply
 	return b
@@ -593,131 +588,80 @@ func (c *Cluster) handOver(cs *callState, w int, b *realBatch, gather func(*real
 	}
 }
 
-// rankDispatch routes the key-at-a-time ops (opRank, opMultiGet): it
-// batches queries, dispatches them over the interconnect, and scatters
-// the workers' results into out in query order. An unsorted opMultiGet
-// call is radix-sorted into the one-search-per-delimiter path (its
-// kernel wants runs); an unsorted opRank call is not — with partitions
-// that fit the cache the per-key path measured faster at every call
-// size. The caller holds c.mu shared and owns cs.
+// rankDispatch answers the key-at-a-time ops (opRank, opMultiGet): the
+// call's Plan splits queries into batches, each handed to its worker as
+// it is planned, and the workers' results are scattered into out in
+// query order. A per-key batch holds a hand-off's worth of keys, so the
+// workers search the first slices while the master still routes the
+// rest; runs are cut at BatchKeys, their master having no per-key work
+// to overlap with the workers'. An unsorted opRank call is not sorted:
+// with partitions that fit the cache the per-key path measured faster at
+// every call size. The caller holds c.mu shared and owns cs.
 //
 //dc:noalloc
 func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int, op batchOp) {
 	if len(queries) == 0 {
 		return
 	}
-	// The per-key arm hands a partition's keys over a slice at a time;
-	// the run-cutting arm, whose master has no per-key work to overlap
-	// with the workers', cuts at BatchKeys.
-	bk, slice := c.cfg.BatchKeys, c.handoff(len(queries))
-	// Worst-case batches in flight: one per full hand-off plus one final
-	// partial flush per worker (slice <= bk, so this covers every arm).
-	// Steady state this is a no-op (the pooled channel already grew).
-	if need := len(queries)/slice + c.cfg.Workers + 1; cap(cs.reply) < need {
+	// Pin the routing epoch for the whole call: every batch carries the
+	// livePart it was routed with, so a rebalance installing new
+	// delimiters mid-call cannot mismatch routing and answering state.
+	ep := c.epoch.Load()
+	kop := RankKeys
+	if op == opMultiGet {
+		kop = MultiGetKeys
+	}
+	slice := c.handoff(len(queries))
+	// Room for every batch the call can have in flight. Steady state this
+	// is a no-op (the pooled channel already grew).
+	if need := ep.part.Requests(len(queries), slice, kop); cap(cs.reply) < need {
 		cs.reply = make(chan *realBatch, need)
 	}
 	pending := 0
-
+	cs.runs = cs.runs[:0]
 	gather := func(b *realBatch) {
-		if b.pos == nil {
+		pending--
+		switch {
+		case b.add:
+			cs.runs = append(cs.runs, b)
+			return
+		case b.pos == nil:
 			copy(out[b.posBase:b.posBase+len(b.ranks)], b.ranks)
-		} else {
+		default:
 			for i, p := range b.pos {
 				out[p] = b.ranks[i]
 			}
 		}
 		c.putBatch(b)
-		pending--
 	}
-	send := func(w int, b *realBatch) {
+	send := func(s int, b *realBatch) {
 		pending++
-		c.handOver(cs, w, b, gather)
+		c.handOver(cs, c.workerFor(ep, s), b, gather)
 	}
-
-	// Sorted-batch detection: an ascending run takes the sort-route-scan
-	// path below — one boundary search per partition instead of one
-	// Route per key, batches that alias the query slice instead of
-	// copying it, and the workers' sorted-run kernels. Unsorted
-	// multiget input joins the same path via the pooled radix sort;
-	// rank takes the classic per-key dispatch.
-	runKeys := queries
-	var runPos []int32 // nil: run positions == run indices (aliases queries)
-	sorted := SortedRun(queries)
-	if !sorted && op != opRank {
-		runKeys, runPos = cs.sort.SortByKey(queries)
-		sorted = true
-	}
-
-	// Pin the routing epoch for the whole call: every batch carries the
-	// livePart it was routed with, so a rebalance installing new
-	// delimiters mid-call cannot mismatch routing and answering state.
-	ep := c.epoch.Load()
-
-	if sorted || len(ep.lps) == 1 {
-		// One sweep over the delimiters (ForEachSortedRun): partition s
-		// owns the contiguous run up to the first key >= delims[s] — with
-		// one partition and no delimiter that is the whole call, in any
-		// order, cut at BatchKeys. Runs alias runKeys (no copy); a run's
-		// original positions are either the contiguous range starting at
-		// posBase (runKeys is the caller's slice) or the corresponding
-		// slice of the sort permutation.
-		ForEachSortedRun(ep.part.delims, runKeys, bk, func(s, start, end int) {
-			b := c.getBatch(cs.reply)
-			b.op = op
-			b.keys = runKeys[start:end]
-			b.posBase = start
-			b.sorted = sorted
-			b.alias = true
-			b.lp = ep.lps[s]
-			if runPos != nil {
-				b.pos = runPos[start:end]
-			} else {
-				b.pos = nil
-			}
-			send(c.workerFor(ep, s), b)
-		})
-	} else {
-		// Master dispatch: per-slave accumulation directly into pooled
-		// batches, handed off whole (no copy) a slice at a time, so the
-		// slaves search the first slices while the rest is routed.
-		room := min(slice, len(queries)) // the most keys one batch can receive
-		for i, q := range queries {
-			s := ep.part.Route(q)
-			b := cs.accum[s]
-			if b == nil {
-				b = c.getBatch(cs.reply)
-				b.op = op
-				b.lp = ep.lps[s]
-				if cap(b.keys) < room {
-					// A new batch, or one last used by a shorter call:
-					// one allocation each instead of append's doublings.
-					b.keys = make([]workload.Key, 0, room)
-					b.pos = make([]int32, 0, room)
-				}
-				cs.accum[s] = b
-			}
-			b.keys = append(b.keys, q)
-			b.pos = append(b.pos, int32(i))
-			if len(b.keys) >= slice {
-				cs.accum[s] = nil
-				send(s, b)
-			}
+	room := min(slice, len(queries)) // the most keys one batch can receive
+	cs.plan.Keys(ep.part, queries, kop, slice, c.cfg.BatchKeys, func(s int) (*realBatch, *[]workload.Key, *[]int32) {
+		b := c.getBatch(cs.reply)
+		b.op, b.lp = op, ep.lps[s]
+		if cap(b.keys) < room {
+			// A new batch, or one last used by a shorter call: one
+			// allocation each instead of append's doublings.
+			b.keys, b.pos = make([]workload.Key, 0, room), make([]int32, 0, room)
 		}
-		for s, b := range cs.accum {
-			if b == nil {
-				continue
-			}
-			cs.accum[s] = nil
-			if len(b.keys) == 0 {
-				c.putBatch(b)
-				continue
-			}
-			send(s, b)
-		}
-	}
-
+		return b, &b.keys, &b.pos
+	}, send, func(r KeyRun) {
+		// A run aliases the caller's keys or the plan's sorted copy.
+		b := c.getBatch(cs.reply)
+		b.op, b.lp = op, ep.lps[r.Part]
+		b.keys, b.pos, b.posBase = r.Keys, r.Pos, r.PosBase
+		b.sorted, b.add, b.alias = r.Sorted, r.Add, true
+		send(r.Part, b)
+	})
 	for pending > 0 {
 		gather(<-cs.reply)
+	}
+	for _, b := range cs.runs {
+		AddCounts(out[b.posBase:], b.pos, b.ranks)
+		c.putBatch(b)
 	}
 }
 

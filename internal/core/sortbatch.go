@@ -1,84 +1,61 @@
 package core
 
-import "repro/internal/workload"
+import (
+	"slices"
 
-// This file is the master half of sorted-batch mode: detecting that a
-// query batch is an ascending run, turning per-key routing into one
-// binary search per partition boundary, and (for the ops whose kernels
-// and frames want runs) sorting an unsorted batch by key with a pooled
-// radix sort so it can ride the same path. The slave half is
-// index.SortedArray.RankSorted, the kernel the sorted runs feed: each
-// search starts where the one before it ended.
+	"repro/internal/workload"
+)
+
+// This file is the master half of sorted-batch mode, which the planner
+// (Plan.Keys) runs: detecting that a query batch is an ascending run,
+// turning per-key routing into one binary search per partition boundary,
+// and (for the ops whose kernels and frames want runs) sorting an
+// unsorted batch by key with a pooled radix sort so it can ride the same
+// path. The slave half is index.SortedArray.RankSorted, the kernel the
+// sorted runs feed: each search starts where the one before it ended.
 
 // SortedRun reports whether qs is ascending (duplicates allowed). On a
 // sorted batch it costs one compare per key — the price of admission to
 // the sorted dispatch path — and on a random batch it exits at the
 // first inversion, typically within a handful of elements.
-func SortedRun(qs []workload.Key) bool {
-	for i := 1; i < len(qs); i++ {
-		if qs[i] < qs[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// LowerBoundKey returns the first index in qs whose key is >= k: the
-// partition-boundary search the sorted dispatch runs once per delimiter
-// instead of once per query.
-func LowerBoundKey(qs []workload.Key, k workload.Key) int {
-	lo, hi := 0, len(qs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if qs[mid] < k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
+func SortedRun(qs []workload.Key) bool { return slices.IsSorted(qs) }
 
 // ForEachSortedRun walks an ascending query run against the partition
 // delimiters and emits each partition's chunked sub-runs: one call per
 // (partition, [start, end)) chunk of at most batch keys. This is the
-// single definition of the sorted dispatch's boundary semantics, shared
-// by the in-process master and the TCP client so the two paths cannot
-// drift: matching Partitioning.Route exactly, a key equal to delims[s]
-// belongs to partition s+1 (Route counts delimiters <= key), so each
-// partition's run ends at the lower bound of its delimiter in the
-// remaining keys — one binary search per boundary, total
-// O(parts * log n) instead of O(n) Route calls.
+// single definition of the sorted dispatch's boundary semantics (the
+// planner's, for both engines): matching Partitioning.Route exactly, a
+// key equal to delims[s] belongs to partition s+1 (Route counts
+// delimiters <= key), so each partition's run ends at the lower bound of
+// its delimiter in the remaining keys — one binary search per boundary,
+// total O(parts * log n) instead of O(n) Route calls.
 func ForEachSortedRun(delims, runKeys []workload.Key, batch int, emit func(part, start, end int)) {
 	lo := 0
 	for s := 0; s <= len(delims); s++ {
 		hi := len(runKeys)
 		if s < len(delims) {
-			hi = lo + LowerBoundKey(runKeys[lo:], delims[s])
+			i, _ := slices.BinarySearch(runKeys[lo:], delims[s])
+			hi = lo + i
 		}
 		for start := lo; start < hi; start += batch {
-			end := start + batch
-			if end > hi {
-				end = hi
-			}
-			emit(s, start, end)
+			emit(s, start, min(start+batch, hi))
 		}
 		lo = hi
 	}
 }
 
-// RadixScratch is the pooled state for SortByKey: the packed
+// radixScratch is the pooled state for sortByKey: the packed
 // (key, position) array, its ping-pong buffer, and the unpacked
-// results. It lives in callState, so a call in steady state sorts with
-// zero allocations.
-type RadixScratch struct {
+// results. It lives in each engine's pooled Plan, so a call in steady
+// state sorts with zero allocations.
+type radixScratch struct {
 	packed  []uint64
 	scratch []uint64
 	keys    []workload.Key
 	pos     []int32
 }
 
-// SortByKey stable-sorts queries ascending and returns the sorted run
+// sortByKey stable-sorts queries ascending and returns the sorted run
 // plus the permutation mapping sorted index -> original position. It is
 // an LSD radix sort over the four key bytes of packed
 // (key<<32 | position) words — O(n) with sequential passes, no
@@ -86,7 +63,7 @@ type RadixScratch struct {
 // (cursor kernels, one-sweep routing, delta wire frames) for about
 // the cost of one extra pass per byte. Constant bytes (a batch confined
 // to a narrow key range) skip their pass entirely.
-func (rs *RadixScratch) SortByKey(queries []workload.Key) ([]workload.Key, []int32) {
+func (rs *radixScratch) sortByKey(queries []workload.Key) ([]workload.Key, []int32) {
 	n := len(queries)
 	if cap(rs.packed) < n {
 		rs.packed = make([]uint64, n)

@@ -188,14 +188,14 @@ func TestSortedDispatchTinyAndEdgeBatches(t *testing.T) {
 // TestRadixSortByKey pins the pooled radix sorter: stable, ascending,
 // permutation valid, zero allocations once warm.
 func TestRadixSortByKey(t *testing.T) {
-	var rs RadixScratch
+	var rs radixScratch
 	for _, n := range []int{0, 1, 2, 100, 4096} {
 		r := workload.NewRNG(uint64(n) + 1)
 		qs := make([]workload.Key, n)
 		for i := range qs {
 			qs[i] = workload.Key(r.Uint64() >> 40) // narrow range: forces duplicate keys
 		}
-		keys, pos := rs.SortByKey(qs)
+		keys, pos := rs.sortByKey(qs)
 		if len(keys) != n || len(pos) != n {
 			t.Fatalf("n=%d: got %d keys %d pos", n, len(keys), len(pos))
 		}

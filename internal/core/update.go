@@ -212,27 +212,15 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 	// is durable once the log is fsynced through the highest offset it was
 	// handed — one group commit, however many partitions it touched. An
 	// error return means nothing was acknowledged — the keys may or may
-	// not survive a restart, exactly like a crash mid-call.
+	// not survive a restart, exactly like a crash mid-call. A partition's
+	// share goes in batches of at most BatchKeys, also the most keys one
+	// log record carries.
 	w := insertWave{c: c, ep: ep}
-	for _, k := range keys {
-		s := ep.part.Route(k)
-		b := cs.accum[s]
-		if b == nil {
-			b = c.getBatch(nil)
-			cs.accum[s] = b
-		}
-		b.keys = append(b.keys, k)
-		if len(b.keys) >= c.cfg.BatchKeys { // also the most keys one log record carries
-			cs.accum[s] = nil
-			w.apply(s, b)
-		}
-	}
-	for s, b := range cs.accum {
-		if b != nil {
-			cs.accum[s] = nil
-			w.apply(s, b)
-		}
-	}
+	bk := c.cfg.BatchKeys
+	cs.plan.Keys(ep.part, keys, InsertKeys, bk, bk, func(int) (*realBatch, *[]workload.Key, *[]int32) {
+		b := c.getBatch(nil)
+		return b, &b.keys, nil
+	}, w.apply, nil)
 	if w.err == nil && w.end > 0 {
 		w.err = ep.lps[0].dp.Store.Commit(w.end)
 	}

@@ -383,7 +383,7 @@ func TestReplicatedMethodsShareOneCopy(t *testing.T) {
 								probes[i] = workload.Key(qrng.Intn(maxKey))
 							}
 							checkExact(t, c, ranks, probes)
-							checkQueryOps(t, m.String()+"/"+phase, c, ops, qrng, maxKey, true)
+							checkQueryOps(t, m.String()+"/"+phase, c, ops, qrng, maxKey)
 						})
 					}
 				})

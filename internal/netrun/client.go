@@ -268,22 +268,19 @@ type insChunk struct {
 	failed    bool
 }
 
-// netCall is one LookupBatch call's pooled dispatch state: per-group
-// accumulating pendings plus the gather channel. The channel's capacity
-// always covers the call's worst-case in-flight count, so the read
-// loops never block delivering a completion (which would head-of-line
-// block other callers' replies on that connection).
+// netCall is one call's pooled dispatch state: the plan that splits its
+// keys or ranges into pendings, the pendings it composes from, and the
+// gather channel. The channel's capacity always covers the call's
+// worst-case in-flight count, so the read loops never block delivering a
+// completion (which would head-of-line block other callers' replies on
+// that connection).
 type netCall struct {
-	done  chan *pending
-	accum []*pending
-	// pends is, for the ops that compose kept replies, every pending of
-	// the call in the order it was opened.
+	done chan *pending
+	// pends is every pending of the call without an out slice — a count
+	// batch's, a scan's or a top-k's, a MultiGet's cut-run asks — in the
+	// order the call composes them.
 	pends []*pending
-	// sort is the pooled radix scratch for the ops whose frames carry
-	// ascending runs only (unsorted input is sorted client-side).
-	sort core.RadixScratch
-	// plan is CountRangeBatch's split of its ranges over the partitions.
-	plan core.RangePlan[uint32]
+	plan  core.Plan[uint32, *pending]
 }
 
 // HedgeOptions groups the hedged-read knobs (see DialOptions.Hedging).
@@ -492,7 +489,7 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 	}
 	nParts := len(part.Parts)
 	c.ins = make([]atomic.Int64, nParts)
-	c.calls.New = func() any { return &netCall{accum: make([]*pending, nParts)} }
+	c.calls.New = func() any { return new(netCall) }
 	c.pends.New = func() any { return new(pending) }
 	c.mu.Lock()
 	ep, err := c.dialEpoch()
@@ -825,34 +822,29 @@ func (c *Cluster) begin() (*epoch, error) {
 
 // gather waits for n completions on done and returns the first error
 // among them. Each pending completes exactly once, failover or not, so
-// the count never changes under the caller. With keep nil every pending
-// is released as it arrives; otherwise it is kept at keep[p.posBase] for
-// the caller to compose from and release.
-func (c *Cluster) gather(done chan *pending, n int, keep []*pending) error {
+// the count never changes under the caller. A pending is released as it
+// arrives unless keep is set and it has no out slice: such a pending is
+// in the call's pends, for the caller to compose from and release
+// (endCall).
+func (c *Cluster) gather(done chan *pending, n int, keep bool) error {
 	var first error
 	for ; n > 0; n-- {
 		p := <-done
 		if p.err != nil && first == nil {
 			first = p.err
 		}
-		if keep != nil {
-			keep[p.posBase] = p
-		} else {
+		if !keep || p.out != nil {
 			c.release(p)
 		}
 	}
 	return first
 }
 
-// getCall checks out a call's pooled dispatch state with an accumulating
-// slot, empty, for each of groups partitions, and no pending kept.
+// getCall checks out a call's pooled dispatch state with no pending kept.
 //
 //dc:noalloc
-func (c *Cluster) getCall(groups int) *netCall {
+func (c *Cluster) getCall() *netCall {
 	nc := c.calls.Get().(*netCall)
-	if len(nc.accum) < groups {
-		nc.accum = make([]*pending, groups)
-	}
 	nc.pends = nc.pends[:0]
 	return nc
 }
@@ -893,17 +885,12 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 }
 
 // scatterInto is the one-reply-element-per-key call skeleton behind
-// LookupBatchInto and MultiGetInto: split keys into per-partition
-// frames of op, dispatch them, and let the read loops scatter each
-// reply straight into out.
-//
-// Sorted-batch detection mirrors the in-process runtime: an ascending
-// run is routed with one boundary search per partition delimiter
-// instead of one Route per key, its pendings stay contiguous
-// (sequential scatter, no position array), and its frames are
-// delta-coded. Unsorted input joins that path through the pooled radix
-// sort when op's frame carries ascending runs only; otherwise it
-// accumulates per partition in query order.
+// LookupBatchInto and MultiGetInto: the call's core.Plan splits keys into
+// frames of op (key by key, or in runs — see Plan.Keys), each dispatched
+// as it is planned, and the read loops scatter each reply straight into
+// out. A run's frame goes out in the row's sorted wire form where it has
+// one (delta-coded) and scatters sequentially; a MultiGet's cut-run asks
+// are staged, and added into out once every other reply is in.
 //
 //dc:noalloc
 func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
@@ -919,67 +906,51 @@ func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
 		return nil
 	}
 
-	groups := ep.groups
-	nc := c.getCall(len(groups))
-	// Worst-case in flight: one full batch per BatchKeys run plus one
-	// final partial flush per partition.
-	nc.room(len(keys)/c.batch + len(groups) + 1)
-	runKeys := keys
-	var runPos []int32
-	sorted := core.SortedRun(keys)
-	if !sorted && opTable[op].enc == encDelta {
-		runKeys, runPos = nc.sort.SortByKey(keys)
-		sorted = true
-	}
-
 	part := c.part.Load()
+	kop := core.RankKeys
+	if op == OpMultiGet {
+		kop = core.MultiGetKeys
+	}
+	nc := c.getCall()
+	nc.room(part.Requests(len(keys), c.batch, kop))
 	inflight := 0
-	if sorted {
-		core.ForEachSortedRun(part.Delimiters(), runKeys, c.batch, func(gi, start, end int) {
-			p := c.getPending()
-			p.op = op
-			p.sorted = true
-			p.keys = slices.Grow(p.keys, end-start)[:end-start]
-			for i, q := range runKeys[start:end] {
-				p.keys[i] = uint32(q)
-			}
-			if runPos != nil {
-				p.pos = append(p.pos, runPos[start:end]...)
-			} else {
-				p.contig = true
-				p.posBase = start
-			}
-			c.dispatch(ep, gi, p, out, nc.done)
-			inflight++
-		})
-	} else {
-		for i, q := range keys {
-			gi := part.Route(q)
-			p := nc.accum[gi]
-			if p == nil {
-				p = c.getPending()
-				p.op = op
-				nc.accum[gi] = p
-			}
-			p.keys = append(p.keys, uint32(q))
-			p.pos = append(p.pos, int32(i))
-			if len(p.keys) >= c.batch {
-				nc.accum[gi] = nil
-				c.dispatch(ep, gi, p, out, nc.done)
-				inflight++
-			}
+	nc.plan.Keys(part, keys, kop, c.batch, c.batch, func(int) (*pending, *[]uint32, *[]int32) {
+		p := c.getPending()
+		p.op = op
+		return p, &p.keys, &p.pos
+	}, func(gi int, p *pending) {
+		c.dispatch(ep, gi, p, out, nc.done)
+		inflight++
+	}, func(r core.KeyRun) {
+		p := c.getPending()
+		p.op, p.sorted = op, r.Sorted
+		p.keys = slices.Grow(p.keys, len(r.Keys))[:len(r.Keys)]
+		for i, k := range r.Keys {
+			p.keys[i] = uint32(k)
 		}
-		for gi, p := range nc.accum[:len(groups)] {
-			if p == nil {
-				continue
+		if r.Pos != nil {
+			p.pos = append(p.pos, r.Pos...)
+		} else {
+			p.contig, p.posBase = true, r.PosBase
+		}
+		o := out
+		if r.Add {
+			o = nil
+			nc.pends = append(nc.pends, p)
+		}
+		c.dispatch(ep, r.Part, p, o, nc.done)
+		inflight++
+	})
+	if err = c.gather(nc.done, inflight, true); err == nil {
+		for _, p := range nc.pends {
+			pos, base := p.pos, 0
+			if p.contig {
+				pos, base = nil, p.posBase
 			}
-			nc.accum[gi] = nil
-			c.dispatch(ep, gi, p, out, nc.done)
-			inflight++
+			core.AddCounts(out[base:], pos, p.reply)
 		}
 	}
-	err = c.gather(nc.done, inflight, nil)
-	c.calls.Put(nc)
+	c.endCall(nc)
 	return err
 }
 
@@ -1027,74 +998,64 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 
 	groups := ep.groups
 	part := c.part.Load()
-	perPart := make([][]uint32, len(groups))
-	for _, k := range keys {
-		gi := part.Route(k)
-		perPart[gi] = append(perPart[gi], uint32(k))
-	}
-	// Near-worst-case fan-out pendings: every chunk to every configured
+	// Room for every fan-out pending: each chunk to every configured
 	// replica plus slack for one concurrent AddReplica; sizing the gather
 	// channel to cover it keeps the read loops from blocking on
 	// completions. (A replica admitted mid-call beyond the slack only
 	// stalls a read loop momentarily — this gather loop always drains.)
-	bound := 0
-	for gi, pk := range perPart {
-		if len(pk) > 0 {
-			g := groups[gi]
-			g.mu.Lock()
-			bound += (len(pk)/c.batch + 1) * (len(g.replicas) + 1)
-			g.mu.Unlock()
-		}
+	reps := 0
+	for _, g := range groups {
+		g.mu.Lock()
+		reps = max(reps, len(g.replicas))
+		g.mu.Unlock()
 	}
-	done := make(chan *pending, bound)
+	nc := c.getCall()
+	nc.room(part.Requests(len(keys), c.batch, core.InsertKeys) * (reps + 1))
 	inflight := 0
 	var firstErr error
-	for gi, pk := range perPart {
+	nc.plan.Keys(part, keys, core.InsertKeys, c.batch, c.batch, func(int) (*pending, *[]uint32, *[]int32) {
+		p := c.getPending()
+		return p, &p.keys, nil
+	}, func(gi int, chunk *pending) {
 		g := groups[gi]
-		for start := 0; start < len(pk); start += c.batch {
-			chunk := pk[start:min(start+c.batch, len(pk))]
-			ck := &insChunk{part: gi, n: len(chunk)}
-			// Fan out under g.mu: lifecycle moves (a replica dying, a
-			// rejoiner being admitted) serialize against the fan-out,
-			// which is what makes the catch-up snapshot protocol
-			// exactly-once (see admit).
-			g.mu.Lock()
-			for _, r := range g.replicas {
-				if !r.can(useWrite, OpInsert) {
-					continue
-				}
-				p := c.getPending()
-				p.op = OpInsert
-				p.keys = append(p.keys, chunk...)
-				p.chunk = ck
-				if r.state == stSyncing {
-					p.done = done
-					p.refs.Store(2)
-					r.held = append(r.held, p)
-					ck.remaining++
-				} else if c.post(r.node, p, done) {
-					ck.remaining++
-				}
-				// A connection that refused is being failed; the
-				// survivors (and its own future catch-up) cover the write.
+		ck := &insChunk{part: gi, n: len(chunk.keys)}
+		// Fan out under g.mu: lifecycle moves (a replica dying, a
+		// rejoiner being admitted) serialize against the fan-out, which
+		// is what makes the catch-up snapshot protocol exactly-once (see
+		// admit).
+		g.mu.Lock()
+		for _, r := range g.replicas {
+			if !r.can(useWrite, OpInsert) {
+				continue
 			}
-			g.written = g.written || ck.remaining > 0
-			live := ck.remaining > 0 || g.connected() > 0
-			g.mu.Unlock()
-			inflight += ck.remaining
-			if ck.remaining == 0 {
-				err := fmt.Errorf("netrun: partition %d has no writable replica to accept writes", gi)
-				if !live {
-					<-ep.ctx.Done()
-					err = ep.Err()
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				break
+			p := c.getPending()
+			p.op = OpInsert
+			p.keys = append(p.keys, chunk.keys...)
+			p.chunk = ck
+			if r.state == stSyncing {
+				p.done = nc.done
+				p.refs.Store(2)
+				r.held = append(r.held, p)
+				ck.remaining++
+			} else if c.post(r.node, p, nc.done) {
+				ck.remaining++
+			}
+			// A connection that refused is being failed; the survivors
+			// (and its own future catch-up) cover the write.
+		}
+		g.written = g.written || ck.remaining > 0
+		live := ck.remaining > 0 || g.connected() > 0
+		g.mu.Unlock()
+		c.putPending(chunk)
+		inflight += ck.remaining
+		if ck.remaining == 0 && firstErr == nil {
+			firstErr = fmt.Errorf("netrun: partition %d has no writable replica to accept writes", gi)
+			if !live {
+				<-ep.ctx.Done()
+				firstErr = ep.Err()
 			}
 		}
-	}
+	}, nil)
 	// Gather, counting each fan-out pending against its chunk; a chunk
 	// fully and cleanly acked credits the partition's rank-base counter.
 	// Per-chunk (not per-call) credit keeps the counters truthful under
@@ -1102,7 +1063,7 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 	// when a later chunk errors — the nodes hold those keys, so the read
 	// path must shift for them — while a chunk that errored is not.
 	for ; inflight > 0; inflight-- {
-		p := <-done
+		p := <-nc.done
 		ck := p.chunk
 		if p.err != nil {
 			if firstErr == nil {
@@ -1115,6 +1076,7 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 		}
 		c.release(p)
 	}
+	c.endCall(nc)
 	return firstErr
 }
 
@@ -1371,7 +1333,7 @@ func (c *Cluster) DrainReplica(part int, addr string) error {
 	done := make(chan *pending, 1)
 	err = fmt.Errorf("netrun: partition %d replica %s died mid-drain", part, addr)
 	if c.post(target, p, done) {
-		err = c.gather(done, 1, nil)
+		err = c.gather(done, 1, false)
 	}
 	// Tear the connection down exactly once, settling what it still owes
 	// the way a failed replica's is. Losing the race to a concurrent
@@ -1478,7 +1440,7 @@ func (c *Cluster) SplitPartition(part int) error {
 		}
 		sent++
 	}
-	if err := c.gather(done, sent, nil); opErr == nil {
+	if err := c.gather(done, sent, false); opErr == nil {
 		opErr = err
 	}
 	if opErr != nil {

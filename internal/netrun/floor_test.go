@@ -234,7 +234,7 @@ func TestMixedV5V6Pair(t *testing.T) {
 			rng := rand.New(rand.NewSource(64))
 			qs := workload.UniformQueries(3000, 65)
 			checkTCPExact(t, c, o, qs)
-			checkTCPQueryOps(t, "static", c, qo, rng, maxKey, true)
+			checkTCPQueryOps(t, "static", c, qo, rng, maxKey)
 			for round := 0; round < 3; round++ {
 				ins := workload.UniformQueries(300, uint64(66+round))
 				if err := c.InsertBatch(ins); err != nil {
@@ -246,7 +246,7 @@ func TestMixedV5V6Pair(t *testing.T) {
 				for pass := 0; pass < 3; pass++ {
 					checkTCPExact(t, c, o, qs)
 				}
-				checkTCPQueryOps(t, "written", c, qo, rng, maxKey, true)
+				checkTCPQueryOps(t, "written", c, qo, rng, maxKey)
 			}
 
 			// The join node is one version behind too where the client is not.
@@ -271,7 +271,7 @@ func TestMixedV5V6Pair(t *testing.T) {
 				t.Fatalf("Nodes = %d after the refused verbs, want 2", got)
 			}
 			checkTCPExact(t, c, o, qs)
-			checkTCPQueryOps(t, "after the verbs", c, qo, rng, maxKey, true)
+			checkTCPQueryOps(t, "after the verbs", c, qo, rng, maxKey)
 		})
 	}
 }

@@ -151,8 +151,9 @@ type pending struct {
 	// sorted wire form, where the row has one.
 	sorted bool
 	// contig means the run maps to the contiguous out range starting
-	// at posBase (the sorted dispatch's runs preserve query order), so
-	// the reply scatters sequentially and pos stays unused.
+	// at posBase (a run of an ascending call, or of any call to one
+	// partition, keeps query order), so the reply scatters sequentially
+	// and pos stays unused.
 	contig  bool
 	posBase int
 	// chunk links an insert fan-out pending back to its write chunk,
@@ -494,15 +495,16 @@ func (n *clusterNode) readLoop(ep *epoch) {
 		}
 		c.recordOp(p.op, d)
 		if p.claim() {
-			switch kind.deliver {
-			case deliverRanks:
+			switch to := kind.deliver; {
+			case to == deliverRanks:
 				p.scatter(e, c.insBefore(n.r.g.part))
-			case deliverScatter:
+			case to == deliverScatter && p.out != nil:
 				p.scatter(e, 0)
-			case deliverStage:
-				// Staged, not written into shared output: a range can
-				// span partitions, so several replies may target one
-				// slot and only the single gather loop may combine them.
+			case to != deliverAck: // a stage row, or a MultiGet's cut-run ask
+				// Staged, not written into shared output: a range, or a
+				// key whose run a cut splits, can span partitions, so
+				// several replies may target one slot and only the single
+				// gather loop may combine them.
 				scratch = p.stage(e, scratch)
 			}
 			p.complete(nil)

@@ -70,7 +70,8 @@ const (
 	// call's gather loop (pending.stage).
 	deliverStage
 	// deliverScatter writes element i to the caller's out slot i maps to,
-	// decoding a word reply as it goes (pending.scatter).
+	// decoding a word reply as it goes (pending.scatter) — or stages it,
+	// when the pending has no out (a MultiGet's cut-run ask).
 	deliverScatter
 	// deliverRanks is deliverScatter plus the rank-base correction for
 	// keys inserted into the preceding partitions (see Cluster.ins).

@@ -1,23 +1,26 @@
 package netrun
 
-// Client-side entry points for the query ops beyond rank. The range ops
-// are defined once, in core (see core/query.go): which partitions a
-// range, a scan or a top-k asks, the per-partition pair lists of a count
-// batch, and how the partitions' answers compose. This file moves the
-// requests and the replies:
+// Client-side entry points for the query ops beyond rank. The ops are
+// defined once, in core (see core/query.go and core/plan.go): which
+// partitions a range, a scan, a top-k or a key asks, the per-partition
+// requests a batch of ranges or keys is planned into (core.Plan), and how
+// the partitions' answers compose. This file moves the requests and the
+// replies:
 //
 //   - CountRange fills each partition's OpCountRange frames with its
-//     [lo,hi] pairs through the call's core.RangePlan and adds the counts
+//     [lo,hi] pairs through the call's core.Plan and adds the counts
 //     they answer into out (core.AddCounts).
 //   - ScanRange asks each partition of Partitioning.Span for its
 //     ascending run of [lo,hi] and TopK every partition for its k largest
 //     (ascending on the wire); core.ComposeScan and core.ComposeTopK put
 //     the runs together.
-//   - MultiGet radix-sorts the key batch (the OpMultiGet frame is the
-//     delta codec, which requires ascending runs), scatters sorted
-//     runs to the partitions the keys route to, and lets the read loops
-//     write each multiplicity straight into the output slot — each key
-//     goes to exactly one partition, so the scatter is race-free.
+//   - MultiGet frames the runs the call's core.Plan cuts (the OpMultiGet
+//     frame is the delta codec, which requires ascending runs, so the
+//     plan radix-sorts a batch that does not ascend) and lets the read
+//     loops write each multiplicity straight into its output slot. A
+//     key whose run a cut splits is also asked of the partitions below
+//     its own; those replies are staged and added into out once every
+//     other reply has landed.
 //
 // All four ride the rank pipeline's failover machinery: a pending
 // whose replica dies is re-dispatched to a healthy sibling with the
@@ -26,7 +29,6 @@ package netrun
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -49,7 +51,7 @@ func (c *Cluster) CountRange(lo, hi workload.Key) (int, error) {
 
 // CountRangeBatch answers many inclusive range counts in one scatter:
 // out[i] receives the key count of ranges[i] (len(out) >= len(ranges)).
-// The call's core.RangePlan batches each partition's [lo,hi] pairs into
+// The call's core.Plan batches each partition's [lo,hi] pairs into
 // frames of BatchKeys words (rounded up to a whole pair), each sent once
 // full, so the wire cost is bounded by spanned-partition pairs, not
 // ranges times partitions.
@@ -73,23 +75,20 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 	// every partition, and one part-filled frame a partition — and a read
 	// loop never blocks completing this call.
 	groups, per := len(ep.groups), (c.batch+1)/2
-	nc := c.getCall(groups)
+	nc := c.getCall()
 	nc.room(len(ranges)*groups/per + groups)
-	nc.plan.Plan(c.part.Load(), ranges, out, per, func(gi int) (*[]uint32, *[]int32) {
+	nc.plan.Ranges(c.part.Load(), ranges, out, per, func(int) (*pending, *[]uint32, *[]int32) {
 		p := c.getPending()
 		p.op = OpCountRange
-		p.posBase = len(nc.pends)
-		nc.accum[gi] = p
 		nc.pends = append(nc.pends, p)
-		return &p.keys, &p.pos
-	}, func(gi int) {
-		c.dispatch(ep, gi, nc.accum[gi], nil, nc.done)
-		nc.accum[gi] = nil
+		return p, &p.keys, &p.pos
+	}, func(gi int, p *pending) {
+		c.dispatch(ep, gi, p, nil, nc.done)
 	})
 	// The read loops stage each reply's counts in p.reply: a range that
 	// spans partitions has several replies adding into one slot, and only
 	// this goroutine may add them.
-	if err = c.gather(nc.done, len(nc.pends), nc.pends); err == nil {
+	if err = c.gather(nc.done, len(nc.pends), true); err == nil {
 		for _, p := range nc.pends {
 			core.AddCounts(out, p.pos, p.reply)
 		}
@@ -103,18 +102,17 @@ func (c *Cluster) CountRangeBatch(ranges []KeyRange, out []int) error {
 // nc.pends in partition order — which is key order — for the caller to
 // compose from before it ends the call.
 func (c *Cluster) askEach(ep *epoch, op uint8, gLo, gHi int, words ...uint32) (*netCall, error) {
-	nc := c.getCall(0)
+	nc := c.getCall()
 	n := gHi - gLo + 1
 	nc.room(n)
-	nc.pends = slices.Grow(nc.pends, n)[:n]
 	for gi := gLo; gi <= gHi; gi++ {
 		p := c.getPending()
 		p.op = op
 		p.keys = append(p.keys, words...)
-		p.posBase = gi - gLo
+		nc.pends = append(nc.pends, p)
 		c.dispatch(ep, gi, p, nil, nc.done)
 	}
-	return nc, c.gather(nc.done, n, nc.pends)
+	return nc, c.gather(nc.done, n, true)
 }
 
 // endCall releases the call's kept pendings and returns nc to the pool.
@@ -181,6 +179,7 @@ func (c *Cluster) MultiGet(keys []workload.Key) ([]int, error) {
 // takes the sorted pipeline: the OpMultiGet frame is the delta codec,
 // which only carries ascending runs, so unsorted input is radix-sorted
 // client-side and the replies scatter through the position array.
+// A key whose run a cut splits counts its copies in every partition.
 func (c *Cluster) MultiGetInto(keys []workload.Key, out []int) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("netrun: out len %d < %d keys", len(out), len(keys))

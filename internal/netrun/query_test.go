@@ -87,10 +87,8 @@ func cutRunKeys() []workload.Key {
 }
 
 // checkTCPQueryOps checks every op against the oracle over keys below
-// maxKey. multiGet is false for a key set with a run cut between
-// partitions, whose multiplicity is answered by the one partition the key
-// routes to (ROADMAP).
-func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, rng *rand.Rand, maxKey int, multiGet bool) {
+// maxKey.
+func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, rng *rand.Rand, maxKey int) {
 	t.Helper()
 	present := func() workload.Key { return workload.Key(o.ints[rng.Intn(len(o.ints))]) }
 
@@ -170,7 +168,7 @@ func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, r
 		t.Fatalf("%s: MultiGet: %v", tag, err)
 	}
 	for i, q := range qs {
-		if want := o.countRange(q, q); multiGet && muls[i] != want {
+		if want := o.countRange(q, q); muls[i] != want {
 			t.Fatalf("%s: MultiGet key %d = %d, want %d", tag, q, muls[i], want)
 		}
 	}
@@ -196,7 +194,7 @@ func checkTCPQueryOps(t *testing.T, tag string, c *Cluster, o *tcpQueryOracle, r
 		t.Fatalf("%s: CountRangeBatch of %d ranges: %v", tag, len(wide), err)
 	}
 	for i, q := range big {
-		if want := o.countRange(q, q); multiGet && muls[i] != want {
+		if want := o.countRange(q, q); muls[i] != want {
 			t.Fatalf("%s: MultiGet of %d keys: key %d = %d, want %d", tag, len(big), q, muls[i], want)
 		}
 		if want := o.countRange(wide[i].Lo, wide[i].Hi); counts[i] != want {
@@ -271,7 +269,7 @@ func TestTCPQueryOpsAppendSemantics(t *testing.T) {
 // cutRunKeys.
 func TestTCPQueryOpsOracle(t *testing.T) {
 	keys := workload.SortedKeys(16000, 31)
-	sweepTCPQueryOps(t, keys, int(keys[len(keys)-1])+1, true)
+	sweepTCPQueryOps(t, keys, int(keys[len(keys)-1])+1)
 
 	t.Run("cut-run", func(t *testing.T) {
 		rc, shutdown := startReplicated(t, cutRunKeys(), 4, 1, 4096, DialOptions{})
@@ -286,15 +284,19 @@ func TestTCPQueryOpsOracle(t *testing.T) {
 		if err != nil || len(scan) != 86 {
 			t.Errorf("ScanRange(500, 500) returned %d keys (err %v), want 86", len(scan), err)
 		}
+		muls, err := rc.c.MultiGet([]workload.Key{500})
+		if err != nil || muls[0] != 86 {
+			t.Errorf("MultiGet(500) = %v (err %v), want 86", muls, err)
+		}
 		shutdown()
-		sweepTCPQueryOps(t, cutRunKeys(), 1100, false)
+		sweepTCPQueryOps(t, cutRunKeys(), 1100)
 	})
 }
 
 // sweepTCPQueryOps runs one sweep over keys on four partitions of two
 // replicas: the ops, then three rounds of inserts racing queries, each
 // followed by the oracle check.
-func sweepTCPQueryOps(t *testing.T, keys []workload.Key, maxKey int, multiGet bool) {
+func sweepTCPQueryOps(t *testing.T, keys []workload.Key, maxKey int) {
 	// Frames of up to 4,096 keys, so that the large calls of the check
 	// reach a node whole.
 	rc, shutdown := startReplicated(t, keys, 4, 2, 4096, DialOptions{})
@@ -303,7 +305,7 @@ func sweepTCPQueryOps(t *testing.T, keys []workload.Key, maxKey int, multiGet bo
 
 	rng := rand.New(rand.NewSource(7))
 	o := newTCPQueryOracle(keys)
-	checkTCPQueryOps(t, "static", c, o, rng, maxKey, multiGet)
+	checkTCPQueryOps(t, "static", c, o, rng, maxKey)
 
 	for round := 0; round < 3; round++ {
 		ins := make([]workload.Key, 400)
@@ -358,7 +360,7 @@ func sweepTCPQueryOps(t *testing.T, keys []workload.Key, maxKey int, multiGet bo
 		}()
 		wg.Wait()
 		o.add(ins)
-		checkTCPQueryOps(t, "quiesced", c, o, rng, maxKey, multiGet)
+		checkTCPQueryOps(t, "quiesced", c, o, rng, maxKey)
 	}
 }
 
@@ -633,16 +635,37 @@ func onWire(t *testing.T, f Frame) Frame {
 
 // TestTCPQueryOpsSteadyStateAllocs holds the four query ops and the
 // unsorted and sorted rank calls, at the referee's sizes over two
-// loopback nodes, to a steady state that allocates nothing — client and
-// nodes together, since both run here. (A garbage collection empties the
-// pools, hence at most one.)
+// loopback nodes, and the unsorted rank and MultiGet calls over one node
+// (every call to one partition is cut into contiguous runs), to a steady
+// state that allocates nothing — client and nodes together, since both
+// run here. (A garbage collection empties the pools, hence at most one.)
+// The one-node answers are checked against the oracle first.
 func TestTCPQueryOpsSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries at random under the race detector")
-	}
 	keys := workload.SortedKeys(327680, 1)
 	c, shutdown := startCluster(t, keys, 2, 16384)
 	defer shutdown()
+	one, shutdownOne := startCluster(t, keys, 1, 16384)
+	defer shutdownOne()
+	asked := workload.UniformQueries(16384, 5)
+	for i := 0; i < len(asked); i += 2 {
+		asked[i] = keys[(i*7919)%len(keys)]
+	}
+	oneRanks, oneMuls := make([]int, len(asked)), make([]int, len(asked))
+	if err := one.LookupBatchInto(asked, oneRanks); err != nil {
+		t.Fatal(err)
+	}
+	if err := one.MultiGetInto(asked, oneMuls); err != nil {
+		t.Fatal(err)
+	}
+	o := newTCPQueryOracle(keys)
+	for i, q := range asked {
+		if rank, mul := o.countRange(0, q), o.countRange(q, q); oneRanks[i] != rank || oneMuls[i] != mul {
+			t.Fatalf("one node: key %d ranks %d and counts %d, want %d and %d", q, oneRanks[i], oneMuls[i], rank, mul)
+		}
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
 	ranges := make([]KeyRange, 4096)
 	for i := range ranges {
 		lo := workload.Key(uint32(i) * 1000003)
@@ -656,12 +679,14 @@ func TestTCPQueryOpsSteadyStateAllocs(t *testing.T) {
 	var buf []workload.Key
 	var err error
 	for name, op := range map[string]func(){
-		"CountRangeBatch":        func() { err = c.CountRangeBatch(ranges, counts) },
-		"MultiGetInto":           func() { err = c.MultiGetInto(gets, counts) },
-		"ScanRange":              func() { buf, err = c.ScanRange(12345, math.MaxUint32, 4096, buf[:0]) },
-		"TopK":                   func() { buf, err = c.TopK(1024, buf[:0]) },
-		"LookupBatchInto":        func() { err = c.LookupBatchInto(lookups, ranks) },
-		"LookupBatchInto/sorted": func() { err = c.LookupBatchInto(ascending, ranks) },
+		"CountRangeBatch":          func() { err = c.CountRangeBatch(ranges, counts) },
+		"MultiGetInto":             func() { err = c.MultiGetInto(gets, counts) },
+		"ScanRange":                func() { buf, err = c.ScanRange(12345, math.MaxUint32, 4096, buf[:0]) },
+		"TopK":                     func() { buf, err = c.TopK(1024, buf[:0]) },
+		"LookupBatchInto":          func() { err = c.LookupBatchInto(lookups, ranks) },
+		"LookupBatchInto/sorted":   func() { err = c.LookupBatchInto(ascending, ranks) },
+		"one node/LookupBatchInto": func() { err = one.LookupBatchInto(asked, oneRanks) },
+		"one node/MultiGetInto":    func() { err = one.MultiGetInto(asked, oneMuls) },
 	} {
 		op() // first growth
 		if allocs := testing.AllocsPerRun(20, op); allocs > 1 || err != nil {
