@@ -225,7 +225,10 @@ func (ix *Index) RankBatch(queries []Key) ([]int, error) {
 
 // RankBatchInto is RankBatch writing into a caller-provided slice
 // (len(out) >= len(queries)): the zero-allocation steady-state entry
-// point for callers that recycle their result buffers.
+// point for callers that recycle their result buffers. The index's
+// worker goroutines write the ranks into out[:len(queries)] while the
+// call runs (out[len(queries):] is left as it was), so the caller must
+// not read or write out until RankBatchInto returns.
 func (ix *Index) RankBatchInto(queries []Key, out []int) error {
 	return ix.c.LookupBatchInto(queries, out)
 }

@@ -149,18 +149,29 @@ func (p Plan) RankBatch(keys []workload.Key, out []int, base int, h Hooks) []int
 	if len(out) < len(keys) {
 		panic(fmt.Sprintf("buffering: out len %d < keys len %d", len(out), len(keys)))
 	}
-	if p.tree.N() == 0 {
-		for i := range keys {
-			out[i] = base
-		}
-		return out
-	}
+	p.RankInto(keys, nil, out, base, h)
+	return out
+}
+
+// RankInto is RankBatch writing keys[i]'s rank into out[pos[i]] (out[i]
+// when pos is nil): each buffered entry already carries the position its
+// result is written to, so the caller's is taken instead of i.
+func (p Plan) RankInto(keys []workload.Key, pos []int32, out []int, base int, h Hooks) {
 	entries := make([]entry, len(keys))
 	for i, k := range keys {
-		entries[i] = entry{key: k, pos: int32(i)}
+		e := entry{key: k, pos: int32(i)}
+		if pos != nil {
+			e.pos = pos[i]
+		}
+		entries[i] = e
+	}
+	if p.tree.N() == 0 {
+		for _, e := range entries {
+			out[e.pos] = base
+		}
+		return
 	}
 	p.process(0, p.tree.Root(), entries, out, base, h)
-	return out
 }
 
 // process runs segment s for the subtree rooted at root over entries.

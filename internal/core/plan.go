@@ -20,12 +20,40 @@ type Plan[W ~uint32, R any] struct {
 	sort  radixScratch
 }
 
-// planPart is the request a partition's keys go into: unopened (keys nil)
+// planPart is the request a partition's keys go into: unopened (no keys)
 // until the partition is asked, and again once the request is handed on.
+// An open request's lists are held here by value — the per-key loop
+// appends to them without reaching through the engine's pointers — and
+// written back through keysTo and posTo when the request is handed on.
 type planPart[W ~uint32, R any] struct {
-	req  R
-	keys *[]W
-	pos  *[]int32
+	req    R
+	keys   []W
+	pos    []int32
+	keysTo *[]W
+	posTo  *[]int32
+}
+
+// open opens the request of partition s through the engine's open.
+//
+//dc:noalloc
+func (pp *planPart[W, R]) open(s int, open func(part int) (R, *[]W, *[]int32)) {
+	pp.req, pp.keysTo, pp.posTo = open(s)
+	pp.keys = *pp.keysTo
+	if pp.posTo != nil {
+		pp.pos = *pp.posTo
+	}
+}
+
+// emit writes the request's lists back to the engine's and hands it on.
+//
+//dc:noalloc
+func (pp *planPart[W, R]) emit(s int, emit func(part int, req R)) {
+	*pp.keysTo = pp.keys
+	if pp.posTo != nil {
+		*pp.posTo = pp.pos
+	}
+	emit(s, pp.req)
+	*pp = planPart[W, R]{}
 }
 
 // KeyOp is how Plan.Keys treats a call's keys.
@@ -130,16 +158,15 @@ func (pl *Plan[W, R]) Keys(p *Partitioning, keys []workload.Key, op KeyOp, per, 
 	for i, k := range keys {
 		s := p.Route(k)
 		pp := &parts[s]
-		if pp.keys == nil {
-			pp.req, pp.keys, pp.pos = open(s)
+		if len(pp.keys) == 0 {
+			pp.open(s, open)
 		}
-		*pp.keys = append(*pp.keys, W(k))
-		if pp.pos != nil {
-			*pp.pos = append(*pp.pos, int32(i))
+		pp.keys = append(pp.keys, W(k))
+		if pp.posTo != nil {
+			pp.pos = append(pp.pos, int32(i))
 		}
-		if len(*pp.keys) == per {
-			emit(s, pp.req)
-			*pp = planPart[W, R]{}
+		if len(pp.keys) == per {
+			pp.emit(s, emit)
 		}
 	}
 	pl.flush(emit)
@@ -169,14 +196,13 @@ func (pl *Plan[W, R]) Ranges(p *Partitioning, ranges []KeyRange, out []int, per 
 		}
 		for s := first; s <= last; s++ {
 			pp := &parts[s]
-			if pp.keys == nil {
-				pp.req, pp.keys, pp.pos = open(s)
+			if len(pp.keys) == 0 {
+				pp.open(s, open)
 			}
-			*pp.keys = append(*pp.keys, W(r.Lo), W(r.Hi))
-			*pp.pos = append(*pp.pos, int32(i))
-			if len(*pp.pos) == per {
-				emit(s, pp.req)
-				*pp = planPart[W, R]{}
+			pp.keys = append(pp.keys, W(r.Lo), W(r.Hi))
+			pp.pos = append(pp.pos, int32(i))
+			if len(pp.pos) == per {
+				pp.emit(s, emit)
 			}
 		}
 	}
@@ -199,9 +225,8 @@ func (pl *Plan[W, R]) partsOf(p *Partitioning) []planPart[W, R] {
 //dc:noalloc
 func (pl *Plan[W, R]) flush(emit func(part int, req R)) {
 	for s := range pl.parts {
-		if pl.parts[s].keys != nil {
-			emit(s, pl.parts[s].req)
-			pl.parts[s] = planPart[W, R]{}
+		if len(pl.parts[s].keys) > 0 {
+			pl.parts[s].emit(s, emit)
 		}
 	}
 }

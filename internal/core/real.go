@@ -151,21 +151,26 @@ const (
 
 // realBatch is one message on the channel interconnect. Batches are
 // pooled per cluster: the dispatcher checks one out, tags the op, fills
-// keys (and pos for scattered batches), the worker fills ranks or
-// outKeys, and the gatherer returns it to the pool after copying the
-// results out — steady state allocates nothing.
+// keys (and pos for scattered batches), the worker writes a rank or a
+// multiplicity straight into the call's out, or fills ranks or outKeys
+// for the gatherer to compose from, and the gatherer returns it to the
+// pool — steady state allocates nothing.
 type realBatch struct {
 	op   batchOp
 	keys []workload.Key
 	// pos[i] is keys[i]'s position in the caller's query slice. A nil
 	// pos means the batch is a contiguous run starting at posBase (a
 	// slice of an already ascending call, or of any call to a
-	// one-partition index), so results copy back without a scatter.
+	// one-partition index), whose answers go to out[posBase:].
 	pos     []int32
 	posBase int
-	// ranks is the worker's reply for the int-valued ops: global ranks
-	// (rank base folded in) for opRank, one count per pair for opCount,
-	// multiplicities for opMultiGet.
+	// out is the call's result slice, which the worker of an opRank or
+	// opMultiGet batch writes each answer into, at pos[i] (or posBase+i):
+	// the master only routes. No two batches of a call share a slot.
+	out []int
+	// ranks holds counts only: one per pair for opCount, and a cut-run
+	// ask's multiplicities (add), which the gatherer adds into out once
+	// every other answer is in — both compose in the master.
 	ranks []int
 	// limit bounds a scan's result count (negative: unbounded) and is
 	// the k of a top-k batch.
@@ -406,11 +411,12 @@ func (c *Cluster) nextWorker() int {
 
 // processBatch executes one batch against the partition state it was
 // routed with, switching on the op tag: scans and top-k fill outKeys
-// with an ascending run from a pinned snapshot, counts and
-// multiplicities compute into b.ranks, and ranks do too with the rank
-// base — static plus the preceding partitions' insert counters — folded
-// into the single write per key. Every op reads; writes reach the
-// partitions from InsertBatch's caller.
+// with an ascending run from a pinned snapshot, counts compute into
+// b.ranks, and ranks and multiplicities go straight into the call's out
+// — ranks with the rank base (static plus the preceding partitions'
+// insert counters) folded into the single write per key, through the
+// kernel's positions form for a per-key batch. Every op reads; writes
+// reach the partitions from InsertBatch's caller.
 //
 //dc:noalloc
 func (c *Cluster) processBatch(b *realBatch) {
@@ -430,24 +436,32 @@ func (c *Cluster) processBatch(b *realBatch) {
 		return
 	case opMultiGet:
 		// The count kernel's scratch is the batch's own: the key-run buffer
-		// no int-valued op fills, and room behind the counts.
+		// no int-valued op fills, and room behind the counts. A contiguous
+		// run counts straight into out, a sorted copy's run into ranks and
+		// then out through pos; a cut-run ask stays in ranks.
 		n := len(b.keys)
 		b.ranks = slices.Grow(b.ranks[:0], 2*n)[:n]
 		b.outKeys = slices.Grow(b.outKeys[:0], n)
-		lp.upd.CountKeys(b.keys, b.ranks, b.outKeys[:n], b.ranks[n:2*n])
+		muls := b.ranks
+		if !b.add && b.pos == nil {
+			muls = b.out[b.posBase:]
+		}
+		lp.upd.CountKeys(b.keys, muls, b.outKeys[:n], b.ranks[n:2*n])
+		if !b.add && b.pos != nil {
+			for i, p := range b.pos {
+				b.out[p] = muls[i]
+			}
+		}
 		return
 	}
-	n := len(b.keys)
-	if cap(b.ranks) < n {
-		b.ranks = make([]int, n)
-	}
-	out := b.ranks[:n]
-	b.ranks = out
 	add := lp.rankBase + lp.ep.insertedBefore(lp.slot)
-	if b.sorted {
-		lp.upd.RankSorted(b.keys, out, add)
-	} else {
-		lp.upd.RankBatch(b.keys, out, add)
+	switch {
+	case b.pos != nil:
+		lp.upd.RankInto(b.keys, b.pos, b.out, add)
+	case b.sorted:
+		lp.upd.RankSorted(b.keys, b.out[b.posBase:], add)
+	default:
+		lp.upd.RankBatch(b.keys, b.out[b.posBase:], add)
 	}
 }
 
@@ -476,6 +490,7 @@ func (c *Cluster) getBatch(reply chan *realBatch) *realBatch {
 	b.keys = b.keys[:0]
 	b.pos = b.pos[:0]
 	b.posBase = 0
+	b.out = nil
 	b.limit = 0
 	b.outKeys = b.outKeys[:0]
 	b.sorted = false
@@ -501,6 +516,7 @@ func (c *Cluster) putBatch(b *realBatch) {
 	}
 	b.reply = nil
 	b.lp = nil
+	b.out = nil
 	select {
 	case c.freeBatches <- b:
 	default:
@@ -523,7 +539,10 @@ func (c *Cluster) LookupBatch(queries []workload.Key) ([]int, error) {
 // point. The caller plays the master: it partitions (Method C) or
 // cuts (A/B) the stream into batches, dispatches them over the
 // channel interconnect, and gathers replies on a per-call channel —
-// concurrent callers pipeline through the same worker pool.
+// concurrent callers pipeline through the same worker pool. The worker
+// goroutines write each rank into out[:len(queries)] themselves while
+// the call runs, and nothing else of out: the caller must not read or
+// write out until the call returns.
 //
 //dc:noalloc
 func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
@@ -590,8 +609,10 @@ func (c *Cluster) handOver(cs *callState, w int, b *realBatch, gather func(*real
 
 // rankDispatch answers the key-at-a-time ops (opRank, opMultiGet): the
 // call's Plan splits queries into batches, each handed to its worker as
-// it is planned, and the workers' results are scattered into out in
-// query order. A per-key batch holds a hand-off's worth of keys, so the
+// it is planned, and each worker writes its batch's answers into out at
+// their positions; the gather only counts replies and recycles batches,
+// and adds a MultiGet's cut-run asks once every other answer is in. A
+// per-key batch holds a hand-off's worth of keys, so the
 // workers search the first slices while the master still routes the
 // rest; runs are cut at BatchKeys, their master having no per-key work
 // to overlap with the workers'. An unsorted opRank call is not sorted:
@@ -621,16 +642,9 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 	cs.runs = cs.runs[:0]
 	gather := func(b *realBatch) {
 		pending--
-		switch {
-		case b.add:
+		if b.add {
 			cs.runs = append(cs.runs, b)
 			return
-		case b.pos == nil:
-			copy(out[b.posBase:b.posBase+len(b.ranks)], b.ranks)
-		default:
-			for i, p := range b.pos {
-				out[p] = b.ranks[i]
-			}
 		}
 		c.putBatch(b)
 	}
@@ -641,7 +655,7 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 	room := min(slice, len(queries)) // the most keys one batch can receive
 	cs.plan.Keys(ep.part, queries, kop, slice, c.cfg.BatchKeys, func(s int) (*realBatch, *[]workload.Key, *[]int32) {
 		b := c.getBatch(cs.reply)
-		b.op, b.lp = op, ep.lps[s]
+		b.op, b.lp, b.out = op, ep.lps[s], out
 		if cap(b.keys) < room {
 			// A new batch, or one last used by a shorter call: one
 			// allocation each instead of append's doublings.
@@ -651,7 +665,7 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 	}, send, func(r KeyRun) {
 		// A run aliases the caller's keys or the plan's sorted copy.
 		b := c.getBatch(cs.reply)
-		b.op, b.lp = op, ep.lps[r.Part]
+		b.op, b.lp, b.out = op, ep.lps[r.Part], out
 		b.keys, b.pos, b.posBase = r.Keys, r.Pos, r.PosBase
 		b.sorted, b.add, b.alias = r.Sorted, r.Add, true
 		send(r.Part, b)

@@ -125,17 +125,21 @@ func methodBuilder(cfg RealConfig) index.Builder {
 // treeRanker adapts the n-ary tree's per-key Rank to the batch API.
 type treeRanker struct{ t *index.Tree }
 
-func (tr treeRanker) RankBatch(qs []workload.Key, out []int, add int) {
+func (tr treeRanker) RankInto(qs []workload.Key, pos []int32, out []int, add int) {
 	for i, k := range qs {
-		out[i] = tr.t.Rank(k) + add
+		j := i
+		if pos != nil {
+			j = int(pos[i])
+		}
+		out[j] = tr.t.Rank(k) + add
 	}
 }
 
 // planRanker adapts a Zhou-Ross buffered plan to the batch API.
 type planRanker struct{ plan buffering.Plan }
 
-func (pr planRanker) RankBatch(qs []workload.Key, out []int, add int) {
-	pr.plan.RankBatch(qs, out, add, buffering.Hooks{})
+func (pr planRanker) RankInto(qs []workload.Key, pos []int32, out []int, add int) {
+	pr.plan.RankInto(qs, pos, out, add, buffering.Hooks{})
 }
 
 // newEpoch builds a full epoch over sorted keys: partitioning, one

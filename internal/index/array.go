@@ -12,7 +12,7 @@ import (
 // reason the paper finds C-3 beats C-1/C-2 ("the n-ary trees ... occupy
 // more space than a sorted array. This produces more pressure on the
 // cache", Section 4.1). Beside the keys it holds a bucket table of at
-// most a 128th of their size, which RankBatch routes each query through
+// most a 128th of their size, which RankInto routes each query through
 // before it searches: the paper's partitioning applied once more, inside
 // the partition.
 type SortedArray struct {
@@ -28,7 +28,7 @@ type SortedArray struct {
 	lo, dmax workload.Key
 	mul      uint64
 	// widest is the most keys one bucket's rank range spans (see
-	// RankBatch): what a search placed by the table covers at most.
+	// RankInto): what a search placed by the table covers at most.
 	widest int
 }
 
@@ -217,7 +217,18 @@ func rankAdd(keys []workload.Key, qs []workload.Key, out []int) {
 
 // RankBatch resolves qs into out (which must be at least len(qs) long),
 // adding add to every rank so a partition's rank base folds into the
-// single result write.
+// single result write: RankInto without positions.
+//
+//dc:noalloc
+func (a *SortedArray) RankBatch(qs []workload.Key, out []int, add int) {
+	a.RankInto(qs, nil, out, add)
+}
+
+// RankInto resolves qs, adding add to every rank, into out[pos[i]] — or
+// into out[i] when pos is nil. pos lets a caller that routed qs out of a
+// longer call (a worker answering a partition's share) write each rank
+// where the call wants it, in the one store a rank costs anyway; no other
+// slot of out is touched.
 //
 // Queries are taken lanes at a time. Each one's bucket (a multiply and a
 // shift) and two adjacent table entries bound its rank: with c samples in
@@ -233,8 +244,12 @@ func rankAdd(keys []workload.Key, qs []workload.Key, out []int) {
 // widen nothing.
 //
 //dc:noalloc
-func (a *SortedArray) RankBatch(qs []workload.Key, out []int, add int) {
-	out = out[:len(qs)]
+func (a *SortedArray) RankInto(qs []workload.Key, pos []int32, out []int, add int) {
+	if pos == nil {
+		out = out[:len(qs)]
+	} else {
+		pos = pos[:len(qs)]
+	}
 	var pad [lanes]workload.Key
 	for i := 0; i < len(qs); i += lanes {
 		q, m := group(qs, i, &pad)
@@ -243,8 +258,14 @@ func (a *SortedArray) RankBatch(qs []workload.Key, out []int, add int) {
 		}
 		var b [lanes]int
 		lockstep(a.keys, q, &b, a.place(q, &b))
-		for l, r := range b[:m] {
-			out[i+l] = r + add
+		if pos == nil {
+			for l, r := range b[:m] {
+				out[i+l] = r + add
+			}
+		} else {
+			for l, r := range b[:m] {
+				out[pos[i+l]] = r + add
+			}
 		}
 	}
 }
@@ -254,7 +275,7 @@ func (a *SortedArray) RankBatch(qs []workload.Key, out []int, add int) {
 // array's end, and returns that widest range: one lockstep over it then
 // settles every lane.
 //
-// Kept out of line, as lockstep is: inlined into RankBatch, it shared
+// Kept out of line, as lockstep is: inlined into RankInto, it shared
 // registers with the batch loop, which spilled the table, the bucket
 // bounds and the span to the stack.
 //

@@ -22,9 +22,11 @@ import (
 
 // BatchRanker is the read API the updatable layer serves: batch rank
 // resolution with the caller's rank base folded into the output writes.
-// SortedArray and the core engines' tree adapters implement it.
+// RankInto writes the rank of qs[i] plus add into out[pos[i]], or into
+// out[i] when pos is nil, and touches no other slot of out. SortedArray,
+// Updatable and the core engines' tree and plan adapters implement it.
 type BatchRanker interface {
-	RankBatch(qs []workload.Key, out []int, add int)
+	RankInto(qs []workload.Key, pos []int32, out []int, add int)
 }
 
 // SortedRanker is the optional fast path for ascending query runs.
@@ -42,7 +44,7 @@ type SortedRanker interface {
 // Beside its keys a buffer holds a table on the bucket grid of the base it
 // was last inserted against (see gridOf): table[t] counts the buffered
 // keys whose bucket is below t. The grid routes a query to one bucket's
-// keys, as it does in the base (SortedArray.RankBatch); a base without a
+// keys, as it does in the base (SortedArray.RankInto); a base without a
 // table (a tree, a plan) lends one bucket, whose range is the whole
 // buffer.
 type Delta struct {
@@ -73,25 +75,30 @@ func gridOf(r BatchRanker) grid {
 // so it is on no base's grid.
 var emptyDelta = &Delta{}
 
-// RankAdd adds each query's buffer rank into out — the side-layer pass
-// over an unordered batch whose base ranks are already in out.
+// RankAdd adds each query's buffer rank into out[pos[i]], or into out[i]
+// when pos is nil — the side-layer pass over an unordered batch whose
+// base ranks are already there.
 //
 // A query in bucket t has rank in [table[t], table[t+1]], exactly: the
 // bucket is monotone in the key, so a buffered key in a lower bucket is
 // below the query and one in a higher bucket above it, wherever the keys
 // fall against the base's range (those outside it crowd the edge buckets,
 // whose range is then at most the whole buffer). Queries are taken lanes
-// at a time, as in SortedArray.RankBatch: one lockstep over the group's
+// at a time, as in SortedArray.RankInto: one lockstep over the group's
 // widest range, each lane started where its range starts, or earlier
 // where the widest would run past the buffer's end. Pad lanes of the tail
 // group repeat a real query.
 //
 //dc:noalloc
-func (d *Delta) RankAdd(qs []workload.Key, out []int) {
+func (d *Delta) RankAdd(qs []workload.Key, pos []int32, out []int) {
 	if len(d.keys) == 0 {
 		return
 	}
-	out = out[:len(qs)]
+	if pos == nil {
+		out = out[:len(qs)]
+	} else {
+		pos = pos[:len(qs)]
+	}
 	var pad [lanes]workload.Key
 	for i := 0; i < len(qs); i += lanes {
 		q, m := group(qs, i, &pad)
@@ -100,8 +107,14 @@ func (d *Delta) RankAdd(qs []workload.Key, out []int) {
 		}
 		var b [lanes]int
 		lockstep(d.keys, q, &b, d.place(q, &b))
-		for l, r := range b[:m] {
-			out[i+l] += r
+		if pos == nil {
+			for l, r := range b[:m] {
+				out[i+l] += r
+			}
+		} else {
+			for l, r := range b[:m] {
+				out[pos[i+l]] += r
+			}
 		}
 	}
 }
@@ -133,7 +146,7 @@ func (d *Delta) place(q *[lanes]workload.Key, b *[lanes]int) int {
 //dc:noalloc
 func (d *Delta) RankSortedAdd(qs []workload.Key, out []int) {
 	if len(d.keys) > 0 && !sortedRun(d.keys, qs, out, 0, true, len(d.keys)) {
-		d.RankAdd(qs, out)
+		d.RankAdd(qs, nil, out)
 	}
 }
 
@@ -381,22 +394,37 @@ func (u *Updatable) pin() (s *baseState, delta, frozen *Delta) {
 }
 
 // RankBatch resolves qs into out (len(out) >= len(qs)), adding add to
-// every rank. Exact at every moment: base ranks plus the delta layers'
-// contributions.
+// every rank: RankInto without positions.
 //
 //dc:noalloc
 func (u *Updatable) RankBatch(qs []workload.Key, out []int, add int) {
+	u.RankInto(qs, nil, out, add)
+}
+
+// view is pin for a reader that may skip the lock: a clean partition is
+// its base alone, with the empty buffer, and a racing insert linearizes
+// after the read. The flag is read first: a base loaded before it could
+// predate a merge that installed and cleared it in between, and miss that
+// merge's keys.
+func (u *Updatable) view() (s *baseState, delta, frozen *Delta) {
 	if !u.dirty.Load() {
-		// Clean fast path: the base alone answers. A racing insert
-		// linearizes after this batch.
-		u.base.Load().r.RankBatch(qs, out, add)
-		return
+		return u.base.Load(), emptyDelta, nil
 	}
-	s, delta, frozen := u.pin()
-	s.r.RankBatch(qs, out, add)
-	delta.RankAdd(qs, out)
+	return u.pin()
+}
+
+// RankInto resolves qs into out[pos[i]] (out[i] when pos is nil), adding
+// add to every rank. Exact at every moment: base ranks plus the delta
+// layers' contributions, each layer writing through pos; a clean
+// partition's empty buffer adds nothing.
+//
+//dc:noalloc
+func (u *Updatable) RankInto(qs []workload.Key, pos []int32, out []int, add int) {
+	s, delta, frozen := u.view()
+	s.r.RankInto(qs, pos, out, add)
+	delta.RankAdd(qs, pos, out)
 	if frozen != nil {
-		frozen.RankAdd(qs, out)
+		frozen.RankAdd(qs, pos, out)
 	}
 }
 
@@ -405,19 +433,11 @@ func (u *Updatable) RankBatch(qs []workload.Key, out []int, add int) {
 //
 //dc:noalloc
 func (u *Updatable) RankSorted(qs []workload.Key, out []int, add int) {
-	// A clean partition answers from the base alone, without the lock; a
-	// racing insert linearizes after this run. The flag is read first, as
-	// in RankBatch: a base loaded before it could predate a merge that
-	// installed and cleared it in between, and miss that merge's keys.
-	dirty := u.dirty.Load()
-	s, delta, frozen := u.base.Load(), emptyDelta, (*Delta)(nil)
-	if dirty {
-		s, delta, frozen = u.pin()
-	}
+	s, delta, frozen := u.view()
 	if sr, ok := s.r.(SortedRanker); ok {
 		sr.RankSorted(qs, out, add)
 	} else {
-		s.r.RankBatch(qs, out, add)
+		s.r.RankInto(qs, nil, out, add)
 	}
 	delta.RankSortedAdd(qs, out)
 	if frozen != nil {

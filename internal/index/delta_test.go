@@ -50,7 +50,7 @@ func TestDeltaRankMatchesOracle(t *testing.T) {
 		}
 		qs := append(slices.Clone(keys), 0, 1, 499, 500, 999, 1000, ^workload.Key(0))
 		got := make([]int, len(qs))
-		d.RankAdd(qs, got)
+		d.RankAdd(qs, nil, got)
 		for i, q := range qs {
 			if want := oracleRank(keys, q); got[i] != want {
 				t.Fatalf("round %d: RankAdd(%d) = %d, want %d", round, q, got[i], want)

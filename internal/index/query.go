@@ -106,13 +106,13 @@ func rankLayers(s *baseState, delta, frozen *Delta, qs []workload.Key, out []int
 	if sr, ok := s.r.(SortedRanker); ok && sorted {
 		sr.RankSorted(qs, out, 0)
 	} else {
-		s.r.RankBatch(qs, out, 0)
+		s.r.RankInto(qs, nil, out, 0)
 	}
 	for _, d := range [2]*Delta{delta, frozen} {
 		if d != nil && sorted {
 			d.RankSortedAdd(qs, out)
 		} else if d != nil {
-			d.RankAdd(qs, out)
+			d.RankAdd(qs, nil, out)
 		}
 	}
 }

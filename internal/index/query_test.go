@@ -149,9 +149,13 @@ func TestUpdatableQueryOpsLayered(t *testing.T) {
 // core engines do for the tree methods.
 type treeRanker struct{ t *Tree }
 
-func (tr treeRanker) RankBatch(qs []workload.Key, out []int, add int) {
+func (tr treeRanker) RankInto(qs []workload.Key, pos []int32, out []int, add int) {
 	for i, k := range qs {
-		out[i] = tr.t.Rank(k) + add
+		j := i
+		if pos != nil {
+			j = int(pos[i])
+		}
+		out[j] = tr.t.Rank(k) + add
 	}
 }
 

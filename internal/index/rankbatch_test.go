@@ -220,7 +220,7 @@ func checkDelta(d *Delta, keys, qs []workload.Key) error {
 		for i := range out {
 			out[i] = 7 * i
 		}
-		d.RankAdd(qs[:n], out)
+		d.RankAdd(qs[:n], nil, out)
 		for i, q := range qs[:n] {
 			if want := upperBound(keys, q) + 7*i; out[i] != want {
 				return fmt.Errorf("batch of %d: RankAdd(%d) = %d, want %d", n, q, out[i]-7*i, want-7*i)
@@ -395,11 +395,24 @@ func FuzzRankBatch(f *testing.F) {
 	})
 }
 
+// benchRanker is what the kernel rows time: RankBatch, and RankInto for
+// the positions rows.
+type benchRanker interface {
+	BatchRanker
+	RankBatch(qs []workload.Key, out []int, add int)
+}
+
 // benchRankBatch times RankBatch alone at one partition size: eight
 // arrays (or updatable partitions) taken in turn, so the large case is not
 // one kept hot by the loop, and a fresh batch of uniform queries from a
 // pool on every iteration.
-func benchRankBatch[R BatchRanker](b *testing.B, arrs []R) {
+func benchRankBatch[R benchRanker](b *testing.B, arrs []R) { benchRank(b, arrs, false) }
+
+// benchRank is benchRankBatch, or with positions the positions form as a
+// worker runs it: a batch's positions ascend through a call eight times
+// its length (one partition's share of a call over eight), and each rank
+// is stored at its position.
+func benchRank[R benchRanker](b *testing.B, arrs []R, positions bool) {
 	const batch = 8192
 	r := workload.NewRNG(2)
 	pool := make([][]workload.Key, 64)
@@ -410,12 +423,27 @@ func benchRankBatch[R BatchRanker](b *testing.B, arrs []R) {
 		}
 	}
 	out := make([]int, batch)
+	var pos []int32
+	if positions {
+		out = make([]int, 8*batch)
+		pos = make([]int32, batch)
+		for j := range pos {
+			pos[j] = int32(8*j + r.Intn(8))
+		}
+	}
+	rank := func(a R, qs []workload.Key) {
+		if pos == nil {
+			a.RankBatch(qs, out, 0)
+		} else {
+			a.RankInto(qs, pos, out, 0)
+		}
+	}
 	for i, a := range arrs {
-		a.RankBatch(pool[i], out, 0) // first touch of every array off the clock
+		rank(a, pool[i]) // first touch of every array off the clock
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arrs[i%len(arrs)].RankBatch(pool[i%len(pool)], out, 0)
+		rank(arrs[i%len(arrs)], pool[i%len(pool)])
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
 }
@@ -423,16 +451,23 @@ func benchRankBatch[R BatchRanker](b *testing.B, arrs []R) {
 // BenchmarkSortedArrayRankBatch is the kernel's own row, at the three
 // per-partition sizes the referee's workloads use (rank_cached and the
 // mixed ones, rank_tcp, rank_large) and on two 40,960-key sets whose
-// samples crowd into a few of the table's buckets.
+// samples crowd into a few of the table's buckets; the pos- rows run the
+// positions form at the smallest and the largest size.
 func BenchmarkSortedArrayRankBatch(b *testing.B) {
+	arrays := func(n int) []*SortedArray {
+		arrs := make([]*SortedArray, 8)
+		for i := range arrs {
+			arrs[i] = NewSortedArray(workload.SortedKeys(n, uint64(i+1)), 0)
+		}
+		return arrs
+	}
 	for _, n := range []int{40960, 163840, 2097152} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			arrs := make([]*SortedArray, 8)
-			for i := range arrs {
-				arrs[i] = NewSortedArray(workload.SortedKeys(n, uint64(i+1)), 0)
-			}
-			benchRankBatch(b, arrs)
-		})
+		b.Run(fmt.Sprint(n), func(b *testing.B) { benchRankBatch(b, arrays(n)) })
+	}
+	// The form the engine's workers run: RankInto through a batch's
+	// positions in the call.
+	for _, n := range []int{40960, 2097152} {
+		b.Run(fmt.Sprint("pos-", n), func(b *testing.B) { benchRank(b, arrays(n), true) })
 	}
 	for _, set := range []struct {
 		name  string

@@ -89,10 +89,12 @@ func decodeSegment(data []byte) (*Segment, error) {
 	if got := binary.LittleEndian.Uint32(data[4:8]); got != segVersion {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrSegmentCorrupt, got)
 	}
+	// The count is checked against the bytes there are before it is
+	// multiplied: 4*count wraps for a count of 2^62 or more, and a wrapped
+	// length that matched would size the key slice from the count.
 	count := binary.LittleEndian.Uint64(data[24:32])
-	want := uint64(segHeaderSize) + 4*count + 4
-	if uint64(len(data)) != want {
-		return nil, fmt.Errorf("%w: %d bytes for %d keys, want %d", ErrSegmentCorrupt, len(data), count, want)
+	if room := uint64(len(data) - segHeaderSize - 4); count > room/4 || 4*count != room {
+		return nil, fmt.Errorf("%w: %d bytes for %d keys", ErrSegmentCorrupt, len(data), count)
 	}
 	body := data[:len(data)-4]
 	crc := binary.LittleEndian.Uint32(data[len(data)-4:])

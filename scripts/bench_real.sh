@@ -68,7 +68,10 @@ run_bench 'BenchmarkTCPCluster' ./internal/netrun
 # per-partition sizes the referee's workloads use and on two key sets
 # whose samples crowd into a few of the bucket table's buckets (skewed,
 # two-clusters): the layer the rows above get their unsorted-rank speed
-# from, so a regression there is named rather than inferred. An op is a
+# from, so a regression there is named rather than inferred. The pos-
+# rows run the form the engine's workers run (SortedArray.RankInto,
+# storing each rank at its position in a call eight times the batch's
+# length) at the smallest and the largest size. An op is a
 # 0.2-1 ms batch, so these rows take their own iteration count: at the
 # suite's 20x they would time first touches and little else.
 run_bench 'BenchmarkSortedArrayRankBatch' ./internal/index 2000x
