@@ -454,20 +454,13 @@ func benchRank[R benchRanker](b *testing.B, arrs []R, positions bool) {
 // samples crowd into a few of the table's buckets; the pos- rows run the
 // positions form at the smallest and the largest size.
 func BenchmarkSortedArrayRankBatch(b *testing.B) {
-	arrays := func(n int) []*SortedArray {
-		arrs := make([]*SortedArray, 8)
-		for i := range arrs {
-			arrs[i] = NewSortedArray(workload.SortedKeys(n, uint64(i+1)), 0)
-		}
-		return arrs
-	}
-	for _, n := range []int{40960, 163840, 2097152} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) { benchRankBatch(b, arrays(n)) })
+	for _, n := range sortedRunGrid.sizes {
+		b.Run(fmt.Sprint(n), func(b *testing.B) { benchRankBatch(b, kernelArrays(n)) })
 	}
 	// The form the engine's workers run: RankInto through a batch's
 	// positions in the call.
 	for _, n := range []int{40960, 2097152} {
-		b.Run(fmt.Sprint("pos-", n), func(b *testing.B) { benchRank(b, arrays(n), true) })
+		b.Run(fmt.Sprint("pos-", n), func(b *testing.B) { benchRank(b, kernelArrays(n), true) })
 	}
 	for _, set := range []struct {
 		name  string
@@ -501,12 +494,9 @@ var sinkArray *SortedArray
 // keys already known sorted, as every merge and a partition's first build
 // make it — at the three per-partition sizes, eight key sets in turn.
 func BenchmarkNewSortedArray(b *testing.B) {
-	for _, n := range []int{40960, 163840, 2097152} {
+	for _, n := range sortedRunGrid.sizes {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			sets := make([][]workload.Key, 8)
-			for i := range sets {
-				sets[i] = workload.SortedKeys(n, uint64(i+1))
-			}
+			sets, _ := kernelSets[n]()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sinkArray = newSortedArray(sets[i%len(sets)], 0)
@@ -516,10 +506,11 @@ func BenchmarkNewSortedArray(b *testing.B) {
 	}
 }
 
-// sortedRunGrid is the densities (array keys per query of the run) and
-// array sizes the sorted kernel is measured at: from a run denser than
-// the keys it crosses to one so sparse that a cursor has nothing to
-// offer.
+// sortedRunGrid is the array sizes every kernel row is measured at (the
+// per-partition sizes of the benchmark's workloads) and the densities (array
+// keys per query of the run) the sorted kernel is measured at: from a run
+// denser than the keys it crosses to one so sparse that a cursor has
+// nothing to offer.
 var sortedRunGrid = struct {
 	sizes     []int
 	densities []float64
@@ -556,21 +547,41 @@ func benchSortedRuns(b *testing.B, arrs []*SortedArray, m int, density float64, 
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m), "ns/key")
 }
 
+// kernelSets holds, for each size of sortedRunGrid, the eight uniform key
+// sets the kernel rows run on and the arrays over them. Each size is built
+// when its first row runs and then shared by every row of the test binary:
+// Go runs each sub-benchmark once at N=1 before its timed run, so sets
+// built per row were drawn twice a row. The arrays alias their keys, and
+// no row writes either.
+var kernelSets = func() map[int]func() ([][]workload.Key, []*SortedArray) {
+	sets := make(map[int]func() ([][]workload.Key, []*SortedArray))
+	for _, n := range sortedRunGrid.sizes {
+		sets[n] = sync.OnceValues(func() ([][]workload.Key, []*SortedArray) {
+			keys := make([][]workload.Key, 8)
+			arrs := make([]*SortedArray, 8)
+			for i := range keys {
+				keys[i] = workload.SortedKeys(n, uint64(i+1))
+				arrs[i] = NewSortedArray(keys[i], 0)
+			}
+			return keys, arrs
+		})
+	}
+	return sets
+}()
+
+// kernelArrays is the eight shared arrays of n keys.
+func kernelArrays(n int) []*SortedArray {
+	_, arrs := kernelSets[n]()
+	return arrs
+}
+
 // benchSortedGrid runs rank at every point of sortedRunGrid, as
-// <keys>x<queries>; a size's eight arrays are built when its first row
-// runs.
+// <keys>x<queries>.
 func benchSortedGrid(b *testing.B, rank func(a *SortedArray, qs []workload.Key, out []int)) {
 	for _, n := range sortedRunGrid.sizes {
-		arrs := sync.OnceValue(func() []*SortedArray {
-			arrs := make([]*SortedArray, 8)
-			for i := range arrs {
-				arrs[i] = NewSortedArray(workload.SortedKeys(n, uint64(i+1)), 0)
-			}
-			return arrs
-		})
 		for _, d := range sortedRunGrid.densities {
 			m := min(int(float64(n)/d), maxBenchRun)
-			b.Run(fmt.Sprintf("%dx%d", n, m), func(b *testing.B) { benchSortedRuns(b, arrs(), m, d, rank) })
+			b.Run(fmt.Sprintf("%dx%d", n, m), func(b *testing.B) { benchSortedRuns(b, kernelArrays(n), m, d, rank) })
 		}
 	}
 }

@@ -17,11 +17,11 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkTCPClusterGraySlowReplica is the slow-replica row for
-// BENCH_real.json: the 8x2 replicated lookup benchmark with one replica
-// answering 20ms late and a gray-aware client (hedging + ejection). The
-// warmup loop runs until the slow replica is ejected, so the recorded
-// number is the steady gray state — reads shed from the outlier, the
+// BenchmarkTCPClusterGraySlowReplica is the slow-replica row: the 8x2
+// replicated lookup benchmark with one replica answering 20ms late and a
+// gray-aware client (hedging + ejection). The warmup loop runs until the
+// slow replica is ejected, so the number is the steady gray state —
+// reads shed from the outlier, the
 // occasional paced probe the only residue of its presence.
 func BenchmarkTCPClusterGraySlowReplica(b *testing.B) {
 	keys := workload.SortedKeys(327680, 1)

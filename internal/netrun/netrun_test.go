@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -352,24 +351,13 @@ func TestTCPClusterProperty(t *testing.T) {
 	}
 }
 
-// benchCluster spins up 8 loopback nodes over the standard benchmark
-// key set and dials them. delay > 0 interposes a latency proxy per node
-// emulating a link with that one-way propagation time (Table 2's
-// per-message latency, which loopback otherwise lacks).
-func benchCluster(b *testing.B, batch int, delay time.Duration) (*Cluster, func()) {
-	c, _, shutdown := benchReplicatedCluster(b, batch, 1, delay)
-	return c, shutdown
-}
-
-// benchReplicatedCluster is benchCluster generalized to R replicas per
-// partition (8 partitions x R server processes). It returns the node
-// matrix ([partition][replica]) so failover benchmarks can kill a
-// specific replica mid-run.
-func benchReplicatedCluster(b *testing.B, batch, replicas int, delay time.Duration) (*Cluster, [][]*Node, func()) {
+// benchCluster spins up 8 loopback partitions of the standard benchmark
+// key set, each served by replicas nodes, and dials them.
+func benchCluster(b *testing.B, replicas int) (*Cluster, func()) {
 	b.Helper()
 	keys := workload.SortedKeys(327680, 1)
 	p, _ := core.NewPartitioning(keys, 8)
-	nodes := make([][]*Node, 8)
+	var nodes []*Node
 	var addrs []string
 	for i := 0; i < 8; i++ {
 		for r := 0; r < replicas; r++ {
@@ -378,85 +366,19 @@ func benchReplicatedCluster(b *testing.B, batch, replicas int, delay time.Durati
 				b.Fatal(err)
 			}
 			node := NewPartitionNode(p.Parts[i].Keys, p.Parts[i].RankBase)
-			nodes[i] = append(nodes[i], node)
-			addr := lis.Addr().String()
-			if delay > 0 {
-				addr = latencyProxy(b, addr, delay)
-			}
-			addrs = append(addrs, addr)
+			nodes = append(nodes, node)
+			addrs = append(addrs, lis.Addr().String())
 			go node.Serve(lis)
 		}
 	}
-	c, err := Dial(addrs, keys, DialOptions{BatchKeys: batch, Replicas: replicas})
+	c, err := Dial(addrs, keys, DialOptions{BatchKeys: 16384, Replicas: replicas})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return c, nodes, func() {
+	return c, func() {
 		c.Close()
-		for _, reps := range nodes {
-			for _, n := range reps {
-				n.Close()
-			}
-		}
-	}
-}
-
-// latencyProxy forwards bytes between client connections and nodeAddr,
-// delaying each direction by delay. Propagation overlaps across
-// in-flight data — like a real link, and unlike sleeping inside the
-// node handler, which would serialize the delays.
-func latencyProxy(b *testing.B, nodeAddr string, delay time.Duration) string {
-	b.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { lis.Close() })
-	go func() {
-		for {
-			cli, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			srv, err := net.Dial("tcp", nodeAddr)
-			if err != nil {
-				cli.Close()
-				return
-			}
-			go delayPipe(cli, srv, delay)
-			go delayPipe(srv, cli, delay)
-		}
-	}()
-	return lis.Addr().String()
-}
-
-type timedChunk struct {
-	at  time.Time
-	buf []byte
-}
-
-func delayPipe(src, dst net.Conn, delay time.Duration) {
-	defer dst.Close()
-	ch := make(chan timedChunk, 1024)
-	go func() {
-		defer close(ch)
-		for {
-			buf := make([]byte, 32<<10)
-			n, err := src.Read(buf)
-			if n > 0 {
-				ch <- timedChunk{at: time.Now().Add(delay), buf: buf[:n]}
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	for c := range ch {
-		if d := time.Until(c.at); d > 0 {
-			time.Sleep(d)
-		}
-		if _, err := dst.Write(c.buf); err != nil {
-			return
+		for _, n := range nodes {
+			n.Close()
 		}
 	}
 }
@@ -472,9 +394,9 @@ func benchChecksum(ranks []int) uint32 {
 
 // BenchmarkTCPClusterReplicated8x2 measures the replicated steady
 // state: 8 partitions x 2 replicas, batches round-robined across each
-// partition's healthy members (bench_real.sh records this row).
+// partition's healthy members.
 func BenchmarkTCPClusterReplicated8x2(b *testing.B) {
-	c, _, shutdown := benchReplicatedCluster(b, 16384, 2, 0)
+	c, shutdown := benchCluster(b, 2)
 	defer shutdown()
 	benchLookups(b, c, workload.UniformQueries(1<<18, 2))
 }
@@ -497,72 +419,7 @@ func benchLookups(b *testing.B, c *Cluster, queries []workload.Key) {
 			b.Fatal(err)
 		}
 	}
-	reportNsPerKey(b, len(queries))
-}
-
-// reportNsPerKey reports the row's ns/key (benchcheck gates it) for keys
-// looked up per op.
-func reportNsPerKey(b *testing.B, keys int) {
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(keys), "ns/key")
-}
-
-// BenchmarkTCPClusterReplicatedFailover is the availability acceptance
-// scenario: a loaded 8-partition x 2-replica cluster loses one replica
-// while batches are in flight, and every LookupBatch — in-flight and
-// subsequent — still completes with ranks checksum-identical to the
-// in-process runtime, without Redial. The recorded throughput is the
-// degraded-mode number (partition 0 down to one replica).
-func BenchmarkTCPClusterReplicatedFailover(b *testing.B) {
-	c, nodes, shutdown := benchReplicatedCluster(b, 16384, 2, 0)
-	defer shutdown()
-
-	keys := workload.SortedKeys(327680, 1)
-	queries := workload.UniformQueries(1<<18, 2)
-	ref, err := core.NewCluster(keys, core.RealConfig{Method: core.MethodC3, Workers: 8, BatchKeys: 16384, QueueDepth: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	refRanks, err := ref.LookupBatch(queries)
-	ref.Close()
-	if err != nil {
-		b.Fatal(err)
-	}
-	want := benchChecksum(refRanks)
-
-	out := make([]int, len(queries))
-	if err := c.LookupBatchInto(queries, out); err != nil { // warm; see benchLookups
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(queries) * workload.KeyBytes))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i == 0 {
-			// Kill partition 0's first replica while this iteration's
-			// batches are on the wire.
-			go func() {
-				time.Sleep(2 * time.Millisecond)
-				nodes[0][0].Close()
-			}()
-		}
-		if err := c.LookupBatchInto(queries, out); err != nil {
-			b.Fatal(err)
-		}
-		if got := benchChecksum(out); got != want {
-			b.Fatalf("iteration %d: checksum %08x, want %08x (in-process runtime)", i, got, want)
-		}
-	}
-	b.StopTimer()
-	reportNsPerKey(b, len(queries))
-	if err := c.Err(); err != nil {
-		b.Fatalf("cluster went terminal despite a surviving replica: %v", err)
-	}
-}
-
-func BenchmarkTCPClusterLookupBatch(b *testing.B) {
-	c, shutdown := benchCluster(b, 16384, 0)
-	defer shutdown()
-	benchLookups(b, c, workload.UniformQueries(1<<18, 2))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(queries)), "ns/key")
 }
 
 // BenchmarkTCPClusterScanStream is the v5 scan-streaming row: each op
@@ -571,7 +428,7 @@ func BenchmarkTCPClusterLookupBatch(b *testing.B) {
 // client concatenates the runs in partition order. Bytes/op counts the
 // keys returned.
 func BenchmarkTCPClusterScanStream(b *testing.B) {
-	c, shutdown := benchCluster(b, 16384, 0)
+	c, shutdown := benchCluster(b, 1)
 	defer shutdown()
 
 	keys := workload.SortedKeys(327680, 1)
@@ -594,106 +451,8 @@ func BenchmarkTCPClusterScanStream(b *testing.B) {
 	}
 }
 
-// Concurrent vs Serialized pairs: 4 masters multiplexing over one
-// shared connection set, against the same 4 callers forced through one
-// big lock (what the old single-mutex client did to every caller). The
-// raw-loopback pair is CPU-bound and shows the multiplexed path keeps
-// up on throughput; the SlowLink pair adds an emulated 500µs one-way
-// link and shows the structural win — concurrent masters overlap
-// round-trip latency the mutex serializes.
-func BenchmarkTCPClusterConcurrent4(b *testing.B) {
-	benchConcurrent(b, nil, 16384, 1<<16, 0, false)
-}
-
-func BenchmarkTCPClusterSerialized4(b *testing.B) {
-	benchConcurrent(b, &sync.Mutex{}, 16384, 1<<16, 0, false)
-}
-
-func BenchmarkTCPClusterConcurrent4SlowLink(b *testing.B) {
-	benchConcurrent(b, nil, 2048, 1<<14, 500*time.Microsecond, false)
-}
-
-func BenchmarkTCPClusterSerialized4SlowLink(b *testing.B) {
-	benchConcurrent(b, &sync.Mutex{}, 2048, 1<<14, 500*time.Microsecond, false)
-}
-
-// BenchmarkTCPClusterSortedDelta is the sorted-batch wire acceptance
-// row: 4 masters over the same emulated 500µs link as
-// BenchmarkTCPClusterConcurrent4SlowLink, but each caller's stream is
-// ascending and the batch size is the paper's 16K throughput sweet
-// spot (large batches amortize the link latency, so frame bytes and
-// per-key compute dominate — the regime the sorted pipeline targets).
-// The whole stack switches over: one-sweep routing at the master,
-// delta+varint frames on the wire (the rank direction
-// shrinks ~4x, the key direction ~25%, and the per-frame
-// word-conversion loops disappear), and the nodes' sorted-run kernel
-// (RankSorted: lockstep searches on from each lane's last answer)
-// instead of a fresh search per key. The companion row
-// BenchmarkTCPClusterUnsortedSlowLink16K runs the identical
-// configuration through the per-key pipeline, isolating the
-// sorted-pipeline win at equal batch size.
-func BenchmarkTCPClusterSortedDelta(b *testing.B) {
-	benchConcurrent(b, nil, 16384, 1<<17, 500*time.Microsecond, true)
-}
-
-func BenchmarkTCPClusterUnsortedSlowLink16K(b *testing.B) {
-	benchConcurrent(b, nil, 16384, 1<<17, 500*time.Microsecond, false)
-}
-
-// BenchmarkTCPClusterSortedDeltaLoopback is the CPU-bound companion
-// row: no emulated link, so it isolates the compute savings of the
-// sorted pipeline end to end over real sockets.
-func BenchmarkTCPClusterSortedDeltaLoopback(b *testing.B) {
-	benchConcurrent(b, nil, 16384, 1<<16, 0, true)
-}
-
-func benchConcurrent(b *testing.B, serialize *sync.Mutex, batch, perCall int, delay time.Duration, sorted bool) {
-	c, shutdown := benchCluster(b, batch, delay)
-	defer shutdown()
-
-	const callers = 4
-	b.SetBytes(int64(callers * perCall * workload.KeyBytes))
-	b.ReportAllocs()
-	var wg sync.WaitGroup
-	var hist telemetry.Histogram
-	queries := make([][]workload.Key, callers)
-	outs := make([][]int, callers)
-	for g := range queries {
-		queries[g] = workload.UniformQueries(perCall, uint64(2+g))
-		if sorted {
-			sort.Slice(queries[g], func(i, j int) bool { return queries[g][i] < queries[g][j] })
-		}
-		outs[g] = make([]int, perCall)
-		if err := c.LookupBatchInto(queries[g], outs[g]); err != nil { // warm; see benchLookups
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for g := 0; g < callers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				if serialize != nil {
-					serialize.Lock()
-					defer serialize.Unlock()
-				}
-				t0 := time.Now()
-				if err := c.LookupBatchInto(queries[g], outs[g]); err != nil {
-					b.Error(err)
-				}
-				hist.Observe(time.Since(t0))
-			}(g)
-		}
-		wg.Wait()
-	}
-	reportNsPerKey(b, callers*perCall)
-	reportBenchLatency(b, &hist)
-}
-
 // reportBenchLatency reports a benchmark's per-call latency tail as
-// p50/p99/p99.9 metrics for BENCH_real.json (benchcheck gates p99_ns
-// at the same threshold as throughput).
+// p50/p99/p99.9 metrics.
 func reportBenchLatency(b *testing.B, h *telemetry.Histogram) {
 	s := h.Snapshot()
 	if s.Count == 0 {

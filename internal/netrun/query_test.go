@@ -694,81 +694,3 @@ func TestTCPQueryOpsSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkTCPClusterQueryOps is the referee's ops_tcp cycle on two
-// loopback nodes: two callers each counting 4,096 ranges of a thousandth
-// of the key space, asking 16,384 multiplicities (half of them present),
-// scanning 4,096 keys and taking the top 1,024. A unit is one range, one
-// asked key or one returned key, as the referee counts them.
-func BenchmarkTCPClusterQueryOps(b *testing.B) {
-	const (
-		nRanges, nGets, scanLimit, topK = 4096, 16384, 4096, 1024
-		callers                         = 2
-		span                            = 1 << 32 / 1000
-	)
-	keys := workload.SortedKeys(327680, 1)
-	c, shutdown := startCluster(b, keys, 2, 16384)
-	defer shutdown()
-
-	type inputs struct {
-		ranges []KeyRange
-		gets   []workload.Key
-		scanLo workload.Key
-		counts []int
-		buf    []workload.Key
-	}
-	ins := make([]*inputs, callers)
-	for g := range ins {
-		rng := rand.New(rand.NewSource(int64(3 + g)))
-		in := &inputs{ranges: make([]KeyRange, nRanges), gets: make([]workload.Key, nGets), counts: make([]int, nGets)}
-		for i := range in.ranges {
-			lo := workload.Key(rng.Int63n(1<<32 - span))
-			in.ranges[i] = KeyRange{Lo: lo, Hi: lo + span}
-		}
-		for i := range in.gets {
-			in.gets[i] = workload.Key(rng.Uint32())
-			if i%2 == 0 {
-				in.gets[i] = keys[rng.Intn(len(keys))]
-			}
-		}
-		in.scanLo = workload.Key(rng.Uint32() / 2)
-		ins[g] = in
-	}
-	cycle := func(in *inputs) (units int, err error) {
-		if err = c.CountRangeBatch(in.ranges, in.counts); err != nil {
-			return 0, err
-		}
-		if err = c.MultiGetInto(in.gets, in.counts); err != nil {
-			return 0, err
-		}
-		units = nRanges + nGets
-		if in.buf, err = c.ScanRange(in.scanLo, math.MaxUint32, scanLimit, in.buf[:0]); err != nil {
-			return 0, err
-		}
-		units += len(in.buf)
-		if in.buf, err = c.TopK(topK, in.buf[:0]); err != nil {
-			return 0, err
-		}
-		return units + len(in.buf), nil
-	}
-	units, err := cycle(ins[0]) // warm the connections and the pools
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for _, in := range ins {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := cycle(in); err != nil {
-					b.Error(err)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*callers*units), "ns/key")
-}

@@ -1,50 +1,47 @@
 // Command benchcheck compares fresh BENCH_real.json runs against the
-// committed baseline and fails (exit 1) when any benchmark's gated
-// metric — ns_per_key (read-path mean) or p99_ns (per-call latency
-// tail) — regressed by more than the tolerance (default 20%, generous
-// because CI runs on noisy shared VMs).
+// committed baseline and fails (exit 1) when a committed row's ns_per_key
+// regressed by more than 20% (generous, because CI runs on noisy shared
+// VMs), when a committed row is missing from every fresh run, or when a
+// row no longer reports ns_per_key — so deleting or renaming a kernel
+// benchmark cannot silently remove its gate; the baseline changes with it
+// in the same PR.
 //
 // Variance awareness: pass several fresh files (CI runs the bench suite
-// three times) and each benchmark is judged on its best (minimum)
-// value across them — the minimum is the run least disturbed by
-// neighbors on the shared VM, so run-to-run noise (>10% on the 1-core
-// CI container) cannot fail a healthy build. Benchmarks present on only
-// one side are reported but not fatal — new rows appear with new
-// features, and renamed rows should update the baseline in the same PR.
+// three times) and each row is judged on its best (minimum) value across
+// them — the minimum is the run least disturbed by neighbors on the shared
+// VM, so run-to-run noise cannot fail a healthy build. A fresh row the
+// baseline lacks is reported, not fatal: new rows appear with new
+// benchmarks.
 //
 // When the GITHUB_STEP_SUMMARY environment variable is set (GitHub
-// Actions), a per-benchmark delta table in Markdown is appended to that
-// file, so the job summary shows every row's baseline, best-of-N fresh
-// value, and delta at a glance.
+// Actions), a per-row delta table in Markdown is appended to that file,
+// so the job summary shows every row's baseline, best-of-N fresh value
+// and delta at a glance.
 //
-// Usage: go run ./scripts/benchcheck [-tolerance 0.20] committed.json fresh.json [fresh2.json ...]
+// Usage: go run ./scripts/benchcheck committed.json fresh.json [fresh2.json ...]
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 )
 
-// gatedMetrics are the JSON columns compared against the baseline; each
-// is a lower-is-better quantity gated at the same tolerance.
-var gatedMetrics = []struct{ key, unit string }{
-	{"ns_per_key", "ns/key"},
-	{"p99_ns", "p99 ns"},
-}
+// tolerance is the fractional ns_per_key regression a row may show
+// against the baseline.
+const tolerance = 0.20
 
 type benchFile struct {
 	Benchmarks []struct {
 		Name     string   `json:"name"`
 		NsPerKey *float64 `json:"ns_per_key"`
-		P99Ns    *float64 `json:"p99_ns"`
 	} `json:"benchmarks"`
 }
 
-// load maps "benchmark/metric" to the recorded value (nil when the row
-// does not report that metric).
+// load maps each row's name to its ns_per_key (nil when the row does not
+// report it).
 func load(path string) (map[string]*float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -54,60 +51,99 @@ func load(path string) (map[string]*float64, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	out := make(map[string]*float64, 2*len(f.Benchmarks))
+	out := make(map[string]*float64, len(f.Benchmarks))
 	for _, b := range f.Benchmarks {
-		out[b.Name+"/ns_per_key"] = b.NsPerKey
-		out[b.Name+"/p99_ns"] = b.P99Ns
+		out[b.Name] = b.NsPerKey
 	}
 	return out, nil
 }
 
-// row is one (benchmark, metric) comparison outcome, shared by the
-// stdout report and the job-summary table.
-type row struct {
-	name         string // "Benchmark/metric"
-	unit         string
-	base, best   float64
-	delta        float64 // fractional
-	status       string
-	comparedBoth bool
-}
-
-// bestOf folds several fresh runs into one map of per-key minimum
-// values (nil entries mark rows that never reported the metric).
+// bestOf folds several fresh runs into one map of per-row minimum values
+// (nil entries mark rows that no run reported ns_per_key for).
 func bestOf(runs []map[string]*float64) map[string]*float64 {
 	best := make(map[string]*float64)
 	for _, run := range runs {
 		for name, v := range run {
-			if v == nil {
-				if _, seen := best[name]; !seen {
-					best[name] = nil
-				}
-				continue
-			}
-			if cur, seen := best[name]; !seen || cur == nil || *v < *cur {
-				val := *v
-				best[name] = &val
+			if cur, seen := best[name]; !seen || cur == nil || v != nil && *v < *cur {
+				best[name] = v
 			}
 		}
 	}
 	return best
 }
 
+// row is one row's outcome, shared by the stdout report and the
+// job-summary table; base and best are NaN where that side has no value.
+type row struct {
+	name       string
+	base, best float64
+	status     string
+	failed     bool
+}
+
+// values is the row's baseline, best fresh value and delta, or "—" where
+// a side has no value.
+func (r row) values() string {
+	if math.IsNaN(r.base) || math.IsNaN(r.best) {
+		return "—"
+	}
+	return fmt.Sprintf("%.4g -> %.4g ns/key (%+.1f%%)", r.base, r.best, (r.best/r.base-1)*100)
+}
+
+// compare judges every committed row against the best of the fresh runs,
+// and lists the fresh rows the baseline lacks; rows come back sorted by
+// name.
+func compare(committed map[string]*float64, runs []map[string]*float64) []row {
+	fresh := bestOf(runs)
+	value := func(v *float64) float64 {
+		if v == nil {
+			return math.NaN()
+		}
+		return *v
+	}
+	var rows []row
+	for name, base := range committed {
+		cur, ok := fresh[name]
+		r := row{name: name, base: value(base), best: value(cur), failed: true}
+		switch {
+		case base == nil:
+			r.status = "no ns_per_key in the baseline"
+		case !ok:
+			r.status = "MISSING from every fresh run"
+		case cur == nil:
+			r.status = "NO ns_per_key in any fresh run"
+		case *cur > *base*(1+tolerance):
+			r.status = "REGRESSED"
+		default:
+			r.status, r.failed = "ok", false
+		}
+		rows = append(rows, r)
+	}
+	for name, v := range fresh {
+		if _, ok := committed[name]; !ok {
+			rows = append(rows, row{name: name, base: math.NaN(), best: value(v), status: "new row (no baseline yet)"})
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
+	return rows
+}
+
 func main() {
-	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional regression per gated metric (vs best fresh run)")
-	flag.Parse()
-	if flag.NArg() < 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchcheck [-tolerance 0.20] committed.json fresh.json [fresh2.json ...]")
+	if len(os.Args) < 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchcheck committed.json fresh.json [fresh2.json ...]")
 		os.Exit(2)
 	}
-	committed, err := load(flag.Arg(0))
+	committed, err := load(os.Args[1])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(2)
 	}
+	if len(committed) == 0 {
+		fmt.Fprintln(os.Stderr, "benchcheck: the baseline has no rows")
+		os.Exit(2)
+	}
 	var runs []map[string]*float64
-	for _, arg := range flag.Args()[1:] {
+	for _, arg := range os.Args[2:] {
 		run, err := load(arg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchcheck:", err)
@@ -115,77 +151,28 @@ func main() {
 		}
 		runs = append(runs, run)
 	}
-	fresh := bestOf(runs)
 
-	unitOf := func(name string) string {
-		for _, m := range gatedMetrics {
-			if len(name) > len(m.key) && name[len(name)-len(m.key):] == m.key {
-				return m.unit
-			}
-		}
-		return ""
-	}
-
-	var rows []row
-	failed := false
-	compared := 0
-	for name, base := range committed {
-		if base == nil {
-			continue // baseline row never reported this metric
-		}
-		cur, ok := fresh[name]
-		if !ok {
-			fmt.Printf("benchcheck: %-55s missing from fresh runs (renamed? update the baseline)\n", name)
-			continue
-		}
-		if cur == nil {
-			fmt.Printf("benchcheck: %-55s metric disappeared from fresh runs (bench edited? update the baseline)\n", name)
-			continue
-		}
-		compared++
-		ratio := *cur / *base
-		status := "ok"
-		if ratio > 1+*tolerance {
-			status = "REGRESSED"
-			failed = true
-		}
-		rows = append(rows, row{name: name, unit: unitOf(name), base: *base, best: *cur, delta: ratio - 1, status: status, comparedBoth: true})
-	}
-	for name, v := range fresh {
-		if v == nil {
-			continue
-		}
-		if base, ok := committed[name]; !ok || base == nil {
-			rows = append(rows, row{name: name, unit: unitOf(name), best: *v, status: "new row"})
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
+	rows := compare(committed, runs)
+	failed := 0
 	for _, r := range rows {
-		if !r.comparedBoth {
-			fmt.Printf("benchcheck: %-55s new row (no baseline yet)\n", r.name)
-			continue
+		fmt.Printf("benchcheck: %-50s %-36s %s\n", r.name, r.values(), r.status)
+		if r.failed {
+			failed++
 		}
-		fmt.Printf("benchcheck: %-55s %12.2f -> %12.2f %s (%+.1f%%, best of %d) %s\n",
-			r.name, r.base, r.best, r.unit, r.delta*100, len(runs), r.status)
 	}
+	writeSummary(rows, len(runs))
 
-	writeSummary(rows, len(runs), *tolerance)
-
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "benchcheck: no comparable rows — baseline or fresh files malformed?")
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "benchcheck: %d of %d baseline rows failed (%.0f%% tolerance on ns_per_key)\n", failed, len(committed), tolerance*100)
 		os.Exit(1)
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchcheck: regression beyond %.0f%% tolerance\n", *tolerance*100)
-		os.Exit(1)
-	}
-	fmt.Printf("benchcheck: %d rows within %.0f%% tolerance (best of %d runs)\n", compared, *tolerance*100, len(runs))
+	fmt.Printf("benchcheck: %d rows within %.0f%% tolerance (best of %d runs)\n", len(committed), tolerance*100, len(runs))
 }
 
 // writeSummary appends the delta table to the GitHub Actions job
 // summary when running in CI; a missing or unwritable summary file is
 // not an error (local runs).
-func writeSummary(rows []row, nRuns int, tolerance float64) {
+func writeSummary(rows []row, nRuns int) {
 	path := os.Getenv("GITHUB_STEP_SUMMARY")
 	if path == "" {
 		return
@@ -196,19 +183,15 @@ func writeSummary(rows []row, nRuns int, tolerance float64) {
 		return
 	}
 	defer f.Close()
-	fmt.Fprintf(f, "### Bench regression check (best of %d runs, %.0f%% tolerance)\n\n", nRuns, tolerance*100)
-	fmt.Fprintln(f, "| benchmark/metric | baseline | best fresh | delta | status |")
-	fmt.Fprintln(f, "|---|---:|---:|---:|---|")
+	fmt.Fprintf(f, "### Bench regression check (ns/key, best of %d runs, %.0f%% tolerance)\n\n", nRuns, tolerance*100)
+	fmt.Fprintln(f, "| benchmark | baseline -> best fresh (delta) | status |")
+	fmt.Fprintln(f, "|---|---|---|")
 	for _, r := range rows {
-		if !r.comparedBoth {
-			fmt.Fprintf(f, "| %s | — | %.2f %s | — | new row |\n", r.name, r.best, r.unit)
-			continue
+		status := r.status
+		if r.failed {
+			status = "**" + status + "**"
 		}
-		mark := r.status
-		if mark == "REGRESSED" {
-			mark = "**REGRESSED**"
-		}
-		fmt.Fprintf(f, "| %s | %.2f | %.2f %s | %+.1f%% | %s |\n", r.name, r.base, r.best, r.unit, r.delta*100, mark)
+		fmt.Fprintf(f, "| %s | %s | %s |\n", r.name, r.values(), status)
 	}
 	fmt.Fprintln(f)
 }
