@@ -48,11 +48,10 @@
 // recovers the newest intact segment plus the log tail — every acked
 // insert survives kill -9. A rejoin after a crash then catches up from
 // a sibling via the positioned delta (only the missed writes move)
-// instead of a full snapshot. -fsync-interval trades ack latency for
-// sync frequency: 0 syncs as soon as the current group commit claims
-// the log (batching concurrent acks into one fsync), a positive value
-// additionally spaces syncs at least that far apart, and a negative
-// value disables fsync entirely (acks stop implying crash durability).
+// instead of a full snapshot. -fsync-interval 0 (the default) syncs as
+// soon as the current group commit claims the log (batching concurrent
+// acks into one fsync); a negative value disables fsync entirely (acks
+// stop implying crash durability), and a positive one is refused.
 //
 // Nodes also serve the query ops beyond rank — range counts, ordered
 // range scans, top-k, and key multiplicities — against their live
@@ -114,7 +113,7 @@ func main() {
 		listen   = flag.String("listen", ":7000", "listen address")
 		readonly = flag.Bool("readonly", false, "serve reads only: never accept inserts, snapshot loads or a new identity")
 		walDir   = flag.String("wal-dir", "", "durable mode: per-partition WAL + segment directory (created if missing); acked inserts survive crashes")
-		fsyncInt = flag.Duration("fsync-interval", 0, "with -wal-dir: minimum spacing between WAL fsyncs (0 = every group commit, negative = never fsync)")
+		fsyncInt = flag.Duration("fsync-interval", 0, "with -wal-dir: 0 fsyncs the WAL on every group commit, negative never fsyncs; positive values are refused")
 		maxVer   = flag.Uint("max-version", 0, "cap the negotiated protocol version: 0 (newest) or 5, the version before it, for a mixed-version rollout")
 		adminAt  = flag.String("admin", "", "mount the HTTP admin/metrics endpoint on this address (e.g. 127.0.0.1:9100; empty disables)")
 		join     = flag.Bool("join", false, "start unassigned: load the key file but serve an empty partition until a v6 client's AddReplica assigns one (-parts/-part ignored)")

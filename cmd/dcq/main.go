@@ -457,10 +457,10 @@ func runTCP(addrs []string, keys, queries []dcindex.Key, op string, batch, maste
 	opt.Admin.Addr = adminAt
 	if hedge {
 		// Gray-failure mode: hedge reads that outlive the partition's
-		// latency quantile and eject sustained outlier replicas. The
-		// budget knobs keep their library defaults.
+		// latency quantile (paid from the fixed 10% hedge budget) and
+		// eject sustained outlier replicas.
 		opt.Hedging.Quantile = hedgeQuantile
-		opt.Ejection.Factor = 4
+		opt.Ejection = true
 	}
 	if chaos > 0 {
 		// Deterministic gray-failure drill: every connection to the

@@ -113,7 +113,7 @@ func GenerateKeys(n int, seed uint64) []Key { return workload.SortedKeys(n, seed
 func GenerateQueries(q int, seed uint64) []Key { return workload.UniformQueries(q, seed) }
 
 // DurabilityOptions groups the write-durability knobs: where the
-// write-ahead state lives and how often it is fsynced. The zero value
+// write-ahead state lives and whether it is fsynced. The zero value
 // keeps the index purely in memory.
 //
 //dc:knobs ../README.md
@@ -125,10 +125,10 @@ type DurabilityOptions struct {
 	// serve only as the baseline for a fresh directory. Empty keeps the
 	// index purely in memory.
 	WALDir string
-	// FsyncInterval spaces WAL fsyncs apart when WALDir is set: 0
-	// fsyncs every group commit (full durability), > 0 trades a bounded
-	// post-crash ack window for throughput, < 0 never fsyncs
-	// (benchmarking only — acks are no longer crash-durable).
+	// FsyncInterval chooses whether the WAL is fsynced when WALDir is
+	// set: 0 fsyncs every group commit (full durability), < 0 never
+	// fsyncs (benchmarking only — acks are no longer crash-durable).
+	// Open refuses a positive value.
 	FsyncInterval time.Duration
 }
 
@@ -149,22 +149,8 @@ type Options struct {
 	// caller's goroutine still routes, and only calls of 8 x Workers x
 	// BatchKeys keys or more reach it.
 	BatchKeys int
-	// QueueDepth bounds in-flight batches per worker (default 4).
-	QueueDepth int
-	// MergeThreshold is the floor of the per-partition delta-buffer size
-	// at which a background merge compacts buffered inserts into the
-	// immutable base structure (see Insert): a buffer is merged once it
-	// holds max(MergeThreshold, an eighth of the partition) keys. Zero
-	// selects the default (4096).
-	MergeThreshold int
-	// PartitionBudget caps a partition's key count before a background
-	// rebalance re-derives the partition delimiters over the whole key
-	// set — the paper's fits-in-cache invariant, maintained as inserts
-	// skew partitions. Zero selects twice the initial partition size;
-	// negative disables rebalancing.
-	PartitionBudget int
 	// Durability groups the write-durability knobs (WAL directory and
-	// fsync cadence). The zero value keeps the index purely in memory.
+	// whether to fsync). The zero value keeps the index purely in memory.
 	Durability DurabilityOptions
 }
 
@@ -178,11 +164,6 @@ func (o Options) withDefaults() core.RealConfig {
 	if o.BatchKeys != 0 {
 		cfg.BatchKeys = o.BatchKeys
 	}
-	if o.QueueDepth != 0 {
-		cfg.QueueDepth = o.QueueDepth
-	}
-	cfg.MergeThreshold = o.MergeThreshold
-	cfg.PartitionBudget = o.PartitionBudget
 	cfg.WALDir = o.Durability.WALDir
 	cfg.FsyncInterval = o.Durability.FsyncInterval
 	return cfg
@@ -240,9 +221,10 @@ func (ix *Index) Insert(k Key) error { return ix.c.Insert(k) }
 // index while it serves traffic: each key lands in the owning
 // partition's small sorted delta buffer (replicated methods apply the
 // batch to every replica), rank answers fold the buffered keys in
-// immediately, and a background merge periodically compacts buffer and
-// base into a fresh immutable structure — readers never block on a
-// merge. When inserts skew a partition past Options.PartitionBudget, a
+// immediately, and once a buffer holds max(4096, an eighth of its
+// partition) keys a background merge compacts buffer and base into a
+// fresh immutable structure — readers never block on a merge. When
+// inserts grow a partition past twice the initial partition size, a
 // background rebalance re-derives the partition delimiters so every
 // partition keeps fitting its cache. InsertBatch returns once the keys
 // are applied: ranks requested after it returns include them. Safe for
@@ -449,9 +431,12 @@ func Sweep(o SimOptions, batchBytes ...int) ([]Report, error) {
 // owning partitions and fan each write out to every connected writable
 // replica (read-only nodes never receive writes), and a
 // replica rejoining after a failure first reloads a sibling's snapshot
-// so it cannot serve stale ranks. See the netrun package documentation
-// for the protocol and the single-writer assumption behind exact
-// global ranks.
+// so it cannot serve stale ranks. Ranks are exact for the client that
+// inserted and for clients that dial after it; a TCPCluster that dialed
+// before another client inserted — even one that only reads — reads
+// every rank above that insert short by the number of keys inserted,
+// until it re-dials (ROADMAP.md direction 2 is the fix). See the netrun
+// package documentation for the protocol.
 //
 // Beyond ranks, a TCPCluster serves the same query surface as an
 // in-process Index — CountRange/CountRangeBatch, ScanRange, TopK, and
@@ -480,7 +465,8 @@ type TCPCluster = netrun.Cluster
 // reads (re-dispatch to a sibling past the partition's latency
 // quantile, first valid reply wins, spend capped by a token bucket),
 // Ejection arms latency-scored outlier ejection with probed
-// readmission, Rejoin shapes the re-dial backoff envelope, Admin
+// readmission, Rejoin shapes the re-dial backoff envelope that also
+// paces the probes, Admin
 // mounts the HTTP admin/metrics server on the client, and Dialer
 // injects a custom transport — e.g. an internal/faultnet wrapper — for
 // deterministic resilience drills.

@@ -2,8 +2,11 @@ package dcindex
 
 import (
 	"errors"
+	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -95,6 +98,37 @@ func TestOpenErrors(t *testing.T) {
 	}
 	if _, err := Open(GenerateKeys(2, 1), Options{Method: MethodC3, Workers: 10}); err == nil {
 		t.Error("more slaves than keys accepted")
+	}
+	durable := DurabilityOptions{WALDir: t.TempDir(), FsyncInterval: time.Millisecond}
+	if _, err := Open(GenerateKeys(100, 1), Options{Durability: durable}); err == nil || !strings.Contains(err.Error(), "FsyncInterval") {
+		t.Errorf("positive FsyncInterval: err = %v, want a refusal naming the field", err)
+	}
+}
+
+// ServePartition refuses a partition it cannot serve before it listens:
+// addr is held by another listener, so an error from the listen itself
+// would name it.
+func TestServePartitionErrors(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	addr := lis.Addr().String()
+	keys := GenerateKeys(100, 1)
+	for _, tc := range []struct {
+		name        string
+		keys        []Key
+		parts, part int
+	}{
+		{"negative part", keys, 4, -1},
+		{"part past parts", keys, 4, 4},
+		{"more parts than keys", keys[:3], 4, 0},
+	} {
+		err := ServePartition(addr, tc.keys, tc.parts, tc.part)
+		if err == nil || strings.Contains(err.Error(), "listen") {
+			t.Errorf("%s: err = %v, want a refusal before the listen", tc.name, err)
+		}
 	}
 }
 

@@ -64,7 +64,7 @@ func TestConcurrentLookupBatchAllMethods(t *testing.T) {
 // by the scheduler.
 func TestCloseWhileCallsInFlight(t *testing.T) {
 	keys := workload.SortedKeys(30000, 12)
-	c, err := NewCluster(keys, RealConfig{Method: MethodC3, Workers: 4, BatchKeys: 256, QueueDepth: 2})
+	c, err := NewCluster(keys, RealConfig{Method: MethodC3, Workers: 4, BatchKeys: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

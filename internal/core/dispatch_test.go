@@ -53,7 +53,7 @@ func TestHandoff(t *testing.T) {
 func dispatchShapes(keys []workload.Key, n int) map[string][]workload.Key {
 	// Everything at or above the largest key routes to the last
 	// partition whatever the worker count: one worker's queue takes
-	// every slice, which is the QueueDepth back-pressure arm of send.
+	// every slice, which is the queueDepth back-pressure arm of send.
 	last := keys[len(keys)-1]
 	r := workload.NewRNG(uint64(n))
 	onePart := make([]workload.Key, n)

@@ -21,7 +21,7 @@ import (
 
 func durableCfg(dir string, method Method) RealConfig {
 	return RealConfig{
-		Method: method, Workers: 4, BatchKeys: 256, QueueDepth: 4,
+		Method: method, Workers: 4, BatchKeys: 256,
 		MergeThreshold: 128, WALDir: dir,
 	}
 }
@@ -530,7 +530,7 @@ func TestClusterDurableOneSyncPerWave(t *testing.T) {
 	dir := t.TempDir()
 	keys := workload.SortedKeys(8192, 61)
 	c, err := NewCluster(keys, RealConfig{
-		Method: MethodC3, Workers: 8, BatchKeys: 64, QueueDepth: 4,
+		Method: MethodC3, Workers: 8, BatchKeys: 64,
 		// No merge and no rebalance: no segment flush and no new epoch add
 		// fsyncs of their own.
 		MergeThreshold: 1 << 20, PartitionBudget: -1,
@@ -929,7 +929,7 @@ func TestClusterDurableInsertAllocs(t *testing.T) {
 	keys := workload.SortedKeys(8192, 113)
 	measure := func(walDir string) float64 {
 		c, err := NewCluster(keys, RealConfig{
-			Method: MethodC3, Workers: 8, BatchKeys: 256, QueueDepth: 4,
+			Method: MethodC3, Workers: 8, BatchKeys: 256,
 			MergeThreshold: 1 << 20, PartitionBudget: -1,
 			WALDir: walDir, FsyncInterval: -1,
 		})

@@ -76,9 +76,9 @@ func TestLookupBatchIntoLeavesTail(t *testing.T) {
 	ins := workload.UniformQueries(3000, 22)
 	before, after := newQueryOracle(keys), newQueryOracle(keys)
 	after.add(ins)
-	configs := map[string]RealConfig{"one-partition C-3": {Method: MethodC3, Workers: 1, BatchKeys: 256, QueueDepth: 2}}
+	configs := map[string]RealConfig{"one-partition C-3": {Method: MethodC3, Workers: 1, BatchKeys: 256}}
 	for _, m := range Methods() {
-		configs[m.String()] = RealConfig{Method: m, Workers: 4, BatchKeys: 256, QueueDepth: 2}
+		configs[m.String()] = RealConfig{Method: m, Workers: 4, BatchKeys: 256}
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {

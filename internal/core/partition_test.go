@@ -309,7 +309,7 @@ func TestPartitioningCutsBetweenDistinctKeys(t *testing.T) {
 			base += len(part.Keys)
 		}
 		distinct := tc.keys[0] != tc.keys[len(tc.keys)-1]
-		c, err := NewCluster(tc.keys, RealConfig{Method: MethodC3, Workers: tc.parts, BatchKeys: 16, QueueDepth: 2})
+		c, err := NewCluster(tc.keys, RealConfig{Method: MethodC3, Workers: tc.parts, BatchKeys: 16})
 		if err != nil {
 			t.Fatal(err)
 		}

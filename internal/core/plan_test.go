@@ -100,7 +100,7 @@ func TestKeyPlan(t *testing.T) {
 	// below the cut is counted, for the key 0 too (Span asks from
 	// partition 0).
 	for _, keys := range [][]workload.Key{cutRunKeys(), zeroRunKeys()} {
-		c, err := NewCluster(keys, RealConfig{Method: MethodC3, Workers: 4, BatchKeys: 16, QueueDepth: 2})
+		c, err := NewCluster(keys, RealConfig{Method: MethodC3, Workers: 4, BatchKeys: 16})
 		if err != nil {
 			t.Fatal(err)
 		}

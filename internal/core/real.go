@@ -34,8 +34,6 @@ type RealConfig struct {
 	// carries. It is a ceiling: handoff cuts a call into smaller slices
 	// when the call is too short to fill BatchKeys-sized ones early.
 	BatchKeys int
-	// QueueDepth bounds in-flight batches per worker (backpressure).
-	QueueDepth int
 	// MergeThreshold is the floor of the per-partition delta-buffer size
 	// that triggers a background compaction of buffer+base into a fresh
 	// immutable array (see Insert/InsertBatch): a buffer is compacted once
@@ -61,10 +59,10 @@ type RealConfig struct {
 	// keys serve only as the baseline for a fresh directory. Empty
 	// keeps the index purely in memory (the previous behaviour).
 	WALDir string
-	// FsyncInterval is the group-commit window (see
+	// FsyncInterval chooses whether the WAL is fsynced (see
 	// index.StoreOptions.FsyncInterval): 0 fsyncs on every commit
-	// leader, > 0 spaces fsyncs apart, < 0 disables fsync (acks are no
-	// longer crash-durable). Only meaningful with WALDir.
+	// leader, < 0 disables fsync (acks are no longer crash-durable), and
+	// a positive value is refused. Only meaningful with WALDir.
 	FsyncInterval time.Duration
 	// WALFS overrides the filesystem the durability layer writes
 	// through (fault-injection hook for tests); nil means the real one.
@@ -76,8 +74,11 @@ type RealConfig struct {
 
 // DefaultRealConfig returns a ready-to-use configuration for m.
 func DefaultRealConfig(m Method) RealConfig {
-	return RealConfig{Method: m, Workers: 8, BatchKeys: 16384, QueueDepth: 4}
+	return RealConfig{Method: m, Workers: 8, BatchKeys: 16384}
 }
+
+// queueDepth bounds in-flight batches per worker (backpressure).
+const queueDepth = 4
 
 // handoffFloor is the fewest keys a hand-off carries unless BatchKeys
 // is smaller still: below this the channel operation and the worker's
@@ -105,9 +106,6 @@ func (c RealConfig) validate() error {
 	}
 	if c.BatchKeys <= 0 {
 		return fmt.Errorf("core: BatchKeys = %d", c.BatchKeys)
-	}
-	if c.QueueDepth <= 0 {
-		return fmt.Errorf("core: QueueDepth = %d", c.QueueDepth)
 	}
 	if c.MergeThreshold < 0 {
 		return fmt.Errorf("core: MergeThreshold = %d", c.MergeThreshold)
@@ -339,14 +337,14 @@ func NewCluster(keys []workload.Key, cfg RealConfig) (*Cluster, error) {
 		cs:          cs,
 	}
 	c.batches.New = func() any { return new(realBatch) }
-	replyCap := cfg.Workers*cfg.QueueDepth + cfg.Workers
+	replyCap := cfg.Workers*queueDepth + cfg.Workers
 	c.calls.New = func() any {
 		return &callState{reply: make(chan *realBatch, replyCap)}
 	}
 	// Free-list capacities cover the steady state: every worker queue
 	// full plus one accumulating and one in-process batch per worker,
 	// and a handful of concurrent calls.
-	c.freeBatches = make(chan *realBatch, cfg.Workers*(cfg.QueueDepth+2))
+	c.freeBatches = make(chan *realBatch, cfg.Workers*(queueDepth+2))
 	c.freeCalls = make(chan *callState, 16)
 
 	ep, err := c.newEpoch(keys)
@@ -369,7 +367,7 @@ func NewCluster(keys []workload.Key, cfg RealConfig) (*Cluster, error) {
 	go c.rebalancer()
 
 	for w := 0; w < cfg.Workers; w++ {
-		c.in[w] = make(chan *realBatch, cfg.QueueDepth)
+		c.in[w] = make(chan *realBatch, queueDepth)
 		c.wg.Add(1)
 		go c.runWorker(w)
 	}

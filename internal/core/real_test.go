@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -11,7 +12,7 @@ import (
 func newTestCluster(t *testing.T, m Method, keys []workload.Key, workers, batchKeys int) *Cluster {
 	t.Helper()
 	c, err := NewCluster(keys, RealConfig{
-		Method: m, Workers: workers, BatchKeys: batchKeys, QueueDepth: 4,
+		Method: m, Workers: workers, BatchKeys: batchKeys,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,10 +164,13 @@ func TestCloseSemantics(t *testing.T) {
 func TestNewClusterErrors(t *testing.T) {
 	keys := workload.SortedKeys(100, 9)
 	cases := map[string]RealConfig{
-		"bad method": {Method: Method(9), Workers: 2, BatchKeys: 10, QueueDepth: 1},
-		"no workers": {Method: MethodA, Workers: 0, BatchKeys: 10, QueueDepth: 1},
-		"no batch":   {Method: MethodA, Workers: 2, BatchKeys: 0, QueueDepth: 1},
-		"no queue":   {Method: MethodA, Workers: 2, BatchKeys: 10, QueueDepth: 0},
+		"bad method": {Method: Method(9), Workers: 2, BatchKeys: 10},
+		"no workers": {Method: MethodA, Workers: 0, BatchKeys: 10},
+		"no batch":   {Method: MethodA, Workers: 2, BatchKeys: 0},
+		"positive fsync interval": {
+			Method: MethodC3, Workers: 2, BatchKeys: 10,
+			WALDir: t.TempDir(), FsyncInterval: time.Millisecond,
+		},
 	}
 	for name, cfg := range cases {
 		if _, err := NewCluster(keys, cfg); err == nil {
@@ -181,7 +185,7 @@ func TestNewClusterErrors(t *testing.T) {
 	}
 	// More workers than keys cannot partition.
 	if _, err := NewCluster(workload.SortedKeys(3, 1), RealConfig{
-		Method: MethodC3, Workers: 10, BatchKeys: 4, QueueDepth: 1,
+		Method: MethodC3, Workers: 10, BatchKeys: 4,
 	}); err == nil {
 		t.Error("more C-slaves than keys accepted")
 	}
@@ -221,7 +225,7 @@ func TestRealEngineProperty(t *testing.T) {
 		b := int(bRaw%200) + 1
 		m := Methods()[int(mRaw)%5]
 		keys := workload.SortedKeys(n, seed)
-		c, err := NewCluster(keys, RealConfig{Method: m, Workers: w, BatchKeys: b, QueueDepth: 2})
+		c, err := NewCluster(keys, RealConfig{Method: m, Workers: w, BatchKeys: b})
 		if err != nil {
 			return false
 		}

@@ -98,7 +98,7 @@ func TestSortedPathCrossMethodSweep(t *testing.T) {
 		truthUnsorted := groundTruth(keys, unsortedQs)
 
 		for _, m := range Methods() {
-			cfg := RealConfig{Method: m, Workers: 4, BatchKeys: 512, QueueDepth: 2}
+			cfg := RealConfig{Method: m, Workers: 4, BatchKeys: 512}
 			c, err := NewCluster(keys, cfg)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", setName, m, err)
@@ -157,7 +157,7 @@ func TestSortedPathCrossMethodSweep(t *testing.T) {
 // leave sub-BatchKeys tails per partition.
 func TestSortedDispatchTinyAndEdgeBatches(t *testing.T) {
 	keys := workload.SortedKeys(2048, 3)
-	c, err := NewCluster(keys, RealConfig{Method: MethodC3, Workers: 8, BatchKeys: 7, QueueDepth: 2})
+	c, err := NewCluster(keys, RealConfig{Method: MethodC3, Workers: 8, BatchKeys: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

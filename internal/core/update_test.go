@@ -76,7 +76,7 @@ func TestMixedReadWriteAllMethods(t *testing.T) {
 	var variants []variant
 	for _, m := range Methods() {
 		variants = append(variants, variant{m.String(), RealConfig{
-			Method: m, Workers: 4, BatchKeys: 512, QueueDepth: 4, MergeThreshold: 256,
+			Method: m, Workers: 4, BatchKeys: 512, MergeThreshold: 256,
 		}})
 	}
 
@@ -154,7 +154,7 @@ func TestMixedReadWriteAllMethods(t *testing.T) {
 func TestEpochSwapUnderConcurrentReaders(t *testing.T) {
 	keys := workload.SortedKeys(32768, 3)
 	cfg := RealConfig{
-		Method: MethodC3, Workers: 4, BatchKeys: 1024, QueueDepth: 4,
+		Method: MethodC3, Workers: 4, BatchKeys: 1024,
 		MergeThreshold: 512, // merge early and often
 		// Default budget: 2x the initial 8192-key partitions, so the
 		// skewed stream below must trigger a rebalance.
@@ -263,7 +263,7 @@ func TestEpochSwapUnderConcurrentReaders(t *testing.T) {
 // TestInsertAfterCloseFails pins the lifecycle contract.
 func TestInsertAfterCloseFails(t *testing.T) {
 	keys := workload.SortedKeys(128, 1)
-	c, err := NewCluster(keys, RealConfig{Method: MethodC3, Workers: 2, BatchKeys: 32, QueueDepth: 2})
+	c, err := NewCluster(keys, RealConfig{Method: MethodC3, Workers: 2, BatchKeys: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestInsertVisibleToOwnerRouting(t *testing.T) {
 	// partition 1524 <= 2200), so the skewed partition (1024+2000 keys)
 	// must trigger a re-partitioning.
 	c, err := NewCluster(keys, RealConfig{
-		Method: MethodC3, Workers: 4, BatchKeys: 256, QueueDepth: 2,
+		Method: MethodC3, Workers: 4, BatchKeys: 256,
 		MergeThreshold: 128, PartitionBudget: 2200,
 	})
 	if err != nil {
@@ -343,7 +343,7 @@ func TestReplicatedMethodsShareOneCopy(t *testing.T) {
 			}
 			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 			c, err := NewCluster(keys, RealConfig{
-				Method: m, Workers: 8, BatchKeys: 1024, QueueDepth: 4, MergeThreshold: 512,
+				Method: m, Workers: 8, BatchKeys: 1024, MergeThreshold: 512,
 			})
 			if err != nil {
 				t.Fatal(err)

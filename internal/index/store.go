@@ -48,10 +48,10 @@ import (
 type StoreOptions struct {
 	// FS is the filesystem to write through; nil means the real one.
 	FS faultfs.FS
-	// FsyncInterval is the group-commit window: 0 fsyncs as soon as a
-	// commit leader claims the flush, > 0 additionally spaces fsyncs at
-	// least this far apart (higher insert latency, fewer fsyncs), < 0
-	// disables fsync entirely (acks are no longer crash-durable).
+	// FsyncInterval chooses whether the log is fsynced: 0 fsyncs as
+	// soon as a commit leader claims the flush, < 0 disables fsync
+	// entirely (acks are no longer crash-durable). Opening refuses a
+	// positive value.
 	FsyncInterval time.Duration
 	// Logf, if set, receives recovery and quarantine notices.
 	Logf func(format string, args ...any)
@@ -141,6 +141,9 @@ func OpenStores(dir string, baselines [][]workload.Key, opt StoreOptions) ([]*St
 }
 
 func openStores(logDir string, segDirs []string, baselines [][]workload.Key, opt StoreOptions) ([]*Store, [][]workload.Key, error) {
+	if opt.FsyncInterval > 0 {
+		return nil, nil, fmt.Errorf("index: FsyncInterval = %v: only 0 (fsync every commit) or negative (never fsync) is accepted", opt.FsyncInterval)
+	}
 	fs := opt.FS
 	if fs == nil {
 		fs = faultfs.OS

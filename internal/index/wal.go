@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/faultfs"
 	"repro/internal/workload"
@@ -190,11 +189,11 @@ type WAL struct {
 	parts int
 	logf  func(format string, args ...any)
 
-	// interval is the group-commit window: 0 syncs as soon as a leader
-	// claims the flush (coalescing whatever queued meanwhile), > 0 also
-	// spaces syncs at least interval apart, < 0 disables fsync entirely
-	// (acks are then not crash-durable; benchmark/ephemeral use only).
-	interval time.Duration
+	// fsync is false when the log is never fsynced (acks are then not
+	// crash-durable; benchmark/ephemeral use only). Otherwise a commit
+	// leader syncs as soon as it claims the flush, coalescing whatever
+	// queued meanwhile.
+	fsync bool
 
 	mu    sync.Mutex   // the append lock
 	f     faultfs.File //dc:guardedby mu
@@ -213,15 +212,14 @@ type WAL struct {
 	cond *sync.Cond // on cmu
 	// syncing is the sync token: its holder alone fsyncs, and only a
 	// holder that also holds mu (rotate, reset) may replace the file.
-	syncing  bool         //dc:guardedby cmu
-	syncf    faultfs.File //dc:guardedby cmu
-	synced   int64        //dc:guardedby cmu
-	lastSync time.Time    //dc:guardedby cmu
-	err      error        //dc:guardedby cmu
+	syncing bool         //dc:guardedby cmu
+	syncf   faultfs.File //dc:guardedby cmu
+	synced  int64        //dc:guardedby cmu
+	err     error        //dc:guardedby cmu
 }
 
 func newWAL(fs faultfs.FS, dir string, parts int, opt StoreOptions) *WAL {
-	w := &WAL{fs: fs, dir: dir, parts: parts, logf: opt.Logf, interval: opt.FsyncInterval}
+	w := &WAL{fs: fs, dir: dir, parts: parts, logf: opt.Logf, fsync: opt.FsyncInterval == 0}
 	w.cond = sync.NewCond(&w.cmu)
 	return w
 }
@@ -360,7 +358,7 @@ func (w *WAL) cutLocked(ord uint64) error {
 	if _, err := f.Write(head); err != nil {
 		return fail(err)
 	}
-	if w.interval >= 0 {
+	if w.fsync {
 		if err := f.Sync(); err != nil {
 			return fail(err)
 		}
@@ -445,9 +443,9 @@ func (w *WAL) Broken() error {
 
 // Commit blocks until every byte up to end is fsynced (leader-based
 // group commit: the first waiter syncs on behalf of everyone queued
-// behind it). With a negative interval it is a no-op.
+// behind it). With fsync disabled it is a no-op.
 func (w *WAL) Commit(end int64) error {
-	if w.interval < 0 {
+	if !w.fsync {
 		return nil
 	}
 	w.cmu.Lock()
@@ -465,22 +463,11 @@ func (w *WAL) Commit(end int64) error {
 		}
 		w.syncing = true
 		f := w.syncf // stays the active file while this leader has the token
-		var wait time.Duration
-		if w.interval > 0 {
-			if since := time.Since(w.lastSync); since < w.interval {
-				wait = w.interval - since
-			}
-		}
 		w.cmu.Unlock()
-		if wait > 0 {
-			// Group-commit window: let more appends pile onto this sync.
-			time.Sleep(wait)
-		}
 		target := w.written.Load()
 		err := f.Sync()
 		w.cmu.Lock()
 		w.syncing = false
-		w.lastSync = time.Now()
 		if err != nil {
 			if w.err == nil {
 				w.err = err
@@ -529,7 +516,7 @@ func (w *WAL) rotateLocked() error {
 		return err
 	}
 	defer w.dropToken()
-	if w.interval >= 0 {
+	if w.fsync {
 		if err := w.f.Sync(); err != nil {
 			w.fail(err)
 			return err

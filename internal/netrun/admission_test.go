@@ -31,10 +31,11 @@ func TestAdmissionCapParksReads(t *testing.T) {
 	defer func() { maxPending = old }() // after shutdown: the epoch's goroutines read it
 
 	keys := workload.SortedKeys(4000, 93)
+	// No replenishment: whatever the bucket is short of its burst was
+	// spent on hedge attempts.
+	setHedgeBudget(t, 0, 64000)
 	gc, shutdown := startGray(t, keys, 1, 2, 256, DialOptions{
-		// No replenishment: whatever the bucket is short of its burst was
-		// spent on hedge attempts.
-		Hedging: HedgeOptions{Quantile: 0.9, Budget: -1, Burst: 64},
+		Hedging: HedgeOptions{Quantile: 0.9},
 	})
 	defer shutdown()
 	for _, p := range gc.profiles[0] {
@@ -97,7 +98,7 @@ func TestAdmissionCapParksReads(t *testing.T) {
 		hedges += h.Hedges
 	}
 	g.mu.Lock()
-	spent := gc.c.hedgeBurstMilli - g.budget
+	spent := hedgeBurstMilli - g.budget
 	g.mu.Unlock()
 	// Every hedge attempt pays its token before it looks for room, so
 	// tokens spent beyond the hedges that landed (any that did found a

@@ -57,9 +57,13 @@ var ErrClusterClosed = errors.New("netrun: cluster closed")
 // before it serves reads again. Read-only replicas never receive
 // writes, and stop serving a partition's reads once it has been written
 // to. The client folds its per-partition insert counts into
-// the nodes' static rank bases on the read path, so global ranks stay
-// exact under a single writing client; Redial reuses the counters (the
-// nodes retain their inserts), but a node that *restarted* across a
+// the nodes' static rank bases on the read path: its own inserts, and
+// those counted at dial. A client — even one that only reads — that
+// dialed before another client inserted reads every rank above that
+// insert short by the number of keys inserted, until it re-dials; the
+// fix is ROADMAP.md's direction 2 (each rank reply carries its
+// snapshot's live key count). Redial reuses the counters (the nodes
+// retain their inserts), but a node that *restarted* across a
 // terminal failure comes back stale and is only re-synced by the
 // rejoin path, not by Redial.
 type Cluster struct {
@@ -90,9 +94,10 @@ type Cluster struct {
 	// preceding partitions' counters when scattering replies — the
 	// client-side half of keeping global ranks exact as the index
 	// grows. Counters persist across Redial (they describe the nodes,
-	// which outlive the connections). A concurrently-writing second
-	// client remains invisible between dials, so exact global ranks
-	// under writes assume one writing client at a time.
+	// which outlive the connections). Another client's inserts stay
+	// invisible until this client re-dials: until then every rank above
+	// them reads short by their count, whether or not this client writes
+	// (ROADMAP.md direction 2 is the fix).
 	ins []atomic.Int64
 
 	ep atomic.Pointer[epoch]
@@ -101,12 +106,6 @@ type Cluster struct {
 	// delta path (as opposed to full-snapshot loads); tests assert the
 	// cheap path actually ran.
 	deltaCatchups atomic.Int64
-
-	// Gray-failure knobs, precomputed from DialOptions at dial time
-	// (immutable afterwards): the per-group hedge token bucket
-	// parameters in milli-tokens (see replicaGroup.budget).
-	hedgeEarnMilli  int64
-	hedgeBurstMilli int64
 
 	// tel is the client-side telemetry registry: the read loops record
 	// one scatter-path latency sample per reply frame into the per-op
@@ -232,8 +231,8 @@ type ReplicaHealth struct {
 	// State is the latency-probation view of the replica's lifecycle
 	// state: "suspect", "ejected" or "probing" in those states and
 	// "healthy" in every other (liveness is Healthy and Syncing's
-	// business). Always "healthy" unless DialOptions.Ejection.Factor
-	// enabled latency-scored ejection.
+	// business). Always "healthy" unless DialOptions.Ejection enabled
+	// latency-scored ejection.
 	State string `json:"state"`
 	// LatencyEWMA is the smoothed reply latency of this replica's read
 	// frames (0 until it has served one).
@@ -292,31 +291,11 @@ type HedgeOptions struct {
 	// latency (never less than 10ms, which is also the delay before any
 	// latency history exists) is re-dispatched to a healthy sibling,
 	// first valid reply wins, the loser's reply is discarded by request
-	// id. 0 disables hedging. Writes are never hedged.
+	// id. 0 disables hedging. Writes are never hedged. Each partition's
+	// hedges are paid from a token bucket: a dispatched read frame
+	// earns 0.1 token, a hedge costs one, and the bucket holds at most
+	// 16 (at most ~10% extra load from hedging).
 	Quantile float64
-	// Budget is the hedge tokens earned per dispatched read frame
-	// (default 0.1 ≈ at most ~10% extra load from hedging); negative
-	// means no replenishment. Burst caps the token bucket (default 16).
-	Budget float64
-	Burst  int
-}
-
-// EjectOptions groups the latency-outlier ejection knobs (see
-// DialOptions.Ejection).
-//
-//dc:knobs ../../README.md
-type EjectOptions struct {
-	// Factor (> 1) enables latency-scored outlier ejection: a replica
-	// whose read latency stays above Factor times its best sibling's
-	// EWMA (and above 1ms) walks the probation states of the replica
-	// lifecycle and stops taking reads until paced probe batches come
-	// back fast. 0 disables ejection. Ejected replicas still receive
-	// every write.
-	Factor float64
-	// ProbeBackoff/ProbeMaxBackoff pace the probe batches an ejected
-	// replica receives (defaults: the Rejoin values).
-	ProbeBackoff    time.Duration
-	ProbeMaxBackoff time.Duration
 }
 
 // RejoinOptions groups the failed-replica re-dial knobs (see
@@ -352,9 +331,15 @@ type AdminOptions struct {
 type DialOptions struct {
 	// Hedging configures hedged reads.
 	Hedging HedgeOptions
-	// Ejection configures latency-outlier ejection.
-	Ejection EjectOptions
-	// Rejoin configures failed-replica re-dial backoff.
+	// Ejection enables latency-scored outlier ejection: a replica whose
+	// read latency stays above 4 times its best sibling's EWMA (and
+	// above 1ms) walks the probation states of the replica lifecycle
+	// and stops taking reads until probe batches, paced by the Rejoin
+	// backoff, come back fast. Ejected replicas still receive every
+	// write.
+	Ejection bool
+	// Rejoin configures failed-replica re-dial backoff, and the pacing
+	// of an ejected replica's probes.
 	Rejoin RejoinOptions
 	// Admin configures the operations-plane HTTP endpoint.
 	Admin AdminOptions
@@ -451,18 +436,6 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 	if opt.Rejoin.MaxBackoff <= 0 {
 		opt.Rejoin.MaxBackoff = 3 * time.Second
 	}
-	if opt.Hedging.Budget == 0 {
-		opt.Hedging.Budget = 0.1
-	}
-	if opt.Hedging.Burst <= 0 {
-		opt.Hedging.Burst = 16
-	}
-	if opt.Ejection.ProbeBackoff <= 0 {
-		opt.Ejection.ProbeBackoff = opt.Rejoin.Backoff
-	}
-	if opt.Ejection.ProbeMaxBackoff <= 0 {
-		opt.Ejection.ProbeMaxBackoff = opt.Rejoin.MaxBackoff
-	}
 	if opt.Dialer == nil {
 		opt.Dialer = func(ctx context.Context, addr string) (net.Conn, error) {
 			return new(net.Dialer).DialContext(ctx, "tcp", addr)
@@ -477,10 +450,6 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 	}
 	c := &Cluster{groups: groups, batch: opt.BatchKeys, opt: opt}
 	c.part.Store(part)
-	if opt.Hedging.Quantile > 0 && opt.Hedging.Budget > 0 {
-		c.hedgeEarnMilli = int64(opt.Hedging.Budget * 1000)
-	}
-	c.hedgeBurstMilli = int64(opt.Hedging.Burst) * 1000
 	c.tel = telemetry.NewRegistry()
 	for op := range opTable {
 		if row := &opTable[op]; row.pendingKind() {
@@ -595,7 +564,7 @@ func (c *Cluster) dialEpoch() (*epoch, error) {
 	// against complete groups.
 	var all []*replica
 	for pi, addrs := range c.groups {
-		g := &replicaGroup{part: pi, budget: c.hedgeBurstMilli, admitCh: make(chan struct{}, 1)}
+		g := &replicaGroup{part: pi, budget: hedgeBurstMilli, admitCh: make(chan struct{}, 1)}
 		for _, addr := range addrs {
 			g.replicas = append(g.replicas, &replica{g: g, addr: addr})
 		}
@@ -984,8 +953,10 @@ func (c *Cluster) Insert(k workload.Key) error {
 // loss.
 //
 // Global ranks stay exact through the client-side insert counters (see
-// Cluster.ins), which assumes this client is the deployment's only
-// writer; concurrent writing clients would need the counters shared.
+// Cluster.ins) for this client and for clients that dial after it; a
+// client that dialed before these keys were inserted reads every rank
+// above them short by len(keys) until it re-dials (ROADMAP.md
+// direction 2 is the fix).
 func (c *Cluster) InsertBatch(keys []workload.Key) error {
 	ep, err := c.begin()
 	if err != nil {

@@ -3,6 +3,7 @@ package netrun
 import (
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -422,6 +423,17 @@ func TestDurableNodeAckImpliesDurability(t *testing.T) {
 			}
 		}
 		dp.Close()
+	}
+}
+
+// TestDurableNodeRefusesFsyncInterval: the WAL fsyncs every group
+// commit or never, so a positive FsyncInterval (dcnode -fsync-interval)
+// is refused at the open, by name.
+func TestDurableNodeRefusesFsyncInterval(t *testing.T) {
+	keys := workload.SortedKeys(100, 109)
+	_, err := NewDurablePartitionNode(keys, 0, t.TempDir(), index.StoreOptions{FsyncInterval: time.Millisecond})
+	if err == nil || !strings.Contains(err.Error(), "FsyncInterval") {
+		t.Fatalf("err = %v, want a refusal naming FsyncInterval", err)
 	}
 }
 

@@ -56,11 +56,13 @@ func BenchmarkTCPClusterGraySlowReplica(b *testing.B) {
 			n.Close()
 		}
 	}()
+	setHedgeBudget(b, 1000, hedgeBurstMilli)
 	c, err := Dial(addrs, keys, DialOptions{
 		BatchKeys: 16384,
 		Replicas:  replicas,
-		Hedging:   HedgeOptions{Quantile: 0.95, Budget: 1.0},
-		Ejection:  EjectOptions{Factor: 4, ProbeBackoff: 500 * time.Millisecond},
+		Hedging:   HedgeOptions{Quantile: 0.95},
+		Ejection:  true,
+		Rejoin:    RejoinOptions{Backoff: 500 * time.Millisecond},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -160,6 +162,16 @@ func startGray(t *testing.T, keys []workload.Key, parts, replicas, batch int, op
 
 // checkRanks verifies one batch of lookups against the sorted-array
 // oracle.
+// setHedgeBudget sets the hedge token bucket (earn per primary read
+// dispatch and burst, in milli-tokens) for one test or benchmark, and
+// restores the package defaults after it — and after the clusters its
+// deferred shutdowns close, whose goroutines read them.
+func setHedgeBudget(tb testing.TB, earn, burst int64) {
+	oldEarn, oldBurst := hedgeEarnMilli, hedgeBurstMilli
+	hedgeEarnMilli, hedgeBurstMilli = earn, burst
+	tb.Cleanup(func() { hedgeEarnMilli, hedgeBurstMilli = oldEarn, oldBurst })
+}
+
 func checkRanks(t *testing.T, keys, queries []workload.Key, ranks []int) {
 	t.Helper()
 	for i, q := range queries {
@@ -177,9 +189,10 @@ func checkRanks(t *testing.T, keys, queries []workload.Key, ranks []int) {
 // words, so a rescued lookup is indistinguishable from a healthy one.
 func TestTCPHedgedReadStalledReplicaMatchesOracle(t *testing.T) {
 	keys := workload.SortedKeys(8000, 71)
+	// A generous budget: this test is about rescue, not rationing.
+	setHedgeBudget(t, 1000, 64000)
 	gc, shutdown := startGray(t, keys, 4, 2, 256, DialOptions{
-		// A generous budget: this test is about rescue, not rationing.
-		Hedging: HedgeOptions{Quantile: 0.9, Budget: 1.0, Burst: 64},
+		Hedging: HedgeOptions{Quantile: 0.9},
 	})
 	defer shutdown()
 
@@ -216,7 +229,8 @@ func TestTCPHedgedReadStalledReplicaMatchesOracle(t *testing.T) {
 func TestTCPEjectProbeReadmit(t *testing.T) {
 	keys := workload.SortedKeys(4000, 73)
 	gc, shutdown := startGray(t, keys, 1, 2, 128, DialOptions{
-		Ejection: EjectOptions{Factor: 4, ProbeBackoff: 20 * time.Millisecond, ProbeMaxBackoff: 100 * time.Millisecond},
+		Ejection: true,
+		Rejoin:   RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 	})
 	defer shutdown()
 
@@ -277,8 +291,9 @@ func TestTCPEjectProbeReadmit(t *testing.T) {
 // cluster stays healthy — exactly-one-resolver is the invariant.
 func TestTCPHedgeVsFailoverRace(t *testing.T) {
 	keys := workload.SortedKeys(6000, 75)
+	setHedgeBudget(t, 1000, 64000)
 	gc, shutdown := startGray(t, keys, 2, 2, 128, DialOptions{
-		Hedging: HedgeOptions{Quantile: 0.9, Budget: 1.0, Burst: 64},
+		Hedging: HedgeOptions{Quantile: 0.9},
 	})
 	defer shutdown()
 
@@ -302,16 +317,17 @@ func TestTCPHedgeVsFailoverRace(t *testing.T) {
 	}
 }
 
-// With replenishment off (Hedging.Budget < 0) the burst is the whole
-// allowance: hedges stop at Hedging.Burst and the hedger records denials
+// With replenishment off (hedgeEarnMilli 0) the burst is the whole
+// allowance: hedges stop at hedgeBurstMilli and the hedger records denials
 // instead of exceeding it. Reads still finish — the op timeout fails
 // the stalled connection over to the sibling — so exhaustion degrades
 // latency, never correctness.
 func TestTCPRetryBudgetExhaustion(t *testing.T) {
 	keys := workload.SortedKeys(4000, 77)
+	// Nothing earned: the initial burst of four tokens is all there is.
+	setHedgeBudget(t, 0, 4000)
 	gc, shutdown := startGray(t, keys, 1, 2, 128, DialOptions{
-		// Budget -1 earns nothing: the initial burst is all there is.
-		Hedging:   HedgeOptions{Quantile: 0.9, Budget: -1, Burst: 4},
+		Hedging:   HedgeOptions{Quantile: 0.9},
 		OpTimeout: 300 * time.Millisecond,
 	})
 	defer shutdown()
@@ -386,15 +402,17 @@ func TestTCPGrayFailureThroughputWin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plain client: %v", err)
 	}
-	// Hedging.Budget 1.0: a fully-gray replica needs every read hedged
-	// until ejection sheds it, and the ejector's signal — six
+	// One token earned per read: a fully-gray replica needs every read
+	// hedged until ejection sheds it, and the ejector's signal — six
 	// consecutive outlier replies — drains off the slow connection at
 	// only 1/latency per second, so the default trickle budget (0.1)
 	// would run dry first. The budget *cap* is still enforced and
 	// counter-verified below; exhaustion behavior has its own test.
+	setHedgeBudget(t, 1000, hedgeBurstMilli)
 	hedged, health, err := measure(DialOptions{
-		Hedging:  HedgeOptions{Quantile: 0.95, Budget: 1.0},
-		Ejection: EjectOptions{Factor: 4, ProbeBackoff: 300 * time.Millisecond},
+		Hedging:  HedgeOptions{Quantile: 0.95},
+		Ejection: true,
+		Rejoin:   RejoinOptions{Backoff: 300 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("hedged client: %v", err)
@@ -420,7 +438,7 @@ func TestTCPGrayFailureThroughputWin(t *testing.T) {
 		perPart[h.Partition] = agg
 	}
 	// Counter-verified budget bound, per partition: every hedge spends a
-	// whole token, each primary read dispatch earns Hedging.Budget (1.0),
+	// whole token, each primary read dispatch earns one (hedgeEarnMilli),
 	// and the bucket starts at (and is capped by) the default 16-token
 	// burst. Dispatched counts hedge re-dispatches too, so primaries =
 	// dispatched - hedges.

@@ -36,6 +36,9 @@ const (
 	// ejectMinLatency is the absolute floor below which a replica is
 	// never considered an outlier, whatever the ratios say.
 	ejectMinLatency = time.Millisecond
+	// ejectFactor is the outlier ratio: a reply slower than ejectFactor
+	// times the fastest sibling's EWMA counts against its replica.
+	ejectFactor = 4
 )
 
 // maxPending bounds the outstanding frames (queued plus in flight) per
@@ -46,6 +49,15 @@ const (
 // its slowest replica. A variable only so the admission test can lower
 // it.
 var maxPending = 1024
+
+// The hedge token bucket, in milli-tokens (see replicaGroup.budget):
+// each primary read dispatch earns hedgeEarnMilli, capped at
+// hedgeBurstMilli, and each hedge spends 1000 — at most ~10% extra load
+// from hedging. Variables only so the budget drills can set them.
+var (
+	hedgeEarnMilli  int64 = 100
+	hedgeBurstMilli int64 = 16000
+)
 
 // verdict is choose's answer.
 type verdict uint8
@@ -112,7 +124,7 @@ func (g *replicaGroup) choose(c *Cluster, p *pending, origin *replica) (verdict,
 				if origin != nil {
 					origin.hedges.Add(1)
 				} else if read {
-					g.budget = min(g.budget+c.hedgeEarnMilli, c.hedgeBurstMilli)
+					g.budget = min(g.budget+hedgeEarnMilli, hedgeBurstMilli)
 				}
 				return sent, ""
 			}
@@ -229,7 +241,7 @@ func (n *clusterNode) hedgeDelay() time.Duration {
 
 // observe records one read reply's latency against n's replica: the EWMA
 // and the windowed quantile estimate behind the hedge delay always, and
-// — when DialOptions.Ejection.Factor enabled ejection — the probation
+// — when DialOptions.Ejection enabled ejection — the probation
 // events that shed reads from a sustained outlier. Called by the read
 // loop, which owns the latency window; writes are never observed, so a
 // replica drowning in inserts is not scored for it. With ejection off it
@@ -254,7 +266,7 @@ func (n *clusterNode) observe(c *Cluster, d time.Duration) {
 		slices.Sort(buf[:m])
 		r.hedgeNs.Store(buf[int(q*float64(m-1))])
 	}
-	if c.opt.Ejection.Factor <= 0 {
+	if !c.opt.Ejection {
 		return
 	}
 	// The outlier test is relative: this reply against the fastest
@@ -265,7 +277,7 @@ func (n *clusterNode) observe(c *Cluster, d time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	base, _, hasAlt := g.fastestSibling(r)
-	bad := base > 0 && ns > int64(ejectMinLatency) && float64(ns) > float64(base)*c.opt.Ejection.Factor
+	bad := base > 0 && ns > int64(ejectMinLatency) && ns > base*ejectFactor
 	switch r.state {
 	case stHealthy, stSuspect:
 		if !bad {
@@ -279,7 +291,7 @@ func (n *clusterNode) observe(c *Cluster, d time.Duration) {
 		}
 		if r.consecBad >= ejectAfter && hasAlt && g.transition(r, evEject) {
 			if r.probeDelay == 0 {
-				r.probeDelay = c.opt.Ejection.ProbeBackoff
+				r.probeDelay = c.opt.Rejoin.Backoff
 			}
 			r.nextProbe = time.Now().Add(jitterBackoff(r.probeDelay))
 			r.goodProbes = 0
@@ -290,13 +302,13 @@ func (n *clusterNode) observe(c *Cluster, d time.Duration) {
 			// ejected, with the probe cadence backed off so probation
 			// retries cannot hammer a struggling replica.
 			r.goodProbes = 0
-			r.probeDelay = nextBackoff(r.probeDelay, c.opt.Ejection.ProbeMaxBackoff)
+			r.probeDelay = nextBackoff(r.probeDelay, c.opt.Rejoin.MaxBackoff)
 			g.transition(r, evProbeSlow)
 			return
 		}
 		if r.goodProbes++; r.goodProbes >= readmitProbes {
 			r.consecBad, r.goodProbes = 0, 0
-			r.probeDelay = c.opt.Ejection.ProbeBackoff
+			r.probeDelay = c.opt.Rejoin.Backoff
 			g.transition(r, evReadmit)
 			return
 		}

@@ -32,8 +32,8 @@ func newLifeRig(t *testing.T) *lifeRig {
 	keys := workload.SortedKeys(3000, 91)
 	gc, shutdown := startGray(t, keys, 1, 3, 256, DialOptions{
 		OpTimeout: 5 * time.Second,
-		Rejoin:    RejoinOptions{Backoff: 10 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
-		Ejection:  EjectOptions{Factor: 4, ProbeBackoff: 20 * time.Millisecond, ProbeMaxBackoff: 40 * time.Millisecond},
+		Rejoin:    RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 40 * time.Millisecond},
+		Ejection:  true,
 	})
 	t.Cleanup(shutdown)
 	l := &lifeRig{t: t, grayCluster: gc, o: newTCPOracle(keys), qs: workload.UniformQueries(64, 92)}

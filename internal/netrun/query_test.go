@@ -427,7 +427,7 @@ func TestCountRangeExactUnderInserts(t *testing.T) {
 
 	t.Run("in-process", func(t *testing.T) {
 		c, err := core.NewCluster(keys, core.RealConfig{
-			Method: core.MethodC3, Workers: 8, BatchKeys: 4096, QueueDepth: 4, PartitionBudget: -1,
+			Method: core.MethodC3, Workers: 8, BatchKeys: 4096, PartitionBudget: -1,
 		})
 		if err != nil {
 			t.Fatal(err)

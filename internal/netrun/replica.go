@@ -225,7 +225,7 @@ type replicaGroup struct {
 	written bool //dc:guardedby mu
 
 	// budget is the partition's hedge token bucket in milli-tokens: each
-	// primary read dispatch earns Cluster.hedgeEarnMilli (capped at
+	// primary read dispatch earns hedgeEarnMilli (capped at
 	// hedgeBurstMilli), each hedge spends 1000. Rate-proportional and
 	// clock-free, so a gray partition can never amplify its own overload
 	// — hedges are a bounded fraction of real traffic.

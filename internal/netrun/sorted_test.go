@@ -29,7 +29,7 @@ func TestTCPSortedChecksumIdenticalToUnsorted(t *testing.T) {
 	c, shutdown := startCluster(t, keys, 4, 1024)
 	defer shutdown()
 
-	ref, err := core.NewCluster(keys, core.RealConfig{Method: core.MethodC3, Workers: 4, BatchKeys: 1024, QueueDepth: 4})
+	ref, err := core.NewCluster(keys, core.RealConfig{Method: core.MethodC3, Workers: 4, BatchKeys: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
