@@ -102,7 +102,7 @@ func main() {
 		masters    = flag.Int("masters", 1, "concurrent master callers over the TCP cluster (with -connect)")
 		optimeout  = flag.Duration("optimeout", 10*time.Second, "per-op progress timeout on the TCP cluster (with -connect)")
 		replicas   = flag.Int("replicas", 1, "replicas per partition in a flat -connect list (grouped '|' syntax overrides)")
-		sorted     = flag.Bool("sorted", false, "sorted-batch mode: pre-sort the query stream (ascending batches auto-detect; over TCP they ride delta-coded frames)")
+		sorted     = flag.Bool("sorted", false, "sorted-batch mode: pre-sort the query stream (ascending batches auto-detect; over TCP they travel as plain words, 8 B/key like unsorted ones, and the node picks the sorted kernel)")
 		insertRate = flag.Float64("insert-rate", 0, "mixed read/write mode: keys inserted per read key (0.05 = 5% writes)")
 		hedge      = flag.Bool("hedge", false, "gray-failure mode (with -connect): hedged reads, latency-scored outlier ejection, and a hedge token budget")
 		hedgeQuant = flag.Float64("hedge-quantile", 0.95, "latency quantile that arms a hedge (with -hedge)")
@@ -127,8 +127,9 @@ func main() {
 		// Pre-sorting the whole stream models a caller whose batches
 		// arrive ascending (log-structured ingest, merge iterators):
 		// the runtime auto-detects the runs and takes the sorted
-		// pipeline — one-sweep routing, sorted-run kernels, and
-		// (over TCP) delta-coded frames.
+		// pipeline — one-sweep routing and sorted-run kernels; over TCP
+		// the runs travel as plain word frames (8 B/key, as unsorted
+		// ones do) and each node finds them ascending.
 		sort.Slice(queries, func(i, j int) bool { return queries[i] < queries[j] })
 	}
 

@@ -459,7 +459,8 @@ type TCPCluster = netrun.Cluster
 // node into prompt failover instead of a blocked master, the replica
 // count for flat address lists and the rejoin backoff envelope.
 // Ascending batches are auto-detected and ride the sorted pipeline's
-// one-sweep routing and delta-coded frames.
+// one-sweep routing; their frames are plain words, as for any lookup,
+// and the node picks the sorted kernel from the keys.
 //
 // The resilience knobs live in nested groups: Hedging arms hedged
 // reads (re-dispatch to a sibling past the partition's latency

@@ -857,9 +857,10 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 // LookupBatchInto and MultiGetInto: the call's core.Plan splits keys into
 // frames of op (key by key, or in runs — see Plan.Keys), each dispatched
 // as it is planned, and the read loops scatter each reply straight into
-// out. A run's frame goes out in the row's sorted wire form where it has
-// one (delta-coded) and scatters sequentially; a MultiGet's cut-run asks
-// are staged, and added into out once every other reply is in.
+// out. A run's frame is the same frame as a key-by-key one (the node
+// finds a lookup's ascending keys itself) and scatters sequentially; a
+// MultiGet's cut-run asks are staged, and added into out once every
+// other reply is in.
 //
 //dc:noalloc
 func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
@@ -892,7 +893,7 @@ func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
 		inflight++
 	}, func(r core.KeyRun) {
 		p := c.getPending()
-		p.op, p.sorted = op, r.Sorted
+		p.op = op
 		p.keys = slices.Grow(p.keys, len(r.Keys))[:len(r.Keys)]
 		for i, k := range r.Keys {
 			p.keys[i] = uint32(k)

@@ -37,10 +37,11 @@ import (
 //   - the running sum must stay within 32 bits;
 //   - the payload must be consumed exactly (no trailing bytes).
 //
-// The delta codec is on every sorted lookup's path twice in each
-// direction, so its two loops are unrolled by byte position rather than
-// built from the one-varint primitives: one predictable branch per byte,
-// one bounds check per element. (A branch-free decoder — an eight-byte
+// The delta codec carries MultiGet keys, scans, top-k runs, snapshots
+// and loads (and an older client's sorted lookups), so its two loops are
+// unrolled by byte position rather than built from the one-varint
+// primitives: one predictable branch per byte, one bounds check per
+// element. (A branch-free decoder — an eight-byte
 // load, the stop bits counted, the payload bits compacted — measured no
 // faster: where the next varint starts depends on the load, and a
 // predicted branch hides exactly that.) The rules are enforced in place:

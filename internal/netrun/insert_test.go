@@ -38,7 +38,7 @@ func (o *tcpOracle) rank(k workload.Key) int {
 }
 
 // checkTCPExact verifies the cluster matches the oracle on qs via both
-// the unsorted (OpLookup) and sorted (delta-frame) paths.
+// the unsorted and the sorted (ascending-run) paths.
 func checkTCPExact(t *testing.T, c *Cluster, o *tcpOracle, qs []workload.Key) {
 	t.Helper()
 	out := make([]int, len(qs))

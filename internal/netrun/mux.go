@@ -78,14 +78,11 @@ type sendReq struct {
 	reqID uint32
 }
 
-// inflight is one registered request: the pending, the op-table row
-// of the wire form it went out under (which the reply is checked
-// against), and its send timestamp, from which the read loop derives
-// the reply-latency sample feeding the hedge quantile and the ejection
-// score.
+// inflight is one registered request: the pending and its send
+// timestamp, from which the read loop derives the reply-latency sample
+// feeding the hedge quantile and the ejection score.
 type inflight struct {
 	p      *pending
-	row    *opSpec
 	sentAt time.Time
 }
 
@@ -147,9 +144,6 @@ type pending struct {
 	// reply stages payload-carrying replies (counts, scans, top-k,
 	// snapshots) for the issuing call's gather loop; see stage.
 	reply []uint32
-	// sorted marks keys as an ascending run: it goes out as the row's
-	// sorted wire form, where the row has one.
-	sorted bool
 	// contig means the run maps to the contiguous out range starting
 	// at posBase (a run of an ascending call, or of any call to one
 	// partition, keeps query order), so the reply scatters sequentially
@@ -202,7 +196,6 @@ func (c *Cluster) getPending() *pending {
 	p.keys = p.keys[:0]
 	p.pos = p.pos[:0]
 	p.reply = p.reply[:0]
-	p.sorted = false
 	p.contig = false
 	p.posBase = 0
 	p.chunk = nil
@@ -330,29 +323,24 @@ func (n *clusterNode) sendLoop(ep *epoch) {
 				sr.reqID, n.r.g.part, n.r.addr))
 			continue
 		}
-		// The wire form comes from the op table: the pending's own row,
-		// or — for an ascending run — the row's sorted form. Ops the
-		// connection may not carry never get here: dispatch and failover
-		// pick members by replica.can.
-		op := p.op
-		if alt := opTable[op].sorted; alt != 0 && p.sorted {
-			op = alt
-		}
-		row := &opTable[op]
-		n.pending[sr.reqID] = inflight{p: p, sentAt: time.Now(), row: row}
+		// The wire form is the pending's row. Ops the connection may not
+		// carry never get here: dispatch and failover pick members by
+		// replica.can.
+		row := &opTable[p.op]
+		n.pending[sr.reqID] = inflight{p: p, sentAt: time.Now()}
 		// Encode while still holding mu: the moment p is registered it
 		// can complete (reply or failover sweep) and be recycled by its
 		// caller, so no field of p may be read after the unlock. After
 		// encode the frame lives in the writer's scratch, and the
 		// blocking socket I/O below never touches p. Whether to arm the
 		// hedge clock is decided under the same lock for the same reason.
-		armHedge := ep.hedger != nil && opTable[p.op].hedge && !p.hedged.Load()
+		armHedge := ep.hedger != nil && row.hedge && !p.hedged.Load()
 		var buf []byte
 		var encErr error
 		if row.enc == encWords {
-			buf, encErr = n.bc.fw.encode(Frame{Op: op, ReqID: sr.reqID, Payload: p.keys})
+			buf, encErr = n.bc.fw.encode(Frame{Op: p.op, ReqID: sr.reqID, Payload: p.keys})
 		} else {
-			buf, encErr = n.bc.fw.encodeDeltaOp(op, sr.reqID, p.keys)
+			buf, encErr = n.bc.fw.encodeDeltaOp(p.op, sr.reqID, p.keys)
 		}
 		n.mu.Unlock()
 
@@ -454,6 +442,10 @@ func (n *clusterNode) readLoop(ep *epoch) {
 		// released.
 		n.mu.Lock()
 		inf, ok := n.pending[f.ReqID]
+		var kind *opSpec
+		if ok {
+			kind = &opTable[inf.p.op]
+		}
 		var violation error
 		refused := false
 		switch {
@@ -464,13 +456,13 @@ func (n *clusterNode) readLoop(ep *epoch) {
 			if e.len() > 0 {
 				code = e.at(0)
 			}
-			if refused = opTable[inf.p.op].onErr == scopeRequest; !refused {
+			if refused = kind.onErr == scopeRequest; !refused {
 				violation = fmt.Errorf("reported error %d", code)
 			}
-		case f.Op != inf.row.reply:
-			violation = fmt.Errorf("answered a %s request with op %d, want op %d", inf.row.name, f.Op, inf.row.reply)
-		case !inf.row.valid(inf.p.keys, e):
-			violation = fmt.Errorf("sent %d reply elements for the %d request words of a %s", e.len(), len(inf.p.keys), inf.row.name)
+		case f.Op != kind.reply:
+			violation = fmt.Errorf("answered a %s request with op %d, want op %d", kind.name, f.Op, kind.reply)
+		case !kind.valid(inf.p.keys, e):
+			violation = fmt.Errorf("sent %d reply elements for the %d request words of a %s", e.len(), len(inf.p.keys), kind.name)
 		}
 		if violation != nil {
 			n.mu.Unlock()
@@ -483,7 +475,6 @@ func (n *clusterNode) readLoop(ep *epoch) {
 
 		// p left the table, so this chain's reference keeps it alive
 		// until the release below.
-		kind := &opTable[p.op]
 		if refused {
 			// The node declined this one request and keeps serving.
 			c.finish(p, fmt.Errorf("netrun: partition %d replica %s refused the %s request", n.r.g.part, n.r.addr, kind.name))

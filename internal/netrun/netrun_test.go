@@ -128,6 +128,12 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 // dials them, returning the client and a shutdown func.
 func startCluster(t testing.TB, keys []workload.Key, parts, batch int) (*Cluster, func()) {
 	t.Helper()
+	return startClusterWith(t, keys, parts, DialOptions{BatchKeys: batch, Timeout: 5 * time.Second})
+}
+
+// startClusterWith is startCluster dialing with opt.
+func startClusterWith(t testing.TB, keys []workload.Key, parts int, opt DialOptions) (*Cluster, func()) {
+	t.Helper()
 	p, err := core.NewPartitioning(keys, parts)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +155,7 @@ func startCluster(t testing.TB, keys []workload.Key, parts, batch int) (*Cluster
 			node.Serve(lis)
 		}()
 	}
-	c, err := Dial(addrs, keys, DialOptions{BatchKeys: batch, Timeout: 5 * time.Second})
+	c, err := Dial(addrs, keys, opt)
 	if err != nil {
 		for _, n := range nodes {
 			n.Close()

@@ -567,9 +567,9 @@ func (s *nodeConn) serveHello(id *nodeIdent, f Frame) ([]byte, error) {
 
 // ranks answers a lookup through the update layer — by the sorted kernel
 // when the keys are an ascending run — from the kernel's ints.
-func (s *nodeConn) ranks(id *nodeIdent, f Frame, keys []workload.Key, sorted bool) ([]byte, error) {
+func (s *nodeConn) ranks(id *nodeIdent, f Frame, keys []workload.Key) ([]byte, error) {
 	ints := s.ints(len(keys))
-	if sorted {
+	if core.SortedRun(keys) {
 		s.n.upd.RankSorted(keys, ints, id.rankBase)
 	} else {
 		s.n.upd.RankBatch(keys, ints, id.rankBase)
@@ -577,18 +577,20 @@ func (s *nodeConn) ranks(id *nodeIdent, f Frame, keys []workload.Key, sorted boo
 	return answer(s, f, ints)
 }
 
+// serveLookup: the frame carries no sortedness flag; the keys say it.
 func (s *nodeConn) serveLookup(id *nodeIdent, f Frame) ([]byte, error) {
-	return s.ranks(id, f, s.keys(f), false)
+	return s.ranks(id, f, s.keys(f))
 }
 
-// serveLookupSorted: ascending keys make the ranks nondecreasing, so
-// the reply delta-codes too.
+// serveLookupSorted answers a client of an older build, which sends an
+// ascending run delta-coded; the ranks are nondecreasing, so the reply
+// delta-codes too.
 func (s *nodeConn) serveLookupSorted(id *nodeIdent, f Frame) ([]byte, error) {
 	run, err := s.run(f.Raw)
 	if err != nil {
 		return nil, err
 	}
-	return s.ranks(id, f, run, true)
+	return s.ranks(id, f, run)
 }
 
 // serveInsert's ack is a durability promise on a durable node: log,

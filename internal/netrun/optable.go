@@ -31,7 +31,9 @@ type lossPolicy uint8
 const (
 	// lossNone marks a row no pending carries as its kind: hello and
 	// add-replica are synchronous exchanges on a connection no loop owns
-	// yet, and OpLookupSorted is the wire form of an OpLookup pending.
+	// yet, and OpLookupSorted is served for clients of older builds and
+	// sent by no client of this one, which sends an ascending run as an
+	// OpLookup word frame (8 bytes a key both ways, like any lookup).
 	lossNone lossPolicy = iota
 	// lossRedispatch re-routes the request to a surviving replica: the
 	// idempotent reads, whose request words survive until a reply lands.
@@ -109,9 +111,6 @@ type opSpec struct {
 	// to the request words. The read loop runs it before any element
 	// reaches the caller.
 	valid func(req []uint32, reply elems) bool
-	// sorted, when non-zero, is the op that carries this request
-	// instead when its keys are an ascending run.
-	sorted uint8
 
 	// Client mux policy; zero on lossNone rows.
 	hedge   bool // may be re-dispatched while still in flight (and is latency-scored and admission-capped)
@@ -160,7 +159,7 @@ const opMax = int(OpMembAck) + 1
 var opTable = [opMax]opSpec{
 	OpHello: {name: "hello", minVer: MinProtoVersion, reply: OpHelloAck, valid: helloAck,
 		serve: (*nodeConn).serveHello},
-	OpLookup: {name: "lookup", minVer: MinProtoVersion, reply: OpRanks, valid: sameLen, sorted: OpLookupSorted,
+	OpLookup: {name: "lookup", minVer: MinProtoVersion, reply: OpRanks, valid: sameLen,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeConn, deliver: deliverRanks,
 		serve: (*nodeConn).serveLookup},
 	// OpErr is no request: the row records its wire facts (word payload,

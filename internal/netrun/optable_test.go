@@ -181,21 +181,25 @@ func replyCandidate(row *opSpec, req []uint32, want bool) ([]uint32, bool) {
 // hostileCase is how the table test issues one request kind against the
 // hostile replica and recognizes the honest sibling's answer.
 type hostileCase struct {
-	req    []uint32
-	sorted bool
+	req []uint32
+	// retired, when non-zero, is the byte-coded reply op an older build
+	// took for this request: the wrong-op and corrupt-payload replies use
+	// it.
+	retired uint8
 	// check verifies what an honest replica's answer delivered: out for
 	// the scattering kinds, p.reply for the staging ones.
 	check func(t *testing.T, out []int, reply []uint32)
 }
 
-// TestOpTableHostileReplies walks every row a pending can carry (and
-// its sorted wire form) against a scripted hostile replica beside an
-// honest sibling — wrong reply op, wrong element count, unknown reqID,
-// corrupt byte payload, OpErr — and asserts the failure scope the row
-// declares: a protocol violation always costs the connection, after
-// which the request is re-dispatched (reads, answered exactly by the
-// sibling), settled (writes) or aborted (pinned ops); an OpErr reaches
-// only as far as the row's onErr says. No wrong answer ever completes.
+// TestOpTableHostileReplies walks every row a pending can carry (and an
+// ascending lookup, which goes out as the same OpLookup word frame)
+// against a scripted hostile replica beside an honest sibling — wrong
+// reply op, wrong element count, unknown reqID, corrupt byte payload,
+// OpErr — and asserts the failure scope the row declares: a protocol
+// violation always costs the connection, after which the request is
+// re-dispatched (reads, answered exactly by the sibling), settled
+// (writes) or aborted (pinned ops); an OpErr reaches only as far as the
+// row's onErr says. No wrong answer ever completes.
 // The hello is no pending, so its hostile shapes fail the dial: an ack
 // of four words (a version-1 node's) or of seven (no shape at all).
 func TestOpTableHostileReplies(t *testing.T) {
@@ -235,8 +239,9 @@ func TestOpTableHostileReplies(t *testing.T) {
 		}
 	}
 	full := words(keys)
+	qs := workload.UniformQueries(64, 92)
 	cases := map[uint8]hostileCase{
-		OpLookup:        {req: words(asc), check: ranksOf(asc)},
+		OpLookup:        {req: words(qs), check: ranksOf(qs)},
 		OpInsert:        {req: []uint32{5, 6, 7}},
 		OpSnapshot:      {},
 		OpLoad:          {req: full},
@@ -257,7 +262,7 @@ func TestOpTableHostileReplies(t *testing.T) {
 				t.Fatalf("top-k run = %v, want %v", reply, full[len(full)-4:])
 			}
 		}},
-		OpMultiGet: {req: words(asc), sorted: true, check: func(t *testing.T, out []int, _ []uint32) {
+		OpMultiGet: {req: words(asc), check: func(t *testing.T, out []int, _ []uint32) {
 			for i, k := range asc {
 				if want := countIn(uint32(k), uint32(k)); out[i] != want {
 					t.Fatalf("multiplicity[%d] = %d, want %d", i, out[i], want)
@@ -273,60 +278,71 @@ func TestOpTableHostileReplies(t *testing.T) {
 		}
 	}
 
-	hostilities := []string{"wrong-op", "wrong-count", "unknown-reqid", "corrupt-payload", "op-err"}
+	type run struct {
+		name string
+		op   uint8
+		hc   hostileCase
+	}
+	var runs []run
 	for op, hc := range cases {
-		kind := &opTable[op]
-		forms := []bool{hc.sorted}
-		if kind.sorted != 0 {
-			forms = []bool{false, true}
-		}
-		for _, sorted := range forms {
-			wireRow := kind
-			if sorted && kind.sorted != 0 {
-				wireRow = &opTable[kind.sorted]
-			}
-			for _, h := range hostilities {
-				t.Run(fmt.Sprintf("%s/%s", wireRow.name, h), func(t *testing.T) {
-					var hostile func(req Frame) []Frame
-					switch h {
-					case "wrong-op":
-						wrong := OpCounts
-						if wireRow.reply == OpCounts {
-							wrong = OpRanks
-						}
-						hostile = func(req Frame) []Frame { return []Frame{encodeReply(t, wrong, req.ReqID, make([]uint32, len(hc.req)))} }
-					case "wrong-count":
-						bad, ok := replyCandidate(wireRow, hc.req, false)
-						if !ok {
-							t.Skip("the row accepts any element count")
-						}
-						hostile = func(req Frame) []Frame { return []Frame{encodeReply(t, wireRow.reply, req.ReqID, bad)} }
-					case "unknown-reqid":
-						good, ok := replyCandidate(wireRow, hc.req, true)
-						if !ok {
-							t.Fatal("no well-formed reply candidate")
-						}
-						hostile = func(req Frame) []Frame { return []Frame{encodeReply(t, wireRow.reply, req.ReqID+1000, good)} }
-					case "corrupt-payload":
-						if wireRow.replyEnc == encWords {
-							t.Skip("word replies have no payload coding to corrupt")
-						}
-						hostile = func(req Frame) []Frame {
-							return []Frame{{Op: wireRow.reply, ReqID: req.ReqID, Raw: []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}}}
-						}
-					case "op-err":
-						hostile = func(req Frame) []Frame {
-							return []Frame{{Op: OpErr, ReqID: req.ReqID, Payload: []uint32{uint32(req.Op)}}}
-						}
+		runs = append(runs, run{opTable[op].name, op, hc})
+	}
+	// An ascending lookup is the same word frame. Older builds sent it as
+	// OpLookupSorted, answered by OpRanksDelta: that reply, well formed or
+	// corrupt, must now cost the connection like any wrong op.
+	runs = append(runs, run{"lookup_sorted", OpLookup, hostileCase{req: words(asc), retired: OpRanksDelta, check: ranksOf(asc)}})
+
+	hostilities := []string{"wrong-op", "wrong-count", "unknown-reqid", "corrupt-payload", "op-err"}
+	for _, r := range runs {
+		kind, hc := &opTable[r.op], r.hc
+		for _, h := range hostilities {
+			t.Run(fmt.Sprintf("%s/%s", r.name, h), func(t *testing.T) {
+				var hostile func(req Frame) []Frame
+				switch h {
+				case "wrong-op":
+					wrong := OpCounts
+					if kind.reply == OpCounts {
+						wrong = OpRanks
 					}
-					runHostile(t, keys, uint8(op), hc, sorted, h == "op-err", hostile)
-				})
-			}
+					if hc.retired != 0 {
+						wrong = hc.retired
+					}
+					hostile = func(req Frame) []Frame { return []Frame{encodeReply(t, wrong, req.ReqID, make([]uint32, len(hc.req)))} }
+				case "wrong-count":
+					bad, ok := replyCandidate(kind, hc.req, false)
+					if !ok {
+						t.Skip("the row accepts any element count")
+					}
+					hostile = func(req Frame) []Frame { return []Frame{encodeReply(t, kind.reply, req.ReqID, bad)} }
+				case "unknown-reqid":
+					good, ok := replyCandidate(kind, hc.req, true)
+					if !ok {
+						t.Fatal("no well-formed reply candidate")
+					}
+					hostile = func(req Frame) []Frame { return []Frame{encodeReply(t, kind.reply, req.ReqID+1000, good)} }
+				case "corrupt-payload":
+					reply := kind.reply
+					if hc.retired != 0 {
+						reply = hc.retired
+					}
+					if wire[reply].enc == encWords {
+						t.Skip("word replies have no payload coding to corrupt")
+					}
+					hostile = func(req Frame) []Frame {
+						return []Frame{{Op: reply, ReqID: req.ReqID, Raw: []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}}}
+					}
+				case "op-err":
+					hostile = func(req Frame) []Frame {
+						return []Frame{{Op: OpErr, ReqID: req.ReqID, Payload: []uint32{uint32(req.Op)}}}
+					}
+				}
+				runHostile(t, keys, r.op, hc, h == "op-err", hostile)
+			})
 		}
 	}
 }
 
-func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, sorted, opErr bool, hostile func(Frame) []Frame) {
+func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, opErr bool, hostile func(Frame) []Frame) {
 	kind := &opTable[op]
 	var sawOp atomic.Uint32
 	bad := scriptNode(t, keys, func(req Frame) []Frame {
@@ -362,7 +378,6 @@ func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, sor
 	p := c.getPending()
 	p.op = op
 	p.keys = append(p.keys, hc.req...)
-	p.sorted = sorted
 	p.contig = true
 	p.out = make([]int, len(hc.req))
 	p.done = make(chan *pending, 1)
@@ -378,12 +393,8 @@ func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, sor
 	}
 	defer c.release(r)
 
-	wantOp := op
-	if sorted && kind.sorted != 0 {
-		wantOp = kind.sorted
-	}
-	if got := uint8(sawOp.Load()); got != wantOp {
-		t.Fatalf("request went out as op %d, want op %d", got, wantOp)
+	if got := uint8(sawOp.Load()); got != op {
+		t.Fatalf("request went out as op %d, want op %d", got, op)
 	}
 	var failures uint64
 	for _, h := range c.Stats().Replicas {

@@ -18,10 +18,15 @@
 // What each op carries:
 //
 //   - OpLookup: keys, any order, as words; OpRanks answers with their
-//     global ranks in request order. OpLookupSorted is the same request
-//     for an ascending run, delta-coded both ways (OpRanksDelta): sorted
-//     batches make keys and ranks monotone, which shrinks the rank
-//     direction about 4x and the key direction 25-45%.
+//     global ranks in request order — 8 bytes a key on the wire, 4 each
+//     way. The node takes the sorted kernel when a frame's keys ascend
+//     (no flag says so), so an ascending run of a sorted call travels in
+//     this form too. OpLookupSorted is the same request delta-coded both
+//     ways (OpRanksDelta), 3.78 bytes a key on the rank_tcp_sorted
+//     workload, but decoding and encoding it cost more CPU than the
+//     search: the node serves it for clients of older builds, no client
+//     of this build sends it, and it is deleted once the floor is above
+//     v6.
 //   - OpInsert: keys to add to the node's partition (words, any order);
 //     OpInsertAck echoes the applied count — on a durable node, after
 //     the fsync. OpSnapshot asks for the node's full key set
@@ -153,7 +158,8 @@ const (
 	// the node keeps serving.
 	OpErr uint8 = 5
 	// OpLookupSorted carries an ascending key run, delta+varint
-	// coded (byte payload); the node answers OpRanksDelta.
+	// coded (byte payload); the node answers OpRanksDelta. Served for
+	// clients of older builds, sent by none of this one.
 	OpLookupSorted uint8 = 6
 	// OpRanksDelta is the sorted lookup's response: the
 	// nondecreasing ranks, delta+varint coded (byte payload).
@@ -377,8 +383,8 @@ func (fw *frameWriter) putHeader(buf []byte, op uint8, reqID, count uint32) {
 	binary.LittleEndian.PutUint32(buf[9:13], count)
 }
 
-// encodeDeltaOp serializes a delta-coded request frame (OpLookupSorted,
-// OpLoad, OpMultiGet) directly from the ascending run.
+// encodeDeltaOp serializes a delta-coded request frame (OpLoad,
+// OpMultiGet) directly from the ascending run.
 //
 //dc:noalloc
 func (fw *frameWriter) encodeDeltaOp(op uint8, reqID uint32, vals []uint32) ([]byte, error) {

@@ -2,10 +2,16 @@ package netrun
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"io"
+	"math/rand"
+	"net"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -156,5 +162,176 @@ func TestSortedLookupLargeFrame(t *testing.T) {
 	}
 	if cap(s.bc.fw.buf) > keepReplyScratch {
 		t.Errorf("the connection kept %d bytes of reply frame, above the %d-byte cap", cap(s.bc.fw.buf), keepReplyScratch)
+	}
+}
+
+// recordConn keeps a copy of every byte written to the connection.
+type recordConn struct {
+	net.Conn
+	mu   sync.Mutex
+	sent bytes.Buffer
+}
+
+func (r *recordConn) Write(b []byte) (int, error) {
+	r.mu.Lock()
+	r.sent.Write(b)
+	r.mu.Unlock()
+	return r.Conn.Write(b)
+}
+
+// TestTCPSortedCallSendsWords: an ascending 65,536-key call over two
+// partitions goes out as OpLookup word frames only — 4 payload bytes a
+// key, the form an unsorted call takes — and its ranks are the upper
+// bounds: duplicate queries, queries below the first key and above the
+// last, and queries of a key whose copies sit at the partition boundary,
+// once where the cut moves off the run and once where it splits it.
+func TestTCPSortedCallSendsWords(t *testing.T) {
+	const run = 71000
+	atCut := make([]workload.Key, 40000)
+	for i := range atCut {
+		switch {
+		case i < 10000:
+			atCut[i] = workload.Key(1000 + 7*i)
+		case i < 31000:
+			atCut[i] = run
+		default:
+			atCut[i] = workload.Key(run + 1 + 5*(i-31000))
+		}
+	}
+	// A run is cut only when it fills the whole span the cut may move
+	// in: with two partitions, every key.
+	split := slices.Repeat([]workload.Key{run}, 40000)
+	for _, tc := range []struct {
+		name string
+		keys []workload.Key
+	}{{"run-at-cut", atCut}, {"run-split", split}} {
+		t.Run(tc.name, func(t *testing.T) { sortedCallSendsWords(t, tc.keys, run, tc.name == "run-split") })
+	}
+}
+
+func sortedCallSendsWords(t *testing.T, keys []workload.Key, run workload.Key, split bool) {
+	p, err := core.NewPartitioning(keys, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	below, above := p.Parts[0].Keys, p.Parts[1].Keys
+	if above[0] != run || (below[len(below)-1] == run) != split {
+		t.Fatalf("partitions end at %d and start at %d: the boundary is not the run of %d the test wants (split %v)",
+			below[len(below)-1], above[0], run, split)
+	}
+
+	rng := rand.New(rand.NewSource(73))
+	lo, hi := keys[0], keys[len(keys)-1]
+	qs := make([]workload.Key, 0, 1<<16)
+	for range 100 {
+		qs = append(qs, 0, workload.Key(rng.Intn(int(lo))), run-1, run+1, hi+1+workload.Key(rng.Intn(1<<20)), 0xFFFFFFFF)
+	}
+	for range 5000 {
+		qs = append(qs, run)
+	}
+	for len(qs) < 1<<16 {
+		qs = append(qs, workload.Key(rng.Intn(int(hi)+1000)))
+	}
+	slices.Sort(qs)
+
+	var mu sync.Mutex
+	var conns []*recordConn
+	c, shutdown := startClusterWith(t, keys, 2, DialOptions{Timeout: 5 * time.Second,
+		Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
+			conn, err := new(net.Dialer).DialContext(ctx, "tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			rc := &recordConn{Conn: conn}
+			mu.Lock()
+			conns = append(conns, rc)
+			mu.Unlock()
+			return rc, nil
+		}})
+	defer shutdown()
+	got, err := c.LookupBatch(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		if want := workload.ReferenceRank(keys, q); got[i] != want {
+			t.Fatalf("rank[%d](%d) = %d, want %d", i, q, got[i], want)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	frames, sentKeys, sentBytes := 0, 0, 0
+	for _, rc := range conns {
+		rc.mu.Lock()
+		stream := bytes.NewReader(slices.Clone(rc.sent.Bytes()))
+		rc.mu.Unlock()
+		for stream.Len() > 0 {
+			before := stream.Len()
+			f, err := ReadFrame(stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch f.Op {
+			case OpHello:
+			case OpLookup:
+				frames++
+				sentKeys += len(f.Payload)
+				sentBytes += before - stream.Len()
+			default:
+				t.Fatalf("the call sent an op %d frame, want only OpLookup (%d)", f.Op, OpLookup)
+			}
+		}
+	}
+	if sentKeys != len(qs) || sentBytes != 13*frames+4*len(qs) {
+		t.Fatalf("%d OpLookup frames carried %d keys in %d bytes, want %d keys in %d bytes (a 13-byte header, then 4 bytes a key)",
+			frames, sentKeys, sentBytes, len(qs), 13*frames+4*len(qs))
+	}
+}
+
+// TestLookupFrameKernelFromKeys drives OpLookup frames through a
+// connection's serve path: the node takes the sorted kernel when a
+// frame's keys ascend and the batch kernel otherwise, with no flag on
+// the wire. An ascending frame and one of equal keys take the first, a
+// frame that descends only at its last key the second; each is answered
+// exactly, as words.
+func TestLookupFrameKernelFromKeys(t *testing.T) {
+	keys := workload.SortedKeys(50000, 74)
+	keys = slices.Concat(keys[:20000], slices.Repeat(keys[20000:20001], 3000), keys[20000:])
+	asc := sortedCopy(workload.UniformQueries(20000, 75))
+	frames := map[string][]workload.Key{
+		"ascending":        asc,
+		"descends-at-last": append(slices.Clone(asc), 0),
+		"all-equal":        slices.Repeat(keys[20000:20001], 4096),
+	}
+	s := NewPartitionNode(keys, 17).newConn(nil)
+	for name, qs := range frames {
+		t.Run(name, func(t *testing.T) {
+			words := make([]uint32, len(qs))
+			for i, q := range qs {
+				words[i] = uint32(q)
+			}
+			var req, sent bytes.Buffer
+			if err := WriteFrame(&req, Frame{Op: OpLookup, ReqID: 11, Payload: words}); err != nil {
+				t.Fatal(err)
+			}
+			s.bc = newBufferedConn(duplex{&req, &sent})
+			f, err := s.bc.readFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.serve(f) {
+				t.Fatal("the node dropped the connection")
+			}
+			f, err = ReadFrame(&sent)
+			if err != nil || f.Op != OpRanks || f.ReqID != 11 || len(f.Payload) != len(qs) {
+				t.Fatalf("reply op %d reqID %d with %d ranks: %v", f.Op, f.ReqID, len(f.Payload), err)
+			}
+			for i, q := range qs {
+				if want := 17 + workload.ReferenceRank(keys, q); int(f.Payload[i]) != want {
+					t.Fatalf("rank[%d](%d) = %d, want %d", i, q, f.Payload[i], want)
+				}
+			}
+		})
 	}
 }
