@@ -355,9 +355,11 @@ func BenchmarkReal_CountRange(b *testing.B) {
 // BenchmarkReal_MultiGet is the multiplicity row: 2^20 keys a call, half
 // of them indexed, ascending — the order the delta codec hands a node and
 // the radix sort hands a worker, so the sort is not what the row times. A
-// multiplicity is two sorted ranks on one snapshot, so ns/key reads
-// against BenchmarkReal_RankBatchSorted's. Two binary searches per key per
-// layer, which it was until the batch kernels served it, read 9x that.
+// multiplicity is one search and one compare a key per layer, all on one
+// snapshot, so ns/key reads against BenchmarkReal_RankBatchSorted's: 6–8
+// ns/key on a 2-CPU host, 10–12 when it was two sorted ranks (the key's
+// and its predecessor's). Two binary searches per key per layer, which it
+// was until the batch kernels served it, read 9x the two-rank form.
 func BenchmarkReal_MultiGet(b *testing.B) {
 	keys := dcindex.GenerateKeys(327680, 1)
 	qs := dcindex.GenerateQueries(1<<20, 2)

@@ -433,18 +433,17 @@ func (c *Cluster) processBatch(b *realBatch) {
 		b.ranks = CountPairs(lp.upd, b.keys, &b.outKeys, &b.ranks)
 		return
 	case opMultiGet:
-		// The count kernel's scratch is the batch's own: the key-run buffer
-		// no int-valued op fills, and room behind the counts. A contiguous
-		// run counts straight into out, a sorted copy's run into ranks and
-		// then out through pos; a cut-run ask stays in ranks.
+		// The count kernel's rank scratch is the batch's own, behind the
+		// counts. A contiguous run counts straight into out, a sorted
+		// copy's run into ranks and then out through pos; a cut-run ask
+		// stays in ranks.
 		n := len(b.keys)
 		b.ranks = slices.Grow(b.ranks[:0], 2*n)[:n]
-		b.outKeys = slices.Grow(b.outKeys[:0], n)
 		muls := b.ranks
 		if !b.add && b.pos == nil {
 			muls = b.out[b.posBase:]
 		}
-		lp.upd.CountKeys(b.keys, muls, b.outKeys[:n], b.ranks[n:2*n])
+		lp.upd.CountKeys(b.keys, muls, b.ranks[n:2*n])
 		if !b.add && b.pos != nil {
 			for i, p := range b.pos {
 				b.out[p] = muls[i]

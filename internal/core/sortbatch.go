@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"repro/internal/index"
 	"repro/internal/workload"
 )
 
@@ -17,8 +18,9 @@ import (
 // SortedRun reports whether qs is ascending (duplicates allowed). On a
 // sorted batch it costs one compare per key — the price of admission to
 // the sorted dispatch path — and on a random batch it exits at the
-// first inversion, typically within a handful of elements.
-func SortedRun(qs []workload.Key) bool { return slices.IsSorted(qs) }
+// first inversion, typically within a handful of elements. It is the
+// index's own sortedness scan, which takes four keys a trip.
+func SortedRun(qs []workload.Key) bool { return index.FirstDescent(qs) == 0 }
 
 // ForEachSortedRun walks an ascending query run against the partition
 // delimiters and emits each partition's chunked sub-runs: one call per

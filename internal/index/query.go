@@ -10,13 +10,15 @@ import "repro/internal/workload"
 // sorted keys alongside whatever ranker was built over them.
 //
 // What each costs. A batch of counted ranges (CountRanges) is two batch
-// ranks, of the his and of the lo-1 keys, and a batch of multiplicities
-// (CountKeys) the same with lo = hi — two sorted ranks when the keys come
-// ascending, as both engines send multiplicities: the layered kernels of
-// the rank ops, a cache-resident search a key, and both ranks on one
-// snapshot. A single CountRange is two binary searches per layer, which
-// is right for one range; a scan or a top-k is two boundary searches and
-// a three-way merge of what lies between.
+// ranks, of the his and of the lo-1 keys, both on one snapshot: a real
+// range needs both ends. A batch of multiplicities (CountKeys) is one
+// search and one compare a key per layer: the key's upper bound through
+// the layered kernels of the rank ops (the sorted forms when the keys come
+// ascending, as both engines send them), and the copies of the key just
+// below it, which only a key held more than once reads past the first
+// compare. A single CountRange is two binary searches per layer, which is
+// right for one range; a scan or a top-k is two boundary searches and a
+// three-way merge of what lies between.
 
 // lowerBound is the number of keys < k, by binary search — the
 // counterpart of upperBound (keys <= k). The single CountRange is a
@@ -118,14 +120,66 @@ func rankLayers(s *baseState, delta, frozen *Delta, qs []workload.Key, out []int
 }
 
 // CountKeys writes each query key's multiplicity (how many indexed
-// copies of exactly that key exist) into out[i]. The queries need not
-// be sorted. This is the MultiGet kernel: the one-key range [q, q],
-// counted through the base's own ranker, as ranks are, with CountRanges'
-// scratch.
+// copies of exactly that key exist) into out[i]: the MultiGet kernel of
+// both engines, one search and one compare a key per layer, all layers of
+// ONE pinned snapshot. Each layer ranks the keys into under — the base
+// through its own ranker, each buffer into a cleared under, the sorted
+// forms when the keys ascend, as both engines send them — and a key's
+// copies are the keys equal to it just below its upper bound there. The
+// queries need not be sorted; out and under are each at least len(qs)
+// long. under is the caller's for the reason CountRanges' scratch is.
 //
 //dc:noalloc
-func (u *Updatable) CountKeys(qs []workload.Key, out []int, below []workload.Key, under []int) {
-	u.CountRanges(qs, qs, out, below, under)
+func (u *Updatable) CountKeys(qs []workload.Key, out, under []int) {
+	s, delta, frozen := u.pin()
+	n := len(qs)
+	out, under = out[:n], under[:n]
+	sorted := FirstDescent(qs) == 0
+	if sr, ok := s.r.(SortedRanker); ok && sorted {
+		sr.RankSorted(qs, under, 0)
+	} else {
+		s.r.RankInto(qs, nil, under, 0)
+	}
+	if keys := s.keys; len(keys) == 0 {
+		clear(out)
+	} else {
+		for i, q := range qs {
+			out[i] = copiesBelow(keys, q, under[i])
+		}
+	}
+	for _, d := range [2]*Delta{delta, frozen} {
+		if d == nil || len(d.keys) == 0 {
+			continue
+		}
+		clear(under)
+		if sorted {
+			d.RankSortedAdd(qs, under)
+		} else {
+			d.RankAdd(qs, nil, under)
+		}
+		for i, q := range qs {
+			out[i] += copiesBelow(d.keys, q, under[i])
+		}
+	}
+}
+
+// copiesBelow is the number of copies of q in a non-empty sorted run that
+// end at p, q's upper bound there. The key just below p is q or smaller,
+// so one compare settles 0 or 1 without a branch on whether q is present
+// — half the keys a MultiGet asks are absent — and only a second copy
+// enters the loop. At p = 0 every key is above q and the compare reads
+// keys[0].
+func copiesBelow(keys []workload.Key, q workload.Key, p int) int {
+	j := max(p-1, 0)
+	c := 0
+	if keys[j] == q {
+		c = 1
+	}
+	for j > 0 && keys[j-1] == q {
+		c++
+		j--
+	}
+	return c
 }
 
 // ScanRange appends the indexed keys in [lo, hi], ascending, to out —

@@ -126,7 +126,7 @@ func TestUpdatableQueryOpsLayered(t *testing.T) {
 			qs[i] = workload.Key(rng.Intn(3100))
 		}
 		out := make([]int, len(qs))
-		u.CountKeys(qs, out, make([]workload.Key, len(qs)), make([]int, len(qs)))
+		u.CountKeys(qs, out, make([]int, len(qs)))
 		for i, q := range qs {
 			want := 0
 			for _, k := range all {
@@ -250,13 +250,13 @@ func checkCountRanges(t *testing.T, tag string, u *Updatable, all, los, his []wo
 		t.Fatalf("%s: CountRanges over %d ranges wrote past its end", tag, n)
 	}
 	dirty()
-	u.CountKeys(his, out, below, under)
+	u.CountKeys(his, out, under)
 	for i, q := range his {
 		if want := oracleCount(all, q, q); out[i] != want {
 			t.Fatalf("%s: CountKeys[%d](%d) = %d, want %d", tag, i, q, out[i], want)
 		}
 	}
-	if out[n] != -7 || below[n] != 0xDEAD || under[n] != -9 {
+	if out[n] != -7 || under[n] != -9 {
 		t.Fatalf("%s: CountKeys over %d keys wrote past its end", tag, n)
 	}
 }
@@ -367,16 +367,97 @@ func TestCountRangesAdversarial(t *testing.T) {
 	}
 }
 
+// TestCountKeysMatchesCountRanges holds the multiplicity kernel — one
+// rank a key per layer and the copies just below it — to the two-rank
+// form CountRanges(qs, qs) and to the oracle, with copies of one key in
+// the base, the frozen buffer and the active buffer at once: key 0,
+// MaxUint32 several times over, and a run of one key longer than a
+// bucket's samples. In the "inside" set the asked keys also fall below
+// the first key and above the last, of the structure and of each buffer.
+// Over an array base and a tree base, which has no sorted form; the keys
+// asked ascending and not.
+func TestCountKeysMatchesCountRanges(t *testing.T) {
+	sets := map[string]func(r *workload.RNG) (base, frozen, active []workload.Key){
+		"ends": func(*workload.RNG) (base, frozen, active []workload.Key) {
+			base = workload.SortedKeys(3000, 35)
+			run := base[1500]
+			base = slices.Concat(base, []workload.Key{0, 0, maxKey, maxKey, maxKey, maxKey}, slices.Repeat([]workload.Key{run}, 300))
+			slices.Sort(base)
+			frozen = slices.Concat([]workload.Key{0, maxKey, maxKey}, slices.Repeat([]workload.Key{run}, 70))
+			active = []workload.Key{maxKey, 0, run, run, run, 1, maxKey - 1}
+			return
+		},
+		"inside": func(r *workload.RNG) (base, frozen, active []workload.Key) {
+			base = uniformRun(r, 3000, 1<<20, 1<<31)
+			run := base[1000]
+			base = slices.Concat(base, slices.Repeat([]workload.Key{run}, 200))
+			slices.Sort(base)
+			// The frozen buffer's keys sit in the base's upper part, the
+			// active buffer's at its bottom: each buffer has asked keys
+			// below its first key and above its last.
+			frozen = slices.Concat(slices.Repeat([]workload.Key{base[2250]}, 90), base[2200:2300], base[len(base)-1:])
+			active = slices.Concat(slices.Repeat([]workload.Key{run}, 3), base[:50], base[:1])
+			return
+		},
+	}
+	builders := map[string]Builder{
+		"array": BuildSortedArray,
+		"tree":  func(keys []workload.Key) BatchRanker { return treeRanker{NewNaryTree(keys, 0)} },
+	}
+	for name, set := range sets {
+		for bname, build := range builders {
+			t.Run(name+"/"+bname, func(t *testing.T) {
+				r := workload.NewRNG(35)
+				base, frozen, active := set(r)
+				u, all, release := threeLayers(t, base, build, frozen, active)
+				defer release()
+				qs := []workload.Key{0, 1, maxKey - 1, maxKey}
+				for _, k := range slices.Compact(slices.Clone(all)) {
+					qs = append(qs, k, k-1, k+1, k) // wraps at the ends of the key space, on purpose
+				}
+				qs = append(qs, uniformRun(r, 500, 0, maxKey)...)
+				asc := slices.Sorted(slices.Values(qs))
+				checkCountKeys(t, "ascending", u, all, asc)
+				checkCountKeys(t, "unsorted", u, all, shuffled(r, qs))
+			})
+		}
+	}
+}
+
+// checkCountKeys holds CountKeys(qs) to CountRanges(qs, qs) and to the
+// oracle over all. The scratch starts dirty, and nothing past the queries
+// may be written.
+func checkCountKeys(t *testing.T, tag string, u *Updatable, all, qs []workload.Key) {
+	t.Helper()
+	n := len(qs)
+	out, under := make([]int, n+1), make([]int, n+1)
+	for i := range out {
+		out[i], under[i] = -7, -9
+	}
+	u.CountKeys(qs, out, under)
+	ranges := make([]int, n)
+	u.CountRanges(qs, qs, ranges, make([]workload.Key, n), make([]int, n))
+	for i, q := range qs {
+		if want := oracleCount(all, q, q); out[i] != want || ranges[i] != want {
+			t.Fatalf("%s: key %d (query %d): CountKeys %d, CountRanges %d, want %d", tag, q, i, out[i], ranges[i], want)
+		}
+	}
+	if out[n] != -7 || under[n] != -9 {
+		t.Fatalf("%s: CountKeys over %d keys wrote past its end", tag, n)
+	}
+}
+
 // TestCountKeysOneSnapshot has writers insert one copy of every key of a
 // fixed set per call while readers ask the set's multiplicities. An insert
 // call lands in the structure whole, so on one snapshot the answers are
 // all the copies seen so far: never negative, never fewer than the calls
 // acknowledged before the read began nor more than those begun before it
-// ended, and never fewer than the same reader saw last time. A rank of q
-// and a rank of q-1 taken from two snapshots break this as soon as an
-// insert lands between them: the later one counts more copies of every
-// smaller key of the set. The merge threshold is low, so the reads also
-// straddle buffers freezing and bases being swapped in.
+// ended, and never fewer than the same reader saw last time. Layers taken
+// from two snapshots break this as soon as a buffer freezes or a merge
+// installs between them: a base from before a merge and a buffer from
+// after it miss the merged copies, or count them twice the other way
+// round. The merge threshold is low, so the reads straddle buffers
+// freezing and bases being swapped in.
 func TestCountKeysOneSnapshot(t *testing.T) {
 	const (
 		writers, readers = 2, 2
@@ -411,11 +492,11 @@ func TestCountKeysOneSnapshot(t *testing.T) {
 			for i, q := range qs {
 				own[i] = oracleCount(base, q, q)
 			}
-			out, below, under := make([]int, len(qs)), make([]workload.Key, len(qs)), make([]int, len(qs))
+			out, under := make([]int, len(qs)), make([]int, len(qs))
 			last := 0
 			for acked.Load() < writers*rounds {
 				before := int(acked.Load())
-				u.CountKeys(qs, out, below, under)
+				u.CountKeys(qs, out, under)
 				after := int(began.Load())
 				for i, c := range out {
 					if c -= own[i]; c < 0 || c < before || c > after || c < last {
@@ -512,14 +593,14 @@ func BenchmarkUpdatableCountKeys(b *testing.B) {
 							slices.Sort(pool[i])
 						}
 					}
-					out, below, under := make([]int, batch), make([]workload.Key, batch), make([]int, batch)
+					out, under := make([]int, batch), make([]int, batch)
 					for i, u := range parts {
-						u.CountKeys(pool[i], out, below, under) // first touch of every partition off the clock
+						u.CountKeys(pool[i], out, under) // first touch of every partition off the clock
 					}
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						parts[i%len(parts)].CountKeys(pool[i%len(pool)], out, below, under)
+						parts[i%len(parts)].CountKeys(pool[i%len(pool)], out, under)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/key")
 				})

@@ -742,11 +742,10 @@ func (s *nodeConn) serveMultiGet(_ *nodeIdent, f Frame) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The kernel's scratch rides behind the run and behind its counts.
+	// The kernel's rank scratch rides behind its counts.
 	n := len(run)
-	s.keyBuf = slices.Grow(run, n)
 	ints := s.ints(2 * n)
-	s.n.upd.CountKeys(run, ints[:n], s.keyBuf[n:2*n], ints[n:])
+	s.n.upd.CountKeys(run, ints[:n], ints[n:])
 	return answer(s, f, ints[:n])
 }
 

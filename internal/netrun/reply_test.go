@@ -148,7 +148,7 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 			qs := randKeys(1+rng.Intn(5000), true)
 			n := len(qs)
 			ints := make([]int, 2*n)
-			u.CountKeys(qs, ints[:n], make([]workload.Key, n), ints[n:])
+			u.CountKeys(qs, ints[:n], ints[n:])
 			return exchange{deltaReq(OpMultiGet, id, qs), wordPath(OpCounts, id, narrow(ints[:n]))}
 		},
 	}

@@ -28,12 +28,18 @@
 #                           ns per inserted key. The x20480 rows are half the
 #                           merge trigger at the TCP node's 327,680-key
 #                           partition: its average buffer between merges.
+#   UpdatableCountKeys      the MultiGet kernel (Updatable.CountKeys), 8,192
+#                           keys a call on a 163,840-key partition: ascending
+#                           on a clean partition and beside a 4,096-key
+#                           buffer, and unsorted on a clean one.
 #   PartitioningRoute       the master's per-key routing step at 8, 64 and
 #                           300 partitions.
 #
 # Every row runs 2,000 iterations: an op is a batch of well under a
 # millisecond, so fewer would time first touches and little else. The
-# index rows run in one test binary, which builds each key set once.
+# index rows run in one test binary, which builds each key set once; the
+# CountKeys rows take two more runs of it, as a -bench pattern matches each
+# level of a row's name apart.
 #
 # Usage: scripts/bench_real.sh
 #   BENCH_OUT: output path (default BENCH_real.json)
@@ -72,6 +78,8 @@ run_bench() {
 }
 
 run_bench '^Benchmark(SortedArrayRankBatch|NewSortedArray|SortedArrayRankSorted|UpdatableRankBatch|UpdatableInsertBatch)$' ./internal/index
+run_bench '^BenchmarkUpdatableCountKeys$/^163840$/^delta(0|4096)$/^sorted$' ./internal/index
+run_bench '^BenchmarkUpdatableCountKeys$/^163840$/^delta0$/^unsorted$' ./internal/index
 run_bench '^BenchmarkPartitioningRoute$' .
 
 cat "$RAW" >&2
