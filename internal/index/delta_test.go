@@ -438,7 +438,7 @@ func updatableParts(n, buffered int) []*Updatable {
 func BenchmarkUpdatableRankBatch(b *testing.B) {
 	for _, shape := range [][2]int{{40960, 0}, {40960, 2048}, {40960, DefaultMergeThreshold - 1}, {327680, 2048}, {327680, 20480}} {
 		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
-			benchRankBatch(b, updatableParts(shape[0], shape[1]))
+			benchRankBatch(b, benchSet(fmt.Sprint("read ", shape), func() []*Updatable { return updatableParts(shape[0], shape[1]) }))
 		})
 	}
 }
@@ -452,11 +452,19 @@ func BenchmarkUpdatableInsertBatch(b *testing.B) {
 	const batch = 100
 	for _, shape := range [][2]int{{40960, 2048}, {327680, 2048}, {327680, 20480}} {
 		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
-			us := updatableParts(shape[0], shape[1])
-			held := make([]*Delta, len(us))
-			for i, u := range us {
-				_, held[i], _ = u.pin()
+			type parts struct {
+				us   []*Updatable
+				held []*Delta
 			}
+			set := benchSet(fmt.Sprint("insert ", shape), func() parts {
+				us := updatableParts(shape[0], shape[1])
+				held := make([]*Delta, len(us))
+				for i, u := range us {
+					_, held[i], _ = u.pin()
+				}
+				return parts{us, held}
+			})
+			us, held := set.us, set.held
 			ins := workload.UniformQueries(64*batch, 3)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

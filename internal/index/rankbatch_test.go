@@ -473,15 +473,17 @@ func BenchmarkSortedArrayRankBatch(b *testing.B) {
 		{"two-clusters", func(j int, k workload.Key) workload.Key { return k>>8 | workload.Key(j/20480*0xff)<<24 }},
 	} {
 		b.Run(set.name, func(b *testing.B) {
-			arrs := make([]*SortedArray, 8)
-			for i := range arrs {
-				keys := workload.SortedKeys(40960, uint64(i+1))
-				for j, k := range keys {
-					keys[j] = set.shape(j, k)
+			benchRankBatch(b, benchSet(set.name, func() []*SortedArray {
+				arrs := make([]*SortedArray, 8)
+				for i := range arrs {
+					keys := workload.SortedKeys(40960, uint64(i+1))
+					for j, k := range keys {
+						keys[j] = set.shape(j, k)
+					}
+					arrs[i] = NewSortedArray(keys, 0)
 				}
-				arrs[i] = NewSortedArray(keys, 0)
-			}
-			benchRankBatch(b, arrs)
+				return arrs
+			}))
 		})
 	}
 }
@@ -496,7 +498,7 @@ var sinkArray *SortedArray
 func BenchmarkNewSortedArray(b *testing.B) {
 	for _, n := range sortedRunGrid.sizes {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			sets, _ := kernelSets[n]()
+			sets, _ := kernelSets(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sinkArray = newSortedArray(sets[i%len(sets)], 0)
@@ -525,17 +527,20 @@ const maxBenchRun = 1 << 20
 // crossing density*m keys of a uniform array: the arrays in turn, a
 // fresh run from a pool on every iteration.
 func benchSortedRuns(b *testing.B, arrs []*SortedArray, m int, density float64, rank func(a *SortedArray, qs []workload.Key, out []int)) {
-	crossed := min(int(float64(m)*density), arrs[0].N())
-	r := workload.NewRNG(2)
-	pool := make([][]workload.Key, max(2, min(64, 1<<21/m)))
-	for i := range pool {
-		top := uint64(arrs[i%len(arrs)].keys[crossed-1])
-		pool[i] = make([]workload.Key, m)
-		for j := range pool[i] {
-			pool[i][j] = workload.Key(r.Uint64() % (top + 1))
+	pool := benchSet(fmt.Sprintf("sorted runs %p %d %v", arrs[0], m, density), func() [][]workload.Key {
+		crossed := min(int(float64(m)*density), arrs[0].N())
+		r := workload.NewRNG(2)
+		pool := make([][]workload.Key, max(2, min(64, 1<<21/m)))
+		for i := range pool {
+			top := uint64(arrs[i%len(arrs)].keys[crossed-1])
+			pool[i] = make([]workload.Key, m)
+			for j := range pool[i] {
+				pool[i][j] = workload.Key(r.Uint64() % (top + 1))
+			}
+			slices.Sort(pool[i])
 		}
-		slices.Sort(pool[i])
-	}
+		return pool
+	})
 	out := make([]int, m)
 	for i, a := range arrs {
 		rank(a, pool[i%len(pool)], out) // first touch of every array off the clock
@@ -547,31 +552,44 @@ func benchSortedRuns(b *testing.B, arrs []*SortedArray, m int, density float64, 
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m), "ns/key")
 }
 
-// kernelSets holds, for each size of sortedRunGrid, the eight uniform key
-// sets the kernel rows run on and the arrays over them. Each size is built
-// when its first row runs and then shared by every row of the test binary:
-// Go runs each sub-benchmark once at N=1 before its timed run, so sets
-// built per row were drawn twice a row. The arrays alias their keys, and
-// no row writes either.
-var kernelSets = func() map[int]func() ([][]workload.Key, []*SortedArray) {
-	sets := make(map[int]func() ([][]workload.Key, []*SortedArray))
-	for _, n := range sortedRunGrid.sizes {
-		sets[n] = sync.OnceValues(func() ([][]workload.Key, []*SortedArray) {
-			keys := make([][]workload.Key, 8)
-			arrs := make([]*SortedArray, 8)
-			for i := range keys {
-				keys[i] = workload.SortedKeys(n, uint64(i+1))
-				arrs[i] = NewSortedArray(keys[i], 0)
-			}
-			return keys, arrs
-		})
+// benchSets holds the benchmarks' inputs by name, each built once.
+var benchSets sync.Map
+
+// benchSet is the input named name, built by build on first use and
+// shared by every row of the test binary from then on. Go runs a
+// benchmark's body again at every b.N it tries and at every -count, and
+// building these inputs takes far longer than timing them; no benchmark
+// writes the inputs it shares this way (or, for the insert rows, it puts
+// them back before every timed step).
+func benchSet[T any](name string, build func() T) T {
+	if v, ok := benchSets.Load(name); ok {
+		return v.(T)
 	}
-	return sets
-}()
+	v, _ := benchSets.LoadOrStore(name, build())
+	return v.(T)
+}
+
+// kernelSets is, for a size of sortedRunGrid, the eight uniform key sets
+// the kernel rows run on and the arrays over them, which alias their keys.
+func kernelSets(n int) ([][]workload.Key, []*SortedArray) {
+	type sets struct {
+		keys [][]workload.Key
+		arrs []*SortedArray
+	}
+	s := benchSet(fmt.Sprint("kernel ", n), func() sets {
+		s := sets{make([][]workload.Key, 8), make([]*SortedArray, 8)}
+		for i := range s.keys {
+			s.keys[i] = workload.SortedKeys(n, uint64(i+1))
+			s.arrs[i] = NewSortedArray(s.keys[i], 0)
+		}
+		return s
+	})
+	return s.keys, s.arrs
+}
 
 // kernelArrays is the eight shared arrays of n keys.
 func kernelArrays(n int) []*SortedArray {
-	_, arrs := kernelSets[n]()
+	_, arrs := kernelSets(n)
 	return arrs
 }
 

@@ -155,9 +155,6 @@ type Counter struct{ v atomic.Int64 }
 // semantics; this is not enforced).
 func (c *Counter) Add(d int64) { c.v.Add(d) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
