@@ -33,9 +33,9 @@ func reportLatency(b *testing.B, h *telemetry.Histogram) {
 	if s.Count == 0 {
 		return
 	}
-	b.ReportMetric(float64(s.P50()), "p50_ns")
-	b.ReportMetric(float64(s.P99()), "p99_ns")
-	b.ReportMetric(float64(s.P999()), "p999_ns")
+	b.ReportMetric(float64(s.Quantile(0.50)), "p50_ns")
+	b.ReportMetric(float64(s.Quantile(0.99)), "p99_ns")
+	b.ReportMetric(float64(s.Quantile(0.999)), "p999_ns")
 }
 
 // ---------------------------------------------------------------------

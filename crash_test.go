@@ -95,9 +95,7 @@ func TestDCNodeKillNineDurability(t *testing.T) {
 	walDir := t.TempDir()
 	addr, cmd := startDurableDCNode(t, dcnode, walDir, n, seed, 1, 0)
 
-	c, err := netrun.Dial([]string{addr}, baseline, netrun.DialOptions{
-		BatchKeys: 512, Timeout: 5 * time.Second,
-	})
+	c, err := netrun.Dial([]string{addr}, baseline, netrun.DialOptions{BatchKeys: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +144,7 @@ func TestDCNodeKillNineDurability(t *testing.T) {
 
 	// Restart on the same WAL directory: crash recovery.
 	addr2, _ := startDurableDCNode(t, dcnode, walDir, n, seed, 1, 0)
-	c2, err := netrun.Dial([]string{addr2}, baseline, netrun.DialOptions{
-		BatchKeys: 512, Timeout: 5 * time.Second,
-	})
+	c2, err := netrun.Dial([]string{addr2}, baseline, netrun.DialOptions{BatchKeys: 512})
 	if err != nil {
 		t.Fatalf("dial restarted node: %v", err)
 	}

@@ -38,12 +38,12 @@
 //     multiplicities — CountRange/CountRangeBatch, ScanRange, TopK,
 //     MultiGet — exact against the live index (see the README's
 //     "Query surface").
-//   - The simulator (Simulate, Sweep): a trace-driven cache/network/
-//     cluster simulation parameterized by the paper's measured Pentium
-//     III constants (Table 2), which reproduces the paper's Figure 3 and
-//     Table 3 numbers deterministically on any host.
-//   - The analytical model (PredictTable3, ProjectFigure4): Appendix A's
-//     closed-form cost equations and the Section 4.2 future projection.
+//   - The simulator (Simulate): a trace-driven cache/network/cluster
+//     simulation parameterized by the paper's measured Pentium III
+//     constants (Table 2), which reproduces the paper's Figure 3 numbers
+//     deterministically on any host, one batch size a call.
+//   - The analytical model (ProjectFigure4): Appendix A's closed-form
+//     cost equations and the Section 4.2 future projection.
 //
 // Quickstart:
 //
@@ -90,19 +90,6 @@ type Arch = arch.Params
 
 // PentiumIII returns Table 2: the paper's measured cluster parameters.
 func PentiumIII() Arch { return arch.PentiumIIICluster() }
-
-// Pentium4 returns the Section 2.2 Pentium 4 variant (128-byte lines).
-func Pentium4() Arch { return arch.Pentium4() }
-
-// GigabitEthernet returns the Pentium III cluster with the slower, high-
-// latency Gigabit Ethernet interconnect of Section 2.2.
-func GigabitEthernet() Arch { return arch.GigabitEthernet() }
-
-// FutureArch projects an architecture forward by years under the paper's
-// Section 4.2 technology scaling assumptions.
-func FutureArch(base Arch, years float64) Arch {
-	return arch.Future(base, years, arch.PaperScaling())
-}
 
 // GenerateKeys returns n distinct, sorted, uniformly distributed keys —
 // a ready-to-index key set (deterministic per seed).
@@ -385,25 +372,6 @@ func Simulate(o SimOptions) (Report, error) {
 	return paper.Run(o.toConfig())
 }
 
-// Sweep runs the method across Figure 3's batch-size axis (or the given
-// sizes) and returns one report per size.
-func Sweep(o SimOptions, batchBytes ...int) ([]Report, error) {
-	if len(batchBytes) == 0 {
-		batchBytes = workload.Figure3BatchBytes()
-	}
-	out := make([]Report, 0, len(batchBytes))
-	for _, b := range batchBytes {
-		oo := o
-		oo.BatchBytes = b
-		r, err := Simulate(oo)
-		if err != nil {
-			return nil, fmt.Errorf("dcindex: sweep at %d bytes: %w", b, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // TCPCluster is a distributed index over real sockets: each partition is
 // served by one or more node processes (cmd/dcnode or ServePartition),
 // and this client routes query batches to a healthy replica of each
@@ -424,8 +392,7 @@ func Sweep(o SimOptions, batchBytes ...int) ([]Report, error) {
 // subsequent call returns the root-cause error (TCPCluster.Err reports
 // it) — because a partitioned index with an unreachable partition
 // cannot answer arbitrary queries. Recovery from a terminal failure is
-// explicit via TCPCluster.Redial, which reconnects to every configured
-// replica and re-verifies the partition layout.
+// the caller's: Close the TCPCluster and dial a new one.
 //
 // A TCPCluster is also writable: Insert/InsertBatch route keys to the
 // owning partitions and fan each write out to every connected writable
@@ -455,22 +422,19 @@ func Sweep(o SimOptions, batchBytes ...int) ([]Report, error) {
 type TCPCluster = netrun.Cluster
 
 // TCPOptions configures DialClusterOptions: batch granularity, the
-// dial/handshake timeout, the per-op progress timeout that turns a hung
-// node into prompt failover instead of a blocked master, the replica
-// count for flat address lists and the rejoin backoff envelope.
-// Ascending batches are auto-detected and ride the sorted pipeline's
-// one-sweep routing; their frames are plain words, as for any lookup,
-// and the node picks the sorted kernel from the keys.
+// per-op progress timeout that turns a hung node into prompt failover
+// instead of a blocked master, and the replica count for flat address
+// lists. Ascending batches are auto-detected and ride the sorted
+// pipeline's one-sweep routing; their frames are plain words, as for any
+// lookup, and the node picks the sorted kernel from the keys. The dial
+// timeout (5s) and the rejoin backoff (100ms doubling to 3s) are fixed.
 //
-// The resilience knobs live in nested groups: Hedging arms hedged
-// reads (re-dispatch to a sibling past the partition's latency
-// quantile, first valid reply wins, spend capped by a token bucket),
-// Ejection arms latency-scored outlier ejection with probed
-// readmission, Rejoin shapes the re-dial backoff envelope that also
-// paces the probes, Admin
-// mounts the HTTP admin/metrics server on the client, and Dialer
-// injects a custom transport — e.g. an internal/faultnet wrapper — for
-// deterministic resilience drills.
+// The resilience knobs: Hedging arms hedged reads (re-dispatch to a
+// sibling past the partition's latency quantile, first valid reply wins,
+// spend capped by a token bucket), Ejection arms latency-scored outlier
+// ejection with probed readmission, Admin mounts the HTTP admin/metrics
+// server on the client, and Dialer injects a custom transport — e.g. an
+// internal/faultnet wrapper — for deterministic resilience drills.
 type TCPOptions = netrun.DialOptions
 
 // ReplicaStats is one replica's liveness and traffic counters inside
@@ -480,19 +444,12 @@ type TCPOptions = netrun.DialOptions
 // hedge/ejection/probe/readmit/budget-denied counters.
 type ReplicaStats = netrun.ReplicaHealth
 
-// DialCluster connects to every replica of every partition of keys and
-// verifies that each node serves the partition the local routing table
-// expects. Each element of addrs names partition i's replica set: a
+// DialClusterOptions connects to every replica of every partition of keys
+// and verifies that each node serves the partition the local routing
+// table expects. Each element of addrs names partition i's replica set: a
 // single address, or several packed as "host:a|host:b" (replicas fail
-// over behind one routing slot; see TCPOptions.Replicas for flat
-// lists). batchKeys <= 0 selects the 16384-key default; other options
-// take their defaults (use DialClusterOptions to set them).
-func DialCluster(addrs []string, keys []Key, batchKeys int) (*TCPCluster, error) {
-	return netrun.Dial(addrs, keys, netrun.DialOptions{BatchKeys: batchKeys})
-}
-
-// DialClusterOptions is DialCluster with full control over the dial,
-// handshake, and per-op timeout configuration.
+// over behind one routing slot; see TCPOptions.Replicas for flat lists).
+// The zero TCPOptions takes every default.
 func DialClusterOptions(addrs []string, keys []Key, opt TCPOptions) (*TCPCluster, error) {
 	return netrun.Dial(addrs, keys, opt)
 }
@@ -511,14 +468,6 @@ func ServePartition(addr string, keys []Key, parts, part int) error {
 	}
 	return netrun.ListenAndServe(addr, p.Parts[part].Keys, p.Parts[part].RankBase)
 }
-
-// Table3Row mirrors model.Table3Row: one method's predicted time next to
-// the paper's own numbers.
-type Table3Row = model.Table3Row
-
-// PredictTable3 evaluates the Appendix A model at Table 3's operating
-// point for the given architecture.
-func PredictTable3(a Arch) []Table3Row { return model.Table3(a) }
 
 // YearPoint mirrors model.YearPoint: one Figure 4 projection point.
 type YearPoint = model.YearPoint

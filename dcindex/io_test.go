@@ -106,7 +106,8 @@ func TestSaveLoadKeysFile(t *testing.T) {
 	}
 }
 
-// End-to-end: snapshot -> nodes over TCP -> DialCluster -> correct ranks.
+// End-to-end: snapshot -> nodes over TCP -> DialClusterOptions -> correct
+// ranks.
 func TestTCPDeploymentEndToEnd(t *testing.T) {
 	keys := GenerateKeys(8000, 4)
 	path := filepath.Join(t.TempDir(), "index.dcx")
@@ -141,7 +142,7 @@ func TestTCPDeploymentEndToEnd(t *testing.T) {
 		}
 	}()
 
-	c, err := DialCluster(addrs, loaded, 256)
+	c, err := DialClusterOptions(addrs, loaded, TCPOptions{BatchKeys: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestSaveKeysWriteErrorLeavesTargetIntact(t *testing.T) {
 
 // TestDialClusterReplicated drives the public replicated surface:
 // grouped "addr|addr" address syntax, failover on replica death, and
-// Health reporting — dcindex.DialCluster over real sockets.
+// Health reporting — dcindex.DialClusterOptions over real sockets.
 func TestDialClusterReplicated(t *testing.T) {
 	keys := GenerateKeys(8000, 51)
 	const parts = 2
@@ -369,7 +370,7 @@ func TestDialClusterReplicated(t *testing.T) {
 		addrs[0][0] + "|" + addrs[0][1],
 		addrs[1][0] + "|" + addrs[1][1],
 	}
-	c, err := DialCluster(grouped, keys, 256)
+	c, err := DialClusterOptions(grouped, keys, TCPOptions{BatchKeys: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestDialClusterReplicated(t *testing.T) {
 		t.Fatalf("Stats().Replicas rows = %d, want 4", len(h))
 	}
 
-	// One replica dies; the cluster keeps answering without Redial.
+	// One replica dies; the cluster keeps answering, with no error.
 	nodes[0][0].Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {

@@ -113,25 +113,6 @@ func exitWidth(t *index.Tree, level, h int) int {
 // formula calls this T/L.
 func (p Plan) Segments() int { return len(p.splits) }
 
-// SegmentHeight returns the height of segment s.
-func (p Plan) SegmentHeight(s int) int { return p.heights[s] }
-
-// SegmentLevel returns the level at which segment s's subtrees are
-// rooted.
-func (p Plan) SegmentLevel(s int) int { return p.splits[s] }
-
-// MaxSubtreeBytes returns the footprint of the largest subtree in any
-// segment — the quantity that must fit in the target cache.
-func (p Plan) MaxSubtreeBytes() int {
-	max := 0
-	for i, lvl := range p.splits {
-		if b := p.tree.SubtreeBytes(lvl, p.heights[i]); b > max {
-			max = b
-		}
-	}
-	return max
-}
-
 type entry struct {
 	key workload.Key
 	pos int32

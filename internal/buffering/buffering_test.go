@@ -72,11 +72,11 @@ func TestPlanTilesAllLevels(t *testing.T) {
 	for _, budget := range []int{64, 8 << 10, 256 << 10, 64 << 20} {
 		plan := NewPlan(tree, budget)
 		covered := 0
-		for s := 0; s < plan.Segments(); s++ {
-			if plan.SegmentLevel(s) != covered {
-				t.Fatalf("budget %d: segment %d starts at level %d, want %d", budget, s, plan.SegmentLevel(s), covered)
+		for s, lvl := range plan.splits {
+			if lvl != covered {
+				t.Fatalf("budget %d: segment %d starts at level %d, want %d", budget, s, lvl, covered)
 			}
-			covered += plan.SegmentHeight(s)
+			covered += plan.heights[s]
 		}
 		if covered != tree.Levels() {
 			t.Fatalf("budget %d: plan covers %d levels, tree has %d", budget, covered, tree.Levels())
@@ -93,20 +93,15 @@ func TestPlanRespectsBudget(t *testing.T) {
 	if plan.Segments() < 2 {
 		t.Fatalf("a 3 MB tree under a 256 KB budget must need multiple segments, got %d", plan.Segments())
 	}
-	// Non-root segments must fit; the root segment always does by
-	// construction unless even a single level overflows.
-	if got := plan.MaxSubtreeBytes(); got > budget {
-		// Only legal when some single level already exceeds the budget
-		// for height 1 (can't subdivide below one level).
-		for s := 0; s < plan.Segments(); s++ {
-			if plan.SegmentHeight(s) == 1 {
-				continue
-			}
-			if b := tree.SubtreeBytes(plan.SegmentLevel(s), plan.SegmentHeight(s)); b > budget {
+	// Every segment's subtrees must fit, except a segment of one level:
+	// a level can't be subdivided, so one that alone exceeds the budget
+	// is legal.
+	for s, lvl := range plan.splits {
+		if h := plan.heights[s]; h > 1 {
+			if b := tree.SubtreeBytes(lvl, h); b > budget {
 				t.Fatalf("segment %d subtree %d bytes exceeds budget %d with height > 1", s, b, budget)
 			}
 		}
-		_ = got
 	}
 }
 

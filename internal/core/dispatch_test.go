@@ -165,7 +165,7 @@ func TestDispatchPipelines(t *testing.T) {
 	// one's, and is exact once the writes stop.
 	t.Run("concurrentWithRebalance", func(t *testing.T) {
 		cfg := DefaultRealConfig(MethodC3)
-		cfg.MergeThreshold = 512
+		cfg.mergeThreshold = 512
 		c, err := NewCluster(keys, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 func durableCfg(dir string, method Method) RealConfig {
 	return RealConfig{
 		Method: method, Workers: 4, BatchKeys: 256,
-		MergeThreshold: 128, WALDir: dir,
+		mergeThreshold: 128, WALDir: dir,
 	}
 }
 
@@ -234,7 +234,7 @@ func crashImageMidTraffic(t *testing.T, m Method, writers int) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	cfg := durableCfg(dir, m)
-	cfg.MergeThreshold = 32
+	cfg.mergeThreshold = 32
 	cfg.WALFS = disk
 	c, err := NewCluster(keys, cfg)
 	if err != nil {
@@ -352,7 +352,7 @@ func TestClusterDurableRebalanceSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	keys := workload.SortedKeys(1024, 31)
 	cfg := durableCfg(dir, MethodC3)
-	cfg.PartitionBudget = 400
+	cfg.partitionBudget = 400
 	c, err := NewCluster(keys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +533,7 @@ func TestClusterDurableOneSyncPerWave(t *testing.T) {
 		Method: MethodC3, Workers: 8, BatchKeys: 64,
 		// No merge and no rebalance: no segment flush and no new epoch add
 		// fsyncs of their own.
-		MergeThreshold: 1 << 20, PartitionBudget: -1,
+		mergeThreshold: 1 << 20, partitionBudget: -1,
 		WALDir: dir, WALFS: faulty,
 	})
 	if err != nil {
@@ -605,7 +605,7 @@ func TestClusterDurableCrashAtEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	keys := workload.SortedKeys(512, 73)
 	cfg := durableCfg(dir, MethodC3)
-	cfg.MergeThreshold = 1 << 20 // one log file, no segment past generation 0
+	cfg.mergeThreshold = 1 << 20 // one log file, no segment past generation 0
 	c, err := NewCluster(keys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -730,7 +730,7 @@ func TestClusterDurableSharedLogFailurePoisonsEveryPartition(t *testing.T) {
 	faulty := faultfs.NewFaulty(faultfs.OS)
 	keys := workload.SortedKeys(1024, 83)
 	cfg := durableCfg(t.TempDir(), MethodC3)
-	cfg.MergeThreshold = 1 << 20
+	cfg.mergeThreshold = 1 << 20
 	cfg.WALFS = faulty
 	c, err := NewCluster(keys, cfg)
 	if err != nil {
@@ -783,7 +783,7 @@ func TestClusterDurableRebaseCrashEitherSide(t *testing.T) {
 	dir := t.TempDir()
 	keys := workload.SortedKeys(1024, 101)
 	cfg := durableCfg(dir, MethodC3)
-	cfg.PartitionBudget = -1 // no rebalance yet: epoch 1 takes every insert
+	cfg.partitionBudget = -1 // no rebalance yet: epoch 1 takes every insert
 	c, err := NewCluster(keys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -806,7 +806,7 @@ func TestClusterDurableRebaseCrashEitherSide(t *testing.T) {
 
 	// Reopen with a budget the skew breaks: recovery re-partitions, which
 	// rebases into epoch 2.
-	cfg.PartitionBudget = 400
+	cfg.partitionBudget = 400
 	c, err = NewCluster(workload.SortedKeys(16, 99), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -833,7 +833,7 @@ func TestClusterDurableRebaseCrashEitherSide(t *testing.T) {
 	probes := workload.UniformQueries(300, 107)
 	for _, tc := range []struct{ name, dir string }{{"before", before}, {"after", after}} {
 		cfg := durableCfg(tc.dir, MethodC3)
-		cfg.PartitionBudget = -1
+		cfg.partitionBudget = -1
 		crashed, err := NewCluster(workload.SortedKeys(16, 99), cfg)
 		if err != nil {
 			t.Fatalf("crash %s the manifest swap: %v", tc.name, err)
@@ -930,7 +930,7 @@ func TestClusterDurableInsertAllocs(t *testing.T) {
 	measure := func(walDir string) float64 {
 		c, err := NewCluster(keys, RealConfig{
 			Method: MethodC3, Workers: 8, BatchKeys: 256,
-			MergeThreshold: 1 << 20, PartitionBudget: -1,
+			mergeThreshold: 1 << 20, partitionBudget: -1,
 			WALDir: walDir, FsyncInterval: -1,
 		})
 		if err != nil {

@@ -242,18 +242,6 @@ func (p *Partitioning) routeBucket(k workload.Key) int {
 // Delimiters returns the master's dispatch array (len = partitions-1).
 func (p *Partitioning) Delimiters() []workload.Key { return p.delims }
 
-// DelimiterBytes returns the delimiter array's footprint: the tiny
-// sorted array that stays resident in the master's L1 (Route's prefix
-// table beside it is a fixed 1 KB).
-func (p *Partitioning) DelimiterBytes() int {
-	return len(p.delims) * workload.KeyBytes
-}
-
-// GlobalRank composes a slave-local rank into a global one.
-func (p *Partitioning) GlobalRank(slave, localRank int) int {
-	return p.Parts[slave].RankBase + localRank
-}
-
 // MaxPartKeys returns the largest partition's key count, the value that
 // must fit in a slave's cache.
 func (p *Partitioning) MaxPartKeys() int {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/index"
 	"repro/internal/workload"
 )
 
@@ -26,9 +25,9 @@ import (
 //     planned once per call (Plan, plan.go) into per-partition requests
 //     whose lists the engine pools — a worker batch's keys, a TCP frame's
 //     words — and a partition counts its pairs on one snapshot
-//     (CountPairs, which a worker and a TCP node both run). A scan asks
-//     each spanned partition for its keys in [lo, hi], at most limit of
-//     them.
+//     (index.CountPairs, which a worker and a TCP node both run). A scan
+//     asks each spanned partition for its keys in [lo, hi], at most limit
+//     of them.
 //   - How answers compose: counts add up by position (AddCounts), and so
 //     do the multiplicities of a key whose run a cut splits; scan runs
 //     concatenate lowest partition first under one global limit
@@ -56,44 +55,6 @@ func (p *Partitioning) Span(lo, hi workload.Key) (first, last int) {
 		first = p.Route(lo - 1)
 	}
 	return first, p.Route(hi)
-}
-
-// CountPairs returns the number of u's keys in each inclusive range
-// [pairs[2i], pairs[2i+1]]: rank(hi) − rank(lo−1), the ranks of all the
-// range ends taken in one call, on one snapshot of u — ranks from two
-// instants of a partition taking inserts would subtract to a count that
-// never existed. The ends are ranked laid out as the pairs are, so ranges
-// that come ascending and disjoint are one ascending stream for the
-// sorted kernel. It is a partition's answer to its share of a count
-// batch, in process (a worker) and over TCP (a node, straight from the
-// request words). keys and ints are the caller's scratch, grown as
-// needed; the counts are the first len(pairs)/2 of ints.
-//
-//dc:noalloc
-func CountPairs[W ~uint32](u *index.Updatable, pairs []W, keys *[]workload.Key, ints *[]int) []int {
-	n := len(pairs) &^ 1
-	*keys = slices.Grow((*keys)[:0], n)
-	*ints = slices.Grow((*ints)[:0], n)
-	ends, ranks := (*keys)[:n], (*ints)[:n]
-	for i := 0; i < n; i += 2 {
-		lo := workload.Key(pairs[i])
-		ends[i], ends[i+1] = lo-min(lo, 1), workload.Key(pairs[i+1])
-	}
-	if index.FirstDescent(ends) == 0 {
-		u.RankSorted(ends, ranks, 0)
-	} else {
-		u.RankBatch(ends, ranks, 0)
-	}
-	for i := range n / 2 {
-		// A range from key 0 has no keys below it; an inverted one has
-		// hi <= lo−1, and its difference is the keys between, negated.
-		below := 0
-		if pairs[2*i] > 0 {
-			below = ranks[2*i]
-		}
-		ranks[i] = max(ranks[2*i+1]-below, 0)
-	}
-	return ranks[:n/2]
 }
 
 // AddCounts adds one partition's answer to a request into out at the

@@ -71,7 +71,7 @@ func queryConfigs() []RealConfig {
 	for _, m := range Methods() {
 		// Batches of up to 4,096 keys, so that the large calls of the check
 		// reach a partition whole.
-		cfgs = append(cfgs, RealConfig{Method: m, Workers: 5, BatchKeys: 4096, MergeThreshold: 256})
+		cfgs = append(cfgs, RealConfig{Method: m, Workers: 5, BatchKeys: 4096, mergeThreshold: 256})
 	}
 	return cfgs
 }

@@ -34,14 +34,15 @@ type RealConfig struct {
 	// carries. It is a ceiling: handoff cuts a call into smaller slices
 	// when the call is too short to fill BatchKeys-sized ones early.
 	BatchKeys int
-	// MergeThreshold is the floor of the per-partition delta-buffer size
+	// mergeThreshold is the floor of the per-partition delta-buffer size
 	// that triggers a background compaction of buffer+base into a fresh
 	// immutable array (see Insert/InsertBatch): a buffer is compacted once
-	// it holds max(MergeThreshold, an eighth of the partition) keys, so a
+	// it holds max(mergeThreshold, an eighth of the partition) keys, so a
 	// key is copied a constant number of times however large the
-	// partition. Zero selects index.DefaultMergeThreshold.
-	MergeThreshold int
-	// PartitionBudget caps a partition's key count before a background
+	// partition. Zero selects index.DefaultMergeThreshold; only this
+	// package's tests set it.
+	mergeThreshold int
+	// partitionBudget caps a partition's key count before a background
 	// rebalance recomputes the delimiters over the whole key set — the
 	// paper's fits-in-cache invariant, maintained dynamically as
 	// inserts skew partitions. Zero selects twice the initial maximum
@@ -49,8 +50,9 @@ type RealConfig struct {
 	// index outgrows budget*Workers the budget is unattainable by
 	// re-partitioning, and the trigger degrades to skew detection
 	// (twice the average partition size) instead of storming rebuilds.
-	// Only meaningful for the distributed methods.
-	PartitionBudget int
+	// Only meaningful for the distributed methods; only this package's
+	// tests set it.
+	partitionBudget int
 	// WALDir, when non-empty, makes writes durable: every partition
 	// gets a write-ahead log under this directory, inserts are logged
 	// and fsynced (group commit) before InsertBatch returns, frozen-
@@ -107,9 +109,6 @@ func (c RealConfig) validate() error {
 	if c.BatchKeys <= 0 {
 		return fmt.Errorf("core: BatchKeys = %d", c.BatchKeys)
 	}
-	if c.MergeThreshold < 0 {
-		return fmt.Errorf("core: MergeThreshold = %d", c.MergeThreshold)
-	}
 	return nil
 }
 
@@ -134,7 +133,7 @@ const (
 	// opRank resolves keys to global ranks (the paper's one query).
 	opRank batchOp = iota
 	// opCount counts the partition's keys in each inclusive range
-	// [keys[2i], keys[2i+1]] into ranks (CountPairs).
+	// [keys[2i], keys[2i+1]] into ranks (index.CountPairs).
 	opCount
 	// opScan returns the partition's keys in [keys[0], keys[1]],
 	// ascending, at most limit of them, in outKeys.
@@ -358,9 +357,9 @@ func NewCluster(keys []workload.Key, cfg RealConfig) (*Cluster, error) {
 		return nil, err
 	}
 	c.epoch.Store(ep)
-	if cfg.PartitionBudget > 0 {
-		c.budget = cfg.PartitionBudget
-	} else if cfg.PartitionBudget == 0 {
+	if cfg.partitionBudget > 0 {
+		c.budget = cfg.partitionBudget
+	} else if cfg.partitionBudget == 0 {
 		c.budget = 2 * ep.part.MaxPartKeys()
 	}
 	c.updWG.Add(1)
@@ -430,7 +429,7 @@ func (c *Cluster) processBatch(b *realBatch) {
 		b.ranks = b.ranks[:0]
 		return
 	case opCount:
-		b.ranks = CountPairs(lp.upd, b.keys, &b.outKeys, &b.ranks)
+		b.ranks = index.CountPairs(lp.upd, b.keys, &b.outKeys, &b.ranks)
 		return
 	case opMultiGet:
 		// The count kernel's rank scratch is the batch's own, behind the

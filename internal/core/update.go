@@ -164,7 +164,7 @@ func (c *Cluster) newEpoch(keys []workload.Key) (*updEpoch, error) {
 	}
 	build := methodBuilder(c.cfg)
 	for s := range ep.lps {
-		u := index.NewUpdatable(part.Parts[s].Keys, build, c.cfg.MergeThreshold)
+		u := index.NewUpdatable(part.Parts[s].Keys, build, c.cfg.mergeThreshold)
 		u.OnMerge = c.noteMerge
 		ep.lps[s] = &livePart{slot: s, rankBase: part.Parts[s].RankBase, upd: u, ep: ep}
 	}

@@ -76,7 +76,7 @@ func TestMixedReadWriteAllMethods(t *testing.T) {
 	var variants []variant
 	for _, m := range Methods() {
 		variants = append(variants, variant{m.String(), RealConfig{
-			Method: m, Workers: 4, BatchKeys: 512, MergeThreshold: 256,
+			Method: m, Workers: 4, BatchKeys: 512, mergeThreshold: 256,
 		}})
 	}
 
@@ -155,7 +155,7 @@ func TestEpochSwapUnderConcurrentReaders(t *testing.T) {
 	keys := workload.SortedKeys(32768, 3)
 	cfg := RealConfig{
 		Method: MethodC3, Workers: 4, BatchKeys: 1024,
-		MergeThreshold: 512, // merge early and often
+		mergeThreshold: 512, // merge early and often
 		// Default budget: 2x the initial 8192-key partitions, so the
 		// skewed stream below must trigger a rebalance.
 	}
@@ -283,7 +283,7 @@ func TestInsertVisibleToOwnerRouting(t *testing.T) {
 	// must trigger a re-partitioning.
 	c, err := NewCluster(keys, RealConfig{
 		Method: MethodC3, Workers: 4, BatchKeys: 256,
-		MergeThreshold: 128, PartitionBudget: 2200,
+		mergeThreshold: 128, partitionBudget: 2200,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestInsertVisibleToOwnerRouting(t *testing.T) {
 
 // TestReplicatedMethodsShareOneCopy: Methods A and B are one partition
 // that all the workers read, so one crossing of its merge trigger —
-// max(MergeThreshold, an eighth of the partition) — is one compaction (one
+// max(mergeThreshold, an eighth of the partition) — is one compaction (one
 // tree rebuilt, counted once) however many workers there are, and a key
 // short of it is none. Eight concurrent readers, spread over those
 // workers, see exact ranks and exact answers from all four query ops both
@@ -343,7 +343,7 @@ func TestReplicatedMethodsShareOneCopy(t *testing.T) {
 			}
 			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 			c, err := NewCluster(keys, RealConfig{
-				Method: m, Workers: 8, BatchKeys: 1024, MergeThreshold: 512,
+				Method: m, Workers: 8, BatchKeys: 1024, mergeThreshold: 512,
 			})
 			if err != nil {
 				t.Fatal(err)

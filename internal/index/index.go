@@ -25,59 +25,9 @@
 // addresses of a lookup for trace-driven simulation.
 package index
 
-import "repro/internal/workload"
-
 // Addr is a virtual byte address in a simulated node's address space —
 // the type the cache simulator (internal/memsim) indexes by, declared
 // here as well so that serving from an index links no simulator. A
 // structure claims the arena starting at its Base and RankTrace records
 // the addresses a lookup touches there; nothing ever dereferences one.
 type Addr = uint64
-
-// Index is the common read API of all three structures.
-type Index interface {
-	// Name identifies the structure ("sorted-array", "nary-tree",
-	// "csb+-tree") in reports.
-	Name() string
-	// N returns the number of indexed keys.
-	N() int
-	// Rank returns the number of indexed keys <= k.
-	Rank(k workload.Key) int
-	// RankTrace is Rank, also appending the virtual address of every
-	// memory probe the lookup performs to trace (which it returns,
-	// append-style). Each probe touches at most one cache line.
-	RankTrace(k workload.Key, trace []Addr) (int, []Addr)
-	// Base and SizeBytes describe the structure's arena, for cache
-	// preloading and footprint reports.
-	Base() Addr
-	SizeBytes() int
-	// Levels returns the number of probe levels a lookup visits: tree
-	// height for trees, ceil(log2 n) for the array. This is T (or L)
-	// in the analytical model.
-	Levels() int
-	// LevelLines returns lambda_i, the number of distinct cache lines
-	// at each probe level (Appendix A's per-level line counts), root
-	// level first.
-	LevelLines() []int
-}
-
-// BuildChecked verifies idx agrees with the reference rank on a sample
-// of boundary probes; constructors call it in debug paths and tests use
-// it directly. It returns the first disagreeing key, or ok=true.
-func BuildChecked(idx Index, keys []workload.Key) (bad workload.Key, ok bool) {
-	probe := func(k workload.Key) bool {
-		return idx.Rank(k) == workload.ReferenceRank(keys, k)
-	}
-	if !probe(0) || !probe(^workload.Key(0)) {
-		return 0, false
-	}
-	for _, k := range keys {
-		if !probe(k) {
-			return k, false
-		}
-		if k > 0 && !probe(k-1) {
-			return k - 1, false
-		}
-	}
-	return 0, true
-}

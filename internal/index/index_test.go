@@ -8,6 +8,34 @@ import (
 	"repro/internal/workload"
 )
 
+// Index is the read API the three structures share, which the tests
+// below check each of them through.
+type Index interface {
+	// Name identifies the structure ("sorted-array", "nary-tree",
+	// "csb+-tree") in reports.
+	Name() string
+	// N returns the number of indexed keys.
+	N() int
+	// Rank returns the number of indexed keys <= k.
+	Rank(k workload.Key) int
+	// RankTrace is Rank, also appending the virtual address of every
+	// memory probe the lookup performs to trace (which it returns,
+	// append-style). Each probe touches at most one cache line.
+	RankTrace(k workload.Key, trace []Addr) (int, []Addr)
+	// Base and SizeBytes describe the structure's arena, for cache
+	// preloading and footprint reports.
+	Base() Addr
+	SizeBytes() int
+	// Levels returns the number of probe levels a lookup visits: tree
+	// height for trees, ceil(log2 n) for the array. This is T (or L)
+	// in the analytical model.
+	Levels() int
+	// LevelLines returns lambda_i, the number of distinct cache lines
+	// at each probe level (Appendix A's per-level line counts), root
+	// level first.
+	LevelLines() []int
+}
+
 func buildAll(keys []workload.Key) []Index {
 	return []Index{
 		NewSortedArray(keys, 0),
@@ -28,10 +56,31 @@ func TestAllStructuresAgreeWithReference(t *testing.T) {
 			}
 		}
 		// Exact and off-by-one boundary probes on every key.
-		if bad, ok := BuildChecked(idx, keys); !ok {
-			t.Fatalf("%s: BuildChecked failed at key %d", idx.Name(), bad)
+		if bad, ok := buildChecked(idx, keys); !ok {
+			t.Fatalf("%s: buildChecked failed at key %d", idx.Name(), bad)
 		}
 	}
+}
+
+// buildChecked probes idx at both ends of the key space and at every key
+// and its predecessor, against the reference rank. It returns the first
+// disagreeing key, or ok=true.
+func buildChecked(idx Index, keys []workload.Key) (bad workload.Key, ok bool) {
+	probe := func(k workload.Key) bool {
+		return idx.Rank(k) == workload.ReferenceRank(keys, k)
+	}
+	if !probe(0) || !probe(^workload.Key(0)) {
+		return 0, false
+	}
+	for _, k := range keys {
+		if !probe(k) {
+			return k, false
+		}
+		if k > 0 && !probe(k-1) {
+			return k - 1, false
+		}
+	}
+	return 0, true
 }
 
 func TestRankTraceMatchesRankAndLevels(t *testing.T) {

@@ -1,6 +1,10 @@
 package index
 
-import "repro/internal/workload"
+import (
+	"slices"
+
+	"repro/internal/workload"
+)
 
 // This file is the query surface beyond exact rank: range counts, scans,
 // top-k tails, and per-key multiplicities. Everything here reduces to
@@ -9,16 +13,18 @@ import "repro/internal/workload"
 // arrays, trees, buffered plans): the Updatable always retains its base's
 // sorted keys alongside whatever ranker was built over them.
 //
-// What each costs. A batch of counted ranges (CountRanges) is two batch
-// ranks, of the his and of the lo-1 keys, both on one snapshot: a real
-// range needs both ends. A batch of multiplicities (CountKeys) is one
-// search and one compare a key per layer: the key's upper bound through
-// the layered kernels of the rank ops (the sorted forms when the keys come
-// ascending, as both engines send them), and the copies of the key just
-// below it, which only a key held more than once reads past the first
-// compare. A single CountRange is two binary searches per layer, which is
-// right for one range; a scan or a top-k is two boundary searches and a
-// three-way merge of what lies between.
+// What each costs. A batch of counted ranges (CountPairs) is one batch
+// rank of all the range ends, the lo-1 and hi of each range laid out as
+// the ranges come, on one snapshot: a real range needs both ends, and
+// disjoint ranges that come ascending are one ascending run for the
+// sorted kernels. A batch of multiplicities (CountKeys) is one search and
+// one compare a key per layer: the key's upper bound through the layered
+// kernels of the rank ops (the sorted forms when the keys come ascending,
+// as both engines send them), and the copies of the key just below it,
+// which only a key held more than once reads past the first compare. A
+// single CountRange is two binary searches per layer, which is right for
+// one range; a scan or a top-k is two boundary searches and a three-way
+// merge of what lies between.
 
 // lowerBound is the number of keys < k, by binary search — the
 // counterpart of upperBound (keys <= k). The single CountRange is a
@@ -67,56 +73,42 @@ func (u *Updatable) CountRange(lo, hi workload.Key) int {
 	return countRange(base, lo, hi) + countRange(delta, lo, hi) + countRange(frozen, lo, hi)
 }
 
-// CountRanges writes the number of indexed keys in each inclusive range
-// [los[i], his[i]] into out[i]: the rank of hi less the rank of lo-1, both
-// taken through the kernels the rank ops use and both on ONE pinned
-// snapshot — ranks from two instants of a partition taking inserts would
-// subtract to a count that never existed, a negative one included. A
-// range starting at key 0 is the rank of hi, an inverted one (hi < lo) is
-// 0. Neither stream need be sorted; each one that is takes the sorted
-// kernels. his, out and the call's scratch — below for the lo-1 keys,
-// under for their ranks — are each at least len(los) long. The scratch is
-// the caller's because it crosses the base ranker's interface, which a
-// frame-local array would escape through to the heap on every call.
+// CountPairs returns the number of u's keys in each inclusive range
+// [pairs[2i], pairs[2i+1]]: rank(hi) − rank(lo−1), the ranks of all the
+// range ends taken in one call, on one snapshot of u — ranks from two
+// instants of a partition taking inserts would subtract to a count that
+// never existed. The ends are ranked laid out as the pairs are, so ranges
+// that come ascending and disjoint are one ascending stream for the
+// sorted kernel. It is a partition's answer to its share of a count
+// batch, in process (a worker) and over TCP (a node, straight from the
+// request words). keys and ints are the caller's scratch, grown as
+// needed; the counts are the first len(pairs)/2 of ints.
 //
 //dc:noalloc
-func (u *Updatable) CountRanges(los, his []workload.Key, out []int, below []workload.Key, under []int) {
-	s, delta, frozen := u.pin()
-	n := len(los)
-	for i, lo := range los {
-		below[i] = lo - min(lo, 1)
+func CountPairs[W ~uint32](u *Updatable, pairs []W, keys *[]workload.Key, ints *[]int) []int {
+	n := len(pairs) &^ 1
+	*keys = slices.Grow((*keys)[:0], n)
+	*ints = slices.Grow((*ints)[:0], n)
+	ends, ranks := (*keys)[:n], (*ints)[:n]
+	for i := 0; i < n; i += 2 {
+		lo := workload.Key(pairs[i])
+		ends[i], ends[i+1] = lo-min(lo, 1), workload.Key(pairs[i+1])
 	}
-	rankLayers(s, delta, frozen, his[:n], out[:n])
-	rankLayers(s, delta, frozen, below[:n], under[:n])
-	for i, lo := range los {
-		// An inverted range has hi <= lo-1: its difference is the keys
-		// between the two, negated.
-		if lo > 0 {
-			out[i] = max(out[i]-under[i], 0)
-		}
-	}
-}
-
-// rankLayers writes into out the rank of each of qs in the snapshot (s,
-// delta, frozen): the base's own ranker, then each buffer added. An
-// ascending qs — one compare a key to find out — takes the sorted form of
-// each.
-//
-//dc:noalloc
-func rankLayers(s *baseState, delta, frozen *Delta, qs []workload.Key, out []int) {
-	sorted := FirstDescent(qs) == 0
-	if sr, ok := s.r.(SortedRanker); ok && sorted {
-		sr.RankSorted(qs, out, 0)
+	if FirstDescent(ends) == 0 {
+		u.RankSorted(ends, ranks, 0)
 	} else {
-		s.r.RankInto(qs, nil, out, 0)
+		u.RankBatch(ends, ranks, 0)
 	}
-	for _, d := range [2]*Delta{delta, frozen} {
-		if d != nil && sorted {
-			d.RankSortedAdd(qs, out)
-		} else if d != nil {
-			d.RankAdd(qs, nil, out)
+	for i := range n / 2 {
+		// A range from key 0 has no keys below it; an inverted one has
+		// hi <= lo−1, and its difference is the keys between, negated.
+		below := 0
+		if pairs[2*i] > 0 {
+			below = ranks[2*i]
 		}
+		ranks[i] = max(ranks[2*i+1]-below, 0)
 	}
+	return ranks[:n/2]
 }
 
 // CountKeys writes each query key's multiplicity (how many indexed
@@ -127,7 +119,9 @@ func rankLayers(s *baseState, delta, frozen *Delta, qs []workload.Key, out []int
 // forms when the keys ascend, as both engines send them — and a key's
 // copies are the keys equal to it just below its upper bound there. The
 // queries need not be sorted; out and under are each at least len(qs)
-// long. under is the caller's for the reason CountRanges' scratch is.
+// long. under is the caller's because it crosses the base ranker's
+// interface, which a frame-local array would escape through to the heap on
+// every call.
 //
 //dc:noalloc
 func (u *Updatable) CountKeys(qs []workload.Key, out, under []int) {

@@ -173,6 +173,16 @@ func TestUpdatableQueryOpsNonArrayBase(t *testing.T) {
 	if got, want := u.CountRange(0, 1000), len(all); got != want {
 		t.Fatalf("CountRange = %d, want %d", got, want)
 	}
+	// The batch count over the same snapshot: ranges from the origin,
+	// inside, on the inserted copies and inverted, ascending and not.
+	var ks []workload.Key
+	var is []int
+	pairs := []workload.Key{0, 1000, 5, 5, 999, 999, 400, 600, 600, 400, 0, 4, 500, 500}
+	for i, c := range CountPairs(u, pairs, &ks, &is) {
+		if want := oracleCount(all, pairs[2*i], pairs[2*i+1]); c != want {
+			t.Fatalf("CountPairs[%d](%d,%d) = %d, want %d", i, pairs[2*i], pairs[2*i+1], c, want)
+		}
+	}
 	top := u.TopK(3, nil)
 	for i, k := range top {
 		if want := all[len(all)-1-i]; k != want {
@@ -190,7 +200,7 @@ func TestUpdatableQueryOpsNonArrayBase(t *testing.T) {
 	}
 }
 
-// oracleCount is the count CountRanges is held to: two sort.Search calls
+// oracleCount is the count CountPairs is held to: two sort.Search calls
 // over the merged multiset, sharing nothing with the kernels.
 func oracleCount(all []workload.Key, lo, hi workload.Key) int {
 	if hi < lo {
@@ -227,29 +237,27 @@ func threeLayers(t testing.TB, base []workload.Key, build Builder, frozen, activ
 	return u, all, func() { close(gate); u.Quiesce() }
 }
 
-// checkCountRanges holds CountRanges on the ranges (los[i], his[i]) and
-// CountKeys on his to the oracle over all. The scratch starts dirty and
-// neither call may write past its run.
+// checkCountRanges holds CountPairs on the ranges (los[i], his[i]) and
+// CountKeys on his to the oracle over all. CountPairs' scratch starts
+// dirty and too short for the ends; CountKeys may write nothing past its
+// keys.
 func checkCountRanges(t *testing.T, tag string, u *Updatable, all, los, his []workload.Key) {
 	t.Helper()
 	n := len(los)
-	out, below, under := make([]int, n+1), make([]workload.Key, n+1), make([]int, n+1)
-	dirty := func() {
-		for i := range out {
-			out[i], below[i], under[i] = -7, 0xDEAD, -9
-		}
+	ks, is := slices.Repeat([]workload.Key{0xDEAD}, n), slices.Repeat([]int{-7}, n)
+	counts := CountPairs(u, pairsOf(los, his), &ks, &is)
+	if len(counts) != n {
+		t.Fatalf("%s: CountPairs over %d ranges returned %d counts", tag, n, len(counts))
 	}
-	dirty()
-	u.CountRanges(los, his, out, below, under)
 	for i := range los {
-		if want := oracleCount(all, los[i], his[i]); out[i] != want {
-			t.Fatalf("%s: CountRanges[%d](%d,%d) = %d, want %d", tag, i, los[i], his[i], out[i], want)
+		if want := oracleCount(all, los[i], his[i]); counts[i] != want {
+			t.Fatalf("%s: CountPairs[%d](%d,%d) = %d, want %d", tag, i, los[i], his[i], counts[i], want)
 		}
 	}
-	if out[n] != -7 || below[n] != 0xDEAD || under[n] != -9 {
-		t.Fatalf("%s: CountRanges over %d ranges wrote past its end", tag, n)
+	out, under := make([]int, n+1), make([]int, n+1)
+	for i := range out {
+		out[i], under[i] = -7, -9
 	}
-	dirty()
 	u.CountKeys(his, out, under)
 	for i, q := range his {
 		if want := oracleCount(all, q, q); out[i] != want {
@@ -259,6 +267,15 @@ func checkCountRanges(t *testing.T, tag string, u *Updatable, all, los, his []wo
 	if out[n] != -7 || under[n] != -9 {
 		t.Fatalf("%s: CountKeys over %d keys wrote past its end", tag, n)
 	}
+}
+
+// pairsOf lays out the ranges (los[i], his[i]) as CountPairs takes them.
+func pairsOf(los, his []workload.Key) []workload.Key {
+	pairs := make([]workload.Key, 0, 2*len(los))
+	for i, lo := range los {
+		pairs = append(pairs, lo, his[i])
+	}
+	return pairs
 }
 
 // shuffled is a copy of qs in an order with no ascending stretch to speak
@@ -273,11 +290,13 @@ func shuffled(r *workload.RNG, qs []workload.Key) []workload.Key {
 }
 
 // TestCountRangesKernelForms reaches every form the rank kernels take
-// from under CountRanges, at a partition that fits L2 and one far outside
-// it, with base, frozen and active buffer all live: ascending runs at the
-// densities the sorted kernel merges, walks with cursor windows and
-// declines, and the same queries unsorted. Half of the asked keys are
-// indexed ones, some of them in a buffer, so multiplicities are not all 0.
+// from under CountPairs, at a partition that fits L2 and one far outside
+// it, with base, frozen and active buffer all live: disjoint ascending
+// ranges, whose ends are one ascending run at the densities the sorted
+// kernel merges, walks with cursor windows and declines; overlapping
+// ranges, whose ends are not; and the same queries unsorted. Half of the
+// asked keys are indexed ones, some of them in a buffer, so
+// multiplicities are not all 0.
 func TestCountRangesKernelForms(t *testing.T) {
 	for _, n := range []int{163840, 2097152} {
 		r := workload.NewRNG(uint64(n))
@@ -311,6 +330,13 @@ func TestCountRangesKernelForms(t *testing.T) {
 				his[i] = lo + min(width, maxKey-lo)
 			}
 			tag := fmt.Sprintf("%d keys, %g keys/query", n, density)
+			// Each range ends below the next one's start: the ends ascend.
+			gaps := make([]workload.Key, m)
+			for i := range m - 1 {
+				gaps[i] = los[i+1] - min(los[i+1], 1)
+			}
+			gaps[m-1] = maxKey
+			checkCountRanges(t, tag+", disjoint ranges ascending", u, all, los, gaps)
 			checkCountRanges(t, tag+", both streams ascending", u, all, los, his)
 			checkCountRanges(t, tag+", his unsorted", u, all, los, shuffled(r, his))
 			perm := shuffled(r, los)
@@ -328,7 +354,7 @@ func TestCountRangesKernelForms(t *testing.T) {
 
 // TestCountRangesAdversarial runs the kernel table's key sets — among them
 // one key filling the array, and a run of one key spanning several
-// buckets' samples — under CountRanges, with second copies of some
+// buckets' samples — under CountPairs, with second copies of some
 // keys in both buffers, over a sorted-array base and over a tree that has
 // no sorted form. The queries are every key and its neighbours and the
 // ends of the key space, so q = 0, q = MaxUint32, lo = 0, lo = hi and
@@ -368,8 +394,8 @@ func TestCountRangesAdversarial(t *testing.T) {
 }
 
 // TestCountKeysMatchesCountRanges holds the multiplicity kernel — one
-// rank a key per layer and the copies just below it — to the two-rank
-// form CountRanges(qs, qs) and to the oracle, with copies of one key in
+// rank a key per layer and the copies just below it — to CountPairs on
+// the point ranges (q, q) and to the oracle, with copies of one key in
 // the base, the frozen buffer and the active buffer at once: key 0,
 // MaxUint32 several times over, and a run of one key longer than a
 // bucket's samples. In the "inside" set the asked keys also fall below
@@ -424,9 +450,9 @@ func TestCountKeysMatchesCountRanges(t *testing.T) {
 	}
 }
 
-// checkCountKeys holds CountKeys(qs) to CountRanges(qs, qs) and to the
-// oracle over all. The scratch starts dirty, and nothing past the queries
-// may be written.
+// checkCountKeys holds CountKeys(qs) to CountPairs on the point ranges
+// (q, q) and to the oracle over all. The scratch starts dirty, and nothing
+// past the queries may be written.
 func checkCountKeys(t *testing.T, tag string, u *Updatable, all, qs []workload.Key) {
 	t.Helper()
 	n := len(qs)
@@ -435,11 +461,12 @@ func checkCountKeys(t *testing.T, tag string, u *Updatable, all, qs []workload.K
 		out[i], under[i] = -7, -9
 	}
 	u.CountKeys(qs, out, under)
-	ranges := make([]int, n)
-	u.CountRanges(qs, qs, ranges, make([]workload.Key, n), make([]int, n))
+	var ks []workload.Key
+	var is []int
+	ranges := CountPairs(u, pairsOf(qs, qs), &ks, &is)
 	for i, q := range qs {
 		if want := oracleCount(all, q, q); out[i] != want || ranges[i] != want {
-			t.Fatalf("%s: key %d (query %d): CountKeys %d, CountRanges %d, want %d", tag, q, i, out[i], ranges[i], want)
+			t.Fatalf("%s: key %d (query %d): CountKeys %d, CountPairs %d, want %d", tag, q, i, out[i], ranges[i], want)
 		}
 	}
 	if out[n] != -7 || under[n] != -9 {
@@ -448,7 +475,8 @@ func checkCountKeys(t *testing.T, tag string, u *Updatable, all, qs []workload.K
 }
 
 // TestCountKeysOneSnapshot has writers insert one copy of every key of a
-// fixed set per call while readers ask the set's multiplicities. An insert
+// fixed set per call while readers ask the set's multiplicities, through
+// CountKeys and through CountPairs on the point ranges. An insert
 // call lands in the structure whole, so on one snapshot the answers are
 // all the copies seen so far: never negative, never fewer than the calls
 // acknowledged before the read began nor more than those begun before it
@@ -493,15 +521,24 @@ func TestCountKeysOneSnapshot(t *testing.T) {
 				own[i] = oracleCount(base, q, q)
 			}
 			out, under := make([]int, len(qs)), make([]int, len(qs))
+			pairs := pairsOf(qs, qs)
+			var ks []workload.Key
+			var is []int
 			last := 0
-			for acked.Load() < writers*rounds {
+			for read := 0; acked.Load() < writers*rounds; read++ {
 				before := int(acked.Load())
-				u.CountKeys(qs, out, under)
+				kernel := "CountKeys"
+				if read%2 == 0 {
+					u.CountKeys(qs, out, under)
+				} else {
+					kernel = "CountPairs"
+					out = CountPairs(u, pairs, &ks, &is)
+				}
 				after := int(began.Load())
 				for i, c := range out {
 					if c -= own[i]; c < 0 || c < before || c > after || c < last {
-						t.Errorf("reader %d: key %d held %d inserted copies; %d calls were acknowledged before the read, %d begun by its end, and the last read saw %d",
-							rd, qs[i], c, before, after, last)
+						t.Errorf("reader %d, %s: key %d held %d inserted copies; %d calls were acknowledged before the read, %d begun by its end, and the last read saw %d",
+							rd, kernel, qs[i], c, before, after, last)
 						return
 					}
 				}
@@ -514,8 +551,9 @@ func TestCountKeysOneSnapshot(t *testing.T) {
 }
 
 // FuzzCountRanges cuts its input into base keys, buffered keys and range
-// endpoints and holds CountRanges and CountKeys to the oracle with every
-// layer live, on the endpoints as drawn and on both streams ascending.
+// endpoints and holds CountPairs and CountKeys to the oracle with every
+// layer live, on the endpoints as drawn, on both streams ascending, and
+// on the ascending endpoints paired in turn, whose ends mostly ascend.
 func FuzzCountRanges(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
 	f.Add(binary.LittleEndian.AppendUint32(nil, 7), uint8(1), uint8(0), uint8(31))
@@ -554,6 +592,11 @@ func FuzzCountRanges(f *testing.F) {
 		slices.Sort(wlos)
 		slices.Sort(whis)
 		checkCountRanges(t, "ascending", u, all, wlos, whis)
+		ends := slices.Sorted(slices.Values(slices.Concat(wlos, whis)))
+		for i := range wlos {
+			wlos[i], whis[i] = ends[2*i], ends[2*i+1]
+		}
+		checkCountRanges(t, "ascending, paired in turn", u, all, wlos, whis)
 	})
 }
 

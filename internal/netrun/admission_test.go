@@ -26,9 +26,7 @@ func outstanding(n *clusterNode) int {
 // stall lifts every read completes with the oracle's answer.
 func TestAdmissionCapParksReads(t *testing.T) {
 	const limit, readers = 4, 20
-	old := maxPending
-	maxPending = limit
-	defer func() { maxPending = old }() // after shutdown: the epoch's goroutines read it
+	setVar(t, &maxPending, limit)
 
 	keys := workload.SortedKeys(4000, 93)
 	// No replenishment: whatever the bucket is short of its burst was

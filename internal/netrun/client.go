@@ -47,8 +47,8 @@ var ErrClusterClosed = errors.New("netrun: cluster closed")
 // terminal: every in-flight and subsequent call returns the root cause
 // (see Err), because a partitioned index with an unreachable partition
 // cannot answer arbitrary queries. Recovery from a terminal failure is
-// opt-in via Redial; per-replica liveness and traffic counters are
-// reported by Stats.
+// the caller's: Close, then Dial again. Per-replica liveness and traffic
+// counters are reported by Stats.
 //
 // Write model: Insert/InsertBatch route keys to the owning partition
 // and fan each write out to every connected writable replica of that
@@ -62,10 +62,7 @@ var ErrClusterClosed = errors.New("netrun: cluster closed")
 // dialed before another client inserted reads every rank above that
 // insert short by the number of keys inserted, until it re-dials; the
 // fix is ROADMAP.md's direction 2 (each rank reply carries its
-// snapshot's live key count). Redial reuses the counters (the nodes
-// retain their inserts), but a node that *restarted* across a
-// terminal failure comes back stale and is only re-synced by the
-// rejoin path, not by Redial.
+// snapshot's live key count).
 type Cluster struct {
 	// part is the live routing table. It is swapped atomically by
 	// SplitPartition (under the pause write lock, with no data call in
@@ -77,9 +74,7 @@ type Cluster struct {
 	// it; the running epoch keeps its own record per address (replica).
 	groups [][]string //dc:guardedby mu
 	batch  int
-	// opt is the dial options with every default resolved: MaxVersion is
-	// the protocol version this client advertises, and every connection
-	// negotiates min(that, node version).
+	// opt is the dial options with every default resolved.
 	opt DialOptions
 
 	calls sync.Pool // *netCall
@@ -93,11 +88,10 @@ type Cluster struct {
 	// answer with their static rank base, so the client adds the
 	// preceding partitions' counters when scattering replies — the
 	// client-side half of keeping global ranks exact as the index
-	// grows. Counters persist across Redial (they describe the nodes,
-	// which outlive the connections). Another client's inserts stay
-	// invisible until this client re-dials: until then every rank above
-	// them reads short by their count, whether or not this client writes
-	// (ROADMAP.md direction 2 is the fix).
+	// grows. Another client's inserts stay invisible until this client
+	// re-dials: until then every rank above them reads short by their
+	// count, whether or not this client writes (ROADMAP.md direction 2
+	// is the fix).
 	ins []atomic.Int64
 
 	ep atomic.Pointer[epoch]
@@ -124,20 +118,20 @@ type Cluster struct {
 	// path's zero-allocation property.
 	pause sync.RWMutex
 
-	// mu serializes Close, Redial, and the membership ops. Close leaves
-	// ep nil, which is what "closed" means.
+	// mu serializes Close and the membership ops. Close leaves ep nil,
+	// which is what "closed" means.
 	mu sync.Mutex
 }
 
 // Lock order for the whole client, outermost first. Cluster.mu (Close,
-// Redial, the membership verbs) is taken before the pause gate;
-// data-path calls hold the gate's read side while they take a group's
-// mu to choose a target or fan a write out; and a group's mu is held
-// while a connection's mu is taken to enqueue — by target choice, the
-// write fan-out, admission and the catch-up flush alike. Departure
-// drops the group's mu before it sweeps the connection. The reverse of
-// any pair would deadlock against these paths, and lockguard rejects
-// it. hedger.mu is a leaf, held for heap surgery only.
+// the membership verbs) is taken before the pause gate; data-path calls
+// hold the gate's read side while they take a group's mu to choose a
+// target or fan a write out; and a group's mu is held while a
+// connection's mu is taken to enqueue — by target choice, the write
+// fan-out, admission and the catch-up flush alike. Departure drops the
+// group's mu before it sweeps the connection. The reverse of any pair
+// would deadlock against these paths, and lockguard rejects it.
+// hedger.mu is a leaf, held for heap surgery only.
 //
 //dc:lockorder Cluster.mu Cluster.pause
 //dc:lockorder Cluster.mu replicaGroup.mu
@@ -155,8 +149,9 @@ func (c *Cluster) insBefore(part int) int {
 }
 
 // epoch is one generation of node connections. A terminal failure
-// poisons the epoch, never the Cluster value itself: Redial installs a
-// fresh epoch while calls racing the failure keep draining the old one.
+// poisons the epoch, never the Cluster value itself: SplitPartition
+// installs a fresh epoch while calls racing the retired one keep draining
+// it.
 type epoch struct {
 	c      *Cluster
 	groups []*replicaGroup
@@ -298,18 +293,21 @@ type HedgeOptions struct {
 	Quantile float64
 }
 
-// RejoinOptions groups the failed-replica re-dial knobs (see
-// DialOptions.Rejoin).
-//
-//dc:knobs ../../README.md
-type RejoinOptions struct {
-	// Backoff is the initial delay before a failed replica is re-dialed
-	// (default 100ms); each failed attempt doubles it up to MaxBackoff
-	// (default 3s), jittered so correlated failures do not re-dial in
-	// lockstep.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
-}
+// The dial values no program sets, at their defaults; variables only so
+// the drills can lower them:
+//   - dialTimeout bounds each dial and its hello exchange;
+//   - clientVersion is the protocol version a client advertises, and
+//     every connection negotiates min(it, the node's);
+//   - a failed replica is re-dialed after rejoinBackoff, doubled on each
+//     failed attempt up to rejoinMaxBackoff and jittered so correlated
+//     failures do not re-dial in lockstep; the same envelope paces an
+//     ejected replica's probes.
+var (
+	dialTimeout             = 5 * time.Second
+	clientVersion    uint32 = ProtoVersion
+	rejoinBackoff           = 100 * time.Millisecond
+	rejoinMaxBackoff        = 3 * time.Second
+)
 
 // AdminOptions groups the operations-plane endpoint knobs (see
 // DialOptions.Admin).
@@ -334,21 +332,16 @@ type DialOptions struct {
 	// Ejection enables latency-scored outlier ejection: a replica whose
 	// read latency stays above 4 times its best sibling's EWMA (and
 	// above 1ms) walks the probation states of the replica lifecycle
-	// and stops taking reads until probe batches, paced by the Rejoin
+	// and stops taking reads until probe batches, paced by the rejoin
 	// backoff, come back fast. Ejected replicas still receive every
 	// write.
 	Ejection bool
-	// Rejoin configures failed-replica re-dial backoff, and the pacing
-	// of an ejected replica's probes.
-	Rejoin RejoinOptions
 	// Admin configures the operations-plane HTTP endpoint.
 	Admin AdminOptions
 
 	// BatchKeys is the per-node message granularity (default 16384
 	// keys = 64 KB, the paper's sweet spot).
 	BatchKeys int
-	// Timeout bounds each dial and the hello exchange (default 5s).
-	Timeout time.Duration
 	// OpTimeout bounds progress on each connection while lookups are in
 	// flight: if a replica neither accepts writes nor produces a reply
 	// for this long, it is treated as failed (its in-flight requests
@@ -362,13 +355,6 @@ type DialOptions struct {
 	// len(addrs) must be a multiple of it. Default (and minimum) 1.
 	// Ignored when the grouped "addr|addr" syntax is used.
 	Replicas int
-	// MaxVersion caps the protocol version this client advertises in
-	// the hello exchange: 0 (ProtoVersion, the highest this build
-	// speaks) or a version from MinProtoVersion up; Dial refuses
-	// anything else. Connections then negotiate at most this version,
-	// and the ops above it (the membership verbs) fail with an error
-	// naming it. Operators staging a rollout use it.
-	MaxVersion uint32
 	// Dialer overrides the TCP dial for every node connection (nil uses
 	// net.Dialer). The context carries the dial timeout/abort. This is
 	// the client-side fault-injection seam: tests and the dcq -chaos
@@ -424,25 +410,13 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 	if opt.BatchKeys > MaxFrameWords {
 		opt.BatchKeys = MaxFrameWords
 	}
-	if opt.Timeout <= 0 {
-		opt.Timeout = 5 * time.Second
-	}
 	if opt.OpTimeout == 0 {
 		opt.OpTimeout = 10 * time.Second
-	}
-	if opt.Rejoin.Backoff <= 0 {
-		opt.Rejoin.Backoff = 100 * time.Millisecond
-	}
-	if opt.Rejoin.MaxBackoff <= 0 {
-		opt.Rejoin.MaxBackoff = 3 * time.Second
 	}
 	if opt.Dialer == nil {
 		opt.Dialer = func(ctx context.Context, addr string) (net.Conn, error) {
 			return new(net.Dialer).DialContext(ctx, "tcp", addr)
 		}
-	}
-	if opt.MaxVersion, err = capVersion(opt.MaxVersion); err != nil {
-		return nil, err
 	}
 	part, err := core.NewPartitioning(keys, len(groups))
 	if err != nil {
@@ -576,8 +550,7 @@ func (c *Cluster) dialEpoch() (*epoch, error) {
 		if err == nil {
 			// Seed the rank-base correction counters from the nodes' live
 			// counts (the hello: live minus baseline = absorbed inserts), so
-			// a fresh client — or a Redial after writes whose acks were lost
-			// to the failure — answers consistently against nodes an earlier
+			// a fresh client answers consistently against nodes an earlier
 			// session wrote to. Seeding happens only here, never on rejoin:
 			// at dial time this client has no insert in flight, so the
 			// advertised counts cannot double-count with a later ack credit.
@@ -614,7 +587,7 @@ func (c *Cluster) dialEpoch() (*epoch, error) {
 // OpAddReplica before any loop starts.
 func (c *Cluster) dialNode(ctx context.Context, r *replica, joinOK bool) (*clusterNode, error) {
 	part := r.g.part
-	dctx, cancel := context.WithTimeout(ctx, c.opt.Timeout)
+	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	conn, err := c.opt.Dialer(dctx, r.addr)
 	cancel()
 	if err != nil {
@@ -630,7 +603,7 @@ func (c *Cluster) dialNode(ctx context.Context, r *replica, joinOK bool) (*clust
 		pending:   map[uint32]inflight{},
 	}
 	n.cond = sync.NewCond(&n.mu)
-	if err := hello(n, c.part.Load().Parts[part], c.opt.Timeout, c.opt.MaxVersion, joinOK); err != nil {
+	if err := hello(n, c.part.Load().Parts[part], dialTimeout, clientVersion, joinOK); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("netrun: partition %d replica %s: %w", part, r.addr, err)
 	}
@@ -1058,7 +1031,7 @@ func (c *Cluster) Nodes() int { return len(c.part.Load().Parts) }
 // replicas snapshots per-replica liveness and traffic counters for the
 // current epoch, ordered by partition then configured address — the
 // producer of Stats().Replicas. It returns nil after Close. Counters
-// reset on Redial (a fresh epoch).
+// reset with each fresh epoch (a partition split dials one).
 func (c *Cluster) replicas() []ReplicaHealth {
 	ep := c.ep.Load()
 	if ep == nil {
@@ -1122,8 +1095,7 @@ type ClusterStats struct {
 	// Partitions is the current partition count (grows by one per
 	// SplitPartition).
 	Partitions int `json:"partitions"`
-	// Protocol is the version this client advertises in hellos
-	// (DialOptions.MaxVersion, or ProtoVersion).
+	// Protocol is the version this client advertises in hellos.
 	Protocol uint32 `json:"protocol"`
 	// InsertedKeys is the per-partition rank-base correction counters.
 	InsertedKeys []int64 `json:"inserted_keys"`
@@ -1138,7 +1110,7 @@ func (c *Cluster) Stats() ClusterStats {
 	return ClusterStats{
 		SchemaVersion: StatsSchemaVersion,
 		Partitions:    c.Nodes(),
-		Protocol:      c.opt.MaxVersion,
+		Protocol:      clientVersion,
 		InsertedKeys:  c.InsertedKeys(),
 		DeltaCatchups: c.deltaCatchups.Load(),
 		Replicas:      c.replicas(),
@@ -1151,8 +1123,8 @@ var errReplicaDrained = errors.New("netrun: replica drained")
 // errSplitReconfig retires the pre-split epoch once every node of the
 // split partition acked its new identity: the connections must
 // re-handshake against the new routing table, so the old epoch's loops
-// are torn down wholesale (the same mechanism Redial rides, except
-// SplitPartition immediately dials the successor epoch itself).
+// are torn down wholesale, and SplitPartition dials the successor epoch
+// itself.
 var errSplitReconfig = errors.New("netrun: epoch retired by partition split")
 
 // reshaping opens a membership verb on partition part: the cluster must
@@ -1213,7 +1185,7 @@ func (c *Cluster) AddReplica(part int, addr string) error {
 		ack, aerr := exchange(n, Frame{Op: OpAddReplica, ReqID: c.reqID.Add(1), Payload: []uint32{
 			uint32(want.RankBase), uint32(len(want.Keys)),
 			uint32(want.Keys[0]), uint32(want.Keys[len(want.Keys)-1]),
-		}}, c.opt.Timeout)
+		}}, dialTimeout)
 		if aerr != nil {
 			n.conn.Close()
 			return fmt.Errorf("netrun: partition %d replica %s: assigning identity: %w", part, addr, aerr)
@@ -1331,7 +1303,9 @@ func (c *Cluster) DrainReplica(part int, addr string) error {
 // protocol v6. A
 // failure after some nodes retargeted leaves mixed identities no single
 // routing table matches: the epoch fails with the root cause and the
-// operator restores the partition's nodes before Redial.
+// operator restores the partition's nodes before a new Dial. A split that
+// committed but whose successor epoch failed to dial leaves the cluster
+// terminal with that error.
 func (c *Cluster) SplitPartition(part int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1416,7 +1390,7 @@ func (c *Cluster) SplitPartition(part int) error {
 		opErr = err
 	}
 	if opErr != nil {
-		ep.fail(fmt.Errorf("netrun: partition %d split failed mid-reshape; node identities may be mixed — restore or restart the partition's nodes, then Redial: %w", part, opErr))
+		ep.fail(fmt.Errorf("netrun: partition %d split failed mid-reshape; node identities may be mixed — restore or restart the partition's nodes, then dial again: %w", part, opErr))
 		ep.wg.Wait()
 		return opErr
 	}
@@ -1438,9 +1412,7 @@ func (c *Cluster) SplitPartition(part int) error {
 	c.ins = make([]atomic.Int64, len(npt.Parts))
 	nep, err := c.dialEpoch()
 	if err != nil {
-		// The config and routing table are already post-split and
-		// mutually consistent; Redial retries the dial against them.
-		return fmt.Errorf("netrun: partition %d split committed but the re-dial failed (Redial retries it): %w", part, err)
+		return fmt.Errorf("netrun: partition %d split committed but the re-dial failed: %w", part, err)
 	}
 	c.ep.Store(nep)
 	return nil
@@ -1449,8 +1421,7 @@ func (c *Cluster) SplitPartition(part int) error {
 // Err reports the cluster's terminal state: nil while healthy (single-
 // replica failures are absorbed by failover and never surface here),
 // ErrClusterClosed after Close, or the root-cause error after a
-// partition lost its last replica (until Redial re-establishes the
-// connections).
+// partition lost its last replica.
 func (c *Cluster) Err() error {
 	ep := c.ep.Load()
 	if ep == nil {
@@ -1459,34 +1430,9 @@ func (c *Cluster) Err() error {
 	return ep.Err()
 }
 
-// Redial tears down a failed connection set and dials a fresh one to
-// the original addresses, re-running the hello verification on every
-// replica. It is the opt-in recovery path from a terminal failure — a
-// partition that lost every replica — and errors if the cluster is
-// healthy (single-replica failures rejoin on their own) or closed.
-func (c *Cluster) Redial() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old := c.ep.Load()
-	if old == nil {
-		return ErrClusterClosed
-	}
-	if old.Err() == nil {
-		return errors.New("netrun: Redial on a healthy cluster")
-	}
-	old.wg.Wait()
-	ep, err := c.dialEpoch()
-	if err != nil {
-		return err
-	}
-	c.ep.Store(ep)
-	return nil
-}
-
 // Close fails the connection set with ErrClusterClosed (completing any
 // in-flight calls with that error) and waits for the per-connection
-// loops and rejoin loops to exit. Idempotent; Redial after Close is
-// refused.
+// loops and rejoin loops to exit. Idempotent.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	ep := c.ep.Swap(nil)

@@ -57,9 +57,6 @@ func startDurable(t *testing.T, keys []workload.Key, parts, replicas, batch int,
 	}
 	opt.BatchKeys = batch
 	opt.Replicas = replicas
-	if opt.Timeout == 0 {
-		opt.Timeout = 5 * time.Second
-	}
 	dc.c, err = Dial(flat, keys, opt)
 	if err != nil {
 		for _, reps := range dc.nodes {
@@ -153,9 +150,9 @@ func (dc *durableCluster) waitHealthy(t *testing.T, partition, replica int, want
 // and the result must be exact.
 func TestDurableRejoinViaDelta(t *testing.T) {
 	keys := workload.SortedKeys(8000, 63)
-	dc, shutdown := startDurable(t, keys, 2, 2, 256, DialOptions{
-		Rejoin: RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
-	})
+	setVar(t, &rejoinBackoff, 20*time.Millisecond)
+	setVar(t, &rejoinMaxBackoff, 100*time.Millisecond)
+	dc, shutdown := startDurable(t, keys, 2, 2, 256, DialOptions{})
 	defer shutdown()
 	o := newTCPOracle(keys)
 
@@ -205,9 +202,9 @@ func TestDurableRejoinViaDelta(t *testing.T) {
 // diverged state is repaired, never merged silently.
 func TestDurableRejoinDivergedFallsBackToFull(t *testing.T) {
 	keys := workload.SortedKeys(6000, 73)
-	dc, shutdown := startDurable(t, keys, 1, 2, 256, DialOptions{
-		Rejoin: RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
-	})
+	setVar(t, &rejoinBackoff, 20*time.Millisecond)
+	setVar(t, &rejoinMaxBackoff, 100*time.Millisecond)
+	dc, shutdown := startDurable(t, keys, 1, 2, 256, DialOptions{})
 	defer shutdown()
 	o := newTCPOracle(keys)
 
@@ -296,10 +293,9 @@ func TestDurableAndInMemoryReplicaInterop(t *testing.T) {
 	defer func() { memNode.Close() }()
 	memAddr := lis1.Addr().String()
 
-	c, err := Dial([]string{lis0.Addr().String() + "|" + memAddr}, keys, DialOptions{
-		BatchKeys: 256, Replicas: 2, Timeout: 5 * time.Second,
-		Rejoin: RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
-	})
+	setVar(t, &rejoinBackoff, 20*time.Millisecond)
+	setVar(t, &rejoinMaxBackoff, 100*time.Millisecond)
+	c, err := Dial([]string{lis0.Addr().String() + "|" + memAddr}, keys, DialOptions{BatchKeys: 256, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

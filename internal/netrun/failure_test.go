@@ -229,13 +229,16 @@ func testNodes(t *testing.T, c *Cluster) []*clusterNode {
 	return out
 }
 
+// After a terminal failure the caller recovers by closing the cluster and
+// dialing a new one: the nodes outlived the connections, and the fresh
+// cluster answers exactly.
 func TestRedialRecoversAfterFailure(t *testing.T) {
 	keys := workload.SortedKeys(20000, 7)
 	c, shutdown := startCluster(t, keys, 3, 512)
 	defer shutdown()
-
-	if err := c.Redial(); err == nil {
-		t.Fatal("Redial on healthy cluster succeeded")
+	var addrs []string
+	for _, n := range testNodes(t, c) {
+		addrs = append(addrs, n.r.addr)
 	}
 
 	// Fail the epoch by severing a client-side connection.
@@ -252,33 +255,39 @@ func TestRedialRecoversAfterFailure(t *testing.T) {
 		t.Fatal("lookup succeeded on failed cluster")
 	}
 
-	// Redial against the still-running nodes restores service.
-	if err := c.Redial(); err != nil {
-		t.Fatalf("Redial: %v", err)
-	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("Err after Redial = %v", err)
-	}
-	ranks, err := c.LookupBatch(queries)
+	// Close, then dial the still-running nodes again.
+	c.Close()
+	fresh, err := Dial(addrs, keys, DialOptions{BatchKeys: 512})
 	if err != nil {
-		t.Fatalf("lookup after Redial: %v", err)
+		t.Fatalf("dial after a terminal failure: %v", err)
+	}
+	defer fresh.Close()
+	ranks, err := fresh.LookupBatch(queries)
+	if err != nil {
+		t.Fatalf("lookup after the new dial: %v", err)
 	}
 	for i, q := range queries {
 		if want := workload.ReferenceRank(keys, q); ranks[i] != want {
-			t.Fatalf("rank[%d] = %d after Redial, want %d", i, ranks[i], want)
+			t.Fatalf("rank[%d] = %d after the new dial, want %d", i, ranks[i], want)
 		}
 	}
 }
 
+// A closed cluster stays closed: Err, a lookup and an insert after Close
+// all answer ErrClusterClosed, and a second Close is harmless.
 func TestRedialAfterCloseRefused(t *testing.T) {
 	keys := workload.SortedKeys(500, 9)
 	c, shutdown := startCluster(t, keys, 2, 64)
 	shutdown()
-	if err := c.Redial(); !errors.Is(err, ErrClusterClosed) {
-		t.Fatalf("Redial after Close = %v, want ErrClusterClosed", err)
+	c.Close()
+	if err := c.Err(); !errors.Is(err, ErrClusterClosed) {
+		t.Fatalf("Err after Close = %v, want ErrClusterClosed", err)
 	}
 	if _, err := c.LookupBatch(workload.UniformQueries(5, 1)); !errors.Is(err, ErrClusterClosed) {
 		t.Fatalf("lookup after Close = %v, want ErrClusterClosed", err)
+	}
+	if err := c.InsertBatch(workload.UniformQueries(5, 2)); !errors.Is(err, ErrClusterClosed) {
+		t.Fatalf("insert after Close = %v, want ErrClusterClosed", err)
 	}
 }
 

@@ -89,7 +89,7 @@ func TestHelloRefusesPeerBelowFloor(t *testing.T) {
 		stub := scriptNode(t, keys, func(req Frame) []Frame {
 			return []Frame{{Op: OpHelloAck, ReqID: req.ReqID, Payload: ack}}
 		})
-		c, err := Dial([]string{stub}, keys, DialOptions{Timeout: 2 * time.Second})
+		c, err := Dial([]string{stub}, keys, DialOptions{})
 		if err == nil {
 			c.Close()
 			t.Fatalf("Dial accepted a v%d peer", peer)
@@ -115,14 +115,8 @@ func TestHelloRefusesPeerBelowFloor(t *testing.T) {
 	}
 
 	// (d) A MaxVersion outside what this build speaks is refused where it
-	// is set: at Dial and at Serve (dcnode's flag: TestDCNodeMaxVersionFlag).
+	// is set: at Serve (dcnode's flag: TestDCNodeMaxVersionFlag).
 	for _, v := range []uint32{1, 2, 3, 4, 7} {
-		if c, err := Dial([]string{addr}, keys, DialOptions{MaxVersion: v}); !errors.Is(err, ErrProtoVersion) {
-			if err == nil {
-				c.Close()
-			}
-			t.Fatalf("Dial with MaxVersion %d: %v, want ErrProtoVersion", v, err)
-		}
 		capped := NewPartitionNode(keys, 0)
 		capped.MaxVersion = v
 		l2, err := net.Listen("tcp", "127.0.0.1:0")
@@ -217,7 +211,10 @@ func TestMixedV5V6Pair(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			keys := workload.SortedKeys(8000, 63)
 			maxKey := int(keys[len(keys)-1]) + 1
-			rc, shutdown := startShaped(t, keys, 2, 2, 256, DialOptions{MaxVersion: tc.client}, tc.shape)
+			if tc.client != 0 {
+				setVar(t, &clientVersion, tc.client)
+			}
+			rc, shutdown := startShaped(t, keys, 2, 2, 256, DialOptions{}, tc.shape)
 			defer shutdown()
 			c := rc.c
 			for _, h := range c.Stats().Replicas {

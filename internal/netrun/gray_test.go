@@ -57,12 +57,12 @@ func BenchmarkTCPClusterGraySlowReplica(b *testing.B) {
 		}
 	}()
 	setHedgeBudget(b, 1000, hedgeBurstMilli)
+	setVar(b, &rejoinBackoff, 500*time.Millisecond)
 	c, err := Dial(addrs, keys, DialOptions{
 		BatchKeys: 16384,
 		Replicas:  replicas,
 		Hedging:   HedgeOptions{Quantile: 0.95},
 		Ejection:  true,
-		Rejoin:    RejoinOptions{Backoff: 500 * time.Millisecond},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -138,9 +138,6 @@ func startGray(t *testing.T, keys []workload.Key, parts, replicas, batch int, op
 	}
 	opt.BatchKeys = batch
 	opt.Replicas = replicas
-	if opt.Timeout == 0 {
-		opt.Timeout = 5 * time.Second
-	}
 	rc.c, err = Dial(flat, keys, opt)
 	if err != nil {
 		for _, reps := range rc.nodes {
@@ -167,9 +164,8 @@ func startGray(t *testing.T, keys []workload.Key, parts, replicas, batch int, op
 // restores the package defaults after it — and after the clusters its
 // deferred shutdowns close, whose goroutines read them.
 func setHedgeBudget(tb testing.TB, earn, burst int64) {
-	oldEarn, oldBurst := hedgeEarnMilli, hedgeBurstMilli
-	hedgeEarnMilli, hedgeBurstMilli = earn, burst
-	tb.Cleanup(func() { hedgeEarnMilli, hedgeBurstMilli = oldEarn, oldBurst })
+	setVar(tb, &hedgeEarnMilli, earn)
+	setVar(tb, &hedgeBurstMilli, burst)
 }
 
 func checkRanks(t *testing.T, keys, queries []workload.Key, ranks []int) {
@@ -228,10 +224,9 @@ func TestTCPHedgedReadStalledReplicaMatchesOracle(t *testing.T) {
 // the way must still be correct — ejection sheds load, never answers.
 func TestTCPEjectProbeReadmit(t *testing.T) {
 	keys := workload.SortedKeys(4000, 73)
-	gc, shutdown := startGray(t, keys, 1, 2, 128, DialOptions{
-		Ejection: true,
-		Rejoin:   RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
-	})
+	setVar(t, &rejoinBackoff, 20*time.Millisecond)
+	setVar(t, &rejoinMaxBackoff, 100*time.Millisecond)
+	gc, shutdown := startGray(t, keys, 1, 2, 128, DialOptions{Ejection: true})
 	defer shutdown()
 
 	gc.profiles[0][1].Set(faultnet.Faults{WriteLatency: 30 * time.Millisecond})
@@ -409,10 +404,10 @@ func TestTCPGrayFailureThroughputWin(t *testing.T) {
 	// would run dry first. The budget *cap* is still enforced and
 	// counter-verified below; exhaustion behavior has its own test.
 	setHedgeBudget(t, 1000, hedgeBurstMilli)
+	setVar(t, &rejoinBackoff, 300*time.Millisecond)
 	hedged, health, err := measure(DialOptions{
 		Hedging:  HedgeOptions{Quantile: 0.95},
 		Ejection: true,
-		Rejoin:   RejoinOptions{Backoff: 300 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatalf("hedged client: %v", err)

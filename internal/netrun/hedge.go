@@ -291,7 +291,7 @@ func (n *clusterNode) observe(c *Cluster, d time.Duration) {
 		}
 		if r.consecBad >= ejectAfter && hasAlt && g.transition(r, evEject) {
 			if r.probeDelay == 0 {
-				r.probeDelay = c.opt.Rejoin.Backoff
+				r.probeDelay = rejoinBackoff
 			}
 			r.nextProbe = time.Now().Add(jitterBackoff(r.probeDelay))
 			r.goodProbes = 0
@@ -302,13 +302,13 @@ func (n *clusterNode) observe(c *Cluster, d time.Duration) {
 			// ejected, with the probe cadence backed off so probation
 			// retries cannot hammer a struggling replica.
 			r.goodProbes = 0
-			r.probeDelay = nextBackoff(r.probeDelay, c.opt.Rejoin.MaxBackoff)
+			r.probeDelay = nextBackoff(r.probeDelay, rejoinMaxBackoff)
 			g.transition(r, evProbeSlow)
 			return
 		}
 		if r.goodProbes++; r.goodProbes >= readmitProbes {
 			r.consecBad, r.goodProbes = 0, 0
-			r.probeDelay = c.opt.Rejoin.Backoff
+			r.probeDelay = rejoinBackoff
 			g.transition(r, evReadmit)
 			return
 		}

@@ -113,7 +113,7 @@ func TestTCPFreshClientSeesEarlierInserts(t *testing.T) {
 	for _, group := range rc.addrs {
 		flat = append(flat, group...)
 	}
-	fresh, err := Dial(flat, keys, DialOptions{BatchKeys: 512, Timeout: 5 * time.Second})
+	fresh, err := Dial(flat, keys, DialOptions{BatchKeys: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +181,8 @@ func TestTCPInsertReplicatedExact(t *testing.T) {
 // still answer exactly.
 func TestTCPReplicaKilledMidInsert(t *testing.T) {
 	keys := workload.SortedKeys(16000, 71)
-	rc, shutdown := startReplicated(t, keys, 2, 2, 512, DialOptions{
-		OpTimeout: 2 * time.Second,
-		Rejoin:    RejoinOptions{Backoff: 20 * time.Millisecond},
-	})
+	setVar(t, &rejoinBackoff, 20*time.Millisecond)
+	rc, shutdown := startReplicated(t, keys, 2, 2, 512, DialOptions{OpTimeout: 2 * time.Second})
 	defer shutdown()
 	o := newTCPOracle(keys)
 	qs := workload.UniformQueries(3000, 72)

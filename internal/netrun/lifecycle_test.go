@@ -30,9 +30,10 @@ type lifeRig struct {
 
 func newLifeRig(t *testing.T) *lifeRig {
 	keys := workload.SortedKeys(3000, 91)
+	setVar(t, &rejoinBackoff, 20*time.Millisecond)
+	setVar(t, &rejoinMaxBackoff, 40*time.Millisecond)
 	gc, shutdown := startGray(t, keys, 1, 3, 256, DialOptions{
 		OpTimeout: 5 * time.Second,
-		Rejoin:    RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 40 * time.Millisecond},
 		Ejection:  true,
 	})
 	t.Cleanup(shutdown)

@@ -36,13 +36,14 @@ func startJoinNode(t *testing.T, universe []workload.Key) (string, func()) {
 }
 
 // TestMembershipOpsNeedV6 pins the availability error: against a
-// cluster negotiated at protocol v5 (MaxVersion-capped, the pre-
-// membership wire format), every membership verb is refused with an
+// cluster negotiated at protocol v5 (the client's version capped, the
+// pre-membership wire format), every membership verb is refused with an
 // error naming the needed version, and the refusal leaves the data
 // plane serving.
 func TestMembershipOpsNeedV6(t *testing.T) {
 	keys := workload.SortedKeys(4000, 71)
-	rc, shutdown := startReplicated(t, keys, 2, 2, 256, DialOptions{MaxVersion: 5})
+	setVar(t, &clientVersion, ProtoV5)
+	rc, shutdown := startReplicated(t, keys, 2, 2, 256, DialOptions{})
 	defer shutdown()
 
 	joinAddr, stopJoin := startJoinNode(t, keys)
@@ -71,9 +72,9 @@ func TestMembershipOpsNeedV6(t *testing.T) {
 // in the JSON error body.
 func TestMembershipHTTPConflictPreV6(t *testing.T) {
 	keys := workload.SortedKeys(3000, 73)
+	setVar(t, &clientVersion, ProtoV5)
 	rc, shutdown := startReplicated(t, keys, 2, 2, 256, DialOptions{
-		MaxVersion: 5,
-		Admin:      AdminOptions{Addr: "127.0.0.1:0"},
+		Admin: AdminOptions{Addr: "127.0.0.1:0"},
 	})
 	defer shutdown()
 	at := rc.c.Admin()

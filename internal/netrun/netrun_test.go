@@ -124,11 +124,21 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 
 // --- node + cluster over loopback ---
 
+// setVar sets one of the package variables the drills lower (the dial
+// values, the hedge budget, the admission cap) for tb and restores it in
+// Cleanup, after the test's deferred shutdowns: the epoch's goroutines
+// read the value until then. Call it before the cluster starts.
+func setVar[T any](tb testing.TB, p *T, v T) {
+	old := *p
+	*p = v
+	tb.Cleanup(func() { *p = old })
+}
+
 // startCluster spawns one node per partition on loopback listeners and
 // dials them, returning the client and a shutdown func.
 func startCluster(t testing.TB, keys []workload.Key, parts, batch int) (*Cluster, func()) {
 	t.Helper()
-	return startClusterWith(t, keys, parts, DialOptions{BatchKeys: batch, Timeout: 5 * time.Second})
+	return startClusterWith(t, keys, parts, DialOptions{BatchKeys: batch})
 }
 
 // startClusterWith is startCluster dialing with opt.
@@ -252,7 +262,7 @@ func TestDialRejectsPartitionMismatch(t *testing.T) {
 
 func TestDialFailsFastOnDeadAddress(t *testing.T) {
 	keys := workload.SortedKeys(100, 8)
-	_, err := Dial([]string{"127.0.0.1:1"}, keys, DialOptions{Timeout: 500 * time.Millisecond})
+	_, err := Dial([]string{"127.0.0.1:1"}, keys, DialOptions{})
 	if err == nil {
 		t.Fatal("dial to dead address succeeded")
 	}
@@ -464,7 +474,7 @@ func reportBenchLatency(b *testing.B, h *telemetry.Histogram) {
 	if s.Count == 0 {
 		return
 	}
-	b.ReportMetric(float64(s.P50()), "p50_ns")
-	b.ReportMetric(float64(s.P99()), "p99_ns")
-	b.ReportMetric(float64(s.P999()), "p999_ns")
+	b.ReportMetric(float64(s.Quantile(0.50)), "p50_ns")
+	b.ReportMetric(float64(s.Quantile(0.99)), "p99_ns")
+	b.ReportMetric(float64(s.Quantile(0.999)), "p999_ns")
 }

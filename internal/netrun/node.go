@@ -104,9 +104,8 @@ func errVersion(whose string, v uint32) error {
 	return fmt.Errorf("%w: %s v%d, this build speaks v%d–v%d", ErrProtoVersion, whose, v, MinProtoVersion, ProtoVersion)
 }
 
-// capVersion resolves a MaxVersion setting (Node's or DialOptions'): 0
-// selects ProtoVersion, and a cap outside what this build speaks is
-// refused.
+// capVersion resolves a Node.MaxVersion setting: 0 selects ProtoVersion,
+// and a cap outside what this build speaks is refused.
 func capVersion(max uint32) (uint32, error) {
 	switch {
 	case max == 0:
@@ -699,7 +698,7 @@ func (s *nodeConn) serveCountRange(_ *nodeIdent, f Frame) ([]byte, error) {
 		return nil, errShape
 	}
 	s.scanBuf = decodeWords(f.Raw, s.scanBuf)
-	return answer(s, f, core.CountPairs(s.n.upd, s.scanBuf, &s.keyBuf, &s.intBuf))
+	return answer(s, f, index.CountPairs(s.n.upd, s.scanBuf, &s.keyBuf, &s.intBuf))
 }
 
 func (s *nodeConn) serveScanRange(_ *nodeIdent, f Frame) ([]byte, error) {

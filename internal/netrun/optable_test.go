@@ -209,7 +209,7 @@ func TestOpTableHostileReplies(t *testing.T) {
 			addr := scriptNode(t, keys, func(req Frame) []Frame {
 				return []Frame{{Op: OpHelloAck, ReqID: req.ReqID, Payload: helloWords(keys, ProtoVersion, n)}}
 			})
-			c, err := Dial([]string{addr}, keys, DialOptions{Timeout: 2 * time.Second})
+			c, err := Dial([]string{addr}, keys, DialOptions{})
 			if err == nil {
 				c.Close()
 				t.Fatalf("Dial accepted a %d-word hello ack", n)
@@ -359,9 +359,8 @@ func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, opE
 	}
 	go honest.Serve(lis)
 	defer honest.Close()
-	c, err := Dial([]string{bad + "|" + lis.Addr().String()}, keys, DialOptions{
-		OpTimeout: 5 * time.Second, Rejoin: RejoinOptions{Backoff: time.Hour},
-	})
+	setVar(t, &rejoinBackoff, time.Hour)
+	c, err := Dial([]string{bad + "|" + lis.Addr().String()}, keys, DialOptions{OpTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

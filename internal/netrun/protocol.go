@@ -135,7 +135,7 @@ const (
 )
 
 // ErrProtoVersion refuses a protocol version this build does not speak:
-// a peer's at the hello, or a MaxVersion setting at Dial or Serve.
+// a peer's at the hello, or a Node.MaxVersion setting at Serve.
 var ErrProtoVersion = errors.New("netrun: unsupported protocol version")
 
 // Op codes.

@@ -557,7 +557,7 @@ func (c *Cluster) depart(ep *epoch, n *clusterNode, cause error) {
 // goRejoin starts the background rejoin loop for a down replica, unless
 // the epoch is already over. The wg.Add is safe against Close's Wait
 // because every caller runs on a goroutine the WaitGroup already counts
-// or holds Cluster.mu, which Close and Redial take before they wait.
+// or holds Cluster.mu, which Close takes before it waits.
 func (ep *epoch) goRejoin(r *replica) {
 	if ep.Err() != nil {
 		return
@@ -573,7 +573,7 @@ func (ep *epoch) goRejoin(r *replica) {
 // rejoining only grows the set of connected replicas.
 func (c *Cluster) rejoinLoop(ep *epoch, r *replica) {
 	defer ep.wg.Done()
-	backoff := c.opt.Rejoin.Backoff
+	backoff := rejoinBackoff
 	for {
 		select {
 		case <-ep.ctx.Done():
@@ -593,7 +593,7 @@ func (c *Cluster) rejoinLoop(ep *epoch, r *replica) {
 		if err == nil {
 			return
 		}
-		backoff = nextBackoff(backoff, c.opt.Rejoin.MaxBackoff)
+		backoff = nextBackoff(backoff, rejoinMaxBackoff)
 	}
 }
 

@@ -155,9 +155,6 @@ func startShaped(t *testing.T, keys []workload.Key, parts, replicas, batch int, 
 	}
 	opt.BatchKeys = batch
 	opt.Replicas = replicas
-	if opt.Timeout == 0 {
-		opt.Timeout = 5 * time.Second
-	}
 	rc.c, err = Dial(flat, keys, opt)
 	if err != nil {
 		for _, reps := range rc.nodes {
@@ -304,7 +301,8 @@ func TestDialRejectsReplicaPartitionMismatch(t *testing.T) {
 // TestReplicaDeathFailsOverMidBatch is the tentpole scenario at test
 // scale: 4 concurrent masters stream batches while one replica dies.
 // Every call must complete with reference-correct ranks, the cluster
-// must stay healthy (no Redial), and Health must show the dead replica.
+// must stay healthy (no terminal error), and Health must show the dead
+// replica.
 func TestReplicaDeathFailsOverMidBatch(t *testing.T) {
 	keys := workload.SortedKeys(60000, 26)
 	rc, shutdown := startReplicated(t, keys, 4, 2, 256, DialOptions{})
@@ -397,12 +395,12 @@ func TestLastReplicaDeathFailsEpochWithRootCause(t *testing.T) {
 
 // TestRejoinRestoresReplica kills a replica, restarts its server on the
 // same address, and waits for the background rejoin loop to restore
-// R-way health — without any caller-visible interruption or Redial.
+// R-way health — without any caller-visible interruption.
 func TestRejoinRestoresReplica(t *testing.T) {
 	keys := workload.SortedKeys(20000, 29)
-	rc, shutdown := startReplicated(t, keys, 2, 2, 256, DialOptions{
-		Rejoin: RejoinOptions{Backoff: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
-	})
+	setVar(t, &rejoinBackoff, 20*time.Millisecond)
+	setVar(t, &rejoinMaxBackoff, 100*time.Millisecond)
+	rc, shutdown := startReplicated(t, keys, 2, 2, 256, DialOptions{})
 	defer shutdown()
 
 	queries := workload.UniformQueries(10000, 31)
@@ -623,10 +621,10 @@ func TestNodeRestartServe(t *testing.T) {
 // dial+handshake would hold Close for the full Timeout (10s here).
 func TestCloseInterruptsRejoinAttempt(t *testing.T) {
 	keys := workload.SortedKeys(5000, 60)
-	rc, shutdown := startReplicated(t, keys, 1, 2, 256, DialOptions{
-		Timeout: 10 * time.Second,
-		Rejoin:  RejoinOptions{Backoff: 10 * time.Millisecond, MaxBackoff: 20 * time.Millisecond},
-	})
+	setVar(t, &dialTimeout, 10*time.Second)
+	setVar(t, &rejoinBackoff, 10*time.Millisecond)
+	setVar(t, &rejoinMaxBackoff, 20*time.Millisecond)
+	rc, shutdown := startReplicated(t, keys, 1, 2, 256, DialOptions{})
 	defer shutdown()
 
 	addr := rc.addrs[0][1]

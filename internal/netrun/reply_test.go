@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/workload"
 )
 
@@ -122,7 +122,7 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 			}
 			var ks []workload.Key
 			var is []int
-			counts := core.CountPairs(u, pairs, &ks, &is)
+			counts := index.CountPairs(u, pairs, &ks, &is)
 			return exchange{onWire(t, Frame{Op: OpCountRange, ReqID: id, Payload: pairs}), wordPath(OpCounts, id, narrow(counts))}
 		},
 		OpScanRange: func(id uint32) exchange {

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -236,7 +235,7 @@ func sortedCallSendsWords(t *testing.T, keys []workload.Key, run workload.Key, s
 
 	var mu sync.Mutex
 	var conns []*recordConn
-	c, shutdown := startClusterWith(t, keys, 2, DialOptions{Timeout: 5 * time.Second,
+	c, shutdown := startClusterWith(t, keys, 2, DialOptions{
 		Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
 			conn, err := new(net.Dialer).DialContext(ctx, "tcp", addr)
 			if err != nil {

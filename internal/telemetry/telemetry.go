@@ -1,6 +1,6 @@
 // Package telemetry is the operations plane's measurement layer: a
-// lock-free latency histogram (log-bucketed, mergeable, with
-// p50/p99/p999 readouts), plain counters and gauges, and a Registry
+// lock-free latency histogram (log-bucketed, with quantile readouts),
+// plain counters and gauges, and a Registry
 // that names them and renders the whole set in Prometheus text
 // exposition format for the admin server's /metrics endpoint.
 //
@@ -84,8 +84,8 @@ func (h *Histogram) ObserveNs(ns int64) {
 }
 
 // Snapshot copies the histogram's state at one (racy but internally
-// monotone) point in time. Snapshots are values: merge them, ship them
-// in Stats trees, read quantiles off them.
+// monotone) point in time. Snapshots are values: ship them in Stats
+// trees, read quantiles off them.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	for i := range h.counts {
@@ -102,16 +102,6 @@ type HistSnapshot struct {
 	Counts [histBuckets]uint64
 	Count  uint64
 	Sum    uint64 // sum of samples, ns
-}
-
-// Merge adds o's buckets into s (histograms over the same layout are
-// mergeable by construction).
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) in nanoseconds, reading
@@ -134,11 +124,6 @@ func (s *HistSnapshot) Quantile(q float64) int64 {
 	}
 	return int64(bucketHi(histBuckets - 1))
 }
-
-// P50, P99 and P999 are the quantiles the Stats tree reports.
-func (s *HistSnapshot) P50() int64  { return s.Quantile(0.50) }
-func (s *HistSnapshot) P99() int64  { return s.Quantile(0.99) }
-func (s *HistSnapshot) P999() int64 { return s.Quantile(0.999) }
 
 // Mean returns the average sample in nanoseconds (0 when empty).
 func (s *HistSnapshot) Mean() float64 {

@@ -68,8 +68,8 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Errorf("q%.3f = %d, exact %d (off by more than bucket resolution)", q, got, exact)
 		}
 	}
-	if s.P999() < s.P99() || s.P99() < s.P50() {
-		t.Errorf("quantiles not monotone: p50=%d p99=%d p999=%d", s.P50(), s.P99(), s.P999())
+	if p50, p99, p999 := s.Quantile(0.50), s.Quantile(0.99), s.Quantile(0.999); p999 < p99 || p99 < p50 {
+		t.Errorf("quantiles not monotone: p50=%d p99=%d p999=%d", p50, p99, p999)
 	}
 }
 
@@ -83,11 +83,16 @@ func TestHistogramMerge(t *testing.T) {
 		b.ObserveNs(i * 7777)
 		all.ObserveNs(i * 7777)
 	}
-	m := a.Snapshot()
-	m.Merge(b.Snapshot())
-	want := all.Snapshot()
-	if m != want {
-		t.Fatalf("merged snapshot differs from directly accumulated one")
+	// Histograms over the one bucket layout merge by element-wise
+	// addition: the snapshots of two add up to that of both streams.
+	m, o := a.Snapshot(), b.Snapshot()
+	for i := range m.Counts {
+		m.Counts[i] += o.Counts[i]
+	}
+	m.Count += o.Count
+	m.Sum += o.Sum
+	if m != all.Snapshot() {
+		t.Fatalf("summed snapshots differ from the directly accumulated one")
 	}
 }
 

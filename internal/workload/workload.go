@@ -13,6 +13,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -75,18 +76,36 @@ func SortedKeys(n int, seed uint64) []Key {
 	if uint64(n) > 1<<32 {
 		panic(fmt.Sprintf("workload: SortedKeys(%d) exceeds the 2^32 key space", n))
 	}
+	// The keys are the distinct values of the stream's first draws that
+	// hold n of them. Draw n, drop the copies, and draw as many more as
+	// are missing until none is: a top-up of d draws reaches n only if
+	// every one of them is new, so the last draw taken is the one that
+	// completes the set, and no draw past it is.
 	r := NewRNG(seed)
-	seen := make(map[Key]struct{}, n)
-	keys := make([]Key, 0, n)
-	for len(keys) < n {
-		k := r.Key()
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		keys = append(keys, k)
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = r.Key()
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	for m := len(keys); m < n; m = len(keys) {
+		more := make([]Key, n-m)
+		for i := range more {
+			more[i] = r.Key()
+		}
+		slices.Sort(more)
+		// Merge the draws in from the back, into the room the copies
+		// left, then drop the copies again.
+		keys = keys[:n]
+		for i, j, w := m-1, len(more)-1, n-1; j >= 0; w-- {
+			if i >= 0 && keys[i] > more[j] {
+				keys[w], i = keys[i], i-1
+			} else {
+				keys[w], j = more[j], j-1
+			}
+		}
+		keys = slices.Compact(keys)
+	}
 	return keys
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -80,6 +81,43 @@ func TestSortedKeysDeterministic(t *testing.T) {
 	c := SortedKeys(1000, 6)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("SortedKeys identical across different seeds")
+	}
+}
+
+// refSortedKeys is the key-set builder SortedKeys replaced, kept as its
+// reference: it draws until n keys are distinct, skipping each draw it has
+// seen, and sorts them. draws is how many it took.
+func refSortedKeys(n int, seed uint64) (keys []Key, draws int) {
+	r := NewRNG(seed)
+	seen := make(map[Key]struct{}, n)
+	keys = make([]Key, 0, n)
+	for len(keys) < n {
+		k := r.Key()
+		draws++
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys, draws
+}
+
+// SortedKeys returns the reference's keys at every size the benchmark and
+// the tests build, among them 2^21, where the first 2^21 draws repeat
+// some keys and the top-up runs.
+func TestSortedKeysMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 1000, 1 << 16, 1 << 21} {
+		for seed := uint64(0); seed < 4; seed++ {
+			want, draws := refSortedKeys(n, seed)
+			if got := SortedKeys(n, seed); !slices.Equal(got, want) {
+				t.Fatalf("SortedKeys(%d, %d) differs from the reference", n, seed)
+			}
+			if n == 1<<21 && draws == n {
+				t.Errorf("SortedKeys(%d, %d): no repeated draw, so the top-up was not reached", n, seed)
+			}
+		}
 	}
 }
 
