@@ -57,9 +57,10 @@
 // range scans, top-k, and key multiplicities — against their live
 // partition (dcq -op count|scan|topk|multiget drives them).
 // -max-version caps the negotiated protocol version at the one before
-// the current: -max-version 5 is a node that serves everything but the
-// live-membership verbs — the one mixed pair a rollout meets. A peer
-// older than that is refused at the hello, by name.
+// the current: -max-version 6 is a node that serves every op but carries
+// the v6 byte codecs (delta and varint runs) where a v7 node sends plain
+// words — the one mixed pair a rollout meets. A peer older than that is
+// refused at the hello, by name.
 //
 // The operations plane (protocol v6) adds two flags. -admin mounts the
 // HTTP admin endpoint on the given address: GET /metrics serves the
@@ -69,7 +70,7 @@
 // and the membership verbs answer 501 — reshaping is the client's
 // authority, POST to the dcq master's admin endpoint instead. -join
 // starts the node unassigned: it loads the full key file but serves an
-// empty partition until a v6 client's AddReplica names the slice of
+// empty partition until a client's AddReplica names the slice of
 // the universe it should own — how a fresh machine joins a running
 // cluster without restarting the epoch (-parts/-part are ignored).
 //
@@ -114,9 +115,9 @@ func main() {
 		readonly = flag.Bool("readonly", false, "serve reads only: never accept inserts, snapshot loads or a new identity")
 		walDir   = flag.String("wal-dir", "", "durable mode: per-partition WAL + segment directory (created if missing); acked inserts survive crashes")
 		fsyncInt = flag.Duration("fsync-interval", 0, "with -wal-dir: 0 fsyncs the WAL on every group commit, negative never fsyncs; positive values are refused")
-		maxVer   = flag.Uint("max-version", 0, "cap the negotiated protocol version: 0 (newest) or 5, the version before it, for a mixed-version rollout")
+		maxVer   = flag.Uint("max-version", 0, "cap the negotiated protocol version: 0 (newest) or 6, the version before it, for a mixed-version rollout")
 		adminAt  = flag.String("admin", "", "mount the HTTP admin/metrics endpoint on this address (e.g. 127.0.0.1:9100; empty disables)")
-		join     = flag.Bool("join", false, "start unassigned: load the key file but serve an empty partition until a v6 client's AddReplica assigns one (-parts/-part ignored)")
+		join     = flag.Bool("join", false, "start unassigned: load the key file but serve an empty partition until a client's AddReplica assigns one (-parts/-part ignored)")
 
 		chaosDelay  = flag.Duration("chaos-delay", 0, "chaos drill: delay every reply write by this much (seeded faultnet wrapper on every accepted connection)")
 		chaosStall  = flag.Int("chaos-stall-after", 0, "chaos drill: stall each accepted connection at its Nth write — the hello ack is write 1, so 2 stalls the first reply (0 disarms)")
@@ -153,7 +154,7 @@ func main() {
 	switch {
 	case *join:
 		node = netrun.NewJoinNode(keys)
-		log.Printf("dcnode: joinable over %d keys: serving unassigned until a v6 client's AddReplica names a partition", len(keys))
+		log.Printf("dcnode: joinable over %d keys: serving unassigned until a client's AddReplica names a partition", len(keys))
 	default:
 		p, err := core.NewPartitioning(keys, *parts)
 		if err != nil {

@@ -631,7 +631,7 @@ func exchange(n *clusterNode, f Frame, timeout time.Duration) ([]uint32, error) 
 	if r.Op == OpErr {
 		return nil, fmt.Errorf("node refused the %s request", row.name)
 	}
-	e, err := elemsOf(r, nil)
+	e, err := n.bc.fr.elemsOf(r, nil)
 	if err != nil || r.Op != row.reply || !row.valid(f.Payload, e) {
 		return nil, fmt.Errorf("bad %s ack (op %d, %d words)", row.name, r.Op, e.len())
 	}
@@ -668,6 +668,8 @@ func hello(n *clusterNode, want core.Partition, timeout time.Duration, ver uint3
 	if n.version < MinProtoVersion || n.version > ver {
 		return errVersion("the node speaks", n.version)
 	}
+	// No frame follows the hello before this: exchange is synchronous.
+	n.bc.setVersion(n.version)
 	if len(ack) >= 6 {
 		n.has, n.liveCount = needWritable, int(ack[5])
 	}

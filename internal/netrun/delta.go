@@ -26,6 +26,10 @@ import (
 // primitive (appendVarRun/decodeVarRun) for payloads whose values are
 // small but not monotone — the OpCounts replies.
 //
+// Protocol v7 carries every payload as words, so both codecs ride only a
+// v6 connection (the op table's v6 codec column); this file goes once the
+// floor is v7.
+//
 // Hostile input rules (mirrored by FuzzDeltaPayload and
 // FuzzVarRunPayload):
 //   - a varint may span at most 5 bytes and must fit in 32 bits;
@@ -37,11 +41,11 @@ import (
 //   - the running sum must stay within 32 bits;
 //   - the payload must be consumed exactly (no trailing bytes).
 //
-// The delta codec carries MultiGet keys, scans, top-k runs, snapshots
-// and loads (and an older client's sorted lookups), so its two loops are
-// unrolled by byte position rather than built from the one-varint
-// primitives: one predictable branch per byte, one bounds check per
-// element. (A branch-free decoder — an eight-byte
+// On a v6 connection the delta codec carries MultiGet keys, scans, top-k
+// runs, snapshots and loads (and an older client's sorted lookups), so
+// its two loops are unrolled by byte position rather than built from the
+// one-varint primitives: one predictable branch per byte, one bounds
+// check per element. (A branch-free decoder — an eight-byte
 // load, the stop bits counted, the payload bits compacted — measured no
 // faster: where the next varint starts depends on the load, and a
 // predicted branch hides exactly that.) The rules are enforced in place:

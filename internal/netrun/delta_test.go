@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -360,21 +361,26 @@ func FuzzVarRunPayload(f *testing.F) {
 // allocation. Words reach the handlers undecoded, so every frame read is
 // also served by a small partition node, the way its connection would
 // serve it: the node answers it with the row's reply op or refuses it
-// with OpErr, and never panics.
+// with OpErr, and never panics. Each stream is served twice, by a node
+// at each version this build speaks (a hello in the stream moves the
+// connection to the version it settles on).
 func FuzzFrameReader(f *testing.F) {
-	var buf bytes.Buffer
-	WriteFrame(&buf, Frame{Op: OpLookup, ReqID: 7, Payload: []uint32{1, 2, 3}})
-	f.Add(buf.Bytes())
+	var v6, v7 frameWriter
+	v6.v6 = true
+	add := func(fw *frameWriter, frames ...Frame) {
+		var b bytes.Buffer
+		for _, fr := range frames {
+			fw.writeTo(&b, fr)
+		}
+		f.Add(b.Bytes())
+	}
+	add(&v7, Frame{Op: OpLookup, ReqID: 7, Payload: []uint32{1, 2, 3}})
 	raw, _ := appendDeltaRun(nil, []uint32{5, 6, 7})
-	var buf2 bytes.Buffer
-	WriteFrame(&buf2, Frame{Op: OpLookupSorted, ReqID: 9, Raw: raw})
-	f.Add(buf2.Bytes())
+	add(&v6, Frame{Op: OpLookupSorted, ReqID: 9, Raw: raw})
 	// What a peer below the floor sends: hellos at versions 0 and 4, and
 	// the four-word ack.
 	for _, old := range []Frame{{Op: OpHello}, {Op: OpHello, ReqID: 4}, {Op: OpHelloAck, Payload: []uint32{0, 3, 5, 7}}} {
-		var b bytes.Buffer
-		WriteFrame(&b, old)
-		f.Add(b.Bytes())
+		add(&v7, old)
 	}
 	// A request of each shape the serving paths decode: fixed words, pairs,
 	// a word run, a delta run.
@@ -386,36 +392,55 @@ func FuzzFrameReader(f *testing.F) {
 		{Op: OpSplitPartition, ReqID: 5, Payload: []uint32{3, 8, 10, 80, 80, 0}},
 		{Op: OpMultiGet, ReqID: 6, Raw: raw},
 	} {
-		var b bytes.Buffer
-		WriteFrame(&b, req)
-		f.Add(b.Bytes())
+		add(&v6, req)
+	}
+	// The v7 forms of the byte ops: a MultiGet's words, an ascending and a
+	// descending load, each after the hello that settles v7 or v6.
+	for _, ver := range []uint32{ProtoV7, ProtoV6} {
+		add(&v7, Frame{Op: OpHello, ReqID: ver},
+			Frame{Op: OpMultiGet, ReqID: 10, Payload: []uint32{20, 5, 150, 20}},
+			Frame{Op: OpLoad, ReqID: 11, Payload: []uint32{30, 10}},
+			Frame{Op: OpLoad, ReqID: 12, Payload: []uint32{10, 10, 30}})
+	}
+	// A word count just above MaxFrameWords: refused at v7, where every
+	// payload is words, before any allocation; at v6 a byte op's count is
+	// a byte length inside MaxFrameBytes.
+	for _, op := range []uint8{OpMultiGet, OpLoad, OpLookup} {
+		head := make([]byte, 13, 17)
+		binary.LittleEndian.PutUint32(head, Magic)
+		head[4] = op
+		binary.LittleEndian.PutUint32(head[9:], MaxFrameWords+1)
+		f.Add(append(head, 1, 0, 0, 0))
 	}
 	keys := []workload.Key{10, 20, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150}
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		node := NewPartitionNode(keys, 3)
-		defer node.Close()
-		s := node.newConn(nil)
-		var sent bytes.Buffer
-		s.bc = newBufferedConn(duplex{nil, &sent})
-		fr := frameReader{}
-		r := bytes.NewReader(stream)
-		for {
-			req, err := fr.readFrom(r)
-			if err != nil {
-				return
+		for _, ver := range []uint32{ProtoV6, ProtoV7} {
+			node := NewPartitionNode(keys, 3)
+			node.MaxVersion = ver
+			var sent bytes.Buffer
+			s := serveOn(node, bytes.NewReader(stream), &sent)
+			for {
+				req, err := s.bc.readFrame()
+				if err != nil {
+					break
+				}
+				sent.Reset()
+				served := s.serve(req)
+				// Read back as the peer does, in the codec the connection
+				// answered in.
+				fr := frameReader{v6: s.bc.fw.v6}
+				reply, err := fr.readFrom(&sent)
+				if err != nil {
+					t.Fatalf("v%d, op %d: the node's reply does not read back: %v", ver, req.Op, err)
+				}
+				if row := request(req.Op); reply.Op != OpErr && (row == nil || reply.Op != row.reply) {
+					t.Fatalf("v%d, op %d answered with op %d", ver, req.Op, reply.Op)
+				}
+				if !served {
+					break // the connection would close here
+				}
 			}
-			sent.Reset()
-			served := s.serve(req)
-			reply, err := ReadFrame(&sent)
-			if err != nil {
-				t.Fatalf("op %d: the node's reply does not read back: %v", req.Op, err)
-			}
-			if row := request(req.Op); reply.Op != OpErr && (row == nil || reply.Op != row.reply) {
-				t.Fatalf("op %d answered with op %d", req.Op, reply.Op)
-			}
-			if !served {
-				return // the connection would close here
-			}
+			node.Close()
 		}
 	})
 }
@@ -428,10 +453,11 @@ func TestSortedFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Frame{Op: OpLookupSorted, ReqID: 42, Raw: raw}); err != nil {
+	fw, fr := frameWriter{v6: true}, frameReader{v6: true}
+	if err := fw.writeTo(&buf, Frame{Op: OpLookupSorted, ReqID: 42, Raw: raw}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(&buf)
+	f, err := fr.readFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,16 +475,16 @@ func TestSortedFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeDeltaOp (the send-path fused encoder) must produce exactly a
-// header plus appendDeltaRun's payload.
+// encodeRun (the send path's fused encoder) on a v6 connection must
+// produce exactly a header plus appendDeltaRun's payload.
 func TestEncodeDeltaKeysMatchesFrame(t *testing.T) {
 	keys := []uint32{1, 2, 2, 900, 1 << 20}
-	var fw frameWriter
-	buf, err := fw.encodeDeltaOp(OpLookupSorted, 77, keys)
+	fw, fr := frameWriter{v6: true}, frameReader{v6: true}
+	buf, err := encodeRun(&fw, OpLookupSorted, 77, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := ReadFrame(bytes.NewReader(buf))
+	f, err := fr.readFrom(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

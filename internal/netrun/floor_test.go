@@ -84,8 +84,10 @@ func TestHelloRefusesPeerBelowFloor(t *testing.T) {
 	}
 
 	// (b) The client's side: an ack with the four words a version-1 node
-	// sends, and one that names version 4, each fail the dial by name.
-	for peer, ack := range map[uint32][]uint32{1: helloWords(keys, 0, 4), 4: helloWords(keys, 4, 5)} {
+	// sends, and one that names the version below the floor, each fail the
+	// dial by name.
+	below := uint32(MinProtoVersion - 1)
+	for peer, ack := range map[uint32][]uint32{1: helloWords(keys, 0, 4), below: helloWords(keys, below, 6)} {
 		stub := scriptNode(t, keys, func(req Frame) []Frame {
 			return []Frame{{Op: OpHelloAck, ReqID: req.ReqID, Payload: ack}}
 		})
@@ -116,7 +118,7 @@ func TestHelloRefusesPeerBelowFloor(t *testing.T) {
 
 	// (d) A MaxVersion outside what this build speaks is refused where it
 	// is set: at Serve (dcnode's flag: TestDCNodeMaxVersionFlag).
-	for _, v := range []uint32{1, 2, 3, 4, 7} {
+	for _, v := range []uint32{1, 2, 3, 4, MinProtoVersion - 1, ProtoVersion + 1} {
 		capped := NewPartitionNode(keys, 0)
 		capped.MaxVersion = v
 		l2, err := net.Listen("tcp", "127.0.0.1:0")
@@ -190,21 +192,21 @@ func TestHelloAckGoldenFrames(t *testing.T) {
 	}
 }
 
-// TestMixedV5V6Pair is the one version-skew drill left: the previous
-// protocol version beside the current one, on either side. Ranks, sorted
-// ranks, inserts and all four query ops are oracle-exact across the
-// pair; the three membership verbs, which version 6 introduced, are
-// refused by name wherever a version-5 connection would have to carry
-// them.
-func TestMixedV5V6Pair(t *testing.T) {
+// TestMixedV6V7Pair is the one version-skew drill left: the previous
+// protocol version beside the current one, on either side — a v6
+// connection carries the byte codecs, a v7 one plain words. Ranks,
+// sorted ranks, inserts, all four query ops and the three membership
+// verbs are oracle-exact across the pair, and a replica that rejoins
+// catches up from a sibling of the other version.
+func TestMixedV6V7Pair(t *testing.T) {
 	for name, tc := range map[string]struct {
 		client uint32
 		shape  func(part, replica int, n *Node)
 	}{
-		"v5-client": {client: ProtoV5},
-		"v5-replica-per-group": {shape: func(_, replica int, n *Node) {
+		"v6-client": {client: ProtoV6},
+		"v6-replica-per-group": {shape: func(_, replica int, n *Node) {
 			if replica == 1 {
-				n.MaxVersion = ProtoV5
+				n.MaxVersion = ProtoV6
 			}
 		}},
 	} {
@@ -214,13 +216,14 @@ func TestMixedV5V6Pair(t *testing.T) {
 			if tc.client != 0 {
 				setVar(t, &clientVersion, tc.client)
 			}
+			setVar(t, &rejoinBackoff, 20*time.Millisecond)
 			rc, shutdown := startShaped(t, keys, 2, 2, 256, DialOptions{}, tc.shape)
 			defer shutdown()
 			c := rc.c
 			for _, h := range c.Stats().Replicas {
-				want := uint32(ProtoV6)
-				if tc.client == ProtoV5 || h.Addr == rc.addrs[h.Partition][1] {
-					want = ProtoV5
+				want := uint32(ProtoV7)
+				if tc.client == ProtoV6 || h.Addr == rc.addrs[h.Partition][1] {
+					want = ProtoV6
 				}
 				if h.Proto != want {
 					t.Fatalf("replica %s negotiated v%d, want v%d", h.Addr, h.Proto, want)
@@ -230,15 +233,19 @@ func TestMixedV5V6Pair(t *testing.T) {
 			o, qo := newTCPOracle(keys), newTCPQueryOracle(keys)
 			rng := rand.New(rand.NewSource(64))
 			qs := workload.UniformQueries(3000, 65)
-			checkTCPExact(t, c, o, qs)
-			checkTCPQueryOps(t, "static", c, qo, rng, maxKey)
-			for round := 0; round < 3; round++ {
-				ins := workload.UniformQueries(300, uint64(66+round))
+			insert := func(seed uint64) {
+				t.Helper()
+				ins := workload.UniformQueries(300, seed)
 				if err := c.InsertBatch(ins); err != nil {
 					t.Fatal(err)
 				}
 				o.insert(ins)
 				qo.add(ins)
+			}
+			checkTCPExact(t, c, o, qs)
+			checkTCPQueryOps(t, "static", c, qo, rng, maxKey)
+			for round := 0; round < 3; round++ {
+				insert(uint64(66 + round))
 				// Several passes, so the round-robin visits both versions.
 				for pass := 0; pass < 3; pass++ {
 					checkTCPExact(t, c, o, qs)
@@ -246,29 +253,69 @@ func TestMixedV5V6Pair(t *testing.T) {
 				checkTCPQueryOps(t, "written", c, qo, rng, maxKey)
 			}
 
-			// The join node is one version behind too where the client is not.
+			// Each replica of partition 0 in turn misses writes and rejoins:
+			// it is loaded from its sibling's snapshot, which crosses the
+			// pair wherever the two speak different versions.
+			for replica := range 2 {
+				rc.kill(0, replica)
+				insert(uint64(70 + replica))
+				rc.restart(t, 0, replica)
+				waitSynced(t, c, rc.addrs[0][replica])
+				if h := rc.health(t, 0, replica); h.Rejoins == 0 {
+					t.Fatalf("replica %d serves again with no rejoin counted: %+v", replica, h)
+				}
+				for pass := 0; pass < 3; pass++ {
+					checkTCPExact(t, c, o, qs)
+				}
+				checkTCPQueryOps(t, fmt.Sprintf("rejoined %d", replica), c, qo, rng, maxKey)
+			}
+
+			// The membership verbs, at the floor: a join node one version
+			// behind where the client is not joins partition 0, the v6
+			// replica there drains, and partition 1 splits across the pair.
 			lis, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			join := NewJoinNode(keys)
-			join.MaxVersion = ProtoV5
+			join.MaxVersion = ProtoV6
 			go join.Serve(lis)
 			defer join.Close()
-			for verb, err := range map[string]error{
-				"add_replica":     c.AddReplica(0, lis.Addr().String()),
-				"drain_replica":   c.DrainReplica(0, rc.addrs[0][1]),
-				"split_partition": c.SplitPartition(0),
-			} {
-				if err == nil || !strings.Contains(err.Error(), "speaks protocol v5; "+verb+" needs v6") {
-					t.Fatalf("%s across the pair: err = %v, want it refused by name", verb, err)
-				}
+			if err := c.AddReplica(0, lis.Addr().String()); err != nil {
+				t.Fatalf("add_replica across the pair: %v", err)
 			}
-			if got := c.Nodes(); got != 2 {
-				t.Fatalf("Nodes = %d after the refused verbs, want 2", got)
+			if err := c.DrainReplica(0, rc.addrs[0][1]); err != nil {
+				t.Fatalf("drain_replica across the pair: %v", err)
 			}
-			checkTCPExact(t, c, o, qs)
+			if err := c.SplitPartition(1); err != nil {
+				t.Fatalf("split_partition across the pair: %v", err)
+			}
+			if got := c.Nodes(); got != 3 {
+				t.Fatalf("Nodes = %d after the split, want 3", got)
+			}
+			insert(73)
+			for pass := 0; pass < 3; pass++ {
+				checkTCPExact(t, c, o, qs)
+			}
 			checkTCPQueryOps(t, "after the verbs", c, qo, rng, maxKey)
 		})
+	}
+}
+
+// waitSynced waits until the replica at addr serves again: connected and
+// caught up.
+func waitSynced(t *testing.T, c *Cluster, addr string) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		for _, h := range c.Stats().Replicas {
+			if h.Addr == addr && h.Healthy && !h.Syncing {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica %s never rejoined", addr)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

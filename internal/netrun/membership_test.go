@@ -17,10 +17,11 @@ import (
 
 // Live-membership drills: AddReplica, DrainReplica, and SplitPartition
 // reshape a serving cluster without restarting it. These tests pin the
-// availability story (pre-v6 nodes refuse the ops with a descriptive
-// error, and a refusal leaves the cluster serving) and the correctness
-// story (a full add→drain→split sequence under concurrent reads and
-// writes loses no batch and keeps every rank identical to the oracle).
+// availability story (a replica that cannot take a verb refuses it with
+// a descriptive error, and a refusal leaves the cluster serving) and the
+// correctness story (a full add→drain→split sequence under concurrent
+// reads and writes loses no batch and keeps every rank identical to the
+// oracle).
 
 // startJoinNode starts an unassigned join node (dcnode -join) on a
 // loopback listener and returns its address and a stop func.
@@ -35,28 +36,35 @@ func startJoinNode(t *testing.T, universe []workload.Key) (string, func()) {
 	return lis.Addr().String(), func() { node.Close() }
 }
 
-// TestMembershipOpsNeedV6 pins the availability error: against a
-// cluster negotiated at protocol v5 (the client's version capped, the
-// pre-membership wire format), every membership verb is refused with an
-// error naming the needed version, and the refusal leaves the data
-// plane serving.
-func TestMembershipOpsNeedV6(t *testing.T) {
+// readOnlyNodes makes every replica read-only.
+func readOnlyNodes(_, _ int, n *Node) { n.ReadOnly = true }
+
+// TestMembershipOpsNeedWritable pins the availability error: the verbs
+// that replace a node's key set need a writable node (the op table's
+// needs column), so against read-only replicas and a read-only join
+// node each is refused with an error naming what it needs, and the
+// refusal leaves the data plane serving.
+func TestMembershipOpsNeedWritable(t *testing.T) {
 	keys := workload.SortedKeys(4000, 71)
-	setVar(t, &clientVersion, ProtoV5)
-	rc, shutdown := startReplicated(t, keys, 2, 2, 256, DialOptions{})
+	rc, shutdown := startShaped(t, keys, 2, 2, 256, DialOptions{}, readOnlyNodes)
 	defer shutdown()
 
-	joinAddr, stopJoin := startJoinNode(t, keys)
-	defer stopJoin()
-	wantV6 := func(op string, err error) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := NewJoinNode(keys)
+	join.ReadOnly = true
+	go join.Serve(lis)
+	defer join.Close()
+	wantWritable := func(op string, err error) {
 		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "needs v6") {
-			t.Fatalf("%s on a v5 cluster: err = %v, want a live-membership-needs-v6 refusal", op, err)
+		if want := op + " needs a writable replica"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s on read-only replicas: err = %v, want %q", op, err, want)
 		}
 	}
-	wantV6("AddReplica", rc.c.AddReplica(0, joinAddr))
-	wantV6("DrainReplica", rc.c.DrainReplica(0, rc.addrs[0][1]))
-	wantV6("SplitPartition", rc.c.SplitPartition(0))
+	wantWritable("add_replica", rc.c.AddReplica(0, lis.Addr().String()))
+	wantWritable("split_partition", rc.c.SplitPartition(0))
 
 	// The refusals must leave the cluster untouched and serving.
 	if got := rc.c.Nodes(); got != 2 {
@@ -66,16 +74,15 @@ func TestMembershipOpsNeedV6(t *testing.T) {
 	checkTCPExact(t, rc.c, o, workload.UniformQueries(2000, 72))
 }
 
-// TestMembershipHTTPConflictPreV6 pins the operator-facing shape of the
-// same refusal: POST /membership/split-partition against a v5-capped
-// cluster's admin endpoint answers 409 Conflict with the refusal text
-// in the JSON error body.
-func TestMembershipHTTPConflictPreV6(t *testing.T) {
+// TestMembershipHTTPConflictReadOnly pins the operator-facing shape of
+// the same refusal: POST /membership/split-partition against a cluster
+// of read-only replicas answers 409 Conflict with the refusal text in
+// the JSON error body.
+func TestMembershipHTTPConflictReadOnly(t *testing.T) {
 	keys := workload.SortedKeys(3000, 73)
-	setVar(t, &clientVersion, ProtoV5)
-	rc, shutdown := startReplicated(t, keys, 2, 2, 256, DialOptions{
+	rc, shutdown := startShaped(t, keys, 2, 2, 256, DialOptions{
 		Admin: AdminOptions{Addr: "127.0.0.1:0"},
-	})
+	}, readOnlyNodes)
 	defer shutdown()
 	at := rc.c.Admin()
 	if at == "" {
@@ -96,8 +103,8 @@ func TestMembershipHTTPConflictPreV6(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(e.Error, "needs v6") {
-		t.Fatalf("error body %q, want the needs-v6 refusal", e.Error)
+	if !strings.Contains(e.Error, "needs a writable replica") {
+		t.Fatalf("error body %q, want the needs-writable refusal", e.Error)
 	}
 }
 

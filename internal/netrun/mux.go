@@ -120,11 +120,12 @@ func (n *clusterNode) deregisterLocked(reqID uint32) {
 //     reply buffer instead of overwriting keys, so the losing
 //     registration can still encode/validate against them. No element
 //     reaches out or reply before its whole reply was checked and its
-//     read loop won the claim: a word reply's check is its length, so it
-//     is decoded straight from the frame into its destination after the
-//     claim; a delta or varint reply is decoded whole into the read
-//     loop's scratch first (its codec has more to check than a length),
-//     and a staged one then swaps buffers with reply instead of copying.
+//     read loop won the claim: a word reply's check is its length (and
+//     a scan's or top-k's order), so it is decoded straight from the
+//     frame into its destination after the claim; a v6 connection's
+//     delta or varint reply is decoded whole into the read loop's
+//     scratch first (its codec has more to check than a length), and a
+//     staged one then swaps buffers with reply instead of copying.
 //   - claimed elects exactly one resolver: whichever reply, refusal,
 //     sweep, or routing failure wins the CompareAndSwap scatters the
 //     result (or records the error) and completes p to the gather
@@ -323,9 +324,8 @@ func (n *clusterNode) sendLoop(ep *epoch) {
 				sr.reqID, n.r.g.part, n.r.addr))
 			continue
 		}
-		// The wire form is the pending's row. Ops the connection may not
-		// carry never get here: dispatch and failover pick members by
-		// replica.can.
+		// Ops the connection may not carry never get here: dispatch and
+		// failover pick members by replica.can.
 		row := &opTable[p.op]
 		n.pending[sr.reqID] = inflight{p: p, sentAt: time.Now()}
 		// Encode while still holding mu: the moment p is registered it
@@ -335,13 +335,7 @@ func (n *clusterNode) sendLoop(ep *epoch) {
 		// blocking socket I/O below never touches p. Whether to arm the
 		// hedge clock is decided under the same lock for the same reason.
 		armHedge := ep.hedger != nil && row.hedge && !p.hedged.Load()
-		var buf []byte
-		var encErr error
-		if row.enc == encWords {
-			buf, encErr = n.bc.fw.encode(Frame{Op: p.op, ReqID: sr.reqID, Payload: p.keys})
-		} else {
-			buf, encErr = n.bc.fw.encodeDeltaOp(p.op, sr.reqID, p.keys)
-		}
+		buf, encErr := encodeRun(&n.bc.fw, p.op, sr.reqID, p.keys)
 		n.mu.Unlock()
 
 		if encErr != nil {
@@ -414,9 +408,10 @@ func (n *clusterNode) readLoop(ep *epoch) {
 		// registered pendings a sweep never saw.
 		c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s %w", n.r.g.part, n.r.addr, err))
 	}
-	// scratch holds a decoded byte-coded reply. Decoding it fully before
-	// the registration is touched keeps the failure story simple: a
-	// corrupt stream leaves the pending registered.
+	// scratch holds a decoded byte-coded reply (a v6 connection's).
+	// Decoding it fully before the registration is touched keeps the
+	// failure story simple: a corrupt stream leaves the pending
+	// registered.
 	var scratch []uint32
 	for {
 		f, err := n.bc.readFrame()
@@ -427,7 +422,7 @@ func (n *clusterNode) readLoop(ep *epoch) {
 			fail(fmt.Errorf("read: %w", err))
 			return
 		}
-		e, err := elemsOf(f, scratch)
+		e, err := n.bc.fr.elemsOf(f, scratch)
 		if err != nil {
 			fail(fmt.Errorf("sent a corrupt op %d payload: %w", f.Op, err))
 			return
@@ -505,19 +500,19 @@ func (n *clusterNode) readLoop(ep *epoch) {
 }
 
 // elems is a reply's elements from its read until its delivery: a word
-// reply still as the bytes the frame reader checked, a delta or varint
-// reply decoded.
+// reply still as the bytes the frame reader checked, a v6 connection's
+// delta or varint reply decoded.
 type elems struct {
 	words bool
 	raw   []byte   // words: 4·len() little-endian bytes
 	vals  []uint32 // otherwise: the decoded run
 }
 
-// elemsOf holds f's elements for checking, decoding a byte-coded payload
-// into scratch.
-func elemsOf(f Frame, scratch []uint32) (elems, error) {
+// elemsOf holds f, a frame fr read, for checking: its word bytes, or a
+// byte-coded payload decoded into scratch.
+func (fr *frameReader) elemsOf(f Frame, scratch []uint32) (elems, error) {
 	var err error
-	switch wire[f.Op].enc {
+	switch codecOf(f.Op, fr.v6) {
 	case encDelta:
 		scratch, err = decodeDeltaRun(f.Raw, scratch)
 	case encVarint:

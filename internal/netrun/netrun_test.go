@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/index"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -46,40 +48,43 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameRoundTripProperty round-trips random frames of every op code
+// through WriteFrame and ReadFrame, which speak the current protocol (all
+// words), and through a v6 connection's writer and reader, whose byte
+// ops carry Raw bytes.
 func TestFrameRoundTripProperty(t *testing.T) {
-	f := func(op uint8, id uint32, payload []uint32) bool {
+	f := func(op uint8, id uint32, payload []uint32, v6 bool) bool {
 		if len(payload) > 1<<16 {
 			payload = payload[:1<<16]
 		}
 		var buf bytes.Buffer
-		if wire[op].enc != encWords {
+		fw, fr := frameWriter{v6: v6}, frameReader{v6: v6}
+		if codecOf(op, v6) != encWords {
 			// Byte ops carry byte payloads: round-trip the words' own
 			// bytes through Raw instead.
 			raw := make([]byte, 0, 4*len(payload))
 			for _, v := range payload {
 				raw = append(raw, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 			}
-			if err := WriteFrame(&buf, Frame{Op: op, ReqID: id, Raw: raw}); err != nil {
+			if err := fw.writeTo(&buf, Frame{Op: op, ReqID: id, Raw: raw}); err != nil {
 				return false
 			}
-			got, err := ReadFrame(&buf)
+			got, err := fr.readFrom(&buf)
 			return err == nil && got.Op == op && got.ReqID == id && bytes.Equal(got.Raw, raw)
 		}
-		if err := WriteFrame(&buf, Frame{Op: op, ReqID: id, Payload: payload}); err != nil {
-			return false
-		}
-		got, err := ReadFrame(&buf)
-		if err != nil || got.Op != op || got.ReqID != id || len(got.Payload) != len(payload) {
-			return false
-		}
-		for i := range payload {
-			if got.Payload[i] != payload[i] {
-				return false
+		var got Frame
+		var err error
+		if v6 {
+			if err = fw.writeTo(&buf, Frame{Op: op, ReqID: id, Payload: payload}); err == nil {
+				got, err = fr.readFrom(&buf)
+				got.Payload = decodeWords[uint32](got.Raw, nil)
 			}
+		} else if err = WriteFrame(&buf, Frame{Op: op, ReqID: id, Payload: payload}); err == nil {
+			got, err = ReadFrame(&buf)
 		}
-		return true
+		return err == nil && got.Op == op && got.ReqID == id && slices.Equal(got.Payload, payload)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -274,6 +279,61 @@ func TestClusterClosedLookupFails(t *testing.T) {
 	shutdown()
 	if _, err := c.LookupBatch(workload.UniformQueries(5, 1)); err == nil {
 		t.Fatal("lookup on closed cluster succeeded")
+	}
+}
+
+// TestLoadDescendingRefused sends a v7 OpLoad whose word payload
+// descends — which no delta run could carry — to an in-memory and a
+// durable node over a real connection: each answers OpErr naming the
+// load, keeps the connection serving, and keeps its key set (the update
+// layer would panic on the descent).
+func TestLoadDescendingRefused(t *testing.T) {
+	keys := workload.SortedKeys(500, 12)
+	durable, err := NewDurablePartitionNode(keys, 0, t.TempDir(), index.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, node := range map[string]*Node{"in-memory": NewPartitionNode(keys, 0), "durable": durable} {
+		t.Run(name, func(t *testing.T) {
+			var logs logSink
+			node.Logf = logs.logf
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go node.Serve(lis)
+			defer node.Close()
+			conn, err := net.Dial("tcp", lis.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			for _, f := range []Frame{
+				{Op: OpHello, ReqID: ProtoV7},
+				{Op: OpLoad, ReqID: 1, Payload: []uint32{10, 20, 30, 25, 40}},
+				{Op: OpLookup, ReqID: 2, Payload: []uint32{uint32(keys[499])}},
+			} {
+				if err := WriteFrame(conn, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ack, err := ReadFrame(conn); err != nil || ack.Op != OpHelloAck || ack.Payload[4] != ProtoV7 {
+				t.Fatalf("hello: %+v, %v", ack, err)
+			}
+			if f, err := ReadFrame(conn); err != nil || f.Op != OpErr || f.ReqID != 1 || len(f.Payload) != 1 || f.Payload[0] != uint32(OpLoad) {
+				t.Fatalf("descending load: reply %+v, %v; want OpErr naming the load", f, err)
+			}
+			if f, err := ReadFrame(conn); err != nil || f.Op != OpRanks || f.ReqID != 2 || len(f.Payload) != 1 || f.Payload[0] != 500 {
+				t.Fatalf("lookup after the refused load: reply %+v, %v; want rank 500 on the same connection", f, err)
+			}
+			if !logs.has("load payload descends at key 3") {
+				t.Fatalf("no log line names the descent: %q", logs.lines)
+			}
+			if got := node.upd.TotalKeys(); got != len(keys) {
+				t.Fatalf("node holds %d keys after the refused load, want %d", got, len(keys))
+			}
+		})
 	}
 }
 

@@ -72,7 +72,8 @@ type Node struct {
 	// (ProtoVersion, the highest this build speaks) or a version from
 	// MinProtoVersion up; Serve refuses anything else. Set before Serve.
 	// cmd/dcnode's -max-version flag and the mixed-pair drill use it for
-	// the one real pair, the previous version beside the current one.
+	// the one real pair, the previous version (v6: the byte codecs)
+	// beside the current one.
 	MaxVersion uint32
 
 	// WrapConn, when non-nil, wraps every accepted connection before
@@ -399,7 +400,7 @@ type nodeConn struct {
 func (n *Node) newConn(conn net.Conn) *nodeConn {
 	s := &nodeConn{n: n, conn: conn, bc: newBufferedConn(conn)}
 	s.cap32, _ = capVersion(n.MaxVersion) // Serve checked it
-	s.negotiated = s.cap32
+	s.settle(s.cap32)
 	if n.Telemetry != nil {
 		for op := range opTable {
 			if row := request(uint8(op)); row != nil {
@@ -489,10 +490,17 @@ func (s *nodeConn) serve(f Frame) bool {
 	return true
 }
 
+// settle fixes the connection's version: the ops it serves and the codec
+// its frames carry.
+func (s *nodeConn) settle(v uint32) {
+	s.negotiated = v
+	s.bc.setVersion(v)
+}
+
 // answer is the typed reply sink every handler ends in: it encodes vals
-// as request f's reply frame — the row's reply op and codec — narrowing
-// each element as it goes, so a handler hands over what its ranker or
-// scan produced as it produced it.
+// as request f's reply frame — the row's reply op, in the connection's
+// codec — narrowing each element as it goes, so a handler hands over
+// what its ranker or scan produced as it produced it.
 func answer[T ~uint32 | ~int](s *nodeConn, f Frame, vals []T) ([]byte, error) {
 	return encodeRun(&s.bc.fw, wire[f.Op].reply, f.ReqID, vals)
 }
@@ -526,11 +534,15 @@ func (s *nodeConn) ints(n int) []int {
 	return s.intBuf[:n]
 }
 
-// run decodes a delta-coded request payload straight into the key
-// scratch. The coding guarantees the run is ascending (deltas are
-// unsigned).
-func (s *nodeConn) run(raw []byte) ([]workload.Key, error) {
-	run, err := decodeDeltaRun(raw, s.keyBuf)
+// run decodes a key-run request (a MultiGet's keys, a load, an older
+// client's sorted lookup) straight into the key scratch: words, or on a
+// v6 connection a delta run, which its coding makes ascending (deltas
+// are unsigned).
+func (s *nodeConn) run(f Frame) ([]workload.Key, error) {
+	if !s.bc.fr.v6 {
+		return s.keys(f), nil
+	}
+	run, err := decodeDeltaRun(f.Raw, s.keyBuf)
 	if err == nil {
 		s.keyBuf = run
 	}
@@ -552,7 +564,7 @@ func (s *nodeConn) serveHello(id *nodeIdent, f Frame) ([]byte, error) {
 	if f.ReqID < MinProtoVersion {
 		return nil, errVersion("the client speaks", f.ReqID)
 	}
-	s.negotiated = min(f.ReqID, s.cap32)
+	s.settle(min(f.ReqID, s.cap32))
 	payload := []uint32{uint32(id.rankBase), uint32(id.baseN), uint32(id.lo), uint32(id.hi), s.negotiated}
 	switch n.has() {
 	case needWritable:
@@ -581,11 +593,11 @@ func (s *nodeConn) serveLookup(id *nodeIdent, f Frame) ([]byte, error) {
 	return s.ranks(id, f, s.keys(f))
 }
 
-// serveLookupSorted answers a client of an older build, which sends an
+// serveLookupSorted answers a v6 client of an older build, which sends an
 // ascending run delta-coded; the ranks are nondecreasing, so the reply
 // delta-codes too.
 func (s *nodeConn) serveLookupSorted(id *nodeIdent, f Frame) ([]byte, error) {
-	run, err := s.run(f.Raw)
+	run, err := s.run(f)
 	if err != nil {
 		return nil, err
 	}
@@ -617,9 +629,14 @@ func (s *nodeConn) serveSnapshot(_ *nodeIdent, f Frame) ([]byte, error) {
 
 func (s *nodeConn) serveLoad(id *nodeIdent, f Frame) ([]byte, error) {
 	n := s.n
-	run, err := s.run(f.Raw)
+	run, err := s.run(f)
 	if err != nil {
 		return nil, err
+	}
+	// Nothing makes a word payload ascend, and the update layer panics on
+	// a descent (Updatable.Reset).
+	if i := index.FirstDescent(run); i > 0 {
+		return nil, refusef("load payload descends at key %d", i)
 	}
 	fresh := slices.Clone(run)
 	if n.dp == nil {
@@ -729,15 +746,15 @@ func (s *nodeConn) serveTopK(_ *nodeIdent, f Frame) ([]byte, error) {
 	if k > MaxFrameWords {
 		return nil, refusef("top-%d exceeds the frame limit", k)
 	}
-	// TopK yields descending keys; the wire run is ascending so the
-	// delta codec applies.
+	// TopK yields descending keys; the wire run is ascending (the v6
+	// delta codec needs it).
 	s.scanBuf = s.n.upd.TopK(k, s.scanBuf[:0])
 	slices.Reverse(s.scanBuf)
 	return answer(s, f, s.scanBuf)
 }
 
 func (s *nodeConn) serveMultiGet(_ *nodeIdent, f Frame) ([]byte, error) {
-	run, err := s.run(f.Raw)
+	run, err := s.run(f)
 	if err != nil {
 		return nil, err
 	}

@@ -1,16 +1,22 @@
 package netrun
 
+import (
+	"encoding/binary"
+	"slices"
+)
+
 // The op table: one row per request op, and the only place a per-op
 // fact lives. The client's send loop encodes from a row, its read loop
 // validates and delivers a reply by the row, failover/hedging/OpErr
 // handling read the row's policy columns, the node's serve loop gates
 // and dispatches by the row, and both sides name their latency series
-// from it. The frame codec's byte-or-word decision is derived from the
-// rows at init. Adding an op means adding a constant
-// and a row; the framepair analyzer rejects a constant that is missing
-// here or a request row without a handler.
+// from it. A v6 connection's byte-or-word decision is derived from the
+// rows at init. Adding an op means adding a constant and a row; the
+// framepair analyzer rejects a constant that is missing here or a
+// request row without a handler.
 
-// codec is how an op's payload rides a frame.
+// codec is how an op's payload rides a frame. From v7 on every payload
+// is words; the byte codecs ride only a v6 connection.
 type codec uint8
 
 const (
@@ -102,11 +108,13 @@ type opSpec struct {
 	// minVer is the lowest protocol version the op may flow on: the
 	// floor, or the version that introduced it.
 	minVer uint32
-	// enc is the request payload codec.
-	enc codec
-	// reply is the op that answers this request, replyEnc its codec.
-	reply    uint8
-	replyEnc codec
+	// v6Enc is the request payload codec on a v6 connection; from v7 on
+	// every payload is words and nothing reads it.
+	v6Enc codec
+	// reply is the op that answers this request, v6ReplyEnc its codec on
+	// a v6 connection.
+	reply      uint8
+	v6ReplyEnc codec
 	// valid reports whether a reply's elements are a well-formed answer
 	// to the request words. The read loop runs it before any element
 	// reaches the caller.
@@ -131,6 +139,24 @@ func sameLen(req []uint32, reply elems) bool    { return reply.len() == len(req)
 func onePerPair(req []uint32, reply elems) bool { return reply.len() == len(req)/2 }
 func anyLen([]uint32, elems) bool               { return true }
 func oneWord(_ []uint32, reply elems) bool      { return reply.len() == 1 }
+
+// ascends is a scan's and a top-k's rule: the run does not descend
+// (ComposeTopK reads it backward). The v6 delta codec made every run
+// ascend by construction; a word run has to be checked.
+func ascends(_ []uint32, reply elems) bool {
+	if !reply.words {
+		return slices.IsSorted(reply.vals)
+	}
+	prev, raw := uint32(0), reply.raw
+	for len(raw) >= 4 {
+		v := binary.LittleEndian.Uint32(raw)
+		if v < prev {
+			return false
+		}
+		prev, raw = v, raw[4:]
+	}
+	return true
+}
 
 // ackOf is a one-word reply echoing the request's key count past a
 // hdr-word header.
@@ -166,15 +192,15 @@ var opTable = [opMax]opSpec{
 	// every version), and the node refuses it like any op without a
 	// handler.
 	OpErr: {minVer: MinProtoVersion},
-	OpLookupSorted: {name: "lookup_sorted", minVer: MinProtoVersion, enc: encDelta, reply: OpRanksDelta, replyEnc: encDelta, valid: sameLen,
+	OpLookupSorted: {name: "lookup_sorted", minVer: MinProtoVersion, v6Enc: encDelta, reply: OpRanksDelta, v6ReplyEnc: encDelta, valid: sameLen,
 		serve: (*nodeConn).serveLookupSorted},
 	OpInsert: {name: "insert", minVer: MinProtoVersion, reply: OpInsertAck, valid: ackOf(0),
 		onLoss: lossSettle, onErr: scopeConn, deliver: deliverAck,
 		needs: needWritable, serve: (*nodeConn).serveInsert},
-	OpSnapshot: {name: "snapshot", minVer: MinProtoVersion, reply: OpSnapshotData, replyEnc: encDelta, valid: anyLen,
+	OpSnapshot: {name: "snapshot", minVer: MinProtoVersion, reply: OpSnapshotData, v6ReplyEnc: encDelta, valid: anyLen,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
 		needs: needWritable, serve: (*nodeConn).serveSnapshot},
-	OpLoad: {name: "load", minVer: MinProtoVersion, enc: encDelta, reply: OpLoadAck, valid: ackOf(0),
+	OpLoad: {name: "load", minVer: MinProtoVersion, v6Enc: encDelta, reply: OpLoadAck, valid: ackOf(0),
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverAck,
 		needs: needWritable, serve: (*nodeConn).serveLoad},
 	OpSnapshotSince: {name: "snapshot_since", minVer: MinProtoVersion, reply: OpSnapshotDelta, valid: snapDelta,
@@ -183,25 +209,25 @@ var opTable = [opMax]opSpec{
 	OpLoadAt: {name: "load_at", minVer: MinProtoVersion, reply: OpLoadAck, valid: ackOf(snapDeltaHeader),
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverAck,
 		needs: needDurable, serve: (*nodeConn).serveLoadAt},
-	OpCountRange: {name: "count_range", minVer: MinProtoVersion, reply: OpCounts, replyEnc: encVarint, valid: onePerPair,
+	OpCountRange: {name: "count_range", minVer: MinProtoVersion, reply: OpCounts, v6ReplyEnc: encVarint, valid: onePerPair,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
 		serve: (*nodeConn).serveCountRange},
-	OpScanRange: {name: "scan_range", minVer: MinProtoVersion, reply: OpKeysDelta, replyEnc: encDelta, valid: anyLen,
+	OpScanRange: {name: "scan_range", minVer: MinProtoVersion, reply: OpKeysDelta, v6ReplyEnc: encDelta, valid: ascends,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
 		serve: (*nodeConn).serveScanRange},
-	OpTopK: {name: "top_k", minVer: MinProtoVersion, reply: OpKeysDelta, replyEnc: encDelta, valid: anyLen,
+	OpTopK: {name: "top_k", minVer: MinProtoVersion, reply: OpKeysDelta, v6ReplyEnc: encDelta, valid: ascends,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
 		serve: (*nodeConn).serveTopK},
-	OpMultiGet: {name: "multi_get", minVer: MinProtoVersion, enc: encDelta, reply: OpCounts, replyEnc: encVarint, valid: sameLen,
+	OpMultiGet: {name: "multi_get", minVer: MinProtoVersion, v6Enc: encDelta, reply: OpCounts, v6ReplyEnc: encVarint, valid: sameLen,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverScatter,
 		serve: (*nodeConn).serveMultiGet},
 	// Assigning or splitting an identity replaces the node's key set.
-	OpAddReplica: {name: "add_replica", minVer: ProtoV6, reply: OpMembAck, valid: oneWord,
+	OpAddReplica: {name: "add_replica", minVer: MinProtoVersion, reply: OpMembAck, valid: oneWord,
 		needs: needWritable, serve: (*nodeConn).serveAddReplica},
-	OpDrainReplica: {name: "drain_replica", minVer: ProtoV6, reply: OpMembAck, valid: oneWord,
+	OpDrainReplica: {name: "drain_replica", minVer: MinProtoVersion, reply: OpMembAck, valid: oneWord,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
 		serve: (*nodeConn).serveDrainReplica},
-	OpSplitPartition: {name: "split_partition", minVer: ProtoV6, reply: OpMembAck, valid: oneWord,
+	OpSplitPartition: {name: "split_partition", minVer: MinProtoVersion, reply: OpMembAck, valid: oneWord,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
 		needs: needWritable, serve: (*nodeConn).serveSplitPartition},
 }
@@ -211,7 +237,7 @@ var opTable = [opMax]opSpec{
 // the op answering it. Derived from the rows, never stated twice.
 type wireFact struct {
 	minVer uint32 // 0: an op this build does not know
-	enc    codec
+	v6Enc  codec
 	reply  uint8
 }
 
@@ -223,12 +249,21 @@ func init() {
 		if row.minVer == 0 {
 			continue
 		}
-		wire[op] = wireFact{row.minVer, row.enc, row.reply}
+		wire[op] = wireFact{row.minVer, row.v6Enc, row.reply}
 		// A reply op is as old as the oldest request it answers.
 		if w := &wire[row.reply]; row.reply != 0 && (w.minVer == 0 || row.minVer < w.minVer) {
-			*w = wireFact{minVer: row.minVer, enc: row.replyEnc}
+			*w = wireFact{minVer: row.minVer, v6Enc: row.v6ReplyEnc}
 		}
 	}
+}
+
+// codecOf is op's payload codec on a connection: words, or the op
+// table's v6 codec on a connection that negotiated v6.
+func codecOf(op uint8, v6 bool) codec {
+	if v6 {
+		return wire[op].v6Enc
+	}
+	return encWords
 }
 
 // pendingKind reports whether the client mux carries the row as a

@@ -85,9 +85,9 @@ func TestOpTableCoversEveryOp(t *testing.T) {
 		}
 		// Columns that must agree across rows sharing a reply op, or the
 		// derived wire facts would depend on row order.
-		if w := wire[row.reply]; w.enc != row.replyEnc || w.minVer > row.minVer {
-			t.Errorf("%s: reply op %d derived as (v%d, codec %d), row says (v%d, codec %d)",
-				row.name, row.reply, w.minVer, w.enc, row.minVer, row.replyEnc)
+		if w := wire[row.reply]; w.v6Enc != row.v6ReplyEnc || w.minVer > row.minVer {
+			t.Errorf("%s: reply op %d derived as (v%d, v6 codec %d), row says (v%d, v6 codec %d)",
+				row.name, row.reply, w.minVer, w.v6Enc, row.minVer, row.v6ReplyEnc)
 		}
 		if row.valid == nil || row.name == "" {
 			t.Errorf("op %d: request row without a name or a valid rule", op)
@@ -100,8 +100,9 @@ func TestOpTableCoversEveryOp(t *testing.T) {
 
 // scriptNode is a fake replica: it answers every request frame with
 // whatever script returns, and a hello the script has no answer to as a
-// writable single-partition node over keys at this build's version. It
-// accepts one connection.
+// writable single-partition node over keys at this build's version.
+// Like a node, it speaks the version its hello ack names from then on.
+// It accepts one connection.
 func scriptNode(t *testing.T, keys []workload.Key, script func(req Frame) []Frame) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -129,6 +130,9 @@ func scriptNode(t *testing.T, keys []workload.Key, script func(req Frame) []Fram
 				if bc.writeFrame(r) != nil {
 					return
 				}
+				if r.Op == OpHelloAck && len(r.Payload) > 4 {
+					bc.setVersion(r.Payload[4])
+				}
 			}
 			if bc.w.Flush() != nil {
 				return
@@ -142,25 +146,6 @@ func scriptNode(t *testing.T, keys []workload.Key, script func(req Frame) []Fram
 // hello ack over keys at version ver, with no insert absorbed.
 func helloWords(keys []workload.Key, ver uint32, n int) []uint32 {
 	return []uint32{0, uint32(len(keys)), uint32(keys[0]), uint32(keys[len(keys)-1]), ver, uint32(len(keys)), 1, 0}[:n]
-}
-
-// encodeReply builds a reply frame carrying vals under op's wire codec.
-func encodeReply(t *testing.T, op uint8, reqID uint32, vals []uint32) Frame {
-	t.Helper()
-	f := Frame{Op: op, ReqID: reqID}
-	switch wire[op].enc {
-	case encWords:
-		f.Payload = vals
-	case encDelta:
-		raw, err := appendDeltaRun(nil, vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Raw = raw
-	case encVarint:
-		f.Raw = appendVarRun(nil, vals)
-	}
-	return f
 }
 
 // replyCandidate searches small all-zero and ack-shaped payloads for
@@ -195,11 +180,13 @@ type hostileCase struct {
 // ascending lookup, which goes out as the same OpLookup word frame)
 // against a scripted hostile replica beside an honest sibling — wrong
 // reply op, wrong element count, unknown reqID, corrupt byte payload,
-// OpErr — and asserts the failure scope the row declares: a protocol
+// OpErr, and a scan or top-k run that descends — and asserts the failure scope the row declares: a protocol
 // violation always costs the connection, after which the request is
 // re-dispatched (reads, answered exactly by the sibling), settled
 // (writes) or aborted (pinned ops); an OpErr reaches only as far as the
-// row's onErr says. No wrong answer ever completes.
+// row's onErr says. No wrong answer ever completes. The hostile replica
+// speaks v7, where every reply is words, except for the corrupt payload:
+// only the byte codecs of a v6 connection can carry one.
 // The hello is no pending, so its hostile shapes fail the dial: an ack
 // of four words (a version-1 node's) or of seven (no shape at all).
 func TestOpTableHostileReplies(t *testing.T) {
@@ -292,11 +279,15 @@ func TestOpTableHostileReplies(t *testing.T) {
 	// corrupt, must now cost the connection like any wrong op.
 	runs = append(runs, run{"lookup_sorted", OpLookup, hostileCase{req: words(asc), retired: OpRanksDelta, check: ranksOf(asc)}})
 
-	hostilities := []string{"wrong-op", "wrong-count", "unknown-reqid", "corrupt-payload", "op-err"}
+	hostilities := []string{"wrong-op", "wrong-count", "unknown-reqid", "corrupt-payload", "op-err", "descending"}
 	for _, r := range runs {
 		kind, hc := &opTable[r.op], r.hc
 		for _, h := range hostilities {
+			if h == "descending" && (kind.valid(hc.req, elems{vals: []uint32{2, 1}}) || !kind.valid(hc.req, elems{vals: []uint32{1, 2}})) {
+				continue // the row's reply is no run, or any order will do
+			}
 			t.Run(fmt.Sprintf("%s/%s", r.name, h), func(t *testing.T) {
+				ver := uint32(ProtoVersion)
 				var hostile func(req Frame) []Frame
 				switch h {
 				case "wrong-op":
@@ -307,27 +298,30 @@ func TestOpTableHostileReplies(t *testing.T) {
 					if hc.retired != 0 {
 						wrong = hc.retired
 					}
-					hostile = func(req Frame) []Frame { return []Frame{encodeReply(t, wrong, req.ReqID, make([]uint32, len(hc.req)))} }
+					hostile = func(req Frame) []Frame {
+						return []Frame{{Op: wrong, ReqID: req.ReqID, Payload: make([]uint32, len(hc.req))}}
+					}
 				case "wrong-count":
 					bad, ok := replyCandidate(kind, hc.req, false)
 					if !ok {
 						t.Skip("the row accepts any element count")
 					}
-					hostile = func(req Frame) []Frame { return []Frame{encodeReply(t, kind.reply, req.ReqID, bad)} }
+					hostile = func(req Frame) []Frame { return []Frame{{Op: kind.reply, ReqID: req.ReqID, Payload: bad}} }
 				case "unknown-reqid":
 					good, ok := replyCandidate(kind, hc.req, true)
 					if !ok {
 						t.Fatal("no well-formed reply candidate")
 					}
-					hostile = func(req Frame) []Frame { return []Frame{encodeReply(t, kind.reply, req.ReqID+1000, good)} }
+					hostile = func(req Frame) []Frame { return []Frame{{Op: kind.reply, ReqID: req.ReqID + 1000, Payload: good}} }
 				case "corrupt-payload":
 					reply := kind.reply
 					if hc.retired != 0 {
 						reply = hc.retired
 					}
-					if wire[reply].enc == encWords {
+					if wire[reply].v6Enc == encWords {
 						t.Skip("word replies have no payload coding to corrupt")
 					}
+					ver = ProtoV6
 					hostile = func(req Frame) []Frame {
 						return []Frame{{Op: reply, ReqID: req.ReqID, Raw: []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}}}
 					}
@@ -335,19 +329,26 @@ func TestOpTableHostileReplies(t *testing.T) {
 					hostile = func(req Frame) []Frame {
 						return []Frame{{Op: OpErr, ReqID: req.ReqID, Payload: []uint32{uint32(req.Op)}}}
 					}
+				case "descending":
+					// A scan's or top-k's run the delta codec could not
+					// carry: ComposeTopK would read it backward.
+					hostile = func(req Frame) []Frame { return []Frame{{Op: kind.reply, ReqID: req.ReqID, Payload: []uint32{2, 1}}} }
 				}
-				runHostile(t, keys, r.op, hc, h == "op-err", hostile)
+				runHostile(t, keys, r.op, hc, ver, h == "op-err", hostile)
 			})
 		}
 	}
 }
 
-func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, opErr bool, hostile func(Frame) []Frame) {
+// runHostile issues hc's request of op at a hostile replica that speaks
+// version ver, beside an honest sibling, and checks the outcome against
+// the row's failure scope.
+func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, ver uint32, opErr bool, hostile func(Frame) []Frame) {
 	kind := &opTable[op]
 	var sawOp atomic.Uint32
 	bad := scriptNode(t, keys, func(req Frame) []Frame {
 		if req.Op == OpHello {
-			return nil
+			return []Frame{{Op: OpHelloAck, ReqID: req.ReqID, Payload: helloWords(keys, ver, 6)}}
 		}
 		sawOp.Store(uint32(req.Op))
 		return hostile(req)
@@ -439,7 +440,7 @@ func TestReplyOpMismatchIsNamed(t *testing.T) {
 		if req.Op == OpHello {
 			return nil
 		}
-		return []Frame{{Op: OpCounts, ReqID: req.ReqID, Raw: appendVarRun(nil, make([]uint32, 3))}}
+		return []Frame{{Op: OpCounts, ReqID: req.ReqID, Payload: make([]uint32, 3)}}
 	})
 	c, err := Dial([]string{addr}, keys, DialOptions{OpTimeout: 2 * time.Second})
 	if err != nil {

@@ -10,29 +10,36 @@
 //
 //	frame := magic(u32) op(u8) reqID(u32) count(u32) payload
 //
-// A word op's payload is count 32-bit words; a byte op's is count bytes
-// holding a varint run — delta-coded for ascending values (delta.go:
+// From v7 every payload is count 32-bit words, whatever the op — the
+// paper's master sends each query "as a word over the network". A
+// connection that negotiated v6 carries the op table's v6 codec
+// (optable.go) instead: there a byte op's count is a byte length and its
+// payload a varint run — delta-coded for ascending values (delta.go:
 // varint(elements), the first value, then successive differences) or
-// plain where the values are not monotone. Which op is which, what
-// answers it and how the reply is checked is the op table (optable.go).
-// What each op carries:
+// plain where the values are not monotone. The codecs' CPU cost more
+// than their bytes saved on loopback, so v7 drops them; delta.go and the
+// v6 codec column go once the floor is v7. Which op answers which, and
+// how a reply is checked, is the op table. What each op carries, and its
+// bytes on the wire at v7 (v6 where it differs):
 //
-//   - OpLookup: keys, any order, as words; OpRanks answers with their
-//     global ranks in request order — 8 bytes a key on the wire, 4 each
-//     way. The node takes the sorted kernel when a frame's keys ascend
-//     (no flag says so), so an ascending run of a sorted call travels in
-//     this form too. OpLookupSorted is the same request delta-coded both
-//     ways (OpRanksDelta), 3.78 bytes a key on the rank_tcp_sorted
-//     workload, but decoding and encoding it cost more CPU than the
-//     search: the node serves it for clients of older builds, no client
-//     of this build sends it, and it is deleted once the floor is above
-//     v6.
-//   - OpInsert: keys to add to the node's partition (words, any order);
-//     OpInsertAck echoes the applied count — on a durable node, after
-//     the fsync. OpSnapshot asks for the node's full key set
-//     (OpSnapshotData, delta-coded) and OpLoad replaces it (OpLoadAck):
-//     a replica rejoining a group that absorbed writes is loaded from a
-//     sibling's snapshot before it serves again.
+//   - OpLookup: keys, any order; OpRanks answers with their global
+//     ranks in request order — 8 bytes a key, 4 each way, at both
+//     versions. The node takes the sorted kernel when a frame's keys
+//     ascend (no flag says so), so an ascending run of a sorted call
+//     travels in this form too. OpLookupSorted is the same request
+//     delta-coded both ways at v6 (OpRanksDelta), 3.78 bytes a key on
+//     the rank_tcp_sorted workload, but decoding and encoding it cost
+//     more CPU than the search: the node serves it for clients of older
+//     builds, no client of this build sends it, and it is deleted once
+//     the floor is v7.
+//   - OpInsert: keys to add to the node's partition (any order, words
+//     at both versions); OpInsertAck echoes the applied count — on a
+//     durable node, after the fsync. OpSnapshot asks for the node's full
+//     key set (OpSnapshotData, 4 bytes a key; delta-coded at v6) and
+//     OpLoad replaces it in the same form (OpLoadAck): a replica
+//     rejoining a group that absorbed writes is loaded from a sibling's
+//     snapshot before it serves again. A node refuses a load that
+//     descends.
 //   - OpSnapshotSince / OpLoadAt: the same catch-up between durable
 //     nodes, by position. A WAL-backed node carries (generation, chain):
 //     the count of keys it logged over its baseline and an
@@ -45,15 +52,20 @@
 //     diverge or the tail does not fit a frame. OpLoadAt pushes that
 //     payload at the rejoiner, which verifies a tail against the carried
 //     position before applying anything and refuses a mismatch.
-//   - OpCountRange: inclusive endpoint pairs lo1,hi1,lo2,hi2,...;
-//     OpCounts answers one local count per pair (plain varints).
-//     OpScanRange [lo, hi, limit] (0 = unlimited) and OpTopK [k] are
-//     answered by OpKeysDelta, an ascending key run (the client reads a
-//     top-k reply backward). OpMultiGet carries an ascending key run and
-//     OpCounts answers each key's multiplicity. Partitions hold disjoint
-//     key sub-ranges, so the client composes exact global answers from
-//     local ones: counts sum, scans concatenate in partition order,
-//     top-k reads partitions from the highest down.
+//   - OpCountRange: inclusive endpoint pairs lo1,hi1,lo2,hi2,... (words
+//     at both versions); OpCounts answers one local count per pair, 4
+//     bytes (a plain varint at v6). OpScanRange [lo, hi, limit] (0 =
+//     unlimited) and OpTopK [k] are answered by OpKeysDelta, an
+//     ascending key run of 4 bytes a key (delta-coded at v6; the op's
+//     name is v6's): the client refuses a run that descends, and reads a
+//     top-k run backward. OpMultiGet carries an ascending key run and
+//     OpCounts answers each key's multiplicity, 8 bytes a key (at v6 a
+//     delta run out and a varint back). The benchmark's ops_tcp
+//     workload, which cycles the four, moves 8.3 bytes a key at v7 and
+//     4.8 at v6. Partitions hold disjoint key sub-ranges, so the client
+//     composes exact global answers from local ones: counts sum, scans
+//     concatenate in partition order, top-k reads partitions from the
+//     highest down.
 //   - OpAddReplica [rankBase, baseN, loKey, hiKey] assigns an unassigned
 //     node (dcnode -join) that slice of its key universe — a node that
 //     already has an identity accepts only the same one; OpDrainReplica
@@ -85,9 +97,13 @@
 // The floor. This build speaks the current version and the one before
 // it (MinProtoVersion..ProtoVersion), negotiated per connection:
 //
-//	          client v5   client v6
-//	node v5       5           5
-//	node v6       5           6      + live membership
+//	          client v6   client v7
+//	node v6       6           6
+//	node v7       6           7      every payload as words
+//
+// The frame codec of a connection is its version's: the node fixes it
+// when it answers the hello (or at accept, to its own version), the
+// client when it reads the ack, before any other frame moves.
 //
 // A peer below the floor is refused by name (ErrProtoVersion), never
 // served and never downgraded to: a node answers a hello below
@@ -98,10 +114,11 @@
 //
 // Op x minimum version, for every request op a client may send. This
 // matrix is a rendering of the op table, which is the definition; a
-// test holds the two equal:
+// test holds the two equal. v7 added no op — it changed the codec — so
+// every op is at the floor:
 //
-//	v5  OpHello, OpLookup, OpLookupSorted, OpInsert, OpSnapshot, OpLoad, OpSnapshotSince, OpLoadAt, OpCountRange, OpScanRange, OpTopK, OpMultiGet
-//	v6  OpAddReplica, OpDrainReplica, OpSplitPartition
+//	v6  OpHello, OpLookup, OpLookupSorted, OpInsert, OpSnapshot, OpLoad, OpSnapshotSince, OpLoadAt
+//	v6  OpCountRange, OpScanRange, OpTopK, OpMultiGet, OpAddReplica, OpDrainReplica, OpSplitPartition
 //
 // reqID multiplexes concurrent requests over one connection: the master
 // pipelines any number of request frames and the reply carries the
@@ -127,11 +144,11 @@ const Magic uint32 = 0xDC1D_2005
 // negotiates min(client, node) per connection and refuses a peer below
 // the floor with ErrProtoVersion.
 const (
-	ProtoV5 = 5
 	ProtoV6 = 6
+	ProtoV7 = 7
 
-	MinProtoVersion = ProtoV5
-	ProtoVersion    = ProtoV6
+	MinProtoVersion = ProtoV6
+	ProtoVersion    = ProtoV7
 )
 
 // ErrProtoVersion refuses a protocol version this build does not speak:
@@ -158,11 +175,11 @@ const (
 	// the node keeps serving.
 	OpErr uint8 = 5
 	// OpLookupSorted carries an ascending key run, delta+varint
-	// coded (byte payload); the node answers OpRanksDelta. Served for
-	// clients of older builds, sent by none of this one.
+	// coded at v6 (byte payload); the node answers OpRanksDelta. Served
+	// for clients of older builds, sent by none of this one.
 	OpLookupSorted uint8 = 6
 	// OpRanksDelta is the sorted lookup's response: the
-	// nondecreasing ranks, delta+varint coded (byte payload).
+	// nondecreasing ranks, delta+varint coded at v6.
 	OpRanksDelta uint8 = 7
 	// OpInsert carries count keys (word payload, any order) to add
 	// to the node's partition; the node answers OpInsertAck.
@@ -173,12 +190,13 @@ const (
 	// OpSnapshot (no payload) requests the node's full current key
 	// set; the node answers OpSnapshotData.
 	OpSnapshot uint8 = 10
-	// OpSnapshotData is the snapshot response: the sorted key set,
-	// delta+varint coded (byte payload).
+	// OpSnapshotData is the snapshot response: the sorted key set
+	// (delta+varint coded at v6).
 	OpSnapshotData uint8 = 11
-	// OpLoad pushes a full sorted key set (delta+varint byte
-	// payload) that atomically replaces the node's current set — the
-	// replica catch-up path. The node answers OpLoadAck.
+	// OpLoad pushes a full sorted key set (delta+varint coded at v6)
+	// that atomically replaces the node's current set — the replica
+	// catch-up path. The node answers OpLoadAck, or refuses a set that
+	// descends.
 	OpLoad uint8 = 12
 	// OpLoadAck acknowledges a load; payload[0] is the loaded key
 	// count.
@@ -209,16 +227,15 @@ const (
 	// OpKeysDelta with its k largest keys — ascending on the wire, the
 	// client reads the run backward.
 	OpTopK uint8 = 19
-	// OpMultiGet carries an ascending key run, delta+varint coded
-	// (byte payload); the node answers OpCounts with each key's
-	// multiplicity.
+	// OpMultiGet carries an ascending key run (delta+varint coded at
+	// v6); the node answers OpCounts with each key's multiplicity.
 	OpMultiGet uint8 = 20
 	// OpKeysDelta answers OpScanRange and OpTopK: an ascending key
-	// run, delta+varint coded (byte payload).
+	// run (delta+varint coded at v6).
 	OpKeysDelta uint8 = 21
 	// OpCounts answers OpCountRange and OpMultiGet: one count per
-	// request element as a plain varint run (byte payload; counts are
-	// not monotone, so no delta coding — see appendVarRun).
+	// request element (at v6 a plain varint run; counts are not
+	// monotone, so no delta coding — see appendVarRun).
 	OpCounts uint8 = 22
 	// OpAddReplica assigns a partition identity to a joinable
 	// node: payload [rankBase, baseN, loKey, hiKey] names the slice of
@@ -251,21 +268,22 @@ const (
 )
 
 // MaxFrameWords bounds a word payload (16M words = 64 MB) so a corrupt
-// length cannot force an absurd allocation. MaxFrameBytes is the
-// byte-payload equivalent: the same 16M elements at the 5-byte varint
-// worst case.
+// length cannot force an absurd allocation. MaxFrameBytes is the bound
+// of a v6 byte payload: the same 16M elements at the 5-byte varint worst
+// case.
 const (
 	MaxFrameWords = 16 << 20
 	MaxFrameBytes = 5 * MaxFrameWords
 )
 
-// Frame is one protocol frame. Byte ops (the op table's encDelta and
-// encVarint codecs) carry their payload in Raw. A word op's payload is
-// Payload for WriteFrame and ReadFrame; on the serving paths — the
-// connection reader the node's serve loop and the client's read loop
-// share — it arrives in Raw instead, as its 4·count little-endian bytes,
-// checked for length and not decoded: each consumer decodes the words in
-// the pass that uses them.
+// Frame is one protocol frame. A word payload is Payload for WriteFrame
+// and ReadFrame, which speak the current protocol; on the serving paths
+// — the connection reader the node's serve loop and the client's read
+// loop share — it arrives in Raw instead, as its 4·count little-endian
+// bytes, checked for length and not decoded: each consumer decodes the
+// words in the pass that uses them. On a v6 connection a byte op (the
+// op table's v6 codec encDelta or encVarint) carries its payload in Raw
+// both ways.
 type Frame struct {
 	Op      uint8
 	ReqID   uint32
@@ -281,38 +299,35 @@ func WriteFrame(w io.Writer, f Frame) error {
 	return fw.writeTo(w, f)
 }
 
-// ReadFrame decodes one frame from r, allocating a fresh payload — a
-// word op's decoded into Payload; the hot paths use a reusable
-// frameReader instead.
+// ReadFrame decodes one frame from r, allocating a fresh payload decoded
+// into Payload; the hot paths use a reusable frameReader instead.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var fr frameReader
 	f, err := fr.readFrom(r)
 	if err != nil {
 		return Frame{}, err
 	}
-	// Detach the payload from the reader's scratch.
-	if wire[f.Op].enc == encWords {
-		f.Payload, f.Raw = decodeWords[uint32](f.Raw, nil), nil
-	} else {
-		f.Raw = append([]byte(nil), f.Raw...)
-	}
+	f.Payload, f.Raw = decodeWords[uint32](f.Raw, nil), nil
 	return f, nil
 }
 
 // frameWriter encodes frames, reusing one scratch buffer across calls so
-// the steady state allocates nothing. Not safe for concurrent use.
+// the steady state allocates nothing. Its zero value speaks the current
+// protocol; v6 marks a connection that negotiated v6. Not safe for
+// concurrent use.
 type frameWriter struct {
 	buf []byte
+	v6  bool
 }
 
 // encode serializes f into the writer's scratch buffer and returns it
 // (valid until the next encode). Splitting encoding from the socket
 // write lets a caller stop referencing f.Payload before any blocking
-// I/O starts. Byte ops take their payload from f.Raw.
+// I/O starts. A byte op of a v6 connection takes its payload from f.Raw.
 //
 //dc:noalloc
 func (fw *frameWriter) encode(f Frame) ([]byte, error) {
-	if wire[f.Op].enc == encWords {
+	if codecOf(f.Op, fw.v6) == encWords {
 		return encodeRun(fw, f.Op, f.ReqID, f.Payload)
 	}
 	if len(f.Raw) > MaxFrameBytes {
@@ -329,18 +344,19 @@ func (fw *frameWriter) encode(f Frame) ([]byte, error) {
 }
 
 // encodeRun serializes a frame of op straight from the elements that make
-// its payload, under op's codec — words, delta or varint — into the
-// writer's scratch (valid until the next encode), narrowing each element
-// to 32 bits as it is encoded: a node replies from what its ranker or
-// scan produced, with no conversion pass before the encode. A byte
-// payload's length is backpatched into the header.
+// its payload, under the connection's codec for op — words, or on a v6
+// connection delta or varint — into the writer's scratch (valid until
+// the next encode), narrowing each element to 32 bits as it is encoded:
+// a node replies from what its ranker or scan produced, and the client
+// sends a pending's words, with no conversion pass before the encode. A
+// byte payload's length is backpatched into the header.
 //
 //dc:noalloc
 func encodeRun[T ~uint32 | ~int](fw *frameWriter, op uint8, reqID uint32, vals []T) ([]byte, error) {
 	if len(vals) > MaxFrameWords {
 		return nil, fmt.Errorf("netrun: frame payload %d elements exceeds limit", len(vals))
 	}
-	enc := wire[op].enc
+	enc := codecOf(op, fw.v6)
 	if enc == encWords {
 		need := 13 + 4*len(vals)
 		if cap(fw.buf) < need {
@@ -383,14 +399,6 @@ func (fw *frameWriter) putHeader(buf []byte, op uint8, reqID, count uint32) {
 	binary.LittleEndian.PutUint32(buf[9:13], count)
 }
 
-// encodeDeltaOp serializes a delta-coded request frame (OpLoad,
-// OpMultiGet) directly from the ascending run.
-//
-//dc:noalloc
-func (fw *frameWriter) encodeDeltaOp(op uint8, reqID uint32, vals []uint32) ([]byte, error) {
-	return encodeRun(fw, op, reqID, vals)
-}
-
 func (fw *frameWriter) writeTo(w io.Writer, f Frame) error {
 	buf, err := fw.encode(f)
 	if err != nil {
@@ -404,10 +412,13 @@ func (fw *frameWriter) writeTo(w io.Writer, f Frame) error {
 
 // frameReader reads frames, reusing one payload buffer: a frame's Raw is
 // valid only until the next read. A word payload comes back undecoded,
-// as Raw (see Frame). Not safe for concurrent use.
+// as Raw (see Frame). Like frameWriter, its zero value speaks the
+// current protocol and v6 marks a v6 connection. Not safe for concurrent
+// use.
 type frameReader struct {
 	head [13]byte
 	buf  []byte
+	v6   bool
 }
 
 //dc:noalloc
@@ -427,7 +438,7 @@ func (fr *frameReader) readFrom(r io.Reader) (Frame, error) {
 	// past the limit check.
 	count32 := binary.LittleEndian.Uint32(fr.head[9:13])
 	var n int
-	if wire[f.Op].enc == encWords {
+	if codecOf(f.Op, fr.v6) == encWords {
 		if count32 > MaxFrameWords {
 			return Frame{}, fmt.Errorf("netrun: frame payload %d words exceeds limit", count32)
 		}
@@ -463,6 +474,13 @@ type bufferedConn struct {
 
 func newBufferedConn(rw io.ReadWriter) *bufferedConn {
 	return &bufferedConn{r: bufio.NewReaderSize(rw, 1<<16), w: bufio.NewWriterSize(rw, 1<<16)}
+}
+
+// setVersion fixes the codec of the connection's frames to version v's,
+// once the hello has settled it.
+func (bc *bufferedConn) setVersion(v uint32) {
+	bc.fr.v6 = v < ProtoV7
+	bc.fw.v6 = bc.fr.v6
 }
 
 func (bc *bufferedConn) writeFrame(f Frame) error { return bc.fw.writeTo(bc.w, f) }

@@ -529,28 +529,23 @@ func (m *checksumMismatch) Error() string {
 }
 
 // TestQueryOpsGoldenFrames pins the bytes of one OpCountRange and one
-// OpMultiGet exchange — request, and the OpCounts reply — recorded from
-// the build whose node answered them with two binary searches per range
-// per layer: ranges from the origin, inverted, of one key, to the end of
-// the key space, across duplicates and buffered copies. The batch kernels
-// changed how the node counts, not one byte of what it says.
+// OpMultiGet exchange on a v6 connection — request, and the OpCounts
+// reply — recorded from the build whose node answered them with two
+// binary searches per range per layer: ranges from the origin, inverted,
+// of one key, to the end of the key space, across duplicates and
+// buffered copies. The batch kernels changed how the node counts, not
+// one byte of what it says.
 func TestQueryOpsGoldenFrames(t *testing.T) {
-	keys := make([]workload.Key, 1000)
-	for i := range keys {
-		keys[i] = workload.Key(i / 2 * 70000) // every key twice
-	}
-	node := NewPartitionNode(keys, 5000)
-	node.upd.InsertBatch([]workload.Key{0, 70000, 70000, 5, math.MaxUint32})
+	node := goldenQueryNode()
+	node.MaxVersion = ProtoV6
 	var fw frameWriter
-	countReq, err := fw.encode(Frame{Op: OpCountRange, ReqID: 42, Payload: []uint32{
-		0, 0, 0, 69999, 0, math.MaxUint32, 1, 70000, 70000, 70000, 70001, 70000, 6, 5,
-		140000, 34930000, 34930000, math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32, 0,
-	}})
+	countReq, err := fw.encode(Frame{Op: OpCountRange, ReqID: 42, Payload: goldenPairs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	countReq = slices.Clone(countReq)
-	getReq, err := fw.encodeDeltaOp(OpMultiGet, 43, []uint32{0, 0, 1, 5, 69999, 70000, 70001, 140000, 34930000, 34930001, math.MaxUint32})
+	fw.v6 = true
+	getReq, err := encodeRun(&fw, OpMultiGet, 43, goldenGets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,27 +553,95 @@ func TestQueryOpsGoldenFrames(t *testing.T) {
 		{"count_range", hex.EncodeToString(countReq), goldenCountRange},
 		{"multi_get", hex.EncodeToString(getReq), goldenMultiGet},
 	} {
-		req, _ := hex.DecodeString(c.request)
-		var sent bytes.Buffer
-		s := node.newConn(nil)
-		s.bc = newBufferedConn(duplex{bytes.NewReader(req), &sent})
-		f, err := s.bc.readFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !s.serve(f) {
-			t.Fatalf("%s: the node dropped the connection", c.name)
-		}
-		if got := c.request + " " + hex.EncodeToString(sent.Bytes()); got != c.frames {
+		if got := c.request + " " + exchangeHex(t, node, c.request); got != c.frames {
 			t.Errorf("%s: request and reply frames\n got %s\nwant %s", c.name, got, c.frames)
 		}
 	}
+}
+
+// goldenQueryNode is the node the query-op goldens ask: every key twice,
+// and copies of key 0, 5, 70000 and the top key buffered.
+func goldenQueryNode() *Node {
+	keys := make([]workload.Key, 1000)
+	for i := range keys {
+		keys[i] = workload.Key(i / 2 * 70000) // every key twice
+	}
+	node := NewPartitionNode(keys, 5000)
+	node.upd.InsertBatch([]workload.Key{0, 70000, 70000, 5, math.MaxUint32})
+	return node
+}
+
+var (
+	goldenPairs = []uint32{
+		0, 0, 0, 69999, 0, math.MaxUint32, 1, 70000, 70000, 70000, 70001, 70000, 6, 5,
+		140000, 34930000, 34930000, math.MaxUint32, math.MaxUint32, math.MaxUint32, math.MaxUint32, 0,
+	}
+	goldenGets = []uint32{0, 0, 1, 5, 69999, 70000, 70001, 140000, 34930000, 34930001, math.MaxUint32}
+)
+
+// exchangeHex serves the request frame given as hex on a fresh
+// connection of node and returns the reply's bytes as hex.
+func exchangeHex(t *testing.T, node *Node, request string) string {
+	t.Helper()
+	req, _ := hex.DecodeString(request)
+	var sent bytes.Buffer
+	s := serveOn(node, bytes.NewReader(req), &sent)
+	f, err := s.bc.readFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.serve(f) {
+		t.Fatalf("op %d: the node dropped the connection", f.Op)
+	}
+	return hex.EncodeToString(sent.Bytes())
 }
 
 // Request frame, a space, reply frame; from commit bddf63c.
 const (
 	goldenCountRange = "05201ddc112a000000160000000000000000000000000000006f11010000000000ffffffff0100000070110100701101007011010071110100701101000600000005000000e022020050fd140250fd1402ffffffffffffffffffffffffffffffff00000000 05201ddc162a0000000e0000000b0304ed0705040000e407030100"
 	goldenMultiGet   = "05201ddc142b000000170000000b00000104eaa2040101efa204f0b4cb1001ae85acef0f 05201ddc162b0000000c0000000b0303000100040002020001"
+)
+
+// TestQueryOpsGoldenFramesV7 pins the v7 form of the query ops and the
+// snapshot — every payload plain words, each count a word count — from
+// request to reply. The count and MultiGet exchanges ask what the v6
+// goldens ask and are answered the same values: only the codec differs.
+func TestQueryOpsGoldenFramesV7(t *testing.T) {
+	node := goldenQueryNode()
+	small := NewPartitionNode([]workload.Key{3, 3, 70000, math.MaxUint32}, 9)
+	small.upd.InsertBatch([]workload.Key{4, 3})
+	var fw frameWriter
+	for _, c := range []struct {
+		name   string
+		node   *Node
+		req    Frame
+		frames string
+	}{
+		{"count_range", node, Frame{Op: OpCountRange, ReqID: 42, Payload: goldenPairs}, goldenCountRangeV7},
+		{"multi_get", node, Frame{Op: OpMultiGet, ReqID: 43, Payload: goldenGets}, goldenMultiGetV7},
+		{"scan_range", node, Frame{Op: OpScanRange, ReqID: 44, Payload: []uint32{1, 140000, 4}}, goldenScanRangeV7},
+		{"top_k", node, Frame{Op: OpTopK, ReqID: 45, Payload: []uint32{3}}, goldenTopKV7},
+		{"snapshot", small, Frame{Op: OpSnapshot, ReqID: 46}, goldenSnapshotV7},
+	} {
+		req, err := fw.encode(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		request := hex.EncodeToString(req)
+		if got := request + " " + exchangeHex(t, c.node, request); got != c.frames {
+			t.Errorf("%s: request and reply frames\n got %s\nwant %s", c.name, got, c.frames)
+		}
+	}
+}
+
+// Request frame, a space, reply frame. The count and multiplicity
+// replies are the v6 goldens' varints as words.
+const (
+	goldenCountRangeV7 = "05201ddc112a000000160000000000000000000000000000006f11010000000000ffffffff0100000070110100701101007011010071110100701101000600000005000000e022020050fd140250fd1402ffffffffffffffffffffffffffffffff00000000 05201ddc162a0000000b0000000300000004000000ed03000005000000040000000000000000000000e4030000030000000100000000000000"
+	goldenMultiGetV7   = "05201ddc142b0000000b000000000000000000000001000000050000006f1101007011010071110100e022020050fd140251fd1402ffffffff 05201ddc162b0000000b0000000300000003000000000000000100000000000000040000000000000002000000020000000000000001000000"
+	goldenScanRangeV7  = "05201ddc122c0000000300000001000000e022020004000000 05201ddc152c0000000400000005000000701101007011010070110100"
+	goldenTopKV7       = "05201ddc132d0000000100000003000000 05201ddc152d0000000300000050fd140250fd1402ffffffff"
+	goldenSnapshotV7   = "05201ddc0a2e00000000000000 05201ddc0b2e000000060000000300000003000000030000000400000070110100ffffffff"
 )
 
 // TestScratchNotRetained sends a connection the requests that grow its
@@ -589,18 +652,15 @@ const (
 // nothing.
 func TestScratchNotRetained(t *testing.T) {
 	keys := workload.SortedKeys(2<<20, 73)
-	s := NewPartitionNode(keys, 0).newConn(nil)
+	node := NewPartitionNode(keys, 0)
 	var sent bytes.Buffer
-	s.bc = newBufferedConn(duplex{nil, &sent})
+	s := serveOn(node, nil, &sent)
 	if !s.serve(onWire(t, Frame{Op: OpScanRange, ReqID: 1, Payload: []uint32{0, math.MaxUint32, 0}})) {
 		t.Fatal("the node dropped the connection")
 	}
 	f, err := ReadFrame(&sent)
-	if err != nil || f.Op != OpKeysDelta {
-		t.Fatalf("scan reply op %d: %v", f.Op, err)
-	}
-	if got, err := decodeDeltaRun[uint32](f.Raw, nil); err != nil || len(got) != len(keys) {
-		t.Fatalf("scan returned %d keys, want %d: %v", len(got), len(keys), err)
+	if err != nil || f.Op != OpKeysDelta || len(f.Payload) != len(keys) {
+		t.Fatalf("scan reply op %d returned %d keys, want %d: %v", f.Op, len(f.Payload), len(keys), err)
 	}
 	s.bc = newBufferedConn(duplex{nil, io.Discard})
 	if !s.serve(onWire(t, Frame{Op: OpLookup, ReqID: 2, Payload: make([]uint32, keepReplyScratch+1)})) {

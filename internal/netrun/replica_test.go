@@ -83,7 +83,8 @@ func (rc *replicatedCluster) kill(partition, replica int) {
 }
 
 // restart brings a killed replica back on its original address with a
-// fresh Node, so the client's rejoin loop can re-verify and readmit it.
+// fresh Node at the killed one's version cap, so the client's rejoin
+// loop can re-verify and readmit it.
 func (rc *replicatedCluster) restart(t *testing.T, partition, replica int) {
 	t.Helper()
 	addr := rc.addrs[partition][replica]
@@ -102,6 +103,7 @@ func (rc *replicatedCluster) restart(t *testing.T, partition, replica int) {
 	}
 	p := rc.part.Parts[partition]
 	node := NewPartitionNode(p.Keys, p.RankBase)
+	node.MaxVersion = rc.nodes[partition][replica].MaxVersion
 	if rc.wrap != nil {
 		node.WrapConn = rc.wrap(partition, replica)
 	}

@@ -17,9 +17,10 @@ import (
 // replaced: for every read op, the frame the node encodes straight from
 // its kernel's or scan's output must equal, byte for byte, the frame made
 // by first narrowing that output to words and then encoding the words
-// under the reply's codec (words, delta, varint). The key set is random
-// with duplicates and buffered inserts, the rank base sits high in the
-// 32-bit range, and the requests are random.
+// under the reply's codec — words at v7; words, delta or varint on a
+// connection pinned to v6. The key set is random with duplicates and
+// buffered inserts, the rank base sits high in the 32-bit range, and the
+// requests are random.
 func TestReplyBytesMatchWordPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	keys := make([]workload.Key, 20000)
@@ -65,11 +66,13 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 		}
 		return w
 	}
+	// v6 is the version of the connection the cases are served on.
+	var v6 bool
 	// wordPath is the replaced reply path: the elements as words, then the
 	// reply op's codec.
 	wordPath := func(op uint8, reqID uint32, vals []uint32) string {
 		f := Frame{Op: op, ReqID: reqID}
-		switch wire[op].enc {
+		switch codecOf(op, v6) {
 		case encWords:
 			f.Payload = vals
 		case encDelta:
@@ -82,12 +85,18 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 			f.Raw = appendVarRun(nil, vals)
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, f); err != nil {
+		fw := frameWriter{v6: v6}
+		if err := fw.writeTo(&buf, f); err != nil {
 			t.Fatal(err)
 		}
 		return string(buf.Bytes())
 	}
-	deltaReq := func(op uint8, reqID uint32, ks []workload.Key) Frame {
+	// runReq is a key-run request as the connection reads it: words, or
+	// at v6 a delta run.
+	runReq := func(op uint8, reqID uint32, ks []workload.Key) Frame {
+		if !v6 {
+			return onWire(t, Frame{Op: op, ReqID: reqID, Payload: words(ks)})
+		}
 		raw, err := appendDeltaRun(nil, ks)
 		if err != nil {
 			t.Fatal(err)
@@ -110,7 +119,7 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 			qs := randKeys(1+rng.Intn(5000), true)
 			ints := make([]int, len(qs))
 			u.RankSorted(qs, ints, rankBase)
-			return exchange{deltaReq(OpLookupSorted, id, qs), wordPath(OpRanksDelta, id, narrow(ints))}
+			return exchange{runReq(OpLookupSorted, id, qs), wordPath(OpRanksDelta, id, narrow(ints))}
 		},
 		OpCountRange: func(id uint32) exchange {
 			pairs := make([]uint32, 2*(1+rng.Intn(500)))
@@ -149,7 +158,7 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 			n := len(qs)
 			ints := make([]int, 2*n)
 			u.CountKeys(qs, ints[:n], ints[n:])
-			return exchange{deltaReq(OpMultiGet, id, qs), wordPath(OpCounts, id, narrow(ints[:n]))}
+			return exchange{runReq(OpMultiGet, id, qs), wordPath(OpCounts, id, narrow(ints[:n]))}
 		},
 	}
 	for op := range opTable {
@@ -157,18 +166,21 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 			t.Fatalf("read op %s has no case here", row.name)
 		}
 	}
-	s := node.newConn(nil)
-	var sent bytes.Buffer
-	s.bc = newBufferedConn(duplex{nil, &sent})
-	for op, mk := range cases {
-		for trial := range 40 {
-			x := mk(uint32(1000*int(op) + trial))
-			sent.Reset()
-			if !s.serve(x.req) {
-				t.Fatalf("%s: the node dropped the connection", opTable[op].name)
-			}
-			if got := sent.String(); got != x.want {
-				t.Fatalf("%s trial %d: reply frame differs from the word path's (%d bytes, want %d)", opTable[op].name, trial, len(got), len(x.want))
+	for _, ver := range []uint32{ProtoV6, ProtoV7} {
+		var sent bytes.Buffer
+		s := serveOn(node, nil, &sent)
+		s.settle(ver)
+		v6 = ver < ProtoV7
+		for op, mk := range cases {
+			for trial := range 40 {
+				x := mk(uint32(1000*int(op) + trial))
+				sent.Reset()
+				if !s.serve(x.req) {
+					t.Fatalf("v%d %s: the node dropped the connection", ver, opTable[op].name)
+				}
+				if got := sent.String(); got != x.want {
+					t.Fatalf("v%d %s trial %d: reply frame differs from the word path's (%d bytes, want %d)", ver, opTable[op].name, trial, len(got), len(x.want))
+				}
 			}
 		}
 	}

@@ -76,8 +76,17 @@ type duplex struct {
 	io.Writer
 }
 
+// serveOn is n's serving state for a connection that reads r and writes
+// w, at n's version cap until a hello says otherwise.
+func serveOn(n *Node, r io.Reader, w io.Writer) *nodeConn {
+	s := n.newConn(nil)
+	s.bc = newBufferedConn(duplex{r, w})
+	s.settle(s.cap32)
+	return s
+}
+
 // TestSortedLookupGoldenFrames pins the bytes of one sorted lookup and
-// its reply, recorded from the build before the delta codec's loops were
+// its reply on a v6 connection, recorded from the build before the delta codec's loops were
 // unrolled: varints of every length, repeated keys, keys below the
 // smallest and above the largest key, a rank base. Frames are what old
 // and new binaries share, so "the same bytes" is checked, not inferred.
@@ -91,8 +100,8 @@ func TestSortedLookupGoldenFrames(t *testing.T) {
 		keys[i] = workload.Key(i * 70000)
 	}
 	qs := []uint32{0, 0, 69999, 70000, 70127, 70128, 86512, 2167280, 2167280, 4264437, 272699893, 0xFFFFFFFF}
-	var fw frameWriter
-	req, err := fw.encodeDeltaOp(OpLookupSorted, 42, qs)
+	fw := frameWriter{v6: true}
+	req, err := encodeRun(&fw, OpLookupSorted, 42, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +109,9 @@ func TestSortedLookupGoldenFrames(t *testing.T) {
 		t.Fatalf("request frame\n got %s\nwant %s", got, request)
 	}
 	var sent bytes.Buffer
-	s := NewPartitionNode(keys, 5000).newConn(nil)
-	s.bc = newBufferedConn(duplex{bytes.NewReader(req), &sent})
+	node := NewPartitionNode(keys, 5000)
+	node.MaxVersion = ProtoV6
+	s := serveOn(node, bytes.NewReader(req), &sent)
 	f, err := s.bc.readFrame()
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +126,7 @@ func TestSortedLookupGoldenFrames(t *testing.T) {
 
 // TestSortedLookupLargeFrame sends one 300,000-key sorted lookup — a
 // reply whose worst-case encoding is above keepReplyScratch — through a
-// connection's serve path: the ranks are oracle-exact, the reply buffer
+// v6 connection's serve path: the ranks are oracle-exact, the reply buffer
 // is the request's one allocation (sized once by the encoder, not grown
 // by doubling), and the connection keeps no scratch above the cap.
 func TestSortedLookupLargeFrame(t *testing.T) {
@@ -133,12 +143,14 @@ func TestSortedLookupLargeFrame(t *testing.T) {
 	req := Frame{Op: OpLookupSorted, ReqID: 9, Raw: raw}
 
 	var sent bytes.Buffer
-	s := NewPartitionNode(keys, 17).newConn(nil)
-	s.bc = newBufferedConn(duplex{nil, &sent})
+	node := NewPartitionNode(keys, 17)
+	node.MaxVersion = ProtoV6
+	s := serveOn(node, nil, &sent)
 	if !s.serve(req) {
 		t.Fatal("the node dropped the connection")
 	}
-	f, err := ReadFrame(&sent)
+	fr := frameReader{v6: true}
+	f, err := fr.readFrom(&sent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +168,7 @@ func TestSortedLookupLargeFrame(t *testing.T) {
 		t.Fatalf("a %d-byte worst case is under the %d-byte cap: the frame is too small for this test", worst, keepReplyScratch)
 	}
 	s.bc = newBufferedConn(duplex{nil, io.Discard})
+	s.settle(ProtoV6)
 	if allocs := testing.AllocsPerRun(3, func() { s.serve(req) }); allocs != 1 {
 		t.Errorf("%v allocations per oversized request, want 1 (the reply buffer)", allocs)
 	}

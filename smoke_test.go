@@ -172,14 +172,14 @@ func TestDCNodeMaxVersionFlag(t *testing.T) {
 	if out, err := exec.Command(goTool(t), "build", "-o", dcnode, "./cmd/dcnode").CombinedOutput(); err != nil {
 		t.Fatalf("build dcnode: %v\n%s", err, out)
 	}
-	for _, v := range []string{"1", "4", "7"} {
+	for _, v := range []string{"1", "5", "8"} {
 		out, err := exec.Command(dcnode, "-n", "4096", "-parts", "1", "-listen", "127.0.0.1:0", "-max-version", v).CombinedOutput()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "v5–v6") {
-			t.Fatalf("dcnode -max-version %s: %v\n%s\nwant exit status 2 naming v5–v6", v, err, out)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "v6–v7") {
+			t.Fatalf("dcnode -max-version %s: %v\n%s\nwant exit status 2 naming v6–v7", v, err, out)
 		}
 	}
-	if addr, _ := startDCNode(t, dcnode, 4096, 1, 1, 0, "-max-version", "5"); addr == "" {
-		t.Fatal("dcnode -max-version 5 did not serve")
+	if addr, _ := startDCNode(t, dcnode, 4096, 1, 1, 0, "-max-version", "6"); addr == "" {
+		t.Fatal("dcnode -max-version 6 did not serve")
 	}
 }
