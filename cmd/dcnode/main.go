@@ -55,14 +55,11 @@
 //
 // Nodes also serve the query ops beyond rank — range counts, ordered
 // range scans, top-k, and key multiplicities — against their live
-// partition (dcq -op count|scan|topk|multiget drives them).
-// -max-version caps the negotiated protocol version at the one before
-// the current: -max-version 6 is a node that serves every op but carries
-// the v6 byte codecs (delta and varint runs) where a v7 node sends plain
-// words — the one mixed pair a rollout meets. A peer older than that is
+// partition (dcq -op count|scan|topk|multiget drives them). The node
+// speaks protocol v7, in which every payload is words; an older peer is
 // refused at the hello, by name.
 //
-// The operations plane (protocol v6) adds two flags. -admin mounts the
+// The operations plane adds two flags. -admin mounts the
 // HTTP admin endpoint on the given address: GET /metrics serves the
 // node's per-op service-time histograms (dc_node_op_ns{op=...}) in
 // Prometheus text format, /stats and /indexes report the node's
@@ -115,7 +112,6 @@ func main() {
 		readonly = flag.Bool("readonly", false, "serve reads only: never accept inserts, snapshot loads or a new identity")
 		walDir   = flag.String("wal-dir", "", "durable mode: per-partition WAL + segment directory (created if missing); acked inserts survive crashes")
 		fsyncInt = flag.Duration("fsync-interval", 0, "with -wal-dir: 0 fsyncs the WAL on every group commit, negative never fsyncs; positive values are refused")
-		maxVer   = flag.Uint("max-version", 0, "cap the negotiated protocol version: 0 (newest) or 6, the version before it, for a mixed-version rollout")
 		adminAt  = flag.String("admin", "", "mount the HTTP admin/metrics endpoint on this address (e.g. 127.0.0.1:9100; empty disables)")
 		join     = flag.Bool("join", false, "start unassigned: load the key file but serve an empty partition until a client's AddReplica assigns one (-parts/-part ignored)")
 
@@ -125,11 +121,6 @@ func main() {
 		chaosSeed   = flag.Uint64("chaos-seed", 1, "chaos drill: faultnet profile seed (same seed, same misbehavior)")
 	)
 	flag.Parse()
-
-	if *maxVer != 0 && (*maxVer < netrun.MinProtoVersion || *maxVer > netrun.ProtoVersion) {
-		fmt.Fprintf(os.Stderr, "dcnode: -max-version %d: this build speaks protocol v%d–v%d\n", *maxVer, netrun.MinProtoVersion, netrun.ProtoVersion)
-		os.Exit(2)
-	}
 
 	if !*join && (*part < 0 || *part >= *parts) {
 		fmt.Fprintf(os.Stderr, "dcnode: -part %d out of range [0,%d)\n", *part, *parts)
@@ -168,9 +159,6 @@ func main() {
 		case *walDir != "":
 			mode = fmt.Sprintf("durable (v%d, WAL)", netrun.ProtoVersion)
 		}
-		if *maxVer > 0 {
-			mode += fmt.Sprintf(", capped at v%d", *maxVer)
-		}
 		log.Printf("dcnode: partition %d/%d: %d keys, rank base %d, %s",
 			*part, *parts, len(mine.Keys), mine.RankBase, mode)
 		if *walDir != "" && !*readonly {
@@ -189,7 +177,6 @@ func main() {
 		}
 	}
 	node.ReadOnly = *readonly
-	node.MaxVersion = uint32(*maxVer)
 	if *adminAt != "" {
 		node.Telemetry = telemetry.NewRegistry()
 		srv, err := admin.Serve(*adminAt, nodeAdminConfig(node, *part, *join))

@@ -398,12 +398,13 @@ func Simulate(o SimOptions) (Report, error) {
 // owning partitions and fan each write out to every connected writable
 // replica (read-only nodes never receive writes), and a
 // replica rejoining after a failure first reloads a sibling's snapshot
-// so it cannot serve stale ranks. Ranks are exact for the client that
-// inserted and for clients that dial after it; a TCPCluster that dialed
-// before another client inserted — even one that only reads — reads
-// every rank above that insert short by the number of keys inserted,
-// until it re-dials (ROADMAP.md direction 2 is the fix). See the netrun
-// package documentation for the protocol.
+// so it cannot serve stale ranks. Ranks are exact whichever client
+// inserted: each rank call asks the partitions below the ones it reads
+// for their live key counts. One limit stays: a read-only replica serves
+// reads until this TCPCluster learns that its partition was written — at
+// dial, or by its own write — so another client's writes can make that
+// replica's answers stale. See the netrun package documentation for the
+// protocol.
 //
 // Beyond ranks, a TCPCluster serves the same query surface as an
 // in-process Index — CountRange/CountRangeBatch, ScanRange, TopK, and
@@ -416,7 +417,7 @@ func Simulate(o SimOptions) (Report, error) {
 // The operations plane rides the same handle: Stats returns the
 // versioned ClusterStats tree, Telemetry exposes the per-op latency
 // histograms, Admin reports the optionally mounted HTTP server
-// (TCPOptions.Admin.Addr), and the protocol-v6 live-membership ops —
+// (TCPOptions.Admin.Addr), and the live-membership ops —
 // AddReplica, DrainReplica, SplitPartition — reshape a serving cluster
 // without restarting it (see the README's "Operations" section).
 type TCPCluster = netrun.Cluster

@@ -164,7 +164,7 @@ func Handler(cfg Config) http.Handler {
 		}
 		if err != nil {
 			// Conflict, not server error: the cluster refused the
-			// reshape (pre-v6 replicas, last replica, unsplittable
+			// reshape (read-only replicas, last replica, unsplittable
 			// partition) and says why.
 			writeError(w, http.StatusConflict, err)
 			return

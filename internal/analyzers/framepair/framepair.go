@@ -1,12 +1,12 @@
 // Package framepair checks that every protocol op is defined in the op
 // table: the variable marked //dc:optable, a composite literal keyed by
 // op constant (`OpX: {...}`) with one row per request op. The table is
-// the only place a per-op fact lives — codec, reply op, version, client
+// the only place a per-op fact lives — reply op, version, client
 // policy, node handler — and the generic send/read/serve paths work
 // from its columns, so an op is wired exactly when its row is complete:
 //
 //  1. every `OpX` constant is named inside the table, as a row key or
-//     as a column value (the reply op of a request, its sorted form);
+//     as a column value (the reply op of a request);
 //  2. every row states its `minVer` (the op×version gate);
 //  3. a row that names a `reply` is a request, and must also name its
 //     `valid` rule (the client's reply check) and its `serve` handler

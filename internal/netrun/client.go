@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -54,15 +55,14 @@ var ErrClusterClosed = errors.New("netrun: cluster closed")
 // and fan each write out to every connected writable replica of that
 // group; a replica that dies mid-write leaves the group (the survivors
 // define the state) and reloads a sibling's snapshot when it rejoins,
-// before it serves reads again. Read-only replicas never receive
-// writes, and stop serving a partition's reads once it has been written
-// to. The client folds its per-partition insert counts into
-// the nodes' static rank bases on the read path: its own inserts, and
-// those counted at dial. A client — even one that only reads — that
-// dialed before another client inserted reads every rank above that
-// insert short by the number of keys inserted, until it re-dials; the
-// fix is ROADMAP.md's direction 2 (each rank reply carries its
-// snapshot's live key count).
+// before it serves reads again. Ranks are exact whoever wrote: a node
+// answers with its static rank base, and each rank call corrects that
+// base from the live key counts of the partitions below, asked in the
+// same call (see LookupBatchInto). Read-only replicas never receive
+// writes, and stop serving a partition's reads once this client knows
+// it was written — at dial, from the hello's live count, or by its own
+// write. Until then another client's writes can make a read-only
+// replica's answers stale.
 type Cluster struct {
 	// part is the live routing table. It is swapped atomically by
 	// SplitPartition (under the pause write lock, with no data call in
@@ -79,19 +79,12 @@ type Cluster struct {
 
 	calls sync.Pool // *netCall
 	pends sync.Pool // *pending
+	asks  sync.Pool // *pending, a rank call's count asks (getAsk)
 	reqID atomic.Uint32
 
-	// ins[p] counts keys inserted into partition p: bumped once every
-	// replica acked one of this client's writes, and seeded at dial
-	// time from the nodes' advertised live counts (the hello), which
-	// covers writes made by earlier, since-departed clients. Nodes
-	// answer with their static rank base, so the client adds the
-	// preceding partitions' counters when scattering replies — the
-	// client-side half of keeping global ranks exact as the index
-	// grows. Another client's inserts stay invisible until this client
-	// re-dials: until then every rank above them reads short by their
-	// count, whether or not this client writes (ROADMAP.md direction 2
-	// is the fix).
+	// ins[p] counts the keys this client inserted into partition p,
+	// bumped once every replica acked a chunk of them: a stat
+	// (InsertedKeys), which no rank reads.
 	ins []atomic.Int64
 
 	ep atomic.Pointer[epoch]
@@ -137,16 +130,6 @@ type Cluster struct {
 //dc:lockorder Cluster.mu replicaGroup.mu
 //dc:lockorder Cluster.pause replicaGroup.mu
 //dc:lockorder replicaGroup.mu clusterNode.mu
-
-// insBefore sums the keys inserted into partitions < part: the dynamic
-// rank-base correction applied to that partition's replies.
-func (c *Cluster) insBefore(part int) int {
-	s := 0
-	for j := 0; j < part; j++ {
-		s += int(c.ins[j].Load())
-	}
-	return s
-}
 
 // epoch is one generation of node connections. A terminal failure
 // poisons the epoch, never the Cluster value itself: SplitPartition
@@ -215,7 +198,8 @@ type ReplicaHealth struct {
 	// negotiated (0 while the replica is down). Mid-rollout it tells an
 	// operator which replicas can take the membership verbs.
 	Proto uint32 `json:"proto"`
-	// Dispatched counts lookup frames handed to this replica.
+	// Dispatched counts request frames handed to this replica: reads,
+	// a rank call's count asks and writes alike.
 	Dispatched uint64 `json:"dispatched"`
 	// Failures counts times the replica's connection failed and it went
 	// down.
@@ -248,12 +232,11 @@ type ReplicaHealth struct {
 }
 
 // insChunk is one insert chunk's fan-out accounting: the chunk is
-// credited to the partition's rank-base counter only when every
-// fan-out pending completed without error. Partial failures (another
-// partition erroring, a replica group losing its last writable member)
-// therefore never skew the counters for writes that were not fully
-// acknowledged, and writes that WERE fully acknowledged are credited
-// even when a later chunk errors. Touched only by the issuing
+// counted in the partition's inserted-key stat only when every fan-out
+// pending completed without error. Partial failures (another partition
+// erroring, a replica group losing its last writable member) therefore
+// never count writes that were not fully acknowledged, and writes that
+// WERE fully acknowledged are counted even when a later chunk errors. Touched only by the issuing
 // InsertBatch's gather loop — no locking.
 type insChunk struct {
 	part      int
@@ -271,10 +254,13 @@ type insChunk struct {
 type netCall struct {
 	done chan *pending
 	// pends is every pending of the call without an out slice — a count
-	// batch's, a scan's or a top-k's, a MultiGet's cut-run asks — in the
-	// order the call composes them.
+	// batch's, a scan's or a top-k's, a MultiGet's cut-run asks, a rank
+	// call's count asks — in the order the call composes them.
 	pends []*pending
 	plan  core.Plan[uint32, *pending]
+	// base is a rank call's correction scratch: per partition, the live
+	// keys of the partitions below it.
+	base []int
 }
 
 // HedgeOptions groups the hedged-read knobs (see DialOptions.Hedging).
@@ -296,17 +282,14 @@ type HedgeOptions struct {
 // The dial values no program sets, at their defaults; variables only so
 // the drills can lower them:
 //   - dialTimeout bounds each dial and its hello exchange;
-//   - clientVersion is the protocol version a client advertises, and
-//     every connection negotiates min(it, the node's);
 //   - a failed replica is re-dialed after rejoinBackoff, doubled on each
 //     failed attempt up to rejoinMaxBackoff and jittered so correlated
 //     failures do not re-dial in lockstep; the same envelope paces an
 //     ejected replica's probes.
 var (
-	dialTimeout             = 5 * time.Second
-	clientVersion    uint32 = ProtoVersion
-	rejoinBackoff           = 100 * time.Millisecond
-	rejoinMaxBackoff        = 3 * time.Second
+	dialTimeout      = 5 * time.Second
+	rejoinBackoff    = 100 * time.Millisecond
+	rejoinMaxBackoff = 3 * time.Second
 )
 
 // AdminOptions groups the operations-plane endpoint knobs (see
@@ -434,6 +417,9 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 	c.ins = make([]atomic.Int64, nParts)
 	c.calls.New = func() any { return new(netCall) }
 	c.pends.New = func() any { return new(pending) }
+	c.asks.New = func() any {
+		return &pending{op: OpCountRange, keys: []uint32{0, math.MaxUint32}, ask: true}
+	}
 	c.mu.Lock()
 	ep, err := c.dialEpoch()
 	c.mu.Unlock()
@@ -545,18 +531,12 @@ func (c *Cluster) dialEpoch() (*epoch, error) {
 		all = append(all, g.replicas...)
 		ep.groups = append(ep.groups, g)
 	}
+	written := make([]bool, len(ep.groups))
 	for _, r := range all {
 		n, err := c.dialNode(ep.ctx, r, false)
 		if err == nil {
-			// Seed the rank-base correction counters from the nodes' live
-			// counts (the hello: live minus baseline = absorbed inserts), so
-			// a fresh client answers consistently against nodes an earlier
-			// session wrote to. Seeding happens only here, never on rejoin:
-			// at dial time this client has no insert in flight, so the
-			// advertised counts cannot double-count with a later ack credit.
-			ins, d := &c.ins[r.g.part], int64(n.liveCount-n.keyCount)
-			for cur := ins.Load(); d > cur && !ins.CompareAndSwap(cur, d); cur = ins.Load() {
-			}
+			// A live count above the baseline: some client wrote here.
+			written[r.g.part] = written[r.g.part] || n.liveCount > n.keyCount
 			err = c.admit(ep, r, n, evDial)
 		}
 		if err != nil {
@@ -571,7 +551,7 @@ func (c *Cluster) dialEpoch() (*epoch, error) {
 	// inserts the nodes reported: admission turns into catch-up.
 	for _, g := range ep.groups {
 		g.mu.Lock()
-		g.written = c.ins[g.part].Load() > 0
+		g.written = written[g.part]
 		g.mu.Unlock()
 	}
 	return ep, nil
@@ -603,7 +583,7 @@ func (c *Cluster) dialNode(ctx context.Context, r *replica, joinOK bool) (*clust
 		pending:   map[uint32]inflight{},
 	}
 	n.cond = sync.NewCond(&n.mu)
-	if err := hello(n, c.part.Load().Parts[part], dialTimeout, clientVersion, joinOK); err != nil {
+	if err := hello(n, c.part.Load().Parts[part], dialTimeout, joinOK); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("netrun: partition %d replica %s: %w", part, r.addr, err)
 	}
@@ -631,11 +611,11 @@ func exchange(n *clusterNode, f Frame, timeout time.Duration) ([]uint32, error) 
 	if r.Op == OpErr {
 		return nil, fmt.Errorf("node refused the %s request", row.name)
 	}
-	e, err := n.bc.fr.elemsOf(r, nil)
-	if err != nil || r.Op != row.reply || !row.valid(f.Payload, e) {
+	e := elems(r.Raw)
+	if r.Op != row.reply || !row.valid(f.Payload, e) {
 		return nil, fmt.Errorf("bad %s ack (op %d, %d words)", row.name, r.Op, e.len())
 	}
-	return decodeWords[uint32](e.raw, nil), nil
+	return decodeWords[uint32](e, nil), nil
 }
 
 // cannot says why connection n may not be sent op — it negotiated less
@@ -653,11 +633,11 @@ func (n *clusterNode) cannot(op uint8) error {
 	return fmt.Errorf("netrun: partition %d: replica %s %s", n.r.g.part, n.r.addr, why)
 }
 
-func hello(n *clusterNode, want core.Partition, timeout time.Duration, ver uint32, joinOK bool) error {
+func hello(n *clusterNode, want core.Partition, timeout time.Duration, joinOK bool) error {
 	// The reqID field of the hello advertises our protocol version; the
 	// ack's fifth word is what the node settled on, and its length what
 	// the node is (see the package doc).
-	ack, err := exchange(n, Frame{Op: OpHello, ReqID: ver}, timeout)
+	ack, err := exchange(n, Frame{Op: OpHello, ReqID: ProtoVersion}, timeout)
 	if err != nil {
 		return err
 	}
@@ -665,11 +645,9 @@ func hello(n *clusterNode, want core.Partition, timeout time.Duration, ver uint3
 	if len(ack) > 4 {
 		n.version = ack[4]
 	}
-	if n.version < MinProtoVersion || n.version > ver {
+	if n.version < MinProtoVersion || n.version > ProtoVersion {
 		return errVersion("the node speaks", n.version)
 	}
-	// No frame follows the hello before this: exchange is synchronous.
-	n.bc.setVersion(n.version)
 	if len(ack) >= 6 {
 		n.has, n.liveCount = needWritable, int(ack[5])
 	}
@@ -820,6 +798,15 @@ func (c *Cluster) LookupBatch(queries []workload.Key) ([]int, error) {
 // multiplex over the shared node connections by request id; replies
 // scatter directly into out from the connection read loops.
 //
+// A node's rank is its local rank plus its static rank base, which no
+// insert moves. So the call also asks every partition below the highest
+// one it touches for its live key count, in the same wave as the rank
+// frames, and once every reply is in adds to partition p's ranks the
+// live keys below it minus p's static base. Each rank therefore counts
+// every insert acked before the call began and none invoked after it
+// returned, whichever client wrote it. When no partition below holds an
+// insert, the correction is zero and makes no pass over out.
+//
 //dc:noalloc
 func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 	if len(out) < len(queries) {
@@ -835,7 +822,7 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 // out. A run's frame is the same frame as a key-by-key one (the node
 // finds a lookup's ascending keys itself) and scatters sequentially; a
 // MultiGet's cut-run asks are staged, and added into out once every
-// other reply is in.
+// other reply is in; a lookup's ranks are rebased then (see rebase).
 //
 //dc:noalloc
 func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
@@ -857,15 +844,23 @@ func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
 		kop = core.MultiGetKeys
 	}
 	nc := c.getCall()
-	nc.room(part.Requests(len(keys), c.batch, kop))
-	inflight := 0
+	// Room for the plan's frames and a count ask of every partition.
+	nc.room(part.Requests(len(keys), c.batch, kop) + len(part.Parts))
+	inflight, top := 0, 0 // top: the highest partition the call touches
+	send := func(gi int, p *pending, o []int) {
+		if o == nil {
+			nc.pends = append(nc.pends, p)
+		}
+		c.dispatch(ep, gi, p, o, nc.done)
+		inflight++
+		top = max(top, gi)
+	}
 	nc.plan.Keys(part, keys, kop, c.batch, c.batch, func(int) (*pending, *[]uint32, *[]int32) {
 		p := c.getPending()
 		p.op = op
 		return p, &p.keys, &p.pos
 	}, func(gi int, p *pending) {
-		c.dispatch(ep, gi, p, out, nc.done)
-		inflight++
+		send(gi, p, out)
 	}, func(r core.KeyRun) {
 		p := c.getPending()
 		p.op = op
@@ -881,12 +876,20 @@ func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
 		o := out
 		if r.Add {
 			o = nil
-			nc.pends = append(nc.pends, p)
 		}
-		c.dispatch(ep, r.Part, p, o, nc.done)
-		inflight++
+		send(r.Part, p, o)
 	})
-	if err = c.gather(nc.done, inflight, true); err == nil {
+	if op == OpLookup {
+		for gi := range top {
+			send(gi, c.getAsk(), nil)
+		}
+	}
+	err = c.gather(nc.done, inflight, true)
+	switch {
+	case err != nil:
+	case op == OpLookup:
+		nc.rebase(part, keys, out)
+	default:
 		for _, p := range nc.pends {
 			pos, base := p.pos, 0
 			if p.contig {
@@ -897,6 +900,30 @@ func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
 	}
 	c.endCall(nc)
 	return err
+}
+
+// rebase corrects the static rank bases in a rank call's out, once every
+// reply is in. The call's pends are the live key counts of partitions 0,
+// 1, … in order: partition p's global base is the sum of the counts
+// below it, and its node added its static base. Every key's rank came
+// from the partition it routes to.
+//
+//dc:noalloc
+func (nc *netCall) rebase(part *core.Partitioning, keys []workload.Key, out []int) {
+	nc.base = append(nc.base[:0], 0)
+	below, moved := 0, false
+	for gi, p := range nc.pends {
+		below += int(p.reply[0])
+		d := below - part.Parts[gi+1].RankBase
+		nc.base = append(nc.base, d)
+		moved = moved || d != 0
+	}
+	if !moved {
+		return
+	}
+	for i, k := range keys {
+		out[i] += nc.base[part.Route(k)]
+	}
 }
 
 // Insert routes k to its owning partition and applies it to every
@@ -928,11 +955,9 @@ func (c *Cluster) Insert(k workload.Key) error {
 // writable replicas per partition for writes that must survive a node
 // loss.
 //
-// Global ranks stay exact through the client-side insert counters (see
-// Cluster.ins) for this client and for clients that dial after it; a
-// client that dialed before these keys were inserted reads every rank
-// above them short by len(keys) until it re-dials (ROADMAP.md
-// direction 2 is the fix).
+// Every client's ranks count the keys once InsertBatch returns: a rank
+// call asks the partitions below the ones it reads for their live key
+// counts (see LookupBatchInto).
 func (c *Cluster) InsertBatch(keys []workload.Key) error {
 	ep, err := c.begin()
 	if err != nil {
@@ -1004,11 +1029,11 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 		}
 	}, nil)
 	// Gather, counting each fan-out pending against its chunk; a chunk
-	// fully and cleanly acked credits the partition's rank-base counter.
-	// Per-chunk (not per-call) credit keeps the counters truthful under
-	// partial failure: a chunk whose replicas all applied is counted even
-	// when a later chunk errors — the nodes hold those keys, so the read
-	// path must shift for them — while a chunk that errored is not.
+	// fully and cleanly acked counts in the partition's inserted-key
+	// stat. Per-chunk (not per-call) counting keeps the stat truthful
+	// under partial failure: a chunk whose replicas all applied is
+	// counted even when a later chunk errors — the nodes hold those keys
+	// — while a chunk that errored is not.
 	for ; inflight > 0; inflight-- {
 		p := <-nc.done
 		ck := p.chunk
@@ -1070,8 +1095,10 @@ func (c *Cluster) replicas() []ReplicaHealth {
 }
 
 // InsertedKeys reports how many keys this client has inserted into each
-// partition (indexed by partition id) — the counters that correct the
-// nodes' static rank bases on the read path.
+// partition (indexed by partition id), counting a chunk of them once
+// every replica acked it. A split leaves the split partition's count on
+// its low half. Other clients' inserts are not in it; ranks do not read
+// it.
 func (c *Cluster) InsertedKeys() []int64 {
 	// The pause read lock orders this read against SplitPartition's
 	// counter-slice swap.
@@ -1099,7 +1126,8 @@ type ClusterStats struct {
 	Partitions int `json:"partitions"`
 	// Protocol is the version this client advertises in hellos.
 	Protocol uint32 `json:"protocol"`
-	// InsertedKeys is the per-partition rank-base correction counters.
+	// InsertedKeys is the keys this client inserted, per partition (see
+	// Cluster.InsertedKeys).
 	InsertedKeys []int64 `json:"inserted_keys"`
 	// DeltaCatchups counts rejoins completed via the positioned delta
 	// path rather than a full snapshot load.
@@ -1112,7 +1140,7 @@ func (c *Cluster) Stats() ClusterStats {
 	return ClusterStats{
 		SchemaVersion: StatsSchemaVersion,
 		Partitions:    c.Nodes(),
-		Protocol:      clientVersion,
+		Protocol:      ProtoVersion,
 		InsertedKeys:  c.InsertedKeys(),
 		DeltaCatchups: c.deltaCatchups.Load(),
 		Replicas:      c.replicas(),
@@ -1152,8 +1180,7 @@ func (c *Cluster) reshaping(part int) (*epoch, *core.Partitioning, error) {
 // the ordinary hello cross-check. A partition that has absorbed writes
 // admits the newcomer through the same catch-up machinery rejoins use:
 // it takes writes immediately (hold queue) but serves no reads until a
-// sibling's snapshot lands. Requires a writable protocol-v6 node;
-// returns an error when the dial, handshake, or identity assignment
+// sibling's snapshot lands. Requires a writable node; returns an error when the dial, handshake, or identity assignment
 // fails — once the address is registered, later failures are the rejoin
 // loop's to retry, and AddReplica reports success.
 func (c *Cluster) AddReplica(part int, addr string) error {
@@ -1292,8 +1319,7 @@ func (c *Cluster) DrainReplica(part int, addr string) error {
 // baseline keys, retargeting the partition's replicas onto the halves
 // live: the data plane pauses (in-flight calls drain, new ones block),
 // every replica of the partition swaps to its assigned half-identity
-// over OpSplitPartition, the routing table and insert counters are
-// rebuilt, and a fresh connection epoch is dialed against the new
+// over OpSplitPartition, the routing table is rebuilt, and a fresh connection epoch is dialed against the new
 // shape. Reads and writes resume against the split layout; checksums
 // are unchanged because every live key keeps exactly one owner (the
 // split key assignment matches the new routing delimiter exactly).
@@ -1301,9 +1327,8 @@ func (c *Cluster) DrainReplica(part int, addr string) error {
 // The partition's replicas divide between the halves (low half gets the
 // ceiling), so the group must have at least two members; every group in
 // the cluster must be full and settled (the reshape re-dials everyone);
-// and the split partition's members must all be writable and speak
-// protocol v6. A
-// failure after some nodes retargeted leaves mixed identities no single
+// and the split partition's members must all be writable. A failure
+// after some nodes retargeted leaves mixed identities no single
 // routing table matches: the epoch fails with the root cause and the
 // operator restores the partition's nodes before a new Dial. A split that
 // committed but whose successor epoch failed to dial leaves the cluster
@@ -1400,18 +1425,24 @@ func (c *Cluster) SplitPartition(part int) error {
 	// Every node acked its half: retire the epoch and dial the successor
 	// against the new table. The WaitGroup barrier orders every
 	// old-epoch goroutine before the swaps below, which is what makes
-	// the plain-slice counter swap race-free.
+	// the plain-slice stat swap race-free.
 	ep.fail(errSplitReconfig)
 	ep.wg.Wait()
 	c.part.Store(npt)
 	// The low half is clipped: AddReplica appends to a group's list, and
 	// must not grow into the high half's.
 	c.groups = slices.Concat(c.groups[:part], [][]string{slices.Clip(addrs[:loCount]), addrs[loCount:]}, c.groups[part+1:])
-	// Fresh counters sized to the new partition count: dialEpoch's hello
-	// seeding reconstructs each half's insert total from the nodes'
-	// live-minus-baseline counts (writes were quiesced by the pause, so
-	// no ack credit can race the seed).
-	c.ins = make([]atomic.Int64, len(npt.Parts))
+	// Each partition keeps its inserted-key stat; the high half starts
+	// at zero.
+	ins := make([]atomic.Int64, len(npt.Parts))
+	for i := range c.ins {
+		j := i
+		if i > part {
+			j++
+		}
+		ins[j].Store(c.ins[i].Load())
+	}
+	c.ins = ins
 	nep, err := c.dialEpoch()
 	if err != nil {
 		return fmt.Errorf("netrun: partition %d split committed but the re-dial failed: %w", part, err)

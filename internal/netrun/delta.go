@@ -1,34 +1,29 @@
 package netrun
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
-// The payload codecs. A word payload is count little-endian 32-bit
-// words; the frame reader checks its length and hands the bytes over
-// undecoded, and each consumer decodes the words in the pass that uses
-// them (decodeWords, or its own loop where it scatters).
+// The run codecs: compact byte encodings of 32-bit runs, kept as a
+// tested library beside the word frames. Protocol v7, the one version
+// this build speaks, carries every payload as plain little-endian words,
+// so no op encodes or decodes with them; they stay, with their hostile-
+// input fuzzers, for a payload that a later wire version may compress.
 //
-// Protocol v2's sorted-run payload codec: an ascending sequence of
-// 32-bit values (keys of a sorted batch, or the nondecreasing ranks
-// answering one) is stored as varint(count) followed by count varints —
-// the first value, then successive deltas. Sorted batches make both
-// directions monotone, so the deltas are small and unsigned by
-// construction: uniform keys split over P partitions yield ~(range/P)/n
-// average gaps, and rank deltas are bounded by the partition's key
-// count over the batch — in the benchmark regime that is ~3 bytes per
-// key outbound and ~1 byte per rank inbound versus fixed 4-byte words,
-// on top of which the decoder's pass is strictly sequential.
+// The delta codec stores an ascending sequence of 32-bit values (the
+// keys of a sorted batch, or the nondecreasing ranks answering one) as
+// varint(count) followed by count varints — the first value, then
+// successive deltas. Sorted batches make both directions monotone, so
+// the deltas are small and unsigned by construction: uniform keys split
+// over P partitions yield ~(range/P)/n average gaps, and rank deltas are
+// bounded by the partition's key count over the batch — ~3 bytes per key
+// and ~1 byte per rank versus fixed 4-byte words
+// (TestDeltaCompressionRatio).
 //
-// Protocol v5 adds a second, non-delta codec over the same varint
-// primitive (appendVarRun/decodeVarRun) for payloads whose values are
-// small but not monotone — the OpCounts replies.
-//
-// Protocol v7 carries every payload as words, so both codecs ride only a
-// v6 connection (the op table's v6 codec column); this file goes once the
-// floor is v7.
+// The var-run codec (appendVarRun/decodeVarRun) is the non-delta codec
+// over the same varint primitive, for runs whose values are small but
+// not monotone, such as per-key counts.
 //
 // Hostile input rules (mirrored by FuzzDeltaPayload and
 // FuzzVarRunPayload):
@@ -36,16 +31,14 @@ import (
 //   - the element count is validated against the remaining payload
 //     length before any allocation (every element takes >= 1 byte), so
 //     a forged count can never force an allocation larger than the
-//     frame that carried it — the same guard dcindex.ReadKeys applies
+//     payload that carried it — the same guard dcindex.ReadKeys applies
 //     to its chunked key reader;
 //   - the running sum must stay within 32 bits;
 //   - the payload must be consumed exactly (no trailing bytes).
 //
-// On a v6 connection the delta codec carries MultiGet keys, scans, top-k
-// runs, snapshots and loads (and an older client's sorted lookups), so
-// its two loops are unrolled by byte position rather than built from the
-// one-varint primitives: one predictable branch per byte, one bounds
-// check per element. (A branch-free decoder — an eight-byte
+// The delta codec's two loops are unrolled by byte position rather than
+// built from the one-varint primitives: one predictable branch per byte,
+// one bounds check per element. (A branch-free decoder — an eight-byte
 // load, the stop bits counted, the payload bits compacted — measured no
 // faster: where the next varint starts depends on the load, and a
 // predicted branch hides exactly that.) The rules are enforced in place:
@@ -95,26 +88,6 @@ func uvarint32(b []byte) (v uint32, n int) {
 	return 0, 0
 }
 
-// decodeWords decodes a word payload into out (grown as needed) and
-// returns the words: the node decodes request keys straight into its key
-// scratch with it, ReadFrame a fresh Payload.
-//
-//dc:noalloc
-func decodeWords[T ~uint32](raw []byte, out []T) []T {
-	n := len(raw) / 4
-	if cap(out) < n {
-		out = make([]T, n)
-	}
-	out = out[:n]
-	// The second condition always holds; stated, it lets the compiler
-	// drop every bounds check from the loop.
-	for i := 0; i < len(out) && len(raw) >= 4; i++ {
-		out[i] = T(binary.LittleEndian.Uint32(raw))
-		raw = raw[4:]
-	}
-	return out
-}
-
 // grow returns dst with room for need more bytes, grown at most once.
 //
 //dc:noalloc
@@ -127,9 +100,9 @@ func grow(dst []byte, need int) []byte {
 	return dst
 }
 
-// appendDeltaRun appends the v2 encoding of the nondecreasing run vals
-// to dst and returns it, narrowing each element to 32 bits as it is
-// encoded (a node's ranks come from the kernel as ints). dst is grown
+// appendDeltaRun appends the delta encoding of the nondecreasing run
+// vals to dst and returns it, narrowing each element to 32 bits as it is
+// encoded (ranks come from the kernel as ints). dst is grown
 // once, to the run's worst case (a five-byte count and five bytes per
 // element): a snapshot-sized run must not grow by doubling, and no caller
 // has to pre-size. The caller guarantees monotonicity (sorted keys or
@@ -171,7 +144,7 @@ func appendDeltaRun[T ~uint32 | ~int](dst []byte, vals []T) ([]byte, error) {
 	return buf[:pos], nil
 }
 
-// deltaRunCount reads and validates the element count of a v2 payload:
+// deltaRunCount reads and validates the element count of a delta payload:
 // it must decode, and it must not exceed the remaining byte count
 // (each element occupies at least one byte). Returns the count and the
 // header size.
@@ -190,9 +163,9 @@ func deltaRunCount(payload []byte) (count, hdr int, err error) {
 	return int(c), n, nil
 }
 
-// appendVarRun appends the v5 plain-varint encoding of vals to dst:
+// appendVarRun appends the plain-varint encoding of vals to dst:
 // varint(count) followed by each value as its own varint, with no
-// delta accumulation. It is the payload of OpCounts — per-range key
+// delta accumulation. It suits per-range key
 // counts and per-key multiplicities are small but not monotone, so the
 // delta codec's ascending-run precondition does not hold, while the
 // values themselves still compress well (a multiplicity is almost
@@ -209,7 +182,7 @@ func appendVarRun[T ~uint32 | ~int](dst []byte, vals []T) []byte {
 	return dst
 }
 
-// decodeVarRun decodes a v5 plain-varint payload into out (grown as
+// decodeVarRun decodes a plain-varint payload into out (grown as
 // needed). The hostile-input rules match decodeDeltaRun exactly —
 // count validated against the remaining bytes before any allocation,
 // per-varint 5-byte/32-bit bounds, exact consumption — minus the
@@ -241,11 +214,9 @@ func decodeVarRun(payload []byte, out []uint32) ([]uint32, error) {
 	return out, nil
 }
 
-// decodeDeltaRun decodes a full v2 payload into out (grown as needed,
-// bounded by the deltaRunCount guard) and returns the values: the node
-// recovers a sorted key batch with it straight into its key scratch, the
-// client's read loop a reply's elements (checked whole before any reaches
-// its destination).
+// decodeDeltaRun decodes a full delta payload into out (grown as needed,
+// bounded by the deltaRunCount guard) and returns the values; a payload
+// that breaks a hostile-input rule is refused whole.
 //
 //dc:noalloc
 func decodeDeltaRun[T ~uint32](payload []byte, out []T) ([]T, error) {

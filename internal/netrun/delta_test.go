@@ -325,7 +325,7 @@ func TestDecodeVarRunHostileCount(t *testing.T) {
 	}
 }
 
-// FuzzVarRunPayload drives the v5 plain-varint decoder with arbitrary
+// FuzzVarRunPayload drives the plain-varint decoder with arbitrary
 // bytes: no panic, allocation bounded by the count guard, and every
 // successful decode must re-encode/re-decode to the same values.
 func FuzzVarRunPayload(f *testing.F) {
@@ -356,153 +356,65 @@ func FuzzVarRunPayload(f *testing.F) {
 	})
 }
 
-// FuzzFrameReader feeds arbitrary byte streams to the frame decoder
-// (header + word payloads + byte payloads): no panic, no unbounded
-// allocation. Words reach the handlers undecoded, so every frame read is
-// also served by a small partition node, the way its connection would
-// serve it: the node answers it with the row's reply op or refuses it
-// with OpErr, and never panics. Each stream is served twice, by a node
-// at each version this build speaks (a hello in the stream moves the
-// connection to the version it settles on).
-func FuzzFrameReader(f *testing.F) {
-	var v6, v7 frameWriter
-	v6.v6 = true
-	add := func(fw *frameWriter, frames ...Frame) {
-		var b bytes.Buffer
-		for _, fr := range frames {
-			fw.writeTo(&b, fr)
-		}
-		f.Add(b.Bytes())
-	}
-	add(&v7, Frame{Op: OpLookup, ReqID: 7, Payload: []uint32{1, 2, 3}})
-	raw, _ := appendDeltaRun(nil, []uint32{5, 6, 7})
-	add(&v6, Frame{Op: OpLookupSorted, ReqID: 9, Raw: raw})
-	// What a peer below the floor sends: hellos at versions 0 and 4, and
-	// the four-word ack.
-	for _, old := range []Frame{{Op: OpHello}, {Op: OpHello, ReqID: 4}, {Op: OpHelloAck, Payload: []uint32{0, 3, 5, 7}}} {
-		add(&v7, old)
-	}
-	// A request of each shape the serving paths decode: fixed words, pairs,
-	// a word run, a delta run.
-	for _, req := range []Frame{
-		{Op: OpCountRange, ReqID: 1, Payload: []uint32{5, 90, 0, 7, 60, 2}},
-		{Op: OpScanRange, ReqID: 2, Payload: []uint32{10, 80, 3}},
-		{Op: OpTopK, ReqID: 3, Payload: []uint32{4}},
-		{Op: OpInsert, ReqID: 4, Payload: []uint32{17, 3}},
-		{Op: OpSplitPartition, ReqID: 5, Payload: []uint32{3, 8, 10, 80, 80, 0}},
-		{Op: OpMultiGet, ReqID: 6, Raw: raw},
-	} {
-		add(&v6, req)
-	}
-	// The v7 forms of the byte ops: a MultiGet's words, an ascending and a
-	// descending load, each after the hello that settles v7 or v6.
-	for _, ver := range []uint32{ProtoV7, ProtoV6} {
-		add(&v7, Frame{Op: OpHello, ReqID: ver},
-			Frame{Op: OpMultiGet, ReqID: 10, Payload: []uint32{20, 5, 150, 20}},
-			Frame{Op: OpLoad, ReqID: 11, Payload: []uint32{30, 10}},
-			Frame{Op: OpLoad, ReqID: 12, Payload: []uint32{10, 10, 30}})
-	}
-	// A word count just above MaxFrameWords: refused at v7, where every
-	// payload is words, before any allocation; at v6 a byte op's count is
-	// a byte length inside MaxFrameBytes.
-	for _, op := range []uint8{OpMultiGet, OpLoad, OpLookup} {
-		head := make([]byte, 13, 17)
-		binary.LittleEndian.PutUint32(head, Magic)
-		head[4] = op
-		binary.LittleEndian.PutUint32(head[9:], MaxFrameWords+1)
-		f.Add(append(head, 1, 0, 0, 0))
-	}
-	keys := []workload.Key{10, 20, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150}
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		for _, ver := range []uint32{ProtoV6, ProtoV7} {
-			node := NewPartitionNode(keys, 3)
-			node.MaxVersion = ver
-			var sent bytes.Buffer
-			s := serveOn(node, bytes.NewReader(stream), &sent)
-			for {
-				req, err := s.bc.readFrame()
-				if err != nil {
-					break
-				}
-				sent.Reset()
-				served := s.serve(req)
-				// Read back as the peer does, in the codec the connection
-				// answered in.
-				fr := frameReader{v6: s.bc.fw.v6}
-				reply, err := fr.readFrom(&sent)
-				if err != nil {
-					t.Fatalf("v%d, op %d: the node's reply does not read back: %v", ver, req.Op, err)
-				}
-				if row := request(req.Op); reply.Op != OpErr && (row == nil || reply.Op != row.reply) {
-					t.Fatalf("v%d, op %d answered with op %d", ver, req.Op, reply.Op)
-				}
-				if !served {
-					break // the connection would close here
-				}
-			}
-			node.Close()
-		}
-	})
-}
-
-// Byte-payload frames must round-trip through the writer/reader pair.
+// An ascending key run — the sorted batch a lookup sends — must
+// round-trip through the connection's reusable writer and reader as
+// words, its order and duplicates intact.
 func TestSortedFrameRoundTrip(t *testing.T) {
 	keys := []uint32{3, 3, 70, 500, 1 << 30, 0xFFFFFFFF}
-	raw, err := appendDeltaRun(nil, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	fw, fr := frameWriter{v6: true}, frameReader{v6: true}
-	if err := fw.writeTo(&buf, Frame{Op: OpLookupSorted, ReqID: 42, Raw: raw}); err != nil {
+	var fw frameWriter
+	var fr frameReader
+	if err := fw.writeTo(&buf, Frame{Op: OpLookup, ReqID: 42, Payload: keys}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := fr.readFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Op != OpLookupSorted || f.ReqID != 42 {
+	if f.Op != OpLookup || f.ReqID != 42 {
 		t.Fatalf("frame header mismatch: %+v", f)
 	}
-	got, err := decodeDeltaRun[uint32](f.Raw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if got[i] != k {
-			t.Fatalf("key[%d] = %d, want %d", i, got[i], k)
-		}
+	if got := decodeWords[uint32](f.Raw, nil); !slices.Equal(got, keys) {
+		t.Fatalf("keys = %v, want %v", got, keys)
 	}
 }
 
-// encodeRun (the send path's fused encoder) on a v6 connection must
-// produce exactly a header plus appendDeltaRun's payload.
+// encodeRun (the send path's fused encoder) must produce exactly a
+// header plus the run's little-endian words, narrowing int ranks as it
+// goes, and the reader must hand the same words back.
 func TestEncodeDeltaKeysMatchesFrame(t *testing.T) {
-	keys := []uint32{1, 2, 2, 900, 1 << 20}
-	fw, fr := frameWriter{v6: true}, frameReader{v6: true}
-	buf, err := encodeRun(&fw, OpLookupSorted, 77, keys)
+	keys := []int{1, 2, 2, 900, 1 << 20}
+	var fw frameWriter
+	var fr frameReader
+	buf, err := encodeRun(&fw, OpRanks, 77, keys)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := binary.LittleEndian.AppendUint32(nil, Magic)
+	want = append(want, OpRanks)
+	want = binary.LittleEndian.AppendUint32(want, 77)
+	want = binary.LittleEndian.AppendUint32(want, uint32(len(keys)))
+	for _, k := range keys {
+		want = binary.LittleEndian.AppendUint32(want, uint32(k))
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatalf("encodeRun bytes = %x, want %x", buf, want)
 	}
 	f, err := fr.readFrom(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Op != OpLookupSorted || f.ReqID != 77 {
+	if f.Op != OpRanks || f.ReqID != 77 {
 		t.Fatalf("header mismatch: %+v", f)
 	}
-	got, err := decodeDeltaRun[uint32](f.Raw, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if got[i] != k {
-			t.Fatalf("key[%d] = %d, want %d", i, got[i], k)
+	for i, k := range decodeWords[uint32](f.Raw, nil) {
+		if int(k) != keys[i] {
+			t.Fatalf("key[%d] = %d, want %d", i, k, keys[i])
 		}
 	}
 }
 
-// The wire win the delta coding buys on the benchmark-shaped workload:
+// The size the delta coding buys on the benchmark-shaped workload:
 // sorted uniform keys must shrink meaningfully, and their (dense) rank
 // runs must shrink to about a byte per element.
 func TestDeltaCompressionRatio(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -41,12 +40,13 @@ func (l *logSink) has(sub string) bool {
 }
 
 // TestHelloRefusesPeerBelowFloor pins the compatibility floor in both
-// directions: a peer older than MinProtoVersion is refused by name,
-// never served and never downgraded to, while a connection that says no
-// hello at all is served as before.
+// directions: a peer older than MinProtoVersion — v6, whose byte codecs
+// this build no longer speaks, and every version before it — is refused
+// by name, never served and never downgraded to, while a connection that
+// says no hello at all is served as before.
 func TestHelloRefusesPeerBelowFloor(t *testing.T) {
 	keys := workload.SortedKeys(2000, 61)
-	spoken := fmt.Sprintf("v%d–v%d", MinProtoVersion, ProtoVersion)
+	speaks := spoken()
 
 	var logs logSink
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -78,7 +78,7 @@ func TestHelloRefusesPeerBelowFloor(t *testing.T) {
 			t.Fatalf("hello at v%d: the connection stayed open (%v)", ver, err)
 		}
 		conn.Close()
-		if want := fmt.Sprintf("the client speaks v%d, this build speaks %s", ver, spoken); !logs.has(want) {
+		if want := fmt.Sprintf("the client speaks v%d, this build speaks %s", ver, speaks); !logs.has(want) {
 			t.Fatalf("hello at v%d: no log line says %q: %q", ver, want, logs.lines)
 		}
 	}
@@ -96,7 +96,7 @@ func TestHelloRefusesPeerBelowFloor(t *testing.T) {
 			c.Close()
 			t.Fatalf("Dial accepted a v%d peer", peer)
 		}
-		if want := fmt.Sprintf("the node speaks v%d, this build speaks %s", peer, spoken); !errors.Is(err, ErrProtoVersion) || !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("the node speaks v%d, this build speaks %s", peer, speaks); !errors.Is(err, ErrProtoVersion) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("Dial against a v%d peer: %v; want ErrProtoVersion saying %q", peer, err, want)
 		}
 	}
@@ -115,27 +115,11 @@ func TestHelloRefusesPeerBelowFloor(t *testing.T) {
 	if f, err := ReadFrame(conn); err != nil || f.Op != OpRanks || f.ReqID != 3 || len(f.Payload) != 2 || f.Payload[0] != 11 || f.Payload[1] != 2000 {
 		t.Fatalf("hello-less lookup: reply %+v, %v; want ranks [11 2000]", f, err)
 	}
-
-	// (d) A MaxVersion outside what this build speaks is refused where it
-	// is set: at Serve (dcnode's flag: TestDCNodeMaxVersionFlag).
-	for _, v := range []uint32{1, 2, 3, 4, MinProtoVersion - 1, ProtoVersion + 1} {
-		capped := NewPartitionNode(keys, 0)
-		capped.MaxVersion = v
-		l2, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := capped.Serve(l2); !errors.Is(err, ErrProtoVersion) {
-			t.Fatalf("Serve with MaxVersion %d: %v, want ErrProtoVersion", v, err)
-		}
-		l2.Close()
-		capped.Close()
-	}
 }
 
 // TestHelloAckGoldenFrames pins the bytes of a writable node's 6-word
-// hello ack and a durable node's 8-word one, at both versions this
-// build speaks, recorded from the build before the floor: between two
+// hello ack and a durable node's 8-word one, at each version this build
+// speaks, recorded from the build before the floor: between two
 // writable peers the hello is what it was. A read-only node's 5 words at
 // these versions are the one new shape: the same ack, cut short.
 func TestHelloAckGoldenFrames(t *testing.T) {
@@ -189,133 +173,5 @@ func TestHelloAckGoldenFrames(t *testing.T) {
 				t.Errorf("%s node, hello at v%d\n got %s\nwant %s", tc.name, ver, got, want)
 			}
 		}
-	}
-}
-
-// TestMixedV6V7Pair is the one version-skew drill left: the previous
-// protocol version beside the current one, on either side — a v6
-// connection carries the byte codecs, a v7 one plain words. Ranks,
-// sorted ranks, inserts, all four query ops and the three membership
-// verbs are oracle-exact across the pair, and a replica that rejoins
-// catches up from a sibling of the other version.
-func TestMixedV6V7Pair(t *testing.T) {
-	for name, tc := range map[string]struct {
-		client uint32
-		shape  func(part, replica int, n *Node)
-	}{
-		"v6-client": {client: ProtoV6},
-		"v6-replica-per-group": {shape: func(_, replica int, n *Node) {
-			if replica == 1 {
-				n.MaxVersion = ProtoV6
-			}
-		}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			keys := workload.SortedKeys(8000, 63)
-			maxKey := int(keys[len(keys)-1]) + 1
-			if tc.client != 0 {
-				setVar(t, &clientVersion, tc.client)
-			}
-			setVar(t, &rejoinBackoff, 20*time.Millisecond)
-			rc, shutdown := startShaped(t, keys, 2, 2, 256, DialOptions{}, tc.shape)
-			defer shutdown()
-			c := rc.c
-			for _, h := range c.Stats().Replicas {
-				want := uint32(ProtoV7)
-				if tc.client == ProtoV6 || h.Addr == rc.addrs[h.Partition][1] {
-					want = ProtoV6
-				}
-				if h.Proto != want {
-					t.Fatalf("replica %s negotiated v%d, want v%d", h.Addr, h.Proto, want)
-				}
-			}
-
-			o, qo := newTCPOracle(keys), newTCPQueryOracle(keys)
-			rng := rand.New(rand.NewSource(64))
-			qs := workload.UniformQueries(3000, 65)
-			insert := func(seed uint64) {
-				t.Helper()
-				ins := workload.UniformQueries(300, seed)
-				if err := c.InsertBatch(ins); err != nil {
-					t.Fatal(err)
-				}
-				o.insert(ins)
-				qo.add(ins)
-			}
-			checkTCPExact(t, c, o, qs)
-			checkTCPQueryOps(t, "static", c, qo, rng, maxKey)
-			for round := 0; round < 3; round++ {
-				insert(uint64(66 + round))
-				// Several passes, so the round-robin visits both versions.
-				for pass := 0; pass < 3; pass++ {
-					checkTCPExact(t, c, o, qs)
-				}
-				checkTCPQueryOps(t, "written", c, qo, rng, maxKey)
-			}
-
-			// Each replica of partition 0 in turn misses writes and rejoins:
-			// it is loaded from its sibling's snapshot, which crosses the
-			// pair wherever the two speak different versions.
-			for replica := range 2 {
-				rc.kill(0, replica)
-				insert(uint64(70 + replica))
-				rc.restart(t, 0, replica)
-				waitSynced(t, c, rc.addrs[0][replica])
-				if h := rc.health(t, 0, replica); h.Rejoins == 0 {
-					t.Fatalf("replica %d serves again with no rejoin counted: %+v", replica, h)
-				}
-				for pass := 0; pass < 3; pass++ {
-					checkTCPExact(t, c, o, qs)
-				}
-				checkTCPQueryOps(t, fmt.Sprintf("rejoined %d", replica), c, qo, rng, maxKey)
-			}
-
-			// The membership verbs, at the floor: a join node one version
-			// behind where the client is not joins partition 0, the v6
-			// replica there drains, and partition 1 splits across the pair.
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			join := NewJoinNode(keys)
-			join.MaxVersion = ProtoV6
-			go join.Serve(lis)
-			defer join.Close()
-			if err := c.AddReplica(0, lis.Addr().String()); err != nil {
-				t.Fatalf("add_replica across the pair: %v", err)
-			}
-			if err := c.DrainReplica(0, rc.addrs[0][1]); err != nil {
-				t.Fatalf("drain_replica across the pair: %v", err)
-			}
-			if err := c.SplitPartition(1); err != nil {
-				t.Fatalf("split_partition across the pair: %v", err)
-			}
-			if got := c.Nodes(); got != 3 {
-				t.Fatalf("Nodes = %d after the split, want 3", got)
-			}
-			insert(73)
-			for pass := 0; pass < 3; pass++ {
-				checkTCPExact(t, c, o, qs)
-			}
-			checkTCPQueryOps(t, "after the verbs", c, qo, rng, maxKey)
-		})
-	}
-}
-
-// waitSynced waits until the replica at addr serves again: connected and
-// caught up.
-func waitSynced(t *testing.T, c *Cluster, addr string) {
-	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		for _, h := range c.Stats().Replicas {
-			if h.Addr == addr && h.Healthy && !h.Syncing {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica %s never rejoined", addr)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

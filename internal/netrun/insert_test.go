@@ -1,10 +1,13 @@
 package netrun
 
 import (
+	"fmt"
+	"math"
 	"net"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,10 +96,10 @@ func TestTCPInsertExact(t *testing.T) {
 	}
 }
 
-// TestTCPFreshClientSeesEarlierInserts pins the hello seeding: a brand
-// new client dialing nodes that absorbed writes from an earlier client
-// must still answer globally consistent ranks — the hello's live
-// key count seeds the fresh client's rank-base correction counters.
+// TestTCPFreshClientSeesEarlierInserts: a brand new client dialing
+// nodes that absorbed writes from an earlier client must still answer
+// globally consistent ranks — its rank calls count those writes in the
+// live key counts they ask of the nodes.
 func TestTCPFreshClientSeesEarlierInserts(t *testing.T) {
 	keys := workload.SortedKeys(9000, 55)
 	rc, shutdown := startReplicated(t, keys, 3, 1, 512, DialOptions{})
@@ -445,4 +448,141 @@ func TestTCPInsertConcurrentWithLookups(t *testing.T) {
 	wg.Wait()
 	o.insert(all)
 	checkTCPExact(t, rc.c, o, qs)
+}
+
+// dialAnother dials one more client against rc's nodes, closed with the
+// test.
+func dialAnother(t *testing.T, rc *replicatedCluster, keys []workload.Key, batch int) *Cluster {
+	t.Helper()
+	var flat []string
+	for _, group := range rc.addrs {
+		flat = append(flat, group...)
+	}
+	c, err := Dial(flat, keys, DialOptions{BatchKeys: batch, Replicas: len(rc.addrs[0])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
+// TestTCPRanksExactAcrossClients: a client's ranks count every client's
+// inserts, not only its own. Over 3 partitions client A dials, then B; A
+// inserts 500 copies of partition 0's first key, and every one of B's
+// ranks of the last 50 keys — B never writes — must equal the oracle. A
+// client that added only its own inserts to the nodes' static rank bases
+// read all 50 short by exactly 500.
+//
+// The concurrent subtests run 2 and 4 writing clients beside one that
+// only reads. The writers insert only below the last partition, and the
+// reader ranks keys of the last partition, so each rank is its static
+// rank plus some number of inserted keys, and that number must lie in
+// the oracle envelope: at least every key acked before the call began,
+// at most every key invoked before it returned.
+func TestTCPRanksExactAcrossClients(t *testing.T) {
+	keys := workload.SortedKeys(9000, 47)
+	t.Run("sequential", func(t *testing.T) {
+		rc, shutdown := startReplicated(t, keys, 3, 1, 256, DialOptions{})
+		defer shutdown()
+		a := rc.c
+		b := dialAnother(t, rc, keys, 256)
+		o := newTCPOracle(keys)
+		ins := make([]workload.Key, 500)
+		for i := range ins {
+			ins[i] = keys[0]
+		}
+		if err := a.InsertBatch(ins); err != nil {
+			t.Fatal(err)
+		}
+		o.insert(ins)
+		qs := keys[len(keys)-50:]
+		got, err := b.LookupBatch(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrong := 0
+		for i, q := range qs {
+			if got[i] != o.rank(q) {
+				wrong++
+			}
+		}
+		if wrong > 0 {
+			t.Fatalf("%d of %d ranks read by the client that did not write are wrong (rank(%d) = %d, want %d)",
+				wrong, len(qs), qs[0], got[0], o.rank(qs[0]))
+		}
+		if n, err := b.CountRange(0, math.MaxUint32); err != nil || n != len(keys)+len(ins) {
+			t.Fatalf("CountRange of the key space = %d, %v; want %d", n, err, len(keys)+len(ins))
+		}
+	})
+	for _, writers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("%d-writers", writers), func(t *testing.T) {
+			rc, shutdown := startReplicated(t, keys, 3, 1, 256, DialOptions{})
+			defer shutdown()
+			last := rc.part.Parts[2]
+			reader := dialAnother(t, rc, keys, 256)
+			// invoked counts the keys of every InsertBatch call begun,
+			// acked those of every call that returned.
+			var invoked, acked atomic.Int64
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := range writers {
+				c := rc.c
+				if w > 0 {
+					c = dialAnother(t, rc, keys, 256)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := workload.NewRNG(uint64(100 + w))
+					ins := make([]workload.Key, 8+w)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						for i := range ins {
+							ins[i] = rng.Key() % last.Keys[0]
+						}
+						invoked.Add(int64(len(ins)))
+						if err := c.InsertBatch(ins); err != nil {
+							t.Error(err)
+							return
+						}
+						acked.Add(int64(len(ins)))
+					}
+				}()
+			}
+			static := newTCPOracle(keys)
+			qs := workload.UniformQueries(400, 48)
+			for i := range qs {
+				qs[i] = last.Keys[0] + qs[i]%(math.MaxUint32-last.Keys[0])
+			}
+			out := make([]int, len(qs))
+			var bad error
+			for call := 0; call < 100 && bad == nil; call++ {
+				batch := qs
+				if call%2 == 1 {
+					batch = sortedCopy(qs)
+				}
+				lo := acked.Load()
+				bad = reader.LookupBatchInto(batch, out)
+				hi := invoked.Load()
+				for i, q := range batch {
+					if d := int64(out[i] - static.rank(q)); bad == nil && (d < lo || d > hi) {
+						bad = fmt.Errorf("call %d: rank(%d) counts %d inserted keys, outside [%d, %d]", call, q, d, lo, hi)
+					}
+				}
+			}
+			// The writers stop before the nodes do.
+			close(stop)
+			wg.Wait()
+			if bad != nil {
+				t.Fatal(bad)
+			}
+			if acked.Load() == 0 {
+				t.Fatal("no insert was acked while the reader ranked")
+			}
+		})
+	}
 }

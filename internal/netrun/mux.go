@@ -120,12 +120,9 @@ func (n *clusterNode) deregisterLocked(reqID uint32) {
 //     reply buffer instead of overwriting keys, so the losing
 //     registration can still encode/validate against them. No element
 //     reaches out or reply before its whole reply was checked and its
-//     read loop won the claim: a word reply's check is its length (and
-//     a scan's or top-k's order), so it is decoded straight from the
-//     frame into its destination after the claim; a v6 connection's
-//     delta or varint reply is decoded whole into the read loop's
-//     scratch first (its codec has more to check than a length), and a
-//     staged one then swaps buffers with reply instead of copying.
+//     read loop won the claim: a reply's check is its length (and a
+//     scan's or top-k's order), so it is decoded straight from the frame
+//     into its destination after the claim.
 //   - claimed elects exactly one resolver: whichever reply, refusal,
 //     sweep, or routing failure wins the CompareAndSwap scatters the
 //     result (or records the error) and completes p to the gather
@@ -137,13 +134,13 @@ func (n *clusterNode) deregisterLocked(reqID uint32) {
 //     never scribble on a recycled object.
 type pending struct {
 	// op is the request op whose op-table row governs this pending:
-	// codec, reply check, failover, hedging, OpErr scope, delivery.
+	// reply check, failover, hedging, OpErr scope, delivery.
 	op   uint8
 	keys []uint32
 	pos  []int32
 	out  []int
 	// reply stages payload-carrying replies (counts, scans, top-k,
-	// snapshots) for the issuing call's gather loop; see stage.
+	// snapshots) for the issuing call's gather loop (deliverStage).
 	reply []uint32
 	// contig means the run maps to the contiguous out range starting
 	// at posBase (a run of an ascending call, or of any call to one
@@ -152,11 +149,14 @@ type pending struct {
 	contig  bool
 	posBase int
 	// chunk links an insert fan-out pending back to its write chunk,
-	// so InsertBatch can credit the rank-base counters per fully-acked
-	// chunk (see insChunk). Nil for every other kind.
+	// so InsertBatch can count this client's acked inserts per
+	// fully-acked chunk (see insChunk). Nil for every other kind.
 	chunk *insChunk
-	err   error
-	done  chan *pending
+	// ask marks a rank call's count ask, which lives in a pool of its own
+	// (see getAsk).
+	ask  bool
+	err  error
+	done chan *pending
 
 	claimed atomic.Bool
 	refs    atomic.Int32
@@ -200,17 +200,36 @@ func (c *Cluster) getPending() *pending {
 	p.contig = false
 	p.posBase = 0
 	p.chunk = nil
+	p.renew()
+	return p
+}
+
+// getAsk checks out a rank call's count ask: an OpCountRange of the whole
+// key space, two words out and one back. Asks have a pool of their own:
+// taken from the frames' pool, their small buffers would pass to rank
+// frames, which grow them by doubling mid-call.
+func (c *Cluster) getAsk() *pending {
+	p := c.asks.Get().(*pending)
+	p.renew()
+	return p
+}
+
+// renew readies a pooled pending for a new lifecycle.
+func (p *pending) renew() {
 	p.err = nil
 	p.claimed.Store(false)
 	p.hedged.Store(false)
 	p.refs.Store(0)
-	return p
 }
 
 func (c *Cluster) putPending(p *pending) {
 	p.out = nil
 	p.done = nil
 	p.chunk = nil
+	if p.ask {
+		c.asks.Put(p)
+		return
+	}
 	// Snapshot and load pendings stage a full partition's key set —
 	// often orders of magnitude beyond BatchKeys. Recycling that
 	// backing array would pin it in the pool behind every future
@@ -408,11 +427,6 @@ func (n *clusterNode) readLoop(ep *epoch) {
 		// registered pendings a sweep never saw.
 		c.failNode(ep, n, fmt.Errorf("netrun: partition %d replica %s %w", n.r.g.part, n.r.addr, err))
 	}
-	// scratch holds a decoded byte-coded reply (a v6 connection's).
-	// Decoding it fully before the registration is touched keeps the
-	// failure story simple: a corrupt stream leaves the pending
-	// registered.
-	var scratch []uint32
 	for {
 		f, err := n.bc.readFrame()
 		if err != nil {
@@ -422,14 +436,7 @@ func (n *clusterNode) readLoop(ep *epoch) {
 			fail(fmt.Errorf("read: %w", err))
 			return
 		}
-		e, err := n.bc.fr.elemsOf(f, scratch)
-		if err != nil {
-			fail(fmt.Errorf("sent a corrupt op %d payload: %w", f.Op, err))
-			return
-		}
-		if !e.words {
-			scratch = e.vals
-		}
+		e := elems(f.Raw)
 
 		// Everything read from the pending is read under the lock: on a
 		// violation p stays registered, so a concurrent failNode sweep
@@ -482,16 +489,14 @@ func (n *clusterNode) readLoop(ep *epoch) {
 		c.recordOp(p.op, d)
 		if p.claim() {
 			switch to := kind.deliver; {
-			case to == deliverRanks:
-				p.scatter(e, c.insBefore(n.r.g.part))
 			case to == deliverScatter && p.out != nil:
-				p.scatter(e, 0)
+				p.scatter(e)
 			case to != deliverAck: // a stage row, or a MultiGet's cut-run ask
 				// Staged, not written into shared output: a range, or a
 				// key whose run a cut splits, can span partitions, so
 				// several replies may target one slot and only the single
 				// gather loop may combine them.
-				scratch = p.stage(e, scratch)
+				p.reply = decodeWords(e, p.reply)
 			}
 			p.complete(nil)
 		}
@@ -499,86 +504,32 @@ func (n *clusterNode) readLoop(ep *epoch) {
 	}
 }
 
-// elems is a reply's elements from its read until its delivery: a word
-// reply still as the bytes the frame reader checked, a v6 connection's
-// delta or varint reply decoded.
-type elems struct {
-	words bool
-	raw   []byte   // words: 4·len() little-endian bytes
-	vals  []uint32 // otherwise: the decoded run
-}
+// elems is a reply's elements from its read until its delivery: the
+// 4·len() little-endian bytes the frame reader checked, decoded by
+// whoever consumes them.
+type elems []byte
 
-// elemsOf holds f, a frame fr read, for checking: its word bytes, or a
-// byte-coded payload decoded into scratch.
-func (fr *frameReader) elemsOf(f Frame, scratch []uint32) (elems, error) {
-	var err error
-	switch codecOf(f.Op, fr.v6) {
-	case encDelta:
-		scratch, err = decodeDeltaRun(f.Raw, scratch)
-	case encVarint:
-		scratch, err = decodeVarRun(f.Raw, scratch)
-	default:
-		return elems{words: true, raw: f.Raw}, nil
-	}
-	return elems{vals: scratch}, err
-}
+func (e elems) len() int { return len(e) / 4 }
 
-func (e elems) len() int {
-	if e.words {
-		return len(e.raw) / 4
-	}
-	return len(e.vals)
-}
+func (e elems) at(i int) uint32 { return binary.LittleEndian.Uint32(e[4*i:]) }
 
-func (e elems) at(i int) uint32 {
-	if e.words {
-		return binary.LittleEndian.Uint32(e.raw[4*i:])
-	}
-	return e.vals[i]
-}
-
-// scatter writes reply element i, plus adj, to the out slot request
-// key i came from — a word reply decoded in the same pass.
+// scatter writes reply element i to the out slot request key i came
+// from, decoding the reply in the same pass.
 //
 //dc:noalloc
-func (p *pending) scatter(e elems, adj int) {
-	// The word loops' len(raw) conditions always hold (the reply was
-	// checked against the request); stated, they drop the bounds checks.
-	raw := e.raw
-	switch {
-	case e.words && p.contig:
+func (p *pending) scatter(raw elems) {
+	// The loops' len(raw) conditions always hold (the reply was checked
+	// against the request); stated, they drop the bounds checks.
+	if p.contig {
 		out := p.out[p.posBase:][:len(raw)/4]
 		for i := 0; i < len(out) && len(raw) >= 4; i++ {
-			out[i] = int(binary.LittleEndian.Uint32(raw)) + adj
+			out[i] = int(binary.LittleEndian.Uint32(raw))
 			raw = raw[4:]
 		}
-	case e.words:
-		for i := 0; i < len(p.pos) && len(raw) >= 4; i++ {
-			p.out[p.pos[i]] = int(binary.LittleEndian.Uint32(raw)) + adj
-			raw = raw[4:]
-		}
-	case p.contig:
-		out := p.out[p.posBase:]
-		for i, v := range e.vals {
-			out[i] = int(v) + adj
-		}
-	default:
-		for i, pos := range p.pos {
-			p.out[pos] = int(e.vals[i]) + adj
-		}
+		return
 	}
-}
-
-// stage hands a reply's elements to p.reply and returns the read loop's
-// scratch: a word reply is decoded straight into p.reply, a byte-coded
-// one — already decoded into scratch — trades buffers with it.
-//
-//dc:noalloc
-func (p *pending) stage(e elems, scratch []uint32) []uint32 {
-	if e.words {
-		p.reply = decodeWords(e.raw, p.reply)
-		return scratch
+	for i := 0; i < len(p.pos) && len(raw) >= 4; i++ {
+		p.out[p.pos[i]] = int(binary.LittleEndian.Uint32(raw))
+		raw = raw[4:]
 	}
-	p.reply, scratch = e.vals, p.reply[:0]
-	return scratch
 }

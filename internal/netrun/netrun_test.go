@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -49,32 +50,19 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestFrameRoundTripProperty round-trips random frames of every op code
-// through WriteFrame and ReadFrame, which speak the current protocol (all
-// words), and through a v6 connection's writer and reader, whose byte
-// ops carry Raw bytes.
+// through WriteFrame and ReadFrame, and through the connection's reusable
+// writer and reader, whose payload arrives as Raw bytes.
 func TestFrameRoundTripProperty(t *testing.T) {
-	f := func(op uint8, id uint32, payload []uint32, v6 bool) bool {
+	f := func(op uint8, id uint32, payload []uint32, reused bool) bool {
 		if len(payload) > 1<<16 {
 			payload = payload[:1<<16]
 		}
 		var buf bytes.Buffer
-		fw, fr := frameWriter{v6: v6}, frameReader{v6: v6}
-		if codecOf(op, v6) != encWords {
-			// Byte ops carry byte payloads: round-trip the words' own
-			// bytes through Raw instead.
-			raw := make([]byte, 0, 4*len(payload))
-			for _, v := range payload {
-				raw = append(raw, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-			}
-			if err := fw.writeTo(&buf, Frame{Op: op, ReqID: id, Raw: raw}); err != nil {
-				return false
-			}
-			got, err := fr.readFrom(&buf)
-			return err == nil && got.Op == op && got.ReqID == id && bytes.Equal(got.Raw, raw)
-		}
 		var got Frame
 		var err error
-		if v6 {
+		if reused {
+			var fw frameWriter
+			var fr frameReader
 			if err = fw.writeTo(&buf, Frame{Op: op, ReqID: id, Payload: payload}); err == nil {
 				got, err = fr.readFrom(&buf)
 				got.Payload = decodeWords[uint32](got.Raw, nil)
@@ -125,6 +113,92 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
+}
+
+// FuzzFrameReader feeds arbitrary byte streams to the frame decoder: no
+// panic, no unbounded allocation. Payloads reach the handlers undecoded,
+// so every frame read is also served by a small partition node, the way
+// its connection would serve it: the node answers it with the row's
+// reply op or refuses it with OpErr, and never panics. The seeds include
+// what peers below the floor send — hellos at old versions, the
+// four-word ack, and the v6 byte-coded frames — as hostile input.
+func FuzzFrameReader(f *testing.F) {
+	var fw frameWriter
+	add := func(frames ...Frame) {
+		var b bytes.Buffer
+		for _, fr := range frames {
+			fw.writeTo(&b, fr)
+		}
+		f.Add(b.Bytes())
+	}
+	// What a v6 peer sent for an ascending run: op 6, the sorted lookup of
+	// the builds that spoke v6, whose count is a byte length and whose
+	// payload is the delta-coded run [5, 6, 7].
+	v6Run := func(op byte, reqID byte) []byte {
+		return []byte{0x05, 0x20, 0x1d, 0xdc, op, reqID, 0, 0, 0, 4, 0, 0, 0, 3, 5, 1, 1}
+	}
+	add(Frame{Op: OpLookup, ReqID: 7, Payload: []uint32{1, 2, 3}})
+	f.Add(v6Run(6, 9))
+	// What a peer below the floor sends: hellos at versions 0 and 4, and
+	// the four-word ack.
+	for _, old := range []Frame{{Op: OpHello}, {Op: OpHello, ReqID: 4}, {Op: OpHelloAck, Payload: []uint32{0, 3, 5, 7}}} {
+		add(old)
+	}
+	// A request of each shape the serving paths decode: fixed words,
+	// pairs, a word run — and a MultiGet as a v6 peer delta-coded it.
+	for _, req := range []Frame{
+		{Op: OpCountRange, ReqID: 1, Payload: []uint32{5, 90, 0, 7, 60, 2}},
+		{Op: OpScanRange, ReqID: 2, Payload: []uint32{10, 80, 3}},
+		{Op: OpTopK, ReqID: 3, Payload: []uint32{4}},
+		{Op: OpInsert, ReqID: 4, Payload: []uint32{17, 3}},
+		{Op: OpSplitPartition, ReqID: 5, Payload: []uint32{3, 8, 10, 80, 80, 0}},
+	} {
+		add(req)
+	}
+	f.Add(v6Run(OpMultiGet, 6))
+	// A MultiGet's words, an ascending and a descending load, each after
+	// a hello at this build's version and at v6, below the floor.
+	for _, ver := range []uint32{ProtoVersion, 6} {
+		add(Frame{Op: OpHello, ReqID: ver},
+			Frame{Op: OpMultiGet, ReqID: 10, Payload: []uint32{20, 5, 150, 20}},
+			Frame{Op: OpLoad, ReqID: 11, Payload: []uint32{30, 10}},
+			Frame{Op: OpLoad, ReqID: 12, Payload: []uint32{10, 10, 30}})
+	}
+	// A word count just above MaxFrameWords: refused before any
+	// allocation.
+	for _, op := range []uint8{OpMultiGet, OpLoad, OpLookup} {
+		head := make([]byte, 13, 17)
+		binary.LittleEndian.PutUint32(head, Magic)
+		head[4] = op
+		binary.LittleEndian.PutUint32(head[9:], MaxFrameWords+1)
+		f.Add(append(head, 1, 0, 0, 0))
+	}
+	keys := []workload.Key{10, 20, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150}
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		node := NewPartitionNode(keys, 3)
+		defer node.Close()
+		var sent bytes.Buffer
+		s := serveOn(node, bytes.NewReader(stream), &sent)
+		for {
+			req, err := s.bc.readFrame()
+			if err != nil {
+				break
+			}
+			sent.Reset()
+			served := s.serve(req)
+			var fr frameReader
+			reply, err := fr.readFrom(&sent)
+			if err != nil {
+				t.Fatalf("op %d: the node's reply does not read back: %v", req.Op, err)
+			}
+			if row := request(req.Op); reply.Op != OpErr && (row == nil || reply.Op != row.reply) {
+				t.Fatalf("op %d answered with op %d", req.Op, reply.Op)
+			}
+			if !served {
+				break // the connection would close here
+			}
+		}
+	})
 }
 
 // --- node + cluster over loopback ---

@@ -68,14 +68,6 @@ type Node struct {
 	// node (the op table's needs column) are refused. Set before Serve.
 	ReadOnly bool
 
-	// MaxVersion caps the protocol version this node negotiates: 0
-	// (ProtoVersion, the highest this build speaks) or a version from
-	// MinProtoVersion up; Serve refuses anything else. Set before Serve.
-	// cmd/dcnode's -max-version flag and the mixed-pair drill use it for
-	// the one real pair, the previous version (v6: the byte codecs)
-	// beside the current one.
-	MaxVersion uint32
-
 	// WrapConn, when non-nil, wraps every accepted connection before
 	// its handler starts — the server-side fault-injection seam (gray-
 	// failure tests and dcnode's -chaos drill install a faultnet
@@ -102,19 +94,15 @@ type nodeIdent struct {
 // errVersion names a protocol version this build does not speak, and
 // the ones it does.
 func errVersion(whose string, v uint32) error {
-	return fmt.Errorf("%w: %s v%d, this build speaks v%d–v%d", ErrProtoVersion, whose, v, MinProtoVersion, ProtoVersion)
+	return fmt.Errorf("%w: %s v%d, this build speaks %s", ErrProtoVersion, whose, v, spoken())
 }
 
-// capVersion resolves a Node.MaxVersion setting: 0 selects ProtoVersion,
-// and a cap outside what this build speaks is refused.
-func capVersion(max uint32) (uint32, error) {
-	switch {
-	case max == 0:
-		return ProtoVersion, nil
-	case max < MinProtoVersion || max > ProtoVersion:
-		return 0, errVersion("MaxVersion is", max)
+// spoken names the versions this build speaks: "v7", or a range.
+func spoken() string {
+	if MinProtoVersion == ProtoVersion {
+		return fmt.Sprintf("v%d", ProtoVersion)
 	}
-	return max, nil
+	return fmt.Sprintf("v%d–v%d", MinProtoVersion, ProtoVersion)
 }
 
 // has is what this node is, as its hello ack states it.
@@ -199,9 +187,6 @@ func NewDurablePartitionNode(partKeys []workload.Key, rankBase int, dir string, 
 // server half of a replica restart, which the client-side rejoin loop
 // then re-verifies and readmits.
 func (n *Node) Serve(lis net.Listener) error {
-	if _, err := capVersion(n.MaxVersion); err != nil {
-		return err
-	}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -374,7 +359,7 @@ func keep[T any](buf []T) []T {
 }
 
 // nodeConn is one client connection's serving state: the frame codec,
-// the version the hello settled on, and scratch reused across requests
+// the version the connection speaks, and scratch reused across requests
 // so the steady state allocates nothing. A request's words cross it in
 // two passes besides the search: decoded from the frame's bytes into
 // keyBuf, and encoded from the ranker's ints into the reply frame (the
@@ -383,10 +368,10 @@ type nodeConn struct {
 	n    *Node
 	conn net.Conn
 	bc   *bufferedConn
-	// cap32 is the highest version the node negotiates. negotiated is
-	// what this connection settled on; until a hello arrives the cap
-	// applies — a client may send lookups without negotiating.
-	cap32, negotiated uint32
+	// negotiated is the version the hello settled on; until a hello
+	// arrives this build's applies — a client may send lookups without
+	// negotiating.
+	negotiated uint32
 	// hists are the per-op service-time histograms, resolved once per
 	// connection so a request costs one clock read and two atomic adds.
 	hists [opMax]*telemetry.Histogram
@@ -398,9 +383,7 @@ type nodeConn struct {
 
 // newConn is the serving state of a connection that has not said hello.
 func (n *Node) newConn(conn net.Conn) *nodeConn {
-	s := &nodeConn{n: n, conn: conn, bc: newBufferedConn(conn)}
-	s.cap32, _ = capVersion(n.MaxVersion) // Serve checked it
-	s.settle(s.cap32)
+	s := &nodeConn{n: n, conn: conn, bc: newBufferedConn(conn), negotiated: ProtoVersion}
 	if n.Telemetry != nil {
 		for op := range opTable {
 			if row := request(uint8(op)); row != nil {
@@ -490,19 +473,12 @@ func (s *nodeConn) serve(f Frame) bool {
 	return true
 }
 
-// settle fixes the connection's version: the ops it serves and the codec
-// its frames carry.
-func (s *nodeConn) settle(v uint32) {
-	s.negotiated = v
-	s.bc.setVersion(v)
-}
-
 // answer is the typed reply sink every handler ends in: it encodes vals
-// as request f's reply frame — the row's reply op, in the connection's
-// codec — narrowing each element as it goes, so a handler hands over
-// what its ranker or scan produced as it produced it.
+// as request f's reply frame — the row's reply op — narrowing each
+// element as it goes, so a handler hands over what its ranker or scan
+// produced as it produced it.
 func answer[T ~uint32 | ~int](s *nodeConn, f Frame, vals []T) ([]byte, error) {
-	return encodeRun(&s.bc.fw, wire[f.Op].reply, f.ReqID, vals)
+	return encodeRun(&s.bc.fw, replyOf[f.Op], f.ReqID, vals)
 }
 
 // ack answers f with one word counting the keys an op applied.
@@ -534,28 +510,13 @@ func (s *nodeConn) ints(n int) []int {
 	return s.intBuf[:n]
 }
 
-// run decodes a key-run request (a MultiGet's keys, a load, an older
-// client's sorted lookup) straight into the key scratch: words, or on a
-// v6 connection a delta run, which its coding makes ascending (deltas
-// are unsigned).
-func (s *nodeConn) run(f Frame) ([]workload.Key, error) {
-	if !s.bc.fr.v6 {
-		return s.keys(f), nil
-	}
-	run, err := decodeDeltaRun(f.Raw, s.keyBuf)
-	if err == nil {
-		s.keyBuf = run
-	}
-	return run, err
-}
-
 func u64(lo, hi uint32) uint64 { return uint64(lo) | uint64(hi)<<32 }
 
 // serveHello answers the identity — the construction-time baseline,
 // which inserts do not move (see the Node doc) — the negotiated version
 // min(client, node), and the words that state what the node is: the
-// LIVE key count when it is writable (a fresh client seeds its rank-base
-// corrections from it), then a durable node's chain, captured with the
+// LIVE key count when it is writable (a client dialing learns from it
+// that the partition was written), then a durable node's chain, captured with the
 // live count as one consistent position (generation = live - baseline).
 // A client below the floor is refused: the hard error answers OpErr,
 // logs the version and drops the connection.
@@ -564,7 +525,7 @@ func (s *nodeConn) serveHello(id *nodeIdent, f Frame) ([]byte, error) {
 	if f.ReqID < MinProtoVersion {
 		return nil, errVersion("the client speaks", f.ReqID)
 	}
-	s.settle(min(f.ReqID, s.cap32))
+	s.negotiated = min(f.ReqID, ProtoVersion)
 	payload := []uint32{uint32(id.rankBase), uint32(id.baseN), uint32(id.lo), uint32(id.hi), s.negotiated}
 	switch n.has() {
 	case needWritable:
@@ -593,17 +554,6 @@ func (s *nodeConn) serveLookup(id *nodeIdent, f Frame) ([]byte, error) {
 	return s.ranks(id, f, s.keys(f))
 }
 
-// serveLookupSorted answers a v6 client of an older build, which sends an
-// ascending run delta-coded; the ranks are nondecreasing, so the reply
-// delta-codes too.
-func (s *nodeConn) serveLookupSorted(id *nodeIdent, f Frame) ([]byte, error) {
-	run, err := s.run(f)
-	if err != nil {
-		return nil, err
-	}
-	return s.ranks(id, f, run)
-}
-
 // serveInsert's ack is a durability promise on a durable node: log,
 // apply, and wait for the group fsync. A log failure must never ack —
 // the hard error drops the connection so the client fails this replica
@@ -629,11 +579,8 @@ func (s *nodeConn) serveSnapshot(_ *nodeIdent, f Frame) ([]byte, error) {
 
 func (s *nodeConn) serveLoad(id *nodeIdent, f Frame) ([]byte, error) {
 	n := s.n
-	run, err := s.run(f)
-	if err != nil {
-		return nil, err
-	}
-	// Nothing makes a word payload ascend, and the update layer panics on
+	run := s.keys(f)
+	// Nothing makes a payload ascend, and the update layer panics on
 	// a descent (Updatable.Reset).
 	if i := index.FirstDescent(run); i > 0 {
 		return nil, refusef("load payload descends at key %d", i)
@@ -746,18 +693,15 @@ func (s *nodeConn) serveTopK(_ *nodeIdent, f Frame) ([]byte, error) {
 	if k > MaxFrameWords {
 		return nil, refusef("top-%d exceeds the frame limit", k)
 	}
-	// TopK yields descending keys; the wire run is ascending (the v6
-	// delta codec needs it).
+	// TopK yields descending keys; the wire run is ascending (the client
+	// checks the order and reads the run backward).
 	s.scanBuf = s.n.upd.TopK(k, s.scanBuf[:0])
 	slices.Reverse(s.scanBuf)
 	return answer(s, f, s.scanBuf)
 }
 
 func (s *nodeConn) serveMultiGet(_ *nodeIdent, f Frame) ([]byte, error) {
-	run, err := s.run(f)
-	if err != nil {
-		return nil, err
-	}
+	run := s.keys(f)
 	// The kernel's rank scratch rides behind its counts.
 	n := len(run)
 	ints := s.ints(2 * n)

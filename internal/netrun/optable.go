@@ -1,34 +1,15 @@
 package netrun
 
-import (
-	"encoding/binary"
-	"slices"
-)
+import "encoding/binary"
 
 // The op table: one row per request op, and the only place a per-op
 // fact lives. The client's send loop encodes from a row, its read loop
 // validates and delivers a reply by the row, failover/hedging/OpErr
 // handling read the row's policy columns, the node's serve loop gates
 // and dispatches by the row, and both sides name their latency series
-// from it. A v6 connection's byte-or-word decision is derived from the
-// rows at init. Adding an op means adding a constant and a row; the
+// from it. Adding an op means adding a constant and a row; the
 // framepair analyzer rejects a constant that is missing here or a
 // request row without a handler.
-
-// codec is how an op's payload rides a frame. From v7 on every payload
-// is words; the byte codecs ride only a v6 connection.
-type codec uint8
-
-const (
-	// encWords: count is a word count, payload is 32-bit words.
-	encWords codec = iota
-	// encDelta: count is a byte length, payload is an ascending run,
-	// delta+varint coded (delta.go).
-	encDelta
-	// encVarint: count is a byte length, payload is a plain varint run
-	// (counts are not monotone, so no delta coding).
-	encVarint
-)
 
 // lossPolicy is what happens to a pending whose replica leaves the
 // group (failure or drain) before it is answered.
@@ -37,9 +18,7 @@ type lossPolicy uint8
 const (
 	// lossNone marks a row no pending carries as its kind: hello and
 	// add-replica are synchronous exchanges on a connection no loop owns
-	// yet, and OpLookupSorted is served for clients of older builds and
-	// sent by no client of this one, which sends an ascending run as an
-	// OpLookup word frame (8 bytes a key both ways, like any lookup).
+	// yet.
 	lossNone lossPolicy = iota
 	// lossRedispatch re-routes the request to a surviving replica: the
 	// idempotent reads, whose request words survive until a reply lands.
@@ -74,16 +53,13 @@ type delivery uint8
 const (
 	// deliverAck: the reply only acknowledges; nothing to hand over.
 	deliverAck delivery = iota
-	// deliverStage hands the elements to pending.reply for the issuing
-	// call's gather loop (pending.stage).
+	// deliverStage decodes the elements into pending.reply for the
+	// issuing call's gather loop.
 	deliverStage
 	// deliverScatter writes element i to the caller's out slot i maps to,
-	// decoding a word reply as it goes (pending.scatter) — or stages it,
+	// decoding the reply as it goes (pending.scatter) — or stages it,
 	// when the pending has no out (a MultiGet's cut-run ask).
 	deliverScatter
-	// deliverRanks is deliverScatter plus the rank-base correction for
-	// keys inserted into the preceding partitions (see Cluster.ins).
-	deliverRanks
 )
 
 // nodeNeed is what a node must be to take a request, in the order the
@@ -108,13 +84,8 @@ type opSpec struct {
 	// minVer is the lowest protocol version the op may flow on: the
 	// floor, or the version that introduced it.
 	minVer uint32
-	// v6Enc is the request payload codec on a v6 connection; from v7 on
-	// every payload is words and nothing reads it.
-	v6Enc codec
-	// reply is the op that answers this request, v6ReplyEnc its codec on
-	// a v6 connection.
-	reply      uint8
-	v6ReplyEnc codec
+	// reply is the op that answers this request.
+	reply uint8
 	// valid reports whether a reply's elements are a well-formed answer
 	// to the request words. The read loop runs it before any element
 	// reaches the caller.
@@ -141,13 +112,9 @@ func anyLen([]uint32, elems) bool               { return true }
 func oneWord(_ []uint32, reply elems) bool      { return reply.len() == 1 }
 
 // ascends is a scan's and a top-k's rule: the run does not descend
-// (ComposeTopK reads it backward). The v6 delta codec made every run
-// ascend by construction; a word run has to be checked.
+// (ComposeTopK reads it backward).
 func ascends(_ []uint32, reply elems) bool {
-	if !reply.words {
-		return slices.IsSorted(reply.vals)
-	}
-	prev, raw := uint32(0), reply.raw
+	prev, raw := uint32(0), reply
 	for len(raw) >= 4 {
 		v := binary.LittleEndian.Uint32(raw)
 		if v < prev {
@@ -186,21 +153,18 @@ var opTable = [opMax]opSpec{
 	OpHello: {name: "hello", minVer: MinProtoVersion, reply: OpHelloAck, valid: helloAck,
 		serve: (*nodeConn).serveHello},
 	OpLookup: {name: "lookup", minVer: MinProtoVersion, reply: OpRanks, valid: sameLen,
-		hedge: true, onLoss: lossRedispatch, onErr: scopeConn, deliver: deliverRanks,
+		hedge: true, onLoss: lossRedispatch, onErr: scopeConn, deliver: deliverScatter,
 		serve: (*nodeConn).serveLookup},
-	// OpErr is no request: the row records its wire facts (word payload,
-	// every version), and the node refuses it like any op without a
-	// handler.
+	// OpErr is no request: its row names it for the framepair check, and
+	// the node refuses it like any op without a handler.
 	OpErr: {minVer: MinProtoVersion},
-	OpLookupSorted: {name: "lookup_sorted", minVer: MinProtoVersion, v6Enc: encDelta, reply: OpRanksDelta, v6ReplyEnc: encDelta, valid: sameLen,
-		serve: (*nodeConn).serveLookupSorted},
 	OpInsert: {name: "insert", minVer: MinProtoVersion, reply: OpInsertAck, valid: ackOf(0),
 		onLoss: lossSettle, onErr: scopeConn, deliver: deliverAck,
 		needs: needWritable, serve: (*nodeConn).serveInsert},
-	OpSnapshot: {name: "snapshot", minVer: MinProtoVersion, reply: OpSnapshotData, v6ReplyEnc: encDelta, valid: anyLen,
+	OpSnapshot: {name: "snapshot", minVer: MinProtoVersion, reply: OpSnapshotData, valid: anyLen,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
 		needs: needWritable, serve: (*nodeConn).serveSnapshot},
-	OpLoad: {name: "load", minVer: MinProtoVersion, v6Enc: encDelta, reply: OpLoadAck, valid: ackOf(0),
+	OpLoad: {name: "load", minVer: MinProtoVersion, reply: OpLoadAck, valid: ackOf(0),
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverAck,
 		needs: needWritable, serve: (*nodeConn).serveLoad},
 	OpSnapshotSince: {name: "snapshot_since", minVer: MinProtoVersion, reply: OpSnapshotDelta, valid: snapDelta,
@@ -209,16 +173,16 @@ var opTable = [opMax]opSpec{
 	OpLoadAt: {name: "load_at", minVer: MinProtoVersion, reply: OpLoadAck, valid: ackOf(snapDeltaHeader),
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverAck,
 		needs: needDurable, serve: (*nodeConn).serveLoadAt},
-	OpCountRange: {name: "count_range", minVer: MinProtoVersion, reply: OpCounts, v6ReplyEnc: encVarint, valid: onePerPair,
+	OpCountRange: {name: "count_range", minVer: MinProtoVersion, reply: OpCounts, valid: onePerPair,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
 		serve: (*nodeConn).serveCountRange},
-	OpScanRange: {name: "scan_range", minVer: MinProtoVersion, reply: OpKeysDelta, v6ReplyEnc: encDelta, valid: ascends,
+	OpScanRange: {name: "scan_range", minVer: MinProtoVersion, reply: OpKeysDelta, valid: ascends,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
 		serve: (*nodeConn).serveScanRange},
-	OpTopK: {name: "top_k", minVer: MinProtoVersion, reply: OpKeysDelta, v6ReplyEnc: encDelta, valid: ascends,
+	OpTopK: {name: "top_k", minVer: MinProtoVersion, reply: OpKeysDelta, valid: ascends,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
 		serve: (*nodeConn).serveTopK},
-	OpMultiGet: {name: "multi_get", minVer: MinProtoVersion, v6Enc: encDelta, reply: OpCounts, v6ReplyEnc: encVarint, valid: sameLen,
+	OpMultiGet: {name: "multi_get", minVer: MinProtoVersion, reply: OpCounts, valid: sameLen,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverScatter,
 		serve: (*nodeConn).serveMultiGet},
 	// Assigning or splitting an identity replaces the node's key set.
@@ -232,38 +196,15 @@ var opTable = [opMax]opSpec{
 		needs: needWritable, serve: (*nodeConn).serveSplitPartition},
 }
 
-// wireFact is what the frame codec and the version gate know about an
-// op code, request or reply — and the node's reply sink about a request:
-// the op answering it. Derived from the rows, never stated twice.
-type wireFact struct {
-	minVer uint32 // 0: an op this build does not know
-	v6Enc  codec
-	reply  uint8
-}
-
-var wire [256]wireFact
+// replyOf is each request op's reply op, copied from the rows at init:
+// the node's reply sink reads it, and the handlers the table names cannot
+// read the table itself.
+var replyOf [opMax]uint8
 
 func init() {
 	for op := range opTable {
-		row := &opTable[op]
-		if row.minVer == 0 {
-			continue
-		}
-		wire[op] = wireFact{row.minVer, row.v6Enc, row.reply}
-		// A reply op is as old as the oldest request it answers.
-		if w := &wire[row.reply]; row.reply != 0 && (w.minVer == 0 || row.minVer < w.minVer) {
-			*w = wireFact{minVer: row.minVer, v6Enc: row.v6ReplyEnc}
-		}
+		replyOf[op] = opTable[op].reply
 	}
-}
-
-// codecOf is op's payload codec on a connection: words, or the op
-// table's v6 codec on a connection that negotiated v6.
-func codecOf(op uint8, v6 bool) codec {
-	if v6 {
-		return wire[op].v6Enc
-	}
-	return encWords
 }
 
 // pendingKind reports whether the client mux carries the row as a

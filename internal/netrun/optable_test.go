@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"encoding/binary"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -18,7 +19,7 @@ import (
 )
 
 // TestOpTableCoversEveryOp: every Op* constant in protocol.go is known
-// to the op table (as a request row or as a row's reply), and every
+// to the op table (as a row or as a row's reply), and every
 // request row's minimum version equals the "Op x minimum version"
 // matrix in the package comment — the matrix is a rendering of the
 // table, and this test is what keeps it one.
@@ -50,16 +51,23 @@ func TestOpTableCoversEveryOp(t *testing.T) {
 		}
 		return true
 	})
-	if len(ops) < 26 {
+	if len(ops) < 24 {
 		t.Fatalf("parsed only %d Op constants from protocol.go", len(ops))
 	}
+	known := map[uint8]bool{}
+	for op := range opTable {
+		if row := &opTable[op]; row.minVer != 0 {
+			known[uint8(op)] = true
+			known[row.reply] = true
+		}
+	}
 	for name, op := range ops {
-		if wire[op].minVer == 0 {
+		if !known[op] {
 			t.Errorf("%s (op %d) is in neither a row nor a reply column of the op table", name, op)
 		}
 	}
 
-	// The matrix: lines of the form "v6  OpAddReplica, OpDrainReplica".
+	// The matrix: lines of the form "v7  OpAddReplica, OpDrainReplica".
 	matrix := map[uint8]uint32{}
 	line := regexp.MustCompile(`(?m)^\tv(\d)\s+(Op\w+(?:, Op\w+)*)$`)
 	for _, m := range line.FindAllStringSubmatch(file.Doc.Text(), -1) {
@@ -83,12 +91,6 @@ func TestOpTableCoversEveryOp(t *testing.T) {
 		if got, ok := matrix[uint8(op)]; !ok || got != row.minVer {
 			t.Errorf("%s: table minVer v%d, package-comment matrix says v%d (listed=%v)", row.name, row.minVer, got, ok)
 		}
-		// Columns that must agree across rows sharing a reply op, or the
-		// derived wire facts would depend on row order.
-		if w := wire[row.reply]; w.v6Enc != row.v6ReplyEnc || w.minVer > row.minVer {
-			t.Errorf("%s: reply op %d derived as (v%d, v6 codec %d), row says (v%d, v6 codec %d)",
-				row.name, row.reply, w.minVer, w.v6Enc, row.minVer, row.v6ReplyEnc)
-		}
 		if row.valid == nil || row.name == "" {
 			t.Errorf("op %d: request row without a name or a valid rule", op)
 		}
@@ -100,9 +102,10 @@ func TestOpTableCoversEveryOp(t *testing.T) {
 
 // scriptNode is a fake replica: it answers every request frame with
 // whatever script returns, and a hello the script has no answer to as a
-// writable single-partition node over keys at this build's version.
-// Like a node, it speaks the version its hello ack names from then on.
-// It accepts one connection.
+// writable single-partition node over keys at this build's version. A
+// reply with Raw bytes and no Payload goes out as those bytes, and the
+// connection closes after it: a stream cut mid-frame. It accepts one
+// connection.
 func scriptNode(t *testing.T, keys []workload.Key, script func(req Frame) []Frame) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -127,11 +130,13 @@ func scriptNode(t *testing.T, keys []workload.Key, script func(req Frame) []Fram
 				replies = []Frame{{Op: OpHelloAck, ReqID: f.ReqID, Payload: helloWords(keys, min(f.ReqID, ProtoVersion), 6)}}
 			}
 			for _, r := range replies {
-				if bc.writeFrame(r) != nil {
+				if r.Payload == nil && r.Raw != nil {
+					bc.w.Write(r.Raw)
+					bc.w.Flush()
 					return
 				}
-				if r.Op == OpHelloAck && len(r.Payload) > 4 {
-					bc.setVersion(r.Payload[4])
+				if bc.writeFrame(r) != nil {
+					return
 				}
 			}
 			if bc.w.Flush() != nil {
@@ -148,6 +153,15 @@ func helloWords(keys []workload.Key, ver uint32, n int) []uint32 {
 	return []uint32{0, uint32(len(keys)), uint32(keys[0]), uint32(keys[len(keys)-1]), ver, uint32(len(keys)), 1, 0}[:n]
 }
 
+// asElems is words as a reply's elements.
+func asElems(words []uint32) elems {
+	e := make(elems, 4*len(words))
+	for i, w := range words {
+		binary.LittleEndian.PutUint32(e[4*i:], w)
+	}
+	return e
+}
+
 // replyCandidate searches small all-zero and ack-shaped payloads for
 // one that row.valid accepts (want=true) or rejects (want=false).
 func replyCandidate(row *opSpec, req []uint32, want bool) ([]uint32, bool) {
@@ -156,7 +170,7 @@ func replyCandidate(row *opSpec, req []uint32, want bool) ([]uint32, bool) {
 		cands = append(cands, make([]uint32, k))
 	}
 	for _, c := range cands {
-		if row.valid(req, elems{vals: c}) == want {
+		if row.valid(req, asElems(c)) == want {
 			return c, true
 		}
 	}
@@ -167,9 +181,9 @@ func replyCandidate(row *opSpec, req []uint32, want bool) ([]uint32, bool) {
 // hostile replica and recognizes the honest sibling's answer.
 type hostileCase struct {
 	req []uint32
-	// retired, when non-zero, is the byte-coded reply op an older build
-	// took for this request: the wrong-op and corrupt-payload replies use
-	// it.
+	// retired, when non-zero, is the reply op the builds that spoke v6
+	// took for this request, which this build does not know: the wrong-op
+	// and corrupt-payload replies use it.
 	retired uint8
 	// check verifies what an honest replica's answer delivered: out for
 	// the scattering kinds, p.reply for the staging ones.
@@ -179,14 +193,13 @@ type hostileCase struct {
 // TestOpTableHostileReplies walks every row a pending can carry (and an
 // ascending lookup, which goes out as the same OpLookup word frame)
 // against a scripted hostile replica beside an honest sibling — wrong
-// reply op, wrong element count, unknown reqID, corrupt byte payload,
-// OpErr, and a scan or top-k run that descends — and asserts the failure scope the row declares: a protocol
+// reply op, wrong element count, unknown reqID, a reply cut short
+// mid-payload, OpErr, and a scan or top-k run that descends — and
+// asserts the failure scope the row declares: a protocol
 // violation always costs the connection, after which the request is
 // re-dispatched (reads, answered exactly by the sibling), settled
 // (writes) or aborted (pinned ops); an OpErr reaches only as far as the
-// row's onErr says. No wrong answer ever completes. The hostile replica
-// speaks v7, where every reply is words, except for the corrupt payload:
-// only the byte codecs of a v6 connection can carry one.
+// row's onErr says. No wrong answer ever completes.
 // The hello is no pending, so its hostile shapes fail the dial: an ack
 // of four words (a version-1 node's) or of seven (no shape at all).
 func TestOpTableHostileReplies(t *testing.T) {
@@ -274,20 +287,19 @@ func TestOpTableHostileReplies(t *testing.T) {
 	for op, hc := range cases {
 		runs = append(runs, run{opTable[op].name, op, hc})
 	}
-	// An ascending lookup is the same word frame. Older builds sent it as
-	// OpLookupSorted, answered by OpRanksDelta: that reply, well formed or
-	// corrupt, must now cost the connection like any wrong op.
-	runs = append(runs, run{"lookup_sorted", OpLookup, hostileCase{req: words(asc), retired: OpRanksDelta, check: ranksOf(asc)}})
+	// An ascending lookup is the same word frame. The builds that spoke v6
+	// sent it as op 6, answered by op 7: that reply, well formed or cut
+	// short, must now cost the connection like any wrong op.
+	runs = append(runs, run{"lookup_sorted", OpLookup, hostileCase{req: words(asc), retired: 7, check: ranksOf(asc)}})
 
 	hostilities := []string{"wrong-op", "wrong-count", "unknown-reqid", "corrupt-payload", "op-err", "descending"}
 	for _, r := range runs {
 		kind, hc := &opTable[r.op], r.hc
 		for _, h := range hostilities {
-			if h == "descending" && (kind.valid(hc.req, elems{vals: []uint32{2, 1}}) || !kind.valid(hc.req, elems{vals: []uint32{1, 2}})) {
+			if h == "descending" && (kind.valid(hc.req, asElems([]uint32{2, 1})) || !kind.valid(hc.req, asElems([]uint32{1, 2}))) {
 				continue // the row's reply is no run, or any order will do
 			}
 			t.Run(fmt.Sprintf("%s/%s", r.name, h), func(t *testing.T) {
-				ver := uint32(ProtoVersion)
 				var hostile func(req Frame) []Frame
 				switch h {
 				case "wrong-op":
@@ -314,16 +326,16 @@ func TestOpTableHostileReplies(t *testing.T) {
 					}
 					hostile = func(req Frame) []Frame { return []Frame{{Op: kind.reply, ReqID: req.ReqID + 1000, Payload: good}} }
 				case "corrupt-payload":
+					// A reply frame that promises two words and carries five
+					// bytes, then the end of the stream.
 					reply := kind.reply
 					if hc.retired != 0 {
 						reply = hc.retired
 					}
-					if wire[reply].v6Enc == encWords {
-						t.Skip("word replies have no payload coding to corrupt")
-					}
-					ver = ProtoV6
 					hostile = func(req Frame) []Frame {
-						return []Frame{{Op: reply, ReqID: req.ReqID, Raw: []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}}}
+						var fw frameWriter
+						b, _ := fw.encode(Frame{Op: reply, ReqID: req.ReqID, Payload: []uint32{1, 2}})
+						return []Frame{{Raw: b[:len(b)-3]}}
 					}
 				case "op-err":
 					hostile = func(req Frame) []Frame {
@@ -334,21 +346,20 @@ func TestOpTableHostileReplies(t *testing.T) {
 					// carry: ComposeTopK would read it backward.
 					hostile = func(req Frame) []Frame { return []Frame{{Op: kind.reply, ReqID: req.ReqID, Payload: []uint32{2, 1}}} }
 				}
-				runHostile(t, keys, r.op, hc, ver, h == "op-err", hostile)
+				runHostile(t, keys, r.op, hc, h == "op-err", hostile)
 			})
 		}
 	}
 }
 
-// runHostile issues hc's request of op at a hostile replica that speaks
-// version ver, beside an honest sibling, and checks the outcome against
-// the row's failure scope.
-func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, ver uint32, opErr bool, hostile func(Frame) []Frame) {
+// runHostile issues hc's request of op at a hostile replica beside an
+// honest sibling, and checks the outcome against the row's failure scope.
+func runHostile(t *testing.T, keys []workload.Key, op uint8, hc hostileCase, opErr bool, hostile func(Frame) []Frame) {
 	kind := &opTable[op]
 	var sawOp atomic.Uint32
 	bad := scriptNode(t, keys, func(req Frame) []Frame {
 		if req.Op == OpHello {
-			return []Frame{{Op: OpHelloAck, ReqID: req.ReqID, Payload: helloWords(keys, ver, 6)}}
+			return []Frame{{Op: OpHelloAck, ReqID: req.ReqID, Payload: helloWords(keys, ProtoVersion, 6)}}
 		}
 		sawOp.Store(uint32(req.Op))
 		return hostile(req)

@@ -15,10 +15,9 @@ package netrun
 //     (ascending on the wire); core.ComposeScan and core.ComposeTopK put
 //     the runs together.
 //   - MultiGet frames the runs the call's core.Plan cuts (the plan
-//     radix-sorts a batch that does not ascend: a v6 connection's delta
-//     codec carries only ascending runs, and a node takes the sorted
-//     kernel for one) and lets the read loops write each multiplicity
-//     straight into its output slot. A
+//     radix-sorts a batch that does not ascend, so that each frame is an
+//     ascending run, which the node's sorted kernel counts) and lets the
+//     read loops write each multiplicity straight into its output slot. A
 //     key whose run a cut splits is also asked of the partitions below
 //     its own; those replies are staged and added into out once every
 //     other reply has landed.
@@ -177,10 +176,9 @@ func (c *Cluster) MultiGet(keys []workload.Key) ([]int, error) {
 
 // MultiGetInto is MultiGet writing into a caller-provided slice
 // (len(out) >= len(keys)). Unlike LookupBatchInto, the batch always
-// takes the sorted pipeline: a v6 connection's OpMultiGet frame is the
-// delta codec, which only carries ascending runs, so unsorted input is
-// radix-sorted client-side and the replies scatter through the position
-// array.
+// takes the sorted pipeline: the node counts an OpMultiGet frame's keys
+// with its sorted kernel, so unsorted input is radix-sorted client-side
+// and the replies scatter through the position array.
 // A key whose run a cut splits counts its copies in every partition.
 func (c *Cluster) MultiGetInto(keys []workload.Key, out []int) error {
 	if len(out) < len(keys) {

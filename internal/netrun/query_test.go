@@ -529,31 +529,29 @@ func (m *checksumMismatch) Error() string {
 }
 
 // TestQueryOpsGoldenFrames pins the bytes of one OpCountRange and one
-// OpMultiGet exchange on a v6 connection — request, and the OpCounts
-// reply — recorded from the build whose node answered them with two
-// binary searches per range per layer: ranges from the origin, inverted,
-// of one key, to the end of the key space, across duplicates and
-// buffered copies. The batch kernels changed how the node counts, not
-// one byte of what it says.
+// OpMultiGet exchange — request, and the OpCounts reply — asking what
+// the build whose node answered them with two binary searches per range
+// per layer was asked: ranges from the origin, inverted, of one key, to
+// the end of the key space, across duplicates and buffered copies. The
+// batch kernels changed how the node counts, and v7 how the counts
+// travel (words, where v6 sent varints), not one count it says.
 func TestQueryOpsGoldenFrames(t *testing.T) {
 	node := goldenQueryNode()
-	node.MaxVersion = ProtoV6
 	var fw frameWriter
-	countReq, err := fw.encode(Frame{Op: OpCountRange, ReqID: 42, Payload: goldenPairs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	countReq = slices.Clone(countReq)
-	fw.v6 = true
-	getReq, err := encodeRun(&fw, OpMultiGet, 43, goldenGets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct{ name, request, frames string }{
-		{"count_range", hex.EncodeToString(countReq), goldenCountRange},
-		{"multi_get", hex.EncodeToString(getReq), goldenMultiGet},
+	for _, c := range []struct {
+		name   string
+		req    Frame
+		frames string
+	}{
+		{"count_range", Frame{Op: OpCountRange, ReqID: 42, Payload: goldenPairs}, goldenCountRange},
+		{"multi_get", Frame{Op: OpMultiGet, ReqID: 43, Payload: goldenGets}, goldenMultiGet},
 	} {
-		if got := c.request + " " + exchangeHex(t, node, c.request); got != c.frames {
+		req, err := fw.encode(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		request := hex.EncodeToString(req)
+		if got := request + " " + exchangeHex(t, node, request); got != c.frames {
 			t.Errorf("%s: request and reply frames\n got %s\nwant %s", c.name, got, c.frames)
 		}
 	}
@@ -596,16 +594,9 @@ func exchangeHex(t *testing.T, node *Node, request string) string {
 	return hex.EncodeToString(sent.Bytes())
 }
 
-// Request frame, a space, reply frame; from commit bddf63c.
-const (
-	goldenCountRange = "05201ddc112a000000160000000000000000000000000000006f11010000000000ffffffff0100000070110100701101007011010071110100701101000600000005000000e022020050fd140250fd1402ffffffffffffffffffffffffffffffff00000000 05201ddc162a0000000e0000000b0304ed0705040000e407030100"
-	goldenMultiGet   = "05201ddc142b000000170000000b00000104eaa2040101efa204f0b4cb1001ae85acef0f 05201ddc162b0000000c0000000b0303000100040002020001"
-)
-
-// TestQueryOpsGoldenFramesV7 pins the v7 form of the query ops and the
-// snapshot — every payload plain words, each count a word count — from
-// request to reply. The count and MultiGet exchanges ask what the v6
-// goldens ask and are answered the same values: only the codec differs.
+// TestQueryOpsGoldenFramesV7 pins the exchanges v7 made word runs of —
+// a scan, a top-k and a snapshot, which v6 delta-coded — from request
+// to reply.
 func TestQueryOpsGoldenFramesV7(t *testing.T) {
 	node := goldenQueryNode()
 	small := NewPartitionNode([]workload.Key{3, 3, 70000, math.MaxUint32}, 9)
@@ -617,8 +608,6 @@ func TestQueryOpsGoldenFramesV7(t *testing.T) {
 		req    Frame
 		frames string
 	}{
-		{"count_range", node, Frame{Op: OpCountRange, ReqID: 42, Payload: goldenPairs}, goldenCountRangeV7},
-		{"multi_get", node, Frame{Op: OpMultiGet, ReqID: 43, Payload: goldenGets}, goldenMultiGetV7},
 		{"scan_range", node, Frame{Op: OpScanRange, ReqID: 44, Payload: []uint32{1, 140000, 4}}, goldenScanRangeV7},
 		{"top_k", node, Frame{Op: OpTopK, ReqID: 45, Payload: []uint32{3}}, goldenTopKV7},
 		{"snapshot", small, Frame{Op: OpSnapshot, ReqID: 46}, goldenSnapshotV7},
@@ -635,13 +624,14 @@ func TestQueryOpsGoldenFramesV7(t *testing.T) {
 }
 
 // Request frame, a space, reply frame. The count and multiplicity
-// replies are the v6 goldens' varints as words.
+// replies are, as words, the varints the v6 form of the exchange carried
+// at commit bddf63c.
 const (
-	goldenCountRangeV7 = "05201ddc112a000000160000000000000000000000000000006f11010000000000ffffffff0100000070110100701101007011010071110100701101000600000005000000e022020050fd140250fd1402ffffffffffffffffffffffffffffffff00000000 05201ddc162a0000000b0000000300000004000000ed03000005000000040000000000000000000000e4030000030000000100000000000000"
-	goldenMultiGetV7   = "05201ddc142b0000000b000000000000000000000001000000050000006f1101007011010071110100e022020050fd140251fd1402ffffffff 05201ddc162b0000000b0000000300000003000000000000000100000000000000040000000000000002000000020000000000000001000000"
-	goldenScanRangeV7  = "05201ddc122c0000000300000001000000e022020004000000 05201ddc152c0000000400000005000000701101007011010070110100"
-	goldenTopKV7       = "05201ddc132d0000000100000003000000 05201ddc152d0000000300000050fd140250fd1402ffffffff"
-	goldenSnapshotV7   = "05201ddc0a2e00000000000000 05201ddc0b2e000000060000000300000003000000030000000400000070110100ffffffff"
+	goldenCountRange  = "05201ddc112a000000160000000000000000000000000000006f11010000000000ffffffff0100000070110100701101007011010071110100701101000600000005000000e022020050fd140250fd1402ffffffffffffffffffffffffffffffff00000000 05201ddc162a0000000b0000000300000004000000ed03000005000000040000000000000000000000e4030000030000000100000000000000"
+	goldenMultiGet    = "05201ddc142b0000000b000000000000000000000001000000050000006f1101007011010071110100e022020050fd140251fd1402ffffffff 05201ddc162b0000000b0000000300000003000000000000000100000000000000040000000000000002000000020000000000000001000000"
+	goldenScanRangeV7 = "05201ddc122c0000000300000001000000e022020004000000 05201ddc152c0000000400000005000000701101007011010070110100"
+	goldenTopKV7      = "05201ddc132d0000000100000003000000 05201ddc152d0000000300000050fd140250fd1402ffffffff"
+	goldenSnapshotV7  = "05201ddc0a2e00000000000000 05201ddc0b2e000000060000000300000003000000030000000400000070110100ffffffff"
 )
 
 // TestScratchNotRetained sends a connection the requests that grow its

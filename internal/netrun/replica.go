@@ -215,13 +215,14 @@ type replicaGroup struct {
 	mu       sync.Mutex
 	replicas []*replica //dc:guardedby mu
 	cursor   int        //dc:guardedby mu
-	// written records that a write was fanned out to this group this
-	// epoch, or that its nodes held inserts when the epoch dialed. Set in
-	// the same mu section as the fan-out itself: a write is dangerous to
-	// a plainly-installed replica the moment it is *issued* — the acked
-	// counters (Cluster.ins) lag by a network round trip, and a replica
-	// installed in that window would permanently miss the in-flight
-	// write.
+	// written records that this client fanned a write out to this group
+	// this epoch, or that a node's hello showed a live count above its
+	// baseline when the epoch dialed. Set in the same mu section as the
+	// fan-out itself: a write is dangerous to a plainly-installed replica
+	// the moment it is *issued* — its ack lags by a network round trip,
+	// and a replica installed in that window would permanently miss the
+	// in-flight write. Another client's writes after the dial do not set
+	// it.
 	written bool //dc:guardedby mu
 
 	// budget is the partition's hedge token bucket in milli-tokens: each

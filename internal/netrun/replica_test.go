@@ -103,7 +103,6 @@ func (rc *replicatedCluster) restart(t *testing.T, partition, replica int) {
 	}
 	p := rc.part.Parts[partition]
 	node := NewPartitionNode(p.Keys, p.RankBase)
-	node.MaxVersion = rc.nodes[partition][replica].MaxVersion
 	if rc.wrap != nil {
 		node.WrapConn = rc.wrap(partition, replica)
 	}
@@ -130,7 +129,7 @@ func startReplicated(t *testing.T, keys []workload.Key, parts, replicas, batch i
 }
 
 // startShaped is startReplicated with a hook that configures each node
-// (ReadOnly, MaxVersion) before it serves.
+// (ReadOnly, say) before it serves.
 func startShaped(t *testing.T, keys []workload.Key, parts, replicas, batch int, opt DialOptions, shape func(part, replica int, n *Node)) (*replicatedCluster, func()) {
 	t.Helper()
 	p, err := core.NewPartitioning(keys, parts)

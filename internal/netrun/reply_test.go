@@ -16,11 +16,9 @@ import (
 // TestReplyBytesMatchWordPath holds the node's reply sink to the path it
 // replaced: for every read op, the frame the node encodes straight from
 // its kernel's or scan's output must equal, byte for byte, the frame made
-// by first narrowing that output to words and then encoding the words
-// under the reply's codec — words at v7; words, delta or varint on a
-// connection pinned to v6. The key set is random with duplicates and
-// buffered inserts, the rank base sits high in the 32-bit range, and the
-// requests are random.
+// by first narrowing that output to words and then encoding the words.
+// The key set is random with duplicates and buffered inserts, the rank
+// base sits high in the 32-bit range, and the requests are random.
 func TestReplyBytesMatchWordPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	keys := make([]workload.Key, 20000)
@@ -66,42 +64,14 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 		}
 		return w
 	}
-	// v6 is the version of the connection the cases are served on.
-	var v6 bool
-	// wordPath is the replaced reply path: the elements as words, then the
-	// reply op's codec.
+	// wordPath is the replaced reply path: the elements as words, then
+	// the frame.
 	wordPath := func(op uint8, reqID uint32, vals []uint32) string {
-		f := Frame{Op: op, ReqID: reqID}
-		switch codecOf(op, v6) {
-		case encWords:
-			f.Payload = vals
-		case encDelta:
-			raw, err := appendDeltaRun(nil, vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f.Raw = raw
-		case encVarint:
-			f.Raw = appendVarRun(nil, vals)
-		}
 		var buf bytes.Buffer
-		fw := frameWriter{v6: v6}
-		if err := fw.writeTo(&buf, f); err != nil {
+		if err := WriteFrame(&buf, Frame{Op: op, ReqID: reqID, Payload: vals}); err != nil {
 			t.Fatal(err)
 		}
-		return string(buf.Bytes())
-	}
-	// runReq is a key-run request as the connection reads it: words, or
-	// at v6 a delta run.
-	runReq := func(op uint8, reqID uint32, ks []workload.Key) Frame {
-		if !v6 {
-			return onWire(t, Frame{Op: op, ReqID: reqID, Payload: words(ks)})
-		}
-		raw, err := appendDeltaRun(nil, ks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Frame{Op: op, ReqID: reqID, Raw: raw}
+		return buf.String()
 	}
 
 	type exchange struct {
@@ -110,16 +80,12 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 	}
 	cases := map[uint8]func(reqID uint32) exchange{
 		OpLookup: func(id uint32) exchange {
-			qs := randKeys(1+rng.Intn(5000), false)
+			// Half the frames ascend, which the node answers by the sorted
+			// kernel.
+			qs := randKeys(1+rng.Intn(5000), rng.Intn(2) == 0)
 			ints := make([]int, len(qs))
 			u.RankBatch(qs, ints, rankBase)
 			return exchange{onWire(t, Frame{Op: OpLookup, ReqID: id, Payload: words(qs)}), wordPath(OpRanks, id, narrow(ints))}
-		},
-		OpLookupSorted: func(id uint32) exchange {
-			qs := randKeys(1+rng.Intn(5000), true)
-			ints := make([]int, len(qs))
-			u.RankSorted(qs, ints, rankBase)
-			return exchange{runReq(OpLookupSorted, id, qs), wordPath(OpRanksDelta, id, narrow(ints))}
 		},
 		OpCountRange: func(id uint32) exchange {
 			pairs := make([]uint32, 2*(1+rng.Intn(500)))
@@ -158,7 +124,7 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 			n := len(qs)
 			ints := make([]int, 2*n)
 			u.CountKeys(qs, ints[:n], ints[n:])
-			return exchange{runReq(OpMultiGet, id, qs), wordPath(OpCounts, id, narrow(ints[:n]))}
+			return exchange{onWire(t, Frame{Op: OpMultiGet, ReqID: id, Payload: words(qs)}), wordPath(OpCounts, id, narrow(ints[:n]))}
 		},
 	}
 	for op := range opTable {
@@ -166,21 +132,17 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 			t.Fatalf("read op %s has no case here", row.name)
 		}
 	}
-	for _, ver := range []uint32{ProtoV6, ProtoV7} {
-		var sent bytes.Buffer
-		s := serveOn(node, nil, &sent)
-		s.settle(ver)
-		v6 = ver < ProtoV7
-		for op, mk := range cases {
-			for trial := range 40 {
-				x := mk(uint32(1000*int(op) + trial))
-				sent.Reset()
-				if !s.serve(x.req) {
-					t.Fatalf("v%d %s: the node dropped the connection", ver, opTable[op].name)
-				}
-				if got := sent.String(); got != x.want {
-					t.Fatalf("v%d %s trial %d: reply frame differs from the word path's (%d bytes, want %d)", ver, opTable[op].name, trial, len(got), len(x.want))
-				}
+	var sent bytes.Buffer
+	s := serveOn(node, nil, &sent)
+	for op, mk := range cases {
+		for trial := range 40 {
+			x := mk(uint32(1000*int(op) + trial))
+			sent.Reset()
+			if !s.serve(x.req) {
+				t.Fatalf("%s: the node dropped the connection", opTable[op].name)
+			}
+			if got := sent.String(); got != x.want {
+				t.Fatalf("%s trial %d: reply frame differs from the word path's (%d bytes, want %d)", opTable[op].name, trial, len(got), len(x.want))
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/hex"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"slices"
@@ -77,31 +78,31 @@ type duplex struct {
 }
 
 // serveOn is n's serving state for a connection that reads r and writes
-// w, at n's version cap until a hello says otherwise.
+// w, one that has not said hello.
 func serveOn(n *Node, r io.Reader, w io.Writer) *nodeConn {
 	s := n.newConn(nil)
 	s.bc = newBufferedConn(duplex{r, w})
-	s.settle(s.cap32)
 	return s
 }
 
-// TestSortedLookupGoldenFrames pins the bytes of one sorted lookup and
-// its reply on a v6 connection, recorded from the build before the delta codec's loops were
-// unrolled: varints of every length, repeated keys, keys below the
-// smallest and above the largest key, a rank base. Frames are what old
-// and new binaries share, so "the same bytes" is checked, not inferred.
+// TestSortedLookupGoldenFrames pins the bytes of one ascending lookup
+// and its reply — an OpLookup word frame, which the node answers by the
+// sorted kernel — recorded from the first build that sent an ascending
+// run as words: repeated keys, keys below the smallest and above the
+// largest key, a rank base. Frames are what old and new binaries share,
+// so "the same bytes" is checked, not inferred.
 func TestSortedLookupGoldenFrames(t *testing.T) {
 	const (
-		request = "05201ddc062a0000001e0000000c0000efa204017f0180800180807f008580800180808080018adcfbfd0e"
-		reply   = "05201ddc072a0000000f0000000c89270000010000001d001eab0700"
+		request = "05201ddc032a0000000c00000000000000000000006f11010070110100ef110100f0110100f0510100f0112100f0112100f5114100f5114110ffffffff"
+		reply   = "05201ddc042a0000000c0000008913000089130000891300008a1300008a1300008a1300008a130000a7130000a7130000c51300007017000070170000"
 	)
 	keys := make([]workload.Key, 1000)
 	for i := range keys {
 		keys[i] = workload.Key(i * 70000)
 	}
 	qs := []uint32{0, 0, 69999, 70000, 70127, 70128, 86512, 2167280, 2167280, 4264437, 272699893, 0xFFFFFFFF}
-	fw := frameWriter{v6: true}
-	req, err := encodeRun(&fw, OpLookupSorted, 42, qs)
+	var fw frameWriter
+	req, err := encodeRun(&fw, OpLookup, 42, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +110,7 @@ func TestSortedLookupGoldenFrames(t *testing.T) {
 		t.Fatalf("request frame\n got %s\nwant %s", got, request)
 	}
 	var sent bytes.Buffer
-	node := NewPartitionNode(keys, 5000)
-	node.MaxVersion = ProtoV6
-	s := serveOn(node, bytes.NewReader(req), &sent)
+	s := serveOn(NewPartitionNode(keys, 5000), bytes.NewReader(req), &sent)
 	f, err := s.bc.readFrame()
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +123,11 @@ func TestSortedLookupGoldenFrames(t *testing.T) {
 	}
 }
 
-// TestSortedLookupLargeFrame sends one 300,000-key sorted lookup — a
-// reply whose worst-case encoding is above keepReplyScratch — through a
-// v6 connection's serve path: the ranks are oracle-exact, the reply buffer
-// is the request's one allocation (sized once by the encoder, not grown
-// by doubling), and the connection keeps no scratch above the cap.
+// TestSortedLookupLargeFrame sends one 300,000-key ascending lookup — a
+// reply frame above keepReplyScratch — through the serve path: the ranks
+// are oracle-exact, the reply buffer is the request's one allocation
+// (sized once by the encoder, not grown by doubling), and the connection
+// keeps no scratch above the cap.
 func TestSortedLookupLargeFrame(t *testing.T) {
 	keys := workload.SortedKeys(50000, 71)
 	qs := sortedCopy(workload.UniformQueries(300000, 72))
@@ -136,39 +135,27 @@ func TestSortedLookupLargeFrame(t *testing.T) {
 	for i, q := range qs {
 		words[i] = uint32(q)
 	}
-	raw, err := appendDeltaRun(nil, words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Frame{Op: OpLookupSorted, ReqID: 9, Raw: raw}
+	req := onWire(t, Frame{Op: OpLookup, ReqID: 9, Payload: words})
 
 	var sent bytes.Buffer
-	node := NewPartitionNode(keys, 17)
-	node.MaxVersion = ProtoV6
-	s := serveOn(node, nil, &sent)
+	s := serveOn(NewPartitionNode(keys, 17), nil, &sent)
 	if !s.serve(req) {
 		t.Fatal("the node dropped the connection")
 	}
-	fr := frameReader{v6: true}
-	f, err := fr.readFrom(&sent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranks, err := decodeDeltaRun[uint32](f.Raw, nil)
-	if err != nil || f.Op != OpRanksDelta || f.ReqID != 9 || len(ranks) != len(qs) {
-		t.Fatalf("reply op %d reqID %d with %d ranks: %v", f.Op, f.ReqID, len(ranks), err)
+	f, err := ReadFrame(&sent)
+	if err != nil || f.Op != OpRanks || f.ReqID != 9 || len(f.Payload) != len(qs) {
+		t.Fatalf("reply op %d reqID %d with %d ranks: %v", f.Op, f.ReqID, len(f.Payload), err)
 	}
 	for i, q := range qs {
-		if want := 17 + workload.ReferenceRank(keys, q); int(ranks[i]) != want {
-			t.Fatalf("rank[%d](%d) = %d, want %d", i, q, ranks[i], want)
+		if want := 17 + workload.ReferenceRank(keys, q); int(f.Payload[i]) != want {
+			t.Fatalf("rank[%d](%d) = %d, want %d", i, q, f.Payload[i], want)
 		}
 	}
 
-	if worst := 5 + 5*len(qs); worst <= keepReplyScratch {
-		t.Fatalf("a %d-byte worst case is under the %d-byte cap: the frame is too small for this test", worst, keepReplyScratch)
+	if frame := 13 + 4*len(qs); frame <= keepReplyScratch {
+		t.Fatalf("a %d-byte reply frame is under the %d-byte cap: the frame is too small for this test", frame, keepReplyScratch)
 	}
 	s.bc = newBufferedConn(duplex{nil, io.Discard})
-	s.settle(ProtoV6)
 	if allocs := testing.AllocsPerRun(3, func() { s.serve(req) }); allocs != 1 {
 		t.Errorf("%v allocations per oversized request, want 1 (the reply buffer)", allocs)
 	}
@@ -192,8 +179,9 @@ func (r *recordConn) Write(b []byte) (int, error) {
 }
 
 // TestTCPSortedCallSendsWords: an ascending 65,536-key call over two
-// partitions goes out as OpLookup word frames only — 4 payload bytes a
-// key, the form an unsorted call takes — and its ranks are the upper
+// partitions goes out as OpLookup word frames — 4 payload bytes a key,
+// the form an unsorted call takes — beside the one OpCountRange that asks
+// partition 0 for its live key count, and its ranks are the upper
 // bounds: duplicate queries, queries below the first key and above the
 // last, and queries of a key whose copies sit at the partition boundary,
 // once where the cut moves off the run and once where it splits it.
@@ -273,7 +261,7 @@ func sortedCallSendsWords(t *testing.T, keys []workload.Key, run workload.Key, s
 
 	mu.Lock()
 	defer mu.Unlock()
-	frames, sentKeys, sentBytes := 0, 0, 0
+	frames, sentKeys, sentBytes, counts := 0, 0, 0, 0
 	for _, rc := range conns {
 		rc.mu.Lock()
 		stream := bytes.NewReader(slices.Clone(rc.sent.Bytes()))
@@ -290,10 +278,19 @@ func sortedCallSendsWords(t *testing.T, keys []workload.Key, run workload.Key, s
 				frames++
 				sentKeys += len(f.Payload)
 				sentBytes += before - stream.Len()
+			case OpCountRange:
+				// Partition 0's live key count, which rebases partition 1.
+				counts++
+				if !slices.Equal(f.Payload, []uint32{0, math.MaxUint32}) {
+					t.Fatalf("the call asked a count of %v, want the key space [0 %d]", f.Payload, uint32(math.MaxUint32))
+				}
 			default:
-				t.Fatalf("the call sent an op %d frame, want only OpLookup (%d)", f.Op, OpLookup)
+				t.Fatalf("the call sent an op %d frame, want only OpLookup (%d) and OpCountRange (%d)", f.Op, OpLookup, OpCountRange)
 			}
 		}
+	}
+	if counts != 1 {
+		t.Fatalf("the call sent %d OpCountRange frames, want 1: partition 0's live key count", counts)
 	}
 	if sentKeys != len(qs) || sentBytes != 13*frames+4*len(qs) {
 		t.Fatalf("%d OpLookup frames carried %d keys in %d bytes, want %d keys in %d bytes (a 13-byte header, then 4 bytes a key)",

@@ -3,7 +3,6 @@ package repro_test
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -78,13 +77,13 @@ func TestExamplesSmoke(t *testing.T) {
 
 // startDCNode launches a built dcnode binary on an ephemeral port and
 // returns the address it reports on stderr, plus the process for
-// cleanup. extra is appended to its flags.
-func startDCNode(t *testing.T, bin string, n, seed, parts, part int, extra ...string) (string, *exec.Cmd) {
+// cleanup.
+func startDCNode(t *testing.T, bin string, n, seed, parts, part int) (string, *exec.Cmd) {
 	t.Helper()
-	cmd := exec.Command(bin, append([]string{
+	cmd := exec.Command(bin,
 		"-n", fmt.Sprint(n), "-seed", fmt.Sprint(seed),
 		"-parts", fmt.Sprint(parts), "-part", fmt.Sprint(part),
-		"-listen", "127.0.0.1:0"}, extra...)...)
+		"-listen", "127.0.0.1:0")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -157,29 +156,5 @@ func TestDCQAgainstReplicatedDCNodes(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "checksum") || !strings.Contains(string(out), "2 partitions") {
 		t.Fatalf("unexpected dcq output:\n%s", out)
-	}
-}
-
-// TestDCNodeMaxVersionFlag: -max-version takes the protocol versions this
-// build speaks and nothing else. A version below the floor (or above the
-// newest) exits with a usage error naming the range, before a key is
-// generated.
-func TestDCNodeMaxVersionFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	dcnode := filepath.Join(t.TempDir(), "dcnode")
-	if out, err := exec.Command(goTool(t), "build", "-o", dcnode, "./cmd/dcnode").CombinedOutput(); err != nil {
-		t.Fatalf("build dcnode: %v\n%s", err, out)
-	}
-	for _, v := range []string{"1", "5", "8"} {
-		out, err := exec.Command(dcnode, "-n", "4096", "-parts", "1", "-listen", "127.0.0.1:0", "-max-version", v).CombinedOutput()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "v6–v7") {
-			t.Fatalf("dcnode -max-version %s: %v\n%s\nwant exit status 2 naming v6–v7", v, err, out)
-		}
-	}
-	if addr, _ := startDCNode(t, dcnode, 4096, 1, 1, 0, "-max-version", "6"); addr == "" {
-		t.Fatal("dcnode -max-version 6 did not serve")
 	}
 }
