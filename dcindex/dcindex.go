@@ -161,9 +161,8 @@ func (o Options) withDefaults() core.RealConfig {
 // worker pool, each gathering on its own channel. Close blocks until
 // in-flight calls finish, then releases the worker goroutines.
 type Index struct {
-	c    *core.Cluster
-	keys []Key
-	opt  core.RealConfig
+	c   *core.Cluster
+	opt core.RealConfig
 }
 
 // Open builds the index over sorted keys (ascending; duplicates allowed)
@@ -175,7 +174,7 @@ func Open(keys []Key, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{c: c, keys: keys, opt: cfg}, nil
+	return &Index{c: c, opt: cfg}, nil
 }
 
 // Method returns the strategy the index runs.
@@ -248,8 +247,9 @@ func (ix *Index) TopK(k int, buf []Key) ([]Key, error) { return ix.c.TopK(k, buf
 
 // MultiGet returns the multiplicity of each query key — how many
 // copies the index holds, CountRange(k, k) — in query order, answered by
-// the partition each key routes to and, when a cut splits k's run of
-// copies (a run longer than a partition), by the partitions below it too.
+// the partition each key routes to alone; when a run of copies is longer
+// than a partition, the copies under it are a count the routing table
+// holds.
 func (ix *Index) MultiGet(keys []Key) ([]int, error) { return ix.c.MultiGet(keys) }
 
 // MultiGetInto is MultiGet writing into a caller-provided slice

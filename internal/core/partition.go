@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/workload"
@@ -11,8 +12,6 @@ import (
 // sorted key array ("the sorted array is decomposed into equal size
 // partitions and each partition is stored at a slave node", Section 3.2).
 type Partition struct {
-	// Slave is the owning slave's id, 0-based.
-	Slave int
 	// Keys aliases the owning run of the sorted array.
 	Keys []workload.Key
 	// RankBase is the number of keys that precede this partition in the
@@ -38,6 +37,12 @@ type Partitioning struct {
 	// start at delims[b]. prefix[256] is len(delims), so the entry after
 	// t always decodes to where t's delimiters end.
 	prefix [257]int32
+	// below[s] is how many copies of partition s's first key the
+	// partitions under s hold: nonzero only where a cut falls inside a
+	// run of that key (distinctCut). The key routes to s, and so do its
+	// inserts, so the count is fixed when the table is built, and a read
+	// of the key adds it instead of asking those partitions.
+	below []int
 }
 
 // NewPartitioning splits sorted keys into the given number of equal-size
@@ -82,7 +87,7 @@ func newPartitioningSorted(keys []workload.Key, parts int) (*Partitioning, error
 		if i+1 < parts {
 			hi = distinctCut(keys, lo, (i+1)*len(keys)/parts, (i+2)*len(keys)/parts)
 		}
-		p.Parts[i] = Partition{Slave: i, Keys: keys[lo:hi], RankBase: lo}
+		p.Parts[i] = Partition{Keys: keys[lo:hi], RankBase: lo}
 		if i > 0 {
 			p.delims = append(p.delims, keys[lo])
 		}
@@ -99,9 +104,10 @@ func newPartitioningSorted(keys []workload.Key, parts int) (*Partitioning, error
 // ask too. The cut goes to the start of the run, or to its end when the
 // run reaches back to the previous cut at lo; both partitions stay
 // non-empty (lo < cut < next, the equal-size cut after this one). A run
-// that fills a whole partition keeps the equal-size cut (cutRun): ranks
-// are exact across it all the same, counts and scans ask the partitions
-// below the key's too (Span), and so does MultiGet (Plan.Keys).
+// that fills a whole partition keeps the equal-size cut: ranks are exact
+// across it all the same, and a read of the key asks only the partition
+// it routes to and adds the copies below, which the table counts
+// (Partitioning.below).
 func distinctCut(keys []workload.Key, lo, at, next int) int {
 	cut := at
 	for cut > lo+1 && keys[cut-1] == keys[cut] {
@@ -119,16 +125,19 @@ func distinctCut(keys []workload.Key, lo, at, next int) int {
 	return at
 }
 
-// cutRun reports whether the cut at delims[i] falls inside a run of
-// copies of that key: partition i ends with it. Inserts of the key route
-// above the cut, so partition i's copies are the ones it was built with.
-func (p *Partitioning) cutRun(i int) bool {
-	ks := p.Parts[i].Keys
-	return len(ks) > 0 && ks[len(ks)-1] == p.delims[i]
-}
-
-// indexDelims builds prefix from delims.
+// indexDelims builds prefix from delims, and below from the partitions'
+// keys: partition s−1 holds the copies of delims[s−1] at its end, and
+// when it holds nothing else, the copies under it too.
 func (p *Partitioning) indexDelims() {
+	p.below = make([]int, len(p.Parts))
+	for s := 1; s < len(p.Parts); s++ {
+		ks := p.Parts[s-1].Keys
+		i, _ := slices.BinarySearch(ks, p.delims[s-1])
+		p.below[s] = len(ks) - i
+		if i == 0 {
+			p.below[s] += p.below[s-1]
+		}
+	}
 	i := 0
 	for t := range p.prefix[:256] {
 		b := i
@@ -164,7 +173,7 @@ func SplitPoint(keys []workload.Key) (cut int, ok bool) {
 // SplitAt returns a new Partitioning with partition part divided at
 // cut: the low half keeps keys[:cut] and part's rank base, the high
 // half serves keys[cut:] at RankBase+cut, and every later partition's
-// Slave id shifts up by one. The cut must separate distinct keys (see
+// index shifts up by one. The cut must separate distinct keys (see
 // SplitPoint). The receiver is not modified — callers swap the
 // returned table in atomically.
 func (p *Partitioning) SplitAt(part, cut int) (*Partitioning, error) {
@@ -185,10 +194,10 @@ func (p *Partitioning) SplitAt(part, cut int) (*Partitioning, error) {
 	for i, old := range p.Parts {
 		if i == part {
 			np.Parts = append(np.Parts,
-				Partition{Slave: len(np.Parts), Keys: keys[:cut], RankBase: old.RankBase},
-				Partition{Slave: len(np.Parts) + 1, Keys: keys[cut:], RankBase: old.RankBase + cut})
+				Partition{Keys: keys[:cut], RankBase: old.RankBase},
+				Partition{Keys: keys[cut:], RankBase: old.RankBase + cut})
 		} else {
-			np.Parts = append(np.Parts, Partition{Slave: len(np.Parts), Keys: old.Keys, RankBase: old.RankBase})
+			np.Parts = append(np.Parts, old)
 		}
 	}
 	for _, q := range np.Parts[1:] {
@@ -237,6 +246,17 @@ func (p *Partitioning) routeBucket(k workload.Key) int {
 		}
 	}
 	return s
+}
+
+// belowOf returns how many copies of k the partitions under partition s
+// hold, s being Route(k): below[s] when k is s's first key, else none.
+//
+//dc:noalloc
+func (p *Partitioning) belowOf(s int, k workload.Key) int {
+	if s == 0 || k != p.delims[s-1] {
+		return 0
+	}
+	return p.below[s]
 }
 
 // Delimiters returns the master's dispatch array (len = partitions-1).

@@ -21,9 +21,6 @@ func TestNewPartitioningBasics(t *testing.T) {
 	}
 	total := 0
 	for i, part := range p.Parts {
-		if part.Slave != i {
-			t.Errorf("part %d has slave id %d", i, part.Slave)
-		}
 		if part.RankBase != total {
 			t.Errorf("part %d rank base = %d, want %d", i, part.RankBase, total)
 		}
@@ -325,5 +322,89 @@ func TestPartitioningCutsBetweenDistinctKeys(t *testing.T) {
 			}
 		}
 		c.Close()
+	}
+}
+
+// countKey counts the copies of k in keys, one by one.
+func countKey(keys []workload.Key, k workload.Key) int {
+	n := 0
+	for _, v := range keys {
+		if v == k {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPartitioningBelow holds the table's counts below to a brute-force
+// count — below[s] is the copies of partition s's first key in the
+// partitions under s — on key sets with and without cuts inside a run,
+// before and after a SplitAt of each partition that has a legal cut. Two
+// counts are pinned by value: cut-run's 500 (delimiters 500, 500, 1096)
+// routes to partition 2 with all 40 copies under it in partition 1, and
+// zero-run's key 0 routes to partition 1 with 25 copies in partition 0.
+func TestPartitioningBelow(t *testing.T) {
+	check := func(tag string, p *Partitioning) {
+		t.Helper()
+		if len(p.below) != len(p.Parts) || p.below[0] != 0 {
+			t.Fatalf("%s: below %v for %d partitions", tag, p.below, len(p.Parts))
+		}
+		for s := 1; s < len(p.Parts); s++ {
+			k, want := p.Parts[s].Keys[0], 0
+			for _, part := range p.Parts[:s] {
+				want += countKey(part.Keys, k)
+			}
+			if p.below[s] != want || p.belowOf(s, k) != want {
+				t.Fatalf("%s: partition %d (first key %d) counts %d copies below (belowOf %d), want %d", tag, s, k, p.below[s], p.belowOf(s, k), want)
+			}
+			if k > 0 && p.belowOf(s, k-1) != 0 {
+				t.Fatalf("%s: key %d, not partition %d's first, counts %d copies below", tag, k-1, s, p.belowOf(s, k-1))
+			}
+		}
+	}
+	for _, set := range []struct {
+		name  string
+		keys  []workload.Key
+		parts int
+	}{
+		{"uniform", workload.SortedKeys(4096, 5), 8},
+		{"cut-run", cutRunKeys(), 4},
+		{"zero-run", zeroRunKeys(), 4},
+		{"dupheavy", sweepKeySets()["dupheavy"], 100},
+	} {
+		p, err := NewPartitioning(set.keys, set.parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(set.name, p)
+		for s, part := range p.Parts {
+			cut, ok := SplitPoint(part.Keys)
+			if !ok {
+				continue
+			}
+			np, err := p.SplitAt(s, cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(set.name+"/split", np)
+		}
+	}
+
+	p, err := NewPartitioning(cutRunKeys(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Delimiters(); !slices.Equal(d, []workload.Key{500, 500, 1096}) {
+		t.Fatalf("cut-run: delimiters %v, want [500 500 1096]", d)
+	}
+	if s := p.Route(500); s != 2 || p.belowOf(s, 500) != 40 || countKey(p.Parts[1].Keys, 500) != 40 || countKey(p.Parts[0].Keys, 500) != 0 {
+		t.Fatalf("cut-run: 500 routes to %d with %d copies below, want 2 with 40, all in partition 1", s, p.belowOf(s, 500))
+	}
+	p, err = NewPartitioning(zeroRunKeys(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Route(0); s != 1 || p.belowOf(s, 0) != 25 {
+		t.Fatalf("zero-run: 0 routes to %d with %d copies below, want 1 with 25", s, p.belowOf(s, 0))
 	}
 }

@@ -8,8 +8,11 @@ import "repro/internal/workload"
 // TCP client (netrun) only own the requests and move them. As the
 // paper's master does (Section 3.2, Figure 2), the planner looks each key
 // up in the delimiter array (Partitioning.Route) and adds it to that
-// partition's request; an ascending call, or one to an index of one
-// partition, is cut into runs instead, with one search per delimiter.
+// partition's request, and to no other; an ascending call, or one to an
+// index of one partition, is cut into runs instead, with one search per
+// delimiter. The copies of a partition's first key that lie under it,
+// where a cut falls inside their run, are a count the table holds
+// (Partitioning.below), which the master adds to the answer.
 
 // Plan splits a call's keys or ranges over the partitions, into requests
 // whose lists the engine owns: R is the engine's request (a worker batch
@@ -18,6 +21,15 @@ import "repro/internal/workload"
 type Plan[W ~uint32, R any] struct {
 	parts []planPart[W, R]
 	sort  radixScratch
+	// below is the last MultiGet plan's keys that are their partition's
+	// first key, with the copies under the partition (AddBelow).
+	below []posCount
+}
+
+// posCount is a count to add to the answer at a call position.
+type posCount struct {
+	pos int32
+	n   int
 }
 
 // planPart is the request a partition's keys go into: unopened (no keys)
@@ -65,8 +77,8 @@ const (
 	// one partition.
 	RankKeys KeyOp = iota
 	// MultiGetKeys always cuts runs, sorting a call that does not ascend
-	// (its kernel and its frame want ascending runs), and asks a key whose
-	// run a cut splits of every partition holding copies (KeyRun.Add).
+	// (its kernel and its frame want ascending runs), and records the
+	// positions whose key has copies under its partition (AddBelow).
 	MultiGetKeys
 	// InsertKeys routes key by key into per-partition lists, without
 	// positions.
@@ -85,22 +97,13 @@ type KeyRun struct {
 	Pos     []int32
 	PosBase int
 	Sorted  bool
-	// Add marks a cut-run ask: the keys are copies of a delimiter whose
-	// run a cut splits, asked of a partition below the one they route to,
-	// whose answers add to theirs once every other answer is in.
-	Add bool
 }
 
 // Requests bounds how many requests Keys emits for n keys, per being the
-// smaller of its per and run: a full one per per keys, a part-filled one
-// per partition, and for MultiGet a cut-run ask of every other partition
-// per run.
-func (p *Partitioning) Requests(n, per int, op KeyOp) int {
-	r := n/per + len(p.Parts) + 1
-	if op == MultiGetKeys {
-		r *= len(p.Parts)
-	}
-	return r
+// smaller of its per and run: a full one per per keys, and a part-filled
+// one per partition.
+func (p *Partitioning) Requests(n, per int) int {
+	return n/per + len(p.Parts) + 1
 }
 
 // Keys splits keys over p's partitions as op says, and hands each request
@@ -114,13 +117,13 @@ func (p *Partitioning) Requests(n, per int, op KeyOp) int {
 //     planned, emit gets each partition's last request.
 //   - In runs: one sweep over the delimiters (ForEachSortedRun) hands
 //     emitRun each partition's share of the call, at most run keys a run.
-//     For MultiGet, a run starting with copies of a delimiter whose run a
-//     cut splits (the partition below ends with that key, distinctCut)
-//     hands those copies on again as an Add run for each partition of
-//     Span(k, k) below the run's own.
+//     For MultiGet, the positions of a run's leading copies of its
+//     partition's first key are recorded with the copies under the
+//     partition, for AddBelow once every answer is in.
 //
 //dc:noalloc
 func (pl *Plan[W, R]) Keys(p *Partitioning, keys []workload.Key, op KeyOp, per, run int, open func(part int) (R, *[]W, *[]int32), emit func(part int, req R), emitRun func(KeyRun)) {
+	pl.below = pl.below[:0]
 	if op != InsertKeys {
 		runKeys, runPos := keys, []int32(nil)
 		sorted := SortedRun(keys)
@@ -135,20 +138,17 @@ func (pl *Plan[W, R]) Keys(p *Partitioning, keys []workload.Key, op KeyOp, per, 
 					r.Pos, r.PosBase = runPos[start:end], 0
 				}
 				emitRun(r)
-				if op != MultiGetKeys || s == 0 || runKeys[start] != p.delims[s-1] || !p.cutRun(s-1) {
+				if op != MultiGetKeys {
 					return
 				}
-				k, e := runKeys[start], start+1
-				for e < end && runKeys[e] == k {
-					e++
-				}
-				r.Keys, r.Add = runKeys[start:e], true
-				if runPos != nil {
-					r.Pos = runPos[start:e]
-				}
-				first, _ := p.Span(k, k)
-				for r.Part = first; r.Part < s; r.Part++ {
-					emitRun(r)
+				k := runKeys[start]
+				n := p.belowOf(s, k)
+				for i := start; n > 0 && i < end && runKeys[i] == k; i++ {
+					pos := int32(i)
+					if runPos != nil {
+						pos = runPos[i]
+					}
+					pl.below = append(pl.below, posCount{pos, n})
 				}
 			})
 			return
@@ -172,9 +172,10 @@ func (pl *Plan[W, R]) Keys(p *Partitioning, keys []workload.Key, op KeyOp, per, 
 	pl.flush(emit)
 }
 
-// Ranges zeroes out[:len(ranges)], the sums AddCounts adds the
-// partitions' answers into, and splits ranges over p's partitions: a
-// range that is not inverted is asked of every partition in
+// Ranges seeds out[:len(ranges)], the sums AddCounts adds the
+// partitions' answers into, with each range's count of lo's copies under
+// Route(lo) (zero for an inverted range), and splits ranges over p's
+// partitions: a range that is not inverted is asked of every partition in
 // p.Span(lo, hi). The pair, lo first, and its range's position go into
 // the lists open(part) returned for the partition's request, opened when
 // the partition is first asked; a request of per pairs goes to
@@ -183,17 +184,15 @@ func (pl *Plan[W, R]) Keys(p *Partitioning, keys []workload.Key, op KeyOp, per, 
 //
 //dc:noalloc
 func (pl *Plan[W, R]) Ranges(p *Partitioning, ranges []KeyRange, out []int, per int, open func(part int) (R, *[]W, *[]int32), emit func(part int, req R)) {
-	clear(out[:len(ranges)])
 	parts := pl.partsOf(p)
 	for i, r := range ranges {
 		if r.Hi < r.Lo {
+			out[i] = 0
 			continue
 		}
 		// Span, written out: its Routes inline here, and Span does not.
-		first, last := 0, p.Route(r.Hi)
-		if r.Lo > 0 {
-			first = p.Route(r.Lo - 1)
-		}
+		first, last := p.Route(r.Lo), p.Route(r.Hi)
+		out[i] = p.belowOf(first, r.Lo)
 		for s := first; s <= last; s++ {
 			pp := &parts[s]
 			if len(pp.keys) == 0 {
@@ -207,6 +206,17 @@ func (pl *Plan[W, R]) Ranges(p *Partitioning, ranges []KeyRange, out []int, per 
 		}
 	}
 	pl.flush(emit)
+}
+
+// AddBelow adds to out, at each position the last Keys call recorded for
+// MultiGet, the copies of its key under the partition it routes to. The
+// engine calls it once every answer of the call is in out.
+//
+//dc:noalloc
+func (pl *Plan[W, R]) AddBelow(out []int) {
+	for _, b := range pl.below {
+		out[b.pos] += b.n
+	}
 }
 
 // partsOf returns the plan's request slots for p's partitions, all

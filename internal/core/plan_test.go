@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/workload"
@@ -31,11 +30,12 @@ type planReq struct {
 // it branches on — ascending, unsorted (the run-only sort for MultiGet),
 // duplicate-heavy, keys equal to delimiters, repeated delimiters, one
 // partition — for each op and several request sizes: every input position
-// lands in exactly one request of the partition its key routes to, plus,
-// for MultiGet, one ask of each partition below it that holds copies of
-// the key (and of no partition outside Span(k, k)); no per-key request
-// holds more than per keys and no run more than run; a run without
-// positions is the call's own keys from PosBase on.
+// lands in exactly one request, of the partition its key routes to; for
+// MultiGet the plan records, for a position whose key has copies under
+// that partition, exactly their count (AddBelow), and for no other
+// position; no per-key request holds more than per keys and no run more
+// than run; a run without positions is the call's own keys from PosBase
+// on.
 func TestKeyPlan(t *testing.T) {
 	sets := []struct {
 		name  string
@@ -53,11 +53,19 @@ func TestKeyPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// holds[j] answers whether partition j has a copy of k.
-		holds := func(j int, k workload.Key) bool {
-			ks := p.Parts[j].Keys
-			i := sort.Search(len(ks), func(i int) bool { return ks[i] >= k })
-			return i < len(ks) && ks[i] == k
+		// under(k) counts the copies of k that partitions below Route(k)
+		// hold.
+		memo := map[workload.Key]int{}
+		under := func(k workload.Key) int {
+			if n, ok := memo[k]; ok {
+				return n
+			}
+			n := 0
+			for _, part := range p.Parts[:p.Route(k)] {
+				n += countKey(part.Keys, k)
+			}
+			memo[k] = n
+			return n
 		}
 		r := workload.NewRNG(uint64(len(set.keys)))
 		edges := []workload.Key{0, 1, ^workload.Key(0)}
@@ -90,15 +98,14 @@ func TestKeyPlan(t *testing.T) {
 			for _, op := range []KeyOp{RankKeys, MultiGetKeys, InsertKeys} {
 				for _, size := range [][2]int{{1, 5}, {7, 64}, {64, 1000}} {
 					tag := fmt.Sprintf("%s/%s/op%d/per%d-run%d", set.name, shape, op, size[0], size[1])
-					checkKeyPlan(t, tag, p, qs, op, size[0], size[1], holds)
+					checkKeyPlan(t, tag, p, qs, op, size[0], size[1], under)
 				}
 			}
 		}
 	}
 
-	// The cut-run asks reach a cluster's answer: every copy of the key
-	// below the cut is counted, for the key 0 too (Span asks from
-	// partition 0).
+	// The counts below reach a cluster's answer: every copy of the key
+	// under the partition it routes to is counted, for the key 0 too.
 	for _, keys := range [][]workload.Key{cutRunKeys(), zeroRunKeys()} {
 		c, err := NewCluster(keys, RealConfig{Method: MethodC3, Workers: 4, BatchKeys: 16})
 		if err != nil {
@@ -125,7 +132,7 @@ func sortedKeys(qs []workload.Key) []workload.Key {
 }
 
 // checkKeyPlan plans qs once and checks every request against Route.
-func checkKeyPlan(t *testing.T, tag string, p *Partitioning, qs []workload.Key, op KeyOp, per, run int, holds func(int, workload.Key) bool) {
+func checkKeyPlan(t *testing.T, tag string, p *Partitioning, qs []workload.Key, op KeyOp, per, run int, under func(workload.Key) int) {
 	t.Helper()
 	var pl Plan[workload.Key, *planReq]
 	asked := make([]map[int]int, len(qs)) // position -> partition -> asks
@@ -186,10 +193,8 @@ func checkKeyPlan(t *testing.T, tag string, p *Partitioning, qs []workload.Key, 
 			if qs[pos] != k {
 				fail("position %d holds %d, the run says %d", pos, qs[pos], k)
 			}
-			if s := p.Route(k); !r.Add && s != r.Part {
+			if s := p.Route(k); s != r.Part {
 				fail("key %d in partition %d's run, routes to %d", k, r.Part, s)
-			} else if r.Add && (op != MultiGetKeys || r.Part >= s) {
-				fail("a cut-run ask of key %d of partition %d, op %d, routes to %d", k, r.Part, op, s)
 			}
 			asked[pos][r.Part]++
 		}
@@ -205,21 +210,24 @@ func checkKeyPlan(t *testing.T, tag string, p *Partitioning, qs []workload.Key, 
 		}
 		return
 	}
+	below := map[int32]int{} // position -> the count recorded to add
+	for _, b := range pl.below {
+		if _, ok := below[b.pos]; ok {
+			fail("position %d recorded twice for AddBelow", b.pos)
+		}
+		below[b.pos] = b.n
+	}
 	for i, k := range qs {
 		s := p.Route(k)
-		if asked[i][s] != 1 || (op != MultiGetKeys && len(asked[i]) != 1) {
+		if asked[i][s] != 1 || len(asked[i]) != 1 {
 			fail("position %d (key %d) asked of partitions %v, want %d once", i, k, asked[i], s)
 		}
-		first, _ := p.Span(k, k)
-		for j, n := range asked[i] {
-			if j != s && (j < first || j > s || n != 1) {
-				fail("position %d (key %d, Span %d..%d) asked of partition %d %d times", i, k, first, s, j, n)
-			}
+		want := 0
+		if op == MultiGetKeys {
+			want = under(k)
 		}
-		for j := 0; j < s && op == MultiGetKeys; j++ {
-			if holds(j, k) && asked[i][j] != 1 {
-				fail("key %d: partition %d holds copies and was asked %d times", k, j, asked[i][j])
-			}
+		if got, ok := below[int32(i)]; got != want || ok != (want > 0) {
+			fail("position %d (key %d, partition %d): recorded %d copies below (%v), want %d", i, k, s, got, ok, want)
 		}
 	}
 }

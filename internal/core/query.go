@@ -15,12 +15,13 @@ import (
 // decide which partitions a query asks, and each partition answers only
 // for its own keys:
 //
-//   - Which partitions: a range [lo, hi] asks Route(lo−1) through
-//     Route(hi) (Partitioning.Span) — the partition below Route(lo) too,
-//     because a cut falls inside lo's run of copies when the run fills a
-//     whole partition (distinctCut). A top-k asks every partition. A
-//     MultiGet key asks the partition it routes to, and the partitions of
-//     Span(k, k) below it when a cut falls inside its run (Plan.Keys).
+//   - Which partitions: a range [lo, hi] asks Route(lo) through Route(hi)
+//     (Partitioning.Span), and a MultiGet key the partition it routes to
+//     (Plan.Keys). A top-k asks every partition. Where a run of copies
+//     fills a whole partition, a cut falls inside it (distinctCut), and
+//     copies of the key lie under the partition it routes to: the table
+//     counts them (Partitioning.below), and the key, or a range from it,
+//     adds that count instead of asking those partitions.
 //   - What each is asked: a batch of counted ranges, or of keys, is
 //     planned once per call (Plan, plan.go) into per-partition requests
 //     whose lists the engine pools — a worker batch's keys, a TCP frame's
@@ -28,11 +29,12 @@ import (
 //     (index.CountPairs, which a worker and a TCP node both run). A scan
 //     asks each spanned partition for its keys in [lo, hi], at most limit
 //     of them.
-//   - How answers compose: counts add up by position (AddCounts), and so
-//     do the multiplicities of a key whose run a cut splits; scan runs
-//     concatenate lowest partition first under one global limit
-//     (ComposeScan), and top-k runs are read from the highest partition
-//     down (ComposeTopK). A partition answers a scan or a top-k with an
+//   - How answers compose: counts add up by position (AddCounts), from
+//     the count below; a MultiGet key's count below adds to its
+//     partition's answer (Plan.AddBelow); a scan puts the copies below
+//     first, then the runs, lowest partition first, under one global
+//     limit (ComposeScan); and top-k runs are read from the highest
+//     partition down (ComposeTopK). A partition answers a scan or a top-k with an
 //     ascending run.
 //
 // A count is exact under concurrent inserts: each partition counts one
@@ -45,41 +47,40 @@ type KeyRange struct {
 	Lo, Hi workload.Key
 }
 
-// Span returns the partitions a range [lo, hi] asks: Route(lo−1) through
-// Route(hi), from partition 0 when lo is 0. Route(lo) alone would miss
-// the copies of lo below a cut inside their run.
+// Span returns the partitions a range [lo, hi] asks, Route(lo) through
+// Route(hi), and below: the copies of lo under Route(lo), which no
+// partition of the span holds and the range counts all the same.
 //
 //dc:noalloc
-func (p *Partitioning) Span(lo, hi workload.Key) (first, last int) {
-	if lo > 0 {
-		first = p.Route(lo - 1)
-	}
-	return first, p.Route(hi)
+func (p *Partitioning) Span(lo, hi workload.Key) (first, last, below int) {
+	first = p.Route(lo)
+	return first, p.Route(hi), p.belowOf(first, lo)
 }
 
 // AddCounts adds one partition's answer to a request into out at the
-// request's positions, from out[0] on when pos is nil: a range that spans
-// partitions, and a key whose run a cut splits, is the sum of theirs.
+// request's positions: a range that spans partitions is the sum of
+// theirs.
 //
 //dc:noalloc
 func AddCounts[C ~uint32 | ~int](out []int, pos []int32, counts []C) {
-	if pos == nil {
-		for i, c := range counts {
-			out[i] += int(c)
-		}
-		return
-	}
 	for i, p := range pos {
 		out[p] += int(counts[i])
 	}
 }
 
-// ComposeScan appends a scan's answer to out: the ascending runs of the
-// parts partitions it asked, run(0) the lowest, concatenated in that
-// order — partition order is key order — until limit keys were appended
-// (limit < 0: all of them).
-func ComposeScan[W ~uint32](out []workload.Key, limit, parts int, run func(i int) []W) []workload.Key {
+// ComposeScan appends a scan of [lo, hi] to out: below copies of lo,
+// which lie under the partitions it asked (Span), then the ascending runs
+// of the parts partitions it asked, run(0) the lowest, concatenated in
+// that order — partition order is key order — until limit keys were
+// appended (limit < 0: all of them).
+func ComposeScan[W ~uint32](out []workload.Key, lo workload.Key, below, limit, parts int, run func(i int) []W) []workload.Key {
 	end := len(out) + limit
+	if limit >= 0 {
+		below = min(below, limit)
+	}
+	for range below {
+		out = append(out, lo)
+	}
 	for i := range parts {
 		r := run(i)
 		if limit >= 0 {
@@ -178,7 +179,7 @@ func (c *Cluster) MultiGet(keys []workload.Key) ([]int, error) {
 // MultiGetInto is MultiGet writing into a caller-provided slice
 // (len(out) >= len(keys)). The call's Plan cuts the keys, radix-sorted
 // when they do not ascend, into runs for the partitions they route to,
-// and asks a key whose run a cut splits of the partitions below too.
+// and adds the copies under a key's partition once every run is answered.
 func (c *Cluster) MultiGetInto(keys []workload.Key, out []int) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("core: out len %d < %d keys", len(out), len(keys))
@@ -218,9 +219,9 @@ func (c *Cluster) ScanRange(lo, hi workload.Key, limit int, out []workload.Key) 
 	defer c.putCall(cs)
 
 	ep := c.epoch.Load()
-	first, last := ep.part.Span(lo, hi)
+	first, last, below := ep.part.Span(lo, hi)
 	runs := c.askEach(cs, ep, opScan, first, last, limit, lo, hi)
-	out = ComposeScan(out, limit, len(runs), func(i int) []workload.Key { return runs[i].outKeys })
+	out = ComposeScan(out, lo, below, limit, len(runs), func(i int) []workload.Key { return runs[i].outKeys })
 	for _, b := range runs {
 		c.putBatch(b)
 	}

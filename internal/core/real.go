@@ -165,9 +165,8 @@ type realBatch struct {
 	// opMultiGet batch writes each answer into, at pos[i] (or posBase+i):
 	// the master only routes. No two batches of a call share a slot.
 	out []int
-	// ranks holds counts only: one per pair for opCount, and a cut-run
-	// ask's multiplicities (add), which the gatherer adds into out once
-	// every other answer is in — both compose in the master.
+	// ranks holds counts only: one per pair for opCount, which compose
+	// in the master, and an opMultiGet batch's kernel scratch.
 	ranks []int
 	// limit bounds a scan's result count (negative: unbounded) and is
 	// the k of a top-k batch.
@@ -187,9 +186,6 @@ type realBatch struct {
 	// not own — the caller's query slice or a pooled sort scratch — so
 	// the gatherer drops them instead of recycling their capacity.
 	alias bool
-	// add marks a cut-run ask (KeyRun.Add): its multiplicities add into
-	// out once every other answer of the call is in.
-	add bool
 	// keysBuf/posBuf are the batch's owned backing arrays. putBatch
 	// restores them after an aliased use (and re-captures them after an
 	// owned use grows them), so a workload that alternates sorted
@@ -221,8 +217,7 @@ type workerStats struct {
 // shared worker pool instead of serializing behind a lock. Close blocks
 // until in-flight calls drain.
 type Cluster struct {
-	cfg  RealConfig
-	keys []workload.Key
+	cfg RealConfig
 
 	// epoch is the current routing + partition state (see update.go):
 	// one partition per worker for the Method C variants, one partition
@@ -281,8 +276,7 @@ type callState struct {
 	// callers' batches queued behind it); the pool keeps the largest.
 	reply chan *realBatch
 	// plan splits the call's keys or ranges into batches; runs holds the
-	// answered batches of a scan or a top-k, and a MultiGet's cut-run
-	// asks.
+	// answered batches of a scan or a top-k.
 	plan Plan[workload.Key, *realBatch]
 	runs []*realBatch
 }
@@ -328,7 +322,6 @@ func NewCluster(keys []workload.Key, cfg RealConfig) (*Cluster, error) {
 
 	c := &Cluster{
 		cfg:         cfg,
-		keys:        keys,
 		in:          make([]chan *realBatch, cfg.Workers),
 		stats:       make([]workerStats, cfg.Workers),
 		rebalanceCh: make(chan struct{}, 1),
@@ -434,16 +427,15 @@ func (c *Cluster) processBatch(b *realBatch) {
 	case opMultiGet:
 		// The count kernel's rank scratch is the batch's own, behind the
 		// counts. A contiguous run counts straight into out, a sorted
-		// copy's run into ranks and then out through pos; a cut-run ask
-		// stays in ranks.
+		// copy's run into ranks and then out through pos.
 		n := len(b.keys)
 		b.ranks = slices.Grow(b.ranks[:0], 2*n)[:n]
 		muls := b.ranks
-		if !b.add && b.pos == nil {
+		if b.pos == nil {
 			muls = b.out[b.posBase:]
 		}
 		lp.upd.CountKeys(b.keys, muls, b.ranks[n:2*n])
-		if !b.add && b.pos != nil {
+		if b.pos != nil {
 			for i, p := range b.pos {
 				b.out[p] = muls[i]
 			}
@@ -491,7 +483,6 @@ func (c *Cluster) getBatch(reply chan *realBatch) *realBatch {
 	b.outKeys = b.outKeys[:0]
 	b.sorted = false
 	b.alias = false
-	b.add = false
 	b.lp = nil
 	b.reply = reply
 	return b
@@ -607,8 +598,8 @@ func (c *Cluster) handOver(cs *callState, w int, b *realBatch, gather func(*real
 // call's Plan splits queries into batches, each handed to its worker as
 // it is planned, and each worker writes its batch's answers into out at
 // their positions; the gather only counts replies and recycles batches,
-// and adds a MultiGet's cut-run asks once every other answer is in. A
-// per-key batch holds a hand-off's worth of keys, so the
+// and a MultiGet's counts below (Plan.AddBelow) add in once every answer
+// is. A per-key batch holds a hand-off's worth of keys, so the
 // workers search the first slices while the master still routes the
 // rest; runs are cut at BatchKeys, their master having no per-key work
 // to overlap with the workers'. An unsorted opRank call is not sorted:
@@ -631,17 +622,12 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 	slice := c.handoff(len(queries))
 	// Room for every batch the call can have in flight. Steady state this
 	// is a no-op (the pooled channel already grew).
-	if need := ep.part.Requests(len(queries), slice, kop); cap(cs.reply) < need {
+	if need := ep.part.Requests(len(queries), slice); cap(cs.reply) < need {
 		cs.reply = make(chan *realBatch, need)
 	}
 	pending := 0
-	cs.runs = cs.runs[:0]
 	gather := func(b *realBatch) {
 		pending--
-		if b.add {
-			cs.runs = append(cs.runs, b)
-			return
-		}
 		c.putBatch(b)
 	}
 	send := func(s int, b *realBatch) {
@@ -663,16 +649,13 @@ func (c *Cluster) rankDispatch(cs *callState, queries []workload.Key, out []int,
 		b := c.getBatch(cs.reply)
 		b.op, b.lp, b.out = op, ep.lps[r.Part], out
 		b.keys, b.pos, b.posBase = r.Keys, r.Pos, r.PosBase
-		b.sorted, b.add, b.alias = r.Sorted, r.Add, true
+		b.sorted, b.alias = r.Sorted, true
 		send(r.Part, b)
 	})
 	for pending > 0 {
 		gather(<-cs.reply)
 	}
-	for _, b := range cs.runs {
-		AddCounts(out[b.posBase:], b.pos, b.ranks)
-		c.putBatch(b)
-	}
+	cs.plan.AddBelow(out)
 }
 
 // Lookup resolves a single key synchronously (a convenience wrapper; for

@@ -141,10 +141,6 @@ func (a *SortedArray) Base() Addr { return a.base }
 // 128th more, is left out (the referee's heap_bytes_per_key shows it).
 func (a *SortedArray) SizeBytes() int { return len(a.keys) * workload.KeyBytes }
 
-// Keys exposes the backing slice (read-only by convention); the
-// partitioner and the buffered engines slice it.
-func (a *SortedArray) Keys() []workload.Key { return a.keys }
-
 // Rank implements Index with an explicit binary search (upper bound).
 // This is the paper's C-3 probe sequence; RankTrace mirrors it exactly,
 // so the simulator's traces stay faithful. The batch entry point

@@ -254,8 +254,8 @@ type insChunk struct {
 type netCall struct {
 	done chan *pending
 	// pends is every pending of the call without an out slice — a count
-	// batch's, a scan's or a top-k's, a MultiGet's cut-run asks, a rank
-	// call's count asks — in the order the call composes them.
+	// batch's, a scan's or a top-k's, a rank call's count asks — in the
+	// order the call composes them.
 	pends []*pending
 	plan  core.Plan[uint32, *pending]
 	// base is a rank call's correction scratch: per partition, the live
@@ -820,9 +820,10 @@ func (c *Cluster) LookupBatchInto(queries []workload.Key, out []int) error {
 // frames of op (key by key, or in runs — see Plan.Keys), each dispatched
 // as it is planned, and the read loops scatter each reply straight into
 // out. A run's frame is the same frame as a key-by-key one (the node
-// finds a lookup's ascending keys itself) and scatters sequentially; a
-// MultiGet's cut-run asks are staged, and added into out once every
-// other reply is in; a lookup's ranks are rebased then (see rebase).
+// finds a lookup's ascending keys itself) and scatters sequentially. Once
+// every reply is in, a MultiGet adds the counts below its keys'
+// partitions (core.Plan.AddBelow), and a lookup's ranks are rebased (see
+// rebase).
 //
 //dc:noalloc
 func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
@@ -845,7 +846,7 @@ func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
 	}
 	nc := c.getCall()
 	// Room for the plan's frames and a count ask of every partition.
-	nc.room(part.Requests(len(keys), c.batch, kop) + len(part.Parts))
+	nc.room(part.Requests(len(keys), c.batch) + len(part.Parts))
 	inflight, top := 0, 0 // top: the highest partition the call touches
 	send := func(gi int, p *pending, o []int) {
 		if o == nil {
@@ -873,11 +874,7 @@ func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
 		} else {
 			p.contig, p.posBase = true, r.PosBase
 		}
-		o := out
-		if r.Add {
-			o = nil
-		}
-		send(r.Part, p, o)
+		send(r.Part, p, out)
 	})
 	if op == OpLookup {
 		for gi := range top {
@@ -890,13 +887,7 @@ func (c *Cluster) scatterInto(op uint8, keys []workload.Key, out []int) error {
 	case op == OpLookup:
 		nc.rebase(part, keys, out)
 	default:
-		for _, p := range nc.pends {
-			pos, base := p.pos, 0
-			if p.contig {
-				pos, base = nil, p.posBase
-			}
-			core.AddCounts(out[base:], pos, p.reply)
-		}
+		nc.plan.AddBelow(out)
 	}
 	c.endCall(nc)
 	return err
@@ -982,7 +973,7 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 		g.mu.Unlock()
 	}
 	nc := c.getCall()
-	nc.room(part.Requests(len(keys), c.batch, core.InsertKeys) * (reps + 1))
+	nc.room(part.Requests(len(keys), c.batch) * (reps + 1))
 	inflight := 0
 	var firstErr error
 	nc.plan.Keys(part, keys, core.InsertKeys, c.batch, c.batch, func(int) (*pending, *[]uint32, *[]int32) {

@@ -488,14 +488,13 @@ func (n *clusterNode) readLoop(ep *epoch) {
 		}
 		c.recordOp(p.op, d)
 		if p.claim() {
-			switch to := kind.deliver; {
-			case to == deliverScatter && p.out != nil:
+			switch kind.deliver {
+			case deliverScatter:
 				p.scatter(e)
-			case to != deliverAck: // a stage row, or a MultiGet's cut-run ask
-				// Staged, not written into shared output: a range, or a
-				// key whose run a cut splits, can span partitions, so
-				// several replies may target one slot and only the single
-				// gather loop may combine them.
+			case deliverStage:
+				// Staged, not written into shared output: a range can
+				// span partitions, so several replies may target one slot
+				// and only the single gather loop may combine them.
 				p.reply = decodeWords(e, p.reply)
 			}
 			p.complete(nil)

@@ -311,13 +311,6 @@ func (n *Node) Info() NodeInfo {
 	return info
 }
 
-// isServing reports whether an accept loop is currently running.
-func (n *Node) isServing() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.serving
-}
-
 func (n *Node) logf(format string, args ...any) {
 	if n.Logf != nil {
 		n.Logf(format, args...)

@@ -57,8 +57,7 @@ const (
 	// issuing call's gather loop.
 	deliverStage
 	// deliverScatter writes element i to the caller's out slot i maps to,
-	// decoding the reply as it goes (pending.scatter) — or stages it,
-	// when the pending has no out (a MultiGet's cut-run ask).
+	// decoding the reply as it goes (pending.scatter).
 	deliverScatter
 )
 

@@ -17,10 +17,12 @@ package netrun
 //   - MultiGet frames the runs the call's core.Plan cuts (the plan
 //     radix-sorts a batch that does not ascend, so that each frame is an
 //     ascending run, which the node's sorted kernel counts) and lets the
-//     read loops write each multiplicity straight into its output slot. A
-//     key whose run a cut splits is also asked of the partitions below
-//     its own; those replies are staged and added into out once every
-//     other reply has landed.
+//     read loops write each multiplicity straight into its output slot.
+//
+// Each request goes only to the partition its key, or its range, routes
+// to: the copies of a key that lie under its partition, where a cut
+// falls inside their run, are a count the routing table holds, which
+// the call adds once every reply has landed.
 //
 // All four ride the rank pipeline's failover machinery: a pending
 // whose replica dies is re-dispatched to a healthy sibling with the
@@ -136,11 +138,11 @@ func (c *Cluster) ScanRange(lo, hi workload.Key, limit int, buf []workload.Key) 
 		return buf, err
 	}
 	defer c.pause.RUnlock()
-	first, last := c.part.Load().Span(lo, hi)
+	first, last, below := c.part.Load().Span(lo, hi)
 	// On the wire a limit of 0 means unlimited.
 	nc, err := c.askEach(ep, OpScanRange, first, last, uint32(lo), uint32(hi), uint32(max(limit, 0)))
 	if err == nil {
-		buf = core.ComposeScan(buf, limit, len(nc.pends), func(i int) []uint32 { return nc.pends[i].reply })
+		buf = core.ComposeScan(buf, lo, below, limit, len(nc.pends), func(i int) []uint32 { return nc.pends[i].reply })
 	}
 	c.endCall(nc)
 	return buf, err
@@ -179,7 +181,8 @@ func (c *Cluster) MultiGet(keys []workload.Key) ([]int, error) {
 // takes the sorted pipeline: the node counts an OpMultiGet frame's keys
 // with its sorted kernel, so unsorted input is radix-sorted client-side
 // and the replies scatter through the position array.
-// A key whose run a cut splits counts its copies in every partition.
+// A key's copies under its partition, where a cut falls inside their
+// run, are counted from the routing table, not asked.
 func (c *Cluster) MultiGetInto(keys []workload.Key, out []int) error {
 	if len(out) < len(keys) {
 		return fmt.Errorf("netrun: out len %d < %d keys", len(out), len(keys))

@@ -69,8 +69,8 @@ func (o *tcpQueryOracle) topK(k int) []workload.Key {
 // cutRunKeys is a key set whose run of one key is longer than a
 // partition: 100 keys, key 500 at positions 10–95. Four equal partitions
 // cut the run twice (delimiters 500, 500, 1096), so copies of 500 live in
-// partitions 1 and 2 and a range from 500 must ask the partition below
-// Route(500).
+// partitions 1 and 2, and a read of 500 asks partition 2 and adds the 40
+// copies under it from the routing table.
 func cutRunKeys() []workload.Key {
 	keys := make([]workload.Key, 100)
 	for i := range keys {

@@ -12,6 +12,13 @@ import (
 	"repro/internal/workload"
 )
 
+// isServing reports whether an accept loop of n is currently running.
+func (n *Node) isServing() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.serving
+}
+
 // --- address grouping ---
 
 func TestGroupAddrs(t *testing.T) {

@@ -298,6 +298,92 @@ func sortedCallSendsWords(t *testing.T, keys []workload.Key, run workload.Key, s
 	}
 }
 
+// TestTCPCutRunAsksOnePartition: over cutRunKeys on four partitions,
+// where the run of 500 fills partition 1 and the cuts on both its sides
+// fall inside the run (delimiters 500, 500, 1096), MultiGet(500),
+// CountRange(500, 500) and ScanRange(500, 500, -1) each send one request
+// frame, to partition 2, which 500 routes to, and still answer all 86
+// copies: the 40 under partition 2 are a count of the routing table.
+func TestTCPCutRunAsksOnePartition(t *testing.T) {
+	var mu sync.Mutex
+	conns := map[string]*recordConn{}
+	c, shutdown := startClusterWith(t, cutRunKeys(), 4, DialOptions{
+		Dialer: func(ctx context.Context, addr string) (net.Conn, error) {
+			conn, err := new(net.Dialer).DialContext(ctx, "tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			rc := &recordConn{Conn: conn}
+			mu.Lock()
+			conns[addr] = rc
+			mu.Unlock()
+			return rc, nil
+		}})
+	defer shutdown()
+	if s := c.part.Load().Route(500); s != 2 {
+		t.Fatalf("500 routes to partition %d, want 2", s)
+	}
+	c.mu.Lock()
+	groups := slices.Clone(c.groups)
+	c.mu.Unlock()
+	sent := func(addr string) []byte {
+		mu.Lock()
+		rc := conns[addr]
+		mu.Unlock()
+		rc.mu.Lock()
+		defer rc.mu.Unlock()
+		return slices.Clone(rc.sent.Bytes())
+	}
+
+	for _, tc := range []struct {
+		name string
+		op   uint8
+		call func() (int, error)
+	}{
+		{"MultiGet", OpMultiGet, func() (int, error) {
+			muls, err := c.MultiGet([]workload.Key{500})
+			if err != nil {
+				return 0, err
+			}
+			return muls[0], nil
+		}},
+		{"CountRange", OpCountRange, func() (int, error) { return c.CountRange(500, 500) }},
+		{"ScanRange", OpScanRange, func() (int, error) {
+			scan, err := c.ScanRange(500, 500, -1, nil)
+			return len(scan), err
+		}},
+	} {
+		before := map[string]int{}
+		for _, g := range groups {
+			for _, addr := range g {
+				before[addr] = len(sent(addr))
+			}
+		}
+		if n, err := tc.call(); err != nil || n != 86 {
+			t.Fatalf("%s of 500 answered %d (err %v), want 86", tc.name, n, err)
+		}
+		frames := 0
+		for gi, g := range groups {
+			for _, addr := range g {
+				stream := bytes.NewReader(sent(addr)[before[addr]:])
+				for stream.Len() > 0 {
+					f, err := ReadFrame(stream)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if f.Op != tc.op || gi != 2 {
+						t.Fatalf("%s of 500 sent an op %d frame to partition %d, want op %d frames to partition 2 only", tc.name, f.Op, gi, tc.op)
+					}
+					frames++
+				}
+			}
+		}
+		if frames != 1 {
+			t.Fatalf("%s of 500 sent %d frames, want 1", tc.name, frames)
+		}
+	}
+}
+
 // TestLookupFrameKernelFromKeys drives OpLookup frames through a
 // connection's serve path: the node takes the sorted kernel when a
 // frame's keys ascend and the batch kernel otherwise, with no flag on

@@ -149,9 +149,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add moves the gauge by d.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
