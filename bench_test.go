@@ -414,7 +414,7 @@ func BenchmarkReal_TopK(b *testing.B) {
 // BenchmarkReal_MixedReadWrite is the online-update serving row: Method
 // C-3 at the paper's index size under a ~89/11 read/write mix — every
 // 16K-key read batch is preceded by a 2K-key InsertBatch, so the run
-// exercises the delta buffers, the per-partition insert counters on the
+// exercises the delta buffers, the partitions' live key counts on the
 // read path, and the background merges. Each iteration starts from a
 // fresh cluster so the index size (and therefore ns/key) is identical
 // across iterations regardless of -benchtime; setup and teardown run

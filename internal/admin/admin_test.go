@@ -43,7 +43,7 @@ func testHandler(t *testing.T, cfg Config) *httptest.Server {
 // cumulative histogram buckets ending at +Inf, numeric sample values.
 func TestMetricsScrapeParses(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Counter("dc_client_hedges_total").Add(3)
+	reg.Gauge("dc_client_inflight").Set(3)
 	h := reg.Histogram(`dc_node_op_ns{op="lookup"}`)
 	for i := 0; i < 50; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
@@ -97,8 +97,8 @@ func TestMetricsScrapeParses(t *testing.T) {
 		}
 		samples[line[:sp]] = v
 	}
-	if types["dc_client_hedges_total"] != "counter" || samples["dc_client_hedges_total"] != 3 {
-		t.Errorf("counter series wrong: types=%v samples=%v", types["dc_client_hedges_total"], samples["dc_client_hedges_total"])
+	if types["dc_client_inflight"] != "gauge" || samples["dc_client_inflight"] != 3 {
+		t.Errorf("gauge series wrong: types=%v samples=%v", types["dc_client_inflight"], samples["dc_client_inflight"])
 	}
 	if types["dc_live_replicas"] != "gauge" || samples["dc_live_replicas"] != 4 {
 		t.Errorf("BeforeScrape gauge missing: %v", samples["dc_live_replicas"])

@@ -1,7 +1,9 @@
 // Package snappin enforces //dc:pinvia field annotations: a field that is
-// part of an atomically-published snapshot — like Updatable's (base, delta,
-// frozen) triple in internal/index — may only be read through the designated
-// pin helper or with the snapshot mutex held. Piecewise field reads are the
+// part of an atomically-published snapshot may only be read through the
+// designated pin helper or with the snapshot mutex held. No production field
+// carries the annotation: internal/index's Updatable, whose (base, delta,
+// frozen) triple it was written for, publishes the triple as one immutable
+// value behind one atomic pointer. Piecewise field reads are the
 // bug class this guards against: a worker that loads base, then delta, then
 // frozen as three independent reads can observe a torn snapshot across a
 // concurrent merge swap.

@@ -395,10 +395,9 @@ func TestClusterDurableRebalanceSurvivesRestart(t *testing.T) {
 // TestClusterDurableFsyncFailureRefusesAck: with the disk refusing to
 // sync, InsertBatch must return an error — and after a restart every
 // previously acked key is present while lookups keep serving. A
-// partition's insert counter follows its memory, not its log: keys whose
-// fsync failed were applied (ranks include them, in their own partition
-// and in the rank bases of those above it), keys whose append failed
-// were not.
+// partition's live count is its memory, not its log: keys whose fsync
+// failed were applied (ranks include them, in their own partition and in
+// the rank bases of those above it), keys whose append failed were not.
 func TestClusterDurableFsyncFailureRefusesAck(t *testing.T) {
 	for _, m := range []Method{MethodB, MethodC3} {
 		t.Run(m.String(), func(t *testing.T) { fsyncFailureRefusesAck(t, m) })

@@ -403,8 +403,8 @@ func (c *Cluster) nextWorker() int {
 // routed with, switching on the op tag: scans and top-k fill outKeys
 // with an ascending run from a pinned snapshot, counts compute into
 // b.ranks, and ranks and multiplicities go straight into the call's out
-// — ranks with the rank base (static plus the preceding partitions'
-// insert counters) folded into the single write per key, through the
+// — ranks with the rank base (the keys the partitions below hold now,
+// keysBefore) folded into the single write per key, through the
 // kernel's positions form for a per-key batch. Every op reads; writes
 // reach the partitions from InsertBatch's caller.
 //
@@ -442,7 +442,7 @@ func (c *Cluster) processBatch(b *realBatch) {
 		}
 		return
 	}
-	add := lp.rankBase + lp.ep.insertedBefore(lp.slot)
+	add := lp.ep.keysBefore(lp.slot)
 	switch {
 	case b.pos != nil:
 		lp.upd.RankInto(b.keys, b.pos, b.out, add)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/buffering"
 	"repro/internal/index"
@@ -17,20 +16,22 @@ import (
 // — and the cluster glues them into a consistent whole:
 //
 //   - Inserts route like queries and are applied by the calling
-//     goroutine: the Updatable serialises writers and lets the workers'
-//     reads pin a consistent view, which is all a dcnode relies on too.
+//     goroutine: the Updatable serialises writers and publishes each
+//     state whole, so the workers' reads load a consistent one without a
+//     lock, which is all a dcnode relies on too.
 //   - Global ranks stay exact across partitions: an insert into
 //     partition j shifts the global rank of every key in partitions
-//     > j, so each epoch carries per-partition insert counters and a
-//     read of partition s adds the counters of partitions < s to its
-//     static rank base. Counters are monotone, so a read racing an
-//     insert returns a rank the index held at some instant during the
-//     call — the same linearization the static runtime provides.
+//     > j, so a read of partition s adds the keys that partitions < s
+//     hold now (keysBefore) — the master's add of the paper's Section
+//     3.2, and the rule the TCP client applies to its count asks. Within
+//     an epoch the counts only grow, so a read racing an insert counts
+//     every key acknowledged before it began and none not begun by its
+//     end.
 //   - When a partition outgrows its budget — the paper's fits-in-cache
 //     invariant, violated by skewed inserts — a background rebalance
 //     recomputes the Partitioning delimiters over the full current key
-//     set and swaps in a fresh epoch: new partition slices, new rank
-//     bases, zeroed counters. Reads never block: calls pin the epoch
+//     set and swaps in a fresh epoch: new partition slices, each a fresh
+//     Updatable that holds its keys. Reads never block: calls pin the epoch
 //     they routed with and old epochs answer stale-pinned batches
 //     correctly forever (their state is frozen once writes move on).
 //     Writes stall for the duration of the swap — the brief exclusive
@@ -44,11 +45,10 @@ import (
 // order of its records — the invariant that lets a frozen-layer
 // watermark double as a segment flush point).
 type livePart struct {
-	slot     int
-	rankBase int
-	upd      *index.Updatable
-	ep       *updEpoch
-	dp       *index.DurablePartition // nil without WALDir; dp.Upd == upd
+	slot int
+	upd  *index.Updatable
+	ep   *updEpoch
+	dp   *index.DurablePartition // nil without WALDir; dp.Upd == upd
 }
 
 // Lock ordering on the write path: an insert call holds the cluster
@@ -70,32 +70,19 @@ type livePart struct {
 // were routed with, so in-flight work finishes against the epoch it
 // started in.
 type updEpoch struct {
-	part     *Partitioning
-	lps      []*livePart
-	inserted []insCounter // per-partition keys inserted this epoch
-	staticN  int          // total keys at epoch creation
+	part *Partitioning
+	lps  []*livePart
 }
 
-// insCounter is a cache-line-padded per-partition insert counter:
-// bumped by the insert that applied the keys, summed by every other
-// partition's reads.
-type insCounter struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// insertedBefore sums the inserts applied to partitions < slot: the
-// dynamic component of slot's global rank base.
-func (ep *updEpoch) insertedBefore(slot int) int {
-	s := 0
-	for j := 0; j < slot; j++ {
-		s += int(ep.inserted[j].n.Load())
+// keysBefore is slot's global rank base: the keys that the partitions
+// below it hold now. keysBefore(len(lps)) is the epoch's whole count.
+func (ep *updEpoch) keysBefore(slot int) int {
+	n := 0
+	for _, lp := range ep.lps[:slot] {
+		n += lp.upd.TotalKeys()
 	}
-	return s
+	return n
 }
-
-// insertedTotal sums all partitions' inserts this epoch.
-func (ep *updEpoch) insertedTotal() int { return ep.insertedBefore(len(ep.inserted)) }
 
 // methodBuilder returns the Builder that constructs one partition's
 // base structure for the configured method: the delta layer
@@ -142,8 +129,8 @@ func (pr planRanker) RankInto(qs []workload.Key, pos []int32, out []int, add int
 	pr.plan.RankInto(qs, pos, out, add, buffering.Hooks{})
 }
 
-// newEpoch builds a full epoch over sorted keys: partitioning, one
-// updatable per partition, zeroed counters. The partition count is the
+// newEpoch builds a full epoch over sorted keys: partitioning and one
+// updatable per partition. The partition count is the
 // whole difference between the paper's methods here: the Method C
 // variants give every worker its own sub-range, A and B keep one
 // partition that all the workers read.
@@ -156,17 +143,12 @@ func (c *Cluster) newEpoch(keys []workload.Key) (*updEpoch, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep := &updEpoch{
-		part:     part,
-		lps:      make([]*livePart, parts),
-		inserted: make([]insCounter, parts),
-		staticN:  len(keys),
-	}
+	ep := &updEpoch{part: part, lps: make([]*livePart, parts)}
 	build := methodBuilder(c.cfg)
 	for s := range ep.lps {
 		u := index.NewUpdatable(part.Parts[s].Keys, build, c.cfg.mergeThreshold)
 		u.OnMerge = c.noteMerge
-		ep.lps[s] = &livePart{slot: s, rankBase: part.Parts[s].RankBase, upd: u, ep: ep}
+		ep.lps[s] = &livePart{slot: s, upd: u, ep: ep}
 	}
 	return ep, nil
 }
@@ -209,9 +191,9 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 	defer c.putCall(cs)
 
 	// Every partition's share is applied by this goroutine: logged (with
-	// WALDir) and put in memory under the partition's lock, its insert
-	// counter moved iff its keys reached memory, so ranks above it stay
-	// exact whatever happens to the log afterwards. The partitions of an
+	// WALDir) and put in memory under the partition's lock; ranks above
+	// it count the keys that reached memory, so they stay exact whatever
+	// happens to the log afterwards. The partitions of an
 	// epoch share one log whose offsets grow in append order, so the call
 	// is durable once the log is fsynced through the highest offset it was
 	// handed — one group commit, however many partitions it touched. An
@@ -261,7 +243,6 @@ func (w *insertWave) apply(s int, b *realBatch) {
 		}
 	}
 	if w.err == nil {
-		w.ep.inserted[s].n.Add(int64(len(b.keys)))
 		w.c.maybeRebalance(lp)
 	}
 	w.c.putBatch(b)
@@ -280,7 +261,7 @@ func (c *Cluster) rebalanceThreshold(ep *updEpoch) int {
 	if c.budget <= 0 {
 		return 0
 	}
-	avg := (ep.staticN + ep.insertedTotal()) / len(ep.lps)
+	avg := ep.keysBefore(len(ep.lps)) / len(ep.lps)
 	if c.budget < avg {
 		// Unattainable: even perfectly equal partitions exceed the
 		// budget. Fall back to skew detection.
@@ -338,7 +319,7 @@ func (c *Cluster) rebalance() {
 	if !over {
 		return // a previous pass already fixed it
 	}
-	all := make([]workload.Key, 0, ep.staticN+ep.insertedTotal())
+	all := make([]workload.Key, 0, ep.keysBefore(len(ep.lps)))
 	for _, lp := range ep.lps {
 		// Partitions hold disjoint ascending ranges, so concatenating
 		// the per-partition snapshots yields the full sorted key set.
@@ -400,7 +381,7 @@ func (c *Cluster) UpdateStats() UpdateStats {
 // consistent point-in-time value.
 func (c *Cluster) KeyCount() int {
 	ep := c.epoch.Load()
-	return ep.staticN + ep.insertedTotal()
+	return ep.keysBefore(len(ep.lps))
 }
 
 // quiesceUpdates waits out background compactions on the live state;

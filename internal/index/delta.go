@@ -38,8 +38,8 @@ type SortedRanker interface {
 // Delta is a sorted insert buffer: the mutable side layer of an
 // updatable partition. A Delta value is immutable once published — an
 // insert builds a new one rather than mutating — so readers may hold one
-// while writers advance the current pointer; that is what lets Updatable
-// serve lock-free-length read sections (see Updatable.pin).
+// while writers publish a new state; that is what lets an Updatable's
+// reads take no lock (see Updatable.pin).
 //
 // Beside its keys a buffer holds a table on the bucket grid of the base it
 // was last inserted against (see gridOf): table[t] counts the buffered
@@ -271,51 +271,57 @@ type Builder func(keys []workload.Key) BatchRanker
 // BuildSortedArray is Method C-3's Builder.
 func BuildSortedArray(keys []workload.Key) BatchRanker { return newSortedArray(keys, 0) }
 
-// baseState is one immutable generation of the compacted base: the
-// sorted keys and the ranker built over them.
-type baseState struct {
-	keys []workload.Key
-	r    BatchRanker
+// layers is one immutable state of a partition: the compacted base (its
+// sorted keys and the ranker built over them), the active buffer, the
+// buffer a merge is compacting (nil when none is), and n, the keys the
+// three hold. A writer publishes a whole new value; a reader that loads one
+// holds a snapshot no merge or insert can tear.
+type layers struct {
+	keys   []workload.Key
+	r      BatchRanker
+	delta  *Delta
+	frozen *Delta
+	n      int
+}
+
+// runs returns the three sorted key runs of l; a nil frozen is empty.
+func (l *layers) runs() (base, delta, frozen []workload.Key) {
+	if l.frozen != nil {
+		frozen = l.frozen.keys
+	}
+	return l.keys, l.delta.keys, frozen
 }
 
 // Updatable layers a mutable Delta over an immutable base structure and
 // keeps answers exact while a background goroutine compacts the two:
 //
-//   - Reads pin a consistent (base, delta, frozen) snapshot under a
-//     brief mutex, then rank outside it: base ranks from the immutable
-//     structure plus the buffers' contributions. Readers never block on
-//     a merge — compaction runs outside the lock and installs its
-//     result with one pointer swap.
-//   - Inserts replace the current Delta with a merged copy, its bucket
-//     table carried forward on the current base's grid (the buffer is
-//     bounded by max(threshold, base/8) and its table by a 64th of the
-//     base, so the copy is O(threshold + base/8)); when the buffer
-//     reaches that bound it is frozen and a background merge compacts
-//     frozen+base into a fresh base via the Builder. At most one merge
-//     runs at a time; inserts arriving during it accumulate in a new
+//   - The state is one immutable layers value behind an atomic pointer.
+//     A read loads it once and ranks from it: base ranks from the
+//     immutable structure plus the buffers' contributions. Reads take no
+//     lock and never block on a merge — compaction runs outside the lock
+//     and installs its result as a new value.
+//   - Inserts publish a new value whose buffer is a merged copy of the
+//     current one, its bucket table carried forward on the current base's
+//     grid (the buffer is bounded by max(threshold, base/8) and its table
+//     by a 64th of the base, so the copy is O(threshold + base/8)); when
+//     the buffer reaches that bound it is frozen and a background merge
+//     compacts frozen+base into a fresh base via the Builder. At most one
+//     merge runs at a time; inserts arriving during it accumulate in a new
 //     active buffer, and reads consult base+frozen+active.
 //   - Reset atomically replaces the whole state (the replica catch-up
 //     path); a generation counter makes any in-flight merge's result
 //     stale so it is discarded instead of resurrecting pre-Reset keys.
 //
-// The zero read overhead claim is literal for read-only phases: a
-// clean Updatable (no buffered keys) answers through one atomic load
-// and the base ranker, no mutex.
+// Writers serialise on mu, which also guards the writer-side counters
+// below; a reader never touches it.
 type Updatable struct {
 	build     Builder
 	threshold int
 
-	base  atomic.Pointer[baseState]
-	dirty atomic.Bool // false => delta and frozen both empty
+	state atomic.Pointer[layers]
 
 	mu   sync.Mutex
 	cond *sync.Cond // signaled when a compaction finishes
-	// delta and frozen form, with base, the snapshot triple: readers must
-	// capture all three through pin() (or under mu) — piecewise reads can
-	// observe a torn view across a concurrent merge install.
-	delta *Delta //dc:pinvia pin mu
-	// frozen is the buffer being merged; nil otherwise.
-	frozen *Delta //dc:pinvia pin mu
 	// gen is bumped by Reset; stale merges discard.
 	gen uint64 //dc:guardedby mu
 	// inflight counts compactions running.
@@ -376,22 +382,15 @@ func NewUpdatableOver(keys []workload.Key, r BatchRanker, build Builder, thresho
 	if threshold <= 0 {
 		threshold = DefaultMergeThreshold
 	}
-	u := &Updatable{build: build, threshold: threshold, delta: emptyDelta}
+	u := &Updatable{build: build, threshold: threshold}
 	u.cond = sync.NewCond(&u.mu)
-	u.base.Store(&baseState{keys: keys, r: r})
+	u.state.Store(&layers{keys: keys, r: r, delta: emptyDelta, n: len(keys)})
 	return u
 }
 
-// pin captures a consistent view of the layered state. All state
-// transitions (insert, merge install, reset) happen under mu, so the
-// triple is mutually consistent; every component is immutable after
-// capture.
-func (u *Updatable) pin() (s *baseState, delta, frozen *Delta) {
-	u.mu.Lock()
-	s, delta, frozen = u.base.Load(), u.delta, u.frozen
-	u.mu.Unlock()
-	return
-}
+// pin is a reader's snapshot of the partition: one atomic load, every
+// layer in it immutable.
+func (u *Updatable) pin() *layers { return u.state.Load() }
 
 // RankBatch resolves qs into out (len(out) >= len(qs)), adding add to
 // every rank: RankInto without positions.
@@ -401,30 +400,18 @@ func (u *Updatable) RankBatch(qs []workload.Key, out []int, add int) {
 	u.RankInto(qs, nil, out, add)
 }
 
-// view is pin for a reader that may skip the lock: a clean partition is
-// its base alone, with the empty buffer, and a racing insert linearizes
-// after the read. The flag is read first: a base loaded before it could
-// predate a merge that installed and cleared it in between, and miss that
-// merge's keys.
-func (u *Updatable) view() (s *baseState, delta, frozen *Delta) {
-	if !u.dirty.Load() {
-		return u.base.Load(), emptyDelta, nil
-	}
-	return u.pin()
-}
-
 // RankInto resolves qs into out[pos[i]] (out[i] when pos is nil), adding
 // add to every rank. Exact at every moment: base ranks plus the delta
-// layers' contributions, each layer writing through pos; a clean
-// partition's empty buffer adds nothing.
+// layers' contributions, each layer writing through pos; an empty buffer
+// adds nothing.
 //
 //dc:noalloc
 func (u *Updatable) RankInto(qs []workload.Key, pos []int32, out []int, add int) {
-	s, delta, frozen := u.view()
-	s.r.RankInto(qs, pos, out, add)
-	delta.RankAdd(qs, pos, out)
-	if frozen != nil {
-		frozen.RankAdd(qs, pos, out)
+	l := u.pin()
+	l.r.RankInto(qs, pos, out, add)
+	l.delta.RankAdd(qs, pos, out)
+	if l.frozen != nil {
+		l.frozen.RankAdd(qs, pos, out)
 	}
 }
 
@@ -433,15 +420,15 @@ func (u *Updatable) RankInto(qs []workload.Key, pos []int32, out []int, add int)
 //
 //dc:noalloc
 func (u *Updatable) RankSorted(qs []workload.Key, out []int, add int) {
-	s, delta, frozen := u.view()
-	if sr, ok := s.r.(SortedRanker); ok {
+	l := u.pin()
+	if sr, ok := l.r.(SortedRanker); ok {
 		sr.RankSorted(qs, out, add)
 	} else {
-		s.r.RankInto(qs, nil, out, add)
+		l.r.RankInto(qs, nil, out, add)
 	}
-	delta.RankSortedAdd(qs, out)
-	if frozen != nil {
-		frozen.RankSortedAdd(qs, out)
+	l.delta.RankSortedAdd(qs, out)
+	if l.frozen != nil {
+		l.frozen.RankSortedAdd(qs, out)
 	}
 }
 
@@ -467,8 +454,9 @@ func (u *Updatable) InsertBatch(keys []workload.Key) { u.insertBatch(keys, nil) 
 // per-partition dispatch serialization guarantees it).
 func (u *Updatable) InsertBatchAt(keys []workload.Key, seq uint64) { u.insertBatch(keys, &seq) }
 
-// insertBatch inserts a sorted copy of keys into the active buffer, on the
-// current base's grid, and records *seq as the watermark when seq is set.
+// insertBatch publishes a state whose active buffer holds a sorted copy of
+// keys, on the current base's grid, and records *seq as the watermark when
+// seq is set.
 func (u *Updatable) insertBatch(keys []workload.Key, seq *uint64) {
 	if len(keys) == 0 {
 		return
@@ -476,8 +464,10 @@ func (u *Updatable) insertBatch(keys []workload.Key, seq *uint64) {
 	sorted := append([]workload.Key(nil), keys...)
 	sortKeys(sorted)
 	u.mu.Lock()
-	u.dirty.Store(true)
-	u.delta = u.delta.insert(sorted, gridOf(u.base.Load().r))
+	next := *u.state.Load()
+	next.delta = next.delta.insert(sorted, gridOf(next.r))
+	next.n += len(sorted)
+	u.state.Store(&next)
 	if seq != nil {
 		u.seq = *seq
 	}
@@ -491,31 +481,30 @@ func (u *Updatable) insertBatch(keys []workload.Key, seq *uint64) {
 //
 //dc:holds u.mu
 func (u *Updatable) maybeMergeLocked() {
-	if u.frozen == nil && len(u.delta.keys) >= max(u.threshold, len(u.base.Load().keys)/layerFraction) {
+	if l := u.state.Load(); l.frozen == nil && len(l.delta.keys) >= max(u.threshold, len(l.keys)/layerFraction) {
 		u.freezeLocked()
 	}
 }
 
-// freezeLocked freezes the active buffer and spawns its compaction.
-// Caller holds mu and nothing is frozen.
+// freezeLocked publishes the active buffer as the frozen one and spawns
+// its compaction. Caller holds mu and nothing is frozen.
 //
 //dc:holds u.mu
 func (u *Updatable) freezeLocked() {
-	u.frozen = u.delta
+	next := *u.state.Load()
+	next.frozen, next.delta = next.delta, emptyDelta
+	u.state.Store(&next)
 	u.frozenSeq = u.seq
-	u.delta = emptyDelta
-	s := u.base.Load()
-	gen := u.gen
-	fr := u.frozen
 	u.inflight++
-	go u.merge(s, fr, gen)
+	go u.merge(&next, u.gen)
 }
 
-// merge compacts base+frozen into a fresh base structure and installs
-// it. Runs outside the lock (readers keep answering from the layered
-// view); the install is a pointer swap under mu.
-func (u *Updatable) merge(s *baseState, fr *Delta, gen uint64) {
-	merged := MergeKeys(s.keys, fr.keys)
+// merge compacts l's base and frozen buffer into a fresh base structure
+// and installs it. Runs outside the lock (readers keep answering from the
+// layered state); the install publishes a new state under mu, with the
+// same key count: the new base holds the frozen keys.
+func (u *Updatable) merge(l *layers, gen uint64) {
+	merged := MergeKeys(l.keys, l.frozen.keys)
 	r := u.build(merged)
 	u.mu.Lock()
 	u.inflight--
@@ -526,12 +515,10 @@ func (u *Updatable) merge(s *baseState, fr *Delta, gen uint64) {
 		u.mu.Unlock()
 		return
 	}
-	u.base.Store(&baseState{keys: merged, r: r})
-	u.frozen = nil
+	next := *u.state.Load()
+	next.keys, next.r, next.frozen = merged, r, nil
+	u.state.Store(&next)
 	pubSeq := u.frozenSeq
-	if len(u.delta.keys) == 0 {
-		u.dirty.Store(false)
-	}
 	u.merges.Add(1)
 	hook := u.OnMerge
 	pub := u.OnPublish
@@ -570,12 +557,9 @@ func (u *Updatable) ResetAt(keys []workload.Key, seq uint64) {
 func (u *Updatable) resetAt(keys []workload.Key, seq uint64) {
 	u.mu.Lock()
 	u.gen++
-	u.base.Store(&baseState{keys: keys, r: u.build(keys)})
-	u.delta = emptyDelta
-	u.frozen = nil
+	u.state.Store(&layers{keys: keys, r: u.build(keys), delta: emptyDelta, n: len(keys)})
 	u.seq = seq
 	u.frozenSeq = 0
-	u.dirty.Store(false)
 	u.mu.Unlock()
 }
 
@@ -583,29 +567,23 @@ func (u *Updatable) resetAt(keys []workload.Key, seq uint64) {
 // currently answers for: base plus both buffers. Exact when the caller
 // has stopped writes; otherwise a consistent point-in-time snapshot.
 func (u *Updatable) SnapshotKeys() []workload.Key {
-	s, delta, frozen := u.pin()
-	out := s.keys
-	if frozen != nil {
-		out = MergeKeys(out, frozen.keys)
+	base, delta, frozen := u.pin().runs()
+	out := base
+	if len(frozen) > 0 {
+		out = MergeKeys(out, frozen)
 	}
-	if len(delta.keys) > 0 {
-		out = MergeKeys(out, delta.keys)
+	if len(delta) > 0 {
+		out = MergeKeys(out, delta)
 	}
-	if len(s.keys) > 0 && len(out) > 0 && &out[0] == &s.keys[0] {
+	if len(base) > 0 && len(out) > 0 && &out[0] == &base[0] {
 		out = append([]workload.Key(nil), out...)
 	}
 	return out
 }
 
-// TotalKeys returns the current key count across base and buffers.
-func (u *Updatable) TotalKeys() int {
-	s, delta, frozen := u.pin()
-	n := len(s.keys) + len(delta.keys)
-	if frozen != nil {
-		n += len(frozen.keys)
-	}
-	return n
-}
+// TotalKeys returns the current key count across base and buffers: the
+// count held in the state a read would load now.
+func (u *Updatable) TotalKeys() int { return u.pin().n }
 
 // Merges returns the number of completed compactions.
 func (u *Updatable) Merges() uint64 { return u.merges.Load() }
@@ -616,7 +594,7 @@ func (u *Updatable) Merges() uint64 { return u.merges.Load() }
 // it returns.
 func (u *Updatable) Quiesce() {
 	u.mu.Lock()
-	for u.inflight > 0 || u.frozen != nil {
+	for u.inflight > 0 || u.state.Load().frozen != nil {
 		u.cond.Wait()
 	}
 	u.mu.Unlock()

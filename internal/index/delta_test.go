@@ -171,8 +171,7 @@ func TestUpdatableMergePolicy(t *testing.T) {
 				if merges++; u.Merges() != merges {
 					t.Fatalf("one insert caused %d merges", u.Merges()-merges+1)
 				}
-				s, _, _ := u.pin()
-				copied += len(s.keys)
+				copied += len(u.pin().keys)
 				slices.Sort(all)
 				u.RankBatch(qs, out, 0)
 				for i, q := range qs {
@@ -270,12 +269,12 @@ func TestUpdatableConcurrentReadersExact(t *testing.T) {
 }
 
 // TestRankSortedSeesAckedKeys has a writer insert a fixed key set and
-// force a merge after every insert, waiting out each so that it installs
-// into a clean partition and clears the dirty flag, while readers rank a
-// fixed ascending run with RankSorted: every rank must count every copy
-// acknowledged before the read began, and none not yet begun by its end.
-// A read that loads the base before the flag can straddle such an install
-// and answer from the old base without the buffer it merged.
+// force a merge after every insert, waiting out each, while readers rank a
+// fixed ascending run with RankSorted and read TotalKeys: every rank and
+// every count must take in every copy acknowledged before the read began,
+// and none not yet begun by its end. A read that saw a merge install half
+// done — the new base beside the buffer it merged, or the old base without
+// it — or a count that its insert did not move, falls outside.
 func TestRankSortedSeesAckedKeys(t *testing.T) {
 	const readers, rounds = 2, 3000
 	base := workload.SortedKeys(2048, 3)
@@ -306,7 +305,13 @@ func TestRankSortedSeesAckedKeys(t *testing.T) {
 			for acked.Load() < rounds {
 				before := int(acked.Load())
 				u.RankSorted(qs, out, 0)
+				n := u.TotalKeys()
 				after := int(began.Load())
+				if n < len(base)+before*len(set) || n > len(base)+after*len(set) {
+					t.Errorf("reader %d: TotalKeys = %d: the base holds %d, and inserts of %d keys were acknowledged %d times before the read, begun %d times by its end",
+						rd, n, len(base), len(set), before, after)
+					return
+				}
 				for i, r := range out {
 					if r < own[i]+before*per[i] || r > own[i]+after*per[i] {
 						t.Errorf("reader %d: rank(%d) = %d: the base holds %d, and inserts holding %d each were acknowledged %d times before the read, begun %d times by its end",
@@ -342,7 +347,7 @@ func TestUpdatableResetDiscardsInFlightMerge(t *testing.T) {
 func freeze(u *Updatable) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if u.frozen == nil {
+	if u.pin().frozen == nil {
 		u.freezeLocked()
 	}
 }
@@ -460,7 +465,7 @@ func BenchmarkUpdatableInsertBatch(b *testing.B) {
 				us := updatableParts(shape[0], shape[1])
 				held := make([]*Delta, len(us))
 				for i, u := range us {
-					_, held[i], _ = u.pin()
+					held[i] = u.pin().delta
 				}
 				return parts{us, held}
 			})
@@ -470,7 +475,10 @@ func BenchmarkUpdatableInsertBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for p, u := range us {
 					u.mu.Lock()
-					u.delta = held[p]
+					next := *u.pin()
+					next.n += len(held[p].keys) - len(next.delta.keys)
+					next.delta = held[p]
+					u.state.Store(&next)
 					u.mu.Unlock()
 					off := (i + p) % 64 * batch
 					u.InsertBatch(ins[off : off+batch])

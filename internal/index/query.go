@@ -51,25 +51,11 @@ func countRange(keys []workload.Key, lo, hi workload.Key) int {
 	return upperBound(keys, hi) - lowerBound(keys, lo)
 }
 
-// layers captures the up-to-three sorted runs of a pinned snapshot.
-// frozen may be nil; the helpers below treat it as empty.
-func (u *Updatable) layers() (base, delta, frozen []workload.Key) {
-	s, d, f := u.pin()
-	base, delta = s.keys, d.keys
-	if f != nil {
-		frozen = f.keys
-	}
-	return
-}
-
 // CountRange returns the number of indexed keys in the inclusive range
 // [lo, hi]: the sum of the three layers' counts over one pinned
 // snapshot, exact under concurrent inserts and merges.
 func (u *Updatable) CountRange(lo, hi workload.Key) int {
-	if !u.dirty.Load() {
-		return countRange(u.base.Load().keys, lo, hi)
-	}
-	base, delta, frozen := u.layers()
+	base, delta, frozen := u.pin().runs()
 	return countRange(base, lo, hi) + countRange(delta, lo, hi) + countRange(frozen, lo, hi)
 }
 
@@ -125,23 +111,23 @@ func CountPairs[W ~uint32](u *Updatable, pairs []W, keys *[]workload.Key, ints *
 //
 //dc:noalloc
 func (u *Updatable) CountKeys(qs []workload.Key, out, under []int) {
-	s, delta, frozen := u.pin()
+	l := u.pin()
 	n := len(qs)
 	out, under = out[:n], under[:n]
 	sorted := FirstDescent(qs) == 0
-	if sr, ok := s.r.(SortedRanker); ok && sorted {
+	if sr, ok := l.r.(SortedRanker); ok && sorted {
 		sr.RankSorted(qs, under, 0)
 	} else {
-		s.r.RankInto(qs, nil, under, 0)
+		l.r.RankInto(qs, nil, under, 0)
 	}
-	if keys := s.keys; len(keys) == 0 {
+	if keys := l.keys; len(keys) == 0 {
 		clear(out)
 	} else {
 		for i, q := range qs {
 			out[i] = copiesBelow(keys, q, under[i])
 		}
 	}
-	for _, d := range [2]*Delta{delta, frozen} {
+	for _, d := range [2]*Delta{l.delta, l.frozen} {
 		if d == nil || len(d.keys) == 0 {
 			continue
 		}
@@ -186,7 +172,7 @@ func (u *Updatable) ScanRange(lo, hi workload.Key, max int, out []workload.Key) 
 	if hi < lo || max == 0 {
 		return out
 	}
-	base, delta, frozen := u.layers()
+	base, delta, frozen := u.pin().runs()
 	a := base[lowerBound(base, lo):upperBound(base, hi)]
 	b := delta[lowerBound(delta, lo):upperBound(delta, hi)]
 	c := frozen[lowerBound(frozen, lo):upperBound(frozen, hi)]
@@ -221,7 +207,7 @@ func (u *Updatable) TopK(k int, out []workload.Key) []workload.Key {
 	if k <= 0 {
 		return out
 	}
-	a, b, c := u.layers()
+	a, b, c := u.pin().runs()
 	if total := len(a) + len(b) + len(c); k > total {
 		k = total
 	}

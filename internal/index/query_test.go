@@ -229,7 +229,8 @@ func threeLayers(t testing.TB, base []workload.Key, build Builder, frozen, activ
 	u.InsertBatch(frozen)
 	freeze(u)
 	u.InsertBatch(active)
-	_, d, f := u.pin()
+	l := u.pin()
+	d, f := l.delta, l.frozen
 	if f == nil || len(f.keys) != len(frozen) || len(d.keys) != len(active) {
 		t.Fatalf("layers not live: frozen %v, active buffer of %d keys", f != nil, len(d.keys))
 	}
@@ -624,7 +625,7 @@ func BenchmarkUpdatableCountKeys(b *testing.B) {
 					r := workload.NewRNG(2)
 					pool := make([][]workload.Key, 64)
 					for i := range pool {
-						base := parts[i%len(parts)].base.Load().keys
+						base := parts[i%len(parts)].pin().keys
 						pool[i] = make([]workload.Key, batch)
 						for j := range pool[i] {
 							pool[i][j] = r.Key()

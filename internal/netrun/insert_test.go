@@ -65,8 +65,9 @@ func checkTCPExact(t *testing.T, c *Cluster, o *tcpOracle, qs []workload.Key) {
 }
 
 // TestTCPInsertExact pins the basic write path: inserts fan out to the
-// owning partitions, lookups fold the client-side insert counters into
-// the nodes' static rank bases, and both dispatch paths stay exact.
+// owning partitions, lookups rebase the nodes' static rank bases on the
+// live key counts they ask in the same call, both dispatch paths stay
+// exact, and the InsertedKeys stat counts every acknowledged key.
 func TestTCPInsertExact(t *testing.T) {
 	keys := workload.SortedKeys(12000, 61)
 	rc, shutdown := startReplicated(t, keys, 3, 1, 512, DialOptions{})
@@ -345,7 +346,7 @@ func TestTCPReadSkipsStaleReplica(t *testing.T) {
 // accounting: in a [writable, read-only] group, killing the writable
 // member must turn inserts into errors — never false acks (a swept
 // in-flight write would otherwise "succeed" with no live node holding
-// it) — and the client's rank-base counters must count exactly the
+// it) — and the client's InsertedKeys stat must count exactly the
 // acknowledged batches. The epoch stays healthy (the read-only member
 // survives), but reads of the written partition now refuse with a clear
 // error instead of serving stale ranks.

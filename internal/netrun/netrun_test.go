@@ -574,7 +574,7 @@ func benchLookups(b *testing.B, c *Cluster, queries []workload.Key) {
 
 // BenchmarkTCPClusterScanStream is the v5 scan-streaming row: each op
 // scans the full key range (unlimited), so every partition streams its
-// whole sub-range back as one delta-coded OpKeysDelta frame and the
+// whole sub-range back as one OpKeysDelta frame of plain words and the
 // client concatenates the runs in partition order. Bytes/op counts the
 // keys returned.
 func BenchmarkTCPClusterScanStream(b *testing.B) {

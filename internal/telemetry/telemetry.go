@@ -1,6 +1,6 @@
 // Package telemetry is the operations plane's measurement layer: a
 // lock-free latency histogram (log-bucketed, with quantile readouts),
-// plain counters and gauges, and a Registry
+// plain gauges, and a Registry
 // that names them and renders the whole set in Prometheus text
 // exposition format for the admin server's /metrics endpoint.
 //
@@ -133,16 +133,6 @@ func (s *HistSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// A Counter is a monotonically increasing count.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by d (d must be ≥ 0 for Prometheus
-// semantics; this is not enforced).
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
 // A Gauge is a value that can go up and down.
 type Gauge struct{ v atomic.Int64 }
 
@@ -155,18 +145,16 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Registry names metrics and renders them. Lookup is get-or-create and
 // cheap enough for setup paths; hot paths cache the returned pointer.
 type Registry struct {
-	mu       sync.Mutex
-	hists    map[string]*Histogram
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
+	mu     sync.Mutex
+	hists  map[string]*Histogram
+	gauges map[string]*Gauge
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		hists:    map[string]*Histogram{},
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
+		hists:  map[string]*Histogram{},
+		gauges: map[string]*Gauge{},
 	}
 }
 
@@ -181,18 +169,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -254,7 +230,7 @@ func seriesWith(family, labels, extraKey, extraVal string) string {
 }
 
 // WritePrometheus renders every registered metric in Prometheus text
-// exposition format (version 0.0.4): counters and gauges verbatim,
+// exposition format (version 0.0.4): gauges verbatim,
 // histograms as cumulative `_bucket{le=...}` series over promBounds
 // plus `_sum` and `_count`. Families are emitted in sorted order with
 // one TYPE line each, so the output is diff-stable.
@@ -262,15 +238,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	type series struct {
 		name string
-		kind byte // 'c', 'g', 'h'
-		c    *Counter
+		kind byte // 'g', 'h'
 		g    *Gauge
 		h    *Histogram
 	}
-	all := make([]series, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n, c := range r.counters {
-		all = append(all, series{name: n, kind: 'c', c: c})
-	}
+	all := make([]series, 0, len(r.gauges)+len(r.hists))
 	for n, g := range r.gauges {
 		all = append(all, series{name: n, kind: 'g', g: g})
 	}
@@ -291,9 +263,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, s := range all {
 		family, labels := splitSeries(s.name)
 		switch s.kind {
-		case 'c':
-			emitType(family, "counter")
-			fmt.Fprintf(&b, "%s %d\n", s.name, s.c.Value())
 		case 'g':
 			emitType(family, "gauge")
 			fmt.Fprintf(&b, "%s %d\n", s.name, s.g.Value())

@@ -119,15 +119,15 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestRegistryInterning(t *testing.T) {
 	r := NewRegistry()
-	if r.Counter("x") != r.Counter("x") {
-		t.Fatal("counter not interned")
+	if r.Gauge("x") != r.Gauge("x") {
+		t.Fatal("gauge not interned")
 	}
 	if r.Histogram(`h{op="a"}`) == r.Histogram(`h{op="b"}`) {
 		t.Fatal("distinct label sets must be distinct series")
 	}
-	r.Counter("x").Add(3)
-	if r.Counter("x").Value() != 3 {
-		t.Fatal("counter value lost across lookups")
+	r.Gauge("x").Set(3)
+	if r.Gauge("x").Value() != 3 {
+		t.Fatal("gauge value lost across lookups")
 	}
 }
 
@@ -136,7 +136,7 @@ func TestRegistryInterning(t *testing.T) {
 // with the total count, sum/count pairs, labels preserved.
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dc_batches_total").Add(7)
+	r.Gauge("dc_workers").Set(7)
 	r.Gauge("dc_live_replicas").Set(16)
 	h := r.Histogram(`dc_node_op_ns{op="rank_batch"}`)
 	for i := 0; i < 100; i++ {
@@ -148,8 +148,8 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"# TYPE dc_batches_total counter\n",
-		"dc_batches_total 7\n",
+		"# TYPE dc_workers gauge\n",
+		"dc_workers 7\n",
 		"# TYPE dc_live_replicas gauge\n",
 		"dc_live_replicas 16\n",
 		"# TYPE dc_node_op_ns histogram\n",

@@ -46,7 +46,6 @@ var keep = map[string]string{
 	"dcindex.MethodC2":              "the paper's method enum",
 	"dcindex.ClusterStats":          "names the internal type TCPCluster.Stats returns",
 	"dcindex.ReplicaStats":          "names the internal type ClusterStats.Replicas holds",
-	"telemetry.Registry.Counter":    "the registry's counter kind, which WritePrometheus exports",
 	"dcindex.SaveKeys":              "dcnode's documented snapshot workflow",
 	"dcindex.ServePartition":        "the library's one-call node; dcnode builds its own to set flags",
 	"workload.ReferenceRank":        "the rank oracle the tests of every package hold the engines to",
