@@ -13,11 +13,13 @@
 //
 // -op selects the query operation: rank (the default), count (range
 // counts via CountRangeBatch), scan (ordered range scans), topk, or
-// multiget (key multiplicities). Every op derives its inputs
-// deterministically from the -seed query stream, so -compare holds for
-// all of them: identical checksums prove every method — and the TCP
-// cluster, which serves the same ops — computes
-// identical results. -insert-rate applies to -op rank only.
+// multiget (key multiplicities; every other key is an index key, so half
+// of them hit). Every op derives its inputs deterministically from the
+// -seed query stream, and one driver runs them on the in-process index
+// and on the TCP cluster alike, so -compare holds for all of them:
+// identical checksums prove every method — and the TCP cluster, which
+// serves the same ops — computes identical results. -insert-rate applies
+// to -op rank only.
 //
 // -insert-rate R runs a mixed read/write workload: for every read
 // batch, R*batch freshly generated keys are inserted into the running
@@ -184,11 +186,11 @@ func main() {
 }
 
 // callKeys is how many keys dcq's own loops put in one call: -batch, or
-// the library's default BatchKeys (the same for every method) when
-// -batch is 0 and BatchKeys is left to the library.
+// the library's default BatchKeys (the same for every method and for the
+// TCP client) when -batch is 0 and BatchKeys is left to the library.
 func callKeys(batch int) int {
 	if batch == 0 {
-		return core.DefaultRealConfig(core.MethodC3).BatchKeys
+		return core.DefaultBatchKeys
 	}
 	return batch
 }
@@ -255,22 +257,138 @@ func printLatency(hist *telemetry.Histogram, qps float64) {
 		time.Duration(s.Mean()).Round(time.Microsecond))
 }
 
-// queryEngine is the op surface shared by the in-process Index and the
-// TCP cluster client: the same dcq workload drives either.
-type queryEngine interface {
+// engine is the surface dcq's workload drives, the same on both
+// transports: the TCP cluster client has it as is, the in-process Index
+// through libIndex.
+type engine interface {
 	CountRangeBatch(ranges []dcindex.KeyRange, out []int) error
 	ScanRange(lo, hi dcindex.Key, limit int, buf []dcindex.Key) ([]dcindex.Key, error)
 	TopK(k int, buf []dcindex.Key) ([]dcindex.Key, error)
 	MultiGetInto(keys []dcindex.Key, out []int) error
+	InsertBatch(keys []dcindex.Key) error
+	LookupBatchInto(queries []dcindex.Key, out []int) error
+}
+
+// libIndex gives the Index's rank call, RankBatchInto, the engine's name.
+type libIndex struct{ *dcindex.Index }
+
+func (l libIndex) LookupBatchInto(q []dcindex.Key, out []int) error { return l.RankBatchInto(q, out) }
+
+// workload is one dcq run over an engine: the op, the index keys
+// (multiget's hits) and the query stream, the keys per call, the
+// concurrent callers, and the write mix (inserts per read key, drawn from
+// a pool at seed+2) and open-loop rate.
+type workload struct {
+	op             string
+	keys, queries  []dcindex.Key
+	batch, masters int
+	insertRate     float64
+	seed           uint64
+	qps            float64
+}
+
+// result is what drive measured. For rank, units counts the queries and
+// inserted the keys written; for the other ops units counts the results.
+type result struct {
+	elapsed         time.Duration
+	units, inserted int
+	sum             uint32
+	latency         *telemetry.Histogram
+}
+
+// drive runs w on eng: masters concurrent callers each take a
+// contiguous share of the query stream — and, for rank with writes, of
+// one insert pool per seed, so every method and transport replays the
+// same writes — over the engine's shared workers or connections. The
+// checksum is the rolling sum of every rank in stream order for rank,
+// and for the other ops the XOR of the callers' own sums, which
+// combines them order-independently, stable for a given masters split.
+func drive(eng engine, w workload) (result, error) {
+	r := result{latency: telemetry.NewRegistry().Histogram("dcq_batch_ns")}
+	var pool []dcindex.Key
+	var out []int
+	if w.op == "rank" {
+		if w.insertRate > 0 {
+			pool = dcindex.GenerateQueries(int(w.insertRate*float64(len(w.queries)))+w.masters*w.batch, w.seed+2)
+		}
+		out = make([]int, len(w.queries))
+	}
+	// Per caller: the result units, or for rank the keys inserted.
+	counts := make([]int, w.masters)
+	sums := make([]uint32, w.masters)
+	errs := make([]error, w.masters)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for m := range w.masters {
+		lo, hi := m*len(w.queries)/w.masters, (m+1)*len(w.queries)/w.masters
+		plo, phi := m*len(pool)/w.masters, (m+1)*len(pool)/w.masters
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pc := newPacer(r.latency, w.qps, w.batch, w.masters)
+			if w.op == "rank" {
+				counts[m], errs[m] = runRanks(eng, w.queries[lo:hi], out[lo:hi], pool[plo:phi], w.insertRate, w.batch, pc)
+				return
+			}
+			counts[m], sums[m], errs[m] = runOps(eng, w.op, w.keys, w.queries[lo:hi], w.batch, pc)
+		}()
+	}
+	wg.Wait()
+	r.elapsed = time.Since(start)
+	for _, err := range errs {
+		if err != nil {
+			return r, err
+		}
+	}
+	total := 0
+	for m := range counts {
+		total += counts[m]
+		r.sum ^= sums[m]
+	}
+	if w.op == "rank" {
+		r.units, r.inserted, r.sum = len(w.queries), total, checksum(out)
+	} else {
+		r.units = total
+	}
+	return r, nil
+}
+
+// runRanks is one caller's share of a rank workload, ranks into out. A
+// closed loop without writes is one call for the whole share, which
+// pipelines every batch at once (peak throughput; per-batch latency is
+// not meaningful there — pass -target-qps for the paced loop with the
+// latency report). Otherwise each batch of queries follows rate·batch
+// inserts from pool while it lasts. It returns the keys inserted.
+func runRanks(eng engine, queries []dcindex.Key, out []int, pool []dcindex.Key, rate float64, batch int, pc *pacer) (int, error) {
+	if rate <= 0 && pc.interval <= 0 {
+		return 0, eng.LookupBatchInto(queries, out)
+	}
+	ins := 0
+	for off := 0; off < len(queries); off += batch {
+		end := min(off+batch, len(queries))
+		if n := int(float64(end-off) * rate); n > 0 && ins+n <= len(pool) {
+			if err := eng.InsertBatch(pool[ins : ins+n]); err != nil {
+				return ins, err
+			}
+			ins += n
+		}
+		t0 := pc.begin()
+		if err := eng.LookupBatchInto(queries[off:end], out[off:end]); err != nil {
+			return ins, err
+		}
+		pc.end(t0)
+	}
+	return ins, nil
 }
 
 // runOps replays the query stream as op inputs — count and scan read
 // range endpoints from consecutive query pairs, topk derives k from the
-// stream, multiget uses the queries as lookup keys — and returns the
-// result-unit count and a rolling checksum. Deterministic per stream,
-// so checksums compare across methods and transports. pc paces the
-// dispatches and records each call's latency.
-func runOps(eng queryEngine, op string, queries []dcindex.Key, batch int, pc *pacer) (int, uint32, error) {
+// stream, multiget looks up the queries with every other one replaced by
+// the index key it picks (keys[q % len(keys)]), so half its lookups hit
+// — and returns the result-unit count and a rolling checksum.
+// Deterministic per stream, so checksums compare across methods and
+// transports. pc paces the dispatches and records each call's latency.
+func runOps(eng engine, op string, keys, queries []dcindex.Key, batch int, pc *pacer) (int, uint32, error) {
 	var sum uint32
 	units := 0
 	switch op {
@@ -346,11 +464,18 @@ func runOps(eng queryEngine, op string, queries []dcindex.Key, batch int, pc *pa
 		}
 		return units, sum, nil
 	case "multiget":
+		in := make([]dcindex.Key, batch)
 		out := make([]int, batch)
 		for off := 0; off < len(queries); off += batch {
 			end := min(off+batch, len(queries))
+			for i, q := range queries[off:end] {
+				if (off+i)%2 == 0 {
+					q = keys[int(q)%len(keys)]
+				}
+				in[i] = q
+			}
 			t0 := pc.begin()
-			if err := eng.MultiGetInto(queries[off:end], out[:end-off]); err != nil {
+			if err := eng.MultiGetInto(in[:end-off], out[:end-off]); err != nil {
 				return units, sum, err
 			}
 			pc.end(t0)
@@ -364,86 +489,36 @@ func runOps(eng queryEngine, op string, queries []dcindex.Key, batch int, pc *pa
 	return 0, 0, fmt.Errorf("unknown op %q", op)
 }
 
-// run drives one method over the query stream, returning elapsed time,
-// checksum, and the result-unit count (for rank: queries + inserts).
-// With insertRate > 0 the rank stream interleaves writes: before each
-// read batch, rate*batch fresh keys (deterministic per seed) are
-// inserted into the running index.
+// run drives one method over the query stream in process, returning
+// elapsed time, checksum, and the result-unit count (for rank: queries +
+// inserts). With insertRate > 0 the rank stream interleaves writes:
+// before each read batch, rate*batch fresh keys (deterministic per seed)
+// are inserted into the running index.
 func run(keys, queries []dcindex.Key, m dcindex.Method, op string, workers, batch int, insertRate float64, seed uint64, qps float64) (time.Duration, uint32, int) {
 	idx, err := dcindex.Open(keys, dcindex.Options{Method: m, Workers: workers, BatchKeys: batch})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dcq:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	defer idx.Close()
-	batch = callKeys(batch)
-	hist := telemetry.NewRegistry().Histogram("dcq_batch_ns")
-	pc := newPacer(hist, qps, batch, 1)
-	if op != "rank" {
-		start := time.Now()
-		units, sum, err := runOps(idx, op, queries, batch, pc)
-		el := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dcq:", err)
-			os.Exit(1)
-		}
-		printLatency(hist, qps)
-		return el, sum, units
+	r, err := drive(libIndex{idx}, workload{op: op, keys: keys, queries: queries, batch: callKeys(batch), masters: 1,
+		insertRate: insertRate, seed: seed, qps: qps})
+	if err != nil {
+		fail(err)
 	}
-	if insertRate <= 0 && qps <= 0 {
-		// Closed-loop whole-stream dispatch: RankBatch pipelines every
-		// batch through the worker pool at once, the peak-throughput
-		// configuration (per-batch latency is not meaningful here — pass
-		// -target-qps for the paced loop with the latency report).
-		start := time.Now()
-		ranks, err := idx.RankBatch(queries)
-		el := time.Since(start)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dcq:", err)
-			os.Exit(1)
-		}
-		return el, checksum(ranks), len(queries)
-	}
-	out := make([]int, len(queries))
-	// One deterministic insert pool per seed: every method in a
-	// -compare run replays the same write stream, so their checksums
-	// stay comparable.
-	pool := dcindex.GenerateQueries(int(insertRate*float64(len(queries)))+batch, seed+2)
-	inserted := 0
-	start := time.Now()
-	for off := 0; off < len(queries); off += batch {
-		end := min(off+batch, len(queries))
-		if n := int(float64(end-off) * insertRate); n > 0 {
-			if err := idx.InsertBatch(pool[inserted : inserted+n]); err != nil {
-				fmt.Fprintln(os.Stderr, "dcq:", err)
-				os.Exit(1)
-			}
-			inserted += n
-		}
-		t0 := pc.begin()
-		if err := idx.RankBatchInto(queries[off:end], out[off:end]); err != nil {
-			fmt.Fprintln(os.Stderr, "dcq:", err)
-			os.Exit(1)
-		}
-		pc.end(t0)
-	}
-	el := time.Since(start)
 	if insertRate > 0 {
 		st := idx.Stats()
 		fmt.Fprintf(os.Stderr, "dcq: %s update stats: %d keys inserted, %d merges, %d rebalances, index now %d keys\n",
 			m, st.Updates.InsertedKeys, st.Updates.Merges, st.Updates.Rebalances, st.Keys)
 	}
-	printLatency(hist, qps)
-	return el, checksum(out), len(queries) + inserted
+	printLatency(r.latency, qps)
+	return r.elapsed, r.sum, r.units + r.inserted
 }
 
-// runTCP drives a dcnode cluster: masters concurrent callers split the
-// query stream into contiguous shares and multiplex their batches over
-// the one shared connection set. With insertRate > 0 each master also
-// interleaves writes into its share (inserts fan out to
-// every replica of the owning partition). Replicated partitions fail
-// over and load-spread automatically; any failover that occurred is
-// summarized from Cluster.Health after the run.
+// runTCP drives a dcnode cluster: masters concurrent callers multiplex
+// their shares of the workload over the one shared connection set, and
+// inserts fan out to every replica of the owning partition. Replicated
+// partitions fail over and load-spread automatically; any failover that
+// occurred is summarized from Cluster.Health after the run.
 func runTCP(addrs []string, keys, queries []dcindex.Key, op string, batch, masters, replicas int, opTimeout time.Duration, insertRate float64, seed uint64,
 	hedge bool, hedgeQuantile float64, chaos time.Duration, qps float64, adminAt string) {
 	if masters < 1 {
@@ -454,7 +529,6 @@ func runTCP(addrs []string, keys, queries []dcindex.Key, op string, batch, maste
 		OpTimeout: opTimeout,
 		Replicas:  replicas,
 	}
-	batch = callKeys(batch)
 	opt.Admin.Addr = adminAt
 	if hedge {
 		// Gray-failure mode: hedge reads that outlive the partition's
@@ -483,115 +557,32 @@ func runTCP(addrs []string, keys, queries []dcindex.Key, op string, batch, maste
 	}
 	c, err := dcindex.DialClusterOptions(addrs, keys, opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dcq:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	defer c.Close()
 	if at := c.Admin(); at != "" {
 		fmt.Fprintf(os.Stderr, "dcq: admin endpoint on http://%s (/metrics /stats /health /membership/...)\n", at)
 	}
-	hist := telemetry.NewRegistry().Histogram("dcq_batch_ns")
-
-	if op != "rank" {
-		units := make([]int, masters)
-		sums := make([]uint32, masters)
-		errs := make([]error, masters)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for m := 0; m < masters; m++ {
-			lo := m * len(queries) / masters
-			hi := (m + 1) * len(queries) / masters
-			wg.Add(1)
-			go func(m, lo, hi int) {
-				defer wg.Done()
-				units[m], sums[m], errs[m] = runOps(c, op, queries[lo:hi], batch, newPacer(hist, qps, batch, masters))
-			}(m, lo, hi)
-		}
-		wg.Wait()
-		el := time.Since(start)
-		for _, err := range errs {
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dcq:", err)
-				os.Exit(1)
-			}
-		}
-		total, sum := 0, uint32(0)
-		for m := range units {
-			total += units[m]
-			// XOR combines the per-master checksums order-independently,
-			// so the result is stable for a given -masters split.
-			sum ^= sums[m]
-		}
+	r, err := drive(c, workload{op: op, keys: keys, queries: queries, batch: callKeys(batch), masters: masters,
+		insertRate: insertRate, seed: seed, qps: qps})
+	if err != nil {
+		fail(err)
+	}
+	el := r.elapsed.Round(time.Millisecond)
+	if op == "rank" {
+		fmt.Printf("TCP cluster (%d partitions, %d masters): %d queries (+%d inserts) in %s (%.1f Mkeys/s), checksum %08x\n",
+			c.Nodes(), masters, r.units, r.inserted, el, float64(r.units+r.inserted)/r.elapsed.Seconds()/1e6, r.sum)
+	} else {
 		fmt.Printf("TCP cluster (%d partitions, %d masters), op %s: %d result units in %s (%.1f Mops/s), checksum %08x\n",
-			c.Nodes(), masters, op, total, el.Round(time.Millisecond), float64(total)/el.Seconds()/1e6, sum)
-		printLatency(hist, qps)
-		printHealth(c)
-		return
+			c.Nodes(), masters, op, r.units, el, float64(r.units)/r.elapsed.Seconds()/1e6, r.sum)
 	}
-
-	out := make([]int, len(queries))
-	errs := make([]error, masters)
-	insCounts := make([]int, masters)
-	var pool []dcindex.Key
-	if insertRate > 0 {
-		pool = dcindex.GenerateQueries(int(insertRate*float64(len(queries)))+masters*batch, seed+2)
-	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for m := 0; m < masters; m++ {
-		lo := m * len(queries) / masters
-		hi := (m + 1) * len(queries) / masters
-		plo := m * len(pool) / masters
-		phi := (m + 1) * len(pool) / masters
-		wg.Add(1)
-		go func(m, lo, hi int, myPool []dcindex.Key) {
-			defer wg.Done()
-			if insertRate <= 0 && qps <= 0 {
-				// Closed-loop whole-share dispatch: one call pipelines
-				// every batch over the shared connections at once (peak
-				// throughput; pass -target-qps for the paced loop with
-				// the per-batch latency report).
-				errs[m] = c.LookupBatchInto(queries[lo:hi], out[lo:hi])
-				return
-			}
-			pc := newPacer(hist, qps, batch, masters)
-			ins := 0
-			for off := lo; off < hi; off += batch {
-				end := min(off+batch, hi)
-				if n := int(float64(end-off) * insertRate); n > 0 && ins+n <= len(myPool) {
-					if err := c.InsertBatch(myPool[ins : ins+n]); err != nil {
-						errs[m] = err
-						return
-					}
-					ins += n
-				}
-				t0 := pc.begin()
-				if err := c.LookupBatchInto(queries[off:end], out[off:end]); err != nil {
-					errs[m] = err
-					return
-				}
-				pc.end(t0)
-			}
-			insCounts[m] = ins
-		}(m, lo, hi, pool[plo:phi])
-	}
-	wg.Wait()
-	el := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dcq:", err)
-			os.Exit(1)
-		}
-	}
-	inserted := 0
-	for _, n := range insCounts {
-		inserted += n
-	}
-	fmt.Printf("TCP cluster (%d partitions, %d masters): %d queries (+%d inserts) in %s (%.1f Mkeys/s), checksum %08x\n",
-		c.Nodes(), masters, len(queries), inserted, el.Round(time.Millisecond),
-		float64(len(queries)+inserted)/el.Seconds()/1e6, checksum(out))
-	printLatency(hist, qps)
+	printLatency(r.latency, qps)
 	printHealth(c)
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "dcq:", err)
+	os.Exit(1)
 }
 
 // printHealth summarizes per-replica liveness after a TCP run from the

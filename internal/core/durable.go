@@ -53,12 +53,6 @@ type clusterStore struct {
 	parts   []*index.DurablePartition
 }
 
-func (cs *clusterStore) logf(format string, args ...any) {
-	if cs.opt.Logf != nil {
-		cs.opt.Logf(format, args...)
-	}
-}
-
 // openClusterStore reads the manifest and recovers every partition
 // store. A missing manifest means a fresh directory (no stores yet); a
 // partition that cannot recover refuses the whole open.
@@ -114,9 +108,8 @@ func (cs *clusterStore) sweepOrphanEpochs() {
 		if !e.IsDir() || !strings.HasPrefix(name, "e") || name == current {
 			continue
 		}
-		if err := cs.fs.RemoveAll(filepath.Join(cs.dir, name)); err == nil {
-			cs.logf("core: swept orphan epoch directory %s", name)
-		}
+		// One that stays is swept again at the next open.
+		_ = cs.fs.RemoveAll(filepath.Join(cs.dir, name))
 	}
 }
 
@@ -237,7 +230,7 @@ func (c *Cluster) attachDurable(ep *updEpoch) error {
 		}
 	}
 	for s, lp := range ep.lps {
-		lp.dp = index.NewDurablePartition(cs.stores[s], lp.upd, cs.opt.Logf)
+		lp.dp = index.NewDurablePartition(cs.stores[s], lp.upd, nil)
 		cs.parts = append(cs.parts, lp.dp)
 	}
 	cs.stores, cs.perPart = nil, nil

@@ -69,14 +69,15 @@ type RealConfig struct {
 	// WALFS overrides the filesystem the durability layer writes
 	// through (fault-injection hook for tests); nil means the real one.
 	WALFS faultfs.FS
-	// Logf, if set, receives recovery/quarantine/flush notices from the
-	// durability layer.
-	Logf func(format string, args ...any)
 }
+
+// DefaultBatchKeys is the default BatchKeys of the in-process runtime and
+// of the TCP client.
+const DefaultBatchKeys = 16384
 
 // DefaultRealConfig returns a ready-to-use configuration for m.
 func DefaultRealConfig(m Method) RealConfig {
-	return RealConfig{Method: m, Workers: 8, BatchKeys: 16384}
+	return RealConfig{Method: m, Workers: 8, BatchKeys: DefaultBatchKeys}
 }
 
 // queueDepth bounds in-flight batches per worker (backpressure).
@@ -138,7 +139,7 @@ const (
 	// opScan returns the partition's keys in [keys[0], keys[1]],
 	// ascending, at most limit of them, in outKeys.
 	opScan
-	// opTopK returns the partition's limit largest keys, descending,
+	// opTopK returns the partition's limit largest keys, ascending,
 	// in outKeys.
 	opTopK
 	// opMultiGet resolves each key to its multiplicity (indexed copies
@@ -171,8 +172,8 @@ type realBatch struct {
 	// limit bounds a scan's result count (negative: unbounded) and is
 	// the k of a top-k batch.
 	limit int
-	// outKeys is the worker's reply for the key-run ops (opScan
-	// ascending, opTopK descending). Owned by the batch and recycled.
+	// outKeys is the worker's reply for the key-run ops, an ascending
+	// run. Owned by the batch and recycled.
 	outKeys []workload.Key
 	// lp is the partition state the batch is answered against: set at
 	// dispatch from the pinned epoch, so a batch routed before a
@@ -302,7 +303,7 @@ func NewCluster(keys []workload.Key, cfg RealConfig) (*Cluster, error) {
 	if cfg.WALDir != "" {
 		var err error
 		cs, err = openClusterStore(cfg.WALDir, index.StoreOptions{
-			FS: cfg.WALFS, FsyncInterval: cfg.FsyncInterval, Logf: cfg.Logf,
+			FS: cfg.WALFS, FsyncInterval: cfg.FsyncInterval,
 		})
 		if err != nil {
 			return nil, err
@@ -418,7 +419,6 @@ func (c *Cluster) processBatch(b *realBatch) {
 		return
 	case opTopK:
 		b.outKeys = lp.upd.TopK(b.limit, b.outKeys[:0])
-		slices.Reverse(b.outKeys)
 		b.ranks = b.ranks[:0]
 		return
 	case opCount:

@@ -58,13 +58,11 @@ type radixScratch struct {
 }
 
 // sortByKey stable-sorts queries ascending and returns the sorted run
-// plus the permutation mapping sorted index -> original position. It is
-// an LSD radix sort over the four key bytes of packed
-// (key<<32 | position) words — O(n) with sequential passes, no
-// comparisons — so an unsorted caller can buy into the sorted pipeline
-// (cursor kernels, one-sweep routing, delta wire frames) for about
-// the cost of one extra pass per byte. Constant bytes (a batch confined
-// to a narrow key range) skip their pass entirely.
+// plus the permutation mapping sorted index -> original position: one
+// index.RadixSort over packed (position<<32 | key) words — O(n) with
+// sequential passes, no comparisons — so an unsorted caller can buy into
+// the sorted pipeline (cursor kernels, one-sweep routing) for about the
+// cost of one extra pass per byte.
 func (rs *radixScratch) sortByKey(queries []workload.Key) ([]workload.Key, []int32) {
 	n := len(queries)
 	if cap(rs.packed) < n {
@@ -73,39 +71,14 @@ func (rs *radixScratch) sortByKey(queries []workload.Key) ([]workload.Key, []int
 		rs.keys = make([]workload.Key, n)
 		rs.pos = make([]int32, n)
 	}
-	a, b := rs.packed[:n], rs.scratch[:n]
-	var hist [4][256]uint32
+	a := rs.packed[:n]
 	for i, q := range queries {
-		v := uint64(q)<<32 | uint64(uint32(i))
-		a[i] = v
-		hist[0][byte(v>>32)]++
-		hist[1][byte(v>>40)]++
-		hist[2][byte(v>>48)]++
-		hist[3][byte(v>>56)]++
-	}
-	for p := 0; p < 4; p++ {
-		h := &hist[p]
-		shift := uint(32 + 8*p)
-		if n > 0 && h[byte(a[0]>>shift)] == uint32(n) {
-			continue // every key shares this byte: nothing to move
-		}
-		sum := uint32(0)
-		for i := range h {
-			c := h[i]
-			h[i] = sum
-			sum += c
-		}
-		for _, v := range a {
-			d := byte(v >> shift)
-			b[h[d]] = v
-			h[d]++
-		}
-		a, b = b, a
+		a[i] = uint64(i)<<32 | uint64(q)
 	}
 	keys, pos := rs.keys[:n], rs.pos[:n]
-	for i, v := range a {
-		keys[i] = workload.Key(v >> 32)
-		pos[i] = int32(uint32(v))
+	for i, v := range index.RadixSort(a, rs.scratch) {
+		keys[i] = workload.Key(v)
+		pos[i] = int32(v >> 32)
 	}
 	return keys, pos
 }

@@ -338,10 +338,7 @@ func (c *Cluster) rebalance() {
 		// logs (its compactions are waited out first, so none publishes
 		// to a closed store). On failure keep the old epoch — index and
 		// store still agree — and retry on the next trigger.
-		if err := c.attachDurable(next); err != nil {
-			if c.cfg.Logf != nil {
-				c.cfg.Logf("core: rebalance kept current epoch, store rebase failed: %v", err)
-			}
+		if c.attachDurable(next) != nil {
 			return
 		}
 	}

@@ -208,12 +208,10 @@ func MergeKeys(a, b []workload.Key) []workload.Key {
 	return append(out, b[j:]...)
 }
 
-// sortKeys sorts keys ascending in place (insertion-friendly sizes use
-// the stdlib; keys are plain uint32s).
+// sortKeys sorts keys ascending in place: a binary-insertion sort for
+// the small batches inserts arrive in, RadixSort above 32 keys (both
+// without sort.Slice's interface allocations on the insert hot path).
 func sortKeys(keys []workload.Key) {
-	// Avoid sort.Slice's interface allocations on the insert hot path:
-	// a simple binary-insertion sort is optimal for the small batches
-	// inserts arrive in, and pdqsort-sized inputs fall back below.
 	if len(keys) <= 32 {
 		for i := 1; i < len(keys); i++ {
 			k := keys[i]
@@ -223,39 +221,48 @@ func sortKeys(keys []workload.Key) {
 		}
 		return
 	}
-	radixSortKeys(keys)
+	if s := RadixSort(keys, make([]workload.Key, len(keys))); &s[0] != &keys[0] {
+		copy(keys, s)
+	}
 }
 
-// radixSortKeys is an in-place-ish LSD byte radix sort for larger insert
-// batches (allocates one scratch slice).
-func radixSortKeys(keys []workload.Key) {
-	scratch := make([]workload.Key, len(keys))
-	a, b := keys, scratch
-	for p := 0; p < 4; p++ {
-		var hist [256]uint32
-		shift := uint(8 * p)
-		for _, v := range a {
-			hist[byte(v>>shift)]++
-		}
-		if hist[byte(a[0]>>shift)] == uint32(len(a)) {
-			continue
+// RadixSort stable-sorts a ascending by the low 32 bits of each element:
+// a whole uint32, or the key of a uint64 that packs a position above it,
+// which rides along. It is an LSD byte radix sort — one pass counts all
+// four bytes, then each byte's pass moves the elements between a and tmp
+// (len(tmp) >= len(a)), and a byte every element shares (a batch confined
+// to a narrow key range) skips its pass. It returns whichever of a and
+// tmp[:len(a)] holds the result.
+func RadixSort[T ~uint32 | ~uint64](a, tmp []T) []T {
+	n := len(a)
+	b := tmp[:n]
+	var hist [4][256]uint32
+	for _, v := range a {
+		hist[0][byte(v)]++
+		hist[1][byte(v>>8)]++
+		hist[2][byte(v>>16)]++
+		hist[3][byte(v>>24)]++
+	}
+	for p := range hist {
+		h := &hist[p]
+		s := 8 * uint(p)
+		if n == 0 || h[byte(a[0]>>s)] == uint32(n) {
+			continue // every element shares this byte: nothing to move
 		}
 		sum := uint32(0)
-		for i := range hist {
-			c := hist[i]
-			hist[i] = sum
+		for i := range h {
+			c := h[i]
+			h[i] = sum
 			sum += c
 		}
 		for _, v := range a {
-			d := byte(v >> shift)
-			b[hist[d]] = v
-			hist[d]++
+			d := byte(v >> s)
+			b[h[d]] = v
+			h[d]++
 		}
 		a, b = b, a
 	}
-	if &a[0] != &keys[0] {
-		copy(keys, a)
-	}
+	return a
 }
 
 // Builder constructs a fresh immutable base structure over a sorted key

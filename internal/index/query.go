@@ -199,10 +199,11 @@ func (u *Updatable) ScanRange(lo, hi workload.Key, max int, out []workload.Key) 
 	return out
 }
 
-// TopK appends the k largest indexed keys, descending, to out and
-// returns the extended slice (fewer than k when the structure holds
-// fewer keys). Like ScanRange it merges one pinned snapshot — here
-// from the tails of the three runs backward.
+// TopK appends the k largest indexed keys, ascending — the run a
+// partition answers a top-k with in both engines — to out and returns the
+// extended slice (fewer than k when the structure holds fewer keys). Like
+// ScanRange it merges one pinned snapshot — here from the tails of the
+// three runs backward, filling the k new slots from the last.
 func (u *Updatable) TopK(k int, out []workload.Key) []workload.Key {
 	if k <= 0 {
 		return out
@@ -211,17 +212,19 @@ func (u *Updatable) TopK(k int, out []workload.Key) []workload.Key {
 	if total := len(a) + len(b) + len(c); k > total {
 		k = total
 	}
-	for n := 0; n < k; n++ {
+	base := len(out)
+	out = slices.Grow(out, k)[:base+k]
+	for i := base + k - 1; i >= base; i-- {
 		la, lb, lc := len(a), len(b), len(c)
 		switch {
 		case la > 0 && (lb == 0 || a[la-1] >= b[lb-1]) && (lc == 0 || a[la-1] >= c[lc-1]):
-			out = append(out, a[la-1])
+			out[i] = a[la-1]
 			a = a[:la-1]
 		case lb > 0 && (lc == 0 || b[lb-1] >= c[lc-1]):
-			out = append(out, b[lb-1])
+			out[i] = b[lb-1]
 			b = b[:lb-1]
 		default:
-			out = append(out, c[lc-1])
+			out[i] = c[lc-1]
 			c = c[:lc-1]
 		}
 	}

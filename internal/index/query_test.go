@@ -115,7 +115,7 @@ func TestUpdatableQueryOpsLayered(t *testing.T) {
 				t.Fatalf("round %d: TopK(%d) returned %d keys, want %d", round, k, len(got), wantN)
 			}
 			for i, key := range got {
-				if want := all[len(all)-1-i]; key != want {
+				if want := all[len(all)-wantN+i]; key != want {
 					t.Fatalf("round %d: TopK(%d)[%d] = %d, want %d", round, k, i, key, want)
 				}
 			}
@@ -185,7 +185,7 @@ func TestUpdatableQueryOpsNonArrayBase(t *testing.T) {
 	}
 	top := u.TopK(3, nil)
 	for i, k := range top {
-		if want := all[len(all)-1-i]; k != want {
+		if want := all[len(all)-3+i]; k != want {
 			t.Fatalf("TopK[%d] = %d, want %d", i, k, want)
 		}
 	}

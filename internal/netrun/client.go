@@ -388,7 +388,7 @@ func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error
 		return nil, err
 	}
 	if opt.BatchKeys <= 0 {
-		opt.BatchKeys = 16384
+		opt.BatchKeys = core.DefaultBatchKeys
 	}
 	if opt.BatchKeys > MaxFrameWords {
 		opt.BatchKeys = MaxFrameWords

@@ -240,12 +240,13 @@ func (n *clusterNode) hedgeDelay() time.Duration {
 }
 
 // observe records one read reply's latency against n's replica: the EWMA
-// and the windowed quantile estimate behind the hedge delay always, and
-// — when DialOptions.Ejection enabled ejection — the probation
-// events that shed reads from a sustained outlier. Called by the read
-// loop, which owns the latency window; writes are never observed, so a
-// replica drowning in inserts is not scored for it. With ejection off it
-// takes no lock.
+// always, the windowed quantile estimate behind the hedge delay when
+// DialOptions.Hedging armed hedging (only the hedger reads it), and —
+// when DialOptions.Ejection enabled ejection — the probation events that
+// shed reads from a sustained outlier. Called by the read loop, which
+// owns the latency window; writes are never observed, so a replica
+// drowning in inserts is not scored for it. With ejection off it takes
+// no lock.
 func (n *clusterNode) observe(c *Cluster, d time.Duration) {
 	r := n.r
 	ns := max(int64(d), 0)
@@ -254,17 +255,15 @@ func (n *clusterNode) observe(c *Cluster, d time.Duration) {
 	} else {
 		r.ewmaNs.Store(ewma + (ns-ewma)/8)
 	}
-	n.window[n.samples%len(n.window)] = ns
-	n.samples++
-	if k := n.samples; k%quantileEvery == 0 || k == quantileEvery/2 {
-		q := c.opt.Hedging.Quantile
-		if q <= 0 {
-			q = 0.99
+	if q := c.opt.Hedging.Quantile; q > 0 {
+		n.window[n.samples%len(n.window)] = ns
+		n.samples++
+		if k := n.samples; k%quantileEvery == 0 || k == quantileEvery/2 {
+			buf := n.window
+			m := min(k, len(buf))
+			slices.Sort(buf[:m])
+			r.hedgeNs.Store(buf[int(q*float64(m-1))])
 		}
-		buf := n.window
-		m := min(k, len(buf))
-		slices.Sort(buf[:m])
-		r.hedgeNs.Store(buf[int(q*float64(m-1))])
 	}
 	if !c.opt.Ejection {
 		return

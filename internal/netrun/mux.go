@@ -55,8 +55,8 @@ type clusterNode struct {
 	failOnce  sync.Once     // failNode runs its body exactly once
 
 	// window is a ring of the last read-reply latencies and samples
-	// their count; every few samples observe re-sorts the ring into the
-	// hedge-delay quantile. Owned by the read loop.
+	// their count; with hedging armed, every few samples observe re-sorts
+	// the ring into the hedge-delay quantile. Owned by the read loop.
 	window  [64]int64
 	samples int
 

@@ -686,10 +686,7 @@ func (s *nodeConn) serveTopK(_ *nodeIdent, f Frame) ([]byte, error) {
 	if k > MaxFrameWords {
 		return nil, refusef("top-%d exceeds the frame limit", k)
 	}
-	// TopK yields descending keys; the wire run is ascending (the client
-	// checks the order and reads the run backward).
 	s.scanBuf = s.n.upd.TopK(k, s.scanBuf[:0])
-	slices.Reverse(s.scanBuf)
 	return answer(s, f, s.scanBuf)
 }
 

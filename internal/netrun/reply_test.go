@@ -116,7 +116,6 @@ func TestReplyBytesMatchWordPath(t *testing.T) {
 		OpTopK: func(id uint32) exchange {
 			k := uint32(rng.Intn(3000))
 			run := u.TopK(int(k), nil)
-			slices.Reverse(run)
 			return exchange{onWire(t, Frame{Op: OpTopK, ReqID: id, Payload: []uint32{k}}), wordPath(OpKeysDelta, id, words(run))}
 		},
 		OpMultiGet: func(id uint32) exchange {

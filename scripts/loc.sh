@@ -4,7 +4,8 @@
 # stripped. Prints a markdown table (CI's lint job appends it to the job
 # summary): the two package sets ROADMAP's targets are stated over, then
 # internal/netrun and internal/core file by file, then the durable layer
-# of internal/index (wal, store, durable). internal/paper (the
+# of internal/index (wal, store, durable), then cmd/dcq/main.go, the
+# workload driver of both engines. internal/paper (the
 # simulators that lived in internal/core until PR 17) counts inside the
 # four-package row, so that a move between the two never reads as a
 # deletion.
@@ -30,3 +31,4 @@ echo "| internal/paper | $(count $(src internal/paper)) |"
 for f in $(src internal/netrun internal/core) internal/index/{wal,store,durable}.go; do
 	echo "| $f | $(count "$f") |"
 done
+echo "| cmd/dcq/main.go | $(count cmd/dcq/main.go) |"
