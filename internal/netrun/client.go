@@ -123,8 +123,9 @@ type Cluster struct {
 // connection's mu is taken to enqueue — by target choice, the write
 // fan-out, admission and the catch-up flush alike. Departure drops the
 // group's mu before it sweeps the connection. The reverse of any pair
-// would deadlock against these paths, and lockguard rejects it.
-// hedger.mu is a leaf, held for heap surgery only.
+// would deadlock against these paths, and lockguard rejects it. A
+// connection's hedge clock reads its group's delay before it takes the
+// connection's mu, and re-dispatches only after releasing it.
 //
 //dc:lockorder Cluster.mu Cluster.pause
 //dc:lockorder Cluster.mu replicaGroup.mu
@@ -140,14 +141,9 @@ type epoch struct {
 	groups []*replicaGroup
 	wg     sync.WaitGroup
 	// ctx is cancelled on terminal failure, with the root cause as its
-	// cancellation cause. Rejoin dials, admission waits and the hedger
-	// all stop on it.
+	// cancellation cause. Rejoin dials and admission waits stop on it.
 	ctx    context.Context
 	cancel context.CancelCauseFunc
-	// hedger re-dispatches read frames that outlive their replica's
-	// latency quantile to a healthy sibling. Nil unless
-	// DialOptions.Hedging.Quantile enabled hedging for this client.
-	hedger *hedger
 }
 
 // Err returns the epoch's terminal error, or nil while healthy.
@@ -272,7 +268,8 @@ type HedgeOptions struct {
 	// latency (never less than 10ms, which is also the delay before any
 	// latency history exists) is re-dispatched to a healthy sibling,
 	// first valid reply wins, the loser's reply is discarded by request
-	// id. 0 disables hedging. Writes are never hedged. Each partition's
+	// id. 0 disables hedging; Dial refuses any other value (negative,
+	// NaN, 1 or more). Writes are never hedged. Each partition's
 	// hedges are paid from a token bucket: a dispatched read frame
 	// earns 0.1 token, a hedge costs one, and the bucket holds at most
 	// 16 (at most ~10% extra load from hedging).
@@ -383,6 +380,9 @@ func GroupAddrs(addrs []string, replicas int) ([][]string, error) {
 // grouped "addr|addr" syntax (see GroupAddrs); every replica of
 // partition i must serve partition i.
 func Dial(addrs []string, keys []workload.Key, opt DialOptions) (*Cluster, error) {
+	if q := opt.Hedging.Quantile; q != 0 && !(q > 0 && q < 1) {
+		return nil, fmt.Errorf("netrun: Hedging.Quantile %v is outside (0, 1) (0 turns hedging off)", q)
+	}
 	groups, err := GroupAddrs(addrs, opt.Replicas)
 	if err != nil {
 		return nil, err
@@ -514,11 +514,6 @@ func (c *Cluster) scrapeGauges(r *telemetry.Registry) {
 func (c *Cluster) dialEpoch() (*epoch, error) {
 	ep := &epoch{c: c}
 	ep.ctx, ep.cancel = context.WithCancelCause(context.Background())
-	if c.opt.Hedging.Quantile > 0 {
-		ep.hedger = &hedger{c: c, ep: ep, wake: make(chan struct{}, 1)}
-		ep.wg.Add(1)
-		go ep.hedger.loop()
-	}
 	// The whole structure exists before the first loop starts: a
 	// connection that drops mid-dial departs (and may fail the epoch)
 	// against complete groups.
@@ -583,6 +578,11 @@ func (c *Cluster) dialNode(ctx context.Context, r *replica, joinOK bool) (*clust
 		pending:   map[uint32]inflight{},
 	}
 	n.cond = sync.NewCond(&n.mu)
+	if c.opt.Hedging.Quantile > 0 {
+		// Parked until sendLoop registers the first hedgeable read.
+		n.hedgeT = time.AfterFunc(time.Hour, func() { n.hedgeDue(c) })
+		n.hedgeT.Stop()
+	}
 	if err := hello(n, c.part.Load().Parts[part], dialTimeout, joinOK); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("netrun: partition %d replica %s: %w", part, r.addr, err)

@@ -7,7 +7,10 @@ package netrun
 // faultnet injecting the misbehavior deterministically.
 
 import (
+	"fmt"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -177,6 +180,69 @@ func checkRanks(t *testing.T, keys, queries []workload.Key, ranks []int) {
 	}
 }
 
+// The hedge clock alone, on a hand-built two-replica group with no
+// sockets: one firing over replica 0's in-flight table hedges only the
+// unanswered, unhedged read older than the delay, takes the hedge chain's
+// reference, and re-arms for the read still ahead; a second firing moves
+// nothing.
+func TestHedgeClockHedgesOnlyOverdueReads(t *testing.T) {
+	c := &Cluster{}
+	g := &replicaGroup{budget: hedgeBurstMilli, admitCh: make(chan struct{}, 1)}
+	var nodes [2]*clusterNode
+	for i := range nodes {
+		r := &replica{g: g, addr: fmt.Sprint("replica-", i), state: stHealthy}
+		n := &clusterNode{r: r, version: ProtoVersion, pending: map[uint32]inflight{}}
+		n.cond = sync.NewCond(&n.mu)
+		n.hedgeT = time.AfterFunc(time.Hour, func() {})
+		n.hedgeT.Stop()
+		t.Cleanup(func() { n.hedgeT.Stop() })
+		r.node = n
+		g.replicas = append(g.replicas, r)
+		nodes[i] = n
+	}
+	// The sibling's quantile makes the delay 500ms: a read sent a second
+	// ago is overdue, one sent now is not.
+	nodes[1].r.hedgeNs.Store(int64(500 * time.Millisecond))
+
+	now := time.Now()
+	reg := func(id uint32, op uint8, sentAt time.Time, hedged bool) *pending {
+		p := &pending{op: op}
+		p.refs.Store(1)
+		p.hedged.Store(hedged)
+		nodes[0].mu.Lock()
+		nodes[0].pending[id] = inflight{p: p, sentAt: sentAt}
+		nodes[0].mu.Unlock()
+		return p
+	}
+	old := reg(1, OpLookup, now.Add(-time.Second), false)
+	reg(2, OpLookup, now, false)
+	reg(3, OpInsert, now.Add(-time.Second), false)
+	reg(4, OpLookup, now.Add(-time.Second), true)
+
+	check := func(firing int) {
+		t.Helper()
+		nodes[1].mu.Lock()
+		queued := slices.Clone(nodes[1].sendq[nodes[1].sendHead:])
+		nodes[1].mu.Unlock()
+		if len(queued) != 1 || queued[0].p != old || !old.hedged.Load() || old.refs.Load() != 2 {
+			t.Fatalf("firing %d: sibling queue %v, want only the old lookup, hedged, with the hedge's reference", firing, queued)
+		}
+		if h := nodes[0].r.hedges.Load(); h != 1 {
+			t.Fatalf("firing %d: replica 0 counts %d hedges, want 1", firing, h)
+		}
+		nodes[0].mu.Lock()
+		armed := nodes[0].hedgeArmed
+		nodes[0].mu.Unlock()
+		if !armed {
+			t.Fatalf("firing %d: the clock went idle with the fresh lookup still ahead", firing)
+		}
+	}
+	nodes[0].hedgeDue(c)
+	check(1)
+	nodes[0].hedgeDue(c)
+	check(2)
+}
+
 // A replica that accepts frames but never replies (its very first reply
 // write stalls; the hello ack is the connection's write #1, so
 // StallAfterWrites=2 passes the handshake and stalls everything after).
@@ -313,7 +379,7 @@ func TestTCPHedgeVsFailoverRace(t *testing.T) {
 }
 
 // With replenishment off (hedgeEarnMilli 0) the burst is the whole
-// allowance: hedges stop at hedgeBurstMilli and the hedger records denials
+// allowance: hedges stop at hedgeBurstMilli and the hedge clock records denials
 // instead of exceeding it. Reads still finish — the op timeout fails
 // the stalled connection over to the sibling — so exhaustion degrades
 // latency, never correctness.

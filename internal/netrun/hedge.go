@@ -3,13 +3,13 @@ package netrun
 // The read policy: code that only chooses targets. choose folds
 // round-robin, probe claiming, the all-ejected fallback, the hedge
 // token bucket and the admission cap into one verdict for route and the
-// hedger; observe scores reply latency and offers the probation events
-// to the lifecycle table (replica.go); the hedger is the clock that
+// hedge clock; observe scores reply latency and offers the probation
+// events to the lifecycle table (replica.go); hedgeDue is each
+// connection's hedge clock, a timer over its in-flight table that
 // re-dispatches overdue reads.
 
 import (
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -82,7 +82,7 @@ const (
 // dispatch under the admission cap; a replica at maxPending is skipped
 // for its neighbour.
 //
-// origin is nil for a primary dispatch. The hedger passes the slow
+// origin is nil for a primary dispatch. The hedge clock passes the slow
 // replica p is already on: a hedge never lands on its origin, has no
 // second pass (the origin is still working), never joins a queue at the
 // cap (piling onto a saturated sibling would only spread the gray), and
@@ -223,7 +223,7 @@ func (g *replicaGroup) fastestSibling(r *replica) (ewma, quantile int64, exists 
 // and capped below the op timeout so a hedge always beats a timeout. The
 // group minimum rather than n's own quantile matters for exactly the
 // gray case: a uniformly slow replica inflates its own quantile and
-// would otherwise never look overdue to the hedger.
+// would otherwise never look overdue to its hedge clock.
 func (n *clusterNode) hedgeDelay() time.Duration {
 	g := n.r.g
 	g.mu.Lock()
@@ -232,16 +232,20 @@ func (n *clusterNode) hedgeDelay() time.Duration {
 	if own := n.r.hedgeNs.Load(); q == 0 || (own > 0 && own < q) {
 		q = own
 	}
-	d := max(time.Duration(q), hedgeMinDelay)
-	if n.opTimeout > 0 && d > n.opTimeout/2 {
-		d = n.opTimeout / 2
+	return n.capHedge(max(time.Duration(q), hedgeMinDelay))
+}
+
+// capHedge caps a hedge delay below the op timeout.
+func (n *clusterNode) capHedge(d time.Duration) time.Duration {
+	if n.opTimeout > 0 {
+		d = min(d, n.opTimeout/2)
 	}
 	return d
 }
 
 // observe records one read reply's latency against n's replica: the EWMA
 // always, the windowed quantile estimate behind the hedge delay when
-// DialOptions.Hedging armed hedging (only the hedger reads it), and —
+// DialOptions.Hedging armed hedging (only the hedge clock reads it), and —
 // when DialOptions.Ejection enabled ejection — the probation events that
 // shed reads from a sustained outlier. Called by the read loop, which
 // owns the latency window; writes are never observed, so a replica
@@ -320,131 +324,47 @@ func (n *clusterNode) observe(c *Cluster, d time.Duration) {
 	// late reply from a connection that has already left.
 }
 
-// hedger is an epoch's hedge clock. Send loops schedule a (node, reqID,
-// deadline) entry after each read frame leaves for the wire; the loop
-// sleeps until the earliest deadline and re-dispatches whichever
-// registrations are still unanswered to a sibling replica — first valid
-// reply claims the pending, the loser's reply is discarded by request
-// id. One goroutine per epoch: hedges are rare by construction (the
-// deadline is the replica's own high quantile), so a single clock
-// never becomes a bottleneck.
-type hedger struct {
-	c    *Cluster
-	ep   *epoch
-	wake chan struct{} // capacity 1: "the earliest deadline moved"
-
-	mu   sync.Mutex
-	heap []hedgeEntry // min-heap by deadline //dc:guardedby mu
-}
-
-// hedgeEntry is one armed hedge: if reqID is still registered on n at
-// the deadline, the request is re-dispatched to a sibling.
-type hedgeEntry struct {
-	n     *clusterNode
-	reqID uint32
-	at    time.Time
-}
-
-// schedule arms a hedge for one registration and wakes the loop when
-// the new entry became the earliest deadline.
-func (h *hedger) schedule(n *clusterNode, reqID uint32, at time.Time) {
-	h.mu.Lock()
-	h.heap = append(h.heap, hedgeEntry{n: n, reqID: reqID, at: at})
-	i := len(h.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.heap[i].at.Before(h.heap[parent].at) {
-			break
-		}
-		h.heap[i], h.heap[parent] = h.heap[parent], h.heap[i]
-		i = parent
-	}
-	first := i == 0
-	h.mu.Unlock()
-	if first {
-		select {
-		case h.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// next pops the earliest entry when its deadline has passed; otherwise
-// it reports how long the loop should sleep for it.
-func (h *hedger) next() (e hedgeEntry, wait time.Duration, fire bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.heap) == 0 {
-		return hedgeEntry{}, time.Hour, false
-	}
-	if d := time.Until(h.heap[0].at); d > 0 {
-		return hedgeEntry{}, d, false
-	}
-	e = h.heap[0]
-	last := len(h.heap) - 1
-	h.heap[0] = h.heap[last]
-	h.heap[last] = hedgeEntry{}
-	h.heap = h.heap[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < last && h.heap[l].at.Before(h.heap[min].at) {
-			min = l
-		}
-		if r < last && h.heap[r].at.Before(h.heap[min].at) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h.heap[i], h.heap[min] = h.heap[min], h.heap[i]
-		i = min
-	}
-	return e, 0, true
-}
-
-func (h *hedger) loop() {
-	defer h.ep.wg.Done()
-	t := time.NewTimer(time.Hour)
-	defer t.Stop()
-	for {
-		e, wait, fire := h.next()
-		if fire {
-			h.fire(e)
+// hedgeDue is a connection's hedge clock firing: every hedgeable read
+// registered on n that is unclaimed, not yet hedged and older than the
+// hedge delay is re-dispatched to a sibling — first valid reply claims
+// the pending, the loser's reply is discarded by request id — and the
+// clock is re-armed for the nearest deadline still ahead, or left idle.
+// The delay is read once per firing, before n.mu (its group lock comes
+// first). Each hedge's chain reference is taken under n.mu while its
+// registration is verifiably live, so a racing reply can complete and
+// recycle the pending only after the hedge chain also lets go.
+func (n *clusterNode) hedgeDue(c *Cluster) {
+	delay := n.hedgeDelay()
+	now := time.Now()
+	var due []*pending
+	var next time.Duration
+	n.mu.Lock()
+	n.hedgeArmed = false
+	for _, inf := range n.pending {
+		p := inf.p
+		if !opTable[p.op].hedge || p.claimed.Load() || p.hedged.Load() {
 			continue
 		}
-		t.Reset(wait)
-		select {
-		case <-h.ep.ctx.Done():
-			return
-		case <-h.wake:
-		case <-t.C:
+		if wait := delay - now.Sub(inf.sentAt); wait > 0 {
+			if next == 0 || wait < next {
+				next = wait
+			}
+			continue
 		}
+		p.hedged.Store(true)
+		p.refs.Add(1)
+		due = append(due, p)
 	}
-}
-
-// fire re-dispatches one overdue registration to a sibling, if the
-// request is still unanswered and unhedged and choose finds it a home.
-// The extra chain reference is taken under n.mu while the registration
-// is verifiably live, so a racing reply can complete and recycle the
-// pending only after the hedge chain also lets go — the hedge can never
-// touch a recycled object.
-func (h *hedger) fire(e hedgeEntry) {
-	n := e.n
-	n.mu.Lock()
-	inf, ok := n.pending[e.reqID]
-	if !ok || inf.p.claimed.Load() || inf.p.hedged.Load() || !opTable[inf.p.op].hedge {
-		n.mu.Unlock()
-		return
+	if next > 0 {
+		n.hedgeArmed = true
+		n.hedgeT.Reset(next)
 	}
-	p := inf.p
-	p.hedged.Store(true)
-	p.refs.Add(1)
 	n.mu.Unlock()
-	if v, _ := n.r.g.choose(h.c, p, n.r); v != sent {
-		// No sibling, no budget, or no room; the origin keeps sole
-		// ownership.
-		h.c.release(p)
+	for _, p := range due {
+		if v, _ := n.r.g.choose(c, p, n.r); v != sent {
+			// No sibling, no budget, or no room; the origin keeps sole
+			// ownership.
+			c.release(p)
+		}
 	}
 }

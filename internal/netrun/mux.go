@@ -66,6 +66,13 @@ type clusterNode struct {
 	sendHead int                 //dc:guardedby mu
 	pending  map[uint32]inflight //dc:guardedby mu
 	dead     bool                //dc:guardedby mu
+
+	// hedgeT is the connection's hedge clock (nil unless hedging is on):
+	// it runs hedgeDue over the in-flight table. hedgeArmed says it is
+	// running; both are changed only under mu, so one armed clock covers
+	// every hedgeable frame registered after it.
+	hedgeT     *time.Timer
+	hedgeArmed bool //dc:guardedby mu
 }
 
 // sendReq is one queue entry: a pending plus the request id this
@@ -161,8 +168,8 @@ type pending struct {
 	claimed atomic.Bool
 	refs    atomic.Int32
 	// hedged caps re-dispatch amplification at one hedge per pending
-	// (set by the hedger when it fires, checked by send loops so a
-	// hedge is never itself hedged).
+	// (set by the origin's hedge clock when it fires, and checked by
+	// every clock, so a hedge is never itself hedged).
 	hedged atomic.Bool
 }
 
@@ -282,6 +289,10 @@ func (n *clusterNode) collectPending(held []*pending) []*pending {
 		}
 	}
 	n.sendq, n.sendHead = nil, 0
+	if n.hedgeT != nil {
+		n.hedgeT.Stop()
+		n.hedgeArmed = false
+	}
 	for _, inf := range n.pending {
 		rest = append(rest, inf.p)
 	}
@@ -351,9 +362,13 @@ func (n *clusterNode) sendLoop(ep *epoch) {
 		// can complete (reply or failover sweep) and be recycled by its
 		// caller, so no field of p may be read after the unlock. After
 		// encode the frame lives in the writer's scratch, and the
-		// blocking socket I/O below never touches p. Whether to arm the
-		// hedge clock is decided under the same lock for the same reason.
-		armHedge := ep.hedger != nil && row.hedge && !p.hedged.Load()
+		// blocking socket I/O below never touches p.
+		if n.hedgeT != nil && !n.hedgeArmed && row.hedge && !p.hedged.Load() {
+			// No read is overdue before the least delay hedgeDelay can
+			// return; hedgeDue re-arms the clock for the real deadline.
+			n.hedgeArmed = true
+			n.hedgeT.Reset(n.capHedge(hedgeMinDelay))
+		}
 		buf, encErr := encodeRun(&n.bc.fw, p.op, sr.reqID, p.keys)
 		n.mu.Unlock()
 
@@ -373,13 +388,6 @@ func (n *clusterNode) sendLoop(ep *epoch) {
 		}
 		n.armRead()
 		unflushed = true
-		if armHedge {
-			// Arm the hedge clock now that the frame is on (or in) the
-			// wire; the hedger re-checks the registration at deadline,
-			// so completed requests cost nothing. Outside n.mu: the
-			// hedger takes its own lock, then n.mu when it fires.
-			ep.hedger.schedule(n, sr.reqID, time.Now().Add(n.hedgeDelay()))
-		}
 	}
 }
 

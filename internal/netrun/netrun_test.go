@@ -2,9 +2,11 @@ package netrun
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -344,6 +346,23 @@ func TestDialFailsFastOnDeadAddress(t *testing.T) {
 	_, err := Dial([]string{"127.0.0.1:1"}, keys, DialOptions{})
 	if err == nil {
 		t.Fatal("dial to dead address succeeded")
+	}
+}
+
+// Dial refuses an out-of-range hedge quantile by name before it dials
+// anything: from about 1.016 up, the latency window's quantile index
+// runs off its end and panics a read loop.
+func TestDialRefusesHedgeQuantileOutOfRange(t *testing.T) {
+	keys := workload.SortedKeys(100, 8)
+	dialer := func(_ context.Context, addr string) (net.Conn, error) {
+		t.Errorf("dialed %s", addr)
+		return nil, errors.New("no dial")
+	}
+	for _, q := range []float64{math.NaN(), -0.5, 1, 1.5} {
+		_, err := Dial([]string{"127.0.0.1:1"}, keys, DialOptions{Hedging: HedgeOptions{Quantile: q}, Dialer: dialer})
+		if err == nil || !strings.Contains(err.Error(), "Hedging.Quantile") {
+			t.Errorf("quantile %v: err = %v, want a refusal naming Hedging.Quantile", q, err)
+		}
 	}
 }
 
