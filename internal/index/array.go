@@ -155,6 +155,10 @@ func (a *SortedArray) Rank(k workload.Key) int {
 // state that it stays in L1.
 const lanes = 16
 
+// lockstep and the two place methods write their lanes out one line
+// each, so any other lane count must fail to compile here.
+var _ = [1]struct{}{}[lanes-16]
+
 // group returns the lanes queries starting at qs[i] and how many of them
 // are real: a full group aliases qs, the batch's tail is copied into pad.
 func group(qs []workload.Key, i int, pad *[lanes]workload.Key) (*[lanes]workload.Key, int) {
@@ -167,28 +171,55 @@ func group(qs []workload.Key, i int, pad *[lanes]workload.Key) (*[lanes]workload
 // lockstep advances lanes upper-bound searches together: search l is for
 // q[l] among the span keys starting at b[l], and leaves b[l] moved past
 // those of them <= q[l]. Every search takes the same bits.Len(span)
-// steps whatever its data, so the only branches are the loop counters;
-// the compare compiles to a conditional move, and within a step the
-// loads are independent, so their cache misses overlap instead of
-// queueing behind one another as one key's dependent probes do.
+// steps whatever its data, so the only branches are the round loop's and
+// the bounds checks; the compare compiles to a conditional move, and
+// within a round the loads are independent, so their cache misses
+// overlap instead of queueing behind one another as one key's dependent
+// probes do.
 //
-// Kept out of line: inlined, its loops share registers with the caller's
-// and the step loop spills its counters (14 -> 20 ns/key at 40,960 keys).
+// The lanes are written out, one step call each, because where the keys
+// are in cache the search is bound by instructions, not misses: a
+// lane-step is nine instructions (three loads, the bounds check and its
+// jump, an add, the compare, the conditional move and the store), and a
+// loop over the lanes added eight more for its counter, index arithmetic
+// and nil checks. The body is then past the inliner's budget, which keeps
+// it out of line with its registers to itself.
 //
 //dc:noalloc
-//go:noinline
 func lockstep(keys []workload.Key, q *[lanes]workload.Key, b *[lanes]int, span int) {
 	for span > 0 {
 		half := (span + 1) >> 1
-		for l, j := range b {
-			next := j
-			if keys[j+half-1] <= q[l] {
-				next = j + half
-			}
-			b[l] = next
-		}
+		k := keys[half-1:]
+		b[0] = step(k, q[0], b[0], half)
+		b[1] = step(k, q[1], b[1], half)
+		b[2] = step(k, q[2], b[2], half)
+		b[3] = step(k, q[3], b[3], half)
+		b[4] = step(k, q[4], b[4], half)
+		b[5] = step(k, q[5], b[5], half)
+		b[6] = step(k, q[6], b[6], half)
+		b[7] = step(k, q[7], b[7], half)
+		b[8] = step(k, q[8], b[8], half)
+		b[9] = step(k, q[9], b[9], half)
+		b[10] = step(k, q[10], b[10], half)
+		b[11] = step(k, q[11], b[11], half)
+		b[12] = step(k, q[12], b[12], half)
+		b[13] = step(k, q[13], b[13], half)
+		b[14] = step(k, q[14], b[14], half)
+		b[15] = step(k, q[15], b[15], half)
 		span -= half
 	}
+}
+
+// step is one lane's step of lockstep: j moved past the half keys from
+// j on when the last of them, k[j] (k starts half-1 keys into the
+// array), is <= q.
+//
+//dc:noalloc
+func step(k []workload.Key, q workload.Key, j, half int) int {
+	if k[j] <= q {
+		j += half
+	}
+	return j
 }
 
 // rankAdd adds each query's rank in keys into out, searching the whole
@@ -269,28 +300,43 @@ func (a *SortedArray) RankInto(qs []workload.Key, pos []int32, out []int, add in
 // place starts each lane's search where its query's rank range starts,
 // or earlier where the widest range of the group would run past the
 // array's end, and returns that widest range: one lockstep over it then
-// settles every lane.
-//
-// Kept out of line, as lockstep is: inlined into RankInto, it shared
-// registers with the batch loop, which spilled the table, the bucket
-// bounds and the span to the stack.
+// settles every lane. Its lanes are written out as lockstep's are, and
+// for the same reason it stays out of line.
 //
 //dc:noalloc
-//go:noinline
 func (a *SortedArray) place(q *[lanes]workload.Key, b *[lanes]int) int {
 	tbl, n, s, lo, dmax, mul := a.table, len(a.keys), a.shift&63, a.lo, a.dmax, a.mul
 	span := 0
-	for l, k := range q {
-		t := bucket(k, lo, dmax, mul)
-		first := max((int(tbl[t])-1)<<s+1, 0)
-		b[l] = first
-		span = max(span, int(tbl[t+1])<<s-first)
-	}
+	b[0], span = sampled(tbl, bucket(q[0], lo, dmax, mul), s, span)
+	b[1], span = sampled(tbl, bucket(q[1], lo, dmax, mul), s, span)
+	b[2], span = sampled(tbl, bucket(q[2], lo, dmax, mul), s, span)
+	b[3], span = sampled(tbl, bucket(q[3], lo, dmax, mul), s, span)
+	b[4], span = sampled(tbl, bucket(q[4], lo, dmax, mul), s, span)
+	b[5], span = sampled(tbl, bucket(q[5], lo, dmax, mul), s, span)
+	b[6], span = sampled(tbl, bucket(q[6], lo, dmax, mul), s, span)
+	b[7], span = sampled(tbl, bucket(q[7], lo, dmax, mul), s, span)
+	b[8], span = sampled(tbl, bucket(q[8], lo, dmax, mul), s, span)
+	b[9], span = sampled(tbl, bucket(q[9], lo, dmax, mul), s, span)
+	b[10], span = sampled(tbl, bucket(q[10], lo, dmax, mul), s, span)
+	b[11], span = sampled(tbl, bucket(q[11], lo, dmax, mul), s, span)
+	b[12], span = sampled(tbl, bucket(q[12], lo, dmax, mul), s, span)
+	b[13], span = sampled(tbl, bucket(q[13], lo, dmax, mul), s, span)
+	b[14], span = sampled(tbl, bucket(q[14], lo, dmax, mul), s, span)
+	b[15], span = sampled(tbl, bucket(q[15], lo, dmax, mul), s, span)
 	span = min(span, n)
 	for l, j := range b {
 		b[l] = min(j, n-span)
 	}
 	return span
+}
+
+// sampled is a lane's start in bucket t of a table sampling every 2^s-th
+// key, and span raised to the width of that bucket's rank range.
+//
+//dc:noalloc
+func sampled(tbl []uint16, t int, s uint, span int) (int, int) {
+	first := max((int(tbl[t])-1)<<s+1, 0)
+	return first, max(span, int(tbl[t+1])<<s-first)
 }
 
 // RankSorted resolves an ascending query run qs into out (which must be

@@ -120,23 +120,42 @@ func (d *Delta) RankAdd(qs []workload.Key, pos []int32, out []int) {
 }
 
 // place starts each lane at its bucket's first rank, clamped so that the
-// group's widest range, which it returns, ends inside the buffer. Out of
-// line for the reason SortedArray.place is.
+// group's widest range, which it returns, ends inside the buffer. Its
+// lanes are written out as SortedArray.place's are.
 //
 //dc:noalloc
-//go:noinline
 func (d *Delta) place(q *[lanes]workload.Key, b *[lanes]int) int {
-	tbl, g := d.table, d.grid
+	tbl, lo, dmax, mul := d.table, d.grid.lo, d.grid.dmax, d.grid.mul
 	span := 0
-	for l, k := range q {
-		t := bucket(k, g.lo, g.dmax, g.mul)
-		b[l] = int(tbl[t])
-		span = max(span, int(tbl[t+1])-b[l])
-	}
+	b[0], span = counted(tbl, bucket(q[0], lo, dmax, mul), span)
+	b[1], span = counted(tbl, bucket(q[1], lo, dmax, mul), span)
+	b[2], span = counted(tbl, bucket(q[2], lo, dmax, mul), span)
+	b[3], span = counted(tbl, bucket(q[3], lo, dmax, mul), span)
+	b[4], span = counted(tbl, bucket(q[4], lo, dmax, mul), span)
+	b[5], span = counted(tbl, bucket(q[5], lo, dmax, mul), span)
+	b[6], span = counted(tbl, bucket(q[6], lo, dmax, mul), span)
+	b[7], span = counted(tbl, bucket(q[7], lo, dmax, mul), span)
+	b[8], span = counted(tbl, bucket(q[8], lo, dmax, mul), span)
+	b[9], span = counted(tbl, bucket(q[9], lo, dmax, mul), span)
+	b[10], span = counted(tbl, bucket(q[10], lo, dmax, mul), span)
+	b[11], span = counted(tbl, bucket(q[11], lo, dmax, mul), span)
+	b[12], span = counted(tbl, bucket(q[12], lo, dmax, mul), span)
+	b[13], span = counted(tbl, bucket(q[13], lo, dmax, mul), span)
+	b[14], span = counted(tbl, bucket(q[14], lo, dmax, mul), span)
+	b[15], span = counted(tbl, bucket(q[15], lo, dmax, mul), span)
 	for l, j := range b {
 		b[l] = min(j, len(d.keys)-span)
 	}
 	return span
+}
+
+// counted is a lane's start in bucket t of a table counting every key,
+// and span raised to the width of that bucket's rank range.
+//
+//dc:noalloc
+func counted(tbl []uint32, t int, span int) (int, int) {
+	first := int(tbl[t])
+	return first, max(span, int(tbl[t+1])-first)
 }
 
 // RankSortedAdd is RankAdd for an ascending query run: the cursor forms

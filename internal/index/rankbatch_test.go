@@ -192,6 +192,53 @@ func TestRankBatchTableMutation(t *testing.T) {
 	}
 }
 
+// TestLockstepEveryLane holds lockstep to upperBound lane by lane, at
+// every span from 0 to 300, on distinct keys and on runs of three equal
+// keys. Each lane searches its own window and query — the lanes start
+// near the array's low end, near its high end, or as a tail group whose
+// pad lanes repeat lane 0, as RankInto pads them — so a lane left out of
+// the written-out lists, or two lanes' queries swapped, is named here.
+func TestLockstepEveryLane(t *testing.T) {
+	const n, maxSpan = 331, 300
+	sets := map[string][]workload.Key{"distinct": progression(n, 2, 2), "runs-of-3": make([]workload.Key, n)}
+	for i := range sets["runs-of-3"] {
+		sets["runs-of-3"][i] = workload.Key(10 + i/3*10)
+	}
+	for name, keys := range sets {
+		for span := 0; span <= maxSpan; span++ {
+			for _, layout := range []string{"low", "high", "pad"} {
+				var q [lanes]workload.Key
+				var start [lanes]int
+				for l := range lanes {
+					start[l] = l
+					if layout == "high" {
+						start[l] = n - span - l
+					}
+					// The key at a position in or just past the window
+					// that differs from lane to lane and from span to
+					// span, less one when the lane is odd.
+					pos := (l*37 + span*11) % (span + 1)
+					q[l] = keys[min(start[l]+pos, n-1)] - workload.Key(l&1)
+				}
+				if layout == "pad" {
+					for l := 5; l < lanes; l++ {
+						q[l], start[l] = q[0], start[0]
+					}
+				}
+				b := start
+				lockstep(keys, &q, &b, span)
+				for l := range lanes {
+					want := start[l] + upperBound(keys[start[l]:start[l]+span], q[l])
+					if b[l] != want {
+						t.Fatalf("%s, %s lanes, span %d: lane %d (start %d, query %d) ended at %d, want %d",
+							name, layout, span, l, start[l], q[l], b[l], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // bufferOn is a buffer over keys (any order) inserted in two halves, the
 // first on grid g0 and the second on g: counted afresh and then carried
 // forward when g0 is g, counted afresh twice when it is not.

@@ -3,8 +3,9 @@
 # from one command: non-test .go files, // comments and blank lines
 # stripped. Prints a markdown table (CI's lint job appends it to the job
 # summary): the two package sets ROADMAP's targets are stated over, then
-# internal/netrun and internal/core file by file, then the durable layer
-# of internal/index (wal, store, durable), then cmd/dcq/main.go, the
+# internal/netrun and internal/core file by file, then the search
+# kernel of internal/index (array, delta) and its durable layer (wal,
+# store, durable), then cmd/dcq/main.go, the
 # workload driver of both engines. internal/paper (the
 # simulators that lived in internal/core until PR 17) counts inside the
 # four-package row, so that a move between the two never reads as a
@@ -28,7 +29,7 @@ echo "|---|---:|"
 echo "| internal/netrun + dcindex | $(count $(src internal/netrun dcindex)) |"
 echo "| internal/netrun + dcindex + internal/core (+ internal/paper) + internal/index | $(count $(src internal/netrun dcindex internal/core internal/paper internal/index)) |"
 echo "| internal/paper | $(count $(src internal/paper)) |"
-for f in $(src internal/netrun internal/core) internal/index/{wal,store,durable}.go; do
+for f in $(src internal/netrun internal/core) internal/index/{array,delta,wal,store,durable}.go; do
 	echo "| $f | $(count "$f") |"
 done
 echo "| cmd/dcq/main.go | $(count cmd/dcq/main.go) |"
