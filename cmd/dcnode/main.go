@@ -32,14 +32,11 @@
 // re-admits it (after re-verifying the partition handshake) when the
 // process comes back.
 //
-// Nodes are updatable: a writing client fans Insert/InsertBatch out to
-// every replica of the owning partition, the node buffers new keys in a
-// delta layer merged in the background, and a replica that rejoins
+// Every node takes writes: a writing client fans Insert/InsertBatch out
+// to every replica of the owning partition, the node buffers new keys in
+// a delta layer merged in the background, and a replica that rejoins
 // after dying is first reloaded from a sibling's snapshot so it cannot
-// serve stale ranks. Start a node with -readonly and it says so in its
-// hello: it then serves reads of its key set only and never receives
-// writes (a client also stops routing a partition's reads to it once
-// the partition has been written to, since it would be stale).
+// serve stale ranks.
 //
 // With -wal-dir the node is durable: every insert is
 // appended to a write-ahead log and fsynced before it is acknowledged,
@@ -109,7 +106,6 @@ func main() {
 		parts    = flag.Int("parts", 4, "total partition count")
 		part     = flag.Int("part", 0, "this node's partition id (0-based)")
 		listen   = flag.String("listen", ":7000", "listen address")
-		readonly = flag.Bool("readonly", false, "serve reads only: never accept inserts, snapshot loads or a new identity")
 		walDir   = flag.String("wal-dir", "", "durable mode: per-partition WAL + segment directory (created if missing); acked inserts survive crashes")
 		fsyncInt = flag.Duration("fsync-interval", 0, "with -wal-dir: 0 fsyncs the WAL on every group commit, negative never fsyncs; positive values are refused")
 		adminAt  = flag.String("admin", "", "mount the HTTP admin/metrics endpoint on this address (e.g. 127.0.0.1:9100; empty disables)")
@@ -126,8 +122,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dcnode: -part %d out of range [0,%d)\n", *part, *parts)
 		os.Exit(2)
 	}
-	if *join && (*readonly || *walDir != "") {
-		fmt.Fprintln(os.Stderr, "dcnode: -join is incompatible with -readonly and -wal-dir (a join node must accept the assignment ops)")
+	if *join && *walDir != "" {
+		fmt.Fprintln(os.Stderr, "dcnode: -join is incompatible with -wal-dir (a join node holds its assigned partition in memory, with no write-ahead log)")
 		os.Exit(2)
 	}
 	var keys []workload.Key
@@ -153,15 +149,12 @@ func main() {
 		}
 		mine := p.Parts[*part]
 		mode := fmt.Sprintf("updatable (v%d)", netrun.ProtoVersion)
-		switch {
-		case *readonly:
-			mode = "read-only"
-		case *walDir != "":
+		if *walDir != "" {
 			mode = fmt.Sprintf("durable (v%d, WAL)", netrun.ProtoVersion)
 		}
 		log.Printf("dcnode: partition %d/%d: %d keys, rank base %d, %s",
 			*part, *parts, len(mine.Keys), mine.RankBase, mode)
-		if *walDir != "" && !*readonly {
+		if *walDir != "" {
 			node, err = netrun.NewDurablePartitionNode(mine.Keys, mine.RankBase, *walDir, index.StoreOptions{
 				FsyncInterval: *fsyncInt,
 				Logf:          log.Printf,
@@ -176,7 +169,6 @@ func main() {
 			node = netrun.NewPartitionNode(mine.Keys, mine.RankBase)
 		}
 	}
-	node.ReadOnly = *readonly
 	if *adminAt != "" {
 		node.Telemetry = telemetry.NewRegistry()
 		srv, err := admin.Serve(*adminAt, nodeAdminConfig(node, *part, *join))
@@ -217,8 +209,6 @@ func nodeAdminConfig(node *netrun.Node, part int, join bool) admin.Config {
 		switch {
 		case !info.Assigned:
 			return "joinable"
-		case node.ReadOnly:
-			return "read-only"
 		case info.Durable:
 			return "durable"
 		}

@@ -25,7 +25,7 @@
 // batch, R*batch freshly generated keys are inserted into the running
 // index first, exercising the online-update path (delta buffers,
 // background merges, and — over TCP — the write fan-out to every
-// writable replica). With -compare, all methods receive the same
+// replica). With -compare, all methods receive the same
 // deterministic insert stream, so identical checksums still prove the
 // methods agree under writes.
 //

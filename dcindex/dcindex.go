@@ -395,16 +395,12 @@ func Simulate(o SimOptions) (Report, error) {
 // the caller's: Close the TCPCluster and dial a new one.
 //
 // A TCPCluster is also writable: Insert/InsertBatch route keys to the
-// owning partitions and fan each write out to every connected writable
-// replica (read-only nodes never receive writes), and a
-// replica rejoining after a failure first reloads a sibling's snapshot
-// so it cannot serve stale ranks. Ranks are exact whichever client
-// inserted: each rank call asks the partitions below the ones it reads
-// for their live key counts. One limit stays: a read-only replica serves
-// reads until this TCPCluster learns that its partition was written — at
-// dial, or by its own write — so another client's writes can make that
-// replica's answers stale. See the netrun package documentation for the
-// protocol.
+// owning partitions and fan each write out to every connected replica
+// (every node takes writes), and a replica rejoining after a failure
+// first reloads a sibling's snapshot so it cannot serve stale ranks.
+// Ranks are exact whichever client inserted: each rank call asks the
+// partitions below the ones it reads for their live key counts. See the
+// netrun package documentation for the protocol.
 //
 // Beyond ranks, a TCPCluster serves the same query surface as an
 // in-process Index — CountRange/CountRangeBatch, ScanRange, TopK, and

@@ -164,8 +164,8 @@ func Handler(cfg Config) http.Handler {
 		}
 		if err != nil {
 			// Conflict, not server error: the cluster refused the
-			// reshape (read-only replicas, last replica, unsplittable
-			// partition) and says why.
+			// reshape (one replica to split in two, last replica,
+			// unsplittable partition) and says why.
 			writeError(w, http.StatusConflict, err)
 			return
 		}

@@ -20,7 +20,9 @@ const (
 	// the Zhou-Ross buffering access technique over L2-sized subtrees.
 	MethodB
 	// MethodC1 partitions the index over slave caches; slaves look up
-	// keys in a CSB+ tree.
+	// keys one by one in the same n-ary tree Method A uses. The paper
+	// names a CSB+ tree, but its Table 1 subtree is 320 KB: at a
+	// slave's 32,768 keys the n-ary tree takes 300 KB, a CSB+ tree 171.
 	MethodC1
 	// MethodC2 is C1 with buffered access over L1-sized subtrees.
 	MethodC2

@@ -61,8 +61,9 @@ func NewNaryTree(keys []workload.Key, base Addr) *Tree {
 	return newTree("nary-tree", NaryLeafKeys, keys, base)
 }
 
-// NewCSBTree builds the Method C-1/C-2 CSB+ tree over sorted keys at
-// base.
+// NewCSBTree builds a CSB+ tree over sorted keys at base. The engine
+// builds none (Methods C-1 and C-2 run on the n-ary tree); the model's
+// NewConfig builds one per slave partition and reads only its levels.
 func NewCSBTree(keys []workload.Key, base Addr) *Tree {
 	return newTree("csb+-tree", CSBLeafKeys, keys, base)
 }

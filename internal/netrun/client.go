@@ -52,17 +52,13 @@ var ErrClusterClosed = errors.New("netrun: cluster closed")
 // counters are reported by Stats.
 //
 // Write model: Insert/InsertBatch route keys to the owning partition
-// and fan each write out to every connected writable replica of that
-// group; a replica that dies mid-write leaves the group (the survivors
-// define the state) and reloads a sibling's snapshot when it rejoins,
-// before it serves reads again. Ranks are exact whoever wrote: a node
-// answers with its static rank base, and each rank call corrects that
-// base from the live key counts of the partitions below, asked in the
-// same call (see LookupBatchInto). Read-only replicas never receive
-// writes, and stop serving a partition's reads once this client knows
-// it was written — at dial, from the hello's live count, or by its own
-// write. Until then another client's writes can make a read-only
-// replica's answers stale.
+// and fan each write out to every connected replica of that group —
+// every node takes writes; a replica that dies mid-write leaves the
+// group (the survivors define the state) and reloads a sibling's
+// snapshot when it rejoins, before it serves reads again. Ranks are
+// exact whoever wrote: a node answers with its static rank base, and
+// each rank call corrects that base from the live key counts of the
+// partitions below, asked in the same call (see LookupBatchInto).
 type Cluster struct {
 	// part is the live routing table. It is swapped atomically by
 	// SplitPartition (under the pause write lock, with no data call in
@@ -230,10 +226,10 @@ type ReplicaHealth struct {
 // insChunk is one insert chunk's fan-out accounting: the chunk is
 // counted in the partition's inserted-key stat only when every fan-out
 // pending completed without error. Partial failures (another partition
-// erroring, a replica group losing its last writable member) therefore
-// never count writes that were not fully acknowledged, and writes that
-// WERE fully acknowledged are counted even when a later chunk errors. Touched only by the issuing
-// InsertBatch's gather loop — no locking.
+// erroring, a replica group losing its last member) therefore never
+// count writes that were not fully acknowledged, and writes that WERE
+// fully acknowledged are counted even when a later chunk errors. Touched
+// only by the issuing InsertBatch's gather loop — no locking.
 type insChunk struct {
 	part      int
 	n         int // keys in the chunk
@@ -619,14 +615,15 @@ func exchange(n *clusterNode, f Frame, timeout time.Duration) ([]uint32, error) 
 }
 
 // cannot says why connection n may not be sent op — it negotiated less
-// than the op's version, or the node is less than the op needs — or nil.
+// than the op's version, or the op needs a durable node and this one is
+// not — or nil.
 func (n *clusterNode) cannot(op uint8) error {
 	row, why := &opTable[op], ""
 	switch {
 	case n.version < row.minVer:
 		why = fmt.Sprintf("speaks protocol v%d; %s needs v%d", n.version, row.name, row.minVer)
-	case n.has < row.needs:
-		why = fmt.Sprintf("is %s; %s needs a %s replica", needName[n.has], row.name, needName[row.needs])
+	case row.durable && !n.durable:
+		why = fmt.Sprintf("is not durable; %s needs a durable replica", row.name)
 	default:
 		return nil
 	}
@@ -648,16 +645,23 @@ func hello(n *clusterNode, want core.Partition, timeout time.Duration, joinOK bo
 	if n.version < MinProtoVersion || n.version > ProtoVersion {
 		return errVersion("the node speaks", n.version)
 	}
-	if len(ack) >= 6 {
-		n.has, n.liveCount = needWritable, int(ack[5])
+	if len(ack) < 6 {
+		return errors.New("the hello ack has no live key count: a read-only node of an earlier build; this build has none")
+	}
+	n.rankBase = int(ack[0])
+	n.keyCount = int(ack[1])
+	n.liveCount = int(ack[5])
+	if n.liveCount < n.keyCount {
+		// Inserts only add keys, so a count below the baseline is no
+		// state a node can be in; trusted, it would underflow a durable
+		// node's generation (liveCount - keyCount).
+		return fmt.Errorf("the hello ack's live key count %d is below the node's baseline %d", n.liveCount, n.keyCount)
 	}
 	if len(ack) == 8 {
 		// A durable node's chain, low word first; its generation is
 		// liveCount - keyCount.
-		n.has, n.chain = needDurable, u64(ack[6], ack[7])
+		n.durable, n.chain = true, u64(ack[6], ack[7])
 	}
-	n.rankBase = int(ack[0])
-	n.keyCount = int(ack[1])
 	if joinOK && n.keyCount == 0 {
 		// An unassigned join node (dcnode -join): it advertises the
 		// zero identity until OpAddReplica names its partition. A real
@@ -684,11 +688,11 @@ func hello(n *clusterNode, want core.Partition, timeout time.Duration, joinOK bo
 // fresh request id each time) until one accepts it. A group with no
 // connection left means the epoch is failing — the departure that
 // emptied it invokes ep.fail — so waiting on the epoch is bounded and p
-// completes with the root cause. A group with connections but none
-// eligible for p (e.g. only read-only replicas left on a partition that
-// has been written to) fails p alone with a descriptive error; the
-// epoch stays healthy. When every eligible replica is at the admission
-// cap, route parks until a slot frees instead of growing the queues.
+// completes with the root cause. A group whose every connection is
+// still syncing a sibling snapshot fails p alone with a descriptive
+// error; the epoch stays healthy. When every eligible replica is at the
+// admission cap, route parks until a slot frees instead of growing the
+// queues.
 //
 // route owns one dispatch-chain reference to p (set up by dispatch, or
 // inherited from the swept chain on a failover re-route): terminal
@@ -918,7 +922,7 @@ func (nc *netCall) rebase(part *core.Partitioning, keys []workload.Key, out []in
 }
 
 // Insert routes k to its owning partition and applies it to every
-// connected writable replica of that partition. See InsertBatch.
+// connected replica of that partition. See InsertBatch.
 func (c *Cluster) Insert(k workload.Key) error {
 	var one [1]workload.Key
 	one[0] = k
@@ -927,24 +931,21 @@ func (c *Cluster) Insert(k workload.Key) error {
 
 // InsertBatch adds keys (any order, duplicates allowed) to the running
 // TCP cluster. Each key routes to the partition owning its sub-range
-// and the write fans out to every connected writable replica of that
-// partition — replicas answer lookups independently, so all of them
-// must hold every write. Read-only replicas never receive writes (and
-// stop serving the partition's reads once it has been written to, since
-// they are stale); a replica that dies mid-insert simply leaves the
-// group — the survivors define the partition's state, and the replica
-// reloads a sibling's snapshot when it rejoins. InsertBatch returns
-// once every live replica acked: lookups issued after it returns see
-// the keys. Safe for any number of concurrent callers and concurrently
-// with lookups.
+// and the write fans out to every connected replica of that partition
+// — replicas answer lookups independently, so all of them must hold
+// every write. A replica that dies mid-insert simply leaves the group —
+// the survivors define the partition's state, and the replica reloads a
+// sibling's snapshot when it rejoins. InsertBatch returns once every
+// live replica acked: lookups issued after it returns see the keys.
+// Safe for any number of concurrent callers and concurrently with
+// lookups.
 //
-// Durability is bounded by the writable replica count: a write acked by
-// a partition's only writable replica is lost if that replica's storage
-// dies before a sibling syncs from it (its process restarting from the
+// Durability is bounded by the replica count: a write acked by a
+// partition's only live replica is lost if that replica's storage dies
+// before a sibling syncs from it (its process restarting from the
 // baseline key set cannot catch up from anyone, and reads of the
 // partition fail rather than serve stale ranks). Deploy at least two
-// writable replicas per partition for writes that must survive a node
-// loss.
+// replicas per partition for writes that must survive a node loss.
 //
 // Every client's ranks count the keys once InsertBatch returns: a rank
 // call asks the partitions below the ones it reads for their live key
@@ -1007,16 +1008,15 @@ func (c *Cluster) InsertBatch(keys []workload.Key) error {
 			// (and its own future catch-up) cover the write.
 		}
 		g.written = g.written || ck.remaining > 0
-		live := ck.remaining > 0 || g.connected() > 0
 		g.mu.Unlock()
 		c.putPending(chunk)
 		inflight += ck.remaining
 		if ck.remaining == 0 && firstErr == nil {
-			firstErr = fmt.Errorf("netrun: partition %d has no writable replica to accept writes", gi)
-			if !live {
-				<-ep.ctx.Done()
-				firstErr = ep.Err()
-			}
+			// Every connected state takes writes, so no taker means no
+			// connection left or every one marked dead — and only the
+			// epoch's failure does either to a whole group.
+			<-ep.ctx.Done()
+			firstErr = ep.Err()
 		}
 	}, nil)
 	// Gather, counting each fan-out pending against its chunk; a chunk
@@ -1171,9 +1171,10 @@ func (c *Cluster) reshaping(part int) (*epoch, *core.Partitioning, error) {
 // the ordinary hello cross-check. A partition that has absorbed writes
 // admits the newcomer through the same catch-up machinery rejoins use:
 // it takes writes immediately (hold queue) but serves no reads until a
-// sibling's snapshot lands. Requires a writable node; returns an error when the dial, handshake, or identity assignment
-// fails — once the address is registered, later failures are the rejoin
-// loop's to retry, and AddReplica reports success.
+// sibling's snapshot lands. AddReplica returns an error when the dial,
+// handshake, or identity assignment fails — once the address is
+// registered, later failures are the rejoin loop's to retry, and
+// AddReplica reports success.
 func (c *Cluster) AddReplica(part int, addr string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1316,14 +1317,13 @@ func (c *Cluster) DrainReplica(part int, addr string) error {
 // split key assignment matches the new routing delimiter exactly).
 //
 // The partition's replicas divide between the halves (low half gets the
-// ceiling), so the group must have at least two members; every group in
-// the cluster must be full and settled (the reshape re-dials everyone);
-// and the split partition's members must all be writable. A failure
-// after some nodes retargeted leaves mixed identities no single
-// routing table matches: the epoch fails with the root cause and the
-// operator restores the partition's nodes before a new Dial. A split that
-// committed but whose successor epoch failed to dial leaves the cluster
-// terminal with that error.
+// ceiling), so the group must have at least two members, and every
+// group in the cluster must be full and settled (the reshape re-dials
+// everyone). A failure after some nodes retargeted leaves mixed
+// identities no single routing table matches: the epoch fails with the
+// root cause and the operator restores the partition's nodes before a
+// new Dial. A split that committed but whose successor epoch failed to
+// dial leaves the cluster terminal with that error.
 func (c *Cluster) SplitPartition(part int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1349,7 +1349,7 @@ func (c *Cluster) SplitPartition(part int) error {
 		}
 		g.mu.Unlock()
 		if !ready {
-			return fmt.Errorf("netrun: partition %d has a down, syncing or stale replica; a split re-dials every node, so the cluster must be fully healthy first", g.part)
+			return fmt.Errorf("netrun: partition %d has a down or syncing replica; a split re-dials every node, so the cluster must be fully healthy first", g.part)
 		}
 	}
 	if len(nodes) < 2 {

@@ -43,7 +43,8 @@ func (l *logSink) has(sub string) bool {
 // directions: a peer older than MinProtoVersion — v6, whose byte codecs
 // this build no longer speaks, and every version before it — is refused
 // by name, never served and never downgraded to, while a connection that
-// says no hello at all is served as before.
+// says no hello at all is served as before. A client also holds the ack
+// to its two shapes, 6 and 8 words, and refuses by name any other.
 func TestHelloRefusesPeerBelowFloor(t *testing.T) {
 	keys := workload.SortedKeys(2000, 61)
 	speaks := spoken()
@@ -83,21 +84,37 @@ func TestHelloRefusesPeerBelowFloor(t *testing.T) {
 		}
 	}
 
-	// (b) The client's side: an ack with the four words a version-1 node
-	// sends, and one that names the version below the floor, each fail the
-	// dial by name.
+	// (b) The client's side: each of these acks fails the dial by name —
+	// the four words a version-1 node sends and one that names the
+	// version below the floor (ErrProtoVersion both); the five words of an
+	// earlier build's read-only node; 7 and 9 words; and a live count
+	// below the baseline, which would underflow a durable generation.
 	below := uint32(MinProtoVersion - 1)
-	for peer, ack := range map[uint32][]uint32{1: helloWords(keys, 0, 4), below: helloWords(keys, below, 6)} {
+	low := helloWords(keys, ProtoVersion, 6)
+	low[5] = uint32(len(keys) - 1)
+	for _, tc := range []struct {
+		name  string
+		ack   []uint32
+		want  string
+		proto bool
+	}{
+		{"v1", helloWords(keys, 0, 4), fmt.Sprintf("the node speaks v1, this build speaks %s", speaks), true},
+		{"below the floor", helloWords(keys, below, 6), fmt.Sprintf("the node speaks v%d, this build speaks %s", below, speaks), true},
+		{"read-only", helloWords(keys, ProtoVersion, 5), "a read-only node of an earlier build; this build has none", false},
+		{"7 words", helloWords(keys, ProtoVersion, 7), fmt.Sprintf("bad hello ack (op %d, 7 words)", OpHelloAck), false},
+		{"9 words", append(helloWords(keys, ProtoVersion, 8), 0), fmt.Sprintf("bad hello ack (op %d, 9 words)", OpHelloAck), false},
+		{"low live count", low, fmt.Sprintf("live key count %d is below the node's baseline %d", len(keys)-1, len(keys)), false},
+	} {
 		stub := scriptNode(t, keys, func(req Frame) []Frame {
-			return []Frame{{Op: OpHelloAck, ReqID: req.ReqID, Payload: ack}}
+			return []Frame{{Op: OpHelloAck, ReqID: req.ReqID, Payload: tc.ack}}
 		})
 		c, err := Dial([]string{stub}, keys, DialOptions{})
 		if err == nil {
 			c.Close()
-			t.Fatalf("Dial accepted a v%d peer", peer)
+			t.Fatalf("Dial accepted a %s ack", tc.name)
 		}
-		if want := fmt.Sprintf("the node speaks v%d, this build speaks %s", peer, speaks); !errors.Is(err, ErrProtoVersion) || !strings.Contains(err.Error(), want) {
-			t.Fatalf("Dial against a v%d peer: %v; want ErrProtoVersion saying %q", peer, err, want)
+		if errors.Is(err, ErrProtoVersion) != tc.proto || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Dial against a %s ack: %v; want an error saying %q (ErrProtoVersion: %v)", tc.name, err, tc.want, tc.proto)
 		}
 	}
 
@@ -120,8 +137,7 @@ func TestHelloRefusesPeerBelowFloor(t *testing.T) {
 // TestHelloAckGoldenFrames pins the bytes of a writable node's 6-word
 // hello ack and a durable node's 8-word one, at each version this build
 // speaks, recorded from the build before the floor: between two
-// writable peers the hello is what it was. A read-only node's 5 words at
-// these versions are the one new shape: the same ack, cut short.
+// writable peers the hello is what it was.
 func TestHelloAckGoldenFrames(t *testing.T) {
 	const (
 		head     = "88130000e803000000000000100c2b04" // rank base 5000, 1000 keys, bounds
@@ -143,14 +159,12 @@ func TestHelloAckGoldenFrames(t *testing.T) {
 	if err := dur.dp.InsertBatch(ins); err != nil {
 		t.Fatal(err)
 	}
-	ro := NewPartitionNode(keys, 5000)
-	ro.ReadOnly = true
 	for _, tc := range []struct {
 		name  string
 		n     *Node
 		words string
 		tail  string
-	}{{"writable", mem, "06", writable}, {"durable", dur, "08", writable + chain}, {"read-only", ro, "05", ""}} {
+	}{{"writable", mem, "06", writable}, {"durable", dur, "08", writable + chain}} {
 		for ver := uint32(MinProtoVersion); ver <= ProtoVersion; ver++ {
 			v := fmt.Sprintf("%02x000000", ver)
 			var fw frameWriter

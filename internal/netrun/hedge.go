@@ -71,8 +71,7 @@ const (
 
 // choose finds the replica that takes p next and enqueues p on it, in
 // one g.mu section. Eligibility is replica.can for p's op: syncing
-// replicas take no reads (their state is mid-load), and once the
-// partition has been written to, read-only replicas are excluded.
+// replicas take no reads (their state is mid-load).
 //
 // Replicas are tried round-robin. Latency-ejected ones are passed over,
 // with two availability escapes: a due probe routes one real batch at an
@@ -141,19 +140,14 @@ func (g *replicaGroup) choose(c *Cluster, p *pending, origin *replica) (verdict,
 	if atCap {
 		return parked, ""
 	}
-	// Nobody could take p. The difference matters to an operator: a
-	// syncing replica resolves itself in moments, while a written-to
-	// partition whose last writable replica died stays read-unavailable
-	// (and may have lost acked writes) until one rejoins and catches up.
 	if g.connected() == 0 {
 		return epochDead, ""
 	}
-	for _, r := range g.replicas {
-		if r.state == stSyncing {
-			return refused, "its only eligible replica is still syncing a sibling snapshot (momentary; retry)"
-		}
-	}
-	return refused, "it absorbed writes and then lost its last writable replica; the remaining read-only replicas are stale, and acked writes may be lost until a writable replica rejoins and catches up"
+	// Connections exist but none took p. For a hedge that leaves p with
+	// its origin. For a primary dispatch every connection is syncing a
+	// sibling snapshot — a read needs nothing else a connected node can
+	// lack — which resolves itself in moments.
+	return refused, "its only replicas are still syncing a sibling snapshot (momentary; retry)"
 }
 
 // claimProbe reports whether ejected replica r is due a probe batch and,

@@ -272,122 +272,105 @@ func TestTCPReplicaKilledMidInsert(t *testing.T) {
 	checkTCPExact(t, rc.c, o, qs)
 }
 
-// readOnlyReplica shapes a node as read-only when it is replica r of
-// its group; r < 0 shapes every node.
-func readOnlyReplica(r int) func(int, int, *Node) {
-	return func(_, replica int, n *Node) { n.ReadOnly = r < 0 || replica == r }
-}
-
-// TestTCPInsertRefusedWithoutV3 pins the capability gate: a partition
-// whose only replica is read-only accepts lookups but refuses writes
-// with a descriptive error, and the cluster stays healthy. (The name
-// dates from when read-only was spelled "protocol v2".)
+// TestTCPInsertRefusedWithoutV3 pins the capability gate, both sides:
+// an op the op table marks durable (OpSnapshotSince) sent raw to an
+// in-memory node is answered OpErr, the client's own gate names the
+// refusal, and neither disturbs the cluster, which keeps taking reads
+// and writes. (The name dates from when the gated node spoke "protocol
+// v2", later spelled read-only, and the gated op was an insert.)
 func TestTCPInsertRefusedWithoutV3(t *testing.T) {
 	keys := workload.SortedKeys(4000, 75)
-	rc, shutdown := startShaped(t, keys, 2, 1, 256, DialOptions{}, readOnlyReplica(-1))
+	rc, shutdown := startReplicated(t, keys, 2, 1, 256, DialOptions{})
 	defer shutdown()
 	c := rc.c
 
-	err := c.InsertBatch([]workload.Key{1, 2, 3})
-	if err == nil || !strings.Contains(err.Error(), "no writable replica") {
-		t.Fatalf("InsertBatch against read-only nodes: err = %v, want no-writable-replica", err)
-	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("cluster poisoned by refused insert: %v", err)
-	}
-	// A read-only node refuses the write itself too, whoever sends it.
 	conn, err := net.Dial("tcp", rc.addrs[0][0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, Frame{Op: OpInsert, ReqID: 1, Payload: []uint32{1}}); err != nil {
+	if err := WriteFrame(conn, Frame{Op: OpSnapshotSince, ReqID: 1, Payload: []uint32{0, 0, 1, 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := ReadFrame(conn); err != nil || f.Op != OpErr {
-		t.Fatalf("a raw OpInsert at a read-only node: op %d err %v, want OpErr", f.Op, err)
+		t.Fatalf("a raw OpSnapshotSince at an in-memory node: op %d err %v, want OpErr", f.Op, err)
 	}
-	// Reads still work: no write was recorded, so the read-only members
-	// stay eligible — for every read op, not just ranks.
-	o := newTCPOracle(keys)
-	checkTCPExact(t, c, o, workload.UniformQueries(2000, 76))
-	if n, err := c.CountRange(keys[0], keys[len(keys)-1]); err != nil || n != len(keys) {
-		t.Fatalf("CountRange against read-only nodes = %d, %v; want %d", n, err, len(keys))
+	g := c.ep.Load().groups[0]
+	g.mu.Lock()
+	r := g.replicas[0]
+	can, why := r.can(useFull, OpSnapshotSince), r.node.cannot(OpSnapshotSince)
+	g.mu.Unlock()
+	if want := "is not durable; snapshot_since needs a durable replica"; can || why == nil || !strings.Contains(why.Error(), want) {
+		t.Fatalf("client gate on snapshot_since: can %v, cannot %v; want refused saying %q", can, why, want)
 	}
-}
 
-// TestTCPReadSkipsStaleReplica pins the stale-read guard: a mixed
-// group (one writable, one read-only replica) keeps answering exactly
-// after writes, because lookups stop visiting the replica that cannot
-// have received them.
-func TestTCPReadSkipsStaleReplica(t *testing.T) {
-	keys := workload.SortedKeys(6000, 77)
-	rc, shutdown := startShaped(t, keys, 1, 2, 256, DialOptions{}, readOnlyReplica(1))
-	defer shutdown()
-	c := rc.c
-
+	if err := c.Err(); err != nil {
+		t.Fatalf("cluster poisoned by a refused op: %v", err)
+	}
 	o := newTCPOracle(keys)
-	qs := workload.UniformQueries(2000, 78)
-	checkTCPExact(t, c, o, qs)
-
-	ins := workload.UniformQueries(500, 79)
+	ins := workload.UniformQueries(300, 76)
 	if err := c.InsertBatch(ins); err != nil {
 		t.Fatal(err)
 	}
 	o.insert(ins)
-	// Many passes: if the stale read-only replica still served reads, the
-	// round-robin would hit it immediately.
-	for pass := 0; pass < 6; pass++ {
-		checkTCPExact(t, c, o, qs)
+	checkTCPExact(t, c, o, workload.UniformQueries(2000, 77))
+	if n, err := c.CountRange(0, math.MaxUint32); err != nil || n != len(keys)+len(ins) {
+		t.Fatalf("CountRange over every key = %d, %v; want %d", n, err, len(keys)+len(ins))
 	}
 }
 
 // TestTCPInsertFailsWhenOnlyV3ReplicaDies pins the partial-failure
-// accounting: in a [writable, read-only] group, killing the writable
-// member must turn inserts into errors — never false acks (a swept
-// in-flight write would otherwise "succeed" with no live node holding
-// it) — and the client's InsertedKeys stat must count exactly the
-// acknowledged batches. The epoch stays healthy (the read-only member
-// survives), but reads of the written partition now refuse with a clear
-// error instead of serving stale ranks.
+// accounting when every replica of a partition dies: inserts keep
+// succeeding while one replica lives, then turn into errors — never
+// false acks (a swept in-flight write would otherwise "succeed" with no
+// live node holding it) — and the client's InsertedKeys stat counts
+// exactly the acknowledged batches. Losing a partition's last replica
+// ends the epoch, so reads fail with the same root cause.
 func TestTCPInsertFailsWhenOnlyV3ReplicaDies(t *testing.T) {
 	keys := workload.SortedKeys(4000, 85)
-	rc, shutdown := startShaped(t, keys, 1, 2, 256, DialOptions{OpTimeout: 2 * time.Second}, readOnlyReplica(1))
+	rc, shutdown := startReplicated(t, keys, 1, 2, 256, DialOptions{OpTimeout: 2 * time.Second})
 	defer shutdown()
 	c := rc.c
 
 	if err := c.InsertBatch(workload.UniformQueries(100, 86)); err != nil {
 		t.Fatal(err)
 	}
-	rc.kill(0, 0) // the only writable replica dies
+	rc.kill(0, 0)
 
+	const beforeLast = 3 // batches acked by the surviving replica alone
 	succeeded := 0
 	deadline := time.Now().Add(10 * time.Second)
 	var err error
 	for {
-		err = c.InsertBatch(workload.UniformQueries(50, 87))
+		err = c.InsertBatch(workload.UniformQueries(50, uint64(87+succeeded)))
 		if err != nil {
 			break
 		}
-		succeeded++
+		if succeeded++; succeeded == beforeLast {
+			rc.kill(0, 1) // the last replica dies
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("inserts keep succeeding with no writable replica alive")
+			t.Fatal("inserts keep succeeding with no replica alive")
 		}
 	}
-	if !strings.Contains(err.Error(), "writable replica") {
-		t.Fatalf("insert error = %v, want last-writable-replica failure", err)
+	if succeeded < beforeLast {
+		t.Fatalf("insert %d failed with a replica still alive: %v", succeeded+1, err)
+	}
+	if succeeded > beforeLast {
+		t.Fatalf("%d insert(s) acked after the last replica died: false acks", succeeded-beforeLast)
+	}
+	if !strings.Contains(err.Error(), "partition 0") {
+		t.Fatalf("insert error = %v, want partition 0's replica loss", err)
 	}
 	if got, want := c.InsertedKeys()[0], int64(100+50*succeeded); got != want {
 		t.Fatalf("InsertedKeys[0] = %d, want %d (every credited batch must have been acked)", got, want)
 	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("epoch terminal despite surviving read-only member: %v", err)
+	root := c.Err()
+	if root == nil || !strings.Contains(root.Error(), "lost its last replica") {
+		t.Fatalf("epoch error = %v, want the last-replica loss", root)
 	}
-	// Reads of the written partition refuse rather than serve the
-	// read-only member's stale ranks.
-	if _, err := c.LookupBatch(workload.UniformQueries(10, 88)); err == nil ||
-		!strings.Contains(err.Error(), "writable replica") {
-		t.Fatalf("lookup err = %v, want stale-replica refusal", err)
+	if _, err := c.LookupBatch(workload.UniformQueries(10, 88)); err == nil || err.Error() != root.Error() {
+		t.Fatalf("lookup err = %v, want the epoch's root cause %v", err, root)
 	}
 }
 

@@ -36,53 +36,16 @@ func startJoinNode(t *testing.T, universe []workload.Key) (string, func()) {
 	return lis.Addr().String(), func() { node.Close() }
 }
 
-// readOnlyNodes makes every replica read-only.
-func readOnlyNodes(_, _ int, n *Node) { n.ReadOnly = true }
-
-// TestMembershipOpsNeedWritable pins the availability error: the verbs
-// that replace a node's key set need a writable node (the op table's
-// needs column), so against read-only replicas and a read-only join
-// node each is refused with an error naming what it needs, and the
-// refusal leaves the data plane serving.
-func TestMembershipOpsNeedWritable(t *testing.T) {
-	keys := workload.SortedKeys(4000, 71)
-	rc, shutdown := startShaped(t, keys, 2, 2, 256, DialOptions{}, readOnlyNodes)
-	defer shutdown()
-
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	join := NewJoinNode(keys)
-	join.ReadOnly = true
-	go join.Serve(lis)
-	defer join.Close()
-	wantWritable := func(op string, err error) {
-		t.Helper()
-		if want := op + " needs a writable replica"; err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%s on read-only replicas: err = %v, want %q", op, err, want)
-		}
-	}
-	wantWritable("add_replica", rc.c.AddReplica(0, lis.Addr().String()))
-	wantWritable("split_partition", rc.c.SplitPartition(0))
-
-	// The refusals must leave the cluster untouched and serving.
-	if got := rc.c.Nodes(); got != 2 {
-		t.Fatalf("Nodes = %d after refused membership ops, want 2", got)
-	}
-	o := newTCPOracle(keys)
-	checkTCPExact(t, rc.c, o, workload.UniformQueries(2000, 72))
-}
-
 // TestMembershipHTTPConflictReadOnly pins the operator-facing shape of
-// the same refusal: POST /membership/split-partition against a cluster
-// of read-only replicas answers 409 Conflict with the refusal text in
-// the JSON error body.
+// a refused reshape: POST /membership/split-partition on a partition
+// with one replica answers 409 Conflict with the refusal text in the
+// JSON error body. (The name dates from when the refusal it pinned was
+// a split of read-only replicas.)
 func TestMembershipHTTPConflictReadOnly(t *testing.T) {
 	keys := workload.SortedKeys(3000, 73)
-	rc, shutdown := startShaped(t, keys, 2, 2, 256, DialOptions{
+	rc, shutdown := startReplicated(t, keys, 2, 1, 256, DialOptions{
 		Admin: AdminOptions{Addr: "127.0.0.1:0"},
-	}, readOnlyNodes)
+	})
 	defer shutdown()
 	at := rc.c.Admin()
 	if at == "" {
@@ -103,8 +66,8 @@ func TestMembershipHTTPConflictReadOnly(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(e.Error, "needs a writable replica") {
-		t.Fatalf("error body %q, want the needs-writable refusal", e.Error)
+	if !strings.Contains(e.Error, "at least one per half") {
+		t.Fatalf("error body %q, want the one-per-half refusal", e.Error)
 	}
 }
 

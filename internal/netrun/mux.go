@@ -36,9 +36,9 @@ type clusterNode struct {
 	// meta from the hello handshake.
 	rankBase int
 	keyCount int
-	// liveCount is a writable node's current key count from the hello's
-	// 6th word (0 from a read-only node): baseline plus every insert it
-	// absorbed.
+	// liveCount is the node's current key count from the hello's 6th
+	// word: baseline plus every insert it absorbed, never below the
+	// baseline (hello refuses an ack that says less).
 	liveCount int
 	// chain is a durable node's fold position from the hello's words 7-8
 	// (0: not a durable node, or unknown history). Together with
@@ -47,9 +47,9 @@ type clusterNode struct {
 	// positioned delta catch-up safe to offer.
 	chain uint64
 	// version is the negotiated protocol version for this connection,
-	// and has what the node's hello ack said it is.
+	// and durable whether the node's hello ack said it is WAL-backed.
 	version uint32
-	has     nodeNeed
+	durable bool
 
 	opTimeout time.Duration // <= 0: deadlines disabled
 	failOnce  sync.Once     // failNode runs its body exactly once

@@ -62,12 +62,6 @@ type Node struct {
 	// Zero disables the deadline.
 	WriteTimeout time.Duration
 
-	// ReadOnly makes the node serve reads of the key set it was started
-	// with and nothing else: its hello ack omits the live-count word, so
-	// a client never sends it a write, and the ops that need a writable
-	// node (the op table's needs column) are refused. Set before Serve.
-	ReadOnly bool
-
 	// WrapConn, when non-nil, wraps every accepted connection before
 	// its handler starts — the server-side fault-injection seam (gray-
 	// failure tests and dcnode's -chaos drill install a faultnet
@@ -103,17 +97,6 @@ func spoken() string {
 		return fmt.Sprintf("v%d", ProtoVersion)
 	}
 	return fmt.Sprintf("v%d–v%d", MinProtoVersion, ProtoVersion)
-}
-
-// has is what this node is, as its hello ack states it.
-func (n *Node) has() nodeNeed {
-	switch {
-	case n.ReadOnly:
-		return needNone
-	case n.dp != nil:
-		return needDurable
-	}
-	return needWritable
 }
 
 // newNode serves upd under the identity id.
@@ -434,8 +417,8 @@ func (s *nodeConn) serve(f Frame) bool {
 		// Protocol discipline: an op above the connection's negotiated
 		// version is refused before dispatch.
 		err = fmt.Errorf("needs protocol v%d, the connection negotiated v%d", row.minVer, s.negotiated)
-	case row.needs > n.has():
-		err = fmt.Errorf("needs a %s node, this one is %s", needName[row.needs], needName[n.has()])
+	case row.durable && n.dp == nil:
+		err = errors.New("needs a durable node, this one is not")
 	default:
 		// One identity read per request: membership ops swap the
 		// pointer, every other op serves under the snapshot it loaded.
@@ -508,9 +491,9 @@ func u64(lo, hi uint32) uint64 { return uint64(lo) | uint64(hi)<<32 }
 // serveHello answers the identity — the construction-time baseline,
 // which inserts do not move (see the Node doc) — the negotiated version
 // min(client, node), and the words that state what the node is: the
-// LIVE key count when it is writable (a client dialing learns from it
-// that the partition was written), then a durable node's chain, captured with the
-// live count as one consistent position (generation = live - baseline).
+// LIVE key count (a client dialing learns from it that the partition was
+// written), then a durable node's chain, captured with the live count as
+// one consistent position (generation = live - baseline).
 // A client below the floor is refused: the hard error answers OpErr,
 // logs the version and drops the connection.
 func (s *nodeConn) serveHello(id *nodeIdent, f Frame) ([]byte, error) {
@@ -520,10 +503,9 @@ func (s *nodeConn) serveHello(id *nodeIdent, f Frame) ([]byte, error) {
 	}
 	s.negotiated = min(f.ReqID, ProtoVersion)
 	payload := []uint32{uint32(id.rankBase), uint32(id.baseN), uint32(id.lo), uint32(id.hi), s.negotiated}
-	switch n.has() {
-	case needWritable:
+	if n.dp == nil {
 		payload = append(payload, uint32(n.upd.TotalKeys()))
-	case needDurable:
+	} else {
 		gen, chain := n.dp.Position()
 		payload = append(payload, uint32(id.baseN)+uint32(gen), uint32(chain), uint32(chain>>32))
 	}
@@ -823,7 +805,7 @@ func ListenAndServe(addr string, partKeys []workload.Key, rankBase int) error {
 }
 
 // ListenAndServeNode serves an already-configured node (cmd/dcnode
-// builds one to set flags like ReadOnly first) on addr with the
+// builds one to set fields like Telemetry and WrapConn first) on addr with the
 // production defaults — log.Printf logging and a 30s reply-write
 // timeout — filled in where the caller left them unset.
 func ListenAndServeNode(addr string, node *Node) error {

@@ -23,9 +23,9 @@ const (
 	// lossRedispatch re-routes the request to a surviving replica: the
 	// idempotent reads, whose request words survive until a reply lands.
 	lossRedispatch
-	// lossSettle completes a write as applied when a surviving writable
-	// replica holds it (the departed member catches up on rejoin), and
-	// fails it when none does.
+	// lossSettle completes a write as applied when a surviving replica
+	// with the full state holds it (the departed member catches up on
+	// rejoin), and fails it when none does.
 	lossSettle
 	// lossAbort fails the request: it is pinned to this exact member by
 	// the catch-up or membership protocol (a snapshot's position in the
@@ -61,20 +61,6 @@ const (
 	deliverScatter
 )
 
-// nodeNeed is what a node must be to take a request, in the order the
-// hello ack's length states it (5, 6, 8 words): the node refuses a
-// request above what it is, and the client sends one only to a replica
-// that advertised as much.
-type nodeNeed uint8
-
-const (
-	needNone     nodeNeed = iota // any node, a read-only one included
-	needWritable                 // it takes writes, so it holds every acked one
-	needDurable                  // WAL-backed: it has a position to catch up from or to
-)
-
-var needName = [...]string{"read-only", "writable", "durable"}
-
 // opSpec is one row of the op table.
 type opSpec struct {
 	// name labels the op's latency series (dc_node_op_ns{op=...} on the
@@ -98,9 +84,12 @@ type opSpec struct {
 
 	// Node dispatch: serve decodes the request where it uses it and ends
 	// in answer, which encodes the reply frame from whatever the handler
-	// produced; serve returns that frame.
-	needs nodeNeed
-	serve func(s *nodeConn, id *nodeIdent, f Frame) ([]byte, error)
+	// produced; serve returns that frame. durable rows need a WAL-backed
+	// node, one with a position to catch up from or to: the node refuses
+	// them otherwise, and the client sends them only to a replica whose
+	// hello ack said it is one (8 words).
+	durable bool
+	serve   func(s *nodeConn, id *nodeIdent, f Frame) ([]byte, error)
 }
 
 // Reply rules.
@@ -135,9 +124,10 @@ func ackOf(hdr int) func([]uint32, elems) bool {
 func snapDelta(_ []uint32, reply elems) bool { return reply.len() >= snapDeltaHeader }
 
 // helloAck is [rankBase, keyCount, lo, hi, version], plus the live key
-// count, plus the two chain words — 5, 6 or 8 words, never 7. The four
-// words a version-1 node sends are let through for hello to refuse by
-// name.
+// count, plus the two chain words — 6 or 8 words. The four words a
+// version-1 node sends and the five of an earlier build's read-only node
+// are let through for hello to refuse by name; any other length is
+// malformed.
 func helloAck(_ []uint32, reply elems) bool {
 	n := reply.len()
 	return n >= 4 && n <= 8 && n != 7
@@ -159,19 +149,19 @@ var opTable = [opMax]opSpec{
 	OpErr: {minVer: MinProtoVersion},
 	OpInsert: {name: "insert", minVer: MinProtoVersion, reply: OpInsertAck, valid: ackOf(0),
 		onLoss: lossSettle, onErr: scopeConn, deliver: deliverAck,
-		needs: needWritable, serve: (*nodeConn).serveInsert},
+		serve: (*nodeConn).serveInsert},
 	OpSnapshot: {name: "snapshot", minVer: MinProtoVersion, reply: OpSnapshotData, valid: anyLen,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
-		needs: needWritable, serve: (*nodeConn).serveSnapshot},
+		serve: (*nodeConn).serveSnapshot},
 	OpLoad: {name: "load", minVer: MinProtoVersion, reply: OpLoadAck, valid: ackOf(0),
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverAck,
-		needs: needWritable, serve: (*nodeConn).serveLoad},
+		serve: (*nodeConn).serveLoad},
 	OpSnapshotSince: {name: "snapshot_since", minVer: MinProtoVersion, reply: OpSnapshotDelta, valid: snapDelta,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
-		needs: needDurable, serve: (*nodeConn).serveSnapshotSince},
+		durable: true, serve: (*nodeConn).serveSnapshotSince},
 	OpLoadAt: {name: "load_at", minVer: MinProtoVersion, reply: OpLoadAck, valid: ackOf(snapDeltaHeader),
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverAck,
-		needs: needDurable, serve: (*nodeConn).serveLoadAt},
+		durable: true, serve: (*nodeConn).serveLoadAt},
 	OpCountRange: {name: "count_range", minVer: MinProtoVersion, reply: OpCounts, valid: onePerPair,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverStage,
 		serve: (*nodeConn).serveCountRange},
@@ -184,15 +174,14 @@ var opTable = [opMax]opSpec{
 	OpMultiGet: {name: "multi_get", minVer: MinProtoVersion, reply: OpCounts, valid: sameLen,
 		hedge: true, onLoss: lossRedispatch, onErr: scopeRequest, deliver: deliverScatter,
 		serve: (*nodeConn).serveMultiGet},
-	// Assigning or splitting an identity replaces the node's key set.
 	OpAddReplica: {name: "add_replica", minVer: MinProtoVersion, reply: OpMembAck, valid: oneWord,
-		needs: needWritable, serve: (*nodeConn).serveAddReplica},
+		serve: (*nodeConn).serveAddReplica},
 	OpDrainReplica: {name: "drain_replica", minVer: MinProtoVersion, reply: OpMembAck, valid: oneWord,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
 		serve: (*nodeConn).serveDrainReplica},
 	OpSplitPartition: {name: "split_partition", minVer: MinProtoVersion, reply: OpMembAck, valid: oneWord,
 		onLoss: lossAbort, onErr: scopeRequest, deliver: deliverStage,
-		needs: needWritable, serve: (*nodeConn).serveSplitPartition},
+		serve: (*nodeConn).serveSplitPartition},
 }
 
 // replyOf is each request op's reply op, copied from the rows at init:

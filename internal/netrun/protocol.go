@@ -75,18 +75,17 @@
 // The hello. A client opens with OpHello, its highest protocol version
 // in the reqID field; the node answers OpHelloAck [rankBase, keyCount,
 // loKey, hiKey, version] with version = min(client's, node's), and the
-// ack's length states what the node can do:
+// ack's length states what the node is:
 //
-//	5 words  read-only: serves reads of the key set it was started with
 //	6 words  writable: + its LIVE key count (baseline plus absorbed inserts)
 //	8 words  durable:  + its chain, low word first (generation = live - baseline)
 //
-// The identity is the node's baseline, which inserts never move, so a
-// rejoining replica still verifies as the partition it was launched as;
-// a client that finds a live count above the baseline at dial knows the
-// partition was written. A read-only replica never receives a write, and
-// stops being asked for reads once the client knows its partition was
-// written: it can no longer prove it holds the full key set.
+// Every node takes writes. The identity is the node's baseline, which
+// inserts never move, so a rejoining replica still verifies as the
+// partition it was launched as; a client that finds a live count above
+// the baseline at dial knows the partition was written. A client fails
+// its dial on any other shape: the 5 words an earlier build's read-only
+// node sent, 7 or more than 8 words, or a live count below the baseline.
 //
 // The floor. This build speaks one version, v7 (MinProtoVersion ==
 // ProtoVersion), in which every payload is words; no op uses v6's delta

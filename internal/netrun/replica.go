@@ -261,15 +261,13 @@ func (g *replicaGroup) transition(r *replica, ev lifeEvent) bool {
 // particular): the one eligibility rule target choice, the write
 // fan-out, snapshot sourcing, departure settlement, the split preflight
 // and Stats all share. Its state must permit the use, its connection
-// must have negotiated the op's version, and its node must be what the
-// op needs — writable at least once the partition has been written to,
-// because a read-only replica never receives a write and so can no
-// longer prove it holds the full key set.
+// must have negotiated the op's version, and its node must be durable
+// when the op needs it.
 //
 //dc:holds r.g.mu
 func (r *replica) can(u use, op uint8) bool {
 	row, n := &opTable[op], r.node
-	return stateCan[r.state]&u != 0 && n.version >= row.minVer && n.has >= row.needs && (n.has >= needWritable || !r.g.written)
+	return stateCan[r.state]&u != 0 && n.version >= row.minVer && (n.durable || !row.durable)
 }
 
 // connected counts the group's live connections.
@@ -298,9 +296,7 @@ func (g *replicaGroup) nodes() []*clusterNode {
 }
 
 // errNoSource refuses an admission for now: the partition has absorbed
-// writes and no sibling can supply them. A read-only replica stays
-// refused until the operator replaces it — it can never receive the
-// missed writes.
+// writes and no sibling can supply them.
 var errNoSource = errors.New("netrun: no replica can source a catch-up snapshot")
 
 // admit makes the freshly dialed connection n replica r's connection and
@@ -532,7 +528,7 @@ func (c *Cluster) depart(ep *epoch, n *clusterNode, cause error) {
 			case full:
 				c.finish(p, nil)
 			default:
-				c.finish(p, fmt.Errorf("netrun: partition %d lost its last writable replica with the full state (%s) with a write in flight: %w", g.part, r.addr, cause))
+				c.finish(p, fmt.Errorf("netrun: partition %d lost its last replica with the full state (%s) with a write in flight: %w", g.part, r.addr, cause))
 			}
 		case lossAbort:
 			c.finish(p, fmt.Errorf("netrun: %s pinned to partition %d replica %s interrupted: %w", row.name, g.part, r.addr, cause))

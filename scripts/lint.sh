@@ -43,6 +43,51 @@ if [[ -n "$PAPERDEPS" ]]; then
 fi
 echo "imports: internal/core links no simulator, internal/paper no deployment package"
 
+# Every alternative of every -run regex in CI must match a test, fuzz
+# target or example in the packages its command runs, so a rename or a
+# retirement cannot silently empty a step. '^$' (run none: a
+# benchmark-only step) is the one exemption. Nested modules are skipped
+# the way ./... skips them.
+NESTED=()
+for mod in $(git ls-files '*/go.mod'); do
+	NESTED+=(":(exclude,glob)$(dirname "$mod")/**")
+done
+RUNGAPS=""
+while IFS= read -r cmd; do
+	if [[ ! "$cmd" =~ -run\ \'([^\']*)\' ]]; then
+		RUNGAPS+="  unparsed -run (want -run '<regex>'): $cmd"$'\n'
+		continue
+	fi
+	re="${BASH_REMATCH[1]}"
+	[[ "$re" == '^$' ]] && continue
+	specs=()
+	for pkg in $(grep -oE '\./[^ ]*' <<<"$cmd" || true); do
+		dir="${pkg#./}"
+		case "$dir" in
+		...) specs+=(":(glob)**/*_test.go" "${NESTED[@]}") ;;
+		*/...) specs+=(":(glob)${dir%/...}/**/*_test.go") ;;
+		*) specs+=(":(glob)${dir%/}/*_test.go") ;;
+		esac
+	done
+	if [[ ${#specs[@]} -eq 0 ]]; then
+		RUNGAPS+="  no package pattern on the line: $cmd"$'\n'
+		continue
+	fi
+	names="$(git grep -h -oE '^func (Test|Fuzz|Example)[A-Za-z0-9_]*' -- "${specs[@]}" | sed 's/^func //' || true)"
+	IFS='|' read -ra alts <<<"$re"
+	for alt in "${alts[@]}"; do
+		if ! grep -qE -- "$alt" <<<"$names"; then
+			RUNGAPS+="  '$alt' matches no test in: $cmd"$'\n'
+		fi
+	done
+done < <(grep -E -- '^[^#]*[[:space:]]-run[ =]' .github/workflows/ci.yml | sed -E 's/^[[:space:]]*run:[[:space:]]*//')
+if [[ -n "$RUNGAPS" ]]; then
+	echo "ci.yml: these -run alternatives select nothing:" >&2
+	printf '%s' "$RUNGAPS" >&2
+	exit 1
+fi
+echo "ci.yml: every -run alternative names a test"
+
 mkdir -p bin
 go build -o bin/dclint ./cmd/dclint
 
