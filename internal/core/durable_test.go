@@ -615,12 +615,19 @@ func TestClusterDurableCrashAtEveryOffset(t *testing.T) {
 	if len(logs) != 1 {
 		t.Fatalf("log files: %v, want one", logs)
 	}
+	// logSize is the log's logical length: the bytes replay reads as
+	// header and records. The file runs on past it into the zeroed tail
+	// an fsyncing log preallocates, which replay reads as a clean end.
 	logSize := func() int64 {
-		st, err := os.Stat(logs[0])
+		data, err := os.ReadFile(logs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.Size()
+		rep, err := index.ReplayWALBytes(data, parts, nil)
+		if err != nil || rep.Torn {
+			t.Fatalf("live log of %d bytes does not replay cleanly: %v", len(data), err)
+		}
+		return rep.Size
 	}
 
 	// Format v2 as index/wal.go documents it: a header of 24 + 16 bytes a

@@ -643,8 +643,9 @@ func TestDurablePartitionDeltaSinceAcrossSkippedFlushes(t *testing.T) {
 // insert call) into a 327,680-key partition at the default merge
 // threshold, merges and segment flushes falling where they fall.
 // disk_B/key is every byte written — log and segments — per inserted key,
-// from a counting faultfs: 4 and framing for the log, the rest is what the
-// segments cost.
+// from a counting faultfs: 4 and framing for the log, about as much again
+// for the zeros the log preallocates ahead of its records, the rest is
+// what the segments cost.
 func BenchmarkDurablePartitionInsert(b *testing.B) {
 	const batch = 819
 	base := make([]workload.Key, 327680)

@@ -392,6 +392,95 @@ func TestStoreFsyncFailureNeverAcks(t *testing.T) {
 	}
 }
 
+// TestStoreWALExtensionFaultNeverAcks: a failed write of the zeros an
+// append extends the log with poisons the log like a failed record
+// write. That insert and every later one return ErrWALBroken, none is
+// acked, and a reopen recovers exactly the inserts acked before it.
+func TestStoreWALExtensionFaultNeverAcks(t *testing.T) {
+	faulty := faultfs.NewFaulty(faultfs.OS)
+	dir := t.TempDir()
+	baseline := []workload.Key{10}
+	s, _ := mustOpenStore(t, dir, baseline, StoreOptions{FS: faulty})
+	acked := append([]workload.Key(nil), baseline...)
+	batch := func(i int) []workload.Key { return []workload.Key{workload.Key(100 + i), workload.Key(200 + i)} }
+	rec := int64(walRecHeaderSize + 4*2 + walRecTrailerSize)
+	extends := func() bool {
+		s.log.mu.Lock()
+		defer s.log.mu.Unlock()
+		return s.log.end+rec > s.log.zeroed
+	}
+	i := 0
+	for ; i < 2 || !extends(); i++ {
+		storeAppend(t, s, batch(i))
+		acked = append(acked, batch(i)...)
+	}
+	w0 := faulty.Writes()
+	faulty.FailWriteAt(w0 + 1) // the extension's zeros
+	if _, _, err := s.Append(batch(i)); !errors.Is(err, ErrWALBroken) || !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("append whose extension failed = %v, want ErrWALBroken wrapping ErrInjected", err)
+	}
+	if got := faulty.Writes() - w0; got != 1 {
+		t.Fatalf("the append tried %d writes, want 1: nothing may be written after a failed extension", got)
+	}
+	faulty.FailWriteAt(0) // the disk "recovers"; the log must not
+	for j := 1; j <= 3; j++ {
+		if _, _, err := s.Append(batch(i + j)); !errors.Is(err, ErrWALBroken) {
+			t.Fatalf("append %d after the failed extension = %v, want ErrWALBroken", j, err)
+		}
+	}
+	if s.Broken() == nil {
+		t.Fatal("Broken() = nil after a failed extension")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, rec2 := mustOpenStore(t, dir, baseline, StoreOptions{})
+	defer s2.Close()
+	if !sameKeys(rec2, sortedCopy(acked)) {
+		t.Fatalf("reopen recovered %v, want the acked %v", rec2, sortedCopy(acked))
+	}
+}
+
+// TestStoreWALTailFootprint pins the extension rule: appending small
+// records to a fresh store, the log file is never more than twice its
+// logical bytes plus one record, nor more than its logical bytes plus
+// 1 MiB — so a test that copies or mutates the file a byte at a time
+// stays bounded — and a clean close trims the tail.
+func TestStoreWALTailFootprint(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpenStore(t, dir, nil, StoreOptions{})
+	keys := make([]workload.Key, 64)
+	rec := int64(walRecHeaderSize + 4*len(keys) + walRecTrailerSize)
+	logical := int64(walHeaderSize(1))
+	path := filepath.Join(dir, walName(1))
+	var widest int64
+	for logical < 3*walExtendMax {
+		if _, _, err := s.Append(keys); err != nil {
+			t.Fatal(err)
+		}
+		logical += rec
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := st.Size()
+		if size < logical || size > 2*logical+rec || size > logical+walExtendMax {
+			t.Fatalf("%d logical bytes in a %d-byte file: want at least the logical bytes, at most %d and %d",
+				logical, size, 2*logical+rec, logical+walExtendMax)
+		}
+		widest = max(widest, size-logical)
+	}
+	if widest < walExtendMax/2 {
+		t.Fatalf("widest tail %d bytes over %d logical: the extensions never approached the cap", widest, logical)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != logical {
+		t.Fatalf("closed log: %v, want %d bytes", err, logical)
+	}
+}
+
 // TestStoreSegmentRetiresWALs: after a segment flush, WAL files wholly
 // below the retention floor are deleted; the newest two segments are
 // kept so a rotted head segment still has a fallback.

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,10 +26,20 @@ import (
 // log is a directory of files wal-<ordinal>.wal, ordinals ascending from
 // 1, the last one active. Format v2 (all little-endian):
 //
-//	file   := magic(u32 = 0xDC1D3A41) version(u32 = 2) ordinal(u64)
+//	file   := header record* zero*
+//	header := magic(u32 = 0xDC1D3A41) version(u32 = 2) ordinal(u64)
 //	          parts(u32) parts*(baseGen(u64) baseChain(u64)) crc32c(u32)
 //	record := rmagic(u32 = 0xDC1D0EC5) count(u32) part(u32)
 //	          seq(u64) chain(u64) count*key(u32) crc32c(u32)
+//
+// The zeros are the active file's preallocated tail. A log that fsyncs
+// extends its active file with zeros ahead of its appends — each
+// extension max(record, min(file size, 1 MiB)), so the zeroed region
+// doubles up to the cap — and a record then overwrites blocks that
+// already exist on disk: the commit's fsync flushes data and no inode
+// change, except the first one after an extension. The tail is at most
+// the file's written bytes and never more than 1 MiB; a clean close
+// trims it.
 //
 // The accounting is per partition, exactly as when each had a log of its
 // own. seq is the partition's generation *after* the record applies (a
@@ -45,6 +56,10 @@ import (
 // v1 file is refused by name (ErrStoreFormat), never replayed.
 //
 // Replay policy, the heart of "never silently wrong":
+//   - zeros from the end of the last record to the end of the file are
+//     the preallocated tail: a clean end, not a torn one (a build before
+//     preallocation reads them as a torn tail and recovers the same
+//     records, so the format version did not change);
 //   - a record that fails to parse at the tail of a file (short,
 //     half-written) is a torn write from a crash: truncate there and
 //     recover everything before it — for every partition a prefix of
@@ -80,7 +95,14 @@ const (
 	// maxWALRecordKeys bounds a single record so a corrupt count can
 	// never drive a huge allocation during replay.
 	maxWALRecordKeys = 1 << 26
+
+	// walExtendMax caps one extension of the active file's zeroed tail.
+	walExtendMax = 1 << 20
 )
+
+// walZeros is the one block every extension writes its zeros from, and
+// the one replay compares a tail against.
+var walZeros [walExtendMax]byte
 
 // walHeaderSize is the length of the header of a file that serves parts
 // partitions.
@@ -149,10 +171,10 @@ func WriteKeysLE(w io.Writer, head []byte, keys []workload.Key, crc *uint32) err
 // from such a log.
 var ErrWALCorrupt = errors.New("index: WAL corrupt")
 
-// ErrWALBroken is wrapped by every append/commit after a write or fsync
-// failure: the log can no longer promise durability, so it permanently
-// refuses — for every partition on it — instead of acking inserts it
-// might have lost.
+// ErrWALBroken is wrapped by the append or commit whose write or fsync
+// failed and by every one after it: the log can no longer promise
+// durability, so it permanently refuses — for every partition on it —
+// instead of acking inserts it might have lost.
 var ErrWALBroken = errors.New("index: WAL broken by earlier I/O error")
 
 // WALPos is one partition's position in its insert stream: keys appended
@@ -202,6 +224,13 @@ type WAL struct {
 	floor []uint64     //dc:guardedby mu
 	buf   []byte       //dc:guardedby mu
 	refs  int          //dc:guardedby mu
+
+	// end is the active file's logical end, where the next record goes;
+	// zeroed is the end of the zeros written ahead of it. Only a log that
+	// fsyncs writes them: in one that does not, zeroed stays at the
+	// header.
+	end    int64 //dc:guardedby mu
+	zeroed int64 //dc:guardedby mu
 
 	// written counts every byte ever handed to a file of this log, across
 	// rotations; an Append returns its value as the offset to Commit.
@@ -370,6 +399,7 @@ func (w *WAL) cutLocked(ord uint64) error {
 		w.f.Close()
 	}
 	w.f = f
+	w.end, w.zeroed = int64(n), int64(n)
 	w.files = append(w.files, walFile{path: path, ord: ord, base: append([]WALPos(nil), w.pos...)})
 	// Everything written so far is in files already synced (rotate) or
 	// discarded (reset) — or there is nothing yet (start).
@@ -413,14 +443,43 @@ func (w *WAL) Append(part int, keys []workload.Key) (end int64, at WALPos, err e
 	PutKeys(buf[walRecHeaderSize:], keys)
 	crc := crc32.Checksum(buf[:walRecHeaderSize+4*n], crcTab)
 	binary.LittleEndian.PutUint32(buf[walRecHeaderSize+4*n:], crc)
-	if _, err := w.f.Write(buf); err != nil {
+	if w.fsync && w.end+int64(total) > w.zeroed {
+		err = w.extendLocked(int64(total))
+	}
+	if err == nil {
+		_, err = w.f.Write(buf)
+	}
+	if err != nil {
 		// A short or failed write leaves the file in an unknown state;
 		// poison the log so no later append can ack over the hole.
 		w.fail(err)
-		return 0, at, fmt.Errorf("index: WAL append %s: %w", w.dir, err)
+		return 0, at, fmt.Errorf("%w: append %s: %w", ErrWALBroken, w.dir, err)
 	}
 	w.pos[part] = at
+	w.end += int64(total)
 	return w.written.Add(int64(total)), at, nil
+}
+
+// extendLocked writes max(need, min(file size, walExtendMax)) zeros at
+// the end of the active file and leaves the file offset at the logical
+// end, where the record that needed them goes.
+//
+//dc:holds w.mu
+func (w *WAL) extendLocked(need int64) error {
+	grow := max(need, min(w.zeroed, walExtendMax))
+	if _, err := w.f.Seek(w.zeroed, io.SeekStart); err != nil {
+		return err
+	}
+	for left := grow; left > 0; {
+		k := min(left, walExtendMax)
+		if _, err := w.f.Write(walZeros[:k]); err != nil {
+			return err
+		}
+		left -= k
+	}
+	w.zeroed += grow
+	_, err := w.f.Seek(w.end, io.SeekStart)
+	return err
 }
 
 // fail records the log's first I/O error and wakes committers waiting on
@@ -608,8 +667,9 @@ func (w *WAL) retained() []walFile {
 	return append([]walFile(nil), w.files...)
 }
 
-// release drops one store's reference; the last one closes the active
-// file (without a final sync; Commit owns durability).
+// release drops one store's reference; the last one trims the active
+// file's zeroed tail and closes it (without a final sync; Commit owns
+// durability, and a tail that outlives a crash replays the same).
 func (w *WAL) release() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -617,7 +677,11 @@ func (w *WAL) release() error {
 	if w.refs > 0 || w.f == nil {
 		return nil
 	}
-	err := w.f.Close()
+	var err error
+	if w.zeroed > w.end && w.Broken() == nil {
+		err = w.f.Truncate(w.end)
+	}
+	err = errors.Join(err, w.f.Close())
 	w.f = nil
 	return err
 }
@@ -679,9 +743,9 @@ func ReplayWALBytes(data []byte, parts int, want []WALPos) (*WALReplay, error) {
 	for {
 		rec, total, ok := parseWALRecord(data[o:])
 		if !ok {
-			if int64(len(data)) == o {
+			if zeroTail(data[o:]) {
 				rep.Size = o
-				return rep, nil // clean end
+				return rep, nil // clean end: the end of the file, or its preallocated tail
 			}
 			if walRecordAfter(data[o+1:]) {
 				return nil, fmt.Errorf("%w: unreadable record at offset %d followed by a valid one", ErrWALCorrupt, o)
@@ -737,6 +801,18 @@ func parseWALRecord(data []byte) (rec WALRecord, total int64, ok bool) {
 		rec.Keys[i] = workload.Key(binary.LittleEndian.Uint32(data[walRecHeaderSize+4*i:]))
 	}
 	return rec, total, true
+}
+
+// zeroTail reports whether data is all zero bytes (or empty).
+func zeroTail(data []byte) bool {
+	for len(data) > 0 {
+		k := min(len(data), len(walZeros))
+		if !bytes.Equal(data[:k], walZeros[:k]) {
+			return false
+		}
+		data = data[k:]
+	}
+	return true
 }
 
 // walRecordAfter reports whether any complete, CRC-valid record begins

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -248,6 +249,128 @@ func TestWALBitFlipNeverSilentlyWrong(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWALZeroTailReplaysClean: the zeroed tail an fsyncing log keeps
+// ahead of its appends is a clean end. The live file, read while the log
+// is open, replays every record appended so far, and so does the closed
+// file with zeros appended: the same records and Size as without them,
+// and Torn false.
+func TestWALZeroTailReplaysClean(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		parts   int
+		batches []taggedBatch
+	}{{"private", 1, walBatches()}, {"shared", 3, sharedBatches()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := freshWAL(t, faultfs.OS, dir, tc.parts)
+			var oracle []WALRecord
+			tailed := false
+			for _, b := range tc.batches {
+				end, at, err := w.Append(b.part, b.keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Commit(end); err != nil {
+					t.Fatal(err)
+				}
+				oracle = append(oracle, WALRecord{Part: b.part, Seq: at.Gen, Chain: at.Chain, Keys: b.keys})
+				live := readWALFile(t, dir)
+				rep, err := ReplayWALBytes(live, tc.parts, startPos(tc.parts))
+				if err != nil {
+					t.Fatalf("live file after %d records: %v", len(oracle), err)
+				}
+				if rep.Torn || !sameRecords(rep.Records, oracle) {
+					t.Fatalf("live file after %d records: Torn %v, %d records", len(oracle), rep.Torn, len(rep.Records))
+				}
+				if want := recordEnds(tc.parts, oracle)[len(oracle)]; rep.Size != want {
+					t.Fatalf("live file after %d records: Size %d, want %d", len(oracle), rep.Size, want)
+				}
+				tailed = tailed || int64(len(live)) > rep.Size
+			}
+			if !tailed {
+				t.Fatal("the live file never ran past its last record: nothing was preallocated")
+			}
+			for range tc.parts {
+				if err := w.release(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clean := readWALFile(t, dir)
+			want, err := ReplayWALBytes(clean, tc.parts, startPos(tc.parts))
+			if err != nil {
+				t.Fatalf("closed file: %v", err)
+			}
+			if want.Torn || !sameRecords(want.Records, oracle) || want.Size != int64(len(clean)) {
+				t.Fatalf("closed file of %d bytes: Torn %v, Size %d, %d records", len(clean), want.Torn, want.Size, len(want.Records))
+			}
+			for _, zeros := range []int{1, 3, 4096, walExtendMax + 5} {
+				rep, err := ReplayWALBytes(append(clean[:len(clean):len(clean)], make([]byte, zeros)...), tc.parts, startPos(tc.parts))
+				if err != nil {
+					t.Fatalf("%d zeros: %v", zeros, err)
+				}
+				if rep.Torn || rep.Size != want.Size || !sameRecords(rep.Records, want.Records) {
+					t.Fatalf("%d zeros: Torn %v, Size %d, %d records; want false, %d, %d", zeros, rep.Torn, rep.Size, len(rep.Records), want.Size, len(want.Records))
+				}
+			}
+		})
+	}
+}
+
+// TestWALTornInZeroTail: a crash tears the final record where it landed,
+// in the zeroed tail — a prefix of the record, then zeros. Replay
+// recovers every record before it and reports the tail torn.
+func TestWALTornInZeroTail(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		parts   int
+		batches []taggedBatch
+	}{{"private", 1, walBatches()}, {"shared", 3, sharedBatches()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			full := buildWALImage(startPos(tc.parts), tc.batches)
+			oracle, err := ReplayWALBytes(full, tc.parts, startPos(tc.parts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends := recordEnds(tc.parts, oracle.Records)
+			last := ends[len(ends)-2] // where the final record begins
+			for cut := last + 1; cut < int64(len(full)); cut++ {
+				img := append(append([]byte(nil), full[:cut]...), make([]byte, int64(len(full))-cut+64)...)
+				if bytes.Equal(img[:len(full)], full) {
+					continue // the zeros the cut dropped were zeros: the record is whole
+				}
+				rep, err := ReplayWALBytes(img, tc.parts, startPos(tc.parts))
+				if err != nil {
+					t.Fatalf("cut %d: %v (a record torn in the tail must recover, not refuse)", cut, err)
+				}
+				if !rep.Torn || rep.Size != last || !sameRecords(rep.Records, oracle.Records[:len(oracle.Records)-1]) {
+					t.Fatalf("cut %d: Torn %v, Size %d, %d records; want true, %d, %d",
+						cut, rep.Torn, rep.Size, len(rep.Records), last, len(oracle.Records)-1)
+				}
+			}
+		})
+	}
+}
+
+// TestWALRecordAfterZeroTailCorrupt: zeros are a clean end only when
+// nothing but zeros follows. A valid record after a run of zeros is a
+// hole in the history, refused as ErrWALCorrupt.
+func TestWALRecordAfterZeroTailCorrupt(t *testing.T) {
+	full := buildWALImage(startPos(1), walBatches())
+	oracle, err := ReplayWALBytes(full, 1, startPos(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := recordEnds(1, oracle.Records)
+	last := ends[len(ends)-2]
+	for _, gap := range []int{1, 4, 4096} {
+		img := append(append(append([]byte(nil), full[:last]...), make([]byte, gap)...), full[last:]...)
+		img = append(img, make([]byte, 64)...)
+		if _, err := ReplayWALBytes(img, 1, startPos(1)); !errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("record after %d zeros: %v, want ErrWALCorrupt", gap, err)
+		}
 	}
 }
 
