@@ -670,17 +670,43 @@ func TestClusterDurableCrashAtEveryOffset(t *testing.T) {
 		}
 		acked = append(acked, off)
 	}
+	// The live file, as a crash now would find it: the records, then the
+	// zeroed tail. A clean close trims the tail.
+	live, err := os.ReadFile(logs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(live)) <= off {
+		t.Fatalf("live log of %d bytes has no zeroed tail past its %d logical bytes", len(live), off)
+	}
 	c.Close()
 	full, err := os.ReadFile(logs[0])
 	if err != nil {
 		t.Fatal(err)
+	}
+	if int64(len(full)) != off {
+		t.Fatalf("closed log is %d bytes, want its %d logical bytes", len(full), off)
 	}
 	rel, _ := filepath.Rel(dir, logs[0])
 
 	img := filepath.Join(t.TempDir(), "img")
 	reopen := durableCfg(img, MethodC3)
 	reopen.FsyncInterval = -1 // the images are throwaway; spare the disk the fsyncs of an open
+	// Every cut of the closed file, then cuts of the live file inside its
+	// zeroed tail: one byte of it, half of it, all of it.
+	type crashImage struct {
+		data []byte
+		cut  int
+	}
+	var images []crashImage
 	for cut := 0; cut <= len(full); cut++ {
+		images = append(images, crashImage{full, cut})
+	}
+	for _, cut := range []int{int(off) + 1, (int(off) + len(live)) / 2, len(live)} {
+		images = append(images, crashImage{live, cut})
+	}
+	for _, ci := range images {
+		cut := ci.cut
 		// A reopen cuts a fresh log file and, once the recovered keys have
 		// moved the partition boundaries, rebases into a new epoch: every
 		// cut starts from the directory as the crash left it.
@@ -688,7 +714,7 @@ func TestClusterDurableCrashAtEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		copyTree(t, dir, img)
-		if err := os.WriteFile(filepath.Join(img, rel), full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(img, rel), ci.data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		crashed, err := NewCluster(workload.SortedKeys(16, 99), reopen)

@@ -67,15 +67,31 @@ import (
 //   - a record that fails to parse but is *followed* by a fully valid
 //     record is mid-file corruption (bit rot, truncation in the middle):
 //     refuse with ErrWALCorrupt — the caller refuses to serve a gapped
-//     history;
+//     history — unless the unreadable bytes hold a hole, below;
+//   - a hole is zeros, in the unreadable bytes before the next valid
+//     record, that start at the unreadable record or at a sector
+//     (512-byte) boundary and run to a sector boundary: a sector a crash
+//     did not write. A commit overwrites zeroed blocks, and overwrites
+//     reach the disk in no order, so a crash during a group fsync can
+//     leave record N unwritten and record N+1 whole. A commit's fsync
+//     covers every byte before its offset, so nothing from the hole on
+//     was acked: recover the prefix before it, Torn, and drop the rest.
+//     Only the active file can hold one — every other file was fsynced
+//     whole before its successor was cut, and that successor's header
+//     names where it ended, so a hole that drops records of a rotated
+//     file breaks the header check and is refused (the file cut after a
+//     recovery continues from the prefix, so a recovered hole passes).
+//     The price: damage that zeroes whole sectors of the active file
+//     reads as a crash;
 //   - a record whose CRC passes but whose partition tag is out of range,
 //     or whose seq or chain breaks its partition's running accounting, is
 //     corrupt regardless of position; so is a file whose header does not
 //     continue every partition exactly where the file before it ended.
 //
-// The one undetectable case is damage confined to the final record with
-// only garbage after it — indistinguishable from a torn write, so it
-// recovers the prefix (equivalent to crashing just before that append).
+// The undetectable cases are damage confined to the final record with
+// only garbage after it, and zeroed sectors in the active file — both
+// indistinguishable from a crash, so they recover the prefix (equivalent
+// to crashing just before that append).
 //
 // Rotation and retirement are the log's, not a partition's: a segment
 // flush that covers records in the active file closes it behind a final
@@ -98,6 +114,10 @@ const (
 
 	// walExtendMax caps one extension of the active file's zeroed tail.
 	walExtendMax = 1 << 20
+
+	// walSector is the unit a crash can leave unwritten: the smallest
+	// disk sector, a divisor of every page size.
+	walSector = 512
 )
 
 // walZeros is the one block every extension writes its zeros from, and
@@ -327,8 +347,12 @@ func (w *WAL) read(files []walFile) (streams []walStream, logged bool, err error
 			pos[rec.Part] = WALPos{rec.Seq, rec.Chain}
 		}
 		if rep.Torn && w.logf != nil {
-			w.logf("log %s: %s has a torn tail after %d bytes (crash); recovered the valid prefix",
-				w.dir, filepath.Base(wf.path), rep.Size)
+			what := "a torn tail"
+			if rep.Hole {
+				what = "a hole"
+			}
+			w.logf("log %s: %s has %s after %d bytes (crash); recovered the valid prefix",
+				w.dir, filepath.Base(wf.path), what, rep.Size)
 		}
 	}
 	return streams, pos != nil, nil
@@ -701,6 +725,7 @@ type WALReplay struct {
 	Records []WALRecord
 	Size    int64 // length of the valid prefix
 	Torn    bool  // file had a torn tail after Size
+	Hole    bool  // the torn tail begins with a hole and valid records follow it
 }
 
 // ReplayWALBytes parses the image of one log file serving parts
@@ -743,12 +768,15 @@ func ReplayWALBytes(data []byte, parts int, want []WALPos) (*WALReplay, error) {
 	for {
 		rec, total, ok := parseWALRecord(data[o:])
 		if !ok {
-			if zeroTail(data[o:]) {
+			if allZero(data[o:]) {
 				rep.Size = o
 				return rep, nil // clean end: the end of the file, or its preallocated tail
 			}
-			if walRecordAfter(data[o+1:]) {
-				return nil, fmt.Errorf("%w: unreadable record at offset %d followed by a valid one", ErrWALCorrupt, o)
+			if v := walRecordAfter(data[o+1:]); v >= 0 {
+				if !crashHole(data, o, o+1+int64(v)) {
+					return nil, fmt.Errorf("%w: unreadable record at offset %d followed by a valid one", ErrWALCorrupt, o)
+				}
+				rep.Hole = true
 			}
 			rep.Size = o
 			rep.Torn = true
@@ -803,8 +831,8 @@ func parseWALRecord(data []byte) (rec WALRecord, total int64, ok bool) {
 	return rec, total, true
 }
 
-// zeroTail reports whether data is all zero bytes (or empty).
-func zeroTail(data []byte) bool {
+// allZero reports whether data is all zero bytes (or empty).
+func allZero(data []byte) bool {
 	for len(data) > 0 {
 		k := min(len(data), len(walZeros))
 		if !bytes.Equal(data[:k], walZeros[:k]) {
@@ -815,18 +843,37 @@ func zeroTail(data []byte) bool {
 	return true
 }
 
-// walRecordAfter reports whether any complete, CRC-valid record begins
-// anywhere in data — the discriminator between a torn tail (nothing
-// valid after the damage) and mid-file corruption (valid records
-// follow, so history has a hole).
-func walRecordAfter(data []byte) bool {
+// walRecordAfter returns the offset of the first complete, CRC-valid
+// record that begins anywhere in data, or -1 — the discriminator between
+// a torn tail (nothing valid after the damage) and mid-file damage
+// (valid records follow).
+func walRecordAfter(data []byte) int {
 	for o := 0; o+walRecHeaderSize <= len(data); o++ {
 		if binary.LittleEndian.Uint32(data[o:]) != walRecMagic {
 			continue
 		}
 		if _, _, ok := parseWALRecord(data[o:]); ok {
-			return true
+			return o
 		}
 	}
-	return false
+	return -1
+}
+
+// crashHole reports whether data[o:v] — the unreadable bytes from a
+// record boundary o of a file image to the next valid record at v —
+// holds a sector a crash left unwritten: zeros from o, or from a sector
+// boundary, to the next sector boundary at or before v. (A sector on
+// disk holds what had been written to it by some instant: data, then
+// the zeros it was extended with.)
+func crashHole(data []byte, o, v int64) bool {
+	for a := o; ; {
+		b := (a/walSector + 1) * walSector
+		if b > v {
+			return false
+		}
+		if allZero(data[a:b]) {
+			return true
+		}
+		a = b
+	}
 }

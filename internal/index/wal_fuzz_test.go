@@ -66,6 +66,10 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(two[:len(two)-5], true)
 	f.Add(two, false)
 	f.Add(v1WALHeader(), false)
+	// A crash's hole: a zeroed sector with whole records after it.
+	hole := buildWALImage(startPos(1), holeBatches()[:12])
+	clear(hole[walSector : 2*walSector])
+	f.Add(hole, false)
 	f.Fuzz(func(t *testing.T, data []byte, shared bool) {
 		parts := 1
 		if shared {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -354,10 +355,14 @@ func TestWALTornInZeroTail(t *testing.T) {
 	}
 }
 
-// TestWALRecordAfterZeroTailCorrupt: zeros are a clean end only when
-// nothing but zeros follows. A valid record after a run of zeros is a
-// hole in the history, refused as ErrWALCorrupt.
-func TestWALRecordAfterZeroTailCorrupt(t *testing.T) {
+// TestWALRecordAfterZerosCorrupt: zeros are a clean end only when
+// nothing but zeros follows, and a hole only when they fill a sector. A
+// valid record after zeros that fill none — nothing a crash leaves,
+// since a sector that holds a record holds the records before it — is a
+// gap in the history, refused as ErrWALCorrupt. A valid record planted
+// in the zeroed tail, past zeros that run from the last record to a
+// sector boundary, is a hole: the records before it, and Torn.
+func TestWALRecordAfterZerosCorrupt(t *testing.T) {
 	full := buildWALImage(startPos(1), walBatches())
 	oracle, err := ReplayWALBytes(full, 1, startPos(1))
 	if err != nil {
@@ -365,12 +370,197 @@ func TestWALRecordAfterZeroTailCorrupt(t *testing.T) {
 	}
 	ends := recordEnds(1, oracle.Records)
 	last := ends[len(ends)-2]
-	for _, gap := range []int{1, 4, 4096} {
+	if last+64 > walSector {
+		t.Fatalf("the image's last record begins at %d: the gaps below would reach a sector boundary", last)
+	}
+	for _, gap := range []int{1, 4, 64} {
 		img := append(append(append([]byte(nil), full[:last]...), make([]byte, gap)...), full[last:]...)
 		img = append(img, make([]byte, 64)...)
 		if _, err := ReplayWALBytes(img, 1, startPos(1)); !errors.Is(err, ErrWALCorrupt) {
 			t.Fatalf("record after %d zeros: %v, want ErrWALCorrupt", gap, err)
 		}
+	}
+	tail := append(append([]byte(nil), full...), make([]byte, walSector)...)
+	planted := append(tail, full[last:]...)
+	rep, err := ReplayWALBytes(planted, 1, startPos(1))
+	if err != nil {
+		t.Fatalf("record planted past the zeroed tail's first sector boundary: %v", err)
+	}
+	if !rep.Torn || !rep.Hole || rep.Size != int64(len(full)) || !sameRecords(rep.Records, oracle.Records) {
+		t.Fatalf("record planted in the tail: Torn %v, Hole %v, Size %d, %d records; want true, true, %d, %d",
+			rep.Torn, rep.Hole, rep.Size, len(rep.Records), len(full), len(oracle.Records))
+	}
+}
+
+// holeBatches is a run of records long enough to span several 4 KiB
+// pages: 120 records of 16 keys, 96 bytes each.
+func holeBatches() []taggedBatch {
+	var batches []taggedBatch
+	for i := range 120 {
+		keys := make([]workload.Key, 16)
+		for j := range keys {
+			keys[j] = workload.Key(1000*i + j + 1)
+		}
+		batches = append(batches, taggedBatch{0, keys})
+	}
+	return batches
+}
+
+// liveWALImage appends batches to a fresh log in dir, committing each,
+// and returns the active file as a crash would find it — records, then
+// the zeroed tail — with the oracle of its records.
+func liveWALImage(t *testing.T, dir string, batches []taggedBatch) ([]byte, []WALRecord) {
+	t.Helper()
+	w := freshWAL(t, faultfs.OS, dir, 1)
+	var oracle []WALRecord
+	for _, b := range batches {
+		end, at, err := w.Append(b.part, b.keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Commit(end); err != nil {
+			t.Fatal(err)
+		}
+		oracle = append(oracle, WALRecord{Part: b.part, Seq: at.Gen, Chain: at.Chain, Keys: b.keys})
+	}
+	live := readWALFile(t, dir)
+	if err := w.release(); err != nil {
+		t.Fatal(err)
+	}
+	if ends := recordEnds(1, oracle); int64(len(live)) <= ends[len(ends)-1] {
+		t.Fatalf("live file of %d bytes has no zeroed tail", len(live))
+	}
+	return live, oracle
+}
+
+// TestWALCrashHoleRecoversPrefix: a commit overwrites zeroed blocks, and
+// a crash during its fsync can leave any of its sectors unwritten — a
+// hole of zeros with whole records after it. Zeroing a record that
+// crosses a sector boundary, one 512-byte sector, or one 4 KiB page of a
+// live image recovers every record before the first one the hole
+// touches, and reports the tail torn. Zeros that fill no sector are
+// damage, not a crash, and are refused.
+func TestWALCrashHoleRecoversPrefix(t *testing.T) {
+	live, oracle := liveWALImage(t, t.TempDir(), holeBatches())
+	ends := recordEnds(1, oracle)
+	// first returns the index of the first record that overlaps [lo, hi).
+	first := func(lo, hi int64) int {
+		for i := range oracle {
+			if ends[i+1] > lo && ends[i] < hi {
+				return i
+			}
+		}
+		t.Fatalf("no record overlaps [%d, %d)", lo, hi)
+		return 0
+	}
+	straddle := -1
+	for i := range oracle {
+		if ends[i]/walSector != (ends[i+1]-1)/walSector && i+1 < len(oracle)/2 {
+			straddle = i
+		}
+	}
+	holes := []struct {
+		name   string
+		lo, hi int64
+	}{
+		{"record", ends[straddle], ends[straddle+1]},
+		{"sector", 3 * walSector, 4 * walSector},
+		{"page", 4096, 8192},
+		{"page and record after", 4096, ends[first(8192, 8193)+1]},
+	}
+	for _, h := range holes {
+		img := append([]byte(nil), live...)
+		clear(img[h.lo:h.hi])
+		i := first(h.lo, h.hi)
+		if i+1 >= len(oracle) {
+			t.Fatalf("%s hole [%d, %d) leaves no record after it", h.name, h.lo, h.hi)
+		}
+		rep, err := ReplayWALBytes(img, 1, startPos(1))
+		if err != nil {
+			t.Fatalf("%s hole [%d, %d): %v (a crash's hole must recover, not refuse)", h.name, h.lo, h.hi, err)
+		}
+		if !rep.Torn || !rep.Hole || rep.Size != ends[i] || !sameRecords(rep.Records, oracle[:i]) {
+			t.Fatalf("%s hole [%d, %d): Torn %v, Hole %v, Size %d, %d records; want true, true, %d, %d",
+				h.name, h.lo, h.hi, rep.Torn, rep.Hole, rep.Size, len(rep.Records), ends[i], i)
+		}
+	}
+	// Zeros inside one sector, with a whole record after them in the same
+	// sector: a record that lies inside a sector, or eight bytes of one.
+	inside := -1
+	for i := range oracle[:len(oracle)-1] {
+		if ends[i]/walSector == ends[i+2]/walSector && ends[i]%walSector != 0 {
+			inside = i
+			break
+		}
+	}
+	for _, z := range [][2]int64{{ends[inside], ends[inside+1]}, {ends[inside] + 40, ends[inside] + 48}} {
+		img := append([]byte(nil), live...)
+		clear(img[z[0]:z[1]])
+		if _, err := ReplayWALBytes(img, 1, startPos(1)); !errors.Is(err, ErrWALCorrupt) {
+			t.Fatalf("zeros [%d, %d) inside one sector: %v, want ErrWALCorrupt", z[0], z[1], err)
+		}
+	}
+}
+
+// walImageAt rewrites a one-file image's header as file ord's.
+func walImageAt(img []byte, parts int, ord uint64) []byte {
+	n := walHeaderSize(parts)
+	binary.LittleEndian.PutUint64(img[8:16], ord)
+	binary.LittleEndian.PutUint32(img[n-4:], crc32.Checksum(img[:n-4], crcTab))
+	return img
+}
+
+// TestWALCrashHoleOnlyInActiveFile: a hole is recovered only where a
+// crash can leave one. In the last file it is; in a file with a
+// successor whose header continues past the hole — a file fsynced whole
+// at rotation — the dropped records break the header check and the log
+// is refused. A successor that continues from the prefix — the file cut
+// after an earlier recovery — replays, so a recovered log keeps opening.
+func TestWALCrashHoleOnlyInActiveFile(t *testing.T) {
+	live, oracle := liveWALImage(t, t.TempDir(), holeBatches())
+	ends := recordEnds(1, oracle)
+	holed := append([]byte(nil), live...)
+	clear(holed[4096:8192])
+	keep := 0
+	for ends[keep+1] <= 4096 {
+		keep++
+	}
+	endOf := func(recs []WALRecord) []WALPos {
+		return []WALPos{{recs[len(recs)-1].Seq, recs[len(recs)-1].Chain}}
+	}
+	for _, tc := range []struct {
+		name string
+		next []WALPos // the successor's header; nil: no successor
+		ok   bool
+	}{
+		{"active", nil, true},
+		{"rotated", endOf(oracle), false},
+		{"recovered", endOf(oracle[:keep]), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, walName(1)), holed, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.next != nil {
+				if err := os.WriteFile(filepath.Join(dir, walName(2)), walImageAt(buildWALImage(tc.next, nil), 1, 2), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			streams, _, err := newWAL(faultfs.OS, dir, 1, StoreOptions{}).replay()
+			if !tc.ok {
+				if !errors.Is(err, ErrWALCorrupt) {
+					t.Fatalf("hole in a file fsynced whole: %v, want ErrWALCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameRecords(streams[0].recs, oracle[:keep]) {
+				t.Fatalf("replayed %d records, want the %d before the hole", len(streams[0].recs), keep)
+			}
+		})
 	}
 }
 
